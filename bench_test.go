@@ -240,7 +240,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 func solverRoundCtx() *policy.Context {
 	cls := cluster.MustNew(cluster.PaperClasses())
 	for _, n := range cls.Nodes {
-		n.State = cluster.On
+		n.SetState(cluster.On)
 	}
 	var queue []*vm.VM
 	for i := 0; i < 64; i++ {
@@ -313,7 +313,7 @@ func BenchmarkScoreSolverRoundSteadyFresh(b *testing.B) {
 func solverChurnSetup(cfg core.Config) (*core.Scheduler, *policy.Context) {
 	cls := cluster.MustNew(cluster.PaperClasses())
 	for _, n := range cls.Nodes {
-		n.State = cluster.On
+		n.SetState(cluster.On)
 	}
 	cfg.MigrationGainMin = 1e6
 	var active []*vm.VM
@@ -382,7 +382,7 @@ func bigRoundCtx() *policy.Context {
 	}
 	cls := cluster.MustNew(classes)
 	for _, n := range cls.Nodes {
-		n.State = cluster.On
+		n.SetState(cluster.On)
 	}
 	var queue []*vm.VM
 	for i := 0; i < 4000; i++ {

@@ -37,6 +37,9 @@ func main() {
 		nodes    = flag.Int("nodes", 10_000, "scenario fleet size (with -scenario)")
 	)
 	cli.Parse("tables")
+	if *table != 0 && (*table < 2 || *table > 5) {
+		cli.Usagef("tables", "-table must be 0 (all) or 2, 3, 4 or 5, got %d", *table)
+	}
 
 	if *scenario {
 		runScenario(*nodes, *days, *seed)

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 
-	"energysched/internal/cluster"
 	"energysched/internal/datacenter"
 	"energysched/internal/metrics"
 	"energysched/internal/simkit"
@@ -116,16 +115,11 @@ func (p Plan) Arm(sim *datacenter.Simulation) {
 // crashOnline crashes the rank-th (mod count) currently-On node in
 // ascending ID order, returning its ID, or -1 when no node is On.
 func crashOnline(sim *datacenter.Simulation, rank int) int {
-	on := make([]int, 0, 64)
-	for _, n := range sim.Cluster().Nodes {
-		if n.State == cluster.On {
-			on = append(on, n.ID)
-		}
-	}
+	on := sim.Cluster().OnlineNodes()
 	if len(on) == 0 {
 		return -1
 	}
-	id := on[rank%len(on)]
+	id := on[rank%len(on)].ID
 	sim.CrashNode(id)
 	return id
 }

@@ -5,15 +5,44 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"energysched"
 	"energysched/internal/chaos"
+	"energysched/internal/datacenter"
 	"energysched/internal/fleet"
 	"energysched/internal/obs"
 	"energysched/internal/obs/series"
 	"energysched/internal/workload"
 )
+
+// checkEveryTick asserts datacenter.CheckInvariants — state index ≡
+// sweep, active-VM list ≡ filter, no VM on a non-On node — at every
+// housekeeping tick of every simulation the test runs from here on,
+// including the ones fleets drive on their own goroutines.
+func checkEveryTick(t *testing.T) {
+	t.Helper()
+	var mu sync.Mutex
+	ticks, failed := 0, false
+	datacenter.TickHook = func(s *datacenter.Simulation) {
+		err := s.CheckInvariants()
+		mu.Lock()
+		defer mu.Unlock()
+		ticks++
+		if err != nil && !failed {
+			failed = true
+			t.Errorf("tick at t=%.0f: %v", s.Now(), err)
+		}
+	}
+	// Cleanups run after the test's deferred fleet Closes.
+	t.Cleanup(func() {
+		datacenter.TickHook = nil
+		if ticks == 0 {
+			t.Error("the tick hook never ran")
+		}
+	})
+}
 
 // TestScenario10kByteIdentity is the acceptance oracle at scale: the
 // canonical 10k-node heterogeneous scenario — a two-day streaming
@@ -26,6 +55,7 @@ func TestScenario10kByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
 	}
+	checkEveryTick(t)
 	s := chaos.Scenario10k()
 	serial, err := s.Run(0, false)
 	if err != nil {
@@ -110,6 +140,7 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
 	}
+	checkEveryTick(t)
 	s := chaos.Scenario10k()
 	classes := fleetClasses(s.Nodes)
 
@@ -227,6 +258,7 @@ func TestScenario10kShardedAdmissionByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
 	}
+	checkEveryTick(t)
 	s := chaos.Scenario10k()
 	classes := fleetClasses(s.Nodes)
 

@@ -59,7 +59,7 @@ func TestNodeStateHelpers(t *testing.T) {
 	if n.State != Off || n.Operational() || n.Working() || n.Idle() {
 		t.Error("fresh node should be off and inert")
 	}
-	n.State = On
+	n.SetState(On)
 	if !n.Operational() || !n.Idle() || n.Working() {
 		t.Error("empty online node should be idle, not working")
 	}
@@ -71,8 +71,8 @@ func TestNodeStateHelpers(t *testing.T) {
 
 func TestNodeWorkingDuringOps(t *testing.T) {
 	n := newTestNode(t)
-	n.State = On
-	n.CreatingOps = 1
+	n.SetState(On)
+	n.BeginCreate()
 	if !n.Working() || n.Idle() {
 		t.Error("node creating a VM is working")
 	}
@@ -80,7 +80,7 @@ func TestNodeWorkingDuringOps(t *testing.T) {
 
 func TestOccupation(t *testing.T) {
 	n := newTestNode(t)
-	n.State = On
+	n.SetState(On)
 	addVM(n, 1, 100, 50, vm.Running) // CPU 25 %, Mem 50 %
 	if got := n.Occupation(); got != 0.5 {
 		t.Errorf("occupation = %v, want 0.5 (memory binds)", got)
@@ -137,15 +137,15 @@ func TestWattsByState(t *testing.T) {
 	if got := n.Watts(0); got != StandbyWatts {
 		t.Errorf("off watts = %v, want standby", got)
 	}
-	n.State = Booting
+	n.SetState(Booting)
 	if got := n.Watts(0); got != 230 {
 		t.Errorf("booting watts = %v, want idle 230", got)
 	}
-	n.State = On
+	n.SetState(On)
 	if got := n.Watts(400); got != 304 {
 		t.Errorf("full-load watts = %v, want 304", got)
 	}
-	n.State = Down
+	n.SetState(Down)
 	if got := n.Watts(100); got != StandbyWatts {
 		t.Errorf("down watts = %v, want standby", got)
 	}
@@ -198,8 +198,8 @@ func TestClusterNewValidation(t *testing.T) {
 
 func TestClusterCounts(t *testing.T) {
 	c := MustNew([]Class{testClass()})
-	c.Nodes[0].State = On
-	c.Nodes[1].State = Booting
+	c.Nodes[0].SetState(On)
+	c.Nodes[1].SetState(Booting)
 	addVM(c.Nodes[0], 1, 100, 10, vm.Running)
 
 	working, online := c.Counts()

@@ -108,8 +108,10 @@ type Node struct {
 	// Class the node belongs to.
 	Class *Class
 
-	// State is the current power state. Prefer SetState for runtime
-	// transitions so the change epoch advances with it.
+	// State is the current power state. Read-only outside this
+	// package: SetState is the one write path (it keeps the owning
+	// cluster's state index and the change epoch in step), and no code,
+	// test or not, assigns the field directly.
 	State PowerState
 	// VMs currently placed on the node (creating, running or
 	// migrating-in VMs all occupy resources here). Mutate only through
@@ -126,6 +128,8 @@ type Node struct {
 	MigratingOps int
 
 	// Reliability is the node's current Frel (may drift at runtime).
+	// Read-only outside this package: SetReliability is the one write
+	// path, because the value is part of the off index's sort key.
 	Reliability float64
 
 	// Epoch counts score-relevant mutations of the node: VM set
@@ -141,9 +145,15 @@ type Node struct {
 	// map-order float addition would give round-to-round ulp jitter
 	// that defeats the cross-round score cache.
 	resCPU, resMem float64
+
+	// cluster is the owner whose state index the mutators below keep
+	// current; nil for a node built outside any cluster.
+	cluster *Cluster
 }
 
-// NewNode builds an Off node of the given class.
+// NewNode builds an Off node of the given class. On its own it
+// belongs to no cluster and carries no index; New adopts the nodes it
+// creates.
 func NewNode(id int, class *Class) *Node {
 	return &Node{
 		ID:          id,
@@ -160,10 +170,11 @@ func (n *Node) AddVM(v *vm.VM) {
 	if _, ok := n.VMs[v.ID]; ok {
 		return
 	}
+	was := n.Working()
 	n.VMs[v.ID] = v
 	n.resCPU += v.Req.CPU
 	n.resMem += v.Req.Mem
-	n.Epoch++
+	n.changed(was)
 }
 
 // RemoveVM releases v's reservation. Removing a VM that is not hosted
@@ -172,6 +183,7 @@ func (n *Node) RemoveVM(v *vm.VM) {
 	if _, ok := n.VMs[v.ID]; !ok {
 		return
 	}
+	was := n.Working()
 	delete(n.VMs, v.ID)
 	n.resCPU -= v.Req.CPU
 	n.resMem -= v.Req.Mem
@@ -180,35 +192,75 @@ func (n *Node) RemoveVM(v *vm.VM) {
 		// a residue, and an empty node must read exactly zero.
 		n.resCPU, n.resMem = 0, 0
 	}
-	n.Epoch++
+	n.changed(was)
 }
 
-// SetState transitions the power state, advancing the change epoch.
+// SetState transitions the power state, moving the node between the
+// owning cluster's index sets and advancing the change epoch.
 func (n *Node) SetState(s PowerState) {
 	if n.State == s {
 		return
 	}
-	n.State = s
+	was := n.Working()
+	n.refile(func() { n.State = s })
+	n.changed(was)
+}
+
+// SetReliability changes Frel, re-keying the node in the owning
+// cluster's off order and advancing the change epoch.
+func (n *Node) SetReliability(r float64) {
+	if n.Reliability == r {
+		return
+	}
+	n.refile(func() { n.Reliability = r })
 	n.Epoch++
 }
 
+// refile applies a write to a field the state index is keyed on,
+// taking the node out of the index before and filing it again after.
+func (n *Node) refile(write func()) {
+	if n.cluster != nil {
+		n.cluster.leave(n)
+	}
+	write()
+	if n.cluster != nil {
+		n.cluster.enter(n)
+	}
+}
+
+// changed closes a mutation: it advances the change epoch and, when
+// the mutation flipped Working (was is the value before it), moves
+// the owning cluster's working count.
+func (n *Node) changed(was bool) {
+	n.Epoch++
+	if n.cluster == nil {
+		return
+	}
+	if is := n.Working(); is && !was {
+		n.cluster.working++
+	} else if was && !is {
+		n.cluster.working--
+	}
+}
+
 // BeginCreate and EndCreate bracket a VM creation in progress.
-func (n *Node) BeginCreate() { n.CreatingOps++; n.Epoch++ }
+func (n *Node) BeginCreate() { was := n.Working(); n.CreatingOps++; n.changed(was) }
 
 // EndCreate completes one creation begun with BeginCreate.
-func (n *Node) EndCreate() { n.CreatingOps--; n.Epoch++ }
+func (n *Node) EndCreate() { was := n.Working(); n.CreatingOps--; n.changed(was) }
 
 // BeginMigrate and EndMigrate bracket a live migration with this node
 // as an endpoint (source or destination).
-func (n *Node) BeginMigrate() { n.MigratingOps++; n.Epoch++ }
+func (n *Node) BeginMigrate() { was := n.Working(); n.MigratingOps++; n.changed(was) }
 
 // EndMigrate completes one migration begun with BeginMigrate.
-func (n *Node) EndMigrate() { n.MigratingOps--; n.Epoch++ }
+func (n *Node) EndMigrate() { was := n.Working(); n.MigratingOps--; n.changed(was) }
 
 // ResetOps force-clears both operation counters (failure teardown).
 func (n *Node) ResetOps() {
+	was := n.Working()
 	n.CreatingOps, n.MigratingOps = 0, 0
-	n.Epoch++
+	n.changed(was)
 }
 
 // Touch records an out-of-band mutation not covered by the methods

@@ -20,7 +20,7 @@ func ExampleScheduler_Matrix() {
 	cls.Count = 2
 	c := cluster.MustNew([]cluster.Class{cls})
 	for _, n := range c.Nodes {
-		n.State = cluster.On
+		n.SetState(cluster.On)
 	}
 
 	// VM0 waits in the queue; VM1 runs alone on host 0.

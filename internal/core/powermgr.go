@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"energysched/internal/cluster"
 	"energysched/internal/vm"
@@ -37,7 +38,20 @@ type PowerManager struct {
 
 	lastBoot   float64
 	bootedOnce bool
+
+	// Scratch reused across Plan calls, so a round allocates nothing:
+	// the online nodes, the returned on/off slices, and the emergency
+	// estimate's hypothetical loads (indexed like online), misfits and
+	// bins.
+	online, on, off    []*cluster.Node
+	extraCPU, extraMem []float64
+	misfits            []*vm.VM
+	bins               []bin
 }
+
+// bin is one hypothetical freshly booted node in the emergency
+// estimate's first-fit packing.
+type bin struct{ cpu, mem float64 }
 
 // NewPowerManager validates thresholds given in percent (30, 90) or
 // fractions (0.30, 0.90) — values above 1 are treated as percent.
@@ -59,15 +73,14 @@ func NewPowerManager(lambdaMin, lambdaMax float64, minExec int) (*PowerManager, 
 
 // Plan inspects the cluster and queue at virtual time now and returns
 // the nodes to turn on and the idle nodes to turn off. The two slices
-// are disjoint and the off slice only ever contains Idle nodes.
+// are disjoint and the off slice only ever contains Idle nodes. Both
+// are the manager's own scratch, valid until the next Plan, and copies
+// of the cluster's state index: the caller changes node states while
+// it iterates them. Plan reads the index only, so it costs O(online),
+// not O(fleet).
 func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (on, off []*cluster.Node) {
 	working, online := c.Counts()
-	total := 0
-	for _, n := range c.Nodes {
-		if n.State != cluster.Down {
-			total++
-		}
-	}
+	total := c.Size() - c.StateCount(cluster.Down)
 
 	mid := (pm.LambdaMin + pm.LambdaMax) / 2
 	target := online
@@ -93,8 +106,9 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 	// fleet when it passes λmax — for policies that respect the
 	// occupation limit the node ratio always triggers first, so this
 	// only disciplines overcommitting schedulers.
+	pm.online = c.AppendOnline(pm.online[:0])
 	var reserved, capacity float64
-	for _, n := range c.OnlineNodes() {
+	for _, n := range pm.online {
 		reserved += n.CPUReserved()
 		capacity += n.Class.CPU
 	}
@@ -109,7 +123,7 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 	// from the wait. These boots bypass the rate limit — the paper's
 	// scheduler likewise reacts to SLA violations immediately. This
 	// rescue also prevents total-drain deadlock.
-	emergency := pm.nodesNeededForQueue(now, c, queue)
+	emergency := pm.nodesNeededForQueue(now, c, pm.online, queue)
 
 	target = maxInt(target, working, pm.MinExec)
 	if target > total {
@@ -149,22 +163,15 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 		boots = emergency
 	}
 	if boots > 0 {
-		candidates := RankOn(c.OffNodes())
-		if boots > len(candidates) {
-			boots = len(candidates)
-		}
-		on = candidates[:boots]
+		pm.on = c.AppendOff(pm.on[:0], boots)
+		on = pm.on
 		if len(on) > 0 {
 			pm.lastBoot = now
 			pm.bootedOnce = true
 		}
 	} else if target < online {
-		candidates := RankOff(c.IdleNodes())
-		n := online - target
-		if n > len(candidates) {
-			n = len(candidates)
-		}
-		off = candidates[:n]
+		pm.off = RankOff(c.AppendIdle(pm.off[:0]))
+		off = pm.off[:min(online-target, len(pm.off))]
 	}
 	return on, off
 }
@@ -172,33 +179,36 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 // nodesNeededForQueue estimates how many extra nodes must boot for
 // the queued VMs that (a) no online node can currently hold and
 // (b) would miss their deadline if they kept waiting: it first-fit
-// packs those misfits into the best powered-off node profile.
-func (pm *PowerManager) nodesNeededForQueue(now float64, c *cluster.Cluster, queue []*vm.VM) int {
+// packs those misfits into the best powered-off node profile. online
+// is the cluster's On nodes.
+func (pm *PowerManager) nodesNeededForQueue(now float64, c *cluster.Cluster, online []*cluster.Node, queue []*vm.VM) int {
 	if len(queue) == 0 {
 		return 0
 	}
 	// Find queued VMs with no online home, accounting for each
 	// other's hypothetical placements on the current fleet.
-	extraCPU := make(map[int]float64)
-	extraMem := make(map[int]float64)
-	var misfits []*vm.VM
+	pm.extraCPU = grow(pm.extraCPU, len(online))
+	pm.extraMem = grow(pm.extraMem, len(online))
+	clear(pm.extraCPU)
+	clear(pm.extraMem)
+	misfits := pm.misfits[:0]
 	for _, v := range queue {
 		if !pm.atRisk(now, v) {
 			continue
 		}
 		placed := false
-		for _, n := range c.OnlineNodes() {
+		for i, n := range online {
 			if !n.Satisfies(v.Req) {
 				continue
 			}
-			cpu := (n.CPUReserved() + extraCPU[n.ID] + v.Req.CPU) / n.Class.CPU
+			cpu := (n.CPUReserved() + pm.extraCPU[i] + v.Req.CPU) / n.Class.CPU
 			mem := 0.0
 			if n.Class.Mem > 0 {
-				mem = (n.MemReserved() + extraMem[n.ID] + v.Req.Mem) / n.Class.Mem
+				mem = (n.MemReserved() + pm.extraMem[i] + v.Req.Mem) / n.Class.Mem
 			}
 			if math.Max(cpu, mem) <= 1.0+1e-9 {
-				extraCPU[n.ID] += v.Req.CPU
-				extraMem[n.ID] += v.Req.Mem
+				pm.extraCPU[i] += v.Req.CPU
+				pm.extraMem[i] += v.Req.Mem
 				placed = true
 				break
 			}
@@ -207,21 +217,21 @@ func (pm *PowerManager) nodesNeededForQueue(now float64, c *cluster.Cluster, que
 			misfits = append(misfits, v)
 		}
 	}
+	pm.misfits = misfits[:0]
 	if len(misfits) == 0 {
 		return 0
 	}
-	off := c.OffNodes()
-	if len(off) == 0 {
+	// Pack misfits into fresh node profiles (first-fit decreasing by
+	// CPU), using the class of the best boot candidate as the bin
+	// (pm.on is free to hold it: Plan fills it only after this).
+	pm.on = c.AppendOff(pm.on[:0], 1)
+	if len(pm.on) == 0 {
 		return 0
 	}
-	// Pack misfits into fresh node profiles (first-fit decreasing by
-	// CPU), using the class of the best boot candidate as the bin.
-	ranked := RankOn(off)
-	binCPU := ranked[0].Class.CPU
-	binMem := ranked[0].Class.Mem
-	sort.Slice(misfits, func(i, j int) bool { return misfits[i].Req.CPU > misfits[j].Req.CPU })
-	type bin struct{ cpu, mem float64 }
-	var bins []bin
+	binCPU := pm.on[0].Class.CPU
+	binMem := pm.on[0].Class.Mem
+	slices.SortFunc(misfits, func(a, b *vm.VM) int { return cmp.Compare(b.Req.CPU, a.Req.CPU) })
+	bins := pm.bins[:0]
 	for _, v := range misfits {
 		placed := false
 		for i := range bins {
@@ -236,6 +246,7 @@ func (pm *PowerManager) nodesNeededForQueue(now float64, c *cluster.Cluster, que
 			bins = append(bins, bin{v.Req.CPU, v.Req.Mem})
 		}
 	}
+	pm.bins = bins[:0]
 	return len(bins)
 }
 

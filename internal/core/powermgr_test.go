@@ -13,7 +13,7 @@ func pmCluster(t *testing.T, total, online, working int) *cluster.Cluster {
 	cls.Count = total
 	c := cluster.MustNew([]cluster.Class{cls})
 	for i := 0; i < online; i++ {
-		c.Nodes[i].State = cluster.On
+		c.Nodes[i].SetState(cluster.On)
 	}
 	for i := 0; i < working; i++ {
 		v := vm.New(1000+i, vm.Requirements{CPU: 100, Mem: 5}, 0, 3600, 5400)
@@ -199,17 +199,54 @@ func TestRankOffPrefersSlowNodes(t *testing.T) {
 	}
 }
 
-func TestRankOnPrefersFastReliableNodes(t *testing.T) {
+// The turn-on preference is the order the cluster keeps its Off nodes
+// in; Plan boots a prefix of it.
+func TestBootOrderPrefersFastReliableNodes(t *testing.T) {
 	classes := cluster.PaperClasses()
-	slow := cluster.NewNode(0, &classes[2])
-	fast := cluster.NewNode(1, &classes[0])
-	flaky := cluster.NewNode(2, &classes[0])
-	flaky.Reliability = 0.5
-	ranked := RankOn([]*cluster.Node{slow, fast, flaky})
-	if ranked[0].ID != 1 {
-		t.Errorf("RankOn[0] = node %d, want the fast reliable node", ranked[0].ID)
+	for i := range classes {
+		classes[i].Count = 1
 	}
-	if ranked[len(ranked)-1].ID == 1 {
-		t.Error("fast reliable node ranked last")
+	classes = append(classes, classes[0]) // node 3: fast, about to turn flaky
+	c := cluster.MustNew(classes)
+	c.Nodes[3].SetReliability(0.5)
+	ranked := c.OffNodes()
+	if ranked[0].ID != 0 {
+		t.Errorf("OffNodes[0] = node %d, want the fast reliable node", ranked[0].ID)
+	}
+	if last := ranked[len(ranked)-1].ID; last != 3 {
+		t.Errorf("OffNodes ends with node %d, want the flaky one", last)
+	}
+	pm := mustPM(t, 30, 90, 1)
+	on, _ := pm.Plan(0, c, nil)
+	if len(on) != 1 || on[0].ID != 0 {
+		t.Errorf("Plan boots %v, want the fast reliable node first", on)
+	}
+}
+
+// A planning round reads the cluster's state index into the manager's
+// own scratch: once warm it allocates nothing, whether the fleet is
+// idle or the plan boots nodes for a backlog no online node can hold.
+func TestPlanDoesNotAllocate(t *testing.T) {
+	pm := mustPM(t, 30, 90, 1)
+	idle := pmCluster(t, 2000, 1, 0)
+	if a := testing.AllocsPerRun(100, func() {
+		if on, off := pm.Plan(0, idle, nil); len(on)+len(off) != 0 {
+			t.Fatalf("idle fleet plans on=%v off=%v", on, off)
+		}
+	}); a != 0 {
+		t.Errorf("idle-fleet Plan allocates %v times per call", a)
+	}
+
+	loaded := pmCluster(t, 2000, 10, 10)
+	var queue []*vm.VM
+	for i := 0; i < 3; i++ { // overdue, and too big for any working node
+		queue = append(queue, vm.New(i, vm.Requirements{CPU: 400, Mem: 5}, 0, 3600, 0))
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if on, _ := pm.Plan(0, loaded, queue); len(on) != 3 {
+			t.Fatalf("backlog plan boots %d nodes, want 3", len(on))
+		}
+	}); a != 0 {
+		t.Errorf("booting Plan allocates %v times per call", a)
 	}
 }

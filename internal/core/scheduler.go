@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"energysched/internal/cluster"
 	"energysched/internal/obs"
@@ -317,39 +316,20 @@ func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.V
 	sch.Stats.Moves += moves
 }
 
-// RankOff orders idle nodes by descending turn-off preference, per
-// §III-C: the scheduler selects the machines whose matrix row carries
-// the highest aggregate penalty — operationally, the nodes that are
-// least attractive for hosting (slow creation/migration, low
-// reliability) go first.
+// RankOff sorts idle nodes in place by descending turn-off preference
+// and returns them, per §III-C: the scheduler selects the machines
+// whose matrix row carries the highest aggregate penalty —
+// operationally, the nodes that are least attractive for hosting (slow
+// creation/migration, low reliability) go first. (The turn-on
+// preference is the order cluster.Cluster keeps its Off nodes in.)
 func RankOff(idle []*cluster.Node) []*cluster.Node {
-	out := append([]*cluster.Node(nil), idle...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortFunc(idle, func(a, b *cluster.Node) int {
 		sa := a.Class.CreateCost + a.Class.MigrateCost + 100*(1-a.Reliability)
 		sb := b.Class.CreateCost + b.Class.MigrateCost + 100*(1-b.Reliability)
-		if sa != sb {
-			return sa > sb
+		if c := cmp.Compare(sb, sa); c != 0 {
+			return c
 		}
-		return a.ID > b.ID
+		return cmp.Compare(b.ID, a.ID)
 	})
-	return out
-}
-
-// RankOn orders powered-off nodes by descending turn-on preference:
-// reliable, fast-booting, fast classes first (§III-C: "the nodes to
-// be turned on are selected according to a number of parameters,
-// including its reliability, boot time, etc.").
-func RankOn(off []*cluster.Node) []*cluster.Node {
-	out := append([]*cluster.Node(nil), off...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		sa := a.Class.BootTime + a.Class.CreateCost + 200*(1-a.Reliability)
-		sb := b.Class.BootTime + b.Class.CreateCost + 200*(1-b.Reliability)
-		if sa != sb {
-			return sa < sb
-		}
-		return a.ID < b.ID
-	})
-	return out
+	return idle
 }

@@ -70,10 +70,13 @@ func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	}
 }
 
-// grow returns a slice of length n, reusing buf's capacity.
+// grow returns a slice of length n, reusing buf's capacity; the
+// contents are unspecified. A new slice gets half as much again in
+// capacity: the V×H slabs creep up a row or a column per round, and
+// an exact fit would reallocate and zero them every round.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/2)
 	}
 	return buf[:n]
 }

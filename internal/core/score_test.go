@@ -16,7 +16,7 @@ func testCluster(t *testing.T, n int) *cluster.Cluster {
 	cls.Count = n
 	c := cluster.MustNew([]cluster.Class{cls})
 	for _, node := range c.Nodes {
-		node.State = cluster.On
+		node.SetState(cluster.On)
 	}
 	return c
 }
@@ -51,7 +51,7 @@ func TestScorePreqInfeasibleArch(t *testing.T) {
 
 func TestScorePreqOfflineHost(t *testing.T) {
 	c := testCluster(t, 1)
-	c.Nodes[0].State = cluster.Off
+	c.Nodes[0].SetState(cluster.Off)
 	sch := MustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	if got := scoreOf(t, sch, c, []*vm.VM{v}, 0, 0); !math.IsInf(got, 1) {
@@ -130,8 +130,9 @@ func TestScorePvirtStayIsFree(t *testing.T) {
 
 func TestScorePconc(t *testing.T) {
 	c := testCluster(t, 2)
-	c.Nodes[1].CreatingOps = 2
-	c.Nodes[1].MigratingOps = 1
+	c.Nodes[1].BeginCreate()
+	c.Nodes[1].BeginCreate()
+	c.Nodes[1].BeginMigrate()
 	sch := MustScheduler(SB2Config())
 	v := queuedVM(0, 100, 5)
 	s := newShadow(0, c.Nodes, []*vm.VM{v})
@@ -200,7 +201,7 @@ func TestScorePSLA(t *testing.T) {
 
 func TestScorePfault(t *testing.T) {
 	c := testCluster(t, 1)
-	c.Nodes[0].Reliability = 0.9
+	c.Nodes[0].SetReliability(0.9)
 	cfg := SB0Config()
 	cfg.EnableFault = true
 	cfg.EnablePower = false

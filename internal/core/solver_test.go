@@ -62,15 +62,19 @@ func randomScenario(r *rand.Rand) (*policy.Context, Config) {
 	for _, n := range c.Nodes {
 		switch {
 		case r.Float64() < 0.75:
-			n.State = cluster.On
+			n.SetState(cluster.On)
 		case r.Float64() < 0.5:
-			n.State = cluster.Off
+			n.SetState(cluster.Off)
 		default:
-			n.State = cluster.Booting
+			n.SetState(cluster.Booting)
 		}
 		if n.State == cluster.On && r.Float64() < 0.2 {
-			n.CreatingOps = r.Intn(3)
-			n.MigratingOps = r.Intn(2)
+			for i := r.Intn(3); i > 0; i-- {
+				n.BeginCreate()
+			}
+			for i := r.Intn(2); i > 0; i-- {
+				n.BeginMigrate()
+			}
 		}
 	}
 
@@ -102,10 +106,10 @@ func randomScenario(r *rand.Rand) (*policy.Context, Config) {
 			switch {
 			case r.Float64() < 0.15:
 				v.State = vm.Creating
-				n.CreatingOps++
+				n.BeginCreate()
 			case r.Float64() < 0.15:
 				v.State = vm.Migrating
-				n.MigratingOps++
+				n.BeginMigrate()
 			default:
 				v.State = vm.Running
 				if r.Float64() < 0.3 {
@@ -430,7 +434,7 @@ func TestIncrementalFewerEvals(t *testing.T) {
 		cls := cluster.PaperClasses()
 		c := cluster.MustNew(cls)
 		for _, n := range c.Nodes {
-			n.State = cluster.On
+			n.SetState(cluster.On)
 		}
 		var queue []*vm.VM
 		for i := 0; i < 48; i++ {
@@ -462,7 +466,7 @@ func TestWorkedMatrixExampleBothSolvers(t *testing.T) {
 		cls.Count = 2
 		c := cluster.MustNew([]cluster.Class{cls})
 		for _, n := range c.Nodes {
-			n.State = cluster.On
+			n.SetState(cluster.On)
 		}
 		queued := vm.New(0, vm.Requirements{CPU: 100, Mem: 5}, 0, 3600, 7200)
 		running := vm.New(1, vm.Requirements{CPU: 200, Mem: 10}, 0, 3600, 7200)

@@ -29,6 +29,7 @@ func (s *Simulation) applyPlace(a policy.Place) {
 	}
 	s.removeFromQueue(v)
 	v.State = vm.Creating
+	s.setActive(v, true)
 	v.Host = n.ID
 	v.Touch()
 	n.AddVM(v)
@@ -263,6 +264,7 @@ func (s *Simulation) requeueFailed(v *vm.VM) {
 	if v.State == vm.Running || v.State == vm.Migrating {
 		s.active--
 	}
+	s.setActive(v, false)
 	v.State = vm.Queued
 	v.Host = -1
 	v.MigrateTo = -1

@@ -21,6 +21,7 @@ import (
 // arbiter — would change a placement, fork the trajectory, and show up
 // in the paper metrics.
 func TestSolverFullSimDifferential(t *testing.T) {
+	checkEveryTick(t)
 	gen := workload.DefaultGeneratorConfig()
 	gen.Horizon = 24 * 3600
 	trace := workload.MustGenerate(gen)
@@ -69,6 +70,25 @@ func TestSolverFullSimDifferential(t *testing.T) {
 				label, carry, sharded)
 		}
 	}
+}
+
+// checkEveryTick asserts CheckInvariants at every housekeeping tick of
+// every simulation the test runs from here on.
+func checkEveryTick(t *testing.T) {
+	t.Helper()
+	ticks := 0
+	TickHook = func(s *Simulation) {
+		ticks++
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("tick at t=%.0f: %v", s.Now(), err)
+		}
+	}
+	t.Cleanup(func() {
+		TickHook = nil
+		if ticks == 0 {
+			t.Error("the tick hook never ran")
+		}
+	})
 }
 
 // Property: driving the simulation online — injecting jobs one at a

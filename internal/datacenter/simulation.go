@@ -1,9 +1,10 @@
 package datacenter
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"energysched/internal/cluster"
@@ -55,6 +56,11 @@ type Simulation struct {
 
 	queue []*vm.VM // FIFO virtual-host queue
 	vms   []*vm.VM // all VMs ever created, by ID
+	// activeVMs holds the VMs occupying node resources (Creating,
+	// Running, Migrating) in ID order — what filtering vms by Active()
+	// would give, maintained at place/complete/requeue so a round never
+	// walks every VM ever admitted.
+	activeVMs []*vm.VM
 
 	// completionTimer tracks the pending completion event per VM ID.
 	completionTimer map[int]*simkit.Timer
@@ -78,17 +84,18 @@ type Simulation struct {
 	sealed      bool
 	done        bool
 
-	// ctxQueue and ctxActive are scratch buffers for the per-round
-	// policy context, reused so steady-state rounds don't allocate.
-	ctxQueue  []*vm.VM
-	ctxActive []*vm.VM
+	// ctx and ctxQueue are the per-round policy context and its queue
+	// copy, reused so steady-state rounds don't allocate.
+	ctx      policy.Context
+	ctxQueue []*vm.VM
 
 	// ownScratch and demScratch are recomputeNode's demand-build
-	// buffers, and accScratch is accrue's owner buffer, reused so
-	// actuations don't allocate.
+	// buffers, accScratch is accrue's owner buffer and onScratch is
+	// checkpointTick's node buffer, reused so actuations don't allocate.
 	ownScratch []*vm.VM
 	demScratch []xen.Demand
 	accScratch []*vm.VM
+	onScratch  []*cluster.Node
 
 	// PowerTrace, when non-nil, receives (time, totalWatts) samples
 	// at every power change (used by the validation experiment).
@@ -547,9 +554,11 @@ func (s *Simulation) appendOwners(rt *nodeRT, buf []*vm.VM) []*vm.VM {
 		}
 		buf = append(buf, v)
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].ID < buf[j].ID })
+	slices.SortFunc(buf, vmByID)
 	return buf
 }
+
+func vmByID(a, b *vm.VM) int { return cmp.Compare(a.ID, b.ID) }
 
 // memoMatches reports whether the node's allocator inputs are
 // unchanged since the last full recompute.
@@ -632,8 +641,20 @@ func sortedByID(m map[int]*vm.VM) []*vm.VM {
 	for _, v := range m {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, vmByID)
 	return out
+}
+
+// setActive files v in, or removes it from, the active-VM list when
+// its state crosses the Active() boundary.
+func (s *Simulation) setActive(v *vm.VM, active bool) {
+	i, found := slices.BinarySearchFunc(s.activeVMs, v, vmByID)
+	switch {
+	case active && !found:
+		s.activeVMs = slices.Insert(s.activeVMs, i, v)
+	case !active && found:
+		s.activeVMs = slices.Delete(s.activeVMs, i, i+1)
+	}
 }
 
 // --- event handlers ---
@@ -669,6 +690,7 @@ func (s *Simulation) onCompletion(v *vm.VM) {
 	}
 	rt.node.RemoveVM(v)
 	s.active--
+	s.setActive(v, false)
 	v.State = vm.Completed
 	v.Finish = s.eng.Now()
 	v.Alloc = 0
@@ -705,6 +727,9 @@ func (s *Simulation) tick() {
 		// pure, so the sampler sees — never steers — the trajectory.
 		s.Sampler(s.SampleAt(s.eng.Now()))
 	}
+	if TickHook != nil {
+		TickHook(s)
+	}
 	if !s.done {
 		s.eng.After(s.cfg.TickInterval, s.tick)
 	}
@@ -712,12 +737,15 @@ func (s *Simulation) tick() {
 
 func (s *Simulation) checkpointTick() {
 	// Progress is materialized lazily at node events; bring every
-	// node current so the checkpoint captures real progress.
+	// node that can host a running VM — the On ones, in the ID order
+	// the executed-work sum has always been taken in — current so the
+	// checkpoint captures real progress.
 	now := s.eng.Now()
-	for _, rt := range s.rt {
-		s.advanceNode(rt, now)
+	s.onScratch = s.cluster.AppendOnline(s.onScratch[:0])
+	for _, n := range s.onScratch {
+		s.advanceNode(s.rt[n.ID], now)
 	}
-	for _, v := range s.vms {
+	for _, v := range s.activeVMs {
 		if v.State == vm.Running {
 			v.Checkpoint = v.Progress
 		}
@@ -748,14 +776,14 @@ func (s *Simulation) round() {
 	}
 
 	// Policy. The queue is copied because applying a Place mutates
-	// s.queue while actions are still being iterated.
+	// s.queue while actions are still being iterated; the active list
+	// is only read until Schedule returns, so the policy sees it live.
 	s.ctxQueue = append(s.ctxQueue[:0], s.queue...)
-	s.ctxActive = s.appendActiveVMs(s.ctxActive[:0])
-	ctx := &policy.Context{
+	s.ctx = policy.Context{
 		Now:       s.eng.Now(),
 		Cluster:   s.cluster,
 		Queue:     s.ctxQueue,
-		Active:    s.ctxActive,
+		Active:    s.activeVMs,
 		LambdaMin: s.pm.LambdaMin,
 		LambdaMax: s.pm.LambdaMax,
 	}
@@ -763,7 +791,7 @@ func (s *Simulation) round() {
 	if s.cfg.RoundTimer != nil {
 		roundStart = time.Now()
 	}
-	actions := s.cfg.Policy.Schedule(ctx)
+	actions := s.cfg.Policy.Schedule(&s.ctx)
 	if s.cfg.RoundTimer != nil {
 		s.cfg.RoundTimer(time.Since(roundStart).Seconds())
 	}
@@ -776,19 +804,4 @@ func (s *Simulation) round() {
 		}
 	}
 	s.touchCounts()
-}
-
-func (s *Simulation) activeVMs() []*vm.VM {
-	return s.appendActiveVMs(nil)
-}
-
-// appendActiveVMs appends the VMs occupying node resources to buf in
-// ID order and returns it.
-func (s *Simulation) appendActiveVMs(buf []*vm.VM) []*vm.VM {
-	for _, v := range s.vms {
-		if v.Active() {
-			buf = append(buf, v)
-		}
-	}
-	return buf
 }

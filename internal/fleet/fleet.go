@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"energysched"
+	"energysched/internal/cluster"
 	"energysched/internal/core"
 	"energysched/internal/datacenter"
 	"energysched/internal/metrics"
@@ -1129,10 +1130,6 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 	rep := f.sim.ReportAt(f.sim.Now())
 	cl := f.sim.Cluster()
 	working, online := cl.Counts()
-	stateCount := map[string]int{"off": 0, "booting": 0, "on": 0, "down": 0}
-	for _, n := range cl.Nodes {
-		stateCount[n.State.String()]++
-	}
 	jobCount := map[string]int{}
 	for _, v := range f.sim.VMs() {
 		jobCount[v.State.String()]++
@@ -1146,10 +1143,10 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 		{Name: "energysched_nodes_working", Help: "Nodes that are on and hosting work.", Kind: metrics.PromGauge, Value: float64(working)},
 		{Name: "energysched_nodes_online", Help: "Nodes powered on.", Kind: metrics.PromGauge, Value: float64(online)},
 	}
-	for _, state := range []string{"off", "booting", "on", "down"} {
+	for _, state := range []cluster.PowerState{cluster.Off, cluster.Booting, cluster.On, cluster.Down} {
 		samples = append(samples, metrics.PromSample{
 			Name: "energysched_nodes", Help: "Nodes by power state.", Kind: metrics.PromGauge,
-			Labels: map[string]string{"state": state}, Value: float64(stateCount[state]),
+			Labels: map[string]string{"state": state.String()}, Value: float64(cl.StateCount(state)),
 		})
 	}
 	for _, state := range []string{"queued", "creating", "running", "migrating", "completed", "failed"} {

@@ -13,7 +13,7 @@ func testCluster(t *testing.T, n int) *cluster.Cluster {
 	cls.Count = n
 	c := cluster.MustNew([]cluster.Class{cls})
 	for _, node := range c.Nodes {
-		node.State = cluster.On
+		node.SetState(cluster.On)
 	}
 	return c
 }
@@ -87,8 +87,8 @@ func TestRandomRespectsHardware(t *testing.T) {
 
 func TestRandomSkipsOfflineNodes(t *testing.T) {
 	c := testCluster(t, 3)
-	c.Nodes[0].State = cluster.Off
-	c.Nodes[1].State = cluster.Booting
+	c.Nodes[0].SetState(cluster.Off)
+	c.Nodes[1].SetState(cluster.Booting)
 	p := NewRandom(1)
 	for i := 0; i < 20; i++ {
 		got := places(p.Schedule(ctx(c, []*vm.VM{queuedVM(i, 100, 5)}, nil)))

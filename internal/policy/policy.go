@@ -12,7 +12,8 @@ import (
 )
 
 // Context is the scheduler's read view of the system at a scheduling
-// round.
+// round. The harness reuses it, and the slices it points at, for the
+// next round: a policy must not retain any of it past Schedule.
 type Context struct {
 	// Now is the current virtual time.
 	Now float64
@@ -23,7 +24,7 @@ type Context struct {
 	// order.
 	Queue []*vm.VM
 	// Active holds the VMs currently occupying nodes (creating,
-	// running or migrating).
+	// running or migrating), in ID order.
 	Active []*vm.VM
 	// LambdaMin, LambdaMax are the power manager's working-ratio
 	// thresholds as fractions; consolidation-migrating policies use
