@@ -407,7 +407,6 @@ func benchShardedRound(b *testing.B, shards int) {
 }
 
 func BenchmarkShardedRound1000N4000V_Serial(b *testing.B) { benchShardedRound(b, 0) }
-func BenchmarkShardedRound1000N4000V_K1(b *testing.B)     { benchShardedRound(b, 1) }
 func BenchmarkShardedRound1000N4000V_K2(b *testing.B)     { benchShardedRound(b, 2) }
 func BenchmarkShardedRound1000N4000V_K4(b *testing.B)     { benchShardedRound(b, 4) }
 func BenchmarkShardedRound1000N4000V_K8(b *testing.B)     { benchShardedRound(b, 8) }

@@ -148,10 +148,12 @@ type FleetSpec struct {
 	CheckpointSeconds float64 `json:"checkpoint_s,omitempty"`
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64 `json:"adaptive_target,omitempty"`
-	// Shards overrides the solver's sharded parallel round engine:
-	// 0 inherits the daemon's -shards setting, -1 uses one shard per
-	// GOMAXPROCS, K >= 1 uses exactly K shards. Scheduling decisions
-	// are byte-identical at any setting — this is a performance knob.
+	// Shards overrides the solver's column-shard count: 0 inherits the
+	// daemon's -shards setting (itself one shard on the caller's
+	// goroutine when 0 or unset), -1 uses one shard per GOMAXPROCS,
+	// K > 1 fans each round out over exactly K workers. Scheduling
+	// decisions are byte-identical at any setting — this is a
+	// performance knob.
 	Shards int `json:"shards,omitempty"`
 	// SnapshotInterval > 0 overrides how many WAL records accumulate
 	// before the fleet compacts them into a snapshot.
@@ -348,8 +350,10 @@ type TraceRound struct {
 	Round int `json:"round"`
 	// Now is the simulation's virtual time at the round, in seconds.
 	Now float64 `json:"now"`
-	// Solver names the engine: "naive", "incremental" or "sharded";
-	// Shards is the shard count for a sharded round (0 otherwise).
+	// Solver names the engine: "naive" for the reference oracle, else
+	// the slab kernel — "sharded" with its shard count in Shards when
+	// the round fanned out over K > 1 shards, "incremental" (Shards
+	// omitted) when it ran as one shard on the caller's goroutine.
 	Solver string `json:"solver"`
 	Shards int    `json:"shards,omitempty"`
 	// WallNanos is the wall-clock duration of the whole round.

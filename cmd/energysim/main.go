@@ -40,7 +40,7 @@ func main() {
 		failures   = flag.Bool("failures", false, "enable reliability-driven node failures")
 		checkpoint = flag.Float64("checkpoint", 0, "checkpoint interval in seconds (0 = off)")
 		adaptive   = flag.Float64("adaptive", 0, "dynamic-λ satisfaction target in percent (0 = static thresholds)")
-		shards     = flag.Int("shards", 0, "solver shards per scheduling round: 0 = serial, -1 = GOMAXPROCS, K = exactly K (results are byte-identical at any setting)")
+		shards     = flag.Int("shards", 0, "solver shards per scheduling round: 0 = one shard, the default, -1 = GOMAXPROCS, K = exactly K (results are byte-identical at any setting)")
 		stream     = flag.Bool("stream", false, "stream the workload incrementally (O(1) memory in trace length; results are byte-identical to the materialized run)")
 		nodes      = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
 		eventsOut  = flag.String("events", "", "write the JSONL event log to this file")

@@ -31,7 +31,7 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random seed")
 		step   = flag.Float64("step", 10, "λ grid step in percent")
 		policy = flag.String("policy", "SB", "policy to sweep: SB, SB2, BF, DBF")
-		shards = flag.Int("shards", 0, "solver shards per scheduling round: 0 = serial, -1 = GOMAXPROCS, K = exactly K (grid values are byte-identical at any setting)")
+		shards = flag.Int("shards", 0, "solver shards per scheduling round: 0 = one shard, the default, -1 = GOMAXPROCS, K = exactly K (grid values are byte-identical at any setting)")
 		nodes  = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
 		stream = flag.Bool("stream", false, "stream a fresh copy of the trace into each grid cell (O(1) memory; cells are byte-identical to the materialized sweep)")
 		out    = flag.String("o", "", "output CSV file (empty = stdout)")

@@ -143,12 +143,13 @@ type Options struct {
 	// client satisfaction at this percentage (the paper's future-work
 	// dynamic thresholds).
 	AdaptiveTarget float64
-	// Shards selects the score-based solver's sharded parallel round
-	// engine: 0 runs the serial solver (default), -1 uses one shard
-	// per GOMAXPROCS, K >= 1 uses exactly K shards. The emitted
-	// actions — and therefore every metric — are byte-identical at any
-	// setting; sharding only changes the round's wall-clock time and
-	// peak matrix memory shape. Ignored by the baseline policies.
+	// Shards is the score-based solver's column-shard count: 0 or
+	// unset is one shard on the caller's goroutine (the default, same
+	// as 1), -1 uses one shard per GOMAXPROCS, K > 1 fans each round
+	// out over exactly K workers. The emitted actions — and therefore
+	// every metric — are byte-identical at any setting; sharding only
+	// changes the round's wall-clock time and peak matrix memory
+	// shape. Ignored by the baseline policies.
 	Shards int
 	// EventLog, when non-nil, receives every simulation event as it
 	// happens (arrivals, placements, migrations, boots, failures).
@@ -239,7 +240,7 @@ func (r Result) report() metrics.Report {
 
 // NewPolicy constructs a policy by name. Exposed so callers can embed
 // policies in custom harnesses; Run calls it internally (with
-// Options.Shards applied — this constructor keeps the serial solver).
+// Options.Shards applied — this constructor keeps the one-shard default).
 func NewPolicy(name string, seed int64, score *ScoreParams) (policy.Policy, error) {
 	return newPolicy(name, seed, score, 0)
 }

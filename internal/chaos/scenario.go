@@ -125,7 +125,7 @@ func (s Scenario) Plan() Plan {
 }
 
 // Sim builds the scenario's simulation with the score-based scheduler
-// at the given shard count (0 = serial, -1 = GOMAXPROCS, K >= 1 = K
+// at the given shard count (0 = one shard, -1 = GOMAXPROCS, K > 1 = K
 // shards — the byte-identity axis).
 func (s Scenario) Sim(shards int) (*datacenter.Simulation, error) {
 	return s.sim(shards, nil)

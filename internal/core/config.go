@@ -68,25 +68,25 @@ type Config struct {
 	// round rebuilds the full time-independent half of the matrix from
 	// scratch instead of reusing cells whose node and VM state is
 	// unchanged since the previous round. The within-round incremental
-	// solver is unaffected. Exists for ablation benchmarks and as a
+	// maintenance is unaffected. Exists for ablation benchmarks and as a
 	// bisection aid; both settings emit identical actions.
 	FreshMatrix bool
-	// NaiveSolver disables the incremental score-matrix cache and
-	// re-evaluates the full V×H matrix on every hill-climbing
-	// iteration, exactly as Algorithm 1 is written. Both solvers emit
-	// identical actions; the naive one exists as the reference oracle
-	// for differential testing and the complexity ablation.
-	// NaiveSolver takes precedence over Shards.
+	// NaiveSolver bypasses the slab kernel and re-evaluates the full
+	// V×H matrix on every hill-climbing iteration, exactly as
+	// Algorithm 1 is written. Both emit identical actions; the naive
+	// evaluator exists as the reference oracle for differential testing
+	// and the complexity ablation. NaiveSolver takes precedence over
+	// Shards.
 	NaiveSolver bool
-	// Shards selects the sharded parallel round engine (sharded.go):
-	// host columns are partitioned into K shards (by node class, then
-	// round-robin), each with its own scoreBase slab and dirty-column
-	// tracking, and the matrix build plus per-move refreshes fan out
-	// over a worker per shard. Candidate moves are merged through a
-	// deterministic arbiter, so the chosen action sequence is
-	// byte-identical to the serial solver at any K.
+	// Shards is the slab kernel's shard count K (kernel.go): host
+	// columns are partitioned into K shards (by node class, then
+	// round-robin), each owning its slab of the score matrix and its
+	// dirty-column tracking. At K > 1 the matrix build and the per-move
+	// refreshes fan out over a worker per shard and candidate moves are
+	// merged through a deterministic arbiter, so the chosen action
+	// sequence is byte-identical at any K.
 	//
-	//	 0  serial incremental solver (default)
+	//	 0  one shard, on the caller's goroutine (default; same as 1)
 	//	-1  one shard per GOMAXPROCS
 	//	 K  exactly K shards (clamped to the host count)
 	Shards int

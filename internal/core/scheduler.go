@@ -40,25 +40,7 @@ type Scheduler struct {
 	hosts []*cluster.Node
 	cands []*vm.VM
 	sh    shadow
-	inc   incState
-
-	// cross is the previous round's base-matrix snapshot; the next*
-	// and *Src slices are the current round's build scratch (swapped
-	// into cross when the build publishes). See buildMatrix.
-	cross    crossState
-	nextBase []float64
-	nextRows []rowKey
-	nextCols []colKey
-	rowSrc   []int
-	colSrc   []int
-	classes  []*cluster.Class
-	classOf  []int
-	timeMove []float64
-
-	// shd is the sharded engine's working state (Config.Shards != 0);
-	// see sharded.go. It keeps its own cross-round snapshot, so the
-	// serial and sharded paths never read each other's buffers.
-	shd shardedState
+	kern  slabKernel // see kernel.go
 }
 
 // SolverStats counts solver work for the complexity ablation.
@@ -80,7 +62,7 @@ type SolverStats struct {
 	// spent on a rescan; it re-reads the cached matrix).
 	RowRescans int
 
-	// --- cross-round reuse (see buildMatrix) ---
+	// --- cross-round reuse (see buildKernel) ---
 
 	// CarryRounds counts rounds that started from a previous round's
 	// matrix snapshot (cross-round reuse active).
@@ -97,16 +79,13 @@ type SolverStats struct {
 	// without re-evaluation.
 	ReusedCells int
 
-	// --- sharded rounds (see sharded.go) ---
+	// --- column shards (see kernel.go) ---
 
-	// ShardRounds counts rounds solved by the sharded parallel engine.
-	ShardRounds int
-	// LastShards is the shard count of the most recent sharded round
-	// (host-count clamped, GOMAXPROCS resolved).
+	// LastShards is the shard count K of the most recent non-naive
+	// round (host-count clamped, GOMAXPROCS resolved; 1 by default).
 	LastShards int
 	// MaxSlabCells is the largest single score-matrix slab allocated so
-	// far: V×H for the serial solvers, V×⌈H/K⌉ per shard for the
-	// sharded engine — the per-shard (not monolithic) memory bound.
+	// far: V×⌈H/K⌉ cells, the per-shard memory bound.
 	MaxSlabCells int
 }
 
@@ -184,13 +163,13 @@ func (sch *Scheduler) iterationLimit(n int) int {
 // returning the placements and migrations that realize the improved
 // assignment.
 //
-// The default solver computes the matrix once and then maintains it
-// incrementally: a move touches only the loads of its two endpoint
-// hosts, so after each move only those two columns and the moved VM's
-// row are recomputed, and each iteration picks the global best move
-// from per-VM best-move records in O(V) instead of rescoring the full
-// V×H matrix. Config.NaiveSolver restores the reference evaluator for
-// differential verification; both emit identical actions.
+// The slab kernel (kernel.go) computes the matrix once and then
+// maintains it incrementally: a move touches only the loads of its two
+// endpoint hosts, so after each move only those two columns and the
+// moved VM's row are recomputed, and each iteration picks the global
+// best move from per-VM best-move records in O(V) instead of rescoring
+// the full V×H matrix. Config.NaiveSolver selects the reference
+// evaluator for differential verification; both emit identical actions.
 func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 	sch.Stats.Rounds++
 
@@ -212,16 +191,12 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 	s := &sch.sh
 	s.reset(ctx.Now, hosts, cands)
 
-	solver := "incremental"
-	switch {
-	case sch.cfg.NaiveSolver:
-		solver = "naive"
+	k := 0 // the round's shard count; 0 = the naive oracle
+	if sch.cfg.NaiveSolver {
 		sch.solveNaive(s, hosts, cands)
-	case sch.cfg.Shards != 0:
-		solver = "sharded"
-		sch.solveSharded(s, hosts, cands)
-	default:
-		sch.solveIncremental(s, hosts, cands)
+	} else {
+		k = sch.cfg.shardCount(len(hosts))
+		sch.solveKernel(s, hosts, cands, k)
 	}
 
 	// Emit the actions that realize the final assignment.
@@ -239,7 +214,7 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 		}
 	}
 	if sch.traceVerb > obs.TraceOff {
-		sch.emitRoundTrace(ctx.Now, solver, t0, before, len(hosts), len(cands))
+		sch.emitRoundTrace(ctx.Now, k, t0, before, len(hosts), len(cands))
 	}
 	return out
 }
@@ -247,7 +222,7 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 // solveNaive is the reference hill climber: every iteration rescans
 // the entire V×H matrix, recomputing each score against the current
 // shadow. O(I·V·H) score evaluations; kept as the differential-test
-// oracle for the incremental solver.
+// oracle for the slab kernel.
 func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.VM) {
 	// currentScore(vi): the cost of keeping the VM where it is — the
 	// virtual-host queue cost for queued VMs, its present host's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"energysched/internal/cluster"
@@ -11,58 +12,53 @@ import (
 	"energysched/internal/vm"
 )
 
-// The sharded parallel engine must be observationally identical to the
-// serial solver: same actions in the same order, same applied moves
-// and limit hits, at every shard count — the deterministic-arbiter
-// contract. These tests drive the engine over the same randomized
-// scenario generator as the serial differential tests, across shard
-// counts and cluster sizes up to 10× the paper's fleet, with real
-// churn between rounds so the per-shard cross-round carry is exercised
-// too.
+// The slab kernel must be observationally identical to the naive
+// oracle at every shard count: same actions in the same order, same
+// applied moves and limit hits — the deterministic-arbiter contract.
+// These tests drive it over the same randomized scenario generator and
+// churn simulation as solver_test.go, across shard counts and cluster
+// sizes up to 10× the paper's fleet, with real churn between rounds so
+// the cross-round carry between differently partitioned slabs is
+// exercised too.
 
-// shardCounts are the K values the differential tests sweep:
-// degenerate (1), even splits, a count that does not divide typical
+// shardCounts are the K values the differential tests sweep: the
+// default path (1), even splits, a count that does not divide typical
 // host counts (7), and whatever the machine's GOMAXPROCS is.
 func shardCounts() []int {
 	return []int{1, 2, 4, 7, runtime.GOMAXPROCS(0)}
 }
 
-// TestShardedDifferentialRandomRounds compares the sharded engine
-// against the serial incremental solver over randomized single rounds
-// at every shard count.
+// TestShardedDifferentialRandomRounds compares the kernel at every
+// shard count against the naive oracle over randomized single rounds.
 func TestShardedDifferentialRandomRounds(t *testing.T) {
 	for seed := 0; seed < 120; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		ctx, cfg := randomScenario(r)
-		serial := MustScheduler(cfg)
-		want := renderActions(serial.Schedule(ctx))
+		cfg.NaiveSolver = true
+		naive := MustScheduler(cfg)
+		want := renderActions(naive.Schedule(ctx))
+		cfg.NaiveSolver = false
 		for _, k := range shardCounts() {
-			shCfg := cfg
-			shCfg.Shards = k
-			sharded := MustScheduler(shCfg)
-			got := renderActions(sharded.Schedule(ctx))
-			if len(got) != len(want) {
-				t.Fatalf("seed %d K=%d: action count diverged: sharded %v vs serial %v", seed, k, got, want)
+			cfg.Shards = k
+			kern := MustScheduler(cfg)
+			got := renderActions(kern.Schedule(ctx))
+			checkKernel(t, kern)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d K=%d: actions diverged:\nkernel: %v\nnaive:  %v", seed, k, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d K=%d: action %d diverged: sharded %q vs serial %q", seed, k, i, got[i], want[i])
-				}
+			if kern.Stats.Moves != naive.Stats.Moves {
+				t.Fatalf("seed %d K=%d: moves diverged: %d vs %d", seed, k, kern.Stats.Moves, naive.Stats.Moves)
 			}
-			if sharded.Stats.Moves != serial.Stats.Moves {
-				t.Fatalf("seed %d K=%d: moves diverged: %d vs %d", seed, k, sharded.Stats.Moves, serial.Stats.Moves)
-			}
-			if sharded.Stats.LimitHits != serial.Stats.LimitHits {
-				t.Fatalf("seed %d K=%d: limit hits diverged: %d vs %d", seed, k, sharded.Stats.LimitHits, serial.Stats.LimitHits)
+			if kern.Stats.LimitHits != naive.Stats.LimitHits {
+				t.Fatalf("seed %d K=%d: limit hits diverged: %d vs %d", seed, k, kern.Stats.LimitHits, naive.Stats.LimitHits)
 			}
 		}
 	}
 }
 
-// churnCluster builds an all-on cluster of roughly n nodes across the
-// paper's three class shapes.
-func churnCluster(t *testing.T, n int) *cluster.Cluster {
-	t.Helper()
+// churnCluster builds a cluster of roughly n nodes across the paper's
+// three class shapes.
+func churnCluster(n int) *cluster.Cluster {
 	classes := cluster.PaperClasses()
 	scale := float64(n) / 100.0
 	for i := range classes {
@@ -71,179 +67,77 @@ func churnCluster(t *testing.T, n int) *cluster.Cluster {
 			classes[i].Count = 1
 		}
 	}
-	c := cluster.MustNew(classes)
-	for _, node := range c.Nodes {
-		node.SetState(cluster.On)
-	}
-	return c
+	return cluster.MustNew(classes)
 }
 
 // TestShardedDifferentialChurnSizes is the seeded property-based
-// differential test of the issue: randomized cluster sizes from 10 to
-// 1000 nodes, random churn sequences (arrivals, completions, demand
-// updates, power transitions, applied actions), and every K in
-// shardCounts(). Each round the sharded engine must emit exactly the
-// serial solver's actions, and across the run its per-shard carry must
-// actually reuse cells.
+// differential test: cluster sizes from 10 to 1000 nodes, random churn
+// sequences (arrivals, completions, demand updates, power transitions,
+// the On-set shrinking from the low-ID end, applied actions), and one
+// carrying kernel per K in shardCounts() beside the naive oracle. Each
+// round every kernel must emit exactly the oracle's actions with an
+// exact cache, and across the run its carry must actually reuse cells.
 func TestShardedDifferentialChurnSizes(t *testing.T) {
 	sizes := []int{10, 33, 100}
-	rounds := 25
 	if testing.Short() {
 		sizes = []int{10, 33}
 	} else {
 		sizes = append(sizes, 1000)
 	}
 	for _, size := range sizes {
-		size := size
 		t.Run(fmt.Sprintf("nodes=%d", size), func(t *testing.T) {
+			rounds := 25
 			if size >= 1000 {
 				t.Parallel()
+				rounds = 6 // a 1000-node round is ~30× a 100-node one
 			}
+			cfg := DefaultConfig()
+			cfg.MigrationCooldown = 600
+			cfg.NaiveSolver = true
+			naive := MustScheduler(cfg)
+			cfg.NaiveSolver = false
+			var kerns []*Scheduler
 			for _, k := range shardCounts() {
-				r := rand.New(rand.NewSource(int64(7700 + size + k)))
-				c := churnCluster(t, size)
-				cSh := churnCluster(t, size)
+				cfg.Shards = k
+				kerns = append(kerns, MustScheduler(cfg))
+			}
 
-				cfg := DefaultConfig()
-				cfg.MigrationCooldown = 600
-				serial := MustScheduler(cfg)
-				shCfg := cfg
-				shCfg.Shards = k
-				sharded := MustScheduler(shCfg)
-
-				vms := []*vm.VM{}
-				vmsSh := []*vm.VM{}
-				nextID := 0
-				now := 0.0
-				nRounds := rounds
-				if size >= 1000 {
-					nRounds = 6 // a 1000-node round is ~30× a 100-node one
+			cs := newChurnSim(int64(7700+size), churnCluster(size), 1+size/20)
+			for round := 0; round < rounds; round++ {
+				cs.churn()
+				ctx := cs.context()
+				acts := naive.Schedule(ctx)
+				want := renderActions(acts)
+				for _, kern := range kerns {
+					got := renderActions(kern.Schedule(ctx))
+					checkKernel(t, kern)
+					if !slices.Equal(got, want) {
+						t.Fatalf("K=%d round %d: actions diverged:\nkernel: %v\nnaive:  %v",
+							kern.Config().Shards, round, got, want)
+					}
 				}
-				arrivals := 1 + size/20
+				cs.apply(acts)
+			}
 
-				for round := 0; round < nRounds; round++ {
-					// --- identical churn on both twins ---
-					for a := r.Intn(arrivals) + 1; a > 0; a-- {
-						req := vm.Requirements{
-							CPU: float64(50 * (1 + r.Intn(8))),
-							Mem: float64(5 * (1 + r.Intn(6))),
-						}
-						dur := 600 + 7200*r.Float64()
-						v := vm.New(nextID, req, now, dur, now+3600+14400*r.Float64())
-						vSh := vm.New(nextID, req, now, dur, now+3600+14400*r.Float64())
-						nextID++
-						vms, vmsSh = append(vms, v), append(vmsSh, vSh)
-					}
-					if r.Float64() < 0.3 {
-						running := runningVMs(vms)
-						if len(running) > 0 {
-							i := r.Intn(len(running))
-							v := running[i]
-							vSh := vmsSh[v.ID]
-							c.Nodes[v.Host].RemoveVM(v)
-							cSh.Nodes[vSh.Host].RemoveVM(vSh)
-							v.State, vSh.State = vm.Completed, vm.Completed
-							v.Touch()
-							vSh.Touch()
-						}
-					}
-					if r.Float64() < 0.3 {
-						i := r.Intn(len(c.Nodes))
-						n, nSh := c.Nodes[i], cSh.Nodes[i]
-						switch {
-						case n.State == cluster.Off:
-							n.SetState(cluster.On)
-							nSh.SetState(cluster.On)
-						case n.State == cluster.On && len(n.VMs) == 0 && onlineCount(c) > 1:
-							n.SetState(cluster.Off)
-							nSh.SetState(cluster.Off)
-						}
-					}
-					if r.Float64() < 0.2 {
-						for i, v := range vms {
-							if v.State == vm.Queued {
-								cpu := float64(50 * (1 + r.Intn(8)))
-								v.Req.CPU = cpu
-								vmsSh[i].Req.CPU = cpu
-								v.Touch()
-								vmsSh[i].Touch()
-								break
-							}
-						}
-					}
-
-					// --- the round on both twins ---
-					mkCtx := func(cl *cluster.Cluster, pop []*vm.VM) *policy.Context {
-						var queue, active []*vm.VM
-						for _, v := range pop {
-							switch {
-							case v.State == vm.Queued:
-								queue = append(queue, v)
-							case v.Active():
-								active = append(active, v)
-							}
-						}
-						return &policy.Context{
-							Now: now, Cluster: cl, Queue: queue, Active: active,
-							LambdaMin: 0.3, LambdaMax: 0.9,
-						}
-					}
-					want := serial.Schedule(mkCtx(c, vms))
-					got := sharded.Schedule(mkCtx(cSh, vmsSh))
-					wa, ga := renderActions(want), renderActions(got)
-					if len(wa) != len(ga) {
-						t.Fatalf("K=%d round %d: action count diverged: sharded %d vs serial %d\nsharded: %v\nserial:  %v",
-							k, round, len(ga), len(wa), ga, wa)
-					}
-					for i := range wa {
-						if wa[i] != ga[i] {
-							t.Fatalf("K=%d round %d: action %d diverged: sharded %q vs serial %q", k, round, i, ga[i], wa[i])
-						}
-					}
-
-					// --- apply the actions as instant actuation, twice ---
-					apply := func(cl *cluster.Cluster, acts []policy.Action) {
-						for _, a := range acts {
-							switch act := a.(type) {
-							case policy.Place:
-								v := act.VM
-								v.State = vm.Running
-								v.Host = act.Node
-								v.Touch()
-								cl.Nodes[act.Node].AddVM(v)
-							case policy.Migrate:
-								v := act.VM
-								cl.Nodes[v.Host].RemoveVM(v)
-								cl.Nodes[act.To].AddVM(v)
-								v.Host = act.To
-								v.LastMigrate = now
-								v.Migrations++
-								v.Touch()
-							}
-						}
-					}
-					apply(c, want)
-					apply(cSh, got)
-					now += 60
+			for _, kern := range kerns {
+				k := kern.Config().Shards
+				if kern.Stats.Moves != naive.Stats.Moves {
+					t.Fatalf("K=%d: total moves diverged: kernel %d vs naive %d", k, kern.Stats.Moves, naive.Stats.Moves)
 				}
-
-				if sharded.Stats.Moves != serial.Stats.Moves {
-					t.Fatalf("K=%d: total moves diverged: sharded %d vs serial %d", k, sharded.Stats.Moves, serial.Stats.Moves)
+				if kern.Stats.ReusedCells == 0 {
+					t.Fatalf("K=%d: cross-round carry never reused a cell", k)
 				}
-				if sharded.Stats.ReusedCells == 0 {
-					t.Fatalf("K=%d: sharded cross-round carry never reused a cell", k)
-				}
-				if sharded.Stats.ShardRounds == 0 || sharded.Stats.LastShards < 1 {
-					t.Fatalf("K=%d: sharded engine did not run (%+v)", k, sharded.Stats)
+				if want := min(k, cs.c.StateCount(cluster.On)); kern.Stats.LastShards != want {
+					t.Fatalf("K=%d: last round ran %d shards, want %d", k, kern.Stats.LastShards, want)
 				}
 			}
 		})
 	}
 }
 
-// TestShardedShardCount pins the Config.Shards resolution: 0 never
-// reaches the sharded engine, -1 resolves to GOMAXPROCS, and a K above
-// the host count clamps to the host count.
+// TestShardedShardCount pins the Config.Shards resolution: 0 is one
+// shard, -1 resolves to GOMAXPROCS, and a K above the host count
+// clamps to the host count.
 func TestShardedShardCount(t *testing.T) {
 	c := testCluster(t, 3)
 	mkCtx := func() *policy.Context {
@@ -261,19 +155,15 @@ func TestShardedShardCount(t *testing.T) {
 	cfg.Shards = -1
 	sch = MustScheduler(cfg)
 	sch.Schedule(mkCtx())
-	want := runtime.GOMAXPROCS(0)
-	if want > 3 {
-		want = 3
-	}
-	if sch.Stats.LastShards != want {
+	if want := min(runtime.GOMAXPROCS(0), 3); sch.Stats.LastShards != want {
 		t.Errorf("K=-1: LastShards = %d, want %d", sch.Stats.LastShards, want)
 	}
 
 	cfg.Shards = 0
 	sch = MustScheduler(cfg)
 	sch.Schedule(mkCtx())
-	if sch.Stats.ShardRounds != 0 {
-		t.Errorf("K=0 ran the sharded engine (%d rounds)", sch.Stats.ShardRounds)
+	if sch.Stats.LastShards != 1 {
+		t.Errorf("K=0: LastShards = %d, want 1", sch.Stats.LastShards)
 	}
 }
 
@@ -281,17 +171,18 @@ func TestShardedShardCount(t *testing.T) {
 // within one column of each other, and every host lands in exactly one
 // shard.
 func TestShardedPartitionBalance(t *testing.T) {
-	c := churnCluster(t, 100)
-	cfg := SBConfig()
-	cfg.Shards = 7
-	sch := MustScheduler(cfg)
+	c := churnCluster(100)
+	for _, n := range c.Nodes {
+		n.SetState(cluster.On)
+	}
 	hosts := c.AppendOnline(nil)
-	sch.collectClasses(hosts)
-	sch.partitionColumns(hosts, 7)
+	var kern slabKernel
+	kern.collectClasses(hosts)
+	shards := kern.partitionColumns(7, 1)
 
 	seen := make([]int, len(hosts))
 	min, max := len(hosts), 0
-	for _, sh := range sch.shd.shards[:sch.shd.k] {
+	for i, sh := range shards {
 		if len(sh.cols) < min {
 			min = len(sh.cols)
 		}
@@ -301,7 +192,7 @@ func TestShardedPartitionBalance(t *testing.T) {
 		prev := -1
 		for _, ni := range sh.cols {
 			if ni <= prev {
-				t.Fatalf("shard %d columns not strictly ascending: %v", sh.idx, sh.cols)
+				t.Fatalf("shard %d columns not strictly ascending: %v", i, sh.cols)
 			}
 			prev = ni
 			seen[ni]++

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"energysched/internal/cluster"
@@ -195,16 +197,196 @@ func TestDifferentialScratchReuse(t *testing.T) {
 	}
 }
 
-// TestDifferentialMultiRoundChurn drives one cluster through many
-// consecutive scheduling rounds with real churn applied between them
-// — VM arrivals, completions, applied placements and migrations,
-// demand updates, node power transitions — all through the
-// epoch-bumping mutation methods the datacenter harness uses. Each
-// round the carrying incremental solver and the naive oracle must
-// emit identical actions, and the cross-round invalidation must stay
-// within the churn: the number of rows/columns re-scored at the top
-// of a round is bounded by the entities actually touched since the
-// previous round (plus rows/columns that are new to the matrix).
+// churnSim is a cluster and VM population driven through consecutive
+// scheduling rounds with real churn between them — VM arrivals,
+// completions, demand updates, node power transitions, applied
+// placements and migrations — all through the epoch-bumping mutation
+// methods the datacenter harness uses. Schedule never mutates real
+// state, so any number of schedulers can be diffed against one
+// simulation: run them all on context(), then apply one action list.
+type churnSim struct {
+	r        *rand.Rand
+	c        *cluster.Cluster
+	vms      []*vm.VM // every VM ever created, indexed by ID
+	now      float64
+	arrivals int // up to this many VMs arrive per round (at least one)
+
+	// touchedVMs and touchedNodes hold the IDs whose real state changed
+	// since the previous round: the churn plus the actions applied.
+	touchedVMs, touchedNodes map[int]bool
+}
+
+func newChurnSim(seed int64, c *cluster.Cluster, arrivals int) *churnSim {
+	for _, n := range c.Nodes {
+		n.SetState(cluster.On)
+	}
+	return &churnSim{
+		r: rand.New(rand.NewSource(seed)), c: c, arrivals: arrivals,
+		touchedVMs: map[int]bool{}, touchedNodes: map[int]bool{},
+	}
+}
+
+// complete finishes a running VM and frees its host.
+func (cs *churnSim) complete(v *vm.VM) {
+	cs.c.Nodes[v.Host].RemoveVM(v)
+	cs.touchedNodes[v.Host] = true
+	v.State = vm.Completed
+	v.Touch()
+	cs.touchedVMs[v.ID] = true
+}
+
+// churn applies one round's worth of real-state changes. Every round
+// sees at least one arrival, so every round builds a matrix.
+func (cs *churnSim) churn() {
+	r := cs.r
+	for a := r.Intn(cs.arrivals) + 1; a > 0; a-- {
+		v := vm.New(len(cs.vms), vm.Requirements{
+			CPU: float64(50 * (1 + r.Intn(8))),
+			Mem: float64(5 * (1 + r.Intn(6))),
+		}, cs.now, 600+7200*r.Float64(), cs.now+3600+14400*r.Float64())
+		cs.vms = append(cs.vms, v)
+		cs.touchedVMs[v.ID] = true
+	}
+	if r.Float64() < 0.3 { // a running VM completes
+		if running := runningVMs(cs.vms); len(running) > 0 {
+			cs.complete(running[r.Intn(len(running))])
+		}
+	}
+	if r.Float64() < 0.3 { // power transition
+		n := cs.c.Nodes[r.Intn(len(cs.c.Nodes))]
+		switch {
+		case n.State == cluster.Off:
+			n.SetState(cluster.On)
+			cs.touchedNodes[n.ID] = true
+		case n.State == cluster.On && len(n.VMs) == 0 && cs.c.StateCount(cluster.On) > 1:
+			n.SetState(cluster.Off)
+			cs.touchedNodes[n.ID] = true
+		}
+	}
+	if r.Float64() < 0.2 && cs.c.StateCount(cluster.On) > 1 {
+		// The On-set shrinks from the low-ID end (the node fails and
+		// takes its VMs with it): every surviving column changes index,
+		// and must still be carried.
+		n := cs.c.AppendOnline(nil)[0]
+		for _, v := range runningVMs(cs.vms) {
+			if v.Host == n.ID {
+				cs.complete(v)
+			}
+		}
+		n.SetState(cluster.Off)
+		cs.touchedNodes[n.ID] = true
+	}
+	if r.Float64() < 0.2 { // demand update on a queued VM
+		for _, v := range cs.vms {
+			if v.State == vm.Queued {
+				v.Req.CPU = float64(50 * (1 + r.Intn(8)))
+				v.Touch()
+				cs.touchedVMs[v.ID] = true
+				break
+			}
+		}
+	}
+}
+
+// context is the scheduling context of the current real state.
+func (cs *churnSim) context() *policy.Context {
+	var queue, active []*vm.VM
+	for _, v := range cs.vms {
+		switch {
+		case v.State == vm.Queued:
+			queue = append(queue, v)
+		case v.Active():
+			active = append(active, v)
+		}
+	}
+	return &policy.Context{
+		Now: cs.now, Cluster: cs.c, Queue: queue, Active: active,
+		LambdaMin: 0.3, LambdaMax: 0.9,
+	}
+}
+
+// apply actuates a round's actions instantly, restarts the touched
+// sets from them and advances the clock to the next round.
+func (cs *churnSim) apply(acts []policy.Action) {
+	clear(cs.touchedVMs)
+	clear(cs.touchedNodes)
+	for _, a := range acts {
+		switch act := a.(type) {
+		case policy.Place:
+			v := act.VM
+			v.State = vm.Running
+			v.Host = act.Node
+			v.Touch()
+			cs.c.Nodes[act.Node].AddVM(v)
+			cs.touchedVMs[v.ID] = true
+			cs.touchedNodes[act.Node] = true
+		case policy.Migrate:
+			v := act.VM
+			cs.c.Nodes[v.Host].RemoveVM(v)
+			cs.touchedNodes[v.Host] = true
+			cs.c.Nodes[act.To].AddVM(v)
+			cs.touchedNodes[act.To] = true
+			v.Host = act.To
+			v.LastMigrate = cs.now
+			v.Migrations++
+			v.Touch()
+			cs.touchedVMs[v.ID] = true
+		}
+	}
+	cs.now += 60
+}
+
+// checkKernel verifies, after a round that built a matrix, the two
+// invariants the kernel's correctness rests on — that each run is
+// right, not merely that two runs agree: every cached cell equals a
+// fresh score against the final shadow, and every shard's per-VM
+// record equals a brute-force scan of its row.
+func checkKernel(t *testing.T, sch *Scheduler) {
+	t.Helper()
+	if len(sch.hosts) == 0 || len(sch.cands) == 0 {
+		return // the round returned before building
+	}
+	s := &sch.sh
+	for i, sh := range sch.kern.shards[:sch.Stats.LastShards] {
+		for vi := range s.vms {
+			m := sh.row(sch.kern.m, vi*sch.kern.stride)
+			best, bestn, first := math.Inf(1), -1, -1
+			for li, ni := range sh.cols {
+				// The round's pos was published to the carry at its end.
+				if p := sch.kern.carry.pos[ni]; p != sh.off+li {
+					t.Fatalf("shard %d: host index %d at position %d, its slab says %d", i, ni, p, sh.off+li)
+				}
+				sc := sch.score(s, ni, vi)
+				if got := m[li]; got != sc {
+					t.Fatalf("shard %d: cached cell (vm index %d, host index %d) = %v, fresh score %v", i, vi, ni, got, sc)
+				}
+				if ni == s.assign[vi] || math.IsInf(sc, 1) {
+					continue
+				}
+				if first < 0 {
+					first = ni
+				}
+				if sc < best {
+					best, bestn = sc, ni
+				}
+			}
+			if sh.bestSc[vi] != best || sh.bestNi[vi] != bestn || sh.firstNi[vi] != first {
+				t.Fatalf("shard %d: record of vm index %d = (best %v at %d, first %d), row scan says (%v at %d, %d)",
+					i, vi, sh.bestSc[vi], sh.bestNi[vi], sh.firstNi[vi], best, bestn, first)
+			}
+		}
+	}
+}
+
+// TestDifferentialMultiRoundChurn drives small random clusters through
+// many consecutive churn rounds. Each round the carrying kernel and
+// the naive oracle must emit identical actions, the kernel's cache
+// must be exact (checkKernel), and the cross-round invalidation must
+// stay within the churn: the number of rows/columns re-scored at the
+// top of a round is bounded by the entities actually touched since the
+// previous round (plus rows/columns that are new to the matrix) — in
+// particular, a column whose index shifted because a lower-ID node
+// went away is not re-scored.
 func TestDifferentialMultiRoundChurn(t *testing.T) {
 	const rounds = 60
 	for seed := 0; seed < 8; seed++ {
@@ -225,125 +407,49 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 				Reliability: 0.9 + 0.1*r.Float64(),
 			}
 		}
-		c := cluster.MustNew(classes)
-		for _, n := range c.Nodes {
-			n.SetState(cluster.On)
-		}
-
 		cfg := DefaultConfig()
 		cfg.EnableSLA = r.Float64() < 0.3
 		cfg.EnableFault = r.Float64() < 0.3
 		cfg.MigrationCooldown = 600
+		cfg.Shards = []int{0, 3}[seed%2]
 		inc := MustScheduler(cfg)
 		naiCfg := cfg
 		naiCfg.NaiveSolver = true
 		nai := MustScheduler(naiCfg)
 
-		var vms []*vm.VM
-		nextID := 0
-		now := 0.0
-		touchedVMs := map[int]bool{}
-		touchedNodes := map[int]bool{}
+		cs := newChurnSim(int64(9100+seed), cluster.MustNew(classes), 2)
 		prevRows := map[int]bool{}
 		prevCols := map[int]bool{}
-
-		arrive := func() {
-			v := vm.New(nextID, vm.Requirements{
-				CPU: float64(50 * (1 + r.Intn(8))),
-				Mem: float64(5 * (1 + r.Intn(6))),
-			}, now, 600+7200*r.Float64(), now+3600+14400*r.Float64())
-			nextID++
-			vms = append(vms, v)
-			touchedVMs[v.ID] = true
-		}
+		shrunk := 0
 
 		for round := 0; round < rounds; round++ {
-			// --- churn between rounds ---
-			for k := r.Intn(3); k > 0; k-- {
-				arrive()
+			lowest := cs.c.AppendOnline(nil)[0]
+			cs.churn()
+			if lowest.State != cluster.On {
+				shrunk++
 			}
-			if r.Float64() < 0.3 { // a running VM completes
-				running := runningVMs(vms)
-				if len(running) > 0 {
-					v := running[r.Intn(len(running))]
-					c.Nodes[v.Host].RemoveVM(v)
-					touchedNodes[v.Host] = true
-					v.State = vm.Completed
-					v.Touch()
-					touchedVMs[v.ID] = true
-				}
-			}
-			if r.Float64() < 0.3 { // power transition
-				n := c.Nodes[r.Intn(len(c.Nodes))]
-				switch {
-				case n.State == cluster.Off:
-					n.SetState(cluster.On)
-					touchedNodes[n.ID] = true
-				case n.State == cluster.On && len(n.VMs) == 0 && onlineCount(c) > 1:
-					n.SetState(cluster.Off)
-					touchedNodes[n.ID] = true
-				}
-			}
-			if r.Float64() < 0.2 { // demand update on a queued VM
-				for _, v := range vms {
-					if v.State == vm.Queued {
-						v.Req.CPU = float64(50 * (1 + r.Intn(8)))
-						v.Touch()
-						touchedVMs[v.ID] = true
-						break
-					}
-				}
-			}
-			queued := false
-			for _, v := range vms {
-				queued = queued || v.State == vm.Queued
-			}
-			if !queued {
-				arrive() // every round must build a matrix
-			}
-
-			// --- the round itself ---
-			var queue, active []*vm.VM
-			for _, v := range vms {
-				switch {
-				case v.State == vm.Queued:
-					queue = append(queue, v)
-				case v.Active():
-					active = append(active, v)
-				}
-			}
-			ctx := &policy.Context{
-				Now: now, Cluster: c, Queue: queue, Active: active,
-				LambdaMin: 0.3, LambdaMax: 0.9,
-			}
+			ctx := cs.context()
 			curRows := map[int]bool{}
 			for _, v := range inc.candidates(ctx, nil) {
 				curRows[v.ID] = true
 			}
 			curCols := map[int]bool{}
-			for _, n := range c.Nodes {
-				if n.State == cluster.On {
-					curCols[n.ID] = true
-				}
+			for _, n := range cs.c.AppendOnline(nil) {
+				curCols[n.ID] = true
 			}
 
 			before := inc.Stats
 			incActs := inc.Schedule(ctx)
-			naiActs := nai.Schedule(ctx)
-			ia, na := renderActions(incActs), renderActions(naiActs)
-			if len(ia) != len(na) {
-				t.Fatalf("seed %d round %d: action count diverged: %v vs %v", seed, round, ia, na)
-			}
-			for i := range ia {
-				if ia[i] != na[i] {
-					t.Fatalf("seed %d round %d: action %d diverged: %q vs %q", seed, round, i, ia[i], na[i])
-				}
+			checkKernel(t, inc)
+			ia, na := renderActions(incActs), renderActions(nai.Schedule(ctx))
+			if !slices.Equal(ia, na) {
+				t.Fatalf("seed %d round %d: actions diverged:\nkernel: %v\nnaive:  %v", seed, round, ia, na)
 			}
 			after := inc.Stats
 
 			// --- invalidation bounded by the actual churn ---
 			if after.CarryRounds > before.CarryRounds {
-				budget := len(touchedVMs)
+				budget := len(cs.touchedVMs)
 				for id := range curRows {
 					if !prevRows[id] {
 						budget++
@@ -353,7 +459,7 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 					t.Fatalf("seed %d round %d: %d stale rows, churn allows %d",
 						seed, round, stale, budget)
 				}
-				budget = len(touchedNodes)
+				budget = len(cs.touchedNodes)
 				for id := range curCols {
 					if !prevCols[id] {
 						budget++
@@ -367,34 +473,8 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 				t.Fatalf("seed %d round %d: no cross-round carry", seed, round)
 			}
 
-			// --- apply the actions as instant actuation ---
-			clear(touchedVMs)
-			clear(touchedNodes)
-			for _, a := range incActs {
-				switch act := a.(type) {
-				case policy.Place:
-					v := act.VM
-					v.State = vm.Running
-					v.Host = act.Node
-					v.Touch()
-					c.Nodes[act.Node].AddVM(v)
-					touchedVMs[v.ID] = true
-					touchedNodes[act.Node] = true
-				case policy.Migrate:
-					v := act.VM
-					c.Nodes[v.Host].RemoveVM(v)
-					touchedNodes[v.Host] = true
-					c.Nodes[act.To].AddVM(v)
-					touchedNodes[act.To] = true
-					v.Host = act.To
-					v.LastMigrate = now
-					v.Migrations++
-					v.Touch()
-					touchedVMs[v.ID] = true
-				}
-			}
+			cs.apply(incActs)
 			prevRows, prevCols = curRows, curCols
-			now += 60
 		}
 
 		if inc.Stats.ReusedCells == 0 {
@@ -402,6 +482,9 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 		}
 		if inc.Stats.Moves != nai.Stats.Moves {
 			t.Fatalf("seed %d: moves diverged: %d vs %d", seed, inc.Stats.Moves, nai.Stats.Moves)
+		}
+		if shrunk == 0 {
+			t.Fatalf("seed %d: the On-set never shrank from the low-ID end", seed)
 		}
 	}
 }
@@ -414,16 +497,6 @@ func runningVMs(vms []*vm.VM) []*vm.VM {
 		}
 	}
 	return out
-}
-
-func onlineCount(c *cluster.Cluster) int {
-	n := 0
-	for _, node := range c.Nodes {
-		if node.State == cluster.On {
-			n++
-		}
-	}
-	return n
 }
 
 // TestIncrementalFewerEvals pins the complexity win: on a round big
@@ -521,25 +594,30 @@ func TestMatrixHonorsCooldown(t *testing.T) {
 }
 
 // TestScheduleSteadyStateAllocationFree verifies the scratch-buffer
-// contract: after a warm-up round, a round that emits no actions
-// performs no heap allocations.
+// contract: after a warm-up round, a carry round that emits no actions
+// performs no heap allocations — on the default path and at an
+// explicit K=1 alike (a one-shard round handed to the worker fan-out
+// pays a closure per build and per move).
 func TestScheduleSteadyStateAllocationFree(t *testing.T) {
-	c := testCluster(t, 4)
-	// Two running VMs, hysteresis too high to move them: the solver
-	// scores the full matrix but emits nothing.
-	a := runningVM(1, 300, 15, c, 0)
-	b := runningVM(2, 100, 5, c, 1)
-	cfg := SBConfig()
-	cfg.MigrationGainMin = 1e6
-	sch := MustScheduler(cfg)
-	ctx := ctxFor(c, nil, []*vm.VM{a, b})
-	sch.Schedule(ctx) // warm up scratch buffers
-	allocs := testing.AllocsPerRun(50, func() {
-		if acts := sch.Schedule(ctx); len(acts) != 0 {
-			t.Fatalf("unexpected actions: %v", acts)
+	for _, shards := range []int{0, 1} {
+		c := testCluster(t, 4)
+		// Two running VMs, hysteresis too high to move them: the solver
+		// scores the full matrix but emits nothing.
+		a := runningVM(1, 300, 15, c, 0)
+		b := runningVM(2, 100, 5, c, 1)
+		cfg := SBConfig()
+		cfg.MigrationGainMin = 1e6
+		cfg.Shards = shards
+		sch := MustScheduler(cfg)
+		ctx := ctxFor(c, nil, []*vm.VM{a, b})
+		sch.Schedule(ctx) // warm up scratch buffers
+		allocs := testing.AllocsPerRun(50, func() {
+			if acts := sch.Schedule(ctx); len(acts) != 0 {
+				t.Fatalf("unexpected actions: %v", acts)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Shards=%d: steady-state round allocates %.1f objects, want 0", shards, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state round allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -40,13 +40,15 @@ func (sch *Scheduler) beginTrace() time.Time {
 }
 
 // emitRoundTrace builds and emits the round's trace from the stats
-// delta accumulated since before.
-func (sch *Scheduler) emitRoundTrace(now float64, solver string, t0 time.Time, before SolverStats, hosts, cands int) {
+// delta accumulated since before. k is the round's shard count (0 for
+// the naive oracle); the wire labels keep naming a one-shard kernel
+// round "incremental" and a fanned-out one "sharded".
+func (sch *Scheduler) emitRoundTrace(now float64, k int, t0 time.Time, before SolverStats, hosts, cands int) {
 	d := sch.Stats
 	rt := obs.RoundTrace{
 		Round:       d.Rounds,
 		Now:         now,
-		Solver:      solver,
+		Solver:      "incremental",
 		WallNanos:   time.Since(t0).Nanoseconds(),
 		Hosts:       hosts,
 		Candidates:  cands,
@@ -57,8 +59,11 @@ func (sch *Scheduler) emitRoundTrace(now float64, solver string, t0 time.Time, b
 		StaleCols:   d.StaleCols - before.StaleCols,
 		LimitHit:    d.LimitHits > before.LimitHits,
 	}
-	if solver == "sharded" {
-		rt.Shards = d.LastShards
+	switch {
+	case k == 0:
+		rt.Solver = "naive"
+	case k > 1:
+		rt.Solver, rt.Shards = "sharded", k
 	}
 	if len(sch.traceActs) > 0 {
 		rt.Actions = append([]obs.ActionTrace(nil), sch.traceActs...)

@@ -31,8 +31,8 @@ type SweepConfig struct {
 	// Policy names the scheduler to sweep ("SB" in the paper — "the
 	// one that makes a more aggressive consolidation").
 	Policy string
-	// Shards selects the score-based solver's sharded parallel round
-	// engine (0 = serial, -1 = GOMAXPROCS, K >= 1 = K shards). Sweep
+	// Shards is the score-based solver's column-shard count (0 = one
+	// shard, the default; -1 = GOMAXPROCS; K > 1 = K workers). Sweep
 	// results are byte-identical at any setting; large grids just
 	// finish sooner. Ignored by the baseline policies.
 	Shards int

@@ -54,10 +54,11 @@ type Config struct {
 	CheckpointSeconds float64
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64
-	// Shards selects the solver's sharded parallel round engine
-	// (0 = serial, -1 = GOMAXPROCS, K >= 1 = K shards). Actions and
-	// reports are byte-identical at any setting, so this is a pure
-	// performance knob — replay determinism does not depend on it.
+	// Shards is the solver's column-shard count (0 or unset = one
+	// shard on the caller's goroutine, the default; -1 = GOMAXPROCS;
+	// K > 1 = K workers per round). Actions and reports are
+	// byte-identical at any setting, so this is a pure performance
+	// knob — replay determinism does not depend on it.
 	Shards int
 	// Classes overrides the fleet (nil = the paper's 100 nodes).
 	Classes []energysched.NodeClass

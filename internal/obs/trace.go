@@ -130,9 +130,12 @@ type RoundTrace struct {
 	Round int `json:"round"`
 	// Now is the simulation's virtual time at the round, in seconds.
 	Now float64 `json:"now"`
-	// Solver names the engine: "naive", "incremental" or "sharded".
+	// Solver names the engine: "naive" for the reference oracle, else
+	// the slab kernel — "sharded" when the round fanned out over K > 1
+	// shards, "incremental" when it ran as one shard on the caller's
+	// goroutine.
 	Solver string `json:"solver"`
-	// Shards is the shard count for a sharded round (0 otherwise).
+	// Shards is the shard count K of a "sharded" round (0 otherwise).
 	Shards int `json:"shards,omitempty"`
 	// WallNanos is the wall-clock duration of the whole round.
 	WallNanos int64 `json:"wall_ns"`

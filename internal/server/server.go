@@ -64,9 +64,10 @@ type Config struct {
 	CheckpointSeconds float64
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64
-	// Shards selects the solver's sharded parallel round engine
-	// (0 = serial, -1 = GOMAXPROCS, K >= 1 = K shards); fleets inherit
-	// it unless their FleetSpec overrides.
+	// Shards is the solver's column-shard count (0 or unset = one
+	// shard on the caller's goroutine, the default; -1 = GOMAXPROCS;
+	// K > 1 = K workers per round); fleets inherit it unless their
+	// FleetSpec overrides.
 	Shards int
 	// Classes overrides the fleet hardware (nil = the paper's 100
 	// nodes).
