@@ -282,7 +282,7 @@ func BenchmarkScoreSolverRoundSteady(b *testing.B) {
 	ctx := solverRoundCtx()
 	sch := core.MustScheduler(core.SBConfig())
 	sch.Schedule(ctx) // warm the scratch buffers
-	sch.Schedule(ctx) // and the double-buffered cross-round snapshot
+	sch.Schedule(ctx) // and settle the keys the first round's moves dirtied
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -328,7 +328,7 @@ func solverChurnSetup(cfg core.Config) (*core.Scheduler, *policy.Context) {
 	ctx := &policy.Context{Now: 0, Cluster: cls, Active: active, LambdaMin: 0.3, LambdaMax: 0.9}
 	sch := core.MustScheduler(cfg)
 	sch.Schedule(ctx) // warm scratch buffers
-	sch.Schedule(ctx) // and the double-buffered cross-round snapshot
+	sch.Schedule(ctx) // and a first carry round
 	return sch, ctx
 }
 

@@ -65,8 +65,8 @@ type Config struct {
 	// avoids ∞−∞ in the improvement arithmetic).
 	QueueScore float64
 	// FreshMatrix disables the cross-round score-matrix carry: every
-	// round rebuilds the full time-independent half of the matrix from
-	// scratch instead of reusing cells whose node and VM state is
+	// round re-scores every row of the time-independent half of the
+	// matrix instead of reusing cells whose node and VM state is
 	// unchanged since the previous round. The within-round incremental
 	// maintenance is unaffected. Exists for ablation benchmarks and as a
 	// bisection aid; both settings emit identical actions.
@@ -79,10 +79,10 @@ type Config struct {
 	// Shards.
 	NaiveSolver bool
 	// Shards is the slab kernel's shard count K (kernel.go): host
-	// columns are partitioned into K shards (by node class, then
-	// round-robin), each owning its slab of the score matrix and its
-	// dirty-column tracking. At K > 1 the matrix build and the per-move
-	// refreshes fan out over a worker per shard and candidate moves are
+	// columns are dealt to K shards (column slot mod K), each owning
+	// its slab of the persistent matrix and the minimum records over its
+	// columns. At K > 1 the re-scoring at round start and after every
+	// move fans out over a worker per shard and candidate moves are
 	// merged through a deterministic arbiter, so the chosen action
 	// sequence is byte-identical at any K.
 	//

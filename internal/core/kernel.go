@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
@@ -13,82 +14,96 @@ import (
 
 // The slab kernel is the incremental form of Algorithm 1 and the only
 // solver besides the naive oracle (solveNaive). It exploits the
-// structure of Score(h, vm): a cell depends only on (a) round-static
-// node and VM attributes, (b) the shadow load of host h, and (c)
-// whether the VM is currently assigned to h. Applying move(vi, a→b)
-// therefore invalidates exactly the two endpoint columns a and b
-// (their loads changed for every VM) and the moved VM's own row (its
-// assignment changed) — every other cell is provably unchanged, so the
-// cached value is bit-identical to a fresh evaluation and the kernel
-// replays the naive hill climber's decisions exactly. On top of the
-// cached matrix it keeps one best-move record per VM, so each
-// iteration picks the globally best move in O(V) instead of O(V·H),
-// turning a round from O(I·V·H) into O(V·H + I·(V+H)) evaluations.
+// structure of Score(h, vm) = scoreBase + scoreTime:
 //
-// Across rounds the kernel carries the time-independent half of the
-// matrix (scoreBase). A cell of that half depends only on the
-// observable state of its node (power state, loads, in-flight
-// operations, reliability, class) and its VM (requirements, fault
-// tolerance, current host) — state that a scheduling round leaves
-// untouched for most of the datacenter. carryState snapshots those
-// inputs per row and per column; at the top of the next round the
-// build diffs the snapshot against reality and re-scores only the rows
-// and columns whose real state changed (VM arrivals/exits, migrations,
-// demand updates, power transitions, operation churn). The
-// time-dependent half (scoreTime) is recomputed every round, but costs
-// only O(V·C) evaluations for C node classes.
+//   - scoreBase depends only on (a) the observable state of its node
+//     (power state, loads, in-flight operations, reliability, class),
+//     (b) the VM's requirements and (c) whether h is the VM's current
+//     or round-start host. Applying move(vi, a→b) therefore invalidates
+//     exactly the two endpoint columns a and b (their loads changed for
+//     every VM) and the moved VM's own row (its assignment changed),
+//     and between rounds only the rows and columns whose real state
+//     changed (arrivals/exits, migrations, demand updates, power
+//     transitions, operation churn). Every other cell is provably
+//     unchanged, so the cached value is bit-identical to a fresh one.
+//   - scoreTime changes every round but depends on the host only
+//     through its class and through whether it is the VM's round-start
+//     host: C+1 values per VM for C node classes, never per cell.
 //
-// The V×H matrix — the memory and CPU bound of a round — is
-// partitioned by host column into K shards (Config.Shards; one by
-// default), each owning a contiguous V×⌈H/K⌉ slab of the base and
-// full matrices plus the per-VM best-move records over its own
-// columns. At K > 1 the expensive phases (the round-start build and
-// the dirty-column/row refresh after every applied move) fan out over
+// The kernel therefore keeps only the base matrix, and keeps it across
+// rounds: every candidate VM owns a row slot and every On host a
+// column slot for as long as it stays in the matrix, so an unchanged
+// cell simply stays where it is. rowKey/colKey record the inputs each
+// slot's cells were computed from; the round-start build pairs this
+// round's candidates and hosts with last round's by an ascending-ID
+// merge scan (handing out and retiring slots as it goes), diffs the
+// keys against reality and re-scores the stale rows and columns in
+// place. The hill climb writes its hypothetical values into the same
+// matrix and its shadow loads into the touched keys (a moved row's key
+// is voided), so the next diff re-scores whatever actuation did not
+// turn into exactly that reality.
+//
+// The full score is never materialised. Per ⟨row, class⟩ a classRec
+// holds the minimum base over the class's columns, so the best move of
+// a row is a C-way combine of min + time(class) — base + time is the
+// float grouping score uses, and +Inf absorbs in either operand — and
+// each iteration picks the globally best move in O(V·C) instead of
+// O(V·H). A carry round thus costs O(V·C + stale rows·H + stale
+// columns·V) and a move O(V + H) evaluations.
+//
+// Column slots are dealt to K shards (Config.Shards; one by default),
+// slot c to shard c mod K, each owning its own slab of the matrix and
+// the records over its own columns. At K > 1 the re-scoring — at round
+// start and after every applied move, the same code — fans out over
 // one worker per shard; no shard ever touches another shard's slab or
-// records, and the shadow state is read-only while workers run, so the
-// fan-out is race-free by construction. At K = 1 the slab is the whole
-// matrix and both phases run on the caller's goroutine without
-// building a closure: handing even a single shard's work to the
-// fan-out costs one heap object per build and per move (+42 % objects
-// per job on the paper week), which is why the two dispatch helpers
-// special-case it.
+// records, and the shadow and the slot tables are read-only while
+// workers run, so the fan-out is race-free by construction. At K = 1
+// it runs on the caller's goroutine without building a closure
+// (handing even a single shard's work to the fan-out costs one heap
+// object per build and per move). A different K than last round's —
+// the host count fell below Config.Shards — drops the state: every
+// row and column is new.
 //
 // Determinism: every cell is a pure function of the shadow state, so
-// its value does not depend on which shard computes it. Each shard's
-// records hold "lowest global node index achieving the minimum finite
-// score over my columns", and the arbiter merges them with a stable
-// ordering (lowest score first, then lowest node index, earliest VM on
-// iteration ties) — exactly the naive evaluator's full-matrix scan
-// order. The chosen action sequence is therefore byte-identical to
-// the naive solver's at any K; the differential tests in
-// sharded_test.go and solver_test.go and the datacenter
-// full-simulation test enforce this.
+// its value does not depend on which shard computes it. The records
+// hold "lowest host index achieving the minimum", and the arbiter
+// merges them with a stable ordering (lowest score first, then lowest
+// host index, earliest VM on iteration ties) — exactly the naive
+// evaluator's full-matrix scan order. The chosen action sequence is
+// therefore byte-identical to the naive solver's at any K; the
+// differential tests in sharded_test.go and solver_test.go and the
+// datacenter full-simulation test enforce this.
 
-// rowKey identifies a matrix row (candidate VM) and snapshots every
-// VM-side input of scoreBase. A row is carried over only if the same
-// VM object matches the whole key — the epoch guards against mutations
-// the value fields cannot see, the value fields guard against
-// mutations that bypassed Touch.
+// rowKey identifies a matrix row (candidate VM) and records every
+// VM-side input its cells were computed from. A row is carried over
+// only if the same VM matches the whole key — the epoch guards against
+// mutations the value fields cannot see, the value fields guard
+// against mutations that bypassed Touch.
 type rowKey struct {
 	vm    *vm.VM
 	epoch uint64
 	// scoreBase inputs: requirements, fault tolerance, resolved
-	// current host (node ID, -1 when queued or unresolvable).
+	// current host (node ID, -1 when queued or unresolvable, moved
+	// when the hill climb left the row on another host than reality).
 	cpu, mem  float64
 	arch, hyp string
 	ftol      float64
 	initial   int
 }
 
-// colKey identifies a matrix column (host) and snapshots every
-// node-side input of scoreBase.
+// moved voids a rowKey: no real host resolves to it.
+const moved = -2
+
+// colKey identifies a matrix column (host) and records every node-side
+// input its cells were computed from.
 type colKey struct {
 	node  *cluster.Node
 	class *cluster.Class
 	epoch uint64
 	state cluster.PowerState
-	// Reservation sums as seeded into the shadow; bit-stable for an
-	// unchanged node because the Node maintains them incrementally.
+	// Reservation sums as seeded into the shadow (bit-stable for an
+	// unchanged node because the Node maintains them incrementally),
+	// then as the hill climb's moves left them.
 	cpu, mem  float64
 	count     int
 	creating  int
@@ -96,78 +111,95 @@ type colKey struct {
 	rel       float64
 }
 
-// carryState is the cross-round snapshot: the previous round's base
-// slabs and the keys they were computed from, in matrix order (rows
-// by ascending VM ID, columns by ascending node ID). Row r of the
-// column cols[c] is base[r*stride+pos[c]].
-type carryState struct {
-	valid  bool
-	rows   []rowKey
-	cols   []colKey
-	pos    []int
-	stride int
-	base   []float64
+// classRec summarises, for one row, one shard's columns of one node
+// class — all of which share the row's time term — leaving out the
+// row's current and round-start hosts, which the arbiter scores itself
+// (the first is not a target, the second's time term is stay).
+type classRec struct {
+	// min is the lowest base (+Inf = no feasible column) and slot the
+	// column slot of the lowest host index achieving it (-1 = none).
+	min  float64
+	slot int
+	// low is a lower bound on the bases at host indices below slot's.
+	// fl(base+time) is monotone in base but not strictly: a lower
+	// index whose base is a few ulps above min can tie with it once the
+	// time term is added, and the naive scan then keeps that one. The
+	// arbiter detects the possibility as fl(low+time) ≤ fl(min+time).
+	low float64
 }
 
-// solverShard owns one column partition of the score matrix: the slab
-// that starts at off in the kernel's matrices.
+var noRec = classRec{min: math.Inf(1), slot: -1, low: math.Inf(1)}
+
+// offer folds the base b of column slot c, host index ni, into the
+// record. Valid for any order of offers and for re-offering a column
+// whose base dropped; a holder whose base rose needs a rescan.
+func (r *classRec) offer(b float64, c, ni int, colNi []int) {
+	if math.IsInf(b, 1) {
+		return
+	}
+	holder := math.MaxInt
+	if r.slot >= 0 {
+		holder = colNi[r.slot]
+	}
+	switch {
+	case b < r.min || (b == r.min && ni < holder):
+		if ni > holder {
+			r.low = r.min // the old minimum bounds everything below ni
+		}
+		r.min, r.slot = b, c
+	case ni < holder && b < r.low:
+		r.low = b
+	}
+}
+
+// solverShard owns the column slots c with c mod K == id: its slab of
+// the base matrix and the class records over those columns.
 type solverShard struct {
-	off  int
-	cols []int // global column (host) indices, ascending
-
-	// Per-VM best-move records over this shard's columns only, with
-	// global node indices. bestNi[vi] is the lowest column achieving
-	// the minimum finite score in row vi excluding the VM's current
-	// assignment (-1 = none) and bestSc[vi] that score (+Inf when
-	// none). firstNi[vi] is the lowest column with any finite score:
-	// it reproduces the naive tie-break when the VM's current host is
-	// infeasible — every feasible target then improves by -Inf and the
-	// naive scan keeps the first one it meets, not the cheapest.
-	bestNi  []int
-	bestSc  []float64
-	firstNi []int
-
-	// timeMove is build scratch: the row in hand's scoreTimeMove per
-	// node class.
-	timeMove []float64
+	id int
+	// base[row slot × stride + c/K] is scoreBase of the pair; for a
+	// live row the cells of column slots not in the matrix are +Inf.
+	base []float64
+	rec  []classRec // [row slot × nclass + class]
+	// byClass lists, per class, the shard's columns in the matrix (as
+	// c/K) in ascending node ID: what a record rebuild scans.
+	byClass [][]int
 
 	// stats is the shard's private counter set; a worker only ever
 	// touches its own, and the round folds them into Scheduler.Stats.
 	stats SolverStats
 }
 
-// slabKernel is the kernel's working state on the Scheduler. All
-// slices are scratch reused across rounds.
+// slabKernel is the kernel's state on the Scheduler, persistent across
+// rounds but for the per-round tables at the end.
 type slabKernel struct {
-	shards []*solverShard // the round uses shards[:K]
+	shards []*solverShard // the state lives in shards[:k]
+	k      int            // shard count the slots are dealt over (0 = no state)
+	// Slab geometry: row slots, column slots per shard, records per row.
+	rowCap, stride, nclass int
 
-	// m holds the score matrix and base its scoreBase half at round
-	// start (the hill climb only mutates m), as one slab per shard,
-	// back to back and all stride cells wide — the widest shard's
-	// column count, so one row offset serves every slab. The cell of
-	// VM vi on host column ni is m[vi*stride+pos[ni]]. The cell at a
-	// VM's current assignment holds its current-host cost (the
-	// centering value) and is excluded from the shards' records.
-	m, base []float64
-	pos     []int
-	stride  int
-
-	carry carryState
-	// This round's keys, swapped into carry when the round publishes,
-	// and the carry sources: rowSrc[vi] is the row's previous offset
-	// (row × stride) and colSrc[ni] the column's previous pos in
-	// carry.base (-1 = stale, re-score).
-	nextRows []rowKey
-	nextCols []colKey
-	rowSrc   []int
-	colSrc   []int
-
-	// The round's distinct node classes (first-appearance order), each
-	// host's index into them and each class's host count; see
-	// collectClasses.
+	// Slot tables. Retired slots wait in the free lists; a column
+	// slot retires at the end of the build its host left in, after the
+	// records that pointed at it are repaired.
+	rows             []rowKey
+	cols             []colKey
+	colNi            []int // host index this round, -1 = not in the matrix
+	colClass         []int // index into classes
+	rowFree, colFree []int
+	// classes are the node classes met so far, in first-appearance
+	// order; a class whose hosts all left keeps its (empty) records.
 	classes []*cluster.Class
-	classOf []int
-	classN  []int
+
+	// This round's tables: the slot of each candidate and each host
+	// (ascending IDs — next round's merge scan input), and per
+	// candidate scoreTimeMove for each class, then scoreTimeStay.
+	rowOrd, colOrd []int
+	time           []float64
+
+	// The re-scoring work list: stale rows by candidate index, stale
+	// columns by slot (a column that left is re-scored to +Inf).
+	staleRow  []bool
+	staleCols []int
+	prev      []int // merge-scan scratch: last round's rowOrd or colOrd
 }
 
 // shardCount resolves Config.Shards for a round over h hosts.
@@ -185,97 +217,93 @@ func (c Config) shardCount(h int) int {
 	return k
 }
 
-// fanOut runs fn once per shard, one worker each, and waits for all.
-func fanOut(shards []*solverShard, fn func(sh *solverShard)) {
+// rescoreShards re-scores the kernel's work list, each shard its own
+// part, against the (while workers run, read-only) shadow.
+func (sch *Scheduler) rescoreShards(s *shadow) {
+	shards := sch.kern.shards[:sch.kern.k]
+	if len(shards) == 1 {
+		shards[0].rescore(sch, s)
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(len(shards))
 	for _, sh := range shards {
-		go func(sh *solverShard) {
+		go func() {
 			defer wg.Done()
-			fn(sh)
-		}(sh)
+			sh.rescore(sch, s)
+		}()
 	}
 	wg.Wait()
 }
 
-// buildShards fills every shard's slabs and records for the round.
-func (sch *Scheduler) buildShards(s *shadow, shards []*solverShard) {
-	if len(shards) == 1 {
-		shards[0].build(sch, s)
-		return
+// score is Score(ni, vi) composed from the cached base cell and the
+// round's time terms (scoreTime's in-operation pin aside: the arbiter
+// skips pinned rows).
+func (st *slabKernel) score(s *shadow, vi, ni int) float64 {
+	c, C := st.colOrd[ni], len(st.classes)
+	g := st.colClass[c]
+	if ni == s.initial[vi] {
+		g = C
 	}
-	fanOut(shards, func(sh *solverShard) { sh.build(sch, s) })
+	return st.shards[c%st.k].base[st.rowOrd[vi]*st.stride+c/st.k] + st.time[vi*(C+1)+g]
 }
 
-// refreshShards re-scores the region move(vi, from→to) dirtied, each
-// shard its own part, against the already updated (and, while workers
-// run, read-only) shadow.
-func (sch *Scheduler) refreshShards(s *shadow, shards []*solverShard, vi, from, to int) {
-	if len(shards) == 1 {
-		shards[0].refreshMove(sch, s, vi, from, to)
-		return
-	}
-	fanOut(shards, func(sh *solverShard) { sh.refreshMove(sch, s, vi, from, to) })
-}
-
-// collectClasses gathers the round's distinct node classes
-// (first-appearance order) into k.classes, fills k.classOf with each
-// host's class index, for the once-per-⟨VM, class⟩ time terms, and
-// counts each class's hosts into k.classN.
-func (k *slabKernel) collectClasses(hosts []*cluster.Node) {
-	k.classes = k.classes[:0]
-	k.classN = k.classN[:0]
-	k.classOf = grow(k.classOf, len(hosts))
-	for ni, n := range hosts {
-		idx := slices.Index(k.classes, n.Class)
-		if idx < 0 {
-			idx = len(k.classes)
-			k.classes = append(k.classes, n.Class)
-			k.classN = append(k.classN, 0)
+// bestTarget is the arbiter's per-row step: the lowest score in row vi
+// off its current host and the lowest host index achieving it (+Inf
+// and -1 when no target is feasible), combined from the shards' class
+// records plus the round-start host of a VM that has moved.
+func (st *slabKernel) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
+	best, bestNi = math.Inf(1), -1
+	C := len(st.classes)
+	time := st.time[vi*(C+1):][:C]
+	for _, sh := range st.shards[:st.k] {
+		for g, r := range sh.rec[st.rowOrd[vi]*C:][:C] {
+			sc := r.min + time[g]
+			if math.IsInf(sc, 1) {
+				continue
+			}
+			ni := st.colNi[r.slot]
+			if r.low+time[g] <= sc {
+				ni = sh.tieHolder(st, s, vi, g, sc)
+			}
+			if sc < best || (sc == best && ni < bestNi) {
+				best, bestNi = sc, ni
+			}
 		}
-		k.classOf[ni] = idx
-		k.classN[idx]++
 	}
+	if i0 := s.initial[vi]; i0 >= 0 && i0 != s.assign[vi] {
+		if sc := st.score(s, vi, i0); sc < best || (sc == best && i0 < bestNi) {
+			best, bestNi = sc, i0
+		}
+	}
+	return best, bestNi
 }
 
-// partitionColumns deals the host columns to n shards for a round over
-// v candidates and lays the shards' slabs out: hosts are grouped by
-// node class and each group is dealt round-robin, with the cursor
-// continuing across groups so shard sizes stay within one of each
-// other. Grouping by class first keeps every shard's class mix
-// representative, so the per-move column refreshes — whose cost
-// follows the column's class feasibility profile — stay balanced
-// across workers. Consumes k.classN.
-func (k *slabKernel) partitionColumns(n, v int) []*solverShard {
-	for len(k.shards) < n {
-		k.shards = append(k.shards, &solverShard{})
-	}
-	shards := k.shards[:n]
-	H := len(k.classOf)
-	// The deal starts at shard 0, which therefore is the widest.
-	k.stride = (H + n - 1) / n
-	for i, sh := range shards {
-		sh.off = i * v * k.stride
-		sh.cols = sh.cols[:0]
-	}
-	// Turn each class's count into the shard its group's deal starts
-	// at, then deal in one ascending pass: every shard's columns come
-	// out in ascending global order, the naive scan order.
-	cursor := 0
-	for g, cnt := range k.classN {
-		k.classN[g] = cursor % n
-		cursor += cnt
-	}
-	k.pos = grow(k.pos, H)
-	for ni, g := range k.classOf {
-		sh := shards[k.classN[g]]
-		if k.classN[g]++; k.classN[g] == n {
-			k.classN[g] = 0
+// tieHolder settles a possible rounding tie exactly: the lowest host
+// index among row vi's targets of class g in the shard whose score is
+// sc, the class's minimum.
+func (sh *solverShard) tieHolder(st *slabKernel, s *shadow, vi, g int, sc float64) int {
+	t := st.time[vi*(len(st.classes)+1)+g]
+	row := sh.base[st.rowOrd[vi]*st.stride:]
+	for _, p := range sh.byClass[g] {
+		if ni := st.colNi[p*st.k+sh.id]; row[p]+t == sc && ni != s.assign[vi] && ni != s.initial[vi] {
+			return ni
 		}
-		k.pos[ni] = sh.off + len(sh.cols)
-		sh.cols = append(sh.cols, ni)
 	}
-	return shards
+	panic("core: class record without a holder")
+}
+
+// firstTarget is the lowest host index with a finite score in row vi
+// off its current host: when that host is infeasible every feasible
+// target improves by -Inf and the naive scan keeps the first one it
+// meets, not the cheapest. Rare, so scanned on demand.
+func (st *slabKernel) firstTarget(s *shadow, vi int) int {
+	for ni := range s.nodes {
+		if ni != s.assign[vi] && !math.IsInf(st.score(s, vi, ni), 1) {
+			return ni
+		}
+	}
+	return -1
 }
 
 // solveKernel runs the hill climber against the cached matrix, split
@@ -284,49 +312,35 @@ func (k *slabKernel) partitionColumns(n, v int) []*solverShard {
 func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.VM, k int) {
 	V := len(cands)
 	st := &sch.kern
-	shards := sch.buildKernel(s, hosts, cands, k)
+	sch.buildKernel(s, hosts, cands, k)
 
 	limit := sch.iterationLimit(V)
 	const eps = 1e-9
 	moves := 0
 	for iter := 0; iter < limit; iter++ {
-		// The arbiter: merge the per-shard records into the globally
-		// best move. Ordering is deterministic — lowest score wins,
-		// ties broken by lowest node index within a VM and by earliest
-		// VM across VMs (strict < on the scan) — which is exactly the
+		// The arbiter: pick the globally best move from the per-row
+		// bests. Ordering is deterministic — lowest score wins, ties
+		// broken by lowest host index within a VM and by earliest VM
+		// across VMs (strict < on the scan) — which is exactly the
 		// naive evaluator's full-matrix scan order.
 		bestVI, bestNI := -1, -1
 		bestDiff := -eps
 		for vi := 0; vi < V; vi++ {
+			if sch.pinned(s, vi) {
+				continue // every cell of the row is +Inf
+			}
+			sc, ni := st.bestTarget(s, vi)
+			if ni < 0 {
+				continue
+			}
 			cur := sch.cfg.QueueScore
 			if a := s.assign[vi]; a >= 0 {
-				cur = st.m[vi*st.stride+st.pos[a]]
+				cur = st.score(s, vi, a)
 			}
-			ni := -1
-			var diff float64
+			diff := sc - cur
 			if math.IsInf(cur, 1) {
-				// Current host infeasible: any feasible target is an
-				// infinite improvement; the naive scan keeps the first.
-				for _, sh := range shards {
-					if f := sh.firstNi[vi]; f >= 0 && (ni < 0 || f < ni) {
-						ni = f
-					}
-				}
-				if ni < 0 {
-					continue
-				}
-				diff = math.Inf(-1)
+				ni, diff = st.firstTarget(s, vi), math.Inf(-1)
 			} else {
-				sc := math.Inf(1)
-				for _, sh := range shards {
-					if b := sh.bestNi[vi]; b >= 0 && (sh.bestSc[vi] < sc || (sh.bestSc[vi] == sc && b < ni)) {
-						sc, ni = sh.bestSc[vi], b
-					}
-				}
-				if ni < 0 {
-					continue
-				}
-				diff = sc - cur
 				threshold := -eps
 				if cands[vi].State != vm.Queued {
 					// Migration hysteresis (queued VMs are exempt).
@@ -353,83 +367,185 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 		if iter == limit-1 {
 			sch.Stats.LimitHits++
 		}
-		sch.refreshShards(s, shards, bestVI, from, bestNI)
+
+		// The move dirtied its endpoint columns (from is -1 when the VM
+		// left the queue) and the moved row. Their cells now follow the
+		// shadow, so the keys do too: next round's diff compares reality
+		// with what the cells hold, not with what they held at round
+		// start.
+		st.staleCols = st.staleCols[:0]
+		for _, ni := range [2]int{from, bestNI} {
+			if ni < 0 {
+				continue
+			}
+			c := st.colOrd[ni]
+			key := &st.cols[c]
+			key.cpu, key.mem, key.count = s.cpu[ni], s.mem[ni], s.count[ni]
+			st.staleCols = append(st.staleCols, c)
+			sch.Stats.ColRefreshes++
+		}
+		key := &st.rows[st.rowOrd[bestVI]]
+		key.initial = moved
+		if bestNI == s.initial[bestVI] {
+			key.initial = hosts[bestNI].ID // moved back: as at round start
+		}
+		st.staleRow[bestVI] = true
+		sch.rescoreShards(s)
+		st.staleRow[bestVI] = false
 	}
 	sch.Stats.Moves += moves
 	sch.Stats.LastShards = k
-	for _, sh := range shards {
+	for _, sh := range st.shards[:k] {
 		sch.Stats.ScoreEvals += sh.stats.ScoreEvals
-		sch.Stats.ReusedCells += sh.stats.ReusedCells
-		sch.Stats.ColRefreshes += sh.stats.ColRefreshes
 		sch.Stats.RowRescans += sh.stats.RowRescans
 		sh.stats = SolverStats{}
 	}
-
-	// Publish this round's snapshot by swapping buffers with the
-	// previous one (base still holds round-start values). Any
-	// real-state change the round's own actuation causes will bump
-	// epochs and show up in next round's diff.
-	cr := &st.carry
-	cr.rows, st.nextRows = st.nextRows, cr.rows
-	cr.cols, st.nextCols = st.nextCols, cr.cols
-	cr.base, st.base = st.base, cr.base
-	cr.pos, st.pos = st.pos, cr.pos
-	cr.stride = st.stride
-	cr.valid = true
 }
 
-// buildKernel partitions the round's columns into k shards and fills
-// the matrices and the shards' best-move records, carrying the
-// time-independent half of unchanged cells from the previous round's
-// snapshot.
-func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.VM, k int) []*solverShard {
+// reset drops the kernel's state and deals the slots over k shards.
+func (st *slabKernel) reset(k int) {
+	for len(st.shards) < k {
+		st.shards = append(st.shards, &solverShard{id: len(st.shards)})
+	}
+	st.k, st.rowCap, st.stride = k, 0, 0
+	st.rows, st.cols, st.colNi, st.colClass = st.rows[:0], st.cols[:0], st.colNi[:0], st.colClass[:0]
+	st.rowFree, st.colFree, st.classes = st.rowFree[:0], st.colFree[:0], st.classes[:0]
+	st.rowOrd, st.colOrd = st.rowOrd[:0], st.colOrd[:0]
+	for _, sh := range st.shards[:k] {
+		sh.byClass = sh.byClass[:0]
+	}
+}
+
+// fit makes room for the slots and classes handed out so far. A slab
+// that grows keeps every cell and record where its slots say it is.
+func (st *slabKernel) fit() {
+	rows, cols, C := len(st.rows), len(st.cols), len(st.classes)
+	if rows <= st.rowCap && cols <= st.stride*st.k && C == st.nclass {
+		return
+	}
+	rowCap, stride := st.rowCap, st.stride
+	if rows > rowCap {
+		rowCap = rows + rows/2
+	}
+	if cols > stride*st.k {
+		stride = (cols + cols/2 + st.k - 1) / st.k
+	}
+	for _, sh := range st.shards[:st.k] {
+		base := make([]float64, rowCap*stride)
+		for i := range base {
+			base[i] = math.Inf(1)
+		}
+		rec := make([]classRec, rowCap*C)
+		for i := range rec {
+			rec[i] = noRec
+		}
+		for r := 0; r < st.rowCap; r++ {
+			copy(base[r*stride:], sh.base[r*st.stride:][:st.stride])
+			copy(rec[r*C:], sh.rec[r*st.nclass:][:st.nclass])
+		}
+		sh.base, sh.rec = base, rec
+	}
+	st.rowCap, st.stride, st.nclass = rowCap, stride, C
+}
+
+// takeSlot pops a retired slot, or returns next, the first slot never
+// handed out.
+func takeSlot(free *[]int, next int) int {
+	if n := len(*free); n > 0 {
+		next, *free = (*free)[n-1], (*free)[:n-1]
+	}
+	return next
+}
+
+// buildKernel brings the persistent matrix up to date with the round's
+// hosts and candidates: it pairs both with last round's slots, re-
+// scores what changed since and evaluates the round's time terms.
+func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.VM, k int) {
 	V, H := len(cands), len(hosts)
 	st := &sch.kern
-	cr := &st.carry
-	carry := cr.valid && !sch.cfg.FreshMatrix
-
-	st.collectClasses(hosts)
-	shards := st.partitionColumns(k, V)
-	slab := V * st.stride
-	st.m = grow(st.m, k*slab)
-	st.base = grow(st.base, k*slab)
-	if slab > sch.Stats.MaxSlabCells {
-		sch.Stats.MaxSlabCells = slab
+	carry := st.k == k && !sch.cfg.FreshMatrix
+	if st.k != k {
+		st.reset(k)
 	}
+	shards := st.shards[:k]
 
-	// Column and row keys: snapshot each host's and each candidate's
-	// scoreBase inputs and pair it with the previous snapshot's entry
-	// for the same object. Hosts arrive in ascending node ID and
-	// candidates in ascending VM ID, as the previous round's did, so
-	// one merge scan each pairs them without a lookup structure.
-	st.nextCols = grow(st.nextCols, H)
-	st.colSrc = grow(st.colSrc, H)
+	// Hosts arrive in ascending node ID and candidates in ascending VM
+	// ID, as last round's did, so one merge scan each pairs them with
+	// their slots without a lookup structure. A column that left is
+	// re-scored too, to +Inf: that repairs the records pointing at it.
+	st.prev = append(st.prev[:0], st.colOrd...)
+	st.colOrd = grow(st.colOrd, H)
+	st.staleCols = st.staleCols[:0]
+	dropColumn := func(c int) {
+		list := &shards[c%k].byClass[st.colClass[c]]
+		at := slices.Index(*list, c/k)
+		*list = slices.Delete(*list, at, at+1)
+		st.cols[c], st.colNi[c] = colKey{}, -1
+		st.staleCols = append(st.staleCols, c)
+	}
 	staleCols, pc := 0, 0
 	for ni, n := range hosts {
+		c := -1
+		for ; c < 0 && pc < len(st.prev) && st.cols[st.prev[pc]].node.ID <= n.ID; pc++ {
+			if c = st.prev[pc]; st.cols[c].node != n {
+				dropColumn(c)
+				c = -1
+			}
+		}
+		if c < 0 {
+			if c = takeSlot(&st.colFree, len(st.cols)); c == len(st.cols) {
+				st.cols, st.colNi, st.colClass = append(st.cols, colKey{}), append(st.colNi, -1), append(st.colClass, 0)
+			}
+			g := slices.Index(st.classes, n.Class)
+			if g < 0 {
+				g = len(st.classes)
+				st.classes = append(st.classes, n.Class)
+				for _, sh := range shards {
+					sh.byClass = append(sh.byClass, nil)
+				}
+			}
+			st.colClass[c] = g
+			sh := shards[c%k]
+			at, _ := slices.BinarySearchFunc(sh.byClass[g], n.ID, func(p, id int) int { return cmp.Compare(st.cols[p*k+sh.id].node.ID, id) })
+			sh.byClass[g] = slices.Insert(sh.byClass[g], at, c/k)
+		}
 		key := colKey{
 			node: n, class: n.Class, epoch: n.Epoch, state: n.State,
 			cpu: s.cpu[ni], mem: s.mem[ni], count: s.count[ni],
 			creating: n.CreatingOps, migrating: n.MigratingOps, rel: n.Reliability,
 		}
-		st.nextCols[ni] = key
-		src := -1
-		if carry {
-			for pc < len(cr.cols) && cr.cols[pc].node.ID < n.ID {
-				pc++
-			}
-			if pc < len(cr.cols) && cr.cols[pc] == key {
-				src = cr.pos[pc]
-			}
-		}
-		st.colSrc[ni] = src
-		if src < 0 {
+		if st.cols[c] != key {
+			st.cols[c] = key
+			st.staleCols = append(st.staleCols, c)
 			staleCols++
 		}
+		st.colOrd[ni], st.colNi[c] = c, ni
 	}
-	st.nextRows = grow(st.nextRows, V)
-	st.rowSrc = grow(st.rowSrc, V)
+	for _, c := range st.prev[pc:] {
+		dropColumn(c)
+	}
+
+	st.prev = append(st.prev[:0], st.rowOrd...)
+	st.rowOrd = grow(st.rowOrd, V)
+	st.staleRow = grow(st.staleRow, V)
+	dropRow := func(r int) {
+		st.rows[r] = rowKey{}
+		st.rowFree = append(st.rowFree, r)
+	}
 	staleRows, pr := 0, 0
 	for vi, v := range cands {
+		r := -1
+		for ; r < 0 && pr < len(st.prev) && st.rows[st.prev[pr]].vm.ID <= v.ID; pr++ {
+			if r = st.prev[pr]; st.rows[r].vm.ID != v.ID {
+				dropRow(r)
+				r = -1
+			}
+		}
+		if r < 0 {
+			if r = takeSlot(&st.rowFree, len(st.rows)); r == len(st.rows) {
+				st.rows = append(st.rows, rowKey{})
+			}
+		}
 		initial := -1
 		if a := s.assign[vi]; a >= 0 {
 			initial = hosts[a].ID
@@ -439,193 +555,134 @@ func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 			cpu: v.Req.CPU, mem: v.Req.Mem, arch: v.Req.Arch, hyp: v.Req.Hypervisor,
 			ftol: v.FaultTolerance, initial: initial,
 		}
-		st.nextRows[vi] = key
-		src := -1
-		if carry {
-			for pr < len(cr.rows) && cr.rows[pr].vm.ID < v.ID {
-				pr++
-			}
-			if pr < len(cr.rows) && cr.rows[pr] == key {
-				src = pr * cr.stride
-			}
-		}
-		st.rowSrc[vi] = src
-		if src < 0 {
+		st.rowOrd[vi], st.staleRow[vi] = r, !carry || st.rows[r] != key
+		if st.staleRow[vi] {
+			st.rows[r] = key
 			staleRows++
 		}
 	}
+	for _, r := range st.prev[pr:] {
+		dropRow(r)
+	}
 
-	sch.buildShards(s, shards)
+	st.fit()
+	C := len(st.classes)
+	st.time = grow(st.time, V*(C+1))
+	for vi := range cands {
+		time := st.time[vi*(C+1):][:C+1]
+		for g, cl := range st.classes {
+			time[g] = sch.scoreTimeMove(s, vi, cl)
+		}
+		if s.assign[vi] >= 0 {
+			time[C] = sch.scoreTimeStay(s, vi)
+		}
+	}
 
+	sch.rescoreShards(s)
+	clear(st.staleRow)
+	for _, c := range st.staleCols {
+		if st.colNi[c] < 0 {
+			st.colFree = append(st.colFree, c)
+		}
+	}
+
+	built := 0
+	for _, sh := range shards {
+		built += sh.stats.ScoreEvals
+	}
+	sch.Stats.ReusedCells += V*H - built
+	sch.Stats.MaxSlabCells = max(sch.Stats.MaxSlabCells, st.rowCap*st.stride)
 	if carry {
 		sch.Stats.CarryRounds++
 		sch.Stats.StaleRows += staleRows
 		sch.Stats.StaleCols += staleCols
 	}
-
-	return shards
 }
 
-// build fills one shard's slab of both matrices and its records. Each
-// cell is composed as scoreBase + scoreTime, the time half evaluated
-// once per ⟨VM, class⟩, in exactly the float grouping score uses, so
-// carried and fresh cells are bit-identical. May run on a worker:
-// touches only the shard's own slab and records plus read-only
-// scheduler and shadow state.
-func (sh *solverShard) build(sch *Scheduler, s *shadow) {
+// rescore re-scores the shard's part of the kernel's work list — the
+// stale columns it owns, then its slab of every stale row — and
+// repairs the records that invalidates. May run on a worker: touches
+// only the shard's own slab and records plus read-only scheduler,
+// kernel and shadow state.
+func (sh *solverShard) rescore(sch *Scheduler, s *shadow) {
 	st := &sch.kern
-	V := len(s.vms)
-	sh.bestNi = grow(sh.bestNi, V)
-	sh.bestSc = grow(sh.bestSc, V)
-	sh.firstNi = grow(sh.firstNi, V)
-	sh.timeMove = grow(sh.timeMove, len(st.classes))
-
-	prev, colSrc, classOf, timeMove := st.carry.base, st.colSrc, st.classOf, sh.timeMove
-	evals, reused := 0, 0
-	for vi := 0; vi < V; vi++ {
-		assign, prow := s.assign[vi], st.rowSrc[vi]
-		for g, cl := range st.classes {
-			timeMove[g] = sch.scoreTimeMove(s, vi, cl)
+	stale := st.staleRow[:len(s.vms)]
+	for _, c := range st.staleCols {
+		if c%st.k == sh.id {
+			sh.rescoreColumn(sch, s, c, stale)
 		}
-		stay := 0.0
-		if assign >= 0 {
-			stay = sch.scoreTimeStay(s, vi)
-		}
-		m := sh.row(st.m, vi*st.stride)
-		base := sh.row(st.base, vi*st.stride)
-		best, bestn, first := math.Inf(1), -1, -1
-		for li, ni := range sh.cols {
-			var b float64
-			if pc := colSrc[ni]; prow >= 0 && pc >= 0 {
-				b = prev[prow+pc]
-				reused++
-			} else {
-				b = sch.scoreBase(s, ni, vi)
-				evals++
-			}
-			base[li] = b
-			sc := b
-			if !math.IsInf(b, 1) {
-				t := stay
-				if ni != assign {
-					t = timeMove[classOf[ni]]
-				}
-				if math.IsInf(t, 1) {
-					sc = t
-				} else {
-					sc = b + t
-				}
-			}
-			m[li] = sc
-			if ni == assign || math.IsInf(sc, 1) {
-				continue
-			}
-			if first < 0 {
-				first = ni
-			}
-			if sc < best {
-				best, bestn = sc, ni
-			}
-		}
-		sh.bestSc[vi], sh.bestNi[vi], sh.firstNi[vi] = best, bestn, first
 	}
-	sh.stats.ScoreEvals += evals
-	sh.stats.ReusedCells += reused
+	for vi, is := range stale {
+		if !is {
+			continue
+		}
+		row := sh.base[st.rowOrd[vi]*st.stride:]
+		for p, c := 0, sh.id; c < len(st.cols); p, c = p+1, c+st.k {
+			row[p] = math.Inf(1)
+			if ni := st.colNi[c]; ni >= 0 {
+				row[p] = sch.scoreBase(s, ni, vi)
+				sh.stats.ScoreEvals++
+			}
+		}
+		sh.rescan(st, s, vi, -1)
+	}
 }
 
-// refreshMove repairs the shard's part of the region move(vi, from→to)
-// dirtied: the endpoint columns if it owns them (from is -1 when the
-// VM left the queue) for every VM, then its slice of the moved VM's
-// row, whose assignment changed, then its record for that VM.
-func (sh *solverShard) refreshMove(sch *Scheduler, s *shadow, vi, from, to int) {
-	if from >= 0 {
-		sh.refreshColumn(sch, s, vi, from)
-	}
-	sh.refreshColumn(sch, s, vi, to)
-	m := sh.row(sch.kern.m, vi*sch.kern.stride)
-	for li, ni := range sh.cols {
-		if ni == from || ni == to {
-			continue // the column refresh already re-scored these
-		}
-		sh.stats.ScoreEvals++
-		m[li] = sch.score(s, ni, vi)
-	}
-	sh.rescanRow(m, s.assign[vi], vi)
-}
-
-// row returns the shard's slab of the row at offset at (row × stride)
-// of matrix mat.
-func (sh *solverShard) row(mat []float64, at int) []float64 {
-	return mat[sh.off+at : sh.off+at+len(sh.cols)]
-}
-
-// refreshColumn re-scores host column c for every VM, if the shard
-// owns it, and repairs the per-VM records that invalidates.
-func (sh *solverShard) refreshColumn(sch *Scheduler, s *shadow, movedVI, c int) {
+// rescoreColumn re-scores column slot c in place for every row that is
+// not stale itself and repairs the ⟨row, class⟩ records that
+// invalidates: a cell that did not change needs nothing, a holder that
+// improved stays the holder, a holder that got worse costs a rescan of
+// that class of that row, and any other cell is offered.
+func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int, stale []bool) {
 	st := &sch.kern
-	V, p := len(s.vms), st.pos[c]
-	if p < sh.off || p >= sh.off+len(sh.cols) {
-		return // another shard's column
-	}
-	sh.stats.ColRefreshes++
-	sh.stats.ScoreEvals += V
-	for vj := 0; vj < V; vj++ {
-		old := st.m[vj*st.stride+p]
-		sc := sch.score(s, c, vj)
-		st.m[vj*st.stride+p] = sc
-		if sc == old {
+	ni, g, p, C := st.colNi[c], st.colClass[c], c/st.k, len(st.classes)
+	for vi, is := range stale {
+		if is {
+			continue
+		}
+		rs := st.rowOrd[vi]
+		b := math.Inf(1)
+		if ni >= 0 {
+			b = sch.scoreBase(s, ni, vi)
+			sh.stats.ScoreEvals++
+		}
+		old := sh.base[rs*st.stride+p]
+		if b == old {
 			continue // unchanged (including +Inf staying +Inf)
 		}
-		if vj == movedVI {
-			continue // full row refresh + rescan follows in refreshMove
+		sh.base[rs*st.stride+p] = b
+		if ni >= 0 && (ni == s.assign[vi] || ni == s.initial[vi]) {
+			continue // not in the records
 		}
-		if c == s.assign[vj] {
-			continue // the cell is vj's current-host cost, not a target
-		}
-		if c == sh.bestNi[vj] {
-			if sc <= sh.bestSc[vj] {
-				// The cached best improved in place: still the lowest
-				// index achieving the (now smaller) minimum.
-				sh.bestSc[vj] = sc
-				continue
-			}
-			sh.rescanRow(sh.row(st.m, vj*st.stride), s.assign[vj], vj)
-			continue
-		}
-		if math.IsInf(sc, 1) {
-			if c == sh.firstNi[vj] {
-				sh.rescanRow(sh.row(st.m, vj*st.stride), s.assign[vj], vj)
-			}
-			continue
-		}
-		if sh.firstNi[vj] < 0 || c < sh.firstNi[vj] {
-			sh.firstNi[vj] = c
-		}
-		if sh.bestNi[vj] < 0 || sc < sh.bestSc[vj] || (sc == sh.bestSc[vj] && c < sh.bestNi[vj]) {
-			sh.bestNi[vj], sh.bestSc[vj] = c, sc
+		switch r := &sh.rec[rs*C+g]; {
+		case r.slot != c:
+			r.offer(b, c, ni, st.colNi)
+		case b < old:
+			r.min = b
+		default:
+			sh.rescan(st, s, vi, g)
 		}
 	}
 }
 
-// rescanRow rebuilds VM vi's record from m, the shard's slab of its
-// cached row (no score evaluations), excluding the current assignment.
-func (sh *solverShard) rescanRow(m []float64, assign, vi int) {
-	sh.stats.RowRescans++
-	best, bestn, first := math.Inf(1), -1, -1
-	for li, ni := range sh.cols {
-		if ni == assign {
+// rescan rebuilds row vi's record of class g — of every class when g
+// is negative — from the shard's cached cells (no score evaluations).
+func (sh *solverShard) rescan(st *slabKernel, s *shadow, vi, g int) {
+	rs := st.rowOrd[vi]
+	row := sh.base[rs*st.stride:]
+	for i, list := range sh.byClass {
+		if g >= 0 && i != g {
 			continue
 		}
-		sc := m[li]
-		if math.IsInf(sc, 1) {
-			continue
+		sh.stats.RowRescans++
+		r := noRec
+		for _, p := range list { // ascending host index: the naive scan order
+			if b := row[p]; b < r.min {
+				if ni := st.colNi[p*st.k+sh.id]; ni != s.assign[vi] && ni != s.initial[vi] {
+					r = classRec{min: b, slot: p*st.k + sh.id, low: r.min}
+				}
+			}
 		}
-		if first < 0 {
-			first = ni
-		}
-		if sc < best {
-			best, bestn = sc, ni
-		}
+		sh.rec[rs*len(st.classes)+i] = r
 	}
-	sh.bestSc[vi], sh.bestNi[vi], sh.firstNi[vi] = best, bestn, first
 }

@@ -16,8 +16,9 @@ import (
 // the baselines.
 //
 // The solver keeps its working state (candidate slice, shadow loads,
-// the cached score matrix and per-VM best-move records) as scratch
-// buffers on the Scheduler, so steady-state rounds are allocation-free.
+// the persistent base matrix with its records, the returned action
+// slice) as buffers on the Scheduler, so steady-state rounds are
+// allocation-free.
 type Scheduler struct {
 	cfg Config
 	// Stats accumulates solver diagnostics across rounds.
@@ -40,6 +41,7 @@ type Scheduler struct {
 	hosts []*cluster.Node
 	cands []*vm.VM
 	sh    shadow
+	out   []policy.Action
 	kern  slabKernel // see kernel.go
 }
 
@@ -57,26 +59,27 @@ type SolverStats struct {
 	// incremental solver: two per applied migration, one per queue
 	// placement (a queued VM has no source column to invalidate).
 	ColRefreshes int
-	// RowRescans counts per-VM best-move rescans triggered because a
-	// dirty column invalidated a cached best (no score evaluations are
-	// spent on a rescan; it re-reads the cached matrix).
+	// RowRescans counts ⟨VM, class⟩ minimum records rebuilt from the
+	// cached cells (no score evaluations are spent on a rescan): the
+	// records of a re-scored row, and the one a re-scored column
+	// invalidated because it held the minimum and got worse.
 	RowRescans int
 
 	// --- cross-round reuse (see buildKernel) ---
 
-	// CarryRounds counts rounds that started from a previous round's
-	// matrix snapshot (cross-round reuse active).
+	// CarryRounds counts rounds that started from the previous round's
+	// matrix (cross-round reuse active).
 	CarryRounds int
 	// StaleRows counts candidate rows re-scored at the top of a carry
-	// round because the VM was new or its real state changed since the
-	// snapshot (arrival, migration, demand update, requeue).
+	// round because the VM was new or its real state changed since its
+	// cells were computed (arrival, migration, demand update, requeue).
 	StaleRows int
 	// StaleCols counts host columns re-scored at the top of a carry
 	// round because the node was new or its real state changed
 	// (power transition, VM set change, operation begin/end).
 	StaleCols int
 	// ReusedCells counts base-matrix cells carried across rounds
-	// without re-evaluation.
+	// without re-evaluation: V×H minus the round-start evaluations.
 	ReusedCells int
 
 	// --- column shards (see kernel.go) ---
@@ -84,8 +87,9 @@ type SolverStats struct {
 	// LastShards is the shard count K of the most recent non-naive
 	// round (host-count clamped, GOMAXPROCS resolved; 1 by default).
 	LastShards int
-	// MaxSlabCells is the largest single score-matrix slab allocated so
-	// far: V×⌈H/K⌉ cells, the per-shard memory bound.
+	// MaxSlabCells is the largest capacity one shard's slab of the
+	// persistent matrix has had: row slots × column slots per shard,
+	// headroom included — the per-shard memory bound.
 	MaxSlabCells int
 }
 
@@ -163,13 +167,16 @@ func (sch *Scheduler) iterationLimit(n int) int {
 // returning the placements and migrations that realize the improved
 // assignment.
 //
-// The slab kernel (kernel.go) computes the matrix once and then
+// The slab kernel (kernel.go) keeps the matrix across rounds and
 // maintains it incrementally: a move touches only the loads of its two
 // endpoint hosts, so after each move only those two columns and the
 // moved VM's row are recomputed, and each iteration picks the global
-// best move from per-VM best-move records in O(V) instead of rescoring
+// best move from per-⟨VM, class⟩ minimum records instead of rescoring
 // the full V×H matrix. Config.NaiveSolver selects the reference
 // evaluator for differential verification; both emit identical actions.
+//
+// The returned slice is the scheduler's own scratch: it is valid until
+// the next Schedule on this scheduler.
 func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 	sch.Stats.Rounds++
 
@@ -200,7 +207,7 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 	}
 
 	// Emit the actions that realize the final assignment.
-	var out []policy.Action
+	out := sch.out[:0]
 	for vi, v := range cands {
 		from, to := s.initial[vi], s.assign[vi]
 		if from == to || to < 0 {
@@ -213,6 +220,7 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 			out = append(out, policy.Migrate{VM: v, To: node})
 		}
 	}
+	sch.out = out
 	if sch.traceVerb > obs.TraceOff {
 		sch.emitRoundTrace(ctx.Now, k, t0, before, len(hosts), len(cands))
 	}

@@ -23,9 +23,6 @@ type shadow struct {
 	initial []int
 	vms     []*vm.VM
 	now     float64
-	// byID maps node ID -> node index; kept on the shadow so the
-	// scheduler's scratch shadow reuses it across rounds.
-	byID map[int]int
 }
 
 func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
@@ -34,8 +31,9 @@ func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
 	return s
 }
 
-// reset points the shadow at a new round's hosts and candidates,
-// reusing the previous round's slices and map when capacity allows.
+// reset points the shadow at a new round's hosts (in ascending node
+// ID) and candidates, reusing the previous round's slices when
+// capacity allows.
 func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	s.nodes, s.vms, s.now = nodes, vms, now
 	s.cpu = grow(s.cpu, len(nodes))
@@ -43,13 +41,7 @@ func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	s.count = grow(s.count, len(nodes))
 	s.assign = grow(s.assign, len(vms))
 	s.initial = grow(s.initial, len(vms))
-	if s.byID == nil {
-		s.byID = make(map[int]int, len(nodes))
-	} else {
-		clear(s.byID)
-	}
 	for i, n := range nodes {
-		s.byID[n.ID] = i
 		// The node maintains its reservation sums incrementally
 		// (AddVM/RemoveVM), so seeding the shadow is O(1) per node and
 		// — critically for the cross-round matrix cache — the loads of
@@ -62,8 +54,20 @@ func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	for i, v := range vms {
 		s.assign[i] = -1
 		if v.Active() {
-			if idx, ok := s.byID[v.Host]; ok {
-				s.assign[i] = idx
+			// nodes is in ascending ID: a binary search resolves the host
+			// (hand-rolled: it runs once per candidate per round, and
+			// slices.BinarySearchFunc's indirect compare made reset 3.5×
+			// slower at 125 candidates × 70 hosts).
+			lo, hi := 0, len(nodes)
+			for lo < hi {
+				if mid := int(uint(lo+hi) >> 1); nodes[mid].ID < v.Host {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if lo < len(nodes) && nodes[lo].ID == v.Host {
+				s.assign[i] = lo
 			}
 		}
 		s.initial[i] = s.assign[i]
@@ -132,22 +136,21 @@ func (s *shadow) vmCount(ni, vi int) int {
 // candidate vi on node ni, against the shadow state. +Inf marks an
 // infeasible combination.
 //
-// The sum is split into two halves so the cross-round matrix cache can
-// carry one of them between scheduling rounds:
+// The sum is split into two halves because the slab kernel caches one
+// of them (kernel.go):
 //
 //   - scoreBase: the penalty families whose value does not depend on
 //     virtual time (Preq/Pres gates, Pconc, Ppwr, Pfault). For an
 //     unchanged ⟨node, VM⟩ pair this half is bit-identical between
-//     rounds and is reused from the previous round's matrix.
+//     rounds and stays in the kernel's persistent matrix.
 //   - scoreTime: the time-dependent families (Pvirt's Tr decay, PSLA's
 //     fulfillment estimate). These depend on the node only through its
 //     class and through whether it is the VM's current host, so each
 //     round recomputes them once per ⟨VM, class⟩ instead of per cell.
 //
-// Both solvers and both build paths compose the two halves with the
-// same float grouping (base + time), so cached and fresh evaluations
-// are bit-identical and the solvers replay each other's decisions
-// exactly.
+// Both solvers compose the two halves with the same float grouping
+// (base + time, +Inf absorbing), so cached and fresh evaluations are
+// bit-identical and the solvers replay each other's decisions exactly.
 func (sch *Scheduler) score(s *shadow, ni, vi int) float64 {
 	b := sch.scoreBase(s, ni, vi)
 	if math.IsInf(b, 1) {
@@ -209,15 +212,20 @@ func (sch *Scheduler) scoreBase(s *shadow, ni, vi int) float64 {
 // is disabled. It depends on the node only through its class and
 // through whether it is the VM's current host.
 func (sch *Scheduler) scoreTime(s *shadow, ni, vi int) float64 {
-	if !sch.cfg.EnableVirt && s.vms[vi].InOperation() && s.assign[vi] != s.initial[vi] {
-		// Even without the penalty family, a VM under an in-flight
-		// operation cannot be acted on.
+	if sch.pinned(s, vi) {
 		return math.Inf(1)
 	}
 	if ni == s.initial[vi] {
 		return sch.scoreTimeStay(s, vi)
 	}
 	return sch.scoreTimeMove(s, vi, s.nodes[ni].Class)
+}
+
+// pinned reports scoreTime's in-operation pin: even without the Pvirt
+// family, a VM under an in-flight operation cannot be acted on — once
+// it is off its round-start host every cell of its row is +Inf.
+func (sch *Scheduler) pinned(s *shadow, vi int) bool {
+	return !sch.cfg.EnableVirt && s.assign[vi] != s.initial[vi] && s.vms[vi].InOperation()
 }
 
 // scoreTimeStay is scoreTime at the VM's current host: Pvirt is zero

@@ -135,6 +135,51 @@ func TestShardedDifferentialChurnSizes(t *testing.T) {
 	}
 }
 
+// TestShardedDifferentialShardCountChange: K follows the host count
+// when it falls below Config.Shards. A round at another K than the last
+// deals the column slots afresh — every row and column is new — and
+// must still match the oracle with an exact cache, on the way down and
+// on the way back up.
+func TestShardedDifferentialShardCountChange(t *testing.T) {
+	c := testCluster(t, 6)
+	cs := newChurnSim(5100, c, 1)
+	kern, naive := kernelPair(SBConfig(), 4)
+	var ks []int
+	round := func() {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			cs.vms = append(cs.vms, vm.New(len(cs.vms), vm.Requirements{CPU: 100, Mem: 5}, cs.now, 3600, cs.now+7200))
+		}
+		carried := kern.Stats.CarryRounds
+		cs.apply(diffChecked(t, fmt.Sprintf("round %d", len(ks)), kern, naive, cs.context()))
+		k := kern.Stats.LastShards
+		if want := min(4, c.StateCount(cluster.On)); k != want {
+			t.Fatalf("round %d ran %d shards over %d hosts, want %d", len(ks), k, c.StateCount(cluster.On), want)
+		}
+		if sameK := len(ks) > 0 && ks[len(ks)-1] == k; sameK != (kern.Stats.CarryRounds > carried) {
+			t.Fatalf("round %d at K=%d after %v: carried = %v", len(ks), k, ks, !sameK)
+		}
+		ks = append(ks, k)
+	}
+	round()
+	round()
+	for _, n := range c.Nodes { // consolidation left most hosts empty
+		if len(n.VMs) == 0 && c.StateCount(cluster.On) > 2 {
+			n.SetState(cluster.Off)
+		}
+	}
+	round()
+	round()
+	for _, n := range c.Nodes {
+		n.SetState(cluster.On)
+	}
+	round()
+	round()
+	if want := []int{4, 4, 2, 2, 4, 4}; !slices.Equal(ks, want) {
+		t.Fatalf("shard counts per round = %v, want %v", ks, want)
+	}
+}
+
 // TestShardedShardCount pins the Config.Shards resolution: 0 is one
 // shard, -1 resolves to GOMAXPROCS, and a K above the host count
 // clamps to the host count.
@@ -167,44 +212,33 @@ func TestShardedShardCount(t *testing.T) {
 	}
 }
 
-// TestShardedPartitionBalance: round-robin dealing keeps shard sizes
-// within one column of each other, and every host lands in exactly one
-// shard.
+// TestShardedPartitionBalance: dealing column slots round-robin keeps
+// shard sizes within one column of each other, and every host lands in
+// exactly one slot.
 func TestShardedPartitionBalance(t *testing.T) {
 	c := churnCluster(100)
 	for _, n := range c.Nodes {
 		n.SetState(cluster.On)
 	}
-	hosts := c.AppendOnline(nil)
-	var kern slabKernel
-	kern.collectClasses(hosts)
-	shards := kern.partitionColumns(7, 1)
+	cfg := SBConfig()
+	cfg.Shards = 7
+	sch := MustScheduler(cfg)
+	sch.Schedule(ctxFor(c, []*vm.VM{vm.New(0, vm.Requirements{CPU: 100, Mem: 5}, 0, 3600, 7200)}, nil))
 
-	seen := make([]int, len(hosts))
-	min, max := len(hosts), 0
-	for i, sh := range shards {
-		if len(sh.cols) < min {
-			min = len(sh.cols)
+	sizes := make([]int, 7)
+	seen := map[int]bool{}
+	for ni, slot := range sch.kern.colOrd {
+		if seen[slot] {
+			t.Fatalf("host column %d shares slot %d", ni, slot)
 		}
-		if len(sh.cols) > max {
-			max = len(sh.cols)
-		}
-		prev := -1
-		for _, ni := range sh.cols {
-			if ni <= prev {
-				t.Fatalf("shard %d columns not strictly ascending: %v", i, sh.cols)
-			}
-			prev = ni
-			seen[ni]++
-		}
+		seen[slot] = true
+		sizes[slot%7]++
 	}
-	if max-min > 1 {
-		t.Errorf("shard sizes unbalanced: min %d max %d", min, max)
+	if len(seen) != len(c.Nodes) {
+		t.Fatalf("%d of %d hosts have a slot", len(seen), len(c.Nodes))
 	}
-	for ni, n := range seen {
-		if n != 1 {
-			t.Errorf("host column %d owned by %d shards", ni, n)
-		}
+	if slices.Max(sizes)-slices.Min(sizes) > 1 {
+		t.Errorf("shard sizes unbalanced: %v", sizes)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"energysched/internal/cluster"
+	"energysched/internal/obs"
 	"energysched/internal/policy"
 	"energysched/internal/vm"
 )
@@ -336,43 +337,109 @@ func (cs *churnSim) apply(acts []policy.Action) {
 	cs.now += 60
 }
 
-// checkKernel verifies, after a round that built a matrix, the two
+// checkKernel verifies, after a round that built a matrix, the
 // invariants the kernel's correctness rests on — that each run is
-// right, not merely that two runs agree: every cached cell equals a
-// fresh score against the final shadow, and every shard's per-VM
-// record equals a brute-force scan of its row.
+// right, not merely that two runs agree — against the round's final
+// shadow: every persistent base cell of a live ⟨row, column⟩ equals a
+// fresh scoreBase and composes with the round's time terms to a fresh
+// score; the cells of a live row in column slots outside the matrix
+// are +Inf; every shard's ⟨row, class⟩ record equals a brute-force
+// scan and its low field really is a lower bound; and the arbiter's
+// per-row best equals a naive-order scan of the full scores.
 func checkKernel(t *testing.T, sch *Scheduler) {
 	t.Helper()
 	if len(sch.hosts) == 0 || len(sch.cands) == 0 {
 		return // the round returned before building
 	}
-	s := &sch.sh
-	for i, sh := range sch.kern.shards[:sch.Stats.LastShards] {
-		for vi := range s.vms {
-			m := sh.row(sch.kern.m, vi*sch.kern.stride)
-			best, bestn, first := math.Inf(1), -1, -1
-			for li, ni := range sh.cols {
-				// The round's pos was published to the carry at its end.
-				if p := sch.kern.carry.pos[ni]; p != sh.off+li {
-					t.Fatalf("shard %d: host index %d at position %d, its slab says %d", i, ni, p, sh.off+li)
-				}
-				sc := sch.score(s, ni, vi)
-				if got := m[li]; got != sc {
-					t.Fatalf("shard %d: cached cell (vm index %d, host index %d) = %v, fresh score %v", i, vi, ni, got, sc)
-				}
-				if ni == s.assign[vi] || math.IsInf(sc, 1) {
-					continue
-				}
-				if first < 0 {
-					first = ni
-				}
-				if sc < best {
-					best, bestn = sc, ni
+	s, st := &sch.sh, &sch.kern
+	K, C := sch.Stats.LastShards, len(st.classes)
+	if st.k != K {
+		t.Fatalf("kernel state dealt over %d shards, the round ran %d", st.k, K)
+	}
+	for ni, c := range st.colOrd {
+		if st.colNi[c] != ni || st.cols[c].node != s.nodes[ni] || st.classes[st.colClass[c]] != s.nodes[ni].Class {
+			t.Fatalf("host index %d: slot %d says host index %d, node %v, class %d", ni, c, st.colNi[c], st.cols[c].node, st.colClass[c])
+		}
+		if key := st.cols[c]; key.cpu != s.cpu[ni] || key.mem != s.mem[ni] || key.count != s.count[ni] {
+			t.Fatalf("host index %d: key loads (%v, %v, %d) are not the shadow's (%v, %v, %d)",
+				ni, key.cpu, key.mem, key.count, s.cpu[ni], s.mem[ni], s.count[ni])
+		}
+	}
+	for vi := range s.vms {
+		rs := st.rowOrd[vi]
+		if st.rows[rs].vm != s.vms[vi] {
+			t.Fatalf("vm index %d: row slot %d belongs to %v", vi, rs, st.rows[rs].vm)
+		}
+		// Naive-order scan of the fresh full scores.
+		best, bestn, first := math.Inf(1), -1, -1
+		for ni := range s.nodes {
+			sc := sch.score(s, ni, vi)
+			if !sch.pinned(s, vi) {
+				if got := st.score(s, vi, ni); got != sc {
+					t.Fatalf("composed score (vm index %d, host index %d) = %v, fresh score %v", vi, ni, got, sc)
 				}
 			}
-			if sh.bestSc[vi] != best || sh.bestNi[vi] != bestn || sh.firstNi[vi] != first {
-				t.Fatalf("shard %d: record of vm index %d = (best %v at %d, first %d), row scan says (%v at %d, %d)",
-					i, vi, sh.bestSc[vi], sh.bestNi[vi], sh.firstNi[vi], best, bestn, first)
+			if ni == s.assign[vi] || math.IsInf(sc, 1) {
+				continue
+			}
+			if first < 0 {
+				first = ni
+			}
+			if sc < best {
+				best, bestn = sc, ni
+			}
+		}
+		if !sch.pinned(s, vi) {
+			if sc, ni := st.bestTarget(s, vi); sc != best || ni != bestn {
+				t.Fatalf("best target of vm index %d = %v at %d, naive scan says %v at %d", vi, sc, ni, best, bestn)
+			}
+			if ni := st.firstTarget(s, vi); ni != first {
+				t.Fatalf("first target of vm index %d = %d, naive scan says %d", vi, ni, first)
+			}
+		}
+
+		for i, sh := range st.shards[:K] {
+			want := make([]classRec, C)
+			for g := range want {
+				want[g] = noRec
+			}
+			for p, c := 0, i; c < len(st.cols); p, c = p+1, c+K {
+				got, ni := sh.base[rs*st.stride+p], st.colNi[c]
+				if ni < 0 {
+					if !math.IsInf(got, 1) {
+						t.Fatalf("shard %d: cell (vm index %d, free slot %d) = %v, want +Inf", i, vi, c, got)
+					}
+					continue
+				}
+				b := sch.scoreBase(s, ni, vi)
+				if got != b {
+					t.Fatalf("shard %d: cached cell (vm index %d, host index %d) = %v, fresh base %v", i, vi, ni, got, b)
+				}
+				if ni == s.assign[vi] || ni == s.initial[vi] {
+					continue
+				}
+				// Brute force: the minimum, the lowest index achieving it.
+				w := &want[st.colClass[c]]
+				if b < w.min || (b == w.min && w.slot >= 0 && ni < st.colNi[w.slot]) {
+					w.min, w.slot = b, c
+				}
+			}
+			for g, w := range want {
+				r := sh.rec[rs*C+g]
+				if r.min != w.min || r.slot != w.slot {
+					t.Fatalf("shard %d: record (vm index %d, class %d) = %v at slot %d, scan says %v at slot %d",
+						i, vi, g, r.min, r.slot, w.min, w.slot)
+				}
+				for p, c := 0, i; c < len(st.cols); p, c = p+1, c+K {
+					ni := st.colNi[c]
+					if r.slot < 0 || ni < 0 || ni >= st.colNi[r.slot] || st.colClass[c] != g || ni == s.assign[vi] || ni == s.initial[vi] {
+						continue
+					}
+					if b := sh.base[rs*st.stride+p]; b < r.low {
+						t.Fatalf("shard %d: record (vm index %d, class %d) low = %v, but host index %d below the holder has base %v",
+							i, vi, g, r.low, ni, b)
+					}
+				}
 			}
 		}
 	}
@@ -469,7 +536,9 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 					t.Fatalf("seed %d round %d: %d stale columns, churn allows %d",
 						seed, round, stale, budget)
 				}
-			} else if round > 0 {
+			} else if round > 0 && after.LastShards == before.LastShards {
+				// (A round whose K differs from the last — the host count
+				// fell below Shards — starts over by design.)
 				t.Fatalf("seed %d round %d: no cross-round carry", seed, round)
 			}
 
@@ -485,6 +554,195 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 		}
 		if shrunk == 0 {
 			t.Fatalf("seed %d: the On-set never shrank from the low-ID end", seed)
+		}
+	}
+}
+
+// kernelPair builds a carrying kernel with k shards and the naive
+// oracle over one configuration.
+func kernelPair(cfg Config, k int) (kern, naive *Scheduler) {
+	cfg.Shards, cfg.NaiveSolver = k, false
+	kern = MustScheduler(cfg)
+	cfg.NaiveSolver = true
+	return kern, MustScheduler(cfg)
+}
+
+// diffChecked runs one round on both schedulers: identical actions and
+// an exact kernel (checkKernel). It returns the actions.
+func diffChecked(t *testing.T, what string, kern, naive *Scheduler, ctx *policy.Context) []policy.Action {
+	t.Helper()
+	acts := naive.Schedule(ctx)
+	got, want := renderActions(kern.Schedule(ctx)), renderActions(acts)
+	checkKernel(t, kern)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: actions diverged:\nkernel: %v\nnaive:  %v", what, got, want)
+	}
+	return acts
+}
+
+// TestDifferentialRoundingTie is the rounding hazard of the factored
+// score by construction: hosts 0 and 2, one class, carry the same load
+// but for one ulp — 0.3 reserved at once against 0.1 + 0.2 — so the
+// higher index has the strictly lower base, and a creation cost three
+// binades up absorbs the ulp: the full scores tie and the naive scan
+// keeps host 0. A kernel that trusts the class record's holder places
+// on host 2; the low bound must send it to the exact scan instead. At
+// K = 2 both hosts sit in shard 0 (slots 0 and 2).
+func TestDifferentialRoundingTie(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		cls := cluster.PaperClasses()[1]
+		cls.Count, cls.CPU, cls.Mem, cls.CreateCost = 3, 1, 1000, 1000
+		c := cluster.MustNew([]cluster.Class{cls})
+		for _, n := range c.Nodes {
+			n.SetState(cluster.On)
+		}
+		runningVM(1, 0.3, 1, c, 0)
+		runningVM(2, 0.1, 1, c, 2)
+		runningVM(3, 0.2, 1, c, 2)
+		queue := []*vm.VM{queuedVM(0, 0.05, 1)}
+
+		kern, naive := kernelPair(SB2Config(), k)
+		s := newShadow(0, c.Nodes, queue)
+		if b0, b2 := kern.scoreBase(s, 0, 0), kern.scoreBase(s, 2, 0); !(b2 < b0) || kern.score(s, 0, 0) != kern.score(s, 2, 0) {
+			t.Fatalf("not the hazard: bases %v and %v, scores %v and %v", b0, b2, kern.score(s, 0, 0), kern.score(s, 2, 0))
+		}
+		acts := diffChecked(t, fmt.Sprintf("K=%d", k), kern, naive, ctxFor(c, queue, nil))
+		if got := renderActions(acts); !slices.Equal(got, []string{"place vm0 -> n0"}) {
+			t.Fatalf("K=%d: naive actions = %v, want the lower index of the tie", k, got)
+		}
+	}
+}
+
+// moveLog is a trace sink that keeps every applied move.
+type moveLog struct{ moves []obs.ActionTrace }
+
+func (m *moveLog) Verbosity() obs.Verbosity { return obs.TraceActions }
+func (m *moveLog) Emit(rt obs.RoundTrace)   { m.moves = append(m.moves, rt.Actions...) }
+
+// TestDifferentialMoveBack: a VM the climber moved A→B keeps A, its
+// round-start host, as a legal target whose time half is stay, not its
+// class's move term — and in these scenarios it is moved back there
+// within the round (the trace proves the hazard occurs). The kernel
+// must follow, and a second round over the unactuated state must find
+// the moved-back row's key restored and everything else re-scored.
+func TestDifferentialMoveBack(t *testing.T) {
+	for _, seed := range []int64{861, 1169, 1415} {
+		for _, k := range []int{1, 2} {
+			ctx, cfg := randomScenario(rand.New(rand.NewSource(seed)))
+			kern, naive := kernelPair(cfg, k)
+			log := &moveLog{}
+			naive.Tracer = log
+			what := fmt.Sprintf("seed %d K=%d", seed, k)
+			diffChecked(t, what, kern, naive, ctx)
+			start, back := map[int]int{}, false
+			for _, m := range log.moves {
+				if from, seen := start[m.VM]; !seen {
+					start[m.VM] = m.From
+				} else if from >= 0 && m.To == from {
+					back = true
+				}
+			}
+			if !back {
+				t.Fatalf("%s: no VM moved back to its round-start host; the test is vacuous", what)
+			}
+			diffChecked(t, what+" round 2", kern, naive, ctx)
+		}
+	}
+}
+
+// TestDifferentialSlotReuse: a host leaves On while a persistent row's
+// class record points at it, and the next round another host enters
+// and takes its column slot.
+func TestDifferentialSlotReuse(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		c := testCluster(t, 5)
+		c.Nodes[3].SetState(cluster.Off)
+		c.Nodes[4].SetState(cluster.Off)
+		cs := &churnSim{c: c, touchedVMs: map[int]bool{}, touchedNodes: map[int]bool{}}
+		// The persistent row: its only targets are the empty hosts 1 and
+		// 2, equally good, so its record holds host 1.
+		stay := runningVM(0, 100, 5, c, 0)
+		cs.vms = append(cs.vms, stay)
+		kern, naive := kernelPair(SBConfig(), k)
+		round := func(what string) {
+			t.Helper()
+			cs.apply(diffChecked(t, fmt.Sprintf("K=%d %s", k, what), kern, naive, cs.context()))
+		}
+		round("start")
+		st := &kern.kern
+		left := st.colOrd[1]
+		if r := st.shards[left%k].rec[st.rowOrd[0]*len(st.classes)]; r.slot != left {
+			t.Fatalf("K=%d: the record of the persistent row holds slot %d, want host 1's slot %d", k, r.slot, left)
+		}
+		c.Nodes[1].SetState(cluster.Off)
+		round("host 1 left")
+		c.Nodes[4].SetState(cluster.On)
+		cs.vms = append(cs.vms, vm.New(1, vm.Requirements{CPU: 100, Mem: 5}, cs.now, 3600, cs.now+7200))
+		round("host 4 entered")
+		if got := st.colOrd[len(st.colOrd)-1]; got != left {
+			t.Fatalf("K=%d: host 4 took slot %d, want the slot %d host 1 left", k, got, left)
+		}
+		if stay.Host != 0 || st.rows[st.rowOrd[0]].vm != stay {
+			t.Fatalf("K=%d: the persistent row did not persist", k)
+		}
+		round("after")
+	}
+}
+
+// TestDifferentialSB0Churn is the churn differential without Pvirt —
+// the configuration under which scoreTime's in-operation pin, not the
+// penalty family, keeps a VM under an operation in place — with VMs
+// left creating for a round so the pin has rows to act on.
+func TestDifferentialSB0Churn(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		// The pin by construction: a creating VM on an overcommitted host
+		// is moved to the first feasible host (the empty host 1), and the
+		// pin then keeps it there although host 2 is 40 better.
+		c := testCluster(t, 3)
+		runningVM(1, 400, 5, c, 0)
+		runningVM(2, 200, 5, c, 2)
+		pinned := runningVM(0, 100, 5, c, 0)
+		pinned.State = vm.Creating
+		kern, naive := kernelPair(SB0Config(), k)
+		acts := diffChecked(t, fmt.Sprintf("K=%d pin", k), kern, naive, ctxFor(c, []*vm.VM{pinned}, nil))
+		if got := renderActions(acts); !slices.Equal(got, []string{"migrate vm0 -> n1"}) {
+			t.Fatalf("K=%d: pinned VM: naive actions = %v, want it left on host 1", k, got)
+		}
+
+		cfg := SB0Config()
+		cfg.Migration = true
+		cfg.MigrationGainMin = 1
+		cfg.MigrationCooldown = -1
+		kern, naive = kernelPair(cfg, k)
+		cs := newChurnSim(4400, churnCluster(20), 3)
+		for round := 0; round < 40; round++ {
+			cs.churn()
+			ctx := cs.context()
+			// Hand the solver some active VMs as if still creating: rows
+			// that are in operation (the harness never queues those, but
+			// the pin must hold for whoever does).
+			var creating []*vm.VM
+			for _, v := range ctx.Active {
+				if v.ID%3 == 0 {
+					v.State = vm.Creating
+					creating = append(creating, v)
+				}
+			}
+			ctx.Queue = append(ctx.Queue, creating...)
+			acts := diffChecked(t, fmt.Sprintf("K=%d round %d", k, round), kern, naive, ctx)
+			for _, v := range creating {
+				v.State = vm.Running
+			}
+			kept := acts[:0:0]
+			for _, a := range acts {
+				if m, ok := a.(policy.Migrate); !ok || !slices.Contains(creating, m.VM) {
+					kept = append(kept, a)
+				}
+			}
+			cs.apply(kept)
+		}
+		if kern.Stats.Moves != naive.Stats.Moves || kern.Stats.Moves == 0 {
+			t.Fatalf("K=%d: moves %d vs naive %d", k, kern.Stats.Moves, naive.Stats.Moves)
 		}
 	}
 }
@@ -594,10 +852,11 @@ func TestMatrixHonorsCooldown(t *testing.T) {
 }
 
 // TestScheduleSteadyStateAllocationFree verifies the scratch-buffer
-// contract: after a warm-up round, a carry round that emits no actions
-// performs no heap allocations — on the default path and at an
-// explicit K=1 alike (a one-shard round handed to the worker fan-out
-// pays a closure per build and per move).
+// contract: after a warm-up round, a carry round performs no heap
+// allocations — on the default path and at an explicit K=1 alike (a
+// one-shard round handed to the worker fan-out pays a closure per build
+// and per move) — whether it emits nothing or acts: the returned slice
+// is scratch too, so an acting round pays for the boxed action alone.
 func TestScheduleSteadyStateAllocationFree(t *testing.T) {
 	for _, shards := range []int{0, 1} {
 		c := testCluster(t, 4)
@@ -618,6 +877,24 @@ func TestScheduleSteadyStateAllocationFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("Shards=%d: steady-state round allocates %.1f objects, want 0", shards, allocs)
+		}
+
+		// A queued VM the round places: nothing actuates it, so every
+		// round finds the moved row and the touched column dirty,
+		// re-scores them and places it again.
+		ctx.Queue = []*vm.VM{queuedVM(0, 100, 5)}
+		sch.Schedule(ctx)
+		carried := sch.Stats.CarryRounds
+		allocs = testing.AllocsPerRun(50, func() {
+			if acts := sch.Schedule(ctx); len(acts) != 1 {
+				t.Fatalf("actions = %v, want one placement", acts)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("Shards=%d: acting carry round allocates %.1f objects, want 1 (the boxed action)", shards, allocs)
+		}
+		if sch.Stats.CarryRounds-carried != 51 || sch.Stats.StaleRows == 0 {
+			t.Errorf("Shards=%d: the acting rounds did not carry and re-score", shards)
 		}
 	}
 }

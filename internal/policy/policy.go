@@ -58,7 +58,9 @@ type Policy interface {
 	// Name returns the label used in reports (RD, RR, BF, DBF, SB...).
 	Name() string
 	// Schedule inspects the context and returns actions. Returning no
-	// actions leaves queued VMs in the queue.
+	// actions leaves queued VMs in the queue. The slice may be the
+	// policy's own scratch: it is valid until the next Schedule on the
+	// same policy, so actuate or copy it before then.
 	Schedule(ctx *Context) []Action
 	// Migratory reports whether the policy ever migrates VMs (the
 	// paper's static/dynamic split).
