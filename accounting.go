@@ -1,72 +1,33 @@
 package energysched
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
+
+	"energysched/internal/obs"
+	"energysched/internal/obs/series"
+	"energysched/internal/obs/slo"
 )
 
 // Accounting wire types and client calls: the energy/SLA time-series
 // (GET /v1/fleets/{id}/series), the per-job lifecycle journeys
 // (GET .../journeys, GET .../jobs/{id}/journey) and the SLO burn-rate
-// alerts (GET /v1/alerts). These mirror the structs the server
-// marshals; round-trip tests in accounting_test.go pin the two sides
-// together.
-
-// SeriesClassSample is one node class's slice of an accounting sample.
-type SeriesClassSample struct {
-	// Class is the node class name.
-	Class string `json:"class"`
-	// Watts is the class's aggregate power draw at the sample instant;
-	// KWh its cumulative energy since the run started.
-	Watts float64 `json:"watts"`
-	KWh   float64 `json:"kwh"`
-	// On counts nodes powered on (booting included), Working the
-	// subset hosting active VMs, Off the nodes powered down.
-	On      int `json:"on"`
-	Working int `json:"working"`
-	Off     int `json:"off"`
-}
+// alerts (GET /v1/alerts). The payload types are aliases of the
+// structs the accounting layer records and the server marshals
+// (internal/obs, internal/obs/series, internal/obs/slo), where their
+// fields are documented; the response envelopes declared here are the
+// structs internal/server marshals.
 
 // SeriesSample is one accounting observation at a simulated-interval
-// boundary.
-type SeriesSample struct {
-	// T is the virtual time of the sample, in seconds.
-	T float64 `json:"t"`
-	// Watts is the fleet's total power draw at T; KWh the cumulative
-	// energy consumed up to T.
-	Watts float64 `json:"watts"`
-	KWh   float64 `json:"kwh"`
-	// SLA is the mean SLA satisfaction percentage of completed jobs.
-	SLA float64 `json:"sla_pct"`
-	// Utilization is reserved CPU as a percentage of online capacity.
-	Utilization float64 `json:"utilization_pct"`
-	// Queue is the number of jobs waiting for placement, Running the
-	// VMs currently executing (migrations included).
-	Queue   int `json:"queue"`
-	Running int `json:"running"`
-	// On/Working/Off are fleet-wide node counts (On includes booting).
-	On      int `json:"nodes_on"`
-	Working int `json:"nodes_working"`
-	Off     int `json:"nodes_off"`
-	// Migrations and Completed are cumulative counters; their slope is
-	// the churn.
-	Migrations int `json:"migrations_total"`
-	Completed  int `json:"completed_total"`
-	// Classes is the per-node-class breakdown.
-	Classes []SeriesClassSample `json:"classes,omitempty"`
-}
-
+// boundary; SeriesClassSample is one node class's slice of it;
 // SeriesPoint is one (time, value) pair of a single-metric query.
-type SeriesPoint struct {
-	T float64 `json:"t"`
-	V float64 `json:"v"`
-}
+type (
+	SeriesSample      = series.Sample
+	SeriesClassSample = series.ClassSample
+	SeriesPoint       = series.Point
+)
 
 // SeriesSnapshot is the response of GET /v1/fleets/{id}/series: full
 // samples by default, (t, v) points when the query named a metric.
@@ -92,52 +53,18 @@ type SeriesQuery struct {
 	Step float64
 }
 
-// JourneyStep is one lifecycle transition of a job, stamped with the
-// simulation's virtual time.
-type JourneyStep struct {
-	// T is the virtual time of the transition, in seconds.
-	T float64 `json:"t"`
-	// Kind is submitted, placed, running, migrate, migrated, requeued,
-	// completed or violated.
-	Kind string `json:"kind"`
-	// Node is the node involved (-1 when the step is not node-bound);
-	// Dest is the migration destination (-1 otherwise).
-	Node int `json:"node"`
-	Dest int `json:"dest"`
-	// Why is the solver's score comparison behind a placed or migrate
-	// step, when decision tracing supplied one.
-	Why *TraceAction `json:"why,omitempty"`
-	// Satisfaction and EnergyKWh are set on terminal steps only.
-	Satisfaction float64 `json:"satisfaction_pct,omitempty"`
-	EnergyKWh    float64 `json:"energy_kwh,omitempty"`
-}
-
 // JobJourney is one job's recorded lifecycle audit span
-// (GET /v1/fleets/{id}/jobs/{jobID}/journey).
-type JobJourney struct {
-	Job   int           `json:"job"`
-	Steps []JourneyStep `json:"steps"`
-	// Truncated reports that the per-job step cap was hit and later
-	// steps were dropped from the stored record.
-	Truncated bool `json:"truncated,omitempty"`
-	// Outcome is "" while in flight, then "completed" or "violated".
-	Outcome string `json:"outcome,omitempty"`
-	// EnergyKWh is the host energy attributed to the job (live so far
-	// for an in-flight job, final on a terminal record).
-	EnergyKWh float64 `json:"energy_kwh"`
-	// Satisfaction is the SLA satisfaction percentage after completion.
-	Satisfaction float64 `json:"satisfaction_pct,omitempty"`
-}
-
-// JourneySummary is the steps-free form served by the journeys index.
-type JourneySummary struct {
-	Job          int     `json:"job"`
-	Steps        int     `json:"steps"`
-	Truncated    bool    `json:"truncated,omitempty"`
-	Outcome      string  `json:"outcome,omitempty"`
-	EnergyKWh    float64 `json:"energy_kwh"`
-	Satisfaction float64 `json:"satisfaction_pct,omitempty"`
-}
+// (GET /v1/fleets/{id}/jobs/{jobID}/journey) and JourneyStep one of its
+// transitions; JourneySummary is the steps-free form served by the
+// journeys index; JourneyEvent is one journey firehose event
+// (GET /v1/fleets/{id}/journeys?follow=1): a step flattened with its
+// ring sequence number and job ID.
+type (
+	JobJourney     = obs.Journey
+	JourneyStep    = obs.JourneyStep
+	JourneySummary = obs.JourneySummary
+	JourneyEvent   = obs.JourneyEvent
+)
 
 // JourneysSnapshot is the response of GET /v1/fleets/{id}/journeys.
 type JourneysSnapshot struct {
@@ -146,39 +73,8 @@ type JourneysSnapshot struct {
 	Journeys []JourneySummary `json:"journeys"`
 }
 
-// JourneyEvent is one journey firehose event
-// (GET /v1/fleets/{id}/journeys?follow=1): a lifecycle step flattened
-// with its ring sequence number and job ID.
-type JourneyEvent struct {
-	Seq uint64 `json:"seq"`
-	Job int    `json:"job"`
-	JourneyStep
-}
-
 // AlertStatus is one SLO objective's burn-rate verdict.
-type AlertStatus struct {
-	// Name is the objective's name; Metric the series metric it
-	// watches.
-	Name   string `json:"name"`
-	Metric string `json:"metric"`
-	// State is "ok" or "firing".
-	State string `json:"state"`
-	// Since is the virtual time the current firing episode started
-	// (only while firing).
-	Since float64 `json:"since_s,omitempty"`
-	// Value is the metric's latest observation.
-	Value float64 `json:"value"`
-	// ShortBurn and LongBurn are the burn rates of the two windows
-	// (fraction of error budget consumed per window, >1 = over budget);
-	// Budget is the objective's allowed violation fraction.
-	ShortBurn float64 `json:"short_burn"`
-	LongBurn  float64 `json:"long_burn"`
-	Budget    float64 `json:"budget"`
-	// FiredTotal and ClearedTotal count state transitions, for
-	// post-run assertions.
-	FiredTotal   int `json:"fired_total"`
-	ClearedTotal int `json:"cleared_total"`
-}
+type AlertStatus = slo.Alert
 
 // FleetAlert is one objective's verdict tagged with its fleet.
 type FleetAlert struct {
@@ -238,51 +134,8 @@ func (c *Client) Journey(ctx context.Context, id int) (JobJourney, error) {
 // returns a non-nil error (which is returned). since > 0 replays the
 // retained backlog from that sequence number first.
 func (c *Client) JourneyTail(ctx context.Context, since uint64, fn func(ev JourneyEvent) error) error {
-	path := c.apiPath("/journeys") + "?follow=1"
-	if since > 0 {
-		path += "&since=" + strconv.FormatUint(since, 10)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return &APIError{Status: resp.StatusCode, Message: "journey stream rejected"}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(line[6:])
-		case strings.HasPrefix(line, "data:"):
-			data := strings.TrimSpace(line[5:])
-			if event == "gap" {
-				// The requested resume point was evicted; resuming here
-				// would silently skip steps. Terminal: re-sync instead.
-				return parseSSEGap(data)
-			}
-			var ev JourneyEvent
-			if err := json.Unmarshal([]byte(data), &ev); err != nil {
-				return fmt.Errorf("energysched: decoding journey step: %w", err)
-			}
-			if err := fn(ev); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
+	return tail(ctx, c, "/journeys?follow=1&since=", since, "journey step",
+		func(_ uint64, ev JourneyEvent) error { return fn(ev) })
 }
 
 // Alerts fetches the SLO burn-rate verdicts: every fleet's objectives

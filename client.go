@@ -3,7 +3,10 @@ package energysched
 // This file is the public surface of the energyschedd service: the
 // wire types of its HTTP/JSON API and a small client for them. The
 // server side lives in internal/server and marshals exactly these
-// structs, so client and daemon cannot drift apart.
+// structs — where a payload is produced deeper in the daemon (decision
+// traces, accounting samples, journeys, alerts) the public name is an
+// alias of the struct that layer marshals — so client and daemon cannot
+// drift apart.
 
 import (
 	"bufio"
@@ -18,6 +21,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"energysched/internal/obs"
 )
 
 // JobSpec is the body of POST /v1/jobs: one HPC job to admit into the
@@ -305,78 +310,15 @@ type PromoteInfo struct {
 	Fleets map[string]int64 `json:"fleets"`
 }
 
-// TraceScoreTerms is the per-action score decomposition recorded at
-// "scores" verbosity: the components of the paper's placement score
-// for the chosen target.
-type TraceScoreTerms struct {
-	// Base is the time-independent half (resource fits, concurrency,
-	// power, fault terms) of the chosen cell.
-	Base float64 `json:"base"`
-	// Time is the time-dependent half (virtualization overhead + SLA).
-	Time float64 `json:"time"`
-	// Power is the green-energy/consolidation term in isolation.
-	Power float64 `json:"power"`
-	// SLA is the deadline-satisfaction term in isolation.
-	SLA float64 `json:"sla"`
-}
-
-// TraceAction is one applied solver action and why it won (present at
-// "actions" verbosity and up).
-type TraceAction struct {
-	// Kind is "place" (from queue) or "migrate".
-	Kind string `json:"kind"`
-	// VM is the VM's ID.
-	VM int `json:"vm"`
-	// From is the source node ID, -1 for a placement from the queue.
-	From int `json:"from"`
-	// To is the chosen target node ID.
-	To int `json:"to"`
-	// Current is the score of leaving the VM where it is; Chosen is the
-	// winning target's score; Gain is the margin Chosen − Current (more
-	// negative is better — the solver minimizes).
-	Current float64 `json:"current"`
-	Chosen  float64 `json:"chosen"`
-	Gain    float64 `json:"gain"`
-	// Terms is the score breakdown ("scores" verbosity only).
-	Terms *TraceScoreTerms `json:"terms,omitempty"`
-}
-
-// TraceRound is one solver round's structured decision trace.
-type TraceRound struct {
-	// Seq is the ring sequence number, monotonically increasing per
-	// fleet.
-	Seq uint64 `json:"seq"`
-	// Round is the scheduler's round counter after this round.
-	Round int `json:"round"`
-	// Now is the simulation's virtual time at the round, in seconds.
-	Now float64 `json:"now"`
-	// Solver names the engine: "naive" for the reference oracle, else
-	// the slab kernel — "sharded" with its shard count in Shards when
-	// the round fanned out over K > 1 shards, "incremental" (Shards
-	// omitted) when it ran as one shard on the caller's goroutine.
-	Solver string `json:"solver"`
-	Shards int    `json:"shards,omitempty"`
-	// WallNanos is the wall-clock duration of the whole round.
-	WallNanos int64 `json:"wall_ns"`
-	// Hosts and Candidates size the round's score matrix.
-	Hosts      int `json:"hosts"`
-	Candidates int `json:"candidates"`
-	// Moves is the number of actions the hill climber applied;
-	// ScoreEvals counts full score evaluations this round.
-	Moves      int `json:"moves"`
-	ScoreEvals int `json:"score_evals"`
-	// Carry/dirty statistics: matrix cells reused from the previous
-	// round, and rows/columns whose carry keys went stale.
-	ReusedCells int `json:"reused_cells"`
-	StaleRows   int `json:"stale_rows"`
-	StaleCols   int `json:"stale_cols"`
-	// LimitHit reports that the round stopped on the iteration cap
-	// rather than convergence.
-	LimitHit bool `json:"limit_hit,omitempty"`
-	// Actions holds the per-action why records ("actions" verbosity
-	// and up).
-	Actions []TraceAction `json:"actions,omitempty"`
-}
+// TraceRound is one solver round's structured decision trace;
+// TraceAction is one applied action and why it won (present at
+// "actions" verbosity and up); TraceScoreTerms is the action's score
+// decomposition (present at "scores" verbosity).
+type (
+	TraceRound      = obs.RoundTrace
+	TraceAction     = obs.ActionTrace
+	TraceScoreTerms = obs.ScoreTerms
+)
 
 // TraceSnapshot is the response of GET /v1/fleets/{id}/trace: the
 // ring's head sequence, the recording level, and the retained round
@@ -423,15 +365,6 @@ type GapError struct {
 func (e *GapError) Error() string {
 	return fmt.Sprintf("energyschedd: stream gap: events (%d, %d) evicted; re-sync from a snapshot",
 		e.Gap.Requested, e.Gap.Oldest)
-}
-
-// parseSSEGap decodes a gap event's payload into a GapError.
-func parseSSEGap(data string) error {
-	var g EventGap
-	if err := json.Unmarshal([]byte(data), &g); err != nil {
-		return fmt.Errorf("energysched: decoding gap event: %w", err)
-	}
-	return &GapError{Gap: g}
 }
 
 // Client talks to an energyschedd daemon. The zero prefix addresses
@@ -806,51 +739,8 @@ func (c *Client) SetTraceVerbosity(ctx context.Context, level string) error {
 // a non-nil error (which is returned). since > 0 replays the retained
 // backlog from that sequence number first.
 func (c *Client) TraceTail(ctx context.Context, since uint64, fn func(rt TraceRound) error) error {
-	path := c.apiPath("/trace") + "?follow=1"
-	if since > 0 {
-		path += "&since=" + strconv.FormatUint(since, 10)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return &APIError{Status: resp.StatusCode, Message: "trace stream rejected"}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(line[6:])
-		case strings.HasPrefix(line, "data:"):
-			data := strings.TrimSpace(line[5:])
-			if event == "gap" {
-				// The requested resume point was evicted; the tail would
-				// silently skip rounds. Terminal: let the caller re-sync.
-				return parseSSEGap(data)
-			}
-			var rt TraceRound
-			if err := json.Unmarshal([]byte(data), &rt); err != nil {
-				return fmt.Errorf("energysched: decoding trace: %w", err)
-			}
-			if err := fn(rt); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
+	return tail(ctx, c, "/trace?follow=1&since=", since, "trace",
+		func(_ uint64, rt TraceRound) error { return fn(rt) })
 }
 
 // Events subscribes to the daemon's event stream (GET /v1/events,
@@ -859,10 +749,18 @@ func (c *Client) TraceTail(ctx context.Context, since uint64, fn func(rt TraceRo
 // returned). since > 0 requests replay from that sequence number (the
 // daemon keeps a bounded ring of recent events).
 func (c *Client) Events(ctx context.Context, since uint64, fn func(seq uint64, e Event) error) error {
-	path := c.apiPath("/events")
-	if since > 0 {
-		path += "?since=" + strconv.FormatUint(since, 10)
-	}
+	return tail(ctx, c, "/events?since=", since, "event", fn)
+}
+
+// tail is the one SSE consumer behind Events, TraceTail and
+// JourneyTail: it opens the per-fleet stream at route+since (route ends
+// in "since="; 0 is a fresh tail), decodes every data: payload into a T
+// and hands it to fn with the id: sequence number that preceded it. A gap event —
+// the resume point was evicted, so continuing would silently skip
+// events — ends the tail with a *GapError for the caller to re-sync
+// from. what names the stream in errors.
+func tail[T any](ctx context.Context, c *Client, route string, since uint64, what string, fn func(seq uint64, v T) error) error {
+	path := c.apiPath(route) + strconv.FormatUint(since, 10)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return err
@@ -874,10 +772,12 @@ func (c *Client) Events(ctx context.Context, since uint64, fn func(seq uint64, e
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		return &APIError{Status: resp.StatusCode, Message: "event stream rejected"}
+		return &APIError{Status: resp.StatusCode, Message: what + " stream rejected"}
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
+	// One data: line carries a whole payload; a round trace at "scores"
+	// verbosity is the largest, so lines may grow to 1 MiB.
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var seq uint64
 	event := ""
 	for sc.Scan() {
@@ -888,17 +788,19 @@ func (c *Client) Events(ctx context.Context, since uint64, fn func(seq uint64, e
 		case strings.HasPrefix(line, "event:"):
 			event = strings.TrimSpace(line[6:])
 		case strings.HasPrefix(line, "data:"):
-			data := strings.TrimSpace(line[5:])
+			data := []byte(strings.TrimSpace(line[5:]))
 			if event == "gap" {
-				// The requested resume point was evicted; resuming here
-				// would silently skip events. Terminal: re-sync instead.
-				return parseSSEGap(data)
+				var g EventGap
+				if err := json.Unmarshal(data, &g); err != nil {
+					return fmt.Errorf("energysched: decoding gap event: %w", err)
+				}
+				return &GapError{Gap: g}
 			}
-			var e Event
-			if err := json.Unmarshal([]byte(data), &e); err != nil {
-				return fmt.Errorf("energysched: decoding event: %w", err)
+			var v T
+			if err := json.Unmarshal(data, &v); err != nil {
+				return fmt.Errorf("energysched: decoding %s: %w", what, err)
 			}
-			if err := fn(seq, e); err != nil {
+			if err := fn(seq, v); err != nil {
 				return err
 			}
 		}

@@ -49,35 +49,48 @@ func TestParseLineUnsuffixedName(t *testing.T) {
 	}
 }
 
-// The CI gate: slower-than-tolerance benchmarks regress, faster or
-// within-tolerance ones pass, and benchmarks missing a side (renamed,
-// new, or without ns/op) are skipped rather than failed.
+// The CI gate judges what one sample can decide: a paper metric that
+// moved at all and allocations that grew past 2 % regress; ns/op is
+// reported but never fails; benchmarks missing a side (renamed, new)
+// and metrics only one side reported are skipped rather than failed.
 func TestGate(t *testing.T) {
-	mk := func(name string, procs int, ns float64) Benchmark {
-		return Benchmark{Name: name, Procs: procs, Iterations: 1, NsPerOp: ns}
+	mk := func(name string, ns float64, metrics map[string]float64) Benchmark {
+		return Benchmark{Name: name, Procs: 8, Iterations: 1, NsPerOp: ns, Metrics: metrics}
+	}
+	paper := func(kwh float64) map[string]float64 {
+		return map[string]float64{"kWh": kwh, "S%": 99.74, "migrations": 12, "nodesON": 19.43}
 	}
 	base := &Artifact{Benchmarks: []Benchmark{
-		mk("BenchmarkA", 8, 1000),
-		mk("BenchmarkB", 8, 1000),
-		mk("BenchmarkGone", 8, 500),
-		mk("BenchmarkZeroed", 8, 0),
+		mk("BenchmarkSlow", 1000, paper(213.6)),
+		mk("BenchmarkDrift", 1000, paper(213.6)),
+		mk("BenchmarkAllocs", 1000, map[string]float64{"B/op": 10000, "allocs/op": 1000}),
+		mk("BenchmarkLeaner", 1000, map[string]float64{"B/op": 10000, "allocs/op": 1000}),
+		mk("BenchmarkGone", 500, nil),
+		mk("BenchmarkNoMem", 1000, map[string]float64{"B/op": 10000}),
 	}}
 	cand := &Artifact{Benchmarks: []Benchmark{
-		mk("BenchmarkA", 8, 1149), // +14.9%: inside a 15% tolerance
-		mk("BenchmarkB", 8, 1200), // +20%: regression
-		mk("BenchmarkNew", 8, 9999),
-		mk("BenchmarkZeroed", 8, 800),
+		mk("BenchmarkSlow", 5000, paper(213.6)), // 5x the ns/op: information only
+		mk("BenchmarkDrift", 900, paper(213.5)), // faster, but the energy moved
+		mk("BenchmarkAllocs", 1000, map[string]float64{"B/op": 10200, "allocs/op": 1021}),
+		mk("BenchmarkLeaner", 1000, map[string]float64{"B/op": 100, "allocs/op": 1}),
+		mk("BenchmarkNew", 9999, paper(1)),
+		mk("BenchmarkNoMem", 1000, nil), // this run did not report B/op
 	}}
-	regressions, checked := gate(cand, base, 0.15)
-	if checked != 2 {
-		t.Fatalf("checked %d benchmarks, want 2 (A and B)", checked)
+	regressions, timings, checked := gate(cand, base)
+	if checked != 5 {
+		t.Fatalf("checked %d benchmarks, want 5 (all but Gone and New)", checked)
 	}
-	if len(regressions) != 1 || !strings.Contains(regressions[0], "BenchmarkB") {
-		t.Fatalf("regressions = %v, want only BenchmarkB", regressions)
+	if len(regressions) != 2 ||
+		!strings.Contains(regressions[0], "BenchmarkDrift: kWh = 213.5 vs baseline 213.6") ||
+		!strings.Contains(regressions[1], "BenchmarkAllocs: 1021 allocs/op vs baseline 1000 (+2.1%") {
+		t.Fatalf("regressions = %q, want Drift's kWh and Allocs' allocs/op (B/op +2.0%% is inside the tolerance)", regressions)
+	}
+	if len(timings) != 5 || !strings.Contains(timings[0], "BenchmarkSlow: 5000 ns/op vs baseline 1000 (+400.0%, not judged)") {
+		t.Fatalf("timings = %q", timings)
 	}
 	// Same GOMAXPROCS key: a procs mismatch is a skip, not a compare.
 	cand.Benchmarks[1].Procs = 4
-	if _, checked := gate(cand, base, 0.15); checked != 1 {
-		t.Fatalf("procs-mismatched benchmark still compared (checked=%d)", checked)
+	if regressions, _, checked := gate(cand, base); checked != 4 || len(regressions) != 1 {
+		t.Fatalf("procs-mismatched benchmark still compared (checked=%d, regressions=%q)", checked, regressions)
 	}
 }

@@ -34,12 +34,15 @@ var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
 // frame is one polled snapshot of the daemon's accounting surface.
 type frame struct {
-	series   energysched.SeriesSnapshot
-	journeys energysched.JourneysSnapshot
-	alerts   energysched.AlertsSnapshot
+	series      energysched.SeriesSnapshot
+	journeys    energysched.JourneysSnapshot
+	journeysErr error
+	alerts      energysched.AlertsSnapshot
+	alertsErr   error
 }
 
-// poll gathers one frame; partial failures degrade to empty sections
+// poll gathers one frame. Only the series is fatal: a failed journeys
+// or alerts call is carried in the frame and rendered in its panel
 // rather than killing the dashboard (a follower mid-promotion answers
 // some endpoints before others).
 func poll(ctx context.Context, c *energysched.Client, since float64) (frame, error) {
@@ -49,8 +52,8 @@ func poll(ctx context.Context, c *energysched.Client, since float64) (frame, err
 	if err != nil {
 		return f, err
 	}
-	f.journeys, _ = c.Journeys(ctx)
-	f.alerts, _ = c.Alerts(ctx)
+	f.journeys, f.journeysErr = c.Journeys(ctx)
+	f.alerts, f.alertsErr = c.Alerts(ctx)
 	return f, nil
 }
 
@@ -89,8 +92,16 @@ func render(w *strings.Builder, addr, fleetLabel string, f frame, last energysch
 	fmt.Fprintf(w, "sla     %7.2f %%     utilization %6.2f %%\n", last.SLA, last.Utilization)
 	fmt.Fprintf(w, "nodes   on %d (working %d)  off %d    queue %d  running %d\n",
 		last.On, last.Working, last.Off, last.Queue, last.Running)
-	fmt.Fprintf(w, "churn   migrations %d   completed %d   journeys %d\n",
-		last.Migrations, last.Completed, len(f.journeys.Journeys))
+	journeys := fmt.Sprint(len(f.journeys.Journeys))
+	if f.journeysErr != nil {
+		journeys = "unavailable: " + f.journeysErr.Error()
+	}
+	fmt.Fprintf(w, "churn   migrations %d   completed %d   journeys %s\n",
+		last.Migrations, last.Completed, journeys)
+	if f.alertsErr != nil {
+		fmt.Fprintf(w, "slo     unavailable: %v\n", f.alertsErr)
+		return
+	}
 	if len(f.alerts.Alerts) == 0 {
 		fmt.Fprintf(w, "slo     no objectives configured\n")
 		return

@@ -91,30 +91,6 @@ func (f *Fleet) Journey(id int) (obs.Journey, error) {
 	return j, nil
 }
 
-// JourneySummaries lists the retained journeys, oldest first, without
-// their steps.
-func (f *Fleet) JourneySummaries() []obs.JourneySummary { return f.journeys.Summaries() }
-
-// JourneySeq returns the journey firehose's most recent sequence
-// number.
-func (f *Fleet) JourneySeq() uint64 { return f.journeys.Seq() }
-
-// JourneySnapshot returns retained firehose step events with sequence
-// number > since.
-func (f *Fleet) JourneySnapshot(since uint64) []obs.RingEvent {
-	return f.journeys.Snapshot(since)
-}
-
-// JourneySubscribe attaches a firehose tail consumer, gapless with the
-// returned backlog; the third result reports whether the resume point
-// was evicted (gap). Release it with JourneyUnsubscribe.
-func (f *Fleet) JourneySubscribe(since uint64) (*obs.RingSub, []obs.RingEvent, bool) {
-	return f.journeys.Subscribe(since)
-}
-
-// JourneyUnsubscribe releases a firehose consumer.
-func (f *Fleet) JourneyUnsubscribe(sub *obs.RingSub) { f.journeys.Unsubscribe(sub) }
-
 // Alerts returns every configured SLO's current verdict (nil without
 // objectives).
 func (f *Fleet) Alerts() []slo.Alert {

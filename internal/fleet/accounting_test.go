@@ -40,8 +40,8 @@ func TestFleetAccountingTwin(t *testing.T) {
 	if f.SeriesCount() == 0 {
 		t.Fatal("no accounting samples recorded")
 	}
-	if len(f.JourneySummaries()) != 12 {
-		t.Fatalf("journeys tracked = %d, want 12", len(f.JourneySummaries()))
+	if len(f.Journeys().Summaries()) != 12 {
+		t.Fatalf("journeys tracked = %d, want 12", len(f.Journeys().Summaries()))
 	}
 	if len(f.Alerts()) != 1 {
 		t.Fatalf("alerts = %+v", f.Alerts())
@@ -211,7 +211,7 @@ func TestFleetAccountingBoundedDepth(t *testing.T) {
 	// (evicted jobs may re-enter on their terminal step — by design,
 	// the outcome of a long-running job survives even if its early
 	// steps were evicted).
-	if sums := f.JourneySummaries(); len(sums) != 3 {
+	if sums := f.Journeys().Summaries(); len(sums) != 3 {
 		t.Fatalf("journeys retained %d, depth 3: %+v", len(sums), sums)
 	}
 	if f.JourneySeq() < 8 {

@@ -149,6 +149,9 @@ func (c Config) withDefaults() Config {
 	if c.AdmitQueue <= 0 {
 		c.AdmitQueue = 256
 	}
+	if c.EventRing <= 0 {
+		c.EventRing = 4096
+	}
 	return c
 }
 
@@ -203,13 +206,13 @@ func errf(status int, format string, args ...interface{}) *Error {
 var ErrClosed = errors.New("fleet: shut down")
 
 // Fleet is one hosted scheduler instance: a simulation behind an
-// actor event loop, plus its event broker and durability layer.
+// actor event loop, plus its event streams and durability layer.
 type Fleet struct {
 	id       string
 	cfg      Config
-	broker   *Broker
+	events   *obs.Ring // the simulation event stream behind GET /events
 	repl     *replFeed
-	ring     *obs.TraceRing
+	trace    *obs.TraceRing
 	hists    fleetHists
 	series   *series.Store
 	journeys *obs.JourneyStore
@@ -247,14 +250,15 @@ func Open(id string, cfg Config) (*Fleet, error) {
 		}
 		verb = v
 	}
+	cfg = cfg.withDefaults()
 	f := &Fleet{
 		id:       id,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		cmds:     make(chan func()),
 		stopc:    make(chan struct{}),
-		broker:   newBroker(cfg.EventRing),
+		events:   obs.NewRing(cfg.EventRing),
 		repl:     newReplFeed(),
-		ring:     obs.NewTraceRing(verb, cfg.TraceDepth),
+		trace:    obs.NewTraceRing(verb, cfg.TraceDepth),
 		series:   series.NewStore(cfg.SeriesDepth),
 		journeys: obs.NewJourneyStore(cfg.JourneyDepth, cfg.JourneyDepth),
 		gen:      1,
@@ -262,7 +266,6 @@ func Open(id string, cfg Config) (*Fleet, error) {
 	if len(cfg.SLOs) > 0 {
 		f.sloEng = slo.NewEngine(cfg.SLOs)
 	}
-	f.broker.hist = &f.hists.sse
 	jobs, now, sealed, err := f.recover()
 	if err != nil {
 		f.wal.close()
@@ -375,20 +378,17 @@ func (f *Fleet) ID() string { return f.id }
 // Pace returns the configured acceleration (<= 0 = max pacing).
 func (f *Fleet) Pace() float64 { return f.cfg.Pace }
 
-// Broker returns the fleet's SSE event broker.
-func (f *Fleet) Broker() *Broker { return f.broker }
-
 // Close stops the event loop, closes the WAL and disconnects every
-// event subscriber. In-flight requests receive ErrClosed.
+// stream subscriber. In-flight requests receive ErrClosed.
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stopc) })
 	f.wg.Wait()
 	if f.router != nil {
 		f.router.stop()
 	}
-	f.broker.close()
+	f.events.Close()
 	f.repl.close()
-	f.ring.Close()
+	f.trace.Close()
 	f.journeys.Close()
 	f.wal.close()
 }
@@ -478,7 +478,7 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 			if f.replaying {
 				return
 			}
-			f.broker.publish(e)
+			f.publish(e)
 			f.recordJourney(sim, e)
 		},
 		RoundTimer: func(seconds float64) {
@@ -496,7 +496,7 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 	// (never via its comparable Config). Replayed rounds are suppressed
 	// by the sink itself while f.replaying is set.
 	if sch, ok := sim.Policy().(*core.Scheduler); ok {
-		sch.Tracer = &fleetTraceSink{f: f, ring: f.ring}
+		sch.Tracer = &fleetTraceSink{f: f, ring: f.trace}
 	}
 	// Accounting taps. Energy attribution stays on even during replay —
 	// it is a pure addition the engine computes identically everywhere,
@@ -1109,8 +1109,8 @@ func (f *Fleet) applySnapshot(snap snapshotFile, source string) error {
 	// observe the generation change and re-bootstrap; without the cut
 	// an idle timeline would never surface the swap.
 	f.repl.dropAll()
-	f.broker.reset()
-	f.broker.publish(energysched.Event{
+	f.events.Reset()
+	f.publish(energysched.Event{
 		Time: snap.SavedVirtual, Kind: "restore", VM: -1, Node: -1, Aux: -1,
 	})
 	f.logf("restored %d jobs at t=%.1fs from %s", len(jobs), snap.SavedVirtual, source)
@@ -1162,7 +1162,7 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 		metrics.PromSample{Name: "energysched_failures_total", Help: "Node failures injected.", Kind: metrics.PromCounter, Value: float64(rep.Failures)},
 		metrics.PromSample{Name: "energysched_satisfaction_pct", Help: "Mean client satisfaction of completed jobs.", Kind: metrics.PromGauge, Value: rep.Satisfaction},
 		metrics.PromSample{Name: "energysched_delay_pct", Help: "Mean execution delay of completed jobs.", Kind: metrics.PromGauge, Value: rep.Delay},
-		metrics.PromSample{Name: "energysched_events_published_total", Help: "Simulation events published to the stream.", Kind: metrics.PromCounter, Value: float64(f.broker.Seq())},
+		metrics.PromSample{Name: "energysched_events_published_total", Help: "Simulation events published to the stream.", Kind: metrics.PromCounter, Value: float64(f.events.Seq())},
 	)
 	if f.stats.Enabled {
 		walRecords := 0
@@ -1207,7 +1207,7 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 	}
 	samples = append(samples, metrics.PromSample{
 		Name: "energysched_trace_rounds_total", Help: "Solver round traces recorded in the trace ring.",
-		Kind: metrics.PromCounter, Value: float64(f.ring.Seq()),
+		Kind: metrics.PromCounter, Value: float64(f.trace.Seq()),
 	})
 	samples = f.router.metricsSamples(samples)
 	samples = f.accountingSamples(samples)

@@ -1,12 +1,17 @@
 package fleet
 
 import (
+	"encoding/json"
+	"time"
+
+	"energysched"
 	"energysched/internal/metrics"
 	"energysched/internal/obs"
 )
 
-// Fleet-side observability: the per-fleet decision-trace ring behind
-// GET /v1/fleets/{id}/trace and the latency histograms the /metrics
+// Fleet-side observability: the fleet's three streams — simulation
+// events, decision traces, journey steps, each an obs.Ring the HTTP
+// layer tails directly — and the latency histograms the /metrics
 // endpoint exports. Everything here is a wall-clock side channel — the
 // histograms record durations, the ring records what the solver
 // already decided — so none of it can perturb the deterministic
@@ -23,7 +28,7 @@ type fleetHists struct {
 	// wal is the WAL append+fsync latency, one observation per logged
 	// batch (admissions, seals, replicated records).
 	wal metrics.Histogram
-	// sse is the SSE fan-out latency of the event broker, one
+	// sse is the SSE fan-out latency of the event stream, one
 	// observation per published event (marshal + ring store + fan-out).
 	sse metrics.Histogram
 	// replApply is the replicated-record apply latency on a follower
@@ -42,7 +47,7 @@ func (h *fleetHists) samples(in []metrics.PromSample) []metrics.PromSample {
 	}{
 		{"energysched_admit_batch_seconds", "Admission batch latency: validate + WAL append/fsync + inject.", &h.admit},
 		{"energysched_wal_append_seconds", "WAL append+fsync latency per logged batch.", &h.wal},
-		{"energysched_sse_fanout_seconds", "Event-broker publish latency: marshal, ring store and subscriber fan-out.", &h.sse},
+		{"energysched_sse_fanout_seconds", "Event-stream publish latency: marshal, ring store and subscriber fan-out.", &h.sse},
 		{"energysched_repl_apply_seconds", "Replicated-record apply latency on a follower fleet.", &h.replApply},
 		{"energysched_solver_round_seconds", "Solver round wall-clock duration.", &h.round},
 	} {
@@ -97,32 +102,37 @@ func (s *fleetTraceSink) Emit(rt obs.RoundTrace) {
 	s.ring.Emit(rt)
 }
 
+// publish marshals one simulation event and emits it on the event
+// ring under its kind as the SSE event name. The event loop is the only
+// publisher.
+func (f *Fleet) publish(e energysched.Event) {
+	defer f.hists.sse.ObserveSince(time.Now())
+	data, err := json.Marshal(e)
+	if err != nil {
+		return // Event is a plain struct; cannot happen
+	}
+	f.events.Emit(string(e.Kind), func(uint64) []byte { return data })
+}
+
+// Broker returns the fleet's simulation event stream
+// (GET /v1/fleets/{id}/events): the ring that brokers events from the
+// event loop to SSE subscribers.
+func (f *Fleet) Broker() *obs.Ring { return f.events }
+
+// Trace returns the fleet's decision-trace ring and its runtime
+// verbosity knob (GET /v1/fleets/{id}/trace). Pure observability: any
+// level leaves the fleet's reports and event stream byte-identical.
+func (f *Fleet) Trace() *obs.TraceRing { return f.trace }
+
+// Journeys returns the fleet's journey store: the index and the step
+// firehose (GET /v1/fleets/{id}/journeys). Single records go through
+// Fleet.Journey, which overlays live energy.
+func (f *Fleet) Journeys() *obs.JourneyStore { return f.journeys }
+
 // TraceSeq returns the sequence number of the fleet's most recent
 // trace.
-func (f *Fleet) TraceSeq() uint64 { return f.ring.Seq() }
+func (f *Fleet) TraceSeq() uint64 { return f.trace.Seq() }
 
-// TraceSnapshot returns the retained round traces with sequence number
-// > since, oldest first. The ring is internally locked, so this never
-// touches the event loop.
-func (f *Fleet) TraceSnapshot(since uint64) []obs.TraceEvent {
-	return f.ring.Snapshot(since)
-}
-
-// TraceSubscribe registers a trace tail consumer and returns it with
-// the gapless backlog since the given sequence number, plus whether
-// that resume point was evicted (gap). Release it with
-// TraceUnsubscribe.
-func (f *Fleet) TraceSubscribe(since uint64) (*obs.TraceSub, []obs.TraceEvent, bool) {
-	return f.ring.Subscribe(since)
-}
-
-// TraceUnsubscribe releases a trace tail consumer.
-func (f *Fleet) TraceUnsubscribe(sub *obs.TraceSub) { f.ring.Unsubscribe(sub) }
-
-// TraceVerbosity returns the ring's recording level.
-func (f *Fleet) TraceVerbosity() obs.Verbosity { return f.ring.Verbosity() }
-
-// SetTraceVerbosity changes the ring's recording level at runtime.
-// Pure observability: any level leaves the fleet's reports and event
-// stream byte-identical.
-func (f *Fleet) SetTraceVerbosity(v obs.Verbosity) { f.ring.SetVerbosity(v) }
+// JourneySeq returns the journey firehose's most recent sequence
+// number.
+func (f *Fleet) JourneySeq() uint64 { return f.journeys.Seq() }

@@ -22,8 +22,8 @@ func TestFleetTraceRing(t *testing.T) {
 	}
 	defer f.Close()
 
-	sub, backlog, _ := f.TraceSubscribe(0)
-	defer f.TraceUnsubscribe(sub)
+	sub, backlog, _ := f.Trace().Subscribe(0)
+	defer f.Trace().Unsubscribe(sub)
 	if len(backlog) != 0 {
 		t.Fatalf("fresh fleet has %d backlog traces", len(backlog))
 	}
@@ -37,7 +37,7 @@ func TestFleetTraceRing(t *testing.T) {
 		t.Fatalf("traced drain diverged from tracerless twin:\n got %+v\nwant %+v", rep, want)
 	}
 
-	evs := f.TraceSnapshot(0)
+	evs := f.Trace().Snapshot(0)
 	if len(evs) == 0 {
 		t.Fatal("no round traces recorded for a drained workload")
 	}
@@ -75,12 +75,12 @@ func TestFleetTraceRing(t *testing.T) {
 		t.Fatalf("tail subscriber got %d traces, snapshot has %d", tail, len(evs))
 	}
 
-	if got := f.TraceVerbosity(); got != obs.TraceScores {
+	if got := f.Trace().Verbosity(); got != obs.TraceScores {
 		t.Fatalf("TraceVerbosity = %v, want scores", got)
 	}
-	f.SetTraceVerbosity(obs.TraceOff)
-	if got := f.TraceVerbosity(); got != obs.TraceOff {
-		t.Fatalf("SetTraceVerbosity did not take: %v", got)
+	f.Trace().SetVerbosity(obs.TraceOff)
+	if got := f.Trace().Verbosity(); got != obs.TraceOff {
+		t.Fatalf("SetVerbosity did not take: %v", got)
 	}
 }
 

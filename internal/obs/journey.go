@@ -82,25 +82,31 @@ type JourneySummary struct {
 // bound.
 const journeyStepCap = 64
 
-// journeyWire is one firehose event: a step flattened with its ring
-// sequence number and job ID.
-type journeyWire struct {
+// JourneyEvent is one firehose event
+// (GET /v1/fleets/{id}/journeys?follow=1): a lifecycle step flattened
+// with its ring sequence number and job ID.
+type JourneyEvent struct {
 	Seq uint64 `json:"seq"`
 	Job int    `json:"job"`
 	JourneyStep
 }
 
+// EventStep is the SSE event name firehose steps are served under.
+const EventStep = "step"
+
 // JourneyStore holds the bounded per-job journey records of one fleet
-// plus the SSE firehose ring. Writes come from the fleet's event loop;
-// reads from HTTP handlers. Memory is bounded by maxJobs × the step
-// cap (FIFO eviction by first-step order) and the firehose ring depth.
+// plus the SSE firehose: the embedded Ring carries one JourneyEvent
+// per recorded step and is what the API tails (Seq, Subscribe, Close).
+// Writes come from the fleet's event loop; reads from HTTP handlers.
+// Memory is bounded by maxJobs × the step cap (FIFO eviction by
+// first-step order) and the firehose ring depth.
 type JourneyStore struct {
+	*Ring
 	mu      sync.Mutex
 	maxJobs int
 	jobs    map[int]*Journey
 	order   []int // first-step order, for FIFO eviction
 	pending map[int][]ActionTrace
-	fire    *Ring
 }
 
 // NewJourneyStore builds a store retaining the last maxJobs job
@@ -114,7 +120,7 @@ func NewJourneyStore(maxJobs, fireDepth int) *JourneyStore {
 		maxJobs: maxJobs,
 		jobs:    make(map[int]*Journey),
 		pending: make(map[int][]ActionTrace),
-		fire:    NewRing(fireDepth),
+		Ring:    NewRing(fireDepth),
 	}
 }
 
@@ -170,8 +176,8 @@ func (s *JourneyStore) Record(job int, st JourneyStep) {
 		j.Satisfaction = st.Satisfaction
 		j.EnergyKWh = st.EnergyKWh
 	}
-	s.fire.Emit(func(seq uint64) []byte {
-		data, err := json.Marshal(journeyWire{Seq: seq, Job: job, JourneyStep: st})
+	s.Emit(EventStep, func(seq uint64) []byte {
+		data, err := json.Marshal(JourneyEvent{Seq: seq, Job: job, JourneyStep: st})
 		if err != nil {
 			return nil // plain structs; cannot happen
 		}
@@ -214,22 +220,3 @@ func (s *JourneyStore) Len() int {
 	defer s.mu.Unlock()
 	return len(s.jobs)
 }
-
-// Seq returns the firehose's most recent sequence number.
-func (s *JourneyStore) Seq() uint64 { return s.fire.Seq() }
-
-// Snapshot returns retained firehose events with seq > since.
-func (s *JourneyStore) Snapshot(since uint64) []RingEvent { return s.fire.Snapshot(since) }
-
-// Subscribe attaches a firehose tail consumer (gapless with the
-// returned backlog); the third result reports whether resuming from
-// since skips evicted steps (gap).
-func (s *JourneyStore) Subscribe(since uint64) (*RingSub, []RingEvent, bool) {
-	return s.fire.Subscribe(since)
-}
-
-// Unsubscribe detaches a firehose consumer.
-func (s *JourneyStore) Unsubscribe(sub *RingSub) { s.fire.Unsubscribe(sub) }
-
-// Close disconnects firehose subscribers.
-func (s *JourneyStore) Close() { s.fire.Close() }

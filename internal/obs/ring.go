@@ -2,17 +2,20 @@ package obs
 
 import "sync"
 
-// RingEvent is one ring entry: the sequence number and a pre-marshaled
-// JSON payload, ready for the API to serve without re-encoding.
+// RingEvent is one ring entry: the sequence number, the SSE event name
+// it is served under, and a pre-marshaled JSON payload, ready for the
+// API to serve without re-encoding.
 type RingEvent struct {
 	Seq  uint64
+	Name string
 	Data []byte
 }
 
-// ringSubBuffer is each tail subscriber's channel depth; a consumer
-// lagging further is disconnected, mirroring the event broker's
-// slow-consumer contract.
-const ringSubBuffer = 64
+// ringSubBuffer is each tail subscriber's channel depth: how far a
+// consumer may lag the writer before it is disconnected. 256 rides out
+// a burst of one large admission batch's lifecycle events without
+// cutting a consumer that is merely a scheduling quantum behind.
+const ringSubBuffer = 256
 
 // RingSub is one SSE tail consumer's view of a ring's stream. Ch is
 // closed when the consumer falls too far behind or the ring closes.
@@ -21,12 +24,14 @@ type RingSub struct {
 }
 
 // Ring is a bounded ring of pre-marshaled events with SSE-style tail
-// subscriptions: the generic mechanics behind the per-fleet decision
-// log (TraceRing) and the job-journey firehose. Emit assigns monotone
-// sequence numbers, stores the payload and fans out; tail consumers
-// that cannot keep up are cut loose so a slow reader never
-// backpressures the event loop. Safe for one writer and any number of
-// concurrent readers.
+// subscriptions: the one mechanism behind every stream the daemon
+// serves — a fleet's simulation events, its decision log (TraceRing)
+// and the job-journey firehose. Emit assigns monotone sequence
+// numbers, stores the payload and fans out; a tail consumer that falls
+// further behind than its buffer is cut loose rather than allowed to
+// stall the writer — the standard slow-consumer contract of event
+// streams. Safe for one writer (a fleet's event loop) and any number
+// of concurrent readers.
 type Ring struct {
 	mu      sync.Mutex
 	closed  bool
@@ -48,11 +53,12 @@ func NewRing(depth int) *Ring {
 
 // Emit assigns the next sequence number, calls build with it to
 // produce the payload (so the payload can embed its own seq), stores
-// the event and forwards it to every live subscriber. A nil payload
-// aborts the emission and returns the sequence counter to its prior
-// value. Returns the assigned sequence number, 0 when nothing was
-// emitted.
-func (r *Ring) Emit(build func(seq uint64) []byte) uint64 {
+// the event under the SSE event name and forwards it to every live
+// subscriber. A nil payload aborts the emission and returns the
+// sequence counter to its prior value. Returns the assigned sequence
+// number, 0 when nothing was emitted. build is only called, never
+// retained, so a closure passed here stays on the caller's stack.
+func (r *Ring) Emit(name string, build func(seq uint64) []byte) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -64,7 +70,7 @@ func (r *Ring) Emit(build func(seq uint64) []byte) uint64 {
 		r.nextSeq--
 		return 0
 	}
-	ev := RingEvent{Seq: r.nextSeq, Data: data}
+	ev := RingEvent{Seq: r.nextSeq, Name: name, Data: data}
 	if len(r.ring) < r.ringCap {
 		r.ring = append(r.ring, ev)
 	} else {
@@ -75,7 +81,7 @@ func (r *Ring) Emit(build func(seq uint64) []byte) uint64 {
 		select {
 		case sub.Ch <- ev:
 		default:
-			// Slow tail consumer: cut it loose so observability never
+			// Slow tail consumer: cut it loose so a stream never
 			// backpressures the writer.
 			delete(r.subs, sub)
 			close(sub.Ch)
@@ -133,7 +139,7 @@ func (r *Ring) gapLocked(since uint64) bool {
 // resuming from since skips evicted events (gap) — callers surface
 // that to the consumer instead of silently resuming at the tail.
 // Registering and snapshotting under one lock makes the hand-off
-// gapless.
+// gapless. On a closed ring the subscriber's channel is already closed.
 func (r *Ring) Subscribe(since uint64) (*RingSub, []RingEvent, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -159,7 +165,20 @@ func (r *Ring) Unsubscribe(sub *RingSub) {
 	}
 }
 
-// Close disconnects every subscriber and drops future emissions.
+// Reset drops the retained backlog while keeping the sequence counter
+// monotone and the subscribers attached, so every earlier resume point
+// becomes a gap. A fleet restore calls it: the pre-restore timeline no
+// longer describes the fleet's state, and a reconnecting consumer must
+// not be served a splice of old and new history.
+func (r *Ring) Reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ring = r.ring[:0]
+	r.head = 0
+}
+
+// Close disconnects every subscriber and drops future emissions, so
+// SSE handlers unblock instead of waiting on a dead stream.
 func (r *Ring) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -15,7 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 )
 
 // ClampJSON maps non-finite scores onto ±MaxFloat64 (and NaN onto 0)
@@ -166,50 +166,38 @@ type TraceSink interface {
 	Emit(rt RoundTrace)
 }
 
-// TraceEvent is one ring entry: the sequence number and the
-// pre-marshaled RoundTrace JSON, ready for the API to serve without
-// re-encoding.
-type TraceEvent = RingEvent
+// EventRound is the SSE event name round traces are served under.
+const EventRound = "round"
 
-// TraceSub is one SSE tail consumer's view of the trace stream. Ch is
-// closed when the consumer falls too far behind or the ring closes.
-type TraceSub = RingSub
-
-// TraceRing is a bounded ring of round traces with SSE-style tail
-// subscriptions: the per-fleet decision log behind GET /trace. It
-// implements TraceSink; Emit assigns sequence numbers, marshals once
-// and fans out via the generic Ring. Safe for one writer (the fleet's
-// event loop) and any number of concurrent readers.
+// TraceRing is the per-fleet decision log behind GET /trace: a Ring of
+// round traces plus the recording level. It implements TraceSink; Emit
+// assigns sequence numbers, marshals once and fans out. The embedded
+// Ring is what the API reads (Seq, Snapshot, Subscribe, Close). Safe
+// for one writer (the fleet's event loop) and any number of concurrent
+// readers.
 type TraceRing struct {
-	mu   sync.Mutex
-	verb Verbosity
-	ring *Ring
+	*Ring
+	verb atomic.Int32
 }
 
 // NewTraceRing builds a ring holding the last depth rounds (default
 // 256 when depth <= 0) at the given verbosity.
 func NewTraceRing(verb Verbosity, depth int) *TraceRing {
-	return &TraceRing{verb: verb, ring: NewRing(depth)}
+	r := &TraceRing{Ring: NewRing(depth)}
+	r.SetVerbosity(verb)
+	return r
 }
 
 // Verbosity returns the ring's recording level.
-func (r *TraceRing) Verbosity() Verbosity {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.verb
-}
+func (r *TraceRing) Verbosity() Verbosity { return Verbosity(r.verb.Load()) }
 
 // SetVerbosity changes the recording level at runtime.
-func (r *TraceRing) SetVerbosity(v Verbosity) {
-	r.mu.Lock()
-	r.verb = v
-	r.mu.Unlock()
-}
+func (r *TraceRing) SetVerbosity(v Verbosity) { r.verb.Store(int32(v)) }
 
 // Emit assigns the next sequence number, stores the trace in the ring
 // and forwards it to every live subscriber.
 func (r *TraceRing) Emit(rt RoundTrace) {
-	r.ring.Emit(func(seq uint64) []byte {
+	r.Ring.Emit(EventRound, func(seq uint64) []byte {
 		rt.Seq = seq
 		data, err := json.Marshal(rt)
 		if err != nil {
@@ -218,25 +206,3 @@ func (r *TraceRing) Emit(rt RoundTrace) {
 		return data
 	})
 }
-
-// Seq returns the sequence number of the most recent trace.
-func (r *TraceRing) Seq() uint64 { return r.ring.Seq() }
-
-// Snapshot returns the retained traces with sequence number > since,
-// oldest first.
-func (r *TraceRing) Snapshot(since uint64) []TraceEvent { return r.ring.Snapshot(since) }
-
-// Subscribe registers a tail consumer and returns it along with the
-// backlog of retained traces with sequence number > since, and whether
-// resuming from since skips evicted traces (gap). Registering and
-// snapshotting under one lock makes the hand-off gapless.
-func (r *TraceRing) Subscribe(since uint64) (*TraceSub, []TraceEvent, bool) {
-	return r.ring.Subscribe(since)
-}
-
-// Unsubscribe removes the subscriber; safe after a slow-consumer
-// disconnect or ring close.
-func (r *TraceRing) Unsubscribe(sub *TraceSub) { r.ring.Unsubscribe(sub) }
-
-// Close disconnects every subscriber and drops future emissions.
-func (r *TraceRing) Close() { r.ring.Close() }

@@ -4,12 +4,10 @@ import (
 	"encoding/csv"
 	"net/http"
 	"strconv"
-	"time"
 
+	"energysched"
 	"energysched/internal/fleet"
-	"energysched/internal/obs"
 	"energysched/internal/obs/series"
-	"energysched/internal/obs/slo"
 )
 
 // Accounting API: the energy/SLA time-series (GET /series), the job
@@ -18,52 +16,11 @@ import (
 // handler here is write-gated, because all of it is valid on a
 // follower and none of it touches replicated state.
 
-// SeriesBody is the JSON body of GET /series: the store's lifetime
-// sample count plus either full samples or, with ?metric=, the single
-// metric's points.
-type SeriesBody struct {
-	// Metric echoes the ?metric= selection ("" = full samples).
-	Metric string `json:"metric,omitempty"`
-	// Count is the number of samples ever recorded (retained or
-	// evicted from the bounded ring).
-	Count uint64 `json:"count"`
-	// Samples holds the full accounting samples (no ?metric=).
-	Samples []series.Sample `json:"samples,omitempty"`
-	// Points holds the (t, v) pairs of a single-metric query.
-	Points []series.Point `json:"points,omitempty"`
-}
-
-// JourneysBody is the JSON body of GET /journeys: the firehose head
-// sequence plus the retained journey summaries, oldest first.
-type JourneysBody struct {
-	Seq      uint64               `json:"seq"`
-	Journeys []obs.JourneySummary `json:"journeys"`
-}
-
-// FleetAlert is one objective's verdict tagged with its fleet (part of
-// GET /v1/alerts).
-type FleetAlert struct {
-	Fleet string `json:"fleet"`
-	slo.Alert
-}
-
-// AlertsBody is the JSON body of GET /v1/alerts: the number of
-// objectives currently firing and every objective's verdict.
-type AlertsBody struct {
-	Firing int          `json:"firing"`
-	Alerts []FleetAlert `json:"alerts"`
-}
-
 // handleSeries serves the fleet's accounting time-series
 // (GET /v1/fleets/{id}/series?metric=&since=&step=&format=). Malformed
 // query parameters map onto structured 400s; format=csv streams CSV
 // for spreadsheet and gnuplot consumers.
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	qp := r.URL.Query()
 	q, err := series.ParseQuery(qp.Get("metric"), qp.Get("since"), qp.Get("step"), qp.Get("format"))
 	if err != nil {
@@ -80,7 +37,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		writeSeriesCSV(w, q, samples)
 		return
 	}
-	body := SeriesBody{Metric: q.Metric, Count: f.SeriesCount()}
+	body := energysched.SeriesSnapshot{Metric: q.Metric, Count: f.SeriesCount()}
 	if q.Metric != "" {
 		body.Points = series.Points(samples, q.Metric)
 	} else {
@@ -123,12 +80,7 @@ func writeSeriesCSV(w http.ResponseWriter, q series.Query, samples []series.Samp
 // (GET /v1/fleets/{id}/jobs/{jobID}/journey). 404 when no journey was
 // recorded — jobs admitted before this daemon started, or evicted from
 // the bounded store.
-func (s *Server) handleJourney(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleJourney(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: "bad job id"})
@@ -145,103 +97,35 @@ func (s *Server) handleJourney(w http.ResponseWriter, r *http.Request) {
 // handleJourneys serves the journey index (GET /v1/fleets/{id}/journeys)
 // or, with ?follow=1, the SSE firehose of lifecycle steps as they
 // commit (Last-Event-ID resumes like /events).
-func (s *Server) handleJourneys(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
+func (s *Server) handleJourneys(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
+	js := f.Journeys()
+	if follows(r) {
+		s.serveSSE(w, r, js.Ring)
 		return
 	}
-	if fv := r.URL.Query().Get("follow"); fv != "" && fv != "0" {
-		var since uint64
-		if v := r.URL.Query().Get("since"); v != "" {
-			since, _ = strconv.ParseUint(v, 10, 64)
-		} else if v := r.Header.Get("Last-Event-ID"); v != "" {
-			since, _ = strconv.ParseUint(v, 10, 64)
-		}
-		s.tailJourneys(w, r, f, since)
-		return
-	}
-	writeJSON(w, http.StatusOK, JourneysBody{Seq: f.JourneySeq(), Journeys: f.JourneySummaries()})
+	writeJSON(w, http.StatusOK, energysched.JourneysSnapshot{Seq: js.Seq(), Journeys: js.Summaries()})
 }
 
-// tailJourneys streams the journey firehose over SSE, mirroring
-// tailTrace: gapless backlog then live steps, keepalive pings on idle
-// fleets, slow consumers cut loose by the ring.
-func (s *Server) tailJourneys(w http.ResponseWriter, r *http.Request, f *fleet.Fleet, since uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, &fleet.Error{Status: http.StatusInternalServerError, Msg: "streaming unsupported"})
-		return
-	}
-	sub, backlog, gap := f.JourneySubscribe(since)
-	defer f.JourneyUnsubscribe(sub)
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if gap {
-		writeSSEGap(w, since, oldestSeq(len(backlog), func(i int) uint64 { return backlog[i].Seq }))
-	}
-	for _, ev := range backlog {
-		writeJourneySSE(w, ev)
-	}
-	fl.Flush()
-
-	heartbeat := time.NewTicker(s.heartbeat())
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev, ok := <-sub.Ch:
-			if !ok {
-				return // slow consumer cut loose, or the fleet closed
-			}
-			writeJourneySSE(w, ev)
-			for len(sub.Ch) > 0 {
-				if ev, ok = <-sub.Ch; !ok {
-					return
-				}
-				writeJourneySSE(w, ev)
-			}
-			fl.Flush()
-		case <-heartbeat.C:
-			w.Write([]byte(": ping\n\n"))
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeJourneySSE(w http.ResponseWriter, ev obs.RingEvent) {
-	w.Write([]byte("id: " + strconv.FormatUint(ev.Seq, 10) + "\nevent: step\ndata: "))
-	w.Write(ev.Data)
-	w.Write([]byte("\n\n"))
-}
-
-// handleAlerts serves the SLO burn-rate verdicts: every fleet's
-// objectives at GET /v1/alerts, one fleet's at
-// GET /v1/fleets/{id}/alerts.
+// handleAlerts serves every fleet's SLO burn-rate verdicts
+// (GET /v1/alerts).
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	var fleets []*fleet.Fleet
-	if id := r.PathValue("fleet"); id != "" {
-		f, err := s.mgr.Get(id)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		fleets = []*fleet.Fleet{f}
-	} else {
-		fleets = s.mgr.List()
-	}
-	body := AlertsBody{Alerts: []FleetAlert{}}
+	writeAlerts(w, s.mgr.List())
+}
+
+// handleFleetAlerts serves one fleet's verdicts
+// (GET /v1/fleets/{id}/alerts).
+func (s *Server) handleFleetAlerts(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
+	writeAlerts(w, []*fleet.Fleet{f})
+}
+
+func writeAlerts(w http.ResponseWriter, fleets []*fleet.Fleet) {
+	body := energysched.AlertsSnapshot{Alerts: []energysched.FleetAlert{}}
 	for _, f := range fleets {
 		for _, a := range f.Alerts() {
 			if a.State == "firing" {
 				body.Firing++
 			}
-			body.Alerts = append(body.Alerts, FleetAlert{Fleet: f.ID(), Alert: a})
+			body.Alerts = append(body.Alerts, energysched.FleetAlert{Fleet: f.ID(), AlertStatus: a})
 		}
 	}
 	writeJSON(w, http.StatusOK, body)

@@ -313,7 +313,7 @@ func TestSSEHeartbeatKeepsIdleStreamsAlive(t *testing.T) {
 	_, hs, _ := newTestServer(t, Config{
 		Policy: "SB", Seed: 1, SSEHeartbeat: 40 * time.Millisecond,
 	})
-	for _, path := range []string{"/v1/journeys?follow=1", "/v1/trace?follow=1"} {
+	for _, path := range []string{"/v1/events", "/v1/journeys?follow=1", "/v1/trace?follow=1"} {
 		t.Run(path, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
@@ -344,43 +344,45 @@ func TestSSEHeartbeatKeepsIdleStreamsAlive(t *testing.T) {
 	}
 }
 
-// TestAccountingWireTypesRoundTrip pins the client wire structs to the
-// internal ones the server marshals: a JSON document produced by the
-// daemon side must decode losslessly into the client type.
+// TestAccountingWireTypesRoundTrip pins the accounting wire format.
+// The public payload types are aliases of the structs the daemon
+// marshals, so the two sides cannot disagree any more; what can still
+// break is the wire itself — a renamed JSON tag in internal/obs,
+// series or slo now changes the public API. Each response envelope
+// must render exactly the documented JSON and decode back losslessly.
 func TestAccountingWireTypesRoundTrip(t *testing.T) {
-	// series.Sample → energysched.SeriesSample, every field.
-	smp := series.Sample{
+	roundTrip := func(name string, in, out interface{}, wantJSON string) {
+		t.Helper()
+		raw, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != wantJSON {
+			t.Fatalf("%s wire format changed:\n got %s\nwant %s", name, raw, wantJSON)
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(reflect.ValueOf(out).Elem().Interface(), in) {
+			t.Fatalf("%s did not survive the round trip:\n got %+v\nwant %+v", name, out, in)
+		}
+	}
+
+	roundTrip("series snapshot", energysched.SeriesSnapshot{Count: 41, Samples: []series.Sample{{
 		T: 3600, Watts: 1297.5, KWh: 1.25, SLA: 99.5, Utilization: 62.5,
 		Queue: 2, Running: 3, On: 4, Working: 3, Off: 6, Migrations: 7, Completed: 8,
 		Classes: []series.ClassSample{{Class: "c0", Watts: 500, KWh: 0.5, On: 2, Working: 1, Off: 3}},
-	}
-	raw, err := json.Marshal(SeriesBody{Metric: "", Count: 41, Samples: []series.Sample{smp}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap energysched.SeriesSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Count != 41 || len(snap.Samples) != 1 {
-		t.Fatalf("series snapshot = %+v", snap)
-	}
-	got := snap.Samples[0]
-	want := energysched.SeriesSample{
-		T: 3600, Watts: 1297.5, KWh: 1.25, SLA: 99.5, Utilization: 62.5,
-		Queue: 2, Running: 3, On: 4, Working: 3, Off: 6, Migrations: 7, Completed: 8,
-		Classes: []energysched.SeriesClassSample{{Class: "c0", Watts: 500, KWh: 0.5, On: 2, Working: 1, Off: 3}},
-	}
-	if len(got.Classes) != 1 || got.Classes[0] != want.Classes[0] {
-		t.Fatalf("class sample = %+v, want %+v", got.Classes, want.Classes)
-	}
-	got.Classes, want.Classes = nil, nil
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sample = %+v, want %+v", got, want)
-	}
+	}}}, new(energysched.SeriesSnapshot),
+		`{"count":41,"samples":[{"t":3600,"watts":1297.5,"kwh":1.25,"sla_pct":99.5,"utilization_pct":62.5,`+
+			`"queue":2,"running":3,"nodes_on":4,"nodes_working":3,"nodes_off":6,"migrations_total":7,"completed_total":8,`+
+			`"classes":[{"class":"c0","watts":500,"kwh":0.5,"on":2,"working":1,"off":3}]}]}`)
 
-	// obs.Journey (with a why-score) → energysched.JobJourney.
-	journey := obs.Journey{
+	roundTrip("series points", energysched.SeriesSnapshot{
+		Metric: "watts", Count: 2, Points: []series.Point{{T: 60, V: 725}},
+	}, new(energysched.SeriesSnapshot), `{"metric":"watts","count":2,"points":[{"t":60,"v":725}]}`)
+
+	// A journey with a why-score on its placed step.
+	roundTrip("journey", obs.Journey{
 		Job: 5, Truncated: true, Outcome: obs.StepCompleted, EnergyKWh: 0.75, Satisfaction: 98,
 		Steps: []obs.JourneyStep{
 			{T: 0, Kind: obs.StepSubmitted, Node: -1, Dest: -1},
@@ -388,51 +390,25 @@ func TestAccountingWireTypesRoundTrip(t *testing.T) {
 				Why: &obs.ActionTrace{Kind: "place", VM: 5, From: -1, To: 4, Gain: -2.5}},
 			{T: 600, Kind: obs.StepCompleted, Node: 4, Dest: -1, Satisfaction: 98, EnergyKWh: 0.75},
 		},
-	}
-	raw, err = json.Marshal(journey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jj energysched.JobJourney
-	if err := json.Unmarshal(raw, &jj); err != nil {
-		t.Fatal(err)
-	}
-	if jj.Job != 5 || !jj.Truncated || jj.Outcome != "completed" ||
-		jj.EnergyKWh != 0.75 || jj.Satisfaction != 98 || len(jj.Steps) != 3 {
-		t.Fatalf("journey = %+v", jj)
-	}
-	if w := jj.Steps[1].Why; w == nil || w.Kind != "place" || w.VM != 5 || w.To != 4 || w.Gain != -2.5 {
-		t.Fatalf("why-score = %+v", jj.Steps[1].Why)
-	}
-	if jj.Steps[2].Satisfaction != 98 || jj.Steps[2].EnergyKWh != 0.75 {
-		t.Fatalf("terminal step = %+v", jj.Steps[2])
-	}
+	}, new(energysched.JobJourney),
+		`{"job":5,"steps":[{"t":0,"kind":"submitted","node":-1,"dest":-1},`+
+			`{"t":30,"kind":"placed","node":4,"dest":-1,"why":{"kind":"place","vm":5,"from":-1,"to":4,"current":0,"chosen":0,"gain":-2.5}},`+
+			`{"t":600,"kind":"completed","node":4,"dest":-1,"satisfaction_pct":98,"energy_kwh":0.75}],`+
+			`"truncated":true,"outcome":"completed","energy_kwh":0.75,"satisfaction_pct":98}`)
 
-	// slo.Alert → energysched.AlertStatus, struct-equal.
-	alert := slo.Alert{
-		Name: "power-budget", Metric: "watts", State: "firing", Since: 1200,
-		Value: 1297, ShortBurn: 3.2, LongBurn: 1.4, Budget: 0.1,
-		FiredTotal: 2, ClearedTotal: 1,
-	}
-	raw, err = json.Marshal(AlertsBody{Firing: 1, Alerts: []FleetAlert{{Fleet: "default", Alert: alert}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var alerts energysched.AlertsSnapshot
-	if err := json.Unmarshal(raw, &alerts); err != nil {
-		t.Fatal(err)
-	}
-	if alerts.Firing != 1 || len(alerts.Alerts) != 1 || alerts.Alerts[0].Fleet != "default" {
-		t.Fatalf("alerts snapshot = %+v", alerts)
-	}
-	wantAlert := energysched.AlertStatus{
-		Name: "power-budget", Metric: "watts", State: "firing", Since: 1200,
-		Value: 1297, ShortBurn: 3.2, LongBurn: 1.4, Budget: 0.1,
-		FiredTotal: 2, ClearedTotal: 1,
-	}
-	if alerts.Alerts[0].AlertStatus != wantAlert {
-		t.Fatalf("alert = %+v, want %+v", alerts.Alerts[0].AlertStatus, wantAlert)
-	}
+	roundTrip("journeys index", energysched.JourneysSnapshot{Seq: 9, Journeys: []obs.JourneySummary{
+		{Job: 5, Steps: 3, Outcome: "completed", EnergyKWh: 0.75, Satisfaction: 98},
+	}}, new(energysched.JourneysSnapshot),
+		`{"seq":9,"journeys":[{"job":5,"steps":3,"outcome":"completed","energy_kwh":0.75,"satisfaction_pct":98}]}`)
+
+	roundTrip("alerts", energysched.AlertsSnapshot{Firing: 1, Alerts: []energysched.FleetAlert{{
+		Fleet: "default", AlertStatus: slo.Alert{
+			Name: "power-budget", Metric: "watts", State: "firing", Since: 1200,
+			Value: 1297, ShortBurn: 3.2, LongBurn: 1.4, Budget: 0.1,
+			FiredTotal: 2, ClearedTotal: 1,
+		}}}}, new(energysched.AlertsSnapshot),
+		`{"firing":1,"alerts":[{"fleet":"default","name":"power-budget","metric":"watts","state":"firing","since_s":1200,`+
+			`"value":1297,"short_burn":3.2,"long_burn":1.4,"budget":0.1,"fired_total":2,"cleared_total":1}]}`)
 
 	// Journey firehose wire → energysched.JourneyEvent, via a real
 	// store so the flattening is the production one.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -74,7 +73,9 @@ func (s *Server) withRouteMetrics(next *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		next.ServeHTTP(w, r)
-		_, route := next.Handler(r)
+		// ServeMux records the pattern it matched on the request it was
+		// handed, so the label costs no second route lookup.
+		route := r.Pattern
 		if route == "" {
 			route = "unmatched"
 		}
@@ -96,26 +97,21 @@ type TraceSnapshotBody struct {
 // retained rounds with sequence > ?since, with ?follow=1 an SSE tail
 // that replays the backlog and then streams each solver round as it
 // commits (Last-Event-ID resumes like /events).
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
+	ring := f.Trace()
+	if follows(r) {
+		s.serveSSE(w, r, ring.Ring)
+		return
+	}
+	since, err := resumePoint(r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		since, _ = strconv.ParseUint(v, 10, 64)
-	} else if v := r.Header.Get("Last-Event-ID"); v != "" {
-		since, _ = strconv.ParseUint(v, 10, 64)
-	}
-	if fv := r.URL.Query().Get("follow"); fv != "" && fv != "0" {
-		s.tailTrace(w, r, f, since)
-		return
-	}
-	evs := f.TraceSnapshot(since)
+	evs := ring.Snapshot(since)
 	body := TraceSnapshotBody{
-		Seq:       f.TraceSeq(),
-		Verbosity: f.TraceVerbosity().String(),
+		Seq:       ring.Seq(),
+		Verbosity: ring.Verbosity().String(),
 		Traces:    make([]json.RawMessage, 0, len(evs)),
 	}
 	for _, ev := range evs {
@@ -124,73 +120,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// tailTrace streams the trace ring over SSE, mirroring handleEvents:
-// gapless backlog then live rounds, heartbeats through proxies, slow
-// consumers cut loose by the ring rather than backpressuring the
-// solver.
-func (s *Server) tailTrace(w http.ResponseWriter, r *http.Request, f *fleet.Fleet, since uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, &fleet.Error{Status: http.StatusInternalServerError, Msg: "streaming unsupported"})
-		return
-	}
-	sub, backlog, gap := f.TraceSubscribe(since)
-	defer f.TraceUnsubscribe(sub)
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if gap {
-		writeSSEGap(w, since, oldestSeq(len(backlog), func(i int) uint64 { return backlog[i].Seq }))
-	}
-	for _, ev := range backlog {
-		writeTraceSSE(w, ev)
-	}
-	fl.Flush()
-
-	heartbeat := time.NewTicker(s.heartbeat())
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev, ok := <-sub.Ch:
-			if !ok {
-				return // slow consumer cut loose, or the fleet closed
-			}
-			writeTraceSSE(w, ev)
-			for len(sub.Ch) > 0 {
-				if ev, ok = <-sub.Ch; !ok {
-					return
-				}
-				writeTraceSSE(w, ev)
-			}
-			fl.Flush()
-		case <-heartbeat.C:
-			w.Write([]byte(": ping\n\n"))
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeTraceSSE(w http.ResponseWriter, ev obs.TraceEvent) {
-	w.Write([]byte("id: " + strconv.FormatUint(ev.Seq, 10) + "\nevent: round\ndata: "))
-	w.Write(ev.Data)
-	w.Write([]byte("\n\n"))
+// follows reports whether the request asked for the SSE tail
+// (?follow=1) rather than the JSON snapshot.
+func follows(r *http.Request) bool {
+	fv := r.URL.Query().Get("follow")
+	return fv != "" && fv != "0"
 }
 
 // handleTraceVerbosity retunes one fleet's trace recording level at
 // runtime (POST /v1/fleets/{id}/trace/verbosity, body
 // {"verbosity":"scores"}). Not write-gated: tracing is observability,
 // valid on followers, and never touches replicated state.
-func (s *Server) handleTraceVerbosity(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleTraceVerbosity(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	var body struct {
 		Verbosity string `json:"verbosity"`
 	}
@@ -203,6 +144,6 @@ func (s *Server) handleTraceVerbosity(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: err.Error()})
 		return
 	}
-	f.SetTraceVerbosity(v)
+	f.Trace().SetVerbosity(v)
 	writeJSON(w, http.StatusOK, map[string]string{"verbosity": v.String()})
 }

@@ -466,55 +466,72 @@ func (s *Server) gateWrites(w http.ResponseWriter) bool {
 	return false
 }
 
+// fleetHandler is a per-fleet route's handler: the addressed fleet is
+// already resolved.
+type fleetHandler func(w http.ResponseWriter, r *http.Request, f *fleet.Fleet)
+
+// perFleet mounts h behind the one preamble every per-fleet route
+// shares: reject state-changing requests on a follower (write routes
+// only), then resolve the addressed fleet — the {fleet} path segment,
+// or the default fleet on the alias routes.
+func (s *Server) perFleet(write bool, h fleetHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if write && !s.gateWrites(w) {
+			return
+		}
+		id := r.PathValue("fleet")
+		if id == "" {
+			id = DefaultFleet
+		}
+		f, err := s.mgr.Get(id)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		h(w, r, f)
+	}
+}
+
 func (s *Server) routes() {
+	const read, write = false, true
 	s.mux.HandleFunc("POST /v1/fleets", s.handleFleetCreate)
 	s.mux.HandleFunc("GET /v1/fleets", s.handleFleetList)
-	s.mux.HandleFunc("GET /v1/fleets/{fleet}", s.handleFleetInfo)
+	s.mux.HandleFunc("GET /v1/fleets/{fleet}", s.perFleet(read, s.handleFleetInfo))
 	s.mux.HandleFunc("DELETE /v1/fleets/{fleet}", s.handleFleetDelete)
 	// The per-fleet API, mounted twice: under /v1/fleets/{fleet} and —
 	// for PR 3 compatibility — at the old paths, which alias the
 	// default fleet.
 	for _, p := range []string{"/v1", "/v1/fleets/{fleet}"} {
-		s.mux.HandleFunc("POST "+p+"/jobs", s.handleSubmit)
-		s.mux.HandleFunc("GET "+p+"/jobs", s.handleJobs)
-		s.mux.HandleFunc("GET "+p+"/jobs/{id}", s.handleJob)
-		s.mux.HandleFunc("GET "+p+"/cluster", s.handleCluster)
-		s.mux.HandleFunc("GET "+p+"/report", s.handleReport)
-		s.mux.HandleFunc("POST "+p+"/drain", s.handleDrain)
-		s.mux.HandleFunc("POST "+p+"/snapshot", s.handleSnapshot)
-		s.mux.HandleFunc("POST "+p+"/restore", s.handleRestore)
-		s.mux.HandleFunc("GET "+p+"/events", s.handleEvents)
+		s.mux.HandleFunc("POST "+p+"/jobs", s.perFleet(write, s.handleSubmit))
+		s.mux.HandleFunc("GET "+p+"/jobs", s.perFleet(read, s.handleJobs))
+		s.mux.HandleFunc("GET "+p+"/jobs/{id}", s.perFleet(read, s.handleJob))
+		s.mux.HandleFunc("GET "+p+"/cluster", s.perFleet(read, s.handleCluster))
+		s.mux.HandleFunc("GET "+p+"/report", s.perFleet(read, s.handleReport))
+		s.mux.HandleFunc("POST "+p+"/drain", s.perFleet(write, s.handleDrain))
+		s.mux.HandleFunc("POST "+p+"/snapshot", s.perFleet(read, s.handleSnapshot))
+		s.mux.HandleFunc("POST "+p+"/restore", s.perFleet(write, s.handleRestore))
+		s.mux.HandleFunc("GET "+p+"/events", s.perFleet(read, s.handleEvents))
 		// Decision tracing (PR 8): snapshot/SSE tail plus the runtime
 		// verbosity knob.
-		s.mux.HandleFunc("GET "+p+"/trace", s.handleTrace)
-		s.mux.HandleFunc("POST "+p+"/trace/verbosity", s.handleTraceVerbosity)
+		s.mux.HandleFunc("GET "+p+"/trace", s.perFleet(read, s.handleTrace))
+		s.mux.HandleFunc("POST "+p+"/trace/verbosity", s.perFleet(read, s.handleTraceVerbosity))
 		// Accounting (PR 9): the energy/SLA time-series and the job
 		// lifecycle journeys.
-		s.mux.HandleFunc("GET "+p+"/series", s.handleSeries)
-		s.mux.HandleFunc("GET "+p+"/journeys", s.handleJourneys)
-		s.mux.HandleFunc("GET "+p+"/jobs/{id}/journey", s.handleJourney)
+		s.mux.HandleFunc("GET "+p+"/series", s.perFleet(read, s.handleSeries))
+		s.mux.HandleFunc("GET "+p+"/journeys", s.perFleet(read, s.handleJourneys))
+		s.mux.HandleFunc("GET "+p+"/jobs/{id}/journey", s.perFleet(read, s.handleJourney))
 	}
 	// SLO burn-rate alerts: daemon-wide at /v1/alerts (every fleet's
 	// objectives), fleet-scoped under the fleet prefix.
 	s.mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
-	s.mux.HandleFunc("GET /v1/fleets/{fleet}/alerts", s.handleAlerts)
+	s.mux.HandleFunc("GET /v1/fleets/{fleet}/alerts", s.perFleet(read, s.handleFleetAlerts))
 	// Replication & failover (PR 6).
-	s.mux.HandleFunc("GET /v1/fleets/{fleet}/replicate", s.handleReplicate)
-	s.mux.HandleFunc("GET /v1/fleets/{fleet}/status", s.handleFleetStatus)
+	s.mux.HandleFunc("GET /v1/fleets/{fleet}/replicate", s.perFleet(read, s.handleReplicate))
+	s.mux.HandleFunc("GET /v1/fleets/{fleet}/status", s.perFleet(read, s.handleFleetStatus))
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-}
-
-// fleetFor resolves the addressed fleet: the {fleet} path segment, or
-// the default fleet on the alias routes.
-func (s *Server) fleetFor(r *http.Request) (*fleet.Fleet, error) {
-	id := r.PathValue("fleet")
-	if id == "" {
-		id = DefaultFleet
-	}
-	return s.mgr.Get(id)
 }
 
 // --- fleet registry handlers ---
@@ -576,12 +593,7 @@ func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleFleetInfo(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleFleetInfo(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	info, err := f.Info()
 	if err != nil {
 		writeErr(w, err)
@@ -607,15 +619,7 @@ func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 // handleSubmit admits one job (body = JobSpec object) or a batch
 // (body = JSON array of JobSpec), the batch atomically in one
 // event-loop turn.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.gateWrites(w) {
-		return
-	}
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: "reading body: " + err.Error()})
@@ -649,12 +653,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, st)
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	out, err := f.Jobs()
 	if err != nil {
 		writeErr(w, err)
@@ -663,12 +662,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: "bad job id"})
@@ -682,12 +676,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	st, err := s.reads.do("cluster", f.ID(), func() (interface{}, error) {
 		return f.Cluster()
 	})
@@ -698,12 +687,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	rep, err := s.reads.do("report", f.ID(), func() (interface{}, error) {
 		return f.Report()
 	})
@@ -714,15 +698,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if !s.gateWrites(w) {
-		return
-	}
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	rep, err := f.Drain()
 	if err != nil {
 		writeErr(w, err)
@@ -731,12 +707,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	path, err := decodePath(r)
 	if err != nil {
 		writeErr(w, err)
@@ -750,15 +721,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	if !s.gateWrites(w) {
-		return
-	}
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	path, err := decodePath(r)
 	if err != nil {
 		writeErr(w, err)
@@ -796,12 +759,7 @@ const defaultReplPing = 500 * time.Millisecond
 // then live records as they commit, with periodic pings carrying the
 // leader's clock and head. Frames are CRC-wrapped exactly like WAL
 // records on disk (GET /v1/fleets/{id}/replicate?gen=G&offset=O).
-func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, &fleet.Error{Status: http.StatusInternalServerError, Msg: "streaming unsupported"})
@@ -913,12 +871,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetStatus reports one fleet's role and replication position
 // (GET /v1/fleets/{id}/status).
-func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
+func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	info, err := f.Info()
 	if err != nil {
 		writeErr(w, err)
@@ -1070,8 +1023,41 @@ func (s *Server) heartbeat() time.Duration {
 	return heartbeatInterval
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	f, err := s.fleetFor(r)
+// handleEvents streams the fleet's simulation events
+// (GET /v1/fleets/{id}/events), each under its kind as the SSE event
+// name.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
+	s.serveSSE(w, r, f.Broker())
+}
+
+// resumePoint parses where an SSE consumer (or a snapshot poller)
+// resumes: ?since=N wins over the Last-Event-ID header a reconnecting
+// EventSource sends. A malformed ?since= is a 400 — treating it as 0
+// would replay the whole ring with no gap signal; a malformed header
+// is ignored, as the SSE spec has it.
+func resumePoint(r *http.Request) (uint64, error) {
+	if v := r.URL.Query().Get("since"); v != "" {
+		since, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return 0, &fleet.Error{Status: http.StatusBadRequest,
+				Msg: fmt.Sprintf("bad since %q: want a sequence number", v)}
+		}
+		return since, nil
+	}
+	since, _ := strconv.ParseUint(r.Header.Get("Last-Event-ID"), 10, 64)
+	return since, nil
+}
+
+// serveSSE tails one ring over server-sent events — the one stream
+// loop behind /events, /trace?follow=1 and /journeys?follow=1. The
+// gapless backlog since the resume point goes first (preceded by a gap
+// event when that point was evicted), then live events as they are
+// emitted, with keepalive pings through proxies on an idle fleet. A
+// consumer that falls behind is cut loose by the ring rather than
+// backpressuring the event loop; the stream also ends when the fleet
+// closes or the client goes away.
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, ring *obs.Ring) {
+	since, err := resumePoint(r)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -1081,15 +1067,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &fleet.Error{Status: http.StatusInternalServerError, Msg: "streaming unsupported"})
 		return
 	}
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		since, _ = strconv.ParseUint(v, 10, 64)
-	} else if v := r.Header.Get("Last-Event-ID"); v != "" {
-		since, _ = strconv.ParseUint(v, 10, 64)
-	}
-	broker := f.Broker()
-	sub, backlog, gap := broker.Subscribe(since)
-	defer broker.Unsubscribe(sub)
+	sub, backlog, gap := ring.Subscribe(since)
+	defer ring.Unsubscribe(sub)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -1097,7 +1076,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	if gap {
-		writeSSEGap(w, since, oldestSeq(len(backlog), func(i int) uint64 { return backlog[i].Seq }))
+		// The resume point was evicted from the ring: consumers must not
+		// assume the stream is contiguous with what they saw before —
+		// re-sync from a snapshot (or since=0) instead. The event
+		// intentionally carries no id: line, so it never disturbs the
+		// consumer's Last-Event-ID bookkeeping; the stream continues
+		// with the retained tail after it.
+		var oldest uint64
+		if len(backlog) > 0 {
+			oldest = backlog[0].Seq
+		}
+		fmt.Fprintf(w, "event: gap\ndata: {\"requested\":%d,\"oldest\":%d}\n\n", since, oldest)
 	}
 	for _, ev := range backlog {
 		writeSSE(w, ev)
@@ -1122,7 +1111,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			fl.Flush()
 		case <-heartbeat.C:
-			fmt.Fprint(w, ": ping\n\n")
+			io.WriteString(w, ": ping\n\n")
 			fl.Flush()
 		case <-r.Context().Done():
 			return
@@ -1130,26 +1119,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeSSE(w http.ResponseWriter, ev fleet.StreamEvent) {
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, ev.Data)
-}
-
-// oldestSeq extracts the first retained sequence number from a backlog
-// (0 when nothing is retained) for the gap event's "oldest" field.
-func oldestSeq(n int, seqAt func(int) uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return seqAt(0)
-}
-
-// writeSSEGap emits the explicit gap event every SSE endpoint sends
-// when a Last-Event-ID/?since resume point has been evicted from the
-// ring: consumers must not assume the stream is contiguous with what
-// they saw before — re-sync from a snapshot (or since=0) instead. The
-// event intentionally carries no id: line, so it never disturbs the
-// consumer's Last-Event-ID bookkeeping; the stream continues with the
-// retained tail after it.
-func writeSSEGap(w http.ResponseWriter, requested, oldest uint64) {
-	fmt.Fprintf(w, "event: gap\ndata: {\"requested\":%d,\"oldest\":%d}\n\n", requested, oldest)
+func writeSSE(w io.Writer, ev obs.RingEvent) {
+	io.WriteString(w, "id: "+strconv.FormatUint(ev.Seq, 10)+"\nevent: "+ev.Name+"\ndata: ")
+	w.Write(ev.Data)
+	io.WriteString(w, "\n\n")
 }
