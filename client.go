@@ -177,11 +177,7 @@ type FleetSpec struct {
 	// JourneyDepth > 0 overrides how many job lifecycle journeys the
 	// fleet retains for GET /jobs/{id}/journey (default 2048).
 	JourneyDepth int `json:"journey_depth,omitempty"`
-	// AdmitShards > 0 overrides how many admission intake shards front
-	// the fleet's event loop (default 1). Reports, traces, journeys and
-	// series are byte-identical at any K — an ingest-throughput knob.
-	AdmitShards int `json:"admit_shards,omitempty"`
-	// AdmitQueue > 0 bounds each admission shard's queue (default 256);
+	// AdmitQueue > 0 bounds the fleet's admission queue (default 256);
 	// a full queue sheds submits with 429 + Retry-After.
 	AdmitQueue int `json:"admit_queue,omitempty"`
 	// RateLimit > 0 throttles the fleet's admissions to this many jobs

@@ -136,8 +136,10 @@ var allocMetrics = []string{"B/op", "allocs/op"}
 const allocTolerance = 0.02
 
 // gate compares the candidate against the baseline for every benchmark
-// present in both (keyed by name and GOMAXPROCS) and judges only what
-// one sample can decide: the paper metrics must be exactly equal, and
+// present in both — keyed by name alone: everything judged here is
+// independent of GOMAXPROCS, and the committed baselines were recorded
+// at GOMAXPROCS=1 (no -N suffix) while CI runners are multi-core — and
+// judges only what one sample can decide: the paper metrics must be exactly equal, and
 // B/op and allocs/op may not grow by more than allocTolerance. ns/op
 // is returned as information only — the candidate is a single
 // -benchtime=1x sample on a CI runner, the baseline was recorded on
@@ -145,15 +147,15 @@ const allocTolerance = 0.02
 // repeatable timing comparison is bench/run.sh). Benchmarks present on
 // one side only, and metrics a side did not report, are skipped — new
 // benchmarks must not fail the gate. checked is the number of
-// benchmarks actually compared.
+// benchmarks actually compared; a gate that compared nothing is itself
+// a regression, not a pass.
 func gate(cand, base *Artifact) (regressions, timings []string, checked int) {
-	key := func(b Benchmark) string { return fmt.Sprintf("%s-%d", b.Name, b.Procs) }
 	baseline := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		baseline[key(b)] = b
+		baseline[b.Name] = b
 	}
 	for _, b := range cand.Benchmarks {
-		want, ok := baseline[key(b)]
+		want, ok := baseline[b.Name]
 		if !ok {
 			continue
 		}
@@ -179,6 +181,9 @@ func gate(cand, base *Artifact) (regressions, timings []string, checked int) {
 			timings = append(timings, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%+.1f%%, not judged)",
 				b.Name, b.NsPerOp, want.NsPerOp, (b.NsPerOp/want.NsPerOp-1)*100))
 		}
+	}
+	if checked == 0 {
+		regressions = append(regressions, "no candidate benchmark has a baseline row: the gate compared nothing")
 	}
 	return regressions, timings, checked
 }

@@ -88,9 +88,30 @@ func TestGate(t *testing.T) {
 	if len(timings) != 5 || !strings.Contains(timings[0], "BenchmarkSlow: 5000 ns/op vs baseline 1000 (+400.0%, not judged)") {
 		t.Fatalf("timings = %q", timings)
 	}
-	// Same GOMAXPROCS key: a procs mismatch is a skip, not a compare.
-	cand.Benchmarks[1].Procs = 4
-	if regressions, _, checked := gate(cand, base); checked != 4 || len(regressions) != 1 {
-		t.Fatalf("procs-mismatched benchmark still compared (checked=%d, regressions=%q)", checked, regressions)
+}
+
+// Rows are matched by name alone: the committed baselines were recorded
+// at GOMAXPROCS=1 and a CI runner has more cores, which used to make
+// every key miss and the gate pass having compared nothing.
+func TestGateIgnoresGOMAXPROCS(t *testing.T) {
+	base := &Artifact{Benchmarks: []Benchmark{
+		{Name: "BenchmarkTable", Procs: 0, Metrics: map[string]float64{"kWh": 213.6}},
+	}}
+	cand := &Artifact{Benchmarks: []Benchmark{
+		{Name: "BenchmarkTable", Procs: 4, Metrics: map[string]float64{"kWh": 213.5}},
+	}}
+	regressions, _, checked := gate(cand, base)
+	if checked != 1 || len(regressions) != 1 || !strings.Contains(regressions[0], "BenchmarkTable: kWh") {
+		t.Fatalf("checked=%d regressions=%q, want the kWh drift caught across a procs mismatch", checked, regressions)
+	}
+}
+
+// A gate that matched no row has judged nothing and must fail.
+func TestGateFailsWhenNothingCompared(t *testing.T) {
+	base := &Artifact{Benchmarks: []Benchmark{{Name: "BenchmarkOld", NsPerOp: 1}}}
+	cand := &Artifact{Benchmarks: []Benchmark{{Name: "BenchmarkRenamed", NsPerOp: 1}}}
+	regressions, _, checked := gate(cand, base)
+	if checked != 0 || len(regressions) != 1 || !strings.Contains(regressions[0], "compared nothing") {
+		t.Fatalf("checked=%d regressions=%q, want the empty comparison reported as a failure", checked, regressions)
 	}
 }

@@ -93,8 +93,7 @@ func main() {
 		journeyDep = flag.Int("journey-depth", 0, "job journeys each fleet retains for GET /jobs/{id}/journey (0 = default 2048)")
 		sloFile    = flag.String("slo-file", "", "JSON file of SLO objectives applied to every fleet (burn-rate alerts on GET /v1/alerts)")
 		ssePing    = flag.Duration("sse-ping", 0, "SSE keepalive ping interval for /events, /trace and /journeys streams (0 = default 15s)")
-		admShards  = flag.Int("admit-shards", 0, "admission intake shards per fleet (0 = default 1; byte-identical at any K)")
-		admQueue   = flag.Int("admit-queue", 0, "bounded depth of each admission shard queue (0 = default 256; full queues shed with 429)")
+		admQueue   = flag.Int("admit-queue", 0, "bounded depth of each fleet's admission queue (0 = default 256; a full queue sheds with 429)")
 		rateLimit  = flag.Float64("rate-limit", 0, "per-fleet admission rate limit in jobs/sec (0 = unlimited; over-limit submits get 429 + Retry-After)")
 		rateBurst  = flag.Int("rate-burst", 0, "admission token-bucket burst in jobs (0 = one second's worth of -rate-limit)")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060); empty = disabled")
@@ -124,8 +123,8 @@ func main() {
 	if *ssePing < 0 {
 		cli.Usagef("energyschedd", "-sse-ping must be >= 0")
 	}
-	if *admShards < 0 || *admQueue < 0 || *rateLimit < 0 || *rateBurst < 0 {
-		cli.Usagef("energyschedd", "-admit-shards, -admit-queue, -rate-limit and -rate-burst must be >= 0")
+	if *admQueue < 0 || *rateLimit < 0 || *rateBurst < 0 {
+		cli.Usagef("energyschedd", "-admit-queue, -rate-limit and -rate-burst must be >= 0")
 	}
 	var objectives []slo.Objective
 	if *sloFile != "" {
@@ -188,7 +187,6 @@ func main() {
 		JourneyDepth:      *journeyDep,
 		SLOs:              objectives,
 		SSEHeartbeat:      *ssePing,
-		AdmitShards:       *admShards,
 		AdmitQueue:        *admQueue,
 		RateLimit:         *rateLimit,
 		RateBurst:         *rateBurst,

@@ -41,7 +41,6 @@ func main() {
 		checkpoint = flag.Float64("checkpoint", 0, "checkpoint interval in seconds (0 = off)")
 		adaptive   = flag.Float64("adaptive", 0, "dynamic-λ satisfaction target in percent (0 = static thresholds)")
 		shards     = flag.Int("shards", 0, "solver shards per scheduling round: 0 = one shard, the default, -1 = GOMAXPROCS, K = exactly K (results are byte-identical at any setting)")
-		stream     = flag.Bool("stream", false, "stream the workload incrementally (O(1) memory in trace length; results are byte-identical to the materialized run)")
 		nodes      = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
 		eventsOut  = flag.String("events", "", "write the JSONL event log to this file")
 		jobsOut    = flag.String("jobs", "", "write per-job outcomes CSV to this file")
@@ -49,21 +48,13 @@ func main() {
 	)
 	cli.Parse("energysim")
 
-	var trace *energysched.Trace
-	if *stream {
-		fmt.Println("workload: streaming (not materialized)")
-	} else {
-		var err error
-		if trace, err = loadTrace(*traceFile, *gwfFile, *days, *seed); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("workload: %d jobs, %.1f CPU-hours over %.1f days\n",
-			trace.Len(), trace.TotalCPUHours(), trace.Makespan()/86400)
+	src, err := loadSource(*traceFile, *gwfFile, *days, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	opts := energysched.Options{
 		Policy:            *policyName,
-		Trace:             trace,
 		LambdaMin:         *lmin,
 		LambdaMax:         *lmax,
 		Seed:              *seed,
@@ -112,17 +103,7 @@ func main() {
 			fmt.Fprintf(w, "%.3f,%.1f\n", t, watts)
 		}
 	}
-	var res energysched.Result
-	var err error
-	if *stream {
-		src, serr := loadSource(*traceFile, *gwfFile, *days, *seed)
-		if serr != nil {
-			log.Fatal(serr)
-		}
-		res, err = energysched.RunStream(opts, src)
-	} else {
-		res, err = energysched.Run(opts)
-	}
+	res, err := energysched.RunStream(opts, src)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,6 +112,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// The workload is streamed, never held, so its totals are known only
+	// once the run has consumed it.
+	fmt.Printf("workload: %d jobs, %.1f CPU-hours over %.1f days\n",
+		res.JobsTotal, res.CPUHours, res.SimEnd/86400)
 	fmt.Println(metrics.TableHeader())
 	fmt.Println(res)
 	if res.Failures > 0 {
@@ -138,9 +123,9 @@ func main() {
 	}
 }
 
-// loadSource is loadTrace's streaming twin: the same inputs as
-// incremental sources, so week-long files feed the run in O(1) memory.
-// File sources are read lazily; the file closes with the process.
+// loadSource opens the workload as an incremental source, so week-long
+// files feed the run in O(1) memory. File sources are read lazily; the
+// file closes with the process.
 func loadSource(csvPath, gwfPath string, days float64, seed int64) (energysched.JobSource, error) {
 	switch {
 	case csvPath != "" && gwfPath != "":
@@ -159,28 +144,5 @@ func loadSource(csvPath, gwfPath string, days float64, seed int64) (energysched.
 		return energysched.StreamTraceGWF(f)
 	default:
 		return energysched.GenerateTraceSource(energysched.TraceOptions{Days: days, Seed: seed})
-	}
-}
-
-func loadTrace(csvPath, gwfPath string, days float64, seed int64) (*energysched.Trace, error) {
-	switch {
-	case csvPath != "" && gwfPath != "":
-		return nil, fmt.Errorf("give either -trace or -gwf, not both")
-	case csvPath != "":
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return energysched.ReadTraceCSV(f)
-	case gwfPath != "":
-		f, err := os.Open(gwfPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return energysched.ReadTraceGWF(f)
-	default:
-		return energysched.GenerateTrace(energysched.TraceOptions{Days: days, Seed: seed}), nil
 	}
 }

@@ -33,7 +33,6 @@ func main() {
 		policy = flag.String("policy", "SB", "policy to sweep: SB, SB2, BF, DBF")
 		shards = flag.Int("shards", 0, "solver shards per scheduling round: 0 = one shard, the default, -1 = GOMAXPROCS, K = exactly K (grid values are byte-identical at any setting)")
 		nodes  = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
-		stream = flag.Bool("stream", false, "stream a fresh copy of the trace into each grid cell (O(1) memory; cells are byte-identical to the materialized sweep)")
 		out    = flag.String("o", "", "output CSV file (empty = stdout)")
 	)
 	cli.Parse("sweep")
@@ -46,14 +45,9 @@ func main() {
 	if *nodes > 0 {
 		cfg.Classes = chaos.HeterogeneousClasses(*nodes)
 	}
-	var trace *workload.Trace
-	if *stream {
-		cfg.Source = func() (workload.JobSource, error) { return workload.NewGeneratorSource(gen) }
-	} else {
-		var err error
-		if trace, err = workload.Generate(gen); err != nil {
-			log.Fatal(err)
-		}
+	trace, err := workload.Generate(gen)
+	if err != nil {
+		log.Fatal(err)
 	}
 	for v := 10.0; v <= 90; v += *step {
 		cfg.LambdaMins = append(cfg.LambdaMins, v)

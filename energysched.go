@@ -50,9 +50,7 @@ type TraceOptions struct {
 	JobsPerDay float64
 }
 
-// GenerateTrace produces a synthetic Grid5000-like trace calibrated
-// to the aggregate statistics of the week the paper evaluates on.
-func GenerateTrace(opts TraceOptions) *Trace {
+func (opts TraceOptions) generatorConfig() workload.GeneratorConfig {
 	cfg := workload.DefaultGeneratorConfig()
 	if opts.Days > 0 {
 		cfg.Horizon = opts.Days * 24 * 3600
@@ -63,37 +61,34 @@ func GenerateTrace(opts TraceOptions) *Trace {
 	if opts.JobsPerDay > 0 {
 		cfg.JobsPerDay = opts.JobsPerDay
 	}
-	return workload.MustGenerate(cfg)
+	return cfg
 }
 
-// JobSource is a streaming workload: jobs yielded one at a time in
-// submit order, so week-long traces feed a simulation in O(1) memory.
+// GenerateTrace produces a synthetic Grid5000-like trace calibrated
+// to the aggregate statistics of the week the paper evaluates on: the
+// jobs of GenerateTraceSource, collected.
+func GenerateTrace(opts TraceOptions) *Trace {
+	return workload.MustGenerate(opts.generatorConfig())
+}
+
+// JobSource is a workload as the simulator ingests it: jobs yielded
+// one at a time in submit order, so week-long traces feed a simulation
+// in O(1) memory. A Trace is a source read to its end.
 type JobSource = workload.JobSource
 
 // GenerateTraceSource streams the synthetic Grid5000-like trace
-// without materializing it: the yielded jobs are identical, job for
-// job, to GenerateTrace with the same options.
+// without materializing it.
 func GenerateTraceSource(opts TraceOptions) (JobSource, error) {
-	cfg := workload.DefaultGeneratorConfig()
-	if opts.Days > 0 {
-		cfg.Horizon = opts.Days * 24 * 3600
-	}
-	if opts.Seed != 0 {
-		cfg.Seed = opts.Seed
-	}
-	if opts.JobsPerDay > 0 {
-		cfg.JobsPerDay = opts.JobsPerDay
-	}
-	return workload.NewGeneratorSource(cfg)
+	return workload.NewGeneratorSource(opts.generatorConfig())
 }
 
-// StreamTraceCSV streams a native CSV trace incrementally (the
-// streaming counterpart of ReadTraceCSV; rows must be submit-sorted).
+// StreamTraceCSV streams a native CSV trace incrementally (rows must
+// be submit-sorted); ReadTraceCSV collects it.
 func StreamTraceCSV(r io.Reader) (JobSource, error) { return workload.NewCSVSource(r) }
 
 // StreamTraceGWF streams a Grid Workloads Format trace incrementally
-// with default conversion (the streaming counterpart of ReadTraceGWF;
-// rows must be submit-sorted).
+// with default conversion (rows must be submit-sorted); ReadTraceGWF
+// collects it.
 func StreamTraceGWF(r io.Reader) (JobSource, error) {
 	return workload.NewGWFSource(r, workload.ConvertOptions{})
 }
@@ -208,35 +203,9 @@ func ScaleClasses(total int) []NodeClass {
 	}
 }
 
-// Result is the outcome of one run — one row of the paper's tables.
-type Result struct {
-	Policy               string
-	LambdaMin, LambdaMax float64
-	AvgWorking           float64 // time-averaged working nodes
-	AvgOnline            float64 // time-averaged powered-on nodes
-	CPUHours             float64 // CPU work executed
-	EnergyKWh            float64 // total energy
-	Satisfaction         float64 // mean client satisfaction S (%)
-	Delay                float64 // mean execution delay (%)
-	Migrations           int
-	JobsCompleted        int
-	JobsTotal            int
-	Failures             int
-	SimEnd               float64 // virtual seconds simulated
-}
-
-// String renders the result like a row of the paper's tables.
-func (r Result) String() string { return r.report().String() }
-
-func (r Result) report() metrics.Report {
-	return metrics.Report{
-		Policy: r.Policy, LambdaMin: r.LambdaMin, LambdaMax: r.LambdaMax,
-		AvgWorking: r.AvgWorking, AvgOnline: r.AvgOnline, CPUHours: r.CPUHours,
-		EnergyKWh: r.EnergyKWh, Satisfaction: r.Satisfaction, Delay: r.Delay,
-		Migrations: r.Migrations, JobsCompleted: r.JobsCompleted,
-		JobsTotal: r.JobsTotal, Failures: r.Failures, SimEnd: r.SimEnd,
-	}
-}
+// Result is the outcome of one run — one row of the paper's tables
+// (String renders it as one).
+type Result = metrics.Report
 
 // NewPolicy constructs a policy by name. Exposed so callers can embed
 // policies in custom harnesses; Run calls it internally (with
@@ -319,31 +288,18 @@ func NewSimulation(opts Options) (*datacenter.Simulation, error) {
 	return sim, nil
 }
 
-// Run executes one simulation and returns its result.
+// Run executes one simulation over Options.Trace and returns its
+// result.
 func Run(opts Options) (Result, error) {
 	if opts.Trace == nil {
 		return Result{}, fmt.Errorf("energysched: Options.Trace is required")
 	}
-	sim, err := NewSimulation(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	rep, err := sim.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.JobsCSV != nil {
-		if err := datacenter.WriteJobsCSV(opts.JobsCSV, sim.VMs()); err != nil {
-			return Result{}, err
-		}
-	}
-	return fromReport(rep), nil
+	return run(opts, workload.NewTraceSource(opts.Trace))
 }
 
-// RunStream executes one simulation fed from a streaming source
-// instead of a materialized Options.Trace. The result is
-// byte-identical to Run on the equivalent trace; only peak memory
-// differs (O(1) in trace length instead of O(jobs)).
+// RunStream executes one simulation fed from a source instead of
+// Options.Trace, in O(1) memory in the trace length. Run is RunStream
+// over the trace's jobs, so the two cannot disagree.
 func RunStream(opts Options, src JobSource) (Result, error) {
 	if src == nil {
 		return Result{}, fmt.Errorf("energysched: RunStream needs a source")
@@ -351,11 +307,15 @@ func RunStream(opts Options, src JobSource) (Result, error) {
 	if opts.Trace != nil {
 		return Result{}, fmt.Errorf("energysched: give RunStream a source or Options.Trace, not both")
 	}
+	return run(opts, src)
+}
+
+func run(opts Options, src JobSource) (Result, error) {
 	sim, err := NewSimulation(opts)
 	if err != nil {
 		return Result{}, err
 	}
-	rep, err := sim.RunSource(src)
+	res, err := sim.RunSource(src)
 	if err != nil {
 		return Result{}, err
 	}
@@ -364,17 +324,7 @@ func RunStream(opts Options, src JobSource) (Result, error) {
 			return Result{}, err
 		}
 	}
-	return fromReport(rep), nil
-}
-
-func fromReport(rep metrics.Report) Result {
-	return Result{
-		Policy: rep.Policy, LambdaMin: rep.LambdaMin, LambdaMax: rep.LambdaMax,
-		AvgWorking: rep.AvgWorking, AvgOnline: rep.AvgOnline, CPUHours: rep.CPUHours,
-		EnergyKWh: rep.EnergyKWh, Satisfaction: rep.Satisfaction, Delay: rep.Delay,
-		Migrations: rep.Migrations, JobsCompleted: rep.JobsCompleted,
-		JobsTotal: rep.JobsTotal, Failures: rep.Failures, SimEnd: rep.SimEnd,
-	}
+	return res, nil
 }
 
 func convertClasses(in []NodeClass) ([]cluster.Class, error) {

@@ -124,16 +124,18 @@ func crashOnline(sim *datacenter.Simulation, rank int) int {
 	return id
 }
 
-// DriveSource streams a workload into sim and drains it, like
-// datacenter.RunSource — but with an optionally jittered admission
-// clock: instead of stepping straight to each job's submit time, the
-// watermark advances in a seeded sequence of partial steps (clock-
-// pace jitter). StepBefore fires events strictly before the target
-// either way, so the final report must be byte-identical to the
-// smooth drive — which makes jitter itself an oracle: any divergence
-// means hidden state leaks through the pacing of observation points.
-// Pass jitter == nil for the smooth drive.
+// DriveSource streams a workload into sim and drains it. With a nil
+// jitter it is sim.RunSource, the smooth drive. With a jitter stream
+// it is the oracle for that drive: instead of stepping straight to
+// each job's submit time, the watermark advances in a seeded sequence
+// of partial steps (clock-pace jitter). StepBefore fires events
+// strictly before the target either way, so the final report must be
+// byte-identical to the smooth drive — any divergence means hidden
+// state leaks through the pacing of observation points.
 func DriveSource(sim *datacenter.Simulation, src workload.JobSource, jitter *simkit.Stream) (metrics.Report, error) {
+	if jitter == nil {
+		return sim.RunSource(src)
+	}
 	sim.Start()
 	count := 0
 	var wm float64
@@ -149,14 +151,6 @@ func DriveSource(sim *datacenter.Simulation, src workload.JobSource, jitter *sim
 			return metrics.Report{}, err
 		}
 		count++
-		if j.Submit <= wm {
-			continue
-		}
-		if jitter == nil {
-			wm = j.Submit
-			sim.StepBefore(wm)
-			continue
-		}
 		for target := j.Submit; wm < target; {
 			wm += (target - wm) * jitter.Uniform(0.3, 1.0)
 			if target-wm < 1e-9 {

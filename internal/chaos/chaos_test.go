@@ -248,12 +248,11 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 }
 
 // TestScenario10kShardedAdmissionByteIdentity extends the scale oracle
-// to the admission path: the same 10k-node two-day stream pushed
-// through K∈{1,2,4} intake shards (batched through the admission
-// router, not the bulk-load bypass) must drain byte-identical to the
-// bulk-loaded serial reference. Admission sharding is a pure
-// ingest-throughput knob — any divergence means the merge arbiter
-// leaked request ordering into the engine.
+// to the admission path: the same 10k-node two-day stream batched
+// through the admission router (bounded queue → arbiter → event loop,
+// not the bulk-load bypass) must drain byte-identical to the
+// bulk-loaded serial reference — any divergence means the router
+// leaked something other than the requests into the engine.
 func TestScenario10kShardedAdmissionByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
@@ -293,57 +292,54 @@ func TestScenario10kShardedAdmissionByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, k := range []int{1, 2, 4} {
-		f, err := fleet.Open("k", fleet.Config{
-			Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true,
-			AdmitShards: k,
-		})
-		if err != nil {
-			t.Fatalf("K=%d: %v", k, err)
+	f, err := fleet.Open("router", fleet.Config{
+		Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	src, err := workload.NewGeneratorSource(s.GeneratorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same 64-job batches, but through SubmitBatch — the full
+	// queue → arbiter admission path.
+	streamed := 0
+	batch := make([]energysched.JobSpec, 0, 64)
+	flush := func() {
+		if len(batch) == 0 {
+			return
 		}
-		src, err := workload.NewGeneratorSource(s.GeneratorConfig())
+		if _, err := f.SubmitBatch(batch); err != nil {
+			t.Fatalf("batch at %d: %v", streamed, err)
+		}
+		streamed += len(batch)
+		batch = batch[:0]
+	}
+	for {
+		j, err := src.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The same 64-job batches, but through SubmitBatch — the full
-		// shard-queue → merge → arbiter admission path.
-		streamed := 0
-		batch := make([]energysched.JobSpec, 0, 64)
-		flush := func() {
-			if len(batch) == 0 {
-				return
-			}
-			if _, err := f.SubmitBatch(batch); err != nil {
-				t.Fatalf("K=%d batch at %d: %v", k, streamed, err)
-			}
-			streamed += len(batch)
-			batch = batch[:0]
+		batch = append(batch, spec(j))
+		if len(batch) == 64 {
+			flush()
 		}
-		for {
-			j, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch = append(batch, spec(j))
-			if len(batch) == 64 {
-				flush()
-			}
-		}
-		flush()
-		if streamed != total {
-			t.Fatalf("K=%d streamed %d jobs, reference admitted %d", k, streamed, total)
-		}
-		got, err := f.Drain()
-		if err != nil {
-			t.Fatalf("K=%d drain: %v", k, err)
-		}
-		f.Close()
-		if got != want {
-			t.Fatalf("K=%d admission diverged from the bulk-loaded reference:\n got %+v\nwant %+v", k, got, want)
-		}
+	}
+	flush()
+	if streamed != total {
+		t.Fatalf("streamed %d jobs, reference admitted %d", streamed, total)
+	}
+	got, err := f.Drain()
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got != want {
+		t.Fatalf("router admission diverged from the bulk-loaded reference:\n got %+v\nwant %+v", got, want)
 	}
 }
 

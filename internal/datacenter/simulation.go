@@ -45,7 +45,7 @@ type nodeRT struct {
 }
 
 // Simulation is one run in progress. Build with New, execute with
-// Run, then read the Report.
+// Run or RunSource, then read the Report.
 type Simulation struct {
 	cfg      Config
 	eng      *simkit.Engine
@@ -195,31 +195,25 @@ func (s *Simulation) WattsNow() float64 { return s.currentWatts() }
 // NodeWatts returns node id's most recently observed draw.
 func (s *Simulation) NodeWatts(id int) float64 { return s.rt[id].meter.CurrentWatts() }
 
-// Run executes the trace to completion (or cfg.MaxTime) and returns
-// the report. It is a convenience composition of the step-wise
-// primitives below: Inject every trace job, Start the background
-// machinery, then Drain.
+// Run executes the configured trace to completion (or cfg.MaxTime) and
+// returns the report: RunSource over the trace.
 func (s *Simulation) Run() (metrics.Report, error) {
 	if s.cfg.Trace == nil || len(s.cfg.Trace.Jobs) == 0 {
 		return metrics.Report{}, fmt.Errorf("datacenter: config needs a non-empty trace")
 	}
-	for _, j := range s.cfg.Trace.Jobs {
-		if _, err := s.Inject(j); err != nil {
-			return metrics.Report{}, err
-		}
-	}
-	s.Start()
-	return s.Drain(), nil
+	return s.RunSource(workload.NewTraceSource(s.cfg.Trace))
 }
 
-// RunSource executes a streaming workload to completion: jobs are
-// pulled from src one at a time and injected at the admission
-// watermark, so a week-long trace drives the simulation without ever
-// being materialized. Because Inject gives admissions injection
-// priority and the watermark trails the submit times, the run is
-// byte-identical to Run on the materialized equivalent of src — the
-// same online-equals-offline contract the fleet admission path rests
-// on. The config's Trace is ignored.
+// RunSource is the offline ingestion loop: every offline run — from a
+// file, the generator or a built trace — goes through it. Start, then
+// for each job pulled from src Inject it and StepBefore the admission
+// watermark (the largest submit time seen), then Drain; the engine
+// only ever holds the current instant's arrivals, so a week-long
+// source is never materialized. Because Inject gives admissions
+// injection priority and the watermark trails the submit times, the
+// run is byte-identical to preloading every job before Start — the
+// online-equals-offline contract the fleet admission path and its WAL
+// replay rest on. The config's Trace is not consulted.
 func (s *Simulation) RunSource(src workload.JobSource) (metrics.Report, error) {
 	s.Start()
 	count := 0
@@ -277,8 +271,8 @@ func (s *Simulation) Inject(j workload.Job) (*vm.VM, error) {
 
 // Start arms the background machinery: failure processes for nodes
 // that are already online, the housekeeping tick and the checkpoint
-// tick. Run calls it internally after injecting the trace; an online
-// harness calls it once before driving the engine stepwise. Start is
+// tick. RunSource calls it before its first Inject; an online harness
+// calls it once before driving the engine stepwise. Start is
 // idempotent.
 func (s *Simulation) Start() {
 	if s.started {
@@ -328,7 +322,8 @@ func (s *Simulation) StepBefore(t float64) float64 {
 
 // Drain seals the workload and runs the remaining events until every
 // admitted job completes (or the safety horizon passes), then returns
-// the final report — the tail of Run, callable from an online harness.
+// the final report — the tail of RunSource, callable from an online
+// harness.
 func (s *Simulation) Drain() metrics.Report {
 	s.Seal()
 	if !s.done {

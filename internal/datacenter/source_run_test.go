@@ -22,28 +22,27 @@ func sbConfig(t *testing.T, trace *workload.Trace, nodes int, seed int64) Config
 	}
 }
 
-// RunSource must be byte-identical to Run on the materialized trace:
-// streaming ingestion is the online-admission contract (inject at the
-// watermark, injection priority), which the offline path already
-// proves equivalent to.
+// RunSource (inject at the watermark, injection priority) must be
+// byte-identical to the preloaded form built from the primitives —
+// Inject every job, Start, Drain — which is what fleet.rebuild replays
+// a WAL with. Run is RunSource now, so the reference cannot be Run.
 func TestRunSourceMatchesRun(t *testing.T) {
 	gcfg := workload.DefaultGeneratorConfig()
 	gcfg.Horizon = 24 * 3600
-	tr := workload.MustGenerate(gcfg)
 
-	off, err := New(sbConfig(t, tr, 20, 1))
+	off, err := New(sbConfig(t, nil, 20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := off.Run()
-	if err != nil {
-		t.Fatal(err)
+	for _, j := range workload.MustGenerate(gcfg).Jobs {
+		if _, err := off.Inject(j); err != nil {
+			t.Fatal(err)
+		}
 	}
+	off.Start()
+	want := off.Drain()
 
-	// Stream the very same jobs from the generator source (no
-	// materialized trace in the config at all).
-	cfg := sbConfig(t, nil, 20, 1)
-	on, err := New(cfg)
+	on, err := New(sbConfig(t, nil, 20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +54,8 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("streamed run diverged from materialized run:\n got %+v\nwant %+v", got, want)
+	if got != want || got.JobsCompleted == 0 {
+		t.Fatalf("streamed run diverged from the preloaded run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"energysched/internal/cluster"
 	"energysched/internal/core"
 	"energysched/internal/datacenter"
-	"energysched/internal/metrics"
 	"energysched/internal/policy"
 	"energysched/internal/workload"
 )
@@ -39,10 +38,6 @@ type SweepConfig struct {
 	// Classes overrides the fleet (nil = the paper's 100 nodes), so
 	// grids can sweep 10k-node heterogeneous scale scenarios.
 	Classes []cluster.Class
-	// Source, when non-nil, streams a fresh copy of the workload for
-	// each grid cell instead of the materialized trace argument —
-	// week-long scale traces then sweep in O(1) memory per cell.
-	Source func() (workload.JobSource, error)
 }
 
 // DefaultSweepConfig returns the paper's grid.
@@ -59,9 +54,6 @@ func DefaultSweepConfig() SweepConfig {
 // the point list via omission. Points are ordered λmax-major to match
 // the paper's surface plots.
 func LambdaSweep(cfg SweepConfig, trace *workload.Trace) ([]SweepPoint, error) {
-	if trace == nil && cfg.Source == nil {
-		return nil, fmt.Errorf("experiments: sweep needs a trace or a streaming source")
-	}
 	var out []SweepPoint
 	for _, lmax := range cfg.LambdaMaxs {
 		for _, lmin := range cfg.LambdaMins {
@@ -72,31 +64,19 @@ func LambdaSweep(cfg SweepConfig, trace *workload.Trace) ([]SweepPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			dcfg := datacenter.Config{
+			sim, err := datacenter.New(datacenter.Config{
+				Trace:     trace,
 				Policy:    pol,
 				Classes:   cfg.Classes,
 				LambdaMin: lmin,
 				LambdaMax: lmax,
 				Seed:      Seed,
-			}
-			if cfg.Source == nil {
-				dcfg.Trace = trace
-			}
-			sim, err := datacenter.New(dcfg)
+			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: sweep λ=%v-%v: %w", lmin, lmax, err)
 			}
-			var rep metrics.Report
-			if cfg.Source != nil {
-				src, err := cfg.Source()
-				if err != nil {
-					return nil, fmt.Errorf("experiments: sweep λ=%v-%v: %w", lmin, lmax, err)
-				}
-				rep, err = sim.RunSource(src)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: sweep λ=%v-%v: %w", lmin, lmax, err)
-				}
-			} else if rep, err = sim.Run(); err != nil {
+			rep, err := sim.Run()
+			if err != nil {
 				return nil, fmt.Errorf("experiments: sweep λ=%v-%v: %w", lmin, lmax, err)
 			}
 			out = append(out, SweepPoint{

@@ -7,18 +7,15 @@ import (
 	"energysched"
 )
 
-// benchAdmitRouter measures concurrent admission throughput through
-// the K-sharded intake path: each iteration pushes a fixed burst of
-// jobs from 8 submitters through a fresh fleet's shard queues, merge
-// channel and arbiter into the event loop. The K axis isolates the
-// intake fan-in; the work per job (WAL off, in-memory sim) is
-// constant, so the delta between K values is pure router overhead or
-// relief.
-func benchAdmitRouter(b *testing.B, k int) {
+// BenchmarkAdmitRouter measures concurrent admission throughput
+// through the router: each iteration pushes a fixed burst of jobs from
+// 8 submitters through a fresh fleet's bounded queue and arbiter into
+// the event loop (WAL off, in-memory sim).
+func BenchmarkAdmitRouter(b *testing.B) {
 	const submitters, perSubmitter = 8, 128
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f, err := Open("bench", Config{Policy: "SB", Seed: 1, AdmitShards: k})
+		f, err := Open("bench", Config{Policy: "SB", Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +39,3 @@ func benchAdmitRouter(b *testing.B, k int) {
 	}
 	b.ReportMetric(float64(submitters*perSubmitter), "jobs/iter")
 }
-
-func BenchmarkAdmitRouterK1(b *testing.B) { benchAdmitRouter(b, 1) }
-func BenchmarkAdmitRouterK2(b *testing.B) { benchAdmitRouter(b, 2) }
-func BenchmarkAdmitRouterK4(b *testing.B) { benchAdmitRouter(b, 4) }

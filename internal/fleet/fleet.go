@@ -107,14 +107,9 @@ type Config struct {
 	// the accounting series at every tick (nil = no SLO engine). Must
 	// be pre-validated (slo.Parse does).
 	SLOs []slo.Objective
-	// AdmitShards is how many admission intake shards front the event
-	// loop (default 1). Requests are hash-partitioned across shards by
-	// ingest sequence and merged back deterministically, so reports,
-	// traces, journeys and series are byte-identical at any K — a pure
-	// ingest-throughput knob, like Shards is for the solver.
-	AdmitShards int
-	// AdmitQueue bounds each admission shard's queue (default 256).
-	// A full queue sheds with 429 + Retry-After instead of blocking.
+	// AdmitQueue bounds the admission queue in front of the event loop
+	// (default 256). A full queue sheds with 429 + Retry-After instead
+	// of blocking.
 	AdmitQueue int
 	// RateLimit throttles admission to this many jobs per second via a
 	// token bucket (0 = unlimited). Over-limit requests are shed with
@@ -142,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WALSync == "" {
 		c.WALSync = SyncAlways
-	}
-	if c.AdmitShards <= 0 {
-		c.AdmitShards = 1
 	}
 	if c.AdmitQueue <= 0 {
 		c.AdmitQueue = 256
@@ -308,7 +300,7 @@ func (f *Fleet) recover() (jobs []workload.Job, now float64, sealed bool, err er
 		// logged jobs were acknowledged under — an API restore may have
 		// changed it after the manifest was written — so it wins over
 		// the manager-supplied config, exactly as in restore().
-		f.adoptSnapshotConfig(snap.Config)
+		snap.Config.applyTo(&f.cfg)
 		for _, sj := range snap.Jobs {
 			jobs = append(jobs, sj.job())
 		}
@@ -543,8 +535,8 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 // --- admission ---
 
 // Submit admits one job through the admission router: rate-limited,
-// shard-queued, merge-arbitrated (shard.go). Over-limit and
-// full-queue requests come back as 429 fleet.Errors with Retry-After.
+// queued, merge-arbitrated (shard.go). Over-limit and full-queue
+// requests come back as 429 fleet.Errors with Retry-After.
 func (f *Fleet) Submit(spec energysched.JobSpec) (energysched.JobStatus, error) {
 	out, err := f.router.submit([]energysched.JobSpec{spec})
 	if err != nil {
@@ -564,7 +556,7 @@ func (f *Fleet) SubmitBatch(specs []energysched.JobSpec) ([]energysched.JobStatu
 }
 
 // submitDirect admits a batch on the event loop, bypassing the
-// admission router: no rate limit, no shard queue. Bulk internal
+// admission router: no rate limit, no queue bound. Bulk internal
 // loads (SubmitSource) use it so replaying a trace into a
 // rate-limited fleet is not throttled like external traffic.
 func (f *Fleet) submitDirect(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
@@ -1033,28 +1025,6 @@ func (f *Fleet) RestoreFile(path string) (energysched.SnapshotInfo, error) {
 	return info, serr
 }
 
-// adoptSnapshotConfig applies a snapshot's scheduling configuration:
-// the replay's determinism depends on running the logged jobs under
-// exactly the config they were acknowledged with. Used by both the
-// explicit restore path and crash recovery.
-func (f *Fleet) adoptSnapshotConfig(sc snapshotConfig) {
-	f.cfg.Policy = sc.Policy
-	f.cfg.Seed = sc.Seed
-	f.cfg.LambdaMin = sc.LambdaMin
-	f.cfg.LambdaMax = sc.LambdaMax
-	f.cfg.Failures = sc.Failures
-	f.cfg.CheckpointSeconds = sc.CheckpointSeconds
-	f.cfg.AdaptiveTarget = sc.AdaptiveTarget
-	f.cfg.Shards = sc.Shards
-	f.cfg.Classes = sc.Classes
-	f.cfg.Score = nil
-	if sc.HasScore {
-		f.cfg.Score = &energysched.ScoreParams{
-			Cempty: sc.Cempty, Cfill: sc.Cfill, THempty: sc.THempty,
-		}
-	}
-}
-
 // restore rebuilds the fleet from a snapshot file. The fleet starts a
 // new timeline: the generation is bumped so a replication follower
 // re-bootstraps instead of splicing pre- and post-restore history.
@@ -1084,7 +1054,7 @@ func (f *Fleet) applySnapshot(snap snapshotFile, source string) error {
 	// replay depends on it. Keep the old config at hand so a failed
 	// replay leaves config and simulation consistent.
 	oldCfg := f.cfg
-	f.adoptSnapshotConfig(snap.Config)
+	snap.Config.applyTo(&f.cfg)
 	jobs := make([]workload.Job, 0, len(snap.Jobs))
 	for _, sj := range snap.Jobs {
 		jobs = append(jobs, sj.job())

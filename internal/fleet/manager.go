@@ -10,7 +10,7 @@ import (
 	"sort"
 	"sync"
 
-	"energysched"
+	"energysched/internal/obs/slo"
 )
 
 // Manager is the process-wide fleet registry: it creates, looks up,
@@ -47,6 +47,9 @@ type Options struct {
 	// cap and hold durable state), but no new fleet is admitted while
 	// the registry is at or above the cap.
 	MaxFleets int
+	// SLOs are the daemon's objectives, handed to every fleet recovered
+	// from the manifest (created fleets get them in their Config).
+	SLOs []slo.Objective
 	// Logf receives manager and fleet log lines.
 	Logf func(format string, args ...interface{})
 }
@@ -68,7 +71,9 @@ type manifestEntry struct {
 }
 
 // manifestConfig is the durable form of a fleet Config: the snapshot
-// config plus the service-level knobs a snapshot does not carry.
+// config plus the service-level knobs a snapshot does not carry. SLOs
+// are not here: they are the daemon's (-slo-file) and reach recovered
+// fleets through Options, so editing the file takes effect on restart.
 type manifestConfig struct {
 	snapshotConfig
 	Pace             float64 `json:"pace,omitempty"`
@@ -78,25 +83,16 @@ type manifestConfig struct {
 	WALSync          string  `json:"wal_sync,omitempty"`
 	TraceVerbosity   string  `json:"trace_verbosity,omitempty"`
 	TraceDepth       int     `json:"trace_depth,omitempty"`
-	AdmitShards      int     `json:"admit_shards,omitempty"`
+	SeriesDepth      int     `json:"series_depth,omitempty"`
+	JourneyDepth     int     `json:"journey_depth,omitempty"`
 	AdmitQueue       int     `json:"admit_queue,omitempty"`
 	RateLimit        float64 `json:"rate_limit,omitempty"`
 	RateBurst        int     `json:"rate_burst,omitempty"`
 }
 
 func toManifestConfig(c Config) manifestConfig {
-	mc := manifestConfig{
-		snapshotConfig: snapshotConfig{
-			Policy:            c.Policy,
-			Seed:              c.Seed,
-			LambdaMin:         c.LambdaMin,
-			LambdaMax:         c.LambdaMax,
-			Failures:          c.Failures,
-			CheckpointSeconds: c.CheckpointSeconds,
-			AdaptiveTarget:    c.AdaptiveTarget,
-			Shards:            c.Shards,
-			Classes:           c.Classes,
-		},
+	return manifestConfig{
+		snapshotConfig:   toSnapshotConfig(c),
 		Pace:             c.Pace,
 		SnapshotDir:      c.SnapshotDir,
 		EventRing:        c.EventRing,
@@ -104,46 +100,30 @@ func toManifestConfig(c Config) manifestConfig {
 		WALSync:          c.WALSync,
 		TraceVerbosity:   c.TraceVerbosity,
 		TraceDepth:       c.TraceDepth,
-		AdmitShards:      c.AdmitShards,
+		SeriesDepth:      c.SeriesDepth,
+		JourneyDepth:     c.JourneyDepth,
 		AdmitQueue:       c.AdmitQueue,
 		RateLimit:        c.RateLimit,
 		RateBurst:        c.RateBurst,
 	}
-	if c.Score != nil {
-		mc.HasScore = true
-		mc.Cempty = c.Score.Cempty
-		mc.Cfill = c.Score.Cfill
-		mc.THempty = c.Score.THempty
-	}
-	return mc
 }
 
 func (mc manifestConfig) config() Config {
 	c := Config{
-		Policy:            mc.Policy,
-		Seed:              mc.Seed,
-		LambdaMin:         mc.LambdaMin,
-		LambdaMax:         mc.LambdaMax,
-		Failures:          mc.Failures,
-		CheckpointSeconds: mc.CheckpointSeconds,
-		AdaptiveTarget:    mc.AdaptiveTarget,
-		Shards:            mc.Shards,
-		Classes:           mc.Classes,
-		Pace:              mc.Pace,
-		SnapshotDir:       mc.SnapshotDir,
-		EventRing:         mc.EventRing,
-		SnapshotInterval:  mc.SnapshotInterval,
-		WALSync:           mc.WALSync,
-		TraceVerbosity:    mc.TraceVerbosity,
-		TraceDepth:        mc.TraceDepth,
-		AdmitShards:       mc.AdmitShards,
-		AdmitQueue:        mc.AdmitQueue,
-		RateLimit:         mc.RateLimit,
-		RateBurst:         mc.RateBurst,
+		Pace:             mc.Pace,
+		SnapshotDir:      mc.SnapshotDir,
+		EventRing:        mc.EventRing,
+		SnapshotInterval: mc.SnapshotInterval,
+		WALSync:          mc.WALSync,
+		TraceVerbosity:   mc.TraceVerbosity,
+		TraceDepth:       mc.TraceDepth,
+		SeriesDepth:      mc.SeriesDepth,
+		JourneyDepth:     mc.JourneyDepth,
+		AdmitQueue:       mc.AdmitQueue,
+		RateLimit:        mc.RateLimit,
+		RateBurst:        mc.RateBurst,
 	}
-	if mc.HasScore {
-		c.Score = &energysched.ScoreParams{Cempty: mc.Cempty, Cfill: mc.Cfill, THempty: mc.THempty}
-	}
+	mc.snapshotConfig.applyTo(&c)
 	return c
 }
 
@@ -181,6 +161,7 @@ func NewManager(opts Options) (*Manager, error) {
 	for _, e := range manifest.Fleets {
 		cfg := e.Config.config()
 		cfg.Dir = filepath.Join(m.dir, e.ID)
+		cfg.SLOs = opts.SLOs
 		cfg.Logf = m.logf
 		f, err := Open(e.ID, cfg)
 		if err != nil {

@@ -1,10 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"math"
 	"net/http"
-	"sort"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,44 +13,25 @@ import (
 	"energysched/internal/metrics"
 )
 
-// Intra-fleet admission sharding and ingest backpressure (PR 10).
+// The admission queue and ingest backpressure.
 //
 // A fleet's event loop serializes everything, which is what makes the
-// simulation deterministic — but it also means one hot fleet absorbs
-// ingest exactly as fast as one goroutine can hand requests through
-// do(). The admission router in this file puts K intake loops in
-// front of that event loop: incoming requests are hash-partitioned
-// across K bounded shard queues (clusterFor), each shard forwards
-// independently, and a single merge arbiter applies everything that is
-// concurrently in flight in one event-loop turn, in a deterministic
-// order (earliest submit time first, ingest sequence as the tie
-// break). Sequential submitters therefore see exactly the K=1 order —
-// reports, traces, journeys and series stay byte-identical at any
-// shard count — while N concurrent submitters amortize their do()
-// hand-offs into a single turn.
+// simulation deterministic. The admission router in this file is the
+// one way a job reaches it online: a submitter passes the token bucket,
+// takes a slot in one bounded queue and waits; a single arbiter
+// goroutine receives from that queue, gathers everything else already
+// waiting (up to maxMergeTurn) and applies it all in one event-loop
+// turn, in a deterministic order (earliest submit time first, ingest
+// sequence as the tie break). Sequential submitters see exactly their
+// own order — one request per turn — while N concurrent submitters
+// amortize their do() hand-offs into a single turn.
 //
 // The same entry point is where ingest hygiene lives: an optional
 // token-bucket rate limit (Config.RateLimit/RateBurst) and the bounded
-// shard queues both shed with 429 + Retry-After through fleet.Error
-// instead of queueing without bound. A shed request was never
-// admitted, never logged, and never acknowledged — zero accepted jobs
-// are dropped under overload.
-
-// clusterFor returns the admission shard for a request identifier by
-// hashing it onto [0, k): the flow-go cluster-assignment idiom, using
-// the 64-bit finalizer so consecutive ingest sequence numbers spread
-// across shards instead of striping.
-func clusterFor(id uint64, k int) int {
-	if k <= 1 {
-		return 0
-	}
-	id ^= id >> 33
-	id *= 0xff51afd7ed558ccd
-	id ^= id >> 33
-	id *= 0xc4ceb9fe1a85ec53
-	id ^= id >> 33
-	return int(id % uint64(k))
-}
+// queue (Config.AdmitQueue) both shed with 429 + Retry-After through
+// fleet.Error instead of queueing without bound. A shed request was
+// never admitted, never logged, and never acknowledged — zero accepted
+// jobs are dropped under overload.
 
 // tokenBucket is a wall-clock token bucket: take withdraws tokens for
 // a batch, refilling at rate tokens/second up to burst.
@@ -108,8 +89,7 @@ func (tb *tokenBucket) take(n int) (retryAfter int, ok bool) {
 // admitRequest is one Submit/SubmitBatch in flight through the router.
 type admitRequest struct {
 	specs []energysched.JobSpec
-	// seq is the monotone ingest sequence: the hash-partition input and
-	// the arbiter's tie break.
+	// seq is the monotone ingest sequence, the arbiter's tie break.
 	seq uint64
 	// submit is the arbiter's primary sort key: the batch's first
 	// submit time, -Inf for a nil-Submit ("now") request.
@@ -142,11 +122,11 @@ func arbiterKey(specs []energysched.JobSpec) float64 {
 // other callers (reads, pacing ticks) indefinitely.
 const maxMergeTurn = 64
 
-// admitRouter is the sharded admission front end of one fleet.
+// admitRouter is the admission front end of one fleet: one bounded
+// queue, one arbiter goroutine between submit and Fleet.do.
 type admitRouter struct {
 	f        *Fleet
-	queues   []chan *admitRequest
-	merge    chan *admitRequest
+	queue    chan *admitRequest
 	bucket   *tokenBucket // nil = unlimited
 	seq      atomic.Uint64
 	stopc    chan struct{}
@@ -154,33 +134,27 @@ type admitRouter struct {
 	wg       sync.WaitGroup
 
 	shedRate   atomic.Uint64 // requests rejected by the token bucket
-	shedQueue  atomic.Uint64 // requests rejected by a full shard queue
+	shedQueue  atomic.Uint64 // requests rejected by the full queue
 	mergeTurns atomic.Uint64 // event-loop turns the arbiter executed
 	merged     atomic.Uint64 // requests applied across those turns
 }
 
 func newAdmitRouter(f *Fleet) *admitRouter {
-	k := f.cfg.AdmitShards
 	r := &admitRouter{
-		f:      f,
-		queues: make([]chan *admitRequest, k),
-		merge:  make(chan *admitRequest, k),
+		f: f,
+		// AdmitQueue is the backpressure bound: a submitter that finds
+		// this many requests already waiting is shed with a 429.
+		queue:  make(chan *admitRequest, f.cfg.AdmitQueue),
 		bucket: newTokenBucket(f.cfg.RateLimit, f.cfg.RateBurst),
 		stopc:  make(chan struct{}),
 	}
-	for i := range r.queues {
-		r.queues[i] = make(chan *admitRequest, f.cfg.AdmitQueue)
-	}
-	r.wg.Add(k + 1)
-	for i := 0; i < k; i++ {
-		go r.shardLoop(i)
-	}
+	r.wg.Add(1)
 	go r.arbiterLoop()
 	return r
 }
 
-// submit runs one request through rate limiting, shard queueing and
-// the merge arbiter, and waits for the event loop's answer.
+// submit runs one request through rate limiting, the bounded queue and
+// the arbiter, and waits for the event loop's answer.
 func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
 	if r.bucket != nil && len(specs) > 0 {
 		if ra, ok := r.bucket.take(len(specs)); !ok {
@@ -195,13 +169,12 @@ func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStat
 		submit: arbiterKey(specs),
 		reply:  make(chan admitReply, 1),
 	}
-	q := r.queues[clusterFor(req.seq, len(r.queues))]
 	select {
-	case q <- req:
+	case r.queue <- req:
 	default:
 		r.shedQueue.Add(1)
 		return nil, &Error{Status: http.StatusTooManyRequests,
-			Msg: "admission shard queue full", RetryAfter: 1}
+			Msg: "admission queue full", RetryAfter: 1}
 	}
 	select {
 	case rep := <-req.reply:
@@ -211,34 +184,14 @@ func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStat
 	}
 }
 
-// shardLoop is one intake shard: it drains its bounded queue into the
-// merge channel. The hop looks trivial, but it is what makes the queue
-// bound (and so the 429 shed decision) per-shard instead of global.
-func (r *admitRouter) shardLoop(i int) {
-	defer r.wg.Done()
-	for {
-		select {
-		case req := <-r.queues[i]:
-			select {
-			case r.merge <- req:
-			case <-r.stopc:
-				req.reply <- admitReply{err: ErrClosed}
-				return
-			}
-		case <-r.stopc:
-			return
-		}
-	}
-}
-
-// arbiterLoop merges the shards back into the event loop: every batch
-// of concurrently-ready requests is applied in one do() turn, in
+// arbiterLoop feeds the queue into the event loop: every batch of
+// concurrently-waiting requests is applied in one do() turn, in
 // deterministic order.
 func (r *admitRouter) arbiterLoop() {
 	defer r.wg.Done()
 	for {
 		select {
-		case first := <-r.merge:
+		case first := <-r.queue:
 			r.applyTurn(first)
 		case <-r.stopc:
 			return
@@ -251,7 +204,7 @@ func (r *admitRouter) applyTurn(first *admitRequest) {
 gather:
 	for len(batch) < maxMergeTurn {
 		select {
-		case req := <-r.merge:
+		case req := <-r.queue:
 			batch = append(batch, req)
 		default:
 			break gather
@@ -260,13 +213,10 @@ gather:
 	// Deterministic arbitration: earliest submit time first, ingest
 	// sequence as the tie break. Under max pacing, applying a
 	// later-submit request first would advance virtual time past an
-	// earlier-submit one and reject it with a 409 that K=1 sequential
-	// submission would never produce.
-	sort.Slice(batch, func(a, b int) bool {
-		if batch[a].submit != batch[b].submit {
-			return batch[a].submit < batch[b].submit
-		}
-		return batch[a].seq < batch[b].seq
+	// earlier-submit one and reject it with a 409 that sequential
+	// submission in submit order would never produce.
+	slices.SortFunc(batch, func(a, b *admitRequest) int {
+		return cmp.Or(cmp.Compare(a.submit, b.submit), cmp.Compare(a.seq, b.seq))
 	})
 	r.mergeTurns.Add(1)
 	r.merged.Add(uint64(len(batch)))
@@ -295,7 +245,7 @@ gather:
 	}
 }
 
-// stop terminates the shard loops and the arbiter; idempotent, like
+// stop terminates the arbiter; idempotent, like
 // every other close path Fleet.Close touches. Callers must have closed
 // the fleet's stopc first so in-flight do() turns unblock.
 func (r *admitRouter) stop() {
@@ -303,19 +253,13 @@ func (r *admitRouter) stop() {
 	r.wg.Wait()
 }
 
-// metricsSamples appends the router's Prometheus samples: per-shard
-// queue depth, shed counters by reason, and merge-turn amortization.
+// metricsSamples appends the router's Prometheus samples: queue depth
+// and capacity, shed counters by reason, and merge-turn amortization.
 func (r *admitRouter) metricsSamples(in []metrics.PromSample) []metrics.PromSample {
-	for i, q := range r.queues {
-		in = append(in, metrics.PromSample{
-			Name: "energysched_admit_queue_depth", Help: "Requests waiting in each admission shard's bounded queue.",
-			Kind: metrics.PromGauge, Labels: map[string]string{"shard": strconv.Itoa(i)}, Value: float64(len(q)),
-		})
-	}
-	in = append(in,
-		metrics.PromSample{Name: "energysched_admit_shards", Help: "Admission intake shards serving this fleet.",
-			Kind: metrics.PromGauge, Value: float64(len(r.queues))},
-		metrics.PromSample{Name: "energysched_admit_queue_capacity", Help: "Bounded depth of each admission shard queue.",
+	return append(in,
+		metrics.PromSample{Name: "energysched_admit_queue_depth", Help: "Requests waiting in the bounded admission queue.",
+			Kind: metrics.PromGauge, Value: float64(len(r.queue))},
+		metrics.PromSample{Name: "energysched_admit_queue_capacity", Help: "Bounded depth of the admission queue.",
 			Kind: metrics.PromGauge, Value: float64(r.f.cfg.AdmitQueue)},
 		metrics.PromSample{Name: "energysched_admit_shed_total", Help: "Admission requests shed with 429 by reason.",
 			Kind: metrics.PromCounter, Labels: map[string]string{"reason": "rate"}, Value: float64(r.shedRate.Load())},
@@ -326,5 +270,4 @@ func (r *admitRouter) metricsSamples(in []metrics.PromSample) []metrics.PromSamp
 		metrics.PromSample{Name: "energysched_admit_merged_requests_total", Help: "Admission requests applied across arbiter merge turns.",
 			Kind: metrics.PromCounter, Value: float64(r.merged.Load())},
 	)
-	return in
 }

@@ -11,38 +11,10 @@ import (
 	"energysched"
 )
 
-// The admission router contract: K shards are a pure ingest-throughput
-// knob (byte-identical reports at any K), the rate limit and the
-// bounded shard queues shed with honest 429 + Retry-After, and no
-// accepted job is ever dropped under concurrency.
-
-func TestClusterForPartition(t *testing.T) {
-	// k=1 is the identity shard.
-	for id := uint64(0); id < 100; id++ {
-		if got := clusterFor(id, 1); got != 0 {
-			t.Fatalf("clusterFor(%d, 1) = %d, want 0", id, got)
-		}
-	}
-	// The finalizer must be deterministic, in range, and actually
-	// spread consecutive sequence numbers over every shard.
-	const k = 4
-	var hit [k]int
-	for id := uint64(1); id <= 1000; id++ {
-		s := clusterFor(id, k)
-		if s < 0 || s >= k {
-			t.Fatalf("clusterFor(%d, %d) = %d out of range", id, k, s)
-		}
-		if s != clusterFor(id, k) {
-			t.Fatalf("clusterFor(%d, %d) is not deterministic", id, k)
-		}
-		hit[s]++
-	}
-	for s, n := range hit {
-		if n == 0 {
-			t.Fatalf("shard %d never hit across 1000 consecutive ids: %v", s, hit)
-		}
-	}
-}
+// The admission router contract: requests that wait together are
+// applied in one turn in (submit time, ingest sequence) order, the rate
+// limit and the bounded queue shed with honest 429 + Retry-After, and
+// no accepted job is ever dropped under concurrency.
 
 func TestTokenBucket(t *testing.T) {
 	if tb := newTokenBucket(0, 10); tb != nil {
@@ -112,25 +84,25 @@ func TestRateLimitShedsWith429(t *testing.T) {
 	}
 }
 
-// TestAdmitQueueShedsWith429: with the event loop wedged, a bounded
-// shard queue fills and further submits shed with 429 instead of
-// queueing without bound.
+// TestAdmitQueueShedsWith429: with the event loop wedged, the bounded
+// queue fills and further submits shed with 429 instead of queueing
+// without bound.
 func TestAdmitQueueShedsWith429(t *testing.T) {
-	f, err := Open("bq", Config{Policy: "SB", Seed: 1, AdmitShards: 1, AdmitQueue: 1})
+	f, err := Open("bq", Config{Policy: "SB", Seed: 1, AdmitQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 
 	// Wedge the event loop so the arbiter cannot drain: queued requests
-	// pile up in the (depth-1) shard queue.
+	// pile up in the (depth-1) queue.
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go f.do(func() { close(started); <-gate })
 	<-started
 
-	// Capacity while wedged: 1 in the arbiter's hand, 1 in the merge
-	// buffer, 1 in the shard queue. The rest must shed.
+	// Capacity while wedged: 1 in the arbiter's hand, 1 in the queue.
+	// The rest must shed.
 	const inflight = 8
 	var wg sync.WaitGroup
 	var shed atomic.Int64
@@ -165,36 +137,98 @@ func TestAdmitQueueShedsWith429(t *testing.T) {
 	}
 }
 
-// TestShardedAdmissionByteIdenticalToK1: the tentpole oracle at the
-// fleet level — the same submit sequence through K∈{2,4} admission
-// shards drains byte-identical to K=1.
-func TestShardedAdmissionByteIdenticalToK1(t *testing.T) {
-	run := func(k int) energysched.ServiceReport {
-		f, err := Open("k", Config{Policy: "SB", Seed: 1, AdmitShards: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		submitN(t, f, 120, 0)
-		rep, err := f.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+// TestArbiterTurnSortsBySubmitTime pins the one decision the router
+// makes. Requests that wait together are applied in a single event-loop
+// turn, and under max pacing applying a later submit time first would
+// advance the clock past the earlier ones and 409 them. So: park the
+// arbiter in a wedged turn, queue N requests whose submit times are the
+// reverse of their ingest order plus one nil-Submit ("now") request,
+// release, and require no rejection, exactly one merged turn, and a
+// drained report equal to submitting the same jobs one at a time in
+// submit order.
+func TestArbiterTurnSortsBySubmitTime(t *testing.T) {
+	const n = 8
+	job := func(i int, at *float64) energysched.JobSpec {
+		return energysched.JobSpec{CPU: 100 + float64(i%3)*100, Mem: 5, Duration: 600, Submit: at}
 	}
-	want := run(1)
-	for _, k := range []int{2, 4} {
-		if got := run(k); got != want {
-			t.Fatalf("K=%d drained report diverged from K=1:\n got %+v\nwant %+v", k, got, want)
+	at := func(i int) *float64 { v := float64(i+1) * 30; return &v }
+
+	f, err := Open("arb", Config{Policy: "SB", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	go f.do(func() { close(started); <-gate })
+	<-started
+
+	errs := make(chan error, n+2)
+	submit := func(spec energysched.JobSpec) {
+		go func() { _, err := f.Submit(spec); errs <- err }()
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
 		}
+	}
+	// The plug: the arbiter takes it into a turn of its own and blocks
+	// in do() behind the wedge, so everything below queues up behind it.
+	submit(job(0, at(-1)))
+	waitFor("the arbiter to take the plug", func() bool { return f.router.mergeTurns.Load() == 1 })
+	// Ingest order: latest submit time first, the nil-Submit request
+	// last. One at a time, so ingest sequence == start order.
+	for i := n - 1; i >= 0; i-- {
+		submit(job(i+1, at(i)))
+		waitFor("a request to queue", func() bool { return len(f.router.queue) == n-i })
+	}
+	submit(job(n+1, nil))
+	waitFor("the nil-Submit request to queue", func() bool { return len(f.router.queue) == n+1 })
+	close(gate)
+	for i := 0; i < n+2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("merged turn rejected a request: %v", err)
+		}
+	}
+	if turns, merged := f.router.mergeTurns.Load(), f.router.merged.Load(); turns != 2 || merged != n+2 {
+		t.Fatalf("arbiter ran %d turns over %d requests, want the plug's plus one turn of %d", turns, merged, n+1)
+	}
+	got, err := f.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := Open("ref", Config{Policy: "SB", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	seq := []energysched.JobSpec{job(0, at(-1)), job(n+1, nil)}
+	for i := 0; i < n; i++ {
+		seq = append(seq, job(i+1, at(i)))
+	}
+	for i, spec := range seq {
+		if _, err := ref.Submit(spec); err != nil {
+			t.Fatalf("reference submit %d: %v", i, err)
+		}
+	}
+	want, err := ref.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got.JobsTotal != n+2 {
+		t.Fatalf("merged turn diverged from sequential submit-order admission:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestConcurrentShardedSubmitDropsNothing: N goroutines hammering a
-// K=4 fleet with nil-Submit jobs — every acknowledged admission must
-// land (zero dropped accepted jobs), across every shard.
+// TestConcurrentShardedSubmitDropsNothing: N goroutines hammering one
+// fleet with nil-Submit jobs — every acknowledged admission must land
+// (zero dropped accepted jobs).
 func TestConcurrentShardedSubmitDropsNothing(t *testing.T) {
-	f, err := Open("cc", Config{Policy: "SB", Seed: 1, AdmitShards: 4})
+	f, err := Open("cc", Config{Policy: "SB", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,18 +268,16 @@ func TestConcurrentShardedSubmitDropsNothing(t *testing.T) {
 	}
 }
 
-// TestShardFaultMidBatchStaysAtomicAndByteIdentical is the satellite
-// fault-coverage test: with K=4 admission shards, a WAL disk-full
-// fault lands on one request's batch while requests on other shards
+// TestShardFaultMidBatchStaysAtomicAndByteIdentical: a WAL disk-full
+// fault lands on one request's batch while the requests around it
 // succeed. The faulted batch must reject atomically (no partial
-// admission), and a kill/reopen must recover byte-identical to a K=1
-// fleet fed only the surviving batches.
+// admission), and a kill/reopen must recover byte-identical to an
+// in-memory fleet fed only the surviving batches.
 func TestShardFaultMidBatchStaysAtomicAndByteIdentical(t *testing.T) {
 	dir := t.TempDir() + "/f"
 	var syncs atomic.Int64
 	const faultOn = 3 // fail the 3rd batch's WAL flush (one flush per request)
 	cfg := testConfig(dir)
-	cfg.AdmitShards = 4
 	cfg.WALFault = func(op string) error {
 		if op == "sync" && syncs.Add(1) == faultOn {
 			return errors.New("no space left on device")
@@ -258,9 +290,8 @@ func TestShardFaultMidBatchStaysAtomicAndByteIdentical(t *testing.T) {
 	}
 
 	// Five 3-job batches with increasing submit times; sequential, so
-	// the ingest sequence (and the flush order) is deterministic and
-	// batch 3 — and only batch 3 — hits the fault whatever shard its
-	// hash picks.
+	// the flush order is deterministic and batch 3 — and only batch 3 —
+	// hits the fault.
 	batch := func(from int) []energysched.JobSpec {
 		specs := make([]energysched.JobSpec, 3)
 		for i := range specs {
@@ -298,8 +329,8 @@ func TestShardFaultMidBatchStaysAtomicAndByteIdentical(t *testing.T) {
 	}
 	f.Close()
 
-	// Kill/reopen recovery must be byte-identical to a K=1 in-memory
-	// fleet fed only the surviving batches.
+	// Kill/reopen recovery must be byte-identical to an in-memory fleet
+	// fed only the surviving batches.
 	f2, err := Open("f", testConfig(dir))
 	if err != nil {
 		t.Fatal(err)

@@ -100,7 +100,7 @@ func (f *Fleet) snapshotState() snapshotFile {
 		SavedVirtual: f.sim.Now(),
 		Sealed:       f.sim.Sealed(),
 		Gen:          f.gen,
-		Config:       f.snapshotConfig(),
+		Config:       toSnapshotConfig(f.cfg),
 		Jobs:         make([]snapJob, 0, len(f.jobs)),
 	}
 	for _, j := range f.jobs {
@@ -109,25 +109,48 @@ func (f *Fleet) snapshotState() snapshotFile {
 	return snap
 }
 
-func (f *Fleet) snapshotConfig() snapshotConfig {
+// toSnapshotConfig extracts a Config's scheduling fields — the ones a
+// replay's determinism depends on. It and applyTo are the only two
+// places that list them; snapshots, the manifest and both restore
+// paths go through this pair, so a new field cannot be dropped by one.
+func toSnapshotConfig(c Config) snapshotConfig {
 	sc := snapshotConfig{
-		Policy:            f.cfg.Policy,
-		Seed:              f.cfg.Seed,
-		LambdaMin:         f.cfg.LambdaMin,
-		LambdaMax:         f.cfg.LambdaMax,
-		Failures:          f.cfg.Failures,
-		CheckpointSeconds: f.cfg.CheckpointSeconds,
-		AdaptiveTarget:    f.cfg.AdaptiveTarget,
-		Shards:            f.cfg.Shards,
-		Classes:           f.cfg.Classes,
+		Policy:            c.Policy,
+		Seed:              c.Seed,
+		LambdaMin:         c.LambdaMin,
+		LambdaMax:         c.LambdaMax,
+		Failures:          c.Failures,
+		CheckpointSeconds: c.CheckpointSeconds,
+		AdaptiveTarget:    c.AdaptiveTarget,
+		Shards:            c.Shards,
+		Classes:           c.Classes,
 	}
-	if f.cfg.Score != nil {
+	if c.Score != nil {
 		sc.HasScore = true
-		sc.Cempty = f.cfg.Score.Cempty
-		sc.Cfill = f.cfg.Score.Cfill
-		sc.THempty = f.cfg.Score.THempty
+		sc.Cempty = c.Score.Cempty
+		sc.Cfill = c.Score.Cfill
+		sc.THempty = c.Score.THempty
 	}
 	return sc
+}
+
+// applyTo overwrites c's scheduling fields with the recorded ones: the
+// logged jobs must replay under exactly the config they were
+// acknowledged with. Service-level fields of c are left alone.
+func (sc snapshotConfig) applyTo(c *Config) {
+	c.Policy = sc.Policy
+	c.Seed = sc.Seed
+	c.LambdaMin = sc.LambdaMin
+	c.LambdaMax = sc.LambdaMax
+	c.Failures = sc.Failures
+	c.CheckpointSeconds = sc.CheckpointSeconds
+	c.AdaptiveTarget = sc.AdaptiveTarget
+	c.Shards = sc.Shards
+	c.Classes = sc.Classes
+	c.Score = nil
+	if sc.HasScore {
+		c.Score = &energysched.ScoreParams{Cempty: sc.Cempty, Cfill: sc.Cfill, THempty: sc.THempty}
+	}
 }
 
 // writeSnapshot persists the snapshot atomically (temp file + rename).

@@ -15,7 +15,7 @@ import (
 	"energysched"
 )
 
-// The serving-path contracts of the admission sharding PR at the HTTP
+// The serving-path contracts of ingest backpressure at the HTTP
 // layer: over-limit submits shed with honest 429 + Retry-After,
 // evicted SSE resume points announce themselves with an explicit gap
 // event instead of silently skipping, and identical concurrent reads
@@ -80,8 +80,8 @@ func TestHTTPRateLimit429WithRetryAfter(t *testing.T) {
 	metricsText := string(mb)
 	for _, want := range []string{
 		`energysched_admit_shed_total{fleet="rl",reason="rate"}`,
-		`energysched_admit_queue_depth{fleet="rl",shard="0"}`,
-		`energysched_admit_shards{fleet="rl"}`,
+		`energysched_admit_queue_depth{fleet="rl"}`,
+		`energysched_admit_queue_capacity{fleet="rl"}`,
 	} {
 		if !strings.Contains(metricsText, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metricsText)

@@ -9,8 +9,8 @@ import (
 
 // Request coalescing for the hot read endpoints (/report, /cluster,
 // /series). Each of these costs one fleet event-loop turn; under the
-// concurrent polling this PR's ingest sharding invites (N dashboards,
-// N loadgen pollers), identical in-flight GETs would queue N turns
+// concurrent polling a busy daemon attracts (N dashboards, N loadgen
+// pollers), identical in-flight GETs would queue N turns
 // for the same answer. readGroup is a hand-rolled singleflight: the
 // first caller of a key becomes the leader and executes the fetch,
 // concurrent callers with the same key wait for the leader's result,

@@ -295,55 +295,51 @@ func TestPromotionRacesInFlightRestore(t *testing.T) {
 	}
 }
 
-// TestFailoverByteIdenticalAcrossAdmitShards: the HA twin oracle with
-// the admission router in the picture — a leader running K∈{1,2,4}
-// intake shards replicates the identical WAL stream, and the promoted
-// follower's drained report is byte-identical at every K. Sharded
-// admission must be invisible to replication: the WAL records what the
-// arbiter admitted, in admission order, regardless of shard count.
-func TestFailoverByteIdenticalAcrossAdmitShards(t *testing.T) {
-	run := func(k int) energysched.ServiceReport {
-		t.Helper()
-		_, lhs, lc := newTestServer(t, Config{
-			WALDir: t.TempDir(), SnapshotDir: t.TempDir(),
-			ReplPing: 20 * time.Millisecond, AdmitShards: k,
-		})
-		_, _, fc := newTestServer(t, Config{
-			WALDir: t.TempDir(), SnapshotDir: t.TempDir(),
-			Follow: lhs.URL, FollowPoll: 20 * time.Millisecond,
-		})
-		ctx := context.Background()
+// TestFailoverDrainByteIdenticalToLeader: the HA twin oracle with the
+// admission router in the picture — the WAL records what the arbiter
+// admitted, in admission order, so a follower promoted after mirroring
+// it drains to the report the leader itself drains to, byte for byte.
+func TestFailoverDrainByteIdenticalToLeader(t *testing.T) {
+	_, lhs, lc := newTestServer(t, Config{
+		WALDir: t.TempDir(), SnapshotDir: t.TempDir(),
+		ReplPing: 20 * time.Millisecond,
+	})
+	_, _, fc := newTestServer(t, Config{
+		WALDir: t.TempDir(), SnapshotDir: t.TempDir(),
+		Follow: lhs.URL, FollowPoll: 20 * time.Millisecond,
+	})
+	ctx := context.Background()
 
-		// Three batches through the leader's K-sharded admission path.
-		for b := 0; b < 3; b++ {
-			submitN(t, lc, 20, b*20)
-		}
-		waitFor(t, "follower caught up", func() bool {
-			h, err := fc.Health(ctx)
-			if err != nil || h.Role != "follower" || !h.Ready {
-				return false
-			}
-			st, err := fc.FleetStatus(ctx, DefaultFleet)
-			return err == nil && st.Replication.Offset == 60 && st.Replication.Lag == 0
-		})
-
-		// Fail over and drain on the new leader's authority.
-		if _, err := fc.Promote(ctx); err != nil {
-			t.Fatalf("K=%d promote: %v", k, err)
-		}
-		rep, err := fc.Drain(ctx)
-		if err != nil {
-			t.Fatalf("K=%d drain on promoted leader: %v", k, err)
-		}
-		return rep
+	// Three batches through the leader's admission path.
+	for b := 0; b < 3; b++ {
+		submitN(t, lc, 20, b*20)
 	}
-	want := run(1)
+	waitFor(t, "follower caught up", func() bool {
+		h, err := fc.Health(ctx)
+		if err != nil || h.Role != "follower" || !h.Ready {
+			return false
+		}
+		st, err := fc.FleetStatus(ctx, DefaultFleet)
+		return err == nil && st.Replication.Offset == 60 && st.Replication.Lag == 0
+	})
+
+	// Fail over and drain on the new leader's authority; the old leader,
+	// still up, drains the same history on its own.
+	if _, err := fc.Promote(ctx); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	got, err := fc.Drain(ctx)
+	if err != nil {
+		t.Fatalf("drain on promoted leader: %v", err)
+	}
+	want, err := lc.Drain(ctx)
+	if err != nil {
+		t.Fatalf("drain on the original leader: %v", err)
+	}
 	if want.JobsTotal != 60 || !want.Final {
-		t.Fatalf("K=1 promoted report looks wrong: %+v", want)
+		t.Fatalf("leader's drained report looks wrong: %+v", want)
 	}
-	for _, k := range []int{2, 4} {
-		if got := run(k); got != want {
-			t.Fatalf("K=%d promoted report diverged from K=1:\n got %+v\nwant %+v", k, got, want)
-		}
+	if got != want {
+		t.Fatalf("promoted report diverged from the leader's:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -136,11 +136,7 @@ type Config struct {
 	// SSEHeartbeat overrides the keepalive ping period of idle SSE
 	// streams (events, trace, journey firehose); 0 = default 15s.
 	SSEHeartbeat time.Duration
-	// AdmitShards is each fleet's admission intake shard count
-	// (0 = default 1). Byte-identical at any K; a pure ingest-throughput
-	// knob. Fleets inherit it unless their FleetSpec overrides.
-	AdmitShards int
-	// AdmitQueue bounds each admission shard's queue (0 = default 256);
+	// AdmitQueue bounds each fleet's admission queue (0 = default 256);
 	// a full queue sheds with 429 + Retry-After.
 	AdmitQueue int
 	// RateLimit throttles each fleet's admissions to this many jobs per
@@ -201,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 	// The cap is installed after the startup seeds: operator-named
 	// fleets (and manifest-recovered ones) must come up even when they
 	// meet or exceed -max-fleets; the cap gates API-driven creation.
-	mgr, err := fleet.NewManager(fleet.Options{Dir: cfg.WALDir, Logf: cfg.Logf})
+	mgr, err := fleet.NewManager(fleet.Options{Dir: cfg.WALDir, SLOs: cfg.SLOs, Logf: cfg.Logf})
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +318,6 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 		SeriesDepth:       s.cfg.SeriesDepth,
 		JourneyDepth:      s.cfg.JourneyDepth,
 		SLOs:              s.cfg.SLOs,
-		AdmitShards:       s.cfg.AdmitShards,
 		AdmitQueue:        s.cfg.AdmitQueue,
 		RateLimit:         s.cfg.RateLimit,
 		RateBurst:         s.cfg.RateBurst,
@@ -374,9 +369,6 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 	}
 	if spec.JourneyDepth > 0 {
 		fc.JourneyDepth = spec.JourneyDepth
-	}
-	if spec.AdmitShards > 0 {
-		fc.AdmitShards = spec.AdmitShards
 	}
 	if spec.AdmitQueue > 0 {
 		fc.AdmitQueue = spec.AdmitQueue
@@ -562,9 +554,9 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if spec.AdmitShards < 0 || spec.AdmitQueue < 0 || spec.RateLimit < 0 || spec.RateBurst < 0 {
+	if spec.AdmitQueue < 0 || spec.RateLimit < 0 || spec.RateBurst < 0 {
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest,
-			Msg: "admit_shards, admit_queue, rate_limit and rate_burst must be >= 0"})
+			Msg: "admit_queue, rate_limit and rate_burst must be >= 0"})
 		return
 	}
 	f, err := s.mgr.Create(spec.ID, s.fleetConfig(spec.ID, spec))

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ import (
 
 	"energysched"
 	"energysched/internal/fleet"
+	"energysched/internal/obs/series"
 	"energysched/internal/workload"
 )
 
@@ -697,6 +699,102 @@ func TestMultiFleetIsolationHammer(t *testing.T) {
 		if !bytes.Equal(hammered, solo) {
 			t.Fatalf("fleet %s diverged from its solo run:\n got %s\nwant %s", fs.ID, hammered, solo)
 		}
+	}
+}
+
+// A fleet recovered from the manifest must be configured like the one
+// that was created: the daemon's objectives (-slo-file) and the fleet's
+// series/journey depths used to be lost on restart, because the
+// manifest's hand-copied field list never learned them. The second half
+// restarts on a directory as the previous release wrote it — a manifest
+// entry with the retired admit_shards key and no depths, beside a
+// compaction snapshot in its format — which must still come up.
+func TestRestartKeepsSLOsAndDepths(t *testing.T) {
+	walDir := t.TempDir()
+	ctx := context.Background()
+	cfg := Config{
+		Policy: "SB", Seed: 1, WALDir: walDir, SnapshotDir: t.TempDir(),
+		SnapshotInterval: 4, SLOs: accountingSLOs()[:1],
+	}
+	// check submits eight more jobs to "small" — one request each, so
+	// the ticks in between sample the series; a recovered fleet's rings
+	// start empty — and then reads objectives and retention.
+	check := func(srv *Server, when string, from int) {
+		t.Helper()
+		hs := httptest.NewServer(srv.Handler())
+		defer hs.Close()
+		for i := 0; i < 8; i++ {
+			submitN(t, energysched.NewClient(hs.URL).Fleet("small"), 1, (from+i)*40)
+		}
+		for _, id := range []string{DefaultFleet, "small"} {
+			f, err := srv.mgr.Get(id)
+			if err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			if al := f.Alerts(); len(al) != 1 || al[0].Name != "power-budget" {
+				t.Fatalf("%s: fleet %s evaluates %+v, want the daemon's one objective", when, id, al)
+			}
+		}
+		f, _ := srv.mgr.Get("small")
+		if n := len(f.SeriesSamples(series.Query{})); n != 3 || f.SeriesCount() <= 3 {
+			t.Fatalf("%s: series retains %d of %d samples, want depth 3", when, n, f.SeriesCount())
+		}
+		if n := len(f.Journeys().Summaries()); n != 2 {
+			t.Fatalf("%s: %d journeys retained, want depth 2", when, n)
+		}
+	}
+
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs1 := httptest.NewServer(srv1.Handler())
+	if _, err := energysched.NewClient(hs1.URL).CreateFleet(ctx, energysched.FleetSpec{ID: "small", SeriesDepth: 3, JourneyDepth: 2}); err != nil {
+		t.Fatal(err)
+	}
+	hs1.Close()
+	check(srv1, "before restart", 0)
+	srv1.Close()
+
+	const oldEntry = `{"id": "old", "config": {"policy": "BF", "seed": 5, "lambda_min": 30, "lambda_max": 90,
+		"cempty": 20, "cfill": 40, "has_score": true, "event_ring": 4096, "snapshot_interval": 2,
+		"wal_sync": "always", "trace_verbosity": "off", "admit_shards": 2, "admit_queue": 256}}`
+	const oldSnapshot = `{"format": "energyschedd-snapshot/v1", "saved_virtual_s": 30, "sealed": false, "gen": 1,
+		"config": {"policy": "BF", "seed": 5, "lambda_min": 30, "lambda_max": 90, "cempty": 20, "cfill": 40, "has_score": true},
+		"jobs": [{"id": 0, "submit_s": 0, "duration_s": 600, "cpu_pct": 100, "mem_units": 5, "deadline_factor": 1.5},
+			{"id": 1, "submit_s": 30, "duration_s": 600, "cpu_pct": 100, "mem_units": 5, "deadline_factor": 1.5}]}`
+	manifestPath := filepath.Join(walDir, "fleets.json")
+	manifest, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(manifest, []byte(`"series_depth": 3`)) || !bytes.Contains(manifest, []byte(`"journey_depth": 2`)) {
+		t.Fatalf("manifest does not carry the depths:\n%s", manifest)
+	}
+	end := bytes.LastIndexByte(manifest, ']')
+	manifest = append(append(manifest[:end:end], ","+oldEntry...), "]}"...)
+	if err := os.WriteFile(manifestPath, manifest, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(walDir, "old"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(walDir, "old", "snapshot.json"), []byte(oldSnapshot), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	check(srv2, "after restart", 8)
+	old, err := srv2.mgr.Get("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := old.Info(); err != nil || info.Policy != "BF" || info.Seed != 5 || info.Jobs != 2 || info.Now != 30 {
+		t.Fatalf("fleet from the previous release's manifest and snapshot = %+v, %v", info, err)
 	}
 }
 

@@ -70,11 +70,9 @@ func FuzzReadGWF(f *testing.F) {
 
 func FuzzReadSWF(f *testing.F) {
 	f.Add([]byte("; SWF header\n0 0 0 600 2 0 0 2 600 0 1\n1 60 0 1200 4 0 0 4 1200 0 1\n"))
-	f.Add([]byte("1 90 0 600 2\n0 10 0 600 2\n")) // unsorted: exercised via AllowUnsorted
+	f.Add([]byte("1 90 0 600 2\n0 10 0 600 2\n")) // unsorted: must be rejected, never reordered
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// SWF shares the GWF reader; fuzz it through the sorting path
-		// (AllowUnsorted) so both orderings of the guard are covered.
-		tr, err := ReadSWF(bytes.NewReader(data), ConvertOptions{AllowUnsorted: true})
+		tr, err := ReadSWF(bytes.NewReader(data), ConvertOptions{})
 		if err != nil {
 			return
 		}

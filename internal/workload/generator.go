@@ -104,48 +104,15 @@ func (c GeneratorConfig) Validate() error {
 	return nil
 }
 
-// Generate produces a synthetic trace. The same config always yields
-// the same trace.
+// Generate produces a synthetic trace: ReadAll over the streaming
+// generator, which owns the arrival process. The same config always
+// yields the same trace.
 func Generate(cfg GeneratorConfig) (*Trace, error) {
-	if err := cfg.Validate(); err != nil {
+	src, err := NewGeneratorSource(cfg)
+	if err != nil {
 		return nil, err
 	}
-	arrivals := simkit.NewStream(cfg.Seed, "arrivals")
-	runtimes := simkit.NewStream(cfg.Seed, "runtimes")
-	shapes := simkit.NewStream(cfg.Seed, "shapes")
-	deadlines := simkit.NewStream(cfg.Seed, "deadlines")
-
-	baseRate := cfg.JobsPerDay / (24 * 3600) // jobs per second at baseline
-	// Thinning bound: the modulated rate never exceeds base × (1+amp).
-	maxRate := baseRate * (1 + cfg.DiurnalAmplitude)
-
-	tr := &Trace{}
-	id := 0
-	t := 0.0
-	for {
-		// Poisson thinning for the non-homogeneous arrival process.
-		t += arrivals.Exp(maxRate)
-		if t >= cfg.Horizon {
-			break
-		}
-		if arrivals.Float64() > cfg.rateAt(t)/maxRate {
-			continue
-		}
-		n := 1
-		if arrivals.Float64() < cfg.BurstProb {
-			n += 1 + int(arrivals.Exp(1.0/cfg.BurstSize))
-		}
-		for k := 0; k < n; k++ {
-			at := t + float64(k)*shapes.Uniform(0.5, 3.0)
-			if at >= cfg.Horizon {
-				break
-			}
-			tr.Jobs = append(tr.Jobs, cfg.newJob(id, at, runtimes, shapes, deadlines))
-			id++
-		}
-	}
-	tr.Sort()
-	return tr, nil
+	return ReadAll(src)
 }
 
 // MustGenerate is Generate that panics on error.

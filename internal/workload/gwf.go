@@ -68,13 +68,11 @@ func gwfSkippable(text string) bool {
 // yielded immediately, so week-long archive files feed a simulation
 // with O(1) ingestion memory. The file must be submit-ordered (the
 // single-cluster archive convention); a regression is an error, since
-// a streaming reader cannot sort. For deliberately interleaved
-// multi-cluster files use ReadGWF with ConvertOptions.AllowUnsorted,
-// which materializes.
+// a streaming reader cannot sort — sort an interleaved multi-cluster
+// file by its submit column before replaying it.
 //
 // Submit times are rebased to the first accepted job's, which for a
-// sorted file equals the whole-trace minimum — so draining a
-// GWFSource yields exactly ReadGWF's jobs.
+// sorted file is the whole-trace minimum.
 type GWFSource struct {
 	sc    *bufio.Scanner
 	opts  ConvertOptions
@@ -86,12 +84,9 @@ type GWFSource struct {
 	err   error // sticky
 }
 
-// NewGWFSource builds a streaming GWF/SWF reader. opts.AllowUnsorted
-// is rejected: sorting requires materializing the trace.
+// NewGWFSource builds a streaming GWF/SWF reader. The error is always
+// nil; the signature matches NewCSVSource, which reads a header.
 func NewGWFSource(r io.Reader, opts ConvertOptions) (*GWFSource, error) {
-	if opts.AllowUnsorted {
-		return nil, fmt.Errorf("workload: streaming gwf source cannot sort; use ReadGWF for AllowUnsorted traces")
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	return &GWFSource{sc: sc, opts: opts.withDefaults(), first: true}, nil
@@ -120,7 +115,7 @@ func (s *GWFSource) Next() (Job, error) {
 			s.t0 = row.submit
 			s.first = false
 		} else if row.submit < s.prev {
-			s.err = fmt.Errorf("workload: gwf line %d: submit time %.0f before predecessor %.0f (trace out of order; set ConvertOptions.AllowUnsorted to sort)",
+			s.err = fmt.Errorf("workload: gwf line %d: submit time %.0f before predecessor %.0f (trace out of order; sort it by submit time first)",
 				s.line, row.submit, s.prev)
 			return Job{}, s.err
 		}
@@ -160,65 +155,14 @@ func (s *GWFSource) Next() (Job, error) {
 // are rejected as corruption. opts tunes the conversion into the
 // simulator's model.
 //
-// The sorted path is a materialization of GWFSource, so streaming and
-// whole-trace ingestion accept exactly the same files.
+// ReadGWF is ReadAll over GWFSource, so streaming and whole-trace
+// ingestion accept exactly the same files.
 func ReadGWF(r io.Reader, opts ConvertOptions) (*Trace, error) {
-	opts = opts.withDefaults()
-	if opts.AllowUnsorted {
-		return readGWFUnsorted(r, opts)
-	}
 	src, err := NewGWFSource(r, opts)
 	if err != nil {
 		return nil, err
 	}
 	return ReadAll(src)
-}
-
-// readGWFUnsorted is the materializing reader for deliberately
-// interleaved multi-cluster traces: rows are collected, rebased to the
-// earliest submission and sorted.
-func readGWFUnsorted(r io.Reader, opts ConvertOptions) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var raw []gwfRow
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if gwfSkippable(text) {
-			continue
-		}
-		row, cancelled, err := parseGWFLine(line, text)
-		if err != nil {
-			return nil, err
-		}
-		if cancelled {
-			continue
-		}
-		raw = append(raw, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: reading gwf: %w", err)
-	}
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("workload: gwf trace has no usable jobs")
-	}
-	// Rebase to the earliest submission.
-	t0 := raw[0].submit
-	for _, r := range raw {
-		if r.submit < t0 {
-			t0 = r.submit
-		}
-	}
-	tr := &Trace{}
-	for _, r := range raw {
-		tr.Jobs = append(tr.Jobs, opts.convert(r.id, r.submit-t0, r.run, r.procs))
-	}
-	tr.Sort()
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }
 
 // ReadSWF parses the Standard Workload Format (Feitelson's parallel
@@ -252,12 +196,6 @@ type ConvertOptions struct {
 	// DeadlineMin, DeadlineMax bound the deadline factor assigned
 	// deterministically per job (default 1.2–2.0).
 	DeadlineMin, DeadlineMax float64
-	// AllowUnsorted accepts traces whose submit times regress between
-	// lines and sorts them, instead of rejecting the file. Single-
-	// cluster archive traces are submit-ordered, but multi-cluster
-	// archives (interleaved per-cluster clocks) may not be; set this
-	// when replaying such a file deliberately.
-	AllowUnsorted bool
 }
 
 func (o ConvertOptions) withDefaults() ConvertOptions {

@@ -7,12 +7,12 @@ import (
 	"energysched/internal/simkit"
 )
 
-// JobSource is an incremental workload iterator: Next yields jobs in
+// JobSource is the workload ingestion interface: Next yields jobs in
 // non-decreasing submit order and returns io.EOF after the last one.
-// It is the streaming counterpart of Trace — a week-long archive file
-// or a multi-day synthetic run can feed a simulation job by job
-// without ever materializing the whole trace in memory, which is what
-// keeps the scale harness's ingestion O(1) in trace length.
+// Every reader and the synthetic generator are sources, and every
+// simulation is fed from one (Simulation.RunSource), so a week-long
+// archive file or a multi-day synthetic run drives a simulation job by
+// job without the whole trace in memory. A Trace is ReadAll of a source.
 //
 // Every job a source yields is individually Validate-d and ordered;
 // a source that cannot uphold the ordering (a corrupt file) reports
@@ -21,10 +21,9 @@ type JobSource interface {
 	Next() (Job, error)
 }
 
-// ReadAll drains a source into a materialized Trace. It is how the
-// whole-trace readers (ReadGWF, ReadCSV) are built on top of their
-// streaming sources, guaranteeing the two ingestion paths accept
-// exactly the same inputs.
+// ReadAll drains a source into a materialized Trace. It is how every
+// whole-trace constructor (Generate, ReadGWF, ReadCSV) is built, so a
+// materialized trace and its stream hold exactly the same jobs.
 func ReadAll(src JobSource) (*Trace, error) {
 	tr := &Trace{}
 	for {
@@ -43,9 +42,8 @@ func ReadAll(src JobSource) (*Trace, error) {
 	return tr, nil
 }
 
-// TraceSource adapts a materialized Trace to the JobSource interface,
-// so harnesses written against streaming ingestion also accept
-// pre-built traces.
+// TraceSource adapts a materialized Trace to the JobSource interface;
+// Simulation.Run feeds its configured trace through one.
 type TraceSource struct {
 	jobs []Job
 	i    int
@@ -68,19 +66,20 @@ func (s *TraceSource) Next() (Job, error) {
 
 // --- streaming synthetic generator ---
 
-// GeneratorSource streams the synthetic Grid5000-like generator
-// (see Generate) without materializing the trace. The arrival process
-// emits jobs in generation order, but burst members are spread a few
-// seconds forward of the burst head, so a bounded reorder buffer (a
-// min-heap keyed by submit time) holds the short backlog: a pending
-// job can be emitted as soon as the arrival clock passes its submit
-// time, because every job generated later is stamped at or after the
-// clock. The buffer's high-water mark is therefore bounded by the
-// burst backlog — independent of the horizon — which the memory test
-// asserts via MaxPending.
+// GeneratorSource is the synthetic Grid5000-like generator: a thinned
+// Poisson arrival process with bag-of-tasks bursts, streamed. The
+// arrival process emits jobs in generation order, but burst members
+// are spread a few seconds forward of the burst head, so a bounded
+// reorder buffer (a min-heap keyed by submit time) holds the short
+// backlog: a pending job can be emitted as soon as the arrival clock
+// passes its submit time, because every job generated later is stamped
+// at or after the clock. The buffer's high-water mark is therefore
+// bounded by the burst backlog — independent of the horizon — which
+// the memory test asserts via MaxPending.
 //
-// Draining a GeneratorSource yields exactly the jobs of
-// Generate(cfg), in the same order with the same IDs.
+// The same config always yields the same jobs; the pinned digests in
+// the package tests hold them to the bytes the generator has always
+// produced.
 type GeneratorSource struct {
 	cfg     GeneratorConfig
 	maxRate float64
@@ -119,16 +118,15 @@ func (s *GeneratorSource) Next() (Job, error) {
 	for {
 		// A pending job at or before the arrival clock is final: every
 		// job generated from here on is stamped at or after the clock,
-		// and ties break by ID (matching Generate's stable sort).
+		// and ties break by ID (generation order).
 		if len(s.pending) > 0 && (s.done || s.pending[0].Submit <= s.t) {
 			return heap.Pop(&s.pending).(Job), nil
 		}
 		if s.done {
 			return Job{}, io.EOF
 		}
-		// One step of Generate's thinned Poisson arrival process — the
-		// stream draws happen in exactly the same order, so the two
-		// paths produce identical jobs.
+		// Poisson thinning for the non-homogeneous arrival process: the
+		// modulated rate never exceeds maxRate = base × (1+amp).
 		s.t += s.arrivals.Exp(s.maxRate)
 		if s.t >= s.cfg.Horizon {
 			s.done = true
@@ -155,9 +153,8 @@ func (s *GeneratorSource) Next() (Job, error) {
 	}
 }
 
-// jobHeap orders jobs by (Submit, ID) — identical to the stable
-// submit-time sort Generate applies, since IDs are assigned in
-// generation order.
+// jobHeap orders jobs by (Submit, ID): a stable submit-time sort,
+// since IDs are assigned in generation order.
 type jobHeap []Job
 
 func (h jobHeap) Len() int { return len(h) }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"reflect"
 	"runtime"
@@ -9,29 +10,37 @@ import (
 	"testing"
 )
 
-// The streaming generator must be a perfect pipe of Generate: same
-// config, same jobs, same order, same IDs. This is the equivalence
-// that lets the scale harness run week-long synthetic traces without
-// materializing them while keeping every downstream byte-identity
-// oracle meaningful.
+// The one arrival loop — GeneratorSource, which Generate collects —
+// must match the materializing Generate loop that used to sit beside
+// it: these are FNV-64a digests of WriteCSV(MustGenerate(cfg)) computed
+// with that loop, before it was deleted. Every byte-identity oracle
+// downstream assumes this trace, so drift fails here first.
 func TestGeneratorSourceMatchesGenerate(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
+	twoDays := func(seed int64) GeneratorConfig {
 		cfg := DefaultGeneratorConfig()
 		cfg.Seed = seed
 		cfg.Horizon = 2 * 24 * 3600
-		want := MustGenerate(cfg)
-
-		src, err := NewGeneratorSource(cfg)
-		if err != nil {
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  GeneratorConfig
+		jobs int
+		want uint64
+	}{
+		{"seed 1, 2 days", twoDays(1), 989, 0x453cf1154199b368},
+		{"seed 7, 2 days", twoDays(7), 1036, 0x4948190b8f4a92fe},
+		{"seed 42, 2 days", twoDays(42), 1294, 0x10f1d48f3b9030d},
+		{"canonical week", DefaultGeneratorConfig(), 2714, 0xca05117e33474811},
+	} {
+		tr := MustGenerate(tc.cfg)
+		h := fnv.New64a()
+		if err := WriteCSV(h, tr); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadAll(src)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got.Jobs, want.Jobs) {
-			t.Fatalf("seed %d: streamed trace differs from Generate (%d vs %d jobs)",
-				seed, got.Len(), want.Len())
+		if tr.Len() != tc.jobs || h.Sum64() != tc.want {
+			t.Errorf("%s: %d jobs, digest %#x; want %d jobs, %#x",
+				tc.name, tr.Len(), h.Sum64(), tc.jobs, tc.want)
 		}
 	}
 }
@@ -140,32 +149,61 @@ func TestGWFSourceConstantMemory(t *testing.T) {
 	t.Logf("streamed %d rows, peak live-heap delta %d KiB", count, peak>>10)
 }
 
-// The materializing AllowUnsorted path and the streaming path are
-// separate code; on an already-sorted file they must agree exactly.
+// ReadGWF is ReadAll over the source: a hand-drained GWFSource and the
+// materialized trace hold the same jobs, and a file whose submit times
+// regress is the same error on both, naming the line.
 func TestGWFStreamingMatchesMaterializing(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("# synthetic\n")
 	for i := 0; i < 500; i++ {
 		fmt.Fprintf(&sb, "%d %d 0 %d %d 0 0 1 0 0 1\n", i, 50+i*7, 300+i%900, 1+i%6)
 	}
-	streamed, err := ReadGWF(strings.NewReader(sb.String()), ConvertOptions{})
+	drain := func(file string) ([]Job, error) {
+		src, err := NewGWFSource(strings.NewReader(file), ConvertOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs []Job
+		for {
+			j, err := src.Next()
+			if err == io.EOF {
+				return jobs, nil
+			}
+			if err != nil {
+				return jobs, err
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	streamed, err := drain(sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	materialized, err := ReadGWF(strings.NewReader(sb.String()), ConvertOptions{AllowUnsorted: true})
+	materialized, err := ReadGWF(strings.NewReader(sb.String()), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(streamed.Jobs, materialized.Jobs) {
-		t.Fatal("streaming and materializing GWF paths disagree on a sorted file")
+	if len(streamed) != 500 || !reflect.DeepEqual(streamed, materialized.Jobs) {
+		t.Fatal("streaming and materializing GWF ingestion disagree on a sorted file")
+	}
+
+	// Row 501 submits before row 500: both forms stop there.
+	unsorted := sb.String() + "500 10 0 600 1 0 0 1 0 0 1\n"
+	prefix, serr := drain(unsorted)
+	_, merr := ReadGWF(strings.NewReader(unsorted), ConvertOptions{})
+	if serr == nil || merr == nil || serr.Error() != merr.Error() {
+		t.Fatalf("unsorted file: streaming err %v, materializing err %v; want the same error", serr, merr)
+	}
+	if len(prefix) != 500 || !strings.Contains(serr.Error(), "line 502") || !strings.Contains(serr.Error(), "out of order") {
+		t.Fatalf("unsorted file: %d jobs before %q; want 500 and the offending line", len(prefix), serr)
 	}
 }
 
 // Satellite: the GWF/SWF readers used to skip rows with negative
 // runtimes (and accepted NaN/Inf through ParseFloat), silently
-// fabricating a different workload. Corruption is now an error on
-// both ingestion paths; only the archives' zero-runtime/zero-width
-// "cancelled" convention is skipped.
+// fabricating a different workload. Corruption is now an error; only
+// the archives' zero-runtime/zero-width "cancelled" convention is
+// skipped.
 func TestGWFRejectsCorruptRows(t *testing.T) {
 	good := "1 100 0 600 1 0 0 1 0 0 1\n"
 	cases := []struct {
@@ -181,11 +219,8 @@ func TestGWFRejectsCorruptRows(t *testing.T) {
 		{"bad id", "x 200 0 600 1 0 0 1 0 0 1\n"},
 	}
 	for _, tc := range cases {
-		for _, unsorted := range []bool{false, true} {
-			_, err := ReadGWF(strings.NewReader(good+tc.row), ConvertOptions{AllowUnsorted: unsorted})
-			if err == nil {
-				t.Errorf("%s (unsorted=%v): corrupt row accepted", tc.name, unsorted)
-			}
+		if _, err := ReadGWF(strings.NewReader(good+tc.row), ConvertOptions{}); err == nil {
+			t.Errorf("%s: corrupt row accepted", tc.name)
 		}
 		// SWF shares the parser and therefore the guards.
 		if _, err := ReadSWF(strings.NewReader(good+tc.row), ConvertOptions{}); err == nil {
@@ -215,13 +250,6 @@ func TestCSVRejectsNonFinite(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader(hdr + tc.row)); err == nil {
 			t.Errorf("%s: non-finite csv row accepted", tc.name)
 		}
-	}
-}
-
-// A source constructor must refuse the option it cannot honor.
-func TestGWFSourceRejectsAllowUnsorted(t *testing.T) {
-	if _, err := NewGWFSource(strings.NewReader(""), ConvertOptions{AllowUnsorted: true}); err == nil {
-		t.Fatal("streaming source accepted AllowUnsorted")
 	}
 }
 

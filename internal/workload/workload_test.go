@@ -380,23 +380,3 @@ func TestReadCSVRejectsEmptyAndDisorder(t *testing.T) {
 		t.Fatalf("jobs = %d, want 2", tr.Len())
 	}
 }
-
-// AllowUnsorted restores the tolerant behavior for genuinely
-// interleaved (multi-cluster) archive traces: disorder is sorted and
-// rebased to the earliest submission instead of rejected.
-func TestReadGWFAllowUnsorted(t *testing.T) {
-	disorder := "1 200 0 100 1 0 0 1 100 0 1\n2 100 0 100 1 0 0 1 100 0 1\n"
-	tr, err := ReadGWF(strings.NewReader(disorder), ConvertOptions{AllowUnsorted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("jobs = %d, want 2", tr.Len())
-	}
-	if tr.Jobs[0].Submit != 0 || tr.Jobs[1].Submit != 100 {
-		t.Fatalf("rebased submits = %v, %v; want 0, 100", tr.Jobs[0].Submit, tr.Jobs[1].Submit)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
