@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"energysched/internal/bodybuf"
 	"energysched/internal/obs"
 )
 
@@ -553,32 +554,37 @@ func (c *Client) attempt(ctx context.Context, method, path string, encoded []byt
 		// retryable unless the caller's own context is done.
 		return err, 0, ctx.Err() == nil
 	}
-	// Drain before closing: a body closed with unread bytes (the
-	// decoder's trailing newline, a retried 429/503's error payload)
-	// forces the transport to tear down the connection instead of
-	// returning it to the keep-alive pool — so a retry loop would open
-	// a fresh connection per attempt, exactly under the overload that
-	// triggers retries. The drain is capped; an implausibly large
-	// remainder is cheaper to abandon than to read.
+	// Drain before closing: a body closed with unread bytes (a reply
+	// nobody decodes, the tail of an oversized error payload) forces
+	// the transport to tear down the connection instead of returning it
+	// to the keep-alive pool — so a retry loop would open a fresh
+	// connection per attempt, exactly under the overload that triggers
+	// retries. The drain is capped; an implausibly large remainder is
+	// cheaper to abandon than to read.
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
 	}()
 	if resp.StatusCode >= 400 {
 		apiErr := &APIError{Status: resp.StatusCode}
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(data, apiErr) != nil || apiErr.Message == "" {
-			apiErr.Message = strings.TrimSpace(string(data))
-		}
+		// A read error leaves whatever arrived as the message.
+		_ = bodybuf.Read(io.LimitReader(resp.Body, 1<<16), resp.ContentLength, func(data []byte) error {
+			if json.Unmarshal(data, apiErr) != nil || apiErr.Message == "" {
+				apiErr.Message = strings.TrimSpace(string(data))
+			}
+			return nil
+		})
 		return apiErr, parseRetryAfter(resp.Header.Get("Retry-After")), retryableStatus(resp.StatusCode)
 	}
 	if out == nil {
 		return nil, 0, false // deferred drain consumes the body
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return err, 0, false
-	}
-	return nil, 0, false
+	// The whole body is the reply: anything but whitespace after the
+	// value is an error, not ignored.
+	err = bodybuf.Read(resp.Body, resp.ContentLength, func(data []byte) error {
+		return json.Unmarshal(data, out)
+	})
+	return err, 0, false
 }
 
 // SubmitJob admits a job (POST /v1/jobs) and returns its status,

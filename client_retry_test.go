@@ -308,8 +308,8 @@ func TestRetryReusesConnection(t *testing.T) {
 	if err != nil || hst.Role != "leader" {
 		t.Fatalf("retrying client: %+v, %v", hst, err)
 	}
-	// A second successful call exercises the decoder path: its body
-	// ends in a newline json.Decoder never consumes.
+	// A second successful call exercises the decode path: its body
+	// ends in the server's newline.
 	if _, err := c.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -325,4 +325,49 @@ func TestRetryReusesConnection(t *testing.T) {
 func isStatusErr(err error, status int) bool {
 	apiErr, ok := err.(*APIError)
 	return ok && apiErr.Status == status
+}
+
+// The whole body is the reply. The server's trailing newline (and any
+// other whitespace) is accepted; anything else after the value is an
+// error rather than silently ignored — and neither case costs the
+// connection, so a caller that retries does not redial.
+func TestClientReplyTrailingBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"newline", `{"role":"leader","ready":true}` + "\n", true},
+		{"whitespace", `{"role":"leader","ready":true}` + " \r\n\t\n", true},
+		{"garbage", `{"role":"leader","ready":true}` + "\n" + `{"role":"follower"}`, false},
+		{"truncated", `{"role":"leader","rea`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Write([]byte(tc.body))
+			}))
+			defer hs.Close()
+			var dials int32
+			tr := &http.Transport{
+				DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+					atomic.AddInt32(&dials, 1)
+					return (&net.Dialer{}).DialContext(ctx, network, addr)
+				},
+			}
+			defer tr.CloseIdleConnections()
+			c := NewClient(hs.URL)
+			c.HTTPClient = &http.Client{Transport: tr}
+			for i := 0; i < 2; i++ {
+				hst, err := c.Health(context.Background())
+				if tc.ok && (err != nil || hst.Role != "leader" || !hst.Ready) {
+					t.Fatalf("call %d: %+v, %v", i, hst, err)
+				}
+				if !tc.ok && err == nil {
+					t.Fatalf("call %d: reply %q decoded without error: %+v", i, tc.body, hst)
+				}
+			}
+			if got := atomic.LoadInt32(&dials); got != 1 {
+				t.Fatalf("%d connections dialed for 2 calls, want 1", got)
+			}
+		})
+	}
 }

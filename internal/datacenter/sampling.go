@@ -1,6 +1,8 @@
 package datacenter
 
 import (
+	"slices"
+
 	"energysched/internal/cluster"
 	"energysched/internal/obs/series"
 )
@@ -23,30 +25,16 @@ func (s *Simulation) SampleAt(t float64) series.Sample {
 	}
 
 	// Per-class breakdown, in the class declaration order of the
-	// cluster layout. Nodes are laid out class by class, so a
-	// last-class cache resolves almost every node without touching
-	// the name map — SampleAt runs on every housekeeping tick of a
-	// sampled fleet, and at chaos scale (10k nodes) the per-node map
-	// lookup dominated its cost. The fleet-wide node counts fall out
-	// of the same pass.
-	idx := make(map[*cluster.Class]int, 4)
-	var classes []series.ClassSample
-	var lastClass *cluster.Class
-	var lastIdx int
+	// cluster layout. Each node's class slot was resolved at
+	// construction, so the breakdown is a clone of the named template —
+	// the sample's one allocation, retained by whoever keeps the sample
+	// — and the fleet-wide node counts fall out of the same pass over
+	// the nodes.
+	classes := slices.Clone(s.classTmpl)
 	var capOnline, reserved float64
 	for _, rt := range s.rt {
 		n := rt.node
-		i := lastIdx
-		if n.Class != lastClass {
-			var ok bool
-			if i, ok = idx[n.Class]; !ok {
-				i = len(classes)
-				idx[n.Class] = i
-				classes = append(classes, series.ClassSample{Class: n.Class.Name})
-			}
-			lastClass, lastIdx = n.Class, i
-		}
-		c := &classes[i]
+		c := &classes[rt.class]
 		w := rt.meter.CurrentWatts()
 		k := rt.meter.KWhAt(t)
 		c.Watts += w

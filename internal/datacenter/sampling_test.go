@@ -3,6 +3,7 @@ package datacenter
 import (
 	"testing"
 
+	"energysched/internal/cluster"
 	"energysched/internal/obs/series"
 	"energysched/internal/policy"
 	"energysched/internal/vm"
@@ -164,5 +165,36 @@ func TestEnergyAttributionSplitsNodeEnergy(t *testing.T) {
 	}
 	if sum <= 0 || sum > attrRep.EnergyKWh {
 		t.Fatalf("attributed %v kWh of %v total", sum, attrRep.EnergyKWh)
+	}
+}
+
+// A sample of a multi-class fleet is one allocation — its own Classes
+// slice, laid out in the classes' declaration order and never shared
+// with another sample's (retained samples are read concurrently).
+func TestSampleAtAllocatesOnlyItsClasses(t *testing.T) {
+	classes := cluster.PaperClasses()
+	sim, err := New(Config{Classes: classes, Trace: samplingTrace(), Policy: policy.NewBackfilling(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := sim.SampleAt(0), sim.SampleAt(0)
+	if len(a.Classes) != len(classes) {
+		t.Fatalf("%d class samples for %d classes", len(a.Classes), len(classes))
+	}
+	var nodes int
+	for i, c := range a.Classes {
+		if c.Class != classes[i].Name || c.On+c.Off != classes[i].Count {
+			t.Errorf("class sample %d = %+v, want %q with %d nodes", i, c, classes[i].Name, classes[i].Count)
+		}
+		nodes += c.On + c.Off
+	}
+	if nodes != a.On+a.Off {
+		t.Errorf("class samples cover %d nodes, fleet sample %d", nodes, a.On+a.Off)
+	}
+	if &a.Classes[0] == &b.Classes[0] {
+		t.Error("two samples share one Classes slice")
+	}
+	if n := testing.AllocsPerRun(100, func() { sim.SampleAt(0) }); n > 1 {
+		t.Fatalf("SampleAt allocates %.0f objects per sample, want at most 1", n)
 	}
 }

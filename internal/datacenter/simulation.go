@@ -24,7 +24,10 @@ import (
 // of the cluster model: power metering and the time of the last
 // progress advance.
 type nodeRT struct {
-	node        *cluster.Node
+	node *cluster.Node
+	// class indexes Simulation.classTmpl: the node's slot in a sample's
+	// per-class breakdown.
+	class       int
 	meter       *power.Meter
 	lastAdvance float64
 	failTimer   *simkit.Timer
@@ -53,6 +56,13 @@ type Simulation struct {
 	pm       *core.PowerManager
 	adaptive *core.Adaptive
 	rt       []*nodeRT
+	// classTmpl is a sample's per-class breakdown before any node is
+	// counted — one zeroed entry per node class, named, in declaration
+	// order — fixed at construction and cloned by every SampleAt.
+	classTmpl []series.ClassSample
+	// tickFn is tick bound once, so re-arming the housekeeping timer
+	// does not allocate a method value per tick.
+	tickFn func()
 
 	queue []*vm.VM // FIFO virtual-host queue
 	vms   []*vm.VM // all VMs ever created, by ID
@@ -149,12 +159,21 @@ func New(cfg Config) (*Simulation, error) {
 		ad.TargetS = cfg.AdaptiveTarget
 		s.adaptive = ad
 	}
+	s.tickFn = s.tick
+	classIdx := make(map[*cluster.Class]int)
 	for _, n := range cl.Nodes {
 		if cfg.StartOnline {
 			n.SetState(cluster.On)
 		}
+		ci, ok := classIdx[n.Class]
+		if !ok {
+			ci = len(s.classTmpl)
+			classIdx[n.Class] = ci
+			s.classTmpl = append(s.classTmpl, series.ClassSample{Class: n.Class.Name})
+		}
 		s.rt = append(s.rt, &nodeRT{
 			node:  n,
+			class: ci,
 			meter: power.NewMeter(0, n.Watts(0)),
 			eff:   1,
 		})
@@ -284,7 +303,7 @@ func (s *Simulation) Start() {
 			s.armFailure(n)
 		}
 	}
-	s.eng.At(s.eng.Now(), s.tick)
+	s.eng.At(s.eng.Now(), s.tickFn)
 	if s.cfg.CheckpointInterval > 0 {
 		s.eng.At(s.eng.Now()+s.cfg.CheckpointInterval, s.checkpointTick)
 	}
@@ -726,7 +745,7 @@ func (s *Simulation) tick() {
 		TickHook(s)
 	}
 	if !s.done {
-		s.eng.After(s.cfg.TickInterval, s.tick)
+		s.eng.After(s.cfg.TickInterval, s.tickFn)
 	}
 }
 

@@ -202,7 +202,7 @@ var ErrClosed = errors.New("fleet: shut down")
 type Fleet struct {
 	id       string
 	cfg      Config
-	events   *obs.Ring // the simulation event stream behind GET /events
+	events   *obs.Ring[energysched.Event] // the simulation event stream behind GET /events
 	repl     *replFeed
 	trace    *obs.TraceRing
 	hists    fleetHists
@@ -228,6 +228,9 @@ type Fleet struct {
 	walBroken bool // an append failed and could not be rolled back
 	stats     WALStats
 	gen       int64 // timeline generation; bumped when restore replaces the log
+	// recordEncodes counts admitRecord calls, so tests can pin that a
+	// fleet nobody logs or follows encodes no record at all.
+	recordEncodes int
 }
 
 // Open builds a fleet, recovers its durable state when Config.Dir is
@@ -248,7 +251,7 @@ func Open(id string, cfg Config) (*Fleet, error) {
 		cfg:      cfg,
 		cmds:     make(chan func()),
 		stopc:    make(chan struct{}),
-		events:   obs.NewRing(cfg.EventRing),
+		events:   obs.NewRing(cfg.EventRing, encodeEvent),
 		repl:     newReplFeed(),
 		trace:    obs.NewTraceRing(verb, cfg.TraceDepth),
 		series:   series.NewStore(cfg.SeriesDepth),
@@ -673,17 +676,22 @@ func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, err
 		}
 		jobs = append(jobs, j)
 	}
-	// Marshal each record exactly once: the same bytes go to the WAL
-	// and to the replication feed, so a follower's WAL is
-	// byte-identical to the leader's.
-	payloads := make([][]byte, 0, len(jobs))
-	for i := range jobs {
-		sj := toSnapJob(jobs[i])
-		payload, err := json.Marshal(walRecord{Kind: walKindAdmit, Job: &sj})
-		if err != nil {
-			return nil, errf(http.StatusInternalServerError, "encoding wal record: %v", err)
+	// A record is encoded only when something will read it — the WAL
+	// or a replication session — and then exactly once: the same bytes
+	// go to both, so a follower's WAL is byte-identical to the
+	// leader's. Sessions register on this event loop (ReplSubscribe),
+	// so none can appear between this check and the publish below; a
+	// later one is served from the admission log by the same encoder.
+	var payloads [][]byte
+	if f.wal != nil || f.repl.live() {
+		payloads = make([][]byte, 0, len(jobs))
+		for _, j := range jobs {
+			payload, err := f.admitRecord(j)
+			if err != nil {
+				return nil, errf(http.StatusInternalServerError, "encoding wal record: %v", err)
+			}
+			payloads = append(payloads, payload)
 		}
-		payloads = append(payloads, payload)
 	}
 	if err := f.logPayloads(payloads); err != nil {
 		return nil, err
@@ -716,6 +724,15 @@ func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, err
 	}
 	f.maybeCompact()
 	return out, nil
+}
+
+// admitRecord marshals one admission's log record: the one encoder
+// behind the leader's WAL, the live replication feed and a session's
+// backlog, so the three cannot drift. Call only from the event loop.
+func (f *Fleet) admitRecord(j workload.Job) ([]byte, error) {
+	f.recordEncodes++
+	sj := toSnapJob(j)
+	return json.Marshal(walRecord{Kind: walKindAdmit, Job: &sj})
 }
 
 // logPayloads appends pre-marshaled WAL record payloads and flushes

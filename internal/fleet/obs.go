@@ -29,7 +29,8 @@ type fleetHists struct {
 	// batch (admissions, seals, replicated records).
 	wal metrics.Histogram
 	// sse is the SSE fan-out latency of the event stream, one
-	// observation per published event (marshal + ring store + fan-out).
+	// observation per published event: ring store + fan-out, plus the
+	// marshal when a subscriber is attached.
 	sse metrics.Histogram
 	// replApply is the replicated-record apply latency on a follower
 	// fleet: decode + WAL + inject + clock catch-up.
@@ -47,7 +48,7 @@ func (h *fleetHists) samples(in []metrics.PromSample) []metrics.PromSample {
 	}{
 		{"energysched_admit_batch_seconds", "Admission batch latency: validate + WAL append/fsync + inject.", &h.admit},
 		{"energysched_wal_append_seconds", "WAL append+fsync latency per logged batch.", &h.wal},
-		{"energysched_sse_fanout_seconds", "Event-stream publish latency: marshal, ring store and subscriber fan-out.", &h.sse},
+		{"energysched_sse_fanout_seconds", "Event-stream publish latency: ring store and subscriber fan-out (with the marshal when someone is subscribed).", &h.sse},
 		{"energysched_repl_apply_seconds", "Replicated-record apply latency on a follower fleet.", &h.replApply},
 		{"energysched_solver_round_seconds", "Solver round wall-clock duration.", &h.round},
 	} {
@@ -102,22 +103,28 @@ func (s *fleetTraceSink) Emit(rt obs.RoundTrace) {
 	s.ring.Emit(rt)
 }
 
-// publish marshals one simulation event and emits it on the event
-// ring under its kind as the SSE event name. The event loop is the only
-// publisher.
+// publish emits one simulation event on the event ring under its kind
+// as the SSE event name; the ring marshals it only when someone reads
+// it. The event loop is the only publisher.
 func (f *Fleet) publish(e energysched.Event) {
 	defer f.hists.sse.ObserveSince(time.Now())
+	f.events.Emit(string(e.Kind), e)
+}
+
+// encodeEvent renders a simulation event for the event ring. Events do
+// not embed their sequence number; it travels as the SSE id.
+func encodeEvent(_ uint64, e energysched.Event) []byte {
 	data, err := json.Marshal(e)
 	if err != nil {
-		return // Event is a plain struct; cannot happen
+		return nil // Event is a plain struct; cannot happen
 	}
-	f.events.Emit(string(e.Kind), func(uint64) []byte { return data })
+	return data
 }
 
 // Broker returns the fleet's simulation event stream
 // (GET /v1/fleets/{id}/events): the ring that brokers events from the
 // event loop to SSE subscribers.
-func (f *Fleet) Broker() *obs.Ring { return f.events }
+func (f *Fleet) Broker() *obs.Ring[energysched.Event] { return f.events }
 
 // Trace returns the fleet's decision-trace ring and its runtime
 // verbosity knob (GET /v1/fleets/{id}/trace). Pure observability: any

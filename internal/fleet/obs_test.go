@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"energysched"
+	"energysched/internal/datacenter"
 	"energysched/internal/metrics"
 	"energysched/internal/obs"
+	"energysched/internal/obs/obstest"
 )
 
 // A live fleet at "scores" verbosity records one decodable round trace
@@ -176,5 +179,104 @@ func TestFleetHistogramMetrics(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// Every kind of simulation event (and the restore marker) reads back
+// from the event ring, on every path, as json.Marshal of the event:
+// marshal-on-read serves the bytes eager publishing stored.
+func TestEventRingLazyEqualsEager(t *testing.T) {
+	kinds := []datacenter.EventKind{
+		datacenter.EvArrival, datacenter.EvPlace, datacenter.EvCreated, datacenter.EvMigrateStart,
+		datacenter.EvMigrated, datacenter.EvCompleted, datacenter.EvBoot, datacenter.EvBooted,
+		datacenter.EvOff, datacenter.EvFailed, datacenter.EvRepaired, datacenter.EvRequeued, "restore",
+	}
+	var vals []energysched.Event
+	for i, k := range kinds {
+		vals = append(vals, energysched.Event{Time: 30.5 * float64(i), Kind: k, VM: i - 1, Node: 2 * i, Aux: -1})
+	}
+	obstest.LazyEqualsEager(t, encodeEvent,
+		func(e energysched.Event) string { return string(e.Kind) },
+		func(_ uint64, e energysched.Event) []byte {
+			data, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}, vals)
+}
+
+// Publishing an event nobody is tailing costs the event loop no
+// allocation.
+func TestFleetPublishDoesNotAllocate(t *testing.T) {
+	f, err := Open("quiet", Config{Policy: "SB", Seed: 1, EventRing: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	e := energysched.Event{Time: 1, Kind: datacenter.EvArrival, VM: 1, Node: -1, Aux: -1}
+	for i := 0; i < 8; i++ {
+		f.publish(e) // the ring and the histogram are internally locked
+	}
+	if n := testing.AllocsPerRun(100, func() { f.publish(e) }); n != 0 {
+		t.Fatalf("Fleet.publish with no subscriber allocates %.0f objects per event, want 0", n)
+	}
+}
+
+// A log record is marshaled only when something will read it: never on
+// a fleet with neither a WAL nor a follower, once per job with either —
+// and a follower that attaches later is still served the whole log.
+func TestAdmitEncodesRecordsOnlyForAReader(t *testing.T) {
+	encodes := func(f *Fleet) (n int) {
+		t.Helper()
+		if err := f.do(func() { n = f.recordEncodes }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	mem, err := Open("mem", Config{Policy: "SB", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	submitN(t, mem, 5, 0)
+	if n := encodes(mem); n != 0 {
+		t.Fatalf("WAL-less, follower-less fleet marshaled %d log records for 5 jobs", n)
+	}
+
+	// A follower arriving now gets the five from the admission log ...
+	sess, err := mem.ReplSubscribe(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.ReplUnsubscribe(sess)
+	if len(sess.Backlog) != 5 || encodes(mem) != 5 {
+		t.Fatalf("late follower: backlog %d, %d encodes, want 5 and 5", len(sess.Backlog), encodes(mem))
+	}
+	// ... and every later admission live, one encode each, in the bytes
+	// a backlog would carry.
+	submitN(t, mem, 3, 5)
+	if n := encodes(mem); n != 8 {
+		t.Fatalf("%d encodes after 3 admissions with a follower attached, want 8", n)
+	}
+	again, err := mem.ReplSubscribe(1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.ReplUnsubscribe(again)
+	for i, want := range again.Backlog {
+		if got := <-sess.Ch; got.Offset != want.Offset || string(got.Data) != string(want.Data) {
+			t.Fatalf("live record %d = offset %d %s, backlog twin = offset %d %s", i, got.Offset, got.Data, want.Offset, want.Data)
+		}
+	}
+
+	durable, err := Open("durable", testConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	submitN(t, durable, 5, 0)
+	if n := encodes(durable); n != 5 {
+		t.Fatalf("fleet with a WAL marshaled %d log records for 5 jobs", n)
 	}
 }

@@ -105,6 +105,15 @@ func (rf *replFeed) publish(rec ReplRecord) {
 	}
 }
 
+// live reports whether any session is attached. Sessions only attach
+// on the fleet's event loop (ReplSubscribe), so a false read there
+// holds until the loop's next turn.
+func (rf *replFeed) live() bool {
+	rf.mu.Lock()
+	defer rf.mu.Unlock()
+	return len(rf.subs) > 0
+}
+
 func (rf *replFeed) add(sess *ReplSession) {
 	rf.mu.Lock()
 	defer rf.mu.Unlock()
@@ -188,8 +197,7 @@ func (f *Fleet) ReplSubscribe(gen, from int64) (*ReplSession, error) {
 		} else {
 			sess.Start = from
 			for i := from; i < int64(len(f.jobs)); i++ {
-				sj := toSnapJob(f.jobs[i])
-				payload, merr := json.Marshal(walRecord{Kind: walKindAdmit, Job: &sj})
+				payload, merr := f.admitRecord(f.jobs[i])
 				if merr != nil {
 					return
 				}

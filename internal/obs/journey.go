@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "sync"
 
 // Job journey audit spans: one bounded, append-only lifecycle record
 // per job — submitted → placed@node (with the solver's why-scores) →
@@ -76,6 +73,11 @@ type JourneySummary struct {
 	Satisfaction float64 `json:"satisfaction_pct,omitempty"`
 }
 
+// journeyStepsHint sizes a new record for the common lifecycle —
+// submitted, placed, running, completed plus one migration pair — so a
+// typical job's steps are one allocation, not a doubling series.
+const journeyStepsHint = 6
+
 // journeyStepCap bounds one job's record: a job that requeues or
 // migrates more often than this keeps its live firehose stream but the
 // stored record marks itself Truncated instead of growing without
@@ -96,17 +98,20 @@ const EventStep = "step"
 
 // JourneyStore holds the bounded per-job journey records of one fleet
 // plus the SSE firehose: the embedded Ring carries one JourneyEvent
-// per recorded step and is what the API tails (Seq, Subscribe, Close).
+// per recorded step, marshaled only when someone reads it, and is what
+// the API tails (Seq, Subscribe, Close).
 // Writes come from the fleet's event loop; reads from HTTP handlers.
 // Memory is bounded by maxJobs × the step cap (FIFO eviction by
 // first-step order) and the firehose ring depth.
 type JourneyStore struct {
-	*Ring
+	*Ring[JourneyEvent]
 	mu      sync.Mutex
 	maxJobs int
 	jobs    map[int]*Journey
 	order   []int // first-step order, for FIFO eviction
-	pending map[int][]ActionTrace
+	// pending is the last round's applied actions not yet claimed by a
+	// placed/migrate step, in solver order; a claimed entry's VM is -1.
+	pending []ActionTrace
 }
 
 // NewJourneyStore builds a store retaining the last maxJobs job
@@ -119,9 +124,14 @@ func NewJourneyStore(maxJobs, fireDepth int) *JourneyStore {
 	return &JourneyStore{
 		maxJobs: maxJobs,
 		jobs:    make(map[int]*Journey),
-		pending: make(map[int][]ActionTrace),
-		Ring:    NewRing(fireDepth),
+		Ring:    NewRing(fireDepth, encodeStep),
 	}
+}
+
+// encodeStep renders a firehose event under its ring sequence number.
+func encodeStep(seq uint64, ev JourneyEvent) []byte {
+	ev.Seq = seq
+	return marshal(&ev)
 }
 
 // StageActions replaces the staged why-scores with one round's applied
@@ -131,10 +141,7 @@ func NewJourneyStore(maxJobs, fireDepth int) *JourneyStore {
 func (s *JourneyStore) StageActions(acts []ActionTrace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	clear(s.pending)
-	for _, a := range acts {
-		s.pending[a.VM] = append(s.pending[a.VM], a)
-	}
+	s.pending = append(s.pending[:0], acts...)
 }
 
 // Record appends one step to the job's journey, creating the record on
@@ -151,19 +158,20 @@ func (s *JourneyStore) Record(job int, st JourneyStep) {
 			s.order = s.order[1:]
 			delete(s.jobs, oldest)
 		}
-		j = &Journey{Job: job}
+		j = &Journey{Job: job, Steps: make([]JourneyStep, 0, journeyStepsHint)}
 		s.jobs[job] = j
 		s.order = append(s.order, job)
 	}
 	if st.Kind == StepPlaced || st.Kind == StepMigrate {
-		if q := s.pending[job]; len(q) > 0 {
-			why := q[0]
-			if len(q) == 1 {
-				delete(s.pending, job)
-			} else {
-				s.pending[job] = q[1:]
+		// A round stages a handful of actions: scan for the job's first
+		// unclaimed one.
+		for i := range s.pending {
+			if s.pending[i].VM == job {
+				why := s.pending[i]
+				s.pending[i].VM = -1
+				st.Why = &why
+				break
 			}
-			st.Why = &why
 		}
 	}
 	if len(j.Steps) >= journeyStepCap {
@@ -176,13 +184,7 @@ func (s *JourneyStore) Record(job int, st JourneyStep) {
 		j.Satisfaction = st.Satisfaction
 		j.EnergyKWh = st.EnergyKWh
 	}
-	s.Emit(EventStep, func(seq uint64) []byte {
-		data, err := json.Marshal(JourneyEvent{Seq: seq, Job: job, JourneyStep: st})
-		if err != nil {
-			return nil // plain structs; cannot happen
-		}
-		return data
-	})
+	s.Emit(EventStep, JourneyEvent{Job: job, JourneyStep: st})
 }
 
 // Get returns a deep copy of the job's journey.

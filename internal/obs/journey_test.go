@@ -155,3 +155,22 @@ func TestJourneyFirehose(t *testing.T) {
 		t.Fatalf("Seq = %d", s.Seq())
 	}
 }
+
+// A step after a job's first — within the lifecycle a new record is
+// sized for, no why-score attached, nobody tailing the firehose — costs
+// the event loop no allocation: no marshal, no steps regrowth.
+func TestJourneyRecordNonFirstStepDoesNotAllocate(t *testing.T) {
+	const runs = 100
+	s := NewJourneyStore(2*runs, 8)
+	defer s.Close()
+	for job := 0; job <= runs; job++ { // AllocsPerRun warms up with one extra call
+		s.Record(job, JourneyStep{Kind: StepSubmitted, Node: -1, Dest: -1})
+	}
+	job := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		s.Record(job, JourneyStep{T: 5, Kind: StepRunning, Node: 3, Dest: -1})
+		job++
+	}); n != 0 {
+		t.Fatalf("Record of a non-first step allocates %.0f objects, want 0", n)
+	}
+}

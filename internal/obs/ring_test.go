@@ -1,14 +1,27 @@
 package obs
 
 import (
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
 
-func emitN(r *Ring, n int) {
+// encodeTick renders a tick as its own sequence number; a true
+// payload makes the encoder drop the event.
+func encodeTick(seq uint64, drop bool) []byte {
+	if drop {
+		return nil
+	}
+	return strconv.AppendUint(nil, seq, 10)
+}
+
+func newTickRing(depth int) *Ring[bool] { return NewRing(depth, encodeTick) }
+
+func emitN(r *Ring[bool], n int) {
 	for i := 0; i < n; i++ {
-		r.Emit("tick", func(seq uint64) []byte { return strconv.AppendUint(nil, seq, 10) })
+		r.Emit("tick", false)
 	}
 }
 
@@ -16,7 +29,7 @@ func emitN(r *Ring, n int) {
 // ringSubBuffer+1 emissions — the first overflow — and the writer is
 // never blocked by it.
 func TestRingSlowConsumerCutAfterBufferPlusOne(t *testing.T) {
-	r := NewRing(8)
+	r := newTickRing(8)
 	defer r.Close()
 	sub, _, _ := r.Subscribe(0)
 
@@ -65,7 +78,7 @@ func TestRingSlowConsumerCutAfterBufferPlusOne(t *testing.T) {
 // monotone, every earlier resume point becomes a gap, and attached
 // subscribers keep receiving.
 func TestRingResetKeepsSeqMonotoneAndGapsOldResumePoints(t *testing.T) {
-	r := NewRing(4)
+	r := newTickRing(4)
 	defer r.Close()
 	emitN(r, 3)
 	sub, _, _ := r.Subscribe(3)
@@ -113,7 +126,7 @@ func TestRingResetKeepsSeqMonotoneAndGapsOldResumePoints(t *testing.T) {
 }
 
 func TestRingSubscribeOnClosedRing(t *testing.T) {
-	r := NewRing(4)
+	r := newTickRing(4)
 	emitN(r, 2)
 	r.Close()
 	sub, backlog, gap := r.Subscribe(0)
@@ -124,21 +137,25 @@ func TestRingSubscribeOnClosedRing(t *testing.T) {
 		t.Fatalf("closed ring backlog=%d gap=%v, want the retained 2 and no gap", len(backlog), gap)
 	}
 	r.Unsubscribe(sub)
-	if seq := r.Emit("tick", func(uint64) []byte { return []byte("x") }); seq != 0 || r.Seq() != 2 {
+	if seq := r.Emit("tick", false); seq != 0 || r.Seq() != 2 {
 		t.Fatalf("Emit on a closed ring returned %d, Seq %d", seq, r.Seq())
 	}
 }
 
-// A nil payload aborts the emission: nothing is stored or fanned out
-// and the sequence number is handed to the next event.
+// A nil payload from the encoder, with a subscriber attached so Emit
+// encodes, aborts the emission: nothing is stored or fanned out and
+// the sequence number is handed to the next event.
 func TestRingNilPayloadRollsSeqBack(t *testing.T) {
-	r := NewRing(4)
+	var offered uint64
+	r := NewRing(4, func(seq uint64, drop bool) []byte {
+		offered = seq
+		return encodeTick(seq, drop)
+	})
 	defer r.Close()
 	emitN(r, 1)
 	sub, _, _ := r.Subscribe(1)
 	defer r.Unsubscribe(sub)
-	var offered uint64
-	if seq := r.Emit("tick", func(seq uint64) []byte { offered = seq; return nil }); seq != 0 {
+	if seq := r.Emit("tick", true); seq != 0 {
 		t.Fatalf("aborted Emit returned %d", seq)
 	}
 	if offered != 2 || r.Seq() != 1 || len(r.Snapshot(0)) != 1 || len(sub.Ch) != 0 {
@@ -149,4 +166,112 @@ func TestRingNilPayloadRollsSeqBack(t *testing.T) {
 	if ev := <-sub.Ch; ev.Seq != 2 {
 		t.Fatalf("next event got seq %d, want the rolled-back 2", ev.Seq)
 	}
+}
+
+// With nobody tailing, Emit on a full ring stores the typed value and
+// allocates nothing — the largest payload the daemon emits, action
+// records included.
+func TestRingEmitWithoutSubscriberDoesNotAllocate(t *testing.T) {
+	r := NewTraceRing(TraceScores, 8)
+	defer r.Close()
+	rt := RoundTrace{Round: 1, Solver: "incremental", Moves: 1,
+		Actions: []ActionTrace{{Kind: "place", VM: 1, From: -1, To: 2, Terms: &ScoreTerms{Base: 1}}}}
+	for i := 0; i < 8; i++ {
+		r.Emit(rt)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Emit(rt) }); n != 0 {
+		t.Fatalf("TraceRing.Emit with no subscriber allocates %.0f objects per event, want 0", n)
+	}
+}
+
+// One emitter against readers that snapshot, resume from where they
+// left off, unsubscribe and reset, all at once. Every delivered event
+// must carry the bytes of its own sequence number (a cached encoding
+// landing in the wrong slot would not), and every hand-off — backlog
+// after a resume point, stream after a backlog — is gapless unless
+// Subscribe announced a gap. Run under -race.
+func TestRingConcurrentResumeIsGaplessOrAnnounced(t *testing.T) {
+	r := newTickRing(16)
+	intact := func(ev RingEvent) bool { return string(ev.Data) == strconv.FormatUint(ev.Seq, 10) }
+
+	stop := make(chan struct{})
+	emitter := make(chan struct{})
+	go func() {
+		defer close(emitter)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Emit("tick", false)
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() { // resumers
+			defer wg.Done()
+			var last uint64
+			for i := 0; i < 300; i++ {
+				sub, backlog, gap := r.Subscribe(last)
+				if len(backlog) > 0 && last > 0 {
+					if first := backlog[0].Seq; (first != last+1) != gap {
+						t.Errorf("resume from %d: backlog starts at %d with gap=%v", last, first, gap)
+					}
+				}
+				expect := uint64(0) // unknown: a fresh tail, or an announced gap with nothing retained
+				if last > 0 && !gap {
+					expect = last + 1
+				}
+				for _, ev := range backlog {
+					if !intact(ev) || (expect != 0 && ev.Seq != expect) {
+						t.Errorf("backlog after %d: got seq %d data %q, want seq %d", last, ev.Seq, ev.Data, expect)
+					}
+					expect = ev.Seq + 1
+					last = ev.Seq
+				}
+				for n := 0; n < 5; n++ {
+					ev, ok := <-sub.Ch
+					if !ok {
+						break // cut loose as a slow consumer: resume from last
+					}
+					if !intact(ev) || (expect != 0 && ev.Seq != expect) {
+						t.Errorf("stream after %d: got seq %d data %q, want seq %d", last, ev.Seq, ev.Data, expect)
+					}
+					expect = ev.Seq + 1
+					last = ev.Seq
+				}
+				r.Unsubscribe(sub)
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() { // snapshot readers
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				var prev uint64
+				for _, ev := range r.Snapshot(0) {
+					if !intact(ev) || (prev != 0 && ev.Seq != prev+1) {
+						t.Errorf("snapshot: seq %d data %q after seq %d", ev.Seq, ev.Data, prev)
+					}
+					prev = ev.Seq
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // a restore now and then
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			r.Reset()
+			runtime.Gosched()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-emitter
+	r.Close()
 }

@@ -171,21 +171,37 @@ const EventRound = "round"
 
 // TraceRing is the per-fleet decision log behind GET /trace: a Ring of
 // round traces plus the recording level. It implements TraceSink; Emit
-// assigns sequence numbers, marshals once and fans out. The embedded
-// Ring is what the API reads (Seq, Snapshot, Subscribe, Close). Safe
-// for one writer (the fleet's event loop) and any number of concurrent
-// readers.
+// hands the round to the ring, which assigns its sequence number and
+// marshals it only when someone reads it. The embedded Ring is what
+// the API reads (Seq, Snapshot, Subscribe, Close). Safe for one writer
+// (the fleet's event loop) and any number of concurrent readers.
 type TraceRing struct {
-	*Ring
+	*Ring[RoundTrace]
 	verb atomic.Int32
 }
 
 // NewTraceRing builds a ring holding the last depth rounds (default
 // 256 when depth <= 0) at the given verbosity.
 func NewTraceRing(verb Verbosity, depth int) *TraceRing {
-	r := &TraceRing{Ring: NewRing(depth)}
+	r := &TraceRing{Ring: NewRing(depth, encodeRound)}
 	r.SetVerbosity(verb)
 	return r
+}
+
+// encodeRound renders a round trace under its ring sequence number.
+func encodeRound(seq uint64, rt RoundTrace) []byte {
+	rt.Seq = seq
+	return marshal(&rt)
+}
+
+// marshal is the rings' JSON encoder. The payloads are plain structs
+// that cannot fail to encode; if one ever did, nil drops the event.
+func marshal(v any) []byte {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return nil
+	}
+	return data
 }
 
 // Verbosity returns the ring's recording level.
@@ -194,15 +210,7 @@ func (r *TraceRing) Verbosity() Verbosity { return Verbosity(r.verb.Load()) }
 // SetVerbosity changes the recording level at runtime.
 func (r *TraceRing) SetVerbosity(v Verbosity) { r.verb.Store(int32(v)) }
 
-// Emit assigns the next sequence number, stores the trace in the ring
-// and forwards it to every live subscriber.
-func (r *TraceRing) Emit(rt RoundTrace) {
-	r.Ring.Emit(EventRound, func(seq uint64) []byte {
-		rt.Seq = seq
-		data, err := json.Marshal(rt)
-		if err != nil {
-			return nil // plain structs; cannot happen
-		}
-		return data
-	})
-}
+// Emit stores the trace in the ring under the next sequence number and
+// forwards it to every live subscriber. The ring keeps rt.Actions, so
+// the caller must not reuse that slice.
+func (r *TraceRing) Emit(rt RoundTrace) { r.Ring.Emit(EventRound, rt) }

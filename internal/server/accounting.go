@@ -100,7 +100,7 @@ func (s *Server) handleJourney(w http.ResponseWriter, r *http.Request, f *fleet.
 func (s *Server) handleJourneys(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	js := f.Journeys()
 	if follows(r) {
-		s.serveSSE(w, r, js.Ring)
+		s.serveSSE(w, r, js)
 		return
 	}
 	writeJSON(w, http.StatusOK, energysched.JourneysSnapshot{Seq: js.Seq(), Journeys: js.Summaries()})

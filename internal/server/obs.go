@@ -85,7 +85,8 @@ func (s *Server) withRouteMetrics(next *http.ServeMux) http.Handler {
 
 // TraceSnapshotBody is the JSON body of GET /trace: the ring's head
 // sequence, the recording level, and the retained round traces (the
-// ring stores them pre-marshaled, so they pass through verbatim).
+// ring hands them over marshaled — on this first read if nobody tailed
+// them — so they pass through verbatim).
 type TraceSnapshotBody struct {
 	Seq       uint64            `json:"seq"`
 	Verbosity string            `json:"verbosity"`
@@ -100,7 +101,7 @@ type TraceSnapshotBody struct {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	ring := f.Trace()
 	if follows(r) {
-		s.serveSSE(w, r, ring.Ring)
+		s.serveSSE(w, r, ring)
 		return
 	}
 	since, err := resumePoint(r)

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"energysched"
+	"energysched/internal/bodybuf"
 	"energysched/internal/fleet"
 	"energysched/internal/metrics"
 	"energysched/internal/obs"
@@ -612,29 +613,33 @@ func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 // (body = JSON array of JobSpec), the batch atomically in one
 // event-loop turn.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	// Decode inside the pooled buffer's lifetime, submit outside it.
+	var (
+		batch bool
+		specs []energysched.JobSpec
+		spec  energysched.JobSpec
+	)
+	what := "reading body: "
+	err := bodybuf.Read(http.MaxBytesReader(w, r.Body, 8<<20), r.ContentLength, func(body []byte) error {
+		trimmed := bytes.TrimLeft(body, " \t\r\n")
+		if batch = len(trimmed) > 0 && trimmed[0] == '['; batch {
+			what = "decoding job batch: "
+			return json.Unmarshal(trimmed, &specs)
+		}
+		what = "decoding job spec: "
+		return json.Unmarshal(trimmed, &spec)
+	})
 	if err != nil {
-		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: "reading body: " + err.Error()})
+		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: what + err.Error()})
 		return
 	}
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var specs []energysched.JobSpec
-		if err := json.Unmarshal(trimmed, &specs); err != nil {
-			writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: "decoding job batch: " + err.Error()})
-			return
-		}
+	if batch {
 		out, err := f.SubmitBatch(specs)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, out)
-		return
-	}
-	var spec energysched.JobSpec
-	if err := json.Unmarshal(trimmed, &spec); err != nil {
-		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: "decoding job spec: " + err.Error()})
 		return
 	}
 	st, err := f.Submit(spec)
@@ -1040,6 +1045,13 @@ func resumePoint(r *http.Request) (uint64, error) {
 	return since, nil
 }
 
+// tailable is what serveSSE needs of an obs.Ring, whatever its payload
+// type: a subscription with its backlog, and its release.
+type tailable interface {
+	Subscribe(since uint64) (*obs.RingSub, []obs.RingEvent, bool)
+	Unsubscribe(sub *obs.RingSub)
+}
+
 // serveSSE tails one ring over server-sent events — the one stream
 // loop behind /events, /trace?follow=1 and /journeys?follow=1. The
 // gapless backlog since the resume point goes first (preceded by a gap
@@ -1048,7 +1060,7 @@ func resumePoint(r *http.Request) (uint64, error) {
 // consumer that falls behind is cut loose by the ring rather than
 // backpressuring the event loop; the stream also ends when the fleet
 // closes or the client goes away.
-func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, ring *obs.Ring) {
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, ring tailable) {
 	since, err := resumePoint(r)
 	if err != nil {
 		writeErr(w, err)

@@ -924,22 +924,39 @@ func postBody(t *testing.T, base, path, payload string) (int, string) {
 // replayed, returning the raw transcript (ids, event names, data).
 func readSSETranscript(t *testing.T, base, path string, want uint64) string {
 	t.Helper()
+	return scanSSE(t, openSSE(t, base+path, ""), path, want)
+}
+
+// openSSE opens a stream, resuming after lastEventID when non-empty.
+// The subscription exists once it returns; the test's end closes it.
+func openSSE(t *testing.T, url, lastEventID string) io.Reader {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	t.Cleanup(cancel)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lastEventID != "" {
+		req.Header.Set("Last-Event-ID", lastEventID)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	t.Cleanup(func() { resp.Body.Close() })
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
 	}
+	return resp.Body
+}
+
+// scanSSE reads a stream up to and including the event with id want,
+// returning the raw transcript.
+func scanSSE(t *testing.T, body io.Reader, path string, want uint64) string {
+	t.Helper()
 	var transcript strings.Builder
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), 64*1024)
 	var last uint64
 	for sc.Scan() {

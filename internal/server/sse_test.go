@@ -3,11 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -168,4 +171,189 @@ func settledGoroutines(t *testing.T, atMost int) int {
 		}
 	}
 	return n
+}
+
+// TestSSELateReaderGetsTheLiveBytes: with two subscribers on each of
+// the three streams, what both receive live, what a later ?since=0
+// reader replays and what a Last-Event-ID resume replays are the same
+// bytes — and, for the two deterministic streams, the same bytes a
+// daemon nobody was tailing (so nothing was encoded at emission)
+// replays for the same workload.
+func TestSSELateReaderGetsTheLiveBytes(t *testing.T) {
+	routes := sseRoutes[:3]
+	run := func(t *testing.T, tailed bool) (replays []string) {
+		srv, hs, client := newTestServer(t, Config{Policy: "SB", Seed: 1, TraceVerbosity: "scores"})
+		var live [][2]io.Reader
+		if tailed {
+			for _, route := range routes {
+				live = append(live, [2]io.Reader{openSSE(t, hs.URL+route, ""), openSSE(t, hs.URL+route, "")})
+			}
+		}
+		submitN(t, client, 6, 0)
+		if _, err := client.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		f, err := srv.Manager().Get(DefaultFleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, head := range []uint64{f.Broker().Seq(), f.TraceSeq(), f.JourneySeq()} {
+			if head < 4 {
+				t.Fatalf("%s: only %d events; the comparison is vacuous", routes[i], head)
+			}
+			replay := readSSETranscript(t, hs.URL, routes[i]+"since=0", head)
+			replays = append(replays, replay)
+			if tailed {
+				first, second := scanSSE(t, live[i][0], routes[i], head), scanSSE(t, live[i][1], routes[i], head)
+				if first != second {
+					t.Errorf("%s: two live subscribers received different bytes:\n%s\nvs\n%s", routes[i], first, second)
+				}
+				if first != replay {
+					t.Errorf("%s: a since=0 reader replays different bytes than the live subscribers got:\n%s\nvs\n%s", routes[i], replay, first)
+				}
+			}
+			mid := head / 2
+			resumed := scanSSE(t, openSSE(t, hs.URL+routes[i], strconv.FormatUint(mid, 10)), routes[i], head)
+			from := strings.Index(replay, "id: "+strconv.FormatUint(mid+1, 10)+"\n")
+			if from < 0 || resumed != replay[from:] {
+				t.Errorf("%s: Last-Event-ID %d resume is not the replay's tail:\n%s\nvs\n%s", routes[i], mid, resumed, replay)
+			}
+		}
+		return replays
+	}
+	var tailed, quiet []string
+	t.Run("tailed", func(t *testing.T) { tailed = run(t, true) })
+	t.Run("quiet", func(t *testing.T) { quiet = run(t, false) })
+	if t.Failed() {
+		return
+	}
+	for _, i := range []int{0, 2} { // round traces carry wall-clock timings
+		if tailed[i] != quiet[i] {
+			t.Errorf("%s: encoding at emission and encoding on first read disagree:\n%s\nvs\n%s", routes[i], tailed[i], quiet[i])
+		}
+	}
+}
+
+// TestSSEConcurrentResumeUnderLoad is the ring's reader/writer race at
+// the HTTP surface, for -race: while jobs stream in, consumers of all
+// three streams connect, read a few events, drop the connection and
+// resume from the last id they saw; others poll the trace snapshot;
+// a restore resets the rings under them. Every event must decode and
+// carry the sequence number the consumer expects next, unless the
+// daemon announced a gap first.
+func TestSSEConcurrentResumeUnderLoad(t *testing.T) {
+	_, _, client := newTestServer(t, Config{
+		Policy: "SB", Seed: 1, TraceVerbosity: "actions",
+		EventRing: 64, TraceDepth: 16, JourneyDepth: 32, SnapshotDir: t.TempDir(),
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	submitN(t, client, 4, 0)
+	if _, err := client.Snapshot(ctx, "early.json"); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	emitter := make(chan struct{})
+	go func() { // the one writer: a job at a time, each later than the last
+		defer close(emitter)
+		for i := 4; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			at := float64(i) * 15
+			// A submit that lands behind a restore's clock is a 409, not
+			// this test's concern.
+			client.SubmitJob(ctx, energysched.JobSpec{CPU: 100, Mem: 5, Duration: 300, Submit: &at})
+		}
+	}()
+
+	errTaken := errors.New("took enough")
+	// resume drives one consumer: tail from last, take up to five events
+	// checking each against the expected next sequence number, repeat.
+	resume := func(what string, tail func(since uint64, fn func(seq uint64) error) error) {
+		var last uint64
+		for i := 0; i < 40 && ctx.Err() == nil; i++ {
+			expect, taken := uint64(0), 0
+			if last > 0 {
+				expect = last + 1
+			}
+			err := tail(last, func(seq uint64) error {
+				if expect != 0 && seq != expect {
+					t.Errorf("%s: resumed after %d and got seq %d with no gap announced, want %d", what, last, seq, expect)
+				}
+				expect, last = seq+1, seq
+				if taken++; taken == 5 {
+					return errTaken
+				}
+				return nil
+			})
+			var gap *energysched.GapError
+			switch {
+			case errors.As(err, &gap):
+				last = 0 // announced: re-sync from whatever is retained
+			case err != nil && !errors.Is(err, errTaken) && ctx.Err() == nil:
+				t.Errorf("%s tail: %v", what, err)
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, c := range []struct {
+		what string
+		tail func(since uint64, fn func(seq uint64) error) error
+	}{
+		{"events", func(since uint64, fn func(uint64) error) error {
+			return client.Events(ctx, since, func(seq uint64, _ energysched.Event) error { return fn(seq) })
+		}},
+		{"trace", func(since uint64, fn func(uint64) error) error {
+			return client.TraceTail(ctx, since, func(rt energysched.TraceRound) error { return fn(rt.Seq) })
+		}},
+		{"journeys", func(since uint64, fn func(uint64) error) error {
+			return client.JourneyTail(ctx, since, func(ev energysched.JourneyEvent) error { return fn(ev.Seq) })
+		}},
+	} {
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resume(c.what, c.tail)
+			}()
+		}
+	}
+	wg.Add(1)
+	go func() { // snapshot pollers share the slots the tails are filling
+		defer wg.Done()
+		for i := 0; i < 60 && ctx.Err() == nil; i++ {
+			snap, err := client.Trace(ctx, 0)
+			if err != nil {
+				t.Errorf("trace snapshot: %v", err)
+				return
+			}
+			for j := 1; j < len(snap.Traces); j++ {
+				if snap.Traces[j].Seq != snap.Traces[j-1].Seq+1 {
+					t.Errorf("trace snapshot skips from seq %d to %d", snap.Traces[j-1].Seq, snap.Traces[j].Seq)
+				}
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // restores reset the event ring mid-stream
+		defer wg.Done()
+		for i := 0; i < 3 && ctx.Err() == nil; i++ {
+			if _, err := client.Restore(ctx, "early.json"); err != nil {
+				t.Errorf("restore: %v", err)
+				return
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-emitter
+	if ctx.Err() != nil {
+		t.Fatal("timed out")
+	}
 }
