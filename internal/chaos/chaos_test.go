@@ -247,13 +247,13 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	}
 }
 
-// TestScenario10kShardedAdmissionByteIdentity extends the scale oracle
+// TestScenario10kAdmissionByteIdentity extends the scale oracle
 // to the admission path: the same 10k-node two-day stream batched
-// through the admission router (bounded queue → arbiter → event loop,
-// not the bulk-load bypass) must drain byte-identical to the
+// through the admission router (bounded queue → event-loop turn, not
+// the bulk-load bypass) must drain byte-identical to the
 // bulk-loaded serial reference — any divergence means the router
 // leaked something other than the requests into the engine.
-func TestScenario10kShardedAdmissionByteIdentity(t *testing.T) {
+func TestScenario10kAdmissionByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
 	}
@@ -304,7 +304,7 @@ func TestScenario10kShardedAdmissionByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same 64-job batches, but through SubmitBatch — the full
-	// queue → arbiter admission path.
+	// queue → turn admission path.
 	streamed := 0
 	batch := make([]energysched.JobSpec, 0, 64)
 	flush := func() {

@@ -18,13 +18,12 @@ import (
 // A fleet's event loop serializes everything, which is what makes the
 // simulation deterministic. The admission router in this file is the
 // one way a job reaches it online: a submitter passes the token bucket,
-// takes a slot in one bounded queue and waits; a single arbiter
-// goroutine receives from that queue, gathers everything else already
-// waiting (up to maxMergeTurn) and applies it all in one event-loop
-// turn, in a deterministic order (earliest submit time first, ingest
-// sequence as the tie break). Sequential submitters see exactly their
-// own order — one request per turn — while N concurrent submitters
-// amortize their do() hand-offs into a single turn.
+// takes a slot in one bounded queue and waits; the event loop itself
+// receives from that queue (Fleet.loop), gathers everything else
+// already waiting (up to maxMergeTurn) and admits it all in one turn,
+// in a deterministic order (earliest submit time first, ingest sequence
+// as the tie break). Sequential submitters see exactly their own order
+// — one request per turn — while N concurrent submitters share a turn.
 //
 // The same entry point is where ingest hygiene lives: an optional
 // token-bucket rate limit (Config.RateLimit/RateBurst) and the bounded
@@ -89,13 +88,13 @@ func (tb *tokenBucket) take(n int) (retryAfter int, ok bool) {
 // admitRequest is one Submit/SubmitBatch in flight through the router.
 type admitRequest struct {
 	specs []energysched.JobSpec
-	// seq is the monotone ingest sequence, the arbiter's tie break.
+	// seq is the monotone ingest sequence, the turn's tie break.
 	seq uint64
-	// submit is the arbiter's primary sort key: the batch's first
-	// submit time, -Inf for a nil-Submit ("now") request.
+	// submit is the turn's primary sort key: the batch's first submit
+	// time, -Inf for a nil-Submit ("now") request.
 	submit float64
-	// reply is buffered (capacity 1) so the arbiter never blocks on a
-	// submitter that already gave up.
+	// reply is buffered (capacity 1) so the event loop never blocks on
+	// a submitter that already gave up.
 	reply chan admitReply
 }
 
@@ -117,44 +116,37 @@ func arbiterKey(specs []energysched.JobSpec) float64 {
 	return *specs[0].Submit
 }
 
-// maxMergeTurn bounds how many requests one arbiter turn applies, so a
-// firehose of concurrent submitters cannot starve the event loop's
+// maxMergeTurn bounds how many requests one admission turn applies, so
+// a firehose of concurrent submitters cannot starve the event loop's
 // other callers (reads, pacing ticks) indefinitely.
 const maxMergeTurn = 64
 
-// admitRouter is the admission front end of one fleet: one bounded
-// queue, one arbiter goroutine between submit and Fleet.do.
+// admitRouter is the admission front end of one fleet: the token bucket
+// and the one bounded queue between submit and the event loop.
 type admitRouter struct {
-	f        *Fleet
-	queue    chan *admitRequest
-	bucket   *tokenBucket // nil = unlimited
-	seq      atomic.Uint64
-	stopc    chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	f      *Fleet
+	queue  chan *admitRequest
+	bucket *tokenBucket // nil = unlimited
+	seq    atomic.Uint64
 
 	shedRate   atomic.Uint64 // requests rejected by the token bucket
 	shedQueue  atomic.Uint64 // requests rejected by the full queue
-	mergeTurns atomic.Uint64 // event-loop turns the arbiter executed
+	mergeTurns atomic.Uint64 // admission turns the event loop executed
 	merged     atomic.Uint64 // requests applied across those turns
 }
 
 func newAdmitRouter(f *Fleet) *admitRouter {
-	r := &admitRouter{
+	return &admitRouter{
 		f: f,
 		// AdmitQueue is the backpressure bound: a submitter that finds
 		// this many requests already waiting is shed with a 429.
 		queue:  make(chan *admitRequest, f.cfg.AdmitQueue),
 		bucket: newTokenBucket(f.cfg.RateLimit, f.cfg.RateBurst),
-		stopc:  make(chan struct{}),
 	}
-	r.wg.Add(1)
-	go r.arbiterLoop()
-	return r
 }
 
-// submit runs one request through rate limiting, the bounded queue and
-// the arbiter, and waits for the event loop's answer.
+// submit runs one request through rate limiting and the bounded queue,
+// and waits for the event loop's answer.
 func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
 	if r.bucket != nil && len(specs) > 0 {
 		if ra, ok := r.bucket.take(len(specs)); !ok {
@@ -176,6 +168,8 @@ func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStat
 		return nil, &Error{Status: http.StatusTooManyRequests,
 			Msg: "admission queue full", RetryAfter: 1}
 	}
+	// A request still queued when the fleet closes is never answered:
+	// its submitter leaves through stopc.
 	select {
 	case rep := <-req.reply:
 		return rep.out, rep.err
@@ -184,22 +178,11 @@ func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStat
 	}
 }
 
-// arbiterLoop feeds the queue into the event loop: every batch of
-// concurrently-waiting requests is applied in one do() turn, in
-// deterministic order.
-func (r *admitRouter) arbiterLoop() {
-	defer r.wg.Done()
-	for {
-		select {
-		case first := <-r.queue:
-			r.applyTurn(first)
-		case <-r.stopc:
-			return
-		}
-	}
-}
-
-func (r *admitRouter) applyTurn(first *admitRequest) {
+// turn is one admission turn of the event loop, entered with the
+// request the loop just received: gather everything else already
+// waiting, admit it all in deterministic order, answer each submitter.
+// Call only from the event loop.
+func (r *admitRouter) turn(first *admitRequest) {
 	batch := []*admitRequest{first}
 gather:
 	for len(batch) < maxMergeTurn {
@@ -220,37 +203,10 @@ gather:
 	})
 	r.mergeTurns.Add(1)
 	r.merged.Add(uint64(len(batch)))
-	// Both reply sends below are non-blocking: when the fleet closes
-	// mid-turn, do() returns ErrClosed while fn may still be running on
-	// the event loop, so the turn and the fallback can race to answer
-	// the same request — the buffered channel takes the first, the
-	// select/default drops the loser, and the submitter is already gone
-	// on ErrClosed anyway.
-	err := r.f.do(func() {
-		for _, req := range batch {
-			out, aerr := r.f.admit(req.specs)
-			select {
-			case req.reply <- admitReply{out: out, err: aerr}:
-			default:
-			}
-		}
-	})
-	if err != nil {
-		for _, req := range batch {
-			select {
-			case req.reply <- admitReply{err: err}:
-			default:
-			}
-		}
+	for _, req := range batch {
+		out, err := r.f.admit(req.specs)
+		req.reply <- admitReply{out: out, err: err} // capacity 1, one sender: never blocks
 	}
-}
-
-// stop terminates the arbiter; idempotent, like
-// every other close path Fleet.Close touches. Callers must have closed
-// the fleet's stopc first so in-flight do() turns unblock.
-func (r *admitRouter) stop() {
-	r.stopOnce.Do(func() { close(r.stopc) })
-	r.wg.Wait()
 }
 
 // metricsSamples appends the router's Prometheus samples: queue depth

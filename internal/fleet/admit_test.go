@@ -94,15 +94,14 @@ func TestAdmitQueueShedsWith429(t *testing.T) {
 	}
 	defer f.Close()
 
-	// Wedge the event loop so the arbiter cannot drain: queued requests
-	// pile up in the (depth-1) queue.
+	// Wedge the event loop so nothing drains the queue: queued requests
+	// pile up in it.
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go f.do(func() { close(started); <-gate })
 	<-started
 
-	// Capacity while wedged: 1 in the arbiter's hand, 1 in the queue.
-	// The rest must shed.
+	// Capacity while wedged: the queue's one slot. The rest must shed.
 	const inflight = 8
 	var wg sync.WaitGroup
 	var shed atomic.Int64
@@ -140,12 +139,12 @@ func TestAdmitQueueShedsWith429(t *testing.T) {
 // TestArbiterTurnSortsBySubmitTime pins the one decision the router
 // makes. Requests that wait together are applied in a single event-loop
 // turn, and under max pacing applying a later submit time first would
-// advance the clock past the earlier ones and 409 them. So: park the
-// arbiter in a wedged turn, queue N requests whose submit times are the
-// reverse of their ingest order plus one nil-Submit ("now") request,
-// release, and require no rejection, exactly one merged turn, and a
-// drained report equal to submitting the same jobs one at a time in
-// submit order.
+// advance the clock past the earlier ones and 409 them. So: wedge the
+// loop with do, queue N requests whose submit times are the reverse of
+// their ingest order plus one nil-Submit ("now") request, release, and
+// require no rejection, exactly one merged turn of N+1, and a drained
+// report equal to submitting the same jobs one at a time in submit
+// order.
 func TestArbiterTurnSortsBySubmitTime(t *testing.T) {
 	const n = 8
 	job := func(i int, at *float64) energysched.JobSpec {
@@ -159,42 +158,40 @@ func TestArbiterTurnSortsBySubmitTime(t *testing.T) {
 	}
 	defer f.Close()
 	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, or a failed wait below would hang it
 	started := make(chan struct{})
 	go f.do(func() { close(started); <-gate })
 	<-started
 
-	errs := make(chan error, n+2)
+	errs := make(chan error, n+1)
 	submit := func(spec energysched.JobSpec) {
 		go func() { _, err := f.Submit(spec); errs <- err }()
 	}
-	waitFor := func(what string, cond func() bool) {
+	waitQueued := func(depth int) {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); len(f.router.queue) != depth; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
+				t.Fatalf("timed out waiting for %d queued requests (have %d)", depth, len(f.router.queue))
 			}
 		}
 	}
-	// The plug: the arbiter takes it into a turn of its own and blocks
-	// in do() behind the wedge, so everything below queues up behind it.
-	submit(job(0, at(-1)))
-	waitFor("the arbiter to take the plug", func() bool { return f.router.mergeTurns.Load() == 1 })
 	// Ingest order: latest submit time first, the nil-Submit request
 	// last. One at a time, so ingest sequence == start order.
 	for i := n - 1; i >= 0; i-- {
-		submit(job(i+1, at(i)))
-		waitFor("a request to queue", func() bool { return len(f.router.queue) == n-i })
+		submit(job(i, at(i)))
+		waitQueued(n - i)
 	}
-	submit(job(n+1, nil))
-	waitFor("the nil-Submit request to queue", func() bool { return len(f.router.queue) == n+1 })
-	close(gate)
-	for i := 0; i < n+2; i++ {
+	submit(job(n, nil))
+	waitQueued(n + 1)
+	release()
+	for i := 0; i < n+1; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("merged turn rejected a request: %v", err)
 		}
 	}
-	if turns, merged := f.router.mergeTurns.Load(), f.router.merged.Load(); turns != 2 || merged != n+2 {
-		t.Fatalf("arbiter ran %d turns over %d requests, want the plug's plus one turn of %d", turns, merged, n+1)
+	if turns, merged := f.router.mergeTurns.Load(), f.router.merged.Load(); turns != 1 || merged != n+1 {
+		t.Fatalf("the loop ran %d turns over %d requests, want one turn of %d", turns, merged, n+1)
 	}
 	got, err := f.Drain()
 	if err != nil {
@@ -206,9 +203,9 @@ func TestArbiterTurnSortsBySubmitTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	seq := []energysched.JobSpec{job(0, at(-1)), job(n+1, nil)}
+	seq := []energysched.JobSpec{job(n, nil)}
 	for i := 0; i < n; i++ {
-		seq = append(seq, job(i+1, at(i)))
+		seq = append(seq, job(i, at(i)))
 	}
 	for i, spec := range seq {
 		if _, err := ref.Submit(spec); err != nil {
@@ -219,15 +216,15 @@ func TestArbiterTurnSortsBySubmitTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || got.JobsTotal != n+2 {
+	if got != want || got.JobsTotal != n+1 {
 		t.Fatalf("merged turn diverged from sequential submit-order admission:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestConcurrentShardedSubmitDropsNothing: N goroutines hammering one
+// TestConcurrentSubmitDropsNothing: N goroutines hammering one
 // fleet with nil-Submit jobs — every acknowledged admission must land
 // (zero dropped accepted jobs).
-func TestConcurrentShardedSubmitDropsNothing(t *testing.T) {
+func TestConcurrentSubmitDropsNothing(t *testing.T) {
 	f, err := Open("cc", Config{Policy: "SB", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -264,16 +261,16 @@ func TestConcurrentShardedSubmitDropsNothing(t *testing.T) {
 			info.Jobs, accepted.Load(), workers*perWorker)
 	}
 	if f.router.merged.Load() < workers*perWorker {
-		t.Fatalf("arbiter merged %d requests, want >= %d", f.router.merged.Load(), workers*perWorker)
+		t.Fatalf("the loop merged %d requests, want >= %d", f.router.merged.Load(), workers*perWorker)
 	}
 }
 
-// TestShardFaultMidBatchStaysAtomicAndByteIdentical: a WAL disk-full
+// TestFaultMidBatchStaysAtomicAndByteIdentical: a WAL disk-full
 // fault lands on one request's batch while the requests around it
 // succeed. The faulted batch must reject atomically (no partial
 // admission), and a kill/reopen must recover byte-identical to an
 // in-memory fleet fed only the surviving batches.
-func TestShardFaultMidBatchStaysAtomicAndByteIdentical(t *testing.T) {
+func TestFaultMidBatchStaysAtomicAndByteIdentical(t *testing.T) {
 	dir := t.TempDir() + "/f"
 	var syncs atomic.Int64
 	const faultOn = 3 // fail the 3rd batch's WAL flush (one flush per request)

@@ -9,8 +9,8 @@ import (
 
 // BenchmarkAdmitRouter measures concurrent admission throughput
 // through the router: each iteration pushes a fixed burst of jobs from
-// 8 submitters through a fresh fleet's bounded queue and arbiter into
-// the event loop (WAL off, in-memory sim).
+// 8 submitters through a fresh fleet's bounded queue into the event
+// loop's admission turns (WAL off, in-memory sim).
 func BenchmarkAdmitRouter(b *testing.B) {
 	const submitters, perSubmitter = 8, 128
 	b.ReportAllocs()

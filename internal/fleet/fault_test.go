@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -119,10 +121,7 @@ func TestWALFaultTornWriteGoesReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	st, err := f2.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := walInfo(t, f2)
 	if !st.TornTail || st.TruncatedBytes == 0 || st.Replayed != 6 {
 		t.Fatalf("torn-write recovery stats = %+v, want TornTail with 6 replayed", st)
 	}
@@ -135,6 +134,177 @@ func TestWALFaultTornWriteGoesReadOnly(t *testing.T) {
 	}
 	if want := drainedReport(t, 6); got != want {
 		t.Fatalf("torn-write recovery diverged from the acknowledged prefix:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// readWAL returns the bytes of the fleet directory's log.
+func readWAL(t *testing.T, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCommitLeaderEqualsFollower: leader and follower apply a record
+// through the same commit, so a follower fed the leader's ReplRecords —
+// 40 jobs in mixed single and batch submits, then the drain — must hold
+// a byte-identical WAL before the seal, a byte-identical compaction
+// snapshot after it, and the same final report.
+func TestCommitLeaderEqualsFollower(t *testing.T) {
+	ldir, fdir := filepath.Join(t.TempDir(), "l"), filepath.Join(t.TempDir(), "f")
+	cfg := func(dir string) Config { c := testConfig(dir); c.SnapshotInterval = 0; return c }
+	leader, err := Open("l", cfg(ldir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	follower, err := Open("f", cfg(fdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	sess, err := leader.ReplSubscribe(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.ReplUnsubscribe(sess)
+	mirror := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := follower.ApplyReplRecord(<-sess.Ch); err != nil {
+				t.Fatalf("follower refused a leader record: %v", err)
+			}
+		}
+	}
+
+	for i, turn := 0, 0; i < 40; turn++ {
+		size := min([]int{1, 3, 1, 5}[turn%4], 40-i) // singles and batches, mixed
+		specs := make([]energysched.JobSpec, size)
+		for k := range specs {
+			specs[k] = testSpec(i + k)
+		}
+		if size == 1 {
+			_, err = leader.Submit(specs[0])
+		} else {
+			_, err = leader.SubmitBatch(specs)
+		}
+		if err != nil {
+			t.Fatalf("leader submit at job %d: %v", i, err)
+		}
+		mirror(size)
+		i += size
+	}
+	if l, f := readWAL(t, ldir), readWAL(t, fdir); len(l) == 0 || !bytes.Equal(l, f) {
+		t.Fatalf("follower WAL (%d bytes) differs from the leader's (%d bytes) after 40 admissions", len(f), len(l))
+	}
+
+	want, err := leader.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror(1) // the seal
+	got, err := follower.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || !got.Final || got.JobsTotal != 40 {
+		t.Fatalf("follower's final report diverged:\n got %+v\nwant %+v", got, want)
+	}
+	for _, name := range []string{walName, checkpointName} {
+		l, lerr := os.ReadFile(filepath.Join(ldir, name))
+		f, ferr := os.ReadFile(filepath.Join(fdir, name))
+		if lerr != nil || ferr != nil || !bytes.Equal(l, f) {
+			t.Fatalf("%s differs between leader and follower after the seal (%v, %v)", name, lerr, ferr)
+		}
+	}
+}
+
+// TestCommitFaultLeavesFollowerLikeLeader: a WAL fault on the append
+// and on the sync, hitting the leader's admit and the follower's
+// applyRecord. Either way the record's one path is commit, so either
+// way: a 500, the log rewound to its pre-record bytes, nothing
+// injected — and once the fault clears the same record goes in and the
+// log is byte-identical to a fleet that never saw a fault.
+func TestCommitFaultLeavesFollowerLikeLeader(t *testing.T) {
+	const n = 4 // the fault lands on the last of n jobs
+	// The records a follower is fed, and the WAL a clean run leaves.
+	cleanDir := filepath.Join(t.TempDir(), "clean")
+	cfg := func(dir string) Config { c := testConfig(dir); c.SnapshotInterval = 0; return c }
+	clean, err := Open("clean", cfg(cleanDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	sess, err := clean.ReplSubscribe(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.ReplUnsubscribe(sess)
+	var recs []ReplRecord
+	for i := 0; i < n; i++ {
+		if _, err := clean.Submit(testSpec(i)); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, <-sess.Ch)
+	}
+	cleanWAL := readWAL(t, cleanDir)
+
+	for _, tc := range []struct {
+		role, op string
+	}{
+		{"leader", "append"}, {"leader", "sync"}, {"follower", "append"}, {"follower", "sync"},
+	} {
+		t.Run(tc.role+"/"+tc.op, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "f")
+			armed := false
+			c := cfg(dir)
+			c.WALFault = func(op string) error {
+				if armed && op == tc.op {
+					return errors.New("no space left on device")
+				}
+				return nil
+			}
+			f, err := Open("f", c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			feed := func(i int) error {
+				if tc.role == "follower" {
+					return f.ApplyReplRecord(recs[i])
+				}
+				_, err := f.Submit(testSpec(i))
+				return err
+			}
+			for i := 0; i < n-1; i++ {
+				if err := feed(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := readWAL(t, dir)
+
+			armed = true
+			var fe *Error
+			if err := feed(n - 1); !errors.As(err, &fe) || fe.Status != http.StatusInternalServerError {
+				t.Fatalf("faulted record: error = %v, want a 500", err)
+			}
+			armed = false
+			if after := readWAL(t, dir); !bytes.Equal(after, before) {
+				t.Fatalf("log not rewound: %d bytes before the fault, %d after", len(before), len(after))
+			}
+			if info, err := f.Info(); err != nil || info.Jobs != n-1 || info.WAL.Records != n-1 {
+				t.Fatalf("after the fault the fleet holds %+v (%v), want %d jobs and records", info, err, n-1)
+			}
+
+			if err := feed(n - 1); err != nil {
+				t.Fatalf("record refused after the fault cleared: %v", err)
+			}
+			if got := readWAL(t, dir); !bytes.Equal(got, cleanWAL) {
+				t.Fatalf("log after recovery differs from a fault-free run (%d vs %d bytes)", len(got), len(cleanWAL))
+			}
+		})
 	}
 }
 

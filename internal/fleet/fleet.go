@@ -147,35 +147,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WALStats describes one fleet's durability layer.
-type WALStats struct {
-	// Enabled reports whether the fleet has a durable directory.
-	Enabled bool `json:"enabled"`
-	// Records currently in the WAL (i.e. appended since the last
-	// compaction snapshot — what a crash right now would replay).
-	Records int `json:"records"`
-	// Appended counts records written since this process opened the
-	// fleet.
-	Appended int `json:"appended"`
-	// Replayed counts the WAL-tail records applied during recovery
-	// when this process opened the fleet: the admissions that happened
-	// after the last compaction snapshot.
-	Replayed int `json:"replayed"`
-	// Snapshots counts compaction snapshots written since open.
-	Snapshots int `json:"snapshots"`
-	// TornTail reports that recovery found (and dropped) a torn or
-	// corrupt final record.
-	TornTail bool `json:"torn_tail,omitempty"`
-	// TruncatedBytes is how many torn/corrupt tail bytes recovery had
-	// to discard (0 for a clean log). Surfaced so operators — and the
-	// failover e2e — can see exactly how much of the unacknowledged
-	// tail a crash destroyed.
-	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
-	// LastSnapshotUnix is the wall-clock time (Unix seconds) of the
-	// newest compaction snapshot, 0 if none exists yet.
-	LastSnapshotUnix int64 `json:"last_snapshot_unix,omitempty"`
-}
-
 // Error is a status-coded fleet error; the HTTP layer maps Status
 // onto the response code.
 type Error struct {
@@ -225,9 +196,9 @@ type Fleet struct {
 	wallStart time.Time
 	virtStart float64
 	wal       *wal
-	walBroken bool // an append failed and could not be rolled back
-	stats     WALStats
-	gen       int64 // timeline generation; bumped when restore replaces the log
+	walBroken bool                 // an append failed and could not be rolled back
+	stats     energysched.WALStats // durability counters; Records is filled in by walStats
+	gen       int64                // timeline generation; bumped when restore replaces the log
 	// recordEncodes counts admitRecord calls, so tests can pin that a
 	// fleet nobody logs or follows encodes no record at all.
 	recordEncodes int
@@ -271,9 +242,9 @@ func Open(id string, cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f.wallStart = time.Now()
+	f.router = newAdmitRouter(f)
 	f.wg.Add(1)
 	go f.loop()
-	f.router = newAdmitRouter(f)
 	return f, nil
 }
 
@@ -287,7 +258,6 @@ func (f *Fleet) recover() (jobs []workload.Job, now float64, sealed bool, err er
 	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
 		return nil, 0, false, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
 	}
-	f.stats.Enabled = true
 	snapPath := filepath.Join(f.cfg.Dir, checkpointName)
 	if st, serr := os.Stat(snapPath); serr == nil {
 		snap, rerr := readSnapshot(snapPath)
@@ -304,9 +274,7 @@ func (f *Fleet) recover() (jobs []workload.Job, now float64, sealed bool, err er
 		// changed it after the manifest was written — so it wins over
 		// the manager-supplied config, exactly as in restore().
 		snap.Config.applyTo(&f.cfg)
-		for _, sj := range snap.Jobs {
-			jobs = append(jobs, sj.job())
-		}
+		jobs = snap.Jobs
 		now = snap.SavedVirtual
 		sealed = snap.Sealed
 	}
@@ -326,12 +294,12 @@ func (f *Fleet) recover() (jobs []workload.Job, now float64, sealed bool, err er
 			if rec.Job == nil {
 				continue
 			}
-			switch {
-			case rec.Job.ID < len(jobs):
+			switch order := logOrder(int64(rec.Job.ID)+1, int64(len(jobs))); {
+			case order < 0:
 				// Already covered by the snapshot: a crash landed
 				// between snapshot publish and WAL reset. Idempotent.
 				continue
-			case rec.Job.ID > len(jobs):
+			case order > 0:
 				// A gap means the log does not describe this timeline
 				// (e.g. a restore whose checkpoint could not be
 				// persisted). Serve the consistent prefix, but refuse
@@ -341,7 +309,7 @@ func (f *Fleet) recover() (jobs []workload.Job, now float64, sealed bool, err er
 				f.logf("wal: record for job %d but only %d jobs known; ignoring the rest of the log and going read-only", rec.Job.ID, len(jobs))
 				return jobs, maxWatermark(now, jobs), sealed, nil
 			}
-			jobs = append(jobs, rec.Job.job())
+			jobs = append(jobs, *rec.Job)
 			f.stats.Replayed++
 		case walKindSeal:
 			sealed = true
@@ -378,11 +346,8 @@ func (f *Fleet) Pace() float64 { return f.cfg.Pace }
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stopc) })
 	f.wg.Wait()
-	if f.router != nil {
-		f.router.stop()
-	}
 	f.events.Close()
-	f.repl.close()
+	f.repl.dropAll(true)
 	f.trace.Close()
 	f.journeys.Close()
 	f.wal.close()
@@ -414,6 +379,16 @@ func (f *Fleet) do(fn func()) error {
 	}
 }
 
+// call is do for a turn that can fail: it returns fn's error, or
+// ErrClosed when the loop did not run it to completion.
+func (f *Fleet) call(fn func() error) error {
+	var ferr error
+	if err := f.do(func() { ferr = fn() }); err != nil {
+		return err
+	}
+	return ferr
+}
+
 // paceTick is the wall-clock granularity of real-time pacing.
 const paceTick = 100 * time.Millisecond
 
@@ -430,6 +405,8 @@ func (f *Fleet) loop() {
 		select {
 		case fn := <-f.cmds:
 			fn()
+		case req := <-f.router.queue:
+			f.router.turn(req)
 		case <-tick:
 			f.advanceRealtime()
 		case <-f.stopc:
@@ -523,7 +500,7 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 	}
 	sim.StepBefore(now)
 	f.sim = sim
-	f.jobs = append([]workload.Job(nil), jobs...)
+	f.jobs = jobs
 	f.watermark = now
 	f.final = nil
 	f.wallStart = time.Now()
@@ -538,8 +515,8 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 // --- admission ---
 
 // Submit admits one job through the admission router: rate-limited,
-// queued, merge-arbitrated (shard.go). Over-limit and full-queue
-// requests come back as 429 fleet.Errors with Retry-After.
+// queued, merged into an event-loop turn (admit.go). Over-limit and
+// full-queue requests come back as 429 fleet.Errors with Retry-After.
 func (f *Fleet) Submit(spec energysched.JobSpec) (energysched.JobStatus, error) {
 	out, err := f.router.submit([]energysched.JobSpec{spec})
 	if err != nil {
@@ -562,13 +539,9 @@ func (f *Fleet) SubmitBatch(specs []energysched.JobSpec) ([]energysched.JobStatu
 // admission router: no rate limit, no queue bound. Bulk internal
 // loads (SubmitSource) use it so replaying a trace into a
 // rate-limited fleet is not throttled like external traffic.
-func (f *Fleet) submitDirect(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
-	var out []energysched.JobStatus
-	var serr error
-	if err := f.do(func() { out, serr = f.admit(specs) }); err != nil {
-		return nil, err
-	}
-	return out, serr
+func (f *Fleet) submitDirect(specs []energysched.JobSpec) (out []energysched.JobStatus, err error) {
+	err = f.call(func() (e error) { out, e = f.admit(specs); return e })
+	return out, err
 }
 
 // SubmitSource streams a workload into the fleet in submit-ordered
@@ -623,11 +596,11 @@ func (f *Fleet) SubmitSource(src workload.JobSource, batchSize int) (int, error)
 	return total, nil
 }
 
-// admit validates, logs and injects a batch. Call only from the event
-// loop. The order is deliberate: validate everything (so the batch
-// either fully applies or fully rejects), append everything to the
-// WAL (durability before acknowledgment), then apply to the engine —
-// injection cannot fail after validation, so WAL and memory agree.
+// admit is the leader's half of an admission: it validates a batch
+// against the clock and the log, encodes its records if anyone will
+// read them, and hands the run to commit. Everything is validated
+// before anything is logged, so the batch either fully applies or
+// fully rejects. Call only from the event loop.
 func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
 	defer f.hists.admit.ObserveSince(time.Now())
 	if len(specs) == 0 {
@@ -680,99 +653,160 @@ func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, err
 	// or a replication session — and then exactly once: the same bytes
 	// go to both, so a follower's WAL is byte-identical to the
 	// leader's. Sessions register on this event loop (ReplSubscribe),
-	// so none can appear between this check and the publish below; a
+	// so none can appear between this check and commit's publish; a
 	// later one is served from the admission log by the same encoder.
 	var payloads [][]byte
 	if f.wal != nil || f.repl.live() {
-		payloads = make([][]byte, 0, len(jobs))
-		for _, j := range jobs {
-			payload, err := f.admitRecord(j)
-			if err != nil {
+		payloads = make([][]byte, len(jobs))
+		for i := range jobs {
+			var err error
+			if payloads[i], err = f.admitRecord(&jobs[i]); err != nil {
 				return nil, errf(http.StatusInternalServerError, "encoding wal record: %v", err)
 			}
-			payloads = append(payloads, payload)
 		}
 	}
-	if err := f.logPayloads(payloads); err != nil {
-		return nil, err
-	}
-	base := int64(len(f.jobs))
-	out := make([]energysched.JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		v, err := f.sim.Inject(j)
-		if err != nil {
-			// Unreachable after validation; if it ever happens the WAL
-			// now disagrees with memory, so stop accepting admissions.
-			f.walBroken = f.wal != nil
-			return nil, errf(http.StatusInternalServerError, "injecting pre-validated job: %v", err)
-		}
-		f.jobs = append(f.jobs, j)
-		out = append(out, jobStatus(v))
-	}
+	// Max pacing: virtual time chases the admission watermark, the
+	// batch's last submit time. A paced fleet's clock belongs to its
+	// ticker: stepping to the pre-admission clock leaves it where it is.
+	stepTo := now
 	if f.cfg.Pace <= 0 {
-		// Max pacing: virtual time chases the admission watermark.
-		if prev > f.watermark {
-			f.watermark = prev
-		}
-		f.sim.StepBefore(f.watermark)
+		stepTo = prev
 	}
-	// Publish with the pre-admission clock: every submit in the batch
-	// was validated against it, so a follower stepping to it can still
-	// inject every record that follows on the stream.
-	for i := range payloads {
-		f.repl.publish(ReplRecord{Offset: base + int64(i) + 1, Now: now, Data: payloads[i]})
-	}
-	f.maybeCompact()
-	return out, nil
+	// The run is announced with the pre-admission clock: every submit
+	// in the batch was validated against it, so a follower stepping to
+	// it can still inject every record that follows on the stream.
+	return f.commit(logRun{jobs: jobs, payloads: payloads, now: now, stepTo: stepTo})
 }
 
 // admitRecord marshals one admission's log record: the one encoder
 // behind the leader's WAL, the live replication feed and a session's
 // backlog, so the three cannot drift. Call only from the event loop.
-func (f *Fleet) admitRecord(j workload.Job) ([]byte, error) {
+func (f *Fleet) admitRecord(j *workload.Job) ([]byte, error) {
 	f.recordEncodes++
-	sj := toSnapJob(j)
-	return json.Marshal(walRecord{Kind: walKindAdmit, Job: &sj})
+	return json.Marshal(walRecord{Kind: walKindAdmit, Job: j})
+}
+
+// logRun is a run of consecutive log records on its way through commit:
+// a batch of validated admissions (jobs, IDs continuing f.jobs) or the
+// seal.
+type logRun struct {
+	jobs []workload.Job
+	seal bool
+	// payloads are the records' encoded bytes, one per record: what the
+	// WAL stores and the replication feed carries. Nil when neither
+	// will read them (an in-memory leader nobody follows).
+	payloads [][]byte
+	// now is the leader clock the records are announced with; stepTo is
+	// where the watermark goes once the admissions are in. A leader at
+	// max pacing steps to the batch's last submit time; a follower
+	// steps to, and passes on, the clock its leader stamped.
+	now, stepTo float64
+}
+
+// sealPayload is the seal record's encoding: a constant, marshaled
+// once and shared read-only by the WAL, every session and every
+// backlog. (A struct of one string cannot fail to encode.)
+var sealPayload, _ = json.Marshal(walRecord{Kind: walKindSeal})
+
+// commit is the one path a run of log records takes into the fleet: the
+// leader's admissions (admit), a follower's replicated records and seal
+// (applyRecord), the leader's seal (Drain). The caller has validated
+// the run; commit makes it durable, applies it and announces it — in
+// that fixed order, each step where it is for the reason given at it.
+// It returns the admitted jobs' statuses (nil for a seal). Call only
+// from the event loop.
+func (f *Fleet) commit(run logRun) ([]energysched.JobStatus, error) {
+	base := f.logOffset()
+	// 1. WAL append + one flush, before any effect and before the
+	// acknowledgment: a crash from here on replays the run, a failure
+	// here rewinds the log and leaves memory untouched, so disk and
+	// memory never disagree about a record. (A fleet whose log is
+	// broken refuses admissions before they get here, but can still be
+	// drained: that seal is then not logged.)
+	if !f.walBroken {
+		if err := f.logPayloads(run.payloads); err != nil {
+			return nil, err
+		}
+	}
+	var out []energysched.JobStatus
+	if run.seal {
+		// 2+3 for the seal: drain the engine and fix the final report.
+		rep := serviceReport(f.sim.Drain(), true)
+		f.final = &rep
+		f.watermark = f.sim.Now()
+		f.logf("drained: %s", rep.Table)
+	} else {
+		// 2. Apply. Injection cannot fail after validation; if it ever
+		// does the WAL is ahead of memory, and the fleet goes read-only
+		// rather than diverge. Statuses are taken before the clock
+		// moves: the 202 shows the job as admitted, not as of later.
+		out = make([]energysched.JobStatus, 0, len(run.jobs))
+		for _, j := range run.jobs {
+			v, err := f.sim.Inject(j)
+			if err != nil {
+				f.walBroken = f.wal != nil
+				return nil, errf(http.StatusInternalServerError, "applying logged job %d: %v", j.ID, err)
+			}
+			f.jobs = append(f.jobs, j)
+			out = append(out, jobStatus(v))
+		}
+		// 3. Clock step, once the whole run is queued: an arrival at
+		// instant t is in the engine before any event at t fires (the
+		// online ≡ offline argument, simkit.Engine.RunBefore).
+		if run.stepTo > f.watermark {
+			f.watermark = run.stepTo
+		}
+		f.sim.StepBefore(f.watermark)
+	}
+	// 4. Announce, after apply: a session never carries a record its
+	// own fleet has not taken, and it carries the bytes the WAL got.
+	for i, payload := range run.payloads {
+		f.repl.publish(ReplRecord{Offset: base + int64(i) + 1, Now: run.now, Data: payload})
+	}
+	// 5. Compaction last: it covers exactly what was applied and
+	// announced, and nothing waits on it — a failed snapshot leaves the
+	// WAL as it was and is retried at the next interval.
+	f.maybeCompact(run.seal)
+	return out, nil
 }
 
 // logPayloads appends pre-marshaled WAL record payloads and flushes
 // once. On failure the log is rolled back to its pre-batch length so
 // disk and memory stay consistent; if even that fails, the fleet goes
-// read-only rather than diverging.
+// read-only rather than diverging. commit is its only caller.
 func (f *Fleet) logPayloads(payloads [][]byte) error {
 	if f.wal == nil {
 		return nil
 	}
 	defer f.hists.wal.ObserveSince(time.Now())
 	off, records := f.wal.tell()
-	for _, payload := range payloads {
-		if err := f.wal.appendPayload(payload, false); err != nil {
-			return f.rollbackWAL(off, records, err)
-		}
+	var err error
+	for i := 0; i < len(payloads) && err == nil; i++ {
+		err = f.wal.appendPayload(payloads[i], false)
 	}
-	if err := f.wal.flush(); err != nil {
-		return f.rollbackWAL(off, records, err)
+	if err == nil {
+		err = f.wal.flush()
 	}
-	f.stats.Appended += len(payloads)
-	return nil
-}
-
-func (f *Fleet) rollbackWAL(off int64, records int, cause error) error {
+	if err == nil {
+		f.stats.Appended += len(payloads)
+		return nil
+	}
 	if rerr := f.wal.rewind(off, records); rerr != nil {
 		f.walBroken = true
-		f.logf("wal: append failed (%v) and rollback failed (%v); fleet is read-only", cause, rerr)
-		return errf(http.StatusInternalServerError, "admission log broken: %v", cause)
+		f.logf("wal: append failed (%v) and rollback failed (%v); fleet is read-only", err, rerr)
+		return errf(http.StatusInternalServerError, "admission log broken: %v", err)
 	}
-	return errf(http.StatusInternalServerError, "admission log append: %v", cause)
+	return errf(http.StatusInternalServerError, "admission log append: %v", err)
 }
 
-// maybeCompact rewrites the compaction snapshot and resets the WAL
-// once enough records have accumulated. Call only from the event loop.
-func (f *Fleet) maybeCompact() {
-	if f.wal == nil || f.cfg.SnapshotInterval <= 0 || f.wal.records < f.cfg.SnapshotInterval {
-		return
+// maybeCompact rewrites the compaction snapshot and resets the WAL once
+// enough records have accumulated — or right away with force (the seal:
+// the drained state is final, no later record will trigger it). Call
+// only from the event loop.
+func (f *Fleet) maybeCompact(force bool) {
+	if force || (f.wal != nil && f.cfg.SnapshotInterval > 0 && f.wal.records >= f.cfg.SnapshotInterval) {
+		f.persistCheckpoint()
 	}
-	f.persistCheckpoint()
 }
 
 // persistCheckpoint publishes the current event-sourced state as the
@@ -818,22 +852,16 @@ func (f *Fleet) Jobs() ([]energysched.JobStatus, error) {
 }
 
 // Job returns one job's status.
-func (f *Fleet) Job(id int) (energysched.JobStatus, error) {
-	var st energysched.JobStatus
-	found := false
-	if err := f.do(func() {
+func (f *Fleet) Job(id int) (st energysched.JobStatus, err error) {
+	err = f.call(func() error {
 		vms := f.sim.VMs()
-		if id >= 0 && id < len(vms) {
-			st = jobStatus(vms[id])
-			found = true
+		if id < 0 || id >= len(vms) {
+			return errf(http.StatusNotFound, "job %d not found", id)
 		}
-	}); err != nil {
-		return st, err
-	}
-	if !found {
-		return st, errf(http.StatusNotFound, "job %d not found", id)
-	}
-	return st, nil
+		st = jobStatus(vms[id])
+		return nil
+	})
+	return st, err
 }
 
 // Cluster returns the fleet's node-level status.
@@ -881,16 +909,15 @@ func (f *Fleet) Health() (now float64, done bool, err error) {
 	return now, done, err
 }
 
-// Stats returns the durability counters.
-func (f *Fleet) Stats() (WALStats, error) {
-	var st WALStats
-	err := f.do(func() {
-		st = f.stats
-		if f.wal != nil {
-			st.Records = f.wal.records
-		}
-	})
-	return st, err
+// walStats returns the durability counters with the log's live record
+// count, nil for an in-memory fleet. Call only from the event loop.
+func (f *Fleet) walStats() *energysched.WALStats {
+	if f.wal == nil {
+		return nil
+	}
+	st := f.stats
+	st.Records = f.wal.records
+	return &st
 }
 
 // Info summarizes the fleet for the registry listing.
@@ -906,62 +933,27 @@ func (f *Fleet) Info() (energysched.FleetInfo, error) {
 			Sealed: f.sim.Sealed(),
 			Done:   f.sim.Done(),
 			Jobs:   len(f.jobs),
-		}
-		if f.stats.Enabled {
-			st := f.stats
-			if f.wal != nil {
-				st.Records = f.wal.records
-			}
-			w := energysched.WALStats{
-				Records:          st.Records,
-				Appended:         st.Appended,
-				Replayed:         st.Replayed,
-				Snapshots:        st.Snapshots,
-				TornTail:         st.TornTail,
-				TruncatedBytes:   st.TruncatedBytes,
-				LastSnapshotUnix: st.LastSnapshotUnix,
-			}
-			info.WAL = &w
+			WAL:    f.walStats(),
 		}
 	})
 	return info, err
 }
 
 // Drain seals the workload, runs every admitted job to completion and
-// returns the final report. The seal is durable: it is logged to the
-// WAL before the drain, and the drained state is compacted after.
-func (f *Fleet) Drain() (energysched.ServiceReport, error) {
-	var rep energysched.ServiceReport
-	var serr error
-	if err := f.do(func() {
-		if f.final != nil {
-			rep = *f.final
-			return
-		}
-		payload, merr := json.Marshal(walRecord{Kind: walKindSeal})
-		if merr != nil {
-			serr = errf(http.StatusInternalServerError, "encoding seal record: %v", merr)
-			return
-		}
-		sealOffset := int64(len(f.jobs)) + 1
-		sealNow := f.sim.Now()
-		if !f.walBroken {
-			if err := f.logPayloads([][]byte{payload}); err != nil {
-				serr = err
-				return
+// returns the final report. The seal is durable: commit logs it to the
+// WAL before the drain and compacts the drained state after.
+func (f *Fleet) Drain() (rep energysched.ServiceReport, err error) {
+	err = f.call(func() error {
+		if f.final == nil {
+			seal := logRun{seal: true, payloads: [][]byte{sealPayload}, now: f.sim.Now()}
+			if _, err := f.commit(seal); err != nil {
+				return err
 			}
 		}
-		r := serviceReport(f.sim.Drain(), true)
-		f.final = &r
-		f.watermark = f.sim.Now()
-		rep = r
-		f.repl.publish(ReplRecord{Offset: sealOffset, Now: sealNow, Data: payload})
-		f.logf("drained: %s", r.Table)
-		f.persistCheckpoint()
-	}); err != nil {
-		return rep, err
-	}
-	return rep, serr
+		rep = *f.final
+		return nil
+	})
+	return rep, err
 }
 
 // --- snapshot / restore ---
@@ -985,61 +977,49 @@ func (f *Fleet) ResolveSnapshotPath(path string) (string, error) {
 
 // Snapshot writes an API-named snapshot (confined to SnapshotDir; an
 // empty path picks a name).
-func (f *Fleet) Snapshot(path string) (energysched.SnapshotInfo, error) {
-	var info energysched.SnapshotInfo
-	var serr error
-	if err := f.do(func() {
-		var p string
-		if p, serr = f.ResolveSnapshotPath(path); serr != nil {
-			return
+func (f *Fleet) Snapshot(path string) (info energysched.SnapshotInfo, err error) {
+	err = f.call(func() error {
+		p, err := f.ResolveSnapshotPath(path)
+		if err != nil {
+			return err
 		}
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			serr = errf(http.StatusInternalServerError, "%v", err)
-			return
+			return errf(http.StatusInternalServerError, "%v", err)
 		}
 		snap := f.snapshotState()
 		if err := writeSnapshot(p, snap); err != nil {
-			serr = errf(http.StatusInternalServerError, "%v", err)
-			return
+			return errf(http.StatusInternalServerError, "%v", err)
 		}
 		f.logf("snapshot: %d jobs at t=%.1fs -> %s", len(snap.Jobs), snap.SavedVirtual, p)
 		info = energysched.SnapshotInfo{
 			Path: p, Jobs: len(snap.Jobs), Now: snap.SavedVirtual, Sealed: snap.Sealed,
 		}
-	}); err != nil {
-		return info, err
-	}
-	return info, serr
+		return nil
+	})
+	return info, err
 }
 
 // Restore replaces the fleet's state with an API-named snapshot's
 // (confined to SnapshotDir).
-func (f *Fleet) Restore(path string) (energysched.SnapshotInfo, error) {
+func (f *Fleet) Restore(path string) (info energysched.SnapshotInfo, err error) {
 	if path == "" {
-		return energysched.SnapshotInfo{}, errf(http.StatusBadRequest, "restore needs a snapshot path")
+		return info, errf(http.StatusBadRequest, "restore needs a snapshot path")
 	}
-	var info energysched.SnapshotInfo
-	var serr error
-	if err := f.do(func() {
-		var p string
-		if p, serr = f.ResolveSnapshotPath(path); serr == nil {
-			info, serr = f.restore(p)
+	err = f.call(func() error {
+		p, err := f.ResolveSnapshotPath(path)
+		if err == nil {
+			info, err = f.restore(p)
 		}
-	}); err != nil {
-		return info, err
-	}
-	return info, serr
+		return err
+	})
+	return info, err
 }
 
 // RestoreFile loads a snapshot from an operator-supplied path (the
 // -restore flag); unlike Restore it is not confined to SnapshotDir.
-func (f *Fleet) RestoreFile(path string) (energysched.SnapshotInfo, error) {
-	var info energysched.SnapshotInfo
-	var serr error
-	if err := f.do(func() { info, serr = f.restore(path) }); err != nil {
-		return info, err
-	}
-	return info, serr
+func (f *Fleet) RestoreFile(path string) (info energysched.SnapshotInfo, err error) {
+	err = f.call(func() (e error) { info, e = f.restore(path); return e })
+	return info, err
 }
 
 // restore rebuilds the fleet from a snapshot file. The fleet starts a
@@ -1072,11 +1052,7 @@ func (f *Fleet) applySnapshot(snap snapshotFile, source string) error {
 	// replay leaves config and simulation consistent.
 	oldCfg := f.cfg
 	snap.Config.applyTo(&f.cfg)
-	jobs := make([]workload.Job, 0, len(snap.Jobs))
-	for _, sj := range snap.Jobs {
-		jobs = append(jobs, sj.job())
-	}
-	if err := f.rebuild(jobs, snap.SavedVirtual, snap.Sealed); err != nil {
+	if err := f.rebuild(snap.Jobs, snap.SavedVirtual, snap.Sealed); err != nil {
 		f.cfg = oldCfg
 		return errf(http.StatusUnprocessableEntity, "%v", err)
 	}
@@ -1095,12 +1071,12 @@ func (f *Fleet) applySnapshot(snap snapshotFile, source string) error {
 	// sessions are cut for the same reason — reconnecting followers
 	// observe the generation change and re-bootstrap; without the cut
 	// an idle timeline would never surface the swap.
-	f.repl.dropAll()
+	f.repl.dropAll(false)
 	f.events.Reset()
 	f.publish(energysched.Event{
 		Time: snap.SavedVirtual, Kind: "restore", VM: -1, Node: -1, Aux: -1,
 	})
-	f.logf("restored %d jobs at t=%.1fs from %s", len(jobs), snap.SavedVirtual, source)
+	f.logf("restored %d jobs at t=%.1fs from %s", len(snap.Jobs), snap.SavedVirtual, source)
 	return nil
 }
 
@@ -1151,23 +1127,19 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 		metrics.PromSample{Name: "energysched_delay_pct", Help: "Mean execution delay of completed jobs.", Kind: metrics.PromGauge, Value: rep.Delay},
 		metrics.PromSample{Name: "energysched_events_published_total", Help: "Simulation events published to the stream.", Kind: metrics.PromCounter, Value: float64(f.events.Seq())},
 	)
-	if f.stats.Enabled {
-		walRecords := 0
-		if f.wal != nil {
-			walRecords = f.wal.records
-		}
+	if st := f.walStats(); st != nil {
 		samples = append(samples,
-			metrics.PromSample{Name: "energysched_wal_records", Help: "Records currently in the admission WAL (replayed on crash).", Kind: metrics.PromGauge, Value: float64(walRecords)},
-			metrics.PromSample{Name: "energysched_wal_appended_total", Help: "WAL records appended since open.", Kind: metrics.PromCounter, Value: float64(f.stats.Appended)},
-			metrics.PromSample{Name: "energysched_wal_replayed_total", Help: "WAL-tail records replayed during recovery at open.", Kind: metrics.PromCounter, Value: float64(f.stats.Replayed)},
-			metrics.PromSample{Name: "energysched_wal_snapshots_total", Help: "Compaction snapshots written since open.", Kind: metrics.PromCounter, Value: float64(f.stats.Snapshots)},
-			metrics.PromSample{Name: "energysched_wal_truncated_bytes", Help: "Torn/corrupt tail bytes dropped by WAL recovery at open.", Kind: metrics.PromGauge, Value: float64(f.stats.TruncatedBytes)},
+			metrics.PromSample{Name: "energysched_wal_records", Help: "Records currently in the admission WAL (replayed on crash).", Kind: metrics.PromGauge, Value: float64(st.Records)},
+			metrics.PromSample{Name: "energysched_wal_appended_total", Help: "WAL records appended since open.", Kind: metrics.PromCounter, Value: float64(st.Appended)},
+			metrics.PromSample{Name: "energysched_wal_replayed_total", Help: "WAL-tail records replayed during recovery at open.", Kind: metrics.PromCounter, Value: float64(st.Replayed)},
+			metrics.PromSample{Name: "energysched_wal_snapshots_total", Help: "Compaction snapshots written since open.", Kind: metrics.PromCounter, Value: float64(st.Snapshots)},
+			metrics.PromSample{Name: "energysched_wal_truncated_bytes", Help: "Torn/corrupt tail bytes dropped by WAL recovery at open.", Kind: metrics.PromGauge, Value: float64(st.TruncatedBytes)},
 			metrics.PromSample{Name: "energysched_wal_offset", Help: "Logical log offset: admissions plus the seal since the timeline began.", Kind: metrics.PromGauge, Value: float64(f.logOffset())},
 		)
-		if f.stats.LastSnapshotUnix > 0 {
+		if st.LastSnapshotUnix > 0 {
 			samples = append(samples, metrics.PromSample{
 				Name: "energysched_wal_snapshot_age_seconds", Help: "Wall-clock age of the newest compaction snapshot.",
-				Kind: metrics.PromGauge, Value: time.Since(time.Unix(f.stats.LastSnapshotUnix, 0)).Seconds(),
+				Kind: metrics.PromGauge, Value: time.Since(time.Unix(st.LastSnapshotUnix, 0)).Seconds(),
 			})
 		}
 	}

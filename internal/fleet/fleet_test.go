@@ -20,17 +20,34 @@ func testConfig(dir string) Config {
 	}
 }
 
+// testSpec is job i of the package's standard workload: one arrival
+// every 30 virtual seconds, CPU cycling through 100/200/300 %.
+func testSpec(i int) energysched.JobSpec {
+	at := float64(i) * 30
+	return energysched.JobSpec{CPU: 100 + float64(i%3)*100, Mem: 5, Duration: 600, Submit: &at}
+}
+
 func submitN(t *testing.T, f *Fleet, n, from int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		at := float64(from+i) * 30
-		_, err := f.Submit(energysched.JobSpec{
-			CPU: 100 + float64((from+i)%3)*100, Mem: 5, Duration: 600, Submit: &at,
-		})
-		if err != nil {
-			t.Fatalf("submit %d: %v", from+i, err)
+	for i := from; i < from+n; i++ {
+		if _, err := f.Submit(testSpec(i)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
+}
+
+// walInfo reads a durable fleet's counters the way the API serves them:
+// the WAL block of Info.
+func walInfo(t *testing.T, f *Fleet) energysched.WALStats {
+	t.Helper()
+	info, err := f.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.WAL == nil {
+		t.Fatal("fleet reports no WAL block")
+	}
+	return *info.WAL
 }
 
 // drainedReport runs the same jobs through an in-memory fleet and
@@ -61,10 +78,7 @@ func TestFleetRecoveryReplaysOnlyWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitN(t, f, 20, 0)
-	st, err := f.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := walInfo(t, f)
 	// 20 admissions at interval 8: compactions after 8 and 16, 4 in
 	// the WAL tail.
 	if st.Snapshots != 2 || st.Records != 4 || st.Appended != 20 {
@@ -77,10 +91,7 @@ func TestFleetRecoveryReplaysOnlyWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	st2, err := f2.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := walInfo(t, f2)
 	if st2.Replayed != 4 {
 		t.Fatalf("recovery replayed %d records, want only the 4 after the last snapshot (stats %+v)", st2.Replayed, st2)
 	}
@@ -137,10 +148,7 @@ func TestFleetRecoveryToleratesTornTail(t *testing.T) {
 	if !warned {
 		t.Error("torn tail recovered without a log line")
 	}
-	st, err := f2.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := walInfo(t, f2)
 	if !st.TornTail || st.Replayed != 5 {
 		t.Fatalf("torn recovery stats = %+v, want TornTail with 5 replayed", st)
 	}

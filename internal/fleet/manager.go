@@ -348,32 +348,7 @@ func (m *Manager) saveManifestLocked() error {
 			ID: id, Config: toManifestConfig(m.fleets[id].cfg),
 		})
 	}
-	data, err := json.MarshalIndent(manifest, "", "  ")
-	if err != nil {
-		return fmt.Errorf("fleet: encoding manifest: %w", err)
-	}
-	data = append(data, '\n')
-	path := filepath.Join(m.dir, manifestName)
-	tmp, err := os.CreateTemp(m.dir, ".fleets-*.json")
-	if err != nil {
-		return fmt.Errorf("fleet: manifest temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: writing manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: syncing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fleet: publishing manifest: %w", err)
-	}
-	return nil
+	return publishJSON(filepath.Join(m.dir, manifestName), ".fleets-*.json", "manifest", manifest)
 }
 
 // readManifest loads the manifest; a missing file is an empty

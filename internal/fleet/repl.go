@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
+
+	"energysched/internal/workload"
 )
 
 // Warm-standby replication, fleet side. The admission log IS the
@@ -133,26 +136,15 @@ func (rf *replFeed) remove(sess *ReplSession) {
 	}
 }
 
-// dropAll disconnects every subscriber but keeps the feed usable:
-// called when a snapshot replaces the fleet's timeline (API restore),
-// so attached followers reconnect, observe the generation bump, and
-// re-bootstrap instead of idling on a dead timeline.
-func (rf *replFeed) dropAll() {
+// dropAll disconnects every subscriber. With shut false the feed stays
+// usable: called when a snapshot replaces the fleet's timeline (API
+// restore), so attached followers reconnect, observe the generation
+// bump, and re-bootstrap instead of idling on a dead timeline. With
+// shut true (fleet close) later subscribers are turned away too.
+func (rf *replFeed) dropAll(shut bool) {
 	rf.mu.Lock()
 	defer rf.mu.Unlock()
-	for sess := range rf.subs {
-		delete(rf.subs, sess)
-		close(sess.Ch)
-	}
-}
-
-func (rf *replFeed) close() {
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
-	if rf.closed {
-		return
-	}
-	rf.closed = true
+	rf.closed = rf.closed || shut
 	for sess := range rf.subs {
 		delete(rf.subs, sess)
 		close(sess.Ch)
@@ -197,7 +189,7 @@ func (f *Fleet) ReplSubscribe(gen, from int64) (*ReplSession, error) {
 		} else {
 			sess.Start = from
 			for i := from; i < int64(len(f.jobs)); i++ {
-				payload, merr := f.admitRecord(f.jobs[i])
+				payload, merr := f.admitRecord(&f.jobs[i])
 				if merr != nil {
 					return
 				}
@@ -207,11 +199,7 @@ func (f *Fleet) ReplSubscribe(gen, from int64) (*ReplSession, error) {
 				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: i + 1, Data: payload})
 			}
 			if f.sim.Sealed() {
-				payload, merr := json.Marshal(walRecord{Kind: walKindSeal})
-				if merr != nil {
-					return
-				}
-				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: int64(len(f.jobs)) + 1, Data: payload})
+				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: int64(len(f.jobs)) + 1, Data: sealPayload})
 			}
 		}
 		// Registering inside the event loop makes the snapshot/backlog
@@ -234,46 +222,48 @@ func (f *Fleet) ReplUnsubscribe(sess *ReplSession) {
 // (follower bootstrap). The snapshot's generation is adopted verbatim
 // — the follower mirrors the leader's timeline, it does not start one.
 func (f *Fleet) ApplyReplSnapshot(data []byte) error {
-	var serr error
-	if err := f.do(func() {
+	return f.call(func() error {
 		var snap snapshotFile
 		if err := json.Unmarshal(data, &snap); err != nil {
-			serr = errf(http.StatusUnprocessableEntity, "decoding replication snapshot: %v", err)
-			return
+			return errf(http.StatusUnprocessableEntity, "decoding replication snapshot: %v", err)
 		}
 		if snap.Format != snapshotFormat {
-			serr = errf(http.StatusUnprocessableEntity, "unsupported replication snapshot format %q", snap.Format)
-			return
+			return errf(http.StatusUnprocessableEntity, "unsupported replication snapshot format %q", snap.Format)
 		}
 		oldGen := f.gen
 		f.gen = snap.Gen
 		if f.gen == 0 {
 			f.gen = 1
 		}
-		if serr = f.applySnapshot(snap, "replication bootstrap"); serr != nil {
+		err := f.applySnapshot(snap, "replication bootstrap")
+		if err != nil {
 			f.gen = oldGen
 		}
-	}); err != nil {
 		return err
-	}
-	return serr
+	})
 }
 
 // ApplyReplRecord applies one replicated record at the given offset
 // and leader clock. The record must be the immediate successor of the
 // fleet's log head; a gap or a replay is refused with 409 so the
-// follower re-syncs instead of corrupting its timeline. Durability
-// mirrors the leader's admission path exactly: WAL append (the
-// leader's own payload bytes) before apply.
+// follower re-syncs instead of corrupting its timeline. From there the
+// record takes the leader's own path — commit, with the leader's
+// payload bytes and clock — so durability, apply order and the
+// follower's WAL mirror the leader's exactly.
 func (f *Fleet) ApplyReplRecord(rec ReplRecord) error {
-	var serr error
-	if err := f.do(func() { serr = f.applyRecord(rec) }); err != nil {
-		return err
-	}
-	return serr
+	return f.call(func() error { return f.applyRecord(rec) })
 }
 
-// applyRecord is ApplyReplRecord on the event loop.
+// logOrder places the record at log offset off against a log whose head
+// is at offset head: negative = already covered (a replay), zero = the
+// immediate successor, positive = a gap. Crash recovery and replication
+// make the same three-way call — recovery skips what its snapshot
+// covers and stops at a gap, a follower refuses both.
+func logOrder(off, head int64) int { return cmp.Compare(off, head+1) }
+
+// applyRecord is the follower's half of an admission: the sequence
+// checks the leader's validation stands in for, then commit. Call only
+// from the event loop.
 func (f *Fleet) applyRecord(rec ReplRecord) error {
 	defer f.hists.replApply.ObserveSince(time.Now())
 	var wrec walRecord
@@ -281,7 +271,7 @@ func (f *Fleet) applyRecord(rec ReplRecord) error {
 		return errf(http.StatusBadRequest, "decoding replicated record: %v", err)
 	}
 	cur := f.logOffset()
-	if rec.Offset != cur+1 {
+	if logOrder(rec.Offset, cur) != 0 {
 		return errf(http.StatusConflict,
 			"replication gap: record %d does not follow local offset %d", rec.Offset, cur)
 	}
@@ -291,42 +281,20 @@ func (f *Fleet) applyRecord(rec ReplRecord) error {
 	if f.sim.Sealed() {
 		return errf(http.StatusConflict, "workload is sealed; no records can follow the seal")
 	}
+	run := logRun{payloads: [][]byte{rec.Data}, now: rec.Now, stepTo: rec.Now}
 	switch wrec.Kind {
 	case walKindAdmit:
-		if wrec.Job == nil || wrec.Job.ID != len(f.jobs) {
+		if wrec.Job == nil || logOrder(int64(wrec.Job.ID)+1, cur) != 0 {
 			return errf(http.StatusUnprocessableEntity, "replicated admit record out of sequence")
 		}
-		if err := f.logPayloads([][]byte{rec.Data}); err != nil {
-			return err
-		}
-		j := wrec.Job.job()
-		if _, err := f.sim.Inject(j); err != nil {
-			// The leader applied this record; if we cannot, our WAL now
-			// disagrees with memory — stop rather than diverge.
-			f.walBroken = f.wal != nil
-			return errf(http.StatusInternalServerError, "replicated record does not apply: %v", err)
-		}
-		f.jobs = append(f.jobs, j)
-		if rec.Now > f.watermark {
-			f.watermark = rec.Now
-		}
-		f.sim.StepBefore(f.watermark)
-		f.repl.publish(rec)
-		f.maybeCompact()
+		run.jobs = []workload.Job{*wrec.Job}
 	case walKindSeal:
-		if err := f.logPayloads([][]byte{rec.Data}); err != nil {
-			return err
-		}
-		rep := serviceReport(f.sim.Drain(), true)
-		f.final = &rep
-		f.watermark = f.sim.Now()
-		f.repl.publish(rec)
-		f.logf("replicated seal applied: %s", rep.Table)
-		f.persistCheckpoint()
+		run.seal = true
 	default:
 		return errf(http.StatusUnprocessableEntity, "unknown replicated record kind %q", wrec.Kind)
 	}
-	return nil
+	_, err := f.commit(run)
+	return err
 }
 
 // AdvanceTo moves the fleet's virtual clock to a leader-carried time
@@ -349,10 +317,7 @@ func (f *Fleet) AdvanceTo(now float64) error {
 // the fleet's log offset.
 func (f *Fleet) SealCatchUp() (offset int64, err error) {
 	err = f.do(func() {
-		wm := maxWatermark(f.watermark, f.jobs)
-		if wm > f.watermark {
-			f.watermark = wm
-		}
+		f.watermark = maxWatermark(f.watermark, f.jobs)
 		if !f.sim.Done() {
 			f.sim.StepBefore(f.watermark)
 		}

@@ -43,7 +43,7 @@ type snapshotFile struct {
 	// from two different timelines.
 	Gen    int64          `json:"gen,omitempty"`
 	Config snapshotConfig `json:"config"`
-	Jobs   []snapJob      `json:"jobs"`
+	Jobs   []workload.Job `json:"jobs"`
 }
 
 type snapshotConfig struct {
@@ -62,51 +62,23 @@ type snapshotConfig struct {
 	Classes           []energysched.NodeClass `json:"classes,omitempty"`
 }
 
-// snapJob mirrors workload.Job with wire tags.
-type snapJob struct {
-	ID             int     `json:"id"`
-	Name           string  `json:"name,omitempty"`
-	Submit         float64 `json:"submit_s"`
-	Duration       float64 `json:"duration_s"`
-	CPU            float64 `json:"cpu_pct"`
-	Mem            float64 `json:"mem_units"`
-	DeadlineFactor float64 `json:"deadline_factor"`
-	FaultTolerance float64 `json:"fault_tolerance,omitempty"`
-	Arch           string  `json:"arch,omitempty"`
-	Hypervisor     string  `json:"hypervisor,omitempty"`
-}
-
-func toSnapJob(j workload.Job) snapJob {
-	return snapJob{
-		ID: j.ID, Name: j.Name, Submit: j.Submit, Duration: j.Duration,
-		CPU: j.CPU, Mem: j.Mem, DeadlineFactor: j.DeadlineFactor,
-		FaultTolerance: j.FaultTolerance, Arch: j.Arch, Hypervisor: j.Hypervisor,
-	}
-}
-
-func (sj snapJob) job() workload.Job {
-	return workload.Job{
-		ID: sj.ID, Name: sj.Name, Submit: sj.Submit, Duration: sj.Duration,
-		CPU: sj.CPU, Mem: sj.Mem, DeadlineFactor: sj.DeadlineFactor,
-		FaultTolerance: sj.FaultTolerance, Arch: sj.Arch, Hypervisor: sj.Hypervisor,
-	}
-}
-
-// snapshotState assembles the snapshot of the current actor state.
-// Call only from the event loop.
+// snapshotState assembles the snapshot of the current actor state. The
+// job list is the admission log itself, not a copy: every caller
+// encodes the snapshot before the event loop's next turn. Call only
+// from the event loop.
 func (f *Fleet) snapshotState() snapshotFile {
-	snap := snapshotFile{
+	jobs := f.jobs
+	if jobs == nil {
+		jobs = []workload.Job{} // an empty log is written "[]", never "null"
+	}
+	return snapshotFile{
 		Format:       snapshotFormat,
 		SavedVirtual: f.sim.Now(),
 		Sealed:       f.sim.Sealed(),
 		Gen:          f.gen,
 		Config:       toSnapshotConfig(f.cfg),
-		Jobs:         make([]snapJob, 0, len(f.jobs)),
+		Jobs:         jobs,
 	}
-	for _, j := range f.jobs {
-		snap.Jobs = append(snap.Jobs, toSnapJob(j))
-	}
-	return snap
 }
 
 // toSnapshotConfig extracts a Config's scheduling fields — the ones a
@@ -153,32 +125,42 @@ func (sc snapshotConfig) applyTo(c *Config) {
 	}
 }
 
-// writeSnapshot persists the snapshot atomically (temp file + rename).
+// writeSnapshot persists the snapshot atomically.
 func writeSnapshot(path string, snap snapshotFile) error {
-	data, err := json.MarshalIndent(snap, "", "  ")
+	return publishJSON(path, ".snapshot-*.json", "snapshot", snap)
+}
+
+// publishJSON writes v to path as two-space-indented JSON with a
+// trailing newline, atomically: the bytes go to a temp file in the same
+// directory (pattern tmp), are fsynced, and only then renamed over
+// path, so a crash at any point leaves either the old file or the new
+// one — never a torn one, and never a name that points at bytes still
+// in the page cache. A failed attempt removes its temp file. what names
+// the artefact in errors ("snapshot", "manifest").
+func publishJSON(path, tmp, what string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("fleet: encoding snapshot: %w", err)
+		return fmt.Errorf("fleet: encoding %s: %w", what, err)
 	}
 	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snapshot-*.json")
+	file, err := os.CreateTemp(filepath.Dir(path), tmp)
 	if err != nil {
-		return fmt.Errorf("fleet: snapshot temp file: %w", err)
+		return fmt.Errorf("fleet: %s temp file: %w", what, err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: writing snapshot: %w", err)
+	defer os.Remove(file.Name())
+	if _, err := file.Write(data); err != nil {
+		file.Close()
+		return fmt.Errorf("fleet: writing %s: %w", what, err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: syncing snapshot: %w", err)
+	if err := file.Sync(); err != nil {
+		file.Close()
+		return fmt.Errorf("fleet: syncing %s: %w", what, err)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: closing snapshot: %w", err)
+	if err := file.Close(); err != nil {
+		return fmt.Errorf("fleet: closing %s: %w", what, err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fleet: publishing snapshot: %w", err)
+	if err := os.Rename(file.Name(), path); err != nil {
+		return fmt.Errorf("fleet: publishing %s: %w", what, err)
 	}
 	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"energysched/internal/workload"
 )
 
 // The durable admission log. Every state-changing admission decision
@@ -126,8 +128,8 @@ const (
 // walRecord is one logical WAL entry.
 type walRecord struct {
 	// Kind is "admit" (Job set) or "seal" (workload drained).
-	Kind string   `json:"kind"`
-	Job  *snapJob `json:"job,omitempty"`
+	Kind string        `json:"kind"`
+	Job  *workload.Job `json:"job,omitempty"`
 }
 
 const (

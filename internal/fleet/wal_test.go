@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"energysched/internal/workload"
 )
 
-func walJob(id int) *snapJob {
-	return &snapJob{ID: id, Submit: float64(id) * 30, Duration: 600, CPU: 100, Mem: 5, DeadlineFactor: 1.5}
+func walJob(id int) *workload.Job {
+	return &workload.Job{ID: id, Submit: float64(id) * 30, Duration: 600, CPU: 100, Mem: 5, DeadlineFactor: 1.5}
 }
 
 func TestWALRoundTrip(t *testing.T) {

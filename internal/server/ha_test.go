@@ -296,7 +296,7 @@ func TestPromotionRacesInFlightRestore(t *testing.T) {
 }
 
 // TestFailoverDrainByteIdenticalToLeader: the HA twin oracle with the
-// admission router in the picture — the WAL records what the arbiter
+// admission router in the picture — the WAL records what the loop
 // admitted, in admission order, so a follower promoted after mirroring
 // it drains to the report the leader itself drains to, byte for byte.
 func TestFailoverDrainByteIdenticalToLeader(t *testing.T) {

@@ -421,6 +421,15 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc.Encode(v)
 }
 
+// reply answers with v as JSON, or with err when the operation failed.
+func reply(w http.ResponseWriter, status int, v interface{}, err error) {
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, status, v)
+}
+
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	retryAfter := 0
@@ -501,8 +510,8 @@ func (s *Server) routes() {
 		s.mux.HandleFunc("GET "+p+"/cluster", s.perFleet(read, s.handleCluster))
 		s.mux.HandleFunc("GET "+p+"/report", s.perFleet(read, s.handleReport))
 		s.mux.HandleFunc("POST "+p+"/drain", s.perFleet(write, s.handleDrain))
-		s.mux.HandleFunc("POST "+p+"/snapshot", s.perFleet(read, s.handleSnapshot))
-		s.mux.HandleFunc("POST "+p+"/restore", s.perFleet(write, s.handleRestore))
+		s.mux.HandleFunc("POST "+p+"/snapshot", s.perFleet(read, snapshotOp((*fleet.Fleet).Snapshot)))
+		s.mux.HandleFunc("POST "+p+"/restore", s.perFleet(write, snapshotOp((*fleet.Fleet).Restore)))
 		s.mux.HandleFunc("GET "+p+"/events", s.perFleet(read, s.handleEvents))
 		// Decision tracing (PR 8): snapshot/SSE tail plus the runtime
 		// verbosity knob.
@@ -566,11 +575,7 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := f.Info()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	reply(w, http.StatusCreated, info, err)
 }
 
 func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
@@ -588,11 +593,7 @@ func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleetInfo(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	info, err := f.Info()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	reply(w, http.StatusOK, info, err)
 }
 
 func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
@@ -635,28 +636,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, f *fleet.F
 	}
 	if batch {
 		out, err := f.SubmitBatch(specs)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, out)
+		reply(w, http.StatusAccepted, out, err)
 		return
 	}
 	st, err := f.Submit(spec)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
+	reply(w, http.StatusAccepted, st, err)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	out, err := f.Jobs()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	reply(w, http.StatusOK, out, err)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
@@ -666,70 +655,41 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, f *fleet.Flee
 		return
 	}
 	st, err := f.Job(id)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	reply(w, http.StatusOK, st, err)
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	st, err := s.reads.do("cluster", f.ID(), func() (interface{}, error) {
 		return f.Cluster()
 	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	reply(w, http.StatusOK, st, err)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	rep, err := s.reads.do("report", f.ID(), func() (interface{}, error) {
 		return f.Report()
 	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+	reply(w, http.StatusOK, rep, err)
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	rep, err := f.Drain()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+	reply(w, http.StatusOK, rep, err)
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
-	path, err := decodePath(r)
-	if err != nil {
-		writeErr(w, err)
-		return
+// snapshotOp is the handler of POST …/snapshot and …/restore: both take
+// an optional {"path": …} body and answer with the SnapshotInfo of what
+// op (Fleet.Snapshot, Fleet.Restore) wrote or loaded.
+func snapshotOp(op func(f *fleet.Fleet, path string) (energysched.SnapshotInfo, error)) fleetHandler {
+	return func(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
+		path, err := decodePath(r)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		info, err := op(f, path)
+		reply(w, http.StatusOK, info, err)
 	}
-	info, err := f.Snapshot(path)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
-	path, err := decodePath(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	info, err := f.Restore(path)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
 }
 
 func decodePath(r *http.Request) (string, error) {
@@ -777,6 +737,21 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *flee
 	send := func(fr replication.Frame) bool {
 		return replication.WriteFrame(w, fr) == nil
 	}
+	sendRecord := func(rec fleet.ReplRecord) bool {
+		return send(replication.Frame{Kind: replication.KindRecord, Offset: rec.Offset, Now: rec.Now, Record: rec.Data})
+	}
+	// drain sends every record already queued in the session without
+	// blocking; false means the stream is over (write failed, or the
+	// session was cut loose as a slow consumer / the fleet closed).
+	drain := func() bool {
+		for len(sess.Ch) > 0 {
+			rec, ok := <-sess.Ch
+			if !ok || !sendRecord(rec) {
+				return false
+			}
+		}
+		return true
+	}
 	if !send(replication.Frame{Kind: replication.KindHello, Gen: sess.Gen, Head: sess.Head, Now: sess.Now}) {
 		return
 	}
@@ -787,13 +762,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *flee
 		}) {
 			return
 		}
-	} else {
-		for _, rec := range sess.Backlog {
-			if !send(replication.Frame{
-				Kind: replication.KindRecord, Offset: rec.Offset, Now: rec.Now, Record: rec.Data,
-			}) {
-				return
-			}
+	}
+	for _, rec := range sess.Backlog {
+		if !sendRecord(rec) {
+			return
 		}
 	}
 	// Backlog records carry no clock; this ping catches the follower
@@ -812,23 +784,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *flee
 	for {
 		select {
 		case rec, ok := <-sess.Ch:
-			if !ok {
-				return // cut loose as a slow consumer, or fleet closed
-			}
-			if !send(replication.Frame{
-				Kind: replication.KindRecord, Offset: rec.Offset, Now: rec.Now, Record: rec.Data,
-			}) {
+			if !ok || !sendRecord(rec) || !drain() {
 				return
-			}
-			for len(sess.Ch) > 0 {
-				if rec, ok = <-sess.Ch; !ok {
-					return
-				}
-				if !send(replication.Frame{
-					Kind: replication.KindRecord, Offset: rec.Offset, Now: rec.Now, Record: rec.Data,
-				}) {
-					return
-				}
 			}
 			fl.Flush()
 		case <-ping.C:
@@ -842,19 +799,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *flee
 			// clock, the inject would fail, and the mirror would wedge
 			// read-only.)
 			_, head, now, err := f.ReplState()
-			if err != nil {
+			if err != nil || !drain() {
 				return
-			}
-			for len(sess.Ch) > 0 {
-				rec, ok := <-sess.Ch
-				if !ok {
-					return
-				}
-				if !send(replication.Frame{
-					Kind: replication.KindRecord, Offset: rec.Offset, Now: rec.Now, Record: rec.Data,
-				}) {
-					return
-				}
 			}
 			if !send(replication.Frame{Kind: replication.KindPing, Head: head, Now: now}) {
 				return

@@ -12,30 +12,34 @@ import (
 	"sort"
 )
 
-// Job is one HPC job to be encapsulated in a VM.
+// Job is one HPC job to be encapsulated in a VM. It is also the record
+// the daemon logs: the JSON tags are the wire form of a job in the
+// fleet's WAL, its snapshots and the replication stream, so their
+// names, order and omitempty rules are an on-disk format
+// (internal/fleet/testdata/golden pins the bytes).
 type Job struct {
 	// ID is the job's identity within the trace.
-	ID int
+	ID int `json:"id"`
 	// Name is an optional label (original trace job id).
-	Name string
+	Name string `json:"name,omitempty"`
 	// Submit is the arrival time in seconds from trace start.
-	Submit float64
+	Submit float64 `json:"submit_s"`
 	// Duration is the execution time on a dedicated machine, seconds.
-	Duration float64
+	Duration float64 `json:"duration_s"`
 	// CPU requirement in percent (100 = one core).
-	CPU float64
+	CPU float64 `json:"cpu_pct"`
 	// Mem requirement in abstract units (node offers 100).
-	Mem float64
+	Mem float64 `json:"mem_units"`
 	// DeadlineFactor multiplies Duration to produce the SLA deadline
 	// (paper: 1.2–2.0 depending on job and user typology).
-	DeadlineFactor float64
+	DeadlineFactor float64 `json:"deadline_factor"`
 	// FaultTolerance is the job's Ftol in [0,1].
-	FaultTolerance float64
+	FaultTolerance float64 `json:"fault_tolerance,omitempty"`
 	// Arch pins the job to an architecture ("" = any); part of the
 	// hardware requirements P_req checks (§III-A1).
-	Arch string
+	Arch string `json:"arch,omitempty"`
 	// Hypervisor pins the job to a hypervisor ("" = any).
-	Hypervisor string
+	Hypervisor string `json:"hypervisor,omitempty"`
 }
 
 // Deadline returns the absolute completion deadline.
