@@ -90,7 +90,10 @@ func TestMatrixBestMoveMatchesSchedule(t *testing.T) {
 	if len(actions) == 0 {
 		t.Fatal("scheduler found nothing despite an improving matrix cell")
 	}
-	pl := actions[0].(policy.Place)
+	pl := actions[0]
+	if pl.Kind != policy.KindPlace {
+		t.Fatalf("action kind %d, want a placement", pl.Kind)
+	}
 	if pl.Node != c.Nodes[host].ID {
 		t.Errorf("matrix best host %d vs scheduler choice %d", c.Nodes[host].ID, pl.Node)
 	}

@@ -127,9 +127,13 @@ func (sch *Scheduler) Config() Config { return sch.cfg }
 // noise, so they are left out of the matrix entirely). Both Schedule
 // and Matrix select candidates through here so the explainability
 // matrix never shows columns the solver would not consider.
+//
+// ctx.Active is already in ID order and a queue of fresh arrivals
+// carries the highest IDs, so active-then-queue is usually sorted as
+// built; only a round that finds it out of order (a requeued VM) sorts.
+// IDs are unique, so either way it is the same slice.
 func (sch *Scheduler) candidates(ctx *policy.Context, buf []*vm.VM) []*vm.VM {
 	cands := buf[:0]
-	cands = append(cands, ctx.Queue...)
 	if sch.cfg.Migration {
 		cooldown := sch.cfg.MigrationCooldown
 		if cooldown == 0 {
@@ -145,7 +149,13 @@ func (sch *Scheduler) candidates(ctx *policy.Context, buf []*vm.VM) []*vm.VM {
 			cands = append(cands, v)
 		}
 	}
-	slices.SortFunc(cands, func(a, b *vm.VM) int { return cmp.Compare(a.ID, b.ID) })
+	cands = append(cands, ctx.Queue...)
+	for i := 1; i < len(cands); i++ {
+		if cands[i-1].ID > cands[i].ID {
+			slices.SortFunc(cands, func(a, b *vm.VM) int { return cmp.Compare(a.ID, b.ID) })
+			break
+		}
+	}
 	return cands
 }
 
@@ -214,11 +224,11 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 			continue
 		}
 		node := hosts[to].ID
+		kind := policy.KindMigrate
 		if v.State == vm.Queued {
-			out = append(out, policy.Place{VM: v, Node: node})
-		} else {
-			out = append(out, policy.Migrate{VM: v, To: node})
+			kind = policy.KindPlace
 		}
+		out = append(out, policy.Action{Kind: kind, VM: v, Node: node})
 	}
 	sch.out = out
 	if sch.traceVerb > obs.TraceOff {

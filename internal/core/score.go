@@ -23,6 +23,12 @@ type shadow struct {
 	initial []int
 	vms     []*vm.VM
 	now     float64
+	// hostIdx is reset's node-ID-indexed lookup table: while reset runs
+	// it maps a host's ID to 1 + its index in nodes (0: not a host this
+	// round), so a candidate's host resolves in O(1). reset zeroes the
+	// entries it wrote before it returns — a walk over the round's hosts,
+	// O(online), never O(fleet) — so the table is all zero in between.
+	hostIdx []int32
 }
 
 func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
@@ -31,9 +37,8 @@ func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
 	return s
 }
 
-// reset points the shadow at a new round's hosts (in ascending node
-// ID) and candidates, reusing the previous round's slices when
-// capacity allows.
+// reset points the shadow at a new round's hosts and candidates,
+// reusing the previous round's slices when capacity allows.
 func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	s.nodes, s.vms, s.now = nodes, vms, now
 	s.cpu = grow(s.cpu, len(nodes))
@@ -41,6 +46,12 @@ func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	s.count = grow(s.count, len(nodes))
 	s.assign = grow(s.assign, len(vms))
 	s.initial = grow(s.initial, len(vms))
+	maxID := -1
+	for _, n := range nodes {
+		maxID = max(maxID, n.ID)
+	}
+	// All zero before and after (see the field), so growing needs no copy.
+	s.hostIdx = grow(s.hostIdx, maxID+1)
 	for i, n := range nodes {
 		// The node maintains its reservation sums incrementally
 		// (AddVM/RemoveVM), so seeding the shadow is O(1) per node and
@@ -50,27 +61,17 @@ func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 		s.cpu[i] = n.CPUReserved()
 		s.mem[i] = n.MemReserved()
 		s.count[i] = len(n.VMs)
+		s.hostIdx[n.ID] = int32(i) + 1
 	}
 	for i, v := range vms {
 		s.assign[i] = -1
-		if v.Active() {
-			// nodes is in ascending ID: a binary search resolves the host
-			// (hand-rolled: it runs once per candidate per round, and
-			// slices.BinarySearchFunc's indirect compare made reset 3.5×
-			// slower at 125 candidates × 70 hosts).
-			lo, hi := 0, len(nodes)
-			for lo < hi {
-				if mid := int(uint(lo+hi) >> 1); nodes[mid].ID < v.Host {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(nodes) && nodes[lo].ID == v.Host {
-				s.assign[i] = lo
-			}
+		if v.Active() && v.Host >= 0 && v.Host < len(s.hostIdx) {
+			s.assign[i] = int(s.hostIdx[v.Host]) - 1
 		}
 		s.initial[i] = s.assign[i]
+	}
+	for _, n := range nodes {
+		s.hostIdx[n.ID] = 0
 	}
 }
 

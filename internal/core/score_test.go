@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"energysched/internal/cluster"
@@ -269,9 +271,8 @@ func TestSchedulePlacesQueuedVM(t *testing.T) {
 	if len(actions) != 1 {
 		t.Fatalf("actions = %d, want 1", len(actions))
 	}
-	pl, ok := actions[0].(policy.Place)
-	if !ok || pl.VM.ID != 0 {
-		t.Fatalf("unexpected action %+v", actions[0])
+	if pl := actions[0]; pl.Kind != policy.KindPlace || pl.VM.ID != 0 {
+		t.Fatalf("unexpected action %+v", pl)
 	}
 }
 
@@ -285,7 +286,9 @@ func TestSchedulePrefersOccupiedHost(t *testing.T) {
 	if len(actions) != 1 {
 		t.Fatalf("actions = %d, want 1", len(actions))
 	}
-	if pl := actions[0].(policy.Place); pl.Node != 2 {
+	if pl := actions[0]; pl.Kind != policy.KindPlace {
+		t.Fatalf("action kind %d, want a placement", pl.Kind)
+	} else if pl.Node != 2 {
 		t.Errorf("placed on node %d, want the occupied node 2", pl.Node)
 	}
 }
@@ -325,12 +328,12 @@ func TestScheduleConsolidationMigration(t *testing.T) {
 	if len(actions) != 1 {
 		t.Fatalf("actions = %+v, want one migration", actions)
 	}
-	mig, ok := actions[0].(policy.Migrate)
-	if !ok {
-		t.Fatalf("action %T, want Migrate", actions[0])
+	mig := actions[0]
+	if mig.Kind != policy.KindMigrate {
+		t.Fatalf("action kind %d, want a migration", mig.Kind)
 	}
-	if mig.VM.ID != 2 || mig.To != 0 {
-		t.Errorf("migrated vm%d→%d, want vm2→0 (small VM to fuller host)", mig.VM.ID, mig.To)
+	if mig.VM.ID != 2 || mig.Node != 0 {
+		t.Errorf("migrated vm%d→%d, want vm2→0 (small VM to fuller host)", mig.VM.ID, mig.Node)
 	}
 }
 
@@ -410,7 +413,10 @@ func TestScheduleDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic action count: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		pa, pb := a[i].(policy.Place), b[i].(policy.Place)
+		pa, pb := a[i], b[i]
+		if pa.Kind != policy.KindPlace || pb.Kind != policy.KindPlace {
+			t.Fatalf("action %d: kinds %d and %d, want placements", i, pa.Kind, pb.Kind)
+		}
 		if pa.VM.ID != pb.VM.ID || pa.Node != pb.Node {
 			t.Fatalf("non-deterministic action %d: %+v vs %+v", i, a[i], b[i])
 		}
@@ -432,16 +438,93 @@ func TestScheduleNeverOvercommits(t *testing.T) {
 		actions := sch.Schedule(ctxFor(c, queue, nil))
 		loads := make(map[int]float64)
 		for _, a := range actions {
-			pl, ok := a.(policy.Place)
-			if !ok {
+			if a.Kind != policy.KindPlace {
 				continue
 			}
-			loads[pl.Node] += pl.VM.Req.CPU
+			loads[a.Node] += a.VM.Req.CPU
 		}
 		for node, load := range loads {
 			if load > c.Nodes[node].Class.CPU+1e-9 {
 				t.Fatalf("seed %d: node %d planned at %v CPU", seed, node, load)
 			}
+		}
+	}
+}
+
+// TestShadowResetResolvesHostsAcrossRounds: one shadow reused over
+// rounds whose host sets shrink, grow and shift must resolve every
+// candidate's host exactly as a linear search of this round's hosts
+// does — a node that was a host last round and is not now resolves to
+// the virtual host, never to its stale index — and leave the lookup
+// table zeroed for the next round.
+func TestShadowResetResolvesHostsAcrossRounds(t *testing.T) {
+	c := testCluster(t, 12)
+	rng := rand.New(rand.NewSource(7))
+	var vms []*vm.VM
+	for id := 0; id < 30; id++ {
+		if id%3 == 0 {
+			vms = append(vms, queuedVM(id, 100, 5))
+		} else {
+			vms = append(vms, runningVM(id, 100, 5, c, rng.Intn(len(c.Nodes))))
+		}
+	}
+	s := &shadow{}
+	for round := 0; round < 200; round++ {
+		var hosts []*cluster.Node
+		for _, n := range c.Nodes {
+			if rng.Intn(3) > 0 {
+				hosts = append(hosts, n)
+			}
+		}
+		if round%7 == 0 {
+			// Any host order is legal.
+			rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+		}
+		s.reset(float64(round), hosts, vms)
+		if slices.ContainsFunc(s.hostIdx[:cap(s.hostIdx)], func(x int32) bool { return x != 0 }) {
+			t.Fatalf("round %d: reset left entries in its host table: %v", round, s.hostIdx[:cap(s.hostIdx)])
+		}
+		for vi, v := range vms {
+			want := -1
+			if v.Active() {
+				want = slices.IndexFunc(hosts, func(n *cluster.Node) bool { return n.ID == v.Host })
+			}
+			if s.assign[vi] != want || s.initial[vi] != want {
+				t.Fatalf("round %d vm%d (host %d): assign %d initial %d, want %d",
+					round, v.ID, v.Host, s.assign[vi], s.initial[vi], want)
+			}
+		}
+	}
+}
+
+// TestCandidatesSortedWhateverTheQueueHolds: active-then-queue is
+// sorted as built when the queue holds fresh arrivals, and must come
+// out just as sorted when it holds a requeued VM with an ID below the
+// active ones.
+func TestCandidatesSortedWhateverTheQueueHolds(t *testing.T) {
+	c := testCluster(t, 4)
+	active := []*vm.VM{runningVM(2, 100, 5, c, 0), runningVM(5, 100, 5, c, 1), runningVM(9, 100, 5, c, 2)}
+	sch := MustScheduler(SBConfig())
+	for _, tc := range []struct {
+		queue []int
+		want  []int
+	}{
+		{nil, []int{2, 5, 9}},
+		{[]int{10, 11}, []int{2, 5, 9, 10, 11}},
+		{[]int{11, 10}, []int{2, 5, 9, 10, 11}},
+		{[]int{3}, []int{2, 3, 5, 9}},
+		{[]int{12, 0, 7}, []int{0, 2, 5, 7, 9, 12}},
+	} {
+		var queue []*vm.VM
+		for _, id := range tc.queue {
+			queue = append(queue, queuedVM(id, 100, 5))
+		}
+		var got []int
+		for _, v := range sch.candidates(ctxFor(c, queue, active), nil) {
+			got = append(got, v.ID)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("queue %v: candidates %v, want %v", tc.queue, got, tc.want)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // scheduler. Overcommit is allowed and simply stretches execution via
 // the CPU allocator; consolidation policies self-restrict through
 // their occupation checks, the random baseline deliberately does not.
-func (s *Simulation) applyPlace(a policy.Place) {
+func (s *Simulation) applyPlace(a policy.Action) {
 	v := a.VM
 	n := s.cluster.Node(a.Node)
 	if v.State != vm.Queued || n == nil || n.State != cluster.On {
@@ -38,8 +38,7 @@ func (s *Simulation) applyPlace(a policy.Place) {
 	s.recomputeNode(s.rt[n.ID])
 
 	dur := s.creation.NormalPositive(n.Class.CreateCost, s.cfg.CreationSigma)
-	vv := v
-	s.eng.After(dur, func() { s.onCreated(vv) })
+	s.eng.AtCall(s.eng.Now()+dur, s.createdFn, v)
 }
 
 func (s *Simulation) onCreated(v *vm.VM) {
@@ -62,13 +61,13 @@ func (s *Simulation) onCreated(v *vm.VM) {
 // applyMigrate starts a live migration. The VM keeps running on the
 // source for the duration; the destination holds a full reservation
 // (memory is copied there) and both endpoints pay dom0 overhead.
-func (s *Simulation) applyMigrate(a policy.Migrate) {
+func (s *Simulation) applyMigrate(a policy.Action) {
 	v := a.VM
-	if v.State != vm.Running || v.Host < 0 || v.Host == a.To {
+	if v.State != vm.Running || v.Host < 0 || v.Host == a.Node {
 		return
 	}
 	src := s.cluster.Node(v.Host)
-	dst := s.cluster.Node(a.To)
+	dst := s.cluster.Node(a.Node)
 	if dst == nil || dst.State != cluster.On || !dst.Satisfies(v.Req) {
 		return
 	}
@@ -83,8 +82,7 @@ func (s *Simulation) applyMigrate(a policy.Migrate) {
 	s.recomputeNode(s.rt[dst.ID])
 
 	dur := s.migration.NormalPositive(dst.Class.MigrateCost, s.cfg.MigrationSigma)
-	vv := v
-	s.eng.After(dur, func() { s.onMigrated(vv) })
+	s.eng.AtCall(s.eng.Now()+dur, s.migratedFn, v)
 }
 
 func (s *Simulation) onMigrated(v *vm.VM) {
@@ -119,8 +117,7 @@ func (s *Simulation) turnOn(n *cluster.Node) {
 	n.SetState(cluster.Booting)
 	rt.meter.Observe(s.eng.Now(), n.Watts(0))
 	s.emit(EvBoot, -1, n.ID, -1)
-	nn := n
-	s.eng.After(n.Class.BootTime, func() { s.onBooted(nn) })
+	s.eng.AtCall(s.eng.Now()+n.Class.BootTime, s.bootedFn, n)
 }
 
 func (s *Simulation) onBooted(n *cluster.Node) {
@@ -166,8 +163,7 @@ func (s *Simulation) armFailure(n *cluster.Node) {
 	}
 	mtbf := s.cfg.MTTR * n.Reliability / (1 - n.Reliability)
 	delay := s.failures.Exp(1 / mtbf)
-	nn := n
-	rt.failTimer = s.eng.ScheduleAfter(delay, func() { s.onFailure(nn) })
+	rt.failTimer = s.eng.ScheduleCall(s.eng.Now()+delay, s.failureFn, n)
 }
 
 // onFailure crashes a node: every VM it hosts is lost and re-queued,
@@ -185,10 +181,7 @@ func (s *Simulation) onFailure(n *cluster.Node) {
 
 	for _, v := range sortedByID(n.VMs) {
 		n.RemoveVM(v)
-		if t := s.completionTimer[v.ID]; t != nil {
-			t.Cancel()
-			delete(s.completionTimer, v.ID)
-		}
+		s.cancelCompletion(v, s.completionTimer[v.ID])
 		switch {
 		case v.State == vm.Migrating && v.Host == n.ID:
 			// Source died mid-migration: release the destination.
@@ -217,8 +210,7 @@ func (s *Simulation) onFailure(n *cluster.Node) {
 	n.SetState(cluster.Down)
 	rt.meter.Observe(s.eng.Now(), n.Watts(0))
 
-	nn := n
-	s.eng.After(s.cfg.MTTR, func() { s.onRepaired(nn) })
+	s.eng.AtCall(s.eng.Now()+s.cfg.MTTR, s.repairedFn, n)
 	s.round()
 }
 

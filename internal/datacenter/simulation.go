@@ -60,9 +60,12 @@ type Simulation struct {
 	// counted — one zeroed entry per node class, named, in declaration
 	// order — fixed at construction and cloned by every SampleAt.
 	classTmpl []series.ClassSample
-	// tickFn is tick bound once, so re-arming the housekeeping timer
-	// does not allocate a method value per tick.
-	tickFn func()
+	// Event handlers, bound once in New: scheduling an event hands the
+	// engine one of these plus the *vm.VM or *cluster.Node it acts on, so
+	// no event allocates a closure or a method value.
+	arrivalFn, createdFn, migratedFn, completionFn func(any) // payload *vm.VM
+	bootedFn, failureFn, repairedFn                func(any) // payload *cluster.Node
+	tickFn, checkpointFn                           func()
 
 	queue []*vm.VM // FIFO virtual-host queue
 	vms   []*vm.VM // all VMs ever created, by ID
@@ -100,12 +103,14 @@ type Simulation struct {
 	ctxQueue []*vm.VM
 
 	// ownScratch and demScratch are recomputeNode's demand-build
-	// buffers, accScratch is accrue's owner buffer and onScratch is
-	// checkpointTick's node buffer, reused so actuations don't allocate.
-	ownScratch []*vm.VM
-	demScratch []xen.Demand
-	accScratch []*vm.VM
-	onScratch  []*cluster.Node
+	// buffers and allocScratch the allocator's result buffer, accScratch
+	// is accrue's owner buffer and onScratch is checkpointTick's node
+	// buffer, reused so actuations don't allocate.
+	ownScratch   []*vm.VM
+	demScratch   []xen.Demand
+	allocScratch []float64
+	accScratch   []*vm.VM
+	onScratch    []*cluster.Node
 
 	// PowerTrace, when non-nil, receives (time, totalWatts) samples
 	// at every power change (used by the validation experiment).
@@ -159,7 +164,15 @@ func New(cfg Config) (*Simulation, error) {
 		ad.TargetS = cfg.AdaptiveTarget
 		s.adaptive = ad
 	}
+	s.arrivalFn = func(a any) { s.onArrival(a.(*vm.VM)) }
+	s.createdFn = func(a any) { s.onCreated(a.(*vm.VM)) }
+	s.migratedFn = func(a any) { s.onMigrated(a.(*vm.VM)) }
+	s.completionFn = func(a any) { s.onCompletion(a.(*vm.VM)) }
+	s.bootedFn = func(a any) { s.onBooted(a.(*cluster.Node)) }
+	s.failureFn = func(a any) { s.onFailure(a.(*cluster.Node)) }
+	s.repairedFn = func(a any) { s.onRepaired(a.(*cluster.Node)) }
 	s.tickFn = s.tick
+	s.checkpointFn = s.checkpointTick
 	classIdx := make(map[*cluster.Class]int)
 	for _, n := range cl.Nodes {
 		if cfg.StartOnline {
@@ -284,7 +297,7 @@ func (s *Simulation) Inject(j workload.Job) (*vm.VM, error) {
 	v.Name = j.Name
 	v.FaultTolerance = j.FaultTolerance
 	s.vms = append(s.vms, v)
-	s.eng.AtFront(j.Submit, func() { s.onArrival(v) })
+	s.eng.AtFrontCall(j.Submit, s.arrivalFn, v)
 	return v, nil
 }
 
@@ -305,7 +318,7 @@ func (s *Simulation) Start() {
 	}
 	s.eng.At(s.eng.Now(), s.tickFn)
 	if s.cfg.CheckpointInterval > 0 {
-		s.eng.At(s.eng.Now()+s.cfg.CheckpointInterval, s.checkpointTick)
+		s.eng.At(s.eng.Now()+s.cfg.CheckpointInterval, s.checkpointFn)
 	}
 }
 
@@ -525,7 +538,8 @@ func (s *Simulation) recomputeNode(rt *nodeRT) {
 	var util float64
 	rt.eff = 1
 	if n.State == cluster.On {
-		alloc := xen.Allocate(n.Class.CPU, demands)
+		alloc := xen.Allocate(n.Class.CPU, demands, s.allocScratch)
+		s.allocScratch = alloc
 		for i, v := range owners {
 			v.Alloc = alloc[i]
 		}
@@ -614,32 +628,34 @@ func (s *Simulation) currentWatts() float64 {
 
 func (s *Simulation) rescheduleCompletion(v *vm.VM) {
 	old := s.completionTimer[v.ID]
-	cancel := func() {
-		if old != nil {
-			old.Cancel()
-			delete(s.completionTimer, v.ID)
-		}
-	}
 	if v.State != vm.Running && v.State != vm.Migrating {
-		cancel()
+		s.cancelCompletion(v, old)
 		return
 	}
 	if v.Alloc <= 0 || v.Host < 0 {
-		cancel()
+		s.cancelCompletion(v, old)
 		return // starved; a later recompute will revisit
 	}
 	rate := v.Alloc * s.rt[v.Host].eff
 	if rate <= 0 {
-		cancel()
+		s.cancelCompletion(v, old)
 		return
 	}
 	eta := s.eng.Now() + v.Remaining()/rate
-	if old != nil && old.Pending() && old.Time() == eta {
+	if old.Pending() && old.Time() == eta {
 		return // allocation unchanged: the scheduled completion is still exact
 	}
-	cancel()
-	vv := v
-	s.completionTimer[v.ID] = s.eng.Schedule(eta, func() { s.onCompletion(vv) })
+	s.cancelCompletion(v, old)
+	s.completionTimer[v.ID] = s.eng.ScheduleCall(eta, s.completionFn, v)
+}
+
+// cancelCompletion cancels and forgets t, v's entry in completionTimer
+// (nil when v has no completion event pending).
+func (s *Simulation) cancelCompletion(v *vm.VM, t *simkit.Timer) {
+	if t != nil {
+		t.Cancel()
+		delete(s.completionTimer, v.ID)
+	}
 }
 
 // touchCounts refreshes the time-weighted node-count averages.
@@ -765,7 +781,7 @@ func (s *Simulation) checkpointTick() {
 		}
 	}
 	if !s.done {
-		s.eng.After(s.cfg.CheckpointInterval, s.checkpointTick)
+		s.eng.After(s.cfg.CheckpointInterval, s.checkpointFn)
 	}
 }
 
@@ -810,11 +826,11 @@ func (s *Simulation) round() {
 		s.cfg.RoundTimer(time.Since(roundStart).Seconds())
 	}
 	for _, a := range actions {
-		switch act := a.(type) {
-		case policy.Place:
-			s.applyPlace(act)
-		case policy.Migrate:
-			s.applyMigrate(act)
+		switch a.Kind {
+		case policy.KindPlace:
+			s.applyPlace(a)
+		case policy.KindMigrate:
+			s.applyMigrate(a)
 		}
 	}
 	s.touchCounts()

@@ -576,7 +576,7 @@ func TestMigrationSourceFailure(t *testing.T) {
 		if e.Kind == EvMigrateStart && failAt < 0 {
 			failAt = sim.eng.Now() + 20 // mid-migration (takes ~60 s)
 			src := sim.cluster.Node(e.Node)
-			sim.eng.ScheduleAfter(20, func() { sim.onFailure(src) })
+			sim.eng.Schedule(sim.eng.Now()+20, func() { sim.onFailure(src) })
 		}
 	}
 	rep, err := sim.Run()
@@ -609,7 +609,7 @@ func TestMigrationDestinationFailure(t *testing.T) {
 		if e.Kind == EvMigrateStart && !fired {
 			fired = true
 			dst := sim.cluster.Node(e.Aux)
-			sim.eng.ScheduleAfter(20, func() { sim.onFailure(dst) })
+			sim.eng.Schedule(sim.eng.Now()+20, func() { sim.onFailure(dst) })
 		}
 	}
 	rep, err := sim.Run()

@@ -45,7 +45,7 @@ func (p *Random) Schedule(ctx *Context) []Action {
 			continue
 		}
 		n := candidates[p.rng.Intn(len(candidates))]
-		out = append(out, Place{VM: v, Node: n.ID})
+		out = append(out, Action{Kind: KindPlace, VM: v, Node: n.ID})
 		// Note: no occupation bookkeeping — the next queued VM may
 		// land on the same node. That is the point of the baseline.
 	}
@@ -87,7 +87,7 @@ func (p *RoundRobin) Schedule(ctx *Context) []Action {
 			if len(node.VMs) > 0 || node.CreatingOps > 0 || node.MigratingOps > 0 {
 				continue
 			}
-			out = append(out, Place{VM: v, Node: idx})
+			out = append(out, Action{Kind: KindPlace, VM: v, Node: idx})
 			taken[idx] = true
 			p.next = (idx + 1) % n
 			placed = true
@@ -141,7 +141,7 @@ func (p *Backfilling) Schedule(ctx *Context) []Action {
 		if best < 0 {
 			continue
 		}
-		out = append(out, Place{VM: v, Node: best})
+		out = append(out, Action{Kind: KindPlace, VM: v, Node: best})
 		extraCPU[best] += v.Req.CPU
 		extraMem[best] += v.Req.Mem
 	}
@@ -199,9 +199,9 @@ func (p *DynamicBackfilling) Schedule(ctx *Context) []Action {
 	extraCPU := make(map[int]float64)
 	extraMem := make(map[int]float64)
 	for _, a := range out {
-		if pl, ok := a.(Place); ok {
-			extraCPU[pl.Node] += pl.VM.Req.CPU
-			extraMem[pl.Node] += pl.VM.Req.Mem
+		if a.Kind == KindPlace {
+			extraCPU[a.Node] += a.VM.Req.CPU
+			extraMem[a.Node] += a.VM.Req.Mem
 		}
 	}
 	for _, src := range working {
@@ -211,9 +211,7 @@ func (p *DynamicBackfilling) Schedule(ctx *Context) []Action {
 		if moves == nil {
 			continue
 		}
-		for _, m := range moves {
-			out = append(out, m)
-		}
+		out = append(out, moves...)
 		p.lastDrain = ctx.Now
 		p.started = true
 		break
@@ -230,7 +228,7 @@ type nodeOcc struct {
 
 // drain plans migrations emptying src, or nil if src cannot be fully
 // drained into strictly more occupied nodes.
-func (p *DynamicBackfilling) drain(ctx *Context, src *cluster.Node, working []nodeOcc, extraCPU, extraMem map[int]float64) []Migrate {
+func (p *DynamicBackfilling) drain(ctx *Context, src *cluster.Node, working []nodeOcc, extraCPU, extraMem map[int]float64) []Action {
 	// Copy the deltas so a failed plan leaves no residue.
 	dCPU := make(map[int]float64, len(extraCPU))
 	dMem := make(map[int]float64, len(extraMem))
@@ -240,7 +238,7 @@ func (p *DynamicBackfilling) drain(ctx *Context, src *cluster.Node, working []no
 	for k, v := range extraMem {
 		dMem[k] = v
 	}
-	var moves []Migrate
+	var moves []Action
 	vms := sortedVMs(src)
 	for _, v := range vms {
 		if v.InOperation() || v.State != vm.Running {
@@ -257,7 +255,7 @@ func (p *DynamicBackfilling) drain(ctx *Context, src *cluster.Node, working []no
 			if occupationWith(dst, dCPU[dst.ID]+v.Req.CPU, dMem[dst.ID]+v.Req.Mem) > 1.0+1e-9 {
 				continue
 			}
-			moves = append(moves, Migrate{VM: v, To: dst.ID})
+			moves = append(moves, Action{Kind: KindMigrate, VM: v, Node: dst.ID})
 			dCPU[dst.ID] += v.Req.CPU
 			dMem[dst.ID] += v.Req.Mem
 			placed = true

@@ -34,25 +34,18 @@ func ctx(c *cluster.Cluster, queue, active []*vm.VM) *Context {
 	return &Context{Now: 0, Cluster: c, Queue: queue, Active: active, LambdaMin: 0.3, LambdaMax: 0.9}
 }
 
-func places(actions []Action) []Place {
-	var out []Place
+func ofKind(actions []Action, k Kind) []Action {
+	var out []Action
 	for _, a := range actions {
-		if p, ok := a.(Place); ok {
-			out = append(out, p)
+		if a.Kind == k {
+			out = append(out, a)
 		}
 	}
 	return out
 }
 
-func migrations(actions []Action) []Migrate {
-	var out []Migrate
-	for _, a := range actions {
-		if m, ok := a.(Migrate); ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
+func places(actions []Action) []Action     { return ofKind(actions, KindPlace) }
+func migrations(actions []Action) []Action { return ofKind(actions, KindMigrate) }
 
 // --- Random ---
 
@@ -217,8 +210,8 @@ func TestDBFDrainsLeastOccupiedNode(t *testing.T) {
 	if migs[0].VM.ID != 10 {
 		t.Fatalf("drained vm%d, want vm10", migs[0].VM.ID)
 	}
-	if migs[0].To != 2 {
-		t.Fatalf("moved to node %d, want the fullest fitting node 2", migs[0].To)
+	if migs[0].Node != 2 {
+		t.Fatalf("moved to node %d, want the fullest fitting node 2", migs[0].Node)
 	}
 }
 

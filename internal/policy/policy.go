@@ -33,23 +33,26 @@ type Context struct {
 	LambdaMin, LambdaMax float64
 }
 
-// Action is a scheduling decision returned to the harness.
-type Action interface{ isAction() }
+// Kind says what an Action asks the harness to do.
+type Kind uint8
 
-// Place creates a queued VM on a node.
-type Place struct {
+const (
+	// KindPlace creates the queued VM on Node.
+	KindPlace Kind = iota + 1
+	// KindMigrate live-migrates the running VM to Node.
+	KindMigrate
+)
+
+// Action is a scheduling decision returned to the harness. It is a
+// plain value — a policy appends actions to a slice and the harness
+// switches on Kind — so a decision costs no allocation. The zero Action
+// asks for nothing.
+type Action struct {
+	Kind Kind
 	VM   *vm.VM
+	// Node is the ID of the node to create the VM on or migrate it to.
 	Node int
 }
-
-// Migrate live-migrates a running VM to another node.
-type Migrate struct {
-	VM *vm.VM
-	To int
-}
-
-func (Place) isAction()   {}
-func (Migrate) isAction() {}
 
 // Policy decides placements (and, if migratory, migrations) at each
 // scheduling round. Implementations must be deterministic given the

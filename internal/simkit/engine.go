@@ -22,14 +22,21 @@ type Handler func()
 // Timer is a scheduled event. It can be cancelled before it fires;
 // cancellation is O(1) (lazy deletion from the heap).
 type Timer struct {
-	at        float64
-	seq       uint64
-	fn        Handler
+	at  float64
+	seq uint64
+	// call(arg) is the event: a handler bound once by the model plus the
+	// payload it acts on. A pointer-shaped payload (*vm.VM, *cluster.Node,
+	// a func value) rides in the interface word itself, so scheduling an
+	// event allocates nothing. A plain Handler is the payload of the
+	// shared runHandler trampoline.
+	call      func(any)
+	arg       any
 	cancelled bool
 	fired     bool
-	// anon marks a fire-and-forget timer (scheduled via At/After): no
-	// handle was returned, so nobody can cancel it or observe it after
-	// it fires, and the engine recycles it through the free list.
+	// anon marks a fire-and-forget timer (At, After, AtFront and their
+	// Call forms): no handle was returned, so nobody can cancel it or
+	// observe it after it fires, and the engine recycles it through the
+	// free list.
 	anon bool
 	// front marks an injection-priority timer (scheduled via AtFront):
 	// at equal virtual times it fires before every normal timer,
@@ -116,16 +123,22 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // cancelled ones not yet discarded).
 func (e *Engine) Pending() int { return len(e.events) }
 
+// runHandler is the trampoline every plain Handler is scheduled
+// through: the func value itself is the payload.
+func runHandler(arg any) { arg.(Handler)() }
+
 // Schedule queues fn to run at absolute virtual time at. Scheduling in
 // the past (at < Now) panics: it is always a model bug.
 func (e *Engine) Schedule(at float64, fn Handler) *Timer {
-	return e.newTimer(at, fn, false, false)
+	return e.newTimer(at, runHandler, fn, false, false)
 }
 
-// ScheduleAfter queues fn to run delay seconds after Now. Negative
-// delays panic.
-func (e *Engine) ScheduleAfter(delay float64, fn Handler) *Timer {
-	return e.Schedule(e.now+delay, fn)
+// ScheduleCall queues call(arg) at absolute virtual time at and returns
+// the cancellable handle: Schedule for a handler bound once and a
+// payload per event, so the caller builds no closure. Sequence numbers
+// come from the same counter as every other scheduling call.
+func (e *Engine) ScheduleCall(at float64, call func(any), arg any) *Timer {
+	return e.newTimer(at, call, arg, false, false)
 }
 
 // At queues fn at absolute virtual time at without returning a handle.
@@ -134,7 +147,12 @@ func (e *Engine) ScheduleAfter(delay float64, fn Handler) *Timer {
 // overwhelmingly common fire-and-forget case. Ordering relative to
 // Schedule is unchanged (one shared sequence counter).
 func (e *Engine) At(at float64, fn Handler) {
-	e.newTimer(at, fn, true, false)
+	e.newTimer(at, runHandler, fn, true, false)
+}
+
+// AtCall is At for a bound handler and a payload; see ScheduleCall.
+func (e *Engine) AtCall(at float64, call func(any), arg any) {
+	e.newTimer(at, call, arg, true, false)
 }
 
 // After queues fn delay seconds after Now without returning a handle;
@@ -152,10 +170,16 @@ func (e *Engine) After(delay float64, fn Handler) {
 // run started — the property that makes live submission byte-identical
 // to offline trace replay. Like At, no handle is returned.
 func (e *Engine) AtFront(at float64, fn Handler) {
-	e.newTimer(at, fn, true, true)
+	e.newTimer(at, runHandler, fn, true, true)
 }
 
-func (e *Engine) newTimer(at float64, fn Handler, anon, front bool) *Timer {
+// AtFrontCall is AtFront for a bound handler and a payload; see
+// ScheduleCall.
+func (e *Engine) AtFrontCall(at float64, call func(any), arg any) {
+	e.newTimer(at, call, arg, true, true)
+}
+
+func (e *Engine) newTimer(at float64, call func(any), arg any, anon, front bool) *Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("simkit: scheduling event at %.6f before now %.6f", at, e.now))
 	}
@@ -174,7 +198,7 @@ func (e *Engine) newTimer(at float64, fn Handler, anon, front bool) *Timer {
 		t = &e.slab[0]
 		e.slab = e.slab[1:]
 	}
-	*t = Timer{at: at, seq: e.seq, fn: fn, anon: anon, front: front}
+	*t = Timer{at: at, seq: e.seq, call: call, arg: arg, anon: anon, front: front}
 	heap.Push(&e.events, t)
 	return t
 }
@@ -248,14 +272,16 @@ func (e *Engine) fireHead(t *Timer) {
 	e.now = t.at
 	t.fired = true
 	e.processed++
-	fn := t.fn
+	// A fired timer drops its payload: neither the free list nor a
+	// retained handle may pin a completed VM.
+	call, arg := t.call, t.arg
+	t.call, t.arg = nil, nil
 	if t.anon {
 		// No handle exists, so nothing can observe this timer
 		// after it fires: recycle it.
-		t.fn = nil
 		e.free = append(e.free, t)
 	}
-	fn()
+	call(arg)
 }
 
 // RunAll executes events until the queue drains or Stop is called.

@@ -3,9 +3,11 @@ package simkit
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEngineRunsEventsInOrder(t *testing.T) {
@@ -48,7 +50,7 @@ func TestEngineNowAdvances(t *testing.T) {
 		if e.Now() != 10 {
 			t.Errorf("Now() inside handler = %v, want 10", e.Now())
 		}
-		e.ScheduleAfter(5, func() {
+		e.Schedule(e.Now()+5, func() {
 			if e.Now() != 15 {
 				t.Errorf("chained Now() = %v, want 15", e.Now())
 			}
@@ -449,5 +451,98 @@ func TestRunBeforeRespectsStop(t *testing.T) {
 	}
 	if len(fired) != 1 {
 		t.Fatalf("fired = %v, want only t=10", fired)
+	}
+}
+
+// TestPayloadTimersDoNotAllocate pins the event path's economics: a
+// handler bound once plus a pointer-shaped payload schedules and fires
+// without a closure, a boxed payload or a method value. Fire-and-forget
+// timers recycle one slot forever; cancellable ones are carved from a
+// slab, one allocation per timerSlabSize events, which AllocsPerRun's
+// whole-number average reads as zero — a closure per event reads as one.
+func TestPayloadTimersDoNotAllocate(t *testing.T) {
+	type payload struct{ fired int }
+	e := NewEngine()
+	bump := func(arg any) { arg.(*payload).fired++ }
+	p := &payload{}
+	var held *Timer
+	runs := 0
+	allocs := testing.AllocsPerRun(4*timerSlabSize, func() {
+		runs++
+		e.AtCall(e.Now()+1, bump, p)              // After-style
+		e.AtFrontCall(e.Now()+1, bump, p)         // injection
+		held = e.ScheduleCall(e.Now()+1, bump, p) // Schedule-style
+		e.RunAll()
+	})
+	if allocs != 0 {
+		t.Fatalf("payload timers: %v allocs per round of three events, want 0", allocs)
+	}
+	if p.fired != 3*runs || held.Pending() {
+		t.Fatalf("fired %d payload events in %d rounds", p.fired, runs)
+	}
+}
+
+// TestCallOrderingSharesTheSequence: payload timers draw from the same
+// sequence counter and obey the same front rule as Handler timers, so
+// porting a call site from one form to the other cannot reorder events.
+func TestCallOrderingSharesTheSequence(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	note := func(arg any) { got = append(got, *arg.(*string)) }
+	s := func(v string) *string { return &v }
+	e.At(5, func() { got = append(got, "a") })
+	e.AtCall(5, note, s("b"))
+	e.Schedule(5, func() { got = append(got, "c") })
+	e.ScheduleCall(5, note, s("d"))
+	e.AtFront(5, func() { got = append(got, "front1") })
+	e.AtFrontCall(5, note, s("front2"))
+	e.ScheduleCall(5, note, s("cancelled")).Cancel()
+	e.RunAll()
+	want := []string{"front1", "front2", "a", "b", "c", "d"}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// TestFiredAnonTimerDropsPayload: a recycled timer sits on the free
+// list for as long as the engine lives, so it must not keep its last
+// payload — a completed VM, or a closure and everything it captured —
+// reachable.
+func TestFiredAnonTimerDropsPayload(t *testing.T) {
+	e := NewEngine()
+	collected := make(chan struct{})
+	// Scheduled from a frame of its own so no stack slot of this test
+	// keeps the payload alive.
+	func() {
+		p := &struct{ buf [64]byte }{}
+		runtime.SetFinalizer(p, func(any) { close(collected) })
+		e.AtCall(1, func(any) {}, p)
+	}()
+	e.At(2, func() {})
+	e.RunAll()
+	if len(e.free) != 2 {
+		t.Fatalf("free list = %d timers, want 2", len(e.free))
+	}
+	for _, f := range e.free {
+		if f.call != nil || f.arg != nil {
+			t.Fatalf("recycled timer still holds call=%v arg=%v", f.call != nil, f.arg)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(e)
+			return
+		case <-deadline:
+			t.Fatal("payload of a fired anonymous timer is still reachable from the engine")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

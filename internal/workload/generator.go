@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"energysched/internal/simkit"
 )
@@ -156,7 +157,7 @@ func (c GeneratorConfig) newJob(id int, at float64, runtimes, shapes, deadlines 
 	}
 	return Job{
 		ID:             id,
-		Name:           fmt.Sprintf("g5k-%d", id),
+		Name:           jobName("g5k-", id),
 		Submit:         at,
 		Duration:       run,
 		CPU:            float64(vcpus) * 100,
@@ -179,4 +180,11 @@ func pickWeighted(s *simkit.Stream, w [4]float64) int {
 		r -= x
 	}
 	return len(w)
+}
+
+// jobName returns prefix followed by id in decimal. It is built in a
+// stack buffer, so the name costs the one string allocation.
+func jobName(prefix string, id int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(id), 10))
 }

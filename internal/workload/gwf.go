@@ -235,7 +235,7 @@ func (o ConvertOptions) convert(id int, submit, run, procs float64) Job {
 	factor := o.DeadlineMin + span*float64(id%97)/96.0
 	return Job{
 		ID:             id,
-		Name:           fmt.Sprintf("gwf-%d", id),
+		Name:           jobName("gwf-", id),
 		Submit:         submit,
 		Duration:       dur,
 		CPU:            vcpus * o.CPUPerProc,

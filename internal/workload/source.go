@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"io"
 
 	"energysched/internal/simkit"
@@ -120,7 +119,7 @@ func (s *GeneratorSource) Next() (Job, error) {
 		// job generated from here on is stamped at or after the clock,
 		// and ties break by ID (generation order).
 		if len(s.pending) > 0 && (s.done || s.pending[0].Submit <= s.t) {
-			return heap.Pop(&s.pending).(Job), nil
+			return s.pending.pop(), nil
 		}
 		if s.done {
 			return Job{}, io.EOF
@@ -144,7 +143,7 @@ func (s *GeneratorSource) Next() (Job, error) {
 			if at >= s.cfg.Horizon {
 				break
 			}
-			heap.Push(&s.pending, s.cfg.newJob(s.id, at, s.runtimes, s.shapes, s.deadlines))
+			s.pending.push(s.cfg.newJob(s.id, at, s.runtimes, s.shapes, s.deadlines))
 			s.id++
 		}
 		if len(s.pending) > s.maxPend {
@@ -153,23 +152,54 @@ func (s *GeneratorSource) Next() (Job, error) {
 	}
 }
 
-// jobHeap orders jobs by (Submit, ID): a stable submit-time sort,
-// since IDs are assigned in generation order.
+// jobHeap is a binary min-heap of jobs by ⟨Submit, ID⟩: a stable
+// submit-time sort, since IDs are assigned in generation order. The
+// order is total, so the pop sequence is the sorted sequence whatever
+// the sift details. push and pop are typed — a Job is a ~100-byte value
+// and container/heap would box it on the way in and on the way out.
 type jobHeap []Job
 
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
+func (h jobHeap) less(i, j int) bool {
 	if h[i].Submit != h[j].Submit {
 		return h[i].Submit < h[j].Submit
 	}
 	return h[i].ID < h[j].ID
 }
-func (h jobHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x interface{}) { *h = append(*h, x.(Job)) }
-func (h *jobHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *jobHeap) push(j Job) {
+	*h = append(*h, j)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the minimum; the heap must not be empty.
+func (h *jobHeap) pop() Job {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = Job{} // drop the name so the buffer does not pin it
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s.less(r, child) {
+			child = r
+		}
+		if !s.less(child, i) {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
+	}
+	*h = s[:n]
+	return top
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -264,5 +266,62 @@ func TestTraceSourceRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.Jobs, orig.Jobs) {
 		t.Fatal("TraceSource round trip altered the trace")
+	}
+}
+
+// TestJobHeapPopsInSortedOrder: ⟨Submit, ID⟩ is a total order over
+// distinct IDs, so whatever the sift details the typed heap must pop
+// exactly the sorted sequence — with submit ties, interleaved pushes and
+// pops, and duplicates of the submit time throughout.
+func TestJobHeapPopsInSortedOrder(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(200)
+		jobs := make([]Job, n)
+		for i, id := range rng.Perm(n) {
+			// A handful of distinct submit times: most pairs tie.
+			jobs[i] = Job{ID: id, Submit: float64(rng.Intn(1 + n/8)), Name: jobName("j-", id)}
+		}
+		want := append([]Job(nil), jobs...)
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].Submit != want[b].Submit {
+				return want[a].Submit < want[b].Submit
+			}
+			return want[a].ID < want[b].ID
+		})
+
+		var h jobHeap
+		for _, j := range jobs {
+			h.push(j)
+		}
+		for i := range want {
+			if got := h.pop(); got != want[i] {
+				t.Fatalf("seed %d: pop %d = %+v, want %+v", seed, i, got, want[i])
+			}
+		}
+		if len(h) != 0 {
+			t.Fatalf("seed %d: %d jobs left after popping all", seed, len(h))
+		}
+
+		// Interleaved, as the generator uses it: pop whatever is at or
+		// before a moving clock between pushes. Everything popped so far
+		// plus the drain is still the sorted sequence, because a job is
+		// only pushed at or after the clock.
+		sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].Submit < jobs[b].Submit })
+		var popped []Job
+		for _, j := range jobs {
+			for len(h) > 0 && h[0].Submit < j.Submit {
+				popped = append(popped, h.pop())
+			}
+			h.push(j)
+		}
+		for len(h) > 0 {
+			popped = append(popped, h.pop())
+		}
+		for i := range want {
+			if popped[i] != want[i] {
+				t.Fatalf("seed %d interleaved: pop %d = %+v, want %+v", seed, i, popped[i], want[i])
+			}
+		}
 	}
 }

@@ -59,43 +59,54 @@ const epsilon = 1e-9
 //     is handed out;
 //   - proportionally fair: unsatisfied domains receive capacity in
 //     proportion to their weights.
-func Allocate(capacity float64, demands []Demand) []float64 {
-	alloc := make([]float64, len(demands))
-	if capacity <= 0 || len(demands) == 0 {
+//
+// The result and the working mask are carved from scratch when it has
+// room for 2·len(demands) values, so a caller that hands the previous
+// result back allocates nothing; whatever scratch held is overwritten
+// and never read. nil is a valid scratch.
+func Allocate(capacity float64, demands []Demand, scratch []float64) []float64 {
+	n := len(demands)
+	if cap(scratch) < 2*n {
+		scratch = make([]float64, 2*n)
+	}
+	// open[i] is 1 while domain i still wants more and is not capped
+	// out, 0 otherwise.
+	alloc, open := scratch[:n], scratch[n:2*n]
+	clear(alloc)
+	if capacity <= 0 || n == 0 {
 		return alloc
 	}
 	remaining := capacity
-	// active marks domains that still want more and are not capped out.
-	active := make([]bool, len(demands))
-	nActive := 0
+	nOpen := 0
 	for i, d := range demands {
+		open[i] = 0
 		if d.limit() > epsilon {
-			active[i] = true
-			nActive++
+			open[i] = 1
+			nOpen++
 		}
 	}
-	// Progressive filling: hand each active domain its weighted share
-	// of the remaining capacity, clip at its limit, and repeat with
-	// the surplus until nothing changes.
-	for nActive > 0 && remaining > epsilon {
+	// Progressive filling: hand each open domain its weighted share of
+	// the remaining capacity, clip at its limit, and repeat with the
+	// surplus until nothing changes.
+	for nOpen > 0 && remaining > epsilon {
 		var totalWeight float64
 		for i, d := range demands {
-			if active[i] {
+			if open[i] != 0 {
 				totalWeight += d.weight()
 			}
 		}
 		distributed := 0.0
 		saturatedThisRound := false
 		for i, d := range demands {
-			if !active[i] {
+			if open[i] == 0 {
 				continue
 			}
 			share := remaining * d.weight() / totalWeight
 			room := d.limit() - alloc[i]
 			if share >= room-epsilon {
 				share = room
-				active[i] = false
-				nActive--
+				open[i] = 0
+				nOpen--
 				saturatedThisRound = true
 			}
 			alloc[i] += share
@@ -124,7 +135,7 @@ func TotalDemand(demands []Demand) float64 {
 // capacity and demands (a convenience for power modelling).
 func Utilization(capacity float64, demands []Demand) float64 {
 	var sum float64
-	for _, a := range Allocate(capacity, demands) {
+	for _, a := range Allocate(capacity, demands, nil) {
 		sum += a
 	}
 	return sum
