@@ -896,5 +896,27 @@ func TestScheduleSteadyStateAllocationFree(t *testing.T) {
 		if sch.Stats.CarryRounds-carried != 51 || sch.Stats.StaleRows == 0 {
 			t.Errorf("Shards=%d: the acting rounds did not carry and re-score", shards)
 		}
+
+		// Traced, the acting round lends its action records to the sink
+		// rather than copying them for it.
+		sink := &lentActions{}
+		sch.Tracer = sink
+		sch.Schedule(ctx)
+		allocs = testing.AllocsPerRun(50, func() { sch.Schedule(ctx) })
+		if allocs != 0 || sink.actions != 51 {
+			t.Errorf("Shards=%d: traced acting round allocates %.1f objects with %d of 51 actions lent, want 0",
+				shards, allocs, sink.actions)
+		}
+	}
+}
+
+// lentActions is a TraceSink at TraceActions that keeps nothing: it
+// counts the action records lent to it, after the first round's.
+type lentActions struct{ rounds, actions int }
+
+func (l *lentActions) Verbosity() obs.Verbosity { return obs.TraceActions }
+func (l *lentActions) Emit(rt obs.RoundTrace) {
+	if l.rounds++; l.rounds > 1 {
+		l.actions += len(rt.Actions)
 	}
 }

@@ -65,9 +65,9 @@ func (sch *Scheduler) emitRoundTrace(now float64, k int, t0 time.Time, before So
 	case k > 1:
 		rt.Solver, rt.Shards = "sharded", k
 	}
-	if len(sch.traceActs) > 0 {
-		rt.Actions = append([]obs.ActionTrace(nil), sch.traceActs...)
-	}
+	// Lent, not given: the sink copies what it keeps, and the next round
+	// reuses the buffer.
+	rt.Actions = sch.traceActs
 	sch.Tracer.Emit(rt)
 }
 

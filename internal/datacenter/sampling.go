@@ -1,8 +1,6 @@
 package datacenter
 
 import (
-	"slices"
-
 	"energysched/internal/cluster"
 	"energysched/internal/obs/series"
 )
@@ -15,7 +13,12 @@ import (
 // housekeeping tick of live runs, so a sample that split a float
 // integration interval or bumped an epoch would break the
 // byte-identity contract between observed and unobserved runs.
-func (s *Simulation) SampleAt(t float64) series.Sample {
+//
+// The breakdown is built in buf, which the caller owns: the sample's
+// Classes is buf[:classes] when buf has the room (no allocation) and a
+// fresh slice otherwise — nil buf allocates exactly one. Either way it
+// is only valid until the caller reuses buf.
+func (s *Simulation) SampleAt(t float64, buf []series.ClassSample) series.Sample {
 	smp := series.Sample{
 		T:          t,
 		SLA:        s.satAgg.Mean(),
@@ -26,11 +29,10 @@ func (s *Simulation) SampleAt(t float64) series.Sample {
 
 	// Per-class breakdown, in the class declaration order of the
 	// cluster layout. Each node's class slot was resolved at
-	// construction, so the breakdown is a clone of the named template —
-	// the sample's one allocation, retained by whoever keeps the sample
-	// — and the fleet-wide node counts fall out of the same pass over
-	// the nodes.
-	classes := slices.Clone(s.classTmpl)
+	// construction, so the breakdown starts as the named template, and
+	// the fleet-wide node counts fall out of the same pass over the
+	// nodes.
+	classes := append(buf[:0], s.classTmpl...)
 	var capOnline, reserved float64
 	for _, rt := range s.rt {
 		n := rt.node

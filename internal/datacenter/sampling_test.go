@@ -49,7 +49,7 @@ func TestSamplerIsPureObserver(t *testing.T) {
 	observed.Sampler = func(smp series.Sample) {
 		store.Add(smp)
 		// Re-sampling mid-tick must read the same state, not advance it.
-		again := observed.SampleAt(smp.T)
+		again := observed.SampleAt(smp.T, nil)
 		if again.KWh != smp.KWh || again.Watts != smp.Watts || again.Running != smp.Running {
 			t.Errorf("SampleAt not stable at t=%v: %+v vs %+v", smp.T, again, smp)
 		}
@@ -168,16 +168,17 @@ func TestEnergyAttributionSplitsNodeEnergy(t *testing.T) {
 	}
 }
 
-// A sample of a multi-class fleet is one allocation — its own Classes
-// slice, laid out in the classes' declaration order and never shared
-// with another sample's (retained samples are read concurrently).
-func TestSampleAtAllocatesOnlyItsClasses(t *testing.T) {
+// A sample of a multi-class fleet builds its breakdown — laid out in
+// the classes' declaration order — in the caller's buffer: with room
+// there it allocates nothing and aliases the buffer, and a nil buffer
+// costs exactly one allocation that no other sample shares.
+func TestSampleAtBuildsIntoCallerBuffer(t *testing.T) {
 	classes := cluster.PaperClasses()
 	sim, err := New(Config{Classes: classes, Trace: samplingTrace(), Policy: policy.NewBackfilling(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := sim.SampleAt(0), sim.SampleAt(0)
+	a, b := sim.SampleAt(0, nil), sim.SampleAt(0, nil)
 	if len(a.Classes) != len(classes) {
 		t.Fatalf("%d class samples for %d classes", len(a.Classes), len(classes))
 	}
@@ -192,9 +193,23 @@ func TestSampleAtAllocatesOnlyItsClasses(t *testing.T) {
 		t.Errorf("class samples cover %d nodes, fleet sample %d", nodes, a.On+a.Off)
 	}
 	if &a.Classes[0] == &b.Classes[0] {
-		t.Error("two samples share one Classes slice")
+		t.Error("two nil-buffer samples share one Classes slice")
 	}
-	if n := testing.AllocsPerRun(100, func() { sim.SampleAt(0) }); n > 1 {
-		t.Fatalf("SampleAt allocates %.0f objects per sample, want at most 1", n)
+
+	buf := make([]series.ClassSample, 0, len(classes))
+	c := sim.SampleAt(0, buf)
+	if &c.Classes[0] != &buf[:1][0] {
+		t.Error("a sample with room in its buffer did not build the breakdown there")
+	}
+	for i := range a.Classes {
+		if c.Classes[i] != a.Classes[i] {
+			t.Fatalf("class %d built in a buffer = %+v, into nil = %+v", i, c.Classes[i], a.Classes[i])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { sim.SampleAt(0, buf) }); n != 0 {
+		t.Fatalf("SampleAt into a caller buffer allocates %.0f objects per sample, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sim.SampleAt(0, nil) }); n != 1 {
+		t.Fatalf("SampleAt with a nil buffer allocates %.0f objects per sample, want 1", n)
 	}
 }

@@ -58,8 +58,10 @@ type Simulation struct {
 	rt       []*nodeRT
 	// classTmpl is a sample's per-class breakdown before any node is
 	// counted — one zeroed entry per node class, named, in declaration
-	// order — fixed at construction and cloned by every SampleAt.
-	classTmpl []series.ClassSample
+	// order — fixed at construction and copied by every SampleAt.
+	// tickClasses is the buffer the tick's sample is built in.
+	classTmpl   []series.ClassSample
+	tickClasses []series.ClassSample
 	// Event handlers, bound once in New: scheduling an event hands the
 	// engine one of these plus the *vm.VM or *cluster.Node it acts on, so
 	// no event allocates a closure or a method value.
@@ -120,7 +122,8 @@ type Simulation struct {
 	// housekeeping tick (see SampleAt). Samples are pure reads of the
 	// simulation's virtual-time state, so attaching a sampler never
 	// alters the trajectory — the same observer contract PowerTrace
-	// keeps.
+	// keeps. smp.Classes is borrowed: it is valid during the call only,
+	// and a sampler that keeps it copies it (series.Store.Add does).
 	Sampler func(smp series.Sample)
 
 	// AttributeEnergy, when set, splits each node's energy across its
@@ -755,7 +758,9 @@ func (s *Simulation) tick() {
 		// Sample after the round so the observation reflects the
 		// tick's power-management and placement decisions. SampleAt is
 		// pure, so the sampler sees — never steers — the trajectory.
-		s.Sampler(s.SampleAt(s.eng.Now()))
+		smp := s.SampleAt(s.eng.Now(), s.tickClasses)
+		s.tickClasses = smp.Classes
+		s.Sampler(smp)
 	}
 	if TickHook != nil {
 		TickHook(s)

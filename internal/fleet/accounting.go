@@ -126,7 +126,8 @@ func (f *Fleet) sloValue(smp series.Sample, metric string) (float64, bool) {
 // journey-store counters and the SLO burn-rate families. Call only
 // from the event loop (gatherMetrics).
 func (f *Fleet) accountingSamples(in []metrics.PromSample) []metrics.PromSample {
-	smp := f.sim.SampleAt(f.sim.Now())
+	smp := f.sim.SampleAt(f.sim.Now(), f.metricClasses)
+	f.metricClasses = smp.Classes
 	in = append(in,
 		metrics.PromSample{Name: "energysched_utilization_pct", Help: "Reserved CPU as a percentage of online capacity.", Kind: metrics.PromGauge, Value: smp.Utilization},
 		metrics.PromSample{Name: "energysched_series_samples_total", Help: "Accounting samples recorded in the time-series store.", Kind: metrics.PromCounter, Value: float64(f.series.Count())},

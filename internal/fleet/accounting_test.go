@@ -3,9 +3,11 @@ package fleet
 import (
 	"net/http"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"energysched"
+	"energysched/internal/datacenter"
 	"energysched/internal/obs"
 	"energysched/internal/obs/series"
 	"energysched/internal/obs/slo"
@@ -186,6 +188,60 @@ func TestFleetAccountingReplaySuppression(t *testing.T) {
 	}
 	if rk, wk := rs[len(rs)-1].KWh, ws[len(ws)-1].KWh; rk != wk {
 		t.Fatalf("final sampled kWh diverged after recovery: %v vs %v", rk, wk)
+	}
+}
+
+// TestReplayRunsNoSampler: recovery and API restore replay the log
+// without the accounting sampler installed — no replayed tick builds a
+// sample only to drop it — and live ticks afterwards sample again.
+func TestReplayRunsNoSampler(t *testing.T) {
+	var ticks, sampled atomic.Int64
+	datacenter.TickHook = func(s *datacenter.Simulation) {
+		ticks.Add(1)
+		if s.Sampler != nil {
+			sampled.Add(1)
+		}
+	}
+	defer func() { datacenter.TickHook = nil }() // after the fleet's deferred Close
+	check := func(what string) {
+		t.Helper()
+		if ticks.Load() == 0 {
+			t.Fatalf("%s replayed no tick", what)
+		}
+		if n := sampled.Load(); n != 0 {
+			t.Fatalf("%s ran %d of %d replayed ticks with the sampler installed", what, n, ticks.Load())
+		}
+		ticks.Store(0)
+	}
+
+	cfg := testConfig(filepath.Join(t.TempDir(), "f"))
+	cfg.SnapshotDir = t.TempDir()
+	f, err := Open("f", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitN(t, f, 40, 0)
+	snap, err := f.Snapshot("mid.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	ticks.Store(0)
+	sampled.Store(0)
+
+	f, err = Open("f", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	check("recovery")
+	if _, err := f.Restore(filepath.Base(snap.Path)); err != nil {
+		t.Fatal(err)
+	}
+	check("restore")
+	submitN(t, f, 2, 40)
+	if sampled.Load() == 0 || f.SeriesCount() == 0 {
+		t.Fatalf("live ticks after the replay sampled %d times, series count %d", sampled.Load(), f.SeriesCount())
 	}
 }
 

@@ -199,6 +199,8 @@ type Fleet struct {
 	walBroken bool                 // an append failed and could not be rolled back
 	stats     energysched.WALStats // durability counters; Records is filled in by walStats
 	gen       int64                // timeline generation; bumped when restore replaces the log
+	// metricClasses is the buffer /metrics builds its class breakdown in.
+	metricClasses []series.ClassSample
 	// recordEncodes counts admitRecord calls, so tests can pin that a
 	// fleet nobody logs or follows encodes no record at all.
 	recordEncodes int
@@ -470,26 +472,11 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 	if sch, ok := sim.Policy().(*core.Scheduler); ok {
 		sch.Tracer = &fleetTraceSink{f: f, ring: f.trace}
 	}
-	// Accounting taps. Energy attribution stays on even during replay —
-	// it is a pure addition the engine computes identically everywhere,
-	// and a rebuilt simulation's fresh VMs must re-accumulate their
-	// energy or a recovered fleet would under-report it. Sampling IS
-	// suppressed while replaying: samples are cumulative observations
-	// the store already holds (or deliberately dropped), and re-adding
-	// them would double-count the replayed span in the series and burn
-	// the SLO windows twice.
+	// Energy attribution stays on during replay — it is a pure addition
+	// the engine computes identically everywhere, and a rebuilt
+	// simulation's fresh VMs must re-accumulate their energy or a
+	// recovered fleet would under-report it.
 	sim.AttributeEnergy = true
-	sim.Sampler = func(smp series.Sample) {
-		if f.replaying {
-			return
-		}
-		f.series.Add(smp)
-		if f.sloEng != nil {
-			f.sloEng.Observe(smp.T, func(metric string) (float64, bool) {
-				return f.sloValue(smp, metric)
-			})
-		}
-	}
 	f.replaying = true
 	defer func() { f.replaying = false }()
 	sim.Start()
@@ -508,6 +495,19 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 	if sealed {
 		rep := serviceReport(sim.Drain(), true)
 		f.final = &rep
+	}
+	// The accounting sampler goes on once the replay (and a sealed
+	// drain) is over: replayed ticks are observations the store already
+	// holds, or deliberately dropped, and re-adding them would
+	// double-count the replayed span in the series and burn the SLO
+	// windows twice — so they are not sampled at all.
+	sim.Sampler = func(smp series.Sample) {
+		f.series.Add(smp)
+		if f.sloEng != nil {
+			f.sloEng.Observe(smp.T, func(metric string) (float64, bool) {
+				return f.sloValue(smp, metric)
+			})
+		}
 	}
 	return nil
 }

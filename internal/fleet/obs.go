@@ -91,7 +91,9 @@ func (s *fleetTraceSink) Verbosity() obs.Verbosity {
 // Emit implements obs.TraceSink: stage the round's actions for the
 // journey store, then forward the trace to the ring at the ring's own
 // verbosity (dropping it entirely at off, stripping the action records
-// at rounds).
+// at rounds). rt.Actions is borrowed from the solver; the journey store
+// and the ring each copy what they keep, so at off and rounds nothing
+// is copied beyond the staging.
 func (s *fleetTraceSink) Emit(rt obs.RoundTrace) {
 	s.f.journeys.StageActions(rt.Actions)
 	switch v := s.ring.Verbosity(); {

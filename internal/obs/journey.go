@@ -73,10 +73,21 @@ type JourneySummary struct {
 	Satisfaction float64 `json:"satisfaction_pct,omitempty"`
 }
 
-// journeyStepsHint sizes a new record for the common lifecycle —
-// submitted, placed, running, completed plus one migration pair — so a
-// typical job's steps are one allocation, not a doubling series.
+// journeyStepsHint sizes a slot's inline steps for the common
+// lifecycle — submitted, placed, running, completed plus one migration
+// pair — so a typical job's steps never leave the slot.
 const journeyStepsHint = 6
+
+// journeySlots is how many records one chunk of a JourneyStore holds.
+const journeySlots = 64
+
+// journeySlot is one retained record. Its Steps start in the inline
+// array; a job that outgrows it moves them to the heap, and the slot
+// keeps whichever capacity it has when a later job reuses it.
+type journeySlot struct {
+	Journey
+	inline [journeyStepsHint]JourneyStep
+}
 
 // journeyStepCap bounds one job's record: a job that requeues or
 // migrates more often than this keeps its live firehose stream but the
@@ -101,14 +112,20 @@ const EventStep = "step"
 // per recorded step, marshaled only when someone reads it, and is what
 // the API tails (Seq, Subscribe, Close).
 // Writes come from the fleet's event loop; reads from HTTP handlers.
-// Memory is bounded by maxJobs × the step cap (FIFO eviction by
-// first-step order) and the firehose ring depth.
+// Records live in a ring of slots in first-step order, kept in
+// fixed-size chunks allocated the first time the ring reaches them:
+// a new job takes the oldest slot once maxJobs are retained (FIFO
+// eviction) and reuses its step storage, so recording allocates
+// nothing but a step's why-score, and readers get deep copies. Memory
+// is bounded by maxJobs × the step cap and the firehose ring depth.
 type JourneyStore struct {
 	*Ring[JourneyEvent]
 	mu      sync.Mutex
 	maxJobs int
-	jobs    map[int]*Journey
-	order   []int // first-step order, for FIFO eviction
+	chunks  [][]journeySlot // slot i lives in chunks[i/journeySlots]
+	next    int             // the slot the next new job takes
+	n       int             // retained records
+	jobs    map[int]int     // job ID → slot
 	// pending is the last round's applied actions not yet claimed by a
 	// placed/migrate step, in solver order; a claimed entry's VM is -1.
 	pending []ActionTrace
@@ -123,9 +140,40 @@ func NewJourneyStore(maxJobs, fireDepth int) *JourneyStore {
 	}
 	return &JourneyStore{
 		maxJobs: maxJobs,
-		jobs:    make(map[int]*Journey),
+		chunks:  make([][]journeySlot, (maxJobs+journeySlots-1)/journeySlots),
+		jobs:    make(map[int]int),
 		Ring:    NewRing(fireDepth, encodeStep),
 	}
+}
+
+// slotLocked returns slot i, allocating its chunk on first use.
+func (s *JourneyStore) slotLocked(i int) *journeySlot {
+	c := s.chunks[i/journeySlots]
+	if c == nil {
+		c = make([]journeySlot, min(journeySlots, s.maxJobs-i/journeySlots*journeySlots))
+		s.chunks[i/journeySlots] = c
+	}
+	return &c[i%journeySlots]
+}
+
+// claimLocked gives job the next slot — the oldest record's once the
+// store is full — and returns it emptied, its step storage kept.
+func (s *JourneyStore) claimLocked(job int) *journeySlot {
+	j := s.slotLocked(s.next)
+	if s.n == s.maxJobs {
+		delete(s.jobs, j.Job)
+	} else {
+		s.n++
+	}
+	steps := j.Steps
+	if steps == nil {
+		steps = j.inline[:0]
+	}
+	clear(steps) // drop the evicted record's why-scores
+	j.Journey = Journey{Job: job, Steps: steps[:0]}
+	s.jobs[job] = s.next
+	s.next = (s.next + 1) % s.maxJobs
+	return j
 }
 
 // encodeStep renders a firehose event under its ring sequence number.
@@ -151,16 +199,11 @@ func (s *JourneyStore) StageActions(acts []ActionTrace) {
 func (s *JourneyStore) Record(job int, st JourneyStep) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[job]
-	if j == nil {
-		if len(s.order) >= s.maxJobs {
-			oldest := s.order[0]
-			s.order = s.order[1:]
-			delete(s.jobs, oldest)
-		}
-		j = &Journey{Job: job, Steps: make([]JourneyStep, 0, journeyStepsHint)}
-		s.jobs[job] = j
-		s.order = append(s.order, job)
+	var j *journeySlot
+	if i, ok := s.jobs[job]; ok {
+		j = s.slotLocked(i)
+	} else {
+		j = s.claimLocked(job)
 	}
 	if st.Kind == StepPlaced || st.Kind == StepMigrate {
 		// A round stages a handful of actions: scan for the job's first
@@ -191,12 +234,12 @@ func (s *JourneyStore) Record(job int, st JourneyStep) {
 func (s *JourneyStore) Get(job int) (Journey, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[job]
+	i, ok := s.jobs[job]
 	if !ok {
 		return Journey{}, false
 	}
-	out := *j
-	out.Steps = append([]JourneyStep(nil), j.Steps...)
+	out := s.slotLocked(i).Journey
+	out.Steps = append([]JourneyStep(nil), out.Steps...)
 	return out, true
 }
 
@@ -205,9 +248,9 @@ func (s *JourneyStore) Get(job int) (Journey, bool) {
 func (s *JourneyStore) Summaries() []JourneySummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JourneySummary, 0, len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id]
+	out := make([]JourneySummary, 0, s.n)
+	for k := 0; k < s.n; k++ {
+		j := s.slotLocked((s.next - s.n + k + s.maxJobs) % s.maxJobs)
 		out = append(out, JourneySummary{
 			Job: j.Job, Steps: len(j.Steps), Truncated: j.Truncated,
 			Outcome: j.Outcome, EnergyKWh: j.EnergyKWh, Satisfaction: j.Satisfaction,
@@ -220,5 +263,5 @@ func (s *JourneyStore) Summaries() []JourneySummary {
 func (s *JourneyStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.jobs)
+	return s.n
 }

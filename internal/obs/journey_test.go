@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 )
 
@@ -153,6 +154,96 @@ func TestJourneyFirehose(t *testing.T) {
 	}
 	if s.Seq() != 2 {
 		t.Fatalf("Seq = %d", s.Seq())
+	}
+}
+
+// A full store hands a new job the oldest record's slot: the evicted
+// job is gone from every read surface, the newcomer starts with none of
+// its predecessor's steps, outcome or truncation — even when those had
+// outgrown the slot's inline steps — and claiming the slot, storage
+// reused, allocates nothing.
+func TestJourneyEvictionReusesOldestSlot(t *testing.T) {
+	const depth = 3
+	s := NewJourneyStore(depth, 8)
+	defer s.Close()
+	for i := 0; i < journeyStepCap+1; i++ { // job 0 outgrows its inline steps and the cap
+		s.Record(0, JourneyStep{T: float64(i), Kind: StepRequeued, Node: -1, Dest: -1})
+	}
+	s.Record(0, JourneyStep{T: 100, Kind: StepViolated, Node: 1, Dest: -1, Satisfaction: 10, EnergyKWh: 2})
+	for job := 1; job < depth; job++ {
+		s.Record(job, JourneyStep{Kind: StepSubmitted, Node: -1, Dest: -1})
+	}
+
+	s.Record(depth, JourneyStep{T: 7, Kind: StepSubmitted, Node: -1, Dest: -1})
+	if _, ok := s.Get(0); ok {
+		t.Fatal("the oldest job survived a new job past the cap")
+	}
+	j, ok := s.Get(depth)
+	if !ok || len(j.Steps) != 1 || j.Steps[0].T != 7 || j.Truncated || j.Outcome != "" || j.EnergyKWh != 0 || j.Satisfaction != 0 {
+		t.Fatalf("new job in a reused slot = %+v (found %v), want one fresh step", j, ok)
+	}
+	if sums := s.Summaries(); len(sums) != depth || sums[0].Job != 1 || sums[depth-1].Job != depth {
+		t.Fatalf("summaries = %+v, want jobs 1..%d oldest first", sums, depth)
+	}
+
+	job := depth + 1
+	if n := testing.AllocsPerRun(100, func() {
+		s.Record(job, JourneyStep{Kind: StepSubmitted, Node: -1, Dest: -1})
+		job++
+	}); n != 0 {
+		t.Fatalf("a new job's first step in a full store allocates %.0f objects, want 0", n)
+	}
+	if s.Len() != depth {
+		t.Fatalf("Len = %d, want the cap %d", s.Len(), depth)
+	}
+}
+
+// One writer wrapping the slot ring several times against concurrent
+// readers: every record a reader gets is one job's own, whole, and a
+// copy — never a slot caught mid-reuse. Run under -race.
+func TestJourneyConcurrentReadersAcrossReuse(t *testing.T) {
+	const depth, jobs, steps = 70, 700, 8 // two chunks; steps outgrow the inline array
+	s := NewJourneyStore(depth, 8)
+	defer s.Close()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, sum := range s.Summaries() {
+					j, ok := s.Get(sum.Job)
+					if !ok {
+						continue // evicted since the summary
+					}
+					for i, st := range j.Steps {
+						if st.T != float64(j.Job) || st.Node != i {
+							t.Errorf("job %d step %d = %+v: not its own", j.Job, i, st)
+							return
+						}
+					}
+					if len(j.Steps) > 0 {
+						j.Steps[0].T = -1 // a copy: the next read must not see this
+					}
+				}
+			}
+		}()
+	}
+	for job := 0; job < jobs; job++ {
+		for i := 0; i < steps; i++ {
+			s.Record(job, JourneyStep{T: float64(job), Kind: StepRequeued, Node: i, Dest: -1})
+		}
+	}
+	close(done)
+	wg.Wait()
+	if s.Len() != depth {
+		t.Fatalf("Len = %d, want %d", s.Len(), depth)
 	}
 }
 

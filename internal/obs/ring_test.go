@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"runtime"
 	"strconv"
 	"sync"
@@ -170,17 +171,48 @@ func TestRingNilPayloadRollsSeqBack(t *testing.T) {
 
 // With nobody tailing, Emit on a full ring stores the typed value and
 // allocates nothing — the largest payload the daemon emits, action
-// records included.
+// records included. A TraceRing borrows a round's actions from the
+// solver, so its Emit makes exactly one allocation, the ring's own copy
+// of a non-empty action list, and none for a round without one.
 func TestRingEmitWithoutSubscriberDoesNotAllocate(t *testing.T) {
-	r := NewTraceRing(TraceScores, 8)
-	defer r.Close()
 	rt := RoundTrace{Round: 1, Solver: "incremental", Moves: 1,
 		Actions: []ActionTrace{{Kind: "place", VM: 1, From: -1, To: 2, Terms: &ScoreTerms{Base: 1}}}}
-	for i := 0; i < 8; i++ {
-		r.Emit(rt)
+	idle := rt
+	idle.Moves, idle.Actions = 0, nil
+
+	r := NewRing(8, encodeRound)
+	defer r.Close()
+	steady := func(emit func()) float64 {
+		for i := 0; i < 8; i++ {
+			emit()
+		}
+		return testing.AllocsPerRun(100, emit)
 	}
-	if n := testing.AllocsPerRun(100, func() { r.Emit(rt) }); n != 0 {
-		t.Fatalf("TraceRing.Emit with no subscriber allocates %.0f objects per event, want 0", n)
+	if n := steady(func() { r.Emit(EventRound, rt) }); n != 0 {
+		t.Fatalf("Ring.Emit with no subscriber allocates %.0f objects per event, want 0", n)
+	}
+
+	tr := NewTraceRing(TraceScores, 8)
+	defer tr.Close()
+	if n := steady(func() { tr.Emit(rt) }); n != 1 {
+		t.Fatalf("TraceRing.Emit of a round with actions allocates %.0f objects, want exactly its one copy", n)
+	}
+	if n := steady(func() { tr.Emit(idle) }); n != 0 {
+		t.Fatalf("TraceRing.Emit of a round without actions allocates %.0f objects, want 0", n)
+	}
+
+	// The copy is the ring's: the solver reusing its buffer does not
+	// reach a retained round.
+	rt.Actions[0].VM = 99
+	tr.Emit(rt)
+	rt.Actions[0].VM = 1
+	evs := tr.Snapshot(tr.Seq() - 1)
+	var got RoundTrace
+	if err := json.Unmarshal(evs[0].Data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Actions[0].VM != 99 {
+		t.Fatalf("retained round's action VM = %d after the caller reused its slice, want 99", got.Actions[0].VM)
 	}
 }
 

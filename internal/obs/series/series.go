@@ -105,14 +105,43 @@ func Value(s Sample, metric string) (float64, bool) {
 	return fn(s), true
 }
 
+// chunkSlots is how many ring slots one chunk of a Store holds.
+const chunkSlots = 64
+
+// chunk is a run of ring slots and the storage of their class
+// breakdowns: slot k's Classes is a window of cls at k*width, as long
+// as that sample's own breakdown.
+type chunk struct {
+	smp   []Sample
+	cls   []ClassSample
+	width int
+}
+
+// widen regrows the breakdown storage to n classes per slot, moving
+// every breakdown already written into its window in the new storage.
+func (c *chunk) widen(n int) {
+	cls := make([]ClassSample, len(c.smp)*n)
+	for k := range c.smp {
+		if old := c.smp[k].Classes; old != nil {
+			c.smp[k].Classes = cls[k*n : k*n+copy(cls[k*n:], old)]
+		}
+	}
+	c.cls, c.width = cls, n
+}
+
 // Store is the bounded sample ring: one writer (the fleet's event
-// loop, at tick boundaries), any number of concurrent readers.
+// loop, at tick boundaries), any number of concurrent readers. The
+// ring lives in fixed-size chunks, each allocated the first time the
+// ring reaches it and never copied afterwards; Add copies a sample's
+// breakdown into its slot, so recording allocates nothing once the
+// chunk exists, and readers get deep copies.
 type Store struct {
-	mu    sync.Mutex
-	depth int
-	ring  []Sample // circular; oldest entry at head once full
-	head  int
-	count uint64 // samples ever recorded
+	mu     sync.Mutex
+	depth  int
+	chunks []*chunk // slot i lives in chunks[i/chunkSlots]
+	next   int      // the slot Add writes next
+	n      int      // retained samples
+	count  uint64   // samples ever recorded
 }
 
 // NewStore builds a store retaining the last depth samples (default
@@ -121,20 +150,59 @@ func NewStore(depth int) *Store {
 	if depth <= 0 {
 		depth = 4096
 	}
-	return &Store{depth: depth}
+	return &Store{depth: depth, chunks: make([]*chunk, (depth+chunkSlots-1)/chunkSlots)}
 }
 
-// Add records one sample.
+// Add records one sample. smp.Classes is only read: the store keeps
+// its own copy, so the caller may reuse that slice.
 func (s *Store) Add(smp Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c := s.chunks[s.next/chunkSlots]
+	if c == nil {
+		c = &chunk{smp: make([]Sample, min(chunkSlots, s.depth-s.next))}
+		s.chunks[s.next/chunkSlots] = c
+	}
+	if n := len(smp.Classes); n > c.width {
+		c.widen(n)
+	}
+	k := s.next % chunkSlots
+	if len(smp.Classes) == 0 {
+		smp.Classes = nil
+	} else {
+		w := c.width
+		smp.Classes = c.cls[k*w : k*w+copy(c.cls[k*w:], smp.Classes)]
+	}
+	c.smp[k] = smp
+	s.next = (s.next + 1) % s.depth
+	s.n = min(s.n+1, s.depth)
 	s.count++
-	if len(s.ring) < s.depth {
-		s.ring = append(s.ring, smp)
+}
+
+// slotLocked returns the i-th retained sample, oldest first.
+func (s *Store) slotLocked(i int) *Sample {
+	at := (s.next - s.n + i + s.depth) % s.depth
+	return &s.chunks[at/chunkSlots].smp[at%chunkSlots]
+}
+
+// copyClasses points each sample's Classes at a private copy, all of
+// them carved from one allocation.
+func copyClasses(out []Sample) {
+	total := 0
+	for _, smp := range out {
+		total += len(smp.Classes)
+	}
+	if total == 0 {
 		return
 	}
-	s.ring[s.head] = smp
-	s.head = (s.head + 1) % s.depth
+	cls := make([]ClassSample, 0, total)
+	for i := range out {
+		if len(out[i].Classes) > 0 {
+			at := len(cls)
+			cls = append(cls, out[i].Classes...)
+			out[i].Classes = cls[at:len(cls):len(cls)]
+		}
+	}
 }
 
 // Count returns the number of samples ever recorded (retained or
@@ -149,33 +217,33 @@ func (s *Store) Count() uint64 {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.ring)
+	return s.n
 }
 
-// Latest returns the most recent sample.
+// Latest returns a copy of the most recent sample.
 func (s *Store) Latest() (Sample, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.ring) == 0 {
+	if s.n == 0 {
 		return Sample{}, false
 	}
-	if len(s.ring) < s.depth {
-		return s.ring[len(s.ring)-1], true
-	}
-	return s.ring[(s.head+s.depth-1)%s.depth], true
+	out := []Sample{*s.slotLocked(s.n - 1)}
+	copyClasses(out)
+	return out[0], true
 }
 
-// Samples returns retained samples with T >= since, oldest first.
+// Samples returns copies of the retained samples with T >= since,
+// oldest first.
 func (s *Store) Samples(since float64) []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Sample, 0, len(s.ring))
-	for i := 0; i < len(s.ring); i++ {
-		smp := s.ring[(s.head+i)%len(s.ring)] // oldest first
-		if smp.T >= since {
-			out = append(out, smp)
+	out := make([]Sample, 0, s.n)
+	for i := 0; i < s.n; i++ {
+		if smp := s.slotLocked(i); smp.T >= since {
+			out = append(out, *smp)
 		}
 	}
+	copyClasses(out)
 	return out
 }
 

@@ -1,7 +1,9 @@
 package series
 
 import (
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,6 +34,142 @@ func TestStoreRingEviction(t *testing.T) {
 	}
 	if last, ok := s.Latest(); !ok || last.T != 540 {
 		t.Fatalf("Latest = %+v ok=%v, want t=540", last, ok)
+	}
+}
+
+// classedAt is sampleAt with an n-class breakdown whose every field
+// encodes the sample time and the class index, so a breakdown read back
+// can be checked for being its own sample's, whole.
+func classedAt(t float64, n int) Sample {
+	smp := sampleAt(t)
+	for c := 0; c < n; c++ {
+		smp.Classes = append(smp.Classes, ClassSample{Class: "c" + strconv.Itoa(c), Watts: t, KWh: float64(c), On: c})
+	}
+	return smp
+}
+
+// intact reports whether smp carries exactly the n-class breakdown
+// classedAt built for its time.
+func intact(smp Sample, n int) bool {
+	if len(smp.Classes) != n {
+		return false
+	}
+	for c, cs := range smp.Classes {
+		if cs != classedAt(smp.T, n).Classes[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// Once the ring has reached a chunk, recording into it — breakdown
+// included — allocates nothing, on the first pass and on every wrap,
+// and the caller's Classes slice is the caller's to reuse.
+func TestStoreAddDoesNotAllocate(t *testing.T) {
+	const depth = 2*chunkSlots + 5 // a partial last chunk
+	s := NewStore(depth)
+	smp := classedAt(0, 4)
+	for i := 0; i < depth; i++ {
+		s.Add(smp)
+	}
+	if n := testing.AllocsPerRun(3*depth, func() { s.Add(smp) }); n != 0 {
+		t.Fatalf("Add into an existing chunk allocates %.0f objects per sample, want 0", n)
+	}
+	smp.Classes[0].Watts = -1 // the caller reuses its buffer
+	if last, _ := s.Latest(); last.Classes[0].Watts != 0 {
+		t.Fatal("the store kept the caller's Classes slice instead of copying it")
+	}
+}
+
+// Readers get deep copies: writing to a returned breakdown, or
+// appending to it, never changes what a later read returns.
+func TestStoreReadsAreCopies(t *testing.T) {
+	s := NewStore(8)
+	for i := 0; i < 12; i++ {
+		s.Add(classedAt(float64(i*60), 3))
+	}
+	got := s.Samples(0)
+	last, _ := s.Latest()
+	for i := range got {
+		got[i].Classes[0].Watts = -1
+		got[i].Classes = append(got[i].Classes, ClassSample{Class: "extra"})
+	}
+	last.Classes[2].On = -1
+	for i, smp := range s.Samples(0) {
+		if !intact(smp, 3) {
+			t.Fatalf("sample %d after readers scribbled on their copies: %+v", i, smp.Classes)
+		}
+	}
+	if again, _ := s.Latest(); !intact(again, 3) {
+		t.Fatalf("Latest after a reader scribbled on its copy: %+v", again.Classes)
+	}
+}
+
+// The fleet layout can change mid-ring (an API restore): every retained
+// breakdown keeps its own class count and values, across a chunk whose
+// storage had to widen and across the wrap that overwrites them.
+func TestStoreClassCountChangeKeepsBreakdowns(t *testing.T) {
+	const depth = chunkSlots + 10
+	s := NewStore(depth)
+	width := func(i int) int { return []int{2, 5, 0, 1, 7}[i/20%5] }
+	for i := 0; i < 3*depth; i++ {
+		s.Add(classedAt(float64(i), width(i)))
+		got := s.Samples(0)
+		if len(got) != min(i+1, depth) {
+			t.Fatalf("after %d adds %d retained", i+1, len(got))
+		}
+		for _, smp := range got {
+			if !intact(smp, width(int(smp.T))) {
+				t.Fatalf("after %d adds, sample t=%v has breakdown %+v, want its own %d classes", i+1, smp.T, smp.Classes, width(int(smp.T)))
+			}
+		}
+	}
+}
+
+// One writer wrapping the ring several times against concurrent
+// readers: every sample a reader gets is whole — its own breakdown,
+// oldest first, no torn slot. Run under -race.
+func TestStoreConcurrentReadersAcrossWraps(t *testing.T) {
+	const depth, adds = chunkSlots + 16, 20 * (chunkSlots + 16)
+	s := NewStore(depth)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				prev := -1.0
+				for _, smp := range s.Samples(0) {
+					if smp.T <= prev || !intact(smp, 1+int(smp.T)%4) {
+						t.Errorf("torn read: t=%v after %v, classes %+v", smp.T, prev, smp.Classes)
+						return
+					}
+					prev = smp.T
+				}
+				if smp, ok := s.Latest(); ok && !intact(smp, 1+int(smp.T)%4) {
+					t.Errorf("torn Latest: %+v", smp)
+					return
+				}
+			}
+		}()
+	}
+	buf := Sample{}
+	for i := 0; i < adds; i++ {
+		next := classedAt(float64(i), 1+i%4)
+		buf.Classes = append(buf.Classes[:0], next.Classes...) // one reused writer buffer
+		next.Classes = buf.Classes
+		s.Add(next)
+	}
+	close(done)
+	wg.Wait()
+	if s.Count() != adds || s.Len() != depth {
+		t.Fatalf("Count %d Len %d, want %d and %d", s.Count(), s.Len(), adds, depth)
 	}
 }
 

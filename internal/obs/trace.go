@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -161,6 +162,8 @@ type RoundTrace struct {
 // TraceSink receives solver round traces. The solver consults
 // Verbosity() once per round (so a sink may flip levels at runtime)
 // and calls Emit for every round when the level is above TraceOff.
+// rt.Actions is borrowed: it is valid during Emit only, and a sink that
+// keeps the actions copies them.
 type TraceSink interface {
 	Verbosity() Verbosity
 	Emit(rt RoundTrace)
@@ -211,6 +214,14 @@ func (r *TraceRing) Verbosity() Verbosity { return Verbosity(r.verb.Load()) }
 func (r *TraceRing) SetVerbosity(v Verbosity) { r.verb.Store(int32(v)) }
 
 // Emit stores the trace in the ring under the next sequence number and
-// forwards it to every live subscriber. The ring keeps rt.Actions, so
-// the caller must not reuse that slice.
-func (r *TraceRing) Emit(rt RoundTrace) { r.Ring.Emit(EventRound, rt) }
+// forwards it to every live subscriber. The ring keeps a copy of a
+// non-empty rt.Actions — its one allocation — so the caller may reuse
+// that slice.
+func (r *TraceRing) Emit(rt RoundTrace) {
+	if len(rt.Actions) > 0 {
+		rt.Actions = slices.Clone(rt.Actions)
+	} else {
+		rt.Actions = nil
+	}
+	r.Ring.Emit(EventRound, rt)
+}
