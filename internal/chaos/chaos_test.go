@@ -155,7 +155,7 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 
 	// Reference: uninterrupted, in-memory, serial solver.
 	ref, err := fleet.Open("ref", fleet.Config{
-		Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true,
+		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +187,8 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	script.FailOnce("append", total/2, fleet.ErrTornWrite)
 	dir := filepath.Join(t.TempDir(), "chaos")
 	cfg := fleet.Config{
-		Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true,
-		Shards: 4, Dir: dir, SnapshotInterval: 0, WALSync: fleet.SyncOS,
+		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true, Shards: 4},
+		Dir:   dir, SnapshotInterval: 0, WALSync: fleet.SyncOS,
 		WALFault: script.Hook(),
 	}
 	f, err := fleet.Open("chaos", cfg)
@@ -273,7 +273,7 @@ func TestScenario10kAdmissionByteIdentity(t *testing.T) {
 	// Reference: the bulk-load path (SubmitSource bypasses the router),
 	// batches of 64.
 	ref, err := fleet.Open("ref", fleet.Config{
-		Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true,
+		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestScenario10kAdmissionByteIdentity(t *testing.T) {
 	}
 
 	f, err := fleet.Open("router", fleet.Config{
-		Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true,
+		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
 	})
 	if err != nil {
 		t.Fatal(err)

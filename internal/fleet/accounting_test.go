@@ -20,7 +20,7 @@ import (
 // actually recorded the run.
 func TestFleetAccountingTwin(t *testing.T) {
 	cfg := Config{
-		Policy: "SB", Seed: 1,
+		Sched:          Sched{Policy: "SB", Seed: 1},
 		TraceVerbosity: "scores",
 		SLOs: []slo.Objective{
 			{Name: "power-budget", Metric: "watts", Max: 1, Budget: 0.1},
@@ -55,7 +55,7 @@ func TestFleetAccountingTwin(t *testing.T) {
 // action-level tracing even with the ring off), running, completed —
 // with attributed energy and SLA satisfaction on the terminal step.
 func TestFleetJourneyLifecycle(t *testing.T) {
-	f, err := Open("j", Config{Policy: "SB", Seed: 1})
+	f, err := Open("j", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFleetAccountingReplaySuppression(t *testing.T) {
 	}
 
 	// Uninterrupted twin for the per-job energy comparison.
-	ref, err := Open("ref", Config{Policy: "SB", Seed: 1})
+	ref, err := Open("ref", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestReplayRunsNoSampler(t *testing.T) {
 // TestFleetAccountingBoundedDepth: the ring depths from the config
 // actually bound retention while lifetime counters keep counting.
 func TestFleetAccountingBoundedDepth(t *testing.T) {
-	f, err := Open("small", Config{Policy: "SB", Seed: 1, SeriesDepth: 4, JourneyDepth: 3})
+	f, err := Open("small", Config{Sched: Sched{Policy: "SB", Seed: 1}, SeriesDepth: 4, JourneyDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestFleetAccountingBoundedDepth(t *testing.T) {
 // the Prometheus families as the record.
 func TestFleetSLOFireAndClear(t *testing.T) {
 	cfg := Config{
-		Policy: "SB", Seed: 1,
+		Sched: Sched{Policy: "SB", Seed: 1},
 		SLOs: []slo.Objective{
 			// The ceiling sits between the idle floor (one node held
 			// on, 725 W) and the busy burst (1297 W): the burst burns

@@ -55,7 +55,7 @@ func TestTokenBucketOversizedBatchGoesIntoDebt(t *testing.T) {
 // submits with a 429 fleet.Error carrying a Retry-After hint, and the
 // shed counter surfaces on the metrics samples.
 func TestRateLimitShedsWith429(t *testing.T) {
-	f, err := Open("rl", Config{Policy: "SB", Seed: 1, RateLimit: 5, RateBurst: 2})
+	f, err := Open("rl", Config{Sched: Sched{Policy: "SB", Seed: 1}, RateLimit: 5, RateBurst: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRateLimitShedsWith429(t *testing.T) {
 // queue fills and further submits shed with 429 instead of queueing
 // without bound.
 func TestAdmitQueueShedsWith429(t *testing.T) {
-	f, err := Open("bq", Config{Policy: "SB", Seed: 1, AdmitQueue: 1})
+	f, err := Open("bq", Config{Sched: Sched{Policy: "SB", Seed: 1}, AdmitQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestArbiterTurnSortsBySubmitTime(t *testing.T) {
 	}
 	at := func(i int) *float64 { v := float64(i+1) * 30; return &v }
 
-	f, err := Open("arb", Config{Policy: "SB", Seed: 1})
+	f, err := Open("arb", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestArbiterTurnSortsBySubmitTime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := Open("ref", Config{Policy: "SB", Seed: 1})
+	ref, err := Open("ref", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestArbiterTurnSortsBySubmitTime(t *testing.T) {
 // fleet with nil-Submit jobs — every acknowledged admission must land
 // (zero dropped accepted jobs).
 func TestConcurrentSubmitDropsNothing(t *testing.T) {
-	f, err := Open("cc", Config{Policy: "SB", Seed: 1})
+	f, err := Open("cc", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestFaultMidBatchStaysAtomicAndByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Open("ref", Config{Policy: "SB", Seed: 1})
+	ref, err := Open("ref", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestServedJobAllocsPerJob(t *testing.T) {
 	trace := workload.MustGenerate(gcfg)
 
 	run := func() int {
-		f, err := Open("allocs", Config{Policy: "SB", Seed: 1})
+		f, err := Open("allocs", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ const servedJobAllocBudget = 13
 // reuses, and copies nothing else — an acting round costs it no
 // allocation.
 func TestFleetTraceSinkDoesNotAllocate(t *testing.T) {
-	f, err := Open("quiet", Config{Policy: "SB", Seed: 1})
+	f, err := Open("quiet", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func BenchmarkAdmitRouter(b *testing.B) {
 	const submitters, perSubmitter = 8, 128
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f, err := Open("bench", Config{Policy: "SB", Seed: 1})
+		f, err := Open("bench", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkAdmitRouter(b *testing.B) {
 // reused class buffer, then Store.Add on a full series ring. Both sides
 // own their storage by then, so it runs at 0 allocs/op.
 func BenchmarkFleetTickSample(b *testing.B) {
-	f, err := Open("bench", Config{Policy: "SB", Seed: 1})
+	f, err := Open("bench", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}

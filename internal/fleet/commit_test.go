@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -19,7 +20,8 @@ import (
 // holds an admit record (every field set), an admit record with every
 // omitempty field empty, the seal record, a two-job snapshot.json and
 // an empty fleet's snapshot.json exactly as the release before
-// workload.Job carried the wire tags wrote them.
+// workload.Job carried the wire tags wrote them, and a two-fleet
+// manifest (fleets.json) as the release before it wrote that.
 
 func goldenJobs() []workload.Job {
 	return []workload.Job{
@@ -65,8 +67,8 @@ func TestGoldenLogBytes(t *testing.T) {
 		t.Fatalf("seal record drifted: got %s want %s", sealPayload, want)
 	}
 
-	cfg := Config{Policy: "SB", Seed: 7, Score: &energysched.ScoreParams{Cempty: 20, Cfill: 40, THempty: 1}}.withDefaults()
-	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 60.5, Gen: 2, Config: toSnapshotConfig(cfg), Jobs: jobs}
+	cfg := Config{Sched: Sched{Policy: "SB", Seed: 7, Cempty: 20, Cfill: 40, THempty: 1, HasScore: true}}.withDefaults()
+	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 60.5, Gen: 2, Config: cfg.Sched, Jobs: jobs}
 	path := filepath.Join(t.TempDir(), checkpointName)
 	if err := writeSnapshot(path, snap); err != nil {
 		t.Fatal(err)
@@ -88,7 +90,7 @@ func TestGoldenLogBytes(t *testing.T) {
 
 	// An empty log is "jobs": [] — the admission log handed to the
 	// snapshot uncopied must not turn that into null.
-	f, err := Open("empty", Config{Policy: "SB", Seed: 1})
+	f, err := Open("empty", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +100,75 @@ func TestGoldenLogBytes(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden(t, "snapshot_empty.json")) {
 		t.Fatalf("empty fleet's snapshot drifted:\n%s", got)
+	}
+}
+
+// goldenManifestConfigs are the two fleets of testdata/golden/fleets.json,
+// which the release before Config carried the manifest tags wrote: one
+// with every stored field set, one minimal with a score override.
+func goldenManifestConfigs() map[string]Config {
+	return map[string]Config{
+		"full": {
+			Sched: Sched{
+				Policy: "SB1", Seed: 42, LambdaMin: 20, LambdaMax: 80,
+				Cempty: 10, Cfill: 30, THempty: 2, HasScore: true,
+				Failures: true, CheckpointSeconds: 600, AdaptiveTarget: 95, Shards: 2,
+				Classes: []energysched.NodeClass{{Name: "std", Count: 8, CPU: 400, Mem: 100,
+					CreateCost: 40, MigrateCost: 60, BootTime: 100, Reliability: 0.99}},
+			},
+			Pace: 60, SnapshotDir: "snaps/full", EventRing: 512, SnapshotInterval: 32, WALSync: SyncOS,
+			TraceVerbosity: "actions", TraceDepth: 64, SeriesDepth: 1024, JourneyDepth: 128,
+			AdmitQueue: 64, RateLimit: 250.5, RateBurst: 500,
+		},
+		"minimal": {Sched: Sched{Cfill: 40, HasScore: true}},
+	}
+}
+
+// TestGoldenManifestBytes: the manifest is a format too. Creating the
+// two golden fleets writes fleets.json byte for byte, and a registry
+// recovered from the golden file reopens both under those configs.
+func TestGoldenManifestBytes(t *testing.T) {
+	want := golden(t, manifestName)
+	root := t.TempDir()
+	mgr, err := NewManager(Options{Dir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"full", "minimal"} {
+		if _, err := mgr.Create(id, goldenManifestConfigs()[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr.Close()
+	if got, _ := os.ReadFile(filepath.Join(root, manifestName)); !bytes.Equal(got, want) {
+		t.Fatalf("fleets.json drifted:\n got %s\nwant %s", got, want)
+	}
+
+	root = t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, manifestName), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err = NewManager(Options{Dir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	for id, cfg := range goldenManifestConfigs() {
+		f, err := mgr.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = cfg.withDefaults()
+		if info, err := f.Info(); err != nil || info.Policy != cfg.Policy || info.Seed != cfg.Seed || info.Pace != cfg.Pace {
+			t.Fatalf("%s recovered as %+v, %v; want %+v", id, info, err, cfg)
+		}
+		var st snapshotFile
+		if err := f.call(func() error { st = f.snapshotState(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st.Config, cfg.Sched) {
+			t.Fatalf("%s replays under %+v, want %+v", id, st.Config, cfg.Sched)
+		}
 	}
 }
 

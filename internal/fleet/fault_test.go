@@ -316,7 +316,7 @@ func TestSubmitSourceMatchesBatch(t *testing.T) {
 	gcfg.Horizon = 12 * 3600
 	tr := workload.MustGenerate(gcfg)
 
-	stream, err := Open("s", Config{Policy: "SB", Seed: 1})
+	stream, err := Open("s", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestSubmitSourceMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch, err := Open("b", Config{Policy: "SB", Seed: 1})
+	batch, err := Open("b", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,90 +36,176 @@ import (
 	"energysched/internal/workload"
 )
 
-// Config parameterizes one fleet.
-type Config struct {
+// Sched is a fleet's scheduling configuration: the paper's tunables a
+// replay's determinism depends on. It is stored as is — a snapshot's
+// "config" object is this value — so the logged jobs replay under
+// exactly the config they were acknowledged with.
+type Sched struct {
 	// Policy selects the scheduler (same names as energysched.Run;
 	// default "SB").
-	Policy string
+	Policy string `json:"policy"`
 	// Seed drives all stochastic components (default 1).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// LambdaMin, LambdaMax are the power-manager thresholds in percent
 	// (defaults 30, 90).
-	LambdaMin, LambdaMax float64
-	// Score overrides the consolidation costs (nil = paper values).
-	Score *energysched.ScoreParams
+	LambdaMin float64 `json:"lambda_min"`
+	LambdaMax float64 `json:"lambda_max"`
+	// Cempty, Cfill and THempty override the consolidation costs when
+	// HasScore is set (unset = the paper's values).
+	Cempty   float64 `json:"cempty,omitempty"`
+	Cfill    float64 `json:"cfill,omitempty"`
+	THempty  int     `json:"th_empty,omitempty"`
+	HasScore bool    `json:"has_score,omitempty"`
 	// Failures enables reliability-driven node crashes.
-	Failures bool
+	Failures bool `json:"failures,omitempty"`
 	// CheckpointSeconds > 0 checkpoints running VMs periodically.
-	CheckpointSeconds float64
+	CheckpointSeconds float64 `json:"checkpoint_s,omitempty"`
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
-	AdaptiveTarget float64
+	AdaptiveTarget float64 `json:"adaptive_target,omitempty"`
 	// Shards is the solver's column-shard count (0 or unset = one
 	// shard on the caller's goroutine, the default; -1 = GOMAXPROCS;
 	// K > 1 = K workers per round). Actions and reports are
 	// byte-identical at any setting, so this is a pure performance
 	// knob — replay determinism does not depend on it.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// Classes overrides the fleet (nil = the paper's 100 nodes).
-	Classes []energysched.NodeClass
+	Classes []energysched.NodeClass `json:"classes,omitempty"`
+}
+
+// options maps the scheduling config onto the engine's: the one place
+// the fields are listed, shared by rebuild and validate.
+func (s Sched) options() energysched.Options {
+	o := energysched.Options{
+		Policy:            s.Policy,
+		LambdaMin:         s.LambdaMin,
+		LambdaMax:         s.LambdaMax,
+		Seed:              s.Seed,
+		Failures:          s.Failures,
+		CheckpointSeconds: s.CheckpointSeconds,
+		AdaptiveTarget:    s.AdaptiveTarget,
+		Shards:            s.Shards,
+		Classes:           s.Classes,
+	}
+	if s.HasScore {
+		o.Score = &energysched.ScoreParams{Cempty: s.Cempty, Cfill: s.Cfill, THempty: s.THempty}
+	}
+	return o
+}
+
+// Config parameterizes one fleet: the scheduling section plus the
+// service fields. A manifest entry's "config" object is this value; the
+// fields tagged "-" are supplied at runtime by whoever opens the fleet.
+type Config struct {
+	Sched
 	// Pace is the virtual-seconds-per-wall-second acceleration; <= 0
 	// selects max pacing (watermark-gated, fully deterministic).
-	Pace float64
+	Pace float64 `json:"pace,omitempty"`
 	// SnapshotDir receives API-named snapshots (default ".").
-	SnapshotDir string
+	SnapshotDir string `json:"snapshot_dir,omitempty"`
 	// EventRing is the replay-ring depth for the events stream
 	// (default 4096).
-	EventRing int
+	EventRing int `json:"event_ring,omitempty"`
 	// Dir is the fleet's durable directory (WAL + compaction
 	// snapshot). Empty disables durability: the fleet is in-memory
 	// only.
-	Dir string
+	Dir string `json:"-"`
 	// SnapshotInterval compacts the WAL into a fresh snapshot every
 	// this many appended records (0 = never compact automatically).
-	SnapshotInterval int
+	SnapshotInterval int `json:"snapshot_interval,omitempty"`
 	// WALSync is the append sync policy: SyncAlways (default) fsyncs
 	// every acknowledged admission, SyncOS leaves flushing to the OS.
-	WALSync string
+	WALSync string `json:"wal_sync,omitempty"`
 	// WALFault, when non-nil, is consulted before every WAL append
 	// ("append"), sync ("sync") and rollback ("rewind"); a non-nil
 	// return fails the op with that error, and ErrTornWrite on an
 	// append additionally leaves half a frame on disk. This is the
 	// chaos harness's live fault-injection hook (disk-full, torn
 	// writes); leave nil in production.
-	WALFault func(op string) error
+	WALFault func(op string) error `json:"-"`
 	// TraceVerbosity selects the decision-trace recording level of the
 	// fleet's trace ring: "off" (default), "rounds", "actions" or
 	// "scores". Pure observability — any level leaves the simulation
 	// byte-identical (see internal/obs).
-	TraceVerbosity string
+	TraceVerbosity string `json:"trace_verbosity,omitempty"`
 	// TraceDepth is how many round traces the ring retains (default
 	// 256).
-	TraceDepth int
+	TraceDepth int `json:"trace_depth,omitempty"`
 	// SeriesDepth is how many accounting samples the time-series ring
 	// retains (default 4096). Like the trace ring this is pure
 	// observability: any depth leaves the simulation byte-identical.
-	SeriesDepth int
+	SeriesDepth int `json:"series_depth,omitempty"`
 	// JourneyDepth is how many jobs the lifecycle journey store retains
 	// (default 2048); the journey firehose ring holds the same number
 	// of recent steps.
-	JourneyDepth int
+	JourneyDepth int `json:"journey_depth,omitempty"`
 	// SLOs are declarative service-level objectives evaluated against
 	// the accounting series at every tick (nil = no SLO engine). Must
-	// be pre-validated (slo.Parse does).
-	SLOs []slo.Objective
+	// be pre-validated (slo.Parse does). They are the daemon's
+	// (-slo-file), not the fleet's, so the manifest does not carry them.
+	SLOs []slo.Objective `json:"-"`
 	// AdmitQueue bounds the admission queue in front of the event loop
 	// (default 256). A full queue sheds with 429 + Retry-After instead
 	// of blocking.
-	AdmitQueue int
+	AdmitQueue int `json:"admit_queue,omitempty"`
 	// RateLimit throttles admission to this many jobs per second via a
 	// token bucket (0 = unlimited). Over-limit requests are shed with
 	// 429 + Retry-After before they touch the WAL or the event loop.
-	RateLimit float64
+	RateLimit float64 `json:"rate_limit,omitempty"`
 	// RateBurst is the token bucket's capacity in jobs (default one
 	// second's worth of RateLimit, at least 1).
-	RateBurst int
+	RateBurst int `json:"rate_burst,omitempty"`
 	// Logf, when non-nil, receives fleet log lines.
-	Logf func(format string, args ...interface{})
+	Logf func(format string, args ...interface{}) `json:"-"`
+}
+
+// maxDepth caps every queue and ring depth a config may ask for: each is
+// sized, and partly allocated, when the fleet opens. 2^20 series samples
+// are two years of 60-second ticks.
+const maxDepth = 1 << 20
+
+// validate refuses, with a 400, a config the fleet could not run under,
+// and returns the parsed trace verbosity. Open calls it before recover
+// touches the disk, so a refused config leaves nothing behind. The
+// scheduling checks are the engine's own constructors, so they cannot
+// drift from what rebuild would refuse. Call on a defaulted config.
+func (c Config) validate() (obs.Verbosity, error) {
+	bad := func(err error) (obs.Verbosity, error) {
+		return obs.TraceOff, errf(http.StatusBadRequest, "%v", err)
+	}
+	o := c.options()
+	if _, err := energysched.NewPolicy(o.Policy, o.Seed, o.Score); err != nil {
+		return bad(err)
+	}
+	if _, err := core.NewPowerManager(c.LambdaMin, c.LambdaMax, 0); err != nil {
+		return bad(err)
+	}
+	// The baseline policies ignore Shards, so the engine accepts any
+	// value under them; the fleet persists it whatever the policy.
+	if c.Shards < -1 {
+		return bad(fmt.Errorf("shards must be >= -1, got %d", c.Shards))
+	}
+	for _, d := range []struct {
+		name  string
+		depth int
+	}{
+		{"admit_queue", c.AdmitQueue}, {"event_ring", c.EventRing}, {"trace_depth", c.TraceDepth},
+		{"series_depth", c.SeriesDepth}, {"journey_depth", c.JourneyDepth},
+	} {
+		if d.depth < 0 || d.depth > maxDepth {
+			return bad(fmt.Errorf("%s must be in [0, %d], got %d", d.name, maxDepth, d.depth))
+		}
+	}
+	if c.RateLimit < 0 || c.RateBurst < 0 {
+		return bad(errors.New("rate_limit and rate_burst must be >= 0"))
+	}
+	if c.TraceVerbosity == "" {
+		return obs.TraceOff, nil
+	}
+	verb, err := obs.ParseVerbosity(c.TraceVerbosity)
+	if err != nil {
+		return bad(err)
+	}
+	return verb, nil
 }
 
 func (c Config) withDefaults() Config {
@@ -138,10 +224,10 @@ func (c Config) withDefaults() Config {
 	if c.WALSync == "" {
 		c.WALSync = SyncAlways
 	}
-	if c.AdmitQueue <= 0 {
+	if c.AdmitQueue == 0 {
 		c.AdmitQueue = 256
 	}
-	if c.EventRing <= 0 {
+	if c.EventRing == 0 {
 		c.EventRing = 4096
 	}
 	return c
@@ -171,7 +257,10 @@ var ErrClosed = errors.New("fleet: shut down")
 // Fleet is one hosted scheduler instance: a simulation behind an
 // actor event loop, plus its event streams and durability layer.
 type Fleet struct {
-	id       string
+	id string
+	// cfg's service fields are fixed at Open. cfg.Sched is event-loop
+	// state: the config the admission log replays under, which rebuild
+	// replaces whole (recovery, restore, follower bootstrap).
 	cfg      Config
 	events   *obs.Ring[energysched.Event] // the simulation event stream behind GET /events
 	repl     *replFeed
@@ -210,15 +299,11 @@ type Fleet struct {
 // set (last compaction snapshot + WAL tail), starts its event loop,
 // and returns it.
 func Open(id string, cfg Config) (*Fleet, error) {
-	verb := obs.TraceOff
-	if cfg.TraceVerbosity != "" {
-		v, err := obs.ParseVerbosity(cfg.TraceVerbosity)
-		if err != nil {
-			return nil, fmt.Errorf("fleet %s: %w", id, err)
-		}
-		verb = v
-	}
 	cfg = cfg.withDefaults()
+	verb, err := cfg.validate()
+	if err != nil {
+		return nil, err
+	}
 	f := &Fleet{
 		id:       id,
 		cfg:      cfg,
@@ -234,12 +319,11 @@ func Open(id string, cfg Config) (*Fleet, error) {
 	if len(cfg.SLOs) > 0 {
 		f.sloEng = slo.NewEngine(cfg.SLOs)
 	}
-	jobs, now, sealed, err := f.recover()
-	if err != nil {
-		f.wal.close()
-		return nil, err
+	snap, err := f.recover()
+	if err == nil {
+		err = f.rebuild(snap)
 	}
-	if err := f.rebuild(jobs, now, sealed); err != nil {
+	if err != nil {
 		f.wal.close()
 		return nil, err
 	}
@@ -250,39 +334,39 @@ func Open(id string, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// recover loads the durable state: the compaction snapshot (if any)
-// plus the WAL tail. It returns the reconstructed admission log, the
-// watermark to fast-forward to, and whether the workload was sealed.
-func (f *Fleet) recover() (jobs []workload.Job, now float64, sealed bool, err error) {
+// recover loads the durable state — the compaction snapshot (if any)
+// plus the WAL tail — as the snapshot rebuild starts the fleet from: the
+// reconstructed admission log, the watermark to fast-forward to, whether
+// the workload was sealed, and the config the log replays under.
+func (f *Fleet) recover() (snapshotFile, error) {
+	snap := snapshotFile{Config: f.cfg.Sched}
 	if f.cfg.Dir == "" {
-		return nil, 0, false, nil
+		return snap, nil
 	}
 	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
-		return nil, 0, false, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
+		return snap, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
 	}
 	snapPath := filepath.Join(f.cfg.Dir, checkpointName)
 	if st, serr := os.Stat(snapPath); serr == nil {
-		snap, rerr := readSnapshot(snapPath)
+		file, rerr := readSnapshot(snapPath)
 		if rerr != nil {
-			return nil, 0, false, fmt.Errorf("fleet %s: %w", f.id, rerr)
+			return snap, fmt.Errorf("fleet %s: %w", f.id, rerr)
 		}
-		if snap.Gen > 0 {
-			// Pre-PR 6 snapshots carry no generation: stay at 1.
-			f.gen = snap.Gen
+		if file.Gen > 0 {
+			// Snapshots written before generations existed carry none:
+			// stay at 1.
+			f.gen = file.Gen
 		}
 		f.stats.LastSnapshotUnix = st.ModTime().Unix()
 		// The compaction snapshot's scheduling config is the one the
 		// logged jobs were acknowledged under — an API restore may have
-		// changed it after the manifest was written — so it wins over
-		// the manager-supplied config, exactly as in restore().
-		snap.Config.applyTo(&f.cfg)
-		jobs = snap.Jobs
-		now = snap.SavedVirtual
-		sealed = snap.Sealed
+		// changed it since the fleet was opened — so it wins over the
+		// opened config (see Manager.saveManifestLocked).
+		snap = file
 	}
 	w, recs, dropped, werr := openWAL(filepath.Join(f.cfg.Dir, walName), f.cfg.WALSync, f.cfg.WALFault)
 	if werr != nil {
-		return nil, 0, false, fmt.Errorf("fleet %s: %w", f.id, werr)
+		return snap, fmt.Errorf("fleet %s: %w", f.id, werr)
 	}
 	f.wal = w
 	f.stats.TornTail = dropped > 0
@@ -290,13 +374,14 @@ func (f *Fleet) recover() (jobs []workload.Job, now float64, sealed bool, err er
 	if dropped > 0 {
 		f.logf("wal: torn tail detected and dropped (%d bytes); recovered the intact prefix (%d records)", dropped, len(recs))
 	}
+replay:
 	for _, rec := range recs {
 		switch rec.Kind {
 		case walKindAdmit:
 			if rec.Job == nil {
 				continue
 			}
-			switch order := logOrder(int64(rec.Job.ID)+1, int64(len(jobs))); {
+			switch order := logOrder(int64(rec.Job.ID)+1, int64(len(snap.Jobs))); {
 			case order < 0:
 				// Already covered by the snapshot: a crash landed
 				// between snapshot publish and WAL reset. Idempotent.
@@ -308,22 +393,23 @@ func (f *Fleet) recover() (jobs []workload.Job, now float64, sealed bool, err er
 				// to acknowledge new admissions a future recovery
 				// would mis-replay.
 				f.walBroken = true
-				f.logf("wal: record for job %d but only %d jobs known; ignoring the rest of the log and going read-only", rec.Job.ID, len(jobs))
-				return jobs, maxWatermark(now, jobs), sealed, nil
+				f.logf("wal: record for job %d but only %d jobs known; ignoring the rest of the log and going read-only", rec.Job.ID, len(snap.Jobs))
+				break replay
 			}
-			jobs = append(jobs, *rec.Job)
+			snap.Jobs = append(snap.Jobs, *rec.Job)
 			f.stats.Replayed++
 		case walKindSeal:
-			sealed = true
+			snap.Sealed = true
 			f.stats.Replayed++
 		default:
 			f.logf("wal: unknown record kind %q ignored", rec.Kind)
 		}
 	}
-	if f.stats.Replayed > 0 || len(jobs) > 0 {
-		f.logf("recovered %d jobs (%d replayed from the wal tail, sealed=%v)", len(jobs), f.stats.Replayed, sealed)
+	if f.stats.Replayed > 0 || len(snap.Jobs) > 0 {
+		f.logf("recovered %d jobs (%d replayed from the wal tail, sealed=%v)", len(snap.Jobs), f.stats.Replayed, snap.Sealed)
 	}
-	return jobs, maxWatermark(now, jobs), sealed, nil
+	snap.SavedVirtual = maxWatermark(snap.SavedVirtual, snap.Jobs)
+	return snap, nil
 }
 
 // maxWatermark returns the admission watermark implied by a snapshot
@@ -429,37 +515,28 @@ func (f *Fleet) advanceRealtime() {
 	f.sim.StepBefore(f.watermark)
 }
 
-// rebuild replaces the simulation with a fresh one replaying the
-// given admission log up to virtual time now. With sealed, the replay
-// is drained to completion. On error the previous state is kept.
-func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
+// rebuild replaces the simulation, and the scheduling config, with a
+// fresh simulation under snap.Config replaying snap's admission log up
+// to its virtual time. A sealed snapshot is drained to completion. On
+// error the previous state is kept.
+func (f *Fleet) rebuild(snap snapshotFile) error {
+	jobs, now := snap.Jobs, snap.SavedVirtual
 	// sim is captured by the journey recorder below before it is built:
 	// the closure only runs behind !f.replaying, which stays set until
 	// after the assignment, so it never sees a nil simulation.
 	var sim *datacenter.Simulation
-	opts := energysched.Options{
-		Policy:            f.cfg.Policy,
-		LambdaMin:         f.cfg.LambdaMin,
-		LambdaMax:         f.cfg.LambdaMax,
-		Seed:              f.cfg.Seed,
-		Score:             f.cfg.Score,
-		Failures:          f.cfg.Failures,
-		CheckpointSeconds: f.cfg.CheckpointSeconds,
-		AdaptiveTarget:    f.cfg.AdaptiveTarget,
-		Shards:            f.cfg.Shards,
-		Classes:           f.cfg.Classes,
-		EventLog: func(e energysched.Event) {
-			if f.replaying {
-				return
-			}
-			f.publish(e)
-			f.recordJourney(sim, e)
-		},
-		RoundTimer: func(seconds float64) {
-			if !f.replaying {
-				f.hists.round.Observe(seconds)
-			}
-		},
+	opts := snap.Config.options()
+	opts.EventLog = func(e energysched.Event) {
+		if f.replaying {
+			return
+		}
+		f.publish(e)
+		f.recordJourney(sim, e)
+	}
+	opts.RoundTimer = func(seconds float64) {
+		if !f.replaying {
+			f.hists.round.Observe(seconds)
+		}
 	}
 	var err error
 	sim, err = energysched.NewSimulation(opts)
@@ -486,13 +563,14 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 		}
 	}
 	sim.StepBefore(now)
+	f.cfg.Sched = snap.Config
 	f.sim = sim
 	f.jobs = jobs
 	f.watermark = now
 	f.final = nil
 	f.wallStart = time.Now()
 	f.virtStart = now
-	if sealed {
+	if snap.Sealed {
 		rep := serviceReport(sim.Drain(), true)
 		f.final = &rep
 	}
@@ -1048,12 +1126,8 @@ func (f *Fleet) restore(path string) (energysched.SnapshotInfo, error) {
 // adopts the leader's). Call only from the event loop.
 func (f *Fleet) applySnapshot(snap snapshotFile, source string) error {
 	// The snapshot's scheduling configuration wins: determinism of the
-	// replay depends on it. Keep the old config at hand so a failed
-	// replay leaves config and simulation consistent.
-	oldCfg := f.cfg
-	snap.Config.applyTo(&f.cfg)
-	if err := f.rebuild(snap.Jobs, snap.SavedVirtual, snap.Sealed); err != nil {
-		f.cfg = oldCfg
+	// replay depends on it. A failed replay keeps config and simulation.
+	if err := f.rebuild(snap); err != nil {
 		return errf(http.StatusUnprocessableEntity, "%v", err)
 	}
 	// The new timeline supersedes the WAL: republish the state as the

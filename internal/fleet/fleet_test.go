@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"energysched"
@@ -12,8 +15,7 @@ import (
 
 func testConfig(dir string) Config {
 	return Config{
-		Policy:           "SB",
-		Seed:             1,
+		Sched:            Sched{Policy: "SB", Seed: 1},
 		Dir:              dir,
 		SnapshotInterval: 8,
 		WALSync:          SyncOS, // tests survive process kills, not power loss
@@ -54,7 +56,7 @@ func walInfo(t *testing.T, f *Fleet) energysched.WALStats {
 // drains it: the uninterrupted reference.
 func drainedReport(t *testing.T, n int) energysched.ServiceReport {
 	t.Helper()
-	ref, err := Open("ref", Config{Policy: "SB", Seed: 1})
+	ref, err := Open("ref", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +206,10 @@ func TestManagerManifestRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Create("alpha", Config{Policy: "SB", Seed: 1, WALSync: SyncOS}); err != nil {
+	if _, err := mgr.Create("alpha", Config{Sched: Sched{Policy: "SB", Seed: 1}, WALSync: SyncOS}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Create("beta", Config{Policy: "BF", Seed: 7, WALSync: SyncOS}); err != nil {
+	if _, err := mgr.Create("beta", Config{Sched: Sched{Policy: "BF", Seed: 7}, WALSync: SyncOS}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.Create("alpha", Config{}); err == nil {
@@ -275,7 +277,7 @@ func TestRecoveryAdoptsRestoredConfig(t *testing.T) {
 	snapDir := t.TempDir()
 
 	// Author a BF/seed-5 snapshot with one job.
-	author, err := Open("a", Config{Policy: "BF", Seed: 5, SnapshotDir: snapDir})
+	author, err := Open("a", Config{Sched: Sched{Policy: "BF", Seed: 5}, SnapshotDir: snapDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +315,109 @@ func TestRecoveryAdoptsRestoredConfig(t *testing.T) {
 	}
 }
 
+// Two records, two owners: the manifest holds the config a fleet was
+// opened with and the registry writes it, the compaction snapshot holds
+// the config the log replays under and the fleet's event loop writes
+// it. So fleet a's restores to another policy, racing fleet b's
+// create/delete manifest rewrites, leave the manifest at a's opened
+// config, and a restart still recovers the restored policy, report
+// byte for byte. Run under -race: the manifest once read the live
+// fleet's config while its loop replaced it.
+func TestManifestKeepsOpenedConfigUnderRestores(t *testing.T) {
+	root, snapDir := t.TempDir(), t.TempDir()
+	author, err := Open("author", Config{Sched: Sched{Policy: "BF", Seed: 5}, SnapshotDir: snapDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitN(t, author, 3, 0)
+	if _, err := author.Snapshot("bf.json"); err != nil {
+		t.Fatal(err)
+	}
+	author.Close()
+
+	mgr, err := NewManager(Options{Dir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := mgr.Create("a", Config{Sched: Sched{Policy: "SB", Seed: 1}, SnapshotDir: snapDir, WALSync: SyncOS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 10
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := a.Restore("bf.json"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := mgr.Create("b", Config{WALSync: SyncOS}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := mgr.Delete("b"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		mgr.Close()
+		return
+	}
+
+	manifest, err := readManifest(filepath.Join(root, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(manifest.Fleets) != 1 || manifest.Fleets[0].ID != "a" ||
+		manifest.Fleets[0].Config.Policy != "SB" || manifest.Fleets[0].Config.Seed != 1 {
+		t.Fatalf("manifest lost a's opened config: %+v", manifest.Fleets)
+	}
+	info, err := a.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Policy != "BF" || info.Seed != 5 || info.Jobs != 3 {
+		t.Fatalf("restored fleet reports %+v, want the snapshot's BF/5 with 3 jobs", info)
+	}
+	before, err := a.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+
+	mgr2, err := NewManager(Options{Dir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	a2, err := mgr2.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := a2.Info(); err != nil || info.Policy != "BF" || info.Seed != 5 || info.Jobs != 3 {
+		t.Fatalf("restart recovered %+v, %v; want the restored BF/5 with 3 jobs", info, err)
+	}
+	after, err := a2.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(before)
+	gotJSON, _ := json.Marshal(after)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("recovered report drifted:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+}
+
 // TestManagerMaxFleets pins the registry cap: Create returns 429 once
 // the cap is reached, deleting a fleet frees a slot, SetMaxFleets(0)
 // lifts the cap, and fleets present before the cap was installed are
@@ -324,13 +429,13 @@ func TestManagerMaxFleets(t *testing.T) {
 	}
 	defer mgr.Close()
 
-	if _, err := mgr.Create("a", Config{Policy: "BF"}); err != nil {
+	if _, err := mgr.Create("a", Config{Sched: Sched{Policy: "BF"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Create("b", Config{Policy: "BF"}); err != nil {
+	if _, err := mgr.Create("b", Config{Sched: Sched{Policy: "BF"}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = mgr.Create("c", Config{Policy: "BF"})
+	_, err = mgr.Create("c", Config{Sched: Sched{Policy: "BF"}})
 	if err == nil {
 		t.Fatal("third fleet admitted past a cap of 2")
 	}
@@ -346,14 +451,14 @@ func TestManagerMaxFleets(t *testing.T) {
 	if err := mgr.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Create("c", Config{Policy: "BF"}); err != nil {
+	if _, err := mgr.Create("c", Config{Sched: Sched{Policy: "BF"}}); err != nil {
 		t.Fatalf("create after delete: %v", err)
 	}
 
 	// Lowering the cap below the current population refuses new
 	// creates but keeps existing fleets.
 	mgr.SetMaxFleets(1)
-	if _, err := mgr.Create("d", Config{Policy: "BF"}); err == nil {
+	if _, err := mgr.Create("d", Config{Sched: Sched{Policy: "BF"}}); err == nil {
 		t.Fatal("create admitted with registry above the cap")
 	}
 	if mgr.Len() != 2 {
@@ -362,7 +467,7 @@ func TestManagerMaxFleets(t *testing.T) {
 
 	// 0 = unlimited.
 	mgr.SetMaxFleets(0)
-	if _, err := mgr.Create("d", Config{Policy: "BF"}); err != nil {
+	if _, err := mgr.Create("d", Config{Sched: Sched{Policy: "BF"}}); err != nil {
 		t.Fatalf("create after lifting the cap: %v", err)
 	}
 }

@@ -30,9 +30,16 @@ type Manager struct {
 	logf func(format string, args ...interface{})
 
 	mu      sync.RWMutex
-	fleets  map[string]*Fleet
+	fleets  map[string]member
 	pending map[string]struct{} // ids being created (Open runs unlocked)
 	closed  bool
+}
+
+// member is one registered fleet beside the config it was opened with:
+// the registry's own record of it, and what the manifest stores.
+type member struct {
+	f   *Fleet
+	cfg Config
 }
 
 // Options parameterizes the registry.
@@ -65,66 +72,13 @@ type manifestFile struct {
 	Fleets []manifestEntry `json:"fleets"`
 }
 
+// manifestEntry records one fleet. Config's runtime fields are not
+// stored: the durable dir follows from the id, and the SLOs are the
+// daemon's (-slo-file), reaching recovered fleets through Options so
+// that editing the file takes effect on restart.
 type manifestEntry struct {
-	ID     string         `json:"id"`
-	Config manifestConfig `json:"config"`
-}
-
-// manifestConfig is the durable form of a fleet Config: the snapshot
-// config plus the service-level knobs a snapshot does not carry. SLOs
-// are not here: they are the daemon's (-slo-file) and reach recovered
-// fleets through Options, so editing the file takes effect on restart.
-type manifestConfig struct {
-	snapshotConfig
-	Pace             float64 `json:"pace,omitempty"`
-	SnapshotDir      string  `json:"snapshot_dir,omitempty"`
-	EventRing        int     `json:"event_ring,omitempty"`
-	SnapshotInterval int     `json:"snapshot_interval,omitempty"`
-	WALSync          string  `json:"wal_sync,omitempty"`
-	TraceVerbosity   string  `json:"trace_verbosity,omitempty"`
-	TraceDepth       int     `json:"trace_depth,omitempty"`
-	SeriesDepth      int     `json:"series_depth,omitempty"`
-	JourneyDepth     int     `json:"journey_depth,omitempty"`
-	AdmitQueue       int     `json:"admit_queue,omitempty"`
-	RateLimit        float64 `json:"rate_limit,omitempty"`
-	RateBurst        int     `json:"rate_burst,omitempty"`
-}
-
-func toManifestConfig(c Config) manifestConfig {
-	return manifestConfig{
-		snapshotConfig:   toSnapshotConfig(c),
-		Pace:             c.Pace,
-		SnapshotDir:      c.SnapshotDir,
-		EventRing:        c.EventRing,
-		SnapshotInterval: c.SnapshotInterval,
-		WALSync:          c.WALSync,
-		TraceVerbosity:   c.TraceVerbosity,
-		TraceDepth:       c.TraceDepth,
-		SeriesDepth:      c.SeriesDepth,
-		JourneyDepth:     c.JourneyDepth,
-		AdmitQueue:       c.AdmitQueue,
-		RateLimit:        c.RateLimit,
-		RateBurst:        c.RateBurst,
-	}
-}
-
-func (mc manifestConfig) config() Config {
-	c := Config{
-		Pace:             mc.Pace,
-		SnapshotDir:      mc.SnapshotDir,
-		EventRing:        mc.EventRing,
-		SnapshotInterval: mc.SnapshotInterval,
-		WALSync:          mc.WALSync,
-		TraceVerbosity:   mc.TraceVerbosity,
-		TraceDepth:       mc.TraceDepth,
-		SeriesDepth:      mc.SeriesDepth,
-		JourneyDepth:     mc.JourneyDepth,
-		AdmitQueue:       mc.AdmitQueue,
-		RateLimit:        mc.RateLimit,
-		RateBurst:        mc.RateBurst,
-	}
-	mc.snapshotConfig.applyTo(&c)
-	return c
+	ID     string `json:"id"`
+	Config Config `json:"config"`
 }
 
 // fleetIDRe constrains fleet ids: they appear in URLs and become
@@ -145,7 +99,7 @@ func ValidateID(id string) error {
 func NewManager(opts Options) (*Manager, error) {
 	m := &Manager{
 		dir: opts.Dir, max: opts.MaxFleets, logf: opts.Logf,
-		fleets:  make(map[string]*Fleet),
+		fleets:  make(map[string]member),
 		pending: make(map[string]struct{}),
 	}
 	if m.dir == "" {
@@ -159,7 +113,7 @@ func NewManager(opts Options) (*Manager, error) {
 		return nil, err
 	}
 	for _, e := range manifest.Fleets {
-		cfg := e.Config.config()
+		cfg := e.Config.withDefaults()
 		cfg.Dir = filepath.Join(m.dir, e.ID)
 		cfg.SLOs = opts.SLOs
 		cfg.Logf = m.logf
@@ -168,7 +122,7 @@ func NewManager(opts Options) (*Manager, error) {
 			m.Close()
 			return nil, fmt.Errorf("fleet: recovering %s: %w", e.ID, err)
 		}
-		m.fleets[e.ID] = f
+		m.fleets[e.ID] = member{f, cfg}
 	}
 	return m, nil
 }
@@ -194,11 +148,11 @@ func (m *Manager) Has(id string) bool {
 func (m *Manager) Get(id string) (*Fleet, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	f, ok := m.fleets[id]
+	e, ok := m.fleets[id]
 	if !ok {
 		return nil, errf(http.StatusNotFound, "fleet %q not found", id)
 	}
-	return f, nil
+	return e.f, nil
 }
 
 // Create registers and starts a new fleet. With a durable root the
@@ -250,6 +204,7 @@ func (m *Manager) Create(id string, cfg Config) (*Fleet, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = m.logf
 	}
+	cfg = cfg.withDefaults()
 	f, err := Open(id, cfg)
 	if err != nil {
 		return nil, err
@@ -261,7 +216,7 @@ func (m *Manager) Create(id string, cfg Config) (*Fleet, error) {
 		f.Close()
 		return nil, ErrClosed
 	}
-	m.fleets[id] = f
+	m.fleets[id] = member{f, cfg}
 	err = m.saveManifestLocked()
 	if err != nil {
 		delete(m.fleets, id)
@@ -279,7 +234,7 @@ func (m *Manager) Create(id string, cfg Config) (*Fleet, error) {
 // restart.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
-	f, ok := m.fleets[id]
+	e, ok := m.fleets[id]
 	if !ok {
 		m.mu.Unlock()
 		return errf(http.StatusNotFound, "fleet %q not found", id)
@@ -289,7 +244,7 @@ func (m *Manager) Delete(id string) error {
 	m.mu.Unlock()
 	// Close outside the lock: draining the fleet's event loop must not
 	// block registry lookups of other fleets.
-	f.Close()
+	e.f.Close()
 	if m.dir != "" {
 		if rerr := os.RemoveAll(filepath.Join(m.dir, id)); rerr != nil && err == nil {
 			err = fmt.Errorf("fleet: removing durable dir of %s: %w", id, rerr)
@@ -303,8 +258,8 @@ func (m *Manager) List() []*Fleet {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]*Fleet, 0, len(m.fleets))
-	for _, f := range m.fleets {
-		out = append(out, f)
+	for _, e := range m.fleets {
+		out = append(out, e.f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
@@ -322,8 +277,8 @@ func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
 	fleets := make([]*Fleet, 0, len(m.fleets))
-	for _, f := range m.fleets {
-		fleets = append(fleets, f)
+	for _, e := range m.fleets {
+		fleets = append(fleets, e.f)
 	}
 	m.mu.Unlock()
 	for _, f := range fleets {
@@ -333,21 +288,24 @@ func (m *Manager) Close() {
 
 // saveManifestLocked rewrites the manifest atomically; call with
 // m.mu held. A no-op without a durable root.
+//
+// Each entry is the config the fleet was opened with — the registry's
+// own record, never a read of the live fleet — and that is all recovery
+// needs: a fleet's scheduling config changes only in applySnapshot,
+// which either publishes snapshot.json with the new config and resets
+// the WAL, or sets walBroken so nothing more is logged. So the records
+// in wal.log were acknowledged under snapshot.json's config if that
+// file exists, and under the opened config otherwise, and recover
+// prefers the snapshot's.
 func (m *Manager) saveManifestLocked() error {
 	if m.dir == "" {
 		return nil
 	}
 	manifest := manifestFile{Format: manifestFormat}
-	ids := make([]string, 0, len(m.fleets))
-	for id := range m.fleets {
-		ids = append(ids, id)
+	for id, e := range m.fleets {
+		manifest.Fleets = append(manifest.Fleets, manifestEntry{ID: id, Config: e.cfg})
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		manifest.Fleets = append(manifest.Fleets, manifestEntry{
-			ID: id, Config: toManifestConfig(m.fleets[id].cfg),
-		})
-	}
+	sort.Slice(manifest.Fleets, func(i, j int) bool { return manifest.Fleets[i].ID < manifest.Fleets[j].ID })
 	return publishJSON(filepath.Join(m.dir, manifestName), ".fleets-*.json", "manifest", manifest)
 }
 

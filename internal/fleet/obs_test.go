@@ -18,7 +18,7 @@ import (
 // accessors, and — the determinism contract — produces exactly the
 // drained report of a tracerless twin.
 func TestFleetTraceRing(t *testing.T) {
-	cfg := Config{Policy: "SB", Seed: 1, TraceVerbosity: "scores", TraceDepth: 64}
+	cfg := Config{Sched: Sched{Policy: "SB", Seed: 1}, TraceVerbosity: "scores", TraceDepth: 64}
 	f, err := Open("traced", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestEventRingLazyEqualsEager(t *testing.T) {
 // Publishing an event nobody is tailing costs the event loop no
 // allocation.
 func TestFleetPublishDoesNotAllocate(t *testing.T) {
-	f, err := Open("quiet", Config{Policy: "SB", Seed: 1, EventRing: 8})
+	f, err := Open("quiet", Config{Sched: Sched{Policy: "SB", Seed: 1}, EventRing: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestAdmitEncodesRecordsOnlyForAReader(t *testing.T) {
 		}
 		return n
 	}
-	mem, err := Open("mem", Config{Policy: "SB", Seed: 1})
+	mem, err := Open("mem", Config{Sched: Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"energysched"
 	"energysched/internal/workload"
 )
 
@@ -41,25 +40,11 @@ type snapshotFile struct {
 	// pre-PR 6 snapshots, treated as 1). Restores bump it; replication
 	// followers adopt the leader's, so a follower never splices records
 	// from two different timelines.
-	Gen    int64          `json:"gen,omitempty"`
-	Config snapshotConfig `json:"config"`
+	Gen int64 `json:"gen,omitempty"`
+	// Config is the scheduling config the jobs were acknowledged under
+	// and replay under.
+	Config Sched          `json:"config"`
 	Jobs   []workload.Job `json:"jobs"`
-}
-
-type snapshotConfig struct {
-	Policy            string                  `json:"policy"`
-	Seed              int64                   `json:"seed"`
-	LambdaMin         float64                 `json:"lambda_min"`
-	LambdaMax         float64                 `json:"lambda_max"`
-	Cempty            float64                 `json:"cempty,omitempty"`
-	Cfill             float64                 `json:"cfill,omitempty"`
-	THempty           int                     `json:"th_empty,omitempty"`
-	HasScore          bool                    `json:"has_score,omitempty"`
-	Failures          bool                    `json:"failures,omitempty"`
-	CheckpointSeconds float64                 `json:"checkpoint_s,omitempty"`
-	AdaptiveTarget    float64                 `json:"adaptive_target,omitempty"`
-	Shards            int                     `json:"shards,omitempty"`
-	Classes           []energysched.NodeClass `json:"classes,omitempty"`
 }
 
 // snapshotState assembles the snapshot of the current actor state. The
@@ -76,52 +61,8 @@ func (f *Fleet) snapshotState() snapshotFile {
 		SavedVirtual: f.sim.Now(),
 		Sealed:       f.sim.Sealed(),
 		Gen:          f.gen,
-		Config:       toSnapshotConfig(f.cfg),
+		Config:       f.cfg.Sched,
 		Jobs:         jobs,
-	}
-}
-
-// toSnapshotConfig extracts a Config's scheduling fields — the ones a
-// replay's determinism depends on. It and applyTo are the only two
-// places that list them; snapshots, the manifest and both restore
-// paths go through this pair, so a new field cannot be dropped by one.
-func toSnapshotConfig(c Config) snapshotConfig {
-	sc := snapshotConfig{
-		Policy:            c.Policy,
-		Seed:              c.Seed,
-		LambdaMin:         c.LambdaMin,
-		LambdaMax:         c.LambdaMax,
-		Failures:          c.Failures,
-		CheckpointSeconds: c.CheckpointSeconds,
-		AdaptiveTarget:    c.AdaptiveTarget,
-		Shards:            c.Shards,
-		Classes:           c.Classes,
-	}
-	if c.Score != nil {
-		sc.HasScore = true
-		sc.Cempty = c.Score.Cempty
-		sc.Cfill = c.Score.Cfill
-		sc.THempty = c.Score.THempty
-	}
-	return sc
-}
-
-// applyTo overwrites c's scheduling fields with the recorded ones: the
-// logged jobs must replay under exactly the config they were
-// acknowledged with. Service-level fields of c are left alone.
-func (sc snapshotConfig) applyTo(c *Config) {
-	c.Policy = sc.Policy
-	c.Seed = sc.Seed
-	c.LambdaMin = sc.LambdaMin
-	c.LambdaMax = sc.LambdaMax
-	c.Failures = sc.Failures
-	c.CheckpointSeconds = sc.CheckpointSeconds
-	c.AdaptiveTarget = sc.AdaptiveTarget
-	c.Shards = sc.Shards
-	c.Classes = sc.Classes
-	c.Score = nil
-	if sc.HasScore {
-		c.Score = &energysched.ScoreParams{Cempty: sc.Cempty, Cfill: sc.Cfill, THempty: sc.THempty}
 	}
 }
 

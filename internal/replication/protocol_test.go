@@ -123,7 +123,7 @@ func TestStreamFlipEveryByte(t *testing.T) {
 // A frame kind this follower does not know (a newer leader) is skipped:
 // the stream goes on, and the frames around it are applied.
 func TestFollowerSkipsUnknownFrameKind(t *testing.T) {
-	f, err := fleet.Open("m", fleet.Config{Policy: "SB", Seed: 1})
+	f, err := fleet.Open("m", fleet.Config{Sched: fleet.Sched{Policy: "SB", Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,30 +299,34 @@ func (s *Server) promote() (map[string]int64, error) {
 // config with the spec's overrides applied.
 func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config {
 	fc := fleet.Config{
-		Policy:            s.cfg.Policy,
-		Seed:              s.cfg.Seed,
-		LambdaMin:         s.cfg.LambdaMin,
-		LambdaMax:         s.cfg.LambdaMax,
-		Score:             s.cfg.Score,
-		Failures:          s.cfg.Failures,
-		CheckpointSeconds: s.cfg.CheckpointSeconds,
-		AdaptiveTarget:    s.cfg.AdaptiveTarget,
-		Shards:            s.cfg.Shards,
-		Classes:           s.cfg.Classes,
-		Pace:              s.cfg.Pace,
-		SnapshotDir:       s.cfg.SnapshotDir,
-		EventRing:         s.cfg.EventRing,
-		SnapshotInterval:  s.cfg.SnapshotInterval,
-		WALSync:           s.cfg.WALSync,
-		TraceVerbosity:    s.cfg.TraceVerbosity,
-		TraceDepth:        s.cfg.TraceDepth,
-		SeriesDepth:       s.cfg.SeriesDepth,
-		JourneyDepth:      s.cfg.JourneyDepth,
-		SLOs:              s.cfg.SLOs,
-		AdmitQueue:        s.cfg.AdmitQueue,
-		RateLimit:         s.cfg.RateLimit,
-		RateBurst:         s.cfg.RateBurst,
-		Logf:              s.cfg.Logf,
+		Sched: fleet.Sched{
+			Policy:            s.cfg.Policy,
+			Seed:              s.cfg.Seed,
+			LambdaMin:         s.cfg.LambdaMin,
+			LambdaMax:         s.cfg.LambdaMax,
+			Failures:          s.cfg.Failures,
+			CheckpointSeconds: s.cfg.CheckpointSeconds,
+			AdaptiveTarget:    s.cfg.AdaptiveTarget,
+			Shards:            s.cfg.Shards,
+			Classes:           s.cfg.Classes,
+		},
+		Pace:             s.cfg.Pace,
+		SnapshotDir:      s.cfg.SnapshotDir,
+		EventRing:        s.cfg.EventRing,
+		SnapshotInterval: s.cfg.SnapshotInterval,
+		WALSync:          s.cfg.WALSync,
+		TraceVerbosity:   s.cfg.TraceVerbosity,
+		TraceDepth:       s.cfg.TraceDepth,
+		SeriesDepth:      s.cfg.SeriesDepth,
+		JourneyDepth:     s.cfg.JourneyDepth,
+		SLOs:             s.cfg.SLOs,
+		AdmitQueue:       s.cfg.AdmitQueue,
+		RateLimit:        s.cfg.RateLimit,
+		RateBurst:        s.cfg.RateBurst,
+		Logf:             s.cfg.Logf,
+	}
+	if sc := s.cfg.Score; sc != nil {
+		fc.HasScore, fc.Cempty, fc.Cfill, fc.THempty = true, sc.Cempty, sc.Cfill, sc.THempty
 	}
 	if id != DefaultFleet {
 		// Per-fleet snapshot namespaces: API-named snapshots of
@@ -371,13 +375,14 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 	if spec.JourneyDepth > 0 {
 		fc.JourneyDepth = spec.JourneyDepth
 	}
-	if spec.AdmitQueue > 0 {
+	// A negative admission setting is passed on for the fleet to refuse.
+	if spec.AdmitQueue != 0 {
 		fc.AdmitQueue = spec.AdmitQueue
 	}
-	if spec.RateLimit > 0 {
+	if spec.RateLimit != 0 {
 		fc.RateLimit = spec.RateLimit
 	}
-	if spec.RateBurst > 0 {
+	if spec.RateBurst != 0 {
 		fc.RateBurst = spec.RateBurst
 	}
 	return fc
@@ -547,28 +552,7 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: "decoding fleet spec: " + err.Error()})
 		return
 	}
-	if err := fleet.ValidateID(spec.ID); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if spec.Shards < -1 {
-		// Reject here: letting it reach core.Config.Validate would
-		// surface as a 500 after the fleet's durable dir was created.
-		writeErr(w, &fleet.Error{Status: http.StatusBadRequest,
-			Msg: fmt.Sprintf("shards must be >= -1, got %d", spec.Shards)})
-		return
-	}
-	if spec.TraceVerbosity != "" {
-		if _, err := obs.ParseVerbosity(spec.TraceVerbosity); err != nil {
-			writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: err.Error()})
-			return
-		}
-	}
-	if spec.AdmitQueue < 0 || spec.RateLimit < 0 || spec.RateBurst < 0 {
-		writeErr(w, &fleet.Error{Status: http.StatusBadRequest,
-			Msg: "admit_queue, rate_limit and rate_burst must be >= 0"})
-		return
-	}
+	// Create checks the id and the config before anything touches disk.
 	f, err := s.mgr.Create(spec.ID, s.fleetConfig(spec.ID, spec))
 	if err != nil {
 		writeErr(w, err)
