@@ -107,14 +107,14 @@ func (c *Client) Series(ctx context.Context, q SeriesQuery) (SeriesSnapshot, err
 		path += "?" + enc
 	}
 	var snap SeriesSnapshot
-	err := c.call(ctx, http.MethodGet, path, nil, &snap)
+	err := c.call(ctx, http.MethodGet, path, nil, jsonReply(&snap))
 	return snap, err
 }
 
 // Journeys fetches the fleet's journey index (GET /v1/journeys).
 func (c *Client) Journeys(ctx context.Context) (JourneysSnapshot, error) {
 	var snap JourneysSnapshot
-	err := c.call(ctx, http.MethodGet, c.apiPath("/journeys"), nil, &snap)
+	err := c.call(ctx, http.MethodGet, c.apiPath("/journeys"), nil, jsonReply(&snap))
 	return snap, err
 }
 
@@ -124,7 +124,7 @@ func (c *Client) Journeys(ctx context.Context) (JourneysSnapshot, error) {
 // from the bounded store.
 func (c *Client) Journey(ctx context.Context, id int) (JobJourney, error) {
 	var j JobJourney
-	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs/"+strconv.Itoa(id)+"/journey"), nil, &j)
+	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs/"+strconv.Itoa(id)+"/journey"), nil, jsonReply(&j))
 	return j, err
 }
 
@@ -147,6 +147,6 @@ func (c *Client) Alerts(ctx context.Context) (AlertsSnapshot, error) {
 		path = c.prefix + "/alerts"
 	}
 	var snap AlertsSnapshot
-	err := c.call(ctx, http.MethodGet, path, nil, &snap)
+	err := c.call(ctx, http.MethodGet, path, nil, jsonReply(&snap))
 	return snap, err
 }

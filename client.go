@@ -146,11 +146,12 @@ type FleetSpec struct {
 	LambdaMin float64 `json:"lambda_min,omitempty"`
 	LambdaMax float64 `json:"lambda_max,omitempty"`
 	// Pace overrides the clock pace: nil inherits, <= 0 is max pacing,
-	// > 0 is virtual seconds per wall second.
+	// > 0 is virtual seconds per wall second (at most 1e6).
 	Pace *float64 `json:"pace,omitempty"`
 	// Failures enables reliability-driven node crashes.
 	Failures bool `json:"failures,omitempty"`
-	// CheckpointSeconds > 0 checkpoints running VMs periodically.
+	// CheckpointSeconds > 0 checkpoints running VMs periodically, at
+	// most once per virtual second.
 	CheckpointSeconds float64 `json:"checkpoint_s,omitempty"`
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64 `json:"adaptive_target,omitempty"`
@@ -496,14 +497,18 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) call(ctx context.Context, method, path string, in, out interface{}) error {
-	var encoded []byte
-	if in != nil {
-		b, err := json.Marshal(in)
+// call performs one API call, with retries under the client's
+// RetryPolicy: encode appends the request body (nil for none) and
+// decode reads a 2xx reply (nil to ignore it).
+func (c *Client) call(ctx context.Context, method, path string, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
+	var body []byte
+	if encode != nil {
+		// The transport may still read the body after a response, so the
+		// request gets its own copy rather than the pooled buffer.
+		err := bodybuf.Encode(encode, func(b []byte) error { body = bytes.Clone(b); return nil })
 		if err != nil {
 			return fmt.Errorf("energysched: encoding %s %s: %w", method, path, err)
 		}
-		encoded = b
 	}
 	attempts := 1
 	if c.Retry != nil && c.Retry.MaxAttempts > 1 {
@@ -511,7 +516,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out interfac
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		err, retryAfter, retryable := c.attempt(ctx, method, path, encoded, in != nil, out)
+		err, retryAfter, retryable := c.attempt(ctx, method, path, body, decode)
 		if err == nil {
 			return nil
 		}
@@ -527,25 +532,25 @@ func (c *Client) call(ctx context.Context, method, path string, in, out interfac
 	}
 }
 
-// attempt performs one HTTP round trip. retryable marks transport
-// errors and retryable statuses; retryAfter carries a server-provided
-// backoff hint.
-func (c *Client) attempt(ctx context.Context, method, path string, encoded []byte, hasBody bool, out interface{}) (err error, retryAfter time.Duration, retryable bool) {
+// attempt performs one HTTP round trip; a nil body sends none.
+// retryable marks transport errors and retryable statuses; retryAfter
+// carries a server-provided backoff hint.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, decode func([]byte) error) (err error, retryAfter time.Duration, retryable bool) {
 	actx := ctx
 	if c.Timeout > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, c.Timeout)
 		defer cancel()
 	}
-	var body io.Reader
-	if hasBody {
-		body = bytes.NewReader(encoded)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, c.BaseURL+path, body)
+	req, err := http.NewRequestWithContext(actx, method, c.BaseURL+path, rd)
 	if err != nil {
 		return err, 0, false
 	}
-	if hasBody {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
@@ -569,29 +574,39 @@ func (c *Client) attempt(ctx context.Context, method, path string, encoded []byt
 		apiErr := &APIError{Status: resp.StatusCode}
 		// A read error leaves whatever arrived as the message.
 		_ = bodybuf.Read(io.LimitReader(resp.Body, 1<<16), resp.ContentLength, func(data []byte) error {
-			if json.Unmarshal(data, apiErr) != nil || apiErr.Message == "" {
+			if apiErr.UnmarshalJSON(data) != nil || apiErr.Message == "" {
 				apiErr.Message = strings.TrimSpace(string(data))
 			}
 			return nil
 		})
 		return apiErr, parseRetryAfter(resp.Header.Get("Retry-After")), retryableStatus(resp.StatusCode)
 	}
-	if out == nil {
+	if decode == nil {
 		return nil, 0, false // deferred drain consumes the body
 	}
 	// The whole body is the reply: anything but whitespace after the
 	// value is an error, not ignored.
-	err = bodybuf.Read(resp.Body, resp.ContentLength, func(data []byte) error {
-		return json.Unmarshal(data, out)
-	})
-	return err, 0, false
+	return bodybuf.Read(resp.Body, resp.ContentLength, decode), 0, false
+}
+
+// jsonBody and jsonReply carry the bodies of the calls whose records
+// have no wire codec through encoding/json.
+func jsonBody(v any) func([]byte) ([]byte, error) {
+	return func(b []byte) ([]byte, error) {
+		data, err := json.Marshal(v)
+		return append(b, data...), err
+	}
+}
+
+func jsonReply(v any) func([]byte) error {
+	return func(data []byte) error { return json.Unmarshal(data, v) }
 }
 
 // SubmitJob admits a job (POST /v1/jobs) and returns its status,
 // including the assigned ID.
 func (c *Client) SubmitJob(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	var st JobStatus
-	err := c.call(ctx, http.MethodPost, c.apiPath("/jobs"), spec, &st)
+	err := c.call(ctx, http.MethodPost, c.apiPath("/jobs"), spec.AppendJSON, st.UnmarshalJSON)
 	return st, err
 }
 
@@ -602,21 +617,21 @@ func (c *Client) SubmitJob(ctx context.Context, spec JobSpec) (JobStatus, error)
 // byte-identical to submitting the same jobs sequentially.
 func (c *Client) SubmitJobs(ctx context.Context, specs []JobSpec) ([]JobStatus, error) {
 	var st []JobStatus
-	err := c.call(ctx, http.MethodPost, c.apiPath("/jobs"), specs, &st)
+	err := c.call(ctx, http.MethodPost, c.apiPath("/jobs"), JobSpecList(specs).AppendJSON, (*JobStatusList)(&st).UnmarshalJSON)
 	return st, err
 }
 
 // CreateFleet registers and starts a new fleet (POST /v1/fleets).
 func (c *Client) CreateFleet(ctx context.Context, spec FleetSpec) (FleetInfo, error) {
 	var info FleetInfo
-	err := c.call(ctx, http.MethodPost, "/v1/fleets", spec, &info)
+	err := c.call(ctx, http.MethodPost, "/v1/fleets", jsonBody(spec), jsonReply(&info))
 	return info, err
 }
 
 // Fleets lists every hosted fleet (GET /v1/fleets).
 func (c *Client) Fleets(ctx context.Context) ([]FleetInfo, error) {
 	var out []FleetInfo
-	err := c.call(ctx, http.MethodGet, "/v1/fleets", nil, &out)
+	err := c.call(ctx, http.MethodGet, "/v1/fleets", nil, jsonReply(&out))
 	return out, err
 }
 
@@ -624,7 +639,7 @@ func (c *Client) Fleets(ctx context.Context) ([]FleetInfo, error) {
 // (GET /v1/fleets/{id}).
 func (c *Client) GetFleet(ctx context.Context, id string) (FleetInfo, error) {
 	var info FleetInfo
-	err := c.call(ctx, http.MethodGet, "/v1/fleets/"+url.PathEscape(id), nil, &info)
+	err := c.call(ctx, http.MethodGet, "/v1/fleets/"+url.PathEscape(id), nil, jsonReply(&info))
 	return info, err
 }
 
@@ -637,28 +652,28 @@ func (c *Client) DeleteFleet(ctx context.Context, id string) error {
 // Job fetches one job's status (GET /v1/jobs/{id}).
 func (c *Client) Job(ctx context.Context, id int) (JobStatus, error) {
 	var st JobStatus
-	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs/"+strconv.Itoa(id)), nil, &st)
+	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs/"+strconv.Itoa(id)), nil, st.UnmarshalJSON)
 	return st, err
 }
 
 // Jobs lists every admitted job (GET /v1/jobs).
 func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 	var st []JobStatus
-	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs"), nil, &st)
+	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs"), nil, (*JobStatusList)(&st).UnmarshalJSON)
 	return st, err
 }
 
 // Cluster fetches the fleet status (GET /v1/cluster).
 func (c *Client) Cluster(ctx context.Context) (ClusterStatus, error) {
 	var st ClusterStatus
-	err := c.call(ctx, http.MethodGet, c.apiPath("/cluster"), nil, &st)
+	err := c.call(ctx, http.MethodGet, c.apiPath("/cluster"), nil, st.UnmarshalJSON)
 	return st, err
 }
 
 // Report fetches the paper metrics accumulated so far (GET /v1/report).
 func (c *Client) Report(ctx context.Context) (ServiceReport, error) {
 	var rep ServiceReport
-	err := c.call(ctx, http.MethodGet, c.apiPath("/report"), nil, &rep)
+	err := c.call(ctx, http.MethodGet, c.apiPath("/report"), nil, rep.UnmarshalJSON)
 	return rep, err
 }
 
@@ -666,7 +681,7 @@ func (c *Client) Report(ctx context.Context) (ServiceReport, error) {
 // job completes, and returns the final report (POST /v1/drain).
 func (c *Client) Drain(ctx context.Context) (ServiceReport, error) {
 	var rep ServiceReport
-	err := c.call(ctx, http.MethodPost, c.apiPath("/drain"), nil, &rep)
+	err := c.call(ctx, http.MethodPost, c.apiPath("/drain"), nil, rep.UnmarshalJSON)
 	return rep, err
 }
 
@@ -674,7 +689,7 @@ func (c *Client) Drain(ctx context.Context) (ServiceReport, error) {
 // An empty path lets the daemon pick one under its snapshot directory.
 func (c *Client) Snapshot(ctx context.Context, path string) (SnapshotInfo, error) {
 	var info SnapshotInfo
-	err := c.call(ctx, http.MethodPost, c.apiPath("/snapshot"), map[string]string{"path": path}, &info)
+	err := c.call(ctx, http.MethodPost, c.apiPath("/snapshot"), jsonBody(map[string]string{"path": path}), jsonReply(&info))
 	return info, err
 }
 
@@ -683,14 +698,14 @@ func (c *Client) Snapshot(ctx context.Context, path string) (SnapshotInfo, error
 // to the snapshot's virtual time.
 func (c *Client) Restore(ctx context.Context, path string) (SnapshotInfo, error) {
 	var info SnapshotInfo
-	err := c.call(ctx, http.MethodPost, c.apiPath("/restore"), map[string]string{"path": path}, &info)
+	err := c.call(ctx, http.MethodPost, c.apiPath("/restore"), jsonBody(map[string]string{"path": path}), jsonReply(&info))
 	return info, err
 }
 
 // Health fetches the daemon's role and readiness (GET /v1/health).
 func (c *Client) Health(ctx context.Context) (HealthStatus, error) {
 	var h HealthStatus
-	err := c.call(ctx, http.MethodGet, "/v1/health", nil, &h)
+	err := c.call(ctx, http.MethodGet, "/v1/health", nil, jsonReply(&h))
 	return h, err
 }
 
@@ -698,7 +713,7 @@ func (c *Client) Health(ctx context.Context) (HealthStatus, error) {
 // (GET /v1/fleets/{id}/status).
 func (c *Client) FleetStatus(ctx context.Context, id string) (FleetStatus, error) {
 	var st FleetStatus
-	err := c.call(ctx, http.MethodGet, "/v1/fleets/"+url.PathEscape(id)+"/status", nil, &st)
+	err := c.call(ctx, http.MethodGet, "/v1/fleets/"+url.PathEscape(id)+"/status", nil, jsonReply(&st))
 	return st, err
 }
 
@@ -708,7 +723,7 @@ func (c *Client) FleetStatus(ctx context.Context, id string) (FleetStatus, error
 // responds 409.
 func (c *Client) Promote(ctx context.Context) (PromoteInfo, error) {
 	var info PromoteInfo
-	err := c.call(ctx, http.MethodPost, "/v1/promote", nil, &info)
+	err := c.call(ctx, http.MethodPost, "/v1/promote", nil, jsonReply(&info))
 	return info, err
 }
 
@@ -722,7 +737,7 @@ func (c *Client) Trace(ctx context.Context, since uint64) (TraceSnapshot, error)
 		path += "?since=" + strconv.FormatUint(since, 10)
 	}
 	var snap TraceSnapshot
-	err := c.call(ctx, http.MethodGet, path, nil, &snap)
+	err := c.call(ctx, http.MethodGet, path, nil, jsonReply(&snap))
 	return snap, err
 }
 
@@ -732,7 +747,7 @@ func (c *Client) Trace(ctx context.Context, since uint64) (TraceSnapshot, error)
 // byte-identical at any level.
 func (c *Client) SetTraceVerbosity(ctx context.Context, level string) error {
 	return c.call(ctx, http.MethodPost, c.apiPath("/trace/verbosity"),
-		map[string]string{"verbosity": level}, nil)
+		jsonBody(map[string]string{"verbosity": level}), nil)
 }
 
 // TraceTail subscribes to the fleet's decision-trace stream

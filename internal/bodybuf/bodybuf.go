@@ -1,8 +1,8 @@
-// Package bodybuf reads HTTP bodies through pooled buffers. Both ends
-// of the wire decode small JSON bodies at a high rate — the daemon a
-// job per POST, the client a reply per call — and reading each through
-// a fresh doubling buffer (io.ReadAll, json.Decoder) was most of their
-// bytes allocated per job.
+// Package bodybuf reads and encodes HTTP bodies through pooled buffers.
+// Both ends of the wire decode and encode small JSON bodies at a high
+// rate — the daemon a job per POST, the client a reply per call — and
+// handling each in a fresh doubling buffer (io.ReadAll, json.Decoder)
+// was most of their bytes allocated per job.
 package bodybuf
 
 import (
@@ -26,12 +26,7 @@ const maxPooled = 1 << 20
 // or use's.
 func Read(r io.Reader, size int64, use func(body []byte) error) error {
 	buf := pool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooled {
-			buf.Reset()
-			pool.Put(buf)
-		}
-	}()
+	defer put(buf)
 	if size > 0 && size <= maxPooled {
 		// ReadFrom wants MinRead spare bytes to observe EOF.
 		buf.Grow(int(size) + bytes.MinRead)
@@ -40,4 +35,28 @@ func Read(r io.Reader, size int64, use func(body []byte) error) error {
 		return err
 	}
 	return use(buf.Bytes())
+}
+
+// Encode has encode append a body to a pooled buffer and hands the
+// bytes to use. They are valid only until use returns. The error is
+// encode's or use's; use is not called when encode fails.
+func Encode(encode func(b []byte) ([]byte, error), use func(body []byte) error) error {
+	buf := pool.Get().(*bytes.Buffer)
+	defer put(buf)
+	body, err := encode(buf.AvailableBuffer())
+	if err != nil {
+		return err
+	}
+	if len(body) > buf.Cap() {
+		// Keep the capacity the body needed for the next one.
+		buf.Grow(len(body))
+	}
+	return use(body)
+}
+
+func put(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooled {
+		buf.Reset()
+		pool.Put(buf)
+	}
 }

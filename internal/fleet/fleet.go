@@ -15,10 +15,10 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -33,6 +33,7 @@ import (
 	"energysched/internal/obs"
 	"energysched/internal/obs/series"
 	"energysched/internal/obs/slo"
+	"energysched/internal/vm"
 	"energysched/internal/workload"
 )
 
@@ -163,6 +164,39 @@ type Config struct {
 // are two years of 60-second ticks.
 const maxDepth = 1 << 20
 
+// maxPace and minCheckpointSeconds keep the event loop moving. A paced
+// fleet steps every paceTick to the wall clock times the pace, inside
+// one loop turn: at a million virtual seconds per wall second a step
+// owes 1 667 housekeeping ticks, and at 1e300 a step never ends. A
+// checkpoint round runs every CheckpointSeconds of virtual time: at
+// 1e-300 the next round lands on the current instant and the clock
+// never moves. The interval also changes results (a failed VM rolls
+// back to its last checkpoint), so its floor sits far below any
+// interval the fault model would choose, not at the housekeeping tick.
+const (
+	maxPace              = 1e6
+	minCheckpointSeconds = 1.0
+)
+
+// checkBounds refuses a pace or a checkpoint interval that would stall
+// the loop. A negative pace selects max pacing, like 0. Only new input
+// is checked — Manager.Create and restore — so the fleets and snapshots
+// already on disk open as they were written.
+func (c Config) checkBounds() error {
+	if !(c.Pace <= maxPace) {
+		return fmt.Errorf("pace must be at most %g virtual seconds per wall second (0 = max pacing), got %g", float64(maxPace), c.Pace)
+	}
+	return c.Sched.checkBounds()
+}
+
+func (s Sched) checkBounds() error {
+	if s.CheckpointSeconds != 0 && !(s.CheckpointSeconds >= minCheckpointSeconds && s.CheckpointSeconds <= math.MaxFloat64) {
+		return fmt.Errorf("checkpoint_s must be 0 (off) or a finite interval of at least %g virtual second, got %g",
+			minCheckpointSeconds, s.CheckpointSeconds)
+	}
+	return nil
+}
+
 // validate refuses, with a 400, a config the fleet could not run under,
 // and returns the parsed trace verbosity. Open calls it before recover
 // touches the disk, so a refused config leaves nothing behind. The
@@ -288,8 +322,10 @@ type Fleet struct {
 	walBroken bool                 // an append failed and could not be rolled back
 	stats     energysched.WALStats // durability counters; Records is filled in by walStats
 	gen       int64                // timeline generation; bumped when restore replaces the log
-	// metricClasses is the buffer /metrics builds its class breakdown in.
+	// metricClasses is the buffer /metrics builds its class breakdown in,
+	// queued the one /cluster lists the queue in.
 	metricClasses []series.ClassSample
+	queued        []*vm.VM
 	// recordEncodes counts admitRecord calls, so tests can pin that a
 	// fleet nobody logs or follows encodes no record at all.
 	recordEncodes int
@@ -756,12 +792,12 @@ func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, err
 	return f.commit(logRun{jobs: jobs, payloads: payloads, now: now, stepTo: stepTo})
 }
 
-// admitRecord marshals one admission's log record: the one encoder
+// admitRecord encodes one admission's log record: the one encoder
 // behind the leader's WAL, the live replication feed and a session's
 // backlog, so the three cannot drift. Call only from the event loop.
 func (f *Fleet) admitRecord(j *workload.Job) ([]byte, error) {
 	f.recordEncodes++
-	return json.Marshal(walRecord{Kind: walKindAdmit, Job: j})
+	return encodeWALRecord(walRecord{Kind: walKindAdmit, Job: j})
 }
 
 // logRun is a run of consecutive log records on its way through commit:
@@ -781,10 +817,10 @@ type logRun struct {
 	now, stepTo float64
 }
 
-// sealPayload is the seal record's encoding: a constant, marshaled
-// once and shared read-only by the WAL, every session and every
-// backlog. (A struct of one string cannot fail to encode.)
-var sealPayload, _ = json.Marshal(walRecord{Kind: walKindSeal})
+// sealPayload is the seal record's encoding: a constant, encoded once
+// and shared read-only by the WAL, every session and every backlog. (A
+// record of one string cannot fail to encode.)
+var sealPayload, _ = encodeWALRecord(walRecord{Kind: walKindSeal})
 
 // commit is the one path a run of log records takes into the fleet: the
 // leader's admissions (admit), a follower's replicated records and seal
@@ -942,12 +978,22 @@ func (f *Fleet) Job(id int) (st energysched.JobStatus, err error) {
 	return st, err
 }
 
-// Cluster returns the fleet's node-level status.
+// Cluster returns the fleet's node-level status. The queue and every
+// node's VM list are carved from one slice sized up front.
 func (f *Fleet) Cluster() (energysched.ClusterStatus, error) {
 	var st energysched.ClusterStatus
 	err := f.do(func() {
 		cl := f.sim.Cluster()
 		working, online := cl.Counts()
+		f.queued = f.sim.AppendQueue(f.queued[:0])
+		n := len(f.queued)
+		for _, node := range cl.Nodes {
+			n += len(node.VMs)
+		}
+		ids := make([]int, 0, n)
+		for _, v := range f.queued {
+			ids = append(ids, v.ID)
+		}
 		st = energysched.ClusterStatus{
 			Now:          f.sim.Now(),
 			Sealed:       f.sim.Sealed(),
@@ -955,13 +1001,15 @@ func (f *Fleet) Cluster() (energysched.ClusterStatus, error) {
 			NodesOn:      online,
 			NodesWorking: working,
 			TotalWatts:   f.sim.WattsNow(),
-			Nodes:        make([]energysched.NodeStatus, 0, len(cl.Nodes)),
+			Nodes:        make([]energysched.NodeStatus, len(cl.Nodes)),
 		}
-		for _, v := range f.sim.AppendQueue(nil) {
-			st.Queue = append(st.Queue, v.ID)
+		if len(ids) > 0 {
+			st.Queue = ids[:len(ids):len(ids)]
 		}
-		for _, n := range cl.Nodes {
-			st.Nodes = append(st.Nodes, nodeStatus(n, f.sim.NodeWatts(n.ID)))
+		for i, node := range cl.Nodes {
+			start := len(ids)
+			ids = ids[:start+len(node.VMs)]
+			st.Nodes[i] = nodeStatus(node, f.sim.NodeWatts(node.ID), ids[start:start:len(ids)])
 		}
 	})
 	return st, err
@@ -1106,6 +1154,9 @@ func (f *Fleet) RestoreFile(path string) (info energysched.SnapshotInfo, err err
 // Call only from the event loop.
 func (f *Fleet) restore(path string) (energysched.SnapshotInfo, error) {
 	snap, err := readSnapshot(path)
+	if err == nil {
+		err = snap.Config.checkBounds()
+	}
 	if err != nil {
 		return energysched.SnapshotInfo{}, errf(http.StatusUnprocessableEntity, "%v", err)
 	}

@@ -160,10 +160,14 @@ func (m *Manager) Get(id string) (*Fleet, error) {
 // before Create returns. Open — a potentially expensive recovery
 // (snapshot load + WAL replay) — runs outside the registry lock, so
 // creating a fleet never stalls lookups of the others; the id is
-// reserved while it runs.
+// reserved while it runs. A pace or a checkpoint interval out of bounds
+// is a 400 before anything touches the disk.
 func (m *Manager) Create(id string, cfg Config) (*Fleet, error) {
 	if err := ValidateID(id); err != nil {
 		return nil, err
+	}
+	if err := cfg.checkBounds(); err != nil {
+		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
 	m.mu.Lock()
 	if m.closed {

@@ -266,8 +266,8 @@ func logOrder(off, head int64) int { return cmp.Compare(off, head+1) }
 // from the event loop.
 func (f *Fleet) applyRecord(rec ReplRecord) error {
 	defer f.hists.replApply.ObserveSince(time.Now())
-	var wrec walRecord
-	if err := json.Unmarshal(rec.Data, &wrec); err != nil {
+	wrec, err := decodeWALRecord(rec.Data)
+	if err != nil {
 		return errf(http.StatusBadRequest, "decoding replicated record: %v", err)
 	}
 	cur := f.logOffset()
@@ -293,7 +293,7 @@ func (f *Fleet) applyRecord(rec ReplRecord) error {
 	default:
 		return errf(http.StatusUnprocessableEntity, "unknown replicated record kind %q", wrec.Kind)
 	}
-	_, err := f.commit(run)
+	_, err = f.commit(run)
 	return err
 }
 

@@ -2,14 +2,16 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 
+	"energysched/internal/bodybuf"
+	"energysched/internal/wirejson"
 	"energysched/internal/workload"
 )
 
@@ -125,7 +127,9 @@ const (
 	SyncOS = "os"
 )
 
-// walRecord is one logical WAL entry.
+// walRecord is one logical WAL entry. Its JSON form is the record's
+// payload on disk and on the replication stream; appendJSON and
+// decodeJSON implement the tags.
 type walRecord struct {
 	// Kind is "admit" (Job set) or "seal" (workload drained).
 	Kind string        `json:"kind"`
@@ -136,6 +140,57 @@ const (
 	walKindAdmit = "admit"
 	walKindSeal  = "seal"
 )
+
+var (
+	walKinds      = []string{walKindAdmit, walKindSeal}
+	walRecordKeys = wirejson.KeysOf[walRecord]()
+)
+
+func (rec walRecord) appendJSON(b []byte) ([]byte, error) {
+	e := wirejson.Encoder{Buf: append(b, `{"kind":`...)}
+	e.String(rec.Kind)
+	if rec.Job != nil {
+		e.Raw(`,"job":`)
+		e.Add(rec.Job.AppendJSON(e.Buf))
+	}
+	e.Raw("}")
+	return e.Buf, e.Err
+}
+
+func (rec *walRecord) decodeJSON(d *wirejson.Decoder) {
+	for more := d.Object(walRecordKeys); more; more = d.More() {
+		switch d.Key() {
+		case "kind":
+			d.String(&rec.Kind, walKinds)
+		case "job":
+			if d.Null() {
+				rec.Job = nil
+				continue
+			}
+			if rec.Job == nil {
+				rec.Job = new(workload.Job)
+			}
+			rec.Job.DecodeJSON(d)
+		default:
+			d.Skip()
+		}
+	}
+}
+
+// encodeWALRecord returns rec's payload in an allocation of its own.
+func encodeWALRecord(rec walRecord) (payload []byte, err error) {
+	err = bodybuf.Encode(rec.appendJSON, func(b []byte) error {
+		payload = bytes.Clone(b)
+		return nil
+	})
+	return payload, err
+}
+
+// decodeWALRecord decodes one record payload.
+func decodeWALRecord(payload []byte) (rec walRecord, err error) {
+	err = wirejson.Unmarshal(payload, rec.decodeJSON)
+	return rec, err
+}
 
 // ErrTornWrite is the chaos harness's injected append failure: when a
 // Config.WALFault hook returns it for an "append" op, the wal writes
@@ -210,8 +265,8 @@ func scanWAL(f *os.File) (recs []walRecord, good int64, dropped int64, err error
 			// ends at fr.Offset() and everything past it is damage.
 			return recs, fr.Offset(), size - fr.Offset(), nil
 		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := decodeWALRecord(payload)
+		if err != nil {
 			// CRC passed but not our JSON: stop at the intact prefix.
 			good := fr.Offset() - int64(walHeaderSize) - int64(len(payload))
 			return recs, good, size - good, nil
@@ -224,7 +279,7 @@ func scanWAL(f *os.File) (recs []walRecord, good int64, dropped int64, err error
 // record is fsynced before append returns; call flush after a batch
 // when appending several records in one event-loop turn.
 func (w *wal) append(rec walRecord, flush bool) error {
-	payload, err := json.Marshal(rec)
+	payload, err := encodeWALRecord(rec)
 	if err != nil {
 		return fmt.Errorf("fleet: encoding wal record: %w", err)
 	}

@@ -40,8 +40,9 @@ func jobStatus(v *vm.VM) energysched.JobStatus {
 	}
 }
 
-func nodeStatus(n *cluster.Node, watts float64) energysched.NodeStatus {
-	ids := make([]int, 0, len(n.VMs))
+// nodeStatus renders a node; ids is the slice its sorted VM IDs are
+// appended to, with room for them.
+func nodeStatus(n *cluster.Node, watts float64, ids []int) energysched.NodeStatus {
 	for id := range n.VMs {
 		ids = append(ids, id)
 	}

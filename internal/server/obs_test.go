@@ -219,10 +219,12 @@ func TestHAFailoverByteIdenticalAtMaxTraceVerbosity(t *testing.T) {
 
 	// Let the follower attach before the workload so records stream
 	// live (a snapshot bootstrap replays, and replayed rounds are
-	// deliberately not traced).
+	// deliberately not traced). Discovering the fleet is not attaching:
+	// the stream is open once a frame of it has arrived.
 	waitFor(t, "follower attach", func() bool {
 		h, err := fc.Health(ctx)
-		return err == nil && h.Role == "follower" && h.Fleets == 1
+		return err == nil && h.Role == "follower" && h.Fleets == 1 &&
+			h.Replication[DefaultFleet].LastContactUnix > 0
 	})
 	submitN(t, lc, 25, 0)
 	lrep, err := lc.Drain(ctx)

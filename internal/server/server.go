@@ -61,7 +61,8 @@ type Config struct {
 	Score *energysched.ScoreParams
 	// Failures enables reliability-driven node crashes.
 	Failures bool
-	// CheckpointSeconds > 0 checkpoints running VMs periodically.
+	// CheckpointSeconds > 0 checkpoints running VMs periodically, at
+	// most once per virtual second.
 	CheckpointSeconds float64
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64
@@ -73,8 +74,9 @@ type Config struct {
 	// Classes overrides the fleet hardware (nil = the paper's 100
 	// nodes).
 	Classes []energysched.NodeClass
-	// Pace is the virtual-seconds-per-wall-second acceleration; <= 0
-	// selects max pacing (watermark-gated, fully deterministic).
+	// Pace is the virtual-seconds-per-wall-second acceleration, at most
+	// 1e6; <= 0 selects max pacing (watermark-gated, fully
+	// deterministic).
 	Pace float64
 	// SnapshotDir receives API-named snapshots; non-default fleets use
 	// a per-fleet subdirectory (default ".").
@@ -419,20 +421,35 @@ func (s *Server) RestoreFile(path string) (energysched.SnapshotInfo, error) {
 
 // --- HTTP surface ---
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// writeBody answers with the JSON body encode appends and the newline
+// json.Encoder ends a value with. A body that cannot be encoded (a NaN)
+// leaves the answer without one.
+func writeBody(w http.ResponseWriter, status int, encode func([]byte) ([]byte, error)) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	bodybuf.Encode(encode, func(b []byte) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	})
 }
 
-// reply answers with v as JSON, or with err when the operation failed.
-func reply(w http.ResponseWriter, status int, v interface{}, err error) {
+// writeJSON answers with v through encoding/json: the bodies that have
+// no wire codec.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	writeBody(w, status, func(b []byte) ([]byte, error) {
+		data, err := json.Marshal(v)
+		return append(b, data...), err
+	})
+}
+
+// reply answers with the body encode appends, or with err when the
+// operation failed.
+func reply(w http.ResponseWriter, status int, encode func([]byte) ([]byte, error), err error) {
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, status, v)
+	writeBody(w, status, encode)
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -454,7 +471,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	writeJSON(w, status, energysched.APIError{Status: status, Message: err.Error()})
+	writeBody(w, status, energysched.APIError{Status: status, Message: err.Error()}.AppendJSON)
 }
 
 // gateWrites rejects state-changing requests on a follower: its
@@ -466,10 +483,10 @@ func (s *Server) gateWrites(w http.ResponseWriter) bool {
 		return true
 	}
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, energysched.APIError{
+	writeBody(w, http.StatusServiceUnavailable, energysched.APIError{
 		Status:  http.StatusServiceUnavailable,
 		Message: "this daemon is a follower; send writes to the leader or POST /v1/promote",
-	})
+	}.AppendJSON)
 	return false
 }
 
@@ -559,7 +576,11 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := f.Info()
-	reply(w, http.StatusCreated, info, err)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
@@ -577,7 +598,11 @@ func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleetInfo(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	info, err := f.Info()
-	reply(w, http.StatusOK, info, err)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
@@ -601,7 +626,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, f *fleet.F
 	// Decode inside the pooled buffer's lifetime, submit outside it.
 	var (
 		batch bool
-		specs []energysched.JobSpec
+		specs energysched.JobSpecList
 		spec  energysched.JobSpec
 	)
 	what := "reading body: "
@@ -609,10 +634,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, f *fleet.F
 		trimmed := bytes.TrimLeft(body, " \t\r\n")
 		if batch = len(trimmed) > 0 && trimmed[0] == '['; batch {
 			what = "decoding job batch: "
-			return json.Unmarshal(trimmed, &specs)
+			return specs.UnmarshalJSON(trimmed)
 		}
 		what = "decoding job spec: "
-		return json.Unmarshal(trimmed, &spec)
+		return spec.UnmarshalJSON(trimmed)
 	})
 	if err != nil {
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: what + err.Error()})
@@ -620,16 +645,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, f *fleet.F
 	}
 	if batch {
 		out, err := f.SubmitBatch(specs)
-		reply(w, http.StatusAccepted, out, err)
+		reply(w, http.StatusAccepted, energysched.JobStatusList(out).AppendJSON, err)
 		return
 	}
 	st, err := f.Submit(spec)
-	reply(w, http.StatusAccepted, st, err)
+	reply(w, http.StatusAccepted, st.AppendJSON, err)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	out, err := f.Jobs()
-	reply(w, http.StatusOK, out, err)
+	reply(w, http.StatusOK, energysched.JobStatusList(out).AppendJSON, err)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
@@ -639,26 +664,34 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, f *fleet.Flee
 		return
 	}
 	st, err := f.Job(id)
-	reply(w, http.StatusOK, st, err)
+	reply(w, http.StatusOK, st.AppendJSON, err)
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	st, err := s.reads.do("cluster", f.ID(), func() (interface{}, error) {
 		return f.Cluster()
 	})
-	reply(w, http.StatusOK, st, err)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, st.(energysched.ClusterStatus).AppendJSON)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	rep, err := s.reads.do("report", f.ID(), func() (interface{}, error) {
 		return f.Report()
 	})
-	reply(w, http.StatusOK, rep, err)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, rep.(energysched.ServiceReport).AppendJSON)
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	rep, err := f.Drain()
-	reply(w, http.StatusOK, rep, err)
+	reply(w, http.StatusOK, rep.AppendJSON, err)
 }
 
 // snapshotOp is the handler of POST …/snapshot and …/restore: both take
@@ -672,7 +705,11 @@ func snapshotOp(op func(f *fleet.Fleet, path string) (energysched.SnapshotInfo, 
 			return
 		}
 		info, err := op(f, path)
-		reply(w, http.StatusOK, info, err)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, info)
 	}
 }
 

@@ -10,13 +10,16 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"energysched/internal/wirejson"
 )
 
 // Job is one HPC job to be encapsulated in a VM. It is also the record
 // the daemon logs: the JSON tags are the wire form of a job in the
 // fleet's WAL, its snapshots and the replication stream, so their
 // names, order and omitempty rules are an on-disk format
-// (internal/fleet/testdata/golden pins the bytes).
+// (internal/fleet/testdata/golden pins the bytes). AppendJSON and
+// DecodeJSON below implement that format.
 type Job struct {
 	// ID is the job's identity within the trace.
 	ID int `json:"id"`
@@ -41,6 +44,79 @@ type Job struct {
 	// Hypervisor pins the job to a hypervisor ("" = any).
 	Hypervisor string `json:"hypervisor,omitempty"`
 }
+
+var jobKeys = wirejson.KeysOf[Job]()
+
+// AppendJSON appends the job's log record encoding to b: the bytes
+// json.Marshal writes for the tags above.
+func (j Job) AppendJSON(b []byte) ([]byte, error) {
+	e := wirejson.Encoder{Buf: append(b, `{"id":`...)}
+	e.Int(j.ID)
+	if j.Name != "" {
+		e.Raw(`,"name":`)
+		e.String(j.Name)
+	}
+	e.Raw(`,"submit_s":`)
+	e.Float(j.Submit)
+	e.Raw(`,"duration_s":`)
+	e.Float(j.Duration)
+	e.Raw(`,"cpu_pct":`)
+	e.Float(j.CPU)
+	e.Raw(`,"mem_units":`)
+	e.Float(j.Mem)
+	e.Raw(`,"deadline_factor":`)
+	e.Float(j.DeadlineFactor)
+	if j.FaultTolerance != 0 {
+		e.Raw(`,"fault_tolerance":`)
+		e.Float(j.FaultTolerance)
+	}
+	if j.Arch != "" {
+		e.Raw(`,"arch":`)
+		e.String(j.Arch)
+	}
+	if j.Hypervisor != "" {
+		e.Raw(`,"hypervisor":`)
+		e.String(j.Hypervisor)
+	}
+	e.Raw("}")
+	return e.Buf, e.Err
+}
+
+// DecodeJSON decodes the value at d's cursor into j.
+func (j *Job) DecodeJSON(d *wirejson.Decoder) {
+	for more := d.Object(jobKeys); more; more = d.More() {
+		switch d.Key() {
+		case "id":
+			d.Int(&j.ID)
+		case "name":
+			d.String(&j.Name, nil)
+		case "submit_s":
+			d.Float(&j.Submit)
+		case "duration_s":
+			d.Float(&j.Duration)
+		case "cpu_pct":
+			d.Float(&j.CPU)
+		case "mem_units":
+			d.Float(&j.Mem)
+		case "deadline_factor":
+			d.Float(&j.DeadlineFactor)
+		case "fault_tolerance":
+			d.Float(&j.FaultTolerance)
+		case "arch":
+			d.String(&j.Arch, nil)
+		case "hypervisor":
+			d.String(&j.Hypervisor, nil)
+		default:
+			d.Skip()
+		}
+	}
+}
+
+// MarshalJSON implements json.Marshaler.
+func (j Job) MarshalJSON() ([]byte, error) { return j.AppendJSON(nil) }
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (j *Job) UnmarshalJSON(data []byte) error { return wirejson.Unmarshal(data, j.DecodeJSON) }
 
 // Deadline returns the absolute completion deadline.
 func (j Job) Deadline() float64 { return j.Submit + j.DeadlineFactor*j.Duration }
