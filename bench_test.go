@@ -240,6 +240,24 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
+// Building a simulation on the 2000-node scale fleet, without running
+// it: the cluster, the per-node runtime records and meters. Nodes live
+// in slabs, so allocs/op does not grow with the fleet; the CI gate holds
+// it there.
+func BenchmarkSimulationNewScale2k(b *testing.B) {
+	classes, err := convertClasses(ScaleClasses(2000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sb := core.MustScheduler(core.SBConfig())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := datacenter.New(datacenter.Config{Classes: classes, Policy: sb, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // solverRoundCtx is one scheduling round over 100 hosts × 64
 // candidate VMs, the workload of the solver micro benchmarks.
 func solverRoundCtx() *policy.Context {

@@ -571,15 +571,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		resp.Body.Close()
 	}()
 	if resp.StatusCode >= 400 {
-		apiErr := &APIError{Status: resp.StatusCode}
-		// A read error leaves whatever arrived as the message.
-		_ = bodybuf.Read(io.LimitReader(resp.Body, 1<<16), resp.ContentLength, func(data []byte) error {
-			if apiErr.UnmarshalJSON(data) != nil || apiErr.Message == "" {
-				apiErr.Message = strings.TrimSpace(string(data))
-			}
-			return nil
-		})
-		return apiErr, parseRetryAfter(resp.Header.Get("Retry-After")), retryableStatus(resp.StatusCode)
+		return readAPIError(resp), parseRetryAfter(resp.Header.Get("Retry-After")), retryableStatus(resp.StatusCode)
 	}
 	if decode == nil {
 		return nil, 0, false // deferred drain consumes the body
@@ -587,6 +579,20 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	// The whole body is the reply: anything but whitespace after the
 	// value is an error, not ignored.
 	return bodybuf.Read(resp.Body, resp.ContentLength, decode), 0, false
+}
+
+// readAPIError decodes a failed reply's body, read up to 64 KiB, as
+// the APIError every endpoint sends. A body that is not one becomes the
+// message as it is; a read error leaves whatever arrived.
+func readAPIError(resp *http.Response) *APIError {
+	apiErr := &APIError{Status: resp.StatusCode}
+	_ = bodybuf.Read(io.LimitReader(resp.Body, 1<<16), resp.ContentLength, func(data []byte) error {
+		if apiErr.UnmarshalJSON(data) != nil || apiErr.Message == "" {
+			apiErr.Message = strings.TrimSpace(string(data))
+		}
+		return nil
+	})
+	return apiErr
 }
 
 // jsonBody and jsonReply carry the bodies of the calls whose records
@@ -789,7 +795,7 @@ func tail[T any](ctx context.Context, c *Client, route string, since uint64, wha
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		return &APIError{Status: resp.StatusCode, Message: what + " stream rejected"}
+		return readAPIError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	// One data: line carries a whole payload; a round trace at "scores"

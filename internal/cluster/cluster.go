@@ -32,10 +32,11 @@ type Cluster struct {
 }
 
 // New materializes a cluster from class descriptions: Count nodes per
-// class, IDs assigned in declaration order.
+// class, IDs assigned in declaration order. The nodes live in one slab
+// the cluster owns; Nodes points into it.
 func New(classes []Class) (*Cluster, error) {
 	c := &Cluster{classes: append([]Class(nil), classes...)}
-	id := 0
+	size := 0
 	for i := range c.classes {
 		cl := &c.classes[i]
 		if cl.Count <= 0 {
@@ -47,15 +48,21 @@ func New(classes []Class) (*Cluster, error) {
 		if cl.Reliability <= 0 || cl.Reliability > 1 {
 			return nil, fmt.Errorf("cluster: class %q reliability %.3f outside (0,1]", cl.Name, cl.Reliability)
 		}
-		for j := 0; j < cl.Count; j++ {
-			n := NewNode(id, cl)
-			n.cluster = c
-			c.Nodes = append(c.Nodes, n)
+		size += cl.Count
+	}
+	if size == 0 {
+		return nil, fmt.Errorf("cluster: no nodes")
+	}
+	slab := make([]Node, size)
+	c.Nodes = make([]*Node, size)
+	id := 0
+	for i := range c.classes {
+		for range c.classes[i].Count {
+			slab[id] = newNode(id, &c.classes[i])
+			slab[id].cluster = c
+			c.Nodes[id] = &slab[id]
 			id++
 		}
-	}
-	if len(c.Nodes) == 0 {
-		return nil, fmt.Errorf("cluster: no nodes")
 	}
 	// Every node starts Off: rank the whole fleet once, here.
 	c.off = slices.Clone(c.Nodes)

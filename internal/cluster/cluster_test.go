@@ -264,7 +264,7 @@ func TestNodeEpochAndReservedSums(t *testing.T) {
 	if n.Epoch != prev {
 		t.Errorf("removing an absent VM advanced the epoch")
 	}
-	n.RemoveVM(n.VMs[2])
+	n.RemoveVM(n.VMs[0])
 	if n.CPUReserved() != 0 || n.MemReserved() != 0 {
 		t.Fatalf("emptied node reserved = (%v, %v), want exact zeros", n.CPUReserved(), n.MemReserved())
 	}

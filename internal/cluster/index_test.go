@@ -80,39 +80,74 @@ func checkAgainstSweep(t *testing.T, c *Cluster, after string) {
 	}
 }
 
+// checkVMSet holds n.VMs to the model of what it hosts: strictly
+// ascending ID, and exactly the model's VMs.
+func checkVMSet(t *testing.T, n *Node, model map[int]*vm.VM, after string) {
+	t.Helper()
+	if len(n.VMs) != len(model) {
+		t.Fatalf("after %s: node %d hosts %d VMs, model %d", after, n.ID, len(n.VMs), len(model))
+	}
+	for i, v := range n.VMs {
+		if i > 0 && n.VMs[i-1].ID >= v.ID {
+			t.Fatalf("after %s: node %d VMs out of order at %d (IDs %d, %d)", after, n.ID, i, n.VMs[i-1].ID, v.ID)
+		}
+		if model[v.ID] != v {
+			t.Fatalf("after %s: node %d hosts VM %d, model has %v", after, n.ID, v.ID, model[v.ID])
+		}
+	}
+}
+
 // TestIndexMatchesSweep drives a seeded random sequence of every
 // mutator over a 50-node heterogeneous cluster and holds the index to
-// the brute-force sweep after each one.
+// the brute-force sweep, and every node's VM set to a map model, after
+// each one. VM IDs are drawn at random, so placements land anywhere in
+// a node's set, not only at its end.
 func TestIndexMatchesSweep(t *testing.T) {
 	classes := PaperClasses()
 	classes[0].Count, classes[1].Count, classes[2].Count = 10, 25, 15
 	classes[2].Reliability = 0.95
 	c := MustNew(classes)
 	checkAgainstSweep(t, c, "New")
+	models := make([]map[int]*vm.VM, len(c.Nodes))
+	for i := range models {
+		models[i] = map[int]*vm.VM{}
+	}
 
 	r := rand.New(rand.NewSource(15))
-	nextVM := 0
 	for step := 0; step < 4000; step++ {
 		n := c.Nodes[r.Intn(len(c.Nodes))]
+		model := models[n.ID]
 		var op string
-		switch r.Intn(9) {
+		switch r.Intn(11) {
 		case 0, 1:
 			op = "SetState"
 			n.SetState(PowerState(r.Intn(4)))
 		case 2:
 			op = "AddVM"
-			addVM(n, nextVM, 50, 5, vm.Running)
-			nextVM++
+			id := r.Intn(1000)
+			if _, hosted := model[id]; hosted {
+				break
+			}
+			model[id] = addVM(n, id, 50, 5, vm.Running)
 		case 3:
 			op = "RemoveVM"
-			var oldest *vm.VM // not map order: the sequence must replay
-			for _, v := range n.VMs {
-				if oldest == nil || v.ID < oldest.ID {
-					oldest = v
-				}
+			if len(n.VMs) > 0 {
+				v := n.VMs[r.Intn(len(n.VMs))]
+				delete(model, v.ID)
+				n.RemoveVM(v)
 			}
-			if oldest != nil {
-				n.RemoveVM(oldest)
+		case 9, 10:
+			// Adding a hosted VM again, or removing an ID the node does not
+			// host, changes nothing.
+			op = "no-op Add/RemoveVM"
+			epoch, cpu := n.Epoch, n.CPUReserved()
+			if len(n.VMs) > 0 && r.Intn(2) == 0 {
+				n.AddVM(n.VMs[r.Intn(len(n.VMs))])
+			} else if id := r.Intn(1000); model[id] == nil {
+				n.RemoveVM(vm.New(id, vm.Requirements{CPU: 50, Mem: 5}, 0, 100, 200))
+			}
+			if n.Epoch != epoch || n.CPUReserved() != cpu {
+				t.Fatalf("step %d: %s changed node %d (epoch %d → %d, cpu %v → %v)", step, op, n.ID, epoch, n.Epoch, cpu, n.CPUReserved())
 			}
 		case 4:
 			op = "BeginCreate"
@@ -139,6 +174,7 @@ func TestIndexMatchesSweep(t *testing.T) {
 			n.SetReliability(1 - 0.05*float64(r.Intn(4)))
 		}
 		checkAgainstSweep(t, c, op)
+		checkVMSet(t, n, model, op)
 	}
 }
 

@@ -6,8 +6,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"energysched/internal/power"
 	"energysched/internal/vm"
@@ -114,10 +116,11 @@ type Node struct {
 	// test or not, assigns the field directly.
 	State PowerState
 	// VMs currently placed on the node (creating, running or
-	// migrating-in VMs all occupy resources here). Mutate only through
-	// AddVM/RemoveVM: they keep the cached reservation sums and the
-	// change epoch consistent.
-	VMs map[int]*vm.VM
+	// migrating-in VMs all occupy resources here), in ascending ID; nil
+	// until the first placement. Mutate only through AddVM/RemoveVM:
+	// they keep the order, the cached reservation sums and the change
+	// epoch consistent.
+	VMs []*vm.VM
 
 	// CreatingOps counts VM creations in progress on this node.
 	// Mutate through BeginCreate/EndCreate.
@@ -140,10 +143,8 @@ type Node struct {
 	Epoch uint64
 
 	// resCPU, resMem cache the reservation sums over VMs, maintained
-	// by AddVM/RemoveVM. Summing incrementally (in mutation order)
-	// rather than walking the map keeps the totals deterministic:
-	// map-order float addition would give round-to-round ulp jitter
-	// that defeats the cross-round score cache.
+	// by AddVM/RemoveVM in mutation order, so the scheduler's hot path
+	// reads them in O(1).
 	resCPU, resMem float64
 
 	// cluster is the owner whose state index the mutators below keep
@@ -151,27 +152,42 @@ type Node struct {
 	cluster *Cluster
 }
 
-// NewNode builds an Off node of the given class. On its own it
-// belongs to no cluster and carries no index; New adopts the nodes it
-// creates.
+// NewNode builds a standalone Off node of the given class: it belongs
+// to no cluster and carries no index. New builds its own nodes in one
+// slab instead.
 func NewNode(id int, class *Class) *Node {
-	return &Node{
-		ID:          id,
-		Class:       class,
-		State:       Off,
-		VMs:         make(map[int]*vm.VM),
-		Reliability: class.Reliability,
-	}
+	n := newNode(id, class)
+	return &n
 }
 
-// AddVM places v's reservation on the node: it joins the VMs map and
-// the cached reservation sums, and the change epoch advances.
+func newNode(id int, class *Class) Node {
+	return Node{ID: id, Class: class, State: Off, Reliability: class.Reliability}
+}
+
+// vmSetCap is the capacity a node's VM set gets at its first
+// placement: four single-core guests fill a 4-CPU node, so most sets
+// never grow again (growing from one would take three allocations).
+const vmSetCap = 4
+
+// vmAt returns where a VM with the given ID is, or would be inserted,
+// in n.VMs, and whether it is there.
+func (n *Node) vmAt(id int) (int, bool) {
+	return slices.BinarySearchFunc(n.VMs, id, func(v *vm.VM, id int) int { return cmp.Compare(v.ID, id) })
+}
+
+// AddVM places v's reservation on the node: it joins the VMs set at
+// its ID's position and the cached reservation sums, and the change
+// epoch advances. Adding a VM that is already hosted is a no-op.
 func (n *Node) AddVM(v *vm.VM) {
-	if _, ok := n.VMs[v.ID]; ok {
+	i, found := n.vmAt(v.ID)
+	if found {
 		return
 	}
 	was := n.Working()
-	n.VMs[v.ID] = v
+	if n.VMs == nil {
+		n.VMs = make([]*vm.VM, 0, vmSetCap)
+	}
+	n.VMs = slices.Insert(n.VMs, i, v)
 	n.resCPU += v.Req.CPU
 	n.resMem += v.Req.Mem
 	n.changed(was)
@@ -180,11 +196,12 @@ func (n *Node) AddVM(v *vm.VM) {
 // RemoveVM releases v's reservation. Removing a VM that is not hosted
 // here is a no-op.
 func (n *Node) RemoveVM(v *vm.VM) {
-	if _, ok := n.VMs[v.ID]; !ok {
+	i, found := n.vmAt(v.ID)
+	if !found {
 		return
 	}
 	was := n.Working()
-	delete(n.VMs, v.ID)
+	n.VMs = slices.Delete(n.VMs, i, i+1)
 	n.resCPU -= v.Req.CPU
 	n.resMem -= v.Req.Mem
 	if len(n.VMs) == 0 {

@@ -35,7 +35,7 @@ func (s *Simulation) applyPlace(a policy.Action) {
 	n.AddVM(v)
 	n.BeginCreate()
 	s.emit(EvPlace, v.ID, n.ID, -1)
-	s.recomputeNode(s.rt[n.ID])
+	s.recomputeNode(&s.rt[n.ID])
 
 	dur := s.creation.NormalPositive(n.Class.CreateCost, s.cfg.CreationSigma)
 	s.eng.AtCall(s.eng.Now()+dur, s.createdFn, v)
@@ -54,7 +54,7 @@ func (s *Simulation) onCreated(v *vm.VM) {
 		v.Start = s.eng.Now()
 	}
 	s.emit(EvCreated, v.ID, n.ID, -1)
-	s.recomputeNode(s.rt[n.ID])
+	s.recomputeNode(&s.rt[n.ID])
 	s.round()
 }
 
@@ -78,8 +78,8 @@ func (s *Simulation) applyMigrate(a policy.Action) {
 	src.BeginMigrate()
 	dst.BeginMigrate()
 	s.emit(EvMigrateStart, v.ID, src.ID, dst.ID)
-	s.recomputeNode(s.rt[src.ID])
-	s.recomputeNode(s.rt[dst.ID])
+	s.recomputeNode(&s.rt[src.ID])
+	s.recomputeNode(&s.rt[dst.ID])
 
 	dur := s.migration.NormalPositive(dst.Class.MigrateCost, s.cfg.MigrationSigma)
 	s.eng.AtCall(s.eng.Now()+dur, s.migratedFn, v)
@@ -102,8 +102,8 @@ func (s *Simulation) onMigrated(v *vm.VM) {
 	v.Touch()
 	s.migrations++
 	s.emit(EvMigrated, v.ID, src.ID, dst.ID)
-	s.recomputeNode(s.rt[src.ID])
-	s.recomputeNode(s.rt[dst.ID])
+	s.recomputeNode(&s.rt[src.ID])
+	s.recomputeNode(&s.rt[dst.ID])
 	s.round()
 }
 
@@ -112,7 +112,7 @@ func (s *Simulation) turnOn(n *cluster.Node) {
 	if n.State != cluster.Off {
 		return
 	}
-	rt := s.rt[n.ID]
+	rt := &s.rt[n.ID]
 	s.advanceNode(rt, s.eng.Now())
 	n.SetState(cluster.Booting)
 	rt.meter.Observe(s.eng.Now(), n.Watts(0))
@@ -126,7 +126,7 @@ func (s *Simulation) onBooted(n *cluster.Node) {
 	}
 	n.SetState(cluster.On)
 	s.emit(EvBooted, -1, n.ID, -1)
-	s.recomputeNode(s.rt[n.ID])
+	s.recomputeNode(&s.rt[n.ID])
 	s.armFailure(n)
 	s.round()
 }
@@ -136,7 +136,7 @@ func (s *Simulation) turnOff(n *cluster.Node) {
 	if !n.Idle() {
 		return
 	}
-	rt := s.rt[n.ID]
+	rt := &s.rt[n.ID]
 	s.advanceNode(rt, s.eng.Now())
 	n.SetState(cluster.Off)
 	if rt.failTimer != nil {
@@ -157,7 +157,7 @@ func (s *Simulation) armFailure(n *cluster.Node) {
 	if !s.cfg.FailuresEnabled || n.Reliability >= 1 {
 		return
 	}
-	rt := s.rt[n.ID]
+	rt := &s.rt[n.ID]
 	if rt.failTimer != nil {
 		rt.failTimer.Cancel()
 	}
@@ -170,7 +170,7 @@ func (s *Simulation) armFailure(n *cluster.Node) {
 // recovering from its last checkpoint if one exists (§III-C: "if
 // there is not available checkpoint, it recreates the VM").
 func (s *Simulation) onFailure(n *cluster.Node) {
-	rt := s.rt[n.ID]
+	rt := &s.rt[n.ID]
 	rt.failTimer = nil
 	if n.State != cluster.On {
 		return
@@ -179,7 +179,10 @@ func (s *Simulation) onFailure(n *cluster.Node) {
 	s.failCount++
 	s.emit(EvFailed, -1, n.ID, -1)
 
-	for _, v := range sortedByID(n.VMs) {
+	// Lowest ID first: each pass takes the head of the node's ID-ordered
+	// set, which RemoveVM then shifts down.
+	for len(n.VMs) > 0 {
+		v := n.VMs[0]
 		n.RemoveVM(v)
 		s.cancelCompletion(v, s.completionTimer[v.ID])
 		switch {
@@ -188,7 +191,7 @@ func (s *Simulation) onFailure(n *cluster.Node) {
 			if dst := s.cluster.Node(v.MigrateTo); dst != nil {
 				dst.RemoveVM(v)
 				dst.EndMigrate()
-				s.recomputeNode(s.rt[dst.ID])
+				s.recomputeNode(&s.rt[dst.ID])
 			}
 			s.requeueFailed(v)
 		case v.State == vm.Migrating:
@@ -198,7 +201,7 @@ func (s *Simulation) onFailure(n *cluster.Node) {
 			v.MigrateTo = -1
 			v.State = vm.Running
 			v.Touch()
-			s.recomputeNode(s.rt[src.ID])
+			s.recomputeNode(&s.rt[src.ID])
 		case v.State == vm.Creating:
 			n.EndCreate()
 			s.requeueFailed(v)
@@ -227,7 +230,7 @@ func (s *Simulation) CrashNode(id int) bool {
 	if n == nil || n.State != cluster.On {
 		return false
 	}
-	rt := s.rt[n.ID]
+	rt := &s.rt[n.ID]
 	if rt.failTimer != nil {
 		// Supersede the organic failure draw; onFailure re-arms nothing
 		// until the node is next powered on.

@@ -34,7 +34,8 @@ func (s *Simulation) SampleAt(t float64, buf []series.ClassSample) series.Sample
 	// nodes.
 	classes := append(buf[:0], s.classTmpl...)
 	var capOnline, reserved float64
-	for _, rt := range s.rt {
+	for i := range s.rt {
+		rt := &s.rt[i]
 		n := rt.node
 		c := &classes[rt.class]
 		w := rt.meter.CurrentWatts()
@@ -67,7 +68,7 @@ func (s *Simulation) SampleAt(t float64, buf []series.ClassSample) series.Sample
 	smp.Classes = classes
 
 	// Running VMs come from the transition-maintained counter rather
-	// than a sweep of the per-node VM maps: it counts each guest once
+	// than a sweep of the per-node VM sets: it counts each guest once
 	// (a migrating VM holds reservations on both endpoints, but has
 	// exactly one Running->Migrating transition) and costs nothing at
 	// 10k-node chaos scale.

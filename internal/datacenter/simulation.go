@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"time"
+	"unsafe"
 
 	"energysched/internal/cluster"
 	"energysched/internal/core"
@@ -22,13 +23,13 @@ import (
 
 // nodeRT is the per-node runtime bookkeeping the harness keeps on top
 // of the cluster model: power metering and the time of the last
-// progress advance.
+// progress advance. Simulation.rt holds one per node, by ID.
 type nodeRT struct {
 	node *cluster.Node
 	// class indexes Simulation.classTmpl: the node's slot in a sample's
 	// per-class breakdown.
 	class       int
-	meter       *power.Meter
+	meter       power.Meter
 	lastAdvance float64
 	failTimer   *simkit.Timer
 	// eff is the current thrash efficiency: the useful fraction of
@@ -55,7 +56,7 @@ type Simulation struct {
 	cluster  *cluster.Cluster
 	pm       *core.PowerManager
 	adaptive *core.Adaptive
-	rt       []*nodeRT
+	rt       []nodeRT // by node ID; call sites take &s.rt[id]
 	// classTmpl is a sample's per-class breakdown before any node is
 	// counted — one zeroed entry per node class, named, in declaration
 	// order — fixed at construction and copied by every SampleAt.
@@ -71,6 +72,10 @@ type Simulation struct {
 
 	queue []*vm.VM // FIFO virtual-host queue
 	vms   []*vm.VM // all VMs ever created, by ID
+	// vmSlab is the chunk Inject carves the next VM record from. A full
+	// chunk is replaced, never grown, so no record ever moves and every
+	// *vm.VM handed out stays valid.
+	vmSlab []vm.VM
 	// activeVMs holds the VMs occupying node resources (Creating,
 	// Running, Migrating) in ID order — what filtering vms by Active()
 	// would give, maintained at place/complete/requeue so a round never
@@ -177,7 +182,8 @@ func New(cfg Config) (*Simulation, error) {
 	s.tickFn = s.tick
 	s.checkpointFn = s.checkpointTick
 	classIdx := make(map[*cluster.Class]int)
-	for _, n := range cl.Nodes {
+	s.rt = make([]nodeRT, len(cl.Nodes))
+	for i, n := range cl.Nodes {
 		if cfg.StartOnline {
 			n.SetState(cluster.On)
 		}
@@ -187,12 +193,9 @@ func New(cfg Config) (*Simulation, error) {
 			classIdx[n.Class] = ci
 			s.classTmpl = append(s.classTmpl, series.ClassSample{Class: n.Class.Name})
 		}
-		s.rt = append(s.rt, &nodeRT{
-			node:  n,
-			class: ci,
-			meter: power.NewMeter(0, n.Watts(0)),
-			eff:   1,
-		})
+		rt := &s.rt[i]
+		rt.node, rt.class, rt.eff = n, ci, 1
+		rt.meter.Observe(0, n.Watts(0))
 	}
 	s.workAvg = metrics.NewTimeAvg(0, 0)
 	s.onAvg = metrics.NewTimeAvg(0, 0)
@@ -276,6 +279,12 @@ func (s *Simulation) RunSource(src workload.JobSource) (metrics.Report, error) {
 	return s.Drain(), nil
 }
 
+// vmChunk is the length of a VM slab chunk: as many records as fit in
+// Go's 8 KiB size class (36 of 224 B), so a chunk's allocation wastes
+// less than one record. A rounder 64 would take 14 336 B, which the
+// allocator rounds up to 16 KiB.
+const vmChunk = 8192 / int(unsafe.Sizeof(vm.VM{}))
+
 // Inject admits one job into the simulation: it validates the job,
 // materializes its VM (IDs are assigned in admission order) and
 // schedules the arrival with injection priority (simkit.AtFront), so
@@ -294,9 +303,13 @@ func (s *Simulation) Inject(j workload.Job) (*vm.VM, error) {
 		return nil, fmt.Errorf("datacenter: job %d submits at %.3f, before virtual now %.3f",
 			j.ID, j.Submit, s.eng.Now())
 	}
-	v := vm.New(len(s.vms), vm.Requirements{
+	if len(s.vmSlab) == cap(s.vmSlab) {
+		s.vmSlab = make([]vm.VM, 0, vmChunk)
+	}
+	s.vmSlab = append(s.vmSlab, vm.Make(len(s.vms), vm.Requirements{
 		CPU: j.CPU, Mem: j.Mem, Arch: j.Arch, Hypervisor: j.Hypervisor,
-	}, j.Submit, j.Duration, j.Deadline())
+	}, j.Submit, j.Duration, j.Deadline()))
+	v := &s.vmSlab[len(s.vmSlab)-1]
 	v.Name = j.Name
 	v.FaultTolerance = j.FaultTolerance
 	s.vms = append(s.vms, v)
@@ -369,7 +382,8 @@ func (s *Simulation) Drain() metrics.Report {
 	// MaxTime horizon, for the per-job CSV). ReportAt then reads the
 	// same values with zero-width extensions.
 	end := s.eng.Now()
-	for _, rt := range s.rt {
+	for i := range s.rt {
+		rt := &s.rt[i]
 		s.advanceNode(rt, end)
 		rt.meter.Close(end)
 	}
@@ -428,8 +442,8 @@ func unitPercent(v float64) float64 {
 // totalKWhAt extends every meter's integral to t without mutation.
 func (s *Simulation) totalKWhAt(t float64) float64 {
 	var kwh float64
-	for _, rt := range s.rt {
-		kwh += rt.meter.KWhAt(t)
+	for i := range s.rt {
+		kwh += s.rt[i].meter.KWhAt(t)
 	}
 	return kwh
 }
@@ -439,8 +453,8 @@ func (s *Simulation) totalKWhAt(t float64) float64 {
 // order) so the result is bit-identical to committing the advance.
 func (s *Simulation) cpuSecondsAt(t float64) float64 {
 	acc := s.cpuSeconds
-	for _, rt := range s.rt {
-		acc = s.accrue(rt, t, false, acc)
+	for i := range s.rt {
+		acc = s.accrue(&s.rt[i], t, false, acc)
 	}
 	return acc
 }
@@ -573,7 +587,8 @@ func (s *Simulation) recomputeNode(rt *nodeRT) {
 }
 
 // appendOwners collects the node's demand-set owners — guest domains
-// hosted here in Running or Migrating state — into buf, in ID order.
+// hosted here in Running or Migrating state — into buf, in ID order
+// (the order of the node's VM set).
 func (s *Simulation) appendOwners(rt *nodeRT, buf []*vm.VM) []*vm.VM {
 	n := rt.node
 	for _, v := range n.VMs {
@@ -585,7 +600,6 @@ func (s *Simulation) appendOwners(rt *nodeRT, buf []*vm.VM) []*vm.VM {
 		}
 		buf = append(buf, v)
 	}
-	slices.SortFunc(buf, vmByID)
 	return buf
 }
 
@@ -623,8 +637,8 @@ func (rt *nodeRT) memoize(state cluster.PowerState, owners []*vm.VM, demands []x
 
 func (s *Simulation) currentWatts() float64 {
 	var w float64
-	for _, rt := range s.rt {
-		w += rt.meter.CurrentWatts()
+	for i := range s.rt {
+		w += s.rt[i].meter.CurrentWatts()
 	}
 	return w
 }
@@ -669,15 +683,6 @@ func (s *Simulation) touchCounts() {
 	s.onAvg.Observe(now, float64(online))
 }
 
-func sortedByID(m map[int]*vm.VM) []*vm.VM {
-	out := make([]*vm.VM, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	slices.SortFunc(out, vmByID)
-	return out
-}
-
 // setActive files v in, or removes it from, the active-VM list when
 // its state crosses the Active() boundary.
 func (s *Simulation) setActive(v *vm.VM, active bool) {
@@ -700,7 +705,7 @@ func (s *Simulation) onArrival(v *vm.VM) {
 
 func (s *Simulation) onCompletion(v *vm.VM) {
 	delete(s.completionTimer, v.ID)
-	rt := s.rt[v.Host]
+	rt := &s.rt[v.Host]
 	s.advanceNode(rt, s.eng.Now())
 	if v.Remaining() > 1e-6 {
 		// Stale event (allocation changed after scheduling); the
@@ -718,7 +723,7 @@ func (s *Simulation) onCompletion(v *vm.VM) {
 			dst.EndMigrate()
 			rt.node.EndMigrate()
 			v.MigrateTo = -1
-			s.recomputeNode(s.rt[dst.ID])
+			s.recomputeNode(&s.rt[dst.ID])
 		}
 	}
 	rt.node.RemoveVM(v)
@@ -778,7 +783,7 @@ func (s *Simulation) checkpointTick() {
 	now := s.eng.Now()
 	s.onScratch = s.cluster.AppendOnline(s.onScratch[:0])
 	for _, n := range s.onScratch {
-		s.advanceNode(s.rt[n.ID], now)
+		s.advanceNode(&s.rt[n.ID], now)
 	}
 	for _, v := range s.activeVMs {
 		if v.State == vm.Running {

@@ -199,12 +199,17 @@ func decodeWALRecord(payload []byte) (rec walRecord, err error) {
 // against a live fleet instead of a hand-built file.
 var ErrTornWrite = errors.New("fleet: injected torn write")
 
-// wal is an open write-ahead log positioned for appends.
+// wal is an open write-ahead log. Appends go to off, which the wal
+// keeps itself rather than asking the file: it starts at the end of the
+// recovered intact prefix, advances only when a whole frame is written,
+// and rewind and reset set it. So a rollback point read with tell can
+// never be wrong, whatever the file position did.
 type wal struct {
 	f       *os.File
 	path    string
 	sync    bool
-	records int // records currently in the file
+	off     int64 // end of the last intact frame: the next append's offset
+	records int   // records currently in the file
 	// fault, when set, is consulted before every append ("append"),
 	// fsync ("sync") and rollback ("rewind"); a non-nil return aborts
 	// the op with that error. Fault injection only — nil in production.
@@ -232,14 +237,11 @@ func openWAL(path string, syncPolicy string, fault func(op string) error) (w *wa
 			return nil, nil, 0, fmt.Errorf("fleet: truncating torn wal tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("fleet: seeking wal: %w", err)
-	}
 	return &wal{
 		f:       f,
 		path:    path,
 		sync:    syncPolicy != SyncOS,
+		off:     good,
 		records: len(recs),
 		fault:   fault,
 	}, recs, dropped, nil
@@ -299,14 +301,15 @@ func (w *wal) appendPayload(payload []byte, flush bool) error {
 				// record count is NOT bumped, so rollback rewinds over
 				// the damage — and if rollback is also failed, recovery
 				// must truncate it.
-				w.f.Write(frame[:len(frame)/2])
+				w.f.WriteAt(frame[:len(frame)/2], w.off)
 			}
 			return fmt.Errorf("fleet: appending wal record: %w", err)
 		}
 	}
-	if _, err := w.f.Write(frame); err != nil {
+	if _, err := w.f.WriteAt(frame, w.off); err != nil {
 		return fmt.Errorf("fleet: appending wal record: %w", err)
 	}
+	w.off += int64(len(frame))
 	w.records++
 	if flush {
 		return w.flush()
@@ -335,8 +338,7 @@ func (w *wal) flush() error {
 // tell returns the current append offset and record count, for
 // rollback of a partially-appended batch.
 func (w *wal) tell() (int64, int) {
-	off, _ := w.f.Seek(0, io.SeekCurrent)
-	return off, w.records
+	return w.off, w.records
 }
 
 // rewind truncates the log back to a tell()-saved position, undoing
@@ -350,10 +352,7 @@ func (w *wal) rewind(off int64, records int) error {
 	if err := w.f.Truncate(off); err != nil {
 		return fmt.Errorf("fleet: rolling back wal: %w", err)
 	}
-	if _, err := w.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("fleet: rolling back wal: %w", err)
-	}
-	w.records = records
+	w.off, w.records = off, records
 	return nil
 }
 
@@ -364,10 +363,7 @@ func (w *wal) reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("fleet: compacting wal: %w", err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("fleet: compacting wal: %w", err)
-	}
-	w.records = 0
+	w.off, w.records = 0, 0
 	return w.flush()
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -166,6 +167,83 @@ func TestWALTornTailBogusLength(t *testing.T) {
 	if dropped == 0 || len(recs) != 1 {
 		t.Fatalf("bogus length: dropped=%d records=%d", dropped, len(recs))
 	}
+}
+
+// TestWALTellTracksFileSize: the append offset tell reports is the
+// file's intact length through appends, a torn write, a rewind, a reset
+// and a reopen. A torn write leaves its damage past that offset, so
+// tell still names the point a rollback truncates to.
+func TestWALTellTracksFileSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	var tear bool
+	fault := func(op string) error {
+		if op == "append" && tear {
+			return ErrTornWrite
+		}
+		return nil
+	}
+	size := func() int64 {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	check := func(w *wal, step string) {
+		t.Helper()
+		if off, _ := w.tell(); off != size() {
+			t.Fatalf("after %s: tell() = %d, file holds %d bytes", step, off, size())
+		}
+	}
+
+	w, _, _, err := openWAL(path, SyncOS, fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(w, "open")
+	for i := 0; i < 3; i++ {
+		if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
+			t.Fatal(err)
+		}
+		check(w, "append")
+	}
+	off, records := w.tell()
+	tear = true
+	if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(3)}, true); !errors.Is(err, ErrTornWrite) {
+		t.Fatalf("torn append returned %v", err)
+	}
+	tear = false
+	if got, _ := w.tell(); got != off || size() <= off {
+		t.Fatalf("after a torn write: tell() = %d, file %d bytes; want tell at the intact end %d with damage past it", got, size(), off)
+	}
+	if err := w.rewind(off, records); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "rewind")
+	if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(3)}, true); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "append after rewind")
+	w.close()
+
+	w, recs, dropped, err := openWAL(path, SyncOS, fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	if len(recs) != 4 || dropped != 0 {
+		t.Fatalf("reopen: %d records, %d bytes dropped", len(recs), dropped)
+	}
+	check(w, "reopen")
+	if err := w.reset(); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "reset")
+	if err := w.append(walRecord{Kind: walKindSeal}, true); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "append after reset")
 }
 
 func TestWALRewindAndReset(t *testing.T) {

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"sort"
-
 	"energysched"
 	"energysched/internal/cluster"
 	"energysched/internal/metrics"
@@ -40,13 +38,12 @@ func jobStatus(v *vm.VM) energysched.JobStatus {
 	}
 }
 
-// nodeStatus renders a node; ids is the slice its sorted VM IDs are
-// appended to, with room for them.
+// nodeStatus renders a node; ids is the slice its VM IDs are appended
+// to, ascending, with room for them.
 func nodeStatus(n *cluster.Node, watts float64, ids []int) energysched.NodeStatus {
-	for id := range n.VMs {
-		ids = append(ids, id)
+	for _, v := range n.VMs {
+		ids = append(ids, v.ID)
 	}
-	sort.Ints(ids)
 	return energysched.NodeStatus{
 		ID:          n.ID,
 		Class:       n.Class.Name,

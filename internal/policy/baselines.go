@@ -239,8 +239,7 @@ func (p *DynamicBackfilling) drain(ctx *Context, src *cluster.Node, working []no
 		dMem[k] = v
 	}
 	var moves []Action
-	vms := sortedVMs(src)
-	for _, v := range vms {
+	for _, v := range src.VMs { // in ID order
 		if v.InOperation() || v.State != vm.Running {
 			return nil
 		}
@@ -266,16 +265,6 @@ func (p *DynamicBackfilling) drain(ctx *Context, src *cluster.Node, working []no
 		}
 	}
 	return moves
-}
-
-// sortedVMs returns a node's VMs in deterministic (ID) order.
-func sortedVMs(n *cluster.Node) []*vm.VM {
-	out := make([]*vm.VM, 0, len(n.VMs))
-	for _, v := range n.VMs {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // occupationWith mirrors cluster.Node.OccupationWith but with round-

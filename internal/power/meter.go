@@ -4,7 +4,8 @@ package power
 // energy totals. The datacenter harness calls Observe whenever a
 // node's power draw changes; the meter accumulates the previous level
 // over the elapsed interval (exact for piecewise-constant draw, which
-// is what an event-driven model produces).
+// is what an event-driven model produces). The zero Meter is ready to
+// use, and its owner keeps it by value.
 type Meter struct {
 	lastTime  float64
 	lastWatts float64
@@ -12,13 +13,9 @@ type Meter struct {
 	started   bool
 }
 
-// NewMeter returns a meter starting at time t0 with draw watts.
-func NewMeter(t0, watts float64) *Meter {
-	return &Meter{lastTime: t0, lastWatts: watts, started: true}
-}
-
-// Observe records that at time t the draw became watts. Time must be
-// monotonically non-decreasing.
+// Observe records that at time t the draw became watts; the first
+// observation starts the meter. Time must be monotonically
+// non-decreasing.
 func (m *Meter) Observe(t, watts float64) {
 	if !m.started {
 		m.lastTime, m.lastWatts, m.started = t, watts, true

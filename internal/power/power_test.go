@@ -110,7 +110,8 @@ func TestScaledModel(t *testing.T) {
 }
 
 func TestMeterIntegration(t *testing.T) {
-	m := NewMeter(0, 100)
+	var m Meter
+	m.Observe(0, 100)
 	m.Observe(10, 200) // 100 W for 10 s = 1000 J
 	m.Observe(20, 0)   // 200 W for 10 s = 2000 J
 	m.Close(30)        // 0 W for 10 s
@@ -126,7 +127,8 @@ func TestMeterIntegration(t *testing.T) {
 }
 
 func TestMeterBackwardsPanics(t *testing.T) {
-	m := NewMeter(10, 100)
+	var m Meter
+	m.Observe(10, 100)
 	defer func() {
 		if recover() == nil {
 			t.Error("backwards observation did not panic")
@@ -136,7 +138,8 @@ func TestMeterBackwardsPanics(t *testing.T) {
 }
 
 func TestMeterZeroDuration(t *testing.T) {
-	m := NewMeter(0, 100)
+	var m Meter
+	m.Observe(0, 100)
 	m.Observe(0, 250) // level change at the same instant
 	m.Observe(1, 250)
 	if got := m.Joules(); got != 250 {
@@ -151,7 +154,8 @@ func TestMeterZeroDuration(t *testing.T) {
 // the hand-computed sum.
 func TestMeterSumProperty(t *testing.T) {
 	f := func(steps []uint16) bool {
-		m := NewMeter(0, 0)
+		var m Meter
+		m.Observe(0, 0)
 		tm := 0.0
 		var want float64
 		level := 0.0

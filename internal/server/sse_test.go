@@ -80,6 +80,37 @@ func TestSSEMalformedResumePoint(t *testing.T) {
 	}
 }
 
+// TestSSETailsReturnTheServerError: a tail the daemon refuses returns
+// the daemon's own APIError, as every other call does, not a message
+// the client made up.
+func TestSSETailsReturnTheServerError(t *testing.T) {
+	_, _, client := newTestServer(t, Config{Policy: "SB", Seed: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := client.GetFleet(ctx, "nosuch")
+	var want *energysched.APIError
+	if !errors.As(err, &want) || want.Status != http.StatusNotFound || want.Message == "" {
+		t.Fatalf("GetFleet of an unknown fleet: %v", err)
+	}
+	fleet := client.Fleet("nosuch")
+	for name, tail := range map[string]func() error{
+		"Events": func() error {
+			return fleet.Events(ctx, 0, func(uint64, energysched.Event) error { return nil })
+		},
+		"TraceTail": func() error {
+			return fleet.TraceTail(ctx, 0, func(energysched.TraceRound) error { return nil })
+		},
+		"JourneyTail": func() error {
+			return fleet.JourneyTail(ctx, 0, func(energysched.JourneyEvent) error { return nil })
+		},
+	} {
+		var got *energysched.APIError
+		if err := tail(); !errors.As(err, &got) || *got != *want {
+			t.Errorf("%s on an unknown fleet: %v, want %v", name, err, want)
+		}
+	}
+}
+
 // TestSSETailsEndWithTheirFleet: open all three tails, take the fleet
 // away — DELETE it, or close the whole daemon — and every stream must
 // reach a clean EOF, leaving no handler, subscriber or connection

@@ -157,7 +157,13 @@ func (v *VM) Touch() { v.Epoch++ }
 
 // New builds a VM in the Queued state.
 func New(id int, req Requirements, submit, duration, deadline float64) *VM {
-	return &VM{
+	v := Make(id, req, submit, duration, deadline)
+	return &v
+}
+
+// Make is New for a record the caller stores, e.g. in a slab.
+func Make(id int, req Requirements, submit, duration, deadline float64) VM {
+	return VM{
 		ID:          id,
 		Req:         req,
 		Submit:      submit,
