@@ -371,6 +371,24 @@ func BenchmarkScoreSolverRoundChurn(b *testing.B) {
 	}
 }
 
+// The shape of a paper-week round: the clock advances a tick and one
+// node changes, every VM stays as it was. The rows whose decision the
+// node's column cannot change stay dormant — no time terms, no arbiter
+// visit — so a round costs the column re-score and little else.
+func BenchmarkScoreSolverRoundTicking(b *testing.B) {
+	sch, ctx := solverChurnSetup(core.SBConfig())
+	nodes := ctx.Cluster.Nodes
+	skips := sch.Stats.DormantSkips
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Now += 60
+		nodes[i%len(nodes)].Touch()
+		sch.Schedule(ctx)
+	}
+	b.ReportMetric(float64(sch.Stats.DormantSkips-skips)/float64(b.N), "skips/round")
+}
+
 // The same churn loop with the carry disabled — the full per-round
 // matrix rebuild the carry replaces.
 func BenchmarkScoreSolverRoundChurnFresh(b *testing.B) {

@@ -73,6 +73,31 @@ import (
 // therefore byte-identical to the naive solver's at any K; the
 // differential tests in sharded_test.go and solver_test.go and the
 // datacenter full-simulation test enforce this.
+//
+// Dormant rows: a round that ends with no improving move (not by the
+// iteration limit) proves every row non-improving at its Now, and the
+// row keeps that verdict — the VM's progress, stored beside its key —
+// until one of these wakes it:
+//
+//  1. the row is stale (new or changed key) or moved;
+//  2. a column re-score lowers one of its record minima (offered, or the
+//     holder improved; a rescan only ever raises a minimum);
+//  3. the cell of its current or round-start host changes;
+//  4. the VM's Progress differs from the verdict's;
+//  5. its stay term (scoreTimeStay) differs from the one at the
+//     verdict's time;
+//  6. the kernel resets, FreshMatrix is set (both make every row
+//     stale), or Now is earlier than the verdicts' time.
+//
+// A dormant row skips its C scoreTimeMove evaluations and every arbiter
+// visit; a row woken mid-round is timed before its first bestTarget.
+// This is exact because the arbiter only picks a row whose diff clears
+// its threshold, and a dormant row's diff can only rise: with no record
+// minimum lower, the current cell and progress unchanged, the move half
+// rises with Now — Pvirt = Cm²/(2·Tr) as Tr falls, with its jump to
+// 2·Cm upward; PSLA as sla.Fulfillment falls — while the stay half is
+// unchanged, and every IEEE operation involved is monotone, so
+// fl(min + t_move) − fl(base_cur + t_stay) never falls.
 
 // rowKey identifies a matrix row (candidate VM) and records every
 // VM-side input its cells were computed from. A row is carried over
@@ -93,6 +118,26 @@ type rowKey struct {
 
 // moved voids a rowKey: no real host resolves to it.
 const moved = -2
+
+// rowSlot is a row slot's key plus the row's verdict (see "Dormant
+// rows"): the VM's Progress when the latest round that ended without an
+// improving move, at slabKernel.verdictNow, found the row non-improving
+// — NaN when the row has no verdict or something woke it since. Every
+// verdict dates from verdictNow, so its stay term is recomputed there
+// rather than stored: one word per row.
+type rowSlot struct {
+	rowKey
+	progress float64
+}
+
+// rowFlags are a candidate's per-round marks.
+type rowFlags uint8
+
+const (
+	rowStale rowFlags = 1 << iota // re-score the row's cells
+	rowTimed                      // the row's move terms are this round's
+	rowWoke                       // a wake condition voided the verdict
+)
 
 // colKey identifies a matrix column (host) and records every node-side
 // input its cells were computed from.
@@ -163,6 +208,10 @@ type solverShard struct {
 	// byClass lists, per class, the shard's columns in the matrix (as
 	// c/K) in ascending node ID: what a record rebuild scans.
 	byClass [][]int
+	// woke are the shard's wake marks by candidate index at K > 1,
+	// folded into the kernel's flags after the fan-out (at K = 1 the
+	// shard marks the flags directly).
+	woke []bool
 
 	// stats is the shard's private counter set; a worker only ever
 	// touches its own, and the round folds them into Scheduler.Stats.
@@ -180,7 +229,7 @@ type slabKernel struct {
 	// Slot tables. Retired slots wait in the free lists; a column
 	// slot retires at the end of the build its host left in, after the
 	// records that pointed at it are repaired.
-	rows             []rowKey
+	rows             []rowSlot
 	cols             []colKey
 	colNi            []int // host index this round, -1 = not in the matrix
 	colClass         []int // index into classes
@@ -191,15 +240,19 @@ type slabKernel struct {
 
 	// This round's tables: the slot of each candidate and each host
 	// (ascending IDs — next round's merge scan input), and per
-	// candidate scoreTimeMove for each class, then scoreTimeStay.
+	// candidate scoreTimeMove for each class (rowTimed rows only), then
+	// scoreTimeStay.
 	rowOrd, colOrd []int
 	time           []float64
 
-	// The re-scoring work list: stale rows by candidate index, stale
-	// columns by slot (a column that left is re-scored to +Inf).
-	staleRow  []bool
+	// The re-scoring work list: the marks of each candidate (rowStale
+	// rows are re-scored), stale columns by slot (a column that left is
+	// re-scored to +Inf).
+	flags     []rowFlags
 	staleCols []int
 	prev      []int // merge-scan scratch: last round's rowOrd or colOrd
+	// verdictNow is the Now of the latest round that gave verdicts.
+	verdictNow float64
 }
 
 // shardCount resolves Config.Shards for a round over h hosts.
@@ -218,9 +271,11 @@ func (c Config) shardCount(h int) int {
 }
 
 // rescoreShards re-scores the kernel's work list, each shard its own
-// part, against the (while workers run, read-only) shadow.
+// part, against the (while workers run, read-only) shadow, and folds
+// the shards' wake marks into the flags.
 func (sch *Scheduler) rescoreShards(s *shadow) {
-	shards := sch.kern.shards[:sch.kern.k]
+	st := &sch.kern
+	shards := st.shards[:st.k]
 	if len(shards) == 1 {
 		shards[0].rescore(sch, s)
 		return
@@ -234,6 +289,34 @@ func (sch *Scheduler) rescoreShards(s *shadow) {
 		}()
 	}
 	wg.Wait()
+	for _, sh := range shards {
+		for vi, w := range sh.woke[:len(s.vms)] {
+			if w {
+				st.flags[vi] |= rowWoke
+				sh.woke[vi] = false
+			}
+		}
+	}
+}
+
+// wake voids row vi's verdict: a wake condition fired on the shard.
+func (sh *solverShard) wake(st *slabKernel, vi int) {
+	if st.k == 1 {
+		st.flags[vi] |= rowWoke
+	} else {
+		sh.woke[vi] = true
+	}
+}
+
+// timeRow evaluates row vi's move terms for the round, one
+// scoreTimeMove per class.
+func (sch *Scheduler) timeRow(s *shadow, vi int) {
+	st := &sch.kern
+	time := st.time[vi*(len(st.classes)+1):]
+	for g, cl := range st.classes {
+		time[g] = sch.scoreTimeMove(s, vi, cl)
+	}
+	st.flags[vi] |= rowTimed
 }
 
 // score is Score(ni, vi) composed from the cached base cell and the
@@ -315,8 +398,7 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 	sch.buildKernel(s, hosts, cands, k)
 
 	limit := sch.iterationLimit(V)
-	const eps = 1e-9
-	moves := 0
+	moves, skips, converged := 0, 0, false
 	for iter := 0; iter < limit; iter++ {
 		// The arbiter: pick the globally best move from the per-row
 		// bests. Ordering is deterministic — lowest score wins, ties
@@ -324,10 +406,18 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 		// across VMs (strict < on the scan) — which is exactly the
 		// naive evaluator's full-matrix scan order.
 		bestVI, bestNI := -1, -1
-		bestDiff := -eps
+		bestDiff := -moveEps
 		for vi := 0; vi < V; vi++ {
+			f := st.flags[vi]
+			if f&(rowTimed|rowWoke) == 0 {
+				skips++
+				continue // dormant: provably above its threshold
+			}
 			if sch.pinned(s, vi) {
 				continue // every cell of the row is +Inf
+			}
+			if f&rowTimed == 0 {
+				sch.timeRow(s, vi)
 			}
 			sc, ni := st.bestTarget(s, vi)
 			if ni < 0 {
@@ -341,7 +431,7 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 			if math.IsInf(cur, 1) {
 				ni, diff = st.firstTarget(s, vi), math.Inf(-1)
 			} else {
-				threshold := -eps
+				threshold := -moveEps
 				if cands[vi].State != vm.Queued {
 					// Migration hysteresis (queued VMs are exempt).
 					threshold = -sch.cfg.MigrationGainMin
@@ -356,6 +446,7 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 			}
 		}
 		if bestVI < 0 {
+			converged = true
 			break // no negative values left: suboptimal solution found
 		}
 		if sch.traceVerb >= obs.TraceActions {
@@ -389,10 +480,27 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 		if bestNI == s.initial[bestVI] {
 			key.initial = hosts[bestNI].ID // moved back: as at round start
 		}
-		st.staleRow[bestVI] = true
+		st.flags[bestVI] |= rowStale
 		sch.rescoreShards(s)
-		st.staleRow[bestVI] = false
+		st.flags[bestVI] &^= rowStale
 	}
+
+	// Hand out the verdicts: every row when the climb converged, else
+	// keep only those of the rows that stayed dormant throughout (they
+	// still date from verdictNow).
+	for vi, f := range st.flags[:V] {
+		rs := &st.rows[st.rowOrd[vi]]
+		switch {
+		case converged:
+			rs.progress = cands[vi].Progress
+		case f&(rowTimed|rowWoke) != 0:
+			rs.progress = math.NaN()
+		}
+	}
+	if converged {
+		st.verdictNow = s.now
+	}
+	sch.Stats.DormantSkips += skips
 	sch.Stats.Moves += moves
 	sch.Stats.LastShards = k
 	for _, sh := range st.shards[:k] {
@@ -527,9 +635,9 @@ func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 
 	st.prev = append(st.prev[:0], st.rowOrd...)
 	st.rowOrd = grow(st.rowOrd, V)
-	st.staleRow = grow(st.staleRow, V)
+	st.flags = grow(st.flags, V)
 	dropRow := func(r int) {
-		st.rows[r] = rowKey{}
+		st.rows[r] = rowSlot{}
 		st.rowFree = append(st.rowFree, r)
 	}
 	staleRows, pr := 0, 0
@@ -543,7 +651,7 @@ func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 		}
 		if r < 0 {
 			if r = takeSlot(&st.rowFree, len(st.rows)); r == len(st.rows) {
-				st.rows = append(st.rows, rowKey{})
+				st.rows = append(st.rows, rowSlot{})
 			}
 		}
 		initial := -1
@@ -555,9 +663,10 @@ func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 			cpu: v.Req.CPU, mem: v.Req.Mem, arch: v.Req.Arch, hyp: v.Req.Hypervisor,
 			ftol: v.FaultTolerance, initial: initial,
 		}
-		st.rowOrd[vi], st.staleRow[vi] = r, !carry || st.rows[r] != key
-		if st.staleRow[vi] {
-			st.rows[r] = key
+		st.rowOrd[vi], st.flags[vi] = r, 0
+		if !carry || st.rows[r].rowKey != key {
+			st.rows[r] = rowSlot{rowKey: key, progress: math.NaN()}
+			st.flags[vi] = rowStale
 			staleRows++
 		}
 	}
@@ -566,20 +675,33 @@ func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 	}
 
 	st.fit()
+	if k > 1 {
+		for _, sh := range shards {
+			sh.woke = grow(sh.woke, V)
+			clear(sh.woke)
+		}
+	}
+	// Every row gets its stay term; only a row whose verdict does not
+	// hold gets its move terms (wake conditions 1 and 4–6; a NaN
+	// progress is no verdict).
 	C := len(st.classes)
 	st.time = grow(st.time, V*(C+1))
-	for vi := range cands {
-		time := st.time[vi*(C+1):][:C+1]
-		for g, cl := range st.classes {
-			time[g] = sch.scoreTimeMove(s, vi, cl)
-		}
+	rewound := s.now < st.verdictNow
+	for vi, v := range cands {
+		stay := 0.0
 		if s.assign[vi] >= 0 {
-			time[C] = sch.scoreTimeStay(s, vi)
+			stay = sch.scoreTimeStay(s, vi)
+		}
+		st.time[vi*(C+1)+C] = stay
+		if rewound || st.rows[st.rowOrd[vi]].progress != v.Progress || s.assign[vi] >= 0 && stay != sch.stayAt(v, st.verdictNow) {
+			sch.timeRow(s, vi)
 		}
 	}
 
 	sch.rescoreShards(s)
-	clear(st.staleRow)
+	for vi := range st.flags[:V] {
+		st.flags[vi] &^= rowStale
+	}
 	for _, c := range st.staleCols {
 		if st.colNi[c] < 0 {
 			st.colFree = append(st.colFree, c)
@@ -602,18 +724,18 @@ func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 // rescore re-scores the shard's part of the kernel's work list — the
 // stale columns it owns, then its slab of every stale row — and
 // repairs the records that invalidates. May run on a worker: touches
-// only the shard's own slab and records plus read-only scheduler,
-// kernel and shadow state.
+// only the shard's own slab, records and wake marks plus read-only
+// scheduler, kernel and shadow state.
 func (sh *solverShard) rescore(sch *Scheduler, s *shadow) {
 	st := &sch.kern
-	stale := st.staleRow[:len(s.vms)]
+	flags := st.flags[:len(s.vms)]
 	for _, c := range st.staleCols {
 		if c%st.k == sh.id {
-			sh.rescoreColumn(sch, s, c, stale)
+			sh.rescoreColumn(sch, s, c, flags)
 		}
 	}
-	for vi, is := range stale {
-		if !is {
+	for vi, f := range flags {
+		if f&rowStale == 0 {
 			continue
 		}
 		row := sh.base[st.rowOrd[vi]*st.stride:]
@@ -632,12 +754,13 @@ func (sh *solverShard) rescore(sch *Scheduler, s *shadow) {
 // not stale itself and repairs the ⟨row, class⟩ records that
 // invalidates: a cell that did not change needs nothing, a holder that
 // improved stays the holder, a holder that got worse costs a rescan of
-// that class of that row, and any other cell is offered.
-func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int, stale []bool) {
+// that class of that row, and any other cell is offered. A changed cell
+// of the row's own hosts and a lowered record minimum wake the row.
+func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int, flags []rowFlags) {
 	st := &sch.kern
 	ni, g, p, C := st.colNi[c], st.colClass[c], c/st.k, len(st.classes)
-	for vi, is := range stale {
-		if is {
+	for vi, f := range flags {
+		if f&rowStale != 0 {
 			continue
 		}
 		rs := st.rowOrd[vi]
@@ -652,13 +775,18 @@ func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int, stale []b
 		}
 		sh.base[rs*st.stride+p] = b
 		if ni >= 0 && (ni == s.assign[vi] || ni == s.initial[vi]) {
+			sh.wake(st, vi)
 			continue // not in the records
 		}
 		switch r := &sh.rec[rs*C+g]; {
 		case r.slot != c:
+			if b < r.min {
+				sh.wake(st, vi)
+			}
 			r.offer(b, c, ni, st.colNi)
 		case b < old:
 			r.min = b
+			sh.wake(st, vi)
 		default:
 			sh.rescan(st, s, vi, g)
 		}

@@ -6,14 +6,16 @@ import (
 	"strings"
 
 	"energysched/internal/policy"
+	"energysched/internal/vm"
 )
 
 // Matrix is a rendered score matrix, the artifact §III-B of the paper
 // walks through: one row per host (plus the scheduler's virtual host
 // HV), one column per candidate VM. Raw holds Score(h, vm); Centered
 // holds the same values after subtracting each VM's current-host cost,
-// so negative cells are improving moves and the most negative cell is
-// the move the hill-climbing solver applies first.
+// so negative cells are improving moves, and BestMove picks among those
+// that clear their VM's Threshold the move the hill-climbing solver
+// applies first.
 //
 // It exists for explainability: operators can ask the scheduler *why*
 // it placed or moved a VM by dumping the round's matrix.
@@ -30,6 +32,10 @@ type Matrix struct {
 	// Current[j] is the row index of VM j's current host (the HV row
 	// for queued VMs).
 	Current []int
+	// Threshold[j] is the largest centered value the solver applies
+	// for VM j: −1e-9 for a queued VM, −MigrationGainMin (the migration
+	// hysteresis) for a running one.
+	Threshold []float64
 }
 
 // Matrix computes the score matrix for the given context without
@@ -59,8 +65,13 @@ func (sch *Scheduler) Matrix(ctx *policy.Context) *Matrix {
 		m.Centered[i] = make([]float64, len(cands))
 	}
 	m.Current = make([]int, len(cands))
+	m.Threshold = make([]float64, len(cands))
 
-	for vi := range cands {
+	for vi, v := range cands {
+		m.Threshold[vi] = -moveEps
+		if v.State != vm.Queued {
+			m.Threshold[vi] = -sch.cfg.MigrationGainMin
+		}
 		cur := sch.cfg.QueueScore
 		m.Current[vi] = rows - 1
 		if s.assign[vi] >= 0 {
@@ -93,22 +104,22 @@ func (sch *Scheduler) Matrix(ctx *policy.Context) *Matrix {
 	return m
 }
 
-// BestMove returns the most negative centered cell — the move the
-// solver would apply first — or ok=false if no improving move exists.
+// BestMove returns the move the solver applies first, or ok=false if no
+// move clears its VM's threshold. It scans as the solver's arbiter
+// does: VM by VM, the lowest centered cell wins, ties to the lowest
+// host index within a VM and to the earliest VM across VMs. An
+// infeasible current host centers every feasible cell to −Inf, so the
+// VM's first feasible host wins.
 func (m *Matrix) BestMove() (host, vmIdx int, diff float64, ok bool) {
-	best := math.Inf(1)
-	for i, row := range m.Centered {
-		for j, v := range row {
-			if i == m.Current[j] {
-				continue
-			}
-			if v < best {
-				best = v
-				host, vmIdx = i, j
+	best := -moveEps
+	for j, threshold := range m.Threshold {
+		for i, row := range m.Centered {
+			if d := row[j]; i != m.Current[j] && d <= threshold && d < best {
+				best, host, vmIdx, ok = d, i, j, true
 			}
 		}
 	}
-	if math.IsInf(best, 1) || best >= 0 {
+	if !ok {
 		return 0, 0, 0, false
 	}
 	return host, vmIdx, best, true

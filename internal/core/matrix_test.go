@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +98,46 @@ func TestMatrixBestMoveMatchesSchedule(t *testing.T) {
 	}
 	if pl.Node != c.Nodes[host].ID {
 		t.Errorf("matrix best host %d vs scheduler choice %d", c.Nodes[host].ID, pl.Node)
+	}
+}
+
+// TestMatrixBestMoveIsFirstMove: BestMove is the move a naive scheduler
+// applies first (MaxIterations = 1), round after round of a churning
+// 12-node paper-class cluster under SB — with the migration hysteresis
+// rejecting small gains and the arbiter's VM-major tie order deciding
+// between VMs.
+func TestMatrixBestMoveIsFirstMove(t *testing.T) {
+	const seeds, rounds = 30, 30
+	agree := 0
+	for seed := 0; seed < seeds; seed++ {
+		cs := newChurnSim(int64(6600+seed), churnCluster(12), 3)
+		drive := MustScheduler(SBConfig())
+		cfg := SBConfig()
+		cfg.NaiveSolver, cfg.MaxIterations = true, 1
+		first := MustScheduler(cfg)
+		for round := 0; round < rounds; round++ {
+			cs.churn()
+			ctx := cs.context()
+			m := first.Matrix(ctx)
+			want := renderActions(first.Schedule(ctx))
+			var got []string
+			if host, vmIdx, _, ok := m.BestMove(); ok {
+				kind := "migrate"
+				if m.Current[vmIdx] == len(m.HostLabels)-1 {
+					kind = "place"
+				}
+				got = []string{fmt.Sprintf("%s %s -> %s", kind, strings.ToLower(m.VMLabels[vmIdx]), strings.Replace(m.HostLabels[host], "H", "n", 1))}
+			}
+			if slices.Equal(got, want) {
+				agree++
+			} else {
+				t.Errorf("seed %d round %d: BestMove %v, first move %v", seed, round, got, want)
+			}
+			cs.apply(drive.Schedule(ctx))
+		}
+	}
+	if agree != seeds*rounds {
+		t.Fatalf("BestMove agreed with the first move in %d of %d rounds", agree, seeds*rounds)
 	}
 }
 

@@ -81,6 +81,10 @@ type SolverStats struct {
 	// ReusedCells counts base-matrix cells carried across rounds
 	// without re-evaluation: V×H minus the round-start evaluations.
 	ReusedCells int
+	// DormantSkips counts arbiter row visits skipped because the row
+	// was dormant: provably non-improving since an earlier round's
+	// verdict (see kernel.go).
+	DormantSkips int
 
 	// --- column shards (see kernel.go) ---
 
@@ -158,6 +162,9 @@ func (sch *Scheduler) candidates(ctx *policy.Context, buf []*vm.VM) []*vm.VM {
 	}
 	return cands
 }
+
+// moveEps is the least improvement the hill climber applies.
+const moveEps = 1e-9
 
 // iterationLimit bounds the hill-climbing loop for a round over n
 // candidates.
@@ -255,18 +262,17 @@ func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.V
 	}
 
 	limit := sch.iterationLimit(len(cands))
-	const eps = 1e-9
 	moves := 0
 	for iter := 0; iter < limit; iter++ {
 		// Find the most negative improvement in the whole matrix.
 		bestVI, bestNI := -1, -1
-		bestDiff := -eps
+		bestDiff := -moveEps
 		for vi := range cands {
 			cur := currentScore(vi)
 			// Migration hysteresis: moving an already-running VM must
 			// beat the configured gain (queued VMs and VMs on
 			// infeasible hosts always move).
-			threshold := -eps
+			threshold := -moveEps
 			if cands[vi].State != vm.Queued && !math.IsInf(cur, 1) {
 				threshold = -sch.cfg.MigrationGainMin
 			}

@@ -232,9 +232,15 @@ func (sch *Scheduler) pinned(s *shadow, vi int) bool {
 // scoreTimeStay is scoreTime at the VM's current host: Pvirt is zero
 // (no operation needed) and PSLA sees no operation overhead.
 func (sch *Scheduler) scoreTimeStay(s *shadow, vi int) float64 {
+	return sch.stayAt(s.vms[vi], s.now)
+}
+
+// stayAt is scoreTimeStay of v as of virtual time now: the kernel also
+// asks it for the time of a dormant row's verdict.
+func (sch *Scheduler) stayAt(v *vm.VM, now float64) float64 {
 	total := 0.0
 	if sch.cfg.EnableSLA {
-		p, infinite := sch.pSLAWith(s, vi, 0)
+		p, infinite := sch.pSLA(v, now, 0)
 		if infinite {
 			return math.Inf(1)
 		}
@@ -265,7 +271,7 @@ func (sch *Scheduler) scoreTimeMove(s *shadow, vi int, cl *cluster.Class) float6
 		if s.vms[vi].State == vm.Queued {
 			overhead = cl.CreateCost
 		}
-		p, infinite := sch.pSLAWith(s, vi, overhead)
+		p, infinite := sch.pSLA(s.vms[vi], s.now, overhead)
 		if infinite {
 			return math.Inf(1)
 		}
@@ -329,15 +335,14 @@ func (sch *Scheduler) pPower(s *shadow, ni, vi int, occ float64) float64 {
 	return p
 }
 
-// pSLAWith implements the dynamic SLA enforcement penalty from the
-// estimated fulfillment of the VM given the operation overhead of the
-// candidate host (zero when the VM would stay put).
-func (sch *Scheduler) pSLAWith(s *shadow, vi int, overhead float64) (penalty float64, infinite bool) {
+// pSLA implements the dynamic SLA enforcement penalty at virtual time
+// now from the estimated fulfillment of v given the operation overhead
+// of the candidate host (zero when the VM would stay put).
+func (sch *Scheduler) pSLA(v *vm.VM, now, overhead float64) (penalty float64, infinite bool) {
 	cfg := &sch.cfg
-	v := s.vms[vi]
 	// Assume the candidate host can grant the full requested CPU
 	// (P_res already guaranteed the reservation fits).
-	f := sla.Fulfillment(s.now, v.Submit, v.Deadline, v.Remaining(), v.Req.CPU, overhead)
+	f := sla.Fulfillment(now, v.Submit, v.Deadline, v.Remaining(), v.Req.CPU, overhead)
 	switch {
 	case f >= 1:
 		return 0, false

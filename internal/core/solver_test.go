@@ -307,7 +307,8 @@ func (cs *churnSim) context() *policy.Context {
 }
 
 // apply actuates a round's actions instantly, restarts the touched
-// sets from them and advances the clock to the next round.
+// sets from them, accrues progress and advances the clock to the next
+// round.
 func (cs *churnSim) apply(acts []policy.Action) {
 	clear(cs.touchedVMs)
 	clear(cs.touchedNodes)
@@ -332,6 +333,14 @@ func (cs *churnSim) apply(acts []policy.Action) {
 			v.Migrations++
 			v.Touch()
 			cs.touchedVMs[v.ID] = true
+		}
+	}
+	// Progress accrues without Touch, as the datacenter's accrual does
+	// (lazily, at node events): here on a rotating third of the running
+	// VMs per round.
+	for _, v := range cs.vms {
+		if v.State == vm.Running && (v.ID+int(cs.now/60))%3 == 0 {
+			v.Progress += v.Req.CPU * 60
 		}
 	}
 	cs.now += 60
@@ -370,11 +379,26 @@ func checkKernel(t *testing.T, sch *Scheduler) {
 		if st.rows[rs].vm != s.vms[vi] {
 			t.Fatalf("vm index %d: row slot %d belongs to %v", vi, rs, st.rows[rs].vm)
 		}
+		// A dormant row's move terms are not this round's: it must be
+		// non-improving against the fresh scores instead. The stay term
+		// is every row's.
+		f := st.flags[vi]
+		timed, dormant := f&rowTimed != 0, f&(rowTimed|rowWoke) == 0
+		if dormant && s.assign[vi] != s.initial[vi] {
+			t.Fatalf("vm index %d: dormant row moved", vi)
+		}
+		cur, threshold := sch.cfg.QueueScore, -moveEps
+		if a := s.assign[vi]; a >= 0 {
+			cur = sch.score(s, a, vi)
+		}
+		if s.vms[vi].State != vm.Queued && !math.IsInf(cur, 1) {
+			threshold = -sch.cfg.MigrationGainMin
+		}
 		// Naive-order scan of the fresh full scores.
 		best, bestn, first := math.Inf(1), -1, -1
 		for ni := range s.nodes {
 			sc := sch.score(s, ni, vi)
-			if !sch.pinned(s, vi) {
+			if !sch.pinned(s, vi) && (timed || ni == s.initial[vi]) {
 				if got := st.score(s, vi, ni); got != sc {
 					t.Fatalf("composed score (vm index %d, host index %d) = %v, fresh score %v", vi, ni, got, sc)
 				}
@@ -388,8 +412,11 @@ func checkKernel(t *testing.T, sch *Scheduler) {
 			if sc < best {
 				best, bestn = sc, ni
 			}
+			if diff := sc - cur; dormant && (math.IsInf(cur, 1) || diff <= threshold && diff < -moveEps) {
+				t.Fatalf("dormant row of vm index %d improves by %v on host index %d (threshold %v)", vi, diff, ni, threshold)
+			}
 		}
-		if !sch.pinned(s, vi) {
+		if !sch.pinned(s, vi) && timed {
 			if sc, ni := st.bestTarget(s, vi); sc != best || ni != bestn {
 				t.Fatalf("best target of vm index %d = %v at %d, naive scan says %v at %d", vi, sc, ni, best, bestn)
 			}

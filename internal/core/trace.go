@@ -129,7 +129,7 @@ func (sch *Scheduler) traceTerms(s *shadow, vi, ni int) *obs.ScoreTerms {
 				overhead = cl.CreateCost
 			}
 		}
-		if p, infinite := sch.pSLAWith(s, vi, overhead); !infinite {
+		if p, infinite := sch.pSLA(s.vms[vi], s.now, overhead); !infinite {
 			t.SLA = p
 		}
 	}

@@ -1,0 +1,75 @@
+package datacenter
+
+import (
+	"testing"
+
+	"energysched/internal/core"
+	"energysched/internal/metrics"
+	"energysched/internal/obs"
+	"energysched/internal/workload"
+)
+
+// TestDormantRowsOnPaperDay measures the solver's dormant rows on the
+// workload they were built for: one calibrated paper day under SB. Most
+// arbiter row visits must find a dormant row, and skipping them must
+// leave the report bit-identical to a run that re-scores every row each
+// round (FreshMatrix, which has no dormant rows) and to the naive oracle.
+func TestDormantRowsOnPaperDay(t *testing.T) {
+	gen := workload.DefaultGeneratorConfig()
+	gen.Horizon = 24 * 3600
+	trace := workload.MustGenerate(gen)
+
+	run := func(cfg core.Config, tracer obs.TraceSink) (metrics.Report, core.SolverStats) {
+		t.Helper()
+		sch := core.MustScheduler(cfg)
+		sch.Tracer = tracer
+		sim, err := New(Config{Trace: trace, Policy: sch, LambdaMin: 30, LambdaMax: 90, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, sch.Stats
+	}
+
+	visits := &rowVisits{}
+	carry, st := run(core.SBConfig(), visits)
+	share := float64(st.DormantSkips) / float64(visits.n)
+	t.Logf("%d rounds, %d of %d arbiter row visits dormant (%.1f %%)", st.Rounds, st.DormantSkips, visits.n, 100*share)
+	if share < 0.7 {
+		t.Errorf("%.1f %% of arbiter row visits were dormant, want at least 70 %%", 100*share)
+	}
+
+	cfg := core.SBConfig()
+	cfg.FreshMatrix = true
+	fresh, freshStats := run(cfg, nil)
+	if fresh != carry {
+		t.Errorf("dormant rows changed the trajectory:\nkernel: %+v\nfresh:  %+v", carry, fresh)
+	}
+	if freshStats.DormantSkips != 0 {
+		t.Errorf("FreshMatrix skipped %d dormant rows, want none", freshStats.DormantSkips)
+	}
+	cfg = core.SBConfig()
+	cfg.NaiveSolver = true
+	if naive, _ := run(cfg, nil); naive != carry {
+		t.Errorf("dormant rows diverged from the naive oracle:\nkernel: %+v\nnaive:  %+v", carry, naive)
+	}
+}
+
+// rowVisits is a round-level trace sink that counts the arbiter's row
+// visits: every candidate once per iteration, and a round iterates once
+// per applied move plus once to find none left — unless the iteration
+// limit stopped it.
+type rowVisits struct{ n int }
+
+func (r *rowVisits) Verbosity() obs.Verbosity { return obs.TraceRounds }
+
+func (r *rowVisits) Emit(rt obs.RoundTrace) {
+	iters := rt.Moves
+	if !rt.LimitHit {
+		iters++
+	}
+	r.n += rt.Candidates * iters
+}
