@@ -389,6 +389,61 @@ func BenchmarkScoreSolverRoundTicking(b *testing.B) {
 	b.ReportMetric(float64(sch.Stats.DormantSkips-skips)/float64(b.N), "skips/round")
 }
 
+// quietRoundSetup runs the paper's week under SB until 3.5 days in and
+// returns the scheduler with the context of its next round, after a
+// first Schedule on it has converged without acting: a round on
+// unchanged state, the most common round of the paper week.
+func quietRoundSetup(b *testing.B) (*core.Scheduler, *policy.Context) {
+	b.Helper()
+	trace := GenerateTrace(TraceOptions{Days: 7, Seed: 1})
+	sch := core.MustScheduler(core.SBConfig())
+	sim, err := datacenter.New(datacenter.Config{Trace: trace, Policy: sch, LambdaMin: 30, LambdaMax: 90, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const at = 3.5 * 24 * 3600
+	sim.Start()
+	for _, j := range trace.Jobs {
+		if j.Submit >= at {
+			break
+		}
+		if _, err := sim.Inject(j); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sim.StepBefore(at)
+	ctx := &policy.Context{Now: sim.Now(), Cluster: sim.Cluster(), Queue: sim.AppendQueue(nil), LambdaMin: 30, LambdaMax: 90}
+	for _, v := range sim.VMs() {
+		if v.Active() {
+			ctx.Active = append(ctx.Active, v)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if acts := sch.Schedule(ctx); len(acts) != 0 {
+			b.Fatalf("round %d on the day-3.5 state acts: %v", i, acts)
+		}
+	}
+	return sch, ctx
+}
+
+// A round on unchanged state: every row and column carried and every
+// row dormant, so the round costs its stamp checks and nothing else.
+func BenchmarkScoreSolverRoundQuiet(b *testing.B) {
+	sch, ctx := quietRoundSetup(b)
+	evals, skips := sch.Stats.ScoreEvals, sch.Stats.DormantSkips
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sch.Schedule(ctx)
+	}
+	b.StopTimer()
+	if sch.Stats.ScoreEvals != evals {
+		b.Fatalf("quiet rounds evaluated %d scores", sch.Stats.ScoreEvals-evals)
+	}
+	b.ReportMetric(float64(len(ctx.Active)+len(ctx.Queue)), "vms")
+	b.ReportMetric(float64(sch.Stats.DormantSkips-skips)/float64(b.N), "skips/round")
+}
+
 // The same churn loop with the carry disabled — the full per-round
 // matrix rebuild the carry replaces.
 func BenchmarkScoreSolverRoundChurnFresh(b *testing.B) {

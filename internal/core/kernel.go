@@ -9,6 +9,7 @@ import (
 
 	"energysched/internal/cluster"
 	"energysched/internal/obs"
+	"energysched/internal/policy"
 	"energysched/internal/vm"
 )
 
@@ -33,23 +34,40 @@ import (
 // The kernel therefore keeps only the base matrix, and keeps it across
 // rounds: every candidate VM owns a row slot and every On host a
 // column slot for as long as it stays in the matrix, so an unchanged
-// cell simply stays where it is. rowKey/colKey record the inputs each
-// slot's cells were computed from; the round-start build pairs this
-// round's candidates and hosts with last round's by an ascending-ID
-// merge scan (handing out and retiring slots as it goes), diffs the
-// keys against reality and re-scores the stale rows and columns in
-// place. The hill climb writes its hypothetical values into the same
-// matrix and its shadow loads into the touched keys (a moved row's key
-// is voided), so the next diff re-scores whatever actuation did not
-// turn into exactly that reality.
+// cell simply stays where it is. Each slot carries a stamp — the
+// entity, its change Epoch and, for a row, its resolved round-start
+// host — taken when its cells were computed. The setters that change a
+// scored field advance the Epoch (cluster.Node's mutators, vm.VM.Touch):
+// that is the contract, and checkKernel, which holds every carried cell
+// to a fresh evaluation, is its oracle, as cluster.CheckIndex is for
+// the state index.
+//
+// A round starts with one pass over its hosts (pairColumns) and one
+// over its candidates (pairRows). Each pairs the round's entities with
+// last round's slots by an ascending-ID merge over last round's ID
+// table, and checks each stamp; the host pass also seeds the shadow
+// loads, and the candidate pass applies the cooldown filter, resolves
+// the round-start hosts and checks each carried row's verdict (see
+// "Dormant rows"). Only what fails a check — stale rows and columns,
+// rows whose verdict no longer holds — goes on the round's work lists:
+// the stale rows and columns are re-scored in place, and the awake
+// rows are the only ones the arbiter, the verdict hand-out and the
+// action emission visit. A quiet round, where nothing changed, thus
+// reads one stamp per host and one stamp, progress and stay term per
+// candidate, and evaluates nothing. The hill climb writes its
+// hypothetical values into the same matrix and voids the stamps of
+// what it moved (a column whose loads come back to the real ones
+// bit-exactly keeps its stamp), so the next round re-scores whatever
+// actuation did not turn into exactly that reality.
 //
 // The full score is never materialised. Per ⟨row, class⟩ a classRec
 // holds the minimum base over the class's columns, so the best move of
 // a row is a C-way combine of min + time(class) — base + time is the
 // float grouping score uses, and +Inf absorbs in either operand — and
-// each iteration picks the globally best move in O(V·C) instead of
-// O(V·H). A carry round thus costs O(V·C + stale rows·H + stale
-// columns·V) and a move O(V + H) evaluations.
+// each iteration picks the globally best move in O(awake·C) instead of
+// O(V·H). A round thus costs O(V + H) stamp checks, plus stale rows·H
+// and stale columns·V evaluations, plus O(awake·C) per iteration; a
+// move costs O(V + H) evaluations.
 //
 // Column slots are dealt to K shards (Config.Shards; one by default),
 // slot c to shard c mod K, each owning its own slab of the matrix and
@@ -76,16 +94,15 @@ import (
 //
 // Dormant rows: a round that ends with no improving move (not by the
 // iteration limit) proves every row non-improving at its Now, and the
-// row keeps that verdict — the VM's progress, stored beside its key —
-// until one of these wakes it:
+// row keeps that verdict — the VM's progress and stay term, stored in
+// its slot — until one of these wakes it:
 //
-//  1. the row is stale (new or changed key) or moved;
+//  1. the row is stale (new or changed stamp) or moved;
 //  2. a column re-score lowers one of its record minima (offered, or the
 //     holder improved; a rescan only ever raises a minimum);
 //  3. the cell of its current or round-start host changes;
 //  4. the VM's Progress differs from the verdict's;
-//  5. its stay term (scoreTimeStay) differs from the one at the
-//     verdict's time;
+//  5. its stay term (scoreTimeStay) differs from the verdict's;
 //  6. the kernel resets, FreshMatrix is set (both make every row
 //     stale), or Now is earlier than the verdicts' time.
 //
@@ -99,36 +116,41 @@ import (
 // unchanged, and every IEEE operation involved is monotone, so
 // fl(min + t_move) − fl(base_cur + t_stay) never falls.
 
-// rowKey identifies a matrix row (candidate VM) and records every
-// VM-side input its cells were computed from. A row is carried over
-// only if the same VM matches the whole key — the epoch guards against
-// mutations the value fields cannot see, the value fields guard
-// against mutations that bypassed Touch.
+// rowKey stamps a matrix row (candidate VM): the VM, its Epoch and its
+// resolved round-start host (node ID, -1 when queued or unresolvable,
+// moved when the hill climb left the row on another host than reality)
+// when the row's cells were computed. The VM's requirements and fault
+// tolerance change only together with its Epoch.
 type rowKey struct {
-	vm    *vm.VM
-	epoch uint64
-	// scoreBase inputs: requirements, fault tolerance, resolved
-	// current host (node ID, -1 when queued or unresolvable, moved
-	// when the hill climb left the row on another host than reality).
-	cpu, mem  float64
-	arch, hyp string
-	ftol      float64
-	initial   int
+	vm      *vm.VM
+	epoch   uint64
+	initial int
 }
 
 // moved voids a rowKey: no real host resolves to it.
 const moved = -2
 
-// rowSlot is a row slot's key plus the row's verdict (see "Dormant
-// rows"): the VM's Progress when the latest round that ended without an
-// improving move, at slabKernel.verdictNow, found the row non-improving
-// — NaN when the row has no verdict or something woke it since. Every
-// verdict dates from verdictNow, so its stay term is recomputed there
-// rather than stored: one word per row.
+// rowSlot is a row slot's stamp plus the row's verdict (see "Dormant
+// rows"): the VM's Progress and stay term when the latest round that
+// ended without an improving move found the row non-improving —
+// progress NaN when the row has no verdict or something woke it since.
 type rowSlot struct {
 	rowKey
-	progress float64
+	progress, stay float64
 }
+
+// colKey stamps a matrix column (host): the node and its Epoch when the
+// column's cells were computed. The node's power state, operation
+// counts, reliability and reservation sums change only together with
+// its Epoch.
+type colKey struct {
+	node  *cluster.Node
+	epoch uint64
+}
+
+// voided is the epoch of a column stamp the hill climb left on loads
+// other than the node's real ones: no node reaches it.
+const voided = math.MaxUint64
 
 // rowFlags are a candidate's per-round marks.
 type rowFlags uint8
@@ -139,21 +161,17 @@ const (
 	rowWoke                       // a wake condition voided the verdict
 )
 
-// colKey identifies a matrix column (host) and records every node-side
-// input its cells were computed from.
-type colKey struct {
-	node  *cluster.Node
-	class *cluster.Class
-	epoch uint64
-	state cluster.PowerState
-	// Reservation sums as seeded into the shadow (bit-stable for an
-	// unchanged node because the Node maintains them incrementally),
-	// then as the hill climb's moves left them.
-	cpu, mem  float64
-	count     int
-	creating  int
-	migrating int
-	rel       float64
+// awake reports whether the marks put a row on the awake list.
+func (f rowFlags) awake() bool { return f&(rowTimed|rowWoke) != 0 }
+
+// ref is one entry of a round's slot tables, by host or candidate
+// index: the entity's ID — the next round's merge reads it here, not
+// through the entity — and its slot; for a candidate also its marks and
+// its stay term this round (NaN until evaluated).
+type ref struct {
+	id, slot int
+	stay     float64
+	flags    rowFlags
 }
 
 // classRec summarises, for one row, one shard's columns of one node
@@ -208,10 +226,10 @@ type solverShard struct {
 	// byClass lists, per class, the shard's columns in the matrix (as
 	// c/K) in ascending node ID: what a record rebuild scans.
 	byClass [][]int
-	// woke are the shard's wake marks by candidate index at K > 1,
-	// folded into the kernel's flags after the fan-out (at K = 1 the
-	// shard marks the flags directly).
-	woke []bool
+	// woke lists the candidates the shard woke at K > 1, put on the
+	// kernel's awake list after the fan-out (at K = 1 the shard wakes
+	// them directly).
+	woke []int
 
 	// stats is the shard's private counter set; a worker only ever
 	// touches its own, and the round folds them into Scheduler.Stats.
@@ -238,21 +256,30 @@ type slabKernel struct {
 	// order; a class whose hosts all left keeps its (empty) records.
 	classes []*cluster.Class
 
-	// This round's tables: the slot of each candidate and each host
+	// This round's tables: an entry per host and per candidate
 	// (ascending IDs — next round's merge scan input), and per
-	// candidate scoreTimeMove for each class (rowTimed rows only), then
-	// scoreTimeStay.
-	rowOrd, colOrd []int
+	// candidate scoreTimeMove for each class (rowTimed rows only).
+	colRef, rowRef []ref
 	time           []float64
 
-	// The re-scoring work list: the marks of each candidate (rowStale
-	// rows are re-scored), stale columns by slot (a column that left is
-	// re-scored to +Inf).
-	flags     []rowFlags
-	staleCols []int
-	prev      []int // merge-scan scratch: last round's rowOrd or colOrd
-	// verdictNow is the Now of the latest round that gave verdicts.
-	verdictNow float64
+	// The round's work lists: the stale columns by slot (a column that
+	// left is re-scored to +Inf) and the awake candidates (timed or
+	// woken), in marking order — the candidate pass marks in candidate
+	// order, and the stale rows, whose cells are re-scored, are among
+	// the rows it marks.
+	staleCols, awake []int
+	staleRows        int // marked by this round's candidate pass
+
+	// Merge-scan scratch: last round's colRef or rowRef, and the
+	// candidate pass's position in it and last ID.
+	prev   []ref
+	pr     int
+	lastID int
+	// carry and rewound are the round's: the state carries over, and
+	// Now is earlier than verdictNow, the Now of the latest round that
+	// gave verdicts.
+	carry, rewound bool
+	verdictNow     float64
 }
 
 // shardCount resolves Config.Shards for a round over h hosts.
@@ -271,8 +298,8 @@ func (c Config) shardCount(h int) int {
 }
 
 // rescoreShards re-scores the kernel's work list, each shard its own
-// part, against the (while workers run, read-only) shadow, and folds
-// the shards' wake marks into the flags.
+// part, against the (while workers run, read-only) shadow, and puts
+// the rows the shards woke on the awake list.
 func (sch *Scheduler) rescoreShards(s *shadow) {
 	st := &sch.kern
 	shards := st.shards[:st.k]
@@ -290,45 +317,57 @@ func (sch *Scheduler) rescoreShards(s *shadow) {
 	}
 	wg.Wait()
 	for _, sh := range shards {
-		for vi, w := range sh.woke[:len(s.vms)] {
-			if w {
-				st.flags[vi] |= rowWoke
-				sh.woke[vi] = false
-			}
+		for _, vi := range sh.woke {
+			st.wake(vi)
 		}
+		sh.woke = sh.woke[:0]
 	}
 }
 
 // wake voids row vi's verdict: a wake condition fired on the shard.
 func (sh *solverShard) wake(st *slabKernel, vi int) {
 	if st.k == 1 {
-		st.flags[vi] |= rowWoke
+		st.wake(vi)
 	} else {
-		sh.woke[vi] = true
+		sh.woke = append(sh.woke, vi)
 	}
 }
 
-// timeRow evaluates row vi's move terms for the round, one
-// scoreTimeMove per class.
+// wake marks row vi woken, putting it on the awake list once.
+func (st *slabKernel) wake(vi int) {
+	r := &st.rowRef[vi]
+	if !r.flags.awake() {
+		st.awake = append(st.awake, vi)
+	}
+	r.flags |= rowWoke
+}
+
+// timeRow evaluates row vi's time terms for the round: one
+// scoreTimeMove per class, and the stay term unless the candidate pass
+// already has it.
 func (sch *Scheduler) timeRow(s *shadow, vi int) {
 	st := &sch.kern
-	time := st.time[vi*(len(st.classes)+1):]
+	r := &st.rowRef[vi]
+	if math.IsNaN(r.stay) {
+		r.stay = sch.scoreTimeStay(s, vi)
+	}
+	time := st.time[vi*len(st.classes):][:len(st.classes)]
 	for g, cl := range st.classes {
 		time[g] = sch.scoreTimeMove(s, vi, cl)
 	}
-	st.flags[vi] |= rowTimed
+	r.flags |= rowTimed
 }
 
 // score is Score(ni, vi) composed from the cached base cell and the
 // round's time terms (scoreTime's in-operation pin aside: the arbiter
 // skips pinned rows).
 func (st *slabKernel) score(s *shadow, vi, ni int) float64 {
-	c, C := st.colOrd[ni], len(st.classes)
-	g := st.colClass[c]
+	c, r := st.colRef[ni].slot, &st.rowRef[vi]
+	b := st.shards[c%st.k].base[r.slot*st.stride+c/st.k]
 	if ni == s.initial[vi] {
-		g = C
+		return b + r.stay
 	}
-	return st.shards[c%st.k].base[st.rowOrd[vi]*st.stride+c/st.k] + st.time[vi*(C+1)+g]
+	return b + st.time[vi*len(st.classes)+st.colClass[c]]
 }
 
 // bestTarget is the arbiter's per-row step: the lowest score in row vi
@@ -338,9 +377,9 @@ func (st *slabKernel) score(s *shadow, vi, ni int) float64 {
 func (st *slabKernel) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
 	best, bestNi = math.Inf(1), -1
 	C := len(st.classes)
-	time := st.time[vi*(C+1):][:C]
+	time := st.time[vi*C:][:C]
 	for _, sh := range st.shards[:st.k] {
-		for g, r := range sh.rec[st.rowOrd[vi]*C:][:C] {
+		for g, r := range sh.rec[st.rowRef[vi].slot*C:][:C] {
 			sc := r.min + time[g]
 			if math.IsInf(sc, 1) {
 				continue
@@ -366,8 +405,8 @@ func (st *slabKernel) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
 // index among row vi's targets of class g in the shard whose score is
 // sc, the class's minimum.
 func (sh *solverShard) tieHolder(st *slabKernel, s *shadow, vi, g int, sc float64) int {
-	t := st.time[vi*(len(st.classes)+1)+g]
-	row := sh.base[st.rowOrd[vi]*st.stride:]
+	t := st.time[vi*len(st.classes)+g]
+	row := sh.base[st.rowRef[vi].slot*st.stride:]
 	for _, p := range sh.byClass[g] {
 		if ni := st.colNi[p*st.k+sh.id]; row[p]+t == sc && ni != s.assign[vi] && ni != s.initial[vi] {
 			return ni
@@ -390,33 +429,33 @@ func (st *slabKernel) firstTarget(s *shadow, vi int) int {
 }
 
 // solveKernel runs the hill climber against the cached matrix, split
-// over k column shards. It applies exactly the same sequence of moves
-// as solveNaive.
-func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.VM, k int) {
-	V := len(cands)
+// over k column shards, on the round's hosts and the candidates it
+// collects into sch.cands. It applies exactly the same sequence of
+// moves as solveNaive, and returns the candidates it may have moved: the
+// awake list when it moved any (a row the arbiter moved is awake).
+func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*cluster.Node, k int) []int {
 	st := &sch.kern
-	sch.buildKernel(s, hosts, cands, k)
+	sch.buildKernel(ctx, s, hosts, k)
+	cands := sch.cands
+	V := len(cands)
 
 	limit := sch.iterationLimit(V)
 	moves, skips, converged := 0, 0, false
 	for iter := 0; iter < limit; iter++ {
 		// The arbiter: pick the globally best move from the per-row
-		// bests. Ordering is deterministic — lowest score wins, ties
+		// bests of the awake rows (a dormant row is provably above its
+		// threshold). Ordering is deterministic — lowest score wins, ties
 		// broken by lowest host index within a VM and by earliest VM
-		// across VMs (strict < on the scan) — which is exactly the
-		// naive evaluator's full-matrix scan order.
+		// across VMs — which is exactly the naive evaluator's
+		// full-matrix scan order.
 		bestVI, bestNI := -1, -1
 		bestDiff := -moveEps
-		for vi := 0; vi < V; vi++ {
-			f := st.flags[vi]
-			if f&(rowTimed|rowWoke) == 0 {
-				skips++
-				continue // dormant: provably above its threshold
-			}
+		skips += V - len(st.awake)
+		for _, vi := range st.awake {
 			if sch.pinned(s, vi) {
 				continue // every cell of the row is +Inf
 			}
-			if f&rowTimed == 0 {
+			if st.rowRef[vi].flags&rowTimed == 0 {
 				sch.timeRow(s, vi)
 			}
 			sc, ni := st.bestTarget(s, vi)
@@ -440,7 +479,7 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 					continue
 				}
 			}
-			if diff < bestDiff {
+			if diff < bestDiff || diff == bestDiff && vi < bestVI {
 				bestDiff = diff
 				bestVI, bestNI = vi, ni
 			}
@@ -461,40 +500,43 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 
 		// The move dirtied its endpoint columns (from is -1 when the VM
 		// left the queue) and the moved row. Their cells now follow the
-		// shadow, so the keys do too: next round's diff compares reality
-		// with what the cells hold, not with what they held at round
-		// start.
+		// shadow, so their stamps hold only where the shadow is reality:
+		// a column whose loads are the node's real ones again keeps its
+		// stamp, any other is voided, and so is the moved row's unless
+		// the VM is back on its round-start host.
 		st.staleCols = st.staleCols[:0]
 		for _, ni := range [2]int{from, bestNI} {
 			if ni < 0 {
 				continue
 			}
-			c := st.colOrd[ni]
-			key := &st.cols[c]
-			key.cpu, key.mem, key.count = s.cpu[ni], s.mem[ni], s.count[ni]
+			c := st.colRef[ni].slot
+			st.cols[c].epoch = voided
+			if s.atRest(ni) {
+				st.cols[c].epoch = hosts[ni].Epoch
+			}
 			st.staleCols = append(st.staleCols, c)
 			sch.Stats.ColRefreshes++
 		}
-		key := &st.rows[st.rowOrd[bestVI]]
+		r := &st.rowRef[bestVI]
+		key := &st.rows[r.slot]
 		key.initial = moved
 		if bestNI == s.initial[bestVI] {
 			key.initial = hosts[bestNI].ID // moved back: as at round start
 		}
-		st.flags[bestVI] |= rowStale
+		r.flags |= rowStale
 		sch.rescoreShards(s)
-		st.flags[bestVI] &^= rowStale
+		st.rowRef[bestVI].flags &^= rowStale
 	}
 
-	// Hand out the verdicts: every row when the climb converged, else
-	// keep only those of the rows that stayed dormant throughout (they
-	// still date from verdictNow).
-	for vi, f := range st.flags[:V] {
-		rs := &st.rows[st.rowOrd[vi]]
-		switch {
-		case converged:
-			rs.progress = cands[vi].Progress
-		case f&(rowTimed|rowWoke) != 0:
-			rs.progress = math.NaN()
+	// Hand out the verdicts: every awake row gets one when the climb
+	// converged — a dormant row's still holds, at the new Now too —
+	// and else loses its own.
+	for _, vi := range st.awake {
+		r := &st.rowRef[vi]
+		rs := &st.rows[r.slot]
+		rs.progress = math.NaN()
+		if converged {
+			rs.progress, rs.stay = cands[vi].Progress, r.stay
 		}
 	}
 	if converged {
@@ -508,6 +550,10 @@ func (sch *Scheduler) solveKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 		sch.Stats.RowRescans += sh.stats.RowRescans
 		sh.stats = SolverStats{}
 	}
+	if moves == 0 {
+		return nil
+	}
+	return st.awake
 }
 
 // reset drops the kernel's state and deals the slots over k shards.
@@ -518,7 +564,7 @@ func (st *slabKernel) reset(k int) {
 	st.k, st.rowCap, st.stride = k, 0, 0
 	st.rows, st.cols, st.colNi, st.colClass = st.rows[:0], st.cols[:0], st.colNi[:0], st.colClass[:0]
 	st.rowFree, st.colFree, st.classes = st.rowFree[:0], st.colFree[:0], st.classes[:0]
-	st.rowOrd, st.colOrd = st.rowOrd[:0], st.colOrd[:0]
+	st.rowRef, st.colRef = st.rowRef[:0], st.colRef[:0]
 	for _, sh := range st.shards[:k] {
 		sh.byClass = sh.byClass[:0]
 	}
@@ -565,142 +611,33 @@ func takeSlot(free *[]int, next int) int {
 	return next
 }
 
-// buildKernel brings the persistent matrix up to date with the round's
-// hosts and candidates: it pairs both with last round's slots, re-
-// scores what changed since and evaluates the round's time terms.
-func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.VM, k int) {
-	V, H := len(cands), len(hosts)
+// buildKernel brings the persistent matrix up to date with the round:
+// one pass pairs the hosts with last round's column slots, one pass
+// collects the candidates and pairs them with last round's row slots,
+// and then only the stale rows and columns are re-scored and only the
+// awake rows timed.
+func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*cluster.Node, k int) {
 	st := &sch.kern
-	carry := st.k == k && !sch.cfg.FreshMatrix
+	st.carry = st.k == k && !sch.cfg.FreshMatrix
 	if st.k != k {
 		st.reset(k)
 	}
 	shards := st.shards[:k]
 
-	// Hosts arrive in ascending node ID and candidates in ascending VM
-	// ID, as last round's did, so one merge scan each pairs them with
-	// their slots without a lookup structure. A column that left is
-	// re-scored too, to +Inf: that repairs the records pointing at it.
-	st.prev = append(st.prev[:0], st.colOrd...)
-	st.colOrd = grow(st.colOrd, H)
-	st.staleCols = st.staleCols[:0]
-	dropColumn := func(c int) {
-		list := &shards[c%k].byClass[st.colClass[c]]
-		at := slices.Index(*list, c/k)
-		*list = slices.Delete(*list, at, at+1)
-		st.cols[c], st.colNi[c] = colKey{}, -1
-		st.staleCols = append(st.staleCols, c)
-	}
-	staleCols, pc := 0, 0
-	for ni, n := range hosts {
-		c := -1
-		for ; c < 0 && pc < len(st.prev) && st.cols[st.prev[pc]].node.ID <= n.ID; pc++ {
-			if c = st.prev[pc]; st.cols[c].node != n {
-				dropColumn(c)
-				c = -1
-			}
-		}
-		if c < 0 {
-			if c = takeSlot(&st.colFree, len(st.cols)); c == len(st.cols) {
-				st.cols, st.colNi, st.colClass = append(st.cols, colKey{}), append(st.colNi, -1), append(st.colClass, 0)
-			}
-			g := slices.Index(st.classes, n.Class)
-			if g < 0 {
-				g = len(st.classes)
-				st.classes = append(st.classes, n.Class)
-				for _, sh := range shards {
-					sh.byClass = append(sh.byClass, nil)
-				}
-			}
-			st.colClass[c] = g
-			sh := shards[c%k]
-			at, _ := slices.BinarySearchFunc(sh.byClass[g], n.ID, func(p, id int) int { return cmp.Compare(st.cols[p*k+sh.id].node.ID, id) })
-			sh.byClass[g] = slices.Insert(sh.byClass[g], at, c/k)
-		}
-		key := colKey{
-			node: n, class: n.Class, epoch: n.Epoch, state: n.State,
-			cpu: s.cpu[ni], mem: s.mem[ni], count: s.count[ni],
-			creating: n.CreatingOps, migrating: n.MigratingOps, rel: n.Reliability,
-		}
-		if st.cols[c] != key {
-			st.cols[c] = key
-			st.staleCols = append(st.staleCols, c)
-			staleCols++
-		}
-		st.colOrd[ni], st.colNi[c] = c, ni
-	}
-	for _, c := range st.prev[pc:] {
-		dropColumn(c)
-	}
-
-	st.prev = append(st.prev[:0], st.rowOrd...)
-	st.rowOrd = grow(st.rowOrd, V)
-	st.flags = grow(st.flags, V)
-	dropRow := func(r int) {
-		st.rows[r] = rowSlot{}
-		st.rowFree = append(st.rowFree, r)
-	}
-	staleRows, pr := 0, 0
-	for vi, v := range cands {
-		r := -1
-		for ; r < 0 && pr < len(st.prev) && st.rows[st.prev[pr]].vm.ID <= v.ID; pr++ {
-			if r = st.prev[pr]; st.rows[r].vm.ID != v.ID {
-				dropRow(r)
-				r = -1
-			}
-		}
-		if r < 0 {
-			if r = takeSlot(&st.rowFree, len(st.rows)); r == len(st.rows) {
-				st.rows = append(st.rows, rowSlot{})
-			}
-		}
-		initial := -1
-		if a := s.assign[vi]; a >= 0 {
-			initial = hosts[a].ID
-		}
-		key := rowKey{
-			vm: v, epoch: v.Epoch,
-			cpu: v.Req.CPU, mem: v.Req.Mem, arch: v.Req.Arch, hyp: v.Req.Hypervisor,
-			ftol: v.FaultTolerance, initial: initial,
-		}
-		st.rowOrd[vi], st.flags[vi] = r, 0
-		if !carry || st.rows[r].rowKey != key {
-			st.rows[r] = rowSlot{rowKey: key, progress: math.NaN()}
-			st.flags[vi] = rowStale
-			staleRows++
-		}
-	}
-	for _, r := range st.prev[pr:] {
-		dropRow(r)
-	}
+	s.begin(ctx.Now, hosts, hosts[len(hosts)-1].ID)
+	st.rewound = s.now < st.verdictNow
+	staleCols := st.pairColumns(s, hosts)
+	sch.pairRows(ctx, s)
+	V, H := len(sch.cands), len(hosts)
 
 	st.fit()
-	if k > 1 {
-		for _, sh := range shards {
-			sh.woke = grow(sh.woke, V)
-			clear(sh.woke)
-		}
+	st.time = grow(st.time, V*len(st.classes))
+	for _, vi := range st.awake {
+		sch.timeRow(s, vi)
 	}
-	// Every row gets its stay term; only a row whose verdict does not
-	// hold gets its move terms (wake conditions 1 and 4–6; a NaN
-	// progress is no verdict).
-	C := len(st.classes)
-	st.time = grow(st.time, V*(C+1))
-	rewound := s.now < st.verdictNow
-	for vi, v := range cands {
-		stay := 0.0
-		if s.assign[vi] >= 0 {
-			stay = sch.scoreTimeStay(s, vi)
-		}
-		st.time[vi*(C+1)+C] = stay
-		if rewound || st.rows[st.rowOrd[vi]].progress != v.Progress || s.assign[vi] >= 0 && stay != sch.stayAt(v, st.verdictNow) {
-			sch.timeRow(s, vi)
-		}
-	}
-
 	sch.rescoreShards(s)
-	for vi := range st.flags[:V] {
-		st.flags[vi] &^= rowStale
+	for _, vi := range st.awake {
+		st.rowRef[vi].flags &^= rowStale
 	}
 	for _, c := range st.staleCols {
 		if st.colNi[c] < 0 {
@@ -714,31 +651,234 @@ func (sch *Scheduler) buildKernel(s *shadow, hosts []*cluster.Node, cands []*vm.
 	}
 	sch.Stats.ReusedCells += V*H - built
 	sch.Stats.MaxSlabCells = max(sch.Stats.MaxSlabCells, st.rowCap*st.stride)
-	if carry {
+	if st.carry {
 		sch.Stats.CarryRounds++
-		sch.Stats.StaleRows += staleRows
+		sch.Stats.StaleRows += st.staleRows
 		sch.Stats.StaleCols += staleCols
 	}
+}
+
+// pairColumns is the round's one pass over its hosts, which arrive in
+// ascending node ID as last round's did. Per host it seeds the shadow
+// loads and files the host's index (seed), pairs the host with its
+// column slot by a merge scan over last round's IDs — handing out a
+// slot to a new host, retiring those of hosts that left — and checks
+// the slot's stamp; a new or changed column goes on the stale list,
+// and so does a column that left, to be re-scored to +Inf: that repairs
+// the records pointing at it. It returns the number of stale columns
+// still in the matrix.
+func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int) {
+	st.prev = append(st.prev[:0], st.colRef...)
+	st.colRef = slices.Grow(st.colRef[:0], len(hosts))
+	st.staleCols = st.staleCols[:0]
+	pc := 0
+	for ni, n := range hosts {
+		s.seed(ni, n)
+		for ; pc < len(st.prev) && st.prev[pc].id < n.ID; pc++ {
+			st.dropColumn(st.prev[pc].slot)
+		}
+		c := -1
+		if pc < len(st.prev) && st.prev[pc].id == n.ID {
+			if c = st.prev[pc].slot; st.cols[c].node != n {
+				st.dropColumn(c)
+				c = -1
+			}
+			pc++
+		}
+		if c < 0 {
+			c = st.newColumn(n)
+		}
+		if key := (colKey{node: n, epoch: n.Epoch}); st.cols[c] != key {
+			st.cols[c] = key
+			st.staleCols = append(st.staleCols, c)
+			stale++
+		}
+		st.colRef = append(st.colRef, ref{id: n.ID, slot: c})
+		st.colNi[c] = ni
+	}
+	for _, p := range st.prev[pc:] {
+		st.dropColumn(p.slot)
+	}
+	return stale
+}
+
+// newColumn hands node n a column slot and files it in its shard's
+// class list.
+func (st *slabKernel) newColumn(n *cluster.Node) int {
+	c := takeSlot(&st.colFree, len(st.cols))
+	if c == len(st.cols) {
+		st.cols, st.colNi, st.colClass = append(st.cols, colKey{}), append(st.colNi, -1), append(st.colClass, 0)
+	}
+	g := slices.Index(st.classes, n.Class)
+	if g < 0 {
+		g = len(st.classes)
+		st.classes = append(st.classes, n.Class)
+		for _, sh := range st.shards[:st.k] {
+			sh.byClass = append(sh.byClass, nil)
+		}
+	}
+	st.colClass[c] = g
+	sh := st.shards[c%st.k]
+	at, _ := slices.BinarySearchFunc(sh.byClass[g], n.ID, func(p, id int) int { return cmp.Compare(st.cols[p*st.k+sh.id].node.ID, id) })
+	sh.byClass[g] = slices.Insert(sh.byClass[g], at, c/st.k)
+	return c
+}
+
+// dropColumn takes column slot c out of the matrix; it retires at the
+// end of the build, after the re-score to +Inf.
+func (st *slabKernel) dropColumn(c int) {
+	list := &st.shards[c%st.k].byClass[st.colClass[c]]
+	at := slices.Index(*list, c/st.k)
+	*list = slices.Delete(*list, at, at+1)
+	st.cols[c], st.colNi[c] = colKey{}, -1
+	st.staleCols = append(st.staleCols, c)
+}
+
+// pairRows is the round's one pass over its candidates: the movable
+// active VMs, then the queue. It collects them into sch.cands and, per
+// candidate, pairs it with its row slot, resolves its round-start host
+// into the shadow and checks its stamp, then its verdict (pairRow). The
+// pass retires the slots of the rows it passes over; one that meets the
+// candidates out of ID order (a requeued VM) takes those slots back,
+// sorts the candidates and runs again. The new rows get their slots
+// after the pass.
+func (sch *Scheduler) pairRows(ctx *policy.Context, s *shadow) {
+	st := &sch.kern
+	st.prev = append(st.prev[:0], st.rowRef...)
+	n := len(ctx.Queue) // at most the queue and the active VMs
+	if sch.cfg.Migration {
+		n += len(ctx.Active)
+	}
+	free := len(st.rowFree)
+	st.beginRows(s, n)
+	cands, ordered := sch.cands[:0], true
+	if sch.cfg.Migration {
+		cooldown := sch.cooldown()
+		for _, v := range ctx.Active {
+			if movable(v, ctx.Now, cooldown) {
+				cands = append(cands, v)
+				ordered = ordered && sch.pairRow(s, v)
+			}
+		}
+	}
+	for _, v := range ctx.Queue {
+		cands = append(cands, v)
+		ordered = ordered && sch.pairRow(s, v)
+	}
+	if !ordered {
+		st.rowFree = st.rowFree[:free]
+		slices.SortFunc(cands, func(a, b *vm.VM) int { return cmp.Compare(a.ID, b.ID) })
+		st.beginRows(s, n)
+		for _, v := range cands {
+			sch.pairRow(s, v)
+		}
+	}
+	sch.cands, s.vms = cands, cands
+
+	// Retire the slots of the rows past the last candidate, then hand
+	// slots to the new rows and stamp every stale one.
+	for _, p := range st.prev[st.pr:] {
+		st.dropRow(p.slot)
+	}
+	for _, vi := range st.awake {
+		r := &st.rowRef[vi]
+		if r.flags&rowStale == 0 {
+			continue
+		}
+		if r.slot < 0 {
+			if r.slot = takeSlot(&st.rowFree, len(st.rows)); r.slot == len(st.rows) {
+				st.rows = append(st.rows, rowSlot{})
+			}
+		}
+		st.rows[r.slot] = rowSlot{rowKey: rowKeyOf(cands[vi], s.initial[vi]), progress: math.NaN()}
+	}
+}
+
+// beginRows empties the candidate pass's tables, with room for n
+// candidates.
+func (st *slabKernel) beginRows(s *shadow, n int) {
+	st.rowRef, st.awake = slices.Grow(st.rowRef[:0], n), slices.Grow(st.awake[:0], n)
+	s.assign, s.initial = slices.Grow(s.assign[:0], n), slices.Grow(s.initial[:0], n)
+	st.pr, st.lastID, st.staleRows = 0, -1, 0
+}
+
+// dropRow retires row slot r. The slot keeps its stamp and cells until
+// it is handed out again, so a pass that runs again can take it back.
+func (st *slabKernel) dropRow(r int) { st.rowFree = append(st.rowFree, r) }
+
+// rowKeyOf is the stamp of candidate v resolved to host index ni.
+func rowKeyOf(v *vm.VM, ni int) rowKey {
+	key := rowKey{vm: v, epoch: v.Epoch, initial: -1}
+	if ni >= 0 {
+		key.initial = v.Host
+	}
+	return key
+}
+
+// pairRow is the candidate pass's step for v, the next candidate. It
+// advances the merge scan to v's row slot (a candidate without one gets
+// it after the pass), resolves v's round-start host and checks, in
+// order, the slot's stamp (a mismatch makes the row stale), the verdict's
+// progress and the verdict's stay term. A row that fails a check is
+// awake; one that passes them all is dormant and costs nothing further.
+// It reports false, doing nothing, for a candidate whose ID is not
+// above the last one's.
+func (sch *Scheduler) pairRow(s *shadow, v *vm.VM) bool {
+	st := &sch.kern
+	if v.ID <= st.lastID {
+		return false
+	}
+	st.lastID = v.ID
+	vi := len(st.rowRef)
+	for ; st.pr < len(st.prev) && st.prev[st.pr].id < v.ID; st.pr++ {
+		st.dropRow(st.prev[st.pr].slot)
+	}
+	r := ref{id: v.ID, slot: -1}
+	if st.pr < len(st.prev) && st.prev[st.pr].id == v.ID {
+		r.slot = st.prev[st.pr].slot
+		st.pr++
+	}
+	ni := s.hostOf(v)
+	s.assign, s.initial = append(s.assign, ni), append(s.initial, ni)
+	if ni >= 0 {
+		r.stay = math.NaN()
+	}
+	switch {
+	case r.slot < 0 || !st.carry || st.rows[r.slot].rowKey != rowKeyOf(v, ni):
+		r.flags = rowStale | rowWoke
+		st.staleRows++
+	case st.rewound || st.rows[r.slot].progress != v.Progress:
+		r.flags = rowWoke
+	case ni >= 0:
+		r.stay = sch.stayAt(v, s.now)
+		if r.stay != st.rows[r.slot].stay {
+			r.flags = rowWoke
+		}
+	}
+	if r.flags != 0 {
+		st.awake = append(st.awake, vi)
+	}
+	st.rowRef = append(st.rowRef, r)
+	return true
 }
 
 // rescore re-scores the shard's part of the kernel's work list — the
 // stale columns it owns, then its slab of every stale row — and
 // repairs the records that invalidates. May run on a worker: touches
-// only the shard's own slab, records and wake marks plus read-only
+// only the shard's own slab, records and wake list plus read-only
 // scheduler, kernel and shadow state.
 func (sh *solverShard) rescore(sch *Scheduler, s *shadow) {
 	st := &sch.kern
-	flags := st.flags[:len(s.vms)]
 	for _, c := range st.staleCols {
 		if c%st.k == sh.id {
-			sh.rescoreColumn(sch, s, c, flags)
+			sh.rescoreColumn(sch, s, c)
 		}
 	}
-	for vi, f := range flags {
-		if f&rowStale == 0 {
+	for _, vi := range st.awake {
+		if st.rowRef[vi].flags&rowStale == 0 {
 			continue
 		}
-		row := sh.base[st.rowOrd[vi]*st.stride:]
+		row := sh.base[st.rowRef[vi].slot*st.stride:]
 		for p, c := 0, sh.id; c < len(st.cols); p, c = p+1, c+st.k {
 			row[p] = math.Inf(1)
 			if ni := st.colNi[c]; ni >= 0 {
@@ -756,14 +896,14 @@ func (sh *solverShard) rescore(sch *Scheduler, s *shadow) {
 // improved stays the holder, a holder that got worse costs a rescan of
 // that class of that row, and any other cell is offered. A changed cell
 // of the row's own hosts and a lowered record minimum wake the row.
-func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int, flags []rowFlags) {
+func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int) {
 	st := &sch.kern
 	ni, g, p, C := st.colNi[c], st.colClass[c], c/st.k, len(st.classes)
-	for vi, f := range flags {
-		if f&rowStale != 0 {
+	for vi, r := range st.rowRef {
+		if r.flags&rowStale != 0 {
 			continue
 		}
-		rs := st.rowOrd[vi]
+		rs := r.slot
 		b := math.Inf(1)
 		if ni >= 0 {
 			b = sch.scoreBase(s, ni, vi)
@@ -796,7 +936,7 @@ func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int, flags []r
 // rescan rebuilds row vi's record of class g — of every class when g
 // is negative — from the shard's cached cells (no score evaluations).
 func (sh *solverShard) rescan(st *slabKernel, s *shadow, vi, g int) {
-	rs := st.rowOrd[vi]
+	rs := st.rowRef[vi].slot
 	row := sh.base[rs*st.stride:]
 	for i, list := range sh.byClass {
 		if g >= 0 && i != g {

@@ -41,6 +41,7 @@ type Scheduler struct {
 	hosts []*cluster.Node
 	cands []*vm.VM
 	sh    shadow
+	moved []int // the naive oracle's moved candidates (see Schedule)
 	out   []policy.Action
 	kern  slabKernel // see kernel.go
 }
@@ -128,9 +129,11 @@ func (sch *Scheduler) Config() Config { return sch.cfg }
 // buf, sorted by ID: every queued VM, plus — when migration is enabled
 // — every running VM outside its migration cooldown (creating and
 // migrating VMs are pinned by the in-operation rule and only add
-// noise, so they are left out of the matrix entirely). Both Schedule
-// and Matrix select candidates through here so the explainability
-// matrix never shows columns the solver would not consider.
+// noise, so they are left out of the matrix entirely). The naive oracle
+// and Matrix select candidates through here, and the slab kernel's
+// candidate pass (pairRows) through the same movable filter in the same
+// order, so the explainability matrix never shows columns the solver
+// would not consider.
 //
 // ctx.Active is already in ID order and a queue of fresh arrivals
 // carries the highest IDs, so active-then-queue is usually sorted as
@@ -139,18 +142,11 @@ func (sch *Scheduler) Config() Config { return sch.cfg }
 func (sch *Scheduler) candidates(ctx *policy.Context, buf []*vm.VM) []*vm.VM {
 	cands := buf[:0]
 	if sch.cfg.Migration {
-		cooldown := sch.cfg.MigrationCooldown
-		if cooldown == 0 {
-			cooldown = 3600
-		}
+		cooldown := sch.cooldown()
 		for _, v := range ctx.Active {
-			if v.State != vm.Running {
-				continue
+			if movable(v, ctx.Now, cooldown) {
+				cands = append(cands, v)
 			}
-			if cooldown > 0 && v.LastMigrate >= 0 && ctx.Now-v.LastMigrate < cooldown {
-				continue // anti-thrash: recently migrated VMs stay put
-			}
-			cands = append(cands, v)
 		}
 	}
 	cands = append(cands, ctx.Queue...)
@@ -161,6 +157,37 @@ func (sch *Scheduler) candidates(ctx *policy.Context, buf []*vm.VM) []*vm.VM {
 		}
 	}
 	return cands
+}
+
+// anyCandidate reports whether candidates would return any VM.
+func (sch *Scheduler) anyCandidate(ctx *policy.Context) bool {
+	if len(ctx.Queue) > 0 {
+		return true
+	}
+	if sch.cfg.Migration {
+		cooldown := sch.cooldown()
+		for _, v := range ctx.Active {
+			if movable(v, ctx.Now, cooldown) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// cooldown is the configured migration cooldown (0 selects one hour).
+func (sch *Scheduler) cooldown() float64 {
+	if sch.cfg.MigrationCooldown == 0 {
+		return 3600
+	}
+	return sch.cfg.MigrationCooldown
+}
+
+// movable reports whether active VM v is a migration candidate at now:
+// running, and outside its cooldown (a negative cooldown is none) —
+// anti-thrash: recently migrated VMs stay put.
+func movable(v *vm.VM, now, cooldown float64) bool {
+	return v.State == vm.Running && !(cooldown > 0 && v.LastMigrate >= 0 && now-v.LastMigrate < cooldown)
 }
 
 // moveEps is the least improvement the hill climber applies.
@@ -199,13 +226,7 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 
 	sch.hosts = ctx.Cluster.AppendOnline(sch.hosts[:0])
 	hosts := sch.hosts
-	if len(hosts) == 0 {
-		return nil
-	}
-
-	sch.cands = sch.candidates(ctx, sch.cands)
-	cands := sch.cands
-	if len(cands) == 0 {
+	if len(hosts) == 0 || !sch.anyCandidate(ctx) {
 		return nil
 	}
 
@@ -213,19 +234,24 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 	before := sch.Stats
 
 	s := &sch.sh
-	s.reset(ctx.Now, hosts, cands)
-
-	k := 0 // the round's shard count; 0 = the naive oracle
+	k := 0          // the round's shard count; 0 = the naive oracle
+	var moved []int // candidate indices, among them every one the climb moved
 	if sch.cfg.NaiveSolver {
-		sch.solveNaive(s, hosts, cands)
+		sch.cands = sch.candidates(ctx, sch.cands)
+		s.reset(ctx.Now, hosts, sch.cands)
+		moved = sch.solveNaive(s, hosts, sch.cands)
 	} else {
 		k = sch.cfg.shardCount(len(hosts))
-		sch.solveKernel(s, hosts, cands, k)
+		moved = sch.solveKernel(ctx, s, hosts, k)
 	}
+	cands := sch.cands
 
-	// Emit the actions that realize the final assignment.
+	// Emit the actions that realize the final assignment, in candidate
+	// order: only a VM the climb moved can be off its round-start host.
+	slices.Sort(moved)
 	out := sch.out[:0]
-	for vi, v := range cands {
+	for _, vi := range moved {
+		v := cands[vi]
 		from, to := s.initial[vi], s.assign[vi]
 		if from == to || to < 0 {
 			continue
@@ -247,8 +273,8 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 // solveNaive is the reference hill climber: every iteration rescans
 // the entire V×H matrix, recomputing each score against the current
 // shadow. O(I·V·H) score evaluations; kept as the differential-test
-// oracle for the slab kernel.
-func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.VM) {
+// oracle for the slab kernel. It returns the candidates it moved.
+func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.VM) []int {
 	// currentScore(vi): the cost of keeping the VM where it is — the
 	// virtual-host queue cost for queued VMs, its present host's
 	// score for running ones. Recomputed each iteration because moves
@@ -263,6 +289,7 @@ func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.V
 
 	limit := sch.iterationLimit(len(cands))
 	moves := 0
+	sch.moved = sch.moved[:0]
 	for iter := 0; iter < limit; iter++ {
 		// Find the most negative improvement in the whole matrix.
 		bestVI, bestNI := -1, -1
@@ -306,6 +333,9 @@ func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.V
 		if sch.traceVerb >= obs.TraceActions {
 			sch.traceMove(s, bestVI, bestNI)
 		}
+		if !slices.Contains(sch.moved, bestVI) {
+			sch.moved = append(sch.moved, bestVI)
+		}
 		s.move(bestVI, bestNI)
 		moves++
 		if iter == limit-1 {
@@ -313,6 +343,7 @@ func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.V
 		}
 	}
 	sch.Stats.Moves += moves
+	return sch.moved
 }
 
 // RankOff sorts idle nodes in place by descending turn-off preference

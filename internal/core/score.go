@@ -23,12 +23,41 @@ type shadow struct {
 	initial []int
 	vms     []*vm.VM
 	now     float64
-	// hostIdx is reset's node-ID-indexed lookup table: while reset runs
-	// it maps a host's ID to 1 + its index in nodes (0: not a host this
-	// round), so a candidate's host resolves in O(1). reset zeroes the
-	// entries it wrote before it returns — a walk over the round's hosts,
-	// O(online), never O(fleet) — so the table is all zero in between.
-	hostIdx []int32
+	// hostAt maps a host's node ID to its index in nodes, so a
+	// candidate's host resolves in O(1).
+	hostAt hostTable
+}
+
+// hostTable maps node IDs to this round's host indices. An entry holds
+// the round it was filed in beside the index, so a round starts by
+// advancing its number rather than by clearing what the last one filed:
+// an entry of an earlier round reads as "not a host".
+type hostTable struct {
+	at    []uint64 // round<<32 | host index; round 0 is never current
+	round uint32
+}
+
+// begin starts a round whose hosts have IDs up to maxID.
+func (t *hostTable) begin(maxID int) {
+	t.at = grow(t.at, maxID+1) // new entries are zero or of an earlier round
+	if t.round++; t.round == 0 {
+		clear(t.at[:cap(t.at)])
+		t.round = 1
+	}
+}
+
+// file records host index ni for node ID id.
+func (t *hostTable) file(id, ni int) { t.at[id] = uint64(t.round)<<32 | uint64(ni) }
+
+// index is the host index filed this round for node ID id, -1 if none.
+func (t *hostTable) index(id int) int {
+	if id < 0 || id >= len(t.at) {
+		return -1
+	}
+	if e := t.at[id]; uint32(e>>32) == t.round {
+		return int(uint32(e))
+	}
+	return -1
 }
 
 func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
@@ -38,41 +67,64 @@ func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
 }
 
 // reset points the shadow at a new round's hosts and candidates,
-// reusing the previous round's slices when capacity allows.
+// reusing the previous round's slices when capacity allows. The slab
+// kernel does the same through begin, seed and hostOf, fused into its
+// passes over the hosts and the candidates.
 func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
-	s.nodes, s.vms, s.now = nodes, vms, now
-	s.cpu = grow(s.cpu, len(nodes))
-	s.mem = grow(s.mem, len(nodes))
-	s.count = grow(s.count, len(nodes))
-	s.assign = grow(s.assign, len(vms))
-	s.initial = grow(s.initial, len(vms))
 	maxID := -1
 	for _, n := range nodes {
 		maxID = max(maxID, n.ID)
 	}
-	// All zero before and after (see the field), so growing needs no copy.
-	s.hostIdx = grow(s.hostIdx, maxID+1)
-	for i, n := range nodes {
-		// The node maintains its reservation sums incrementally
-		// (AddVM/RemoveVM), so seeding the shadow is O(1) per node and
-		// — critically for the cross-round matrix cache — the loads of
-		// an unchanged node are bit-identical between rounds (a map
-		// walk would re-add floats in random order).
-		s.cpu[i] = n.CPUReserved()
-		s.mem[i] = n.MemReserved()
-		s.count[i] = len(n.VMs)
-		s.hostIdx[n.ID] = int32(i) + 1
+	s.begin(now, nodes, maxID)
+	for ni, n := range nodes {
+		s.seed(ni, n)
 	}
-	for i, v := range vms {
-		s.assign[i] = -1
-		if v.Active() && v.Host >= 0 && v.Host < len(s.hostIdx) {
-			s.assign[i] = int(s.hostIdx[v.Host]) - 1
-		}
-		s.initial[i] = s.assign[i]
+	s.vms = vms
+	s.assign = grow(s.assign, len(vms))
+	s.initial = grow(s.initial, len(vms))
+	for vi, v := range vms {
+		s.assign[vi] = s.hostOf(v)
+		s.initial[vi] = s.assign[vi]
 	}
-	for _, n := range nodes {
-		s.hostIdx[n.ID] = 0
+}
+
+// begin points the shadow at a new round's hosts, whose node IDs are at
+// most maxID; each must then be seeded.
+func (s *shadow) begin(now float64, nodes []*cluster.Node, maxID int) {
+	s.nodes, s.now = nodes, now
+	s.cpu = grow(s.cpu, len(nodes))
+	s.mem = grow(s.mem, len(nodes))
+	s.count = grow(s.count, len(nodes))
+	s.hostAt.begin(maxID)
+}
+
+// seed loads host ni, node n, into the shadow with its real
+// reservations and files its index. The node maintains its reservation
+// sums incrementally (AddVM/RemoveVM), so seeding is O(1) per node and
+// — critically for the cross-round matrix cache — the loads of an
+// unchanged node are bit-identical between rounds (a map walk would
+// re-add floats in random order).
+func (s *shadow) seed(ni int, n *cluster.Node) {
+	s.cpu[ni] = n.CPUReserved()
+	s.mem[ni] = n.MemReserved()
+	s.count[ni] = len(n.VMs)
+	s.hostAt.file(n.ID, ni)
+}
+
+// atRest reports whether host ni's shadow loads are its seeded, real
+// ones.
+func (s *shadow) atRest(ni int) bool {
+	n := s.nodes[ni]
+	return s.cpu[ni] == n.CPUReserved() && s.mem[ni] == n.MemReserved() && s.count[ni] == len(n.VMs)
+}
+
+// hostOf is v's round-start host index: -1 when v occupies no host
+// or one that is not a host this round.
+func (s *shadow) hostOf(v *vm.VM) int {
+	if !v.Active() {
+		return -1
 	}
+	return s.hostAt.index(v.Host)
 }
 
 // grow returns a slice of length n, reusing buf's capacity; the
@@ -168,7 +220,8 @@ func (sch *Scheduler) score(s *shadow, ni, vi int) float64 {
 // Pres feasibility gates plus Pconc, Ppwr and Pfault. It depends only
 // on the node's observable state (power state, loads, in-flight
 // operations, reliability, class) and the VM's requirements and
-// current host — the exact fields the cross-round snapshot keys on.
+// current host — fields that change only through setters advancing the
+// Epoch the kernel's cross-round stamps hold.
 func (sch *Scheduler) scoreBase(s *shadow, ni, vi int) float64 {
 	n := s.nodes[ni]
 	v := s.vms[vi]
@@ -235,8 +288,8 @@ func (sch *Scheduler) scoreTimeStay(s *shadow, vi int) float64 {
 	return sch.stayAt(s.vms[vi], s.now)
 }
 
-// stayAt is scoreTimeStay of v as of virtual time now: the kernel also
-// asks it for the time of a dormant row's verdict.
+// stayAt is scoreTimeStay of v as of virtual time now: the kernel's
+// candidate pass asks it before v has a candidate index.
 func (sch *Scheduler) stayAt(v *vm.VM, now float64) float64 {
 	total := 0.0
 	if sch.cfg.EnableSLA {

@@ -227,7 +227,8 @@ func TestShardedPartitionBalance(t *testing.T) {
 
 	sizes := make([]int, 7)
 	seen := map[int]bool{}
-	for ni, slot := range sch.kern.colOrd {
+	for ni, r := range sch.kern.colRef {
+		slot := r.slot
 		if seen[slot] {
 			t.Fatalf("host column %d shares slot %d", ni, slot)
 		}

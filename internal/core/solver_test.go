@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"energysched/internal/cluster"
@@ -346,52 +347,92 @@ func (cs *churnSim) apply(acts []policy.Action) {
 	cs.now += 60
 }
 
-// checkKernel verifies, after a round that built a matrix, the
-// invariants the kernel's correctness rests on — that each run is
-// right, not merely that two runs agree — against the round's final
-// shadow: every persistent base cell of a live ⟨row, column⟩ equals a
-// fresh scoreBase and composes with the round's time terms to a fresh
-// score; the cells of a live row in column slots outside the matrix
-// are +Inf; every shard's ⟨row, class⟩ record equals a brute-force
-// scan and its low field really is a lower bound; and the arbiter's
-// per-row best equals a naive-order scan of the full scores.
+// checkKernel fails the test when kernelFault finds one.
 func checkKernel(t *testing.T, sch *Scheduler) {
 	t.Helper()
+	if err := kernelFault(sch); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// kernelFault verifies, after a round that built a matrix, the
+// invariants the kernel's correctness rests on — that each run is
+// right, not merely that two runs agree — against the round's final
+// shadow, and reports the first one broken. The stamps: a column's
+// stamp is its node's Epoch exactly when the shadow left the node's
+// real loads, else void; a row's is its VM's Epoch and resolved host,
+// void when the row moved. The values behind the stamps: every
+// persistent base cell of a live ⟨row, column⟩ equals a fresh scoreBase
+// — a carried cell that does not is a stale key, a scored field
+// written around its setter or Touch — and composes with the round's
+// time terms to a fresh score; the cells of a live row in column slots
+// outside the matrix are +Inf; every shard's ⟨row, class⟩ record
+// equals a brute-force scan and its low field really is a lower bound;
+// the arbiter's per-row best equals a naive-order scan of the full
+// scores; the awake list holds each awake row once; and every dormant
+// row is non-improving.
+func kernelFault(sch *Scheduler) error {
 	if len(sch.hosts) == 0 || len(sch.cands) == 0 {
-		return // the round returned before building
+		return nil // the round returned before building
 	}
 	s, st := &sch.sh, &sch.kern
 	K, C := sch.Stats.LastShards, len(st.classes)
 	if st.k != K {
-		t.Fatalf("kernel state dealt over %d shards, the round ran %d", st.k, K)
+		return fmt.Errorf("kernel state dealt over %d shards, the round ran %d", st.k, K)
 	}
-	for ni, c := range st.colOrd {
-		if st.colNi[c] != ni || st.cols[c].node != s.nodes[ni] || st.classes[st.colClass[c]] != s.nodes[ni].Class {
-			t.Fatalf("host index %d: slot %d says host index %d, node %v, class %d", ni, c, st.colNi[c], st.cols[c].node, st.colClass[c])
+	for ni, r := range st.colRef {
+		c, n := r.slot, s.nodes[ni]
+		if st.colNi[c] != ni || st.cols[c].node != n || r.id != n.ID || st.classes[st.colClass[c]] != n.Class {
+			return fmt.Errorf("host index %d: slot %d says host index %d, node %v, ID %d, class %d", ni, c, st.colNi[c], st.cols[c].node, r.id, st.colClass[c])
 		}
-		if key := st.cols[c]; key.cpu != s.cpu[ni] || key.mem != s.mem[ni] || key.count != s.count[ni] {
-			t.Fatalf("host index %d: key loads (%v, %v, %d) are not the shadow's (%v, %v, %d)",
-				ni, key.cpu, key.mem, key.count, s.cpu[ni], s.mem[ni], s.count[ni])
+		want := uint64(voided)
+		if s.atRest(ni) {
+			want = n.Epoch
+		}
+		if st.cols[c].epoch != want {
+			return fmt.Errorf("host index %d: stamp epoch %d, node epoch %d, shadow loads (%v, %v, %d) real (%v, %v, %d)",
+				ni, st.cols[c].epoch, n.Epoch, s.cpu[ni], s.mem[ni], s.count[ni], n.CPUReserved(), n.MemReserved(), len(n.VMs))
 		}
 	}
-	for vi := range s.vms {
-		rs := st.rowOrd[vi]
-		if st.rows[rs].vm != s.vms[vi] {
-			t.Fatalf("vm index %d: row slot %d belongs to %v", vi, rs, st.rows[rs].vm)
+	awake := map[int]bool{}
+	for _, vi := range st.awake {
+		if awake[vi] || !st.rowRef[vi].flags.awake() {
+			return fmt.Errorf("vm index %d: on the awake list twice or with marks %b", vi, st.rowRef[vi].flags)
+		}
+		awake[vi] = true
+	}
+	for vi, v := range s.vms {
+		r := st.rowRef[vi]
+		rs := r.slot
+		if r.flags&rowStale != 0 || r.id != v.ID || r.flags.awake() != awake[vi] {
+			return fmt.Errorf("vm index %d: ref %+v, on the awake list %v", vi, r, awake[vi])
+		}
+		want := rowKeyOf(v, s.initial[vi])
+		if s.assign[vi] != s.initial[vi] {
+			want.initial = moved
+		}
+		if st.rows[rs].rowKey != want {
+			return fmt.Errorf("vm index %d: row slot %d stamped %+v, want %+v", vi, rs, st.rows[rs].rowKey, want)
+		}
+		stay := 0.0
+		if s.initial[vi] >= 0 {
+			stay = sch.scoreTimeStay(s, vi)
+		}
+		if r.stay != stay {
+			return fmt.Errorf("vm index %d: stay term %v, fresh %v", vi, r.stay, stay)
 		}
 		// A dormant row's move terms are not this round's: it must be
 		// non-improving against the fresh scores instead. The stay term
 		// is every row's.
-		f := st.flags[vi]
-		timed, dormant := f&rowTimed != 0, f&(rowTimed|rowWoke) == 0
+		timed, dormant := r.flags&rowTimed != 0, !r.flags.awake()
 		if dormant && s.assign[vi] != s.initial[vi] {
-			t.Fatalf("vm index %d: dormant row moved", vi)
+			return fmt.Errorf("vm index %d: dormant row moved", vi)
 		}
 		cur, threshold := sch.cfg.QueueScore, -moveEps
 		if a := s.assign[vi]; a >= 0 {
 			cur = sch.score(s, a, vi)
 		}
-		if s.vms[vi].State != vm.Queued && !math.IsInf(cur, 1) {
+		if v.State != vm.Queued && !math.IsInf(cur, 1) {
 			threshold = -sch.cfg.MigrationGainMin
 		}
 		// Naive-order scan of the fresh full scores.
@@ -400,7 +441,7 @@ func checkKernel(t *testing.T, sch *Scheduler) {
 			sc := sch.score(s, ni, vi)
 			if !sch.pinned(s, vi) && (timed || ni == s.initial[vi]) {
 				if got := st.score(s, vi, ni); got != sc {
-					t.Fatalf("composed score (vm index %d, host index %d) = %v, fresh score %v", vi, ni, got, sc)
+					return fmt.Errorf("composed score (vm index %d, host index %d) = %v, fresh score %v", vi, ni, got, sc)
 				}
 			}
 			if ni == s.assign[vi] || math.IsInf(sc, 1) {
@@ -413,15 +454,15 @@ func checkKernel(t *testing.T, sch *Scheduler) {
 				best, bestn = sc, ni
 			}
 			if diff := sc - cur; dormant && (math.IsInf(cur, 1) || diff <= threshold && diff < -moveEps) {
-				t.Fatalf("dormant row of vm index %d improves by %v on host index %d (threshold %v)", vi, diff, ni, threshold)
+				return fmt.Errorf("dormant row of vm index %d improves by %v on host index %d (threshold %v)", vi, diff, ni, threshold)
 			}
 		}
 		if !sch.pinned(s, vi) && timed {
 			if sc, ni := st.bestTarget(s, vi); sc != best || ni != bestn {
-				t.Fatalf("best target of vm index %d = %v at %d, naive scan says %v at %d", vi, sc, ni, best, bestn)
+				return fmt.Errorf("best target of vm index %d = %v at %d, naive scan says %v at %d", vi, sc, ni, best, bestn)
 			}
 			if ni := st.firstTarget(s, vi); ni != first {
-				t.Fatalf("first target of vm index %d = %d, naive scan says %d", vi, ni, first)
+				return fmt.Errorf("first target of vm index %d = %d, naive scan says %d", vi, ni, first)
 			}
 		}
 
@@ -434,13 +475,14 @@ func checkKernel(t *testing.T, sch *Scheduler) {
 				got, ni := sh.base[rs*st.stride+p], st.colNi[c]
 				if ni < 0 {
 					if !math.IsInf(got, 1) {
-						t.Fatalf("shard %d: cell (vm index %d, free slot %d) = %v, want +Inf", i, vi, c, got)
+						return fmt.Errorf("shard %d: cell (vm index %d, free slot %d) = %v, want +Inf", i, vi, c, got)
 					}
 					continue
 				}
 				b := sch.scoreBase(s, ni, vi)
 				if got != b {
-					t.Fatalf("shard %d: cached cell (vm index %d, host index %d) = %v, fresh base %v", i, vi, ni, got, b)
+					return fmt.Errorf("shard %d: stale key: cell (vm %d stamped at epoch %d, node %d stamped at epoch %d) holds %v, a fresh base is %v",
+						i, v.ID, st.rows[rs].epoch, s.nodes[ni].ID, st.cols[c].epoch, got, b)
 				}
 				if ni == s.assign[vi] || ni == s.initial[vi] {
 					continue
@@ -454,7 +496,7 @@ func checkKernel(t *testing.T, sch *Scheduler) {
 			for g, w := range want {
 				r := sh.rec[rs*C+g]
 				if r.min != w.min || r.slot != w.slot {
-					t.Fatalf("shard %d: record (vm index %d, class %d) = %v at slot %d, scan says %v at slot %d",
+					return fmt.Errorf("shard %d: record (vm index %d, class %d) = %v at slot %d, scan says %v at slot %d",
 						i, vi, g, r.min, r.slot, w.min, w.slot)
 				}
 				for p, c := 0, i; c < len(st.cols); p, c = p+1, c+K {
@@ -463,10 +505,45 @@ func checkKernel(t *testing.T, sch *Scheduler) {
 						continue
 					}
 					if b := sh.base[rs*st.stride+p]; b < r.low {
-						t.Fatalf("shard %d: record (vm index %d, class %d) low = %v, but host index %d below the holder has base %v",
+						return fmt.Errorf("shard %d: record (vm index %d, class %d) low = %v, but host index %d below the holder has base %v",
 							i, vi, g, r.low, ni, b)
 					}
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestCheckKernelDetectsStaleKey: the kernel carries a slot whose stamp
+// matches, and the stamps trust the setters that advance an Epoch
+// (cluster.Node's mutators, vm.VM.Touch). A scored field written around
+// them leaves a carried cell on a stale value, and the oracle must
+// report it, as cluster.CheckIndex does for the state index.
+func TestCheckKernelDetectsStaleKey(t *testing.T) {
+	for name, corrupt := range map[string]func(c *cluster.Cluster, v *vm.VM){
+		"node ops":   func(c *cluster.Cluster, _ *vm.VM) { c.Nodes[1].CreatingOps++ },
+		"vm demand":  func(_ *cluster.Cluster, v *vm.VM) { v.Req.CPU += 50 },
+		"vm touched": func(_ *cluster.Cluster, v *vm.VM) { v.FaultTolerance = 0.01; v.Touch() },
+	} {
+		for _, k := range []int{1, 2} {
+			c := testCluster(t, 3)
+			a, b := runningVM(1, 100, 5, c, 0), runningVM(2, 100, 5, c, 2)
+			cfg := SBConfig()
+			cfg.EnableFault = true
+			cfg.MigrationGainMin = 1e6
+			cfg.Shards = k
+			sch := MustScheduler(cfg)
+			ctx := ctxFor(c, nil, []*vm.VM{a, b})
+			sch.Schedule(ctx)
+			if err := kernelFault(sch); err != nil {
+				t.Fatalf("%s K=%d, before: %v", name, k, err)
+			}
+			corrupt(c, a)
+			sch.Schedule(ctx)
+			err := kernelFault(sch)
+			if bypass := name != "vm touched"; bypass != (err != nil) || err != nil && !strings.Contains(err.Error(), "stale key") {
+				t.Fatalf("%s K=%d: the oracle reports %v", name, k, err)
 			}
 		}
 	}
@@ -651,7 +728,7 @@ func (m *moveLog) Emit(rt obs.RoundTrace)   { m.moves = append(m.moves, rt.Actio
 // class's move term — and in these scenarios it is moved back there
 // within the round (the trace proves the hazard occurs). The kernel
 // must follow, and a second round over the unactuated state must find
-// the moved-back row's key restored and everything else re-scored.
+// the moved-back row's stamp restored and everything else re-scored.
 func TestDifferentialMoveBack(t *testing.T) {
 	for _, seed := range []int64{861, 1169, 1415} {
 		for _, k := range []int{1, 2} {
@@ -697,8 +774,8 @@ func TestDifferentialSlotReuse(t *testing.T) {
 		}
 		round("start")
 		st := &kern.kern
-		left := st.colOrd[1]
-		if r := st.shards[left%k].rec[st.rowOrd[0]*len(st.classes)]; r.slot != left {
+		left := st.colRef[1].slot
+		if r := st.shards[left%k].rec[st.rowRef[0].slot*len(st.classes)]; r.slot != left {
 			t.Fatalf("K=%d: the record of the persistent row holds slot %d, want host 1's slot %d", k, r.slot, left)
 		}
 		c.Nodes[1].SetState(cluster.Off)
@@ -706,10 +783,10 @@ func TestDifferentialSlotReuse(t *testing.T) {
 		c.Nodes[4].SetState(cluster.On)
 		cs.vms = append(cs.vms, vm.New(1, vm.Requirements{CPU: 100, Mem: 5}, cs.now, 3600, cs.now+7200))
 		round("host 4 entered")
-		if got := st.colOrd[len(st.colOrd)-1]; got != left {
+		if got := st.colRef[len(st.colRef)-1].slot; got != left {
 			t.Fatalf("K=%d: host 4 took slot %d, want the slot %d host 1 left", k, got, left)
 		}
-		if stay.Host != 0 || st.rows[st.rowOrd[0]].vm != stay {
+		if stay.Host != 0 || st.rows[st.rowRef[0].slot].vm != stay {
 			t.Fatalf("K=%d: the persistent row did not persist", k)
 		}
 		round("after")
