@@ -132,7 +132,8 @@ type SnapshotInfo struct {
 
 // FleetSpec is the body of POST /v1/fleets: a named fleet
 // configuration. Unset fields inherit the daemon's base
-// configuration (its flags).
+// configuration (its flags). A "shards" key, the solver shard count
+// of earlier releases, decodes and is ignored.
 type FleetSpec struct {
 	// ID names the fleet; it appears in URLs and in the durable
 	// layout (1-64 chars of [a-zA-Z0-9._-], starting alphanumeric).
@@ -155,13 +156,6 @@ type FleetSpec struct {
 	CheckpointSeconds float64 `json:"checkpoint_s,omitempty"`
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64 `json:"adaptive_target,omitempty"`
-	// Shards overrides the solver's column-shard count: 0 inherits the
-	// daemon's -shards setting (itself one shard on the caller's
-	// goroutine when 0 or unset), -1 uses one shard per GOMAXPROCS,
-	// K > 1 fans each round out over exactly K workers. Scheduling
-	// decisions are byte-identical at any setting — this is a
-	// performance knob.
-	Shards int `json:"shards,omitempty"`
 	// SnapshotInterval > 0 overrides how many WAL records accumulate
 	// before the fleet compacts them into a snapshot.
 	SnapshotInterval int `json:"snapshot_interval,omitempty"`

@@ -75,7 +75,6 @@ func main() {
 		failures   = flag.Bool("failures", false, "enable reliability-driven node failures")
 		checkpoint = flag.Float64("checkpoint", 0, "VM checkpoint interval in virtual seconds (0 = off)")
 		adaptive   = flag.Float64("adaptive", 0, "dynamic-λ satisfaction target in percent (0 = static)")
-		shards     = flag.Int("shards", 0, "solver shards per scheduling round: 0 = one shard, the default, -1 = GOMAXPROCS, K = exactly K (decisions are byte-identical at any setting)")
 		pace       = flag.String("pace", "max", "virtual pacing: 'max' (admission-gated, deterministic) or virtual seconds per wall second (e.g. 1, 60)")
 		snapDir    = flag.String("snapshot-dir", ".", "directory for unnamed snapshots")
 		restore    = flag.String("restore", "", "restore this snapshot into the default fleet before serving")
@@ -110,9 +109,6 @@ func main() {
 	}
 	if *walSync != fleet.SyncAlways && *walSync != fleet.SyncOS {
 		cli.Usagef("energyschedd", "-wal-sync must be 'always' or 'os', got %q", *walSync)
-	}
-	if *shards < -1 {
-		cli.Usagef("energyschedd", "-shards must be >= -1, got %d", *shards)
 	}
 	if _, err := obs.ParseVerbosity(*traceVerb); err != nil {
 		cli.Usagef("energyschedd", "-trace: %v", err)
@@ -170,7 +166,6 @@ func main() {
 		Failures:          *failures,
 		CheckpointSeconds: *checkpoint,
 		AdaptiveTarget:    *adaptive,
-		Shards:            *shards,
 		Pace:              paceVal,
 		SnapshotDir:       *snapDir,
 		WALDir:            *walDir,

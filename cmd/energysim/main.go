@@ -40,7 +40,6 @@ func main() {
 		failures   = flag.Bool("failures", false, "enable reliability-driven node failures")
 		checkpoint = flag.Float64("checkpoint", 0, "checkpoint interval in seconds (0 = off)")
 		adaptive   = flag.Float64("adaptive", 0, "dynamic-λ satisfaction target in percent (0 = static thresholds)")
-		shards     = flag.Int("shards", 0, "solver shards per scheduling round: 0 = one shard, the default, -1 = GOMAXPROCS, K = exactly K (results are byte-identical at any setting)")
 		nodes      = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
 		eventsOut  = flag.String("events", "", "write the JSONL event log to this file")
 		jobsOut    = flag.String("jobs", "", "write per-job outcomes CSV to this file")
@@ -62,7 +61,6 @@ func main() {
 		Failures:          *failures,
 		CheckpointSeconds: *checkpoint,
 		AdaptiveTarget:    *adaptive,
-		Shards:            *shards,
 	}
 	if *nodes > 0 {
 		opts.Classes = energysched.ScaleClasses(*nodes)

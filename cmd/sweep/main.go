@@ -31,7 +31,6 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random seed")
 		step   = flag.Float64("step", 10, "λ grid step in percent")
 		policy = flag.String("policy", "SB", "policy to sweep: SB, SB2, BF, DBF")
-		shards = flag.Int("shards", 0, "solver shards per scheduling round: 0 = one shard, the default, -1 = GOMAXPROCS, K = exactly K (grid values are byte-identical at any setting)")
 		nodes  = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
 		out    = flag.String("o", "", "output CSV file (empty = stdout)")
 	)
@@ -41,7 +40,7 @@ func main() {
 	gen.Horizon = *days * 24 * 3600
 	gen.Seed = *seed
 
-	cfg := experiments.SweepConfig{Policy: *policy, Shards: *shards}
+	cfg := experiments.SweepConfig{Policy: *policy}
 	if *nodes > 0 {
 		cfg.Classes = chaos.HeterogeneousClasses(*nodes)
 	}

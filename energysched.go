@@ -138,14 +138,6 @@ type Options struct {
 	// client satisfaction at this percentage (the paper's future-work
 	// dynamic thresholds).
 	AdaptiveTarget float64
-	// Shards is the score-based solver's column-shard count: 0 or
-	// unset is one shard on the caller's goroutine (the default, same
-	// as 1), -1 uses one shard per GOMAXPROCS, K > 1 fans each round
-	// out over exactly K workers. The emitted actions — and therefore
-	// every metric — are byte-identical at any setting; sharding only
-	// changes the round's wall-clock time and peak matrix memory
-	// shape. Ignored by the baseline policies.
-	Shards int
 	// EventLog, when non-nil, receives every simulation event as it
 	// happens (arrivals, placements, migrations, boots, failures).
 	EventLog func(Event)
@@ -208,13 +200,8 @@ func ScaleClasses(total int) []NodeClass {
 type Result = metrics.Report
 
 // NewPolicy constructs a policy by name. Exposed so callers can embed
-// policies in custom harnesses; Run calls it internally (with
-// Options.Shards applied — this constructor keeps the one-shard default).
+// policies in custom harnesses; Run calls it internally.
 func NewPolicy(name string, seed int64, score *ScoreParams) (policy.Policy, error) {
-	return newPolicy(name, seed, score, 0)
-}
-
-func newPolicy(name string, seed int64, score *ScoreParams, shards int) (policy.Policy, error) {
 	applyScore := func(c core.Config) core.Config {
 		if score != nil {
 			c.Cempty = score.Cempty
@@ -223,7 +210,6 @@ func newPolicy(name string, seed int64, score *ScoreParams, shards int) (policy.
 				c.THempty = score.THempty
 			}
 		}
-		c.Shards = shards
 		return c
 	}
 	switch name {
@@ -258,7 +244,7 @@ func NewSimulation(opts Options) (*datacenter.Simulation, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	pol, err := newPolicy(opts.Policy, seed, opts.Score, opts.Shards)
+	pol, err := NewPolicy(opts.Policy, seed, opts.Score)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,9 @@
 // Package chaos is the scale/fault harness: seeded, fully
 // deterministic schedules of node crashes and flapping, clock-pace
 // jitter for the online driver, and scripted WAL faults — all aimed
-// at re-proving the repo's byte-identity oracles (serial vs sharded
-// rounds, kill/recover vs uninterrupted) at 10k-node / multi-day /
-// faults-mid-round scale instead of toy sizes.
+// at re-proving the repo's byte-identity oracles (serial vs jittered
+// admission, traced vs untraced, kill/recover vs uninterrupted) at
+// 10k-node / multi-day / faults-mid-round scale instead of toy sizes.
 //
 // Everything here is driven from inside the simulation engine: crash
 // events are ordinary simkit timers, so a chaos run interleaves

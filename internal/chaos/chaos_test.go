@@ -47,17 +47,17 @@ func checkEveryTick(t *testing.T) {
 // TestScenario10kByteIdentity is the acceptance oracle at scale: the
 // canonical 10k-node heterogeneous scenario — a two-day streaming
 // trace with three one-shot node crashes and a flapping node armed as
-// engine timers — must produce byte-identical reports when the solver
-// runs on one shard (the default), sharded at K=2 and K=4, and when the
-// admission clock is jittered into seeded partial steps. Any divergence
-// means scale or faults leaked nondeterminism into the round engine.
+// engine timers — must produce byte-identical reports when the
+// admission clock is jittered into seeded partial steps, and when every
+// observer is armed. Any divergence means scale or faults leaked
+// nondeterminism into the round engine.
 func TestScenario10kByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
 	}
 	checkEveryTick(t)
 	s := chaos.Scenario10k()
-	serial, err := s.Run(0, false)
+	serial, err := s.Run(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,30 +68,20 @@ func TestScenario10kByteIdentity(t *testing.T) {
 	if serial.JobsCompleted == 0 || serial.JobsCompleted != serial.JobsTotal {
 		t.Fatalf("scenario completed %d of %d jobs", serial.JobsCompleted, serial.JobsTotal)
 	}
-	for _, tc := range []struct {
-		name     string
-		shards   int
-		jittered bool
-	}{
-		{"sharded-k2", 2, false},
-		{"sharded-k4", 4, false},
-		{"jittered-clock", 0, true},
-	} {
-		got, err := s.Run(tc.shards, tc.jittered)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got != serial {
-			t.Fatalf("%s diverged from serial run:\n got %+v\nwant %+v", tc.name, got, serial)
-		}
+	jittered, err := s.Run(true)
+	if err != nil {
+		t.Fatalf("jittered-clock: %v", err)
+	}
+	if jittered != serial {
+		t.Fatalf("jittered-clock diverged from serial run:\n got %+v\nwant %+v", jittered, serial)
 	}
 
 	// Maximum-verbosity tracing is a write-only side channel: the
-	// traced sharded run's report is byte-identical to the serial
-	// untraced one, while the ring actually recorded every round with
-	// per-action score terms.
+	// traced run's report is byte-identical to the untraced one, while
+	// the ring actually recorded every round with per-action score
+	// terms.
 	ring := obs.NewTraceRing(obs.TraceScores, 4096)
-	traced, err := s.RunWithTrace(4, false, ring)
+	traced, err := s.RunWithTrace(false, ring)
 	if err != nil {
 		t.Fatalf("traced-scores: %v", err)
 	}
@@ -104,12 +94,12 @@ func TestScenario10kByteIdentity(t *testing.T) {
 
 	// Every collector at once — scores-verbosity tracing, the
 	// accounting sampler, and per-job energy attribution — is still a
-	// write-only side channel: the fully observed sharded run matches
-	// the bare serial run byte for byte while the series store actually
-	// recorded a sample per housekeeping tick.
+	// write-only side channel: the fully observed run matches the bare
+	// one byte for byte while the series store actually recorded a
+	// sample per housekeeping tick.
 	ring2 := obs.NewTraceRing(obs.TraceScores, 4096)
 	store := series.NewStore(0)
-	observed, err := s.RunWithObservers(4, false, ring2, store.Add)
+	observed, err := s.RunWithObservers(false, ring2, store.Add)
 	if err != nil {
 		t.Fatalf("observed: %v", err)
 	}
@@ -130,12 +120,11 @@ func fleetClasses(total int) []energysched.NodeClass { return energysched.ScaleC
 
 // TestScenario10kFleetKillRecoverUnderFaults is the durable half of
 // the acceptance oracle: the same 10k-node two-day trace streamed into
-// a WAL-backed fleet (sharded solver, organic reliability failures on)
-// with two live WAL faults mid-stream — a disk-full append and a torn
-// write — and a process kill between them, must drain to a report
-// byte-identical to an uninterrupted in-memory serial fleet fed the
-// identical stream. Crash/recover, serial/sharded and live faults all
-// collapse into one == comparison.
+// a WAL-backed fleet (organic reliability failures on) with two live
+// WAL faults mid-stream — a disk-full append and a torn write — and a
+// process kill between them, must drain to a report byte-identical to
+// an uninterrupted in-memory fleet fed the identical stream.
+// Crash/recover and live faults collapse into one == comparison.
 func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
@@ -153,7 +142,7 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 		}
 	}
 
-	// Reference: uninterrupted, in-memory, serial solver.
+	// Reference: uninterrupted, in-memory.
 	ref, err := fleet.Open("ref", fleet.Config{
 		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
 	})
@@ -174,7 +163,7 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Chaos run: durable, sharded, with a scripted disk-full append
+	// Chaos run: durable, with a scripted disk-full append
 	// before the kill and a torn write after recovery. Both faults
 	// must reject cleanly (full rollback) so a single retry readmits
 	// the job and the acknowledged stream stays identical.
@@ -187,7 +176,7 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	script.FailOnce("append", total/2, fleet.ErrTornWrite)
 	dir := filepath.Join(t.TempDir(), "chaos")
 	cfg := fleet.Config{
-		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true, Shards: 4},
+		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
 		Dir:   dir, SnapshotInterval: 0, WALSync: fleet.SyncOS,
 		WALFault: script.Hook(),
 	}

@@ -124,20 +124,16 @@ func (s Scenario) Plan() Plan {
 	})
 }
 
-// Sim builds the scenario's simulation with the score-based scheduler
-// at the given shard count (0 = one shard, -1 = GOMAXPROCS, K > 1 = K
-// shards — the byte-identity axis).
-func (s Scenario) Sim(shards int) (*datacenter.Simulation, error) {
-	return s.sim(shards, nil)
+// Sim builds the scenario's simulation with the score-based scheduler.
+func (s Scenario) Sim() (*datacenter.Simulation, error) {
+	return s.sim(nil)
 }
 
-func (s Scenario) sim(shards int, sink obs.TraceSink) (*datacenter.Simulation, error) {
+func (s Scenario) sim(sink obs.TraceSink) (*datacenter.Simulation, error) {
 	if s.Nodes <= 0 || s.Days <= 0 {
 		return nil, fmt.Errorf("chaos: scenario %q needs nodes and days", s.Name)
 	}
-	sc := core.SBConfig()
-	sc.Shards = shards
-	pol, err := core.NewScheduler(sc)
+	pol, err := core.NewScheduler(core.SBConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -153,21 +149,21 @@ func (s Scenario) sim(shards int, sink obs.TraceSink) (*datacenter.Simulation, e
 	})
 }
 
-// Run executes the scenario: build the sim at the given shard count,
-// arm the fault plan, and drive the streaming trace — with a seeded
-// jittered admission clock when jittered is set. Reports are
-// byte-identical across shard counts and jitter settings; that
-// identity is the harness's oracle, not an implementation accident.
-func (s Scenario) Run(shards int, jittered bool) (metrics.Report, error) {
-	return s.RunWithTrace(shards, jittered, nil)
+// Run executes the scenario: build the sim, arm the fault plan, and
+// drive the streaming trace — with a seeded jittered admission clock
+// when jittered is set. Reports are byte-identical across jitter
+// settings; that identity is the harness's oracle, not an
+// implementation accident.
+func (s Scenario) Run(jittered bool) (metrics.Report, error) {
+	return s.RunWithTrace(jittered, nil)
 }
 
 // RunWithTrace is Run with a decision-trace sink installed on the
 // solver. Tracing is a write-only side channel, so the report must be
 // byte-identical to the untraced run at any verbosity — the scale
 // suite asserts exactly that with the sink at TraceScores.
-func (s Scenario) RunWithTrace(shards int, jittered bool, sink obs.TraceSink) (metrics.Report, error) {
-	return s.RunWithObservers(shards, jittered, sink, nil)
+func (s Scenario) RunWithTrace(jittered bool, sink obs.TraceSink) (metrics.Report, error) {
+	return s.RunWithObservers(jittered, sink, nil)
 }
 
 // RunWithObservers is Run with every observability collector armed:
@@ -175,8 +171,8 @@ func (s Scenario) RunWithTrace(shards int, jittered bool, sink obs.TraceSink) (m
 // sampler, and per-job energy attribution. All three are write-only
 // side channels, so the report must stay byte-identical to the bare
 // run — the scale suite asserts exactly that at maximum verbosity.
-func (s Scenario) RunWithObservers(shards int, jittered bool, sink obs.TraceSink, sampler func(series.Sample)) (metrics.Report, error) {
-	sim, err := s.sim(shards, sink)
+func (s Scenario) RunWithObservers(jittered bool, sink obs.TraceSink, sampler func(series.Sample)) (metrics.Report, error) {
+	sim, err := s.sim(sink)
 	if err != nil {
 		return metrics.Report{}, err
 	}

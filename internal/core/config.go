@@ -75,21 +75,8 @@ type Config struct {
 	// V×H matrix on every hill-climbing iteration, exactly as
 	// Algorithm 1 is written. Both emit identical actions; the naive
 	// evaluator exists as the reference oracle for differential testing
-	// and the complexity ablation. NaiveSolver takes precedence over
-	// Shards.
+	// and the complexity ablation.
 	NaiveSolver bool
-	// Shards is the slab kernel's shard count K (kernel.go): host
-	// columns are dealt to K shards (column slot mod K), each owning
-	// its slab of the persistent matrix and the minimum records over its
-	// columns. At K > 1 the re-scoring at round start and after every
-	// move fans out over a worker per shard and candidate moves are
-	// merged through a deterministic arbiter, so the chosen action
-	// sequence is byte-identical at any K.
-	//
-	//	 0  one shard, on the caller's goroutine (default; same as 1)
-	//	-1  one shard per GOMAXPROCS
-	//	 K  exactly K shards (clamped to the host count)
-	Shards int
 }
 
 // DefaultConfig returns the paper's evaluation parameters (§V):
@@ -157,9 +144,6 @@ func (c Config) Validate() error {
 	}
 	if c.QueueScore <= 0 {
 		return fmt.Errorf("core: QueueScore must be positive")
-	}
-	if c.Shards < -1 {
-		return fmt.Errorf("core: Shards must be >= -1, got %d", c.Shards)
 	}
 	return nil
 }

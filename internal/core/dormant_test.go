@@ -12,7 +12,7 @@ import (
 // Each test below holds one subject VM whose row is proven
 // non-improving, keeps every cell of the matrix unchanged, and changes
 // only the input one wake condition watches — the subject then must
-// migrate, exactly as the naive oracle does, at every shard count.
+// migrate, exactly as the naive oracle does.
 //
 // The cluster: the subject alone on host 0 (base 10: Cempty 20 for an
 // emptiable host, −10 for 25 % occupation), host 1 filled to 75 % by
@@ -30,35 +30,33 @@ type dormantRound struct {
 }
 
 // runDormantRounds drives a fresh subject (duration, deadline, remaining
-// seconds of work at full allocation) through the rounds on a kernel at
-// K = 1, 2 and 4 beside the naive oracle.
+// seconds of work at full allocation) through the rounds on a kernel
+// beside the naive oracle.
 func runDormantRounds(t *testing.T, cfg Config, duration, deadline, remaining float64, rounds []dormantRound) {
 	t.Helper()
-	for _, k := range []int{1, 2, 4} {
-		c := testCluster(t, 4)
-		runningVM(10, 100, 5, c, 1)
-		runningVM(11, 100, 5, c, 1)
-		v := vm.New(0, vm.Requirements{CPU: 100, Mem: 5}, 0, duration, deadline)
-		v.State, v.Host = vm.Running, 0
-		v.Progress = v.Work - remaining*v.Req.CPU
-		c.Nodes[0].AddVM(v)
+	c := testCluster(t, 4)
+	runningVM(10, 100, 5, c, 1)
+	runningVM(11, 100, 5, c, 1)
+	v := vm.New(0, vm.Requirements{CPU: 100, Mem: 5}, 0, duration, deadline)
+	v.State, v.Host = vm.Running, 0
+	v.Progress = v.Work - remaining*v.Req.CPU
+	c.Nodes[0].AddVM(v)
 
-		kern, naive := kernelPair(cfg, k)
-		ctx := ctxFor(c, nil, []*vm.VM{v})
-		for i, r := range rounds {
-			if r.step != nil {
-				r.step(v)
-			}
-			ctx.Now = r.now
-			what := fmt.Sprintf("K=%d round %d (t=%v)", k, i, r.now)
-			skips := kern.Stats.DormantSkips
-			got := renderActions(diffChecked(t, what, kern, naive, ctx))
-			if !slices.Equal(got, r.want) {
-				t.Fatalf("%s: actions %v, want %v", what, got, r.want)
-			}
-			if dormant := kern.Stats.DormantSkips > skips; dormant != r.dormant {
-				t.Fatalf("%s: row dormant = %v, want %v", what, dormant, r.dormant)
-			}
+	kern, naive := kernelPair(cfg)
+	ctx := ctxFor(c, nil, []*vm.VM{v})
+	for i, r := range rounds {
+		if r.step != nil {
+			r.step(v)
+		}
+		ctx.Now = r.now
+		what := fmt.Sprintf("round %d (t=%v)", i, r.now)
+		skips := kern.Stats.DormantSkips
+		got := renderActions(diffChecked(t, what, kern, naive, ctx))
+		if !slices.Equal(got, r.want) {
+			t.Fatalf("%s: actions %v, want %v", what, got, r.want)
+		}
+		if dormant := kern.Stats.DormantSkips > skips; dormant != r.dormant {
+			t.Fatalf("%s: row dormant = %v, want %v", what, dormant, r.dormant)
 		}
 	}
 }
@@ -100,11 +98,11 @@ func TestDifferentialDormantWakesOnProgress(t *testing.T) {
 // no row timed, no arbiter visit, no action — and each check of that
 // pass wakes exactly the rows whose input it watches: the stamp (a VM
 // touched), the progress (accrued without Touch), the stay term (an SLA
-// step) and the clock (rewound: every row), at K ∈ {1, 2, 4, 7,
-// GOMAXPROCS}. Sixteen running VMs with 1000 s of work left sit two to
-// a host on eight hosts; VM 5 alone has a near deadline, so its stay
-// PSLA steps to Csla past t = 9000. No migration clears the
-// hysteresis, so every round converges without acting.
+// step) and the clock (rewound: every row). Sixteen running VMs with
+// 1000 s of work left sit two to a host on eight hosts; VM 5 alone has
+// a near deadline, so its stay PSLA steps to Csla past t = 9000. No
+// migration clears the hysteresis, so every round converges without
+// acting.
 func TestQuietRoundTouchesOnlyStamps(t *testing.T) {
 	cfg := SBConfig()
 	cfg.EnableSLA, cfg.EnableFault = true, true
@@ -113,73 +111,71 @@ func TestQuietRoundTouchesOnlyStamps(t *testing.T) {
 	for id := range 16 {
 		all = append(all, id)
 	}
-	for _, k := range shardCounts() {
-		c := testCluster(t, 8)
-		var vms []*vm.VM
-		for _, id := range all {
-			deadline := 100000.0
-			if id == 5 {
-				deadline = 10000
-			}
-			v := vm.New(id, vm.Requirements{CPU: 100, Mem: 5}, 0, 40000, deadline)
-			v.State, v.Host = vm.Running, id%8
-			v.Progress = v.Work - 1000*v.Req.CPU
-			c.Nodes[v.Host].AddVM(v)
-			vms = append(vms, v)
+	c := testCluster(t, 8)
+	var vms []*vm.VM
+	for _, id := range all {
+		deadline := 100000.0
+		if id == 5 {
+			deadline = 10000
 		}
-		kern, naive := kernelPair(cfg, k)
-		ctx := ctxFor(c, nil, vms)
-		H, V := len(c.Nodes), len(vms)
-		for _, r := range []struct {
-			what  string
-			now   float64
-			step  func()
-			awake []int // the VM IDs whose rows the round timed
-			stale int   // rows re-scored, H evaluations each
-		}{
-			{what: "first", now: 8950, awake: all, stale: V},
-			{what: "repeat", now: 8950},
-			{what: "later", now: 8990},
-			{what: "progress", now: 8990, step: func() { vms[2].Progress += 100 }, awake: []int{2}},
-			{what: "touch", now: 8990, step: func() { vms[3].FaultTolerance = 0.01; vms[3].Touch() }, awake: []int{3}, stale: 1},
-			{what: "stay", now: 9100, awake: []int{5}},
-			{what: "quiet", now: 9100},
-			{what: "rewind", now: 8990, awake: all},
-		} {
-			if r.step != nil {
-				r.step()
+		v := vm.New(id, vm.Requirements{CPU: 100, Mem: 5}, 0, 40000, deadline)
+		v.State, v.Host = vm.Running, id%8
+		v.Progress = v.Work - 1000*v.Req.CPU
+		c.Nodes[v.Host].AddVM(v)
+		vms = append(vms, v)
+	}
+	kern, naive := kernelPair(cfg)
+	ctx := ctxFor(c, nil, vms)
+	H, V := len(c.Nodes), len(vms)
+	for _, r := range []struct {
+		what  string
+		now   float64
+		step  func()
+		awake []int // the VM IDs whose rows the round timed
+		stale int   // rows re-scored, H evaluations each
+	}{
+		{what: "first", now: 8950, awake: all, stale: V},
+		{what: "repeat", now: 8950},
+		{what: "later", now: 8990},
+		{what: "progress", now: 8990, step: func() { vms[2].Progress += 100 }, awake: []int{2}},
+		{what: "touch", now: 8990, step: func() { vms[3].FaultTolerance = 0.01; vms[3].Touch() }, awake: []int{3}, stale: 1},
+		{what: "stay", now: 9100, awake: []int{5}},
+		{what: "quiet", now: 9100},
+		{what: "rewind", now: 8990, awake: all},
+	} {
+		if r.step != nil {
+			r.step()
+		}
+		ctx.Now = r.now
+		what := fmt.Sprintf("%s (t=%v)", r.what, r.now)
+		before := kern.Stats
+		if acts := diffChecked(t, what, kern, naive, ctx); len(acts) != 0 {
+			t.Fatalf("%s: actions %v, want none", what, renderActions(acts))
+		}
+		st := &kern.kern
+		var timed, awake []int
+		for vi, ref := range st.rowRef {
+			if ref.flags&rowTimed != 0 {
+				timed = append(timed, kern.cands[vi].ID)
 			}
-			ctx.Now = r.now
-			what := fmt.Sprintf("K=%d %s (t=%v)", k, r.what, r.now)
-			before := kern.Stats
-			if acts := diffChecked(t, what, kern, naive, ctx); len(acts) != 0 {
-				t.Fatalf("%s: actions %v, want none", what, renderActions(acts))
-			}
-			st := &kern.kern
-			var timed, awake []int
-			for vi, ref := range st.rowRef {
-				if ref.flags&rowTimed != 0 {
-					timed = append(timed, kern.cands[vi].ID)
-				}
-			}
-			for _, vi := range st.awake {
-				awake = append(awake, kern.cands[vi].ID)
-			}
-			slices.Sort(awake)
-			d := kern.Stats
-			if !slices.Equal(timed, r.awake) || !slices.Equal(awake, r.awake) {
-				t.Fatalf("%s: rows timed %v, awake list %v, want %v", what, timed, awake, r.awake)
-			}
-			evals, stale := d.ScoreEvals-before.ScoreEvals, d.StaleRows-before.StaleRows
-			if d.CarryRounds == before.CarryRounds {
-				stale = V // the first round carries nothing: every row is new
-			}
-			if evals != r.stale*H || stale != r.stale {
-				t.Fatalf("%s: %d score evaluations over %d stale rows, want %d over %d", what, evals, stale, r.stale*H, r.stale)
-			}
-			if skips := d.DormantSkips - before.DormantSkips; skips != V-len(r.awake) {
-				t.Fatalf("%s: %d arbiter visits skipped, want %d", what, skips, V-len(r.awake))
-			}
+		}
+		for _, vi := range st.awake {
+			awake = append(awake, kern.cands[vi].ID)
+		}
+		slices.Sort(awake)
+		d := kern.Stats
+		if !slices.Equal(timed, r.awake) || !slices.Equal(awake, r.awake) {
+			t.Fatalf("%s: rows timed %v, awake list %v, want %v", what, timed, awake, r.awake)
+		}
+		evals, stale := d.ScoreEvals-before.ScoreEvals, d.StaleRows-before.StaleRows
+		if d.CarryRounds == before.CarryRounds {
+			stale = V // the first round carries nothing: every row is new
+		}
+		if evals != r.stale*H || stale != r.stale {
+			t.Fatalf("%s: %d score evaluations over %d stale rows, want %d over %d", what, evals, stale, r.stale*H, r.stale)
+		}
+		if skips := d.DormantSkips - before.DormantSkips; skips != V-len(r.awake) {
+			t.Fatalf("%s: %d arbiter visits skipped, want %d", what, skips, V-len(r.awake))
 		}
 	}
 }

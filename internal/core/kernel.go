@@ -3,9 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"energysched/internal/cluster"
 	"energysched/internal/obs"
@@ -69,28 +67,14 @@ import (
 // and stale columns·V evaluations, plus O(awake·C) per iteration; a
 // move costs O(V + H) evaluations.
 //
-// Column slots are dealt to K shards (Config.Shards; one by default),
-// slot c to shard c mod K, each owning its own slab of the matrix and
-// the records over its own columns. At K > 1 the re-scoring — at round
-// start and after every applied move, the same code — fans out over
-// one worker per shard; no shard ever touches another shard's slab or
-// records, and the shadow and the slot tables are read-only while
-// workers run, so the fan-out is race-free by construction. At K = 1
-// it runs on the caller's goroutine without building a closure
-// (handing even a single shard's work to the fan-out costs one heap
-// object per build and per move). A different K than last round's —
-// the host count fell below Config.Shards — drops the state: every
-// row and column is new.
-//
-// Determinism: every cell is a pure function of the shadow state, so
-// its value does not depend on which shard computes it. The records
-// hold "lowest host index achieving the minimum", and the arbiter
-// merges them with a stable ordering (lowest score first, then lowest
-// host index, earliest VM on iteration ties) — exactly the naive
+// Determinism: every cell is a pure function of the shadow state. The
+// records hold "lowest host index achieving the minimum", and the
+// arbiter merges them with a stable ordering (lowest score first, then
+// lowest host index, earliest VM on iteration ties) — exactly the naive
 // evaluator's full-matrix scan order. The chosen action sequence is
-// therefore byte-identical to the naive solver's at any K; the
-// differential tests in sharded_test.go and solver_test.go and the
-// datacenter full-simulation test enforce this.
+// therefore byte-identical to the naive solver's; the differential
+// tests in solver_test.go and dormant_test.go and the datacenter
+// full-simulation test enforce this.
 //
 // Dormant rows: a round that ends with no improving move (not by the
 // iteration limit) proves every row non-improving at its Now, and the
@@ -103,8 +87,8 @@ import (
 //  3. the cell of its current or round-start host changes;
 //  4. the VM's Progress differs from the verdict's;
 //  5. its stay term (scoreTimeStay) differs from the verdict's;
-//  6. the kernel resets, FreshMatrix is set (both make every row
-//     stale), or Now is earlier than the verdicts' time.
+//  6. FreshMatrix is set (it makes every row stale), or Now is earlier
+//     than the verdicts' time.
 //
 // A dormant row skips its C scoreTimeMove evaluations and every arbiter
 // visit; a row woken mid-round is timed before its first bestTarget.
@@ -174,10 +158,10 @@ type ref struct {
 	flags    rowFlags
 }
 
-// classRec summarises, for one row, one shard's columns of one node
-// class — all of which share the row's time term — leaving out the
-// row's current and round-start hosts, which the arbiter scores itself
-// (the first is not a target, the second's time term is stay).
+// classRec summarises, for one row, the columns of one node class — all
+// of which share the row's time term — leaving out the row's current
+// and round-start hosts, which the arbiter scores itself (the first is
+// not a target, the second's time term is stay).
 type classRec struct {
 	// min is the lowest base (+Inf = no feasible column) and slot the
 	// column slot of the lowest host index achieving it (-1 = none).
@@ -215,33 +199,18 @@ func (r *classRec) offer(b float64, c, ni int, colNi []int) {
 	}
 }
 
-// solverShard owns the column slots c with c mod K == id: its slab of
-// the base matrix and the class records over those columns.
-type solverShard struct {
-	id int
-	// base[row slot × stride + c/K] is scoreBase of the pair; for a
-	// live row the cells of column slots not in the matrix are +Inf.
-	base []float64
-	rec  []classRec // [row slot × nclass + class]
-	// byClass lists, per class, the shard's columns in the matrix (as
-	// c/K) in ascending node ID: what a record rebuild scans.
-	byClass [][]int
-	// woke lists the candidates the shard woke at K > 1, put on the
-	// kernel's awake list after the fan-out (at K = 1 the shard wakes
-	// them directly).
-	woke []int
-
-	// stats is the shard's private counter set; a worker only ever
-	// touches its own, and the round folds them into Scheduler.Stats.
-	stats SolverStats
-}
-
 // slabKernel is the kernel's state on the Scheduler, persistent across
 // rounds but for the per-round tables at the end.
 type slabKernel struct {
-	shards []*solverShard // the state lives in shards[:k]
-	k      int            // shard count the slots are dealt over (0 = no state)
-	// Slab geometry: row slots, column slots per shard, records per row.
+	// base[row slot × stride + column slot] is scoreBase of the pair;
+	// for a live row the cells of column slots not in the matrix are
+	// +Inf.
+	base []float64
+	rec  []classRec // [row slot × nclass + class]
+	// byClass lists, per class, the column slots in the matrix in
+	// ascending node ID: what a record rebuild scans.
+	byClass [][]int
+	// Slab geometry: row slots, column slots, records per row.
 	rowCap, stride, nclass int
 
 	// Slot tables. Retired slots wait in the free lists; a column
@@ -282,57 +251,6 @@ type slabKernel struct {
 	verdictNow     float64
 }
 
-// shardCount resolves Config.Shards for a round over h hosts.
-func (c Config) shardCount(h int) int {
-	k := c.Shards
-	if k < 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k > h {
-		k = h
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// rescoreShards re-scores the kernel's work list, each shard its own
-// part, against the (while workers run, read-only) shadow, and puts
-// the rows the shards woke on the awake list.
-func (sch *Scheduler) rescoreShards(s *shadow) {
-	st := &sch.kern
-	shards := st.shards[:st.k]
-	if len(shards) == 1 {
-		shards[0].rescore(sch, s)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(shards))
-	for _, sh := range shards {
-		go func() {
-			defer wg.Done()
-			sh.rescore(sch, s)
-		}()
-	}
-	wg.Wait()
-	for _, sh := range shards {
-		for _, vi := range sh.woke {
-			st.wake(vi)
-		}
-		sh.woke = sh.woke[:0]
-	}
-}
-
-// wake voids row vi's verdict: a wake condition fired on the shard.
-func (sh *solverShard) wake(st *slabKernel, vi int) {
-	if st.k == 1 {
-		st.wake(vi)
-	} else {
-		sh.woke = append(sh.woke, vi)
-	}
-}
-
 // wake marks row vi woken, putting it on the awake list once.
 func (st *slabKernel) wake(vi int) {
 	r := &st.rowRef[vi]
@@ -363,7 +281,7 @@ func (sch *Scheduler) timeRow(s *shadow, vi int) {
 // skips pinned rows).
 func (st *slabKernel) score(s *shadow, vi, ni int) float64 {
 	c, r := st.colRef[ni].slot, &st.rowRef[vi]
-	b := st.shards[c%st.k].base[r.slot*st.stride+c/st.k]
+	b := st.base[r.slot*st.stride+c]
 	if ni == s.initial[vi] {
 		return b + r.stay
 	}
@@ -372,25 +290,23 @@ func (st *slabKernel) score(s *shadow, vi, ni int) float64 {
 
 // bestTarget is the arbiter's per-row step: the lowest score in row vi
 // off its current host and the lowest host index achieving it (+Inf
-// and -1 when no target is feasible), combined from the shards' class
+// and -1 when no target is feasible), combined from the row's class
 // records plus the round-start host of a VM that has moved.
 func (st *slabKernel) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
 	best, bestNi = math.Inf(1), -1
 	C := len(st.classes)
 	time := st.time[vi*C:][:C]
-	for _, sh := range st.shards[:st.k] {
-		for g, r := range sh.rec[st.rowRef[vi].slot*C:][:C] {
-			sc := r.min + time[g]
-			if math.IsInf(sc, 1) {
-				continue
-			}
-			ni := st.colNi[r.slot]
-			if r.low+time[g] <= sc {
-				ni = sh.tieHolder(st, s, vi, g, sc)
-			}
-			if sc < best || (sc == best && ni < bestNi) {
-				best, bestNi = sc, ni
-			}
+	for g, r := range st.rec[st.rowRef[vi].slot*C:][:C] {
+		sc := r.min + time[g]
+		if math.IsInf(sc, 1) {
+			continue
+		}
+		ni := st.colNi[r.slot]
+		if r.low+time[g] <= sc {
+			ni = st.tieHolder(s, vi, g, sc)
+		}
+		if sc < best || (sc == best && ni < bestNi) {
+			best, bestNi = sc, ni
 		}
 	}
 	if i0 := s.initial[vi]; i0 >= 0 && i0 != s.assign[vi] {
@@ -402,13 +318,13 @@ func (st *slabKernel) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
 }
 
 // tieHolder settles a possible rounding tie exactly: the lowest host
-// index among row vi's targets of class g in the shard whose score is
-// sc, the class's minimum.
-func (sh *solverShard) tieHolder(st *slabKernel, s *shadow, vi, g int, sc float64) int {
+// index among row vi's targets of class g whose score is sc, the
+// class's minimum.
+func (st *slabKernel) tieHolder(s *shadow, vi, g int, sc float64) int {
 	t := st.time[vi*len(st.classes)+g]
-	row := sh.base[st.rowRef[vi].slot*st.stride:]
-	for _, p := range sh.byClass[g] {
-		if ni := st.colNi[p*st.k+sh.id]; row[p]+t == sc && ni != s.assign[vi] && ni != s.initial[vi] {
+	row := st.base[st.rowRef[vi].slot*st.stride:]
+	for _, c := range st.byClass[g] {
+		if ni := st.colNi[c]; row[c]+t == sc && ni != s.assign[vi] && ni != s.initial[vi] {
 			return ni
 		}
 	}
@@ -428,14 +344,14 @@ func (st *slabKernel) firstTarget(s *shadow, vi int) int {
 	return -1
 }
 
-// solveKernel runs the hill climber against the cached matrix, split
-// over k column shards, on the round's hosts and the candidates it
-// collects into sch.cands. It applies exactly the same sequence of
-// moves as solveNaive, and returns the candidates it may have moved: the
-// awake list when it moved any (a row the arbiter moved is awake).
-func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*cluster.Node, k int) []int {
+// solveKernel runs the hill climber against the cached matrix on the
+// round's hosts and the candidates it collects into sch.cands. It
+// applies exactly the same sequence of moves as solveNaive, and returns
+// the candidates it may have moved: the awake list when it moved any (a
+// row the arbiter moved is awake).
+func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*cluster.Node) []int {
 	st := &sch.kern
-	sch.buildKernel(ctx, s, hosts, k)
+	sch.buildKernel(ctx, s, hosts)
 	cands := sch.cands
 	V := len(cands)
 
@@ -524,7 +440,7 @@ func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*clust
 			key.initial = hosts[bestNI].ID // moved back: as at round start
 		}
 		r.flags |= rowStale
-		sch.rescoreShards(s)
+		sch.rescore(s)
 		st.rowRef[bestVI].flags &^= rowStale
 	}
 
@@ -544,61 +460,39 @@ func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*clust
 	}
 	sch.Stats.DormantSkips += skips
 	sch.Stats.Moves += moves
-	sch.Stats.LastShards = k
-	for _, sh := range st.shards[:k] {
-		sch.Stats.ScoreEvals += sh.stats.ScoreEvals
-		sch.Stats.RowRescans += sh.stats.RowRescans
-		sh.stats = SolverStats{}
-	}
 	if moves == 0 {
 		return nil
 	}
 	return st.awake
 }
 
-// reset drops the kernel's state and deals the slots over k shards.
-func (st *slabKernel) reset(k int) {
-	for len(st.shards) < k {
-		st.shards = append(st.shards, &solverShard{id: len(st.shards)})
-	}
-	st.k, st.rowCap, st.stride = k, 0, 0
-	st.rows, st.cols, st.colNi, st.colClass = st.rows[:0], st.cols[:0], st.colNi[:0], st.colClass[:0]
-	st.rowFree, st.colFree, st.classes = st.rowFree[:0], st.colFree[:0], st.classes[:0]
-	st.rowRef, st.colRef = st.rowRef[:0], st.colRef[:0]
-	for _, sh := range st.shards[:k] {
-		sh.byClass = sh.byClass[:0]
-	}
-}
-
 // fit makes room for the slots and classes handed out so far. A slab
 // that grows keeps every cell and record where its slots say it is.
 func (st *slabKernel) fit() {
 	rows, cols, C := len(st.rows), len(st.cols), len(st.classes)
-	if rows <= st.rowCap && cols <= st.stride*st.k && C == st.nclass {
+	if rows <= st.rowCap && cols <= st.stride && C == st.nclass {
 		return
 	}
 	rowCap, stride := st.rowCap, st.stride
 	if rows > rowCap {
 		rowCap = rows + rows/2
 	}
-	if cols > stride*st.k {
-		stride = (cols + cols/2 + st.k - 1) / st.k
+	if cols > stride {
+		stride = cols + cols/2
 	}
-	for _, sh := range st.shards[:st.k] {
-		base := make([]float64, rowCap*stride)
-		for i := range base {
-			base[i] = math.Inf(1)
-		}
-		rec := make([]classRec, rowCap*C)
-		for i := range rec {
-			rec[i] = noRec
-		}
-		for r := 0; r < st.rowCap; r++ {
-			copy(base[r*stride:], sh.base[r*st.stride:][:st.stride])
-			copy(rec[r*C:], sh.rec[r*st.nclass:][:st.nclass])
-		}
-		sh.base, sh.rec = base, rec
+	base := make([]float64, rowCap*stride)
+	for i := range base {
+		base[i] = math.Inf(1)
 	}
+	rec := make([]classRec, rowCap*C)
+	for i := range rec {
+		rec[i] = noRec
+	}
+	for r := 0; r < st.rowCap; r++ {
+		copy(base[r*stride:], st.base[r*st.stride:][:st.stride])
+		copy(rec[r*C:], st.rec[r*st.nclass:][:st.nclass])
+	}
+	st.base, st.rec = base, rec
 	st.rowCap, st.stride, st.nclass = rowCap, stride, C
 }
 
@@ -616,13 +510,9 @@ func takeSlot(free *[]int, next int) int {
 // collects the candidates and pairs them with last round's row slots,
 // and then only the stale rows and columns are re-scored and only the
 // awake rows timed.
-func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*cluster.Node, k int) {
+func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*cluster.Node) {
 	st := &sch.kern
-	st.carry = st.k == k && !sch.cfg.FreshMatrix
-	if st.k != k {
-		st.reset(k)
-	}
-	shards := st.shards[:k]
+	st.carry = len(st.cols) > 0 && !sch.cfg.FreshMatrix // an earlier round built the matrix
 
 	s.begin(ctx.Now, hosts, hosts[len(hosts)-1].ID)
 	st.rewound = s.now < st.verdictNow
@@ -635,7 +525,8 @@ func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*clust
 	for _, vi := range st.awake {
 		sch.timeRow(s, vi)
 	}
-	sch.rescoreShards(s)
+	evals := sch.Stats.ScoreEvals
+	sch.rescore(s)
 	for _, vi := range st.awake {
 		st.rowRef[vi].flags &^= rowStale
 	}
@@ -645,11 +536,7 @@ func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*clust
 		}
 	}
 
-	built := 0
-	for _, sh := range shards {
-		built += sh.stats.ScoreEvals
-	}
-	sch.Stats.ReusedCells += V*H - built
+	sch.Stats.ReusedCells += V*H - (sch.Stats.ScoreEvals - evals)
 	sch.Stats.MaxSlabCells = max(sch.Stats.MaxSlabCells, st.rowCap*st.stride)
 	if st.carry {
 		sch.Stats.CarryRounds++
@@ -668,7 +555,9 @@ func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*clust
 // the records pointing at it. It returns the number of stale columns
 // still in the matrix.
 func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int) {
-	st.prev = append(st.prev[:0], st.colRef...)
+	// Room for this round's hosts, which next round's copy of colRef
+	// needs: the first round sizes it.
+	st.prev = append(slices.Grow(st.prev[:0], len(hosts)), st.colRef...)
 	st.colRef = slices.Grow(st.colRef[:0], len(hosts))
 	st.staleCols = st.staleCols[:0]
 	pc := 0
@@ -702,8 +591,7 @@ func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int) 
 	return stale
 }
 
-// newColumn hands node n a column slot and files it in its shard's
-// class list.
+// newColumn hands node n a column slot and files it in its class list.
 func (st *slabKernel) newColumn(n *cluster.Node) int {
 	c := takeSlot(&st.colFree, len(st.cols))
 	if c == len(st.cols) {
@@ -713,22 +601,19 @@ func (st *slabKernel) newColumn(n *cluster.Node) int {
 	if g < 0 {
 		g = len(st.classes)
 		st.classes = append(st.classes, n.Class)
-		for _, sh := range st.shards[:st.k] {
-			sh.byClass = append(sh.byClass, nil)
-		}
+		st.byClass = append(st.byClass, nil)
 	}
 	st.colClass[c] = g
-	sh := st.shards[c%st.k]
-	at, _ := slices.BinarySearchFunc(sh.byClass[g], n.ID, func(p, id int) int { return cmp.Compare(st.cols[p*st.k+sh.id].node.ID, id) })
-	sh.byClass[g] = slices.Insert(sh.byClass[g], at, c/st.k)
+	at, _ := slices.BinarySearchFunc(st.byClass[g], n.ID, func(p, id int) int { return cmp.Compare(st.cols[p].node.ID, id) })
+	st.byClass[g] = slices.Insert(st.byClass[g], at, c)
 	return c
 }
 
 // dropColumn takes column slot c out of the matrix; it retires at the
 // end of the build, after the re-score to +Inf.
 func (st *slabKernel) dropColumn(c int) {
-	list := &st.shards[c%st.k].byClass[st.colClass[c]]
-	at := slices.Index(*list, c/st.k)
+	list := &st.byClass[st.colClass[c]]
+	at := slices.Index(*list, c)
 	*list = slices.Delete(*list, at, at+1)
 	st.cols[c], st.colNi[c] = colKey{}, -1
 	st.staleCols = append(st.staleCols, c)
@@ -744,11 +629,11 @@ func (st *slabKernel) dropColumn(c int) {
 // after the pass.
 func (sch *Scheduler) pairRows(ctx *policy.Context, s *shadow) {
 	st := &sch.kern
-	st.prev = append(st.prev[:0], st.rowRef...)
 	n := len(ctx.Queue) // at most the queue and the active VMs
 	if sch.cfg.Migration {
 		n += len(ctx.Active)
 	}
+	st.prev = append(st.prev[:0], st.rowRef...)
 	free := len(st.rowFree)
 	st.beginRows(s, n)
 	cands, ordered := sch.cands[:0], true
@@ -862,31 +747,27 @@ func (sch *Scheduler) pairRow(s *shadow, v *vm.VM) bool {
 	return true
 }
 
-// rescore re-scores the shard's part of the kernel's work list — the
-// stale columns it owns, then its slab of every stale row — and
-// repairs the records that invalidates. May run on a worker: touches
-// only the shard's own slab, records and wake list plus read-only
-// scheduler, kernel and shadow state.
-func (sh *solverShard) rescore(sch *Scheduler, s *shadow) {
+// rescore re-scores the kernel's work list — the stale columns, then
+// every stale row — against the shadow, and repairs the records that
+// invalidates.
+func (sch *Scheduler) rescore(s *shadow) {
 	st := &sch.kern
 	for _, c := range st.staleCols {
-		if c%st.k == sh.id {
-			sh.rescoreColumn(sch, s, c)
-		}
+		sch.rescoreColumn(s, c)
 	}
 	for _, vi := range st.awake {
 		if st.rowRef[vi].flags&rowStale == 0 {
 			continue
 		}
-		row := sh.base[st.rowRef[vi].slot*st.stride:]
-		for p, c := 0, sh.id; c < len(st.cols); p, c = p+1, c+st.k {
-			row[p] = math.Inf(1)
-			if ni := st.colNi[c]; ni >= 0 {
-				row[p] = sch.scoreBase(s, ni, vi)
-				sh.stats.ScoreEvals++
+		row := st.base[st.rowRef[vi].slot*st.stride:][:len(st.cols)]
+		for c, ni := range st.colNi {
+			row[c] = math.Inf(1)
+			if ni >= 0 {
+				row[c] = sch.scoreBase(s, ni, vi)
+				sch.Stats.ScoreEvals++
 			}
 		}
-		sh.rescan(st, s, vi, -1)
+		sch.rescan(s, vi, -1)
 	}
 }
 
@@ -896,9 +777,9 @@ func (sh *solverShard) rescore(sch *Scheduler, s *shadow) {
 // improved stays the holder, a holder that got worse costs a rescan of
 // that class of that row, and any other cell is offered. A changed cell
 // of the row's own hosts and a lowered record minimum wake the row.
-func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int) {
+func (sch *Scheduler) rescoreColumn(s *shadow, c int) {
 	st := &sch.kern
-	ni, g, p, C := st.colNi[c], st.colClass[c], c/st.k, len(st.classes)
+	ni, g, C := st.colNi[c], st.colClass[c], len(st.classes)
 	for vi, r := range st.rowRef {
 		if r.flags&rowStale != 0 {
 			continue
@@ -907,50 +788,51 @@ func (sh *solverShard) rescoreColumn(sch *Scheduler, s *shadow, c int) {
 		b := math.Inf(1)
 		if ni >= 0 {
 			b = sch.scoreBase(s, ni, vi)
-			sh.stats.ScoreEvals++
+			sch.Stats.ScoreEvals++
 		}
-		old := sh.base[rs*st.stride+p]
+		old := st.base[rs*st.stride+c]
 		if b == old {
 			continue // unchanged (including +Inf staying +Inf)
 		}
-		sh.base[rs*st.stride+p] = b
+		st.base[rs*st.stride+c] = b
 		if ni >= 0 && (ni == s.assign[vi] || ni == s.initial[vi]) {
-			sh.wake(st, vi)
+			st.wake(vi)
 			continue // not in the records
 		}
-		switch r := &sh.rec[rs*C+g]; {
+		switch r := &st.rec[rs*C+g]; {
 		case r.slot != c:
 			if b < r.min {
-				sh.wake(st, vi)
+				st.wake(vi)
 			}
 			r.offer(b, c, ni, st.colNi)
 		case b < old:
 			r.min = b
-			sh.wake(st, vi)
+			st.wake(vi)
 		default:
-			sh.rescan(st, s, vi, g)
+			sch.rescan(s, vi, g)
 		}
 	}
 }
 
 // rescan rebuilds row vi's record of class g — of every class when g
-// is negative — from the shard's cached cells (no score evaluations).
-func (sh *solverShard) rescan(st *slabKernel, s *shadow, vi, g int) {
+// is negative — from the cached cells (no score evaluations).
+func (sch *Scheduler) rescan(s *shadow, vi, g int) {
+	st := &sch.kern
 	rs := st.rowRef[vi].slot
-	row := sh.base[rs*st.stride:]
-	for i, list := range sh.byClass {
+	row := st.base[rs*st.stride:]
+	for i, list := range st.byClass {
 		if g >= 0 && i != g {
 			continue
 		}
-		sh.stats.RowRescans++
+		sch.Stats.RowRescans++
 		r := noRec
-		for _, p := range list { // ascending host index: the naive scan order
-			if b := row[p]; b < r.min {
-				if ni := st.colNi[p*st.k+sh.id]; ni != s.assign[vi] && ni != s.initial[vi] {
-					r = classRec{min: b, slot: p*st.k + sh.id, low: r.min}
+		for _, c := range list { // ascending host index: the naive scan order
+			if b := row[c]; b < r.min {
+				if ni := st.colNi[c]; ni != s.assign[vi] && ni != s.initial[vi] {
+					r = classRec{min: b, slot: c, low: r.min}
 				}
 			}
 		}
-		sh.rec[rs*len(st.classes)+i] = r
+		st.rec[rs*len(st.classes)+i] = r
 	}
 }

@@ -86,15 +86,9 @@ type SolverStats struct {
 	// was dormant: provably non-improving since an earlier round's
 	// verdict (see kernel.go).
 	DormantSkips int
-
-	// --- column shards (see kernel.go) ---
-
-	// LastShards is the shard count K of the most recent non-naive
-	// round (host-count clamped, GOMAXPROCS resolved; 1 by default).
-	LastShards int
-	// MaxSlabCells is the largest capacity one shard's slab of the
-	// persistent matrix has had: row slots × column slots per shard,
-	// headroom included — the per-shard memory bound.
+	// MaxSlabCells is the largest capacity the persistent matrix's slab
+	// has had: row slots × column slots, headroom included — the
+	// kernel's memory bound.
 	MaxSlabCells int
 }
 
@@ -234,15 +228,13 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 	before := sch.Stats
 
 	s := &sch.sh
-	k := 0          // the round's shard count; 0 = the naive oracle
 	var moved []int // candidate indices, among them every one the climb moved
 	if sch.cfg.NaiveSolver {
 		sch.cands = sch.candidates(ctx, sch.cands)
 		s.reset(ctx.Now, hosts, sch.cands)
 		moved = sch.solveNaive(s, hosts, sch.cands)
 	} else {
-		k = sch.cfg.shardCount(len(hosts))
-		moved = sch.solveKernel(ctx, s, hosts, k)
+		moved = sch.solveKernel(ctx, s, hosts)
 	}
 	cands := sch.cands
 
@@ -250,6 +242,9 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 	// order: only a VM the climb moved can be off its round-start host.
 	slices.Sort(moved)
 	out := sch.out[:0]
+	if out == nil { // the first round: room for every action up front
+		out = make([]policy.Action, 0, len(moved))
+	}
 	for _, vi := range moved {
 		v := cands[vi]
 		from, to := s.initial[vi], s.assign[vi]
@@ -265,7 +260,7 @@ func (sch *Scheduler) Schedule(ctx *policy.Context) []policy.Action {
 	}
 	sch.out = out
 	if sch.traceVerb > obs.TraceOff {
-		sch.emitRoundTrace(ctx.Now, k, t0, before, len(hosts), len(cands))
+		sch.emitRoundTrace(ctx.Now, t0, before, len(hosts), len(cands))
 	}
 	return out
 }
@@ -290,6 +285,9 @@ func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.V
 	limit := sch.iterationLimit(len(cands))
 	moves := 0
 	sch.moved = sch.moved[:0]
+	if sch.moved == nil { // the first round: room for every candidate up front
+		sch.moved = make([]int, 0, len(cands))
+	}
 	for iter := 0; iter < limit; iter++ {
 		// Find the most negative improvement in the whole matrix.
 		bestVI, bestNI := -1, -1

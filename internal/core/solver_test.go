@@ -183,6 +183,34 @@ func TestDifferentialRandomRounds(t *testing.T) {
 	}
 }
 
+// TestShardedDifferentialRandomRounds compares the kernel against the
+// naive oracle over randomized single rounds and holds its state exact
+// (checkKernel) after each. The name dates from the sharded kernel,
+// which this test once swept over shard counts; the one-width kernel
+// is what it checks now.
+func TestShardedDifferentialRandomRounds(t *testing.T) {
+	for seed := 0; seed < 120; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		ctx, cfg := randomScenario(r)
+		cfg.NaiveSolver = true
+		naive := MustScheduler(cfg)
+		want := renderActions(naive.Schedule(ctx))
+		cfg.NaiveSolver = false
+		kern := MustScheduler(cfg)
+		got := renderActions(kern.Schedule(ctx))
+		checkKernel(t, kern)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: actions diverged:\nkernel: %v\nnaive:  %v", seed, got, want)
+		}
+		if kern.Stats.Moves != naive.Stats.Moves {
+			t.Fatalf("seed %d: moves diverged: %d vs %d", seed, kern.Stats.Moves, naive.Stats.Moves)
+		}
+		if kern.Stats.LimitHits != naive.Stats.LimitHits {
+			t.Fatalf("seed %d: limit hits diverged: %d vs %d", seed, kern.Stats.LimitHits, naive.Stats.LimitHits)
+		}
+	}
+}
+
 // TestDifferentialScratchReuse drives one scheduler pair through many
 // rounds of different shapes, so the scratch buffers (candidate slice,
 // shadow, matrix) are exercised across reuse boundaries.
@@ -366,7 +394,7 @@ func checkKernel(t *testing.T, sch *Scheduler) {
 // — a carried cell that does not is a stale key, a scored field
 // written around its setter or Touch — and composes with the round's
 // time terms to a fresh score; the cells of a live row in column slots
-// outside the matrix are +Inf; every shard's ⟨row, class⟩ record
+// outside the matrix are +Inf; every ⟨row, class⟩ record
 // equals a brute-force scan and its low field really is a lower bound;
 // the arbiter's per-row best equals a naive-order scan of the full
 // scores; the awake list holds each awake row once; and every dormant
@@ -376,10 +404,7 @@ func kernelFault(sch *Scheduler) error {
 		return nil // the round returned before building
 	}
 	s, st := &sch.sh, &sch.kern
-	K, C := sch.Stats.LastShards, len(st.classes)
-	if st.k != K {
-		return fmt.Errorf("kernel state dealt over %d shards, the round ran %d", st.k, K)
-	}
+	C := len(st.classes)
 	for ni, r := range st.colRef {
 		c, n := r.slot, s.nodes[ni]
 		if st.colNi[c] != ni || st.cols[c].node != n || r.id != n.ID || st.classes[st.colClass[c]] != n.Class {
@@ -466,48 +491,45 @@ func kernelFault(sch *Scheduler) error {
 			}
 		}
 
-		for i, sh := range st.shards[:K] {
-			want := make([]classRec, C)
-			for g := range want {
-				want[g] = noRec
+		recs := make([]classRec, C)
+		for g := range recs {
+			recs[g] = noRec
+		}
+		for c, ni := range st.colNi {
+			got := st.base[rs*st.stride+c]
+			if ni < 0 {
+				if !math.IsInf(got, 1) {
+					return fmt.Errorf("cell (vm index %d, free slot %d) = %v, want +Inf", vi, c, got)
+				}
+				continue
 			}
-			for p, c := 0, i; c < len(st.cols); p, c = p+1, c+K {
-				got, ni := sh.base[rs*st.stride+p], st.colNi[c]
-				if ni < 0 {
-					if !math.IsInf(got, 1) {
-						return fmt.Errorf("shard %d: cell (vm index %d, free slot %d) = %v, want +Inf", i, vi, c, got)
-					}
+			b := sch.scoreBase(s, ni, vi)
+			if got != b {
+				return fmt.Errorf("stale key: cell (vm %d stamped at epoch %d, node %d stamped at epoch %d) holds %v, a fresh base is %v",
+					v.ID, st.rows[rs].epoch, s.nodes[ni].ID, st.cols[c].epoch, got, b)
+			}
+			if ni == s.assign[vi] || ni == s.initial[vi] {
+				continue
+			}
+			// Brute force: the minimum, the lowest index achieving it.
+			w := &recs[st.colClass[c]]
+			if b < w.min || (b == w.min && w.slot >= 0 && ni < st.colNi[w.slot]) {
+				w.min, w.slot = b, c
+			}
+		}
+		for g, w := range recs {
+			r := st.rec[rs*C+g]
+			if r.min != w.min || r.slot != w.slot {
+				return fmt.Errorf("record (vm index %d, class %d) = %v at slot %d, scan says %v at slot %d",
+					vi, g, r.min, r.slot, w.min, w.slot)
+			}
+			for c, ni := range st.colNi {
+				if r.slot < 0 || ni < 0 || ni >= st.colNi[r.slot] || st.colClass[c] != g || ni == s.assign[vi] || ni == s.initial[vi] {
 					continue
 				}
-				b := sch.scoreBase(s, ni, vi)
-				if got != b {
-					return fmt.Errorf("shard %d: stale key: cell (vm %d stamped at epoch %d, node %d stamped at epoch %d) holds %v, a fresh base is %v",
-						i, v.ID, st.rows[rs].epoch, s.nodes[ni].ID, st.cols[c].epoch, got, b)
-				}
-				if ni == s.assign[vi] || ni == s.initial[vi] {
-					continue
-				}
-				// Brute force: the minimum, the lowest index achieving it.
-				w := &want[st.colClass[c]]
-				if b < w.min || (b == w.min && w.slot >= 0 && ni < st.colNi[w.slot]) {
-					w.min, w.slot = b, c
-				}
-			}
-			for g, w := range want {
-				r := sh.rec[rs*C+g]
-				if r.min != w.min || r.slot != w.slot {
-					return fmt.Errorf("shard %d: record (vm index %d, class %d) = %v at slot %d, scan says %v at slot %d",
-						i, vi, g, r.min, r.slot, w.min, w.slot)
-				}
-				for p, c := 0, i; c < len(st.cols); p, c = p+1, c+K {
-					ni := st.colNi[c]
-					if r.slot < 0 || ni < 0 || ni >= st.colNi[r.slot] || st.colClass[c] != g || ni == s.assign[vi] || ni == s.initial[vi] {
-						continue
-					}
-					if b := sh.base[rs*st.stride+p]; b < r.low {
-						return fmt.Errorf("shard %d: record (vm index %d, class %d) low = %v, but host index %d below the holder has base %v",
-							i, vi, g, r.low, ni, b)
-					}
+				if b := st.base[rs*st.stride+c]; b < r.low {
+					return fmt.Errorf("record (vm index %d, class %d) low = %v, but host index %d below the holder has base %v",
+						vi, g, r.low, ni, b)
 				}
 			}
 		}
@@ -526,25 +548,22 @@ func TestCheckKernelDetectsStaleKey(t *testing.T) {
 		"vm demand":  func(_ *cluster.Cluster, v *vm.VM) { v.Req.CPU += 50 },
 		"vm touched": func(_ *cluster.Cluster, v *vm.VM) { v.FaultTolerance = 0.01; v.Touch() },
 	} {
-		for _, k := range []int{1, 2} {
-			c := testCluster(t, 3)
-			a, b := runningVM(1, 100, 5, c, 0), runningVM(2, 100, 5, c, 2)
-			cfg := SBConfig()
-			cfg.EnableFault = true
-			cfg.MigrationGainMin = 1e6
-			cfg.Shards = k
-			sch := MustScheduler(cfg)
-			ctx := ctxFor(c, nil, []*vm.VM{a, b})
-			sch.Schedule(ctx)
-			if err := kernelFault(sch); err != nil {
-				t.Fatalf("%s K=%d, before: %v", name, k, err)
-			}
-			corrupt(c, a)
-			sch.Schedule(ctx)
-			err := kernelFault(sch)
-			if bypass := name != "vm touched"; bypass != (err != nil) || err != nil && !strings.Contains(err.Error(), "stale key") {
-				t.Fatalf("%s K=%d: the oracle reports %v", name, k, err)
-			}
+		c := testCluster(t, 3)
+		a, b := runningVM(1, 100, 5, c, 0), runningVM(2, 100, 5, c, 2)
+		cfg := SBConfig()
+		cfg.EnableFault = true
+		cfg.MigrationGainMin = 1e6
+		sch := MustScheduler(cfg)
+		ctx := ctxFor(c, nil, []*vm.VM{a, b})
+		sch.Schedule(ctx)
+		if err := kernelFault(sch); err != nil {
+			t.Fatalf("%s, before: %v", name, err)
+		}
+		corrupt(c, a)
+		sch.Schedule(ctx)
+		err := kernelFault(sch)
+		if bypass := name != "vm touched"; bypass != (err != nil) || err != nil && !strings.Contains(err.Error(), "stale key") {
+			t.Fatalf("%s: the oracle reports %v", name, err)
 		}
 	}
 }
@@ -582,7 +601,6 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 		cfg.EnableSLA = r.Float64() < 0.3
 		cfg.EnableFault = r.Float64() < 0.3
 		cfg.MigrationCooldown = 600
-		cfg.Shards = []int{0, 3}[seed%2]
 		inc := MustScheduler(cfg)
 		naiCfg := cfg
 		naiCfg.NaiveSolver = true
@@ -640,9 +658,7 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 					t.Fatalf("seed %d round %d: %d stale columns, churn allows %d",
 						seed, round, stale, budget)
 				}
-			} else if round > 0 && after.LastShards == before.LastShards {
-				// (A round whose K differs from the last — the host count
-				// fell below Shards — starts over by design.)
+			} else if round > 0 {
 				t.Fatalf("seed %d round %d: no cross-round carry", seed, round)
 			}
 
@@ -662,10 +678,64 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 	}
 }
 
-// kernelPair builds a carrying kernel with k shards and the naive
-// oracle over one configuration.
-func kernelPair(cfg Config, k int) (kern, naive *Scheduler) {
-	cfg.Shards, cfg.NaiveSolver = k, false
+// churnCluster builds a cluster of roughly n nodes across the paper's
+// three class shapes.
+func churnCluster(n int) *cluster.Cluster {
+	classes := cluster.PaperClasses()
+	scale := float64(n) / 100.0
+	for i := range classes {
+		classes[i].Count = int(float64(classes[i].Count)*scale + 0.5)
+		if classes[i].Count < 1 {
+			classes[i].Count = 1
+		}
+	}
+	return cluster.MustNew(classes)
+}
+
+// TestDifferentialChurnSizes is the seeded property-based differential
+// test: cluster sizes from 10 to 1000 nodes, random churn sequences
+// (arrivals, completions, demand updates, power transitions, the On-set
+// shrinking from the low-ID end, applied actions), and a carrying kernel
+// beside the naive oracle. Each round the kernel must emit exactly the
+// oracle's actions with an exact cache, and across the run its carry
+// must actually reuse cells.
+func TestDifferentialChurnSizes(t *testing.T) {
+	sizes := []int{10, 33, 100}
+	if testing.Short() {
+		sizes = []int{10, 33}
+	} else {
+		sizes = append(sizes, 1000)
+	}
+	for _, size := range sizes {
+		t.Run(fmt.Sprintf("nodes=%d", size), func(t *testing.T) {
+			rounds := 25
+			if size >= 1000 {
+				t.Parallel()
+				rounds = 6 // a 1000-node round is ~30× a 100-node one
+			}
+			cfg := DefaultConfig()
+			cfg.MigrationCooldown = 600
+			kern, naive := kernelPair(cfg)
+
+			cs := newChurnSim(int64(7700+size), churnCluster(size), 1+size/20)
+			for round := 0; round < rounds; round++ {
+				cs.churn()
+				cs.apply(diffChecked(t, fmt.Sprintf("round %d", round), kern, naive, cs.context()))
+			}
+			if kern.Stats.Moves != naive.Stats.Moves {
+				t.Fatalf("total moves diverged: kernel %d vs naive %d", kern.Stats.Moves, naive.Stats.Moves)
+			}
+			if kern.Stats.ReusedCells == 0 {
+				t.Fatal("cross-round carry never reused a cell")
+			}
+		})
+	}
+}
+
+// kernelPair builds a carrying kernel and the naive oracle over one
+// configuration.
+func kernelPair(cfg Config) (kern, naive *Scheduler) {
+	cfg.NaiveSolver = false
 	kern = MustScheduler(cfg)
 	cfg.NaiveSolver = true
 	return kern, MustScheduler(cfg)
@@ -690,30 +760,27 @@ func diffChecked(t *testing.T, what string, kern, naive *Scheduler, ctx *policy.
 // higher index has the strictly lower base, and a creation cost three
 // binades up absorbs the ulp: the full scores tie and the naive scan
 // keeps host 0. A kernel that trusts the class record's holder places
-// on host 2; the low bound must send it to the exact scan instead. At
-// K = 2 both hosts sit in shard 0 (slots 0 and 2).
+// on host 2; the low bound must send it to the exact scan instead.
 func TestDifferentialRoundingTie(t *testing.T) {
-	for _, k := range []int{1, 2} {
-		cls := cluster.PaperClasses()[1]
-		cls.Count, cls.CPU, cls.Mem, cls.CreateCost = 3, 1, 1000, 1000
-		c := cluster.MustNew([]cluster.Class{cls})
-		for _, n := range c.Nodes {
-			n.SetState(cluster.On)
-		}
-		runningVM(1, 0.3, 1, c, 0)
-		runningVM(2, 0.1, 1, c, 2)
-		runningVM(3, 0.2, 1, c, 2)
-		queue := []*vm.VM{queuedVM(0, 0.05, 1)}
+	cls := cluster.PaperClasses()[1]
+	cls.Count, cls.CPU, cls.Mem, cls.CreateCost = 3, 1, 1000, 1000
+	c := cluster.MustNew([]cluster.Class{cls})
+	for _, n := range c.Nodes {
+		n.SetState(cluster.On)
+	}
+	runningVM(1, 0.3, 1, c, 0)
+	runningVM(2, 0.1, 1, c, 2)
+	runningVM(3, 0.2, 1, c, 2)
+	queue := []*vm.VM{queuedVM(0, 0.05, 1)}
 
-		kern, naive := kernelPair(SB2Config(), k)
-		s := newShadow(0, c.Nodes, queue)
-		if b0, b2 := kern.scoreBase(s, 0, 0), kern.scoreBase(s, 2, 0); !(b2 < b0) || kern.score(s, 0, 0) != kern.score(s, 2, 0) {
-			t.Fatalf("not the hazard: bases %v and %v, scores %v and %v", b0, b2, kern.score(s, 0, 0), kern.score(s, 2, 0))
-		}
-		acts := diffChecked(t, fmt.Sprintf("K=%d", k), kern, naive, ctxFor(c, queue, nil))
-		if got := renderActions(acts); !slices.Equal(got, []string{"place vm0 -> n0"}) {
-			t.Fatalf("K=%d: naive actions = %v, want the lower index of the tie", k, got)
-		}
+	kern, naive := kernelPair(SB2Config())
+	s := newShadow(0, c.Nodes, queue)
+	if b0, b2 := kern.scoreBase(s, 0, 0), kern.scoreBase(s, 2, 0); !(b2 < b0) || kern.score(s, 0, 0) != kern.score(s, 2, 0) {
+		t.Fatalf("not the hazard: bases %v and %v, scores %v and %v", b0, b2, kern.score(s, 0, 0), kern.score(s, 2, 0))
+	}
+	acts := diffChecked(t, "tie", kern, naive, ctxFor(c, queue, nil))
+	if got := renderActions(acts); !slices.Equal(got, []string{"place vm0 -> n0"}) {
+		t.Fatalf("naive actions = %v, want the lower index of the tie", got)
 	}
 }
 
@@ -731,26 +798,24 @@ func (m *moveLog) Emit(rt obs.RoundTrace)   { m.moves = append(m.moves, rt.Actio
 // the moved-back row's stamp restored and everything else re-scored.
 func TestDifferentialMoveBack(t *testing.T) {
 	for _, seed := range []int64{861, 1169, 1415} {
-		for _, k := range []int{1, 2} {
-			ctx, cfg := randomScenario(rand.New(rand.NewSource(seed)))
-			kern, naive := kernelPair(cfg, k)
-			log := &moveLog{}
-			naive.Tracer = log
-			what := fmt.Sprintf("seed %d K=%d", seed, k)
-			diffChecked(t, what, kern, naive, ctx)
-			start, back := map[int]int{}, false
-			for _, m := range log.moves {
-				if from, seen := start[m.VM]; !seen {
-					start[m.VM] = m.From
-				} else if from >= 0 && m.To == from {
-					back = true
-				}
+		ctx, cfg := randomScenario(rand.New(rand.NewSource(seed)))
+		kern, naive := kernelPair(cfg)
+		log := &moveLog{}
+		naive.Tracer = log
+		what := fmt.Sprintf("seed %d", seed)
+		diffChecked(t, what, kern, naive, ctx)
+		start, back := map[int]int{}, false
+		for _, m := range log.moves {
+			if from, seen := start[m.VM]; !seen {
+				start[m.VM] = m.From
+			} else if from >= 0 && m.To == from {
+				back = true
 			}
-			if !back {
-				t.Fatalf("%s: no VM moved back to its round-start host; the test is vacuous", what)
-			}
-			diffChecked(t, what+" round 2", kern, naive, ctx)
 		}
+		if !back {
+			t.Fatalf("%s: no VM moved back to its round-start host; the test is vacuous", what)
+		}
+		diffChecked(t, what+" round 2", kern, naive, ctx)
 	}
 }
 
@@ -758,39 +823,37 @@ func TestDifferentialMoveBack(t *testing.T) {
 // class record points at it, and the next round another host enters
 // and takes its column slot.
 func TestDifferentialSlotReuse(t *testing.T) {
-	for _, k := range []int{1, 2} {
-		c := testCluster(t, 5)
-		c.Nodes[3].SetState(cluster.Off)
-		c.Nodes[4].SetState(cluster.Off)
-		cs := &churnSim{c: c, touchedVMs: map[int]bool{}, touchedNodes: map[int]bool{}}
-		// The persistent row: its only targets are the empty hosts 1 and
-		// 2, equally good, so its record holds host 1.
-		stay := runningVM(0, 100, 5, c, 0)
-		cs.vms = append(cs.vms, stay)
-		kern, naive := kernelPair(SBConfig(), k)
-		round := func(what string) {
-			t.Helper()
-			cs.apply(diffChecked(t, fmt.Sprintf("K=%d %s", k, what), kern, naive, cs.context()))
-		}
-		round("start")
-		st := &kern.kern
-		left := st.colRef[1].slot
-		if r := st.shards[left%k].rec[st.rowRef[0].slot*len(st.classes)]; r.slot != left {
-			t.Fatalf("K=%d: the record of the persistent row holds slot %d, want host 1's slot %d", k, r.slot, left)
-		}
-		c.Nodes[1].SetState(cluster.Off)
-		round("host 1 left")
-		c.Nodes[4].SetState(cluster.On)
-		cs.vms = append(cs.vms, vm.New(1, vm.Requirements{CPU: 100, Mem: 5}, cs.now, 3600, cs.now+7200))
-		round("host 4 entered")
-		if got := st.colRef[len(st.colRef)-1].slot; got != left {
-			t.Fatalf("K=%d: host 4 took slot %d, want the slot %d host 1 left", k, got, left)
-		}
-		if stay.Host != 0 || st.rows[st.rowRef[0].slot].vm != stay {
-			t.Fatalf("K=%d: the persistent row did not persist", k)
-		}
-		round("after")
+	c := testCluster(t, 5)
+	c.Nodes[3].SetState(cluster.Off)
+	c.Nodes[4].SetState(cluster.Off)
+	cs := &churnSim{c: c, touchedVMs: map[int]bool{}, touchedNodes: map[int]bool{}}
+	// The persistent row: its only targets are the empty hosts 1 and
+	// 2, equally good, so its record holds host 1.
+	stay := runningVM(0, 100, 5, c, 0)
+	cs.vms = append(cs.vms, stay)
+	kern, naive := kernelPair(SBConfig())
+	round := func(what string) {
+		t.Helper()
+		cs.apply(diffChecked(t, what, kern, naive, cs.context()))
 	}
+	round("start")
+	st := &kern.kern
+	left := st.colRef[1].slot
+	if r := st.rec[st.rowRef[0].slot*len(st.classes)]; r.slot != left {
+		t.Fatalf("the record of the persistent row holds slot %d, want host 1's slot %d", r.slot, left)
+	}
+	c.Nodes[1].SetState(cluster.Off)
+	round("host 1 left")
+	c.Nodes[4].SetState(cluster.On)
+	cs.vms = append(cs.vms, vm.New(1, vm.Requirements{CPU: 100, Mem: 5}, cs.now, 3600, cs.now+7200))
+	round("host 4 entered")
+	if got := st.colRef[len(st.colRef)-1].slot; got != left {
+		t.Fatalf("host 4 took slot %d, want the slot %d host 1 left", got, left)
+	}
+	if stay.Host != 0 || st.rows[st.rowRef[0].slot].vm != stay {
+		t.Fatalf("the persistent row did not persist")
+	}
+	round("after")
 }
 
 // TestDifferentialSB0Churn is the churn differential without Pvirt —
@@ -798,56 +861,54 @@ func TestDifferentialSlotReuse(t *testing.T) {
 // penalty family, keeps a VM under an operation in place — with VMs
 // left creating for a round so the pin has rows to act on.
 func TestDifferentialSB0Churn(t *testing.T) {
-	for _, k := range []int{1, 3} {
-		// The pin by construction: a creating VM on an overcommitted host
-		// is moved to the first feasible host (the empty host 1), and the
-		// pin then keeps it there although host 2 is 40 better.
-		c := testCluster(t, 3)
-		runningVM(1, 400, 5, c, 0)
-		runningVM(2, 200, 5, c, 2)
-		pinned := runningVM(0, 100, 5, c, 0)
-		pinned.State = vm.Creating
-		kern, naive := kernelPair(SB0Config(), k)
-		acts := diffChecked(t, fmt.Sprintf("K=%d pin", k), kern, naive, ctxFor(c, []*vm.VM{pinned}, nil))
-		if got := renderActions(acts); !slices.Equal(got, []string{"migrate vm0 -> n1"}) {
-			t.Fatalf("K=%d: pinned VM: naive actions = %v, want it left on host 1", k, got)
-		}
+	// The pin by construction: a creating VM on an overcommitted host
+	// is moved to the first feasible host (the empty host 1), and the
+	// pin then keeps it there although host 2 is 40 better.
+	c := testCluster(t, 3)
+	runningVM(1, 400, 5, c, 0)
+	runningVM(2, 200, 5, c, 2)
+	pinned := runningVM(0, 100, 5, c, 0)
+	pinned.State = vm.Creating
+	kern, naive := kernelPair(SB0Config())
+	acts := diffChecked(t, "pin", kern, naive, ctxFor(c, []*vm.VM{pinned}, nil))
+	if got := renderActions(acts); !slices.Equal(got, []string{"migrate vm0 -> n1"}) {
+		t.Fatalf("pinned VM: naive actions = %v, want it left on host 1", got)
+	}
 
-		cfg := SB0Config()
-		cfg.Migration = true
-		cfg.MigrationGainMin = 1
-		cfg.MigrationCooldown = -1
-		kern, naive = kernelPair(cfg, k)
-		cs := newChurnSim(4400, churnCluster(20), 3)
-		for round := 0; round < 40; round++ {
-			cs.churn()
-			ctx := cs.context()
-			// Hand the solver some active VMs as if still creating: rows
-			// that are in operation (the harness never queues those, but
-			// the pin must hold for whoever does).
-			var creating []*vm.VM
-			for _, v := range ctx.Active {
-				if v.ID%3 == 0 {
-					v.State = vm.Creating
-					creating = append(creating, v)
-				}
+	cfg := SB0Config()
+	cfg.Migration = true
+	cfg.MigrationGainMin = 1
+	cfg.MigrationCooldown = -1
+	kern, naive = kernelPair(cfg)
+	cs := newChurnSim(4400, churnCluster(20), 3)
+	for round := 0; round < 40; round++ {
+		cs.churn()
+		ctx := cs.context()
+		// Hand the solver some active VMs as if still creating: rows
+		// that are in operation (the harness never queues those, but
+		// the pin must hold for whoever does).
+		var creating []*vm.VM
+		for _, v := range ctx.Active {
+			if v.ID%3 == 0 {
+				v.State = vm.Creating
+				creating = append(creating, v)
 			}
-			ctx.Queue = append(ctx.Queue, creating...)
-			acts := diffChecked(t, fmt.Sprintf("K=%d round %d", k, round), kern, naive, ctx)
-			for _, v := range creating {
-				v.State = vm.Running
-			}
-			kept := acts[:0:0]
-			for _, a := range acts {
-				if a.Kind != policy.KindMigrate || !slices.Contains(creating, a.VM) {
-					kept = append(kept, a)
-				}
-			}
-			cs.apply(kept)
 		}
-		if kern.Stats.Moves != naive.Stats.Moves || kern.Stats.Moves == 0 {
-			t.Fatalf("K=%d: moves %d vs naive %d", k, kern.Stats.Moves, naive.Stats.Moves)
+		ctx.Queue = append(ctx.Queue, creating...)
+		acts := diffChecked(t, fmt.Sprintf("round %d", round), kern, naive, ctx)
+		for _, v := range creating {
+			v.State = vm.Running
 		}
+		kept := acts[:0:0]
+		for _, a := range acts {
+			if a.Kind != policy.KindMigrate || !slices.Contains(creating, a.VM) {
+				kept = append(kept, a)
+			}
+		}
+		cs.apply(kept)
+	}
+	if kern.Stats.Moves != naive.Stats.Moves || kern.Stats.Moves == 0 {
+		t.Fatalf("moves %d vs naive %d", kern.Stats.Moves, naive.Stats.Moves)
 	}
 }
 
@@ -957,60 +1018,55 @@ func TestMatrixHonorsCooldown(t *testing.T) {
 
 // TestScheduleSteadyStateAllocationFree verifies the scratch-buffer
 // contract: after a warm-up round, a carry round performs no heap
-// allocations — on the default path and at an explicit K=1 alike (a
-// one-shard round handed to the worker fan-out pays a closure per build
-// and per move) — whether it emits nothing or acts: the returned slice
-// is scratch too and an action is a value appended to it.
+// allocations, whether it emits nothing or acts: the returned slice is
+// scratch too and an action is a value appended to it.
 func TestScheduleSteadyStateAllocationFree(t *testing.T) {
-	for _, shards := range []int{0, 1} {
-		c := testCluster(t, 4)
-		// Two running VMs, hysteresis too high to move them: the solver
-		// scores the full matrix but emits nothing.
-		a := runningVM(1, 300, 15, c, 0)
-		b := runningVM(2, 100, 5, c, 1)
-		cfg := SBConfig()
-		cfg.MigrationGainMin = 1e6
-		cfg.Shards = shards
-		sch := MustScheduler(cfg)
-		ctx := ctxFor(c, nil, []*vm.VM{a, b})
-		sch.Schedule(ctx) // warm up scratch buffers
-		allocs := testing.AllocsPerRun(50, func() {
-			if acts := sch.Schedule(ctx); len(acts) != 0 {
-				t.Fatalf("unexpected actions: %v", acts)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("Shards=%d: steady-state round allocates %.1f objects, want 0", shards, allocs)
+	c := testCluster(t, 4)
+	// Two running VMs, hysteresis too high to move them: the solver
+	// scores the full matrix but emits nothing.
+	a := runningVM(1, 300, 15, c, 0)
+	b := runningVM(2, 100, 5, c, 1)
+	cfg := SBConfig()
+	cfg.MigrationGainMin = 1e6
+	sch := MustScheduler(cfg)
+	ctx := ctxFor(c, nil, []*vm.VM{a, b})
+	sch.Schedule(ctx) // warm up scratch buffers
+	allocs := testing.AllocsPerRun(50, func() {
+		if acts := sch.Schedule(ctx); len(acts) != 0 {
+			t.Fatalf("unexpected actions: %v", acts)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state round allocates %.1f objects, want 0", allocs)
+	}
 
-		// A queued VM the round places: nothing actuates it, so every
-		// round finds the moved row and the touched column dirty,
-		// re-scores them and places it again.
-		ctx.Queue = []*vm.VM{queuedVM(0, 100, 5)}
-		sch.Schedule(ctx)
-		carried := sch.Stats.CarryRounds
-		allocs = testing.AllocsPerRun(50, func() {
-			if acts := sch.Schedule(ctx); len(acts) != 1 {
-				t.Fatalf("actions = %v, want one placement", acts)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("Shards=%d: acting carry round allocates %.1f objects, want 0", shards, allocs)
+	// A queued VM the round places: nothing actuates it, so every
+	// round finds the moved row and the touched column dirty,
+	// re-scores them and places it again.
+	ctx.Queue = []*vm.VM{queuedVM(0, 100, 5)}
+	sch.Schedule(ctx)
+	carried := sch.Stats.CarryRounds
+	allocs = testing.AllocsPerRun(50, func() {
+		if acts := sch.Schedule(ctx); len(acts) != 1 {
+			t.Fatalf("actions = %v, want one placement", acts)
 		}
-		if sch.Stats.CarryRounds-carried != 51 || sch.Stats.StaleRows == 0 {
-			t.Errorf("Shards=%d: the acting rounds did not carry and re-score", shards)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("acting carry round allocates %.1f objects, want 0", allocs)
+	}
+	if sch.Stats.CarryRounds-carried != 51 || sch.Stats.StaleRows == 0 {
+		t.Errorf("the acting rounds did not carry and re-score")
+	}
 
-		// Traced, the acting round lends its action records to the sink
-		// rather than copying them for it.
-		sink := &lentActions{}
-		sch.Tracer = sink
-		sch.Schedule(ctx)
-		allocs = testing.AllocsPerRun(50, func() { sch.Schedule(ctx) })
-		if allocs != 0 || sink.actions != 51 {
-			t.Errorf("Shards=%d: traced acting round allocates %.1f objects with %d of 51 actions lent, want 0",
-				shards, allocs, sink.actions)
-		}
+	// Traced, the acting round lends its action records to the sink
+	// rather than copying them for it.
+	sink := &lentActions{}
+	sch.Tracer = sink
+	sch.Schedule(ctx)
+	allocs = testing.AllocsPerRun(50, func() { sch.Schedule(ctx) })
+	if allocs != 0 || sink.actions != 51 {
+		t.Errorf("traced acting round allocates %.1f objects with %d of 51 actions lent, want 0",
+			allocs, sink.actions)
 	}
 }
 

@@ -40,10 +40,8 @@ func (sch *Scheduler) beginTrace() time.Time {
 }
 
 // emitRoundTrace builds and emits the round's trace from the stats
-// delta accumulated since before. k is the round's shard count (0 for
-// the naive oracle); the wire labels keep naming a one-shard kernel
-// round "incremental" and a fanned-out one "sharded".
-func (sch *Scheduler) emitRoundTrace(now float64, k int, t0 time.Time, before SolverStats, hosts, cands int) {
+// delta accumulated since before.
+func (sch *Scheduler) emitRoundTrace(now float64, t0 time.Time, before SolverStats, hosts, cands int) {
 	d := sch.Stats
 	rt := obs.RoundTrace{
 		Round:       d.Rounds,
@@ -59,11 +57,8 @@ func (sch *Scheduler) emitRoundTrace(now float64, k int, t0 time.Time, before So
 		StaleCols:   d.StaleCols - before.StaleCols,
 		LimitHit:    d.LimitHits > before.LimitHits,
 	}
-	switch {
-	case k == 0:
+	if sch.cfg.NaiveSolver {
 		rt.Solver = "naive"
-	case k > 1:
-		rt.Solver, rt.Shards = "sharded", k
 	}
 	// Lent, not given: the sink copies what it keeps, and the next round
 	// reuses the buffer.

@@ -1,8 +1,6 @@
 package datacenter
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"energysched/internal/core"
@@ -15,11 +13,9 @@ import (
 // solver's per-round differential tests: a full generated-trace
 // simulation must produce a bit-identical report whether the score
 // matrix is carried across rounds (default), rebuilt from scratch
-// every round (FreshMatrix), evaluated by the naive reference solver,
-// or fanned out over K > 1 column shards (the default is K = 1). Any
-// stale cross-round cache entry — or any nondeterminism in the shard
-// arbiter — would change a placement, fork the trajectory, and show up
-// in the paper metrics.
+// every round (FreshMatrix), or evaluated by the naive reference
+// solver. Any stale cross-round cache entry would change a placement,
+// fork the trajectory, and show up in the paper metrics.
 func TestSolverFullSimDifferential(t *testing.T) {
 	checkEveryTick(t)
 	gen := workload.DefaultGeneratorConfig()
@@ -56,18 +52,6 @@ func TestSolverFullSimDifferential(t *testing.T) {
 	}
 	if carry != naive {
 		t.Errorf("slab kernel diverged from the naive oracle:\ncarry: %+v\nnaive: %+v", carry, naive)
-	}
-
-	for _, k := range []int{2, 4, 7, -1} {
-		label := fmt.Sprintf("K=%d", k)
-		if k == -1 {
-			label = fmt.Sprintf("K=GOMAXPROCS(%d)", runtime.GOMAXPROCS(0))
-		}
-		sharded := run(func(c *core.Config) { c.Shards = k })
-		if carry != sharded {
-			t.Errorf("kernel at %s diverged from K=1:\nK=1:     %+v\nsharded: %+v",
-				label, carry, sharded)
-		}
 	}
 }
 

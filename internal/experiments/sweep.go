@@ -30,11 +30,6 @@ type SweepConfig struct {
 	// Policy names the scheduler to sweep ("SB" in the paper — "the
 	// one that makes a more aggressive consolidation").
 	Policy string
-	// Shards is the score-based solver's column-shard count (0 = one
-	// shard, the default; -1 = GOMAXPROCS; K > 1 = K workers). Sweep
-	// results are byte-identical at any setting; large grids just
-	// finish sooner. Ignored by the baseline policies.
-	Shards int
 	// Classes overrides the fleet (nil = the paper's 100 nodes), so
 	// grids can sweep 10k-node heterogeneous scale scenarios.
 	Classes []cluster.Class
@@ -60,7 +55,7 @@ func LambdaSweep(cfg SweepConfig, trace *workload.Trace) ([]SweepPoint, error) {
 			if lmin >= lmax {
 				continue
 			}
-			pol, err := newSweepPolicy(cfg.Policy, cfg.Shards)
+			pol, err := newSweepPolicy(cfg.Policy)
 			if err != nil {
 				return nil, err
 			}
@@ -92,16 +87,12 @@ func LambdaSweep(cfg SweepConfig, trace *workload.Trace) ([]SweepPoint, error) {
 	return out, nil
 }
 
-func newSweepPolicy(name string, shards int) (policy.Policy, error) {
-	mk := func(c core.Config) (policy.Policy, error) {
-		c.Shards = shards
-		return core.NewScheduler(c)
-	}
+func newSweepPolicy(name string) (policy.Policy, error) {
 	switch name {
 	case "", "SB":
-		return mk(core.SBConfig())
+		return core.NewScheduler(core.SBConfig())
 	case "SB2":
-		return mk(core.SB2Config())
+		return core.NewScheduler(core.SB2Config())
 	case "BF":
 		return policy.NewBackfilling(), nil
 	case "DBF":

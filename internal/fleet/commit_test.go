@@ -21,7 +21,9 @@ import (
 // omitempty field empty, the seal record, a two-job snapshot.json and
 // an empty fleet's snapshot.json exactly as the release before
 // workload.Job carried the wire tags wrote them, and a two-fleet
-// manifest (fleets.json) as the release before it wrote that.
+// manifest (fleets.json) as the manifest is written today, beside
+// fleets_shards.json, the same manifest as a release with a solver
+// shard count wrote it.
 
 func goldenJobs() []workload.Job {
 	return []workload.Job{
@@ -103,16 +105,15 @@ func TestGoldenLogBytes(t *testing.T) {
 	}
 }
 
-// goldenManifestConfigs are the two fleets of testdata/golden/fleets.json,
-// which the release before Config carried the manifest tags wrote: one
-// with every stored field set, one minimal with a score override.
+// goldenManifestConfigs are the two fleets of testdata/golden/fleets.json:
+// one with every stored field set, one minimal with a score override.
 func goldenManifestConfigs() map[string]Config {
 	return map[string]Config{
 		"full": {
 			Sched: Sched{
 				Policy: "SB1", Seed: 42, LambdaMin: 20, LambdaMax: 80,
 				Cempty: 10, Cfill: 30, THempty: 2, HasScore: true,
-				Failures: true, CheckpointSeconds: 600, AdaptiveTarget: 95, Shards: 2,
+				Failures: true, CheckpointSeconds: 600, AdaptiveTarget: 95,
 				Classes: []energysched.NodeClass{{Name: "std", Count: 8, CPU: 400, Mem: 100,
 					CreateCost: 40, MigrateCost: 60, BootTime: 100, Reliability: 0.99}},
 			},
@@ -126,7 +127,8 @@ func goldenManifestConfigs() map[string]Config {
 
 // TestGoldenManifestBytes: the manifest is a format too. Creating the
 // two golden fleets writes fleets.json byte for byte, and a registry
-// recovered from the golden file reopens both under those configs.
+// recovered from that file, or from fleets_shards.json (whose "shards"
+// key decodes and is ignored), reopens both under those configs.
 func TestGoldenManifestBytes(t *testing.T) {
 	want := golden(t, manifestName)
 	root := t.TempDir()
@@ -144,30 +146,32 @@ func TestGoldenManifestBytes(t *testing.T) {
 		t.Fatalf("fleets.json drifted:\n got %s\nwant %s", got, want)
 	}
 
-	root = t.TempDir()
-	if err := os.WriteFile(filepath.Join(root, manifestName), want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mgr, err = NewManager(Options{Dir: root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	for id, cfg := range goldenManifestConfigs() {
-		f, err := mgr.Get(id)
+	for _, name := range []string{manifestName, "fleets_shards.json"} {
+		root = t.TempDir()
+		if err := os.WriteFile(filepath.Join(root, manifestName), golden(t, name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mgr, err := NewManager(Options{Dir: root})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg = cfg.withDefaults()
-		if info, err := f.Info(); err != nil || info.Policy != cfg.Policy || info.Seed != cfg.Seed || info.Pace != cfg.Pace {
-			t.Fatalf("%s recovered as %+v, %v; want %+v", id, info, err, cfg)
-		}
-		var st snapshotFile
-		if err := f.call(func() error { st = f.snapshotState(); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(st.Config, cfg.Sched) {
-			t.Fatalf("%s replays under %+v, want %+v", id, st.Config, cfg.Sched)
+		t.Cleanup(func() { mgr.Close() })
+		for id, cfg := range goldenManifestConfigs() {
+			f, err := mgr.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg = cfg.withDefaults()
+			if info, err := f.Info(); err != nil || info.Policy != cfg.Policy || info.Seed != cfg.Seed || info.Pace != cfg.Pace {
+				t.Fatalf("%s: %s recovered as %+v, %v; want %+v", name, id, info, err, cfg)
+			}
+			var st snapshotFile
+			if err := f.call(func() error { st = f.snapshotState(); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st.Config, cfg.Sched) {
+				t.Fatalf("%s: %s replays under %+v, want %+v", name, id, st.Config, cfg.Sched)
+			}
 		}
 	}
 }

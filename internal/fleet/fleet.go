@@ -40,7 +40,8 @@ import (
 // Sched is a fleet's scheduling configuration: the paper's tunables a
 // replay's determinism depends on. It is stored as is — a snapshot's
 // "config" object is this value — so the logged jobs replay under
-// exactly the config they were acknowledged with.
+// exactly the config they were acknowledged with. A "shards" key, the
+// solver shard count of earlier releases, decodes and is ignored.
 type Sched struct {
 	// Policy selects the scheduler (same names as energysched.Run;
 	// default "SB").
@@ -63,12 +64,6 @@ type Sched struct {
 	CheckpointSeconds float64 `json:"checkpoint_s,omitempty"`
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64 `json:"adaptive_target,omitempty"`
-	// Shards is the solver's column-shard count (0 or unset = one
-	// shard on the caller's goroutine, the default; -1 = GOMAXPROCS;
-	// K > 1 = K workers per round). Actions and reports are
-	// byte-identical at any setting, so this is a pure performance
-	// knob — replay determinism does not depend on it.
-	Shards int `json:"shards,omitempty"`
 	// Classes overrides the fleet (nil = the paper's 100 nodes).
 	Classes []energysched.NodeClass `json:"classes,omitempty"`
 }
@@ -84,7 +79,6 @@ func (s Sched) options() energysched.Options {
 		Failures:          s.Failures,
 		CheckpointSeconds: s.CheckpointSeconds,
 		AdaptiveTarget:    s.AdaptiveTarget,
-		Shards:            s.Shards,
 		Classes:           s.Classes,
 	}
 	if s.HasScore {
@@ -212,11 +206,6 @@ func (c Config) validate() (obs.Verbosity, error) {
 	}
 	if _, err := core.NewPowerManager(c.LambdaMin, c.LambdaMax, 0); err != nil {
 		return bad(err)
-	}
-	// The baseline policies ignore Shards, so the engine accepts any
-	// value under them; the fleet persists it whatever the policy.
-	if c.Shards < -1 {
-		return bad(fmt.Errorf("shards must be >= -1, got %d", c.Shards))
 	}
 	for _, d := range []struct {
 		name  string

@@ -29,7 +29,7 @@ func TestTraceRingLazyEqualsEager(t *testing.T) {
 	scored.Terms = &obs.ScoreTerms{Base: 30, Time: 10, Power: obs.ClampJSON(math.NaN()), SLA: 2.5}
 	vals := []obs.RoundTrace{
 		{Round: 1, Now: 60, Solver: "incremental", WallNanos: 1200, Hosts: 100, Candidates: 3},
-		{Round: 2, Now: 120, Solver: "sharded", Shards: 4, Moves: 1, ScoreEvals: 300, ReusedCells: 90, StaleRows: 1, StaleCols: 2, LimitHit: true},
+		{Round: 2, Now: 120, Solver: "incremental", Moves: 1, ScoreEvals: 300, ReusedCells: 90, StaleRows: 1, StaleCols: 2, LimitHit: true},
 		{Round: 3, Now: 180, Solver: "naive", Moves: 2, Actions: []obs.ActionTrace{place, infeasible}},
 		{Round: 4, Now: 240, Solver: "incremental", Moves: 1, Actions: []obs.ActionTrace{scored}},
 	}

@@ -131,13 +131,10 @@ type RoundTrace struct {
 	Round int `json:"round"`
 	// Now is the simulation's virtual time at the round, in seconds.
 	Now float64 `json:"now"`
-	// Solver names the engine: "naive" for the reference oracle, else
-	// the slab kernel — "sharded" when the round fanned out over K > 1
-	// shards, "incremental" when it ran as one shard on the caller's
-	// goroutine.
+	// Solver names the engine: "naive" for the reference oracle,
+	// "incremental" for the slab kernel. (A "shards" key in a trace
+	// written before the kernel had one width decodes and is ignored.)
 	Solver string `json:"solver"`
-	// Shards is the shard count K of a "sharded" round (0 otherwise).
-	Shards int `json:"shards,omitempty"`
 	// WallNanos is the wall-clock duration of the whole round.
 	WallNanos int64 `json:"wall_ns"`
 	// Hosts and Candidates size the round's score matrix.

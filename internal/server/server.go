@@ -66,11 +66,6 @@ type Config struct {
 	CheckpointSeconds float64
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64
-	// Shards is the solver's column-shard count (0 or unset = one
-	// shard on the caller's goroutine, the default; -1 = GOMAXPROCS;
-	// K > 1 = K workers per round); fleets inherit it unless their
-	// FleetSpec overrides.
-	Shards int
 	// Classes overrides the fleet hardware (nil = the paper's 100
 	// nodes).
 	Classes []energysched.NodeClass
@@ -309,7 +304,6 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 			Failures:          s.cfg.Failures,
 			CheckpointSeconds: s.cfg.CheckpointSeconds,
 			AdaptiveTarget:    s.cfg.AdaptiveTarget,
-			Shards:            s.cfg.Shards,
 			Classes:           s.cfg.Classes,
 		},
 		Pace:             s.cfg.Pace,
@@ -358,9 +352,6 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 	}
 	if spec.AdaptiveTarget > 0 {
 		fc.AdaptiveTarget = spec.AdaptiveTarget
-	}
-	if spec.Shards != 0 {
-		fc.Shards = spec.Shards
 	}
 	if spec.SnapshotInterval > 0 {
 		fc.SnapshotInterval = spec.SnapshotInterval

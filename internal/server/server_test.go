@@ -706,9 +706,10 @@ func TestMultiFleetIsolationHammer(t *testing.T) {
 // that was created: the daemon's objectives (-slo-file) and the fleet's
 // series/journey depths used to be lost on restart, because the
 // manifest's hand-copied field list never learned them. The second half
-// restarts on a directory as the previous release wrote it — a manifest
-// entry with the retired admit_shards key and no depths, beside a
-// compaction snapshot in its format — which must still come up.
+// restarts on a directory as an earlier release wrote it — a manifest
+// entry with the retired admit_shards and shards keys and no depths,
+// beside a compaction snapshot in its format with a shards key — which
+// must still come up.
 func TestRestartKeepsSLOsAndDepths(t *testing.T) {
 	walDir := t.TempDir()
 	ctx := context.Background()
@@ -758,9 +759,9 @@ func TestRestartKeepsSLOsAndDepths(t *testing.T) {
 
 	const oldEntry = `{"id": "old", "config": {"policy": "BF", "seed": 5, "lambda_min": 30, "lambda_max": 90,
 		"cempty": 20, "cfill": 40, "has_score": true, "event_ring": 4096, "snapshot_interval": 2,
-		"wal_sync": "always", "trace_verbosity": "off", "admit_shards": 2, "admit_queue": 256}}`
+		"wal_sync": "always", "trace_verbosity": "off", "admit_shards": 2, "admit_queue": 256, "shards": 4}}`
 	const oldSnapshot = `{"format": "energyschedd-snapshot/v1", "saved_virtual_s": 30, "sealed": false, "gen": 1,
-		"config": {"policy": "BF", "seed": 5, "lambda_min": 30, "lambda_max": 90, "cempty": 20, "cfill": 40, "has_score": true},
+		"config": {"policy": "BF", "seed": 5, "lambda_min": 30, "lambda_max": 90, "cempty": 20, "cfill": 40, "has_score": true, "shards": 4},
 		"jobs": [{"id": 0, "submit_s": 0, "duration_s": 600, "cpu_pct": 100, "mem_units": 5, "deadline_factor": 1.5},
 			{"id": 1, "submit_s": 30, "duration_s": 600, "cpu_pct": 100, "mem_units": 5, "deadline_factor": 1.5}]}`
 	manifestPath := filepath.Join(walDir, "fleets.json")
@@ -1045,13 +1046,20 @@ func TestAliasRoutesByteIdenticalToNamespaced(t *testing.T) {
 	}
 }
 
-// A malformed shard count in a fleet spec is client error (400), not a
-// 500 from deep inside fleet recovery.
-func TestFleetCreateRejectsBadShards(t *testing.T) {
-	_, hs, _ := newTestServer(t, Config{Policy: "BF", Seed: 1})
-	code, body := postBody(t, hs.URL, "/v1/fleets", `{"id":"x","shards":-5}`)
-	if code != http.StatusBadRequest || !strings.Contains(body, "shards") {
-		t.Fatalf("bad-shards create: %d %s, want 400 mentioning shards", code, body)
+// A fleet spec from a client that still sends the retired solver shard
+// count creates the fleet; the key is ignored and not persisted.
+func TestFleetCreateIgnoresShards(t *testing.T) {
+	walDir := t.TempDir()
+	_, hs, _ := newTestServer(t, Config{Policy: "BF", Seed: 1, WALDir: walDir, SnapshotDir: t.TempDir()})
+	if code, body := postBody(t, hs.URL, "/v1/fleets", `{"id":"x","shards":4}`); code != http.StatusCreated {
+		t.Fatalf("create with shards: %d %s, want 201", code, body)
+	}
+	manifest, err := os.ReadFile(filepath.Join(walDir, "fleets.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(manifest, []byte(`"id": "x"`)) || bytes.Contains(manifest, []byte(`"shards"`)) {
+		t.Fatalf("manifest after a create with shards:\n%s", manifest)
 	}
 }
 
