@@ -313,22 +313,6 @@ func BenchmarkScoreSolverRoundSteady(b *testing.B) {
 	}
 }
 
-// The same steady-state loop with the cross-round carry disabled:
-// every round rebuilds the full time-independent half of the matrix.
-// The delta against BenchmarkScoreSolverRoundSteady is the carry win.
-func BenchmarkScoreSolverRoundSteadyFresh(b *testing.B) {
-	cfg := core.SBConfig()
-	cfg.FreshMatrix = true
-	ctx := solverRoundCtx()
-	sch := core.MustScheduler(cfg)
-	sch.Schedule(ctx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sch.Schedule(ctx)
-	}
-}
-
 // solverChurnSetup builds the realistic steady-fleet shape of a
 // full-day simulation round: 100 hosts, 64 running VMs, migration
 // hysteresis high enough that rounds apply no moves — each round's
@@ -442,22 +426,6 @@ func BenchmarkScoreSolverRoundQuiet(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(ctx.Active)+len(ctx.Queue)), "vms")
 	b.ReportMetric(float64(sch.Stats.DormantSkips-skips)/float64(b.N), "skips/round")
-}
-
-// The same churn loop with the carry disabled — the full per-round
-// matrix rebuild the carry replaces.
-func BenchmarkScoreSolverRoundChurnFresh(b *testing.B) {
-	cfg := core.SBConfig()
-	cfg.FreshMatrix = true
-	sch, ctx := solverChurnSetup(cfg)
-	nodes := ctx.Cluster.Nodes
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodes[i%len(nodes)].Touch()
-		ctx.Active[i%len(ctx.Active)].Touch()
-		sch.Schedule(ctx)
-	}
 }
 
 // --- one large round: one fleet at 10× the paper's scale ---

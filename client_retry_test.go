@@ -242,7 +242,7 @@ func TestRetryAfterHTTPDateRoundTrip(t *testing.T) {
 	var calls int32
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if atomic.AddInt32(&calls, 1) == 1 {
-			w.Header().Set("Retry-After", time.Now().Add(time.Second).UTC().Format(http.TimeFormat))
+			w.Header().Set("Retry-After", time.Now().Truncate(time.Second).Add(2*time.Second).UTC().Format(http.TimeFormat))
 			http.Error(w, `{"error":"promoting"}`, http.StatusServiceUnavailable)
 			return
 		}
@@ -257,11 +257,12 @@ func TestRetryAfterHTTPDateRoundTrip(t *testing.T) {
 	if err != nil || hst.Role != "leader" {
 		t.Fatalf("retrying client: %+v, %v", hst, err)
 	}
-	// HTTP-dates have second granularity, so "now + 1s" renders between
-	// ~0 and 1s away; the backoff must have honored it rather than the
-	// millisecond policy delay alone. A generous floor avoids clock
-	// flakiness while still proving the date was parsed.
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
+	// HTTP-dates have second granularity, so the server renders the
+	// second after next: between 1s and 2s away whatever the sub-second
+	// part of now, never rounded into the past. The backoff must have
+	// honored it rather than the millisecond policy delay alone; half a
+	// second of floor leaves room for clock skew between the two reads.
+	if elapsed := time.Since(start); elapsed < 500*time.Millisecond {
 		t.Fatalf("retry ignored the HTTP-date Retry-After: total %v", elapsed)
 	}
 	if got := atomic.LoadInt32(&calls); got != 2 {

@@ -64,13 +64,6 @@ type Config struct {
 	// highest-benefit move (the paper uses ∞; a large finite value
 	// avoids ∞−∞ in the improvement arithmetic).
 	QueueScore float64
-	// FreshMatrix disables the cross-round score-matrix carry: every
-	// round re-scores every row of the time-independent half of the
-	// matrix instead of reusing cells whose node and VM state is
-	// unchanged since the previous round. The within-round incremental
-	// maintenance is unaffected. Exists for ablation benchmarks and as a
-	// bisection aid; both settings emit identical actions.
-	FreshMatrix bool
 	// NaiveSolver bypasses the slab kernel and re-evaluates the full
 	// V×H matrix on every hill-climbing iteration, exactly as
 	// Algorithm 1 is written. Both emit identical actions; the naive

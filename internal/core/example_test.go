@@ -5,17 +5,18 @@ import (
 
 	"energysched/internal/cluster"
 	"energysched/internal/core"
+	"energysched/internal/obs"
 	"energysched/internal/policy"
 	"energysched/internal/vm"
 )
 
-// ExampleScheduler_Matrix reproduces the kind of score matrix §III-B
-// of the paper walks through: two hosts plus the virtual host HV, a
-// queued VM and a running one. Brackets mark each VM's current
-// position; the queued VM's placement cells are hugely negative (any
-// feasible allocation beats staying in the queue), and the running
-// VM's cells show the centered improvement of moving it.
-func ExampleScheduler_Matrix() {
+// ExampleScheduler_Schedule reproduces the worked example §III-B of the
+// paper walks through: two hosts, a queued VM and a running one. The
+// decision trace records why the solver acted: placing the queued VM0
+// beside VM1 on host 0 beats staying in the queue by almost the whole
+// queue score, and VM1 has no move that clears the migration
+// hysteresis.
+func ExampleScheduler_Schedule() {
 	cls := cluster.PaperClasses()[1] // medium nodes: 4 cores, Cc=40, Cm=60
 	cls.Count = 2
 	c := cluster.MustNew([]cluster.Class{cls})
@@ -31,21 +32,25 @@ func ExampleScheduler_Matrix() {
 	c.Nodes[0].AddVM(running)
 
 	sch := core.MustScheduler(core.SBConfig())
-	m := sch.Matrix(&policy.Context{
+	sch.Tracer = printActions{}
+	sch.Schedule(&policy.Context{
 		Now:     0,
 		Cluster: c,
 		Queue:   []*vm.VM{queued},
 		Active:  []*vm.VM{running},
 	})
-	fmt.Print(m)
-
-	if host, vmIdx, _, ok := m.BestMove(); ok {
-		fmt.Printf("best move: %s -> %s\n", m.VMLabels[vmIdx], m.HostLabels[host])
-	}
 	// Output:
-	//             VM0      VM1
-	// H0    -9999990.0    [0.0]
-	// H1    -9999950.0      0.5
-	// HV        [0.0]        ∞
-	// best move: VM0 -> H0
+	// place vm0 -1 -> 0: current 10000000.0 chosen 10.0 gain -9999990.0
+}
+
+// printActions is a trace sink that prints each applied move.
+type printActions struct{}
+
+func (printActions) Verbosity() obs.Verbosity { return obs.TraceActions }
+
+func (printActions) Emit(rt obs.RoundTrace) {
+	for _, a := range rt.Actions {
+		fmt.Printf("%s vm%d %d -> %d: current %.1f chosen %.1f gain %.1f\n",
+			a.Kind, a.VM, a.From, a.To, a.Current, a.Chosen, a.Gain)
+	}
 }

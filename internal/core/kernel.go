@@ -87,8 +87,7 @@ import (
 //  3. the cell of its current or round-start host changes;
 //  4. the VM's Progress differs from the verdict's;
 //  5. its stay term (scoreTimeStay) differs from the verdict's;
-//  6. FreshMatrix is set (it makes every row stale), or Now is earlier
-//     than the verdicts' time.
+//  6. Now is earlier than the verdicts' time.
 //
 // A dormant row skips its C scoreTimeMove evaluations and every arbiter
 // visit; a row woken mid-round is timed before its first bestTarget.
@@ -512,7 +511,7 @@ func takeSlot(free *[]int, next int) int {
 // awake rows timed.
 func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*cluster.Node) {
 	st := &sch.kern
-	st.carry = len(st.cols) > 0 && !sch.cfg.FreshMatrix // an earlier round built the matrix
+	st.carry = len(st.cols) > 0 // an earlier round built the matrix
 
 	s.begin(ctx.Now, hosts, hosts[len(hosts)-1].ID)
 	st.rewound = s.now < st.verdictNow

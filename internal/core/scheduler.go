@@ -124,10 +124,9 @@ func (sch *Scheduler) Config() Config { return sch.cfg }
 // — every running VM outside its migration cooldown (creating and
 // migrating VMs are pinned by the in-operation rule and only add
 // noise, so they are left out of the matrix entirely). The naive oracle
-// and Matrix select candidates through here, and the slab kernel's
-// candidate pass (pairRows) through the same movable filter in the same
-// order, so the explainability matrix never shows columns the solver
-// would not consider.
+// selects candidates through here, and the slab kernel's candidate pass
+// (pairRows) through the same movable filter in the same order, so both
+// solvers consider the same VMs.
 //
 // ctx.Active is already in ID order and a queue of fresh arrivals
 // carries the highest IDs, so active-then-queue is usually sorted as

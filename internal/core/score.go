@@ -60,12 +60,6 @@ func (t *hostTable) index(id int) int {
 	return -1
 }
 
-func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
-	s := &shadow{}
-	s.reset(now, nodes, vms)
-	return s
-}
-
 // reset points the shadow at a new round's hosts and candidates,
 // reusing the previous round's slices when capacity allows. The slab
 // kernel does the same through begin, seed and hostOf, fused into its

@@ -35,6 +35,13 @@ func runningVM(id int, cpu, mem float64, c *cluster.Cluster, node int) *vm.VM {
 	return v
 }
 
+// newShadow is a shadow of one round over nodes and vms.
+func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
+	s := &shadow{}
+	s.reset(now, nodes, vms)
+	return s
+}
+
 func scoreOf(t *testing.T, sch *Scheduler, c *cluster.Cluster, vms []*vm.VM, ni, vi int) float64 {
 	t.Helper()
 	s := newShadow(0, c.Nodes, vms)

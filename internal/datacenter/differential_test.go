@@ -12,10 +12,10 @@ import (
 // TestSolverFullSimDifferential is the end-to-end counterpart of the
 // solver's per-round differential tests: a full generated-trace
 // simulation must produce a bit-identical report whether the score
-// matrix is carried across rounds (default), rebuilt from scratch
-// every round (FreshMatrix), or evaluated by the naive reference
-// solver. Any stale cross-round cache entry would change a placement,
-// fork the trajectory, and show up in the paper metrics.
+// matrix is carried across rounds by the slab kernel or evaluated from
+// scratch on every iteration by the naive reference solver. Any stale
+// cross-round cache entry would change a placement, fork the
+// trajectory, and show up in the paper metrics.
 func TestSolverFullSimDifferential(t *testing.T) {
 	checkEveryTick(t)
 	gen := workload.DefaultGeneratorConfig()
@@ -44,12 +44,8 @@ func TestSolverFullSimDifferential(t *testing.T) {
 	}
 
 	carry := run(func(*core.Config) {})
-	fresh := run(func(c *core.Config) { c.FreshMatrix = true })
 	naive := run(func(c *core.Config) { c.NaiveSolver = true })
 
-	if carry != fresh {
-		t.Errorf("cross-round carry changed the trajectory:\ncarry: %+v\nfresh: %+v", carry, fresh)
-	}
 	if carry != naive {
 		t.Errorf("slab kernel diverged from the naive oracle:\ncarry: %+v\nnaive: %+v", carry, naive)
 	}

@@ -12,8 +12,8 @@ import (
 // TestDormantRowsOnPaperDay measures the solver's dormant rows on the
 // workload they were built for: one calibrated paper day under SB. Most
 // arbiter row visits must find a dormant row, and skipping them must
-// leave the report bit-identical to a run that re-scores every row each
-// round (FreshMatrix, which has no dormant rows) and to the naive oracle.
+// leave the report bit-identical to the naive oracle's, which has no
+// dormant rows.
 func TestDormantRowsOnPaperDay(t *testing.T) {
 	gen := workload.DefaultGeneratorConfig()
 	gen.Horizon = 24 * 3600
@@ -43,15 +43,6 @@ func TestDormantRowsOnPaperDay(t *testing.T) {
 	}
 
 	cfg := core.SBConfig()
-	cfg.FreshMatrix = true
-	fresh, freshStats := run(cfg, nil)
-	if fresh != carry {
-		t.Errorf("dormant rows changed the trajectory:\nkernel: %+v\nfresh:  %+v", carry, fresh)
-	}
-	if freshStats.DormantSkips != 0 {
-		t.Errorf("FreshMatrix skipped %d dormant rows, want none", freshStats.DormantSkips)
-	}
-	cfg = core.SBConfig()
 	cfg.NaiveSolver = true
 	if naive, _ := run(cfg, nil); naive != carry {
 		t.Errorf("dormant rows diverged from the naive oracle:\nkernel: %+v\nnaive:  %+v", carry, naive)
