@@ -15,13 +15,10 @@ import (
 	"energysched/internal/cluster"
 	"energysched/internal/core"
 	"energysched/internal/datacenter"
-	"energysched/internal/dvfs"
-	"energysched/internal/economics"
 	"energysched/internal/experiments"
 	"energysched/internal/metrics"
 	"energysched/internal/obs/series"
 	"energysched/internal/policy"
-	"energysched/internal/power"
 	"energysched/internal/simkit"
 	"energysched/internal/vm"
 	"energysched/internal/workload"
@@ -466,7 +463,7 @@ func BenchmarkShardedRound1000N4000V_Serial(b *testing.B) {
 	b.ReportMetric(float64(sch.Stats.MaxSlabCells)*8/float64(1<<20), "slabMB")
 }
 
-// --- extensions: adaptive thresholds, DVFS governors, economics ---
+// --- extensions: adaptive thresholds ---
 
 // Dynamic λ (the paper's future-work threshold adjustment) vs the
 // static balanced setting.
@@ -476,41 +473,6 @@ func BenchmarkExtensionAdaptiveLambda(b *testing.B) {
 		c.AdaptiveTarget = 98
 		return c
 	})
-}
-
-// The same workload on a fleet pinned to the performance governor —
-// quantifies the §II DVFS context.
-func BenchmarkExtensionGovernorPerformance(b *testing.B) {
-	classes := cluster.PaperClasses()
-	for i := range classes {
-		classes[i].Power = dvfs.Wrap(power.PaperTableI(), dvfs.Performance{})
-	}
-	runBench(b, func() datacenter.Config {
-		c := cfgFor(func() policy.Policy { return core.MustScheduler(core.SBConfig()) }, 30, 90)()
-		c.Classes = classes
-		return c
-	})
-}
-
-// Provider profit of one full run (revenue − energy cost).
-func BenchmarkExtensionEconomics(b *testing.B) {
-	var profit float64
-	for i := 0; i < b.N; i++ {
-		sim, err := datacenter.New(cfgFor(func() policy.Policy { return core.MustScheduler(core.SBConfig()) }, 30, 90)())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := economics.DefaultTariff().Evaluate(sim.VMs(), rep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		profit = out.Profit
-	}
-	b.ReportMetric(profit, "profit")
 }
 
 // One chaos scale scenario per iteration: a 2k-node heterogeneous

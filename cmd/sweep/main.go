@@ -16,8 +16,8 @@ import (
 	"os"
 	"strconv"
 
-	"energysched/internal/chaos"
 	"energysched/internal/cli"
+	"energysched/internal/cluster"
 	"energysched/internal/experiments"
 	"energysched/internal/workload"
 )
@@ -35,6 +35,9 @@ func main() {
 		out    = flag.String("o", "", "output CSV file (empty = stdout)")
 	)
 	cli.Parse("sweep")
+	if !(*step > 0) {
+		cli.Usagef("sweep", "-step must be a positive percentage, got %v", *step)
+	}
 
 	gen := workload.DefaultGeneratorConfig()
 	gen.Horizon = *days * 24 * 3600
@@ -42,7 +45,7 @@ func main() {
 
 	cfg := experiments.SweepConfig{Policy: *policy}
 	if *nodes > 0 {
-		cfg.Classes = chaos.HeterogeneousClasses(*nodes)
+		cfg.Classes = cluster.ScaleClasses(*nodes)
 	}
 	trace, err := workload.Generate(gen)
 	if err != nil {

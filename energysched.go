@@ -169,30 +169,22 @@ type NodeClass struct {
 	Reliability float64 // availability in (0, 1]
 }
 
-// ScaleClasses builds the heterogeneous scale fleet the chaos harness
-// uses for 10k-node scenarios (the public form of the mix in
-// internal/chaos.HeterogeneousClasses): 10% big (8 cores), ~60%
+// ScaleClasses is the heterogeneous scale fleet of total nodes
+// (cluster.ScaleClasses in the public form): 10% big (8 cores), ~60%
 // standard, 20% small, 10% flaky (Frel 0.95). The paper evaluates 100
 // homogeneous-capacity machines; scale runs deliberately mix
 // capacities, operation costs and reliability instead.
 func ScaleClasses(total int) []NodeClass {
-	if total < 10 {
-		total = 10
+	classes := cluster.ScaleClasses(total)
+	out := make([]NodeClass, 0, len(classes))
+	for _, c := range classes {
+		out = append(out, NodeClass{
+			Name: c.Name, Count: c.Count, CPU: c.CPU, Mem: c.Mem,
+			CreateCost: c.CreateCost, MigrateCost: c.MigrateCost,
+			BootTime: c.BootTime, Reliability: c.Reliability,
+		})
 	}
-	big, small, flaky := total/10, total/5, total/10
-	std := total - big - small - flaky
-	mk := func(name string, count int, cpu, mem, cc, cm, rel float64) NodeClass {
-		return NodeClass{
-			Name: name, Count: count, CPU: cpu, Mem: mem,
-			CreateCost: cc, MigrateCost: cm, BootTime: 100, Reliability: rel,
-		}
-	}
-	return []NodeClass{
-		mk("big", big, 800, 200, 30, 40, 1.0),
-		mk("std", std, 400, 100, 40, 60, 1.0),
-		mk("small", small, 200, 50, 60, 80, 1.0),
-		mk("flaky", flaky, 400, 100, 40, 60, 0.95),
-	}
+	return out
 }
 
 // Result is the outcome of one run — one row of the paper's tables

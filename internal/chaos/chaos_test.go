@@ -114,10 +114,6 @@ func TestScenario10kByteIdentity(t *testing.T) {
 	}
 }
 
-// fleetClasses is chaos.HeterogeneousClasses in the public
-// energysched.NodeClass form the fleet config takes.
-func fleetClasses(total int) []energysched.NodeClass { return energysched.ScaleClasses(total) }
-
 // TestScenario10kFleetKillRecoverUnderFaults is the durable half of
 // the acceptance oracle: the same 10k-node two-day trace streamed into
 // a WAL-backed fleet (organic reliability failures on) with two live
@@ -131,7 +127,7 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	}
 	checkEveryTick(t)
 	s := chaos.Scenario10k()
-	classes := fleetClasses(s.Nodes)
+	classes := energysched.ScaleClasses(s.Nodes)
 
 	spec := func(j workload.Job) energysched.JobSpec {
 		submit := j.Submit
@@ -248,7 +244,7 @@ func TestScenario10kAdmissionByteIdentity(t *testing.T) {
 	}
 	checkEveryTick(t)
 	s := chaos.Scenario10k()
-	classes := fleetClasses(s.Nodes)
+	classes := energysched.ScaleClasses(s.Nodes)
 
 	spec := func(j workload.Job) energysched.JobSpec {
 		submit := j.Submit

@@ -9,48 +9,9 @@ import (
 	"energysched/internal/metrics"
 	"energysched/internal/obs"
 	"energysched/internal/obs/series"
-	"energysched/internal/power"
 	"energysched/internal/simkit"
 	"energysched/internal/workload"
 )
-
-// HeterogeneousClasses builds a mixed fleet of total nodes across
-// four hardware classes — the paper's evaluation is 100 homogeneous-
-// capacity machines, so scale scenarios deliberately mix capacities
-// and costs instead:
-//
-//	big    10%  8 cores, 200 mem, fast ops        — consolidation magnets
-//	std    60%  4 cores, 100 mem, paper medium    — the bulk
-//	small  20%  2 cores,  50 mem, slow ops        — fragmentation pressure
-//	flaky  10%  4 cores, 100 mem, Frel 0.95       — organic failures when enabled
-//
-// All x86_64/xen with the Table I power model, so every job can land
-// anywhere and differences come from capacity, costs and reliability.
-func HeterogeneousClasses(total int) []cluster.Class {
-	if total < 10 {
-		total = 10
-	}
-	big, small, flaky := total/10, total/5, total/10
-	std := total - big - small - flaky
-	mk := func(name string, count int, cpu, mem, cc, cm, rel float64) cluster.Class {
-		return cluster.Class{
-			Name: name, Count: count,
-			CPU: cpu, Mem: mem,
-			CreateCost: cc, MigrateCost: cm,
-			BootTime:    100,
-			Arch:        "x86_64",
-			Hypervisor:  "xen",
-			Reliability: rel,
-			Power:       power.PaperTableI(),
-		}
-	}
-	return []cluster.Class{
-		mk("big", big, 800, 200, 30, 40, 1.0),
-		mk("std", std, 400, 100, 40, 60, 1.0),
-		mk("small", small, 200, 50, 60, 80, 1.0),
-		mk("flaky", flaky, 400, 100, 40, 60, 0.95),
-	}
-}
 
 // Scenario is one reproducible scale/chaos run: a heterogeneous fleet
 // of Nodes, a streaming synthetic trace of Days × JobsPerDay, a
@@ -139,7 +100,7 @@ func (s Scenario) sim(sink obs.TraceSink) (*datacenter.Simulation, error) {
 	}
 	pol.Tracer = sink
 	return datacenter.New(datacenter.Config{
-		Classes:      HeterogeneousClasses(s.Nodes),
+		Classes:      cluster.ScaleClasses(s.Nodes),
 		Policy:       pol,
 		LambdaMin:    s.LambdaMin,
 		LambdaMax:    s.LambdaMax,

@@ -75,26 +75,59 @@ type Class struct {
 	Power power.Model
 }
 
+// tableI is the paper's measured Table I power model. It is immutable,
+// so every class built here shares the one instance.
+var tableI = power.PaperTableI()
+
+// xenClass is an x86_64/xen class on the Table I power model that
+// boots in 100 s.
+func xenClass(name string, count int, cpu, mem, cc, cm, rel float64) Class {
+	return Class{
+		Name: name, Count: count,
+		CPU: cpu, Mem: mem,
+		CreateCost: cc, MigrateCost: cm,
+		BootTime:    100,
+		Arch:        "x86_64",
+		Hypervisor:  "xen",
+		Reliability: rel,
+		Power:       tableI,
+	}
+}
+
 // PaperClasses returns the three node classes of the paper's
 // evaluation (§V): 100 nodes total, Table I power model, 4 CPUs and
 // 100 memory units each, fully reliable.
 func PaperClasses() []Class {
-	mk := func(name string, count int, cc, cm float64) Class {
-		return Class{
-			Name: name, Count: count,
-			CPU: 400, Mem: 100,
-			CreateCost: cc, MigrateCost: cm,
-			BootTime:    100,
-			Arch:        "x86_64",
-			Hypervisor:  "xen",
-			Reliability: 1.0,
-			Power:       power.PaperTableI(),
-		}
-	}
 	return []Class{
-		mk("fast", 15, 30, 40),
-		mk("medium", 50, 40, 60),
-		mk("slow", 35, 60, 80),
+		xenClass("fast", 15, 400, 100, 30, 40, 1.0),
+		xenClass("medium", 50, 400, 100, 40, 60, 1.0),
+		xenClass("slow", 35, 400, 100, 60, 80, 1.0),
+	}
+}
+
+// ScaleClasses returns the mixed fleet of total nodes (at least 10)
+// that scale runs use. The paper evaluates 100 homogeneous-capacity
+// machines, so scale runs deliberately mix capacities, costs and
+// reliability instead:
+//
+//	big    10%  8 cores, 200 mem, fast ops        — consolidation magnets
+//	std    60%  4 cores, 100 mem, paper medium    — the bulk
+//	small  20%  2 cores,  50 mem, slow ops        — fragmentation pressure
+//	flaky  10%  4 cores, 100 mem, Frel 0.95       — organic failures when enabled
+//
+// All are xenClass, so every job can land anywhere and differences
+// come from capacity, costs and reliability.
+func ScaleClasses(total int) []Class {
+	if total < 10 {
+		total = 10
+	}
+	big, small, flaky := total/10, total/5, total/10
+	std := total - big - small - flaky
+	return []Class{
+		xenClass("big", big, 800, 200, 30, 40, 1.0),
+		xenClass("std", std, 400, 100, 40, 60, 1.0),
+		xenClass("small", small, 200, 50, 60, 80, 1.0),
+		xenClass("flaky", flaky, 400, 100, 40, 60, 0.95),
 	}
 }
 

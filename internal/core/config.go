@@ -81,7 +81,7 @@ func DefaultConfig() Config {
 		EnableConc:        true,
 		EnablePower:       true,
 		EnableSLA:         false, // not exercised in the paper's experiments
-		EnableFault:       false, // idem; enable for the fault-tolerance example
+		EnableFault:       false, // idem; reliability-aware placement is opt-in
 		Migration:         true,
 		Cempty:            20,
 		Cfill:             40,

@@ -35,8 +35,9 @@ type fleetHists struct {
 	// replApply is the replicated-record apply latency on a follower
 	// fleet: decode + WAL + inject + clock catch-up.
 	replApply metrics.Histogram
-	// round is the solver round wall-clock duration, fed by the trace
-	// sink from every round's trace.
+	// round is the solver round wall-clock duration, fed by the
+	// simulation's RoundTimer hook after every round of any policy;
+	// rounds re-run while replaying the WAL are not observed.
 	round metrics.Histogram
 }
 
