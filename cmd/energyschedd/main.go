@@ -54,6 +54,7 @@ import (
 
 	"energysched"
 	"energysched/internal/cli"
+	"energysched/internal/core"
 	"energysched/internal/fleet"
 	"energysched/internal/obs"
 	"energysched/internal/obs/slo"
@@ -121,6 +122,9 @@ func main() {
 	}
 	if *admQueue < 0 || *rateLimit < 0 || *rateBurst < 0 {
 		cli.Usagef("energyschedd", "-admit-queue, -rate-limit and -rate-burst must be >= 0")
+	}
+	if err := core.CheckTarget(*adaptive); err != nil {
+		cli.Usagef("energyschedd", "-adaptive: %v", err)
 	}
 	var objectives []slo.Objective
 	if *sloFile != "" {

@@ -16,10 +16,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"energysched"
 	"energysched/internal/cli"
+	"energysched/internal/core"
 	"energysched/internal/metrics"
 )
 
@@ -46,6 +48,17 @@ func main() {
 		powerOut   = flag.String("power", "", "write the datacenter power trace CSV to this file")
 	)
 	cli.Parse("energysim")
+	switch {
+	case !(*days > 0) || math.IsInf(*days, 1):
+		cli.Usagef("energysim", "-days must be a positive number of days, got %v", *days)
+	case *nodes < 0:
+		cli.Usagef("energysim", "-nodes must be 0 (the paper's fleet) or a fleet size, got %d", *nodes)
+	case !(*checkpoint >= 0) || math.IsInf(*checkpoint, 1):
+		cli.Usagef("energysim", "-checkpoint must be 0 (off) or an interval in seconds, got %v", *checkpoint)
+	}
+	if err := core.CheckTarget(*adaptive); err != nil {
+		cli.Usagef("energysim", "-adaptive: %v", err)
+	}
 
 	src, err := loadSource(*traceFile, *gwfFile, *days, *seed)
 	if err != nil {

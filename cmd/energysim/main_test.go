@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"energysched"
 	"energysched/internal/metrics"
@@ -24,10 +26,7 @@ func TestEnergysimStreamsEveryInput(t *testing.T) {
 		t.Skip("builds and runs the real binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "energysim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building energysim: %v\n%s", err, out)
-	}
+	bin := buildEnergysim(t, dir)
 
 	generated := energysched.GenerateTrace(energysched.TraceOptions{Days: 1, Seed: 1})
 	csvPath := filepath.Join(dir, "day.csv")
@@ -110,5 +109,60 @@ func TestEnergysimStreamsEveryInput(t *testing.T) {
 	if stdout.Len() != 0 || strings.Contains(msg, "\n") ||
 		msg != "energysim: flag provided but not defined: -stream (run 'energysim -h' for usage)" {
 		t.Errorf("-stream: stdout %q, stderr %q; want only the one-line flag error", stdout.String(), msg)
+	}
+}
+
+// buildEnergysim builds the real binary into dir.
+func buildEnergysim(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "energysim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building energysim: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestEnergysimRejectsOutOfRangeFlags: a flag value outside its range —
+// NaN among them — is a usage error (exit 2, one line), not a default
+// silently substituted, a different experiment run or a run that never
+// ends. Each case must fail within the deadline.
+func TestEnergysimRejectsOutOfRangeFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildEnergysim(t, t.TempDir())
+	for _, tc := range []struct {
+		args []string
+		flag string // the flag the usage line names
+	}{
+		{[]string{"-days", "0"}, "-days"},
+		{[]string{"-days", "-1"}, "-days"},
+		{[]string{"-days", "NaN"}, "-days"},
+		{[]string{"-days", "+Inf"}, "-days"},
+		{[]string{"-nodes", "-5"}, "-nodes"},
+		{[]string{"-checkpoint", "-5"}, "-checkpoint"},
+		{[]string{"-checkpoint", "NaN"}, "-checkpoint"},
+		{[]string{"-adaptive", "150"}, "-adaptive"},
+		{[]string{"-adaptive", "-3"}, "-adaptive"},
+		{[]string{"-adaptive", "NaN"}, "-adaptive"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, bin, tc.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		late := ctx.Err()
+		cancel()
+		var exit *exec.ExitError
+		if late != nil || !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v (deadline: %v), want exit status 2", tc.args, err, late)
+			continue
+		}
+		msg := strings.TrimSuffix(stderr.String(), "\n")
+		if stdout.Len() != 0 || strings.Contains(msg, "\n") ||
+			!strings.HasPrefix(msg, "energysim: "+tc.flag+" ") && !strings.HasPrefix(msg, "energysim: "+tc.flag+":") ||
+			!strings.HasSuffix(msg, "(run 'energysim -h' for usage)") {
+			t.Errorf("%v: stdout %q, stderr %q; want only the one-line usage error naming %s", tc.args, stdout.String(), msg, tc.flag)
+		}
 	}
 }

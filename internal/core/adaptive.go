@@ -56,6 +56,16 @@ func NewAdaptive(pm *PowerManager) (*Adaptive, error) {
 	}, nil
 }
 
+// CheckTarget reports whether target is a satisfaction target the
+// controller can hold: a percentage in (0, 100], or 0 for static
+// thresholds (no controller).
+func CheckTarget(target float64) error {
+	if target != 0 && !(target > 0 && target <= 100) {
+		return fmt.Errorf("core: adaptive satisfaction target must be in (0, 100] percent, or 0 for static thresholds, got %v", target)
+	}
+	return nil
+}
+
 // Add feeds one completed job's satisfaction into the current window.
 func (a *Adaptive) Add(satisfaction float64) {
 	a.winSum += satisfaction

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func newAdaptive(t *testing.T) *Adaptive {
 	t.Helper()
@@ -19,6 +22,21 @@ func TestNewAdaptiveValidation(t *testing.T) {
 	a := newAdaptive(t)
 	if a.TargetS != 98 || a.Ceil >= a.PM.LambdaMax {
 		t.Errorf("defaults: %+v", a)
+	}
+}
+
+// TestCheckTarget: a satisfaction target is a percentage in (0, 100], or
+// 0 for static thresholds; anything else, NaN included, is an error.
+func TestCheckTarget(t *testing.T) {
+	for _, ok := range []float64{0, 0.5, 98, 100} {
+		if err := CheckTarget(ok); err != nil {
+			t.Errorf("target %v rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range []float64{-3, 100.5, 150, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckTarget(bad); err == nil {
+			t.Errorf("target %v accepted", bad)
+		}
 	}
 }
 

@@ -10,7 +10,10 @@
 // thresholds (§III-C).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config parameterizes the score-based scheduler. Zero value is not
 // valid; start from DefaultConfig.
@@ -124,19 +127,26 @@ func SBConfig() Config {
 	return DefaultConfig()
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every check is written to
+// fail on NaN, and the costs must be finite: one NaN or infinite score
+// makes every comparison of the hill climb false.
 func (c Config) Validate() error {
-	if c.Cempty < 0 || c.Cfill < 0 {
-		return fmt.Errorf("core: Cempty/Cfill must be non-negative (%.1f, %.1f)", c.Cempty, c.Cfill)
+	if !(c.Cempty >= 0) || !(c.Cfill >= 0) || math.IsInf(c.Cempty, 1) || math.IsInf(c.Cfill, 1) {
+		return fmt.Errorf("core: Cempty/Cfill must be finite and non-negative (%.1f, %.1f)", c.Cempty, c.Cfill)
 	}
 	if c.THempty < 0 {
 		return fmt.Errorf("core: THempty must be non-negative, got %d", c.THempty)
 	}
-	if c.THsla < 0 || c.THsla >= 1 {
+	if !(c.THsla >= 0 && c.THsla < 1) {
 		return fmt.Errorf("core: THsla %.2f outside [0,1)", c.THsla)
 	}
-	if c.QueueScore <= 0 {
-		return fmt.Errorf("core: QueueScore must be positive")
+	if !(c.QueueScore > 0) || math.IsInf(c.QueueScore, 1) {
+		return fmt.Errorf("core: QueueScore must be positive and finite, got %v", c.QueueScore)
+	}
+	for _, x := range [...]float64{c.Csla, c.Cfail, c.MigrationGainMin, c.MigrationCooldown} {
+		if math.IsNaN(x) {
+			return fmt.Errorf("core: Csla, Cfail, MigrationGainMin and MigrationCooldown must be numbers")
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"energysched/internal/cluster"
 	"energysched/internal/obs"
@@ -41,31 +42,39 @@ import (
 // the state index.
 //
 // A round starts with one pass over its hosts (pairColumns) and one
-// over its candidates (pairRows). Each pairs the round's entities with
-// last round's slots by an ascending-ID merge over last round's ID
-// table, and checks each stamp; the host pass also seeds the shadow
-// loads, and the candidate pass applies the cooldown filter, resolves
-// the round-start hosts and checks each carried row's verdict (see
-// "Dormant rows"). Only what fails a check — stale rows and columns,
-// rows whose verdict no longer holds — goes on the round's work lists:
-// the stale rows and columns are re-scored in place, and the awake
-// rows are the only ones the arbiter, the verdict hand-out and the
-// action emission visit. A quiet round, where nothing changed, thus
-// reads one stamp per host and one stamp, progress and stay term per
-// candidate, and evaluates nothing. The hill climb writes its
-// hypothetical values into the same matrix and voids the stamps of
-// what it moved (a column whose loads come back to the real ones
-// bit-exactly keeps its stamp), so the next round re-scores whatever
-// actuation did not turn into exactly that reality.
+// edit of its candidate table (editRows). The host pass pairs the
+// round's hosts with last round's column slots by an ascending-ID merge
+// over last round's ID table, seeds the shadow loads and checks each
+// stamp. The candidate table — the candidates in ascending ID with
+// their row slots and resolved round-start hosts — is kept from round
+// to round, and the edit pass visits only the VMs that may have changed
+// since: the ones the harness's change feed (policy.Feed) lists, the
+// ones a due list says time may have changed, and the rows the last
+// round moved or left without a verdict. It inserts the new candidates,
+// removes the rows that are no longer candidates (the cooldown filter)
+// and checks each visited row's stamp and verdict (see "Dormant rows");
+// a round without a trusted feed re-checks every row and every VM of
+// its context instead. Only what fails a check — stale rows and
+// columns, rows whose verdict no longer holds — goes on the round's
+// work lists: the stale rows and columns are re-scored in place, and
+// the awake rows are the only ones the arbiter, the verdict hand-out
+// and the action emission visit. A quiet round, with an empty feed and
+// nothing due, thus reads one stamp per host, visits no row and
+// evaluates nothing. The hill climb writes its hypothetical values into
+// the same matrix and voids the stamps of what it moved (a column whose
+// loads come back to the real ones bit-exactly keeps its stamp), so the
+// next round re-scores whatever actuation did not turn into exactly
+// that reality.
 //
 // The full score is never materialised. Per ⟨row, class⟩ a classRec
 // holds the minimum base over the class's columns, so the best move of
 // a row is a C-way combine of min + time(class) — base + time is the
 // float grouping score uses, and +Inf absorbs in either operand — and
 // each iteration picks the globally best move in O(awake·C) instead of
-// O(V·H). A round thus costs O(V + H) stamp checks, plus stale rows·H
-// and stale columns·V evaluations, plus O(awake·C) per iteration; a
-// move costs O(V + H) evaluations.
+// O(V·H). A round thus costs O(H) stamp checks and O(F log V) edit work
+// (plus memmove) for the F VMs it re-checks, plus stale rows·H and
+// stale columns·V evaluations, plus O(awake·C) per iteration; a move
+// costs O(V + H) evaluations.
 //
 // Determinism: every cell is a pure function of the shadow state. The
 // records hold "lowest host index achieving the minimum", and the
@@ -88,6 +97,20 @@ import (
 //  4. the VM's Progress differs from the verdict's;
 //  5. its stay term (scoreTimeStay) differs from the verdict's;
 //  6. Now is earlier than the verdicts' time.
+//
+// The edit pass checks 1, 4, 5 and 6 on the rows it visits, and visits
+// every row that may fail one: a changed stamp or Progress reaches it
+// through the feed (every vm.VM.Touch, every Progress change and every
+// VM joining the queue); a moved row is re-checked the next round; a
+// stay term changes with Now alone, so a verdict on a host is filed on
+// the stays list, due conservatively before its term can step (see
+// stayDue), and re-checked from then on every round until it steps; a
+// rewound clock re-checks every row. Conditions 2 and 3 come from the
+// column re-scores, which visit every row. Rows left without a verdict
+// (the iteration limit) are re-checked every round, and a running VM in
+// migration cooldown waits on the cooldown list, in time order because
+// LastMigrate only grows, to be re-checked, and then inserted, once
+// movable says its cooldown is over.
 //
 // A dormant row skips its C scoreTimeMove evaluations and every arbiter
 // visit; a row woken mid-round is timed before its first bestTarget.
@@ -116,10 +139,11 @@ const moved = -2
 // rowSlot is a row slot's stamp plus the row's verdict (see "Dormant
 // rows"): the VM's Progress and stay term when the latest round that
 // ended without an improving move found the row non-improving —
-// progress NaN when the row has no verdict or something woke it since.
+// progress NaN when the row has no verdict or something woke it since —
+// and the verdict's due time on the stays list (+Inf: not on it).
 type rowSlot struct {
 	rowKey
-	progress, stay float64
+	progress, stay, due float64
 }
 
 // colKey stamps a matrix column (host): the node and its Epoch when the
@@ -147,10 +171,11 @@ const (
 // awake reports whether the marks put a row on the awake list.
 func (f rowFlags) awake() bool { return f&(rowTimed|rowWoke) != 0 }
 
-// ref is one entry of a round's slot tables, by host or candidate
-// index: the entity's ID — the next round's merge reads it here, not
-// through the entity — and its slot; for a candidate also its marks and
-// its stay term this round (NaN until evaluated).
+// ref is one entry of the slot tables, by host or candidate index: the
+// entity's ID — the merge and the edit pass read it here, not through
+// the entity — and its slot; for a candidate also its marks and its
+// stay term as of the round that last checked or timed it (NaN until
+// evaluated).
 type ref struct {
 	id, slot int
 	stay     float64
@@ -199,7 +224,7 @@ func (r *classRec) offer(b float64, c, ni int, colNi []int) {
 }
 
 // slabKernel is the kernel's state on the Scheduler, persistent across
-// rounds but for the per-round tables at the end.
+// rounds but for the round's work lists.
 type slabKernel struct {
 	// base[row slot × stride + column slot] is scoreBase of the pair;
 	// for a live row the cells of column slots not in the matrix are
@@ -224,30 +249,127 @@ type slabKernel struct {
 	// order; a class whose hosts all left keeps its (empty) records.
 	classes []*cluster.Class
 
-	// This round's tables: an entry per host and per candidate
-	// (ascending IDs — next round's merge scan input), and per
-	// candidate scoreTimeMove for each class (rowTimed rows only).
+	// The slot tables by host index and by candidate index, in
+	// ascending IDs: colRef is this round's, rowRef the candidate
+	// table's, edited from round to round beside sch.cands and the
+	// shadow's assignments. time is per candidate scoreTimeMove for each
+	// class (rowTimed rows only).
 	colRef, rowRef []ref
 	time           []float64
 
 	// The round's work lists: the stale columns by slot (a column that
 	// left is re-scored to +Inf) and the awake candidates (timed or
-	// woken), in marking order — the candidate pass marks in candidate
-	// order, and the stale rows, whose cells are re-scored, are among
-	// the rows it marks.
+	// woken), in marking order — the edit pass marks in ascending ID,
+	// and the stale rows, whose cells are re-scored, are among the rows
+	// it marks.
 	staleCols, awake []int
-	staleRows        int // marked by this round's candidate pass
+	staleRows        int // marked by this round's edit pass
 
-	// Merge-scan scratch: last round's colRef or rowRef, and the
-	// candidate pass's position in it and last ID.
-	prev   []ref
-	pr     int
-	lastID int
+	// prev is last round's colRef: the column pass's merge-scan input,
+	// and what the edit pass maps carried host indices through.
+	prev []ref
 	// carry and rewound are the round's: the state carries over, and
 	// Now is earlier than verdictNow, the Now of the latest round that
 	// gave verdicts.
 	carry, rewound bool
 	verdictNow     float64
+
+	// The candidate table's edit state (see editRows). feed and round
+	// name the change feed and round the latest build consumed (feed
+	// nil: none), lastNow its Now; edits is the round's edit list.
+	feed    *policy.Feed
+	round   uint64
+	lastNow float64
+	edits   []edit
+	// The due lists: cool holds the running VMs in migration cooldown,
+	// due when the cooldown may end, and stays one entry per row slot
+	// whose due is finite, due when the verdict's stay term may step.
+	cool, stays dueList
+}
+
+// edit is an entry of the round's edit list: a VM to re-check, and
+// whether it is a candidate.
+type edit struct {
+	id   int // v.ID, kept here for the sort
+	v    *vm.VM
+	want bool
+}
+
+// due is an entry of a due list: re-check VM v from Now at on.
+type due struct {
+	at float64
+	v  *vm.VM
+}
+
+// dueList is a list of dues in ascending time.
+type dueList []due
+
+// insert files e unless the list already holds it.
+func (l *dueList) insert(e due) {
+	i := sort.Search(len(*l), func(i int) bool { return (*l)[i].at > e.at })
+	for j := i - 1; j >= 0 && (*l)[j].at == e.at; j-- {
+		if (*l)[j].v == e.v {
+			return
+		}
+	}
+	*l = slices.Insert(*l, i, e)
+}
+
+// remove deletes e from the list.
+func (l *dueList) remove(e due) {
+	for i := sort.Search(len(*l), func(i int) bool { return (*l)[i].at >= e.at }); i < len(*l) && (*l)[i].at == e.at; i++ {
+		if (*l)[i].v == e.v {
+			*l = slices.Delete(*l, i, i+1)
+			return
+		}
+	}
+}
+
+// dueMargin is how early, in virtual seconds, a due list reports a
+// step computed from the model's formulas: the float evaluation the
+// step is decided by may round to either side of the real-valued time.
+// At the magnitudes of a simulated week (Now ≈ 6·10⁵ s, deadlines and
+// remaining times of the same order) an ulp is ~10⁻¹⁰ s and each step
+// takes a handful of roundings, so the two differ by nanoseconds at
+// most; one second is a margin of nine orders of magnitude. An entry
+// that comes due early is re-checked every round until its step comes.
+const dueMargin = 1.0
+
+// stayDue is the earliest Now, minus dueMargin, from which v's stay term
+// (stayAt) may differ from its value at now, +Inf when it never will.
+// From sla.Fulfillment without overhead, the term steps from 0 to Csla
+// when v's projected finish passes its deadline, and to +Inf when the
+// fulfilment falls to THsla; it never steps back while v's Progress is
+// unchanged, and a Progress change reaches the kernel through the feed.
+func (sch *Scheduler) stayDue(v *vm.VM, now float64) float64 {
+	budget := v.Deadline - v.Submit
+	if !sch.cfg.EnableSLA || !(budget > 0) {
+		return math.Inf(1)
+	}
+	run := v.Remaining() / v.Req.CPU
+	for _, step := range [2]float64{v.Submit + budget - run, v.Submit + budget/sch.cfg.THsla - run} {
+		if now < step+dueMargin {
+			return step - dueMargin
+		}
+	}
+	return math.Inf(1)
+}
+
+// coolDue is the due time of running VM v's migration cooldown.
+func coolDue(v *vm.VM, cooldown float64) float64 { return v.LastMigrate + cooldown - dueMargin }
+
+// setDue files row slot rs's stay due time at, dropping its old one.
+func (st *slabKernel) setDue(rs int, at float64) {
+	row := &st.rows[rs]
+	if row.due == at {
+		return
+	}
+	if !math.IsInf(row.due, 1) {
+		st.stays.remove(due{row.due, row.vm})
+	}
+	if row.due = at; !math.IsInf(at, 1) {
+		st.stays.insert(due{at, row.vm})
+	}
 }
 
 // wake marks row vi woken, putting it on the awake list once.
@@ -260,7 +382,7 @@ func (st *slabKernel) wake(vi int) {
 }
 
 // timeRow evaluates row vi's time terms for the round: one
-// scoreTimeMove per class, and the stay term unless the candidate pass
+// scoreTimeMove per class, and the stay term unless the edit pass
 // already has it.
 func (sch *Scheduler) timeRow(s *shadow, vi int) {
 	st := &sch.kern
@@ -445,14 +567,19 @@ func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*clust
 
 	// Hand out the verdicts: every awake row gets one when the climb
 	// converged — a dormant row's still holds, at the new Now too —
-	// and else loses its own.
+	// and else loses its own. A verdict on a host is due on the stays
+	// list from when its stay term may step.
 	for _, vi := range st.awake {
 		r := &st.rowRef[vi]
-		rs := &st.rows[r.slot]
+		rs, at := &st.rows[r.slot], math.Inf(1)
 		rs.progress = math.NaN()
 		if converged {
 			rs.progress, rs.stay = cands[vi].Progress, r.stay
+			if s.initial[vi] >= 0 {
+				at = sch.stayDue(cands[vi], s.now)
+			}
 		}
+		st.setDue(r.slot, at)
 	}
 	if converged {
 		st.verdictNow = s.now
@@ -505,18 +632,18 @@ func takeSlot(free *[]int, next int) int {
 }
 
 // buildKernel brings the persistent matrix up to date with the round:
-// one pass pairs the hosts with last round's column slots, one pass
-// collects the candidates and pairs them with last round's row slots,
-// and then only the stale rows and columns are re-scored and only the
-// awake rows timed.
+// one pass pairs the hosts with last round's column slots, the edit
+// pass brings the candidate table up to date and checks the rows that
+// may have changed, and then only the stale rows and columns are
+// re-scored and only the awake rows timed.
 func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*cluster.Node) {
 	st := &sch.kern
 	st.carry = len(st.cols) > 0 // an earlier round built the matrix
 
 	s.begin(ctx.Now, hosts, hosts[len(hosts)-1].ID)
 	st.rewound = s.now < st.verdictNow
-	staleCols := st.pairColumns(s, hosts)
-	sch.pairRows(ctx, s)
+	staleCols, reindexed := st.pairColumns(s, hosts)
+	sch.editRows(ctx, s, reindexed)
 	V, H := len(sch.cands), len(hosts)
 
 	st.fit()
@@ -552,8 +679,9 @@ func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*clust
 // the slot's stamp; a new or changed column goes on the stale list,
 // and so does a column that left, to be re-scored to +Inf: that repairs
 // the records pointing at it. It returns the number of stale columns
-// still in the matrix.
-func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int) {
+// still in the matrix, and whether the host set changed, which shifts
+// host indices.
+func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int, reindexed bool) {
 	// Room for this round's hosts, which next round's copy of colRef
 	// needs: the first round sizes it.
 	st.prev = append(slices.Grow(st.prev[:0], len(hosts)), st.colRef...)
@@ -564,6 +692,7 @@ func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int) 
 		s.seed(ni, n)
 		for ; pc < len(st.prev) && st.prev[pc].id < n.ID; pc++ {
 			st.dropColumn(st.prev[pc].slot)
+			reindexed = true
 		}
 		c := -1
 		if pc < len(st.prev) && st.prev[pc].id == n.ID {
@@ -575,6 +704,7 @@ func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int) 
 		}
 		if c < 0 {
 			c = st.newColumn(n)
+			reindexed = true
 		}
 		if key := (colKey{node: n, epoch: n.Epoch}); st.cols[c] != key {
 			st.cols[c] = key
@@ -586,8 +716,9 @@ func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int) 
 	}
 	for _, p := range st.prev[pc:] {
 		st.dropColumn(p.slot)
+		reindexed = true
 	}
-	return stale
+	return stale, reindexed
 }
 
 // newColumn hands node n a column slot and files it in its class list.
@@ -618,52 +749,160 @@ func (st *slabKernel) dropColumn(c int) {
 	st.staleCols = append(st.staleCols, c)
 }
 
-// pairRows is the round's one pass over its candidates: the movable
-// active VMs, then the queue. It collects them into sch.cands and, per
-// candidate, pairs it with its row slot, resolves its round-start host
-// into the shadow and checks its stamp, then its verdict (pairRow). The
-// pass retires the slots of the rows it passes over; one that meets the
-// candidates out of ID order (a requeued VM) takes those slots back,
-// sorts the candidates and runs again. The new rows get their slots
-// after the pass.
-func (sch *Scheduler) pairRows(ctx *policy.Context, s *shadow) {
+// editRows brings the candidate table — sch.cands with its row refs and
+// the shadow's assignments, in ascending VM ID, kept from last round —
+// up to date with the round, and checks the rows that may have changed
+// (checkRow). It is fed an edit list: VMs to re-check, each with whether
+// it is a candidate (see candidates). It inserts the candidates the
+// table lacks, removes the rows that are no longer candidates, re-checks
+// the rest, and visits no other row.
+//
+// A round is fed what the context's change feed lists, the entries of
+// the due lists that came due and the rows the last round left without
+// a verdict or moved; it also undoes the last round's climb. A changed
+// host set shifts host indices: each row's round-start host is mapped
+// to its new index, and a row whose host left is re-checked. When the
+// feed cannot be trusted to be complete — the first round, no feed, a
+// feed that does not continue the last round this kernel consumed, or a
+// rewound clock — the pass is full: it is fed every current row and
+// every VM of the context, and rebuilds the cooldown list.
+func (sch *Scheduler) editRows(ctx *policy.Context, s *shadow, reindexed bool) {
 	st := &sch.kern
-	n := len(ctx.Queue) // at most the queue and the active VMs
-	if sch.cfg.Migration {
-		n += len(ctx.Active)
+	feed, now, cooldown := ctx.Feed, s.now, sch.cooldown()
+	full := !st.carry || feed == nil || feed != st.feed || feed.Round != st.round+1 || now < st.lastNow
+	st.feed, st.lastNow = feed, now
+	if feed != nil {
+		st.round = feed.Round
 	}
-	st.prev = append(st.prev[:0], st.rowRef...)
-	free := len(st.rowFree)
-	st.beginRows(s, n)
-	cands, ordered := sch.cands[:0], true
+
+	// Gather the edit list.
+	most := len(ctx.Queue) // candidates, at most
 	if sch.cfg.Migration {
-		cooldown := sch.cooldown()
-		for _, v := range ctx.Active {
-			if movable(v, ctx.Now, cooldown) {
-				cands = append(cands, v)
-				ordered = ordered && sch.pairRow(s, v)
+		most += len(ctx.Active)
+	}
+	n := len(sch.cands) + most
+	if !full {
+		n = len(st.awake) + len(st.cool) + len(st.stays) + len(feed.VMs)
+	}
+	in := slices.Grow(st.edits[:0], n)
+	switch {
+	case full:
+		for vi, v := range sch.cands {
+			in = append(in, edit{id: st.rowRef[vi].id, v: v})
+		}
+	case reindexed:
+		for vi, oi := range s.initial {
+			if oi < 0 {
+				continue
+			}
+			ni := st.colNi[st.prev[oi].slot]
+			if s.initial[vi], s.assign[vi] = ni, ni; ni < 0 {
+				v := sch.cands[vi]
+				in = append(in, edit{id: v.ID, v: v, want: sch.candidate(v, now)})
 			}
 		}
 	}
-	for _, v := range ctx.Queue {
-		cands = append(cands, v)
-		ordered = ordered && sch.pairRow(s, v)
-	}
-	if !ordered {
-		st.rowFree = st.rowFree[:free]
-		slices.SortFunc(cands, func(a, b *vm.VM) int { return cmp.Compare(a.ID, b.ID) })
-		st.beginRows(s, n)
-		for _, v := range cands {
-			sch.pairRow(s, v)
+	for _, vi := range st.awake {
+		r := &st.rowRef[vi]
+		r.flags = 0
+		s.assign[vi] = s.initial[vi]
+		if rs := &st.rows[r.slot]; !full && (math.IsNaN(rs.progress) || rs.initial == moved) {
+			v := sch.cands[vi]
+			in = append(in, edit{id: v.ID, v: v, want: sch.candidate(v, now)})
 		}
 	}
-	sch.cands, s.vms = cands, cands
-
-	// Retire the slots of the rows past the last candidate, then hand
-	// slots to the new rows and stamp every stale one.
-	for _, p := range st.prev[st.pr:] {
-		st.dropRow(p.slot)
+	st.awake, st.staleRows = st.awake[:0], 0
+	if full {
+		st.cool = st.cool[:0]
+		if sch.cfg.Migration {
+			st.cool = slices.Grow(st.cool, len(ctx.Active))
+			for _, v := range ctx.Active {
+				switch {
+				case movable(v, now, cooldown):
+					in = append(in, edit{id: v.ID, v: v, want: true})
+				case v.State == vm.Running:
+					st.cool = append(st.cool, due{coolDue(v, cooldown), v})
+				}
+			}
+			slices.SortFunc(st.cool, func(a, b due) int { return cmp.Compare(a.at, b.at) })
+		}
+		for _, v := range ctx.Queue {
+			in = append(in, edit{id: v.ID, v: v, want: true})
+		}
+	} else {
+		// A cooldown that is due ends when movable says so; until then
+		// its entry stays and is re-checked every round. An entry whose
+		// VM left Running or migrated again is stale: the change that
+		// made it so was fed.
+		keep, i := 0, 0
+		for ; i < len(st.cool) && st.cool[i].at <= now; i++ {
+			switch e := st.cool[i]; {
+			case e.v.State != vm.Running || coolDue(e.v, cooldown) != e.at:
+			case movable(e.v, now, cooldown):
+				in = append(in, edit{id: e.v.ID, v: e.v, want: true})
+			default:
+				st.cool[keep] = e
+				keep++
+			}
+		}
+		st.cool = append(st.cool[:keep], st.cool[i:]...)
+		for _, e := range st.stays {
+			if e.at > now {
+				break
+			}
+			in = append(in, edit{id: e.v.ID, v: e.v, want: sch.candidate(e.v, now)})
+		}
+		for _, v := range feed.VMs {
+			in = append(in, edit{id: v.ID, v: v, want: sch.candidate(v, now)})
+		}
 	}
+	st.edits = in
+	slices.SortFunc(in, func(a, b edit) int { return cmp.Compare(a.id, b.id) })
+
+	// Apply the edits in ascending ID, one per ID: the candidate's, if
+	// any — a duplicate, or a VM that took over the ID. Each one's row is
+	// at or past the cursor vi, and an insertion or removal there leaves
+	// the indices below it alone.
+	if room := most - len(st.rowRef); room > 0 {
+		sch.cands, st.rowRef = slices.Grow(sch.cands, room), slices.Grow(st.rowRef, room)
+		s.assign, s.initial = slices.Grow(s.assign, room), slices.Grow(s.initial, room)
+	}
+	st.awake = slices.Grow(st.awake, max(most, len(st.rowRef)))
+	vi := 0
+	for k := 0; k < len(in); {
+		e := in[k]
+		for k++; k < len(in) && in[k].id == e.id; k++ {
+			if in[k].want {
+				e = in[k]
+			}
+		}
+		if vi < len(st.rowRef) && st.rowRef[vi].id < e.id {
+			vi += sort.Search(len(st.rowRef)-vi, func(i int) bool { return st.rowRef[vi+i].id >= e.id })
+		}
+		switch in := vi < len(st.rowRef) && st.rowRef[vi].id == e.id; {
+		case e.want && !in:
+			sch.cands = slices.Insert(sch.cands, vi, e.v)
+			st.rowRef = slices.Insert(st.rowRef, vi, ref{id: e.id, slot: -1})
+			s.assign, s.initial = slices.Insert(s.assign, vi, -1), slices.Insert(s.initial, vi, -1)
+		case !e.want && in:
+			st.dropRow(st.rowRef[vi].slot)
+			sch.cands = slices.Delete(sch.cands, vi, vi+1)
+			st.rowRef = slices.Delete(st.rowRef, vi, vi+1)
+			s.assign, s.initial = slices.Delete(s.assign, vi, vi+1), slices.Delete(s.initial, vi, vi+1)
+		}
+		if !e.want {
+			if !full && sch.cfg.Migration && e.v.State == vm.Running && !movable(e.v, now, cooldown) {
+				st.cool.insert(due{coolDue(e.v, cooldown), e.v})
+			}
+			continue
+		}
+		sch.cands[vi] = e.v
+		sch.checkRow(s, vi)
+		vi++
+	}
+	s.vms = sch.cands
+
+	// Hand slots to the new rows and stamp every stale one.
 	for _, vi := range st.awake {
 		r := &st.rowRef[vi]
 		if r.flags&rowStale == 0 {
@@ -671,24 +910,27 @@ func (sch *Scheduler) pairRows(ctx *policy.Context, s *shadow) {
 		}
 		if r.slot < 0 {
 			if r.slot = takeSlot(&st.rowFree, len(st.rows)); r.slot == len(st.rows) {
-				st.rows = append(st.rows, rowSlot{})
+				st.rows = append(st.rows, rowSlot{due: math.Inf(1)})
 			}
 		}
-		st.rows[r.slot] = rowSlot{rowKey: rowKeyOf(cands[vi], s.initial[vi]), progress: math.NaN()}
+		st.setDue(r.slot, math.Inf(1))
+		st.rows[r.slot] = rowSlot{rowKey: rowKeyOf(sch.cands[vi], s.initial[vi]), progress: math.NaN(), due: math.Inf(1)}
 	}
 }
 
-// beginRows empties the candidate pass's tables, with room for n
-// candidates.
-func (st *slabKernel) beginRows(s *shadow, n int) {
-	st.rowRef, st.awake = slices.Grow(st.rowRef[:0], n), slices.Grow(st.awake[:0], n)
-	s.assign, s.initial = slices.Grow(s.assign[:0], n), slices.Grow(s.initial[:0], n)
-	st.pr, st.lastID, st.staleRows = 0, -1, 0
+// candidate reports whether VM v is a candidate at now by its own state
+// (see candidates): queued, or — with migration — movable. It holds for
+// the VMs of a context a harness built from its real state; a hand-built
+// one has no feed, and a full edit pass takes its lists as they are.
+func (sch *Scheduler) candidate(v *vm.VM, now float64) bool {
+	return v.State == vm.Queued || sch.cfg.Migration && movable(v, now, sch.cooldown())
 }
 
-// dropRow retires row slot r. The slot keeps its stamp and cells until
-// it is handed out again, so a pass that runs again can take it back.
-func (st *slabKernel) dropRow(r int) { st.rowFree = append(st.rowFree, r) }
+// dropRow retires row slot r, taking its verdict off the stays list.
+func (st *slabKernel) dropRow(r int) {
+	st.setDue(r, math.Inf(1))
+	st.rowFree = append(st.rowFree, r)
+}
 
 // rowKeyOf is the stamp of candidate v resolved to host index ni.
 func rowKeyOf(v *vm.VM, ni int) rowKey {
@@ -699,51 +941,37 @@ func rowKeyOf(v *vm.VM, ni int) rowKey {
 	return key
 }
 
-// pairRow is the candidate pass's step for v, the next candidate. It
-// advances the merge scan to v's row slot (a candidate without one gets
-// it after the pass), resolves v's round-start host and checks, in
-// order, the slot's stamp (a mismatch makes the row stale), the verdict's
-// progress and the verdict's stay term. A row that fails a check is
-// awake; one that passes them all is dormant and costs nothing further.
-// It reports false, doing nothing, for a candidate whose ID is not
-// above the last one's.
-func (sch *Scheduler) pairRow(s *shadow, v *vm.VM) bool {
+// checkRow is the edit pass's check of candidate vi: it resolves the
+// VM's round-start host into the shadow and checks, in order, the row
+// slot's stamp (a mismatch, or no slot yet, makes the row stale), the
+// verdict's progress and the verdict's stay term. A row that fails a
+// check is awake; one that passes them all is dormant and costs
+// nothing further but its stay term's due time.
+func (sch *Scheduler) checkRow(s *shadow, vi int) {
 	st := &sch.kern
-	if v.ID <= st.lastID {
-		return false
-	}
-	st.lastID = v.ID
-	vi := len(st.rowRef)
-	for ; st.pr < len(st.prev) && st.prev[st.pr].id < v.ID; st.pr++ {
-		st.dropRow(st.prev[st.pr].slot)
-	}
-	r := ref{id: v.ID, slot: -1}
-	if st.pr < len(st.prev) && st.prev[st.pr].id == v.ID {
-		r.slot = st.prev[st.pr].slot
-		st.pr++
-	}
+	v, r := sch.cands[vi], &st.rowRef[vi]
 	ni := s.hostOf(v)
-	s.assign, s.initial = append(s.assign, ni), append(s.initial, ni)
+	s.assign[vi], s.initial[vi] = ni, ni
+	r.stay, r.flags = 0, 0
 	if ni >= 0 {
 		r.stay = math.NaN()
 	}
-	switch {
-	case r.slot < 0 || !st.carry || st.rows[r.slot].rowKey != rowKeyOf(v, ni):
+	switch rs := r.slot; {
+	case rs < 0 || st.rows[rs].rowKey != rowKeyOf(v, ni):
 		r.flags = rowStale | rowWoke
 		st.staleRows++
-	case st.rewound || st.rows[r.slot].progress != v.Progress:
+	case st.rewound || st.rows[rs].progress != v.Progress:
 		r.flags = rowWoke
 	case ni >= 0:
-		r.stay = sch.stayAt(v, s.now)
-		if r.stay != st.rows[r.slot].stay {
+		if r.stay = sch.stayAt(v, s.now); r.stay != st.rows[rs].stay {
 			r.flags = rowWoke
+		} else {
+			st.setDue(rs, sch.stayDue(v, s.now))
 		}
 	}
 	if r.flags != 0 {
 		st.awake = append(st.awake, vi)
 	}
-	st.rowRef = append(st.rowRef, r)
-	return true
 }
 
 // rescore re-scores the kernel's work list — the stale columns, then

@@ -54,7 +54,8 @@ type PowerManager struct {
 type bin struct{ cpu, mem float64 }
 
 // NewPowerManager validates thresholds given in percent (30, 90) or
-// fractions (0.30, 0.90) — values above 1 are treated as percent.
+// fractions (0.30, 0.90) — values above 1 are treated as percent. A NaN
+// threshold fails the check.
 func NewPowerManager(lambdaMin, lambdaMax float64, minExec int) (*PowerManager, error) {
 	if lambdaMin > 1 {
 		lambdaMin /= 100
@@ -62,7 +63,7 @@ func NewPowerManager(lambdaMin, lambdaMax float64, minExec int) (*PowerManager, 
 	if lambdaMax > 1 {
 		lambdaMax /= 100
 	}
-	if lambdaMin <= 0 || lambdaMax > 1 || lambdaMin >= lambdaMax {
+	if !(lambdaMin > 0 && lambdaMin < lambdaMax && lambdaMax <= 1) {
 		return nil, fmt.Errorf("core: need 0 < λmin < λmax <= 1, got %.2f, %.2f", lambdaMin, lambdaMax)
 	}
 	if minExec < 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"energysched/internal/cluster"
@@ -50,6 +51,18 @@ func TestNewPowerManagerValidation(t *testing.T) {
 	pm2 := mustPM(t, 0.3, 0.9, 1)
 	if pm2.LambdaMin != 0.3 || pm2.LambdaMax != 0.9 {
 		t.Errorf("fraction thresholds mangled: %v, %v", pm2.LambdaMin, pm2.LambdaMax)
+	}
+}
+
+// TestNewPowerManagerRejectsNaN: a NaN or infinite threshold fails the
+// check rather than running the fleet on comparisons that are all
+// false.
+func TestNewPowerManagerRejectsNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, l := range [][2]float64{{nan, 90}, {30, nan}, {nan, nan}, {inf, 90}, {30, inf}, {-inf, 90}} {
+		if _, err := NewPowerManager(l[0], l[1], 1); err == nil {
+			t.Errorf("λ = %v accepted", l)
+		}
 	}
 }
 

@@ -283,7 +283,7 @@ func (sch *Scheduler) scoreTimeStay(s *shadow, vi int) float64 {
 }
 
 // stayAt is scoreTimeStay of v as of virtual time now: the kernel's
-// candidate pass asks it before v has a candidate index.
+// edit pass asks it for a row it checks.
 func (sch *Scheduler) stayAt(v *vm.VM, now float64) float64 {
 	total := 0.0
 	if sch.cfg.EnableSLA {

@@ -261,6 +261,32 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejectsNaN: each check of Config.Validate fails on
+// a NaN, and on an infinite cost, instead of letting it through to a
+// hill climb whose comparisons are then all false.
+func TestConfigValidateRejectsNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, set := range map[string]func(*Config){
+		"Cempty NaN":            func(c *Config) { c.Cempty = nan },
+		"Cempty +Inf":           func(c *Config) { c.Cempty = inf },
+		"Cfill NaN":             func(c *Config) { c.Cfill = nan },
+		"Cfill +Inf":            func(c *Config) { c.Cfill = inf },
+		"THsla NaN":             func(c *Config) { c.THsla = nan },
+		"QueueScore NaN":        func(c *Config) { c.QueueScore = nan },
+		"QueueScore +Inf":       func(c *Config) { c.QueueScore = inf },
+		"Csla NaN":              func(c *Config) { c.Csla = nan },
+		"Cfail NaN":             func(c *Config) { c.Cfail = nan },
+		"MigrationGainMin NaN":  func(c *Config) { c.MigrationGainMin = nan },
+		"MigrationCooldown NaN": func(c *Config) { c.MigrationCooldown = nan },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg)
+		if _, err := NewScheduler(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 // --- solver behaviour ---
 
 func ctxFor(c *cluster.Cluster, queue, active []*vm.VM) *policy.Context {
@@ -531,10 +557,10 @@ func TestCandidatesSortedWhateverTheQueueHolds(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("queue %v: candidates %v, want %v", tc.queue, got, tc.want)
 		}
-		// The kernel's candidate pass collects the same list, rerunning
-		// over the carried rows when it meets them out of order.
+		// The kernel's candidate table holds the same list, edited
+		// into ID order whatever order the queue meets it in.
 		sch.Schedule(ctx)
-		checkKernel(t, sch)
+		checkKernel(t, sch, ctx)
 		got = got[:0]
 		for _, v := range sch.cands {
 			got = append(got, v.ID)

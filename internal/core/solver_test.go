@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -198,7 +199,7 @@ func TestShardedDifferentialRandomRounds(t *testing.T) {
 		cfg.NaiveSolver = false
 		kern := MustScheduler(cfg)
 		got := renderActions(kern.Schedule(ctx))
-		checkKernel(t, kern)
+		checkKernel(t, kern, ctx)
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: actions diverged:\nkernel: %v\nnaive:  %v", seed, got, want)
 		}
@@ -244,6 +245,9 @@ type churnSim struct {
 	// touchedVMs and touchedNodes hold the IDs whose real state changed
 	// since the previous round: the churn plus the actions applied.
 	touchedVMs, touchedNodes map[int]bool
+	// progressed holds the VMs whose Progress accrued since the previous
+	// round.
+	progressed []*vm.VM
 }
 
 func newChurnSim(seed int64, c *cluster.Cluster, arrivals int) *churnSim {
@@ -367,44 +371,66 @@ func (cs *churnSim) apply(acts []policy.Action) {
 	// Progress accrues without Touch, as the datacenter's accrual does
 	// (lazily, at node events): here on a rotating third of the running
 	// VMs per round.
+	cs.progressed = cs.progressed[:0]
 	for _, v := range cs.vms {
 		if v.State == vm.Running && (v.ID+int(cs.now/60))%3 == 0 {
 			v.Progress += v.Req.CPU * 60
+			cs.progressed = append(cs.progressed, v)
 		}
 	}
 	cs.now += 60
 }
 
+// feed fills f as a harness's change feed for the next round: every VM
+// the churn or the applied actions changed, arrivals among them, and
+// every VM whose Progress accrued, in map order.
+func (cs *churnSim) feed(f *policy.Feed) {
+	f.Round++
+	f.VMs = append(f.VMs[:0], cs.progressed...)
+	for id := range cs.touchedVMs {
+		f.VMs = append(f.VMs, cs.vms[id])
+	}
+}
+
 // checkKernel fails the test when kernelFault finds one.
-func checkKernel(t *testing.T, sch *Scheduler) {
+func checkKernel(t *testing.T, sch *Scheduler, ctx *policy.Context) {
 	t.Helper()
-	if err := kernelFault(sch); err != nil {
+	if err := kernelFault(sch, ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// kernelFault verifies, after a round that built a matrix, the
+// kernelFault verifies, after a round on ctx that built a matrix, the
 // invariants the kernel's correctness rests on — that each run is
 // right, not merely that two runs agree — against the round's final
-// shadow, and reports the first one broken. The stamps: a column's
-// stamp is its node's Epoch exactly when the shadow left the node's
-// real loads, else void; a row's is its VM's Epoch and resolved host,
-// void when the row moved. The values behind the stamps: every
-// persistent base cell of a live ⟨row, column⟩ equals a fresh scoreBase
-// — a carried cell that does not is a stale key, a scored field
-// written around its setter or Touch — and composes with the round's
-// time terms to a fresh score; the cells of a live row in column slots
-// outside the matrix are +Inf; every ⟨row, class⟩ record
-// equals a brute-force scan and its low field really is a lower bound;
-// the arbiter's per-row best equals a naive-order scan of the full
-// scores; the awake list holds each awake row once; and every dormant
-// row is non-improving.
-func kernelFault(sch *Scheduler) error {
-	if len(sch.hosts) == 0 || len(sch.cands) == 0 {
+// shadow, and reports the first one broken. The table: the carried
+// candidate table is the context's candidates, by ID and in order. The
+// stamps: a column's stamp is its node's Epoch exactly when the shadow
+// left the node's real loads, else void; a row's is its VM's Epoch and
+// resolved host, void when the row moved. The values behind the stamps:
+// every persistent base cell of a live ⟨row, column⟩ equals a fresh
+// scoreBase — a carried cell that does not is a stale key, a scored
+// field written around its setter or Touch — and composes with the
+// round's time terms to a fresh score; the cells of a live row in column
+// slots outside the matrix are +Inf; every ⟨row, class⟩ record equals a
+// brute-force scan and its low field really is a lower bound; the
+// arbiter's per-row best equals a naive-order scan of the full scores;
+// the awake list holds each awake row once; and every dormant row is
+// non-improving. What the edit pass did not visit: every dormant row's
+// verdict passes the stamp, progress and stay checks at this Now — the
+// change feed missed nothing — every row's stay due is on the stays
+// list and no later than the verdict's stay term can step, and every
+// running VM in migration cooldown has a cooldown entry due no later
+// than the cooldown ends.
+func kernelFault(sch *Scheduler, ctx *policy.Context) error {
+	if len(sch.hosts) == 0 || !sch.anyCandidate(ctx) {
 		return nil // the round returned before building
 	}
 	s, st := &sch.sh, &sch.kern
 	C := len(st.classes)
+	if want := sch.candidates(ctx, nil); !slices.Equal(sch.cands, want) {
+		return fmt.Errorf("candidate table %v, the context's candidates %v", vmIDs(sch.cands), vmIDs(want))
+	}
 	for ni, r := range st.colRef {
 		c, n := r.slot, s.nodes[ni]
 		if st.colNi[c] != ni || st.cols[c].node != n || r.id != n.ID || st.classes[st.colClass[c]] != n.Class {
@@ -445,6 +471,9 @@ func kernelFault(sch *Scheduler) error {
 		}
 		if r.stay != stay {
 			return fmt.Errorf("vm index %d: stay term %v, fresh %v", vi, r.stay, stay)
+		}
+		if err := verdictFault(sch, vi, !r.flags.awake()); err != nil {
+			return err
 		}
 		// A dormant row's move terms are not this round's: it must be
 		// non-improving against the fresh scores instead. The stay term
@@ -534,7 +563,83 @@ func kernelFault(sch *Scheduler) error {
 			}
 		}
 	}
+	return dueFault(sch, ctx)
+}
+
+// verdictFault checks the verdict of row vi, which is dormant when the
+// edit pass may have left it unvisited: a dormant row's verdict must
+// pass the edit pass's checks at this Now, and every verdict of a row
+// on a host must be due on the stays list no later than its stay term
+// can step — stay is monotone in Now, so it is enough that the term
+// just before the due time is the verdict's.
+func verdictFault(sch *Scheduler, vi int, dormant bool) error {
+	s, st := &sch.sh, &sch.kern
+	v, rs := sch.cands[vi], &st.rows[st.rowRef[vi].slot]
+	onHost := s.initial[vi] >= 0
+	if dormant && (rs.progress != v.Progress || onHost && rs.stay != sch.stayAt(v, s.now) || st.rewound) {
+		return fmt.Errorf("dormant row of vm %d: verdict (progress %v, stay %v), now (progress %v, stay %v): the feed missed a change",
+			v.ID, rs.progress, rs.stay, v.Progress, sch.stayAt(v, s.now))
+	}
+	if math.IsNaN(rs.progress) || !onHost {
+		if !math.IsInf(rs.due, 1) {
+			return fmt.Errorf("row of vm %d: due at %v without a verdict on a host", v.ID, rs.due)
+		}
+		return nil
+	}
+	before := math.MaxFloat64 // +Inf: the term never steps
+	if !math.IsInf(rs.due, 1) {
+		if !slices.Contains(st.stays, due{rs.due, v}) {
+			return fmt.Errorf("row of vm %d: due at %v, not on the stays list", v.ID, rs.due)
+		}
+		before = math.Nextafter(rs.due, math.Inf(-1))
+	}
+	if before > s.now && sch.stayAt(v, before) != rs.stay {
+		return fmt.Errorf("row of vm %d: stay term %v steps to %v before its due time %v", v.ID, rs.stay, sch.stayAt(v, before), rs.due)
+	}
 	return nil
+}
+
+// dueFault checks the due lists: each ascends; the stays list holds one
+// entry per row slot with a finite due time, and the cooldown list an
+// entry for every running VM of ctx in migration cooldown, due no later
+// than the cooldown ends.
+func dueFault(sch *Scheduler, ctx *policy.Context) error {
+	st := &sch.kern
+	byAt := func(a, b due) int { return cmp.Compare(a.at, b.at) }
+	if !slices.IsSortedFunc(st.stays, byAt) || !slices.IsSortedFunc(st.cool, byAt) {
+		return fmt.Errorf("a due list is out of order: stays %v, cool %v", st.stays, st.cool)
+	}
+	dues := 0
+	for _, r := range st.rowRef {
+		if !math.IsInf(st.rows[r.slot].due, 1) {
+			dues++
+		}
+	}
+	if dues != len(st.stays) {
+		return fmt.Errorf("%d rows are due, the stays list holds %d entries", dues, len(st.stays))
+	}
+	if !sch.cfg.Migration {
+		return nil
+	}
+	cooldown := sch.cooldown()
+	for _, v := range ctx.Active {
+		if v.State != vm.Running || movable(v, ctx.Now, cooldown) {
+			continue
+		}
+		e := due{coolDue(v, cooldown), v}
+		if !slices.Contains(st.cool, e) || movable(v, e.at, cooldown) {
+			return fmt.Errorf("vm %d in cooldown since %v: entry %v on the cooldown list %v", v.ID, v.LastMigrate, e, st.cool)
+		}
+	}
+	return nil
+}
+
+func vmIDs(vms []*vm.VM) []int {
+	ids := make([]int, len(vms))
+	for i, v := range vms {
+		ids[i] = v.ID
+	}
+	return ids
 }
 
 // TestCheckKernelDetectsStaleKey: the kernel carries a slot whose stamp
@@ -556,12 +661,12 @@ func TestCheckKernelDetectsStaleKey(t *testing.T) {
 		sch := MustScheduler(cfg)
 		ctx := ctxFor(c, nil, []*vm.VM{a, b})
 		sch.Schedule(ctx)
-		if err := kernelFault(sch); err != nil {
+		if err := kernelFault(sch, ctx); err != nil {
 			t.Fatalf("%s, before: %v", name, err)
 		}
 		corrupt(c, a)
 		sch.Schedule(ctx)
-		err := kernelFault(sch)
+		err := kernelFault(sch, ctx)
 		if bypass := name != "vm touched"; bypass != (err != nil) || err != nil && !strings.Contains(err.Error(), "stale key") {
 			t.Fatalf("%s: the oracle reports %v", name, err)
 		}
@@ -629,7 +734,7 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 
 			before := inc.Stats
 			incActs := inc.Schedule(ctx)
-			checkKernel(t, inc)
+			checkKernel(t, inc, ctx)
 			ia, na := renderActions(incActs), renderActions(nai.Schedule(ctx))
 			if !slices.Equal(ia, na) {
 				t.Fatalf("seed %d round %d: actions diverged:\nkernel: %v\nnaive:  %v", seed, round, ia, na)
@@ -747,7 +852,7 @@ func diffChecked(t *testing.T, what string, kern, naive *Scheduler, ctx *policy.
 	t.Helper()
 	acts := naive.Schedule(ctx)
 	got, want := renderActions(kern.Schedule(ctx)), renderActions(acts)
-	checkKernel(t, kern)
+	checkKernel(t, kern, ctx)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: actions diverged:\nkernel: %v\nnaive:  %v", what, got, want)
 	}

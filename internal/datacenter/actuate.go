@@ -31,7 +31,7 @@ func (s *Simulation) applyPlace(a policy.Action) {
 	v.State = vm.Creating
 	s.setActive(v, true)
 	v.Host = n.ID
-	v.Touch()
+	s.touch(v)
 	n.AddVM(v)
 	n.BeginCreate()
 	s.emit(EvPlace, v.ID, n.ID, -1)
@@ -49,7 +49,7 @@ func (s *Simulation) onCreated(v *vm.VM) {
 	n.EndCreate()
 	v.State = vm.Running
 	s.active++
-	v.Touch()
+	s.touch(v)
 	if v.Start < 0 {
 		v.Start = s.eng.Now()
 	}
@@ -73,7 +73,7 @@ func (s *Simulation) applyMigrate(a policy.Action) {
 	}
 	v.State = vm.Migrating
 	v.MigrateTo = dst.ID
-	v.Touch()
+	s.touch(v)
 	dst.AddVM(v) // reservation on the destination
 	src.BeginMigrate()
 	dst.BeginMigrate()
@@ -99,7 +99,7 @@ func (s *Simulation) onMigrated(v *vm.VM) {
 	v.State = vm.Running
 	v.Migrations++
 	v.LastMigrate = s.eng.Now()
-	v.Touch()
+	s.touch(v)
 	s.migrations++
 	s.emit(EvMigrated, v.ID, src.ID, dst.ID)
 	s.recomputeNode(&s.rt[src.ID])
@@ -200,7 +200,7 @@ func (s *Simulation) onFailure(n *cluster.Node) {
 			src.EndMigrate()
 			v.MigrateTo = -1
 			v.State = vm.Running
-			v.Touch()
+			s.touch(v)
 			s.recomputeNode(&s.rt[src.ID])
 		case v.State == vm.Creating:
 			n.EndCreate()
@@ -266,7 +266,7 @@ func (s *Simulation) requeueFailed(v *vm.VM) {
 	v.Alloc = 0
 	v.Progress = v.Checkpoint
 	v.Restarts++
-	v.Touch()
+	s.touch(v)
 	s.queue = append(s.queue, v)
 	s.emit(EvRequeued, v.ID, -1, -1)
 }

@@ -86,7 +86,8 @@ type Config struct {
 
 	// AdaptiveTarget, when positive, enables the dynamic-threshold
 	// controller (§V-A future work): λmin is adjusted at runtime to
-	// hold mean client satisfaction at this percentage.
+	// hold mean client satisfaction at this percentage, at most 100
+	// (see core.CheckTarget).
 	AdaptiveTarget float64
 
 	// EventLog, when non-nil, receives every simulation event
@@ -151,5 +152,5 @@ func (c Config) Validate() error {
 	if _, err := core.NewPowerManager(c.LambdaMin, c.LambdaMax, c.MinExec); err != nil {
 		return err
 	}
-	return nil
+	return core.CheckTarget(c.AdaptiveTarget)
 }

@@ -105,9 +105,12 @@ type Simulation struct {
 	done        bool
 
 	// ctx and ctxQueue are the per-round policy context and its queue
-	// copy, reused so steady-state rounds don't allocate.
+	// copy, reused so steady-state rounds don't allocate. feed is the
+	// change feed every round's context points at: touch and changed
+	// fill it, and each Schedule call consumes it.
 	ctx      policy.Context
 	ctxQueue []*vm.VM
+	feed     policy.Feed
 
 	// ownScratch and demScratch are recomputeNode's demand-build
 	// buffers and allocScratch the allocator's result buffer, accScratch
@@ -163,6 +166,9 @@ func New(cfg Config) (*Simulation, error) {
 		creation:        simkit.NewStream(cfg.Seed, "creation"),
 		migration:       simkit.NewStream(cfg.Seed, "migration"),
 		failures:        simkit.NewStream(cfg.Seed, "failures"),
+		// Room up front for the feed of a busy round (the VMs of a few
+		// nodes, an arrival, an action's VM) instead of growing to it.
+		feed: policy.Feed{VMs: make([]*vm.VM, 0, 64)},
 	}
 	if cfg.AdaptiveTarget > 0 {
 		ad, err := core.NewAdaptive(pm)
@@ -506,6 +512,9 @@ func (s *Simulation) accrue(rt *nodeRT, t float64, commit bool, acc float64) flo
 		term := v.Alloc * rt.eff * dt
 		if commit {
 			v.Progress += term
+			if term != 0 {
+				s.changed(v)
+			}
 			if share > 0 {
 				v.EnergyKWh += share * v.Alloc
 			}
@@ -695,10 +704,23 @@ func (s *Simulation) setActive(v *vm.VM, active bool) {
 	}
 }
 
+// touch records a scheduler-visible mutation of v's state, host or
+// requirements: it advances v's Epoch (vm.VM.Touch) and feeds v to the
+// next round. Every such mutation goes through here.
+func (s *Simulation) touch(v *vm.VM) {
+	v.Touch()
+	s.changed(v)
+}
+
+// changed feeds v to the next round without touching it: v's Progress
+// changed or v joined the queue.
+func (s *Simulation) changed(v *vm.VM) { s.feed.VMs = append(s.feed.VMs, v) }
+
 // --- event handlers ---
 
 func (s *Simulation) onArrival(v *vm.VM) {
 	s.queue = append(s.queue, v)
+	s.changed(v)
 	s.emit(EvArrival, v.ID, -1, -1)
 	s.round()
 }
@@ -732,7 +754,7 @@ func (s *Simulation) onCompletion(v *vm.VM) {
 	v.State = vm.Completed
 	v.Finish = s.eng.Now()
 	v.Alloc = 0
-	v.Touch()
+	s.touch(v)
 	s.completed++
 	s.emit(EvCompleted, v.ID, rt.node.ID, -1)
 
@@ -826,12 +848,15 @@ func (s *Simulation) round() {
 		Active:    s.activeVMs,
 		LambdaMin: s.pm.LambdaMin,
 		LambdaMax: s.pm.LambdaMax,
+		Feed:      &s.feed,
 	}
+	s.feed.Round++
 	var roundStart time.Time
 	if s.cfg.RoundTimer != nil {
 		roundStart = time.Now()
 	}
 	actions := s.cfg.Policy.Schedule(&s.ctx)
+	s.feed.VMs = s.feed.VMs[:0]
 	if s.cfg.RoundTimer != nil {
 		s.cfg.RoundTimer(time.Since(roundStart).Seconds())
 	}

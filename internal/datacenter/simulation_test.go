@@ -389,6 +389,11 @@ func TestConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("inverted lambdas accepted")
 	}
+	for _, target := range []float64{-3, 150, math.NaN()} {
+		if _, err := New(Config{Policy: policy.NewBackfilling(), AdaptiveTarget: target}); err == nil {
+			t.Errorf("adaptive target %v accepted", target)
+		}
+	}
 	bad := miniTrace(workload.Job{ID: 0, Submit: 0, Duration: -1, CPU: 100, DeadlineFactor: 2})
 	sim, err := New(Config{Trace: bad, Policy: policy.NewBackfilling()})
 	if err != nil {

@@ -13,7 +13,8 @@ import (
 
 // Context is the scheduler's read view of the system at a scheduling
 // round. The harness reuses it, and the slices it points at, for the
-// next round: a policy must not retain any of it past Schedule.
+// next round: a policy must not retain any of it past Schedule but the
+// Feed pointer (see Feed).
 type Context struct {
 	// Now is the current virtual time.
 	Now float64
@@ -31,6 +32,26 @@ type Context struct {
 	// them to decide when draining nodes is worthwhile (a drained
 	// node is only a win if it can be turned off).
 	LambdaMin, LambdaMax float64
+	// Feed, when non-nil, is the harness's change feed for this round:
+	// the VMs whose scheduler-visible state changed since its previous
+	// Schedule call. A policy that keeps state across rounds may re-check
+	// only those; without a feed it must read the whole context.
+	Feed *Feed
+}
+
+// Feed lists the VMs whose scheduler-visible state changed between two
+// Schedule calls of one harness. The harness owns one Feed for its
+// lifetime and hands the same pointer to every round, so a policy may
+// keep the pointer, and only the pointer, to recognise the next one.
+type Feed struct {
+	// Round numbers the Schedule call the feed is handed to: 1 for the
+	// harness's first, one more for each after it. A policy that did not
+	// consume round Round−1 of this feed has missed changes.
+	Round uint64
+	// VMs holds, in no particular order and possibly more than once,
+	// every VM that since the previous Schedule call was touched
+	// (vm.VM.Touch), had its Progress change or joined the queue.
+	VMs []*vm.VM
 }
 
 // Kind says what an Action asks the harness to do.

@@ -78,28 +78,30 @@ func DefaultGeneratorConfig() GeneratorConfig {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every check is written to
+// fail on NaN, and the horizon and the arrival rate must be finite: the
+// generator draws arrivals until the horizon.
 func (c GeneratorConfig) Validate() error {
-	if c.Horizon <= 0 {
-		return fmt.Errorf("workload: horizon must be positive")
+	if !(c.Horizon > 0) || math.IsInf(c.Horizon, 1) {
+		return fmt.Errorf("workload: horizon must be positive and finite, got %v", c.Horizon)
 	}
-	if c.JobsPerDay <= 0 {
-		return fmt.Errorf("workload: jobs per day must be positive")
+	if !(c.JobsPerDay > 0) || math.IsInf(c.JobsPerDay, 1) {
+		return fmt.Errorf("workload: jobs per day must be positive and finite, got %v", c.JobsPerDay)
 	}
-	if c.DeadlineMin < 1 || c.DeadlineMax < c.DeadlineMin {
+	if !(c.DeadlineMin >= 1 && c.DeadlineMax >= c.DeadlineMin) {
 		return fmt.Errorf("workload: invalid deadline factors [%.2f, %.2f]", c.DeadlineMin, c.DeadlineMax)
 	}
-	if c.MinRuntime <= 0 || c.MaxRuntime < c.MinRuntime {
+	if !(c.MinRuntime > 0 && c.MaxRuntime >= c.MinRuntime) {
 		return fmt.Errorf("workload: invalid runtime bounds [%.1f, %.1f]", c.MinRuntime, c.MaxRuntime)
 	}
 	var w float64
 	for _, x := range c.CPUWeights {
-		if x < 0 {
-			return fmt.Errorf("workload: negative CPU weight")
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("workload: CPU weights must be finite and non-negative, got %v", x)
 		}
 		w += x
 	}
-	if w <= 0 {
+	if !(w > 0) {
 		return fmt.Errorf("workload: CPU weights sum to zero")
 	}
 	return nil

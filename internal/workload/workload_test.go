@@ -251,6 +251,31 @@ func TestReadGWFErrors(t *testing.T) {
 	}
 }
 
+// TestGeneratorValidationRejectsNonFinite: a NaN or infinite horizon or
+// rate fails validation instead of drawing arrivals without end, and so
+// does a NaN bound or weight.
+func TestGeneratorValidationRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, set := range map[string]func(*GeneratorConfig){
+		"Horizon NaN":     func(c *GeneratorConfig) { c.Horizon = nan },
+		"Horizon +Inf":    func(c *GeneratorConfig) { c.Horizon = inf },
+		"JobsPerDay NaN":  func(c *GeneratorConfig) { c.JobsPerDay = nan },
+		"JobsPerDay +Inf": func(c *GeneratorConfig) { c.JobsPerDay = inf },
+		"DeadlineMin NaN": func(c *GeneratorConfig) { c.DeadlineMin = nan },
+		"DeadlineMax NaN": func(c *GeneratorConfig) { c.DeadlineMax = nan },
+		"MinRuntime NaN":  func(c *GeneratorConfig) { c.MinRuntime = nan },
+		"MaxRuntime NaN":  func(c *GeneratorConfig) { c.MaxRuntime = nan },
+		"CPU weight NaN":  func(c *GeneratorConfig) { c.CPUWeights[0] = nan },
+		"CPU weight +Inf": func(c *GeneratorConfig) { c.CPUWeights[0] = inf },
+	} {
+		cfg := DefaultGeneratorConfig()
+		set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 func TestTraceSortAndValidate(t *testing.T) {
 	tr := &Trace{Jobs: []Job{
 		{ID: 2, Submit: 50, Duration: 10, CPU: 100, DeadlineFactor: 1.5},
