@@ -116,11 +116,13 @@ func TestScenario10kByteIdentity(t *testing.T) {
 
 // TestScenario10kFleetKillRecoverUnderFaults is the durable half of
 // the acceptance oracle: the same 10k-node two-day trace streamed into
-// a WAL-backed fleet (organic reliability failures on) with two live
-// WAL faults mid-stream — a disk-full append and a torn write — and a
-// process kill between them, must drain to a report byte-identical to
-// an uninterrupted in-memory fleet fed the identical stream.
-// Crash/recover and live faults collapse into one == comparison.
+// a compacting WAL-backed fleet (organic reliability failures on) with
+// two live WAL faults mid-stream — a disk-full append and a torn write
+// — and a process kill between them, plus a kill between a
+// compaction's temp write and its rename, must drain to a report
+// byte-identical to an uninterrupted in-memory fleet fed the identical
+// stream. Crash/recover and live faults collapse into one ==
+// comparison.
 func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
@@ -167,14 +169,27 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	// after its predecessor fired): the disk-full lands ~1/4 into the
 	// stream and the torn write ~1/2 a stream later, i.e. ~3/4 in —
 	// one fault on each side of the mid-stream kill.
+	// The first compaction's rename fails as a kill there would leave it:
+	// the new timeline written to a temp file, wal.log still the old one.
 	script := &chaos.FaultScript{}
 	script.FailOnce("append", total/4, errors.New("no space left on device"))
 	script.FailOnce("append", total/2, fleet.ErrTornWrite)
+	script.FailOnce("rename", 0, errors.New("killed before the rename"))
+	hook := script.Hook()
+	renameFailed := false // set on the fleet's loop, read after the submit it served
 	dir := filepath.Join(t.TempDir(), "chaos")
 	cfg := fleet.Config{
 		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
-		Dir:   dir, SnapshotInterval: 0, WALSync: fleet.SyncOS,
-		WALFault: script.Hook(),
+		Dir:   dir, SnapshotInterval: total / 5, WALSync: fleet.SyncOS,
+		WALFault: func(op string) error {
+			err := hook(op)
+			renameFailed = renameFailed || (op == "rename" && err != nil)
+			return err
+		},
+	}
+	unpublished := func() []string {
+		stale, _ := filepath.Glob(filepath.Join(dir, "wal.log.tmp*"))
+		return stale
 	}
 	f, err := fleet.Open("chaos", cfg)
 	if err != nil {
@@ -207,6 +222,21 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 		}
 		submitOne(j)
 		streamed++
+		if renameFailed {
+			// Kill between the compaction's temp write and its rename:
+			// the restart removes the temp and recovers the old timeline.
+			renameFailed = false
+			f.Close()
+			if len(unpublished()) == 0 {
+				t.Fatal("a failed rename left no temp file behind")
+			}
+			if f, err = fleet.Open("chaos", cfg); err != nil {
+				t.Fatalf("reopen after a kill before the rename: %v", err)
+			}
+			if stale := unpublished(); len(stale) != 0 {
+				t.Fatalf("reopen kept the unpublished timeline %v", stale)
+			}
+		}
 		if streamed == total/2 {
 			// Kill mid-stream and recover from the WAL.
 			f.Close()
@@ -219,8 +249,8 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	if streamed != total {
 		t.Fatalf("streamed %d jobs, reference admitted %d", streamed, total)
 	}
-	if script.Fired() != 2 || retried != 2 {
-		t.Fatalf("fired %d faults with %d retries, want 2 and 2 (one each side of the kill)",
+	if script.Fired() != 3 || retried != 2 {
+		t.Fatalf("fired %d faults with %d retries, want 3 and 2 (an append fault each side of the kill, and the rename)",
 			script.Fired(), retried)
 	}
 	got, err := f.Drain()

@@ -18,12 +18,14 @@ import (
 // The log's bytes are a format: a WAL, a snapshot or a replication
 // stream written by one release is read by the next. testdata/golden
 // holds an admit record (every field set), an admit record with every
-// omitempty field empty, the seal record, a two-job snapshot.json and
-// an empty fleet's snapshot.json exactly as the release before
-// workload.Job carried the wire tags wrote them, and a two-fleet
-// manifest (fleets.json) as the manifest is written today, beside
-// fleets_shards.json, the same manifest as a release with a solver
-// shard count wrote it.
+// omitempty field empty, the seal record, a two-job API snapshot
+// (snapshot.json) and an empty fleet's (snapshot_empty.json) exactly as
+// the release before workload.Job carried the wire tags wrote them, the
+// log header holding that two-job snapshot (wal_snapshot.json: the
+// snapshot.json bytes without their whitespace inside the header's
+// envelope), and a two-fleet manifest (fleets.json) as the manifest is
+// written today, beside fleets_shards.json, the same manifest as a
+// release with a solver shard count wrote it.
 
 func goldenJobs() []workload.Job {
 	return []workload.Job{
@@ -43,9 +45,9 @@ func golden(t *testing.T, name string) []byte {
 }
 
 // TestGoldenLogBytes fails if a tag, an omitempty or the field order of
-// the logged job drifts: what admitRecord, the seal and writeSnapshot
-// produce is compared byte for byte, and the golden bytes decode back
-// to the same jobs.
+// the logged job drifts: what admitRecord, the seal, the log header and
+// writeSnapshot produce is compared byte for byte, and the golden bytes
+// decode back to the same jobs.
 func TestGoldenLogBytes(t *testing.T) {
 	jobs := goldenJobs()
 	for i, name := range []string{"wal_admit.json", "wal_admit_minimal.json"} {
@@ -71,7 +73,19 @@ func TestGoldenLogBytes(t *testing.T) {
 
 	cfg := Config{Sched: Sched{Policy: "SB", Seed: 7, Cempty: 20, Cfill: 40, THempty: 1, HasScore: true}}.withDefaults()
 	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 60.5, Gen: 2, Config: cfg.Sched, Jobs: jobs}
-	path := filepath.Join(t.TempDir(), checkpointName)
+	frame, err := headerFrame(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := golden(t, "wal_snapshot.json")
+	if !bytes.Equal(frame[walHeaderSize:], want) || !bytes.Equal(frame, EncodeFrame(want)) {
+		t.Fatalf("log header drifted:\n got %s\nwant %s", frame[walHeaderSize:], want)
+	}
+	if head, err := decodeHeader(want); err != nil || !reflect.DeepEqual(head, snap) {
+		t.Fatalf("golden header decodes to %+v, %v; want %+v", head, err, snap)
+	}
+
+	path := filepath.Join(t.TempDir(), "snapshot.json")
 	if err := writeSnapshot(path, snap); err != nil {
 		t.Fatal(err)
 	}

@@ -150,74 +150,115 @@ func readWAL(t *testing.T, dir string) []byte {
 // TestCommitLeaderEqualsFollower: leader and follower apply a record
 // through the same commit, so a follower fed the leader's ReplRecords —
 // 40 jobs in mixed single and batch submits, then the drain — must hold
-// a byte-identical WAL before the seal, a byte-identical compaction
-// snapshot after it, and the same final report.
+// the same final report and, after the seal, a byte-identical wal.log.
+// In the second case the leader restores a snapshot of its 20th job
+// after its 30th, starting generation 2: the follower's session is cut,
+// it re-bootstraps from the leader's snapshot, and its log still ends
+// equal to the leader's.
 func TestCommitLeaderEqualsFollower(t *testing.T) {
-	ldir, fdir := filepath.Join(t.TempDir(), "l"), filepath.Join(t.TempDir(), "f")
-	cfg := func(dir string) Config { c := testConfig(dir); c.SnapshotInterval = 0; return c }
-	leader, err := Open("l", cfg(ldir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	follower, err := Open("f", cfg(fdir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	sess, err := leader.ReplSubscribe(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.ReplUnsubscribe(sess)
-	mirror := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if err := follower.ApplyReplRecord(<-sess.Ch); err != nil {
-				t.Fatalf("follower refused a leader record: %v", err)
+	for _, restore := range []bool{false, true} {
+		name := map[bool]string{false: "one timeline", true: "restore mid-stream"}[restore]
+		t.Run(name, func(t *testing.T) {
+			ldir, fdir, snapDir := filepath.Join(t.TempDir(), "l"), filepath.Join(t.TempDir(), "f"), t.TempDir()
+			cfg := func(dir string) Config {
+				c := testConfig(dir)
+				c.SnapshotInterval, c.SnapshotDir = 0, snapDir
+				return c
 			}
-		}
-	}
+			leader, err := Open("l", cfg(ldir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leader.Close()
+			follower, err := Open("f", cfg(fdir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+			sess, err := leader.ReplSubscribe(1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { leader.ReplUnsubscribe(sess) }()
+			mirror := func(n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					if err := follower.ApplyReplRecord(<-sess.Ch); err != nil {
+						t.Fatalf("follower refused a leader record: %v", err)
+					}
+				}
+			}
+			// submit admits jobs from..to-1 in singles and batches, mixed.
+			submit := func(from, to int) {
+				t.Helper()
+				for i, turn := from, 0; i < to; turn++ {
+					size := min([]int{1, 3, 1, 5}[turn%4], to-i)
+					specs := make([]energysched.JobSpec, size)
+					for k := range specs {
+						specs[k] = testSpec(i + k)
+					}
+					if size == 1 {
+						_, err = leader.Submit(specs[0])
+					} else {
+						_, err = leader.SubmitBatch(specs)
+					}
+					if err != nil {
+						t.Fatalf("leader submit at job %d: %v", i, err)
+					}
+					mirror(size)
+					i += size
+				}
+			}
 
-	for i, turn := 0, 0; i < 40; turn++ {
-		size := min([]int{1, 3, 1, 5}[turn%4], 40-i) // singles and batches, mixed
-		specs := make([]energysched.JobSpec, size)
-		for k := range specs {
-			specs[k] = testSpec(i + k)
-		}
-		if size == 1 {
-			_, err = leader.Submit(specs[0])
-		} else {
-			_, err = leader.SubmitBatch(specs)
-		}
-		if err != nil {
-			t.Fatalf("leader submit at job %d: %v", i, err)
-		}
-		mirror(size)
-		i += size
-	}
-	if l, f := readWAL(t, ldir), readWAL(t, fdir); len(l) == 0 || !bytes.Equal(l, f) {
-		t.Fatalf("follower WAL (%d bytes) differs from the leader's (%d bytes) after 40 admissions", len(f), len(l))
-	}
+			if !restore {
+				submit(0, 40)
+				if l, f := readWAL(t, ldir), readWAL(t, fdir); len(l) == 0 || !bytes.Equal(l, f) {
+					t.Fatalf("follower WAL (%d bytes) differs from the leader's (%d bytes) after 40 admissions", len(f), len(l))
+				}
+			} else {
+				submit(0, 20)
+				if _, err := leader.Snapshot("mid.json"); err != nil {
+					t.Fatal(err)
+				}
+				submit(20, 30)
+				if _, err := leader.Restore("mid.json"); err != nil {
+					t.Fatal(err)
+				}
+				if _, open := <-sess.Ch; open {
+					t.Fatal("the restore did not cut the replication session")
+				}
+				gen, off, _, err := follower.ReplState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sess, err = leader.ReplSubscribe(gen, off); err != nil {
+					t.Fatal(err)
+				}
+				if sess.Gen != 2 || sess.Snapshot == nil {
+					t.Fatalf("resubscribing at generation %d got generation %d, snapshot %v; want a generation-2 bootstrap", gen, sess.Gen, sess.Snapshot != nil)
+				}
+				if err := follower.ApplyReplSnapshot(sess.Snapshot); err != nil {
+					t.Fatal(err)
+				}
+				submit(20, 40)
+			}
 
-	want, err := leader.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror(1) // the seal
-	got, err := follower.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want || !got.Final || got.JobsTotal != 40 {
-		t.Fatalf("follower's final report diverged:\n got %+v\nwant %+v", got, want)
-	}
-	for _, name := range []string{walName, checkpointName} {
-		l, lerr := os.ReadFile(filepath.Join(ldir, name))
-		f, ferr := os.ReadFile(filepath.Join(fdir, name))
-		if lerr != nil || ferr != nil || !bytes.Equal(l, f) {
-			t.Fatalf("%s differs between leader and follower after the seal (%v, %v)", name, lerr, ferr)
-		}
+			want, err := leader.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mirror(1) // the seal
+			got, err := follower.Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || !got.Final || got.JobsTotal != 40 {
+				t.Fatalf("follower's final report diverged:\n got %+v\nwant %+v", got, want)
+			}
+			if l, f := readWAL(t, ldir), readWAL(t, fdir); len(l) == 0 || !bytes.Equal(l, f) {
+				t.Fatalf("wal.log differs between leader (%d bytes) and follower (%d bytes) after the seal", len(l), len(f))
+			}
+		})
 	}
 }
 

@@ -4,14 +4,15 @@
 // Manager (manager.go) registers many fleets per process behind the
 // energyschedd HTTP API (internal/server).
 //
-// Durability is a write-ahead log plus interval-triggered compaction
-// snapshots (wal.go): every admission decision is appended to the
-// fleet's WAL before it is applied, and every SnapshotInterval
-// admissions the event-sourced snapshot is rewritten and the WAL
-// reset. Crash recovery therefore loads the last snapshot and replays
-// only the WAL tail — and because the engine is deterministic, the
-// recovered fleet's reports are byte-identical to an uninterrupted
-// run (the PR 3 contract, now enforced across kill-and-restart).
+// Durability is one write-ahead log per fleet (wal.go): every admission
+// decision is appended to it before it is applied, and every
+// SnapshotInterval records the log is compacted — replaced, in one
+// atomic step, by a new file whose first frame is the event-sourced
+// snapshot of the state. Crash recovery therefore reads one file: the
+// snapshot and the records after it — and because the engine is
+// deterministic, the recovered fleet's reports are byte-identical to an
+// uninterrupted run (the snapshot contract, enforced across
+// kill-and-restart).
 package fleet
 
 import (
@@ -100,9 +101,8 @@ type Config struct {
 	// EventRing is the replay-ring depth for the events stream
 	// (default 4096).
 	EventRing int `json:"event_ring,omitempty"`
-	// Dir is the fleet's durable directory (WAL + compaction
-	// snapshot). Empty disables durability: the fleet is in-memory
-	// only.
+	// Dir is the fleet's durable directory (its WAL). Empty disables
+	// durability: the fleet is in-memory only.
 	Dir string `json:"-"`
 	// SnapshotInterval compacts the WAL into a fresh snapshot every
 	// this many appended records (0 = never compact automatically).
@@ -111,11 +111,13 @@ type Config struct {
 	// every acknowledged admission, SyncOS leaves flushing to the OS.
 	WALSync string `json:"wal_sync,omitempty"`
 	// WALFault, when non-nil, is consulted before every WAL append
-	// ("append"), sync ("sync") and rollback ("rewind"); a non-nil
-	// return fails the op with that error, and ErrTornWrite on an
-	// append additionally leaves half a frame on disk. This is the
-	// chaos harness's live fault-injection hook (disk-full, torn
-	// writes); leave nil in production.
+	// ("append"), sync ("sync") and rollback ("rewind"), and before a
+	// new timeline's temp write ("replace") and its rename over the log
+	// ("rename"); a non-nil return fails the op with that error.
+	// ErrTornWrite on an append additionally leaves half a frame on
+	// disk, and a failed rename leaves the temp file behind, as a crash
+	// would. This is the chaos harness's live fault-injection hook
+	// (disk-full, torn writes, kills); leave nil in production.
 	WALFault func(op string) error `json:"-"`
 	// TraceVerbosity selects the decision-trace recording level of the
 	// fleet's trace ring: "off" (default), "rounds", "actions" or
@@ -321,8 +323,8 @@ type Fleet struct {
 }
 
 // Open builds a fleet, recovers its durable state when Config.Dir is
-// set (last compaction snapshot + WAL tail), starts its event loop,
-// and returns it.
+// set (the WAL's snapshot + the records after it), starts its event
+// loop, and returns it.
 func Open(id string, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	verb, err := cfg.validate()
@@ -344,9 +346,12 @@ func Open(id string, cfg Config) (*Fleet, error) {
 	if len(cfg.SLOs) > 0 {
 		f.sloEng = slo.NewEngine(cfg.SLOs)
 	}
-	snap, err := f.recover()
+	snap, legacy, err := f.recover()
 	if err == nil {
 		err = f.rebuild(snap)
+	}
+	if err == nil && legacy {
+		err = f.convertLegacy()
 	}
 	if err != nil {
 		f.wal.close()
@@ -359,39 +364,38 @@ func Open(id string, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// recover loads the durable state — the compaction snapshot (if any)
-// plus the WAL tail — as the snapshot rebuild starts the fleet from: the
+// recover loads the durable state — the WAL's header snapshot plus the
+// records after it — as the snapshot rebuild starts the fleet from: the
 // reconstructed admission log, the watermark to fast-forward to, whether
-// the workload was sealed, and the config the log replays under.
-func (f *Fleet) recover() (snapshotFile, error) {
-	snap := snapshotFile{Config: f.cfg.Sched}
+// the workload was sealed, and the config the log replays under. legacy
+// reports a directory in the layout of earlier releases, which Open
+// converts once the fleet is rebuilt.
+func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
+	snap = snapshotFile{Config: f.cfg.Sched}
 	if f.cfg.Dir == "" {
-		return snap, nil
+		return snap, false, nil
 	}
 	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
-		return snap, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
+		return snap, false, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
 	}
-	snapPath := filepath.Join(f.cfg.Dir, checkpointName)
-	if st, serr := os.Stat(snapPath); serr == nil {
-		file, rerr := readSnapshot(snapPath)
-		if rerr != nil {
-			return snap, fmt.Errorf("fleet %s: %w", f.id, rerr)
-		}
-		if file.Gen > 0 {
-			// Snapshots written before generations existed carry none:
-			// stay at 1.
-			f.gen = file.Gen
-		}
-		f.stats.LastSnapshotUnix = st.ModTime().Unix()
-		// The compaction snapshot's scheduling config is the one the
-		// logged jobs were acknowledged under — an API restore may have
-		// changed it since the fleet was opened — so it wins over the
-		// opened config (see Manager.saveManifestLocked).
-		snap = file
+	// Once the log exists, only a new timeline's temp write and rename
+	// (and the cleanup below of a crash between them) touch the
+	// directory, so its mtime is when the header was written.
+	dirInfo, err := os.Stat(f.cfg.Dir)
+	if err != nil {
+		return snap, false, fmt.Errorf("fleet %s: %w", f.id, err)
 	}
-	w, recs, dropped, werr := openWAL(filepath.Join(f.cfg.Dir, walName), f.cfg.WALSync, f.cfg.WALFault)
+	// A crash between a new timeline's temp write and its rename leaves
+	// the temp behind; wal.log is then still the whole old timeline.
+	stale, _ := filepath.Glob(filepath.Join(f.cfg.Dir, walTemp))
+	for _, p := range stale {
+		if err := os.Remove(p); err != nil {
+			return snap, false, fmt.Errorf("fleet %s: removing an unpublished wal: %w", f.id, err)
+		}
+	}
+	w, head, recs, dropped, werr := openWAL(filepath.Join(f.cfg.Dir, walName), f.cfg.WALSync, f.cfg.WALFault)
 	if werr != nil {
-		return snap, fmt.Errorf("fleet %s: %w", f.id, werr)
+		return snap, false, fmt.Errorf("fleet %s: %w", f.id, werr)
 	}
 	f.wal = w
 	f.stats.TornTail = dropped > 0
@@ -399,6 +403,94 @@ func (f *Fleet) recover() (snapshotFile, error) {
 	if dropped > 0 {
 		f.logf("wal: torn tail detected and dropped (%d bytes); recovered the intact prefix (%d records)", dropped, len(recs))
 	}
+	legacyPath := filepath.Join(f.cfg.Dir, legacySnapshotName)
+	switch _, serr := os.Stat(legacyPath); {
+	case head != nil:
+		// The header's config is the one the records were acknowledged
+		// under: an API restore may have changed it since the fleet was
+		// opened, and the restore wrote it here.
+		snap = *head
+		if snap.Gen > 0 {
+			f.gen = snap.Gen
+		}
+		f.stats.LastSnapshotUnix = dirInfo.ModTime().Unix()
+		if serr == nil {
+			// A conversion that crashed after its rename; the header
+			// supersedes the file, so a failed removal is retried here.
+			_ = os.Remove(legacyPath)
+		}
+	case serr == nil:
+		snap, err = f.recoverLegacy(legacyPath, recs)
+		if err != nil {
+			return snap, false, err
+		}
+		legacy = true
+		recs = nil
+	}
+	// Without a header the log is the empty timeline under the opened
+	// config: nothing but a header changes a fleet's config.
+	for _, rec := range recs {
+		if !follows(rec, snap) {
+			// The log does not describe one timeline past here. Serve the
+			// consistent prefix, but refuse to acknowledge new admissions
+			// a future recovery would mis-replay.
+			f.walBroken = true
+			f.logf("wal: a %s record does not follow the log's %d jobs (sealed=%v); ignoring the rest of the log and going read-only",
+				rec.Kind, len(snap.Jobs), snap.Sealed)
+			break
+		}
+		if rec.Kind == walKindSeal {
+			snap.Sealed = true
+		} else {
+			snap.Jobs = append(snap.Jobs, *rec.Job)
+		}
+		f.stats.Replayed++
+	}
+	if f.stats.Replayed > 0 || len(snap.Jobs) > 0 {
+		f.logf("recovered %d jobs (%d replayed from the wal tail, sealed=%v)", len(snap.Jobs), f.stats.Replayed, snap.Sealed)
+	}
+	snap.SavedVirtual = maxWatermark(snap.SavedVirtual, snap.Jobs)
+	return snap, legacy, nil
+}
+
+// follows reports whether rec is the immediate successor of the log snap
+// describes: its next admission, or the seal of an unsealed log.
+func follows(rec walRecord, snap snapshotFile) bool {
+	switch {
+	case snap.Sealed:
+		return false
+	case rec.Kind == walKindAdmit:
+		return rec.Job != nil && logOrder(int64(rec.Job.ID)+1, int64(len(snap.Jobs))) == 0
+	}
+	return rec.Kind == walKindSeal
+}
+
+// legacySnapshotName is the compaction snapshot earlier releases kept
+// beside wal.log, whose records had no header.
+const legacySnapshotName = "snapshot.json"
+
+// recoverLegacy reads a fleet directory in the layout earlier releases
+// wrote: a compaction snapshot.json beside a wal.log of bare records.
+// Those two files were published in two steps, so the log may still
+// hold records the snapshot covers, which are skipped by job ID — or
+// records of another timeline entirely, which that skip cannot tell
+// apart (the splice the one-file layout removes). Recover runs it only
+// for such a directory, and Open then converts it.
+func (f *Fleet) recoverLegacy(snapPath string, recs []walRecord) (snapshotFile, error) {
+	st, err := os.Stat(snapPath)
+	if err != nil {
+		return snapshotFile{}, fmt.Errorf("fleet %s: %w", f.id, err)
+	}
+	snap, err := readSnapshot(snapPath)
+	if err != nil {
+		return snap, fmt.Errorf("fleet %s: %w", f.id, err)
+	}
+	if snap.Gen > 0 {
+		// Snapshots written before generations existed carry none:
+		// stay at 1.
+		f.gen = snap.Gen
+	}
+	f.stats.LastSnapshotUnix = st.ModTime().Unix()
 replay:
 	for _, rec := range recs {
 		switch rec.Kind {
@@ -430,11 +522,26 @@ replay:
 			f.logf("wal: unknown record kind %q ignored", rec.Kind)
 		}
 	}
-	if f.stats.Replayed > 0 || len(snap.Jobs) > 0 {
-		f.logf("recovered %d jobs (%d replayed from the wal tail, sealed=%v)", len(snap.Jobs), f.stats.Replayed, snap.Sealed)
-	}
-	snap.SavedVirtual = maxWatermark(snap.SavedVirtual, snap.Jobs)
 	return snap, nil
+}
+
+// convertLegacy rewrites a directory recoverLegacy read in the one-file
+// layout, through the compaction step, and removes its snapshot.json.
+// A directory whose log went read-only keeps its files as they are.
+func (f *Fleet) convertLegacy() error {
+	if f.walBroken {
+		f.logf("wal: the previous release's layout is kept: its log is broken")
+		return nil
+	}
+	if err := f.compact(); err != nil {
+		return fmt.Errorf("fleet %s: converting the previous release's layout: %w", f.id, err)
+	}
+	// From here the header supersedes snapshot.json: recover removes a
+	// copy this removal leaves.
+	if err := os.Remove(filepath.Join(f.cfg.Dir, legacySnapshotName)); err != nil {
+		f.logf("wal: converted, but the previous release's snapshot stays: %v", err)
+	}
+	return nil
 }
 
 // maxWatermark returns the admission watermark implied by a snapshot
@@ -902,40 +1009,33 @@ func (f *Fleet) logPayloads(payloads [][]byte) error {
 	return errf(http.StatusInternalServerError, "admission log append: %v", err)
 }
 
-// maybeCompact rewrites the compaction snapshot and resets the WAL once
-// enough records have accumulated — or right away with force (the seal:
-// the drained state is final, no later record will trigger it). Call
-// only from the event loop.
+// maybeCompact compacts the log once enough records have accumulated —
+// or right away with force (the seal: the drained state is final, no
+// later record will trigger it). Call only from the event loop.
 func (f *Fleet) maybeCompact(force bool) {
 	if force || (f.wal != nil && f.cfg.SnapshotInterval > 0 && f.wal.records >= f.cfg.SnapshotInterval) {
-		f.persistCheckpoint()
+		f.compact()
 	}
 }
 
-// persistCheckpoint publishes the current event-sourced state as the
-// fleet's compaction snapshot and resets the WAL. Snapshot first,
-// reset second: a crash between the two leaves WAL records that are
-// already covered by the snapshot, which recovery skips by job ID.
-// On failure the WAL is untouched (still consistent with memory on
-// the admission path); callers for whom that is NOT true — restore,
-// which just replaced the timeline — must go read-only.
-func (f *Fleet) persistCheckpoint() error {
+// compact starts a new timeline on disk: the log becomes one header
+// frame holding the current event-sourced state, in one atomic step
+// (wal.replace). On failure before the rename the old log stays, still
+// consistent with memory on the admission path; callers for whom that
+// is NOT true — restore, which just replaced the timeline — must go
+// read-only.
+func (f *Fleet) compact() error {
 	if f.wal == nil {
 		return nil
 	}
 	snap := f.snapshotState()
-	path := filepath.Join(f.cfg.Dir, checkpointName)
-	if err := writeSnapshot(path, snap); err != nil {
-		f.logf("compaction snapshot failed (will retry next interval): %v", err)
-		return err
-	}
-	if err := f.wal.reset(); err != nil {
-		f.logf("wal reset after compaction failed: %v", err)
+	if err := f.wal.replace(snap); err != nil {
+		f.logf("compaction failed (will retry next interval): %v", err)
 		return err
 	}
 	f.stats.Snapshots++
 	f.stats.LastSnapshotUnix = time.Now().Unix()
-	f.logf("compacted: snapshot of %d jobs at t=%.1fs, wal reset", len(snap.Jobs), snap.SavedVirtual)
+	f.logf("compacted: snapshot of %d jobs at t=%.1fs", len(snap.Jobs), snap.SavedVirtual)
 	return nil
 }
 
@@ -1170,14 +1270,13 @@ func (f *Fleet) applySnapshot(snap snapshotFile, source string) error {
 	if err := f.rebuild(snap); err != nil {
 		return errf(http.StatusUnprocessableEntity, "%v", err)
 	}
-	// The new timeline supersedes the WAL: republish the state as the
-	// compaction snapshot so a crash after this point recovers it, not
-	// the pre-restore one. If that fails, the WAL on disk still
-	// describes the OLD timeline — stop acknowledging admissions a
-	// future recovery would mis-replay.
-	if err := f.persistCheckpoint(); err != nil {
+	// The new timeline supersedes the WAL: start the log anew from it so
+	// a crash after this point recovers it, not the pre-restore one. If
+	// that fails, the WAL on disk still describes the OLD timeline —
+	// stop acknowledging admissions a future recovery would mis-replay.
+	if err := f.compact(); err != nil {
 		f.walBroken = true
-		f.logf("restore succeeded in memory but its checkpoint did not persist; fleet is read-only: %v", err)
+		f.logf("restore succeeded in memory but its log did not persist; fleet is read-only: %v", err)
 	}
 	// The pre-restore timeline no longer describes this fleet: clear
 	// the replay ring (sequence numbers stay monotonic) and mark the

@@ -272,7 +272,7 @@ func TestManagerManifestRecovery(t *testing.T) {
 
 // An API restore may change the fleet's scheduling config; a crash
 // after that must recover under the restored config (carried by the
-// compaction snapshot), not the stale one the fleet was created with.
+// log's header), not the stale one the fleet was created with.
 func TestRecoveryAdoptsRestoredConfig(t *testing.T) {
 	snapDir := t.TempDir()
 
@@ -316,9 +316,8 @@ func TestRecoveryAdoptsRestoredConfig(t *testing.T) {
 }
 
 // Two records, two owners: the manifest holds the config a fleet was
-// opened with and the registry writes it, the compaction snapshot holds
-// the config the log replays under and the fleet's event loop writes
-// it. So fleet a's restores to another policy, racing fleet b's
+// opened with and the registry writes it, the log's header holds the
+// config the log replays under and the fleet's event loop writes it. So fleet a's restores to another policy, racing fleet b's
 // create/delete manifest rewrites, leave the manifest at a's opened
 // config, and a restart still recovers the restored policy, report
 // byte for byte. Run under -race: the manifest once read the live

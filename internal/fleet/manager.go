@@ -22,8 +22,9 @@ import (
 //
 //	fleets.json        manifest: ids + configurations
 //	<fleet-id>/
-//	    wal.log        admission WAL (length-prefixed, CRC-checked)
-//	    snapshot.json  last compaction snapshot
+//	    wal.log        the fleet's timeline: a snapshot frame, then the
+//	                   admission records after it (length-prefixed,
+//	                   CRC-checked; see wal.go)
 type Manager struct {
 	dir  string
 	max  int
@@ -158,7 +159,7 @@ func (m *Manager) Get(id string) (*Fleet, error) {
 // Create registers and starts a new fleet. With a durable root the
 // fleet gets its own WAL directory and the manifest is rewritten
 // before Create returns. Open — a potentially expensive recovery
-// (snapshot load + WAL replay) — runs outside the registry lock, so
+// (WAL replay) — runs outside the registry lock, so
 // creating a fleet never stalls lookups of the others; the id is
 // reserved while it runs. A pace or a checkpoint interval out of bounds
 // is a 400 before anything touches the disk.
@@ -291,16 +292,9 @@ func (m *Manager) Close() {
 }
 
 // saveManifestLocked rewrites the manifest atomically; call with
-// m.mu held. A no-op without a durable root.
-//
-// Each entry is the config the fleet was opened with — the registry's
-// own record, never a read of the live fleet — and that is all recovery
-// needs: a fleet's scheduling config changes only in applySnapshot,
-// which either publishes snapshot.json with the new config and resets
-// the WAL, or sets walBroken so nothing more is logged. So the records
-// in wal.log were acknowledged under snapshot.json's config if that
-// file exists, and under the opened config otherwise, and recover
-// prefers the snapshot's.
+// m.mu held. A no-op without a durable root. Each entry is the config
+// the fleet was opened with — the registry's own record, never a read
+// of the live fleet.
 func (m *Manager) saveManifestLocked() error {
 	if m.dir == "" {
 		return nil

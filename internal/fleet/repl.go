@@ -257,8 +257,8 @@ func (f *Fleet) ApplyReplRecord(rec ReplRecord) error {
 // logOrder places the record at log offset off against a log whose head
 // is at offset head: negative = already covered (a replay), zero = the
 // immediate successor, positive = a gap. Crash recovery and replication
-// make the same three-way call — recovery skips what its snapshot
-// covers and stops at a gap, a follower refuses both.
+// accept only the successor; the reader of the previous release's
+// layout (recoverLegacy) also skips what its snapshot covers.
 func logOrder(off, head int64) int { return cmp.Compare(off, head+1) }
 
 // applyRecord is the follower's half of an admission: the sequence

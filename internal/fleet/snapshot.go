@@ -19,17 +19,17 @@ import (
 // bit-for-bit on the saved state (the same argument that makes online
 // admission byte-identical to offline replay; see
 // docs/ARCHITECTURE.md, "Service mode"). Restore time linear in
-// *snapshotted* history is the price; the WAL (wal.go) bounds the
-// tail that has to be replayed beyond the snapshot, and the format
-// cannot desynchronize from engine internals across versions.
+// *snapshotted* history is the price, and the format cannot
+// desynchronize from engine internals across versions.
+//
+// A snapshot has two homes. An API snapshot (POST …/snapshot) is a file
+// of its own, indented JSON. A fleet's durable state is one file per
+// timeline: the first frame of its wal.log holds the snapshot, compact,
+// and the admission records follow it (wal.go).
 
 // snapshotFormat identifies the snapshot file layout. The layout is
 // unchanged since PR 3, so pre-fleet snapshots restore into any fleet.
 const snapshotFormat = "energyschedd-snapshot/v1"
-
-// checkpointName is the per-fleet compaction snapshot inside the
-// fleet's durable directory (Config.Dir).
-const checkpointName = "snapshot.json"
 
 // walName is the per-fleet admission log inside Config.Dir.
 const walName = "wal.log"
@@ -73,12 +73,18 @@ func (f *Fleet) snapshotState() snapshotFile {
 // allocate, once per logged job. The bytes are encoding/json's for the
 // tags above.
 func (s snapshotFile) MarshalJSON() ([]byte, error) {
+	return s.appendJSON(make([]byte, 0, s.size()))
+}
+
+// size is a capacity that holds the snapshot's JSON without regrowing.
+func (s snapshotFile) size() int { return 512 + snapshotJobBytes*len(s.Jobs) }
+
+func (s snapshotFile) appendJSON(b []byte) ([]byte, error) {
 	cfg, err := json.Marshal(s.Config)
 	if err != nil {
 		return nil, err
 	}
-	e := wirejson.Encoder{Buf: make([]byte, 0, 256+len(cfg)+snapshotJobBytes*len(s.Jobs))}
-	e.Raw(`{"format":`)
+	e := wirejson.Encoder{Buf: append(b, `{"format":`...)}
 	e.String(s.Format)
 	e.Raw(`,"saved_virtual_s":`)
 	e.Float(s.SavedVirtual)
@@ -102,44 +108,81 @@ func (s snapshotFile) MarshalJSON() ([]byte, error) {
 // admit envelope and 158 bytes of job.
 const snapshotJobBytes = 168
 
-// writeSnapshot persists the snapshot atomically.
+// writeSnapshot persists an API snapshot atomically.
 func writeSnapshot(path string, snap snapshotFile) error {
 	return publishJSON(path, ".snapshot-*.json", "snapshot", snap)
 }
 
-// publishJSON writes v to path as two-space-indented JSON with a
-// trailing newline, atomically: the bytes go to a temp file in the same
-// directory (pattern tmp), are fsynced, and only then renamed over
-// path, so a crash at any point leaves either the old file or the new
-// one — never a torn one, and never a name that points at bytes still
-// in the page cache. A failed attempt removes its temp file. what names
-// the artefact in errors ("snapshot", "manifest").
+// publishJSON publishes v as two-space-indented JSON with a trailing
+// newline: the format of API snapshots and of the manifest.
 func publishJSON(path, tmp, what string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("fleet: encoding %s: %w", what, err)
 	}
-	data = append(data, '\n')
-	file, err := os.CreateTemp(filepath.Dir(path), tmp)
+	return publish(path, tmp, what, append(data, '\n'), nil)
+}
+
+// publish writes data to path atomically: the bytes go to a temp file
+// in the same directory (tmp is its os.CreateTemp pattern), are fsynced,
+// and only then renamed over path, and the directory is fsynced after
+// the rename. So a crash at any point leaves either the old file or the
+// new one under path — never a torn one, and never a name that points
+// at bytes still in the page cache or a rename still in it. A failed
+// attempt removes its temp file. what names the artefact in errors
+// ("snapshot", "manifest", "wal").
+//
+// fault, when set, is consulted before the temp write ("replace") and
+// before the rename ("rename"), like Config.WALFault. A rename fault
+// stops where a crash between the two would: the temp file stays, for
+// Open to remove.
+func publish(path, tmp, what string, data []byte, fault func(op string) error) error {
+	dir := filepath.Dir(path)
+	file, err := os.CreateTemp(dir, tmp)
 	if err != nil {
 		return fmt.Errorf("fleet: %s temp file: %w", what, err)
 	}
-	defer os.Remove(file.Name())
-	if _, err := file.Write(data); err != nil {
-		file.Close()
-		return fmt.Errorf("fleet: writing %s: %w", what, err)
+	if fault != nil {
+		err = fault("replace")
 	}
-	if err := file.Sync(); err != nil {
-		file.Close()
-		return fmt.Errorf("fleet: syncing %s: %w", what, err)
+	if err == nil {
+		_, err = file.Write(data)
 	}
-	if err := file.Close(); err != nil {
-		return fmt.Errorf("fleet: closing %s: %w", what, err)
+	if err == nil {
+		err = file.Sync()
 	}
-	if err := os.Rename(file.Name(), path); err != nil {
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && fault != nil {
+		if err = fault("rename"); err != nil {
+			return fmt.Errorf("fleet: publishing %s: %w", what, err)
+		}
+	}
+	if err == nil {
+		err = os.Rename(file.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(file.Name()) // best effort: err is the failure to report
+		return fmt.Errorf("fleet: publishing %s: %w", what, err)
+	}
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("fleet: publishing %s: %w", what, err)
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the renames in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readSnapshot loads and validates a snapshot file.

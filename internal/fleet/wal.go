@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -18,9 +19,9 @@ import (
 // The durable admission log. Every state-changing admission decision
 // (an admitted job, a workload seal) is appended to a per-fleet
 // write-ahead log before it is applied to the in-memory simulation, so
-// a crashed daemon recovers by loading the last compaction snapshot
-// and replaying only the WAL tail — restore cost is bounded by the
-// snapshot interval instead of growing with the fleet's whole history.
+// a crashed daemon recovers by replaying the log — and restore cost is
+// bounded by the compaction interval instead of growing with the
+// fleet's whole history.
 //
 // On-disk format: a sequence of length-prefixed records,
 //
@@ -31,6 +32,16 @@ import (
 // a torn final record — the expected artifact of a crash mid-append —
 // detectable: recovery keeps the longest valid prefix, truncates the
 // rest, and logs a warning instead of refusing to start.
+//
+// One file is one timeline. Its first frame, the header, is a record of
+// kind "snapshot" holding the state the records after it continue: the
+// job log, the scheduling config and the timeline generation.
+// Compaction, restore and follower bootstrap start a new timeline in one
+// atomic step — the header alone goes to a temp file, which is fsynced
+// and renamed over wal.log (publish) — so no crash can leave records of
+// one timeline behind the snapshot of another. A log without a header is
+// the empty timeline under the fleet's opened config: a fleet that was
+// never compacted or restored.
 //
 // Since PR 6 the same framing is also the replication transport: a
 // leader streams WAL records to a warm-standby follower inside
@@ -58,11 +69,17 @@ var ErrTornFrame = errors.New("fleet: torn or corrupt frame")
 // EncodeFrame wraps payload in the WAL's length+CRC framing. The same
 // encoding is used for on-disk WAL records and replication frames.
 func EncodeFrame(payload []byte) []byte {
-	buf := make([]byte, walHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, walCRCTable))
-	copy(buf[walHeaderSize:], payload)
-	return buf
+	buf := make([]byte, walHeaderSize, walHeaderSize+len(payload))
+	return sealFrame(append(buf, payload...))
+}
+
+// sealFrame fills in the length and CRC of a frame whose payload was
+// appended after walHeaderSize reserved bytes.
+func sealFrame(frame []byte) []byte {
+	payload := frame[walHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walCRCTable))
+	return frame
 }
 
 // FrameReader is a streaming iterator over length-prefixed CRC-checked
@@ -131,18 +148,20 @@ const (
 // payload on disk and on the replication stream; appendJSON and
 // decodeJSON implement the tags.
 type walRecord struct {
-	// Kind is "admit" (Job set) or "seal" (workload drained).
+	// Kind is "admit" (Job set), "seal" (workload drained) or, for a
+	// log's first frame only, "snapshot" (see walHeader).
 	Kind string        `json:"kind"`
 	Job  *workload.Job `json:"job,omitempty"`
 }
 
 const (
-	walKindAdmit = "admit"
-	walKindSeal  = "seal"
+	walKindAdmit    = "admit"
+	walKindSeal     = "seal"
+	walKindSnapshot = "snapshot"
 )
 
 var (
-	walKinds      = []string{walKindAdmit, walKindSeal}
+	walKinds      = []string{walKindAdmit, walKindSeal, walKindSnapshot}
 	walRecordKeys = wirejson.KeysOf[walRecord]()
 )
 
@@ -192,6 +211,40 @@ func decodeWALRecord(payload []byte) (rec walRecord, err error) {
 	return rec, err
 }
 
+// walHeader is a timeline's first record: kind "snapshot" and the state
+// the records after it continue, in snapshotFile's compact JSON. It
+// holds no wall-clock value, so the same state writes the same bytes on
+// a leader and on its follower.
+type walHeader struct {
+	Kind     string       `json:"kind"`
+	Snapshot snapshotFile `json:"snapshot"`
+}
+
+// headerFrame encodes snap as a log's first frame, framing included, in
+// one buffer.
+func headerFrame(snap snapshotFile) ([]byte, error) {
+	buf := make([]byte, walHeaderSize, walHeaderSize+64+snap.size())
+	buf = append(buf, `{"kind":"snapshot","snapshot":`...)
+	buf, err := snap.appendJSON(buf)
+	if err != nil {
+		return nil, err
+	}
+	return sealFrame(append(buf, '}')), nil
+}
+
+// decodeHeader decodes a header payload: a record of kind "snapshot"
+// whose snapshot is in the current format.
+func decodeHeader(payload []byte) (snapshotFile, error) {
+	var h walHeader
+	if err := json.Unmarshal(payload, &h); err != nil {
+		return snapshotFile{}, err
+	}
+	if h.Kind != walKindSnapshot || h.Snapshot.Format != snapshotFormat {
+		return snapshotFile{}, fmt.Errorf("fleet: not a wal header: kind %q, format %q", h.Kind, h.Snapshot.Format)
+	}
+	return h.Snapshot, nil
+}
+
 // ErrTornWrite is the chaos harness's injected append failure: when a
 // Config.WALFault hook returns it for an "append" op, the wal writes
 // only a prefix of the frame before failing — the on-disk artifact of
@@ -202,39 +255,45 @@ var ErrTornWrite = errors.New("fleet: injected torn write")
 // wal is an open write-ahead log. Appends go to off, which the wal
 // keeps itself rather than asking the file: it starts at the end of the
 // recovered intact prefix, advances only when a whole frame is written,
-// and rewind and reset set it. So a rollback point read with tell can
+// and rewind and replace set it. So a rollback point read with tell can
 // never be wrong, whatever the file position did.
 type wal struct {
 	f       *os.File
 	path    string
 	sync    bool
 	off     int64 // end of the last intact frame: the next append's offset
-	records int   // records currently in the file
+	records int   // records after the header currently in the file
 	// fault, when set, is consulted before every append ("append"),
-	// fsync ("sync") and rollback ("rewind"); a non-nil return aborts
+	// fsync ("sync"), rollback ("rewind"), and a new timeline's temp
+	// write ("replace") and rename ("rename"); a non-nil return aborts
 	// the op with that error. Fault injection only — nil in production.
 	fault func(op string) error
 }
 
-// openWAL opens (creating if needed) the log at path, replays every
-// intact record, truncates any torn tail, and returns the log
-// positioned for appends plus the recovered records. dropped is the
+// walTemp is the os.CreateTemp pattern of a new timeline's file before
+// it is renamed over wal.log.
+const walTemp = walName + ".tmp*"
+
+// openWAL opens (creating if needed) the log at path, reads its header
+// and every intact record after it, truncates any torn tail, and returns
+// the log positioned for appends. head is the header's snapshot, nil for
+// a log without one; recs are the records after it. dropped is the
 // number of torn/corrupt tail bytes that had to be discarded (0 for a
 // clean log).
-func openWAL(path string, syncPolicy string, fault func(op string) error) (w *wal, recs []walRecord, dropped int64, err error) {
+func openWAL(path string, syncPolicy string, fault func(op string) error) (w *wal, head *snapshotFile, recs []walRecord, dropped int64, err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("fleet: opening wal: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("fleet: opening wal: %w", err)
 	}
-	recs, good, dropped, err := scanWAL(f)
+	head, recs, good, dropped, err := scanWAL(f)
 	if err != nil {
 		f.Close()
-		return nil, nil, 0, err
+		return nil, nil, nil, 0, err
 	}
 	if dropped > 0 {
 		if err := f.Truncate(good); err != nil {
 			f.Close()
-			return nil, nil, 0, fmt.Errorf("fleet: truncating torn wal tail: %w", err)
+			return nil, nil, nil, 0, fmt.Errorf("fleet: truncating torn wal tail: %w", err)
 		}
 	}
 	return &wal{
@@ -244,20 +303,23 @@ func openWAL(path string, syncPolicy string, fault func(op string) error) (w *wa
 		off:     good,
 		records: len(recs),
 		fault:   fault,
-	}, recs, dropped, nil
+	}, head, recs, dropped, nil
 }
 
-// scanWAL streams records from the start of f via a FrameReader,
-// returning the decoded records, the byte offset of the end of the
-// last intact record, and how many trailing bytes past that offset
-// would have to be discarded.
-func scanWAL(f *os.File) (recs []walRecord, good int64, dropped int64, err error) {
+// scanWAL streams frames from the start of f via a FrameReader,
+// returning the header's snapshot (if the first frame is one), the
+// decoded records after it, the byte offset of the end of the last
+// intact frame, and how many trailing bytes past that offset would have
+// to be discarded. A snapshot frame anywhere but first ends the intact
+// prefix like a frame that is not a record: one file never holds two
+// timelines. An intact header that does not decode is an error.
+func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, dropped int64, err error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("fleet: sizing wal: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("fleet: sizing wal: %w", err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, 0, fmt.Errorf("fleet: seeking wal: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("fleet: seeking wal: %w", err)
 	}
 	fr := NewFrameReader(bufio.NewReader(f))
 	for {
@@ -265,13 +327,26 @@ func scanWAL(f *os.File) (recs []walRecord, good int64, dropped int64, err error
 		if err != nil {
 			// Clean EOF or a torn tail: either way the intact prefix
 			// ends at fr.Offset() and everything past it is damage.
-			return recs, fr.Offset(), size - fr.Offset(), nil
+			return head, recs, fr.Offset(), size - fr.Offset(), nil
 		}
 		rec, err := decodeWALRecord(payload)
+		if err == nil && rec.Kind == walKindSnapshot {
+			if fr.Frames() > 1 {
+				err = errors.New("fleet: snapshot frame after the log's first")
+			} else if snap, herr := decodeHeader(payload); herr != nil {
+				// An intact header this release cannot read is not a
+				// torn tail: refuse to open rather than truncate it.
+				return nil, nil, 0, 0, fmt.Errorf("fleet: wal header: %w", herr)
+			} else {
+				head = &snap
+				continue
+			}
+		}
 		if err != nil {
-			// CRC passed but not our JSON: stop at the intact prefix.
+			// CRC passed but not a record of this log: stop at the
+			// intact prefix.
 			good := fr.Offset() - int64(walHeaderSize) - int64(len(payload))
-			return recs, good, size - good, nil
+			return head, recs, good, size - good, nil
 		}
 		recs = append(recs, rec)
 	}
@@ -356,15 +431,38 @@ func (w *wal) rewind(off int64, records int) error {
 	return nil
 }
 
-// reset discards every record: called after a compaction snapshot has
-// been durably published, at which point the log's records are
-// redundant with the snapshot.
-func (w *wal) reset() error {
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("fleet: compacting wal: %w", err)
+// replace starts a new timeline: the log becomes snap's header frame
+// alone, published over the old file in one atomic step. On an error
+// before the rename the old log is untouched and still the one appended
+// to. Once the rename has happened the new file is the log, even if a
+// later step failed: appends go to it, or fail if it cannot be opened.
+func (w *wal) replace(snap snapshotFile) error {
+	frame, err := headerFrame(snap)
+	if err != nil {
+		return fmt.Errorf("fleet: encoding wal header: %w", err)
 	}
-	w.off, w.records = 0, 0
-	return w.flush()
+	err = publish(w.path, walTemp, "wal", frame, w.fault)
+	if err != nil && w.current() {
+		return err
+	}
+	_ = w.f.Close() // the replaced log: every record in it is in the header
+	f, oerr := os.OpenFile(w.path, os.O_RDWR, 0)
+	if oerr != nil {
+		return errors.Join(err, fmt.Errorf("fleet: reopening wal: %w", oerr))
+	}
+	w.f, w.off, w.records = f, int64(len(frame)), 0
+	return err
+}
+
+// current reports whether the open file is still the one named by the
+// log's path.
+func (w *wal) current() bool {
+	open, err := w.f.Stat()
+	if err != nil {
+		return false
+	}
+	named, err := os.Stat(w.path)
+	return err == nil && os.SameFile(open, named)
 }
 
 // close releases the file handle.

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"energysched/internal/workload"
 )
 
 // walFrame wraps payload in the on-disk record framing (length + CRC).
@@ -26,12 +28,16 @@ func walFrame(payload []byte) []byte {
 //     (no torn tail the second time) with the identical record
 //     sequence, because the first open truncated the damage away;
 //  3. a recovered log is writable — an append lands after the intact
-//     prefix and survives the next reopen.
+//     prefix and survives the next reopen;
+//  4. a log holds one timeline: a snapshot frame is its header, first,
+//     or not part of the recovered log at all.
 //
 // The seed corpus in testdata/fuzz covers the crash artifacts the
 // format was designed around: a torn final record, a bit-flipped CRC,
 // a bogus (oversized and zero) length prefix, and CRC-valid payloads
-// that are not our JSON.
+// that are not our JSON. The seeds below add a log that starts with a
+// snapshot frame, and one with a snapshot frame after a record, whose
+// recovery must stop before it.
 func FuzzWALRecovery(f *testing.F) {
 	admit := []byte(`{"kind":"admit","job":{"id":0,"submit_s":0,"duration_s":60,"cpu_pct":100,"mem_units":5,"deadline_factor":1.5}}`)
 	seal := []byte(`{"kind":"seal"}`)
@@ -48,6 +54,12 @@ func FuzzWALRecovery(f *testing.F) {
 	f.Add(bogus)
 	f.Add(walFrame([]byte(`[1,2,3]`)))           // CRC-valid, not a walRecord
 	f.Add(append(valid, 0, 0, 0, 0, 0, 0, 0, 0)) // zero length prefix
+	header, err := headerFrame(snapshotFile{Format: snapshotFormat, SavedVirtual: 0, Gen: 2, Jobs: []workload.Job{}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(header, valid...))                                      // a timeline: header, then records
+	f.Add(append(append(walFrame(admit), header...), walFrame(seal)...)) // a second timeline's header after a record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "wal.log")
@@ -55,23 +67,28 @@ func FuzzWALRecovery(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		w, recs, _, err := openWAL(path, SyncOS, nil)
+		w, head, recs, _, err := openWAL(path, SyncOS, nil)
 		if err != nil {
 			return // I/O-level refusal is fine; crashing is not
 		}
 		if w.records != len(recs) {
 			t.Fatalf("open: counter %d != %d recovered records", w.records, len(recs))
 		}
+		for i, rec := range recs {
+			if rec.Kind == walKindSnapshot {
+				t.Fatalf("record %d after the header is a snapshot frame", i)
+			}
+		}
 		w.close()
 
-		w2, recs2, dropped2, err := openWAL(path, SyncOS, nil)
+		w2, head2, recs2, dropped2, err := openWAL(path, SyncOS, nil)
 		if err != nil {
 			t.Fatalf("reopen after recovery: %v", err)
 		}
 		if dropped2 != 0 {
 			t.Fatal("tail still torn after recovery truncated it")
 		}
-		if !reflect.DeepEqual(recs, recs2) {
+		if !reflect.DeepEqual(recs, recs2) || !reflect.DeepEqual(head, head2) {
 			t.Fatalf("recovery not idempotent:\nfirst:  %+v\nsecond: %+v", recs, recs2)
 		}
 
@@ -79,7 +96,7 @@ func FuzzWALRecovery(f *testing.F) {
 			t.Fatalf("append to recovered log: %v", err)
 		}
 		w2.close()
-		w3, recs3, dropped3, err := openWAL(path, SyncOS, nil)
+		w3, _, recs3, dropped3, err := openWAL(path, SyncOS, nil)
 		if err != nil || dropped3 != 0 {
 			t.Fatalf("reopen after append: err=%v dropped=%d", err, dropped3)
 		}

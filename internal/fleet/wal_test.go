@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -17,7 +18,7 @@ func walJob(id int) *workload.Job {
 
 func TestWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, recs, dropped, err := openWAL(path, SyncAlways, nil)
+	w, _, recs, dropped, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	w.close()
 
-	w2, recs, dropped, err := openWAL(path, SyncAlways, nil)
+	w2, _, recs, dropped, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestWALRoundTrip(t *testing.T) {
 // the intact prefix, truncate the garbage, and stay appendable.
 func TestWALTornTailTruncatedRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, _, err := openWAL(path, SyncAlways, nil)
+	w, _, _, _, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestWALTornTailTruncatedRecord(t *testing.T) {
 	f.Write([]byte{42, 0, 0, 0, 99, 99}) // short header+payload fragment
 	f.Close()
 
-	w2, recs, dropped, err := openWAL(path, SyncAlways, nil)
+	w2, _, recs, dropped, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestWALTornTailTruncatedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.close()
-	_, recs, dropped, err = openWAL(path, SyncAlways, nil)
+	_, _, recs, dropped, err = openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestWALTornTailTruncatedRecord(t *testing.T) {
 // Bit rot in the final record's payload must be caught by the CRC.
 func TestWALTornTailCRCMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, _, err := openWAL(path, SyncAlways, nil)
+	w, _, _, _, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestWALTornTailCRCMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, recs, dropped, err := openWAL(path, SyncAlways, nil)
+	_, _, recs, dropped, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestWALTornTailCRCMismatch(t *testing.T) {
 // corruption, not attempted as an allocation.
 func TestWALTornTailBogusLength(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, _, err := openWAL(path, SyncAlways, nil)
+	w, _, _, _, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestWALTornTailBogusLength(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(nil, walCRCTable))
 	f.Write(hdr[:])
 	f.Close()
-	_, recs, dropped, err := openWAL(path, SyncAlways, nil)
+	_, _, recs, dropped, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +171,8 @@ func TestWALTornTailBogusLength(t *testing.T) {
 }
 
 // TestWALTellTracksFileSize: the append offset tell reports is the
-// file's intact length through appends, a torn write, a rewind, a reset
-// and a reopen. A torn write leaves its damage past that offset, so
+// file's intact length through appends, a torn write, a rewind, a
+// replace and a reopen. A torn write leaves its damage past that offset, so
 // tell still names the point a rollback truncates to.
 func TestWALTellTracksFileSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -197,7 +198,7 @@ func TestWALTellTracksFileSize(t *testing.T) {
 		}
 	}
 
-	w, _, _, err := openWAL(path, SyncOS, fault)
+	w, _, _, _, err := openWAL(path, SyncOS, fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestWALTellTracksFileSize(t *testing.T) {
 	check(w, "append after rewind")
 	w.close()
 
-	w, recs, dropped, err := openWAL(path, SyncOS, fault)
+	w, _, recs, dropped, err := openWAL(path, SyncOS, fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,19 +237,19 @@ func TestWALTellTracksFileSize(t *testing.T) {
 		t.Fatalf("reopen: %d records, %d bytes dropped", len(recs), dropped)
 	}
 	check(w, "reopen")
-	if err := w.reset(); err != nil {
+	if err := w.replace(snapshotFile{Format: snapshotFormat, Gen: 1, Jobs: []workload.Job{*walJob(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	check(w, "reset")
+	check(w, "replace")
 	if err := w.append(walRecord{Kind: walKindSeal}, true); err != nil {
 		t.Fatal(err)
 	}
-	check(w, "append after reset")
+	check(w, "append after replace")
 }
 
-func TestWALRewindAndReset(t *testing.T) {
+func TestWALRewindAndReplace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, _, err := openWAL(path, SyncOS, nil)
+	w, _, _, _, err := openWAL(path, SyncOS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestWALRewindAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.close()
-	_, recs, dropped, err := openWAL(path, SyncOS, nil)
+	_, _, recs, dropped, err := openWAL(path, SyncOS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,22 +277,39 @@ func TestWALRewindAndReset(t *testing.T) {
 		t.Fatalf("after rewind+append: dropped=%d recs=%+v", dropped, recs)
 	}
 
-	w2, _, _, err := openWAL(path, SyncOS, nil)
+	// replace makes the log one header frame: the records are gone, the
+	// header is not counted as one, and appends continue after it.
+	w2, _, _, _, err := openWAL(path, SyncOS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.close()
-	if err := w2.reset(); err != nil {
+	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 30, Gen: 3, Jobs: []workload.Job{*walJob(0), *walJob(1)}}
+	if err := w2.replace(snap); err != nil {
 		t.Fatal(err)
 	}
 	if w2.records != 0 {
-		t.Fatalf("after reset: %d records", w2.records)
+		t.Fatalf("after replace: %d records", w2.records)
 	}
-	st, err := os.Stat(path)
+	frame, err := headerFrame(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size() != 0 {
-		t.Fatalf("after reset: %d bytes on disk", st.Size())
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, frame) {
+		t.Fatalf("after replace the log holds %d bytes (%v), want the %d-byte header frame alone", len(data), err, len(frame))
+	}
+	if err := w2.append(walRecord{Kind: walKindAdmit, Job: walJob(2)}, true); err != nil {
+		t.Fatal(err)
+	}
+	w2.close()
+	_, head, recs, dropped, err := openWAL(path, SyncOS, nil)
+	if err != nil || dropped != 0 {
+		t.Fatalf("reopen after replace: %v, %d bytes dropped", err, dropped)
+	}
+	if head == nil || head.Gen != 3 || len(head.Jobs) != 2 || len(recs) != 1 || recs[0].Job.ID != 2 {
+		t.Fatalf("reopen after replace: header %+v, records %+v", head, recs)
+	}
+	if stale, _ := filepath.Glob(filepath.Join(filepath.Dir(path), walTemp)); len(stale) != 0 {
+		t.Fatalf("replace left temp files behind: %v", stale)
 	}
 }

@@ -157,7 +157,7 @@ func TestFrameReaderCRCFlipRejection(t *testing.T) {
 // therefore write exactly EncodeFrame(payload).
 func TestWALAppendPayloadByteIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, _, err := openWAL(path, SyncAlways, nil)
+	w, _, _, _, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

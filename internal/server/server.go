@@ -79,9 +79,9 @@ type Config struct {
 	// EventRing is the replay-ring depth for /v1/events reconnects
 	// (default 4096).
 	EventRing int
-	// WALDir is the durable root: per-fleet admission WALs, compaction
-	// snapshots and the fleet manifest live under it. Empty disables
-	// durability.
+	// WALDir is the durable root: per-fleet admission WALs (each opening
+	// with its last compaction snapshot) and the fleet manifest live
+	// under it. Empty disables durability.
 	WALDir string
 	// SnapshotInterval compacts each fleet's WAL into a fresh snapshot
 	// every this many records (0 = never compact automatically).
