@@ -378,9 +378,11 @@ func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
 	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
 		return snap, false, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
 	}
-	// Once the log exists, only a new timeline's temp write and rename
-	// (and the cleanup below of a crash between them) touch the
-	// directory, so its mtime is when the header was written.
+	// Once the log exists, only a new timeline's rename moves the
+	// directory's mtime for good: a failed attempt (wal.replace) and the
+	// cleanup below put it back. So it is when the header was written —
+	// unless a process was killed mid-attempt, whose temp file's
+	// creation it then keeps.
 	dirInfo, err := os.Stat(f.cfg.Dir)
 	if err != nil {
 		return snap, false, fmt.Errorf("fleet %s: %w", f.id, err)
@@ -393,6 +395,7 @@ func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
 			return snap, false, fmt.Errorf("fleet %s: removing an unpublished wal: %w", f.id, err)
 		}
 	}
+	cleaned := len(stale) > 0
 	w, head, recs, dropped, werr := openWAL(filepath.Join(f.cfg.Dir, walName), f.cfg.WALSync, f.cfg.WALFault)
 	if werr != nil {
 		return snap, false, fmt.Errorf("fleet %s: %w", f.id, werr)
@@ -418,6 +421,7 @@ func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
 			// A conversion that crashed after its rename; the header
 			// supersedes the file, so a failed removal is retried here.
 			_ = os.Remove(legacyPath)
+			cleaned = true
 		}
 	case serr == nil:
 		snap, err = f.recoverLegacy(legacyPath, recs)
@@ -426,6 +430,9 @@ func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
 		}
 		legacy = true
 		recs = nil
+	}
+	if cleaned {
+		_ = os.Chtimes(f.cfg.Dir, time.Time{}, dirInfo.ModTime()) // best effort: only the reported snapshot time
 	}
 	// Without a header the log is the empty timeline under the opened
 	// config: nothing but a header changes a fleet's config.

@@ -120,7 +120,8 @@ func publishJSON(path, tmp, what string, v any) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encoding %s: %w", what, err)
 	}
-	return publish(path, tmp, what, append(data, '\n'), nil)
+	_, err = publish(path, tmp, what, append(data, '\n'), nil)
+	return err
 }
 
 // publish writes data to path atomically: the bytes go to a temp file
@@ -130,17 +131,18 @@ func publishJSON(path, tmp, what string, v any) error {
 // new one under path — never a torn one, and never a name that points
 // at bytes still in the page cache or a rename still in it. A failed
 // attempt removes its temp file. what names the artefact in errors
-// ("snapshot", "manifest", "wal").
+// ("snapshot", "manifest", "wal"); renamed reports whether the new file
+// is under path, which it is even if the directory fsync then failed.
 //
 // fault, when set, is consulted before the temp write ("replace") and
 // before the rename ("rename"), like Config.WALFault. A rename fault
 // stops where a crash between the two would: the temp file stays, for
 // Open to remove.
-func publish(path, tmp, what string, data []byte, fault func(op string) error) error {
+func publish(path, tmp, what string, data []byte, fault func(op string) error) (renamed bool, err error) {
 	dir := filepath.Dir(path)
 	file, err := os.CreateTemp(dir, tmp)
 	if err != nil {
-		return fmt.Errorf("fleet: %s temp file: %w", what, err)
+		return false, fmt.Errorf("fleet: %s temp file: %w", what, err)
 	}
 	if fault != nil {
 		err = fault("replace")
@@ -156,7 +158,7 @@ func publish(path, tmp, what string, data []byte, fault func(op string) error) e
 	}
 	if err == nil && fault != nil {
 		if err = fault("rename"); err != nil {
-			return fmt.Errorf("fleet: publishing %s: %w", what, err)
+			return false, fmt.Errorf("fleet: publishing %s: %w", what, err)
 		}
 	}
 	if err == nil {
@@ -164,12 +166,12 @@ func publish(path, tmp, what string, data []byte, fault func(op string) error) e
 	}
 	if err != nil {
 		_ = os.Remove(file.Name()) // best effort: err is the failure to report
-		return fmt.Errorf("fleet: publishing %s: %w", what, err)
+		return false, fmt.Errorf("fleet: publishing %s: %w", what, err)
 	}
 	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("fleet: publishing %s: %w", what, err)
+		return true, fmt.Errorf("fleet: publishing %s: %w", what, err)
 	}
-	return nil
+	return true, nil
 }
 
 // syncDir fsyncs a directory, making the renames in it durable.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -209,11 +210,21 @@ func TestOldLayoutRecoversAsBefore(t *testing.T) {
 
 // TestLastSnapshotTimeSurvivesRestart: the header holds no wall-clock
 // value, so a restart reads when it was written from the fleet
-// directory's mtime, which appends do not move. A log without a header
-// has no snapshot time.
+// directory's mtime, which appends do not move — nor do compactions
+// that fail before or at their rename, nor the restart's removal of the
+// temp file a failed rename leaves. A log without a header has no
+// snapshot time.
 func TestLastSnapshotTimeSurvivesRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "f")
-	f, err := Open("f", testConfig(dir))
+	cfg := testConfig(dir)
+	fault := ""
+	cfg.WALFault = func(op string) error {
+		if op == fault {
+			return errors.New("injected " + op + " fault")
+		}
+		return nil
+	}
+	f, err := Open("f", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +233,7 @@ func TestLastSnapshotTimeSurvivesRestart(t *testing.T) {
 		t.Fatalf("a fleet never compacted reports a snapshot at %d", st.LastSnapshotUnix)
 	}
 	f.Close()
-	f, err = Open("f", testConfig(dir))
+	f, err = Open("f", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +250,69 @@ func TestLastSnapshotTimeSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitN(t, f, 2, 8)
+	fault = "replace"
+	submitN(t, f, 6, 10) // the 8th record tries to compact, and fails
+	fault = "rename"
+	submitN(t, f, 1, 16) // so does the 9th, leaving its temp file
+	fault = ""
+	if st := walInfo(t, f); st.Snapshots != 1 {
+		t.Fatalf("the faulted compactions counted as snapshots: %+v", st)
+	}
 	f.Close()
 
-	f, err = Open("f", testConfig(dir))
+	for restart := 1; restart <= 2; restart++ {
+		f, err = Open("f", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := walInfo(t, f)
+		f.Close()
+		if st.LastSnapshotUnix != compacted.Unix() || st.Replayed != 9 {
+			t.Fatalf("restart %d: %+v, want the snapshot time %d and 9 records replayed", restart, st, compacted.Unix())
+		}
+	}
+}
+
+// TestHeaderOverRecordBound: a header holds the whole job log, so it
+// may be longer than walMaxRecord, the bound on a record. Recovery must
+// read it whole — the file bounds it — and never truncate it as a torn
+// tail. The bound is lowered so that eight jobs pass it.
+func TestHeaderOverRecordBound(t *testing.T) {
+	defer func(bound int64) { walMaxRecord = bound }(walMaxRecord)
+	walMaxRecord = 1 << 9
+	dir := filepath.Join(t.TempDir(), "f")
+	f, err := Open("f", testConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if st := walInfo(t, f); st.LastSnapshotUnix != compacted.Unix() || st.Replayed != 2 {
-		t.Fatalf("after a restart: %+v, want the snapshot time %d and 2 records replayed", st, compacted.Unix())
+	submitN(t, f, 10, 0) // a compaction after 8: a header and 2 records
+	wantRep, err := f.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	wantWAL := readWAL(t, dir)
+	if n := int64(binary.LittleEndian.Uint32(wantWAL)); n <= walMaxRecord {
+		t.Fatalf("the header is %d bytes, not over the bound %d", n, walMaxRecord)
+	}
+
+	g, err := Open("f", testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	st := walInfo(t, g)
+	if st.TornTail || st.Replayed != 2 {
+		t.Fatalf("recovered %+v, want the header whole and 2 records replayed", st)
+	}
+	if got, err := g.Report(); err != nil || got != wantRep {
+		t.Fatalf("restart served\n %+v (%v)\nwant\n %+v", got, err, wantRep)
+	}
+	if got := readWAL(t, dir); !bytes.Equal(got, wantWAL) {
+		t.Fatalf("wal.log changed across the restart: %d bytes, want %d", len(got), len(wantWAL))
+	}
+	if _, err := g.Submit(testSpec(10)); err != nil {
+		t.Fatalf("the fleet refused its next admission after a restart: %v", err)
 	}
 }
 

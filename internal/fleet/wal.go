@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
+	"time"
 
 	"energysched/internal/bodybuf"
 	"energysched/internal/wirejson"
@@ -53,8 +56,11 @@ import (
 const walHeaderSize = 8
 
 // walMaxRecord bounds a single frame; a longer length prefix is
-// treated as corruption rather than attempted as an allocation.
-const walMaxRecord = 16 << 20
+// treated as corruption rather than attempted as an allocation. A log's
+// header is the exception: it holds the whole job log, so the file's
+// size bounds it instead (scanWAL). A variable only so tests can lower
+// it.
+var walMaxRecord int64 = 16 << 20
 
 var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -92,11 +98,12 @@ type FrameReader struct {
 	r      io.Reader
 	offset int64 // end of the last intact frame
 	frames int   // intact frames returned so far
+	max    int64 // the longest payload accepted
 }
 
 // NewFrameReader returns an iterator reading frames from r.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r}
+	return &FrameReader{r: r, max: walMaxRecord}
 }
 
 // Next returns the next frame's payload. It returns io.EOF at a clean
@@ -113,7 +120,7 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint32(header[0:4])
 	sum := binary.LittleEndian.Uint32(header[4:8])
-	if length == 0 || length > walMaxRecord {
+	if length == 0 || int64(length) > fr.max {
 		return nil, ErrTornFrame
 	}
 	payload := make([]byte, length)
@@ -229,7 +236,11 @@ func headerFrame(snap snapshotFile) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sealFrame(append(buf, '}')), nil
+	buf = append(buf, '}')
+	if uint64(len(buf)-walHeaderSize) > math.MaxUint32 {
+		return nil, fmt.Errorf("fleet: a header of %d jobs overflows the frame's length field", len(snap.Jobs))
+	}
+	return sealFrame(buf), nil
 }
 
 // decodeHeader decodes a header payload: a record of kind "snapshot"
@@ -322,8 +333,11 @@ func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, dropped in
 		return nil, nil, 0, 0, fmt.Errorf("fleet: seeking wal: %w", err)
 	}
 	fr := NewFrameReader(bufio.NewReader(f))
+	// A header may outgrow walMaxRecord: the file it is in bounds it.
+	fr.max = size
 	for {
 		payload, err := fr.Next()
+		fr.max = walMaxRecord
 		if err != nil {
 			// Clean EOF or a torn tail: either way the intact prefix
 			// ends at fr.Offset() and everything past it is damage.
@@ -434,15 +448,22 @@ func (w *wal) rewind(off int64, records int) error {
 // replace starts a new timeline: the log becomes snap's header frame
 // alone, published over the old file in one atomic step. On an error
 // before the rename the old log is untouched and still the one appended
-// to. Once the rename has happened the new file is the log, even if a
-// later step failed: appends go to it, or fail if it cannot be opened.
+// to, and the directory keeps its mtime: recover reads it as the time
+// the header was written. Once the rename has happened the new file is
+// the log, even if a later step failed: appends go to it, or fail if it
+// cannot be opened.
 func (w *wal) replace(snap snapshotFile) error {
 	frame, err := headerFrame(snap)
 	if err != nil {
 		return fmt.Errorf("fleet: encoding wal header: %w", err)
 	}
-	err = publish(w.path, walTemp, "wal", frame, w.fault)
-	if err != nil && w.current() {
+	dir := filepath.Dir(w.path)
+	before, serr := os.Stat(dir)
+	renamed, err := publish(w.path, walTemp, "wal", frame, w.fault)
+	if !renamed {
+		if serr == nil {
+			_ = os.Chtimes(dir, time.Time{}, before.ModTime()) // best effort: err is the failure to report
+		}
 		return err
 	}
 	_ = w.f.Close() // the replaced log: every record in it is in the header
@@ -452,17 +473,6 @@ func (w *wal) replace(snap snapshotFile) error {
 	}
 	w.f, w.off, w.records = f, int64(len(frame)), 0
 	return err
-}
-
-// current reports whether the open file is still the one named by the
-// log's path.
-func (w *wal) current() bool {
-	open, err := w.f.Stat()
-	if err != nil {
-		return false
-	}
-	named, err := os.Stat(w.path)
-	return err == nil && os.SameFile(open, named)
 }
 
 // close releases the file handle.
