@@ -91,8 +91,9 @@ import (
 // its slot — until one of these wakes it:
 //
 //  1. the row is stale (new or changed stamp) or moved;
-//  2. a column re-score lowers one of its record minima (offered, or the
-//     holder improved; a rescan only ever raises a minimum);
+//  2. a column re-score puts a cell below one of its record minima —
+//     below a settled record's minimum (offered, or the holder improved)
+//     or below an unsettled record's floor;
 //  3. the cell of its current or round-start host changes;
 //  4. the VM's Progress differs from the verdict's;
 //  5. its stay term (scoreTimeStay) differs from the verdict's;
@@ -115,8 +116,12 @@ import (
 // A dormant row skips its C scoreTimeMove evaluations and every arbiter
 // visit; a row woken mid-round is timed before its first bestTarget.
 // This is exact because the arbiter only picks a row whose diff clears
-// its threshold, and a dormant row's diff can only rise: with no record
-// minimum lower, the current cell and progress unchanged, the move half
+// its threshold, and a dormant row's diff can only rise. Its records
+// were settled when the verdict read them, and while it stays dormant
+// every record minimum — settled, or the floor of an unsettled one,
+// which is an earlier settled minimum — stays at or above the verdict's,
+// and every class minimum at or above it. With no class minimum lower,
+// the current cell and progress unchanged, the move half
 // rises with Now — Pvirt = Cm²/(2·Tr) as Tr falls, with its jump to
 // 2·Cm upward; PSLA as sla.Fulfillment falls — while the stay half is
 // unchanged, and every IEEE operation involved is monotone, so
@@ -186,9 +191,17 @@ type ref struct {
 // of which share the row's time term — leaving out the row's current
 // and round-start hosts, which the arbiter scores itself (the first is
 // not a target, the second's time term is stay).
+//
+// A record is settled (exact) or unsettled. A column re-score that
+// makes the holder worse does not rebuild the record: it marks it
+// unsettled, and its min stays as a floor, a lower bound on the class
+// minimum, lowered when a later re-score puts a cell below it. The one
+// reader, bestTarget, settles a record before it combines it; most rows
+// are dormant and never read theirs until a wake condition fires.
 type classRec struct {
 	// min is the lowest base (+Inf = no feasible column) and slot the
 	// column slot of the lowest host index achieving it (-1 = none).
+	// In an unsettled record slot is unsettled and min the floor.
 	min  float64
 	slot int
 	// low is a lower bound on the bases at host indices below slot's.
@@ -201,9 +214,13 @@ type classRec struct {
 
 var noRec = classRec{min: math.Inf(1), slot: -1, low: math.Inf(1)}
 
-// offer folds the base b of column slot c, host index ni, into the
-// record. Valid for any order of offers and for re-offering a column
-// whose base dropped; a holder whose base rose needs a rescan.
+// unsettled is the slot of an unsettled record: its min is a floor.
+const unsettled = -2
+
+// offer folds the base b of column slot c, host index ni, into a
+// settled record. Valid for any order of offers and for re-offering a
+// column whose base dropped; a holder whose base rose leaves the record
+// unsettled.
 func (r *classRec) offer(b float64, c, ni int, colNi []int) {
 	if math.IsInf(b, 1) {
 		return
@@ -239,7 +256,7 @@ type slabKernel struct {
 
 	// Slot tables. Retired slots wait in the free lists; a column
 	// slot retires at the end of the build its host left in, after the
-	// records that pointed at it are repaired.
+	// records it held are left unsettled.
 	rows             []rowSlot
 	cols             []colKey
 	colNi            []int // host index this round, -1 = not in the matrix
@@ -412,12 +429,19 @@ func (st *slabKernel) score(s *shadow, vi, ni int) float64 {
 // bestTarget is the arbiter's per-row step: the lowest score in row vi
 // off its current host and the lowest host index achieving it (+Inf
 // and -1 when no target is feasible), combined from the row's class
-// records plus the round-start host of a VM that has moved.
-func (st *slabKernel) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
+// records, each settled first, plus the round-start host of a VM that
+// has moved.
+func (sch *Scheduler) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
+	st := &sch.kern
 	best, bestNi = math.Inf(1), -1
 	C := len(st.classes)
 	time := st.time[vi*C:][:C]
-	for g, r := range st.rec[st.rowRef[vi].slot*C:][:C] {
+	recs := st.rec[st.rowRef[vi].slot*C:][:C]
+	for g := range recs {
+		r := &recs[g]
+		if r.slot == unsettled {
+			sch.settle(s, vi, g)
+		}
 		sc := r.min + time[g]
 		if math.IsInf(sc, 1) {
 			continue
@@ -438,7 +462,7 @@ func (st *slabKernel) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
 	return best, bestNi
 }
 
-// tieHolder settles a possible rounding tie exactly: the lowest host
+// tieHolder resolves a possible rounding tie exactly: the lowest host
 // index among row vi's targets of class g whose score is sc, the
 // class's minimum.
 func (st *slabKernel) tieHolder(s *shadow, vi, g int, sc float64) int {
@@ -495,7 +519,7 @@ func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*clust
 			if st.rowRef[vi].flags&rowTimed == 0 {
 				sch.timeRow(s, vi)
 			}
-			sc, ni := st.bestTarget(s, vi)
+			sc, ni := sch.bestTarget(s, vi)
 			if ni < 0 {
 				continue
 			}
@@ -677,8 +701,8 @@ func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*clust
 // column slot by a merge scan over last round's IDs — handing out a
 // slot to a new host, retiring those of hosts that left — and checks
 // the slot's stamp; a new or changed column goes on the stale list,
-// and so does a column that left, to be re-scored to +Inf: that repairs
-// the records pointing at it. It returns the number of stale columns
+// and so does a column that left, to be re-scored to +Inf: that leaves
+// the records it held unsettled. It returns the number of stale columns
 // still in the matrix, and whether the host set changed, which shifts
 // host indices.
 func (st *slabKernel) pairColumns(s *shadow, hosts []*cluster.Node) (stale int, reindexed bool) {
@@ -975,8 +999,8 @@ func (sch *Scheduler) checkRow(s *shadow, vi int) {
 }
 
 // rescore re-scores the kernel's work list — the stale columns, then
-// every stale row — against the shadow, and repairs the records that
-// invalidates.
+// every stale row — against the shadow, and keeps the records valid:
+// a column re-score updates them, a re-scored row rebuilds its own.
 func (sch *Scheduler) rescore(s *shadow) {
 	st := &sch.kern
 	for _, c := range st.staleCols {
@@ -994,16 +1018,18 @@ func (sch *Scheduler) rescore(s *shadow) {
 				sch.Stats.ScoreEvals++
 			}
 		}
-		sch.rescan(s, vi, -1)
+		sch.rescan(s, vi)
 	}
 }
 
 // rescoreColumn re-scores column slot c in place for every row that is
-// not stale itself and repairs the ⟨row, class⟩ records that
-// invalidates: a cell that did not change needs nothing, a holder that
-// improved stays the holder, a holder that got worse costs a rescan of
-// that class of that row, and any other cell is offered. A changed cell
-// of the row's own hosts and a lowered record minimum wake the row.
+// not stale itself and keeps the ⟨row, class⟩ records valid without
+// rebuilding any: a cell that did not change needs nothing; on a
+// settled record a holder that improved stays the holder, a holder that
+// got worse leaves the record unsettled and any other cell is offered;
+// on an unsettled record a cell below the floor lowers it. A changed
+// cell of the row's own hosts and a cell below a record minimum or
+// floor wake the row.
 func (sch *Scheduler) rescoreColumn(s *shadow, c int) {
 	st := &sch.kern
 	ni, g, C := st.colNi[c], st.colClass[c], len(st.classes)
@@ -1027,6 +1053,11 @@ func (sch *Scheduler) rescoreColumn(s *shadow, c int) {
 			continue // not in the records
 		}
 		switch r := &st.rec[rs*C+g]; {
+		case r.slot == unsettled:
+			if b < r.min {
+				r.min = b
+				st.wake(vi)
+			}
 		case r.slot != c:
 			if b < r.min {
 				st.wake(vi)
@@ -1036,30 +1067,33 @@ func (sch *Scheduler) rescoreColumn(s *shadow, c int) {
 			r.min = b
 			st.wake(vi)
 		default:
-			sch.rescan(s, vi, g)
+			r.slot = unsettled // the old minimum stays as the floor
 		}
 	}
 }
 
-// rescan rebuilds row vi's record of class g — of every class when g
-// is negative — from the cached cells (no score evaluations).
-func (sch *Scheduler) rescan(s *shadow, vi, g int) {
+// rescan rebuilds every class record of row vi from the cached cells
+// (no score evaluations).
+func (sch *Scheduler) rescan(s *shadow, vi int) {
+	for g := range sch.kern.classes {
+		sch.settle(s, vi, g)
+	}
+}
+
+// settle rebuilds row vi's record of class g from the cached cells,
+// exact again.
+func (sch *Scheduler) settle(s *shadow, vi, g int) {
 	st := &sch.kern
+	sch.Stats.RowRescans++
 	rs := st.rowRef[vi].slot
 	row := st.base[rs*st.stride:]
-	for i, list := range st.byClass {
-		if g >= 0 && i != g {
-			continue
-		}
-		sch.Stats.RowRescans++
-		r := noRec
-		for _, c := range list { // ascending host index: the naive scan order
-			if b := row[c]; b < r.min {
-				if ni := st.colNi[c]; ni != s.assign[vi] && ni != s.initial[vi] {
-					r = classRec{min: b, slot: c, low: r.min}
-				}
+	r := noRec
+	for _, c := range st.byClass[g] { // ascending host index: the naive scan order
+		if b := row[c]; b < r.min {
+			if ni := st.colNi[c]; ni != s.assign[vi] && ni != s.initial[vi] {
+				r = classRec{min: b, slot: c, low: r.min}
 			}
 		}
-		st.rec[rs*len(st.classes)+i] = r
 	}
+	st.rec[rs*len(st.classes)+g] = r
 }

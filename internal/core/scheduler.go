@@ -62,8 +62,9 @@ type SolverStats struct {
 	ColRefreshes int
 	// RowRescans counts ⟨VM, class⟩ minimum records rebuilt from the
 	// cached cells (no score evaluations are spent on a rescan): the
-	// records of a re-scored row, and the one a re-scored column
-	// invalidated because it held the minimum and got worse.
+	// records of a re-scored row, and each unsettled record settled
+	// when the arbiter reads it (a re-scored column leaves a record
+	// unsettled when its holder got worse).
 	RowRescans int
 
 	// --- cross-round reuse (see buildKernel) ---

@@ -412,8 +412,9 @@ func checkKernel(t *testing.T, sch *Scheduler, ctx *policy.Context) {
 // scoreBase — a carried cell that does not is a stale key, a scored
 // field written around its setter or Touch — and composes with the
 // round's time terms to a fresh score; the cells of a live row in column
-// slots outside the matrix are +Inf; every ⟨row, class⟩ record equals a
-// brute-force scan and its low field really is a lower bound; the
+// slots outside the matrix are +Inf; every settled ⟨row, class⟩ record
+// equals a brute-force scan and its low field really is a lower bound,
+// and every unsettled one's floor is at most the scan's minimum; the
 // arbiter's per-row best equals a naive-order scan of the full scores;
 // the awake list holds each awake row once; and every dormant row is
 // non-improving. What the edit pass did not visit: every dormant row's
@@ -489,37 +490,6 @@ func kernelFault(sch *Scheduler, ctx *policy.Context) error {
 		if v.State != vm.Queued && !math.IsInf(cur, 1) {
 			threshold = -sch.cfg.MigrationGainMin
 		}
-		// Naive-order scan of the fresh full scores.
-		best, bestn, first := math.Inf(1), -1, -1
-		for ni := range s.nodes {
-			sc := sch.score(s, ni, vi)
-			if !sch.pinned(s, vi) && (timed || ni == s.initial[vi]) {
-				if got := st.score(s, vi, ni); got != sc {
-					return fmt.Errorf("composed score (vm index %d, host index %d) = %v, fresh score %v", vi, ni, got, sc)
-				}
-			}
-			if ni == s.assign[vi] || math.IsInf(sc, 1) {
-				continue
-			}
-			if first < 0 {
-				first = ni
-			}
-			if sc < best {
-				best, bestn = sc, ni
-			}
-			if diff := sc - cur; dormant && (math.IsInf(cur, 1) || diff <= threshold && diff < -moveEps) {
-				return fmt.Errorf("dormant row of vm index %d improves by %v on host index %d (threshold %v)", vi, diff, ni, threshold)
-			}
-		}
-		if !sch.pinned(s, vi) && timed {
-			if sc, ni := st.bestTarget(s, vi); sc != best || ni != bestn {
-				return fmt.Errorf("best target of vm index %d = %v at %d, naive scan says %v at %d", vi, sc, ni, best, bestn)
-			}
-			if ni := st.firstTarget(s, vi); ni != first {
-				return fmt.Errorf("first target of vm index %d = %d, naive scan says %d", vi, ni, first)
-			}
-		}
-
 		recs := make([]classRec, C)
 		for g := range recs {
 			recs[g] = noRec
@@ -546,8 +516,18 @@ func kernelFault(sch *Scheduler, ctx *policy.Context) error {
 				w.min, w.slot = b, c
 			}
 		}
+		// The records as the round left them, before this oracle's own
+		// bestTarget settles any: a settled one is exact, an unsettled
+		// one's floor is at or below the class minimum.
 		for g, w := range recs {
 			r := st.rec[rs*C+g]
+			if r.slot == unsettled {
+				if r.min > w.min {
+					return fmt.Errorf("unsettled record (vm index %d, class %d) has floor %v above the class minimum %v at slot %d",
+						vi, g, r.min, w.min, w.slot)
+				}
+				continue
+			}
 			if r.min != w.min || r.slot != w.slot {
 				return fmt.Errorf("record (vm index %d, class %d) = %v at slot %d, scan says %v at slot %d",
 					vi, g, r.min, r.slot, w.min, w.slot)
@@ -560,6 +540,42 @@ func kernelFault(sch *Scheduler, ctx *policy.Context) error {
 					return fmt.Errorf("record (vm index %d, class %d) low = %v, but host index %d below the holder has base %v",
 						vi, g, r.low, ni, b)
 				}
+			}
+		}
+		// Naive-order scan of the fresh full scores.
+		best, bestn, first := math.Inf(1), -1, -1
+		for ni := range s.nodes {
+			sc := sch.score(s, ni, vi)
+			if !sch.pinned(s, vi) && (timed || ni == s.initial[vi]) {
+				if got := st.score(s, vi, ni); got != sc {
+					return fmt.Errorf("composed score (vm index %d, host index %d) = %v, fresh score %v", vi, ni, got, sc)
+				}
+			}
+			if ni == s.assign[vi] || math.IsInf(sc, 1) {
+				continue
+			}
+			if first < 0 {
+				first = ni
+			}
+			if sc < best {
+				best, bestn = sc, ni
+			}
+			if diff := sc - cur; dormant && (math.IsInf(cur, 1) || diff <= threshold && diff < -moveEps) {
+				return fmt.Errorf("dormant row of vm index %d improves by %v on host index %d (threshold %v)", vi, diff, ni, threshold)
+			}
+		}
+		if !sch.pinned(s, vi) && timed {
+			// bestTarget settles the row's records: put them and the
+			// count back, so that checking leaves the kernel as it was.
+			saved, rescans := slices.Clone(st.rec[rs*C:][:C]), sch.Stats.RowRescans
+			sc, ni := sch.bestTarget(s, vi)
+			copy(st.rec[rs*C:], saved)
+			sch.Stats.RowRescans = rescans
+			if sc != best || ni != bestn {
+				return fmt.Errorf("best target of vm index %d = %v at %d, naive scan says %v at %d", vi, sc, ni, best, bestn)
+			}
+			if ni := st.firstTarget(s, vi); ni != first {
+				return fmt.Errorf("first target of vm index %d = %d, naive scan says %d", vi, ni, first)
 			}
 		}
 	}

@@ -148,6 +148,16 @@ func newAdmitRouter(f *Fleet) *admitRouter {
 // submit runs one request through rate limiting and the bounded queue,
 // and waits for the event loop's answer.
 func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
+	req, err := r.enqueue(specs)
+	if err != nil {
+		return nil, err
+	}
+	return r.wait(req)
+}
+
+// enqueue passes one request through rate limiting into the bounded
+// queue, or sheds it.
+func (r *admitRouter) enqueue(specs []energysched.JobSpec) (*admitRequest, error) {
 	if r.bucket != nil && len(specs) > 0 {
 		if ra, ok := r.bucket.take(len(specs)); !ok {
 			r.shedRate.Add(1)
@@ -163,13 +173,18 @@ func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStat
 	}
 	select {
 	case r.queue <- req:
+		return req, nil
 	default:
 		r.shedQueue.Add(1)
 		return nil, &Error{Status: http.StatusTooManyRequests,
 			Msg: "admission queue full", RetryAfter: 1}
 	}
-	// A request still queued when the fleet closes is never answered:
-	// its submitter leaves through stopc.
+}
+
+// wait returns the event loop's answer to a queued request. A request
+// still queued when the fleet closes is never answered: its submitter
+// leaves through stopc.
+func (r *admitRouter) wait(req *admitRequest) ([]energysched.JobStatus, error) {
 	select {
 	case rep := <-req.reply:
 		return rep.out, rep.err

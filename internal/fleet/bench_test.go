@@ -1,44 +1,64 @@
 package fleet
 
 import (
-	"sync"
+	"runtime"
 	"testing"
 
 	"energysched"
 	"energysched/internal/obs/series"
 )
 
-// BenchmarkAdmitRouter measures concurrent admission throughput
-// through the router: each iteration pushes a fixed burst of jobs from
-// 8 submitters through a fresh fleet's bounded queue into the event
-// loop's admission turns (WAL off, in-memory sim).
+// BenchmarkAdmitRouter measures admission through the router: each
+// iteration pushes a fixed burst of jobs through a fresh fleet's
+// bounded queue into the event loop's admission turns (WAL off,
+// in-memory sim). The burst is queued while the event loop is held, so
+// the loop merges it into full turns of maxMergeTurn requests in ingest
+// order, and the turns — and with them the allocations — are the same
+// on every run. It runs on one P, after one unmeasured burst: on
+// several Ps, or cold, the runtime's per-P caches of channel waiters
+// run dry at moments that vary from run to run, and each refill from
+// the heap counts as an allocation.
 func BenchmarkAdmitRouter(b *testing.B) {
-	const submitters, perSubmitter = 8, 128
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f, err := Open("bench", Config{Sched: Sched{Policy: "SB", Seed: 1}})
+	const burst = 1024
+	procs := runtime.GOMAXPROCS(1)
+	defer func() {
+		b.StopTimer()
+		runtime.GOMAXPROCS(procs)
+	}()
+	specs := make([]energysched.JobSpec, burst)
+	for j := range specs {
+		specs[j] = energysched.JobSpec{CPU: 100 + float64(j%3)*100, Mem: 5, Duration: 600}
+	}
+	reqs := make([]*admitRequest, burst)
+	run := func() {
+		f, err := Open("bench", Config{Sched: Sched{Policy: "SB", Seed: 1}, AdmitQueue: burst})
 		if err != nil {
 			b.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		for g := 0; g < submitters; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for j := 0; j < perSubmitter; j++ {
-					if _, err := f.Submit(energysched.JobSpec{
-						CPU: 100 + float64((g+j)%3)*100, Mem: 5, Duration: 600,
-					}); err != nil {
-						b.Error(err)
-						return
-					}
+		defer f.Close()
+		var qerr error
+		if err := f.do(func() {
+			for j := range reqs {
+				if reqs[j], qerr = f.router.enqueue(specs[j : j+1]); qerr != nil {
+					return
 				}
-			}(g)
+			}
+		}); err != nil || qerr != nil {
+			b.Fatal(err, qerr)
 		}
-		wg.Wait()
-		f.Close()
+		for _, req := range reqs {
+			if _, err := f.router.wait(req); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
-	b.ReportMetric(float64(submitters*perSubmitter), "jobs/iter")
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(burst, "jobs/iter")
 }
 
 // BenchmarkFleetTickSample measures the accounting side channel of one

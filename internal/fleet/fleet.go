@@ -1374,7 +1374,7 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 			{"energysched_solver_score_evals_total", "Score(h,vm) evaluations.", st.ScoreEvals},
 			{"energysched_solver_limit_hits_total", "Rounds stopped by the iteration limit.", st.LimitHits},
 			{"energysched_solver_col_refreshes_total", "Dirty-column recomputations.", st.ColRefreshes},
-			{"energysched_solver_row_rescans_total", "Per-VM best-move rescans.", st.RowRescans},
+			{"energysched_solver_row_rescans_total", "Per-VM class records rebuilt: those of re-scored rows, and those settled when read.", st.RowRescans},
 			{"energysched_solver_carry_rounds_total", "Rounds starting from a carried matrix.", st.CarryRounds},
 			{"energysched_solver_stale_rows_total", "Candidate rows re-scored on carry.", st.StaleRows},
 			{"energysched_solver_stale_cols_total", "Host columns re-scored on carry.", st.StaleCols},
