@@ -234,10 +234,10 @@ func TestCommitLeaderEqualsFollower(t *testing.T) {
 				if sess, err = leader.ReplSubscribe(gen, off); err != nil {
 					t.Fatal(err)
 				}
-				if sess.Gen != 2 || sess.Snapshot == nil {
-					t.Fatalf("resubscribing at generation %d got generation %d, snapshot %v; want a generation-2 bootstrap", gen, sess.Gen, sess.Snapshot != nil)
+				if sess.Gen != 2 || sess.Header == nil {
+					t.Fatalf("resubscribing at generation %d got generation %d, header %v; want a generation-2 bootstrap", gen, sess.Gen, sess.Header != nil)
 				}
-				if err := follower.ApplyReplSnapshot(sess.Snapshot); err != nil {
+				if _, _, err := follower.ApplyReplHeader(sess.Header[walHeaderSize:]); err != nil {
 					t.Fatal(err)
 				}
 				submit(20, 40)

@@ -710,7 +710,7 @@ func (f *Fleet) rebuild(snap snapshotFile) error {
 	f.wallStart = time.Now()
 	f.virtStart = now
 	if snap.Sealed {
-		rep := serviceReport(sim.Drain(), true)
+		rep := ServiceReportOf(sim.Drain(), true)
 		f.final = &rep
 	}
 	// The accounting sampler goes on once the replay (and a sealed
@@ -752,15 +752,6 @@ func (f *Fleet) SubmitBatch(specs []energysched.JobSpec) ([]energysched.JobStatu
 	return f.router.submit(specs)
 }
 
-// submitDirect admits a batch on the event loop, bypassing the
-// admission router: no rate limit, no queue bound. Bulk internal
-// loads (SubmitSource) use it so replaying a trace into a
-// rate-limited fleet is not throttled like external traffic.
-func (f *Fleet) submitDirect(specs []energysched.JobSpec) (out []energysched.JobStatus, err error) {
-	err = f.call(func() (e error) { out, e = f.admit(specs); return e })
-	return out, err
-}
-
 // SubmitSource streams a workload into the fleet in submit-ordered
 // batches of batchSize jobs (<= 0 selects 256). Each batch is
 // admitted atomically in one event-loop turn, exactly like
@@ -769,58 +760,71 @@ func (f *Fleet) submitDirect(specs []energysched.JobSpec) (out []energysched.Job
 // already admitted stay admitted, and the returned count reports how
 // many jobs made it in. At max pacing virtual time chases the
 // watermark between batches, which keeps the run byte-identical to a
-// one-shot SubmitBatch of the materialized trace.
+// one-shot SubmitBatch of the materialized trace. Batches bypass the
+// admission router — no rate limit, no queue bound — so replaying a
+// trace into a rate-limited fleet is not throttled like external
+// traffic.
 func (f *Fleet) SubmitSource(src workload.JobSource, batchSize int) (int, error) {
 	if batchSize <= 0 {
 		batchSize = 256
 	}
 	total := 0
-	batch := make([]energysched.JobSpec, 0, batchSize)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if _, err := f.submitDirect(batch); err != nil {
-			return err
-		}
-		total += len(batch)
-		batch = batch[:0]
-		return nil
-	}
+	batch := make([]workload.Job, 0, batchSize)
 	for {
 		j, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+		if err != nil && err != io.EOF {
 			return total, err
 		}
-		submit := j.Submit
-		batch = append(batch, energysched.JobSpec{
-			Name: j.Name, CPU: j.CPU, Mem: j.Mem, Duration: j.Duration,
-			Submit: &submit, DeadlineFactor: j.DeadlineFactor,
-			FaultTolerance: j.FaultTolerance, Arch: j.Arch, Hypervisor: j.Hypervisor,
-		})
-		if len(batch) == batchSize {
-			if err := flush(); err != nil {
-				return total, err
+		if err == nil {
+			batch = append(batch, j)
+		}
+		if len(batch) > 0 && (len(batch) == batchSize || err == io.EOF) {
+			if aerr := f.call(func() error { _, aerr := f.admitJobs(batch); return aerr }); aerr != nil {
+				return total, aerr
 			}
+			total += len(batch)
+			batch = batch[:0]
+		}
+		if err == io.EOF {
+			return total, nil
 		}
 	}
-	if err := flush(); err != nil {
-		return total, err
-	}
-	return total, nil
 }
 
-// admit is the leader's half of an admission: it validates a batch
-// against the clock and the log, encodes its records if anyone will
-// read them, and hands the run to commit. Everything is validated
-// before anything is logged, so the batch either fully applies or
-// fully rejects. Call only from the event loop.
+// admit is the leader's half of an admission request: it turns each
+// spec into a job — an omitted submit time is the fleet's clock — and
+// hands the batch to admitJobs. Call only from the event loop.
 func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
+	now := f.sim.Now()
+	jobs := make([]workload.Job, len(specs))
+	for i, spec := range specs {
+		jobs[i] = workload.Job{
+			Name:           spec.Name,
+			Submit:         now,
+			Duration:       spec.Duration,
+			CPU:            spec.CPU,
+			Mem:            spec.Mem,
+			DeadlineFactor: spec.DeadlineFactor,
+			FaultTolerance: spec.FaultTolerance,
+			Arch:           spec.Arch,
+			Hypervisor:     spec.Hypervisor,
+		}
+		if spec.Submit != nil {
+			jobs[i].Submit = *spec.Submit
+		}
+	}
+	return f.admitJobs(jobs)
+}
+
+// admitJobs validates a batch against the clock and the log, numbering
+// its jobs after the log's and filling in the default deadline factor,
+// encodes its records if anyone will read them, and hands the run to
+// commit. Everything is validated before anything is logged, so the
+// batch either fully applies or fully rejects. Call only from the
+// event loop.
+func (f *Fleet) admitJobs(jobs []workload.Job) ([]energysched.JobStatus, error) {
 	defer f.hists.admit.ObserveSince(time.Now())
-	if len(specs) == 0 {
+	if len(jobs) == 0 {
 		return nil, errf(http.StatusBadRequest, "empty batch")
 	}
 	if f.sim.Sealed() {
@@ -830,27 +834,12 @@ func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, err
 		return nil, errf(http.StatusInternalServerError, "admission log is broken; fleet is read-only")
 	}
 	now := f.sim.Now()
-	jobs := make([]workload.Job, 0, len(specs))
 	prev := now
-	for i, spec := range specs {
-		j := workload.Job{
-			ID:             len(f.jobs) + i,
-			Name:           spec.Name,
-			Duration:       spec.Duration,
-			CPU:            spec.CPU,
-			Mem:            spec.Mem,
-			DeadlineFactor: spec.DeadlineFactor,
-			FaultTolerance: spec.FaultTolerance,
-			Arch:           spec.Arch,
-			Hypervisor:     spec.Hypervisor,
-		}
+	for i := range jobs {
+		j := &jobs[i]
+		j.ID = len(f.jobs) + i
 		if j.DeadlineFactor == 0 {
 			j.DeadlineFactor = 1.5
-		}
-		if spec.Submit != nil {
-			j.Submit = *spec.Submit
-		} else {
-			j.Submit = now
 		}
 		if j.Submit < now {
 			return nil, errf(http.StatusConflict,
@@ -864,7 +853,6 @@ func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, err
 		if err := j.Validate(); err != nil {
 			return nil, errf(http.StatusBadRequest, "job %d: %v", i, err)
 		}
-		jobs = append(jobs, j)
 	}
 	// A record is encoded only when something will read it — the WAL
 	// or a replication session — and then exactly once: the same bytes
@@ -948,7 +936,7 @@ func (f *Fleet) commit(run logRun) ([]energysched.JobStatus, error) {
 	var out []energysched.JobStatus
 	if run.seal {
 		// 2+3 for the seal: drain the engine and fix the final report.
-		rep := serviceReport(f.sim.Drain(), true)
+		rep := ServiceReportOf(f.sim.Drain(), true)
 		f.final = &rep
 		f.watermark = f.sim.Now()
 		f.logf("drained: %s", rep.Table)
@@ -1119,16 +1107,10 @@ func (f *Fleet) Report() (energysched.ServiceReport, error) {
 		if f.final != nil {
 			rep = *f.final
 		} else {
-			rep = serviceReport(f.sim.ReportAt(f.sim.Now()), false)
+			rep = ServiceReportOf(f.sim.ReportAt(f.sim.Now()), false)
 		}
 	})
 	return rep, err
-}
-
-// Health returns liveness basics.
-func (f *Fleet) Health() (now float64, done bool, err error) {
-	err = f.do(func() { now, done = f.sim.Now(), f.sim.Done() })
-	return now, done, err
 }
 
 // walStats returns the durability counters with the log's live record
@@ -1159,6 +1141,28 @@ func (f *Fleet) Info() (energysched.FleetInfo, error) {
 		}
 	})
 	return info, err
+}
+
+// Status returns the fleet's half of its status report, read in one
+// turn: everything but the daemon's role and a follower's position.
+func (f *Fleet) Status() (energysched.FleetStatus, error) {
+	var st energysched.FleetStatus
+	err := f.do(func() {
+		st = energysched.FleetStatus{
+			ID:                     f.id,
+			Now:                    f.sim.Now(),
+			Sealed:                 f.sim.Sealed(),
+			Done:                   f.sim.Done(),
+			Jobs:                   len(f.jobs),
+			Replication:            energysched.ReplicationStatus{Gen: f.gen, Offset: f.logOffset()},
+			WAL:                    f.walStats(),
+			LastSnapshotAgeSeconds: -1,
+		}
+	})
+	if st.WAL != nil && st.WAL.LastSnapshotUnix > 0 {
+		st.LastSnapshotAgeSeconds = time.Since(time.Unix(st.WAL.LastSnapshotUnix, 0)).Seconds()
+	}
+	return st, err
 }
 
 // Drain seals the workload, runs every admitted job to completion and
@@ -1256,10 +1260,7 @@ func (f *Fleet) restore(path string) (energysched.SnapshotInfo, error) {
 	if err != nil {
 		return energysched.SnapshotInfo{}, errf(http.StatusUnprocessableEntity, "%v", err)
 	}
-	oldGen := f.gen
-	f.gen++
-	if err := f.applySnapshot(snap, path); err != nil {
-		f.gen = oldGen
+	if err := f.applySnapshot(snap, f.gen+1, path); err != nil {
 		return energysched.SnapshotInfo{}, err
 	}
 	return energysched.SnapshotInfo{
@@ -1267,16 +1268,18 @@ func (f *Fleet) restore(path string) (energysched.SnapshotInfo, error) {
 	}, nil
 }
 
-// applySnapshot replaces the fleet's state with a snapshot's: the
-// restore path and the replication bootstrap share it. The caller is
-// responsible for generation handling (restore bumps it; a follower
-// adopts the leader's). Call only from the event loop.
-func (f *Fleet) applySnapshot(snap snapshotFile, source string) error {
+// applySnapshot replaces the fleet's state with a snapshot's, on
+// timeline generation gen: the restore path (which bumps it) and the
+// replication bootstrap (which adopts the leader's) share it. Call
+// only from the event loop.
+func (f *Fleet) applySnapshot(snap snapshotFile, gen int64, source string) error {
 	// The snapshot's scheduling configuration wins: determinism of the
-	// replay depends on it. A failed replay keeps config and simulation.
+	// replay depends on it. A failed replay keeps config, simulation
+	// and generation.
 	if err := f.rebuild(snap); err != nil {
 		return errf(http.StatusUnprocessableEntity, "%v", err)
 	}
+	f.gen = gen
 	// The new timeline supersedes the WAL: start the log anew from it so
 	// a crash after this point recovers it, not the pre-restore one. If
 	// that fails, the WAL on disk still describes the OLD timeline —

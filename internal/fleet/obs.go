@@ -22,8 +22,8 @@ import (
 // the event loop observes.
 type fleetHists struct {
 	// admit is the admission batch latency: validate + WAL + inject,
-	// one observation per admit() call (Submit, SubmitBatch, batches of
-	// SubmitSource).
+	// one observation per admitJobs call (Submit, SubmitBatch, batches
+	// of SubmitSource).
 	admit metrics.Histogram
 	// wal is the WAL append+fsync latency, one observation per logged
 	// batch (admissions, seals, replicated records).

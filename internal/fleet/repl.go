@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"cmp"
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -22,9 +21,9 @@ import (
 //     resumes by record offset across leader compactions and restarts;
 //   - a timeline generation, bumped whenever the log stops describing
 //     the fleet (an API restore replaces the timeline). A follower
-//     whose generation disagrees re-bootstraps from a snapshot
+//     whose generation disagrees re-bootstraps from the log's header
 //     instead of splicing two histories;
-//   - a subscription feed (ReplSubscribe): the bootstrap snapshot or
+//   - a subscription feed (ReplSubscribe): the bootstrap header or
 //     record backlog the caller is missing, then live records as the
 //     event loop commits them.
 //
@@ -47,7 +46,7 @@ type ReplRecord struct {
 }
 
 // ReplSession is one follower's view of a fleet's log, returned by
-// ReplSubscribe. Exactly one of Snapshot / Backlog covers the gap
+// ReplSubscribe. Exactly one of Header / Backlog covers the gap
 // between the caller's offset and Head; Ch then streams live records.
 // Ch is closed when the subscriber falls too far behind or the fleet
 // shuts down — the caller reconnects and resumes at its applied
@@ -59,18 +58,25 @@ type ReplSession struct {
 	Head int64
 	// Now is the fleet's virtual clock at subscription.
 	Now float64
-	// Start is the offset this session resumes from: the caller's
-	// requested offset, or Head when Snapshot bootstraps the caller.
-	Start int64
-	// Snapshot, when non-nil, is the marshaled snapshot of the state
-	// through Start: sent when the caller's generation disagrees or
-	// its offset cannot be served from the log.
-	Snapshot []byte
-	// Backlog holds the records (Start, Head], re-marshaled from the
-	// admission log, when the caller resumes by offset.
+	// Header, when non-nil, is the state through Head as a log's
+	// header frame, framing included: the bytes wal.replace writes for
+	// it. Sent when the caller's generation disagrees or its offset
+	// cannot be served from the log.
+	Header []byte
+	// Backlog holds the records after the caller's offset through Head,
+	// re-marshaled from the admission log, when it resumes by offset.
 	Backlog []ReplRecord
 	// Ch streams records committed after Head.
 	Ch chan ReplRecord
+}
+
+// HeaderLen is the length of Header's payload, 0 without one: what the
+// stream's hello announces, so the follower bounds the header by it.
+func (s *ReplSession) HeaderLen() int64 {
+	if s.Header == nil {
+		return 0
+	}
+	return int64(len(s.Header) - walHeaderSize)
 }
 
 // replSubBuffer is each replication subscriber's channel depth: how
@@ -171,27 +177,25 @@ func (f *Fleet) ReplState() (gen, offset int64, now float64, err error) {
 // ReplSubscribe opens a replication session resuming from the caller's
 // (generation, offset). A disagreeing generation, a negative offset or
 // an offset past the head cannot be served from the log and bootstraps
-// the caller with a full snapshot instead. Release the session with
+// the caller with the log's header instead. Release the session with
 // ReplUnsubscribe.
 func (f *Fleet) ReplSubscribe(gen, from int64) (*ReplSession, error) {
 	sess := &ReplSession{Ch: make(chan ReplRecord, replSubBuffer)}
-	err := f.do(func() {
+	err := f.call(func() error {
 		sess.Gen = f.gen
 		sess.Head = f.logOffset()
 		sess.Now = f.sim.Now()
 		if gen != f.gen || from < 0 || from > sess.Head {
-			data, merr := json.Marshal(f.snapshotState())
-			if merr != nil {
-				return // cannot happen: plain structs
+			header, err := headerFrame(f.snapshotState())
+			if err != nil {
+				return errf(http.StatusInternalServerError, "encoding replication header: %v", err)
 			}
-			sess.Snapshot = data
-			sess.Start = sess.Head
+			sess.Header = header
 		} else {
-			sess.Start = from
 			for i := from; i < int64(len(f.jobs)); i++ {
-				payload, merr := f.admitRecord(&f.jobs[i])
-				if merr != nil {
-					return
+				payload, err := f.admitRecord(&f.jobs[i])
+				if err != nil {
+					return errf(http.StatusInternalServerError, "encoding replication backlog: %v", err)
 				}
 				// Backlog records carry Now 0: the follower injects them
 				// without advancing its clock, then catches up from the
@@ -202,10 +206,11 @@ func (f *Fleet) ReplSubscribe(gen, from int64) (*ReplSession, error) {
 				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: int64(len(f.jobs)) + 1, Data: sealPayload})
 			}
 		}
-		// Registering inside the event loop makes the snapshot/backlog
+		// Registering inside the event loop makes the header/backlog
 		// and the live feed gapless: no record can be committed between
 		// the capture and the registration.
 		f.repl.add(sess)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -218,29 +223,27 @@ func (f *Fleet) ReplUnsubscribe(sess *ReplSession) {
 	f.repl.remove(sess)
 }
 
-// ApplyReplSnapshot replaces the fleet's state with a leader snapshot
-// (follower bootstrap). The snapshot's generation is adopted verbatim
-// — the follower mirrors the leader's timeline, it does not start one.
-func (f *Fleet) ApplyReplSnapshot(data []byte) error {
-	return f.call(func() error {
-		var snap snapshotFile
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return errf(http.StatusUnprocessableEntity, "decoding replication snapshot: %v", err)
+// ApplyReplHeader replaces the fleet's state with the one a leader's
+// log header describes (follower bootstrap). payload is a snapshot
+// frame's, decoded as recovery decodes a header — so the extra keys of
+// an earlier release's bootstrap frame are ignored. The header's
+// generation is adopted verbatim: the follower mirrors the leader's
+// timeline, it does not start one. It returns that generation and the
+// log offset the header covers.
+func (f *Fleet) ApplyReplHeader(payload []byte) (gen, offset int64, err error) {
+	snap, err := decodeHeader(payload)
+	if err != nil {
+		return 0, 0, errf(http.StatusUnprocessableEntity, "decoding replication header: %v", err)
+	}
+	err = f.call(func() error {
+		// A snapshot older than generations carries none: it is the first.
+		if err := f.applySnapshot(snap, max(snap.Gen, 1), "replication bootstrap"); err != nil {
+			return err
 		}
-		if snap.Format != snapshotFormat {
-			return errf(http.StatusUnprocessableEntity, "unsupported replication snapshot format %q", snap.Format)
-		}
-		oldGen := f.gen
-		f.gen = snap.Gen
-		if f.gen == 0 {
-			f.gen = 1
-		}
-		err := f.applySnapshot(snap, "replication bootstrap")
-		if err != nil {
-			f.gen = oldGen
-		}
-		return err
+		gen, offset = f.gen, f.logOffset()
+		return nil
 	})
+	return gen, offset, err
 }
 
 // ApplyReplRecord applies one replicated record at the given offset

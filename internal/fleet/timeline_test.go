@@ -316,6 +316,59 @@ func TestHeaderOverRecordBound(t *testing.T) {
 	}
 }
 
+// TestReplHeaderOverRecordBound: a follower bootstraps from the
+// leader's log header, which outgrows walMaxRecord like the header on
+// disk does. The frame is read within the length its announcer gives —
+// here the session's, as a hello carries it — while the record bound
+// alone still refuses it as torn; once applied, the follower's wal.log
+// is the session's header, byte for byte.
+func TestReplHeaderOverRecordBound(t *testing.T) {
+	defer func(bound int64) { walMaxRecord = bound }(walMaxRecord)
+	walMaxRecord = 1 << 9
+	leader, err := Open("l", testConfig(filepath.Join(t.TempDir(), "l")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	submitN(t, leader, 10, 0)
+	sess, err := leader.ReplSubscribe(-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.ReplUnsubscribe(sess)
+	if n := sess.HeaderLen(); n <= walMaxRecord {
+		t.Fatalf("the header is %d bytes, not over the bound %d", n, walMaxRecord)
+	}
+	if _, err := NewFrameReader(bytes.NewReader(sess.Header)).Next(); err != ErrTornFrame {
+		t.Fatalf("the header read under the record bound: %v, want ErrTornFrame", err)
+	}
+	payload, err := NewFrameReader(bytes.NewReader(sess.Header)).NextWithin(sess.HeaderLen())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fdir := filepath.Join(t.TempDir(), "f")
+	follower, err := Open("f", testConfig(fdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	gen, off, err := follower.ApplyReplHeader(payload)
+	if err != nil || gen != sess.Gen || off != sess.Head {
+		t.Fatalf("bootstrap = generation %d, offset %d (%v); want %d, %d", gen, off, err, sess.Gen, sess.Head)
+	}
+	if got := readWAL(t, fdir); !bytes.Equal(got, sess.Header) {
+		t.Fatalf("the follower's wal.log is %d bytes, not the session's %d-byte header", len(got), len(sess.Header))
+	}
+	want, err := leader.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := follower.Report(); err != nil || got != want {
+		t.Fatalf("the follower serves\n %+v (%v)\nwant the leader's\n %+v", got, err, want)
+	}
+}
+
 // TestRecoveryNeverSkipsRecords: a header of 12 jobs followed by the
 // records of jobs 10–15 — what the two-file layout's splice left, now
 // in one file, which no writer produces. Recovery must not skip jobs

@@ -57,9 +57,10 @@ const walHeaderSize = 8
 
 // walMaxRecord bounds a single frame; a longer length prefix is
 // treated as corruption rather than attempted as an allocation. A log's
-// header is the exception: it holds the whole job log, so the file's
-// size bounds it instead (scanWAL). A variable only so tests can lower
-// it.
+// header is the exception: it holds the whole job log, so what
+// announces it bounds it instead — the file's size on disk (scanWAL),
+// the hello frame on the replication stream. A variable only so tests
+// can lower it.
 var walMaxRecord int64 = 16 << 20
 
 var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -98,19 +99,23 @@ type FrameReader struct {
 	r      io.Reader
 	offset int64 // end of the last intact frame
 	frames int   // intact frames returned so far
-	max    int64 // the longest payload accepted
 }
 
 // NewFrameReader returns an iterator reading frames from r.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r, max: walMaxRecord}
+	return &FrameReader{r: r}
 }
 
-// Next returns the next frame's payload. It returns io.EOF at a clean
-// frame boundary and ErrTornFrame when the stream ends mid-frame, the
-// length prefix is absurd, or the payload fails its CRC — in every
-// torn case Offset still reports the end of the last intact frame.
-func (fr *FrameReader) Next() ([]byte, error) {
+// Next returns the next frame's payload, a record's: NextWithin
+// walMaxRecord.
+func (fr *FrameReader) Next() ([]byte, error) { return fr.NextWithin(walMaxRecord) }
+
+// NextWithin returns the next frame's payload, which may be at most n
+// bytes long. It returns io.EOF at a clean frame boundary and
+// ErrTornFrame when the stream ends mid-frame, the length prefix is
+// zero or over n, or the payload fails its CRC — in every torn case
+// Offset still reports the end of the last intact frame.
+func (fr *FrameReader) NextWithin(n int64) ([]byte, error) {
 	var header [walHeaderSize]byte
 	if _, err := io.ReadFull(fr.r, header[:]); err != nil {
 		if err == io.EOF {
@@ -120,7 +125,7 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint32(header[0:4])
 	sum := binary.LittleEndian.Uint32(header[4:8])
-	if length == 0 || int64(length) > fr.max {
+	if length == 0 || int64(length) > n {
 		return nil, ErrTornFrame
 	}
 	payload := make([]byte, length)
@@ -334,10 +339,8 @@ func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, dropped in
 	}
 	fr := NewFrameReader(bufio.NewReader(f))
 	// A header may outgrow walMaxRecord: the file it is in bounds it.
-	fr.max = size
-	for {
-		payload, err := fr.Next()
-		fr.max = walMaxRecord
+	for bound := size; ; bound = walMaxRecord {
+		payload, err := fr.NextWithin(bound)
 		if err != nil {
 			// Clean EOF or a torn tail: either way the intact prefix
 			// ends at fr.Offset() and everything past it is damage.

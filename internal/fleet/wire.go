@@ -56,14 +56,10 @@ func nodeStatus(n *cluster.Node, watts float64, ids []int) energysched.NodeStatu
 	}
 }
 
-// ServiceReportOf renders an engine report as the wire ServiceReport.
-// Exported for tests that compare daemon output byte-for-byte against
+// ServiceReportOf renders an engine report as the wire ServiceReport:
+// what the fleet serves, and what tests compare byte for byte against
 // offline energysched.Run reports.
 func ServiceReportOf(rep metrics.Report, final bool) energysched.ServiceReport {
-	return serviceReport(rep, final)
-}
-
-func serviceReport(rep metrics.Report, final bool) energysched.ServiceReport {
 	return energysched.ServiceReport{
 		Policy:        rep.Policy,
 		LambdaMin:     rep.LambdaMin,

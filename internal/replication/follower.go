@@ -53,7 +53,7 @@ type Config struct {
 	// Manager is the local fleet registry mirrored fleets live in.
 	Manager *fleet.Manager
 	// MirrorConfig builds the local configuration for a newly
-	// discovered fleet. The replication bootstrap snapshot then adopts
+	// discovered fleet. The replication bootstrap header then adopts
 	// the leader's scheduling configuration, so this mostly sets
 	// service-level knobs; implementations should force max pacing
 	// (Pace 0) so the mirror's clock is driven only by replicated
@@ -186,13 +186,6 @@ func (fw *Follower) Status() map[string]Position {
 	return out
 }
 
-// Connected reports whether the follower ever reached the leader.
-func (fw *Follower) Connected() bool {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.connected
-}
-
 // Ready reports promotion readiness: the leader has been reached and
 // every mirrored fleet has completed its handshake (a position with
 // generation 0 has not yet seen its hello frame) and is fully caught
@@ -211,19 +204,6 @@ func (fw *Follower) Ready() bool {
 	return true
 }
 
-// MaxLag returns the worst per-fleet lag.
-func (fw *Follower) MaxLag() int64 {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	var max int64
-	for _, p := range fw.fleets {
-		if l := p.Lag(); l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // MetricsSamples returns the follower's replication histogram
 // families: records-behind-leader lag and per-record apply latency.
 func (fw *Follower) MetricsSamples() []metrics.PromSample {
@@ -231,13 +211,6 @@ func (fw *Follower) MetricsSamples() []metrics.PromSample {
 		"Records behind the leader after each applied record.", nil, &fw.lagHist)
 	return append(out, metrics.HistogramSamples("energysched_repl_record_apply_seconds",
 		"Per-record apply latency on the follower (stream decode to event-loop apply).", nil, &fw.applyHist)...)
-}
-
-// LastContact returns the time of the last successful leader exchange.
-func (fw *Follower) LastContact() time.Time {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.contact
 }
 
 // --- discovery ---
@@ -352,7 +325,7 @@ func (fw *Follower) syncOnce(id string) (progressed bool) {
 		return false
 	}
 	if off == 0 {
-		// Empty timeline: force a snapshot bootstrap so the mirror
+		// Empty timeline: force a header bootstrap so the mirror
 		// also adopts the leader's scheduling configuration (a plain
 		// offset resume replays records but carries no config).
 		gen = -1
@@ -401,15 +374,16 @@ func (fw *Follower) apply(id string, f *fleet.Fleet, frame Frame) bool {
 			p.LeaderHead = frame.Head
 		})
 	case KindSnapshot:
-		if err := f.ApplyReplSnapshot(frame.Snapshot); err != nil {
+		gen, off, err := f.ApplyReplHeader(frame.Payload)
+		if err != nil {
 			fw.cfg.Logf("replication: %s bootstrap: %v", id, err)
 			return false
 		}
 		fw.position(id, func(p *Position) {
-			p.Gen = frame.Gen
-			p.Applied = frame.Offset
-			if frame.Offset > p.LeaderHead {
-				p.LeaderHead = frame.Offset
+			p.Gen = gen
+			p.Applied = off
+			if off > p.LeaderHead {
+				p.LeaderHead = off
 			}
 		})
 	case KindRecord:
@@ -464,7 +438,10 @@ func (fw *Follower) graceLoop() {
 	for {
 		select {
 		case <-t.C:
-			if time.Since(fw.LastContact()) > fw.cfg.Grace {
+			fw.mu.Lock()
+			lost := time.Since(fw.contact) > fw.cfg.Grace
+			fw.mu.Unlock()
+			if lost {
 				fw.cfg.Logf("replication: no leader contact for %s; leader loss", fw.cfg.Grace)
 				fw.loss.Do(func() {
 					if fw.cfg.OnLeaderLoss != nil {

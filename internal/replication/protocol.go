@@ -9,11 +9,13 @@
 // (length prefix + CRC-32C, internal/fleet.EncodeFrame): a torn or
 // bit-flipped frame on the wire is detected exactly like a torn WAL
 // tail on disk, and the follower reconnects and resumes at its last
-// applied record offset. Inside each CRC frame is one JSON Frame:
+// applied record offset. Inside each CRC frame is one JSON object:
 //
-//	hello     stream opening: the fleet's generation, head and clock
+//	hello     stream opening: the fleet's generation, head and clock,
+//	          and on a bootstrap the length of the header that follows
 //	snapshot  full-state bootstrap (generation mismatch or unservable
-//	          offset)
+//	          offset): the leader's WAL header frame, byte for byte,
+//	          bounded by the length its hello announced
 //	record    one admission-log record with the leader's clock
 //	ping      keepalive carrying the leader's clock and head, so an
 //	          idle follower still tracks lag and virtual time
@@ -43,27 +45,34 @@ const (
 // Frame is one message of the replication stream.
 type Frame struct {
 	Kind string `json:"kind"`
-	// Gen is the fleet's timeline generation (hello, snapshot).
+	// Gen is the fleet's timeline generation (hello).
 	Gen int64 `json:"gen,omitempty"`
 	// Head is the leader's log offset (hello, ping).
 	Head int64 `json:"head,omitempty"`
-	// Offset is the log offset after applying this frame (snapshot,
-	// record).
+	// Offset is the log offset after applying this frame (record).
 	Offset int64 `json:"offset,omitempty"`
 	// Now is the leader's virtual clock (hello, record, ping).
 	Now float64 `json:"now,omitempty"`
-	// Snapshot is the marshaled fleet snapshot (snapshot frames).
-	Snapshot json.RawMessage `json:"snapshot,omitempty"`
+	// Header is the payload length of the header frame that follows
+	// (hello), 0 when none does.
+	Header int64 `json:"header,omitempty"`
 	// Record is the marshaled WAL record — the exact bytes the leader
 	// appended to its own log (record frames).
 	Record json.RawMessage `json:"record,omitempty"`
+	// Payload is a snapshot frame's payload, verbatim and unparsed:
+	// what fleet.ApplyReplHeader bootstraps from, and what WriteFrame
+	// writes for the frame.
+	Payload []byte `json:"-"`
 }
 
 // WriteFrame encodes one frame inside the WAL's CRC framing.
 func WriteFrame(w io.Writer, fr Frame) error {
-	payload, err := json.Marshal(fr)
-	if err != nil {
-		return fmt.Errorf("replication: encoding frame: %w", err)
+	payload := fr.Payload
+	if fr.Kind != KindSnapshot {
+		var err error
+		if payload, err = json.Marshal(fr); err != nil {
+			return fmt.Errorf("replication: encoding frame: %w", err)
+		}
 	}
 	if _, err := w.Write(fleet.EncodeFrame(payload)); err != nil {
 		return fmt.Errorf("replication: writing frame: %w", err)
@@ -71,9 +80,26 @@ func WriteFrame(w io.Writer, fr Frame) error {
 	return nil
 }
 
+// WriteHello opens a stream for sess: the hello frame, then — when sess
+// bootstraps the follower — the leader's log header frame verbatim,
+// its payload length announced by the hello.
+func WriteHello(w io.Writer, sess *fleet.ReplSession) error {
+	hello := Frame{Kind: KindHello, Gen: sess.Gen, Head: sess.Head, Now: sess.Now, Header: sess.HeaderLen()}
+	if err := WriteFrame(w, hello); err != nil {
+		return err
+	}
+	if _, err := w.Write(sess.Header); err != nil {
+		return fmt.Errorf("replication: writing header: %w", err)
+	}
+	return nil
+}
+
 // Decoder reads CRC-checked frames off a replication stream.
 type Decoder struct {
 	fr *fleet.FrameReader
+	// header is the payload length the last hello announced for the
+	// frame after it, 0 once that frame is read or when none was.
+	header int64
 }
 
 // NewDecoder returns a decoder reading frames from r.
@@ -81,10 +107,22 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{fr: fleet.NewFrameReader(r)}
 }
 
-// Next returns the next frame. io.EOF marks a clean stream end;
-// fleet.ErrTornFrame a damaged or half-delivered frame — in both
-// cases the caller reconnects and resumes at its applied offset.
+// Next returns the next frame. A frame a hello announced is the
+// leader's log header: it is read within the announced length, not the
+// record bound, and returned as a snapshot frame without being parsed.
+// A snapshot frame an earlier leader sent unannounced carries its
+// payload in the returned frame too. io.EOF marks a clean stream end;
+// fleet.ErrTornFrame a damaged or half-delivered frame — in both cases
+// the caller reconnects and resumes at its applied offset.
 func (d *Decoder) Next() (Frame, error) {
+	if n := d.header; n > 0 {
+		d.header = 0
+		payload, err := d.fr.NextWithin(n)
+		if err != nil {
+			return Frame{}, err
+		}
+		return Frame{Kind: KindSnapshot, Payload: payload}, nil
+	}
 	payload, err := d.fr.Next()
 	if err != nil {
 		return Frame{}, err
@@ -92,6 +130,12 @@ func (d *Decoder) Next() (Frame, error) {
 	var fr Frame
 	if err := json.Unmarshal(payload, &fr); err != nil {
 		return Frame{}, fmt.Errorf("replication: decoding frame: %w", err)
+	}
+	switch fr.Kind {
+	case KindHello:
+		d.header = fr.Header
+	case KindSnapshot:
+		fr.Payload = payload
 	}
 	return fr, nil
 }

@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"energysched"
 	"energysched/internal/fleet"
 )
 
@@ -15,13 +19,16 @@ import (
 // follower's apply loop is a frame the leader wrote, whole — a damaged
 // stream ends in an error, never in a different frame.
 
+// header is a log header's payload, as a leader's wal.log starts with
+// it and a bootstrap sends it.
+const header = `{"kind":"snapshot","snapshot":{"format":"energyschedd-snapshot/v1","saved_virtual_s":1200,"sealed":false,"gen":3,"config":{"policy":"SB","seed":1,"lambda_min":30,"lambda_max":90},"jobs":[]}}`
+
 // wireFrames is one of each frame kind, every field its kind carries
 // set, in the order a stream sends them.
 func wireFrames() []Frame {
 	return []Frame{
-		{Kind: KindHello, Gen: 3, Head: 41, Now: 1230.5},
-		{Kind: KindSnapshot, Gen: 3, Offset: 40, Now: 1200,
-			Snapshot: json.RawMessage(`{"format":"energyschedd-snapshot/v1","saved_virtual_s":1200,"sealed":false,"gen":3,"config":{"policy":"SB","seed":1,"lambda_min":30,"lambda_max":90},"jobs":[]}`)},
+		{Kind: KindHello, Gen: 3, Head: 41, Now: 1230.5, Header: int64(len(header))},
+		{Kind: KindSnapshot, Payload: []byte(header)},
 		{Kind: KindRecord, Offset: 41, Now: 1230.5,
 			Record: json.RawMessage(`{"kind":"admit","job":{"id":40,"submit_s":1260,"duration_s":600,"cpu_pct":100,"mem_units":5,"deadline_factor":1.5}}`)},
 		{Kind: KindPing, Head: 41, Now: 1290},
@@ -161,8 +168,150 @@ func TestFollowerSkipsUnknownFrameKind(t *testing.T) {
 	}
 }
 
+// readFixture returns a file of testdata.
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// leader opens an in-memory fleet and admits n jobs named name, one
+// every 30 virtual seconds.
+func leader(t *testing.T, n int, name string) *fleet.Fleet {
+	t.Helper()
+	f, err := fleet.Open("l", fleet.Config{Sched: fleet.Sched{Policy: "SB", Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	for i := 0; i < n; i++ {
+		at := float64(i) * 30
+		if _, err := f.Submit(energysched.JobSpec{Name: name, CPU: 100, Mem: 5, Duration: 600, Submit: &at}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// mirror returns a follower tracking fleet "m", and that fleet, durable
+// in dir, for it to bootstrap.
+func mirror(t *testing.T, dir string) (*Follower, *fleet.Fleet) {
+	t.Helper()
+	f, err := fleet.Open("m", fleet.Config{Sched: fleet.Sched{Policy: "SB", Seed: 1}, Dir: dir, WALSync: fleet.SyncOS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	fw := NewFollower(Config{Leader: "http://127.0.0.1:1"})
+	t.Cleanup(fw.Close)
+	fw.fleets["m"] = &Position{}
+	return fw, f
+}
+
+// follow applies every frame of stream to f through fw, as the apply
+// loop does, and returns the stream's terminal error.
+func follow(t *testing.T, fw *Follower, f *fleet.Fleet, stream []byte) error {
+	t.Helper()
+	dec := NewDecoder(bytes.NewReader(stream))
+	for {
+		frame, err := dec.Next()
+		if err != nil {
+			return err
+		}
+		if !fw.apply("m", f, frame) {
+			t.Fatalf("a %s frame aborted the stream", frame.Kind)
+		}
+	}
+}
+
+// sameState fails unless the follower's fleet serves the leader's
+// report and its wal.log, in dir, is the header the leader sends.
+func sameState(t *testing.T, l, f *fleet.Fleet, dir string, header []byte) {
+	t.Helper()
+	want, err := l.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Report(); err != nil || got != want {
+		t.Fatalf("the follower serves\n %+v (%v)\nwant the leader's\n %+v", got, err, want)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "wal.log")); err != nil || !bytes.Equal(got, header) {
+		t.Fatalf("the follower's wal.log is %d bytes (%v), not the leader's %d-byte header", len(got), err, len(header))
+	}
+}
+
+// TestBootstrapHeaderOverRecordBound: a job's name is free text, so 17
+// jobs named by a MiB each make a log header over the 16 MiB record
+// bound, as ~100 000 ordinary jobs would. After a hello that announces
+// it, the header decodes whole and bootstraps the follower onto the
+// leader's state and log bytes; the same frame without the announcement
+// is still refused as torn.
+func TestBootstrapHeaderOverRecordBound(t *testing.T) {
+	l := leader(t, 17, strings.Repeat("x", 1<<20))
+	sess, err := l.ReplSubscribe(-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.ReplUnsubscribe(sess)
+	if sess.HeaderLen() <= 16<<20 {
+		t.Fatalf("the header is %d bytes, not over the 16 MiB record bound", sess.HeaderLen())
+	}
+	var stream bytes.Buffer
+	if err := WriteHello(&stream, sess); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fw, f := mirror(t, dir)
+	if err := follow(t, fw, f, stream.Bytes()); err != io.EOF {
+		t.Fatalf("the announced header ended the stream with %v, want a clean EOF", err)
+	}
+	if pos := fw.Status()["m"]; pos.Gen != sess.Gen || pos.Applied != 17 || pos.Lag() != 0 {
+		t.Fatalf("after the bootstrap the position is %+v, want generation %d with 17 of 17 applied", pos, sess.Gen)
+	}
+	sameState(t, l, f, dir, sess.Header)
+
+	unannounced, _ := encode(t, []Frame{{Kind: KindHello, Gen: sess.Gen, Head: sess.Head, Now: sess.Now}})
+	fw, f = mirror(t, t.TempDir())
+	if err := follow(t, fw, f, append(unannounced, sess.Header...)); !errors.Is(err, fleet.ErrTornFrame) {
+		t.Fatalf("the unannounced header ended the stream with %v, want ErrTornFrame", err)
+	}
+	if pos := fw.Status()["m"]; pos.Applied != 0 {
+		t.Fatalf("the refused header moved the position to %+v", pos)
+	}
+}
+
+// TestBootstrapFromEarlierLeader: bootstrap_json.bin is the stream an
+// earlier release's leader sent to bootstrap a follower onto 5 jobs: a
+// hello that announces nothing, then the snapshot inside a JSON Frame
+// with its own gen, offset and now, then a ping. It still bootstraps a
+// follower, onto the state and the log bytes a leader of this release
+// sends for the same jobs.
+func TestBootstrapFromEarlierLeader(t *testing.T) {
+	dir := t.TempDir()
+	fw, f := mirror(t, dir)
+	if err := follow(t, fw, f, readFixture(t, "bootstrap_json.bin")); err != io.EOF {
+		t.Fatalf("the stream ended with %v, want a clean EOF", err)
+	}
+	l := leader(t, 5, "")
+	sess, err := l.ReplSubscribe(-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.ReplUnsubscribe(sess)
+	if pos := fw.Status()["m"]; pos.Gen != sess.Gen || pos.Applied != sess.Head || pos.LeaderHead != sess.Head {
+		t.Fatalf("after the bootstrap the position is %+v, want generation %d with %d of %d applied", pos, sess.Gen, sess.Head, sess.Head)
+	}
+	sameState(t, l, f, dir, sess.Header)
+}
+
 // FuzzReplDecoder feeds the decoder arbitrary bytes, seeded with the
-// valid stream, each frame alone, and cut and flipped variants:
+// valid stream, each frame alone, cut and flipped variants, a hello
+// and the header it announces, an earlier release's bootstrap (its
+// snapshot frame unannounced, in the JSON Frame) and a hello that
+// announces more bytes than follow:
 //
 //  1. decoding never panics and ends in io.EOF, ErrTornFrame or a JSON
 //     decode error;
@@ -182,6 +331,11 @@ func FuzzReplDecoder(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add([]byte{})
+	hello, _ := encode(f, frames[:2])
+	f.Add(hello)
+	f.Add(readFixture(f, "bootstrap_json.bin"))
+	short, _ := encode(f, []Frame{{Kind: KindHello, Gen: 3, Header: int64(len(header)) + 64}})
+	f.Add(append(short, stream[ends[0]:ends[1]-8]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeAll(data)
 		if err == nil {

@@ -252,16 +252,17 @@ func (s *Server) logf(format string, args ...interface{}) {
 
 // Role returns "leader" or "follower".
 func (s *Server) Role() string {
-	if s.isFollower() {
+	if s.following() != nil {
 		return "follower"
 	}
 	return "leader"
 }
 
-func (s *Server) isFollower() bool {
+// following returns the follower while the daemon is one, else nil.
+func (s *Server) following() *replication.Follower {
 	s.roleMu.Lock()
 	defer s.roleMu.Unlock()
-	return s.follower != nil
+	return s.follower
 }
 
 // promote flips a follower to serving leader: replication stops, every
@@ -388,9 +389,7 @@ func (s *Server) Handler() http.Handler { return s.withRouteMetrics(s.mux) }
 // Close stops replication (if following) and every fleet. In-flight
 // requests receive 503.
 func (s *Server) Close() {
-	s.roleMu.Lock()
-	fw := s.follower
-	s.roleMu.Unlock()
+	fw := s.following()
 	if fw != nil {
 		fw.Close()
 	}
@@ -470,7 +469,7 @@ func writeErr(w http.ResponseWriter, err error) {
 // rejected. 503 (not 409) so the client RetryPolicy rides out a
 // promotion transparently.
 func (s *Server) gateWrites(w http.ResponseWriter) bool {
-	if !s.isFollower() {
+	if s.following() == nil {
 		return true
 	}
 	w.Header().Set("Retry-After", "1")
@@ -724,10 +723,11 @@ func decodePath(r *http.Request) (string, error) {
 const defaultReplPing = 500 * time.Millisecond
 
 // handleReplicate streams one fleet's admission log: a hello frame,
-// then the snapshot or record backlog that brings the caller level,
-// then live records as they commit, with periodic pings carrying the
-// leader's clock and head. Frames are CRC-wrapped exactly like WAL
-// records on disk (GET /v1/fleets/{id}/replicate?gen=G&offset=O).
+// then the log header it announces or the record backlog that brings
+// the caller level, then live records as they commit, with periodic
+// pings carrying the leader's clock and head. Frames are CRC-wrapped
+// exactly like WAL records on disk
+// (GET /v1/fleets/{id}/replicate?gen=G&offset=O).
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -764,16 +764,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *flee
 		}
 		return true
 	}
-	if !send(replication.Frame{Kind: replication.KindHello, Gen: sess.Gen, Head: sess.Head, Now: sess.Now}) {
+	if replication.WriteHello(w, sess) != nil {
 		return
-	}
-	if sess.Snapshot != nil {
-		if !send(replication.Frame{
-			Kind: replication.KindSnapshot, Gen: sess.Gen,
-			Offset: sess.Start, Now: sess.Now, Snapshot: sess.Snapshot,
-		}) {
-			return
-		}
 	}
 	for _, rec := range sess.Backlog {
 		if !sendRecord(rec) {
@@ -827,31 +819,15 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *flee
 // handleFleetStatus reports one fleet's role and replication position
 // (GET /v1/fleets/{id}/status).
 func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
-	info, err := f.Info()
+	st, err := f.Status()
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	gen, offset, now, err := f.ReplState()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	st := energysched.FleetStatus{
-		ID: info.ID, Role: s.Role(), Now: now,
-		Sealed: info.Sealed, Done: info.Done, Jobs: info.Jobs,
-		Replication:            energysched.ReplicationStatus{Gen: gen, Offset: offset},
-		WAL:                    info.WAL,
-		LastSnapshotAgeSeconds: -1,
-	}
-	if info.WAL != nil && info.WAL.LastSnapshotUnix > 0 {
-		st.LastSnapshotAgeSeconds = time.Since(time.Unix(info.WAL.LastSnapshotUnix, 0)).Seconds()
-	}
-	s.roleMu.Lock()
-	fw := s.follower
-	s.roleMu.Unlock()
+	st.Role = s.Role()
+	fw := s.following()
 	if fw != nil {
-		if pos, ok := fw.Status()[info.ID]; ok {
+		if pos, ok := fw.Status()[st.ID]; ok {
 			st.Replication.LeaderOffset = pos.LeaderHead
 			st.Replication.Lag = pos.Lag()
 			st.Replication.LastContactUnix = pos.LastContact.Unix()
@@ -871,16 +847,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	for _, f := range s.mgr.List() {
 		h.AlertsFiring += f.AlertsFiring()
 	}
-	s.roleMu.Lock()
-	fw := s.follower
-	s.roleMu.Unlock()
+	fw := s.following()
 	if fw == nil {
 		h.Ready = true
 		writeJSON(w, http.StatusOK, h)
 		return
 	}
 	h.Leader = s.cfg.Follow
-	h.MaxLag = fw.MaxLag()
 	h.Ready = fw.Ready()
 	h.Replication = make(map[string]energysched.ReplicationStatus)
 	for id, pos := range fw.Status() {
@@ -889,6 +862,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			LeaderOffset: pos.LeaderHead, Lag: pos.Lag(),
 			LastContactUnix: pos.LastContact.Unix(),
 		}
+		h.MaxLag = max(h.MaxLag, pos.Lag())
 	}
 	writeJSON(w, http.StatusOK, h)
 }
@@ -917,9 +891,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Kind: metrics.PromGauge, Value: 1,
 		Labels: map[string]string{"role": s.Role()},
 	}})
-	s.roleMu.Lock()
-	fw := s.follower
-	s.roleMu.Unlock()
+	fw := s.following()
 	if fw != nil {
 		lags := make([]metrics.PromSample, 0, 2)
 		for id, pos := range fw.Status() {
@@ -954,11 +926,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fleets := s.mgr.List()
 	per := make(map[string]interface{}, len(fleets))
 	for _, f := range fleets {
-		now, done, err := f.Health()
+		info, err := f.Info()
 		if err != nil {
 			continue
 		}
-		per[f.ID()] = map[string]interface{}{"now_s": now, "done": done}
+		per[f.ID()] = map[string]interface{}{"now_s": info.Now, "done": info.Done}
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"ok": true, "fleet_count": len(fleets), "fleets": per,
