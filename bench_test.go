@@ -430,7 +430,8 @@ func BenchmarkScoreSolverRoundQuiet(b *testing.B) {
 // bigRoundCtx is one scheduling round far past the paper's 100 nodes:
 // 1000 hosts (150 fast / 500 medium / 350 slow) × 4000 queued VMs.
 // At this scale the V×H score matrix is 32 MB of float64 (the slabMB
-// metric reports it, headroom included) and one round costs seconds.
+// metric reports the cells allocated: 63 bands of 64 rows at a stride
+// of 1024 columns) and one round costs seconds.
 func bigRoundCtx() *policy.Context {
 	classes := cluster.PaperClasses()
 	for i := range classes {

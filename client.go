@@ -156,8 +156,9 @@ type FleetSpec struct {
 	CheckpointSeconds float64 `json:"checkpoint_s,omitempty"`
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64 `json:"adaptive_target,omitempty"`
-	// SnapshotInterval > 0 overrides how many WAL records accumulate
-	// before the fleet compacts them into a snapshot.
+	// SnapshotInterval > 0 overrides the fewest WAL records that
+	// accumulate before the fleet compacts them into a snapshot (a log
+	// whose snapshot holds more jobs waits for as many records).
 	SnapshotInterval int `json:"snapshot_interval,omitempty"`
 	// TraceVerbosity overrides the fleet's decision-trace recording
 	// level ("" inherits the daemon's -trace flag): "off", "rounds",

@@ -82,7 +82,7 @@ func main() {
 		fleets     = flag.String("fleets", "default", "comma-separated fleets to host: name or name=policy (the 'default' fleet is always created)")
 		maxFleets  = flag.Int("max-fleets", 64, "cap on hosted fleets; POST /v1/fleets returns 429 at the cap (0 = unlimited; startup fleets are exempt)")
 		walDir     = flag.String("wal-dir", "", "durable root for per-fleet admission WALs + compaction snapshots (empty = in-memory only)")
-		snapEvery  = flag.Int("snapshot-interval", 256, "WAL records per compaction snapshot (0 = never compact)")
+		snapEvery  = flag.Int("snapshot-interval", 256, "fewest WAL records per compaction snapshot; a snapshot of more jobs waits for as many records (0 = never compact)")
 		walSync    = flag.String("wal-sync", "always", "WAL append sync policy: 'always' (fsync per admission) or 'os' (page cache)")
 		follow     = flag.String("follow", "", "warm-standby mode: continuously mirror the leader daemon at this base URL (e.g. http://leader:7781); writes are rejected until promotion")
 		graceFlag  = flag.Duration("promote-grace", 0, "in -follow mode, auto-promote after this long without leader contact (0 = manual POST /v1/promote only)")

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -33,13 +34,18 @@ import (
 // The kernel therefore keeps only the base matrix, and keeps it across
 // rounds: every candidate VM owns a row slot and every On host a
 // column slot for as long as it stays in the matrix, so an unchanged
-// cell simply stays where it is. Each slot carries a stamp — the
-// entity, its change Epoch and, for a row, its resolved round-start
-// host — taken when its cells were computed. The setters that change a
-// scored field advance the Epoch (cluster.Node's mutators, vm.VM.Touch):
-// that is the contract, and checkKernel, which holds every carried cell
-// to a fresh evaluation, is its oracle, as cluster.CheckIndex is for
-// the state index.
+// cell simply stays where it is. The matrix is stored in bands of
+// bandRows row slots at a power-of-two stride (growBands): a row slot
+// past the last band adds a band and moves no cell, and only a column
+// slot past the stride, which doubles it, re-lays the bands: the
+// matrix is copied O(log H) times over its life, and its only spare
+// cells are the rest of its last band and of its stride. Each slot
+// carries a stamp — the entity, its change Epoch and, for a row, its
+// resolved round-start host — taken when its cells were computed. The
+// setters that change a scored field advance the Epoch (cluster.Node's
+// mutators, vm.VM.Touch): that is the contract, and checkKernel, which
+// holds every carried cell to a fresh evaluation, is its oracle, as
+// cluster.CheckIndex is for the state index.
 //
 // A round starts with one pass over its hosts (pairColumns) and one
 // edit of its candidate table (editRows). The host pass pairs the
@@ -243,16 +249,19 @@ func (r *classRec) offer(b float64, c, ni int, colNi []int) {
 // slabKernel is the kernel's state on the Scheduler, persistent across
 // rounds but for the round's work lists.
 type slabKernel struct {
-	// base[row slot × stride + column slot] is scoreBase of the pair;
-	// for a live row the cells of column slots not in the matrix are
-	// +Inf.
-	base []float64
-	rec  []classRec // [row slot × nclass + class]
+	// bands hold the base matrix in blocks of bandRows row slots, each
+	// row contiguous at the stride (see row): the cell of a row slot and
+	// a column slot is scoreBase of the pair, and for a live row the
+	// cells of column slots not in the matrix are +Inf.
+	bands [][]float64
+	rec   []classRec // [row slot × nclass + class]
 	// byClass lists, per class, the column slots in the matrix in
 	// ascending node ID: what a record rebuild scans.
 	byClass [][]int
-	// Slab geometry: row slots, column slots, records per row.
-	rowCap, stride, nclass int
+	// Matrix geometry: column slots per row (a power of two, at least
+	// bandRows) and records per row; there are len(bands)·bandRows row
+	// slots.
+	stride, nclass int
 
 	// Slot tables. Retired slots wait in the free lists; a column
 	// slot retires at the end of the build its host left in, after the
@@ -419,7 +428,7 @@ func (sch *Scheduler) timeRow(s *shadow, vi int) {
 // skips pinned rows).
 func (st *slabKernel) score(s *shadow, vi, ni int) float64 {
 	c, r := st.colRef[ni].slot, &st.rowRef[vi]
-	b := st.base[r.slot*st.stride+c]
+	b := st.row(r.slot)[c]
 	if ni == s.initial[vi] {
 		return b + r.stay
 	}
@@ -467,7 +476,7 @@ func (sch *Scheduler) bestTarget(s *shadow, vi int) (best float64, bestNi int) {
 // class's minimum.
 func (st *slabKernel) tieHolder(s *shadow, vi, g int, sc float64) int {
 	t := st.time[vi*len(st.classes)+g]
-	row := st.base[st.rowRef[vi].slot*st.stride:]
+	row := st.row(st.rowRef[vi].slot)
 	for _, c := range st.byClass[g] {
 		if ni := st.colNi[c]; row[c]+t == sc && ni != s.assign[vi] && ni != s.initial[vi] {
 			return ni
@@ -616,34 +625,72 @@ func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*clust
 	return st.awake
 }
 
-// fit makes room for the slots and classes handed out so far. A slab
-// that grows keeps every cell and record where its slots say it is.
+// bandRows is the number of row slots in a band of the base matrix.
+const bandRows = 64
+
+// row is row slot rs's cells, one per column slot.
+func (st *slabKernel) row(rs int) []float64 {
+	return st.bands[rs/bandRows][rs%bandRows*st.stride:][:st.stride]
+}
+
+// fit makes room for the slots and classes handed out so far. The
+// matrix keeps every cell and record where its slots say it is.
 func (st *slabKernel) fit() {
 	rows, cols, C := len(st.rows), len(st.cols), len(st.classes)
-	if rows <= st.rowCap && cols <= st.stride && C == st.nclass {
+	rowCap := len(st.bands) * bandRows
+	if rows <= rowCap && cols <= st.stride && C == st.nclass {
 		return
 	}
-	rowCap, stride := st.rowCap, st.stride
-	if rows > rowCap {
-		rowCap = rows + rows/2
+	st.growBands(rows, cols)
+	if n := len(st.bands) * bandRows; n != rowCap || C != st.nclass {
+		rec := make([]classRec, n*C)
+		for i := range rec {
+			rec[i] = noRec
+		}
+		for r := 0; r < rowCap; r++ {
+			copy(rec[r*C:], st.rec[r*st.nclass:][:st.nclass])
+		}
+		st.rec, st.nclass = rec, C
 	}
+}
+
+// growBands makes room for rows row slots of cols column slots. A row
+// slot past the last band adds bands, all from one allocation, and
+// moves no cell; a column slot past the stride doubles it — to the
+// next power of two, at least bandRows — and re-lays every band into
+// one allocation. Neither dimension keeps further headroom.
+func (st *slabKernel) growBands(rows, cols int) {
+	stride := st.stride
 	if cols > stride {
-		stride = cols + cols/2
+		stride = max(bandRows, 1<<bits.Len(uint(cols-1)))
 	}
-	base := make([]float64, rowCap*stride)
-	for i := range base {
-		base[i] = math.Inf(1)
+	keep := len(st.bands) // bands that stay where they are
+	if stride != st.stride {
+		keep = 0
 	}
-	rec := make([]classRec, rowCap*C)
-	for i := range rec {
-		rec[i] = noRec
+	need := max(len(st.bands), (rows+bandRows-1)/bandRows)
+	if need > keep {
+		size := bandRows * stride
+		cells := make([]float64, (need-keep)*size)
+		for i := range cells {
+			cells[i] = math.Inf(1)
+		}
+		if need > cap(st.bands) { // one allocation, also under -race
+			st.bands = append(make([][]float64, 0, max(need, 2*cap(st.bands))), st.bands...)
+		}
+		for b := keep; b < need; b++ {
+			band := cells[(b-keep)*size:][:size:size]
+			if b < len(st.bands) {
+				for r := range bandRows {
+					copy(band[r*stride:], st.bands[b][r*st.stride:][:st.stride])
+				}
+				st.bands[b] = band
+			} else {
+				st.bands = append(st.bands, band)
+			}
+		}
 	}
-	for r := 0; r < st.rowCap; r++ {
-		copy(base[r*stride:], st.base[r*st.stride:][:st.stride])
-		copy(rec[r*C:], st.rec[r*st.nclass:][:st.nclass])
-	}
-	st.base, st.rec = base, rec
-	st.rowCap, st.stride, st.nclass = rowCap, stride, C
+	st.stride = stride
 }
 
 // takeSlot pops a retired slot, or returns next, the first slot never
@@ -687,7 +734,7 @@ func (sch *Scheduler) buildKernel(ctx *policy.Context, s *shadow, hosts []*clust
 	}
 
 	sch.Stats.ReusedCells += V*H - (sch.Stats.ScoreEvals - evals)
-	sch.Stats.MaxSlabCells = max(sch.Stats.MaxSlabCells, st.rowCap*st.stride)
+	sch.Stats.MaxSlabCells = max(sch.Stats.MaxSlabCells, len(st.bands)*bandRows*st.stride)
 	if st.carry {
 		sch.Stats.CarryRounds++
 		sch.Stats.StaleRows += st.staleRows
@@ -1010,7 +1057,7 @@ func (sch *Scheduler) rescore(s *shadow) {
 		if st.rowRef[vi].flags&rowStale == 0 {
 			continue
 		}
-		row := st.base[st.rowRef[vi].slot*st.stride:][:len(st.cols)]
+		row := st.row(st.rowRef[vi].slot)[:len(st.cols)]
 		for c, ni := range st.colNi {
 			row[c] = math.Inf(1)
 			if ni >= 0 {
@@ -1043,11 +1090,12 @@ func (sch *Scheduler) rescoreColumn(s *shadow, c int) {
 			b = sch.scoreBase(s, ni, vi)
 			sch.Stats.ScoreEvals++
 		}
-		old := st.base[rs*st.stride+c]
+		band, i := st.bands[rs/bandRows], rs%bandRows*st.stride+c
+		old := band[i]
 		if b == old {
 			continue // unchanged (including +Inf staying +Inf)
 		}
-		st.base[rs*st.stride+c] = b
+		band[i] = b
 		if ni >= 0 && (ni == s.assign[vi] || ni == s.initial[vi]) {
 			st.wake(vi)
 			continue // not in the records
@@ -1086,7 +1134,7 @@ func (sch *Scheduler) settle(s *shadow, vi, g int) {
 	st := &sch.kern
 	sch.Stats.RowRescans++
 	rs := st.rowRef[vi].slot
-	row := st.base[rs*st.stride:]
+	row := st.row(rs)
 	r := noRec
 	for _, c := range st.byClass[g] { // ascending host index: the naive scan order
 		if b := row[c]; b < r.min {

@@ -87,9 +87,9 @@ type SolverStats struct {
 	// was dormant: provably non-improving since an earlier round's
 	// verdict (see kernel.go).
 	DormantSkips int
-	// MaxSlabCells is the largest capacity the persistent matrix's slab
-	// has had: row slots × column slots, headroom included — the
-	// kernel's memory bound.
+	// MaxSlabCells is the most cells the persistent matrix has had
+	// allocated: bands × 64 row slots × the stride — the kernel's
+	// memory bound.
 	MaxSlabCells int
 }
 

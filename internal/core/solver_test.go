@@ -495,7 +495,7 @@ func kernelFault(sch *Scheduler, ctx *policy.Context) error {
 			recs[g] = noRec
 		}
 		for c, ni := range st.colNi {
-			got := st.base[rs*st.stride+c]
+			got := st.row(rs)[c]
 			if ni < 0 {
 				if !math.IsInf(got, 1) {
 					return fmt.Errorf("cell (vm index %d, free slot %d) = %v, want +Inf", vi, c, got)
@@ -536,7 +536,7 @@ func kernelFault(sch *Scheduler, ctx *policy.Context) error {
 				if r.slot < 0 || ni < 0 || ni >= st.colNi[r.slot] || st.colClass[c] != g || ni == s.assign[vi] || ni == s.initial[vi] {
 					continue
 				}
-				if b := st.base[rs*st.stride+c]; b < r.low {
+				if b := st.row(rs)[c]; b < r.low {
 					return fmt.Errorf("record (vm index %d, class %d) low = %v, but host index %d below the holder has base %v",
 						vi, g, r.low, ni, b)
 				}

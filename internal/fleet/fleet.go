@@ -5,8 +5,9 @@
 // energyschedd HTTP API (internal/server).
 //
 // Durability is one write-ahead log per fleet (wal.go): every admission
-// decision is appended to it before it is applied, and every
-// SnapshotInterval records the log is compacted — replaced, in one
+// decision is appended to it before it is applied, and once the records
+// after its header number both SnapshotInterval and the jobs the header
+// holds, the log is compacted — replaced, in one
 // atomic step, by a new file whose first frame is the event-sourced
 // snapshot of the state. Crash recovery therefore reads one file: the
 // snapshot and the records after it — and because the engine is
@@ -104,8 +105,10 @@ type Config struct {
 	// Dir is the fleet's durable directory (its WAL). Empty disables
 	// durability: the fleet is in-memory only.
 	Dir string `json:"-"`
-	// SnapshotInterval compacts the WAL into a fresh snapshot every
-	// this many appended records (0 = never compact automatically).
+	// SnapshotInterval is the fewest records after the WAL's header
+	// that compact it into a fresh snapshot (0 = never compact
+	// automatically). A header of more jobs raises the threshold to its
+	// job count, so the headers written grow geometrically.
 	SnapshotInterval int `json:"snapshot_interval,omitempty"`
 	// WALSync is the append sync policy: SyncAlways (default) fsyncs
 	// every acknowledged admission, SyncOS leaves flushing to the OS.
@@ -1004,11 +1007,16 @@ func (f *Fleet) logPayloads(payloads [][]byte) error {
 	return errf(http.StatusInternalServerError, "admission log append: %v", err)
 }
 
-// maybeCompact compacts the log once enough records have accumulated —
-// or right away with force (the seal: the drained state is final, no
-// later record will trigger it). Call only from the event loop.
+// maybeCompact compacts the log once the records after its header
+// number SnapshotInterval and the jobs the header holds — or right away
+// with force (the seal: the drained state is final, no later record
+// will trigger it). A compaction re-encodes every job, so the job-count
+// threshold grows the headers geometrically, as append grows a slice:
+// compaction costs amortised O(1) per job, and the log never holds many
+// more records than its header holds jobs. Call only from the event
+// loop.
 func (f *Fleet) maybeCompact(force bool) {
-	if force || (f.wal != nil && f.cfg.SnapshotInterval > 0 && f.wal.records >= f.cfg.SnapshotInterval) {
+	if force || (f.wal != nil && f.cfg.SnapshotInterval > 0 && f.wal.records >= max(f.cfg.SnapshotInterval, f.wal.jobs)) {
 		f.compact()
 	}
 }

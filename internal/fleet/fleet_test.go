@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -112,6 +113,56 @@ func TestFleetRecoveryReplaysOnlyWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := drainedReport(t, 20); got != want {
+		t.Fatalf("recovered drain diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCompactionGrowsGeometrically: the log is compacted when the
+// records after its header number the interval and the jobs the header
+// holds, so the headers double — 256, 512, …, 2¹⁵ jobs — and N jobs take
+// at most ⌈log₂(N/256)⌉ + 1 compactions. Recovery replays the tail after
+// the last header and drains as the uninterrupted run does.
+func TestCompactionGrowsGeometrically(t *testing.T) {
+	const n, interval, batch = 1<<15 + 1000, 256, 256
+	dir := filepath.Join(t.TempDir(), "f")
+	cfg := testConfig(dir)
+	cfg.SnapshotInterval = interval
+	f, err := Open("f", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]energysched.JobSpec, 0, batch)
+	for from := 0; from < n; from += batch {
+		specs = specs[:0]
+		for i := from; i < min(from+batch, n); i++ {
+			specs = append(specs, testSpec(i))
+		}
+		if _, err := f.SubmitBatch(specs); err != nil {
+			t.Fatalf("batch from %d: %v", from, err)
+		}
+	}
+	st := walInfo(t, f)
+	bound := int(math.Ceil(math.Log2(float64(n)/interval))) + 1
+	// Headers of 256, 512, …, 32768 jobs: eight, and 1000 records after.
+	if st.Snapshots != 8 || st.Snapshots > bound || st.Records != n-1<<15 {
+		t.Fatalf("%d jobs at interval %d: stats %+v, want 8 compactions (at most %d) and %d records",
+			n, interval, st, bound, n-1<<15)
+	}
+	f.Close()
+
+	f2, err := Open("f", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	if st := walInfo(t, f2); st.Replayed != n-1<<15 {
+		t.Fatalf("recovery replayed %d records, want the %d after the last header", st.Replayed, n-1<<15)
+	}
+	got, err := f2.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := drainedReport(t, n); got != want {
 		t.Fatalf("recovered drain diverged:\n got %+v\nwant %+v", got, want)
 	}
 }

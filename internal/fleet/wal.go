@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"energysched/internal/bodybuf"
@@ -106,6 +107,12 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r}
 }
 
+// frameChunk bounds what NextWithin allocates for a payload before its
+// bytes arrive. A length prefix is the writer's claim: a longer payload
+// grows, doubling, as it is read, so a torn or hostile prefix costs
+// what was actually sent.
+const frameChunk = 64 << 10
+
 // Next returns the next frame's payload, a record's: NextWithin
 // walMaxRecord.
 func (fr *FrameReader) Next() ([]byte, error) { return fr.NextWithin(walMaxRecord) }
@@ -128,8 +135,8 @@ func (fr *FrameReader) NextWithin(n int64) ([]byte, error) {
 	if length == 0 || int64(length) > n {
 		return nil, ErrTornFrame
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	payload, err := fr.readPayload(int(length))
+	if err != nil {
 		return nil, ErrTornFrame // short payload
 	}
 	if crc32.Checksum(payload, walCRCTable) != sum {
@@ -137,6 +144,20 @@ func (fr *FrameReader) NextWithin(n int64) ([]byte, error) {
 	}
 	fr.offset += int64(walHeaderSize) + int64(length)
 	fr.frames++
+	return payload, nil
+}
+
+// readPayload reads a payload of length bytes into a buffer that
+// starts at frameChunk at most and grows as the bytes arrive.
+func (fr *FrameReader) readPayload(length int) ([]byte, error) {
+	payload := make([]byte, 0, min(length, frameChunk))
+	for len(payload) < length {
+		payload = slices.Grow(payload, min(len(payload), length-len(payload)))
+		n, err := io.ReadFull(fr.r, payload[len(payload):min(cap(payload), length)])
+		if payload = payload[:len(payload)+n]; err != nil {
+			return nil, err
+		}
+	}
 	return payload, nil
 }
 
@@ -279,6 +300,7 @@ type wal struct {
 	sync    bool
 	off     int64 // end of the last intact frame: the next append's offset
 	records int   // records after the header currently in the file
+	jobs    int   // jobs the header holds (0: no header)
 	// fault, when set, is consulted before every append ("append"),
 	// fsync ("sync"), rollback ("rewind"), and a new timeline's temp
 	// write ("replace") and rename ("rename"); a non-nil return aborts
@@ -312,12 +334,17 @@ func openWAL(path string, syncPolicy string, fault func(op string) error) (w *wa
 			return nil, nil, nil, 0, fmt.Errorf("fleet: truncating torn wal tail: %w", err)
 		}
 	}
+	jobs := 0
+	if head != nil {
+		jobs = len(head.Jobs)
+	}
 	return &wal{
 		f:       f,
 		path:    path,
 		sync:    syncPolicy != SyncOS,
 		off:     good,
 		records: len(recs),
+		jobs:    jobs,
 		fault:   fault,
 	}, head, recs, dropped, nil
 }
@@ -474,7 +501,7 @@ func (w *wal) replace(snap snapshotFile) error {
 	if oerr != nil {
 		return errors.Join(err, fmt.Errorf("fleet: reopening wal: %w", oerr))
 	}
-	w.f, w.off, w.records = f, int64(len(frame)), 0
+	w.f, w.off, w.records, w.jobs = f, int64(len(frame)), 0, len(snap.Jobs)
 	return err
 }
 

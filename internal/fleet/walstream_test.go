@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // The streaming frame iterator is both the WAL recovery scanner and
@@ -259,4 +262,49 @@ func FuzzWALStream(f *testing.F) {
 			t.Fatalf("resume on damaged remainder: %v, want ErrTornFrame", err)
 		}
 	})
+}
+
+// allocatedPerRun is the bytes f allocates per call, averaged over
+// runs calls.
+func allocatedPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestFrameReaderClaimCostsWhatArrives: a length prefix is the writer's
+// claim. Ten bytes that claim a 16 MiB payload are torn, and reading
+// them allocates for the bytes that arrived, not for the claim.
+func TestFrameReaderClaimCostsWhatArrives(t *testing.T) {
+	var in [10]byte
+	binary.LittleEndian.PutUint32(in[0:4], 16<<20)
+	var err error
+	per := allocatedPerRun(10, func() {
+		_, err = NewFrameReader(bytes.NewReader(in[:])).Next()
+	})
+	if err != ErrTornFrame {
+		t.Fatalf("a 16 MiB claim on 10 bytes read %v, want ErrTornFrame", err)
+	}
+	if per >= 1<<20 {
+		t.Fatalf("a 16 MiB claim on 10 bytes allocated %d bytes, want under 1 MiB", per)
+	}
+}
+
+// TestFrameReaderGrowsPayload: a payload several times frameChunk long,
+// delivered in short reads, comes back whole, and so does one the
+// stream cuts short, as torn.
+func TestFrameReaderGrowsPayload(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 3*frameChunk/16+1)
+	frame := EncodeFrame(payload)
+	got, err := NewFrameReader(iotest.HalfReader(bytes.NewReader(frame))).Next()
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("a %d-byte payload read back %d bytes, %v", len(payload), len(got), err)
+	}
+	if _, err := NewFrameReader(bytes.NewReader(frame[:len(frame)-1])).Next(); err != ErrTornFrame {
+		t.Fatalf("a payload cut one byte short read %v, want ErrTornFrame", err)
+	}
 }

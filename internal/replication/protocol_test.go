@@ -2,12 +2,15 @@ package replication
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -280,6 +283,33 @@ func TestBootstrapHeaderOverRecordBound(t *testing.T) {
 	}
 	if pos := fw.Status()["m"]; pos.Applied != 0 {
 		t.Fatalf("the refused header moved the position to %+v", pos)
+	}
+}
+
+// TestHelloClaimCostsWhatArrives: a hello is the leader's claim too. A
+// hello that announces a 4 GiB header, followed by a frame prefix that
+// claims nearly as much and then the end of the stream, is torn, and
+// decoding it allocates for the bytes that arrived, not for the claim.
+func TestHelloClaimCostsWhatArrives(t *testing.T) {
+	hello, _ := encode(t, []Frame{{Kind: KindHello, Gen: 3, Head: 41, Header: 4 << 30}})
+	stream := binary.LittleEndian.AppendUint32(hello, math.MaxUint32)
+	stream = binary.LittleEndian.AppendUint32(stream, 0)
+	var err error
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for range runs {
+		var got []Frame
+		if got, err = decodeAll(stream); len(got) != 1 || got[0].Kind != KindHello {
+			t.Fatalf("decoded %+v before the claimed header, want the hello", got)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, fleet.ErrTornFrame) {
+		t.Fatalf("the claimed header ended the stream with %v, want ErrTornFrame", err)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+		t.Fatalf("decoding a 4 GiB claim allocated %d bytes, want under 1 MiB", per)
 	}
 }
 

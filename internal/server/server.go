@@ -83,8 +83,10 @@ type Config struct {
 	// with its last compaction snapshot) and the fleet manifest live
 	// under it. Empty disables durability.
 	WALDir string
-	// SnapshotInterval compacts each fleet's WAL into a fresh snapshot
-	// every this many records (0 = never compact automatically).
+	// SnapshotInterval is the fewest records after each fleet's WAL
+	// header that compact it into a fresh snapshot, or as many as the
+	// header holds jobs if that is more (0 = never compact
+	// automatically).
 	SnapshotInterval int
 	// WALSync is the WAL append sync policy: fleet.SyncAlways
 	// (default) or fleet.SyncOS.
