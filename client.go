@@ -132,8 +132,7 @@ type SnapshotInfo struct {
 
 // FleetSpec is the body of POST /v1/fleets: a named fleet
 // configuration. Unset fields inherit the daemon's base
-// configuration (its flags). A "shards" key, the solver shard count
-// of earlier releases, decodes and is ignored.
+// configuration (its flags).
 type FleetSpec struct {
 	// ID names the fleet; it appears in URLs and in the durable
 	// layout (1-64 chars of [a-zA-Z0-9._-], starting alphanumeric).

@@ -42,8 +42,7 @@ import (
 // Sched is a fleet's scheduling configuration: the paper's tunables a
 // replay's determinism depends on. It is stored as is — a snapshot's
 // "config" object is this value — so the logged jobs replay under
-// exactly the config they were acknowledged with. A "shards" key, the
-// solver shard count of earlier releases, decodes and is ignored.
+// exactly the config they were acknowledged with.
 type Sched struct {
 	// Policy selects the scheduler (same names as energysched.Run;
 	// default "SB").
@@ -349,12 +348,9 @@ func Open(id string, cfg Config) (*Fleet, error) {
 	if len(cfg.SLOs) > 0 {
 		f.sloEng = slo.NewEngine(cfg.SLOs)
 	}
-	snap, legacy, err := f.recover()
+	snap, err := f.recover()
 	if err == nil {
 		err = f.rebuild(snap)
-	}
-	if err == nil && legacy {
-		err = f.convertLegacy()
 	}
 	if err != nil {
 		f.wal.close()
@@ -370,16 +366,14 @@ func Open(id string, cfg Config) (*Fleet, error) {
 // recover loads the durable state — the WAL's header snapshot plus the
 // records after it — as the snapshot rebuild starts the fleet from: the
 // reconstructed admission log, the watermark to fast-forward to, whether
-// the workload was sealed, and the config the log replays under. legacy
-// reports a directory in the layout of earlier releases, which Open
-// converts once the fleet is rebuilt.
-func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
+// the workload was sealed, and the config the log replays under.
+func (f *Fleet) recover() (snap snapshotFile, err error) {
 	snap = snapshotFile{Config: f.cfg.Sched}
 	if f.cfg.Dir == "" {
-		return snap, false, nil
+		return snap, nil
 	}
 	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
-		return snap, false, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
+		return snap, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
 	}
 	// Once the log exists, only a new timeline's rename moves the
 	// directory's mtime for good: a failed attempt (wal.replace) and the
@@ -388,20 +382,29 @@ func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
 	// creation it then keeps.
 	dirInfo, err := os.Stat(f.cfg.Dir)
 	if err != nil {
-		return snap, false, fmt.Errorf("fleet %s: %w", f.id, err)
+		return snap, fmt.Errorf("fleet %s: %w", f.id, err)
+	}
+	// The two-file layout of releases before e0300a6 is refused before
+	// anything below can remove, create or truncate a file.
+	walPath := filepath.Join(f.cfg.Dir, walName)
+	if _, err := os.Stat(filepath.Join(f.cfg.Dir, "snapshot.json")); err == nil && !headed(walPath) {
+		return snap, fmt.Errorf("fleet %s: %s is in the two-file layout of releases before e0300a6 (snapshot.json beside a wal.log "+
+			"without a header): open it once with a release from e0300a6 to 2f5bbe1, which converts it", f.id, f.cfg.Dir)
 	}
 	// A crash between a new timeline's temp write and its rename leaves
 	// the temp behind; wal.log is then still the whole old timeline.
 	stale, _ := filepath.Glob(filepath.Join(f.cfg.Dir, walTemp))
 	for _, p := range stale {
 		if err := os.Remove(p); err != nil {
-			return snap, false, fmt.Errorf("fleet %s: removing an unpublished wal: %w", f.id, err)
+			return snap, fmt.Errorf("fleet %s: removing an unpublished wal: %w", f.id, err)
 		}
 	}
-	cleaned := len(stale) > 0
-	w, head, recs, dropped, werr := openWAL(filepath.Join(f.cfg.Dir, walName), f.cfg.WALSync, f.cfg.WALFault)
+	if len(stale) > 0 {
+		_ = os.Chtimes(f.cfg.Dir, time.Time{}, dirInfo.ModTime()) // best effort: only the reported snapshot time
+	}
+	w, head, recs, dropped, werr := openWAL(walPath, f.cfg.WALSync, f.cfg.WALFault)
 	if werr != nil {
-		return snap, false, fmt.Errorf("fleet %s: %w", f.id, werr)
+		return snap, fmt.Errorf("fleet %s: %w", f.id, werr)
 	}
 	f.wal = w
 	f.stats.TornTail = dropped > 0
@@ -409,38 +412,21 @@ func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
 	if dropped > 0 {
 		f.logf("wal: torn tail detected and dropped (%d bytes); recovered the intact prefix (%d records)", dropped, len(recs))
 	}
-	legacyPath := filepath.Join(f.cfg.Dir, legacySnapshotName)
-	switch _, serr := os.Stat(legacyPath); {
-	case head != nil:
+	if head != nil {
 		// The header's config is the one the records were acknowledged
 		// under: an API restore may have changed it since the fleet was
 		// opened, and the restore wrote it here.
 		snap = *head
-		if snap.Gen > 0 {
-			f.gen = snap.Gen
-		}
+		f.gen = snap.Gen
 		f.stats.LastSnapshotUnix = dirInfo.ModTime().Unix()
-		if serr == nil {
-			// A conversion that crashed after its rename; the header
-			// supersedes the file, so a failed removal is retried here.
-			_ = os.Remove(legacyPath)
-			cleaned = true
-		}
-	case serr == nil:
-		snap, err = f.recoverLegacy(legacyPath, recs)
-		if err != nil {
-			return snap, false, err
-		}
-		legacy = true
-		recs = nil
-	}
-	if cleaned {
-		_ = os.Chtimes(f.cfg.Dir, time.Time{}, dirInfo.ModTime()) // best effort: only the reported snapshot time
 	}
 	// Without a header the log is the empty timeline under the opened
 	// config: nothing but a header changes a fleet's config.
 	for _, rec := range recs {
-		if !follows(rec, snap) {
+		// Each record is the log's next admission, or the seal of an
+		// unsealed log.
+		next := rec.Kind == walKindSeal || rec.Kind == walKindAdmit && rec.Job != nil && rec.Job.ID == len(snap.Jobs)
+		if snap.Sealed || !next {
 			// The log does not describe one timeline past here. Serve the
 			// consistent prefix, but refuse to acknowledge new admissions
 			// a future recovery would mis-replay.
@@ -460,98 +446,19 @@ func (f *Fleet) recover() (snap snapshotFile, legacy bool, err error) {
 		f.logf("recovered %d jobs (%d replayed from the wal tail, sealed=%v)", len(snap.Jobs), f.stats.Replayed, snap.Sealed)
 	}
 	snap.SavedVirtual = maxWatermark(snap.SavedVirtual, snap.Jobs)
-	return snap, legacy, nil
-}
-
-// follows reports whether rec is the immediate successor of the log snap
-// describes: its next admission, or the seal of an unsealed log.
-func follows(rec walRecord, snap snapshotFile) bool {
-	switch {
-	case snap.Sealed:
-		return false
-	case rec.Kind == walKindAdmit:
-		return rec.Job != nil && logOrder(int64(rec.Job.ID)+1, int64(len(snap.Jobs))) == 0
-	}
-	return rec.Kind == walKindSeal
-}
-
-// legacySnapshotName is the compaction snapshot earlier releases kept
-// beside wal.log, whose records had no header.
-const legacySnapshotName = "snapshot.json"
-
-// recoverLegacy reads a fleet directory in the layout earlier releases
-// wrote: a compaction snapshot.json beside a wal.log of bare records.
-// Those two files were published in two steps, so the log may still
-// hold records the snapshot covers, which are skipped by job ID — or
-// records of another timeline entirely, which that skip cannot tell
-// apart (the splice the one-file layout removes). Recover runs it only
-// for such a directory, and Open then converts it.
-func (f *Fleet) recoverLegacy(snapPath string, recs []walRecord) (snapshotFile, error) {
-	st, err := os.Stat(snapPath)
-	if err != nil {
-		return snapshotFile{}, fmt.Errorf("fleet %s: %w", f.id, err)
-	}
-	snap, err := readSnapshot(snapPath)
-	if err != nil {
-		return snap, fmt.Errorf("fleet %s: %w", f.id, err)
-	}
-	if snap.Gen > 0 {
-		// Snapshots written before generations existed carry none:
-		// stay at 1.
-		f.gen = snap.Gen
-	}
-	f.stats.LastSnapshotUnix = st.ModTime().Unix()
-replay:
-	for _, rec := range recs {
-		switch rec.Kind {
-		case walKindAdmit:
-			if rec.Job == nil {
-				continue
-			}
-			switch order := logOrder(int64(rec.Job.ID)+1, int64(len(snap.Jobs))); {
-			case order < 0:
-				// Already covered by the snapshot: a crash landed
-				// between snapshot publish and WAL reset. Idempotent.
-				continue
-			case order > 0:
-				// A gap means the log does not describe this timeline
-				// (e.g. a restore whose checkpoint could not be
-				// persisted). Serve the consistent prefix, but refuse
-				// to acknowledge new admissions a future recovery
-				// would mis-replay.
-				f.walBroken = true
-				f.logf("wal: record for job %d but only %d jobs known; ignoring the rest of the log and going read-only", rec.Job.ID, len(snap.Jobs))
-				break replay
-			}
-			snap.Jobs = append(snap.Jobs, *rec.Job)
-			f.stats.Replayed++
-		case walKindSeal:
-			snap.Sealed = true
-			f.stats.Replayed++
-		default:
-			f.logf("wal: unknown record kind %q ignored", rec.Kind)
-		}
-	}
 	return snap, nil
 }
 
-// convertLegacy rewrites a directory recoverLegacy read in the one-file
-// layout, through the compaction step, and removes its snapshot.json.
-// A directory whose log went read-only keeps its files as they are.
-func (f *Fleet) convertLegacy() error {
-	if f.walBroken {
-		f.logf("wal: the previous release's layout is kept: its log is broken")
-		return nil
+// headed reports whether the log at path starts with a header frame,
+// or with one this release cannot read, which openWAL then refuses.
+func headed(path string) bool {
+	log, err := os.Open(path)
+	if err != nil {
+		return false
 	}
-	if err := f.compact(); err != nil {
-		return fmt.Errorf("fleet %s: converting the previous release's layout: %w", f.id, err)
-	}
-	// From here the header supersedes snapshot.json: recover removes a
-	// copy this removal leaves.
-	if err := os.Remove(filepath.Join(f.cfg.Dir, legacySnapshotName)); err != nil {
-		f.logf("wal: converted, but the previous release's snapshot stays: %v", err)
-	}
-	return nil
+	head, _, _, _, err := scanWAL(log)
+	log.Close()
+	return head != nil || err != nil
 }
 
 // maxWatermark returns the admission watermark implied by a snapshot

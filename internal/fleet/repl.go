@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"cmp"
 	"net/http"
 	"sync"
 	"time"
@@ -202,7 +201,7 @@ func (f *Fleet) ReplSubscribe(gen, from int64) (*ReplSession, error) {
 				// ping that follows the backlog on the stream.
 				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: i + 1, Data: payload})
 			}
-			if f.sim.Sealed() {
+			if f.sim.Sealed() && from <= int64(len(f.jobs)) {
 				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: int64(len(f.jobs)) + 1, Data: sealPayload})
 			}
 		}
@@ -225,8 +224,7 @@ func (f *Fleet) ReplUnsubscribe(sess *ReplSession) {
 
 // ApplyReplHeader replaces the fleet's state with the one a leader's
 // log header describes (follower bootstrap). payload is a snapshot
-// frame's, decoded as recovery decodes a header — so the extra keys of
-// an earlier release's bootstrap frame are ignored. The header's
+// frame's, decoded as recovery decodes a header. The header's
 // generation is adopted verbatim: the follower mirrors the leader's
 // timeline, it does not start one. It returns that generation and the
 // log offset the header covers.
@@ -236,8 +234,7 @@ func (f *Fleet) ApplyReplHeader(payload []byte) (gen, offset int64, err error) {
 		return 0, 0, errf(http.StatusUnprocessableEntity, "decoding replication header: %v", err)
 	}
 	err = f.call(func() error {
-		// A snapshot older than generations carries none: it is the first.
-		if err := f.applySnapshot(snap, max(snap.Gen, 1), "replication bootstrap"); err != nil {
+		if err := f.applySnapshot(snap, snap.Gen, "replication bootstrap"); err != nil {
 			return err
 		}
 		gen, offset = f.gen, f.logOffset()
@@ -257,13 +254,6 @@ func (f *Fleet) ApplyReplRecord(rec ReplRecord) error {
 	return f.call(func() error { return f.applyRecord(rec) })
 }
 
-// logOrder places the record at log offset off against a log whose head
-// is at offset head: negative = already covered (a replay), zero = the
-// immediate successor, positive = a gap. Crash recovery and replication
-// accept only the successor; the reader of the previous release's
-// layout (recoverLegacy) also skips what its snapshot covers.
-func logOrder(off, head int64) int { return cmp.Compare(off, head+1) }
-
 // applyRecord is the follower's half of an admission: the sequence
 // checks the leader's validation stands in for, then commit. Call only
 // from the event loop.
@@ -274,7 +264,7 @@ func (f *Fleet) applyRecord(rec ReplRecord) error {
 		return errf(http.StatusBadRequest, "decoding replicated record: %v", err)
 	}
 	cur := f.logOffset()
-	if logOrder(rec.Offset, cur) != 0 {
+	if rec.Offset != cur+1 {
 		return errf(http.StatusConflict,
 			"replication gap: record %d does not follow local offset %d", rec.Offset, cur)
 	}
@@ -287,7 +277,7 @@ func (f *Fleet) applyRecord(rec ReplRecord) error {
 	run := logRun{payloads: [][]byte{rec.Data}, now: rec.Now, stepTo: rec.Now}
 	switch wrec.Kind {
 	case walKindAdmit:
-		if wrec.Job == nil || logOrder(int64(wrec.Job.ID)+1, cur) != 0 {
+		if wrec.Job == nil || int64(wrec.Job.ID) != cur {
 			return errf(http.StatusUnprocessableEntity, "replicated admit record out of sequence")
 		}
 		run.jobs = []workload.Job{*wrec.Job}

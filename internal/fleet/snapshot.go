@@ -38,10 +38,10 @@ type snapshotFile struct {
 	Format       string  `json:"format"`
 	SavedVirtual float64 `json:"saved_virtual_s"`
 	Sealed       bool    `json:"sealed"`
-	// Gen is the timeline generation the snapshot belongs to (0 in
-	// pre-PR 6 snapshots, treated as 1). Restores bump it; replication
-	// followers adopt the leader's, so a follower never splices records
-	// from two different timelines.
+	// Gen is the timeline generation the snapshot belongs to: ≥ 1 in a
+	// log header, absent from API snapshot files older than generations.
+	// Restores bump it; replication followers adopt the leader's, so a
+	// follower never splices records from two different timelines.
 	Gen int64 `json:"gen,omitempty"`
 	// Config is the scheduling config the jobs were acknowledged under
 	// and replay under.

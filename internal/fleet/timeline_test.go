@@ -3,16 +3,14 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
-
-	"energysched"
 )
 
 // One file per timeline: a new timeline replaces wal.log in one atomic
@@ -120,92 +118,103 @@ func TestRestoreFaultKeepsOldTimeline(t *testing.T) {
 	}
 }
 
-// oldLayoutRecovered is testdata/oldlayout/recovered.json: what the
-// previous release served from testdata/oldlayout/splice.
-type oldLayoutRecovered struct {
-	Jobs     int                       `json:"jobs"`
-	Replayed int                       `json:"replayed"`
-	Policy   string                    `json:"policy"`
-	Seed     int64                     `json:"seed"`
-	Gen      int64                     `json:"gen"`
-	Now      float64                   `json:"now_s"`
-	Report   energysched.ServiceReport `json:"report"`
-	Drained  energysched.ServiceReport `json:"drained"`
+// dirFiles reads every file of a directory, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	for _, name := range dirNames(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = data
+	}
+	return files
 }
 
-// TestOldLayoutRecoversAsBefore opens a fleet directory the previous
-// release wrote: testdata/oldlayout/splice is the crash between its two
-// restore steps — the restored 120-job BF timeline (generation 2)
-// already published as snapshot.json, and wal.log still holding jobs
-// 100–150 of the SB timeline it replaced. That release's reader skips
-// old jobs 100–119 as covered and replays 120–150 on top: the splice.
-// The directory must come up exactly as that release served it
-// (recovered.json, written by that release from the same files), and
-// Open must leave it in the one-file layout, which a restart reads to
-// the same state.
-func TestOldLayoutRecoversAsBefore(t *testing.T) {
-	var want oldLayoutRecovered
-	data, err := os.ReadFile(filepath.Join("testdata", "oldlayout", "recovered.json"))
-	if err == nil {
-		err = json.Unmarshal(data, &want)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "f")
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "oldlayout", "splice"))); err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(dir) // the config the replaced timeline was opened with
-	cfg.SnapshotInterval = 100
-	check := func(f *Fleet, replayed int) {
-		t.Helper()
-		info, err := f.Info()
+// TestTwoFileLayoutRefused: the releases before e0300a6 kept a
+// compaction snapshot.json beside a wal.log of bare records. This
+// release does not read that layout: Open fails with an error that
+// names the releases that convert it, and leaves every file as it was —
+// the torn tail openWAL would truncate included, and no wal.log created
+// where there was none. Beside a log with a header, snapshot.json is a
+// conversion's leftover: the header is served, and the file is neither
+// read nor touched.
+func TestTwoFileLayoutRefused(t *testing.T) {
+	snapshot := golden(t, "snapshot.json") // two jobs, in the API snapshot format
+	var records []byte
+	for i := 2; i < 5; i++ {
+		payload, err := encodeWALRecord(walRecord{Kind: walKindAdmit, Job: walJob(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, _, now, err := f.ReplState()
+		records = append(records, EncodeFrame(payload)...)
+	}
+	for _, tc := range []struct {
+		name string
+		wal  []byte // nil: no wal.log
+	}{
+		{"records with a torn tail", append(bytes.Clone(records), 7, 0, 0)},
+		{"empty log", []byte{}},
+		{"no log", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "f")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snapshot, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wal != nil {
+				if err := os.WriteFile(filepath.Join(dir, walName), tc.wal, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirFiles(t, dir)
+			f, err := Open("f", testConfig(dir))
+			if err == nil {
+				f.Close()
+				t.Fatal("Open read the two-file layout")
+			}
+			for _, want := range []string{"two-file layout", "e0300a6 to 2f5bbe1"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("refusal %q does not name %q", err, want)
+				}
+			}
+			if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the refused directory changed: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
+
+	t.Run("header beside it", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "f")
+		f, err := Open("f", testConfig(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Jobs != want.Jobs || info.Policy != want.Policy || info.Seed != want.Seed || gen != want.Gen ||
-			now != want.Now || info.WAL.Replayed != replayed {
-			t.Fatalf("recovered %+v (WAL %+v) at generation %d, t=%g; want %+v with %d replayed",
-				info, *info.WAL, gen, now, want, replayed)
+		submitN(t, f, 3, 0)
+		if _, err := f.RestoreFile(filepath.Join("testdata", "golden", "snapshot.json")); err != nil {
+			t.Fatal(err)
 		}
-		if rep, err := f.Report(); err != nil || rep != want.Report {
-			t.Fatalf("report %+v (%v)\nwant %+v", rep, err, want.Report)
+		f.Close()
+		leftover := []byte("not a snapshot")
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), leftover, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	f, err := Open("f", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(f, want.Replayed)
-	f.Close()
-	if names := dirNames(t, dir); !slices.Equal(names, []string{walName}) {
-		t.Fatalf("after Open the directory holds %v, want only %s", names, walName)
-	}
-	w, head, recs, dropped, err := openWAL(filepath.Join(dir, walName), SyncOS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.close()
-	if head == nil || len(head.Jobs) != want.Jobs || head.Gen != want.Gen || len(recs) != 0 || dropped != 0 {
-		t.Fatalf("converted log: header %v, %d records, %d bytes dropped; want a %d-job generation-%d header alone",
-			head != nil, len(recs), dropped, want.Jobs, want.Gen)
-	}
-
-	g, err := Open("f", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	check(g, 0)
-	if got, err := g.Drain(); err != nil || got != want.Drained {
-		t.Fatalf("drained %+v (%v)\nwant %+v", got, err, want.Drained)
-	}
+		g, err := Open("f", testConfig(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		if info, err := g.Info(); err != nil || info.Jobs != 2 {
+			t.Fatalf("served %+v (%v), want the header's 2 jobs", info, err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, "snapshot.json")); err != nil || !bytes.Equal(got, leftover) {
+			t.Fatalf("the leftover snapshot.json is now %q (%v)", got, err)
+		}
+	})
 }
 
 // TestLastSnapshotTimeSurvivesRestart: the header holds no wall-clock
@@ -409,5 +418,54 @@ func TestRecoveryNeverSkipsRecords(t *testing.T) {
 	}
 	if _, err := f.Submit(testSpec(12)); err == nil {
 		t.Fatal("a fleet whose log does not follow its header acknowledged an admission")
+	}
+}
+
+// TestResumeAtSealedHead: a drained leader's log ends in its seal. A
+// follower that already holds the seal resumes with nothing to apply;
+// one that stops just before it is sent the seal alone.
+func TestResumeAtSealedHead(t *testing.T) {
+	leader, err := Open("l", Config{Sched: Sched{Policy: "SB", Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	submitN(t, leader, 3, 0)
+	if _, err := leader.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	boot, err := leader.ReplSubscribe(-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.ReplUnsubscribe(boot)
+	follower, err := Open("m", Config{Sched: Sched{Policy: "SB", Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	gen, off, err := follower.ApplyReplHeader(boot.Header[walHeaderSize:])
+	if err != nil || off != 4 {
+		t.Fatalf("bootstrap reached offset %d (%v), want 4: three jobs and the seal", off, err)
+	}
+
+	resume := func(from int64) []ReplRecord {
+		t.Helper()
+		sess, err := leader.ReplSubscribe(gen, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leader.ReplUnsubscribe(sess)
+		if sess.Header != nil {
+			t.Fatalf("resuming at %d of %d was sent a header", from, sess.Head)
+		}
+		return sess.Backlog
+	}
+	if backlog := resume(4); len(backlog) != 0 {
+		err := follower.ApplyReplRecord(backlog[0])
+		t.Fatalf("resuming at the sealed head was sent %d records; the first one's apply: %v", len(backlog), err)
+	}
+	if backlog := resume(3); len(backlog) != 1 || backlog[0].Offset != 4 || !bytes.Equal(backlog[0].Data, sealPayload) {
+		t.Fatalf("resuming before the seal was sent %+v, want the seal at offset 4 alone", backlog)
 	}
 }

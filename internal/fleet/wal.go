@@ -270,14 +270,15 @@ func headerFrame(snap snapshotFile) ([]byte, error) {
 }
 
 // decodeHeader decodes a header payload: a record of kind "snapshot"
-// whose snapshot is in the current format.
+// whose snapshot is in the current format, at a generation ≥ 1.
 func decodeHeader(payload []byte) (snapshotFile, error) {
 	var h walHeader
 	if err := json.Unmarshal(payload, &h); err != nil {
 		return snapshotFile{}, err
 	}
-	if h.Kind != walKindSnapshot || h.Snapshot.Format != snapshotFormat {
-		return snapshotFile{}, fmt.Errorf("fleet: not a wal header: kind %q, format %q", h.Kind, h.Snapshot.Format)
+	if h.Kind != walKindSnapshot || h.Snapshot.Format != snapshotFormat || h.Snapshot.Gen < 1 {
+		return snapshotFile{}, fmt.Errorf("fleet: not a wal header: kind %q, format %q, generation %d",
+			h.Kind, h.Snapshot.Format, h.Snapshot.Gen)
 	}
 	return h.Snapshot, nil
 }

@@ -132,8 +132,7 @@ type RoundTrace struct {
 	// Now is the simulation's virtual time at the round, in seconds.
 	Now float64 `json:"now"`
 	// Solver names the engine: "naive" for the reference oracle,
-	// "incremental" for the slab kernel. (A "shards" key in a trace
-	// written before the kernel had one width decodes and is ignored.)
+	// "incremental" for the slab kernel.
 	Solver string `json:"solver"`
 	// WallNanos is the wall-clock duration of the whole round.
 	WallNanos int64 `json:"wall_ns"`

@@ -313,8 +313,10 @@ func (fw *Follower) applyLoop(id string) {
 }
 
 // syncOnce opens one replication stream for the fleet and applies
-// frames until the stream ends. It reports whether any frame was
-// processed (resets the reconnect backoff).
+// frames until the stream ends. It reports whether the mirror's
+// generation or applied offset moved, which resets the reconnect
+// backoff: a stream the mirror refuses at its first record made none,
+// however many frames came before it.
 func (fw *Follower) syncOnce(id string) (progressed bool) {
 	f, err := fw.cfg.Manager.Get(id)
 	if err != nil {
@@ -324,6 +326,10 @@ func (fw *Follower) syncOnce(id string) (progressed bool) {
 	if err != nil {
 		return false
 	}
+	defer func(gen, off int64) {
+		g, o, _, err := f.ReplState()
+		progressed = err == nil && (g != gen || o != off)
+	}(gen, off)
 	if off == 0 {
 		// Empty timeline: force a header bootstrap so the mirror
 		// also adopts the leader's scheduling configuration (a plain
@@ -334,16 +340,16 @@ func (fw *Follower) syncOnce(id string) (progressed bool) {
 		strconv.FormatInt(gen, 10) + "&offset=" + strconv.FormatInt(off, 10)
 	req, err := http.NewRequestWithContext(fw.ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return false
+		return
 	}
 	resp, err := fw.http.Do(req)
 	if err != nil {
-		return false
+		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return false
+		return
 	}
 	dec := NewDecoder(resp.Body)
 	for {
@@ -354,13 +360,12 @@ func (fw *Follower) syncOnce(id string) (progressed bool) {
 			if err != io.EOF && fw.ctx.Err() == nil {
 				fw.cfg.Logf("replication: %s stream: %v", id, err)
 			}
-			return progressed
+			return
 		}
 		fw.touch(id)
 		if !fw.apply(id, f, frame) {
-			return progressed
+			return
 		}
-		progressed = true
 	}
 }
 

@@ -28,6 +28,7 @@ package replication
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -107,13 +108,18 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{fr: fleet.NewFrameReader(r)}
 }
 
+// ErrUnannouncedSnapshot ends a stream that sends a snapshot frame no
+// hello announced: the bootstrap of leaders before 73f0f79.
+var ErrUnannouncedSnapshot = errors.New("replication: a snapshot frame no hello announced, " +
+	"the bootstrap of a leader older than 73f0f79: upgrade the leader")
+
 // Next returns the next frame. A frame a hello announced is the
 // leader's log header: it is read within the announced length, not the
 // record bound, and returned as a snapshot frame without being parsed.
-// A snapshot frame an earlier leader sent unannounced carries its
-// payload in the returned frame too. io.EOF marks a clean stream end;
-// fleet.ErrTornFrame a damaged or half-delivered frame — in both cases
-// the caller reconnects and resumes at its applied offset.
+// io.EOF marks a clean stream end; fleet.ErrTornFrame a damaged or
+// half-delivered frame, and ErrUnannouncedSnapshot a snapshot frame
+// without its hello — in every case the caller reconnects and resumes
+// at its applied offset.
 func (d *Decoder) Next() (Frame, error) {
 	if n := d.header; n > 0 {
 		d.header = 0
@@ -135,7 +141,7 @@ func (d *Decoder) Next() (Frame, error) {
 	case KindHello:
 		d.header = fr.Header
 	case KindSnapshot:
-		fr.Payload = payload
+		return Frame{}, ErrUnannouncedSnapshot
 	}
 	return fr, nil
 }

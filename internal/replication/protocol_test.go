@@ -72,12 +72,17 @@ func isPrefix(got, sent []Frame) bool {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	for _, want := range wireFrames() {
+	frames := wireFrames()
+	for i, want := range frames {
 		t.Run(want.Kind, func(t *testing.T) {
-			stream, _ := encode(t, []Frame{want})
+			sent := []Frame{want}
+			if want.Kind == KindSnapshot {
+				sent = frames[i-1 : i+1] // behind the hello that announces it
+			}
+			stream, _ := encode(t, sent)
 			got, err := decodeAll(stream)
-			if err != io.EOF || len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-				t.Fatalf("round trip = %+v, %v\nwant %+v and a clean EOF", got, err, want)
+			if err != io.EOF || !reflect.DeepEqual(got, sent) {
+				t.Fatalf("round trip = %+v, %v\nwant %+v and a clean EOF", got, err, sent)
 			}
 		})
 	}
@@ -169,16 +174,6 @@ func TestFollowerSkipsUnknownFrameKind(t *testing.T) {
 	if pos := fw.Status()["m"]; info.Jobs != 1 || info.Now != 30 || pos.Applied != 1 || pos.LeaderHead != 1 || pos.Gen != 1 {
 		t.Fatalf("after the stream: fleet %+v, position %+v; want 1 job at t=30, applied 1 of 1", info, pos)
 	}
-}
-
-// readFixture returns a file of testdata.
-func readFixture(t testing.TB, name string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // leader opens an in-memory fleet and admits n jobs named name, one
@@ -313,38 +308,43 @@ func TestHelloClaimCostsWhatArrives(t *testing.T) {
 	}
 }
 
-// TestBootstrapFromEarlierLeader: bootstrap_json.bin is the stream an
-// earlier release's leader sent to bootstrap a follower onto 5 jobs: a
-// hello that announces nothing, then the snapshot inside a JSON Frame
-// with its own gen, offset and now, then a ping. It still bootstraps a
-// follower, onto the state and the log bytes a leader of this release
-// sends for the same jobs.
-func TestBootstrapFromEarlierLeader(t *testing.T) {
-	dir := t.TempDir()
-	fw, f := mirror(t, dir)
-	if err := follow(t, fw, f, readFixture(t, "bootstrap_json.bin")); err != io.EOF {
-		t.Fatalf("the stream ended with %v, want a clean EOF", err)
-	}
+// TestUnannouncedSnapshotRefused: leaders before 73f0f79 bootstrapped
+// a follower with a hello that announced nothing and the snapshot inside
+// a JSON frame. That stream is refused by name, and the follower's
+// fleet and position stay as they were.
+func TestUnannouncedSnapshotRefused(t *testing.T) {
 	l := leader(t, 5, "")
 	sess, err := l.ReplSubscribe(-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.ReplUnsubscribe(sess)
-	if pos := fw.Status()["m"]; pos.Gen != sess.Gen || pos.Applied != sess.Head || pos.LeaderHead != sess.Head {
-		t.Fatalf("after the bootstrap the position is %+v, want generation %d with %d of %d applied", pos, sess.Gen, sess.Head, sess.Head)
+	// The payload is the header's, with the JSON frame's fields in front.
+	fields := bytes.TrimPrefix(sess.Header[8:], []byte(`{"kind":"snapshot",`))
+	snapshot := append([]byte(`{"kind":"snapshot","gen":1,"offset":5,"now":120,`), fields...)
+	stream, _ := encode(t, []Frame{{Kind: KindHello, Gen: sess.Gen, Head: sess.Head, Now: sess.Now}})
+	stream = append(stream, fleet.EncodeFrame(snapshot)...)
+	dir := t.TempDir()
+	fw, f := mirror(t, dir)
+	err = follow(t, fw, f, stream)
+	if !errors.Is(err, ErrUnannouncedSnapshot) || !strings.Contains(err.Error(), "73f0f79") {
+		t.Fatalf("the unannounced snapshot ended the stream with %v, want ErrUnannouncedSnapshot naming 73f0f79", err)
 	}
-	sameState(t, l, f, dir, sess.Header)
+	if info, err := f.Info(); err != nil || info.Jobs != 0 {
+		t.Fatalf("the refused stream left the mirror at %+v (%v), want it empty", info, err)
+	}
+	if pos := fw.Status()["m"]; pos.Applied != 0 {
+		t.Fatalf("the refused stream moved the position to %+v", pos)
+	}
 }
 
 // FuzzReplDecoder feeds the decoder arbitrary bytes, seeded with the
 // valid stream, each frame alone, cut and flipped variants, a hello
-// and the header it announces, an earlier release's bootstrap (its
-// snapshot frame unannounced, in the JSON Frame) and a hello that
-// announces more bytes than follow:
+// and the header it announces, a snapshot frame no hello announced and
+// a hello that announces more bytes than follow:
 //
-//  1. decoding never panics and ends in io.EOF, ErrTornFrame or a JSON
-//     decode error;
+//  1. decoding never panics and ends in io.EOF, ErrTornFrame,
+//     ErrUnannouncedSnapshot or a JSON decode error;
 //  2. whatever decoded re-encodes, and the re-encoded stream decodes to
 //     frames that encode to the same bytes — a fixed point, so nothing
 //     the decoder accepts changes meaning on its way through a relay.
@@ -363,13 +363,17 @@ func FuzzReplDecoder(f *testing.F) {
 	f.Add([]byte{})
 	hello, _ := encode(f, frames[:2])
 	f.Add(hello)
-	f.Add(readFixture(f, "bootstrap_json.bin"))
+	bare, _ := encode(f, []Frame{{Kind: KindHello, Gen: 3, Head: 41}})
+	f.Add(append(bare, fleet.EncodeFrame([]byte(header))...))
 	short, _ := encode(f, []Frame{{Kind: KindHello, Gen: 3, Header: int64(len(header)) + 64}})
 	f.Add(append(short, stream[ends[0]:ends[1]-8]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeAll(data)
-		if err == nil {
-			t.Fatal("decodeAll returned without a terminal error")
+		var syntax *json.SyntaxError
+		var typ *json.UnmarshalTypeError
+		if err != io.EOF && !errors.Is(err, fleet.ErrTornFrame) && !errors.Is(err, ErrUnannouncedSnapshot) &&
+			!errors.As(err, &syntax) && !errors.As(err, &typ) {
+			t.Fatalf("decoding ended in %v, not a terminal error of the stream", err)
 		}
 		once, _ := encode(t, got)
 		again, err := decodeAll(once)

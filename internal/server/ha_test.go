@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"reflect"
 	"strings"
@@ -153,6 +154,37 @@ func TestFollowerMirrorsAndPromotes(t *testing.T) {
 		t.Fatalf("health after promote: %+v, %v", h, err)
 	}
 	submitN(t, fc, 3, 100) // unsealed default fleet accepts writes now
+}
+
+// TestReplicateMalformedPosition: a ?gen= or ?offset= that is not an
+// integer is a structured 400, like a malformed ?since=. Read as 0, it
+// would bootstrap the caller from the log's header without a word.
+func TestReplicateMalformedPosition(t *testing.T) {
+	_, hs, _ := newTestServer(t, Config{Policy: "SB", Seed: 1})
+	for _, tc := range []struct{ query, bad string }{
+		{"gen=abc&offset=0", `"abc"`},
+		{"gen=1&offset=4x", `"4x"`},
+	} {
+		// A stream that opens would never end: bound the read.
+		client := http.Client{Timeout: 5 * time.Second}
+		resp, err := client.Get(hs.URL + "/v1/fleets/default/replicate?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Fatalf("%s: status %d, want 400", tc.query, resp.StatusCode)
+		}
+		var apiErr energysched.APIError
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: 400 body is not an APIError: %v", tc.query, err)
+		}
+		if apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, tc.bad) {
+			t.Fatalf("%s: 400 body = %+v", tc.query, apiErr)
+		}
+	}
 }
 
 func TestFollowerReBootstrapsOnGenerationBump(t *testing.T) {

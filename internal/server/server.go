@@ -17,6 +17,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -736,9 +737,17 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request, f *flee
 		writeErr(w, &fleet.Error{Status: http.StatusInternalServerError, Msg: "streaming unsupported"})
 		return
 	}
-	gen, _ := strconv.ParseInt(r.URL.Query().Get("gen"), 10, 64)
-	offset, _ := strconv.ParseInt(r.URL.Query().Get("offset"), 10, 64)
-	sess, err := f.ReplSubscribe(gen, offset)
+	// A malformed position is a 400, not a silent header bootstrap.
+	var pos [2]int64 // gen, offset; 0 when absent
+	for i, name := range []string{"gen", "offset"} {
+		v := cmp.Or(r.URL.Query().Get(name), "0")
+		var err error
+		if pos[i], err = strconv.ParseInt(v, 10, 64); err != nil {
+			writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: fmt.Sprintf("bad %s %q: want an integer", name, v)})
+			return
+		}
+	}
+	sess, err := f.ReplSubscribe(pos[0], pos[1])
 	if err != nil {
 		writeErr(w, err)
 		return

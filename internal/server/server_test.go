@@ -706,10 +706,10 @@ func TestMultiFleetIsolationHammer(t *testing.T) {
 // that was created: the daemon's objectives (-slo-file) and the fleet's
 // series/journey depths used to be lost on restart, because the
 // manifest's hand-copied field list never learned them. The second half
-// restarts on a directory as an earlier release wrote it — a manifest
-// entry with the retired admit_shards and shards keys and no depths,
-// beside a compaction snapshot in its format with a shards key — which
-// must still come up.
+// restarts on a directory with a manifest entry carrying the retired
+// admit_shards and shards keys and no depths, beside a fleet directory
+// as the previous release wrote it: a wal.log whose header's config has
+// a shards key. Both must still come up, the unknown keys ignored.
 func TestRestartKeepsSLOsAndDepths(t *testing.T) {
 	walDir := t.TempDir()
 	ctx := context.Background()
@@ -760,10 +760,10 @@ func TestRestartKeepsSLOsAndDepths(t *testing.T) {
 	const oldEntry = `{"id": "old", "config": {"policy": "BF", "seed": 5, "lambda_min": 30, "lambda_max": 90,
 		"cempty": 20, "cfill": 40, "has_score": true, "event_ring": 4096, "snapshot_interval": 2,
 		"wal_sync": "always", "trace_verbosity": "off", "admit_shards": 2, "admit_queue": 256, "shards": 4}}`
-	const oldSnapshot = `{"format": "energyschedd-snapshot/v1", "saved_virtual_s": 30, "sealed": false, "gen": 1,
+	const oldHeader = `{"kind": "snapshot", "snapshot": {"format": "energyschedd-snapshot/v1", "saved_virtual_s": 30, "sealed": false, "gen": 1,
 		"config": {"policy": "BF", "seed": 5, "lambda_min": 30, "lambda_max": 90, "cempty": 20, "cfill": 40, "has_score": true, "shards": 4},
 		"jobs": [{"id": 0, "submit_s": 0, "duration_s": 600, "cpu_pct": 100, "mem_units": 5, "deadline_factor": 1.5},
-			{"id": 1, "submit_s": 30, "duration_s": 600, "cpu_pct": 100, "mem_units": 5, "deadline_factor": 1.5}]}`
+			{"id": 1, "submit_s": 30, "duration_s": 600, "cpu_pct": 100, "mem_units": 5, "deadline_factor": 1.5}]}}`
 	manifestPath := filepath.Join(walDir, "fleets.json")
 	manifest, err := os.ReadFile(manifestPath)
 	if err != nil {
@@ -780,7 +780,7 @@ func TestRestartKeepsSLOsAndDepths(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(walDir, "old"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(walDir, "old", "snapshot.json"), []byte(oldSnapshot), 0o600); err != nil {
+	if err := os.WriteFile(filepath.Join(walDir, "old", "wal.log"), fleet.EncodeFrame([]byte(oldHeader)), 0o600); err != nil {
 		t.Fatal(err)
 	}
 
@@ -795,7 +795,7 @@ func TestRestartKeepsSLOsAndDepths(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info, err := old.Info(); err != nil || info.Policy != "BF" || info.Seed != 5 || info.Jobs != 2 || info.Now != 30 {
-		t.Fatalf("fleet from the previous release's manifest and snapshot = %+v, %v", info, err)
+		t.Fatalf("fleet from the previous release's manifest and log = %+v, %v", info, err)
 	}
 }
 
