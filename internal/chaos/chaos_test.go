@@ -109,9 +109,25 @@ func TestScenario10kByteIdentity(t *testing.T) {
 	if store.Count() == 0 {
 		t.Fatal("observed run recorded no accounting samples")
 	}
-	if smp, ok := store.Latest(); !ok || smp.KWh <= 0 || smp.Completed == 0 {
-		t.Fatalf("accounting samples look empty: %+v", smp)
+	if smps := store.Samples(0); len(smps) == 0 || smps[len(smps)-1].KWh <= 0 || smps[len(smps)-1].Completed == 0 {
+		t.Fatalf("accounting samples look empty: %+v", smps)
 	}
+}
+
+// offlineReport is the online ≡ offline contract's reference for a
+// scenario: the report of energysched.RunStream over the scenario's
+// stream, as a drained fleet serves it, and the stream's job count.
+func offlineReport(t *testing.T, s chaos.Scenario, classes []energysched.NodeClass) (energysched.ServiceReport, int) {
+	t.Helper()
+	src, err := workload.NewGeneratorSource(s.GeneratorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := energysched.RunStream(energysched.Options{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleet.ServiceReportOf(res, true), res.JobsTotal
 }
 
 // TestScenario10kFleetKillRecoverUnderFaults is the durable half of
@@ -120,9 +136,8 @@ func TestScenario10kByteIdentity(t *testing.T) {
 // two live WAL faults mid-stream — a disk-full append and a torn write
 // — and a process kill between them, plus a kill between a
 // compaction's temp write and its rename, must drain to a report
-// byte-identical to an uninterrupted in-memory fleet fed the identical
-// stream. Crash/recover and live faults collapse into one ==
-// comparison.
+// byte-identical to the offline run of the identical stream.
+// Crash/recover and live faults collapse into one == comparison.
 func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
@@ -140,26 +155,8 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 		}
 	}
 
-	// Reference: uninterrupted, in-memory.
-	ref, err := fleet.Open("ref", fleet.Config{
-		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	refSrc, err := workload.NewGeneratorSource(s.GeneratorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, err := ref.SubmitSource(refSrc, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reference: the offline run of the same stream.
+	want, total := offlineReport(t, s, classes)
 
 	// Chaos run: durable, with a scripted disk-full append
 	// before the kill and a torn write after recovery. Both faults
@@ -247,7 +244,7 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 	}
 	defer f.Close()
 	if streamed != total {
-		t.Fatalf("streamed %d jobs, reference admitted %d", streamed, total)
+		t.Fatalf("streamed %d jobs, the offline run had %d", streamed, total)
 	}
 	if script.Fired() != 3 || retried != 2 {
 		t.Fatalf("fired %d faults with %d retries, want 3 and 2 (an append fault each side of the kill, and the rename)",
@@ -258,16 +255,16 @@ func TestScenario10kFleetKillRecoverUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("chaos fleet diverged from uninterrupted reference:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("chaos fleet diverged from the offline run:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // TestScenario10kAdmissionByteIdentity extends the scale oracle
 // to the admission path: the same 10k-node two-day stream batched
-// through the admission router (bounded queue → event-loop turn, not
-// the bulk-load bypass) must drain byte-identical to the
-// bulk-loaded serial reference — any divergence means the router
-// leaked something other than the requests into the engine.
+// through the admission router (bounded queue → event-loop turn) must
+// drain byte-identical to the offline run of the stream — any
+// divergence means the router leaked something other than the
+// requests into the engine.
 func TestScenario10kAdmissionByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario; skipped in -short")
@@ -285,27 +282,8 @@ func TestScenario10kAdmissionByteIdentity(t *testing.T) {
 		}
 	}
 
-	// Reference: the bulk-load path (SubmitSource bypasses the router),
-	// batches of 64.
-	ref, err := fleet.Open("ref", fleet.Config{
-		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	refSrc, err := workload.NewGeneratorSource(s.GeneratorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, err := ref.SubmitSource(refSrc, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reference: the offline run of the same stream.
+	want, total := offlineReport(t, s, classes)
 
 	f, err := fleet.Open("router", fleet.Config{
 		Sched: fleet.Sched{Policy: "SB", Seed: s.Seed, Classes: classes, Failures: true},
@@ -347,14 +325,14 @@ func TestScenario10kAdmissionByteIdentity(t *testing.T) {
 	}
 	flush()
 	if streamed != total {
-		t.Fatalf("streamed %d jobs, reference admitted %d", streamed, total)
+		t.Fatalf("streamed %d jobs, the offline run had %d", streamed, total)
 	}
 	got, err := f.Drain()
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if got != want {
-		t.Fatalf("router admission diverged from the bulk-loaded reference:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("router admission diverged from the offline run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -85,11 +85,6 @@ func (s Scenario) Plan() Plan {
 	})
 }
 
-// Sim builds the scenario's simulation with the score-based scheduler.
-func (s Scenario) Sim() (*datacenter.Simulation, error) {
-	return s.sim(nil)
-}
-
 func (s Scenario) sim(sink obs.TraceSink) (*datacenter.Simulation, error) {
 	if s.Nodes <= 0 || s.Days <= 0 {
 		return nil, fmt.Errorf("chaos: scenario %q needs nodes and days", s.Name)

@@ -126,12 +126,6 @@ func (c *Cluster) AppendOnline(buf []*Node) []*Node {
 	return append(buf, c.on...)
 }
 
-// OffNodes returns the powered-off (and not failed) nodes, best boot
-// candidate first (see AppendOff).
-func (c *Cluster) OffNodes() []*Node {
-	return c.AppendOff(nil, len(c.off))
-}
-
 // AppendOff appends the first k powered-off nodes in descending
 // turn-on preference — reliable, fast-booting, fast classes first
 // (§III-C: "the nodes to be turned on are selected according to a
@@ -143,12 +137,8 @@ func (c *Cluster) AppendOff(buf []*Node, k int) []*Node {
 	return append(buf, c.off[:min(k, len(c.off))]...)
 }
 
-// IdleNodes returns online nodes hosting nothing, in ascending ID.
-func (c *Cluster) IdleNodes() []*Node {
-	return c.AppendIdle(nil)
-}
-
-// AppendIdle is the scratch-buffer variant of IdleNodes.
+// AppendIdle appends the online nodes hosting nothing to buf in
+// ascending ID and returns it.
 func (c *Cluster) AppendIdle(buf []*Node) []*Node {
 	for _, n := range c.on {
 		if n.Idle() {
@@ -257,13 +247,4 @@ func (c *Cluster) CheckIndex() error {
 		}
 	}
 	return nil
-}
-
-// TotalCPU returns aggregate CPU capacity of all nodes (percent).
-func (c *Cluster) TotalCPU() float64 {
-	var sum float64
-	for _, n := range c.Nodes {
-		sum += n.Class.CPU
-	}
-	return sum
 }

@@ -56,11 +56,11 @@ func TestPaperClasses(t *testing.T) {
 
 func TestNodeStateHelpers(t *testing.T) {
 	n := newTestNode(t)
-	if n.State != Off || n.Operational() || n.Working() || n.Idle() {
+	if n.State != Off || n.Working() || n.Idle() {
 		t.Error("fresh node should be off and inert")
 	}
 	n.SetState(On)
-	if !n.Operational() || !n.Idle() || n.Working() {
+	if n.State != On || !n.Idle() || n.Working() {
 		t.Error("empty online node should be idle, not working")
 	}
 	addVM(n, 1, 100, 10, vm.Running)
@@ -165,9 +165,6 @@ func TestClusterNew(t *testing.T) {
 	if c.Node(-1) != nil || c.Node(100) != nil {
 		t.Error("out-of-range lookup should be nil")
 	}
-	if got := c.TotalCPU(); got != 100*400 {
-		t.Errorf("total CPU = %v", got)
-	}
 }
 
 func TestClusterNewValidation(t *testing.T) {
@@ -209,10 +206,10 @@ func TestClusterCounts(t *testing.T) {
 	if got := len(c.OnlineNodes()); got != 1 {
 		t.Errorf("online nodes = %d, want 1 (booting is not operational)", got)
 	}
-	if got := len(c.OffNodes()); got != 1 {
+	if got := len(c.AppendOff(nil, c.Size())); got != 1 {
 		t.Errorf("off nodes = %d", got)
 	}
-	if got := len(c.IdleNodes()); got != 0 {
+	if got := len(c.AppendIdle(nil)); got != 0 {
 		t.Errorf("idle nodes = %d, want 0", got)
 	}
 }

@@ -70,8 +70,8 @@ func checkAgainstSweep(t *testing.T, c *Cluster, after string) {
 		got, want []*Node
 	}{
 		{"OnlineNodes", c.OnlineNodes(), want.on},
-		{"OffNodes", c.OffNodes(), want.off},
-		{"IdleNodes", c.IdleNodes(), want.idle},
+		{"AppendOff(all)", c.AppendOff(nil, c.Size()), want.off},
+		{"AppendIdle", c.AppendIdle(nil), want.idle},
 		{"AppendOff(3)", c.AppendOff(nil, 3), want.off[:min(3, len(want.off))]},
 	} {
 		if !slices.Equal(cmp.got, cmp.want) {

@@ -318,9 +318,6 @@ func (n *Node) ResetOps() {
 // caches that reference this node.
 func (n *Node) Touch() { n.Epoch++ }
 
-// Operational reports whether the node can host VMs right now.
-func (n *Node) Operational() bool { return n.State == On }
-
 // Working reports whether the node is on and hosting at least one VM
 // or running an actuator operation — the paper's "working node".
 func (n *Node) Working() bool {

@@ -88,7 +88,7 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 	switch {
 	case online == 0:
 		if working > 0 || len(queue) > 0 {
-			target = maxInt(pm.MinExec, 1)
+			target = max(pm.MinExec, 1)
 		} else {
 			target = pm.MinExec
 		}
@@ -97,7 +97,7 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 		if ratio > pm.LambdaMax {
 			target = int(math.Ceil(float64(working) / mid))
 		} else if ratio < pm.LambdaMin {
-			target = maxInt(int(math.Ceil(float64(working)/mid)), pm.MinExec)
+			target = max(int(math.Ceil(float64(working)/mid)), pm.MinExec)
 		}
 	}
 
@@ -126,7 +126,7 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 	// rescue also prevents total-drain deadlock.
 	emergency := pm.nodesNeededForQueue(now, c, pm.online, queue)
 
-	target = maxInt(target, working, pm.MinExec)
+	target = max(target, working, pm.MinExec)
 	if target > total {
 		target = total
 	}
@@ -259,23 +259,6 @@ const BoostCreateEstimate = 40.0
 // started right after one more boot cycle: projected completion
 // (now + creation + remaining dedicated runtime) past the deadline.
 func (pm *PowerManager) atRisk(now float64, v *vm.VM) bool {
-	remaining := v.Remaining() / maxF(v.Req.CPU, 1) // seconds at full allocation
+	remaining := v.Remaining() / max(v.Req.CPU, 1) // seconds at full allocation
 	return now+BoostCreateEstimate+remaining > v.Deadline
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(xs ...int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -222,12 +222,12 @@ func TestBootOrderPrefersFastReliableNodes(t *testing.T) {
 	classes = append(classes, classes[0]) // node 3: fast, about to turn flaky
 	c := cluster.MustNew(classes)
 	c.Nodes[3].SetReliability(0.5)
-	ranked := c.OffNodes()
+	ranked := c.AppendOff(nil, c.Size())
 	if ranked[0].ID != 0 {
-		t.Errorf("OffNodes[0] = node %d, want the fast reliable node", ranked[0].ID)
+		t.Errorf("AppendOff[0] = node %d, want the fast reliable node", ranked[0].ID)
 	}
 	if last := ranked[len(ranked)-1].ID; last != 3 {
-		t.Errorf("OffNodes ends with node %d, want the flaky one", last)
+		t.Errorf("AppendOff ends with node %d, want the flaky one", last)
 	}
 	pm := mustPM(t, 30, 90, 1)
 	on, _ := pm.Plan(0, c, nil)

@@ -117,9 +117,6 @@ func (sch *Scheduler) Name() string { return sch.cfg.variantName() }
 // Migratory implements policy.Policy.
 func (sch *Scheduler) Migratory() bool { return sch.cfg.Migration }
 
-// Config returns the scheduler's configuration.
-func (sch *Scheduler) Config() Config { return sch.cfg }
-
 // candidates collects the VMs the solver considers this round into
 // buf, sorted by ID: every queued VM, plus — when migration is enabled
 // — every running VM outside its migration cooldown (creating and

@@ -293,8 +293,8 @@ const vmChunk = 8192 / int(unsafe.Sizeof(vm.VM{}))
 
 // Inject admits one job into the simulation: it validates the job,
 // materializes its VM (IDs are assigned in admission order) and
-// schedules the arrival with injection priority (simkit.AtFront), so
-// a job admitted online before the clock reaches its submit time is
+// schedules the arrival with injection priority (Engine.AtFrontCall),
+// so a job admitted online before the clock reaches its submit time is
 // processed exactly as if it had been part of a pre-loaded trace.
 // Submit times in the engine's past and admissions after Seal are
 // rejected.

@@ -1,7 +1,9 @@
 package datacenter
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"energysched/internal/cluster"
@@ -11,11 +13,10 @@ import (
 	"energysched/internal/workload"
 )
 
-// miniTrace builds a small deterministic trace.
+// miniTrace builds a small deterministic trace, jobs in submit order.
 func miniTrace(jobs ...workload.Job) *workload.Trace {
-	tr := &workload.Trace{Jobs: jobs}
-	tr.Sort()
-	return tr
+	slices.SortStableFunc(jobs, func(a, b workload.Job) int { return cmp.Compare(a.Submit, b.Submit) })
+	return &workload.Trace{Jobs: jobs}
 }
 
 func job(id int, submit, dur, cpu, mem, factor float64) workload.Job {

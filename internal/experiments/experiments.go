@@ -5,22 +5,20 @@
 //
 // Index:
 //
-//	TableI      — virtualized server power usage (§IV-A, Table I)
-//	Validation  — simulator validation, real vs simulated power (Fig. 1)
-//	LambdaSweep — power and satisfaction over λmin×λmax (Figs. 2 and 3)
-//	TableII     — static policies RD/RR/BF/SB0 without migration
-//	TableIII    — score-based variants SB0/SB1/SB2 (+ SB2 @ λ 40–90)
-//	TableIV     — migration policies DBF/SB (+ SB @ λ 40–90)
-//	TableV      — consolidation costs (Ce, Cf) sweep
+//	TableI         — virtualized server power usage (§IV-A, Table I)
+//	Validation     — simulator validation, real vs simulated power (Fig. 1)
+//	LambdaSweep    — power and satisfaction over λmin×λmax (Figs. 2 and 3)
+//	TableIIMakers  — static policies RD/RR/BF/SB0 without migration
+//	TableIIIMakers — score-based variants SB0/SB1/SB2 (+ SB2 @ λ 40–90)
+//	TableIVMakers  — migration policies DBF/SB (+ SB @ λ 40–90)
+//	TableVMakers   — consolidation costs (Ce, Cf) sweep
 //
-// Every table also has a *Makers variant returning fresh-policy
-// constructors, which Replicate uses to aggregate rows over several
+// A table is a list of fresh-policy constructors: RunSpec runs one row
+// on a trace, and ReplicateTable aggregates every row over several
 // seeds with confidence intervals.
 package experiments
 
 import (
-	"fmt"
-
 	"energysched/internal/core"
 	"energysched/internal/datacenter"
 	"energysched/internal/metrics"
@@ -30,20 +28,6 @@ import (
 
 // Seed is the default seed for all experiments.
 const Seed int64 = 1
-
-// PaperTrace generates the calibrated synthetic stand-in for the
-// paper's Grid5000 week (Monday 2007-10-01).
-func PaperTrace() *workload.Trace {
-	return workload.MustGenerate(workload.DefaultGeneratorConfig())
-}
-
-// ShortTrace generates a one-day variant used by benchmarks and
-// integration tests that need fast turnaround.
-func ShortTrace() *workload.Trace {
-	cfg := workload.DefaultGeneratorConfig()
-	cfg.Horizon = 24 * 3600
-	return workload.MustGenerate(cfg)
-}
 
 // Spec describes one table row to execute.
 type Spec struct {
@@ -84,19 +68,6 @@ func RunSpec(spec Spec, trace *workload.Trace) (metrics.Report, error) {
 	return rep, nil
 }
 
-// runMakers executes every maker once against a trace.
-func runMakers(makers []SpecMaker, trace *workload.Trace) ([]metrics.Report, error) {
-	var out []metrics.Report
-	for _, m := range makers {
-		rep, err := RunSpec(m.Make(), trace)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", m.Label, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 // ReplicateTable aggregates every row of a table over the given seeds.
 func ReplicateTable(makers []SpecMaker, gen workload.GeneratorConfig, seeds []int64) ([]Replication, error) {
 	var out []Replication
@@ -134,12 +105,6 @@ func TableIIMakers() []SpecMaker {
 	}
 }
 
-// TableII reproduces "scheduling results of policies without
-// migration".
-func TableII(trace *workload.Trace) ([]metrics.Report, error) {
-	return runMakers(TableIIMakers(), trace)
-}
-
 // TableIIIMakers builds the virtualization-overhead ablation rows:
 // SB0 (power scores only), SB1 (+ creation/migration costs), SB2
 // (+ concurrency), and SB2 rerun with the more aggressive λ = 40–90
@@ -153,11 +118,6 @@ func TableIIIMakers() []SpecMaker {
 	}
 }
 
-// TableIII reproduces the score-variant ablation.
-func TableIII(trace *workload.Trace) ([]metrics.Report, error) {
-	return runMakers(TableIIIMakers(), trace)
-}
-
 // TableIVMakers builds the migration-policy comparison: Dynamic
 // Backfilling versus the full score-based policy, plus the
 // aggressive-λ variant that yields the paper's headline 15 % saving.
@@ -169,11 +129,6 @@ func TableIVMakers() []SpecMaker {
 		sbSpec("SB", core.SBConfig(), 30, 90),
 		sbSpec("SB", core.SBConfig(), 40, 90),
 	}
-}
-
-// TableIV reproduces the migration comparison.
-func TableIV(trace *workload.Trace) ([]metrics.Report, error) {
-	return runMakers(TableIVMakers(), trace)
 }
 
 // TableVMakers builds the consolidation-cost sweep: no empty-host
@@ -192,9 +147,4 @@ func TableVMakers() []SpecMaker {
 		sbSpec("SB-20/40", mk(20, 40), 30, 90),
 		sbSpec("SB-60/100", mk(60, 100), 30, 90),
 	}
-}
-
-// TableV reproduces the consolidation-cost sweep.
-func TableV(trace *workload.Trace) ([]metrics.Report, error) {
-	return runMakers(TableVMakers(), trace)
 }

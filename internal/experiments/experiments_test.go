@@ -15,7 +15,23 @@ import (
 
 func day(t *testing.T) *workload.Trace {
 	t.Helper()
-	return ShortTrace()
+	cfg := workload.DefaultGeneratorConfig()
+	cfg.Horizon = 24 * 3600
+	return workload.MustGenerate(cfg)
+}
+
+// runTable runs every row of a table once on trace.
+func runTable(t *testing.T, makers []SpecMaker, trace *workload.Trace) []metrics.Report {
+	t.Helper()
+	var rows []metrics.Report
+	for _, m := range makers {
+		rep, err := RunSpec(m.Make(), trace)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Label, err)
+		}
+		rows = append(rows, rep)
+	}
+	return rows
 }
 
 func find(rows []metrics.Report, label string, lambdaMin float64) metrics.Report {
@@ -28,10 +44,7 @@ func find(rows []metrics.Report, label string, lambdaMin float64) metrics.Report
 }
 
 func TestTableIIShape(t *testing.T) {
-	rows, err := TableII(day(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runTable(t, TableIIMakers(), day(t))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -61,10 +74,7 @@ func TestTableIIShape(t *testing.T) {
 }
 
 func TestTableIIIShape(t *testing.T) {
-	rows, err := TableIII(day(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runTable(t, TableIIIMakers(), day(t))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -87,10 +97,7 @@ func TestTableIIIShape(t *testing.T) {
 }
 
 func TestTableIVShape(t *testing.T) {
-	rows, err := TableIV(day(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runTable(t, TableIVMakers(), day(t))
 	dbf := find(rows, "DBF", 0)
 	sb := find(rows, "SB", 30)
 	sbA := find(rows, "SB", 40)
@@ -109,10 +116,7 @@ func TestTableIVShape(t *testing.T) {
 }
 
 func TestTableVShape(t *testing.T) {
-	rows, err := TableV(day(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runTable(t, TableVMakers(), day(t))
 	noCe := find(rows, "SB-0/40", 0)
 	mid := find(rows, "SB-20/40", 0)
 	agg := find(rows, "SB-60/100", 0)
@@ -184,9 +188,7 @@ func TestLambdaSweepSkipsInfeasible(t *testing.T) {
 }
 
 func TestLambdaSweepUnknownPolicy(t *testing.T) {
-	cfg := DefaultSweepConfig()
-	cfg.Policy = "nonsense"
-	cfg.LambdaMins, cfg.LambdaMaxs = []float64{30}, []float64{90}
+	cfg := SweepConfig{Policy: "nonsense", LambdaMins: []float64{30}, LambdaMaxs: []float64{90}}
 	if _, err := LambdaSweep(cfg, day(t)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
@@ -227,7 +229,7 @@ func TestValidationMatchesPaperShape(t *testing.T) {
 }
 
 func TestPaperTraceCalibration(t *testing.T) {
-	tr := PaperTrace()
+	tr := workload.MustGenerate(workload.DefaultGeneratorConfig())
 	cpuh := tr.TotalCPUHours()
 	if cpuh < 4500 || cpuh > 7500 {
 		t.Errorf("paper trace = %.0f CPU-h, want ≈6055 (paper)", cpuh)

@@ -35,15 +35,6 @@ type SweepConfig struct {
 	Classes []cluster.Class
 }
 
-// DefaultSweepConfig returns the paper's grid.
-func DefaultSweepConfig() SweepConfig {
-	return SweepConfig{
-		LambdaMins: []float64{10, 20, 30, 40, 50, 60, 70, 80, 90},
-		LambdaMaxs: []float64{20, 30, 40, 50, 60, 70, 80, 90, 100},
-		Policy:     "SB",
-	}
-}
-
 // LambdaSweep runs the grid, skipping infeasible cells (λmin >= λmax)
 // which are returned with NaN-free zero values and Skipped = true in
 // the point list via omission. Points are ordered λmax-major to match

@@ -128,7 +128,7 @@ func TestFleetAccountingReplaySuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitN(t, f, n, 0)
-	if f.SeriesCount() == 0 || f.JourneySeq() == 0 {
+	if f.SeriesCount() == 0 || f.Journeys().Seq() == 0 {
 		t.Fatal("live run recorded nothing")
 	}
 	f.Close() // kill
@@ -141,7 +141,7 @@ func TestFleetAccountingReplaySuppression(t *testing.T) {
 	if c := f2.SeriesCount(); c != 0 {
 		t.Fatalf("recovery replay leaked %d samples into the series store", c)
 	}
-	if s := f2.JourneySeq(); s != 0 {
+	if s := f2.Journeys().Seq(); s != 0 {
 		t.Fatalf("recovery replay leaked %d steps onto the journey firehose", s)
 	}
 	got, err := f2.Drain()
@@ -270,8 +270,8 @@ func TestFleetAccountingBoundedDepth(t *testing.T) {
 	if sums := f.Journeys().Summaries(); len(sums) != 3 {
 		t.Fatalf("journeys retained %d, depth 3: %+v", len(sums), sums)
 	}
-	if f.JourneySeq() < 8 {
-		t.Fatalf("firehose carried %d steps, want all of them despite eviction", f.JourneySeq())
+	if f.Journeys().Seq() < 8 {
+		t.Fatalf("firehose carried %d steps, want all of them despite eviction", f.Journeys().Seq())
 	}
 }
 

@@ -42,9 +42,9 @@ func TestServedJobAllocsPerJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.JobsCompleted != len(trace.Jobs) || f.SeriesCount() == 0 || f.JourneySeq() == 0 {
+		if rep.JobsCompleted != len(trace.Jobs) || f.SeriesCount() == 0 || f.Journeys().Seq() == 0 {
 			t.Fatalf("completed %d of %d jobs, %d samples, %d journey steps",
-				rep.JobsCompleted, len(trace.Jobs), f.SeriesCount(), f.JourneySeq())
+				rep.JobsCompleted, len(trace.Jobs), f.SeriesCount(), f.Journeys().Seq())
 		}
 		return rep.JobsCompleted
 	}

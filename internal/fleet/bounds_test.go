@@ -122,8 +122,12 @@ func TestRecoveryOpensStateCreateWouldRefuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Pace() != e.Config.Pace {
-			t.Errorf("%s: recovered pace %g, want %g", e.ID, f.Pace(), e.Config.Pace)
+		info, err := f.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Pace != e.Config.Pace {
+			t.Errorf("%s: recovered pace %g, want %g", e.ID, info.Pace, e.Config.Pace)
 		}
 		w, ok := wants[e.ID]
 		if !ok {

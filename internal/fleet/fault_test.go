@@ -349,40 +349,13 @@ func TestCommitFaultLeavesFollowerLikeLeader(t *testing.T) {
 	}
 }
 
-// TestSubmitSourceMatchesBatch: streaming a trace into a fleet in
-// small batches is byte-identical to one atomic batch of the
-// materialized trace.
-func TestSubmitSourceMatchesBatch(t *testing.T) {
+// TestRouterBatchesMatchOfflineRun: a trace fed through the admission
+// router in batches of 32, the same trace as one atomic batch, and the
+// offline simulation of its stream all end in the same report.
+func TestRouterBatchesMatchOfflineRun(t *testing.T) {
 	gcfg := workload.DefaultGeneratorConfig()
 	gcfg.Horizon = 12 * 3600
 	tr := workload.MustGenerate(gcfg)
-
-	stream, err := Open("s", Config{Sched: Sched{Policy: "SB", Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	src, err := workload.NewGeneratorSource(gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := stream.SubmitSource(src, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != tr.Len() {
-		t.Fatalf("streamed %d jobs, trace has %d", n, tr.Len())
-	}
-	srep, err := stream.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batch, err := Open("b", Config{Sched: Sched{Policy: "SB", Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batch.Close()
 	specs := make([]energysched.JobSpec, 0, tr.Len())
 	for _, j := range tr.Jobs {
 		submit := j.Submit
@@ -391,15 +364,38 @@ func TestSubmitSourceMatchesBatch(t *testing.T) {
 			Submit: &submit, DeadlineFactor: j.DeadlineFactor,
 		})
 	}
-	if _, err := batch.SubmitBatch(specs); err != nil {
-		t.Fatal(err)
-	}
-	brep, err := batch.Drain()
+
+	src, err := workload.NewGeneratorSource(gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srep != brep {
-		t.Fatalf("streamed and batched fleets diverged:\n stream %+v\n batch  %+v", srep, brep)
+	res, err := energysched.RunStream(energysched.Options{Policy: "SB", Seed: 1}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := ServiceReportOf(res, true)
+	if offline.JobsTotal != len(specs) || offline.JobsCompleted == 0 {
+		t.Fatalf("offline run: %d of %d jobs completed, trace has %d", offline.JobsCompleted, offline.JobsTotal, len(specs))
+	}
+
+	for _, size := range []int{32, len(specs)} {
+		f, err := Open("f", Config{Sched: Sched{Policy: "SB", Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(specs); i += size {
+			if _, err := f.SubmitBatch(specs[i:min(i+size, len(specs))]); err != nil {
+				t.Fatalf("batches of %d: batch at %d: %v", size, i, err)
+			}
+		}
+		got, err := f.Drain()
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != offline {
+			t.Fatalf("batches of %d diverged from the offline run:\n fleet   %+v\n offline %+v", size, got, offline)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
@@ -278,6 +277,30 @@ func errf(status int, format string, args ...interface{}) *Error {
 	return &Error{Status: status, Msg: fmt.Sprintf(format, args...)}
 }
 
+// idError is an error that begins by naming the fleet it came from.
+type idError struct {
+	id  string
+	err error
+}
+
+func (e *idError) Error() string { return "fleet " + e.id + ": " + e.err.Error() }
+
+func (e *idError) Unwrap() error { return e.err }
+
+func (f *Fleet) errorf(format string, args ...any) error {
+	return &idError{f.id, fmt.Errorf(format, args...)}
+}
+
+// Named returns err beginning "fleet <id>: ", naming the fleet once: an
+// error from Open that already names it is returned as it is.
+func Named(id string, err error) error {
+	var ie *idError
+	if errors.As(err, &ie) && ie.id == id {
+		return err
+	}
+	return &idError{id, err}
+}
+
 // ErrClosed is returned by every operation on a shut-down fleet.
 var ErrClosed = errors.New("fleet: shut down")
 
@@ -373,7 +396,7 @@ func (f *Fleet) recover() (snap snapshotFile, err error) {
 		return snap, nil
 	}
 	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
-		return snap, fmt.Errorf("fleet %s: creating durable dir: %w", f.id, err)
+		return snap, f.errorf("creating durable dir: %w", err)
 	}
 	// Once the log exists, only a new timeline's rename moves the
 	// directory's mtime for good: a failed attempt (wal.replace) and the
@@ -382,21 +405,21 @@ func (f *Fleet) recover() (snap snapshotFile, err error) {
 	// creation it then keeps.
 	dirInfo, err := os.Stat(f.cfg.Dir)
 	if err != nil {
-		return snap, fmt.Errorf("fleet %s: %w", f.id, err)
+		return snap, f.errorf("%w", err)
 	}
 	// The two-file layout of releases before e0300a6 is refused before
 	// anything below can remove, create or truncate a file.
 	walPath := filepath.Join(f.cfg.Dir, walName)
 	if _, err := os.Stat(filepath.Join(f.cfg.Dir, "snapshot.json")); err == nil && !headed(walPath) {
-		return snap, fmt.Errorf("fleet %s: %s is in the two-file layout of releases before e0300a6 (snapshot.json beside a wal.log "+
-			"without a header): open it once with a release from e0300a6 to 2f5bbe1, which converts it", f.id, f.cfg.Dir)
+		return snap, f.errorf("%s is in the two-file layout of releases before e0300a6 (snapshot.json beside a wal.log "+
+			"without a header): open it once with a release from e0300a6 to 2f5bbe1, which converts it", f.cfg.Dir)
 	}
 	// A crash between a new timeline's temp write and its rename leaves
 	// the temp behind; wal.log is then still the whole old timeline.
 	stale, _ := filepath.Glob(filepath.Join(f.cfg.Dir, walTemp))
 	for _, p := range stale {
 		if err := os.Remove(p); err != nil {
-			return snap, fmt.Errorf("fleet %s: removing an unpublished wal: %w", f.id, err)
+			return snap, f.errorf("removing an unpublished wal: %w", err)
 		}
 	}
 	if len(stale) > 0 {
@@ -404,7 +427,7 @@ func (f *Fleet) recover() (snap snapshotFile, err error) {
 	}
 	w, head, recs, dropped, werr := openWAL(walPath, f.cfg.WALSync, f.cfg.WALFault)
 	if werr != nil {
-		return snap, fmt.Errorf("fleet %s: %w", f.id, werr)
+		return snap, f.errorf("%w", werr)
 	}
 	f.wal = w
 	f.stats.TornTail = dropped > 0
@@ -474,9 +497,6 @@ func maxWatermark(now float64, jobs []workload.Job) float64 {
 
 // ID returns the fleet's registry identifier.
 func (f *Fleet) ID() string { return f.id }
-
-// Pace returns the configured acceleration (<= 0 = max pacing).
-func (f *Fleet) Pace() float64 { return f.cfg.Pace }
 
 // Close stops the event loop, closes the WAL and disconnects every
 // stream subscriber. In-flight requests receive ErrClosed.
@@ -608,7 +628,7 @@ func (f *Fleet) rebuild(snap snapshotFile) error {
 	sim.Start()
 	for _, j := range jobs {
 		if _, err := sim.Inject(j); err != nil {
-			return fmt.Errorf("fleet %s: replaying job %d: %w", f.id, j.ID, err)
+			return f.errorf("replaying job %d: %w", j.ID, err)
 		}
 	}
 	sim.StepBefore(now)
@@ -660,45 +680,6 @@ func (f *Fleet) Submit(spec energysched.JobSpec) (energysched.JobStatus, error) 
 // Submit, so rate limits and queue bounds apply.
 func (f *Fleet) SubmitBatch(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
 	return f.router.submit(specs)
-}
-
-// SubmitSource streams a workload into the fleet in submit-ordered
-// batches of batchSize jobs (<= 0 selects 256). Each batch is
-// admitted atomically in one event-loop turn, exactly like
-// SubmitBatch, so a week-long trace feeds a fleet with O(batch)
-// memory; the stream as a whole is NOT atomic — on error the batches
-// already admitted stay admitted, and the returned count reports how
-// many jobs made it in. At max pacing virtual time chases the
-// watermark between batches, which keeps the run byte-identical to a
-// one-shot SubmitBatch of the materialized trace. Batches bypass the
-// admission router — no rate limit, no queue bound — so replaying a
-// trace into a rate-limited fleet is not throttled like external
-// traffic.
-func (f *Fleet) SubmitSource(src workload.JobSource, batchSize int) (int, error) {
-	if batchSize <= 0 {
-		batchSize = 256
-	}
-	total := 0
-	batch := make([]workload.Job, 0, batchSize)
-	for {
-		j, err := src.Next()
-		if err != nil && err != io.EOF {
-			return total, err
-		}
-		if err == nil {
-			batch = append(batch, j)
-		}
-		if len(batch) > 0 && (len(batch) == batchSize || err == io.EOF) {
-			if aerr := f.call(func() error { _, aerr := f.admitJobs(batch); return aerr }); aerr != nil {
-				return total, aerr
-			}
-			total += len(batch)
-			batch = batch[:0]
-		}
-		if err == io.EOF {
-			return total, nil
-		}
-	}
 }
 
 // admit is the leader's half of an admission request: it turns each

@@ -121,7 +121,7 @@ func NewManager(opts Options) (*Manager, error) {
 		f, err := Open(e.ID, cfg)
 		if err != nil {
 			m.Close()
-			return nil, fmt.Errorf("fleet: recovering %s: %w", e.ID, err)
+			return nil, fmt.Errorf("recovering %w", Named(e.ID, err))
 		}
 		m.fleets[e.ID] = member{f, cfg}
 	}

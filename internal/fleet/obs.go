@@ -22,8 +22,7 @@ import (
 // the event loop observes.
 type fleetHists struct {
 	// admit is the admission batch latency: validate + WAL + inject,
-	// one observation per admitJobs call (Submit, SubmitBatch, batches
-	// of SubmitSource).
+	// one observation per admitJobs call (Submit, SubmitBatch).
 	admit metrics.Histogram
 	// wal is the WAL append+fsync latency, one observation per logged
 	// batch (admissions, seals, replicated records).
@@ -138,11 +137,3 @@ func (f *Fleet) Trace() *obs.TraceRing { return f.trace }
 // firehose (GET /v1/fleets/{id}/journeys). Single records go through
 // Fleet.Journey, which overlays live energy.
 func (f *Fleet) Journeys() *obs.JourneyStore { return f.journeys }
-
-// TraceSeq returns the sequence number of the fleet's most recent
-// trace.
-func (f *Fleet) TraceSeq() uint64 { return f.trace.Seq() }
-
-// JourneySeq returns the journey firehose's most recent sequence
-// number.
-func (f *Fleet) JourneySeq() uint64 { return f.journeys.Seq() }

@@ -44,8 +44,8 @@ func TestFleetTraceRing(t *testing.T) {
 	if len(evs) == 0 {
 		t.Fatal("no round traces recorded for a drained workload")
 	}
-	if f.TraceSeq() != evs[len(evs)-1].Seq {
-		t.Fatalf("TraceSeq %d != last snapshot seq %d", f.TraceSeq(), evs[len(evs)-1].Seq)
+	if f.Trace().Seq() != evs[len(evs)-1].Seq {
+		t.Fatalf("TraceSeq %d != last snapshot seq %d", f.Trace().Seq(), evs[len(evs)-1].Seq)
 	}
 	sawAction := false
 	for _, ev := range evs {
@@ -106,7 +106,7 @@ func TestFleetTraceSuppressedDuringReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitN(t, f, 10, 0)
-	if f.TraceSeq() == 0 {
+	if f.Trace().Seq() == 0 {
 		t.Fatal("live admissions recorded no traces")
 	}
 	f.Close()
@@ -116,12 +116,12 @@ func TestFleetTraceSuppressedDuringReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	if n := f2.TraceSeq(); n != 0 {
+	if n := f2.Trace().Seq(); n != 0 {
 		t.Fatalf("recovery replay leaked %d traces into the ring", n)
 	}
 	// New live rounds trace again.
 	submitN(t, f2, 2, 10)
-	if f2.TraceSeq() == 0 {
+	if f2.Trace().Seq() == 0 {
 		t.Fatal("post-recovery admissions recorded no traces")
 	}
 }

@@ -397,17 +397,6 @@ func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, dropped in
 	}
 }
 
-// append encodes and writes one record. With the always policy the
-// record is fsynced before append returns; call flush after a batch
-// when appending several records in one event-loop turn.
-func (w *wal) append(rec walRecord, flush bool) error {
-	payload, err := encodeWALRecord(rec)
-	if err != nil {
-		return fmt.Errorf("fleet: encoding wal record: %w", err)
-	}
-	return w.appendPayload(payload, flush)
-}
-
 // appendPayload writes one pre-marshaled record payload. The admission
 // path marshals each record exactly once and reuses the bytes for the
 // WAL append and the replication feed, so leader and follower logs are

@@ -92,7 +92,7 @@ func FuzzWALRecovery(f *testing.F) {
 			t.Fatalf("recovery not idempotent:\nfirst:  %+v\nsecond: %+v", recs, recs2)
 		}
 
-		if err := w2.append(walRecord{Kind: walKindSeal}, true); err != nil {
+		if err := appendRecord(w2, walRecord{Kind: walKindSeal}, true); err != nil {
 			t.Fatalf("append to recovered log: %v", err)
 		}
 		w2.close()

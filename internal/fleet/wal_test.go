@@ -12,6 +12,15 @@ import (
 	"energysched/internal/workload"
 )
 
+// appendRecord encodes rec and appends it, as the admission path does.
+func appendRecord(w *wal, rec walRecord, flush bool) error {
+	payload, err := encodeWALRecord(rec)
+	if err != nil {
+		return err
+	}
+	return w.appendPayload(payload, flush)
+}
+
 func walJob(id int) *workload.Job {
 	return &workload.Job{ID: id, Submit: float64(id) * 30, Duration: 600, CPU: 100, Mem: 5, DeadlineFactor: 1.5}
 }
@@ -26,11 +35,11 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("fresh wal: recs=%d dropped=%d", len(recs), dropped)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
+		if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.append(walRecord{Kind: walKindSeal}, true); err != nil {
+	if err := appendRecord(w, walRecord{Kind: walKindSeal}, true); err != nil {
 		t.Fatal(err)
 	}
 	if w.records != 11 {
@@ -68,7 +77,7 @@ func TestWALTornTailTruncatedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
+		if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +106,7 @@ func TestWALTornTailTruncatedRecord(t *testing.T) {
 		t.Fatalf("append offset %d, want truncated to %d", off, goodSize)
 	}
 	// The log must be appendable again after truncation.
-	if err := w2.append(walRecord{Kind: walKindAdmit, Job: walJob(5)}, true); err != nil {
+	if err := appendRecord(w2, walRecord{Kind: walKindAdmit, Job: walJob(5)}, true); err != nil {
 		t.Fatal(err)
 	}
 	w2.close()
@@ -118,7 +127,7 @@ func TestWALTornTailCRCMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
+		if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +160,7 @@ func TestWALTornTailBogusLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(0)}, true); err != nil {
+	if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(0)}, true); err != nil {
 		t.Fatal(err)
 	}
 	w.close()
@@ -204,14 +213,14 @@ func TestWALTellTracksFileSize(t *testing.T) {
 	}
 	check(w, "open")
 	for i := 0; i < 3; i++ {
-		if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
+		if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
 			t.Fatal(err)
 		}
 		check(w, "append")
 	}
 	off, records := w.tell()
 	tear = true
-	if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(3)}, true); !errors.Is(err, ErrTornWrite) {
+	if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(3)}, true); !errors.Is(err, ErrTornWrite) {
 		t.Fatalf("torn append returned %v", err)
 	}
 	tear = false
@@ -222,7 +231,7 @@ func TestWALTellTracksFileSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(w, "rewind")
-	if err := w.append(walRecord{Kind: walKindAdmit, Job: walJob(3)}, true); err != nil {
+	if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(3)}, true); err != nil {
 		t.Fatal(err)
 	}
 	check(w, "append after rewind")
@@ -241,7 +250,7 @@ func TestWALTellTracksFileSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(w, "replace")
-	if err := w.append(walRecord{Kind: walKindSeal}, true); err != nil {
+	if err := appendRecord(w, walRecord{Kind: walKindSeal}, true); err != nil {
 		t.Fatal(err)
 	}
 	check(w, "append after replace")
@@ -254,10 +263,10 @@ func TestWALRewindAndReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.close()
-	w.append(walRecord{Kind: walKindAdmit, Job: walJob(0)}, true)
+	appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(0)}, true)
 	off, n := w.tell()
-	w.append(walRecord{Kind: walKindAdmit, Job: walJob(1)}, false)
-	w.append(walRecord{Kind: walKindAdmit, Job: walJob(2)}, false)
+	appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(1)}, false)
+	appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(2)}, false)
 	if err := w.rewind(off, n); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestWALRewindAndReplace(t *testing.T) {
 		t.Fatalf("after rewind: %d records", w.records)
 	}
 	// An append after rewind lands where the rolled-back batch was.
-	if err := w.append(walRecord{Kind: walKindSeal}, true); err != nil {
+	if err := appendRecord(w, walRecord{Kind: walKindSeal}, true); err != nil {
 		t.Fatal(err)
 	}
 	w.close()
@@ -298,7 +307,7 @@ func TestWALRewindAndReplace(t *testing.T) {
 	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, frame) {
 		t.Fatalf("after replace the log holds %d bytes (%v), want the %d-byte header frame alone", len(data), err, len(frame))
 	}
-	if err := w2.append(walRecord{Kind: walKindAdmit, Job: walJob(2)}, true); err != nil {
+	if err := appendRecord(w2, walRecord{Kind: walKindAdmit, Job: walJob(2)}, true); err != nil {
 		t.Fatal(err)
 	}
 	w2.close()

@@ -119,22 +119,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Merge folds o's observations into h. Both histograms share the fixed
-// bucket layout, so the merge is exact.
-func (h *Histogram) Merge(o *Histogram) {
-	s := o.Snapshot()
-	h.mu.Lock()
-	for i, c := range s.Counts {
-		h.counts[i] += c
-	}
-	h.count += s.Count
-	h.sum += s.Sum
-	if s.Max > h.max {
-		h.max = s.Max
-	}
-	h.mu.Unlock()
-}
-
 // HistSnapshot is a consistent point-in-time copy of a Histogram.
 // Counts is per-bucket (not cumulative) and has one extra trailing
 // entry for the overflow bucket.
@@ -215,11 +199,4 @@ func (h *Histogram) Max() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.max
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }

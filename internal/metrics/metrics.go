@@ -46,9 +46,6 @@ func (a *TimeAvg) Mean(t float64) float64 {
 	return area / (t - a.start)
 }
 
-// Current returns the last observed value.
-func (a *TimeAvg) Current() float64 { return a.lastVal }
-
 // Welford accumulates mean and variance online (Welford's algorithm);
 // used for per-job satisfaction/delay statistics and the validation
 // experiment's instantaneous-error statistics.
@@ -56,23 +53,11 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one sample.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
@@ -94,9 +79,3 @@ func (w *Welford) Var() float64 {
 
 // Stddev returns the population standard deviation.
 func (w *Welford) Stddev() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest sample (0 with no samples).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample (0 with no samples).
-func (w *Welford) Max() float64 { return w.max }

@@ -35,11 +35,13 @@ func TestTimeAvgMultipleSteps(t *testing.T) {
 
 func TestTimeAvgCurrentAndEarlyMean(t *testing.T) {
 	a := NewTimeAvg(3, 7)
-	if a.Current() != 7 {
-		t.Errorf("Current = %v", a.Current())
-	}
 	if got := a.Mean(3); got != 7 {
 		t.Errorf("Mean at start = %v, want last value", got)
+	}
+	// No interval to average yet: Mean at the start is the current value.
+	a.Observe(5, 9)
+	if got := a.Mean(3); got != 9 {
+		t.Errorf("Mean at start after a change = %v, want current value 9", got)
 	}
 }
 
@@ -98,9 +100,6 @@ func TestWelfordKnownValues(t *testing.T) {
 	}
 	if got := w.Stddev(); got != 2 {
 		t.Errorf("stddev = %v, want 2", got)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max = %v/%v", w.Min(), w.Max())
 	}
 }
 

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestHistogramSamplesInfBucketExplicit pins the exposition contract
 // consumers lean on: the bucket lines of every rendered histogram —
@@ -44,37 +41,5 @@ func TestHistogramSamplesInfBucketExplicit(t *testing.T) {
 				t.Fatalf("_count = %v, Histogram.Count() = %d", count, h.Count())
 			}
 		})
-	}
-}
-
-// TestHistogramMergeIntoEmpty: folding observations into a zero-value
-// histogram reproduces the source exactly — the merge path the metrics
-// endpoint uses when a fresh scrape-side aggregate absorbs its first
-// fleet.
-func TestHistogramMergeIntoEmpty(t *testing.T) {
-	var src Histogram
-	for i := 0; i < 100; i++ {
-		src.Observe(float64(i+1) * 1e-3)
-	}
-	var dst Histogram
-	dst.Merge(&src)
-	a, b := dst.Snapshot(), src.Snapshot()
-	if a.Count != b.Count || a.Max != b.Max || math.Abs(a.Sum-b.Sum) > 1e-9 {
-		t.Fatalf("merge into empty diverged: %+v vs %+v", a, b)
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			t.Fatalf("bucket %d: %d vs %d", i, a.Counts[i], b.Counts[i])
-		}
-	}
-
-	// Empty absorbing empty stays empty and quantiles stay defined.
-	var e1, e2 Histogram
-	e1.Merge(&e2)
-	if e1.Count() != 0 {
-		t.Fatalf("empty+empty count = %d", e1.Count())
-	}
-	if q := e1.Quantile(0.99); q != 0 {
-		t.Fatalf("empty quantile = %v, want 0", q)
 	}
 }

@@ -220,18 +220,6 @@ func (s *Store) Len() int {
 	return s.n
 }
 
-// Latest returns a copy of the most recent sample.
-func (s *Store) Latest() (Sample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Sample{}, false
-	}
-	out := []Sample{*s.slotLocked(s.n - 1)}
-	copyClasses(out)
-	return out[0], true
-}
-
 // Samples returns copies of the retained samples with T >= since,
 // oldest first.
 func (s *Store) Samples(since float64) []Sample {

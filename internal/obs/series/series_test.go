@@ -1,11 +1,21 @@
 package series
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// latest reads the most recent sample through Samples.
+func latest(s *Store) (Sample, bool) {
+	all := s.Samples(math.Inf(-1))
+	if len(all) == 0 {
+		return Sample{}, false
+	}
+	return all[len(all)-1], true
+}
 
 func sampleAt(t float64) Sample {
 	return Sample{T: t, Watts: 100 + t, KWh: t / 3600, Queue: int(t) % 5}
@@ -32,8 +42,8 @@ func TestStoreRingEviction(t *testing.T) {
 			t.Fatalf("sample %d at t=%v, want %v (oldest-first order)", i, smp.T, want)
 		}
 	}
-	if last, ok := s.Latest(); !ok || last.T != 540 {
-		t.Fatalf("Latest = %+v ok=%v, want t=540", last, ok)
+	if last, ok := latest(s); !ok || last.T != 540 {
+		t.Fatalf("latest = %+v ok=%v, want t=540", last, ok)
 	}
 }
 
@@ -76,7 +86,7 @@ func TestStoreAddDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Add into an existing chunk allocates %.0f objects per sample, want 0", n)
 	}
 	smp.Classes[0].Watts = -1 // the caller reuses its buffer
-	if last, _ := s.Latest(); last.Classes[0].Watts != 0 {
+	if last, _ := latest(s); last.Classes[0].Watts != 0 {
 		t.Fatal("the store kept the caller's Classes slice instead of copying it")
 	}
 }
@@ -89,7 +99,7 @@ func TestStoreReadsAreCopies(t *testing.T) {
 		s.Add(classedAt(float64(i*60), 3))
 	}
 	got := s.Samples(0)
-	last, _ := s.Latest()
+	last, _ := latest(s)
 	for i := range got {
 		got[i].Classes[0].Watts = -1
 		got[i].Classes = append(got[i].Classes, ClassSample{Class: "extra"})
@@ -100,8 +110,8 @@ func TestStoreReadsAreCopies(t *testing.T) {
 			t.Fatalf("sample %d after readers scribbled on their copies: %+v", i, smp.Classes)
 		}
 	}
-	if again, _ := s.Latest(); !intact(again, 3) {
-		t.Fatalf("Latest after a reader scribbled on its copy: %+v", again.Classes)
+	if again, _ := latest(s); !intact(again, 3) {
+		t.Fatalf("latest sample after a reader scribbled on its copy: %+v", again.Classes)
 	}
 }
 
@@ -152,8 +162,8 @@ func TestStoreConcurrentReadersAcrossWraps(t *testing.T) {
 					}
 					prev = smp.T
 				}
-				if smp, ok := s.Latest(); ok && !intact(smp, 1+int(smp.T)%4) {
-					t.Errorf("torn Latest: %+v", smp)
+				if smp, ok := latest(s); ok && !intact(smp, 1+int(smp.T)%4) {
+					t.Errorf("torn latest sample: %+v", smp)
 					return
 				}
 			}

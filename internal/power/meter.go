@@ -36,8 +36,8 @@ func (m *Meter) Close(t float64) {
 
 // JoulesAt returns the energy accumulated through time t — the
 // current integral extended at the present draw — without mutating
-// the meter. JoulesAt(t) equals what Joules() would return after
-// Close(t), bit for bit (same additions in the same order).
+// the meter. Calling Close(t) first changes the result by not one bit
+// (same additions in the same order).
 func (m *Meter) JoulesAt(t float64) float64 {
 	if !m.started || t <= m.lastTime {
 		return m.joules
@@ -47,15 +47,6 @@ func (m *Meter) JoulesAt(t float64) float64 {
 
 // KWhAt is JoulesAt in kWh.
 func (m *Meter) KWhAt(t float64) float64 { return m.JoulesAt(t) / 3.6e6 }
-
-// Joules returns the accumulated energy in joules (watt-seconds).
-func (m *Meter) Joules() float64 { return m.joules }
-
-// WattHours returns the accumulated energy in Wh.
-func (m *Meter) WattHours() float64 { return m.joules / 3600 }
-
-// KWh returns the accumulated energy in kWh.
-func (m *Meter) KWh() float64 { return m.joules / 3.6e6 }
 
 // CurrentWatts returns the most recently observed draw.
 func (m *Meter) CurrentWatts() float64 { return m.lastWatts }

@@ -4,8 +4,7 @@
 // consumption depends only on the total CPU consumed by the VMs, not
 // on how many VMs consume it: 230 W idle, 259 W at 100 % CPU, 273 W at
 // 200 %, 291 W at 300 %, 304 W at 400 %. InterpolatedModel encodes
-// exactly that curve; LinearModel is the common idle+slope abstraction
-// used as a comparison point.
+// exactly that curve.
 package power
 
 import (
@@ -95,45 +94,6 @@ func (m *InterpolatedModel) IdlePower() float64 { return m.points[0].Watts }
 // PeakPower implements Model.
 func (m *InterpolatedModel) PeakPower() float64 { return m.points[len(m.points)-1].Watts }
 
-// LinearModel is the classic idle + slope·utilization model.
-type LinearModel struct {
-	Idle float64 // watts at zero load
-	Peak float64 // watts at full load
-	Cap  float64 // CPU capacity in percent
-}
-
-// NewLinearModel builds a linear model; peak must be >= idle and cap
-// positive.
-func NewLinearModel(idle, peak, capacity float64) (*LinearModel, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("power: capacity must be positive, got %.1f", capacity)
-	}
-	if peak < idle {
-		return nil, fmt.Errorf("power: peak %.1f below idle %.1f", peak, idle)
-	}
-	return &LinearModel{Idle: idle, Peak: peak, Cap: capacity}, nil
-}
-
-// Power implements Model.
-func (m *LinearModel) Power(cpu float64) float64 {
-	if cpu < 0 {
-		cpu = 0
-	}
-	if cpu > m.Cap {
-		cpu = m.Cap
-	}
-	return m.Idle + (m.Peak-m.Idle)*cpu/m.Cap
-}
-
-// Capacity implements Model.
-func (m *LinearModel) Capacity() float64 { return m.Cap }
-
-// IdlePower implements Model.
-func (m *LinearModel) IdlePower() float64 { return m.Idle }
-
-// PeakPower implements Model.
-func (m *LinearModel) PeakPower() float64 { return m.Peak }
-
 // PaperTableI returns the power model measured in the paper's Table I
 // for the 4-way Xen host: 230 W idle rising to 304 W at 400 % CPU.
 func PaperTableI() *InterpolatedModel {
@@ -145,25 +105,3 @@ func PaperTableI() *InterpolatedModel {
 		{CPU: 400, Watts: 304},
 	})
 }
-
-// Scaled wraps a model, scaling both CPU capacity and wattage by a
-// factor; used to derive heterogeneous node classes from the measured
-// reference machine.
-type Scaled struct {
-	Base   Model
-	Factor float64
-}
-
-// Power implements Model.
-func (s *Scaled) Power(cpu float64) float64 {
-	return s.Base.Power(cpu/s.Factor) * s.Factor
-}
-
-// Capacity implements Model.
-func (s *Scaled) Capacity() float64 { return s.Base.Capacity() * s.Factor }
-
-// IdlePower implements Model.
-func (s *Scaled) IdlePower() float64 { return s.Base.IdlePower() * s.Factor }
-
-// PeakPower implements Model.
-func (s *Scaled) PeakPower() float64 { return s.Base.PeakPower() * s.Factor }

@@ -76,53 +76,17 @@ func TestInterpolatedMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestLinearModel(t *testing.T) {
-	m, err := NewLinearModel(230, 304, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Power(200); got != 267 {
-		t.Errorf("linear Power(200) = %v, want 267", got)
-	}
-	if m.Power(-10) != 230 || m.Power(500) != 304 {
-		t.Error("linear clamping broken")
-	}
-	if _, err := NewLinearModel(300, 200, 400); err == nil {
-		t.Error("peak < idle accepted")
-	}
-	if _, err := NewLinearModel(1, 2, 0); err == nil {
-		t.Error("zero capacity accepted")
-	}
-}
-
-func TestScaledModel(t *testing.T) {
-	s := &Scaled{Base: PaperTableI(), Factor: 2}
-	if s.Capacity() != 800 {
-		t.Errorf("scaled capacity = %v", s.Capacity())
-	}
-	if s.IdlePower() != 460 || s.PeakPower() != 608 {
-		t.Errorf("scaled idle/peak = %v/%v", s.IdlePower(), s.PeakPower())
-	}
-	// Power at half of the scaled capacity equals 2× base at half.
-	if got, want := s.Power(400), 2*PaperTableI().Power(200); got != want {
-		t.Errorf("scaled Power(400) = %v, want %v", got, want)
-	}
-}
-
 func TestMeterIntegration(t *testing.T) {
 	var m Meter
 	m.Observe(0, 100)
 	m.Observe(10, 200) // 100 W for 10 s = 1000 J
 	m.Observe(20, 0)   // 200 W for 10 s = 2000 J
 	m.Close(30)        // 0 W for 10 s
-	if got := m.Joules(); got != 3000 {
-		t.Errorf("Joules = %v, want 3000", got)
+	if got := m.JoulesAt(30); got != 3000 {
+		t.Errorf("JoulesAt(30) = %v, want 3000", got)
 	}
-	if got := m.WattHours(); math.Abs(got-3000.0/3600) > 1e-12 {
-		t.Errorf("WattHours = %v", got)
-	}
-	if got := m.KWh(); math.Abs(got-3000.0/3.6e6) > 1e-15 {
-		t.Errorf("KWh = %v", got)
+	if got := m.KWhAt(30); math.Abs(got-3000.0/3.6e6) > 1e-15 {
+		t.Errorf("KWhAt(30) = %v", got)
 	}
 }
 
@@ -142,8 +106,8 @@ func TestMeterZeroDuration(t *testing.T) {
 	m.Observe(0, 100)
 	m.Observe(0, 250) // level change at the same instant
 	m.Observe(1, 250)
-	if got := m.Joules(); got != 250 {
-		t.Errorf("Joules = %v, want 250", got)
+	if got := m.JoulesAt(1); got != 250 {
+		t.Errorf("JoulesAt(1) = %v, want 250", got)
 	}
 	if m.CurrentWatts() != 250 {
 		t.Errorf("CurrentWatts = %v", m.CurrentWatts())
@@ -167,7 +131,7 @@ func TestMeterSumProperty(t *testing.T) {
 			m.Observe(tm, newLevel)
 			level = newLevel
 		}
-		return math.Abs(m.Joules()-want) < 1e-6*(1+want)
+		return math.Abs(m.JoulesAt(tm)-want) < 1e-6*(1+want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -239,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 		spec := energysched.FleetSpec{ID: seed.ID, Policy: seed.Policy}
 		if _, err := mgr.Create(seed.ID, s.fleetConfig(seed.ID, spec)); err != nil {
 			mgr.Close()
-			return nil, fmt.Errorf("server: creating fleet %s: %w", seed.ID, err)
+			return nil, fmt.Errorf("creating %w", fleet.Named(seed.ID, err))
 		}
 	}
 	mgr.SetMaxFleets(s.cfg.MaxFleets)

@@ -1086,3 +1086,46 @@ func TestFleetCapReturnsRetryAfter(t *testing.T) {
 		t.Fatalf("429 Retry-After = %q, want %q", ra, "1")
 	}
 }
+
+// TestRefusedFleetNamedOnce: a fleet directory that Open refuses (the
+// two-file layout of fleet.TestTwoFileLayoutRefused) fails the daemon's
+// start with an error that names the fleet once, whether the manifest
+// recovers the fleet or a seed creates it.
+func TestRefusedFleetNamedOnce(t *testing.T) {
+	snapshot, err := os.ReadFile(filepath.Join("..", "fleet", "testdata", "golden", "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "twofile"
+	for _, tc := range []struct{ name, manifest string }{
+		{"recovery", `{"format": "energyschedd-fleets/v1", "fleets": [{"id": "twofile", "config": {"policy": "SB"}}]}`},
+		{"seed", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walDir := t.TempDir()
+			dir := filepath.Join(walDir, id)
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snapshot, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.manifest != "" {
+				if err := os.WriteFile(filepath.Join(walDir, "fleets.json"), []byte(tc.manifest), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := New(Config{WALDir: walDir, Fleets: []FleetSeed{{ID: id}}})
+			if err == nil {
+				srv.Close()
+				t.Fatal("the daemon started on a refused fleet directory")
+			}
+			if !strings.Contains(err.Error(), "two-file layout") {
+				t.Fatalf("error %q is not the two-file refusal", err)
+			}
+			if n := strings.Count(strings.ReplaceAll(err.Error(), dir, ""), id); n != 1 {
+				t.Fatalf("error names fleet %s %d times outside its directory: %q", id, n, err)
+			}
+		})
+	}
+}

@@ -228,7 +228,7 @@ func TestSSELateReaderGetsTheLiveBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, head := range []uint64{f.Broker().Seq(), f.TraceSeq(), f.JourneySeq()} {
+		for i, head := range []uint64{f.Broker().Seq(), f.Trace().Seq(), f.Journeys().Seq()} {
 			if head < 4 {
 				t.Fatalf("%s: only %d events; the comparison is vacuous", routes[i], head)
 			}

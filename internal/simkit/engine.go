@@ -33,12 +33,12 @@ type Timer struct {
 	arg       any
 	cancelled bool
 	fired     bool
-	// anon marks a fire-and-forget timer (At, After, AtFront and their
-	// Call forms): no handle was returned, so nobody can cancel it or
+	// anon marks a fire-and-forget timer (At, After, their Call forms
+	// and AtFrontCall): no handle was returned, so nobody can cancel it or
 	// observe it after it fires, and the engine recycles it through the
 	// free list.
 	anon bool
-	// front marks an injection-priority timer (scheduled via AtFront):
+	// front marks an injection-priority timer (scheduled via AtFrontCall):
 	// at equal virtual times it fires before every normal timer,
 	// regardless of scheduling order. Front timers order among
 	// themselves by sequence, so FIFO injection order is preserved.
@@ -161,20 +161,15 @@ func (e *Engine) After(delay float64, fn Handler) {
 	e.At(e.now+delay, fn)
 }
 
-// AtFront queues fn at absolute virtual time at with injection
-// priority: at equal times it fires before every timer scheduled with
-// Schedule/At, no matter when either was queued; multiple front timers
-// preserve their scheduling (FIFO) order. The datacenter harness uses
-// it for workload arrivals so that a job injected online at time t is
-// processed exactly as if its arrival had been scheduled before the
-// run started — the property that makes live submission byte-identical
-// to offline trace replay. Like At, no handle is returned.
-func (e *Engine) AtFront(at float64, fn Handler) {
-	e.newTimer(at, runHandler, fn, true, true)
-}
-
-// AtFrontCall is AtFront for a bound handler and a payload; see
-// ScheduleCall.
+// AtFrontCall queues call(arg) at absolute virtual time at with
+// injection priority: at equal times it fires before every timer
+// scheduled with Schedule/At, no matter when either was queued;
+// multiple front timers preserve their scheduling (FIFO) order. The
+// datacenter harness uses it for workload arrivals so that a job
+// injected online at time t is processed exactly as if its arrival had
+// been scheduled before the run started — the property that makes live
+// submission byte-identical to offline trace replay. Like At, no handle
+// is returned; see ScheduleCall for the bound-handler form.
 func (e *Engine) AtFrontCall(at float64, call func(any), arg any) {
 	e.newTimer(at, call, arg, true, true)
 }

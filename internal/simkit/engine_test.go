@@ -263,18 +263,6 @@ func TestStreamLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestStreamPerm(t *testing.T) {
-	s := NewStream(6, "p")
-	p := s.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestStreamIntnRange(t *testing.T) {
 	s := NewStream(7, "i")
 	r := rand.New(rand.NewSource(1)) // independent source for bound picks
@@ -374,6 +362,10 @@ func TestEngineSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// atFront queues fn with injection priority, as the datacenter harness
+// queues arrivals.
+func atFront(e *Engine, at float64, fn Handler) { e.AtFrontCall(at, runHandler, fn) }
+
 func TestAtFrontBeatsEqualTimeTimers(t *testing.T) {
 	e := NewEngine()
 	var got []string
@@ -381,8 +373,8 @@ func TestAtFrontBeatsEqualTimeTimers(t *testing.T) {
 	// ones must still fire first at the shared instant, in FIFO order.
 	e.Schedule(10, func() { got = append(got, "normal-a") })
 	e.At(10, func() { got = append(got, "normal-b") })
-	e.AtFront(10, func() { got = append(got, "front-1") })
-	e.AtFront(10, func() { got = append(got, "front-2") })
+	atFront(e, 10, func() { got = append(got, "front-1") })
+	atFront(e, 10, func() { got = append(got, "front-2") })
 	e.RunAll()
 	want := []string{"front-1", "front-2", "normal-a", "normal-b"}
 	for i := range want {
@@ -396,7 +388,7 @@ func TestAtFrontDoesNotReorderAcrossTimes(t *testing.T) {
 	e := NewEngine()
 	var got []float64
 	e.Schedule(5, func() { got = append(got, 5) })
-	e.AtFront(7, func() { got = append(got, 7) })
+	atFront(e, 7, func() { got = append(got, 7) })
 	e.RunAll()
 	if len(got) != 2 || got[0] != 5 || got[1] != 7 {
 		t.Fatalf("order = %v, want [5 7]", got)
@@ -419,7 +411,7 @@ func TestRunBeforeStopsShortOfBoundary(t *testing.T) {
 	// Scheduling at exactly the current clock is allowed; a front
 	// timer queued now must still precede the already-queued t=20
 	// event when the boundary is crossed later.
-	e.AtFront(20, func() { fired = append(fired, -20) })
+	atFront(e, 20, func() { fired = append(fired, -20) })
 	e.RunBefore(25)
 	if len(fired) != 3 || fired[1] != -20 || fired[2] != 20 {
 		t.Fatalf("fired = %v, want [10 -20 20]", fired)
@@ -494,7 +486,7 @@ func TestCallOrderingSharesTheSequence(t *testing.T) {
 	e.AtCall(5, note, s("b"))
 	e.Schedule(5, func() { got = append(got, "c") })
 	e.ScheduleCall(5, note, s("d"))
-	e.AtFront(5, func() { got = append(got, "front1") })
+	e.AtFrontCall(5, note, s("front1"))
 	e.AtFrontCall(5, note, s("front2"))
 	e.ScheduleCall(5, note, s("cancelled")).Cancel()
 	e.RunAll()

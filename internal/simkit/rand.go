@@ -68,6 +68,3 @@ func (s *Stream) Exp(rate float64) float64 {
 func (s *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }

@@ -10,10 +10,7 @@
 // mechanism by which careless placement violates deadlines.
 package vm
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // State is a VM's lifecycle state.
 type State int
@@ -68,17 +65,6 @@ type Requirements struct {
 	Arch string
 	// Hypervisor is the required hypervisor ("" = any).
 	Hypervisor string
-}
-
-// Validate reports whether the requirements are well-formed.
-func (r Requirements) Validate() error {
-	if r.CPU <= 0 {
-		return fmt.Errorf("vm: requirement CPU must be positive, got %.2f", r.CPU)
-	}
-	if r.Mem < 0 {
-		return fmt.Errorf("vm: requirement Mem must be non-negative, got %.2f", r.Mem)
-	}
-	return nil
 }
 
 // VM is a virtual machine instance wrapping one HPC job.
@@ -186,15 +172,6 @@ func (v *VM) Remaining() float64 {
 		return 0
 	}
 	return r
-}
-
-// RemainingTime estimates seconds to completion at the current
-// allocation; +Inf if the VM currently receives no CPU.
-func (v *VM) RemainingTime() float64 {
-	if v.Alloc <= 0 {
-		return math.Inf(1)
-	}
-	return v.Remaining() / v.Alloc
 }
 
 // UserRemainingTime is Tr(vm) in the paper: remaining execution time

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -32,18 +31,6 @@ func TestRemaining(t *testing.T) {
 	v.Progress = v.Work + 100 // overshoot clamps to zero
 	if got := v.Remaining(); got != 0 {
 		t.Errorf("overshot remaining = %v, want 0", got)
-	}
-}
-
-func TestRemainingTime(t *testing.T) {
-	v := newTestVM()
-	v.Alloc = 0
-	if !math.IsInf(v.RemainingTime(), 1) {
-		t.Error("starved VM should have infinite remaining time")
-	}
-	v.Alloc = 100 // half the requested rate: 2× the nominal time left
-	if got := v.RemainingTime(); got != 2*3600 {
-		t.Errorf("remaining time = %v, want %v", got, 2*3600)
 	}
 }
 
@@ -104,18 +91,6 @@ func TestExecTime(t *testing.T) {
 	v.Finish = 5000
 	if got := v.ExecTime(); got != 4900 {
 		t.Errorf("exec time = %v, want 4900", got)
-	}
-}
-
-func TestRequirementsValidate(t *testing.T) {
-	if err := (Requirements{CPU: 100, Mem: 10}).Validate(); err != nil {
-		t.Errorf("valid requirements rejected: %v", err)
-	}
-	if err := (Requirements{CPU: 0, Mem: 10}).Validate(); err == nil {
-		t.Error("zero CPU accepted")
-	}
-	if err := (Requirements{CPU: 100, Mem: -1}).Validate(); err == nil {
-		t.Error("negative memory accepted")
 	}
 }
 

@@ -68,11 +68,14 @@ func FuzzReadGWF(f *testing.F) {
 	})
 }
 
+// FuzzReadSWF fuzzes ReadGWF from SWF-shaped inputs (Feitelson's
+// Parallel Workloads Archive: ';' header comments), which share the
+// consumed column prefix and parse through the same reader.
 func FuzzReadSWF(f *testing.F) {
 	f.Add([]byte("; SWF header\n0 0 0 600 2 0 0 2 600 0 1\n1 60 0 1200 4 0 0 4 1200 0 1\n"))
 	f.Add([]byte("1 90 0 600 2\n0 10 0 600 2\n")) // unsorted: must be rejected, never reordered
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadSWF(bytes.NewReader(data), ConvertOptions{})
+		tr, err := ReadGWF(bytes.NewReader(data), ConvertOptions{})
 		if err != nil {
 			return
 		}

@@ -155,6 +155,9 @@ func (s *GWFSource) Next() (Job, error) {
 // are rejected as corruption. opts tunes the conversion into the
 // simulator's model.
 //
+// SWF files (Feitelson's Parallel Workloads Archive, ';' comments)
+// share the consumed column prefix and parse through the same reader.
+//
 // ReadGWF is ReadAll over GWFSource, so streaming and whole-trace
 // ingestion accept exactly the same files.
 func ReadGWF(r io.Reader, opts ConvertOptions) (*Trace, error) {
@@ -163,22 +166,6 @@ func ReadGWF(r io.Reader, opts ConvertOptions) (*Trace, error) {
 		return nil, err
 	}
 	return ReadAll(src)
-}
-
-// ReadSWF parses the Standard Workload Format (Feitelson's parallel
-// workloads archive). SWF columns:
-//
-//	0 JobID  1 SubmitTime  2 WaitTime  3 RunTime  4 AllocatedProcs ...
-//
-// The layout coincides with the GWF prefix for the fields we consume,
-// so the same conversion applies.
-func ReadSWF(r io.Reader, opts ConvertOptions) (*Trace, error) {
-	return ReadGWF(r, opts)
-}
-
-// NewSWFSource is NewGWFSource for SWF files (shared column prefix).
-func NewSWFSource(r io.Reader, opts ConvertOptions) (*GWFSource, error) {
-	return NewGWFSource(r, opts)
 }
 
 // ConvertOptions controls how archive jobs map into the simulator's

@@ -9,7 +9,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"energysched/internal/wirejson"
 )
@@ -175,25 +174,8 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Sort orders jobs by submission time (stable), renumbering nothing.
-func (t *Trace) Sort() {
-	sort.SliceStable(t.Jobs, func(i, j int) bool { return t.Jobs[i].Submit < t.Jobs[j].Submit })
-}
-
 // Len returns the number of jobs.
 func (t *Trace) Len() int { return len(t.Jobs) }
-
-// Makespan returns the latest submit time plus that job's duration —
-// a lower bound on the simulation horizon.
-func (t *Trace) Makespan() float64 {
-	var m float64
-	for _, j := range t.Jobs {
-		if end := j.Submit + j.Duration; end > m {
-			m = end
-		}
-	}
-	return m
-}
 
 // TotalCPUHours returns the aggregate work in CPU-hours: Σ CPU/100 ×
 // Duration/3600. The paper's Grid week executes ≈ 6 055 CPU h.

@@ -224,10 +224,6 @@ func TestGWFRejectsCorruptRows(t *testing.T) {
 		if _, err := ReadGWF(strings.NewReader(good+tc.row), ConvertOptions{}); err == nil {
 			t.Errorf("%s: corrupt row accepted", tc.name)
 		}
-		// SWF shares the parser and therefore the guards.
-		if _, err := ReadSWF(strings.NewReader(good+tc.row), ConvertOptions{}); err == nil {
-			t.Errorf("%s: corrupt swf row accepted", tc.name)
-		}
 	}
 	// Zero runtime / zero procs remain the cancelled-job skip.
 	tr, err := ReadGWF(strings.NewReader(good+"2 200 0 0 1 0 0 1 0 0 0\n3 300 0 600 0 0 0 1 0 0 0\n4 400 0 600 1 0 0 1 0 0 1\n"), ConvertOptions{})
