@@ -1,12 +1,10 @@
 package energysched
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (go test -bench=.). Table/figure benchmarks run
-// a complete datacenter simulation per iteration on a one-day
-// calibrated trace (the full-week numbers live in EXPERIMENTS.md and
-// are produced by the cmd/ tools); ablation benchmarks isolate the
-// design decisions called out in DESIGN.md; micro benchmarks cover
-// the hot paths (event engine, credit allocator, score solver).
+// Ablation benchmarks run a complete datacenter simulation per
+// iteration on a one-day calibrated trace and isolate one design
+// decision each; micro benchmarks cover the hot paths (event engine,
+// credit allocator, score solver). The paper's tables and figures are
+// benchmarked in paper_bench_test.go.
 
 import (
 	"testing"
@@ -15,7 +13,6 @@ import (
 	"energysched/internal/cluster"
 	"energysched/internal/core"
 	"energysched/internal/datacenter"
-	"energysched/internal/experiments"
 	"energysched/internal/metrics"
 	"energysched/internal/obs/series"
 	"energysched/internal/policy"
@@ -67,112 +64,6 @@ func cfgFor(mk func() policy.Policy, lmin, lmax float64) func() datacenter.Confi
 	}
 }
 
-// --- Table II: static policies without migration ---
-
-func BenchmarkTableII_RD(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return policy.NewRandom(1) }, 30, 90))
-}
-
-func BenchmarkTableII_RR(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return policy.NewRoundRobin() }, 30, 90))
-}
-
-func BenchmarkTableII_BF(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return policy.NewBackfilling() }, 30, 90))
-}
-
-func BenchmarkTableII_SB0(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return core.MustScheduler(core.SB0Config()) }, 30, 90))
-}
-
-// --- Table III: virtualization-overhead ablation ---
-
-func BenchmarkTableIII_SB1(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return core.MustScheduler(core.SB1Config()) }, 30, 90))
-}
-
-func BenchmarkTableIII_SB2(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return core.MustScheduler(core.SB2Config()) }, 30, 90))
-}
-
-func BenchmarkTableIII_SB2_Lambda4090(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return core.MustScheduler(core.SB2Config()) }, 40, 90))
-}
-
-// --- Table IV: migration policies ---
-
-func BenchmarkTableIV_DBF(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return policy.NewDynamicBackfilling() }, 30, 90))
-}
-
-func BenchmarkTableIV_SB(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return core.MustScheduler(core.SBConfig()) }, 30, 90))
-}
-
-func BenchmarkTableIV_SB_Lambda4090(b *testing.B) {
-	runBench(b, cfgFor(func() policy.Policy { return core.MustScheduler(core.SBConfig()) }, 40, 90))
-}
-
-// --- Table V: consolidation-cost sweep ---
-
-func benchTableV(b *testing.B, ce, cf float64) {
-	cfg := core.SBConfig()
-	cfg.Cempty = ce
-	cfg.Cfill = cf
-	runBench(b, cfgFor(func() policy.Policy { return core.MustScheduler(cfg) }, 30, 90))
-}
-
-func BenchmarkTableV_Ce0_Cf40(b *testing.B)   { benchTableV(b, 0, 40) }
-func BenchmarkTableV_Ce20_Cf40(b *testing.B)  { benchTableV(b, 20, 40) }
-func BenchmarkTableV_Ce60_Cf100(b *testing.B) { benchTableV(b, 60, 100) }
-
-// --- Table I and Figure 1: the measurement substrate ---
-
-func BenchmarkTableI_PowerMeasurement(b *testing.B) {
-	var rows []experiments.PowerRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.TableI()
-	}
-	b.ReportMetric(rows[0].MeasuredWatts, "W@100%CPU")
-	b.ReportMetric(rows[len(rows)-1].MeasuredWatts, "W@idle")
-}
-
-func BenchmarkFig1_Validation(b *testing.B) {
-	var v experiments.ValidationResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		v, err = experiments.Validation()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(v.ErrorPct, "totalErr%")
-	b.ReportMetric(v.InstMeanErr, "instErrW")
-}
-
-// --- Figures 2 and 3: λ sweep (one representative column per bench
-// iteration keeps the full-grid cost out of -bench=. runs; the cmd/
-// sweep tool produces the complete surface) ---
-
-func BenchmarkFig2Fig3_LambdaColumn(b *testing.B) {
-	cfg := experiments.SweepConfig{
-		LambdaMins: []float64{10, 30, 50, 70},
-		LambdaMaxs: []float64{90},
-		Policy:     "SB",
-	}
-	var points []experiments.SweepPoint
-	var err error
-	for i := 0; i < b.N; i++ {
-		points, err = experiments.LambdaSweep(cfg, benchTrace)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(points[0].PowerKWh, "kWh@λmin10")
-	b.ReportMetric(points[len(points)-1].PowerKWh, "kWh@λmin70")
-	b.ReportMetric(points[len(points)-1].Satisfaction, "S%@λmin70")
-}
-
 // --- Ablations of DESIGN.md's design decisions ---
 
 // Thrash model off: overcommit becomes free and the random baseline
@@ -190,7 +81,7 @@ func BenchmarkAblationThrashOff_RD(b *testing.B) {
 func benchAblationGain(b *testing.B, gain float64) {
 	cfg := core.SBConfig()
 	cfg.MigrationGainMin = gain
-	runBench(b, cfgFor(func() policy.Policy { return core.MustScheduler(cfg) }, 30, 90))
+	runBench(b, cfgFor(func() policy.Policy { return mustScheduler(cfg) }, 30, 90))
 }
 
 func BenchmarkAblationMigrationGain1(b *testing.B)  { benchAblationGain(b, 1) }
@@ -201,10 +92,19 @@ func BenchmarkAblationMigrationGain80(b *testing.B) { benchAblationGain(b, 80) }
 // (fewer scheduling rounds, slower turn-off reaction).
 func BenchmarkAblationTick300(b *testing.B) {
 	runBench(b, func() datacenter.Config {
-		c := cfgFor(func() policy.Policy { return core.MustScheduler(core.SBConfig()) }, 30, 90)()
+		c := cfgFor(func() policy.Policy { return mustScheduler(core.SBConfig()) }, 30, 90)()
 		c.TickInterval = 300
 		return c
 	})
+}
+
+// mustScheduler is core.NewScheduler for configurations known valid.
+func mustScheduler(cfg core.Config) *core.Scheduler {
+	s, err := core.NewScheduler(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // --- micro benchmarks on the hot paths ---
@@ -246,7 +146,7 @@ func BenchmarkSimulationNewScale2k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sb := core.MustScheduler(core.SBConfig())
+	sb := mustScheduler(core.SBConfig())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := datacenter.New(datacenter.Config{Classes: classes, Policy: sb, Seed: 1}); err != nil {
@@ -274,7 +174,7 @@ func benchSolverRound(b *testing.B, cfg core.Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sch := core.MustScheduler(cfg)
+		sch := mustScheduler(cfg)
 		sch.Schedule(ctx)
 	}
 }
@@ -300,7 +200,7 @@ func BenchmarkScoreSolverRoundNaive(b *testing.B) {
 // its best case (every row and column clean).
 func BenchmarkScoreSolverRoundSteady(b *testing.B) {
 	ctx := solverRoundCtx()
-	sch := core.MustScheduler(core.SBConfig())
+	sch := mustScheduler(core.SBConfig())
 	sch.Schedule(ctx) // warm the scratch buffers
 	sch.Schedule(ctx) // and settle the keys the first round's moves dirtied
 	b.ReportAllocs()
@@ -330,7 +230,7 @@ func solverChurnSetup(cfg core.Config) (*core.Scheduler, *policy.Context) {
 		active = append(active, v)
 	}
 	ctx := &policy.Context{Now: 0, Cluster: cls, Active: active, LambdaMin: 0.3, LambdaMax: 0.9}
-	sch := core.MustScheduler(cfg)
+	sch := mustScheduler(cfg)
 	sch.Schedule(ctx) // warm scratch buffers
 	sch.Schedule(ctx) // and a first carry round
 	return sch, ctx
@@ -377,7 +277,7 @@ func BenchmarkScoreSolverRoundTicking(b *testing.B) {
 func quietRoundSetup(b *testing.B) (*core.Scheduler, *policy.Context) {
 	b.Helper()
 	trace := GenerateTrace(TraceOptions{Days: 7, Seed: 1})
-	sch := core.MustScheduler(core.SBConfig())
+	sch := mustScheduler(core.SBConfig())
 	sim, err := datacenter.New(datacenter.Config{Trace: trace, Policy: sch, LambdaMin: 30, LambdaMax: 90, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -457,7 +357,7 @@ func BenchmarkShardedRound1000N4000V_Serial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sch = core.MustScheduler(cfg)
+		sch = mustScheduler(cfg)
 		sch.Schedule(ctx)
 	}
 	b.ReportMetric(float64(sch.Stats.Moves), "moves")
@@ -470,7 +370,7 @@ func BenchmarkShardedRound1000N4000V_Serial(b *testing.B) {
 // static balanced setting.
 func BenchmarkExtensionAdaptiveLambda(b *testing.B) {
 	runBench(b, func() datacenter.Config {
-		c := cfgFor(func() policy.Policy { return core.MustScheduler(core.SBConfig()) }, 30, 90)()
+		c := cfgFor(func() policy.Policy { return mustScheduler(core.SBConfig()) }, 30, 90)()
 		c.AdaptiveTarget = 98
 		return c
 	})

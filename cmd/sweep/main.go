@@ -16,8 +16,8 @@ import (
 	"os"
 	"strconv"
 
+	"energysched"
 	"energysched/internal/cli"
-	"energysched/internal/cluster"
 	"energysched/internal/experiments"
 	"energysched/internal/workload"
 )
@@ -30,7 +30,7 @@ func main() {
 		days   = flag.Float64("days", 7, "days of synthetic workload")
 		seed   = flag.Int64("seed", 1, "random seed")
 		step   = flag.Float64("step", 10, "λ grid step in percent")
-		policy = flag.String("policy", "SB", "policy to sweep: SB, SB2, BF, DBF")
+		policy = flag.String("policy", "SB", "policy to sweep, by its energysched.NewPolicy name: SB, SB0, SB1, SB2, BF, DBF, RR or RD")
 		nodes  = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
 		out    = flag.String("o", "", "output CSV file (empty = stdout)")
 	)
@@ -45,7 +45,7 @@ func main() {
 
 	cfg := experiments.SweepConfig{Policy: *policy}
 	if *nodes > 0 {
-		cfg.Classes = cluster.ScaleClasses(*nodes)
+		cfg.Classes = energysched.ScaleClasses(*nodes)
 	}
 	trace, err := workload.Generate(gen)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -39,6 +40,23 @@ func TestCoarseGridFeasibleCells(t *testing.T) {
 	}
 	if rows := strings.Count(stdout.String(), "\n"); rows != 7 {
 		t.Errorf("CSV has %d lines, want a header and 6 cells", rows)
+	}
+}
+
+// The coarse grid on a 200-node scale fleet, the ScaleClasses path of
+// the public API, matches the recorded surface byte for byte.
+func TestCoarseScaleGridMatchesGolden(t *testing.T) {
+	bin := buildSweep(t)
+	out, err := exec.Command(bin, "-days", "0.2", "-step", "40", "-nodes", "200").Output()
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "coarse.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Errorf("sweep output differs from testdata/coarse.golden:\n%s", out)
 	}
 }
 

@@ -51,51 +51,48 @@ func main() {
 	cfg.Seed = *seed
 
 	runs := []struct {
-		num    int
-		title  string
-		makers []experiments.SpecMaker
+		num   int
+		title string
+		rows  []experiments.Row
 	}{
-		{2, "Table II — scheduling results of policies without migration", experiments.TableIIMakers()},
-		{3, "Table III — score-based policies without migration", experiments.TableIIIMakers()},
-		{4, "Table IV — scheduling results of policies with migration", experiments.TableIVMakers()},
-		{5, "Table V — score-based scheduling with different costs", experiments.TableVMakers()},
+		{2, "Table II — scheduling results of policies without migration", experiments.TableIIRows()},
+		{3, "Table III — score-based policies without migration", experiments.TableIIIRows()},
+		{4, "Table IV — scheduling results of policies with migration", experiments.TableIVRows()},
+		{5, "Table V — score-based scheduling with different costs", experiments.TableVRows()},
 	}
 
+	var trace *workload.Trace
 	if *replicas > 1 {
 		fmt.Printf("replicating each row over %d seeded weeks\n", *replicas)
-		for _, r := range runs {
-			if *table != 0 && *table != r.num {
-				continue
-			}
-			fmt.Printf("\n%s\n", r.title)
-			rows, err := experiments.ReplicateTable(r.makers, cfg, experiments.Seeds(*replicas))
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, row := range rows {
-				fmt.Println(row)
-			}
+	} else {
+		var err error
+		if trace, err = workload.Generate(cfg); err != nil {
+			log.Fatal(err)
 		}
-		return
+		fmt.Printf("workload: %d jobs, %.1f CPU-hours\n", trace.Len(), trace.TotalCPUHours())
 	}
-
-	trace, err := workload.Generate(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("workload: %d jobs, %.1f CPU-hours\n", trace.Len(), trace.TotalCPUHours())
 	for _, r := range runs {
 		if *table != 0 && *table != r.num {
 			continue
 		}
 		fmt.Printf("\n%s\n", r.title)
-		fmt.Println(metrics.TableHeader())
-		for _, m := range r.makers {
-			row, err := experiments.RunSpec(m.Make(), trace)
+		if trace == nil {
+			reps, err := experiments.ReplicateTable(r.rows, cfg, experiments.Seeds(*replicas))
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Println(row)
+			for _, rep := range reps {
+				fmt.Println(rep)
+			}
+			continue
+		}
+		fmt.Println(metrics.TableHeader())
+		for _, row := range r.rows {
+			rep, err := experiments.RunRow(row, trace)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Println(rep)
 		}
 	}
 }

@@ -3,15 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// An unknown -table used to print the workload line, no table, and
-// exit 0; it is a usage error like any other bad flag value.
-func TestUnknownTableIsAUsageError(t *testing.T) {
+// buildTables builds the real binary into a temporary directory.
+func buildTables(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
 	}
@@ -19,6 +20,31 @@ func TestUnknownTableIsAUsageError(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building tables: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// Tables II–V on the one-day trace are deterministic, so the output
+// matches testdata/days1.golden byte for byte: a change to any row's
+// policy, thresholds or costs shows.
+func TestDays1MatchesGolden(t *testing.T) {
+	bin := buildTables(t)
+	out, err := exec.Command(bin, "-days", "1").Output()
+	if err != nil {
+		t.Fatalf("tables -days 1: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "days1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Errorf("tables -days 1 differs from testdata/days1.golden:\n%s", out)
+	}
+}
+
+// An unknown -table used to print the workload line, no table, and
+// exit 0; it is a usage error like any other bad flag value.
+func TestUnknownTableIsAUsageError(t *testing.T) {
+	bin := buildTables(t)
 	for _, arg := range []string{"1", "6", "-4"} {
 		cmd := exec.Command(bin, "-days", "0.01", "-table", arg)
 		var stdout, stderr bytes.Buffer

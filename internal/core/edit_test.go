@@ -49,7 +49,7 @@ func TestFeedTwinRandomRounds(t *testing.T) {
 		if r.Float64() < 0.2 {
 			cfg.MaxIterations = 1 + r.Intn(4) // rounds left without verdicts
 		}
-		fed, twin := MustScheduler(cfg), MustScheduler(cfg)
+		fed, twin := mustScheduler(cfg), mustScheduler(cfg)
 
 		cs := newChurnSim(int64(5400+seed), cluster.MustNew(classes), 3)
 		feed := &policy.Feed{}

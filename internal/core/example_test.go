@@ -31,7 +31,11 @@ func ExampleScheduler_Schedule() {
 	running.Host = 0
 	c.Nodes[0].AddVM(running)
 
-	sch := core.MustScheduler(core.SBConfig())
+	sch, err := core.NewScheduler(core.SBConfig())
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	sch.Tracer = printActions{}
 	sch.Schedule(&policy.Context{
 		Now:     0,

@@ -100,6 +100,15 @@ func flakyClasses(rel float64) []cluster.Class {
 	return classes
 }
 
+// mustScheduler is core.NewScheduler for configurations known valid.
+func mustScheduler(cfg core.Config) *core.Scheduler {
+	s, err := core.NewScheduler(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // TestFeedOracleOnSimulations holds the kernel exact after every round
 // of real simulations, where rounds consume the change feed: a paper
 // day (with and without PSLA, whose stay term steps with time), a
@@ -111,7 +120,7 @@ func TestFeedOracleOnSimulations(t *testing.T) {
 			if testing.Short() && r.jobsPerDay > 0 {
 				t.Skip("the dense slice in -short")
 			}
-			o := &oracled{Scheduler: core.MustScheduler(r.config())}
+			o := &oracled{Scheduler: mustScheduler(r.config())}
 			failures := r.run(t, o)
 			if o.fault != nil {
 				t.Fatal(o.fault)
@@ -129,7 +138,7 @@ func TestFeedOracleOnSimulations(t *testing.T) {
 // longer holds unvisited, and the oracle must report it, as it reports
 // a scored field written around its setter.
 func TestFeedOracleDetectsDroppedEntry(t *testing.T) {
-	o := &oracled{Scheduler: core.MustScheduler(core.SBConfig()), drop: true}
+	o := &oracled{Scheduler: mustScheduler(core.SBConfig()), drop: true}
 	feedRuns[0].run(t, o)
 	if o.fault == nil {
 		t.Fatalf("the oracle passed %d rounds whose feeds each missed a running VM", o.rounds)

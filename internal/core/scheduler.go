@@ -102,15 +102,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	return &Scheduler{cfg: cfg}, nil
 }
 
-// MustScheduler is NewScheduler that panics on error.
-func MustScheduler(cfg Config) *Scheduler {
-	s, err := NewScheduler(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Name implements policy.Policy.
 func (sch *Scheduler) Name() string { return sch.cfg.variantName() }
 

@@ -11,6 +11,15 @@ import (
 	"energysched/internal/vm"
 )
 
+// mustScheduler is NewScheduler for configurations known valid.
+func mustScheduler(cfg Config) *Scheduler {
+	s, err := NewScheduler(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // testCluster builds n medium nodes, all On.
 func testCluster(t *testing.T, n int) *cluster.Cluster {
 	t.Helper()
@@ -50,7 +59,7 @@ func scoreOf(t *testing.T, sch *Scheduler, c *cluster.Cluster, vms []*vm.VM, ni,
 
 func TestScorePreqInfeasibleArch(t *testing.T) {
 	c := testCluster(t, 1)
-	sch := MustScheduler(SB0Config())
+	sch := mustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	v.Req.Arch = "sparc"
 	if got := scoreOf(t, sch, c, []*vm.VM{v}, 0, 0); !math.IsInf(got, 1) {
@@ -61,7 +70,7 @@ func TestScorePreqInfeasibleArch(t *testing.T) {
 func TestScorePreqOfflineHost(t *testing.T) {
 	c := testCluster(t, 1)
 	c.Nodes[0].SetState(cluster.Off)
-	sch := MustScheduler(SB0Config())
+	sch := mustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	if got := scoreOf(t, sch, c, []*vm.VM{v}, 0, 0); !math.IsInf(got, 1) {
 		t.Errorf("offline host score = %v, want +Inf", got)
@@ -71,7 +80,7 @@ func TestScorePreqOfflineHost(t *testing.T) {
 func TestScorePresOverflow(t *testing.T) {
 	c := testCluster(t, 1)
 	runningVM(1, 350, 5, c, 0)
-	sch := MustScheduler(SB0Config())
+	sch := mustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	if got := scoreOf(t, sch, c, []*vm.VM{v}, 0, 0); !math.IsInf(got, 1) {
 		t.Errorf("overflowing placement score = %v, want +Inf", got)
@@ -80,8 +89,8 @@ func TestScorePresOverflow(t *testing.T) {
 
 func TestScorePvirtCreation(t *testing.T) {
 	c := testCluster(t, 1)
-	sch := MustScheduler(SB1Config())
-	cfgOff := MustScheduler(SB0Config())
+	sch := mustScheduler(SB1Config())
+	cfgOff := mustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	with := scoreOf(t, sch, c, []*vm.VM{v}, 0, 0)
 	without := scoreOf(t, cfgOff, c, []*vm.VM{v}, 0, 0)
@@ -95,7 +104,7 @@ func TestScorePvirtInOperation(t *testing.T) {
 	c := testCluster(t, 2)
 	v := runningVM(0, 100, 5, c, 0)
 	v.State = vm.Migrating
-	sch := MustScheduler(SBConfig())
+	sch := mustScheduler(SBConfig())
 	if got := scoreOf(t, sch, c, []*vm.VM{v}, 1, 0); !math.IsInf(got, 1) {
 		t.Errorf("in-operation move score = %v, want +Inf", got)
 	}
@@ -104,7 +113,7 @@ func TestScorePvirtInOperation(t *testing.T) {
 func TestScorePvirtMigrationShortRemaining(t *testing.T) {
 	c := testCluster(t, 2)
 	v := runningVM(0, 100, 5, c, 0)
-	sch := MustScheduler(SBConfig())
+	sch := mustScheduler(SBConfig())
 	// At now = 3590, Tr = 10 s < Cm = 60 s → Pm = 2·Cm = 120.
 	s := newShadow(3590, c.Nodes, []*vm.VM{v})
 	p, inf := sch.pVirtMove(s, 0, c.Nodes[1].Class)
@@ -116,7 +125,7 @@ func TestScorePvirtMigrationShortRemaining(t *testing.T) {
 func TestScorePvirtMigrationLongRemaining(t *testing.T) {
 	c := testCluster(t, 2)
 	v := runningVM(0, 100, 5, c, 0)
-	sch := MustScheduler(SBConfig())
+	sch := mustScheduler(SBConfig())
 	// At now = 0, Tr = 3600 ≥ Cm = 60 → Pm = Cm²/(2·Tr) = 0.5.
 	s := newShadow(0, c.Nodes, []*vm.VM{v})
 	p, inf := sch.pVirtMove(s, 0, c.Nodes[1].Class)
@@ -128,7 +137,7 @@ func TestScorePvirtMigrationLongRemaining(t *testing.T) {
 func TestScorePvirtStayIsFree(t *testing.T) {
 	c := testCluster(t, 2)
 	v := runningVM(0, 100, 5, c, 0)
-	sch := MustScheduler(SBConfig())
+	sch := mustScheduler(SBConfig())
 	s := newShadow(0, c.Nodes, []*vm.VM{v})
 	// scoreTime dispatches the stay case: the current host carries no
 	// virtualization overhead (and SLA is off in SBConfig).
@@ -142,7 +151,7 @@ func TestScorePconc(t *testing.T) {
 	c.Nodes[1].BeginCreate()
 	c.Nodes[1].BeginCreate()
 	c.Nodes[1].BeginMigrate()
-	sch := MustScheduler(SB2Config())
+	sch := mustScheduler(SB2Config())
 	v := queuedVM(0, 100, 5)
 	s := newShadow(0, c.Nodes, []*vm.VM{v})
 	// Medium class: 2 creations × 40 + 1 migration × 60 = 140.
@@ -162,7 +171,7 @@ func TestScorePpwrEmptyVsOccupied(t *testing.T) {
 	c := testCluster(t, 2)
 	runningVM(1, 200, 10, c, 0) // node 0 has one VM
 	runningVM(2, 100, 5, c, 0)  // and another: not emptiable
-	sch := MustScheduler(SB0Config())
+	sch := mustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	vms := []*vm.VM{v}
 	occupied := scoreOf(t, sch, c, vms, 0, 0)
@@ -181,7 +190,7 @@ func TestScorePSLA(t *testing.T) {
 	c := testCluster(t, 1)
 	cfg := SB0Config()
 	cfg.EnableSLA = true
-	sch := MustScheduler(cfg)
+	sch := mustScheduler(cfg)
 	// A queued VM whose deadline already passed scores +Inf.
 	v := queuedVM(0, 100, 5)
 	v.Deadline = 10
@@ -214,7 +223,7 @@ func TestScorePfault(t *testing.T) {
 	cfg := SB0Config()
 	cfg.EnableFault = true
 	cfg.EnablePower = false
-	sch := MustScheduler(cfg)
+	sch := mustScheduler(cfg)
 	v := queuedVM(0, 100, 5)
 	v.FaultTolerance = 0.02
 	got := scoreOf(t, sch, c, []*vm.VM{v}, 0, 0)
@@ -232,7 +241,7 @@ func TestVariantNames(t *testing.T) {
 		{SB0Config(), "SB0"}, {SB1Config(), "SB1"},
 		{SB2Config(), "SB2"}, {SBConfig(), "SB"},
 	} {
-		if got := MustScheduler(c.cfg).Name(); got != c.want {
+		if got := mustScheduler(c.cfg).Name(); got != c.want {
 			t.Errorf("variant name = %q, want %q", got, c.want)
 		}
 	}
@@ -298,7 +307,7 @@ func ctxFor(c *cluster.Cluster, queue, active []*vm.VM) *policy.Context {
 
 func TestSchedulePlacesQueuedVM(t *testing.T) {
 	c := testCluster(t, 3)
-	sch := MustScheduler(SB0Config())
+	sch := mustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	actions := sch.Schedule(ctxFor(c, []*vm.VM{v}, nil))
 	if len(actions) != 1 {
@@ -313,7 +322,7 @@ func TestSchedulePrefersOccupiedHost(t *testing.T) {
 	c := testCluster(t, 3)
 	runningVM(1, 200, 10, c, 2)
 	runningVM(2, 100, 5, c, 2) // node 2 not emptiable and occupied
-	sch := MustScheduler(SB0Config())
+	sch := mustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	actions := sch.Schedule(ctxFor(c, []*vm.VM{v}, nil))
 	if len(actions) != 1 {
@@ -329,7 +338,7 @@ func TestSchedulePrefersOccupiedHost(t *testing.T) {
 func TestScheduleRespectsCapacity(t *testing.T) {
 	c := testCluster(t, 1)
 	runningVM(1, 400, 5, c, 0) // full node
-	sch := MustScheduler(SB0Config())
+	sch := mustScheduler(SB0Config())
 	v := queuedVM(0, 100, 5)
 	actions := sch.Schedule(ctxFor(c, []*vm.VM{v}, nil))
 	if len(actions) != 0 {
@@ -341,7 +350,7 @@ func TestScheduleNoMigrationForStaticVariants(t *testing.T) {
 	c := testCluster(t, 3)
 	a := runningVM(1, 100, 5, c, 0)
 	b := runningVM(2, 100, 5, c, 1)
-	sch := MustScheduler(SB2Config())
+	sch := mustScheduler(SB2Config())
 	actions := sch.Schedule(ctxFor(c, nil, []*vm.VM{a, b}))
 	if len(actions) != 0 {
 		t.Fatalf("static variant migrated: %+v", actions)
@@ -356,7 +365,7 @@ func TestScheduleConsolidationMigration(t *testing.T) {
 	b := runningVM(2, 100, 5, c, 1)
 	cfg := SBConfig()
 	cfg.MigrationGainMin = 1 // isolate the mechanism from the damping
-	sch := MustScheduler(cfg)
+	sch := mustScheduler(cfg)
 	actions := sch.Schedule(ctxFor(c, nil, []*vm.VM{a, b}))
 	if len(actions) != 1 {
 		t.Fatalf("actions = %+v, want one migration", actions)
@@ -376,7 +385,7 @@ func TestScheduleMigrationHysteresis(t *testing.T) {
 	b := runningVM(2, 100, 5, c, 1)
 	cfg := SBConfig()
 	cfg.MigrationGainMin = 1e6 // nothing clears this bar
-	sch := MustScheduler(cfg)
+	sch := mustScheduler(cfg)
 	if actions := sch.Schedule(ctxFor(c, nil, []*vm.VM{a, b})); len(actions) != 0 {
 		t.Fatalf("hysteresis ignored: %+v", actions)
 	}
@@ -397,7 +406,7 @@ func TestScheduleMigrationCooldown(t *testing.T) {
 	}
 	cfg := SBConfig()
 	cfg.MigrationGainMin = 1
-	sch := MustScheduler(cfg)
+	sch := mustScheduler(cfg)
 
 	ctx, a, b := mk()
 	a.LastMigrate, b.LastMigrate = 0, 0 // both just migrated
@@ -421,7 +430,7 @@ func TestScheduleIterationLimit(t *testing.T) {
 	}
 	cfg := SB0Config()
 	cfg.MaxIterations = 3
-	sch := MustScheduler(cfg)
+	sch := mustScheduler(cfg)
 	actions := sch.Schedule(ctxFor(c, queue, nil))
 	if len(actions) > 3 {
 		t.Fatalf("iteration limit exceeded: %d actions", len(actions))
@@ -438,7 +447,7 @@ func TestScheduleDeterministic(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			queue = append(queue, queuedVM(i, float64(100+(i%3)*100), 5))
 		}
-		sch := MustScheduler(SBConfig())
+		sch := mustScheduler(SBConfig())
 		return sch.Schedule(ctxFor(c, queue, nil))
 	}
 	a, b := mk(), mk()
@@ -467,7 +476,7 @@ func TestScheduleNeverOvercommits(t *testing.T) {
 			cpu := float64(100 * (1 + (i+seed)%4))
 			queue = append(queue, queuedVM(i, cpu, 5))
 		}
-		sch := MustScheduler(SBConfig())
+		sch := mustScheduler(SBConfig())
 		actions := sch.Schedule(ctxFor(c, queue, nil))
 		loads := make(map[int]float64)
 		for _, a := range actions {
@@ -534,7 +543,7 @@ func TestShadowResetResolvesHostsAcrossRounds(t *testing.T) {
 func TestCandidatesSortedWhateverTheQueueHolds(t *testing.T) {
 	c := testCluster(t, 4)
 	active := []*vm.VM{runningVM(2, 100, 5, c, 0), runningVM(5, 100, 5, c, 1), runningVM(9, 100, 5, c, 2)}
-	sch := MustScheduler(SBConfig())
+	sch := mustScheduler(SBConfig())
 	for _, tc := range []struct {
 		queue []int
 		want  []int

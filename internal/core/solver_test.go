@@ -170,10 +170,10 @@ func TestDifferentialRandomRounds(t *testing.T) {
 	for seed := 0; seed < 300; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		ctx, cfg := randomScenario(r)
-		inc := MustScheduler(cfg)
+		inc := mustScheduler(cfg)
 		naiCfg := cfg
 		naiCfg.NaiveSolver = true
-		nai := MustScheduler(naiCfg)
+		nai := mustScheduler(naiCfg)
 		diffRound(t, seed, inc, nai, ctx)
 		if inc.Stats.Moves != nai.Stats.Moves {
 			t.Fatalf("seed %d: moves diverged: %d vs %d", seed, inc.Stats.Moves, nai.Stats.Moves)
@@ -194,10 +194,10 @@ func TestShardedDifferentialRandomRounds(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		ctx, cfg := randomScenario(r)
 		cfg.NaiveSolver = true
-		naive := MustScheduler(cfg)
+		naive := mustScheduler(cfg)
 		want := renderActions(naive.Schedule(ctx))
 		cfg.NaiveSolver = false
-		kern := MustScheduler(cfg)
+		kern := mustScheduler(cfg)
 		got := renderActions(kern.Schedule(ctx))
 		checkKernel(t, kern, ctx)
 		if !slices.Equal(got, want) {
@@ -217,10 +217,10 @@ func TestShardedDifferentialRandomRounds(t *testing.T) {
 // shadow, matrix) are exercised across reuse boundaries.
 func TestDifferentialScratchReuse(t *testing.T) {
 	cfg := SBConfig()
-	inc := MustScheduler(cfg)
+	inc := mustScheduler(cfg)
 	naiCfg := cfg
 	naiCfg.NaiveSolver = true
-	nai := MustScheduler(naiCfg)
+	nai := mustScheduler(naiCfg)
 	for seed := 1000; seed < 1100; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		ctx, _ := randomScenario(r)
@@ -674,7 +674,7 @@ func TestCheckKernelDetectsStaleKey(t *testing.T) {
 		cfg := SBConfig()
 		cfg.EnableFault = true
 		cfg.MigrationGainMin = 1e6
-		sch := MustScheduler(cfg)
+		sch := mustScheduler(cfg)
 		ctx := ctxFor(c, nil, []*vm.VM{a, b})
 		sch.Schedule(ctx)
 		if err := kernelFault(sch, ctx); err != nil {
@@ -722,10 +722,10 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 		cfg.EnableSLA = r.Float64() < 0.3
 		cfg.EnableFault = r.Float64() < 0.3
 		cfg.MigrationCooldown = 600
-		inc := MustScheduler(cfg)
+		inc := mustScheduler(cfg)
 		naiCfg := cfg
 		naiCfg.NaiveSolver = true
-		nai := MustScheduler(naiCfg)
+		nai := mustScheduler(naiCfg)
 
 		cs := newChurnSim(int64(9100+seed), cluster.MustNew(classes), 2)
 		prevRows := map[int]bool{}
@@ -857,9 +857,9 @@ func TestDifferentialChurnSizes(t *testing.T) {
 // configuration.
 func kernelPair(cfg Config) (kern, naive *Scheduler) {
 	cfg.NaiveSolver = false
-	kern = MustScheduler(cfg)
+	kern = mustScheduler(cfg)
 	cfg.NaiveSolver = true
-	return kern, MustScheduler(cfg)
+	return kern, mustScheduler(cfg)
 }
 
 // diffChecked runs one round on both schedulers: identical actions and
@@ -1059,10 +1059,10 @@ func TestIncrementalFewerEvals(t *testing.T) {
 		}
 		return &policy.Context{Now: 0, Cluster: c, Queue: queue, LambdaMin: 0.3, LambdaMax: 0.9}
 	}
-	inc := MustScheduler(SBConfig())
+	inc := mustScheduler(SBConfig())
 	naiCfg := SBConfig()
 	naiCfg.NaiveSolver = true
-	nai := MustScheduler(naiCfg)
+	nai := mustScheduler(naiCfg)
 	diffRound(t, -1, inc, nai, mkCtx())
 	if inc.Stats.Moves == 0 {
 		t.Fatal("scenario applied no moves; the eval comparison is vacuous")
@@ -1100,7 +1100,7 @@ func TestWorkedMatrixExampleBothSolvers(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		cfg := SBConfig()
 		cfg.NaiveSolver = naive
-		sch := MustScheduler(cfg)
+		sch := mustScheduler(cfg)
 		acts := renderActions(sch.Schedule(mk()))
 		if len(acts) != 1 || acts[0] != "place vm0 -> n0" {
 			t.Fatalf("naive=%v: actions = %v, want [place vm0 -> n0]", naive, acts)
@@ -1120,7 +1120,7 @@ func TestScheduleSteadyStateAllocationFree(t *testing.T) {
 	b := runningVM(2, 100, 5, c, 1)
 	cfg := SBConfig()
 	cfg.MigrationGainMin = 1e6
-	sch := MustScheduler(cfg)
+	sch := mustScheduler(cfg)
 	ctx := ctxFor(c, nil, []*vm.VM{a, b})
 	sch.Schedule(ctx) // warm up scratch buffers
 	allocs := testing.AllocsPerRun(50, func() {

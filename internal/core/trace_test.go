@@ -41,8 +41,8 @@ func TestTraceDeterminism(t *testing.T) {
 		for _, variant := range traceVariants() {
 			vCfg := cfg
 			variant.mut(&vCfg)
-			plain := MustScheduler(vCfg)
-			traced := MustScheduler(vCfg)
+			plain := mustScheduler(vCfg)
+			traced := mustScheduler(vCfg)
 			ring := obs.NewTraceRing(obs.TraceScores, 0)
 			traced.Tracer = ring
 
@@ -79,7 +79,7 @@ func TestTraceRoundContents(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(4400 + seed)))
 				ctx, cfg := randomScenario(r)
 				variant.mut(&cfg)
-				sch := MustScheduler(cfg)
+				sch := mustScheduler(cfg)
 				ring := obs.NewTraceRing(obs.TraceScores, 0)
 				sch.Tracer = ring
 				sch.Schedule(ctx)
@@ -150,12 +150,12 @@ func TestTraceVerbosityLevels(t *testing.T) {
 	for seed := 0; seed < 200; seed++ {
 		r := rand.New(rand.NewSource(int64(5100 + seed)))
 		ctx, cfg := randomScenario(r)
-		sch := MustScheduler(cfg)
+		sch := mustScheduler(cfg)
 		if renderActions(sch.Schedule(ctx)) == nil {
 			continue // need a round with actions
 		}
 
-		off := MustScheduler(cfg)
+		off := mustScheduler(cfg)
 		offRing := obs.NewTraceRing(obs.TraceOff, 0)
 		off.Tracer = offRing
 		off.Schedule(ctx)
@@ -165,7 +165,7 @@ func TestTraceVerbosityLevels(t *testing.T) {
 
 		decode := func(verb obs.Verbosity) obs.RoundTrace {
 			t.Helper()
-			sch := MustScheduler(cfg)
+			sch := mustScheduler(cfg)
 			ring := obs.NewTraceRing(verb, 0)
 			sch.Tracer = ring
 			sch.Schedule(ctx)

@@ -27,7 +27,7 @@ func TestEventPathAllocsPerJob(t *testing.T) {
 		sim, err := New(Config{
 			Classes: cluster.PaperClasses(),
 			Trace:   trace,
-			Policy:  core.MustScheduler(core.SBConfig()),
+			Policy:  mustScheduler(core.SBConfig()),
 			Seed:    1,
 		})
 		if err != nil {
@@ -61,7 +61,7 @@ func TestEventPathAllocsPerJob(t *testing.T) {
 // same few objects on 100 nodes as on 2000, because the nodes, their
 // meters and runtime records live in slabs, not in objects of their own.
 func TestNewAllocsIndependentOfFleetSize(t *testing.T) {
-	sb := core.MustScheduler(core.SBConfig())
+	sb := mustScheduler(core.SBConfig())
 	allocs := func(scale int) float64 {
 		classes := cluster.PaperClasses()
 		for i := range classes {
@@ -85,7 +85,7 @@ func TestNewAllocsIndependentOfFleetSize(t *testing.T) {
 // each chunk's records to one contiguous array in ID order: a slab
 // grown by append would leave copies behind that nobody updates.
 func TestVMRecordsNeverMove(t *testing.T) {
-	sim, err := New(Config{Policy: core.MustScheduler(core.SBConfig()), Seed: 1})
+	sim, err := New(Config{Policy: mustScheduler(core.SBConfig()), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

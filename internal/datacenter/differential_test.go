@@ -28,7 +28,7 @@ func TestSolverFullSimDifferential(t *testing.T) {
 		mod(&cfg)
 		sim, err := New(Config{
 			Trace:     trace,
-			Policy:    core.MustScheduler(cfg),
+			Policy:    mustScheduler(cfg),
 			LambdaMin: 30,
 			LambdaMax: 90,
 			Seed:      1,
@@ -83,7 +83,7 @@ func TestOnlineInjectionMatchesOfflineRun(t *testing.T) {
 	mk := func() Config {
 		return Config{
 			Classes: smallClasses(12),
-			Policy:  core.MustScheduler(core.SBConfig()),
+			Policy:  mustScheduler(core.SBConfig()),
 			Seed:    3,
 		}
 	}

@@ -24,7 +24,7 @@ func TestDormantRowsOnPaperDay(t *testing.T) {
 
 	run := func(cfg core.Config, tracer obs.TraceSink) (metrics.Report, core.SolverStats) {
 		t.Helper()
-		sch := core.MustScheduler(cfg)
+		sch := mustScheduler(cfg)
 		sch.Tracer = tracer
 		sim, err := New(Config{Trace: trace, Policy: sch, LambdaMin: 30, LambdaMax: 90, Seed: 1})
 		if err != nil {

@@ -59,7 +59,7 @@ func TestEventLogMigration(t *testing.T) {
 	sim, err := New(Config{
 		Classes:     smallClasses(2),
 		Trace:       trace,
-		Policy:      core.MustScheduler(cfg),
+		Policy:      mustScheduler(cfg),
 		Seed:        1,
 		StartOnline: true,
 		EventLog: func(e Event) {

@@ -13,6 +13,15 @@ import (
 	"energysched/internal/workload"
 )
 
+// mustScheduler is core.NewScheduler for configurations known valid.
+func mustScheduler(cfg core.Config) *core.Scheduler {
+	s, err := core.NewScheduler(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // miniTrace builds a small deterministic trace, jobs in submit order.
 func miniTrace(jobs ...workload.Job) *workload.Trace {
 	slices.SortStableFunc(jobs, func(a, b workload.Job) int { return cmp.Compare(a.Submit, b.Submit) })
@@ -177,7 +186,7 @@ func TestMigrationMovesVM(t *testing.T) {
 	sim, err := New(Config{
 		Classes:     smallClasses(2),
 		Trace:       miniTrace(jobs...),
-		Policy:      core.MustScheduler(cfg),
+		Policy:      mustScheduler(cfg),
 		Seed:        1,
 		StartOnline: true,
 	})
@@ -359,7 +368,7 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() float64 {
 		sim, err := New(Config{
 			Trace:  trace,
-			Policy: core.MustScheduler(core.SBConfig()),
+			Policy: mustScheduler(core.SBConfig()),
 			Seed:   42,
 		})
 		if err != nil {
@@ -465,7 +474,7 @@ func TestAdaptiveLambdaReacts(t *testing.T) {
 	run := func(target float64) float64 {
 		sim, err := New(Config{
 			Trace:          trace,
-			Policy:         core.MustScheduler(core.SBConfig()),
+			Policy:         mustScheduler(core.SBConfig()),
 			LambdaMin:      30,
 			LambdaMax:      90,
 			Seed:           1,
@@ -520,7 +529,7 @@ func TestHeterogeneousHardwareConstraints(t *testing.T) {
 	sim, err := New(Config{
 		Classes:     []cluster.Class{x86, arm},
 		Trace:       trace,
-		Policy:      core.MustScheduler(cfg),
+		Policy:      mustScheduler(cfg),
 		Seed:        1,
 		StartOnline: true,
 	})
@@ -562,7 +571,7 @@ func forceMigration(t *testing.T, classes []cluster.Class, failuresSeed int64) *
 	sim, err := New(Config{
 		Classes:     classes,
 		Trace:       miniTrace(jobs...),
-		Policy:      core.MustScheduler(cfg),
+		Policy:      mustScheduler(cfg),
 		Seed:        failuresSeed,
 		StartOnline: true,
 	})

@@ -21,17 +21,17 @@ func day(t *testing.T) *workload.Trace {
 }
 
 // runTable runs every row of a table once on trace.
-func runTable(t *testing.T, makers []SpecMaker, trace *workload.Trace) []metrics.Report {
+func runTable(t *testing.T, rows []Row, trace *workload.Trace) []metrics.Report {
 	t.Helper()
-	var rows []metrics.Report
-	for _, m := range makers {
-		rep, err := RunSpec(m.Make(), trace)
+	var reps []metrics.Report
+	for _, row := range rows {
+		rep, err := RunRow(row, trace)
 		if err != nil {
-			t.Fatalf("%s: %v", m.Label, err)
+			t.Fatalf("%s: %v", row.Policy, err)
 		}
-		rows = append(rows, rep)
+		reps = append(reps, rep)
 	}
-	return rows
+	return reps
 }
 
 func find(rows []metrics.Report, label string, lambdaMin float64) metrics.Report {
@@ -44,7 +44,7 @@ func find(rows []metrics.Report, label string, lambdaMin float64) metrics.Report
 }
 
 func TestTableIIShape(t *testing.T) {
-	rows := runTable(t, TableIIMakers(), day(t))
+	rows := runTable(t, TableIIRows(), day(t))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -74,7 +74,7 @@ func TestTableIIShape(t *testing.T) {
 }
 
 func TestTableIIIShape(t *testing.T) {
-	rows := runTable(t, TableIIIMakers(), day(t))
+	rows := runTable(t, TableIIIRows(), day(t))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -97,7 +97,7 @@ func TestTableIIIShape(t *testing.T) {
 }
 
 func TestTableIVShape(t *testing.T) {
-	rows := runTable(t, TableIVMakers(), day(t))
+	rows := runTable(t, TableIVRows(), day(t))
 	dbf := find(rows, "DBF", 0)
 	sb := find(rows, "SB", 30)
 	sbA := find(rows, "SB", 40)
@@ -116,7 +116,7 @@ func TestTableIVShape(t *testing.T) {
 }
 
 func TestTableVShape(t *testing.T) {
-	rows := runTable(t, TableVMakers(), day(t))
+	rows := runTable(t, TableVRows(), day(t))
 	noCe := find(rows, "SB-0/40", 0)
 	mid := find(rows, "SB-20/40", 0)
 	agg := find(rows, "SB-60/100", 0)

@@ -50,15 +50,14 @@ func (r Replication) String() string {
 		r.Label, r.Replicas, r.EnergyKWh, r.Satisfaction, r.Delay, r.Migrations, r.AvgOnline)
 }
 
-// Replicate runs the spec produced by mkSpec once per seed, each time
-// on a freshly generated trace with that seed, and aggregates the
-// paper's metrics. mkSpec must return a fresh policy every call —
-// policies carry state across rounds and must not be shared between
-// runs.
-func Replicate(label string, mkSpec func() Spec, gen workload.GeneratorConfig, seeds []int64) (Replication, error) {
+// Replicate runs the row once per seed, each time at that seed on a
+// freshly generated trace with that seed, and aggregates the paper's
+// metrics under the row's report name.
+func Replicate(row Row, gen workload.GeneratorConfig, seeds []int64) (Replication, error) {
 	if len(seeds) == 0 {
 		return Replication{}, fmt.Errorf("experiments: no seeds")
 	}
+	var label string
 	var energy, sat, delay, mig, online, working metrics.Welford
 	for _, seed := range seeds {
 		g := gen
@@ -67,10 +66,12 @@ func Replicate(label string, mkSpec func() Spec, gen workload.GeneratorConfig, s
 		if err != nil {
 			return Replication{}, err
 		}
-		rep, err := RunSpec(mkSpec(), trace)
+		row.Seed = seed
+		rep, err := RunRow(row, trace)
 		if err != nil {
 			return Replication{}, fmt.Errorf("experiments: seed %d: %w", seed, err)
 		}
+		label = rep.Policy
 		energy.Add(rep.EnergyKWh)
 		sat.Add(rep.Satisfaction)
 		delay.Add(rep.Delay)

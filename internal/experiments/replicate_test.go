@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"energysched"
 	"energysched/internal/metrics"
-	"energysched/internal/policy"
 	"energysched/internal/workload"
 )
 
@@ -16,11 +16,10 @@ func shortGen() workload.GeneratorConfig {
 	return g
 }
 
+var bf = Row{Options: energysched.Options{Policy: "BF", LambdaMin: 30, LambdaMax: 90}}
+
 func TestReplicateAggregates(t *testing.T) {
-	mk := func() Spec {
-		return Spec{Policy: policy.NewBackfilling(), LambdaMin: 30, LambdaMax: 90}
-	}
-	r, err := Replicate("BF", mk, shortGen(), Seeds(4))
+	r, err := Replicate(bf, shortGen(), Seeds(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +41,7 @@ func TestReplicateAggregates(t *testing.T) {
 }
 
 func TestReplicateSingleSeedHasNoCI(t *testing.T) {
-	mk := func() Spec {
-		return Spec{Policy: policy.NewBackfilling(), LambdaMin: 30, LambdaMax: 90}
-	}
-	r, err := Replicate("BF", mk, shortGen(), Seeds(1))
+	r, err := Replicate(bf, shortGen(), Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +51,37 @@ func TestReplicateSingleSeedHasNoCI(t *testing.T) {
 }
 
 func TestReplicateNeedsSeeds(t *testing.T) {
-	mk := func() Spec { return Spec{Policy: policy.NewBackfilling()} }
-	if _, err := Replicate("x", mk, shortGen(), nil); err == nil {
+	if _, err := Replicate(bf, shortGen(), nil); err == nil {
 		t.Error("empty seed list accepted")
+	}
+}
+
+// A replica varies the simulator with its seed, not only the trace:
+// RD's seed-2 replica is the seed-2 run on the seed-2 trace, which
+// places differently from the same trace at the default seed.
+func TestReplicaSeedsTheSimulator(t *testing.T) {
+	rd := TableIIRows()[0]
+	r, err := Replicate(rd, shortGen(), []int64{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := shortGen()
+	g.Seed = 2
+	trace := workload.MustGenerate(g)
+	seeded := rd
+	seeded.Seed = 2
+	want, err := RunRow(seeded, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.EnergyKWh.Mean != want.EnergyKWh || r.Satisfaction.Mean != want.Satisfaction ||
+		r.Delay.Mean != want.Delay || r.AvgOnline.Mean != want.AvgOnline {
+		t.Errorf("replica of seed 2 = %s, want the seed-2 run %s", r, want)
+	}
+	if unseeded, err := RunRow(rd, trace); err != nil {
+		t.Fatal(err)
+	} else if unseeded.EnergyKWh == want.EnergyKWh && unseeded.Delay == want.Delay {
+		t.Errorf("RD at seeds 1 and 2 ran alike (%s), so the check above shows nothing", unseeded)
 	}
 }
 

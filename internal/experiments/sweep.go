@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"energysched/internal/cluster"
-	"energysched/internal/core"
-	"energysched/internal/datacenter"
-	"energysched/internal/policy"
+	"energysched"
 	"energysched/internal/workload"
 )
 
@@ -27,18 +24,18 @@ type SweepPoint struct {
 type SweepConfig struct {
 	LambdaMins []float64 // percent
 	LambdaMaxs []float64 // percent
-	// Policy names the scheduler to sweep ("SB" in the paper — "the
-	// one that makes a more aggressive consolidation").
+	// Policy names the scheduler to sweep, as energysched.NewPolicy
+	// does ("SB" in the paper — "the one that makes a more aggressive
+	// consolidation").
 	Policy string
 	// Classes overrides the fleet (nil = the paper's 100 nodes), so
 	// grids can sweep 10k-node heterogeneous scale scenarios.
-	Classes []cluster.Class
+	Classes []energysched.NodeClass
 }
 
-// LambdaSweep runs the grid, skipping infeasible cells (λmin >= λmax)
-// which are returned with NaN-free zero values and Skipped = true in
-// the point list via omission. Points are ordered λmax-major to match
-// the paper's surface plots.
+// LambdaSweep runs one simulation per feasible cell of the grid;
+// cells with λmin >= λmax are omitted. Points are ordered λmax-major
+// to match the paper's surface plots.
 func LambdaSweep(cfg SweepConfig, trace *workload.Trace) ([]SweepPoint, error) {
 	var out []SweepPoint
 	for _, lmax := range cfg.LambdaMaxs {
@@ -46,22 +43,13 @@ func LambdaSweep(cfg SweepConfig, trace *workload.Trace) ([]SweepPoint, error) {
 			if lmin >= lmax {
 				continue
 			}
-			pol, err := newSweepPolicy(cfg.Policy)
-			if err != nil {
-				return nil, err
-			}
-			sim, err := datacenter.New(datacenter.Config{
+			rep, err := energysched.Run(energysched.Options{
+				Policy:    cfg.Policy,
 				Trace:     trace,
-				Policy:    pol,
-				Classes:   cfg.Classes,
 				LambdaMin: lmin,
 				LambdaMax: lmax,
-				Seed:      Seed,
+				Classes:   cfg.Classes,
 			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: sweep λ=%v-%v: %w", lmin, lmax, err)
-			}
-			rep, err := sim.Run()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: sweep λ=%v-%v: %w", lmin, lmax, err)
 			}
@@ -76,19 +64,4 @@ func LambdaSweep(cfg SweepConfig, trace *workload.Trace) ([]SweepPoint, error) {
 		}
 	}
 	return out, nil
-}
-
-func newSweepPolicy(name string) (policy.Policy, error) {
-	switch name {
-	case "", "SB":
-		return core.NewScheduler(core.SBConfig())
-	case "SB2":
-		return core.NewScheduler(core.SB2Config())
-	case "BF":
-		return policy.NewBackfilling(), nil
-	case "DBF":
-		return policy.NewDynamicBackfilling(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unsupported sweep policy %q", name)
-	}
 }

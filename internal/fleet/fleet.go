@@ -1080,13 +1080,14 @@ func (f *Fleet) Drain() (rep energysched.ServiceReport, err error) {
 
 // --- snapshot / restore ---
 
-// ResolveSnapshotPath confines API-supplied snapshot paths to the
+// resolveSnapshotPath confines API-supplied snapshot paths to the
 // fleet's snapshot directory: the request names a file, never a
 // location. The HTTP surface is unauthenticated, so honoring client
 // paths verbatim would let any network peer overwrite or probe
 // arbitrary files as the daemon user. (The operator's -restore flag
-// goes through RestoreFile and is not confined.)
-func (f *Fleet) ResolveSnapshotPath(path string) (string, error) {
+// goes through RestoreFile and is not confined.) It reads f.jobs, so
+// it runs on the event loop only.
+func (f *Fleet) resolveSnapshotPath(path string) (string, error) {
 	if path == "" {
 		return filepath.Join(f.cfg.SnapshotDir, fmt.Sprintf("energyschedd-%s-%d.snapshot.json", f.id, len(f.jobs))), nil
 	}
@@ -1101,7 +1102,7 @@ func (f *Fleet) ResolveSnapshotPath(path string) (string, error) {
 // empty path picks a name).
 func (f *Fleet) Snapshot(path string) (info energysched.SnapshotInfo, err error) {
 	err = f.call(func() error {
-		p, err := f.ResolveSnapshotPath(path)
+		p, err := f.resolveSnapshotPath(path)
 		if err != nil {
 			return err
 		}
@@ -1128,7 +1129,7 @@ func (f *Fleet) Restore(path string) (info energysched.SnapshotInfo, err error) 
 		return info, errf(http.StatusBadRequest, "restore needs a snapshot path")
 	}
 	err = f.call(func() error {
-		p, err := f.ResolveSnapshotPath(path)
+		p, err := f.resolveSnapshotPath(path)
 		if err == nil {
 			info, err = f.restore(p)
 		}
