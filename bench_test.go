@@ -64,7 +64,7 @@ func cfgFor(mk func() policy.Policy, lmin, lmax float64) func() datacenter.Confi
 	}
 }
 
-// --- Ablations of DESIGN.md's design decisions ---
+// --- Ablations: each turns off or retunes one modelling choice ---
 
 // Thrash model off: overcommit becomes free and the random baseline
 // stops collapsing — quantifies how much of RD's penalty is thrash.
@@ -166,7 +166,7 @@ func solverRoundCtx() *policy.Context {
 	for i := 0; i < 64; i++ {
 		queue = append(queue, vm.New(i, vm.Requirements{CPU: float64(100 * (1 + i%4)), Mem: 5}, 0, 3600, 7200))
 	}
-	return &policy.Context{Now: 0, Cluster: cls, Queue: queue, LambdaMin: 0.3, LambdaMax: 0.9}
+	return &policy.Context{Now: 0, Cluster: cls, Queue: queue}
 }
 
 func benchSolverRound(b *testing.B, cfg core.Config) {
@@ -229,7 +229,7 @@ func solverChurnSetup(cfg core.Config) (*core.Scheduler, *policy.Context) {
 		n.AddVM(v)
 		active = append(active, v)
 	}
-	ctx := &policy.Context{Now: 0, Cluster: cls, Active: active, LambdaMin: 0.3, LambdaMax: 0.9}
+	ctx := &policy.Context{Now: 0, Cluster: cls, Active: active}
 	sch := mustScheduler(cfg)
 	sch.Schedule(ctx) // warm scratch buffers
 	sch.Schedule(ctx) // and a first carry round
@@ -293,7 +293,7 @@ func quietRoundSetup(b *testing.B) (*core.Scheduler, *policy.Context) {
 		}
 	}
 	sim.StepBefore(at)
-	ctx := &policy.Context{Now: sim.Now(), Cluster: sim.Cluster(), Queue: sim.AppendQueue(nil), LambdaMin: 30, LambdaMax: 90}
+	ctx := &policy.Context{Now: sim.Now(), Cluster: sim.Cluster(), Queue: sim.AppendQueue(nil)}
 	for _, v := range sim.VMs() {
 		if v.Active() {
 			ctx.Active = append(ctx.Active, v)
@@ -345,7 +345,7 @@ func bigRoundCtx() *policy.Context {
 	for i := 0; i < 4000; i++ {
 		queue = append(queue, vm.New(i, vm.Requirements{CPU: float64(50 * (1 + i%4)), Mem: 5}, 0, 3600, 7200))
 	}
-	return &policy.Context{Now: 0, Cluster: cls, Queue: queue, LambdaMin: 0.3, LambdaMax: 0.9}
+	return &policy.Context{Now: 0, Cluster: cls, Queue: queue}
 }
 
 // BenchmarkShardedRound1000N4000V_Serial keeps its name, which the

@@ -43,9 +43,9 @@ func main() {
 	gen.Horizon = *days * 24 * 3600
 	gen.Seed = *seed
 
-	cfg := experiments.SweepConfig{Policy: *policy}
+	cfg := experiments.SweepConfig{Base: energysched.Options{Policy: *policy, Seed: *seed}}
 	if *nodes > 0 {
-		cfg.Classes = energysched.ScaleClasses(*nodes)
+		cfg.Base.Classes = energysched.ScaleClasses(*nodes)
 	}
 	trace, err := workload.Generate(gen)
 	if err != nil {

@@ -88,6 +88,7 @@ func main() {
 		}
 		fmt.Println(metrics.TableHeader())
 		for _, row := range r.rows {
+			row.Seed = *seed
 			rep, err := experiments.RunRow(row, trace)
 			if err != nil {
 				log.Fatal(err)

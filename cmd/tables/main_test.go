@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"energysched/internal/experiments"
+	"energysched/internal/workload"
 )
 
 // buildTables builds the real binary into a temporary directory.
@@ -38,6 +42,34 @@ func TestDays1MatchesGolden(t *testing.T) {
 	}
 	if !bytes.Equal(out, want) {
 		t.Errorf("tables -days 1 differs from testdata/days1.golden:\n%s", out)
+	}
+}
+
+// -seed seeds the whole run, not only the trace: a single-run row at
+// seed 2 reads what the seed-2 replica of the same row reads.
+func TestSeedSeedsTheSimulation(t *testing.T) {
+	bin := buildTables(t)
+	out, err := exec.Command(bin, "-days", "0.5", "-seed", "2", "-table", "2").Output()
+	if err != nil {
+		t.Fatalf("tables -days 0.5 -seed 2 -table 2: %v", err)
+	}
+	var rd string
+	for _, l := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(l, "RD ") {
+			rd = l
+		}
+	}
+	gen := workload.DefaultGeneratorConfig()
+	gen.Horizon = 0.5 * 24 * 3600
+	rep, err := experiments.Replicate(experiments.TableIIRows()[0], gen, []int64{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := fmt.Sprintf("/%5.1f  CPU", rep.AvgOnline.Mean)
+	tail := fmt.Sprintf("Pwr %7.1f kWh  S %5.1f%%  delay %5.1f%%  mig %4.0f",
+		rep.EnergyKWh.Mean, rep.Satisfaction.Mean, rep.Delay.Mean, rep.Migrations.Mean)
+	if !strings.Contains(rd, on) || !strings.HasSuffix(rd, tail) {
+		t.Errorf("RD row at -seed 2:\n%s\nwant ON %.1f and %q, as the seed-2 replica reads", rd, rep.AvgOnline.Mean, tail)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 )
 
 // Scenario is one reproducible scale/chaos run: a heterogeneous fleet
-// of Nodes, a streaming synthetic trace of Days × JobsPerDay, a
-// seeded fault plan, and the λ thresholds. Every field is part of the
-// seed: two equal Scenarios produce byte-identical reports.
+// of Nodes, a streaming synthetic trace of Days × JobsPerDay and a
+// seeded fault plan, under the paper's default λ thresholds. Every
+// field is part of the seed: two equal Scenarios produce
+// byte-identical reports.
 type Scenario struct {
 	Name string
 	// Nodes is the heterogeneous fleet size.
@@ -27,9 +28,6 @@ type Scenario struct {
 	JobsPerDay float64
 	// Seed drives the trace, the engine and the fault plan.
 	Seed int64
-	// LambdaMin, LambdaMax are the power-manager thresholds (0,0 =
-	// paper defaults 30/90 via datacenter).
-	LambdaMin, LambdaMax float64
 	// TickSeconds is the housekeeping tick (0 = datacenter default
 	// 60 s; scale runs use a coarser tick).
 	TickSeconds float64
@@ -97,8 +95,6 @@ func (s Scenario) sim(sink obs.TraceSink) (*datacenter.Simulation, error) {
 	return datacenter.New(datacenter.Config{
 		Classes:      cluster.ScaleClasses(s.Nodes),
 		Policy:       pol,
-		LambdaMin:    s.LambdaMin,
-		LambdaMax:    s.LambdaMax,
 		Seed:         s.Seed,
 		TickInterval: s.TickSeconds,
 		MTTR:         s.MTTR,

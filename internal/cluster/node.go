@@ -72,7 +72,7 @@ type Class struct {
 	// Reliability is Frel: fraction of time the node is up, in (0,1].
 	Reliability float64
 	// Power is the electrical model (nil = paper's Table I model).
-	Power power.Model
+	Power *power.InterpolatedModel
 }
 
 // tableI is the paper's measured Table I power model. It is immutable,
@@ -386,7 +386,7 @@ func (n *Node) Satisfies(r vm.Requirements) bool {
 }
 
 // PowerModel returns the node's electrical model.
-func (n *Node) PowerModel() power.Model {
+func (n *Node) PowerModel() *power.InterpolatedModel {
 	if n.Class.Power != nil {
 		return n.Class.Power
 	}

@@ -36,8 +36,6 @@ type Adaptive struct {
 	started    bool
 	winSum     float64
 	winN       int
-	// Adjustments counts threshold moves, for reports.
-	Adjustments int
 }
 
 // NewAdaptive wraps a power manager with the default controller.
@@ -107,6 +105,5 @@ func (a *Adaptive) Tick(now float64) bool {
 		return false
 	}
 	a.PM.LambdaMin = lmin
-	a.Adjustments++
 	return true
 }

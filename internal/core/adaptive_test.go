@@ -51,8 +51,8 @@ func TestAdaptiveTightensWhenSatisfied(t *testing.T) {
 	if a.PM.LambdaMin <= 0.30 {
 		t.Errorf("λmin = %v, want raised above 0.30", a.PM.LambdaMin)
 	}
-	if a.Adjustments != 1 {
-		t.Errorf("adjustments = %d", a.Adjustments)
+	if want := 0.30 + a.Step; a.PM.LambdaMin != want {
+		t.Errorf("λmin = %v, want one step up, %v", a.PM.LambdaMin, want)
 	}
 }
 

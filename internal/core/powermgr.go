@@ -25,16 +25,6 @@ type PowerManager struct {
 	// MinExec is the minimum number of operative machines (§III-C's
 	// minexec parameter).
 	MinExec int
-	// BootsPerRound caps how many nodes one planning round may turn
-	// on (0 = default 1). Real middleware staggers power-on (PDU
-	// inrush limits, PXE storms), so capacity trails demand spikes —
-	// consolidating policies barely notice, one-job-per-node and
-	// random policies queue behind the boot pipeline.
-	BootsPerRound int
-	// BootInterval is the minimum spacing between boot initiations in
-	// seconds (0 = default 90). Together with BootsPerRound it forms
-	// the boot pipeline's rate limit.
-	BootInterval float64
 
 	lastBoot   float64
 	bootedOnce bool
@@ -48,6 +38,17 @@ type PowerManager struct {
 	misfits            []*vm.VM
 	bins               []bin
 }
+
+// The boot pipeline's rate limit: a planning round starts at most
+// bootsPerRound ratio-driven boots, and boot initiations are at least
+// bootInterval seconds apart. Real middleware staggers power-on (PDU
+// inrush limits, PXE storms), so capacity trails demand spikes —
+// consolidating policies barely notice, one-job-per-node and random
+// policies queue behind the boot pipeline.
+const (
+	bootsPerRound = 1
+	bootInterval  = 90
+)
 
 // bin is one hypothetical freshly booted node in the emergency
 // estimate's first-fit packing.
@@ -136,19 +137,8 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 		// Ratio-driven boots go through the rate-limited boot
 		// pipeline: real middleware staggers power-on (PDU inrush,
 		// PXE storms), so capacity trails demand spikes.
-		interval := pm.BootInterval
-		if interval <= 0 {
-			interval = 90
-		}
-		if !pm.bootedOnce || now-pm.lastBoot >= interval {
-			boots = target - online
-			if cap := pm.BootsPerRound; cap <= 0 {
-				if boots > 1 {
-					boots = 1
-				}
-			} else if boots > cap {
-				boots = cap
-			}
+		if !pm.bootedOnce || now-pm.lastBoot >= bootInterval {
+			boots = min(target-online, bootsPerRound)
 		}
 	}
 	if utilTarget > online && utilTarget > target {

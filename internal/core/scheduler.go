@@ -105,9 +105,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 // Name implements policy.Policy.
 func (sch *Scheduler) Name() string { return sch.cfg.variantName() }
 
-// Migratory implements policy.Policy.
-func (sch *Scheduler) Migratory() bool { return sch.cfg.Migration }
-
 // candidates collects the VMs the solver considers this round into
 // buf, sorted by ID: every queued VM, plus — when migration is enabled
 // — every running VM outside its migration cooldown (creating and

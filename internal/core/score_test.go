@@ -301,7 +301,6 @@ func TestConfigValidateRejectsNaN(t *testing.T) {
 func ctxFor(c *cluster.Cluster, queue, active []*vm.VM) *policy.Context {
 	return &policy.Context{
 		Now: 0, Cluster: c, Queue: queue, Active: active,
-		LambdaMin: 0.3, LambdaMax: 0.9,
 	}
 }
 

@@ -140,12 +140,10 @@ func randomScenario(r *rand.Rand) (*policy.Context, Config) {
 	}
 
 	ctx := &policy.Context{
-		Now:       now,
-		Cluster:   c,
-		Queue:     queue,
-		Active:    active,
-		LambdaMin: 0.3,
-		LambdaMax: 0.9,
+		Now:     now,
+		Cluster: c,
+		Queue:   queue,
+		Active:  active,
 	}
 	return ctx, cfg
 }
@@ -335,7 +333,6 @@ func (cs *churnSim) context() *policy.Context {
 	}
 	return &policy.Context{
 		Now: cs.now, Cluster: cs.c, Queue: queue, Active: active,
-		LambdaMin: 0.3, LambdaMax: 0.9,
 	}
 }
 
@@ -1057,7 +1054,7 @@ func TestIncrementalFewerEvals(t *testing.T) {
 		for i := 0; i < 48; i++ {
 			queue = append(queue, vm.New(i, vm.Requirements{CPU: float64(100 * (1 + i%4)), Mem: 5}, 0, 3600, 7200))
 		}
-		return &policy.Context{Now: 0, Cluster: c, Queue: queue, LambdaMin: 0.3, LambdaMax: 0.9}
+		return &policy.Context{Now: 0, Cluster: c, Queue: queue}
 	}
 	inc := mustScheduler(SBConfig())
 	naiCfg := SBConfig()

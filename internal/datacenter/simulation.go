@@ -539,12 +539,12 @@ func (s *Simulation) recomputeNode(rt *nodeRT) {
 	s.advanceNode(rt, now)
 	n := rt.node
 
-	// Build the demand set: guest domains hosted here plus dom0
-	// service work for in-flight operations.
+	// Build the demand set: guest domains hosted here, at Xen's
+	// default weight, plus dom0 service work for in-flight operations.
 	owners := s.appendOwners(rt, s.ownScratch[:0])
 	demands := s.demScratch[:0]
 	for _, v := range owners {
-		demands = append(demands, xen.Demand{Weight: v.Weight, Cap: v.Req.CPU, Want: v.Req.CPU})
+		demands = append(demands, xen.Demand{Cap: v.Req.CPU, Want: v.Req.CPU})
 	}
 	ops := n.CreatingOps + n.MigratingOps
 	for i := 0; i < ops; i++ {
@@ -842,13 +842,11 @@ func (s *Simulation) round() {
 	// is only read until Schedule returns, so the policy sees it live.
 	s.ctxQueue = append(s.ctxQueue[:0], s.queue...)
 	s.ctx = policy.Context{
-		Now:       s.eng.Now(),
-		Cluster:   s.cluster,
-		Queue:     s.ctxQueue,
-		Active:    s.activeVMs,
-		LambdaMin: s.pm.LambdaMin,
-		LambdaMax: s.pm.LambdaMax,
-		Feed:      &s.feed,
+		Now:     s.eng.Now(),
+		Cluster: s.cluster,
+		Queue:   s.ctxQueue,
+		Active:  s.activeVMs,
+		Feed:    &s.feed,
 	}
 	s.feed.Round++
 	var roundStart time.Time

@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"energysched"
 	"energysched/internal/metrics"
 	"energysched/internal/workload"
 )
 
 // The experiment tests run on the one-day trace to stay fast; the
-// full-week paper comparisons live in EXPERIMENTS.md and the
-// benchmarks. What must hold on any trace is the *shape*: who wins
+// full-week paper comparisons are cmd/tables' (README, "Examples") and
+// the benchmarks'. What must hold on any trace is the *shape*: who wins
 // and in which direction each mechanism pushes.
 
 func day(t *testing.T) *workload.Trace {
@@ -139,7 +140,7 @@ func TestLambdaSweepTrends(t *testing.T) {
 	cfg := SweepConfig{
 		LambdaMins: []float64{10, 30, 50},
 		LambdaMaxs: []float64{60, 90},
-		Policy:     "SB",
+		Base:       energysched.Options{Policy: "SB"},
 	}
 	points, err := LambdaSweep(cfg, day(t))
 	if err != nil {
@@ -177,7 +178,7 @@ func TestLambdaSweepTrends(t *testing.T) {
 }
 
 func TestLambdaSweepSkipsInfeasible(t *testing.T) {
-	cfg := SweepConfig{LambdaMins: []float64{50}, LambdaMaxs: []float64{30}, Policy: "BF"}
+	cfg := SweepConfig{LambdaMins: []float64{50}, LambdaMaxs: []float64{30}, Base: energysched.Options{Policy: "BF"}}
 	points, err := LambdaSweep(cfg, day(t))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestLambdaSweepSkipsInfeasible(t *testing.T) {
 }
 
 func TestLambdaSweepUnknownPolicy(t *testing.T) {
-	cfg := SweepConfig{Policy: "nonsense", LambdaMins: []float64{30}, LambdaMaxs: []float64{90}}
+	cfg := SweepConfig{Base: energysched.Options{Policy: "nonsense"}, LambdaMins: []float64{30}, LambdaMaxs: []float64{90}}
 	if _, err := LambdaSweep(cfg, day(t)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}

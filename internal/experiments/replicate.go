@@ -12,19 +12,17 @@ import (
 // half-width (normal approximation; with the recommended 5–10
 // replicas this is within a few percent of the t-quantile).
 type Stat struct {
-	Mean, Stddev, CI95 float64
+	Mean, CI95 float64
 }
 
 func statOf(w *metrics.Welford) Stat {
-	n := float64(w.N())
-	ci := 0.0
-	if n > 1 {
+	s := Stat{Mean: w.Mean()}
+	if n := float64(w.N()); n > 1 {
 		// Sample stddev from the population variance Welford keeps.
 		sd := w.Stddev() * math.Sqrt(n/(n-1))
-		ci = 1.96 * sd / math.Sqrt(n)
-		return Stat{Mean: w.Mean(), Stddev: sd, CI95: ci}
+		s.CI95 = 1.96 * sd / math.Sqrt(n)
 	}
-	return Stat{Mean: w.Mean()}
+	return s
 }
 
 // String renders "mean ± ci".
@@ -41,7 +39,6 @@ type Replication struct {
 	Delay        Stat
 	Migrations   Stat
 	AvgOnline    Stat
-	AvgWorking   Stat
 }
 
 // String renders the row for reports.
@@ -58,7 +55,7 @@ func Replicate(row Row, gen workload.GeneratorConfig, seeds []int64) (Replicatio
 		return Replication{}, fmt.Errorf("experiments: no seeds")
 	}
 	var label string
-	var energy, sat, delay, mig, online, working metrics.Welford
+	var energy, sat, delay, mig, online metrics.Welford
 	for _, seed := range seeds {
 		g := gen
 		g.Seed = seed
@@ -77,7 +74,6 @@ func Replicate(row Row, gen workload.GeneratorConfig, seeds []int64) (Replicatio
 		delay.Add(rep.Delay)
 		mig.Add(float64(rep.Migrations))
 		online.Add(rep.AvgOnline)
-		working.Add(rep.AvgWorking)
 	}
 	return Replication{
 		Label:        label,
@@ -87,7 +83,6 @@ func Replicate(row Row, gen workload.GeneratorConfig, seeds []int64) (Replicatio
 		Delay:        statOf(&delay),
 		Migrations:   statOf(&mig),
 		AvgOnline:    statOf(&online),
-		AvgWorking:   statOf(&working),
 	}, nil
 }
 

@@ -24,13 +24,10 @@ type SweepPoint struct {
 type SweepConfig struct {
 	LambdaMins []float64 // percent
 	LambdaMaxs []float64 // percent
-	// Policy names the scheduler to sweep, as energysched.NewPolicy
-	// does ("SB" in the paper — "the one that makes a more aggressive
-	// consolidation").
-	Policy string
-	// Classes overrides the fleet (nil = the paper's 100 nodes), so
-	// grids can sweep 10k-node heterogeneous scale scenarios.
-	Classes []energysched.NodeClass
+	// Base is the run every cell varies: its policy ("SB" in the paper
+	// — "the one that makes a more aggressive consolidation"), seed and
+	// fleet. Each cell sets its Trace, LambdaMin and LambdaMax.
+	Base energysched.Options
 }
 
 // LambdaSweep runs one simulation per feasible cell of the grid;
@@ -43,13 +40,9 @@ func LambdaSweep(cfg SweepConfig, trace *workload.Trace) ([]SweepPoint, error) {
 			if lmin >= lmax {
 				continue
 			}
-			rep, err := energysched.Run(energysched.Options{
-				Policy:    cfg.Policy,
-				Trace:     trace,
-				LambdaMin: lmin,
-				LambdaMax: lmax,
-				Classes:   cfg.Classes,
-			})
+			opts := cfg.Base
+			opts.Trace, opts.LambdaMin, opts.LambdaMax = trace, lmin, lmax
+			rep, err := energysched.Run(opts)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: sweep λ=%v-%v: %w", lmin, lmax, err)
 			}

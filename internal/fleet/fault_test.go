@@ -402,11 +402,12 @@ func TestRouterBatchesMatchOfflineRun(t *testing.T) {
 // Satellite: the -max-fleets 429 must carry a Retry-After hint like
 // every other transient rejection.
 func TestManagerCapCarriesRetryAfter(t *testing.T) {
-	m, err := NewManager(Options{MaxFleets: 1})
+	m, err := NewManager(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	m.SetMaxFleets(1)
 	if _, err := m.Create("one", Config{}); err != nil {
 		t.Fatal(err)
 	}

@@ -473,11 +473,12 @@ func TestManifestKeepsOpenedConfigUnderRestores(t *testing.T) {
 // lifts the cap, and fleets present before the cap was installed are
 // never evicted by it.
 func TestManagerMaxFleets(t *testing.T) {
-	mgr, err := NewManager(Options{MaxFleets: 2})
+	mgr, err := NewManager(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
+	mgr.SetMaxFleets(2)
 
 	if _, err := mgr.Create("a", Config{Sched: Sched{Policy: "BF"}}); err != nil {
 		t.Fatal(err)

@@ -47,14 +47,6 @@ type member struct {
 type Options struct {
 	// Dir is the durable root; empty runs every fleet in-memory only.
 	Dir string
-	// MaxFleets caps the number of registered fleets (0 = unlimited).
-	// Create returns 429 at the cap — every fleet is a full simulation
-	// with its own event loop, so an unbounded registry lets any
-	// network peer exhaust the process. Fleets recovered from the
-	// manifest are never refused (they were admitted under an earlier
-	// cap and hold durable state), but no new fleet is admitted while
-	// the registry is at or above the cap.
-	MaxFleets int
 	// SLOs are the daemon's objectives, handed to every fleet recovered
 	// from the manifest (created fleets get them in their Config).
 	SLOs []slo.Objective
@@ -99,7 +91,7 @@ func ValidateID(id string) error {
 // every fleet recorded in the manifest.
 func NewManager(opts Options) (*Manager, error) {
 	m := &Manager{
-		dir: opts.Dir, max: opts.MaxFleets, logf: opts.Logf,
+		dir: opts.Dir, logf: opts.Logf,
 		fleets:  make(map[string]member),
 		pending: make(map[string]struct{}),
 	}
@@ -128,9 +120,13 @@ func NewManager(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// SetMaxFleets installs (or clears, with 0) the registry cap. Exposed
-// so the server can exempt its startup seeds: recovery and seeding run
-// uncapped, then the cap gates every API-driven Create.
+// SetMaxFleets installs (or clears, with 0) the cap on the number of
+// registered fleets. Create returns 429 at the cap — every fleet is a
+// full simulation with its own event loop, so an unbounded registry
+// lets any network peer exhaust the process. A manager starts uncapped,
+// so recovery and the server's startup seeds run first; fleets already
+// registered are never evicted (recovered ones hold durable state), but
+// no new fleet is admitted while the registry is at or above the cap.
 func (m *Manager) SetMaxFleets(n int) {
 	m.mu.Lock()
 	m.max = n

@@ -158,16 +158,14 @@ type obsPoint struct {
 }
 
 type objState struct {
-	firing       bool
-	since        float64
-	lastValue    float64
-	shortBurn    float64
-	longBurn     float64
-	fired        int
-	cleared      int
-	window       []obsPoint // ascending t, pruned to the long window
-	hasObserved  bool
-	lastObserved float64
+	firing    bool
+	since     float64
+	lastValue float64
+	shortBurn float64
+	longBurn  float64
+	fired     int
+	cleared   int
+	window    []obsPoint // ascending t, pruned to the long window
 }
 
 // Engine evaluates a fixed set of objectives against a stream of
@@ -197,8 +195,6 @@ func (e *Engine) Observe(t float64, values func(metric string) (float64, bool)) 
 		if !ok {
 			continue
 		}
-		st.hasObserved = true
-		st.lastObserved = t
 		st.lastValue = v
 		st.window = append(st.window, obsPoint{t: t, violated: o.violated(v)})
 		cutoff := t - o.longWindow()

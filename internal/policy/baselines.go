@@ -26,9 +26,6 @@ func NewRandom(seed int64) *Random {
 // Name implements Policy.
 func (p *Random) Name() string { return "RD" }
 
-// Migratory implements Policy.
-func (p *Random) Migratory() bool { return false }
-
 // Schedule implements Policy.
 func (p *Random) Schedule(ctx *Context) []Action {
 	var out []Action
@@ -65,9 +62,6 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
 // Name implements Policy.
 func (p *RoundRobin) Name() string { return "RR" }
-
-// Migratory implements Policy.
-func (p *RoundRobin) Migratory() bool { return false }
 
 // Schedule implements Policy.
 func (p *RoundRobin) Schedule(ctx *Context) []Action {
@@ -111,9 +105,6 @@ func NewBackfilling() *Backfilling { return &Backfilling{} }
 // Name implements Policy.
 func (p *Backfilling) Name() string { return "BF" }
 
-// Migratory implements Policy.
-func (p *Backfilling) Migratory() bool { return false }
-
 // Schedule implements Policy.
 func (p *Backfilling) Schedule(ctx *Context) []Action {
 	var out []Action
@@ -128,11 +119,11 @@ func (p *Backfilling) Schedule(ctx *Context) []Action {
 			if !satisfiesOnline(n, v) {
 				continue
 			}
-			occAfter := occupationWith(n, extraCPU[n.ID]+v.Req.CPU, extraMem[n.ID]+v.Req.Mem)
+			occAfter := n.OccupationWith(extraCPU[n.ID]+v.Req.CPU, extraMem[n.ID]+v.Req.Mem)
 			if occAfter > 1.0+1e-9 {
 				continue
 			}
-			occNow := occupationWith(n, extraCPU[n.ID], extraMem[n.ID])
+			occNow := n.OccupationWith(extraCPU[n.ID], extraMem[n.ID])
 			if occNow > bestOcc {
 				bestOcc = occNow
 				best = n.ID
@@ -156,22 +147,19 @@ func (p *Backfilling) Schedule(ctx *Context) []Action {
 // not price the migration overhead — it migrates whenever a drain is
 // structurally possible, which is why it migrates more and gains less.
 type DynamicBackfilling struct {
-	bf Backfilling
-	// DrainInterval is the consolidation sweep period in seconds
-	// (<= 0 selects the default, one hour).
-	DrainInterval float64
-	lastDrain     float64
-	started       bool
+	bf        Backfilling
+	lastDrain float64
+	started   bool
 }
+
+// drainInterval is DBF's consolidation sweep period in seconds.
+const drainInterval = 3600
 
 // NewDynamicBackfilling builds the DBF policy.
 func NewDynamicBackfilling() *DynamicBackfilling { return &DynamicBackfilling{} }
 
 // Name implements Policy.
 func (p *DynamicBackfilling) Name() string { return "DBF" }
-
-// Migratory implements Policy.
-func (p *DynamicBackfilling) Migratory() bool { return true }
 
 // Schedule implements Policy.
 func (p *DynamicBackfilling) Schedule(ctx *Context) []Action {
@@ -180,11 +168,7 @@ func (p *DynamicBackfilling) Schedule(ctx *Context) []Action {
 	// interval. Unthrottled draining would chase every completion
 	// (each one leaves some node least-occupied) and churn VMs
 	// permanently.
-	interval := p.DrainInterval
-	if interval <= 0 {
-		interval = 3600
-	}
-	if p.started && ctx.Now-p.lastDrain < interval {
+	if p.started && ctx.Now-p.lastDrain < drainInterval {
 		return out
 	}
 	// Visit working nodes from least to most occupied; drain the
@@ -251,7 +235,7 @@ func (p *DynamicBackfilling) drain(ctx *Context, src *cluster.Node, working []no
 			if dst.ID == src.ID || !satisfiesOnline(dst, v) {
 				continue
 			}
-			if occupationWith(dst, dCPU[dst.ID]+v.Req.CPU, dMem[dst.ID]+v.Req.Mem) > 1.0+1e-9 {
+			if dst.OccupationWith(dCPU[dst.ID]+v.Req.CPU, dMem[dst.ID]+v.Req.Mem) > 1.0+1e-9 {
 				continue
 			}
 			moves = append(moves, Action{Kind: KindMigrate, VM: v, Node: dst.ID})
@@ -265,18 +249,4 @@ func (p *DynamicBackfilling) drain(ctx *Context, src *cluster.Node, working []no
 		}
 	}
 	return moves
-}
-
-// occupationWith mirrors cluster.Node.OccupationWith but with round-
-// local deltas folded in.
-func occupationWith(n *cluster.Node, extraCPU, extraMem float64) float64 {
-	cpu := (n.CPUReserved() + extraCPU) / n.Class.CPU
-	mem := 0.0
-	if n.Class.Mem > 0 {
-		mem = (n.MemReserved() + extraMem) / n.Class.Mem
-	}
-	if mem > cpu {
-		return mem
-	}
-	return cpu
 }

@@ -31,7 +31,7 @@ func hostVM(c *cluster.Cluster, id, node int, cpu, mem float64) *vm.VM {
 }
 
 func ctx(c *cluster.Cluster, queue, active []*vm.VM) *Context {
-	return &Context{Now: 0, Cluster: c, Queue: queue, Active: active, LambdaMin: 0.3, LambdaMax: 0.9}
+	return &Context{Now: 0, Cluster: c, Queue: queue, Active: active}
 }
 
 func ofKind(actions []Action, k Kind) []Action {
@@ -271,20 +271,19 @@ func TestDBFStillBackfills(t *testing.T) {
 	}
 }
 
-func TestPolicyNamesAndMigratory(t *testing.T) {
+func TestPolicyNames(t *testing.T) {
 	cases := []struct {
 		p    Policy
 		name string
-		mig  bool
 	}{
-		{NewRandom(1), "RD", false},
-		{NewRoundRobin(), "RR", false},
-		{NewBackfilling(), "BF", false},
-		{NewDynamicBackfilling(), "DBF", true},
+		{NewRandom(1), "RD"},
+		{NewRoundRobin(), "RR"},
+		{NewBackfilling(), "BF"},
+		{NewDynamicBackfilling(), "DBF"},
 	}
 	for _, c := range cases {
-		if c.p.Name() != c.name || c.p.Migratory() != c.mig {
-			t.Errorf("%s: name/migratory = %s/%v", c.name, c.p.Name(), c.p.Migratory())
+		if c.p.Name() != c.name {
+			t.Errorf("%s: name = %s", c.name, c.p.Name())
 		}
 	}
 }

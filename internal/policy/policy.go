@@ -27,11 +27,6 @@ type Context struct {
 	// Active holds the VMs currently occupying nodes (creating,
 	// running or migrating), in ID order.
 	Active []*vm.VM
-	// LambdaMin, LambdaMax are the power manager's working-ratio
-	// thresholds as fractions; consolidation-migrating policies use
-	// them to decide when draining nodes is worthwhile (a drained
-	// node is only a win if it can be turned off).
-	LambdaMin, LambdaMax float64
 	// Feed, when non-nil, is the harness's change feed for this round:
 	// the VMs whose scheduler-visible state changed since its previous
 	// Schedule call. A policy that keeps state across rounds may re-check
@@ -86,9 +81,6 @@ type Policy interface {
 	// policy's own scratch: it is valid until the next Schedule on the
 	// same policy, so actuate or copy it before then.
 	Schedule(ctx *Context) []Action
-	// Migratory reports whether the policy ever migrates VMs (the
-	// paper's static/dynamic split).
-	Migratory() bool
 }
 
 // fitsOnline reports whether node n can accept v right now.

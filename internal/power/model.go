@@ -12,21 +12,6 @@ import (
 	"sort"
 )
 
-// Model maps a node's total CPU utilization to instantaneous power.
-type Model interface {
-	// Power returns watts drawn when the node consumes cpu percent of
-	// CPU in total (100 = one full core). Utilization is clamped to
-	// [0, Capacity].
-	Power(cpu float64) float64
-	// Capacity returns the CPU percentage at which the node saturates
-	// (400 for the paper's 4-way machine).
-	Capacity() float64
-	// IdlePower returns Power(0).
-	IdlePower() float64
-	// PeakPower returns Power(Capacity()).
-	PeakPower() float64
-}
-
 // Point is a measured (cpu%, watts) sample.
 type Point struct {
 	CPU   float64
@@ -68,8 +53,9 @@ func MustInterpolated(points []Point) *InterpolatedModel {
 	return m
 }
 
-// Power implements Model by piecewise-linear interpolation, clamping
-// outside the measured range.
+// Power returns watts drawn when the node consumes cpu percent of CPU
+// in total (100 = one full core), by piecewise-linear interpolation,
+// clamping outside the measured range.
 func (m *InterpolatedModel) Power(cpu float64) float64 {
 	ps := m.points
 	if cpu <= ps[0].CPU {
@@ -85,14 +71,8 @@ func (m *InterpolatedModel) Power(cpu float64) float64 {
 	return lo.Watts + frac*(hi.Watts-lo.Watts)
 }
 
-// Capacity implements Model.
-func (m *InterpolatedModel) Capacity() float64 { return m.points[len(m.points)-1].CPU }
-
-// IdlePower implements Model.
+// IdlePower returns Power(0).
 func (m *InterpolatedModel) IdlePower() float64 { return m.points[0].Watts }
-
-// PeakPower implements Model.
-func (m *InterpolatedModel) PeakPower() float64 { return m.points[len(m.points)-1].Watts }
 
 // PaperTableI returns the power model measured in the paper's Table I
 // for the 4-way Xen host: 230 W idle rising to 304 W at 400 % CPU.

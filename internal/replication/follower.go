@@ -26,7 +26,6 @@ import (
 type Follower struct {
 	cfg    Config
 	client *energysched.Client
-	http   *http.Client
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -59,8 +58,6 @@ type Config struct {
 	// (Pace 0) so the mirror's clock is driven only by replicated
 	// records.
 	MirrorConfig func(id string) fleet.Config
-	// HTTPClient overrides http.DefaultClient for replication streams.
-	HTTPClient *http.Client
 	// PollInterval is the fleet-discovery period (default 1s).
 	PollInterval time.Duration
 	// RetryMin, RetryMax bound the jittered exponential reconnect
@@ -110,15 +107,10 @@ func NewFollower(cfg Config) *Follower {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Follower{
 		cfg:    cfg,
-		client: &energysched.Client{BaseURL: cfg.Leader, HTTPClient: hc, Timeout: 10 * time.Second},
-		http:   hc,
+		client: &energysched.Client{BaseURL: cfg.Leader, Timeout: 10 * time.Second},
 		ctx:    ctx,
 		cancel: cancel,
 		fleets: make(map[string]*Position),
@@ -342,7 +334,7 @@ func (fw *Follower) syncOnce(id string) (progressed bool) {
 	if err != nil {
 		return
 	}
-	resp, err := fw.http.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return
 	}

@@ -67,9 +67,6 @@ type Config struct {
 	CheckpointSeconds float64
 	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
 	AdaptiveTarget float64
-	// Classes overrides the fleet hardware (nil = the paper's 100
-	// nodes).
-	Classes []energysched.NodeClass
 	// Pace is the virtual-seconds-per-wall-second acceleration, at most
 	// 1e6; <= 0 selects max pacing (watermark-gated, fully
 	// deterministic).
@@ -308,7 +305,6 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 			Failures:          s.cfg.Failures,
 			CheckpointSeconds: s.cfg.CheckpointSeconds,
 			AdaptiveTarget:    s.cfg.AdaptiveTarget,
-			Classes:           s.cfg.Classes,
 		},
 		Pace:             s.cfg.Pace,
 		SnapshotDir:      s.cfg.SnapshotDir,

@@ -28,7 +28,7 @@ type Machine struct {
 	// CPU capacity in percent (400 = 4 cores).
 	CPU float64
 	// Power is the calibrated power curve.
-	Power power.Model
+	Power *power.InterpolatedModel
 	// NoiseStddev is the 1 Hz measurement noise in watts.
 	NoiseStddev float64
 	// BackgroundWatts is extra draw from dom0 housekeeping (cron,

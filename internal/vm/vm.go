@@ -87,8 +87,6 @@ type VM struct {
 	// Work is the total CPU-seconds the job must accumulate
 	// (Req.CPU × Duration).
 	Work float64
-	// Weight is the Xen credit-scheduler weight (0 = default).
-	Weight float64
 	// FaultTolerance is Ftol in the paper: the VM's tolerance to node
 	// failure probability, in [0, 1].
 	FaultTolerance float64

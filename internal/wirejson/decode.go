@@ -35,8 +35,7 @@ const maxDepth = 10000
 
 // SyntaxError is input that is not one well-formed JSON value.
 type SyntaxError struct {
-	Offset int64 // byte offset the scanner stopped at
-	msg    string
+	msg string
 }
 
 func (e *SyntaxError) Error() string { return e.msg }
@@ -48,7 +47,6 @@ func (e *SyntaxError) Error() string { return e.msg }
 type TypeError struct {
 	Value  string // what the input held: "string", "number 1.5", …
 	Type   string // the Go type the field takes
-	Offset int64  // byte offset of the value
 	Struct string // the innermost record with a member open, "" outside any
 	Field  string // the open members' names, outermost first, joined by "."
 }
@@ -376,11 +374,10 @@ func (d *Decoder) intern(b []byte, known []string) string {
 func (d *Decoder) Float(p *float64) {
 	switch c := d.peek(); {
 	case c == '-' || isDigit(c):
-		start := d.pos
 		if lit := d.number(); lit != nil {
 			f, err := strconv.ParseFloat(string(lit), 64)
 			if err != nil {
-				d.wrong("number "+string(lit), "float64", start)
+				d.wrong("number "+string(lit), "float64")
 				return
 			}
 			*p = f
@@ -413,11 +410,10 @@ func (d *Decoder) FloatPtr(p **float64) {
 func (d *Decoder) Int(p *int) {
 	switch c := d.peek(); {
 	case c == '-' || isDigit(c):
-		start := d.pos
 		if lit := d.number(); lit != nil {
 			n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 			if err != nil {
-				d.wrong("number "+string(lit), "int", start)
+				d.wrong("number "+string(lit), "int")
 				return
 			}
 			*p = int(n)
@@ -555,7 +551,7 @@ func (d *Decoder) fail(context string) {
 		if d.pos < len(d.data) {
 			msg = "invalid character " + quoteChar(d.data[d.pos]) + " " + context
 		}
-		d.syntax = &SyntaxError{Offset: int64(d.pos), msg: msg}
+		d.syntax = &SyntaxError{msg: msg}
 	}
 	d.pos = len(d.data)
 }
@@ -574,11 +570,11 @@ func quoteChar(c byte) string {
 // wrong records a type error — the first one wins; decoding goes on.
 // The field it names is the path of open members, as encoding/json
 // reports it.
-func (d *Decoder) wrong(value, typ string, offset int) {
+func (d *Decoder) wrong(value, typ string) {
 	if d.typ != nil {
 		return
 	}
-	e := &TypeError{Value: value, Type: typ, Offset: int64(offset)}
+	e := &TypeError{Value: value, Type: typ}
 	var path []string
 	for _, m := range d.open {
 		if m.name != "" {
@@ -593,7 +589,7 @@ func (d *Decoder) wrong(value, typ string, offset int) {
 // mismatch skips a value that does not fit a field of type typ and
 // records the type error, unless the value is malformed too.
 func (d *Decoder) mismatch(typ string) {
-	start, value := d.pos, "number"
+	value := "number"
 	switch d.peek() {
 	case '"':
 		value = "string"
@@ -606,7 +602,7 @@ func (d *Decoder) mismatch(typ string) {
 	}
 	d.Skip()
 	if d.syntax == nil {
-		d.wrong(value, typ, start)
+		d.wrong(value, typ)
 	}
 }
 

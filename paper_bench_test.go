@@ -88,7 +88,7 @@ func BenchmarkFig2Fig3_LambdaColumn(b *testing.B) {
 	cfg := experiments.SweepConfig{
 		LambdaMins: []float64{10, 30, 50, 70},
 		LambdaMaxs: []float64{90},
-		Policy:     "SB",
+		Base:       energysched.Options{Policy: "SB"},
 	}
 	var points []experiments.SweepPoint
 	var err error
