@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"io/fs"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"syscall"
@@ -17,29 +21,46 @@ import (
 	"energysched/internal/server"
 )
 
+// daemonBin is the energyschedd binary TestMain builds once for every
+// test in this package, unless -short skips them all.
+var daemonBin string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if testing.Short() {
+		os.Exit(m.Run())
+	}
+	dir, err := os.MkdirTemp("", "energyschedd-e2e")
+	if err != nil {
+		log.Fatal(err)
+	}
+	daemonBin = filepath.Join(dir, "energyschedd")
+	if out, err := exec.Command("go", "build", "-o", daemonBin, ".").CombinedOutput(); err != nil {
+		os.RemoveAll(dir)
+		log.Fatalf("building daemon: %v\n%s", err, out)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
 // The acceptance e2e for the durable admission log: a real
 // energyschedd process hosting two fleets is SIGKILLed mid-trace —
 // no drain, no snapshot request, no graceful anything — restarted on
 // the same -wal-dir, and must serve the exact state it acknowledged:
 // recovery replays only the WAL tail after the last compaction
 // snapshot, and the drained report is byte-identical to an
-// uninterrupted run of the same admission sequence.
+// uninterrupted run of the same admission sequence. In between, a
+// snapshot, two more admissions and a restore start a new timeline,
+// and a second SIGKILL restarts into that timeline.
 func TestE2EKillRestartDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the real daemon binary")
-	}
-	bin := filepath.Join(t.TempDir(), "energyschedd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building daemon: %v\n%s", err, out)
-	}
-
 	walDir := t.TempDir()
 	addr := freeAddr(t)
 	args := []string{
 		"-listen", addr,
 		"-fleets", "default,second=BF",
 		"-wal-dir", walDir,
+		"-snapshot-dir", t.TempDir(),
 		"-snapshot-interval", "4",
 		"-wal-sync", "os", // kill -9 semantics need the page cache, not fsync
 	}
@@ -47,7 +68,7 @@ func TestE2EKillRestartDeterminism(t *testing.T) {
 	base := "http://" + addr
 	client := energysched.NewClient(base)
 
-	daemon1 := startDaemon(t, bin, args, base)
+	daemon1 := startDaemon(t, args, base)
 
 	// A batch of 10 (compacts at interval 4) plus 3 sequential
 	// admissions that stay in the WAL tail, and 2 jobs on the second
@@ -88,7 +109,7 @@ func TestE2EKillRestartDeterminism(t *testing.T) {
 	}
 	daemon1.Wait()
 
-	startDaemon(t, bin, args, base)
+	daemon2 := startDaemon(t, args, base)
 
 	d, err := client.GetFleet(ctx, "default")
 	if err != nil {
@@ -108,8 +129,37 @@ func TestE2EKillRestartDeterminism(t *testing.T) {
 		t.Fatalf("second fleet recovered as %+v", sec)
 	}
 
-	if _, err := client.Drain(ctx); err != nil {
+	if snap, err := client.Snapshot(ctx, "e2e.json"); err != nil || snap.Jobs != 13 {
+		t.Fatalf("snapshot = %+v, %v; want 13 jobs", snap, err)
+	}
+	if _, err := client.SubmitJobs(ctx, []energysched.JobSpec{tail[2], tail[2]}); err != nil {
 		t.Fatal(err)
+	}
+	if rep, err := client.Report(ctx); err != nil || rep.JobsTotal != 15 {
+		t.Fatalf("report before the restore = %+v, %v; want 15 jobs", rep, err)
+	}
+	if info, err := client.Restore(ctx, "e2e.json"); err != nil || info.Jobs != 13 {
+		t.Fatalf("restore = %+v, %v; want 13 jobs", info, err)
+	}
+	if err := daemon2.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	daemon2.Wait()
+	startDaemon(t, args, base)
+
+	if jobs, err := client.Jobs(ctx); err != nil || len(jobs) != 13 {
+		t.Fatalf("restart after the restore serves %d jobs (%v), want the restored 13", len(jobs), err)
+	}
+	if err := filepath.WalkDir(walDir, func(path string, e fs.DirEntry, err error) error {
+		if e != nil && e.Name() == "snapshot.json" {
+			t.Errorf("%s: a fleet's timeline lives in wal.log alone", path)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := client.Drain(ctx); err != nil || !rep.Final {
+		t.Fatalf("drain = %+v, %v; want the final report", rep, err)
 	}
 	if _, err := client.Fleet("second").Drain(ctx); err != nil {
 		t.Fatal(err)
@@ -168,9 +218,14 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-func startDaemon(t *testing.T, bin string, args []string, base string) *exec.Cmd {
+// startDaemon runs the daemon with args and waits until base answers
+// /healthz; under -short it skips the calling test.
+func startDaemon(t *testing.T, args []string, base string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
+	if testing.Short() {
+		t.Skip("builds and runs the real daemon binary")
+	}
+	cmd := exec.Command(daemonBin, args...)
 	var logs bytes.Buffer
 	cmd.Stdout = &logs
 	cmd.Stderr = &logs

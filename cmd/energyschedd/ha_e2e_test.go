@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"sync"
 	"syscall"
 	"testing"
@@ -25,7 +27,9 @@ import (
 // follower is then promoted, and everything it serves — the drained
 // report, the job listing, a fresh snapshot file — must be
 // byte-identical to an uninterrupted single-process run of exactly
-// the admission prefix the follower had applied.
+// the admission prefix the follower had applied. The follower starts
+// after the leader has compacted its first three jobs, so it
+// bootstraps from a WAL header that carries jobs.
 
 // proxyFault injures one proxied connection: the leader->follower
 // byte stream is cut after `cut` bytes (a torn frame at the
@@ -104,10 +108,6 @@ func proxyConn(c net.Conn, target string, f *proxyFault) {
 }
 
 func TestE2EKillLeaderPromoteFollower(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the real daemon binary")
-	}
-	bin := buildDaemon(t)
 	ctx := context.Background()
 
 	leaderAddr := freeAddr(t)
@@ -116,14 +116,32 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 	followerBase := "http://" + followerAddr
 
 	// Leader: durable, compacting, page-cache sync (kill -9 semantics).
+	leaderWAL, followerWAL := t.TempDir(), t.TempDir()
 	leaderArgs := []string{
 		"-listen", leaderAddr,
-		"-wal-dir", t.TempDir(),
+		"-wal-dir", leaderWAL,
 		"-snapshot-dir", t.TempDir(),
-		"-snapshot-interval", "4",
+		"-snapshot-interval", "2",
 		"-wal-sync", "os",
 	}
-	leader := startDaemon(t, bin, leaderArgs, leaderBase)
+	leader := startDaemon(t, leaderArgs, leaderBase)
+	lc := energysched.NewClient(leaderBase)
+	fc := energysched.NewClient(followerBase)
+
+	// Phase 0: three jobs, compacted into the header before any
+	// follower exists.
+	t0 := 0.0
+	specs := []energysched.JobSpec{
+		{CPU: 200, Mem: 10, Duration: 1200, Submit: &t0},
+		{CPU: 100, Mem: 5, Duration: 600, Submit: &t0},
+		{CPU: 100, Mem: 5, Duration: 600, Submit: &t0},
+	}
+	if _, err := lc.SubmitJobs(ctx, specs); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := lc.FleetStatus(ctx, "default"); err != nil || st.WAL == nil || st.WAL.Snapshots != 1 {
+		t.Fatalf("leader status = %+v, %v; want one compaction", st, err)
+	}
 
 	// The follower reaches the leader only through the fault proxy:
 	// its bootstrap and streams get torn mid-frame and one gets a
@@ -135,20 +153,40 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 		{cut: 5000, flip: -1},
 		{cut: 9000, flip: 8191},
 	})
-	startDaemon(t, bin, []string{
+	startDaemon(t, []string{
 		"-listen", followerAddr,
 		"-follow", "http://" + proxyAddr,
 		"-follow-poll", "50ms",
-		"-wal-dir", t.TempDir(),
+		"-wal-dir", followerWAL,
 		"-snapshot-dir", t.TempDir(),
 		"-wal-sync", "os",
 	}, followerBase)
 
-	lc := energysched.NewClient(leaderBase)
-	fc := energysched.NewClient(followerBase)
+	// The follower catches up onto the leader's log byte for byte, is
+	// ready, and gates writes until it is promoted.
+	var h energysched.HealthStatus
+	var st energysched.FleetStatus
+	for deadline := time.Now().Add(30 * time.Second); !h.Ready || st.Replication.Offset < 3; time.Sleep(25 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower not ready at offset 3: health %+v, status %+v", h, st)
+		}
+		h, _ = fc.Health(ctx)
+		st, _ = fc.FleetStatus(ctx, "default")
+	}
+	if h.Role != "follower" || st.Replication.Offset != 3 {
+		t.Fatalf("follower health %+v, status %+v; want a follower at offset 3", h, st)
+	}
+	lwal, err1 := os.ReadFile(filepath.Join(leaderWAL, "default", "wal.log"))
+	fwal, err2 := os.ReadFile(filepath.Join(followerWAL, "default", "wal.log"))
+	if err1 != nil || err2 != nil || !bytes.Equal(lwal, fwal) {
+		t.Fatalf("follower wal.log differs from the leader's (%v, %v)", err1, err2)
+	}
+	var apiErr *energysched.APIError
+	if _, err := fc.SubmitJob(ctx, specs[0]); !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
+		t.Fatalf("follower write = %v, want 503", err)
+	}
 
 	// Phase 1: sequential churn through the fault gauntlet.
-	specs := make([]energysched.JobSpec, 0, 42)
 	for i := 0; i < 12; i++ {
 		at := float64(i) * 45
 		spec := energysched.JobSpec{
@@ -173,7 +211,7 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 		st, err := fc.FleetStatus(ctx, "default")
 		t.Fatalf("follower never reached offset %d (status %+v, %v)", want, st, err)
 	}
-	waitSync(12)
+	waitSync(15)
 
 	// Phase 2: a 30-job batch is in flight when the leader dies. The
 	// SIGKILL lands mid-batch: the follower ends up with whatever
@@ -187,7 +225,7 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 	}
 	specs = append(specs, batch...)
 	go lc.SubmitJobs(ctx, batch) // the ack may never arrive; that is the point
-	waitSync(13)                 // at least one batch record replicated
+	waitSync(16)                 // at least one batch record replicated
 	if err := leader.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +247,8 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	n := int(last)
-	if n < 13 || n > len(specs) {
-		t.Fatalf("follower settled at offset %d, want within [13, %d]", n, len(specs))
+	if n < 16 || n > len(specs) {
+		t.Fatalf("follower settled at offset %d, want within [16, %d]", n, len(specs))
 	}
 	t.Logf("leader killed mid-batch; follower holds %d of %d acknowledged-or-in-flight admissions", n, len(specs))
 
@@ -223,8 +261,14 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 		t.Fatalf("promote info = %+v, want leader at offset %d", info, n)
 	}
 	promotedJobs := getBody(t, followerBase+"/v1/jobs")
-	if _, err := fc.Drain(ctx); err != nil {
+	// The promoted daemon accepts writes.
+	extraAt := 3600.0
+	extra := energysched.JobSpec{CPU: 100, Mem: 5, Duration: 600, Submit: &extraAt}
+	if _, err := fc.SubmitJob(ctx, extra); err != nil {
 		t.Fatal(err)
+	}
+	if rep, err := fc.Drain(ctx); err != nil || rep.JobsTotal != n+1 {
+		t.Fatalf("promoted drain = %+v, %v; want %d jobs", rep, err, n+1)
 	}
 	promotedReport := getBody(t, followerBase+"/v1/report")
 	// Snapshot paths are confined to the daemon's -snapshot-dir, so a
@@ -235,8 +279,9 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 	}
 
 	// The uninterrupted reference: one in-process daemon admits exactly
-	// the prefix the follower applied — 12 singles then the delivered
-	// slice of the batch — and must land on the same bytes.
+	// the prefix the follower applied — the first three, 12 singles,
+	// then the delivered slice of the batch — and must land on the same
+	// bytes.
 	// The reference config mirrors the daemon's flag defaults exactly —
 	// the snapshot file embeds the scheduling config, so a byte-equal
 	// snapshot requires byte-equal config.
@@ -251,17 +296,21 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 	refHS := httptest.NewServer(refSrv.Handler())
 	defer func() { refHS.Close(); refSrv.Close() }()
 	refClient := energysched.NewClient(refHS.URL)
-	for _, spec := range specs[:12] {
+	if _, err := refClient.SubmitJobs(ctx, specs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs[3:15] {
 		if _, err := refClient.SubmitJob(ctx, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n > 12 {
-		if _, err := refClient.SubmitJobs(ctx, specs[12:n]); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := refClient.SubmitJobs(ctx, specs[15:n]); err != nil {
+		t.Fatal(err)
 	}
 	refJobs := getBody(t, refHS.URL+"/v1/jobs")
+	if _, err := refClient.SubmitJob(ctx, extra); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := refClient.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -288,19 +337,8 @@ func TestE2EKillLeaderPromoteFollower(t *testing.T) {
 
 	// And the promoted daemon is a real leader: draining sealed it, but
 	// health reports the role flip.
-	h, err := fc.Health(ctx)
+	h, err = fc.Health(ctx)
 	if err != nil || h.Role != "leader" || !h.Ready {
 		t.Fatalf("promoted health = %+v, %v", h, err)
 	}
-}
-
-// buildDaemon builds the daemon binary into a per-test temp dir.
-func buildDaemon(t *testing.T) string {
-	t.Helper()
-	bin := t.TempDir() + "/energyschedd"
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building daemon: %v\n%s", err, out)
-	}
-	return bin
 }

@@ -62,7 +62,8 @@ func drainedDaemon(t *testing.T) *httptest.Server {
 
 // obstop -once against a live daemon prints one frame, without screen
 // control codes, carrying the series, the journey count and the SLO
-// objective the daemon was started with.
+// objective the daemon was started with, with its one fire-and-clear
+// episode.
 func TestOnceRendersSeriesJourneysAndObjectives(t *testing.T) {
 	bin := buildObstop(t)
 	hs := drainedDaemon(t)
@@ -79,7 +80,7 @@ func TestOnceRendersSeriesJourneysAndObjectives(t *testing.T) {
 	}
 	for _, want := range []string{
 		"fleet default", "journeys 6",
-		"of 1 objectives", "default/power-budget watts",
+		"of 1 objectives", "default/power-budget watts", "fired 1 cleared 1",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame is missing %q:\n%s", want, frame)

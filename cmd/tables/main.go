@@ -31,7 +31,7 @@ func main() {
 	var (
 		table    = flag.Int("table", 0, "table number to run (0 = all of II–V)")
 		days     = flag.Float64("days", 7, "days of synthetic workload")
-		seed     = flag.Int64("seed", 1, "random seed (single-run mode)")
+		seed     = flag.Int64("seed", 1, "random seed; with -replicas, the first of the replicas' seeds")
 		replicas = flag.Int("replicas", 1, "replicate each row over this many seeds and report mean ± 95% CI")
 		scenario = flag.Bool("scenario", false, "run the chaos scale scenario (streaming trace, injected crashes) instead of the paper tables")
 		nodes    = flag.Int("nodes", 10_000, "scenario fleet size (with -scenario)")
@@ -63,7 +63,7 @@ func main() {
 
 	var trace *workload.Trace
 	if *replicas > 1 {
-		fmt.Printf("replicating each row over %d seeded weeks\n", *replicas)
+		fmt.Printf("replicating each row over %d seeds of a %g-day trace\n", *replicas, *days)
 	} else {
 		var err error
 		if trace, err = workload.Generate(cfg); err != nil {
@@ -77,7 +77,7 @@ func main() {
 		}
 		fmt.Printf("\n%s\n", r.title)
 		if trace == nil {
-			reps, err := experiments.ReplicateTable(r.rows, cfg, experiments.Seeds(*replicas))
+			reps, err := experiments.ReplicateTable(r.rows, cfg, experiments.Seeds(*seed, *replicas))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -97,3 +97,24 @@ func TestUnknownTableIsAUsageError(t *testing.T) {
 		t.Errorf("-table 2: err = %v, output %q", err, out)
 	}
 }
+
+// -replicas runs the seeds -seed, -seed+1, …, and its banner names the
+// trace length it replicates.
+func TestReplicasStartAtSeedAndNameTheirDays(t *testing.T) {
+	bin := buildTables(t)
+	run := func(seed string) string {
+		t.Helper()
+		out, err := exec.Command(bin, "-days", "0.2", "-replicas", "2", "-seed", seed, "-table", "2").Output()
+		if err != nil {
+			t.Fatalf("tables -replicas 2 -seed %s: %v", seed, err)
+		}
+		return string(out)
+	}
+	at5, at1 := run("5"), run("1")
+	if banner, _, _ := strings.Cut(at5, "\n"); banner != "replicating each row over 2 seeds of a 0.2-day trace" {
+		t.Errorf("banner = %q", banner)
+	}
+	if at5 == at1 {
+		t.Errorf("-seed 5 and -seed 1 replicate alike:\n%s", at5)
+	}
+}

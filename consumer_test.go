@@ -77,6 +77,13 @@ func goList(t *testing.T, dir string, args ...string) []string {
 // receiver type when reached code selects a module interface method of
 // its name, or when stdIfaceMethods names it. keptWithoutConsumer lists
 // the exceptions, and an entry that the code no longer needs fails too.
+//
+// The exported API of this package is a root, not a subject: it is the
+// product, and its consumers live outside the module. It answers to
+// another rule instead: each Client method is driven from the far side
+// of a real energyschedd process by at least one e2e test in
+// cmd/energyschedd (docs/ARCHITECTURE.md, "The root API is the
+// product"). Review keeps that rule; this test does not.
 func TestEveryDeclarationHasAConsumer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks both modules from source")

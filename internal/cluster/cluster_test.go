@@ -99,6 +99,22 @@ func TestOccupationWith(t *testing.T) {
 	}
 }
 
+// A class with no memory capacity (cluster.New accepts Mem == 0) hosts
+// VMs that need none, bound by CPU alone: the memory term must not
+// divide zero by zero.
+func TestOccupationZeroMemoryClass(t *testing.T) {
+	cls := testClass()
+	cls.Mem = 0
+	n := NewNode(0, &cls)
+	addVM(n, 1, 100, 0, vm.Running)
+	if got := n.OccupationWith(100, 0); got != 0.5 {
+		t.Errorf("occupation with extra = %v, want 0.5 (CPU alone)", got)
+	}
+	if !n.Fits(vm.Requirements{CPU: 300}) {
+		t.Error("VM that fills the CPU rejected on a memoryless class")
+	}
+}
+
 func TestFits(t *testing.T) {
 	n := newTestNode(t)
 	addVM(n, 1, 300, 20, vm.Running)

@@ -192,12 +192,7 @@ func (pm *PowerManager) nodesNeededForQueue(now float64, c *cluster.Cluster, onl
 			if !n.Satisfies(v.Req) {
 				continue
 			}
-			cpu := (n.CPUReserved() + pm.extraCPU[i] + v.Req.CPU) / n.Class.CPU
-			mem := 0.0
-			if n.Class.Mem > 0 {
-				mem = (n.MemReserved() + pm.extraMem[i] + v.Req.Mem) / n.Class.Mem
-			}
-			if math.Max(cpu, mem) <= 1.0+1e-9 {
+			if n.OccupationWith(pm.extraCPU[i]+v.Req.CPU, pm.extraMem[i]+v.Req.Mem) <= 1.0+1e-9 {
 				pm.extraCPU[i] += v.Req.CPU
 				pm.extraMem[i] += v.Req.Mem
 				placed = true

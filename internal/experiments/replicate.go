@@ -86,11 +86,11 @@ func Replicate(row Row, gen workload.GeneratorConfig, seeds []int64) (Replicatio
 	}, nil
 }
 
-// Seeds returns the canonical seed list 1..n.
-func Seeds(n int) []int64 {
+// Seeds returns the n consecutive seeds first..first+n-1.
+func Seeds(first int64, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = int64(i + 1)
+		out[i] = first + int64(i)
 	}
 	return out
 }

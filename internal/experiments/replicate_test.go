@@ -19,7 +19,7 @@ func shortGen() workload.GeneratorConfig {
 var bf = Row{Options: energysched.Options{Policy: "BF", LambdaMin: 30, LambdaMax: 90}}
 
 func TestReplicateAggregates(t *testing.T) {
-	r, err := Replicate(bf, shortGen(), Seeds(4))
+	r, err := Replicate(bf, shortGen(), Seeds(1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestReplicateAggregates(t *testing.T) {
 }
 
 func TestReplicateSingleSeedHasNoCI(t *testing.T) {
-	r, err := Replicate(bf, shortGen(), Seeds(1))
+	r, err := Replicate(bf, shortGen(), Seeds(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,9 @@ func TestReplicaSeedsTheSimulator(t *testing.T) {
 }
 
 func TestSeeds(t *testing.T) {
-	s := Seeds(3)
-	if len(s) != 3 || s[0] != 1 || s[2] != 3 {
-		t.Errorf("Seeds(3) = %v", s)
+	s := Seeds(5, 3)
+	if len(s) != 3 || s[0] != 5 || s[2] != 7 {
+		t.Errorf("Seeds(5, 3) = %v", s)
 	}
 }
 

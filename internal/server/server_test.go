@@ -365,6 +365,7 @@ func TestClusterAndMetricsEndpoints(t *testing.T) {
 		"# TYPE energysched_solver_rounds_total counter",
 		"energysched_jobs_admitted_total{fleet=\"default\"} 1",
 		"energysched_fleets 1",
+		"energysched_series_samples_total{fleet=\"default\"}",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)

@@ -49,8 +49,8 @@ func TestSSEMalformedResumePoint(t *testing.T) {
 				t.Fatalf("400 body = %+v", apiErr)
 			}
 
-			// A garbage header resumes from the start: the full backlog,
-			// no gap event, no error.
+			// A garbage header resumes from the start: the full backlog
+			// from the stream's first frame, no gap event, no error.
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+route, nil)
@@ -68,7 +68,13 @@ func TestSSEMalformedResumePoint(t *testing.T) {
 			}
 			buf := make([]byte, 4096)
 			n, _ := resp.Body.Read(buf)
-			if head := string(buf[:n]); !strings.HasPrefix(head, "id: 1\n") {
+			first := "arrival"
+			if strings.Contains(route, "trace") {
+				first = "round"
+			} else if strings.Contains(route, "journeys") {
+				first = "step"
+			}
+			if head := string(buf[:n]); !strings.HasPrefix(head, "id: 1\nevent: "+first+"\ndata: {") {
 				t.Fatalf("bad Last-Event-ID did not replay from the start:\n%s", head)
 			}
 		})
