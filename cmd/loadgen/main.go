@@ -41,7 +41,6 @@ import (
 
 type config struct {
 	submitters, pollers, tailers int
-	duration                     time.Duration
 }
 
 // stats aggregates one run: request counters plus client-side latency
@@ -262,7 +261,7 @@ func main() {
 	cli.Logger().With("component", "loadgen").Info("generating load",
 		"addr", *addr, "submitters", *submitters, "pollers", *pollers, "duration", *duration)
 	st := run(ctx, client, config{
-		submitters: *submitters, pollers: *pollers, tailers: *tailers, duration: *duration,
+		submitters: *submitters, pollers: *pollers, tailers: *tailers,
 	})
 	if *jsonOut {
 		if err := st.renderJSON(os.Stdout); err != nil {

@@ -873,33 +873,61 @@ func diffChecked(t *testing.T, what string, kern, naive *Scheduler, ctx *policy.
 }
 
 // TestDifferentialRoundingTie is the rounding hazard of the factored
-// score by construction: hosts 0 and 2, one class, carry the same load
+// score by construction: two hosts of one class carry the same load
 // but for one ulp — 0.3 reserved at once against 0.1 + 0.2 — so the
 // higher index has the strictly lower base, and a creation cost three
 // binades up absorbs the ulp: the full scores tie and the naive scan
-// keeps host 0. A kernel that trusts the class record's holder places
-// on host 2; the low bound must send it to the exact scan instead.
+// keeps the lower index. A kernel that trusts the class record's
+// holder places on the higher one; the low bound must send it to the
+// exact scan instead. In the second case an empty host below the tie
+// scores worse than it, so the exact scan must match the score, not
+// just skip the VM's own hosts.
 func TestDifferentialRoundingTie(t *testing.T) {
-	cls := cluster.PaperClasses()[1]
-	cls.Count, cls.CPU, cls.Mem, cls.CreateCost = 3, 1, 1000, 1000
-	c := cluster.MustNew([]cluster.Class{cls})
-	for _, n := range c.Nodes {
-		n.SetState(cluster.On)
-	}
-	runningVM(1, 0.3, 1, c, 0)
-	runningVM(2, 0.1, 1, c, 2)
-	runningVM(3, 0.2, 1, c, 2)
-	queue := []*vm.VM{queuedVM(0, 0.05, 1)}
+	for _, c := range []struct {
+		hosts, lo, hi int
+	}{{3, 0, 2}, {4, 1, 3}} {
+		cls := cluster.PaperClasses()[1]
+		cls.Count, cls.CPU, cls.Mem, cls.CreateCost = c.hosts, 1, 1000, 1000
+		cl := cluster.MustNew([]cluster.Class{cls})
+		for _, n := range cl.Nodes {
+			n.SetState(cluster.On)
+		}
+		runningVM(1, 0.3, 1, cl, c.lo)
+		runningVM(2, 0.1, 1, cl, c.hi)
+		runningVM(3, 0.2, 1, cl, c.hi)
+		queue := []*vm.VM{queuedVM(0, 0.05, 1)}
 
-	kern, naive := kernelPair(SB2Config())
-	s := newShadow(0, c.Nodes, queue)
-	if b0, b2 := kern.scoreBase(s, 0, 0), kern.scoreBase(s, 2, 0); !(b2 < b0) || kern.score(s, 0, 0) != kern.score(s, 2, 0) {
-		t.Fatalf("not the hazard: bases %v and %v, scores %v and %v", b0, b2, kern.score(s, 0, 0), kern.score(s, 2, 0))
+		kern, naive := kernelPair(SB2Config())
+		kernMoves, naiveMoves := &moveLog{}, &moveLog{}
+		kern.Tracer, naive.Tracer = kernMoves, naiveMoves
+		s := newShadow(0, cl.Nodes, queue)
+		blo, bhi := kern.scoreBase(s, c.lo, 0), kern.scoreBase(s, c.hi, 0)
+		if slo, shi := kern.score(s, c.lo, 0), kern.score(s, c.hi, 0); !(bhi < blo) || slo != shi {
+			t.Fatalf("not the hazard: bases %v and %v, scores %v and %v", blo, bhi, slo, shi)
+		}
+		if c.lo > 0 && !(kern.score(s, 0, 0) > kern.score(s, c.lo, 0)) {
+			t.Fatalf("host 0 scores %v, not above the tie's %v", kern.score(s, 0, 0), kern.score(s, c.lo, 0))
+		}
+		what := fmt.Sprintf("tie of hosts %d and %d", c.lo, c.hi)
+		acts := diffChecked(t, what, kern, naive, ctxFor(cl, queue, nil))
+		if got, want := renderActions(acts), fmt.Sprintf("place vm0 -> n%d", c.lo); !slices.Equal(got, []string{want}) {
+			t.Fatalf("%s: naive actions = %v, want %s, the lower index of the tie", what, got, want)
+		}
+		// The kernel takes the naive scan's one move: a holder off the
+		// tie would place first and then correct itself with a second.
+		if got, want := traceMoves(kernMoves), traceMoves(naiveMoves); !slices.Equal(got, want) || len(got) != 1 {
+			t.Fatalf("%s: kernel moves %v, naive moves %v", what, got, want)
+		}
 	}
-	acts := diffChecked(t, "tie", kern, naive, ctxFor(c, queue, nil))
-	if got := renderActions(acts); !slices.Equal(got, []string{"place vm0 -> n0"}) {
-		t.Fatalf("naive actions = %v, want the lower index of the tie", got)
+}
+
+// traceMoves renders a move log's moves as "vm from->to".
+func traceMoves(m *moveLog) []string {
+	out := make([]string, len(m.moves))
+	for i, a := range m.moves {
+		out[i] = fmt.Sprintf("vm%d %d->%d", a.VM, a.From, a.To)
 	}
+	return out
 }
 
 // moveLog is a trace sink that keeps every applied move.

@@ -61,6 +61,20 @@ func BenchmarkAdmitRouter(b *testing.B) {
 	b.ReportMetric(burst, "jobs/iter")
 }
 
+// BenchmarkServedFleetLife measures a served fleet's whole life, as
+// TestServedJobAllocsPerJob counts it: Open, the two-day trace
+// submitted job by job, Drain and Close. Its B/op is every byte the
+// fleet's long-lived storage allocates, so storage copied as it grows
+// shows there.
+func BenchmarkServedFleetLife(b *testing.B) {
+	trace := servedTrace()
+	b.ReportAllocs()
+	for b.Loop() {
+		serveFleetLife(b, trace)
+	}
+	b.ReportMetric(float64(len(trace.Jobs)), "jobs/iter")
+}
+
 // BenchmarkFleetTickSample measures the accounting side channel of one
 // housekeeping tick on a fleet that has been running: SampleAt into the
 // reused class buffer, then Store.Add on a full series ring. Both sides

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -72,7 +71,7 @@ func TestGoldenLogBytes(t *testing.T) {
 	}
 
 	cfg := Config{Sched: Sched{Policy: "SB", Seed: 7, Cempty: 20, Cfill: 40, THempty: 1, HasScore: true}}.withDefaults()
-	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 60.5, Gen: 2, Config: cfg.Sched, Jobs: jobs}
+	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 60.5, Gen: 2, Config: cfg.Sched, Jobs: logOf(jobs)}
 	frame, err := headerFrame(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +99,7 @@ func TestGoldenLogBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(back.Jobs, jobs) || back.Gen != 2 || back.SavedVirtual != 60.5 {
+	if !reflect.DeepEqual(back.Jobs, logOf(jobs)) || back.Gen != 2 || back.SavedVirtual != 60.5 {
 		t.Fatalf("golden snapshot decodes to %+v", back)
 	}
 

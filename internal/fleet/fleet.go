@@ -328,8 +328,8 @@ type Fleet struct {
 
 	// --- event-loop state: touch only from inside do()/loop() ---
 	sim       *datacenter.Simulation
-	jobs      []workload.Job // admission log, in VM-ID order
-	watermark float64        // largest admitted submit time (max pacing)
+	jobs      jobLog  // admission log, in VM-ID order
+	watermark float64 // largest admitted submit time (max pacing)
 	final     *energysched.ServiceReport
 	replaying bool
 	wallStart time.Time
@@ -448,27 +448,27 @@ func (f *Fleet) recover() (snap snapshotFile, err error) {
 	for _, rec := range recs {
 		// Each record is the log's next admission, or the seal of an
 		// unsealed log.
-		next := rec.Kind == walKindSeal || rec.Kind == walKindAdmit && rec.Job != nil && rec.Job.ID == len(snap.Jobs)
+		next := rec.Kind == walKindSeal || rec.Kind == walKindAdmit && rec.Job != nil && rec.Job.ID == snap.Jobs.Len()
 		if snap.Sealed || !next {
 			// The log does not describe one timeline past here. Serve the
 			// consistent prefix, but refuse to acknowledge new admissions
 			// a future recovery would mis-replay.
 			f.walBroken = true
 			f.logf("wal: a %s record does not follow the log's %d jobs (sealed=%v); ignoring the rest of the log and going read-only",
-				rec.Kind, len(snap.Jobs), snap.Sealed)
+				rec.Kind, snap.Jobs.Len(), snap.Sealed)
 			break
 		}
 		if rec.Kind == walKindSeal {
 			snap.Sealed = true
 		} else {
-			snap.Jobs = append(snap.Jobs, *rec.Job)
+			snap.Jobs.Append(*rec.Job)
 		}
 		f.stats.Replayed++
 	}
-	if f.stats.Replayed > 0 || len(snap.Jobs) > 0 {
-		f.logf("recovered %d jobs (%d replayed from the wal tail, sealed=%v)", len(snap.Jobs), f.stats.Replayed, snap.Sealed)
+	if f.stats.Replayed > 0 || snap.Jobs.Len() > 0 {
+		f.logf("recovered %d jobs (%d replayed from the wal tail, sealed=%v)", snap.Jobs.Len(), f.stats.Replayed, snap.Sealed)
 	}
-	snap.SavedVirtual = maxWatermark(snap.SavedVirtual, snap.Jobs)
+	snap.SavedVirtual = maxWatermark(snap.SavedVirtual, &snap.Jobs)
 	return snap, nil
 }
 
@@ -486,8 +486,8 @@ func headed(path string) bool {
 
 // maxWatermark returns the admission watermark implied by a snapshot
 // time and a job log: the largest submit time seen.
-func maxWatermark(now float64, jobs []workload.Job) float64 {
-	for _, j := range jobs {
+func maxWatermark(now float64, jobs *jobLog) float64 {
+	for _, j := range jobs.All() {
 		if j.Submit > now {
 			now = j.Submit
 		}
@@ -626,8 +626,8 @@ func (f *Fleet) rebuild(snap snapshotFile) error {
 	f.replaying = true
 	defer func() { f.replaying = false }()
 	sim.Start()
-	for _, j := range jobs {
-		if _, err := sim.Inject(j); err != nil {
+	for _, j := range jobs.All() {
+		if _, err := sim.Inject(*j); err != nil {
 			return f.errorf("replaying job %d: %w", j.ID, err)
 		}
 	}
@@ -728,7 +728,7 @@ func (f *Fleet) admitJobs(jobs []workload.Job) ([]energysched.JobStatus, error) 
 	prev := now
 	for i := range jobs {
 		j := &jobs[i]
-		j.ID = len(f.jobs) + i
+		j.ID = f.jobs.Len() + i
 		if j.DeadlineFactor == 0 {
 			j.DeadlineFactor = 1.5
 		}
@@ -843,7 +843,7 @@ func (f *Fleet) commit(run logRun) ([]energysched.JobStatus, error) {
 				f.walBroken = f.wal != nil
 				return nil, errf(http.StatusInternalServerError, "applying logged job %d: %v", j.ID, err)
 			}
-			f.jobs = append(f.jobs, j)
+			f.jobs.Append(j)
 			out = append(out, jobStatus(v))
 		}
 		// 3. Clock step, once the whole run is queued: an arrival at
@@ -926,7 +926,7 @@ func (f *Fleet) compact() error {
 	}
 	f.stats.Snapshots++
 	f.stats.LastSnapshotUnix = time.Now().Unix()
-	f.logf("compacted: snapshot of %d jobs at t=%.1fs", len(snap.Jobs), snap.SavedVirtual)
+	f.logf("compacted: snapshot of %d jobs at t=%.1fs", snap.Jobs.Len(), snap.SavedVirtual)
 	return nil
 }
 
@@ -1032,7 +1032,7 @@ func (f *Fleet) Info() (energysched.FleetInfo, error) {
 			Now:    f.sim.Now(),
 			Sealed: f.sim.Sealed(),
 			Done:   f.sim.Done(),
-			Jobs:   len(f.jobs),
+			Jobs:   f.jobs.Len(),
 			WAL:    f.walStats(),
 		}
 	})
@@ -1049,7 +1049,7 @@ func (f *Fleet) Status() (energysched.FleetStatus, error) {
 			Now:                    f.sim.Now(),
 			Sealed:                 f.sim.Sealed(),
 			Done:                   f.sim.Done(),
-			Jobs:                   len(f.jobs),
+			Jobs:                   f.jobs.Len(),
 			Replication:            energysched.ReplicationStatus{Gen: f.gen, Offset: f.logOffset()},
 			WAL:                    f.walStats(),
 			LastSnapshotAgeSeconds: -1,
@@ -1089,7 +1089,7 @@ func (f *Fleet) Drain() (rep energysched.ServiceReport, err error) {
 // it runs on the event loop only.
 func (f *Fleet) resolveSnapshotPath(path string) (string, error) {
 	if path == "" {
-		return filepath.Join(f.cfg.SnapshotDir, fmt.Sprintf("energyschedd-%s-%d.snapshot.json", f.id, len(f.jobs))), nil
+		return filepath.Join(f.cfg.SnapshotDir, fmt.Sprintf("energyschedd-%s-%d.snapshot.json", f.id, f.jobs.Len())), nil
 	}
 	name := filepath.Base(filepath.Clean(path))
 	if name == "." || name == ".." || name == string(filepath.Separator) {
@@ -1113,9 +1113,9 @@ func (f *Fleet) Snapshot(path string) (info energysched.SnapshotInfo, err error)
 		if err := writeSnapshot(p, snap); err != nil {
 			return errf(http.StatusInternalServerError, "%v", err)
 		}
-		f.logf("snapshot: %d jobs at t=%.1fs -> %s", len(snap.Jobs), snap.SavedVirtual, p)
+		f.logf("snapshot: %d jobs at t=%.1fs -> %s", snap.Jobs.Len(), snap.SavedVirtual, p)
 		info = energysched.SnapshotInfo{
-			Path: p, Jobs: len(snap.Jobs), Now: snap.SavedVirtual, Sealed: snap.Sealed,
+			Path: p, Jobs: snap.Jobs.Len(), Now: snap.SavedVirtual, Sealed: snap.Sealed,
 		}
 		return nil
 	})
@@ -1161,7 +1161,7 @@ func (f *Fleet) restore(path string) (energysched.SnapshotInfo, error) {
 		return energysched.SnapshotInfo{}, err
 	}
 	return energysched.SnapshotInfo{
-		Path: path, Jobs: len(snap.Jobs), Now: snap.SavedVirtual, Sealed: snap.Sealed,
+		Path: path, Jobs: snap.Jobs.Len(), Now: snap.SavedVirtual, Sealed: snap.Sealed,
 	}, nil
 }
 
@@ -1196,7 +1196,7 @@ func (f *Fleet) applySnapshot(snap snapshotFile, gen int64, source string) error
 	f.publish(energysched.Event{
 		Time: snap.SavedVirtual, Kind: "restore", VM: -1, Node: -1, Aux: -1,
 	})
-	f.logf("restored %d jobs at t=%.1fs from %s", len(snap.Jobs), snap.SavedVirtual, source)
+	f.logf("restored %d jobs at t=%.1fs from %s", snap.Jobs.Len(), snap.SavedVirtual, source)
 	return nil
 }
 
@@ -1240,7 +1240,7 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 		})
 	}
 	samples = append(samples,
-		metrics.PromSample{Name: "energysched_jobs_admitted_total", Help: "Jobs admitted since start.", Kind: metrics.PromCounter, Value: float64(len(f.jobs))},
+		metrics.PromSample{Name: "energysched_jobs_admitted_total", Help: "Jobs admitted since start.", Kind: metrics.PromCounter, Value: float64(f.jobs.Len())},
 		metrics.PromSample{Name: "energysched_migrations_total", Help: "Completed live migrations.", Kind: metrics.PromCounter, Value: float64(rep.Migrations)},
 		metrics.PromSample{Name: "energysched_failures_total", Help: "Node failures injected.", Kind: metrics.PromCounter, Value: float64(rep.Failures)},
 		metrics.PromSample{Name: "energysched_satisfaction_pct", Help: "Mean client satisfaction of completed jobs.", Kind: metrics.PromGauge, Value: rep.Satisfaction},

@@ -159,7 +159,7 @@ func (rf *replFeed) dropAll(shut bool) {
 // logOffset returns the fleet's logical record offset: admissions plus
 // the seal. Call only from the event loop.
 func (f *Fleet) logOffset() int64 {
-	n := int64(len(f.jobs))
+	n := int64(f.jobs.Len())
 	if f.sim.Sealed() {
 		n++
 	}
@@ -191,8 +191,8 @@ func (f *Fleet) ReplSubscribe(gen, from int64) (*ReplSession, error) {
 			}
 			sess.Header = header
 		} else {
-			for i := from; i < int64(len(f.jobs)); i++ {
-				payload, err := f.admitRecord(&f.jobs[i])
+			for i := from; i < int64(f.jobs.Len()); i++ {
+				payload, err := f.admitRecord(f.jobs.At(int(i)))
 				if err != nil {
 					return errf(http.StatusInternalServerError, "encoding replication backlog: %v", err)
 				}
@@ -201,8 +201,8 @@ func (f *Fleet) ReplSubscribe(gen, from int64) (*ReplSession, error) {
 				// ping that follows the backlog on the stream.
 				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: i + 1, Data: payload})
 			}
-			if f.sim.Sealed() && from <= int64(len(f.jobs)) {
-				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: int64(len(f.jobs)) + 1, Data: sealPayload})
+			if f.sim.Sealed() && from <= int64(f.jobs.Len()) {
+				sess.Backlog = append(sess.Backlog, ReplRecord{Offset: int64(f.jobs.Len()) + 1, Data: sealPayload})
 			}
 		}
 		// Registering inside the event loop makes the header/backlog
@@ -310,7 +310,7 @@ func (f *Fleet) AdvanceTo(now float64) error {
 // the fleet's log offset.
 func (f *Fleet) SealCatchUp() (offset int64, err error) {
 	err = f.do(func() {
-		f.watermark = maxWatermark(f.watermark, f.jobs)
+		f.watermark = maxWatermark(f.watermark, &f.jobs)
 		if !f.sim.Done() {
 			f.sim.StepBefore(f.watermark)
 		}

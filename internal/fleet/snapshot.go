@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"energysched/internal/blocks"
 	"energysched/internal/wirejson"
 	"energysched/internal/workload"
 )
@@ -45,8 +46,33 @@ type snapshotFile struct {
 	Gen int64 `json:"gen,omitempty"`
 	// Config is the scheduling config the jobs were acknowledged under
 	// and replay under.
-	Config Sched          `json:"config"`
-	Jobs   []workload.Job `json:"jobs"`
+	Config Sched  `json:"config"`
+	Jobs   jobLog `json:"jobs"`
+}
+
+// jobLog is an admission log: jobs in VM-ID order, kept in blocks that
+// never move, so the log a fleet appends to for its whole life is
+// never copied as it grows.
+type jobLog struct{ blocks.Store[workload.Job] }
+
+// UnmarshalJSON decodes a job list into the log's blocks: the one copy
+// a decoded log takes on its way into a fleet.
+func (l *jobLog) UnmarshalJSON(data []byte) error {
+	var jobs []workload.Job
+	if err := json.Unmarshal(data, &jobs); err != nil {
+		return err
+	}
+	*l = logOf(jobs)
+	return nil
+}
+
+// logOf copies jobs into a new log.
+func logOf(jobs []workload.Job) jobLog {
+	var s blocks.Store[workload.Job]
+	for _, j := range jobs {
+		s.Append(j)
+	}
+	return jobLog{Store: s}
 }
 
 // snapshotState assembles the snapshot of the current actor state. The
@@ -54,17 +80,13 @@ type snapshotFile struct {
 // encodes the snapshot before the event loop's next turn. Call only
 // from the event loop.
 func (f *Fleet) snapshotState() snapshotFile {
-	jobs := f.jobs
-	if jobs == nil {
-		jobs = []workload.Job{} // an empty log is written "[]", never "null"
-	}
 	return snapshotFile{
 		Format:       snapshotFormat,
 		SavedVirtual: f.sim.Now(),
 		Sealed:       f.sim.Sealed(),
 		Gen:          f.gen,
 		Config:       f.cfg.Sched,
-		Jobs:         jobs,
+		Jobs:         f.jobs,
 	}
 }
 
@@ -77,7 +99,7 @@ func (s snapshotFile) MarshalJSON() ([]byte, error) {
 }
 
 // size is a capacity that holds the snapshot's JSON without regrowing.
-func (s snapshotFile) size() int { return 512 + snapshotJobBytes*len(s.Jobs) }
+func (s snapshotFile) size() int { return 512 + snapshotJobBytes*s.Jobs.Len() }
 
 func (s snapshotFile) appendJSON(b []byte) ([]byte, error) {
 	cfg, err := json.Marshal(s.Config)
@@ -96,9 +118,14 @@ func (s snapshotFile) appendJSON(b []byte) ([]byte, error) {
 	}
 	e.Raw(`,"config":`)
 	e.Buf = append(e.Buf, cfg...)
-	e.Raw(`,"jobs":`)
-	e.Add(wirejson.AppendSlice(e.Buf, s.Jobs, workload.Job.AppendJSON))
-	e.Raw("}")
+	e.Raw(`,"jobs":[`) // an empty log is written "[]", never "null"
+	for i, j := range s.Jobs.All() {
+		if i > 0 {
+			e.Raw(",")
+		}
+		e.Add(j.AppendJSON(e.Buf))
+	}
+	e.Raw("]}")
 	return e.Buf, e.Err
 }
 

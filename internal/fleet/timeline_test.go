@@ -392,7 +392,7 @@ func TestRecoveryNeverSkipsRecords(t *testing.T) {
 	cfg := testConfig(dir)
 	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 11 * 30, Gen: 2, Config: cfg.withDefaults().Sched}
 	for i := 0; i < 12; i++ {
-		snap.Jobs = append(snap.Jobs, *walJob(i))
+		snap.Jobs.Append(*walJob(i))
 	}
 	log, err := headerFrame(snap)
 	if err != nil {

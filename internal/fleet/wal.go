@@ -264,7 +264,7 @@ func headerFrame(snap snapshotFile) ([]byte, error) {
 	}
 	buf = append(buf, '}')
 	if uint64(len(buf)-walHeaderSize) > math.MaxUint32 {
-		return nil, fmt.Errorf("fleet: a header of %d jobs overflows the frame's length field", len(snap.Jobs))
+		return nil, fmt.Errorf("fleet: a header of %d jobs overflows the frame's length field", snap.Jobs.Len())
 	}
 	return sealFrame(buf), nil
 }
@@ -337,7 +337,7 @@ func openWAL(path string, syncPolicy string, fault func(op string) error) (w *wa
 	}
 	jobs := 0
 	if head != nil {
-		jobs = len(head.Jobs)
+		jobs = head.Jobs.Len()
 	}
 	return &wal{
 		f:       f,
@@ -491,7 +491,7 @@ func (w *wal) replace(snap snapshotFile) error {
 	if oerr != nil {
 		return errors.Join(err, fmt.Errorf("fleet: reopening wal: %w", oerr))
 	}
-	w.f, w.off, w.records, w.jobs = f, int64(len(frame)), 0, len(snap.Jobs)
+	w.f, w.off, w.records, w.jobs = f, int64(len(frame)), 0, snap.Jobs.Len()
 	return err
 }
 

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"energysched/internal/workload"
 )
 
 // walFrame wraps payload in the on-disk record framing (length + CRC).
@@ -54,7 +52,7 @@ func FuzzWALRecovery(f *testing.F) {
 	f.Add(bogus)
 	f.Add(walFrame([]byte(`[1,2,3]`)))           // CRC-valid, not a walRecord
 	f.Add(append(valid, 0, 0, 0, 0, 0, 0, 0, 0)) // zero length prefix
-	header, err := headerFrame(snapshotFile{Format: snapshotFormat, SavedVirtual: 0, Gen: 2, Jobs: []workload.Job{}})
+	header, err := headerFrame(snapshotFile{Format: snapshotFormat, SavedVirtual: 0, Gen: 2})
 	if err != nil {
 		f.Fatal(err)
 	}

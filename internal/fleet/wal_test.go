@@ -246,7 +246,7 @@ func TestWALTellTracksFileSize(t *testing.T) {
 		t.Fatalf("reopen: %d records, %d bytes dropped", len(recs), dropped)
 	}
 	check(w, "reopen")
-	if err := w.replace(snapshotFile{Format: snapshotFormat, Gen: 1, Jobs: []workload.Job{*walJob(0)}}); err != nil {
+	if err := w.replace(snapshotFile{Format: snapshotFormat, Gen: 1, Jobs: logOf([]workload.Job{*walJob(0)})}); err != nil {
 		t.Fatal(err)
 	}
 	check(w, "replace")
@@ -293,7 +293,7 @@ func TestWALRewindAndReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.close()
-	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 30, Gen: 3, Jobs: []workload.Job{*walJob(0), *walJob(1)}}
+	snap := snapshotFile{Format: snapshotFormat, SavedVirtual: 30, Gen: 3, Jobs: logOf([]workload.Job{*walJob(0), *walJob(1)})}
 	if err := w2.replace(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestWALRewindAndReplace(t *testing.T) {
 	if err != nil || dropped != 0 {
 		t.Fatalf("reopen after replace: %v, %d bytes dropped", err, dropped)
 	}
-	if head == nil || head.Gen != 3 || len(head.Jobs) != 2 || len(recs) != 1 || recs[0].Job.ID != 2 {
+	if head == nil || head.Gen != 3 || head.Jobs.Len() != 2 || len(recs) != 1 || recs[0].Job.ID != 2 {
 		t.Fatalf("reopen after replace: header %+v, records %+v", head, recs)
 	}
 	if stale, _ := filepath.Glob(filepath.Join(filepath.Dir(path), walTemp)); len(stale) != 0 {

@@ -248,9 +248,25 @@ func class(err error) string {
 	return "other: " + err.Error()
 }
 
+// logType is the snapshot's job log, whose mirror is a plain list.
+var logType = reflect.TypeFor[jobLog]()
+
 // sameValue compares a record with its mirror field by field: the
-// types differ, the values must not. Slices must agree on nil too.
+// types differ, the values must not. Slices must agree on nil too, but
+// for a job log, which has no null: it decodes null as empty.
 func sameValue(a, b reflect.Value) bool {
+	if a.Type() == logType {
+		log := a.Addr().Interface().(*jobLog)
+		if log.Len() != b.Len() {
+			return false
+		}
+		for i, j := range log.All() {
+			if !sameValue(reflect.ValueOf(j).Elem(), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
 	switch a.Kind() {
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
@@ -388,8 +404,22 @@ func (s *valueSource) fill(v reflect.Value) {
 	}
 }
 
-// copyValue copies a mirror into its record, field by field.
+// copyValue copies a mirror into its record, field by field. A job log
+// has no null and always writes a list, so a nil mirror list becomes
+// the empty one.
 func copyValue(dst, src reflect.Value) {
+	if dst.Type() == logType {
+		if src.IsNil() {
+			src.Set(reflect.MakeSlice(src.Type(), 0, 0))
+		}
+		log := dst.Addr().Interface().(*jobLog)
+		for i := 0; i < src.Len(); i++ {
+			var j workload.Job
+			copyValue(reflect.ValueOf(&j).Elem(), src.Index(i))
+			log.Append(j)
+		}
+		return
+	}
 	switch src.Kind() {
 	case reflect.Struct:
 		if dst.Type() == src.Type() {

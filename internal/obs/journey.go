@@ -1,6 +1,10 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+
+	"energysched/internal/blocks"
+)
 
 // Job journey audit spans: one bounded, append-only lifecycle record
 // per job — submitted → placed@node (with the solver's why-scores) →
@@ -78,9 +82,6 @@ type JourneySummary struct {
 // pair — so a typical job's steps never leave the slot.
 const journeyStepsHint = 6
 
-// journeySlots is how many records one chunk of a JourneyStore holds.
-const journeySlots = 64
-
 // journeySlot is one retained record. Its Steps start in the inline
 // array; a job that outgrows it moves them to the heap, and the slot
 // keeps whichever capacity it has when a later job reuses it.
@@ -112,20 +113,20 @@ const EventStep = "step"
 // per recorded step, marshaled only when someone reads it, and is what
 // the API tails (Seq, Subscribe, Close).
 // Writes come from the fleet's event loop; reads from HTTP handlers.
-// Records live in a ring of slots in first-step order, kept in
-// fixed-size chunks allocated the first time the ring reaches them:
-// a new job takes the oldest slot once maxJobs are retained (FIFO
-// eviction) and reuses its step storage, so recording allocates
-// nothing but a step's why-score, and readers get deep copies. Memory
+// Records live in a ring of slots in first-step order, kept in blocks
+// allocated the first time the ring reaches them: a new job takes the
+// oldest slot once maxJobs are retained (FIFO eviction) and reuses its
+// step storage, so recording allocates nothing but a step's
+// why-score, and readers get deep copies. Memory
 // is bounded by maxJobs × the step cap and the firehose ring depth.
 type JourneyStore struct {
 	*Ring[JourneyEvent]
 	mu      sync.Mutex
 	maxJobs int
-	chunks  [][]journeySlot // slot i lives in chunks[i/journeySlots]
-	next    int             // the slot the next new job takes
-	n       int             // retained records
-	jobs    map[int]int     // job ID → slot
+	slots   blocks.Store[journeySlot]
+	next    int         // the slot the next new job takes
+	n       int         // retained records
+	jobs    map[int]int // job ID → slot
 	// pending is the last round's applied actions not yet claimed by a
 	// placed/migrate step, in solver order; a claimed entry's VM is -1.
 	pending []ActionTrace
@@ -140,26 +141,16 @@ func NewJourneyStore(maxJobs, fireDepth int) *JourneyStore {
 	}
 	return &JourneyStore{
 		maxJobs: maxJobs,
-		chunks:  make([][]journeySlot, (maxJobs+journeySlots-1)/journeySlots),
+		slots:   blocks.New[journeySlot](maxJobs),
 		jobs:    make(map[int]int),
 		Ring:    NewRing(fireDepth, encodeStep),
 	}
 }
 
-// slotLocked returns slot i, allocating its chunk on first use.
-func (s *JourneyStore) slotLocked(i int) *journeySlot {
-	c := s.chunks[i/journeySlots]
-	if c == nil {
-		c = make([]journeySlot, min(journeySlots, s.maxJobs-i/journeySlots*journeySlots))
-		s.chunks[i/journeySlots] = c
-	}
-	return &c[i%journeySlots]
-}
-
 // claimLocked gives job the next slot — the oldest record's once the
 // store is full — and returns it emptied, its step storage kept.
 func (s *JourneyStore) claimLocked(job int) *journeySlot {
-	j := s.slotLocked(s.next)
+	j := s.slots.At(s.next)
 	if s.n == s.maxJobs {
 		delete(s.jobs, j.Job)
 	} else {
@@ -201,7 +192,7 @@ func (s *JourneyStore) Record(job int, st JourneyStep) {
 	defer s.mu.Unlock()
 	var j *journeySlot
 	if i, ok := s.jobs[job]; ok {
-		j = s.slotLocked(i)
+		j = s.slots.At(i)
 	} else {
 		j = s.claimLocked(job)
 	}
@@ -238,7 +229,7 @@ func (s *JourneyStore) Get(job int) (Journey, bool) {
 	if !ok {
 		return Journey{}, false
 	}
-	out := s.slotLocked(i).Journey
+	out := s.slots.At(i).Journey
 	out.Steps = append([]JourneyStep(nil), out.Steps...)
 	return out, true
 }
@@ -250,7 +241,7 @@ func (s *JourneyStore) Summaries() []JourneySummary {
 	defer s.mu.Unlock()
 	out := make([]JourneySummary, 0, s.n)
 	for k := 0; k < s.n; k++ {
-		j := s.slotLocked((s.next - s.n + k + s.maxJobs) % s.maxJobs)
+		j := s.slots.At((s.next - s.n + k + s.maxJobs) % s.maxJobs)
 		out = append(out, JourneySummary{
 			Job: j.Job, Steps: len(j.Steps), Truncated: j.Truncated,
 			Outcome: j.Outcome, EnergyKWh: j.EnergyKWh, Satisfaction: j.Satisfaction,

@@ -1,6 +1,10 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+
+	"energysched/internal/blocks"
+)
 
 // RingEvent is one delivered ring entry: the sequence number, the SSE
 // event name it is served under, and its JSON payload, ready for the
@@ -62,8 +66,11 @@ type Ring[T any] struct {
 	mu      sync.Mutex
 	closed  bool
 	nextSeq uint64
-	ring    []slot[T] // circular; oldest entry at head once full
-	head    int
+	// slots is circular, ringCap long, grown a block at a time until the
+	// ring is full: the n retained entries start at head, which stays 0
+	// until then.
+	slots   blocks.Store[slot[T]]
+	head, n int
 	ringCap int
 	subs    map[*RingSub]struct{}
 }
@@ -74,7 +81,7 @@ func NewRing[T any](depth int, encode func(seq uint64, v T) []byte) *Ring[T] {
 	if depth <= 0 {
 		depth = 256
 	}
-	return &Ring[T]{encode: encode, ringCap: depth, subs: make(map[*RingSub]struct{})}
+	return &Ring[T]{encode: encode, slots: blocks.New[slot[T]](depth), ringCap: depth, subs: make(map[*RingSub]struct{})}
 }
 
 // Emit assigns the next sequence number, stores v under the SSE event
@@ -126,10 +133,10 @@ func (r *Ring[T]) Emit(name string, v T) uint64 {
 
 func (r *Ring[T]) storeLocked(s slot[T]) {
 	r.nextSeq = s.seq
-	if len(r.ring) < r.ringCap {
-		r.ring = append(r.ring, s)
+	*r.slots.At((r.head + r.n) % r.ringCap) = s
+	if r.n < r.ringCap {
+		r.n++
 	} else {
-		r.ring[r.head] = s
 		r.head = (r.head + 1) % r.ringCap
 	}
 }
@@ -157,8 +164,8 @@ func (r *Ring[T]) Snapshot(since uint64) []RingEvent {
 func (r *Ring[T]) backlogLocked(since uint64) ([]RingEvent, []miss[T]) {
 	var out []RingEvent
 	var todo []miss[T]
-	for i := 0; i < len(r.ring); i++ {
-		s := &r.ring[(r.head+i)%len(r.ring)] // oldest first
+	for i := 0; i < r.n; i++ {
+		s := r.slots.At((r.head + i) % r.ringCap) // oldest first
 		if s.seq <= since {
 			continue
 		}
@@ -211,19 +218,19 @@ func (r *Ring[T]) fill(out []RingEvent, todo []miss[T]) []RingEvent {
 // Retained sequence numbers are contiguous (Emit steps by one, Reset
 // drops everything), so the slot's position follows from the oldest.
 func (r *Ring[T]) slotLocked(seq uint64) *slot[T] {
-	if len(r.ring) == 0 {
+	if r.n == 0 {
 		return nil
 	}
 	oldest := r.oldestLocked()
-	if seq < oldest || seq-oldest >= uint64(len(r.ring)) {
+	if seq < oldest || seq-oldest >= uint64(r.n) {
 		return nil
 	}
-	return &r.ring[(r.head+int(seq-oldest))%len(r.ring)]
+	return r.slots.At((r.head + int(seq-oldest)) % r.ringCap)
 }
 
 // oldestLocked is the oldest retained sequence number of a non-empty
 // ring: head stays 0 until the ring is full.
-func (r *Ring[T]) oldestLocked() uint64 { return r.ring[r.head].seq }
+func (r *Ring[T]) oldestLocked() uint64 { return r.slots.At(r.head).seq }
 
 // gapLocked reports whether a resume from since would skip evicted
 // events: since names a past sequence number whose successor is no
@@ -233,7 +240,7 @@ func (r *Ring[T]) gapLocked(since uint64) bool {
 	if since == 0 || since >= r.nextSeq {
 		return false
 	}
-	if len(r.ring) == 0 {
+	if r.n == 0 {
 		return true
 	}
 	return r.oldestLocked() > since+1
@@ -278,9 +285,10 @@ func (r *Ring[T]) Unsubscribe(sub *RingSub) {
 func (r *Ring[T]) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	clear(r.ring) // release the dropped values and their bytes
-	r.ring = r.ring[:0]
-	r.head = 0
+	for i := 0; i < r.n; i++ {
+		*r.slots.At(i) = slot[T]{} // release the dropped values and their bytes
+	}
+	r.head, r.n = 0, 0
 }
 
 // Close disconnects every subscriber and drops future emissions, so

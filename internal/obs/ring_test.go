@@ -126,6 +126,69 @@ func TestRingResetKeepsSeqMonotoneAndGapsOldResumePoints(t *testing.T) {
 	}
 }
 
+// wide is a ring value so large that one block of a ring's slots holds
+// only a handful: a ring of 15 spans several blocks, the last cut short.
+type wide struct {
+	n   uint64
+	pad [5000]byte
+}
+
+// A ring whose depth is not a multiple of its block length wraps,
+// evicts, orders, finds, resumes and resets exactly as a flat ring.
+func TestRingAcrossBlocks(t *testing.T) {
+	const depth, emitted = 15, 40 // wrapped twice: the oldest slot is mid-block
+	r := NewRing(depth, func(_ uint64, v wide) []byte { return strconv.AppendUint(nil, v.n, 10) })
+	defer r.Close()
+	for i := uint64(1); i <= emitted; i++ {
+		r.Emit("wide", wide{n: i})
+	}
+	const oldest = emitted - depth + 1
+
+	evs := r.Snapshot(0)
+	if len(evs) != depth {
+		t.Fatalf("retained %d events, want %d", len(evs), depth)
+	}
+	for k, ev := range evs {
+		if want := uint64(oldest + k); ev.Seq != want || string(ev.Data) != strconv.FormatUint(want, 10) {
+			t.Fatalf("event %d = seq %d %q, want seq %d, oldest first", k, ev.Seq, ev.Data, want)
+		}
+	}
+
+	r.mu.Lock()
+	for seq := uint64(1); seq <= emitted+1; seq++ {
+		s := r.slotLocked(seq)
+		retained := seq >= oldest && seq <= emitted
+		if (s != nil) != retained || s != nil && (s.seq != seq || s.val.n != seq) {
+			t.Errorf("slot of seq %d = %+v, retained %v", seq, s, retained)
+		}
+	}
+	r.mu.Unlock()
+
+	// A resume gets the retained events after since, and a gap when the
+	// event right after since is evicted.
+	for _, c := range []struct {
+		since uint64
+		gap   bool
+	}{{oldest - 2, true}, {oldest - 1, false}, {30, false}, {emitted, false}} {
+		sub, backlog, gap := r.Subscribe(c.since)
+		r.Unsubscribe(sub)
+		first := max(c.since+1, oldest)
+		if gap != c.gap || len(backlog) != int(emitted+1-first) || len(backlog) > 0 && backlog[0].Seq != first {
+			t.Errorf("since=%d: gap %v, %d events from %+v; want gap %v, events from seq %d",
+				c.since, gap, len(backlog), backlog, c.gap, first)
+		}
+	}
+
+	r.Reset() // releases every value and the bytes Snapshot cached
+	r.mu.Lock()
+	for i := 0; i < depth; i++ {
+		if s := r.slots.At(i); s.val.n != 0 || s.data != nil || s.name != "" {
+			t.Errorf("slot %d still holds seq %d (value %d) after Reset", i, s.seq, s.val.n)
+		}
+	}
+	r.mu.Unlock()
+}
+
 func TestRingSubscribeOnClosedRing(t *testing.T) {
 	r := newTickRing(4)
 	emitN(r, 2)
