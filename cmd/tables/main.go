@@ -109,7 +109,7 @@ func runScenario(nodes int, days float64, seed int64) {
 	s.Seed = seed
 
 	fmt.Printf("scale scenario %s — %d heterogeneous nodes, %.1f-day streaming trace, %d crashes + %d flapping\n",
-		s.Name, s.Nodes, s.Days, s.Crashes, s.Flaps)
+		s.Name, s.Nodes, s.Days, chaos.Crashes, chaos.Flaps)
 	fmt.Println(metrics.TableHeader())
 	t0 := time.Now()
 	rep, err := s.Run(false)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -39,6 +40,7 @@ var keptWithoutConsumer = map[string]string{
 	"core.SolverStats.DormantSkips":         "counter: the dormant-row tests and the root benchmarks pin it",
 	"core.Config.NaiveSolver":               "seam: selects the naive oracle the differential tests compare the kernel with",
 	"core.Config.MaxIterations":             "seam: tests cap the solver's moves per round to end rounds early",
+	"core.Config.MigrationGainMin":          "seam: the datacenter tests and the root ablation benchmarks (bench_test.go) vary the migration hysteresis",
 	"server.Config.ReplPing":                "seam: tests shorten the leader's replication keepalive",
 	"server.Config.EventRing":               "seam: tests shrink the /v1/events replay ring to force a gap",
 }
@@ -72,11 +74,14 @@ func goList(t *testing.T, dir string, args ...string) []string {
 // neither the library nor a command imports, on an internal declaration
 // that nothing reaches from the roots (every declaration of cmd/* and
 // bench/, the exported API of this package, package-level vars and
-// init), and on a field of an internal struct type that non-test code
-// never reads or, if exported, never sets. A method is reached with its
-// receiver type when reached code selects a module interface method of
-// its name, or when stdIfaceMethods names it. keptWithoutConsumer lists
-// the exceptions, and an entry that the code no longer needs fails too.
+// init), on a field of an internal struct type that non-test code
+// never reads or, if exported, never sets, and on an exported such field
+// that non-test code sets only in its own package and only to one
+// constant: a knob whose one value belongs in a constant. A method is
+// reached with its receiver type when reached code selects a module
+// interface method of its name, or when stdIfaceMethods names it.
+// keptWithoutConsumer lists the exceptions, and an entry that the code
+// no longer needs fails too.
 //
 // The exported API of this package is a root, not a subject: it is the
 // product, and its consumers live outside the module. It answers to
@@ -235,7 +240,7 @@ func TestEveryDeclarationHasAConsumer(t *testing.T) {
 	}
 	// An embedded field carries its methods, so it need not be read.
 	unread := func(v *types.Var) bool { return !read[v] && !v.Embedded() }
-	unset := func(v *types.Var) bool { return v.Exported() && !set[v] }
+	unset := func(v *types.Var) bool { return v.Exported() && len(set[v]) == 0 }
 	for key := range keptWithoutConsumer {
 		if keys[key] == nil && !slices.Contains(pkgs, internal+key) {
 			t.Errorf("keptWithoutConsumer names %s, which is not declared", key)
@@ -290,8 +295,8 @@ func TestEveryDeclarationHasAConsumer(t *testing.T) {
 	for key := range keptWithoutConsumer {
 		o := keys[key]
 		if isField(o) {
-			if v := o.(*types.Var); !unread(v) && !unset(v) {
-				t.Errorf("keptWithoutConsumer names %s, which non-test code reads and sets", key)
+			if v := o.(*types.Var); !unread(v) && !unset(v) && knob(v, set[v]) == nil {
+				t.Errorf("keptWithoutConsumer names %s, which non-test code reads and sets, not only to one constant in its own package", key)
 			}
 		} else if o != nil && needed[o] {
 			t.Errorf("keptWithoutConsumer names %s, which the roots reach without it", key)
@@ -321,6 +326,13 @@ func TestEveryDeclarationHasAConsumer(t *testing.T) {
 			if unset(v) {
 				unused = append(unused, fmt.Sprintf("no non-test code sets field %s (%s)", key, pos))
 			}
+			if c := knob(v, set[v]); c != nil {
+				var at []string
+				for _, s := range set[v] {
+					at = append(at, fset.Position(s.pos).String())
+				}
+				unused = append(unused, fmt.Sprintf("field %s is a constant: non-test code sets it only to %s, in its own package (%s)", key, c, strings.Join(at, ", ")))
+			}
 		} else if !reached[o] {
 			unused = append(unused, fmt.Sprintf("only tests reach %s (%s)", key, pos))
 		}
@@ -343,9 +355,18 @@ func moduleInterfaceMethod(m *types.Func, mod string) bool {
 // set. A composite-literal key, the left side of an assignment and the
 // operand of ++ or -- set a field without reading it; &x.f does both.
 // Comparing structs with == or != and keying a map by a struct read
-// all of the struct's fields.
-func fieldAccess(info *types.Info, files map[string][]*ast.File) (read, set map[*types.Var]bool) {
-	read, set = map[*types.Var]bool{}, map[*types.Var]bool{}
+// all of the struct's fields. Each set records where it is and, when it
+// assigns one constant expression, that constant.
+func fieldAccess(info *types.Info, files map[string][]*ast.File) (read map[*types.Var]bool, set map[*types.Var][]fieldSet) {
+	read, set = map[*types.Var]bool{}, map[*types.Var][]fieldSet{}
+	var pkg string // the package of the file being walked
+	add := func(v *types.Var, at token.Pos, val ast.Expr) {
+		fs := fieldSet{pos: at, pkg: pkg}
+		if val != nil {
+			fs.val = info.Types[val].Value
+		}
+		set[v] = append(set[v], fs)
+	}
 	field := func(e ast.Expr) (*ast.SelectorExpr, *types.Var) {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		if s := info.Selections[sel]; ok && s != nil && s.Kind() == types.FieldVal {
@@ -353,12 +374,14 @@ func fieldAccess(info *types.Info, files map[string][]*ast.File) (read, set map[
 		}
 		return nil, nil
 	}
-	// setPath sets the field e selects, and the fields it is reached
-	// through (x.f.g = 1 sets g and f), and returns e's selector.
-	setPath := func(e ast.Expr) *ast.SelectorExpr {
+	// setPath sets the field e selects to val (nil when the set does
+	// not assign one expression), and the fields it is reached through
+	// (x.f.g = 1 sets g and f), and returns e's selector.
+	setPath := func(e, val ast.Expr) *ast.SelectorExpr {
 		sel, v := field(e)
 		for s, u := sel, v; u != nil; s, u = field(s.X) {
-			set[u] = true
+			add(u, s.Pos(), val)
+			val = nil
 		}
 		return sel
 	}
@@ -380,25 +403,30 @@ func fieldAccess(info *types.Info, files map[string][]*ast.File) (read, set map[
 		}
 	}
 	written := map[*ast.SelectorExpr]bool{}
-	for _, fs := range files {
+	for path, fs := range files {
+		pkg = path
 		for _, f := range fs {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					if n.Tok != token.DEFINE {
-						for _, l := range n.Lhs {
-							if sel := setPath(l); sel != nil {
+						for i, l := range n.Lhs {
+							var val ast.Expr
+							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+								val = n.Rhs[i]
+							}
+							if sel := setPath(l, val); sel != nil {
 								written[sel] = true
 							}
 						}
 					}
 				case *ast.IncDecStmt:
-					if sel := setPath(n.X); sel != nil {
+					if sel := setPath(n.X, nil); sel != nil {
 						written[sel] = true
 					}
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						setPath(n.X)
+						setPath(n.X, nil)
 					}
 				case *ast.BinaryExpr:
 					if n.Op == token.EQL || n.Op == token.NEQ {
@@ -411,9 +439,9 @@ func fieldAccess(info *types.Info, files map[string][]*ast.File) (read, set map[
 					}
 					for i, e := range n.Elts {
 						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							set[info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+							add(info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin(), kv.Pos(), kv.Value)
 						} else {
-							set[st.Field(i).Origin()] = true
+							add(st.Field(i).Origin(), e.Pos(), e)
 						}
 					}
 				case *ast.SelectorExpr:
@@ -426,6 +454,29 @@ func fieldAccess(info *types.Info, files map[string][]*ast.File) (read, set map[
 		}
 	}
 	return read, set
+}
+
+// A fieldSet is one set of a field: where it is, the package it is in
+// and, when it assigns a constant, that constant.
+type fieldSet struct {
+	pos token.Pos
+	pkg string
+	val constant.Value
+}
+
+// knob reports the one constant that every set of exported field v
+// assigns when all of them are in v's own package, and nil otherwise:
+// such a field is a constant in disguise.
+func knob(v *types.Var, sets []fieldSet) constant.Value {
+	if !v.Exported() || len(sets) == 0 {
+		return nil
+	}
+	for _, s := range sets {
+		if s.pkg != v.Pkg().Path() || s.val == nil || !constant.Compare(s.val, token.EQL, sets[0].val) {
+			return nil
+		}
+	}
+	return sets[0].val
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -90,7 +90,7 @@ func StreamTraceCSV(r io.Reader) (JobSource, error) { return workload.NewCSVSour
 // with default conversion (rows must be submit-sorted); ReadTraceGWF
 // collects it.
 func StreamTraceGWF(r io.Reader) (JobSource, error) {
-	return workload.NewGWFSource(r, workload.ConvertOptions{})
+	return workload.NewGWFSource(r)
 }
 
 // ReadTraceCSV parses the native CSV trace format (see WriteTraceCSV).
@@ -102,7 +102,7 @@ func WriteTraceCSV(w io.Writer, t *Trace) error { return workload.WriteCSV(w, t)
 // ReadTraceGWF parses a Grid Workloads Format trace (the archive
 // format of the paper's Grid5000 input) with default conversion.
 func ReadTraceGWF(r io.Reader) (*Trace, error) {
-	return workload.ReadGWF(r, workload.ConvertOptions{})
+	return workload.ReadGWF(r)
 }
 
 // ScoreParams exposes the tunable costs of the score-based policy.

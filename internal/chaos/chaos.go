@@ -51,33 +51,38 @@ type PlanConfig struct {
 	Horizon float64
 	// Nodes is the fleet size crash targets are drawn from.
 	Nodes int
-	// Crashes is the number of independent one-shot node crashes.
-	Crashes int
-	// Flaps is the number of flapping nodes: each crashes three times,
-	// spaced 1.5–2.5 MTTR apart, so every crash hits a node that has
-	// already been repaired and reintegrated.
-	Flaps int
-	// MTTR must match the simulation's configured repair time.
-	MTTR float64
 }
+
+// The size of every fault plan.
+const (
+	// Crashes is the number of independent one-shot node crashes.
+	Crashes = 3
+	// Flaps is the number of flapping nodes: each crashes three times,
+	// spaced 1.5–2.5 mttr apart, so every crash hits a node that has
+	// already been repaired and reintegrated.
+	Flaps = 1
+	// mttr is the repair time of a crashed node, in seconds; a
+	// scenario's simulation is configured with the same.
+	mttr float64 = 1800
+)
 
 // NewPlan draws a deterministic fault schedule: the same config
 // always yields the same crashes.
 func NewPlan(cfg PlanConfig) Plan {
 	s := simkit.NewStream(cfg.Seed, "chaos")
 	var p Plan
-	for i := 0; i < cfg.Crashes; i++ {
+	for i := 0; i < Crashes; i++ {
 		p.Crashes = append(p.Crashes, Crash{
 			Time: cfg.Horizon * s.Uniform(0.1, 0.9),
 			Rank: int(s.Float64() * float64(cfg.Nodes)),
 		})
 	}
-	for i := 0; i < cfg.Flaps; i++ {
+	for i := 0; i < Flaps; i++ {
 		t := cfg.Horizon * s.Uniform(0.1, 0.5)
 		rank := int(s.Float64() * float64(cfg.Nodes))
 		for k := 0; k < 3; k++ {
 			p.Crashes = append(p.Crashes, Crash{Time: t, Rank: rank, Flap: i + 1})
-			t += cfg.MTTR * s.Uniform(1.5, 2.5)
+			t += mttr * s.Uniform(1.5, 2.5)
 		}
 	}
 	sort.Slice(p.Crashes, func(i, j int) bool {

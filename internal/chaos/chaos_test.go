@@ -61,9 +61,9 @@ func TestScenario10kByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Failures < s.Crashes {
+	if serial.Failures < chaos.Crashes {
 		t.Fatalf("only %d node failures recorded, want >= %d injected crashes",
-			serial.Failures, s.Crashes)
+			serial.Failures, chaos.Crashes)
 	}
 	if serial.JobsCompleted == 0 || serial.JobsCompleted != serial.JobsTotal {
 		t.Fatalf("scenario completed %d of %d jobs", serial.JobsCompleted, serial.JobsTotal)
@@ -340,15 +340,12 @@ func TestScenario10kAdmissionByteIdentity(t *testing.T) {
 // its config — same seed, same crashes — and lands inside the loaded
 // middle of the horizon, sorted by time.
 func TestNewPlanDeterministic(t *testing.T) {
-	cfg := chaos.PlanConfig{
-		Seed: 11, Horizon: 48 * 3600, Nodes: 10_000,
-		Crashes: 5, Flaps: 2, MTTR: 1800,
-	}
+	cfg := chaos.PlanConfig{Seed: 11, Horizon: 48 * 3600, Nodes: 10_000}
 	a, b := chaos.NewPlan(cfg), chaos.NewPlan(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same config drew different plans:\n a %+v\n b %+v", a, b)
 	}
-	if got, want := len(a.Crashes), cfg.Crashes+3*cfg.Flaps; got != want {
+	if got, want := len(a.Crashes), chaos.Crashes+3*chaos.Flaps; got != want {
 		t.Fatalf("plan has %d crashes, want %d", got, want)
 	}
 	flapFires := map[int]int{}

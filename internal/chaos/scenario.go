@@ -14,43 +14,39 @@ import (
 )
 
 // Scenario is one reproducible scale/chaos run: a heterogeneous fleet
-// of Nodes, a streaming synthetic trace of Days × JobsPerDay and a
-// seeded fault plan, under the paper's default λ thresholds. Every
-// field is part of the seed: two equal Scenarios produce
-// byte-identical reports.
+// of Nodes, a streaming synthetic trace of Days × scenarioJobsPerDay
+// and a seeded fault plan of Crashes one-shot crashes and Flaps
+// flapping nodes, under the paper's default λ thresholds. Every field
+// is part of the seed: two equal Scenarios produce byte-identical
+// reports.
 type Scenario struct {
 	Name string
 	// Nodes is the heterogeneous fleet size.
 	Nodes int
 	// Days is the trace horizon (multi-day is the point).
 	Days float64
-	// JobsPerDay is the synthetic arrival rate.
-	JobsPerDay float64
 	// Seed drives the trace, the engine and the fault plan.
 	Seed int64
-	// TickSeconds is the housekeeping tick (0 = datacenter default
-	// 60 s; scale runs use a coarser tick).
-	TickSeconds float64
-	// MTTR is the repair time for injected crashes (0 = default 1800).
-	MTTR float64
-	// Crashes, Flaps parameterize the fault plan (see PlanConfig).
-	Crashes, Flaps int
 }
+
+// The fixed shape of every scenario.
+const (
+	// scenarioJobsPerDay is the synthetic arrival rate.
+	scenarioJobsPerDay float64 = 400
+	// scenarioTick is the housekeeping tick: scale runs use a coarser
+	// tick than the datacenter's 60 s.
+	scenarioTick float64 = 600
+)
 
 // Scenario10k is the canonical acceptance scenario: 10 000
 // heterogeneous nodes, a two-day streaming trace, one-shot crashes
 // plus a flapping node, coarse ticks so the run stays CI-sized.
 func Scenario10k() Scenario {
 	return Scenario{
-		Name:        "10k-2day",
-		Nodes:       10_000,
-		Days:        2,
-		JobsPerDay:  400,
-		Seed:        7,
-		TickSeconds: 600,
-		MTTR:        1800,
-		Crashes:     3,
-		Flaps:       1,
+		Name:  "10k-2day",
+		Nodes: 10_000,
+		Days:  2,
+		Seed:  7,
 	}
 }
 
@@ -63,23 +59,16 @@ func (s Scenario) GeneratorConfig() workload.GeneratorConfig {
 	cfg := workload.DefaultGeneratorConfig()
 	cfg.Seed = s.Seed
 	cfg.Horizon = s.Horizon()
-	cfg.JobsPerDay = s.JobsPerDay
+	cfg.JobsPerDay = scenarioJobsPerDay
 	return cfg
 }
 
 // Plan returns the scenario's fault schedule.
 func (s Scenario) Plan() Plan {
-	mttr := s.MTTR
-	if mttr == 0 {
-		mttr = 1800
-	}
 	return NewPlan(PlanConfig{
 		Seed:    s.Seed,
 		Horizon: s.Horizon(),
 		Nodes:   s.Nodes,
-		Crashes: s.Crashes,
-		Flaps:   s.Flaps,
-		MTTR:    mttr,
 	})
 }
 
@@ -96,8 +85,8 @@ func (s Scenario) sim(sink obs.TraceSink) (*datacenter.Simulation, error) {
 		Classes:      cluster.ScaleClasses(s.Nodes),
 		Policy:       pol,
 		Seed:         s.Seed,
-		TickInterval: s.TickSeconds,
-		MTTR:         s.MTTR,
+		TickInterval: scenarioTick,
+		MTTR:         mttr,
 	})
 }
 

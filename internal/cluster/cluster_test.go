@@ -101,7 +101,8 @@ func TestOccupationWith(t *testing.T) {
 
 // A class with no memory capacity (cluster.New accepts Mem == 0) hosts
 // VMs that need none, bound by CPU alone: the memory term must not
-// divide zero by zero.
+// divide zero by zero, nor count the memory of a VM placed there
+// without Fits.
 func TestOccupationZeroMemoryClass(t *testing.T) {
 	cls := testClass()
 	cls.Mem = 0
@@ -112,6 +113,10 @@ func TestOccupationZeroMemoryClass(t *testing.T) {
 	}
 	if !n.Fits(vm.Requirements{CPU: 300}) {
 		t.Error("VM that fills the CPU rejected on a memoryless class")
+	}
+	addVM(n, 2, 100, 5, vm.Running)
+	if got := n.Occupation(); got != 0.5 {
+		t.Errorf("occupation with a VM that declares memory = %v, want 0.5 (CPU alone)", got)
 	}
 }
 

@@ -8,7 +8,6 @@ package cluster
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"energysched/internal/power"
@@ -73,6 +72,21 @@ type Class struct {
 	Reliability float64
 	// Power is the electrical model (nil = paper's Table I model).
 	Power *power.InterpolatedModel
+}
+
+// Occupation is the utilization of the most occupied resource of a
+// node of class c whose hosted VMs declare cpu and mem in total: the
+// max of the CPU and memory shares. A class with Mem 0 declares no
+// memory, so only its CPU share counts. The score computes it for
+// every candidate cell, so it stays small enough to inline.
+func (c *Class) Occupation(cpu, mem float64) float64 {
+	occ := cpu / c.CPU
+	if c.Mem > 0 {
+		if m := mem / c.Mem; m > occ {
+			occ = m
+		}
+	}
+	return occ
 }
 
 // tableI is the paper's measured Table I power model. It is immutable,
@@ -349,12 +363,7 @@ func (n *Node) Occupation() float64 {
 // OccupationWith is O(h, vm): the occupation the node would have
 // after also hosting a VM with the given extra requirements.
 func (n *Node) OccupationWith(extraCPU, extraMem float64) float64 {
-	cpu := (n.CPUReserved() + extraCPU) / n.Class.CPU
-	mem := 0.0
-	if n.Class.Mem > 0 {
-		mem = (n.MemReserved() + extraMem) / n.Class.Mem
-	}
-	return math.Max(cpu, mem)
+	return n.Class.Occupation(n.CPUReserved()+extraCPU, n.MemReserved()+extraMem)
 }
 
 // Fits reports whether a VM with requirements r can be placed without

@@ -20,17 +20,6 @@ type Adaptive struct {
 	// TargetS is the satisfaction target in percent (default 98, the
 	// level the paper equalizes policies at).
 	TargetS float64
-	// Margin is the dead band above the target before tightening
-	// (default 1 percentage point).
-	Margin float64
-	// Step is the λmin adjustment per decision, as a fraction
-	// (default 0.05 = five percentage points).
-	Step float64
-	// Floor and Ceil bound λmin (defaults 0.10 and λmax − 0.10).
-	Floor, Ceil float64
-	// Interval is the minimum seconds between adjustments (default
-	// 7200 — give the fleet time to settle between moves).
-	Interval float64
 
 	lastAdjust float64
 	started    bool
@@ -38,20 +27,27 @@ type Adaptive struct {
 	winN       int
 }
 
+// The controller's fixed rule.
+const (
+	// adaptiveMargin is the dead band above the target before
+	// tightening, in percentage points.
+	adaptiveMargin float64 = 1
+	// adaptiveStep is the λmin adjustment per decision, as a fraction
+	// (five percentage points).
+	adaptiveStep float64 = 0.05
+	// adaptiveGap bounds λmin to [adaptiveGap, λmax − adaptiveGap].
+	adaptiveGap float64 = 0.10
+	// adaptiveInterval is the minimum seconds between adjustments:
+	// give the fleet time to settle between moves.
+	adaptiveInterval float64 = 7200
+)
+
 // NewAdaptive wraps a power manager with the default controller.
 func NewAdaptive(pm *PowerManager) (*Adaptive, error) {
 	if pm == nil {
 		return nil, fmt.Errorf("core: adaptive controller needs a power manager")
 	}
-	return &Adaptive{
-		PM:       pm,
-		TargetS:  98,
-		Margin:   1,
-		Step:     0.05,
-		Floor:    0.10,
-		Ceil:     pm.LambdaMax - 0.10,
-		Interval: 7200,
-	}, nil
+	return &Adaptive{PM: pm, TargetS: 98}, nil
 }
 
 // CheckTarget reports whether target is a satisfaction target the
@@ -75,7 +71,7 @@ func (a *Adaptive) Add(satisfaction float64) {
 // window is consumed and λmin possibly adjusted. It reports whether a
 // threshold adjustment happened.
 func (a *Adaptive) Tick(now float64) bool {
-	if a.started && now-a.lastAdjust < a.Interval {
+	if a.started && now-a.lastAdjust < adaptiveInterval {
 		return false
 	}
 	if a.winN == 0 {
@@ -86,17 +82,17 @@ func (a *Adaptive) Tick(now float64) bool {
 	a.started = true
 	a.lastAdjust = now
 
-	lmin := a.PM.LambdaMin
+	lmin, ceil := a.PM.LambdaMin, a.PM.LambdaMax-adaptiveGap
 	switch {
-	case meanS < a.TargetS && lmin > a.Floor:
-		lmin -= a.Step
-		if lmin < a.Floor {
-			lmin = a.Floor
+	case meanS < a.TargetS && lmin > adaptiveGap:
+		lmin -= adaptiveStep
+		if lmin < adaptiveGap {
+			lmin = adaptiveGap
 		}
-	case meanS > a.TargetS+a.Margin && lmin < a.Ceil:
-		lmin += a.Step
-		if lmin > a.Ceil {
-			lmin = a.Ceil
+	case meanS > a.TargetS+adaptiveMargin && lmin < ceil:
+		lmin += adaptiveStep
+		if lmin > ceil {
+			lmin = ceil
 		}
 	default:
 		return false

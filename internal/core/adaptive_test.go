@@ -20,8 +20,8 @@ func TestNewAdaptiveValidation(t *testing.T) {
 		t.Error("nil power manager accepted")
 	}
 	a := newAdaptive(t)
-	if a.TargetS != 98 || a.Ceil >= a.PM.LambdaMax {
-		t.Errorf("defaults: %+v", a)
+	if a.TargetS != 98 {
+		t.Errorf("default target = %v, want 98", a.TargetS)
 	}
 }
 
@@ -51,7 +51,7 @@ func TestAdaptiveTightensWhenSatisfied(t *testing.T) {
 	if a.PM.LambdaMin <= 0.30 {
 		t.Errorf("λmin = %v, want raised above 0.30", a.PM.LambdaMin)
 	}
-	if want := 0.30 + a.Step; a.PM.LambdaMin != want {
+	if want := 0.30 + adaptiveStep; a.PM.LambdaMin != want {
 		t.Errorf("λmin = %v, want one step up, %v", a.PM.LambdaMin, want)
 	}
 }
@@ -91,7 +91,7 @@ func TestAdaptiveIntervalAndEmptyWindow(t *testing.T) {
 	if a.Tick(100) {
 		t.Error("adjusted before the interval elapsed")
 	}
-	if !a.Tick(a.Interval + 1) {
+	if !a.Tick(adaptiveInterval + 1) {
 		t.Error("adjustment denied after the interval")
 	}
 }
@@ -101,19 +101,19 @@ func TestAdaptiveRespectsBounds(t *testing.T) {
 	// Push up against the ceiling.
 	for i := 0; i < 50; i++ {
 		a.Add(100)
-		a.Tick(float64(i) * (a.Interval + 1))
+		a.Tick(float64(i) * (adaptiveInterval + 1))
 	}
-	if a.PM.LambdaMin > a.Ceil+1e-9 {
-		t.Errorf("λmin %v exceeded ceiling %v", a.PM.LambdaMin, a.Ceil)
+	if ceil := a.PM.LambdaMax - adaptiveGap; a.PM.LambdaMin > ceil+1e-9 {
+		t.Errorf("λmin %v exceeded ceiling %v", a.PM.LambdaMin, ceil)
 	}
 	// And down against the floor.
 	b := newAdaptive(t)
 	for i := 0; i < 50; i++ {
 		b.Add(0)
-		b.Tick(float64(i) * (b.Interval + 1))
+		b.Tick(float64(i) * (adaptiveInterval + 1))
 	}
-	if b.PM.LambdaMin < b.Floor-1e-9 {
-		t.Errorf("λmin %v fell below floor %v", b.PM.LambdaMin, b.Floor)
+	if b.PM.LambdaMin < adaptiveGap-1e-9 {
+		t.Errorf("λmin %v fell below floor %v", b.PM.LambdaMin, adaptiveGap)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestAdaptiveWindowResets(t *testing.T) {
 	// Next window is all good: the controller must move up, not be
 	// dragged by the consumed window.
 	a.Add(100)
-	a.Tick(a.Interval + 1)
+	a.Tick(adaptiveInterval + 1)
 	if a.PM.LambdaMin <= down {
 		t.Errorf("λmin did not recover: %v -> %v", down, a.PM.LambdaMin)
 	}

@@ -19,7 +19,7 @@ import (
 // (checkKernel) after every round.
 func TestDifferentialBandGrowth(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MigrationCooldown = 600
+	cfg.migrationCooldown = 600
 	kern, naive := kernelPair(cfg)
 	// Hosts boot in ID order, boot per round from the first; the
 	// hosts that fail stay off, so a booting host takes their slots.

@@ -26,12 +26,14 @@ type Config struct {
 	EnableVirt bool
 	// EnableConc adds Pconc (in-flight operation concurrency penalty).
 	EnableConc bool
-	// EnablePower adds Ppwr (consolidation reward / empty-host cost).
-	EnablePower bool
-	// EnableSLA adds PSLA (dynamic SLA enforcement).
-	EnableSLA bool
-	// EnableFault adds Pfault (reliability-aware placement).
-	EnableFault bool
+	// enablePower adds Ppwr (consolidation reward / empty-host cost);
+	// every variant has it, and only the differential tests drop it.
+	enablePower bool
+	// enableSLA adds PSLA (dynamic SLA enforcement, §III-A5) and
+	// enableFault Pfault (reliability-aware placement, §III-A6). The
+	// paper's experiments exercise neither; the differential tests
+	// turn them on.
+	enableSLA, enableFault bool
 	// Migration allows the solver to move running VMs.
 	Migration bool
 
@@ -42,13 +44,6 @@ type Config struct {
 	Cfill float64
 	// THempty: hosts with at most this many VMs are "emptiable" (1).
 	THempty int
-	// Csla is the cost of breaking a VM's SLA.
-	Csla float64
-	// THsla is the fulfillment tolerance threshold below which a
-	// ⟨host, VM⟩ combination is forbidden.
-	THsla float64
-	// Cfail is the cost of failing a VM (reliability penalty scale).
-	Cfail float64
 	// MaxIterations bounds the hill-climbing loop; 0 = 4×VMs, min 32.
 	MaxIterations int
 	// MigrationGainMin is the hysteresis on migration moves: a
@@ -58,15 +53,10 @@ type Config struct {
 	// float-level gains thrash long-running VMs (whose Pm penalty
 	// decays towards zero). Placements of queued VMs are exempt.
 	MigrationGainMin float64
-	// MigrationCooldown keeps a VM in place for this many seconds
+	// migrationCooldown keeps a VM in place for this many seconds
 	// after a completed migration (0 = default 3600; negative
 	// disables). The second half of the same anti-thrash requirement.
-	MigrationCooldown float64
-	// QueueScore is the large finite score of holding a VM in the
-	// scheduler's virtual host, making any feasible placement the
-	// highest-benefit move (the paper uses ∞; a large finite value
-	// avoids ∞−∞ in the improvement arithmetic).
-	QueueScore float64
+	migrationCooldown float64
 	// NaiveSolver bypasses the slab kernel and re-evaluates the full
 	// V×H matrix on every hill-climbing iteration, exactly as
 	// Algorithm 1 is written. Both emit identical actions; the naive
@@ -75,6 +65,22 @@ type Config struct {
 	NaiveSolver bool
 }
 
+// The fixed costs of the score (§III-A).
+const (
+	// csla is the cost of breaking a VM's SLA.
+	csla float64 = 100
+	// thsla is the fulfillment tolerance threshold below which a
+	// ⟨host, VM⟩ combination is forbidden.
+	thsla float64 = 0.5
+	// cfail is the cost of failing a VM (reliability penalty scale).
+	cfail float64 = 200
+	// queueScore is the large finite score of holding a VM in the
+	// scheduler's virtual host, making any feasible placement the
+	// highest-benefit move (the paper uses ∞; a large finite value
+	// avoids ∞−∞ in the improvement arithmetic).
+	queueScore float64 = 1e7
+)
+
 // DefaultConfig returns the paper's evaluation parameters (§V):
 // THempty = 1, Cempty = 20, Cfill = 40, all penalties of the full SB
 // configuration enabled.
@@ -82,19 +88,13 @@ func DefaultConfig() Config {
 	return Config{
 		EnableVirt:        true,
 		EnableConc:        true,
-		EnablePower:       true,
-		EnableSLA:         false, // not exercised in the paper's experiments
-		EnableFault:       false, // idem; reliability-aware placement is opt-in
+		enablePower:       true,
 		Migration:         true,
 		Cempty:            20,
 		Cfill:             40,
 		THempty:           1,
-		Csla:              100,
-		THsla:             0.5,
-		Cfail:             200,
-		QueueScore:        1e7,
 		MigrationGainMin:  35,
-		MigrationCooldown: 3600,
+		migrationCooldown: 3600,
 	}
 }
 
@@ -137,16 +137,8 @@ func (c Config) Validate() error {
 	if c.THempty < 0 {
 		return fmt.Errorf("core: THempty must be non-negative, got %d", c.THempty)
 	}
-	if !(c.THsla >= 0 && c.THsla < 1) {
-		return fmt.Errorf("core: THsla %.2f outside [0,1)", c.THsla)
-	}
-	if !(c.QueueScore > 0) || math.IsInf(c.QueueScore, 1) {
-		return fmt.Errorf("core: QueueScore must be positive and finite, got %v", c.QueueScore)
-	}
-	for _, x := range [...]float64{c.Csla, c.Cfail, c.MigrationGainMin, c.MigrationCooldown} {
-		if math.IsNaN(x) {
-			return fmt.Errorf("core: Csla, Cfail, MigrationGainMin and MigrationCooldown must be numbers")
-		}
+	if math.IsNaN(c.MigrationGainMin) {
+		return fmt.Errorf("core: MigrationGainMin must be a number")
 	}
 	return nil
 }

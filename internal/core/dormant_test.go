@@ -70,7 +70,7 @@ func runDormantRounds(t *testing.T, cfg Config, duration, deadline, remaining fl
 // move.
 func TestDifferentialDormantWakesOnSLAStep(t *testing.T) {
 	cfg := SBConfig()
-	cfg.EnableSLA = true
+	cfg.enableSLA = true
 	runDormantRounds(t, cfg, 40000, 10000, 1000, []dormantRound{
 		{now: 8950},
 		{now: 8990, dormant: true},
@@ -85,7 +85,7 @@ func TestDifferentialDormantWakesOnSLAStep(t *testing.T) {
 // inside the deadline: the move PSLA drops to 0 and the row must wake.
 func TestDifferentialDormantWakesOnProgress(t *testing.T) {
 	cfg := SBConfig()
-	cfg.EnableSLA = true
+	cfg.enableSLA = true
 	runDormantRounds(t, cfg, 40000, 10000, 1000, []dormantRound{
 		{now: 8950},
 		{now: 8955, dormant: true},
@@ -105,7 +105,7 @@ func TestDifferentialDormantWakesOnProgress(t *testing.T) {
 // acting.
 func TestQuietRoundTouchesOnlyStamps(t *testing.T) {
 	cfg := SBConfig()
-	cfg.EnableSLA, cfg.EnableFault = true, true
+	cfg.enableSLA, cfg.enableFault = true, true
 	cfg.MigrationGainMin = 1e6
 	var all []int
 	for id := range 16 {

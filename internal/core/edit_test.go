@@ -41,11 +41,11 @@ func TestFeedTwinRandomRounds(t *testing.T) {
 			}
 		}
 		cfg := DefaultConfig()
-		cfg.EnableSLA = r.Float64() < 0.6
-		cfg.EnableFault = r.Float64() < 0.3
+		cfg.enableSLA = r.Float64() < 0.6
+		cfg.enableFault = r.Float64() < 0.3
 		cfg.Migration = r.Float64() < 0.8
 		cfg.MigrationGainMin = []float64{0, 1, 35}[r.Intn(3)]
-		cfg.MigrationCooldown = []float64{-1, 0, 300, 600}[r.Intn(4)]
+		cfg.migrationCooldown = []float64{-1, 0, 300, 600}[r.Intn(4)]
 		if r.Float64() < 0.2 {
 			cfg.MaxIterations = 1 + r.Intn(4) // rounds left without verdicts
 		}

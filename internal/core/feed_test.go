@@ -77,9 +77,7 @@ func (r feedRun) run(t *testing.T, o *oracled) int {
 }
 
 func (r feedRun) config() core.Config {
-	cfg := core.SBConfig()
-	cfg.EnableSLA = r.sla
-	return cfg
+	return core.WithSLA(core.SBConfig(), r.sla)
 }
 
 var feedRuns = []feedRun{

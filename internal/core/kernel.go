@@ -369,11 +369,11 @@ const dueMargin = 1.0
 // unchanged, and a Progress change reaches the kernel through the feed.
 func (sch *Scheduler) stayDue(v *vm.VM, now float64) float64 {
 	budget := v.Deadline - v.Submit
-	if !sch.cfg.EnableSLA || !(budget > 0) {
+	if !sch.cfg.enableSLA || !(budget > 0) {
 		return math.Inf(1)
 	}
 	run := v.Remaining() / v.Req.CPU
-	for _, step := range [2]float64{v.Submit + budget - run, v.Submit + budget/sch.cfg.THsla - run} {
+	for _, step := range [2]float64{v.Submit + budget - run, v.Submit + budget/thsla - run} {
 		if now < step+dueMargin {
 			return step - dueMargin
 		}
@@ -532,7 +532,7 @@ func (sch *Scheduler) solveKernel(ctx *policy.Context, s *shadow, hosts []*clust
 			if ni < 0 {
 				continue
 			}
-			cur := sch.cfg.QueueScore
+			cur := queueScore
 			if a := s.assign[vi]; a >= 0 {
 				cur = st.score(s, vi, a)
 			}

@@ -156,10 +156,10 @@ func (sch *Scheduler) anyCandidate(ctx *policy.Context) bool {
 
 // cooldown is the configured migration cooldown (0 selects one hour).
 func (sch *Scheduler) cooldown() float64 {
-	if sch.cfg.MigrationCooldown == 0 {
+	if sch.cfg.migrationCooldown == 0 {
 		return 3600
 	}
-	return sch.cfg.MigrationCooldown
+	return sch.cfg.migrationCooldown
 }
 
 // movable reports whether active VM v is a migration candidate at now:
@@ -261,7 +261,7 @@ func (sch *Scheduler) solveNaive(s *shadow, hosts []*cluster.Node, cands []*vm.V
 	// change host loads and therefore sibling scores.
 	currentScore := func(vi int) float64 {
 		if s.assign[vi] < 0 {
-			return sch.cfg.QueueScore
+			return queueScore
 		}
 		sch.Stats.ScoreEvals++
 		return sch.score(s, s.assign[vi], vi)

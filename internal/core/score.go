@@ -154,20 +154,13 @@ func (s *shadow) move(vi, ni int) {
 // If vi is already assigned to ni, the shadow load already includes
 // it.
 func (s *shadow) occupation(ni, vi int) float64 {
-	n := s.nodes[ni]
 	cpu, mem := s.cpu[ni], s.mem[ni]
 	if s.assign[vi] != ni {
 		v := s.vms[vi]
 		cpu += v.Req.CPU
 		mem += v.Req.Mem
 	}
-	occ := cpu / n.Class.CPU
-	if n.Class.Mem > 0 {
-		if m := mem / n.Class.Mem; m > occ {
-			occ = m
-		}
-	}
-	return occ
+	return s.nodes[ni].Class.Occupation(cpu, mem)
 }
 
 // vmCount returns the number of VMs node ni would host with vi there.
@@ -243,13 +236,13 @@ func (sch *Scheduler) scoreBase(s *shadow, ni, vi int) float64 {
 
 	// P_pwr: power efficiency — reward fillable hosts, punish
 	// emptiable ones (§III-A4).
-	if cfg.EnablePower {
+	if cfg.enablePower {
 		total += sch.pPower(s, ni, vi, occ)
 	}
 
 	// P_fault: reliability (§III-A6).
-	if cfg.EnableFault {
-		total += ((1 - n.Reliability) - v.FaultTolerance) * cfg.Cfail
+	if cfg.enableFault {
+		total += ((1 - n.Reliability) - v.FaultTolerance) * cfail
 	}
 
 	return total
@@ -286,7 +279,7 @@ func (sch *Scheduler) scoreTimeStay(s *shadow, vi int) float64 {
 // edit pass asks it for a row it checks.
 func (sch *Scheduler) stayAt(v *vm.VM, now float64) float64 {
 	total := 0.0
-	if sch.cfg.EnableSLA {
+	if sch.cfg.enableSLA {
 		p, infinite := sch.pSLA(v, now, 0)
 		if infinite {
 			return math.Inf(1)
@@ -313,7 +306,7 @@ func (sch *Scheduler) scoreTimeMove(s *shadow, vi int, cl *cluster.Class) float6
 	}
 
 	// P_SLA: dynamic SLA enforcement (§III-A5).
-	if cfg.EnableSLA {
+	if cfg.enableSLA {
 		overhead := cl.MigrateCost
 		if s.vms[vi].State == vm.Queued {
 			overhead = cl.CreateCost
@@ -386,15 +379,14 @@ func (sch *Scheduler) pPower(s *shadow, ni, vi int, occ float64) float64 {
 // now from the estimated fulfillment of v given the operation overhead
 // of the candidate host (zero when the VM would stay put).
 func (sch *Scheduler) pSLA(v *vm.VM, now, overhead float64) (penalty float64, infinite bool) {
-	cfg := &sch.cfg
 	// Assume the candidate host can grant the full requested CPU
 	// (P_res already guaranteed the reservation fits).
 	f := sla.Fulfillment(now, v.Submit, v.Deadline, v.Remaining(), v.Req.CPU, overhead)
 	switch {
 	case f >= 1:
 		return 0, false
-	case f > cfg.THsla:
-		return cfg.Csla, false
+	case f > thsla:
+		return csla, false
 	default:
 		return 0, true
 	}

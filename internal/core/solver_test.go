@@ -129,12 +129,12 @@ func randomScenario(r *rand.Rand) (*policy.Context, Config) {
 	cfg := DefaultConfig()
 	cfg.EnableVirt = r.Float64() < 0.8
 	cfg.EnableConc = r.Float64() < 0.8
-	cfg.EnablePower = r.Float64() < 0.9
-	cfg.EnableSLA = r.Float64() < 0.3
-	cfg.EnableFault = r.Float64() < 0.3
+	cfg.enablePower = r.Float64() < 0.9
+	cfg.enableSLA = r.Float64() < 0.3
+	cfg.enableFault = r.Float64() < 0.3
 	cfg.Migration = r.Float64() < 0.7
 	cfg.MigrationGainMin = []float64{0, 1, 35, 80}[r.Intn(4)]
-	cfg.MigrationCooldown = []float64{-1, 0, 600, 3600}[r.Intn(4)]
+	cfg.migrationCooldown = []float64{-1, 0, 600, 3600}[r.Intn(4)]
 	if r.Float64() < 0.3 {
 		cfg.MaxIterations = 1 + r.Intn(6) // exercise LimitHits parity
 	}
@@ -480,7 +480,7 @@ func kernelFault(sch *Scheduler, ctx *policy.Context) error {
 		if dormant && s.assign[vi] != s.initial[vi] {
 			return fmt.Errorf("vm index %d: dormant row moved", vi)
 		}
-		cur, threshold := sch.cfg.QueueScore, -moveEps
+		cur, threshold := queueScore, -moveEps
 		if a := s.assign[vi]; a >= 0 {
 			cur = sch.score(s, a, vi)
 		}
@@ -669,7 +669,7 @@ func TestCheckKernelDetectsStaleKey(t *testing.T) {
 		c := testCluster(t, 3)
 		a, b := runningVM(1, 100, 5, c, 0), runningVM(2, 100, 5, c, 2)
 		cfg := SBConfig()
-		cfg.EnableFault = true
+		cfg.enableFault = true
 		cfg.MigrationGainMin = 1e6
 		sch := mustScheduler(cfg)
 		ctx := ctxFor(c, nil, []*vm.VM{a, b})
@@ -716,9 +716,9 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 			}
 		}
 		cfg := DefaultConfig()
-		cfg.EnableSLA = r.Float64() < 0.3
-		cfg.EnableFault = r.Float64() < 0.3
-		cfg.MigrationCooldown = 600
+		cfg.enableSLA = r.Float64() < 0.3
+		cfg.enableFault = r.Float64() < 0.3
+		cfg.migrationCooldown = 600
 		inc := mustScheduler(cfg)
 		naiCfg := cfg
 		naiCfg.NaiveSolver = true
@@ -832,7 +832,7 @@ func TestDifferentialChurnSizes(t *testing.T) {
 				rounds = 6 // a 1000-node round is ~30× a 100-node one
 			}
 			cfg := DefaultConfig()
-			cfg.MigrationCooldown = 600
+			cfg.migrationCooldown = 600
 			kern, naive := kernelPair(cfg)
 
 			cs := newChurnSim(int64(7700+size), churnCluster(size), 1+size/20)
@@ -1024,7 +1024,7 @@ func TestDifferentialSB0Churn(t *testing.T) {
 	cfg := SB0Config()
 	cfg.Migration = true
 	cfg.MigrationGainMin = 1
-	cfg.MigrationCooldown = -1
+	cfg.migrationCooldown = -1
 	kern, naive = kernelPair(cfg)
 	cs := newChurnSim(4400, churnCluster(20), 3)
 	for round := 0; round < 40; round++ {
@@ -1127,6 +1127,34 @@ func TestWorkedMatrixExampleBothSolvers(t *testing.T) {
 		cfg.NaiveSolver = naive
 		sch := mustScheduler(cfg)
 		acts := renderActions(sch.Schedule(mk()))
+		if len(acts) != 1 || acts[0] != "place vm0 -> n0" {
+			t.Fatalf("naive=%v: actions = %v, want [place vm0 -> n0]", naive, acts)
+		}
+	}
+}
+
+// TestZeroMemoryClassOccupiesByCPU: a class with Mem 0 declares no
+// memory, so the memory of the VMs its node hosts does not count: the
+// occupation is the CPU share alone, and both solvers place a VM next
+// to one that needs memory (hosted there without the scheduler, whose
+// Preq gate keeps such VMs off the class).
+func TestZeroMemoryClassOccupiesByCPU(t *testing.T) {
+	mk := func() *policy.Context {
+		cls := cluster.PaperClasses()[1]
+		cls.Count, cls.Mem = 1, 0
+		c := cluster.MustNew([]cluster.Class{cls})
+		c.Nodes[0].SetState(cluster.On)
+		return ctxFor(c, []*vm.VM{queuedVM(0, 100, 0)}, []*vm.VM{runningVM(1, 100, 5, c, 0)})
+	}
+	ctx := mk()
+	n := ctx.Cluster.Nodes[0]
+	if got, want := newShadow(0, ctx.Cluster.Nodes, ctx.Queue).occupation(0, 0), 200/n.Class.CPU; got != want {
+		t.Fatalf("occupation = %v, want the CPU share %v", got, want)
+	}
+	for _, naive := range []bool{false, true} {
+		cfg := SBConfig()
+		cfg.NaiveSolver = naive
+		acts := renderActions(mustScheduler(cfg).Schedule(mk()))
 		if len(acts) != 1 || acts[0] != "place vm0 -> n0" {
 			t.Fatalf("naive=%v: actions = %v, want [place vm0 -> n0]", naive, acts)
 		}

@@ -74,7 +74,7 @@ func (sch *Scheduler) emitRoundTrace(now float64, t0 time.Time, before SolverSta
 // threshold.
 func (sch *Scheduler) traceMove(s *shadow, vi, ni int) {
 	v := s.vms[vi]
-	cur := sch.cfg.QueueScore
+	cur := queueScore
 	if a := s.assign[vi]; a >= 0 {
 		cur = sch.score(s, a, vi)
 	}
@@ -110,12 +110,12 @@ func (sch *Scheduler) traceTerms(s *shadow, vi, ni int) *obs.ScoreTerms {
 		Base: obs.ClampJSON(sch.scoreBase(s, ni, vi)),
 		Time: obs.ClampJSON(sch.scoreTime(s, ni, vi)),
 	}
-	if cfg.EnablePower {
+	if cfg.enablePower {
 		if occ := s.occupation(ni, vi); occ <= 1.0+1e-9 {
 			t.Power = sch.pPower(s, ni, vi, occ)
 		}
 	}
-	if cfg.EnableSLA {
+	if cfg.enableSLA {
 		overhead := 0.0
 		if ni != s.initial[vi] {
 			cl := s.nodes[ni].Class

@@ -37,7 +37,7 @@ func (s *Simulation) applyPlace(a policy.Action) {
 	s.emit(EvPlace, v.ID, n.ID, -1)
 	s.recomputeNode(&s.rt[n.ID])
 
-	dur := s.creation.NormalPositive(n.Class.CreateCost, s.cfg.CreationSigma)
+	dur := s.creation.NormalPositive(n.Class.CreateCost, creationSigma)
 	s.eng.AtCall(s.eng.Now()+dur, s.createdFn, v)
 }
 
@@ -81,7 +81,7 @@ func (s *Simulation) applyMigrate(a policy.Action) {
 	s.recomputeNode(&s.rt[src.ID])
 	s.recomputeNode(&s.rt[dst.ID])
 
-	dur := s.migration.NormalPositive(dst.Class.MigrateCost, s.cfg.MigrationSigma)
+	dur := s.migration.NormalPositive(dst.Class.MigrateCost, migrationSigma)
 	s.eng.AtCall(s.eng.Now()+dur, s.migratedFn, v)
 }
 

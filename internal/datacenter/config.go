@@ -31,24 +31,14 @@ type Config struct {
 	// LambdaMin, LambdaMax are the power-manager thresholds in
 	// percent (e.g. 30, 90).
 	LambdaMin, LambdaMax float64
-	// MinExec is the minimum number of operative machines.
-	MinExec int
 	// Seed drives the stochastic parts (creation jitter, failures).
 	Seed int64
 
-	// CreationSigma is the stddev of VM creation time around the
-	// class mean (the paper observed N(40, 2.5) on its testbed).
-	CreationSigma float64
-	// MigrationSigma is the stddev of migration time.
-	MigrationSigma float64
-	// OpOverheadCPU is the CPU percent an in-flight create/migrate
+	// opOverheadCPU is the CPU percent an in-flight create/migrate
 	// operation consumes on each involved node (default 200: pre-copy
 	// migration saturates the NIC and memory bus, and dom0 burns real
 	// cycles tracking dirty pages — co-located VMs feel it).
-	OpOverheadCPU float64
-	// OpWeight is the Xen weight of the operation's service domain
-	// (dom0 work is prioritized over guest domains).
-	OpWeight float64
+	opOverheadCPU float64
 
 	// TickInterval is the period of housekeeping rounds (power
 	// manager evaluation, migration re-planning). Seconds.
@@ -64,7 +54,7 @@ type Config struct {
 	// so a node overcommitted 2× at factor 1 wastes half of every
 	// cycle. Policies that respect the 100 % occupation limit never
 	// trigger it; the random baseline drowns in it, as the paper's
-	// does. 0 selects the default of 1; a negative value disables
+	// does. 0 selects the default of 0.2; a negative value disables
 	// the effect.
 	ThrashFactor float64
 
@@ -102,6 +92,20 @@ type Config struct {
 	RoundTimer func(seconds float64)
 }
 
+// The fixed parameters of the §IV simulator.
+const (
+	// minExec is the minimum number of operative machines.
+	minExec = 1
+	// creationSigma is the stddev of VM creation time around the
+	// class mean (the paper observed N(40, 2.5) on its testbed).
+	creationSigma float64 = 2.5
+	// migrationSigma is the stddev of migration time.
+	migrationSigma float64 = 2.5
+	// opWeight is the Xen weight of the operation's service domain
+	// (dom0 work is prioritized over guest domains).
+	opWeight float64 = 512
+)
+
 // Defaults fills unset fields with the paper's evaluation setup.
 func (c Config) Defaults() Config {
 	if c.Classes == nil {
@@ -110,20 +114,8 @@ func (c Config) Defaults() Config {
 	if c.LambdaMin == 0 && c.LambdaMax == 0 {
 		c.LambdaMin, c.LambdaMax = 30, 90
 	}
-	if c.MinExec == 0 {
-		c.MinExec = 1
-	}
-	if c.CreationSigma == 0 {
-		c.CreationSigma = 2.5
-	}
-	if c.MigrationSigma == 0 {
-		c.MigrationSigma = 2.5
-	}
-	if c.OpOverheadCPU == 0 {
-		c.OpOverheadCPU = 200
-	}
-	if c.OpWeight == 0 {
-		c.OpWeight = 512
+	if c.opOverheadCPU == 0 {
+		c.opOverheadCPU = 200
 	}
 	if c.TickInterval == 0 {
 		c.TickInterval = 60
@@ -149,7 +141,7 @@ func (c Config) Validate() error {
 	if c.TickInterval <= 0 {
 		return fmt.Errorf("datacenter: tick interval must be positive")
 	}
-	if _, err := core.NewPowerManager(c.LambdaMin, c.LambdaMax, c.MinExec); err != nil {
+	if _, err := core.NewPowerManager(c.LambdaMin, c.LambdaMax, minExec); err != nil {
 		return err
 	}
 	return core.CheckTarget(c.AdaptiveTarget)

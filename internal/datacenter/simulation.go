@@ -153,7 +153,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	pm, err := core.NewPowerManager(cfg.LambdaMin, cfg.LambdaMax, cfg.MinExec)
+	pm, err := core.NewPowerManager(cfg.LambdaMin, cfg.LambdaMax, minExec)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +548,7 @@ func (s *Simulation) recomputeNode(rt *nodeRT) {
 	}
 	ops := n.CreatingOps + n.MigratingOps
 	for i := 0; i < ops; i++ {
-		demands = append(demands, xen.Demand{Weight: s.cfg.OpWeight, Cap: s.cfg.OpOverheadCPU, Want: s.cfg.OpOverheadCPU})
+		demands = append(demands, xen.Demand{Weight: opWeight, Cap: s.cfg.opOverheadCPU, Want: s.cfg.opOverheadCPU})
 	}
 	s.ownScratch, s.demScratch = owners[:0], demands[:0]
 

@@ -218,7 +218,6 @@ func TestNodePowersOffWhenIdle(t *testing.T) {
 		Policy:    policy.NewBackfilling(),
 		Seed:      1,
 		LambdaMin: 30, LambdaMax: 90,
-		MinExec: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +448,7 @@ func TestOverheadCPUAffectsPower(t *testing.T) {
 			Policy:        policy.NewBackfilling(),
 			Seed:          1,
 			StartOnline:   true,
-			OpOverheadCPU: overhead,
+			opOverheadCPU: overhead,
 		})
 		if err != nil {
 			t.Fatal(err)

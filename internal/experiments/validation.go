@@ -90,8 +90,8 @@ func Validation() (ValidationResult, error) {
 	}
 	classes := []cluster.Class{{
 		Name: "testbed", Count: 1,
-		CPU: machine.CPU, Mem: 100,
-		CreateCost:  machine.CreationMean,
+		CPU: testbed.CPU, Mem: 100,
+		CreateCost:  testbed.CreationMean,
 		MigrateCost: 60,
 		BootTime:    100,
 		Arch:        "x86_64", Hypervisor: "xen",

@@ -60,9 +60,9 @@ type Config struct {
 	MirrorConfig func(id string) fleet.Config
 	// PollInterval is the fleet-discovery period (default 1s).
 	PollInterval time.Duration
-	// RetryMin, RetryMax bound the jittered exponential reconnect
+	// retryMin, retryMax bound the jittered exponential reconnect
 	// backoff of each apply loop (defaults 100ms, 2s).
-	RetryMin, RetryMax time.Duration
+	retryMin, retryMax time.Duration
 	// Grace, when > 0, arms leader-loss detection: OnLeaderLoss fires
 	// once no exchange with the leader has succeeded for this long.
 	Grace time.Duration
@@ -98,11 +98,11 @@ func NewFollower(cfg Config) *Follower {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = time.Second
 	}
-	if cfg.RetryMin <= 0 {
-		cfg.RetryMin = 100 * time.Millisecond
+	if cfg.retryMin <= 0 {
+		cfg.retryMin = 100 * time.Millisecond
 	}
-	if cfg.RetryMax < cfg.RetryMin {
-		cfg.RetryMax = 2 * time.Second
+	if cfg.retryMax < cfg.retryMin {
+		cfg.retryMax = 2 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
@@ -279,18 +279,18 @@ func (fw *Follower) touch(id string) {
 
 func (fw *Follower) applyLoop(id string) {
 	defer fw.wg.Done()
-	backoff := fw.cfg.RetryMin
+	backoff := fw.cfg.retryMin
 	for fw.ctx.Err() == nil {
 		progressed := fw.syncOnce(id)
 		if fw.ctx.Err() != nil {
 			return
 		}
 		if progressed {
-			backoff = fw.cfg.RetryMin
-		} else if backoff < fw.cfg.RetryMax {
+			backoff = fw.cfg.retryMin
+		} else if backoff < fw.cfg.retryMax {
 			backoff *= 2
-			if backoff > fw.cfg.RetryMax {
-				backoff = fw.cfg.RetryMax
+			if backoff > fw.cfg.retryMax {
+				backoff = fw.cfg.retryMax
 			}
 		}
 		// Full jitter: reconnects of many fleets decorrelate instead

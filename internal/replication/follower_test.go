@@ -50,8 +50,8 @@ func mirrorLoop(t *testing.T, leaderURL string, retryMin, retryMax time.Duration
 		Leader:       leaderURL,
 		Manager:      mgr,
 		MirrorConfig: func(string) fleet.Config { return fleet.Config{Sched: fleet.Sched{Policy: "SB", Seed: 1}} },
-		RetryMin:     retryMin,
-		RetryMax:     retryMax,
+		retryMin:     retryMin,
+		retryMax:     retryMax,
 		Logf: func(format string, args ...interface{}) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -116,8 +116,8 @@ func TestCaughtUpSealedMirrorReconnectsQuietly(t *testing.T) {
 
 // TestRefusedStreamBacksOff: a leader whose every stream opens with a
 // hello and then a record the mirror refuses (a gap) makes no progress,
-// so the follower's reconnects back off towards RetryMax instead of
-// retrying every RetryMin: in one second at RetryMin 20 ms (some 50
+// so the follower's reconnects back off towards retryMax instead of
+// retrying every retryMin: in one second at retryMin 20 ms (some 50
 // dials without backoff) it dials a handful of times.
 func TestRefusedStreamBacksOff(t *testing.T) {
 	url, dials := stubLeader(t, func(w http.ResponseWriter, _, _ int64) {

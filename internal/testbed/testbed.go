@@ -23,14 +23,29 @@ import (
 	"energysched/internal/xen"
 )
 
+// The reference host's fixed characteristics.
+const (
+	// CPU is its capacity in percent (400 = 4 cores).
+	CPU float64 = 400
+	// CreationMean is the mean VM creation time in seconds
+	// (N(40, 2.5) on the paper's testbed).
+	CreationMean float64 = 40
+	// creationSigma is the stddev of VM creation time.
+	creationSigma float64 = 2.5
+	// creationCPU is the dom0 CPU consumed while creating a VM.
+	creationCPU float64 = 200
+	// backgroundPeriod is the seconds between background bursts.
+	backgroundPeriod float64 = 47
+	// backgroundDuration is how long each burst lasts.
+	backgroundDuration float64 = 6
+)
+
 // Machine describes the reference host: the paper's 4-way Xen server.
 type Machine struct {
-	// CPU capacity in percent (400 = 4 cores).
-	CPU float64
 	// Power is the calibrated power curve.
 	Power *power.InterpolatedModel
-	// NoiseStddev is the 1 Hz measurement noise in watts.
-	NoiseStddev float64
+	// noiseStddev is the 1 Hz measurement noise in watts.
+	noiseStddev float64
 	// BackgroundWatts is extra draw from dom0 housekeeping (cron,
 	// monitoring, disk flushes) that fires in short bursts — real
 	// machines consume slightly more than a pure CPU model predicts,
@@ -40,31 +55,16 @@ type Machine struct {
 	// ramping with activity, fan-speed steps) present in the real
 	// machine but absent from the CPU-only simulator model.
 	BackgroundBaseWatts float64
-	// BackgroundPeriod is the seconds between background bursts.
-	BackgroundPeriod float64
-	// BackgroundDuration is how long each burst lasts.
-	BackgroundDuration float64
-	// CreationMean/CreationSigma parameterize VM creation time
-	// (N(40, 2.5) on the paper's testbed).
-	CreationMean, CreationSigma float64
-	// CreationCPU is the dom0 CPU consumed while creating a VM.
-	CreationCPU float64
 }
 
 // PaperMachine returns the reference host with the paper's measured
 // characteristics.
 func PaperMachine() Machine {
 	return Machine{
-		CPU:                 400,
 		Power:               power.PaperTableI(),
-		NoiseStddev:         3.0,
+		noiseStddev:         3.0,
 		BackgroundWatts:     9,
 		BackgroundBaseWatts: 6.8,
-		BackgroundPeriod:    47,
-		BackgroundDuration:  6,
-		CreationMean:        40,
-		CreationSigma:       2.5,
-		CreationCPU:         200,
 	}
 }
 
@@ -98,7 +98,7 @@ func (m Machine) Run(tasks []Task, horizon float64, seed int64) []Sample {
 	type phase struct{ createEnd, runEnd float64 }
 	phases := make([]phase, len(tasks))
 	for i, t := range tasks {
-		d := creation.NormalPositive(m.CreationMean, m.CreationSigma)
+		d := creation.NormalPositive(CreationMean, creationSigma)
 		phases[i] = phase{createEnd: t.Start + d, runEnd: t.Start + d + t.Duration}
 	}
 
@@ -109,25 +109,23 @@ func (m Machine) Run(tasks []Task, horizon float64, seed int64) []Sample {
 		for i, t := range tasks {
 			switch {
 			case ts >= t.Start && ts < phases[i].createEnd:
-				demands = append(demands, xen.Demand{Weight: 512, Want: m.CreationCPU, Cap: m.CreationCPU})
+				demands = append(demands, xen.Demand{Weight: 512, Want: creationCPU, Cap: creationCPU})
 			case ts >= phases[i].createEnd && ts < phases[i].runEnd:
 				demands = append(demands, xen.Demand{Want: t.CPU, Cap: t.CPU})
 			}
 		}
-		util := xen.Utilization(m.CPU, demands)
+		util := xen.Utilization(CPU, demands)
 		watts := m.Power.Power(util)
 		// Background dom0 housekeeping burst.
-		if m.BackgroundPeriod > 0 {
-			tt := ts
-			for tt >= m.BackgroundPeriod {
-				tt -= m.BackgroundPeriod
-			}
-			if tt < m.BackgroundDuration {
-				watts += m.BackgroundWatts
-			}
+		tt := ts
+		for tt >= backgroundPeriod {
+			tt -= backgroundPeriod
+		}
+		if tt < backgroundDuration {
+			watts += m.BackgroundWatts
 		}
 		watts += m.BackgroundBaseWatts
-		watts += noise.Normal(0, m.NoiseStddev)
+		watts += noise.Normal(0, m.noiseStddev)
 		if watts < 0 {
 			watts = 0
 		}

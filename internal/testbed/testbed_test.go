@@ -7,7 +7,7 @@ import (
 
 func quietMachine() Machine {
 	m := PaperMachine()
-	m.NoiseStddev = 0
+	m.noiseStddev = 0
 	m.BackgroundWatts = 0
 	m.BackgroundBaseWatts = 0
 	return m
@@ -57,7 +57,7 @@ func TestRunCreationSpike(t *testing.T) {
 		t.Errorf("pre-task watts = %v", samples[2].Watts)
 	}
 	// During creation (~40 s from t=5): dom0 burns CreationCPU.
-	want := m.Power.Power(m.CreationCPU)
+	want := m.Power.Power(creationCPU)
 	if math.Abs(samples[20].Watts-want) > 1 {
 		t.Errorf("creation watts = %v, want ≈%v", samples[20].Watts, want)
 	}

@@ -60,7 +60,7 @@ func FuzzReadGWF(f *testing.F) {
 	f.Add([]byte("0 Inf 0 600 2\n1 NaN 0 600 2\n")) // numeric edge cases
 	f.Add([]byte("; swf-style comment\nx 0 0 600 2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadGWF(bytes.NewReader(data), ConvertOptions{})
+		tr, err := ReadGWF(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -75,7 +75,7 @@ func FuzzReadSWF(f *testing.F) {
 	f.Add([]byte("; SWF header\n0 0 0 600 2 0 0 2 600 0 1\n1 60 0 1200 4 0 0 4 1200 0 1\n"))
 	f.Add([]byte("1 90 0 600 2\n0 10 0 600 2\n")) // unsorted: must be rejected, never reordered
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadGWF(bytes.NewReader(data), ConvertOptions{})
+		tr, err := ReadGWF(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -14,7 +14,8 @@ import (
 // week of 2007-10-01 the paper evaluates on: ≈ 6 000 CPU-hours of
 // work, jobs of 1–4 VCPUs with heavy-tailed runtimes, diurnal and
 // weekday/weekend arrival modulation, and SLA deadline factors drawn
-// from 1.2–2.0 per the paper's setup.
+// from 1.2–2.0 per the paper's setup. The job shapes and the arrival
+// modulation are the constants below.
 type GeneratorConfig struct {
 	// Seed drives all random streams deterministically.
 	Seed int64
@@ -23,58 +24,51 @@ type GeneratorConfig struct {
 	// JobsPerDay is the mean number of arrivals per 24 h at the
 	// diurnal baseline.
 	JobsPerDay float64
-	// RuntimeMu, RuntimeSigma parameterize the lognormal runtime
-	// (seconds): exp(N(mu, sigma)).
-	RuntimeMu, RuntimeSigma float64
-	// MinRuntime, MaxRuntime clamp runtimes (seconds).
-	MinRuntime, MaxRuntime float64
-	// CPUWeights gives the probability weight of requesting 1, 2, 3
-	// or 4 VCPUs (index 0 = 1 VCPU).
-	CPUWeights [4]float64
-	// MemPerVCPU is the memory units requested per VCPU.
-	MemPerVCPU float64
-	// MemJitter adds ±jitter uniform noise to memory.
-	MemJitter float64
-	// DeadlineMin, DeadlineMax bound the deadline factor.
-	DeadlineMin, DeadlineMax float64
-	// DiurnalAmplitude in [0,1): arrival-rate swing between night
-	// trough and afternoon peak.
-	DiurnalAmplitude float64
-	// WeekendFactor scales arrival rate on days 6–7.
-	WeekendFactor float64
 	// BurstProb is the chance an arrival is a burst head; bursts
-	// submit BurstSize extra near-simultaneous jobs (bag-of-tasks
+	// submit burstSize extra near-simultaneous jobs (bag-of-tasks
 	// behaviour typical of grid traces).
 	BurstProb float64
-	// BurstSize is the mean extra jobs in a burst.
-	BurstSize float64
 }
+
+// The calibrated job shapes and arrival modulation of the Grid5000 week.
+const (
+	// runtimeMu, runtimeSigma parameterize the lognormal runtime
+	// (seconds): exp(N(mu, sigma)), median ≈ 2000 s.
+	runtimeMu, runtimeSigma float64 = 7.6, 1.25
+	// minRuntime, maxRuntime clamp runtimes (seconds).
+	minRuntime, maxRuntime float64 = 60, 24 * 3600
+	// memPerVCPU is the memory units requested per VCPU.
+	memPerVCPU float64 = 5
+	// memJitter adds ±jitter uniform noise to memory.
+	memJitter float64 = 2
+	// deadlineMin, deadlineMax bound the deadline factor.
+	deadlineMin, deadlineMax float64 = 1.2, 2.0
+	// diurnalAmplitude in [0,1): arrival-rate swing between night
+	// trough and afternoon peak.
+	diurnalAmplitude float64 = 0.45
+	// weekendFactor scales arrival rate on days 6–7.
+	weekendFactor float64 = 0.55
+	// burstSize is the mean extra jobs in a burst.
+	burstSize float64 = 35
+)
+
+// cpuWeights gives the probability weight of requesting 1, 2, 3 or 4
+// VCPUs (index 0 = 1 VCPU).
+var cpuWeights = [4]float64{0.68, 0.20, 0.05, 0.07}
 
 // DefaultGeneratorConfig returns the calibrated Grid5000-like
 // configuration for a one-week trace.
 func DefaultGeneratorConfig() GeneratorConfig {
 	return GeneratorConfig{
-		Seed:             1,
-		Horizon:          7 * 24 * 3600,
-		JobsPerDay:       260,
-		RuntimeMu:        7.6, // median ≈ 2000 s
-		RuntimeSigma:     1.25,
-		MinRuntime:       60,
-		MaxRuntime:       24 * 3600,
-		CPUWeights:       [4]float64{0.68, 0.20, 0.05, 0.07},
-		MemPerVCPU:       5,
-		MemJitter:        2,
-		DeadlineMin:      1.2,
-		DeadlineMax:      2.0,
-		DiurnalAmplitude: 0.45,
-		WeekendFactor:    0.55,
+		Seed:       1,
+		Horizon:    7 * 24 * 3600,
+		JobsPerDay: 260,
 		// Grid traces are dominated by bag-of-tasks submissions:
 		// occasional bursts of many near-simultaneous jobs. These
 		// spikes are what separate consolidating policies (which
 		// absorb them at ~4 jobs per node) from one-job-per-node or
 		// random placement.
 		BurstProb: 0.025,
-		BurstSize: 35,
 	}
 }
 
@@ -87,22 +81,6 @@ func (c GeneratorConfig) Validate() error {
 	}
 	if !(c.JobsPerDay > 0) || math.IsInf(c.JobsPerDay, 1) {
 		return fmt.Errorf("workload: jobs per day must be positive and finite, got %v", c.JobsPerDay)
-	}
-	if !(c.DeadlineMin >= 1 && c.DeadlineMax >= c.DeadlineMin) {
-		return fmt.Errorf("workload: invalid deadline factors [%.2f, %.2f]", c.DeadlineMin, c.DeadlineMax)
-	}
-	if !(c.MinRuntime > 0 && c.MaxRuntime >= c.MinRuntime) {
-		return fmt.Errorf("workload: invalid runtime bounds [%.1f, %.1f]", c.MinRuntime, c.MaxRuntime)
-	}
-	var w float64
-	for _, x := range c.CPUWeights {
-		if !(x >= 0) || math.IsInf(x, 1) {
-			return fmt.Errorf("workload: CPU weights must be finite and non-negative, got %v", x)
-		}
-		w += x
-	}
-	if !(w > 0) {
-		return fmt.Errorf("workload: CPU weights sum to zero")
 	}
 	return nil
 }
@@ -136,24 +114,24 @@ func (c GeneratorConfig) rateAt(t float64) float64 {
 	hour := (t - 86400*float64(int(t/86400))) / 3600
 	// Diurnal: trough ~04:00, peak ~15:00, sinusoidal.
 	phase := (hour - 15) / 24 * 2 * math.Pi
-	diurnal := 1 + c.DiurnalAmplitude*math.Cos(phase)
+	diurnal := 1 + diurnalAmplitude*math.Cos(phase)
 	rate := base * diurnal
 	if day >= 5 {
-		rate *= c.WeekendFactor
+		rate *= weekendFactor
 	}
 	return rate
 }
 
-func (c GeneratorConfig) newJob(id int, at float64, runtimes, shapes, deadlines *simkit.Stream) Job {
-	run := runtimes.LogNormal(c.RuntimeMu, c.RuntimeSigma)
-	if run < c.MinRuntime {
-		run = c.MinRuntime
+func newJob(id int, at float64, runtimes, shapes, deadlines *simkit.Stream) Job {
+	run := runtimes.LogNormal(runtimeMu, runtimeSigma)
+	if run < minRuntime {
+		run = minRuntime
 	}
-	if run > c.MaxRuntime {
-		run = c.MaxRuntime
+	if run > maxRuntime {
+		run = maxRuntime
 	}
-	vcpus := pickWeighted(shapes, c.CPUWeights)
-	mem := float64(vcpus)*c.MemPerVCPU + shapes.Uniform(-c.MemJitter, c.MemJitter)
+	vcpus := pickWeighted(shapes, cpuWeights)
+	mem := float64(vcpus)*memPerVCPU + shapes.Uniform(-memJitter, memJitter)
 	if mem < 1 {
 		mem = 1
 	}
@@ -164,7 +142,7 @@ func (c GeneratorConfig) newJob(id int, at float64, runtimes, shapes, deadlines 
 		Duration:       run,
 		CPU:            float64(vcpus) * 100,
 		Mem:            mem,
-		DeadlineFactor: deadlines.Uniform(c.DeadlineMin, c.DeadlineMax),
+		DeadlineFactor: deadlines.Uniform(deadlineMin, deadlineMax),
 	}
 }
 

@@ -75,7 +75,6 @@ func gwfSkippable(text string) bool {
 // sorted file is the whole-trace minimum.
 type GWFSource struct {
 	sc    *bufio.Scanner
-	opts  ConvertOptions
 	line  int
 	count int
 	t0    float64
@@ -86,10 +85,10 @@ type GWFSource struct {
 
 // NewGWFSource builds a streaming GWF/SWF reader. The error is always
 // nil; the signature matches NewCSVSource, which reads a header.
-func NewGWFSource(r io.Reader, opts ConvertOptions) (*GWFSource, error) {
+func NewGWFSource(r io.Reader) (*GWFSource, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	return &GWFSource{sc: sc, opts: opts.withDefaults(), first: true}, nil
+	return &GWFSource{sc: sc, first: true}, nil
 }
 
 // Next implements JobSource.
@@ -120,7 +119,7 @@ func (s *GWFSource) Next() (Job, error) {
 			return Job{}, s.err
 		}
 		s.prev = row.submit
-		j := s.opts.convert(row.id, row.submit-s.t0, row.run, row.procs)
+		j := convert(row.id, row.submit-s.t0, row.run, row.procs)
 		if err := j.Validate(); err != nil {
 			s.err = fmt.Errorf("workload: gwf line %d: %w", s.line, err)
 			return Job{}, s.err
@@ -152,81 +151,55 @@ func (s *GWFSource) Next() (Job, error) {
 // Jobs with zero runtime or processor counts are skipped, as is
 // conventional when replaying archive traces (cancelled and failed
 // submissions); negative or non-finite values in the consumed fields
-// are rejected as corruption. opts tunes the conversion into the
-// simulator's model.
+// are rejected as corruption.
 //
 // SWF files (Feitelson's Parallel Workloads Archive, ';' comments)
 // share the consumed column prefix and parse through the same reader.
 //
 // ReadGWF is ReadAll over GWFSource, so streaming and whole-trace
 // ingestion accept exactly the same files.
-func ReadGWF(r io.Reader, opts ConvertOptions) (*Trace, error) {
-	src, err := NewGWFSource(r, opts)
+func ReadGWF(r io.Reader) (*Trace, error) {
+	src, err := NewGWFSource(r)
 	if err != nil {
 		return nil, err
 	}
 	return ReadAll(src)
 }
 
-// ConvertOptions controls how archive jobs map into the simulator's
-// VM-shaped jobs.
-type ConvertOptions struct {
-	// CPUPerProc is the CPU percent granted per allocated processor
-	// (default 100).
-	CPUPerProc float64
-	// MaxVCPUs caps the per-job CPU at MaxVCPUs × 100 so archive jobs
+// How archive jobs map into the simulator's VM-shaped jobs.
+const (
+	// cpuPerProc is the CPU percent granted per allocated processor.
+	cpuPerProc float64 = 100
+	// maxVCPUs caps the per-job CPU at maxVCPUs × 100 so archive jobs
 	// wider than one node are folded into a node-sized VM, as the
-	// paper's single-VM-per-job model requires (default 4).
-	MaxVCPUs int
-	// MemPerVCPU is memory units per VCPU (default 12).
-	MemPerVCPU float64
-	// DeadlineMin, DeadlineMax bound the deadline factor assigned
-	// deterministically per job (default 1.2–2.0).
-	DeadlineMin, DeadlineMax float64
-}
-
-func (o ConvertOptions) withDefaults() ConvertOptions {
-	if o.CPUPerProc <= 0 {
-		o.CPUPerProc = 100
-	}
-	if o.MaxVCPUs <= 0 {
-		o.MaxVCPUs = 4
-	}
-	if o.MemPerVCPU <= 0 {
-		o.MemPerVCPU = 12
-	}
-	if o.DeadlineMin < 1 {
-		o.DeadlineMin = 1.2
-	}
-	if o.DeadlineMax < o.DeadlineMin {
-		o.DeadlineMax = 2.0
-	}
-	return o
-}
+	// paper's single-VM-per-job model requires.
+	maxVCPUs float64 = 4
+	// gwfMemPerVCPU is memory units per VCPU.
+	gwfMemPerVCPU float64 = 12
+)
 
 // convert folds an archive job into the simulator's model. Jobs wider
-// than MaxVCPUs are shrunk to MaxVCPUs with the duration stretched to
+// than maxVCPUs are shrunk to maxVCPUs with the duration stretched to
 // conserve total work, the usual folding when replaying cluster
 // traces on VM-sized slots.
-func (o ConvertOptions) convert(id int, submit, run, procs float64) Job {
+func convert(id int, submit, run, procs float64) Job {
 	vcpus := procs
-	max := float64(o.MaxVCPUs)
 	dur := run
-	if vcpus > max {
-		dur = run * vcpus / max
-		vcpus = max
+	if vcpus > maxVCPUs {
+		dur = run * vcpus / maxVCPUs
+		vcpus = maxVCPUs
 	}
 	// Deterministic deadline factor from the job id, spanning the
-	// configured band — reproducible without a random stream.
-	span := o.DeadlineMax - o.DeadlineMin
-	factor := o.DeadlineMin + span*float64(id%97)/96.0
+	// deadline band — reproducible without a random stream.
+	const span = deadlineMax - deadlineMin
+	factor := deadlineMin + span*float64(id%97)/96.0
 	return Job{
 		ID:             id,
 		Name:           jobName("gwf-", id),
 		Submit:         submit,
 		Duration:       dur,
-		CPU:            vcpus * o.CPUPerProc,
-		Mem:            vcpus * o.MemPerVCPU,
+		CPU:            vcpus * cpuPerProc,
+		Mem:            vcpus * gwfMemPerVCPU,
 		DeadlineFactor: factor,
 	}
 }

@@ -99,7 +99,7 @@ func NewGeneratorSource(cfg GeneratorConfig) (*GeneratorSource, error) {
 	}
 	return &GeneratorSource{
 		cfg:       cfg,
-		maxRate:   cfg.JobsPerDay / (24 * 3600) * (1 + cfg.DiurnalAmplitude),
+		maxRate:   cfg.JobsPerDay / (24 * 3600) * (1 + diurnalAmplitude),
 		arrivals:  simkit.NewStream(cfg.Seed, "arrivals"),
 		runtimes:  simkit.NewStream(cfg.Seed, "runtimes"),
 		shapes:    simkit.NewStream(cfg.Seed, "shapes"),
@@ -136,14 +136,14 @@ func (s *GeneratorSource) Next() (Job, error) {
 		}
 		n := 1
 		if s.arrivals.Float64() < s.cfg.BurstProb {
-			n += 1 + int(s.arrivals.Exp(1.0/s.cfg.BurstSize))
+			n += 1 + int(s.arrivals.Exp(1.0/burstSize))
 		}
 		for k := 0; k < n; k++ {
 			at := s.t + float64(k)*s.shapes.Uniform(0.5, 3.0)
 			if at >= s.cfg.Horizon {
 				break
 			}
-			s.pending.push(s.cfg.newJob(s.id, at, s.runtimes, s.shapes, s.deadlines))
+			s.pending.push(newJob(s.id, at, s.runtimes, s.shapes, s.deadlines))
 			s.id++
 		}
 		if len(s.pending) > s.maxPend {

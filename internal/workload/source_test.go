@@ -119,7 +119,7 @@ func TestGWFSourceConstantMemory(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	base := ms.HeapAlloc
 
-	src, err := NewGWFSource(&gwfGen{rows: rows}, ConvertOptions{})
+	src, err := NewGWFSource(&gwfGen{rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestGWFStreamingMatchesMaterializing(t *testing.T) {
 		fmt.Fprintf(&sb, "%d %d 0 %d %d 0 0 1 0 0 1\n", i, 50+i*7, 300+i%900, 1+i%6)
 	}
 	drain := func(file string) ([]Job, error) {
-		src, err := NewGWFSource(strings.NewReader(file), ConvertOptions{})
+		src, err := NewGWFSource(strings.NewReader(file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestGWFStreamingMatchesMaterializing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	materialized, err := ReadGWF(strings.NewReader(sb.String()), ConvertOptions{})
+	materialized, err := ReadGWF(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestGWFStreamingMatchesMaterializing(t *testing.T) {
 	// Row 501 submits before row 500: both forms stop there.
 	unsorted := sb.String() + "500 10 0 600 1 0 0 1 0 0 1\n"
 	prefix, serr := drain(unsorted)
-	_, merr := ReadGWF(strings.NewReader(unsorted), ConvertOptions{})
+	_, merr := ReadGWF(strings.NewReader(unsorted))
 	if serr == nil || merr == nil || serr.Error() != merr.Error() {
 		t.Fatalf("unsorted file: streaming err %v, materializing err %v; want the same error", serr, merr)
 	}
@@ -221,12 +221,12 @@ func TestGWFRejectsCorruptRows(t *testing.T) {
 		{"bad id", "x 200 0 600 1 0 0 1 0 0 1\n"},
 	}
 	for _, tc := range cases {
-		if _, err := ReadGWF(strings.NewReader(good+tc.row), ConvertOptions{}); err == nil {
+		if _, err := ReadGWF(strings.NewReader(good + tc.row)); err == nil {
 			t.Errorf("%s: corrupt row accepted", tc.name)
 		}
 	}
 	// Zero runtime / zero procs remain the cancelled-job skip.
-	tr, err := ReadGWF(strings.NewReader(good+"2 200 0 0 1 0 0 1 0 0 0\n3 300 0 600 0 0 0 1 0 0 0\n4 400 0 600 1 0 0 1 0 0 1\n"), ConvertOptions{})
+	tr, err := ReadGWF(strings.NewReader(good + "2 200 0 0 1 0 0 1 0 0 0\n3 300 0 600 0 0 0 1 0 0 0\n4 400 0 600 1 0 0 1 0 0 1\n"))
 	if err != nil {
 		t.Fatalf("cancelled rows rejected: %v", err)
 	}

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -57,15 +59,15 @@ func TestGenerateJobInvariants(t *testing.T) {
 		if j.Submit < 0 || j.Submit >= cfg.Horizon {
 			t.Fatalf("job %d submit %.1f outside horizon", j.ID, j.Submit)
 		}
-		if j.Duration < cfg.MinRuntime || j.Duration > cfg.MaxRuntime {
+		if j.Duration < minRuntime || j.Duration > maxRuntime {
 			t.Fatalf("job %d duration %.1f outside bounds", j.ID, j.Duration)
 		}
 		if j.CPU != 100 && j.CPU != 200 && j.CPU != 300 && j.CPU != 400 {
 			t.Fatalf("job %d CPU %.0f not 1–4 VCPUs", j.ID, j.CPU)
 		}
-		if j.DeadlineFactor < cfg.DeadlineMin || j.DeadlineFactor >= cfg.DeadlineMax {
+		if j.DeadlineFactor < deadlineMin || j.DeadlineFactor >= deadlineMax {
 			t.Fatalf("job %d deadline factor %.2f outside [%.1f, %.1f)",
-				j.ID, j.DeadlineFactor, cfg.DeadlineMin, cfg.DeadlineMax)
+				j.ID, j.DeadlineFactor, deadlineMin, deadlineMax)
 		}
 		if j.Mem < 1 {
 			t.Fatalf("job %d mem %.1f below floor", j.ID, j.Mem)
@@ -120,22 +122,6 @@ func TestGeneratorValidation(t *testing.T) {
 	bad.JobsPerDay = -1
 	if _, err := Generate(bad); err == nil {
 		t.Error("negative rate accepted")
-	}
-	bad = DefaultGeneratorConfig()
-	bad.DeadlineMin = 0.5
-	if _, err := Generate(bad); err == nil {
-		t.Error("deadline factor < 1 accepted")
-	}
-	bad = DefaultGeneratorConfig()
-	bad.CPUWeights = [4]float64{0, 0, 0, 0}
-	if _, err := Generate(bad); err == nil {
-		t.Error("zero CPU weights accepted")
-	}
-	bad = DefaultGeneratorConfig()
-	bad.MinRuntime = 100
-	bad.MaxRuntime = 50
-	if _, err := Generate(bad); err == nil {
-		t.Error("inverted runtime bounds accepted")
 	}
 }
 
@@ -195,7 +181,7 @@ func TestReadGWF(t *testing.T) {
 2 200 0 0 1 0 0 1 100 0 0
 3 250 0 1800 8 0 0 8 1800 0 1
 `
-	tr, err := ReadGWF(strings.NewReader(input), ConvertOptions{})
+	tr, err := ReadGWF(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +214,7 @@ func TestReadGWFDeadlineFactorsInBand(t *testing.T) {
 	for i := 1; i <= 200; i++ {
 		sb.WriteString(strings.ReplaceAll("ID 10 0 100 1 0 0 1 100 0 1\n", "ID", strconv.Itoa(i)))
 	}
-	tr, err := ReadGWF(strings.NewReader(sb.String()), ConvertOptions{})
+	tr, err := ReadGWF(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,21 +225,50 @@ func TestReadGWFDeadlineFactorsInBand(t *testing.T) {
 	}
 }
 
+// gwfBits converts a GWF file whose ids cover all 97 deadline-factor
+// residues and whose widths run past the 4-VCPU fold, and prints each
+// job's converted floats in %b, so that a golden pins them bit for bit.
+func gwfBits(t *testing.T) string {
+	t.Helper()
+	var in strings.Builder
+	for id := 1; id <= 300; id++ {
+		fmt.Fprintf(&in, "%d %d 0 %.1f %d 0 0 1 0 0 1\n", id, 10*id, 60+7.3*float64(id), 1+id%9)
+	}
+	tr, err := ReadGWF(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	for _, j := range tr.Jobs {
+		fmt.Fprintf(&out, "%d %b %b %b %b\n", j.ID, j.Duration, j.CPU, j.Mem, j.DeadlineFactor)
+	}
+	return out.String()
+}
+
+func TestGWFConversionBits(t *testing.T) {
+	want, err := os.ReadFile("testdata/gwf_bits.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := gwfBits(t); got != string(want) {
+		t.Errorf("GWF conversion differs from testdata/gwf_bits.golden:\n%s", got)
+	}
+}
+
 func TestReadGWFErrors(t *testing.T) {
-	if _, err := ReadGWF(strings.NewReader("1 2 3\n"), ConvertOptions{}); err == nil {
+	if _, err := ReadGWF(strings.NewReader("1 2 3\n")); err == nil {
 		t.Error("short line accepted")
 	}
-	if _, err := ReadGWF(strings.NewReader("x 100 0 100 1\n"), ConvertOptions{}); err == nil {
+	if _, err := ReadGWF(strings.NewReader("x 100 0 100 1\n")); err == nil {
 		t.Error("bad id accepted")
 	}
-	if _, err := ReadGWF(strings.NewReader("1 x 0 100 1\n"), ConvertOptions{}); err == nil {
+	if _, err := ReadGWF(strings.NewReader("1 x 0 100 1\n")); err == nil {
 		t.Error("bad numeric accepted")
 	}
 }
 
 // TestGeneratorValidationRejectsNonFinite: a NaN or infinite horizon or
-// rate fails validation instead of drawing arrivals without end, and so
-// does a NaN bound or weight.
+// rate fails validation instead of drawing arrivals without end.
 func TestGeneratorValidationRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for name, set := range map[string]func(*GeneratorConfig){
@@ -261,12 +276,6 @@ func TestGeneratorValidationRejectsNonFinite(t *testing.T) {
 		"Horizon +Inf":    func(c *GeneratorConfig) { c.Horizon = inf },
 		"JobsPerDay NaN":  func(c *GeneratorConfig) { c.JobsPerDay = nan },
 		"JobsPerDay +Inf": func(c *GeneratorConfig) { c.JobsPerDay = inf },
-		"DeadlineMin NaN": func(c *GeneratorConfig) { c.DeadlineMin = nan },
-		"DeadlineMax NaN": func(c *GeneratorConfig) { c.DeadlineMax = nan },
-		"MinRuntime NaN":  func(c *GeneratorConfig) { c.MinRuntime = nan },
-		"MaxRuntime NaN":  func(c *GeneratorConfig) { c.MaxRuntime = nan },
-		"CPU weight NaN":  func(c *GeneratorConfig) { c.CPUWeights[0] = nan },
-		"CPU weight +Inf": func(c *GeneratorConfig) { c.CPUWeights[0] = inf },
 	} {
 		cfg := DefaultGeneratorConfig()
 		set(&cfg)
@@ -347,21 +356,21 @@ func TestCSVRoundTripProperty(t *testing.T) {
 // must error instead of silently producing bad traces.
 func TestReadGWFRejectsEmptyAndDisorder(t *testing.T) {
 	// Comment-only file: no usable jobs.
-	if _, err := ReadGWF(strings.NewReader("# just a header\n; nothing\n"), ConvertOptions{}); err == nil {
+	if _, err := ReadGWF(strings.NewReader("# just a header\n; nothing\n")); err == nil {
 		t.Error("empty gwf trace accepted")
 	}
 	// All jobs cancelled (run == 0): still no usable jobs.
-	if _, err := ReadGWF(strings.NewReader("1 100 0 0 2 0 0 2 0 0 0\n"), ConvertOptions{}); err == nil {
+	if _, err := ReadGWF(strings.NewReader("1 100 0 0 2 0 0 2 0 0 0\n")); err == nil {
 		t.Error("all-cancelled gwf trace accepted")
 	}
 	// Submission times regress between accepted lines.
 	disorder := "1 200 0 100 1 0 0 1 100 0 1\n2 100 0 100 1 0 0 1 100 0 1\n"
-	if _, err := ReadGWF(strings.NewReader(disorder), ConvertOptions{}); err == nil {
+	if _, err := ReadGWF(strings.NewReader(disorder)); err == nil {
 		t.Error("out-of-order gwf trace accepted")
 	}
 	// A cancelled job between ordered lines does not break the check.
 	ok := "1 100 0 100 1 0 0 1 100 0 1\n2 150 0 0 1 0 0 1 0 0 0\n3 200 0 100 1 0 0 1 100 0 1\n"
-	if _, err := ReadGWF(strings.NewReader(ok), ConvertOptions{}); err != nil {
+	if _, err := ReadGWF(strings.NewReader(ok)); err != nil {
 		t.Errorf("ordered gwf trace rejected: %v", err)
 	}
 }
