@@ -102,7 +102,7 @@ func (c *Client) Series(ctx context.Context, q SeriesQuery) (SeriesSnapshot, err
 	if q.Step > 0 {
 		params.Set("step", strconv.FormatFloat(q.Step, 'g', -1, 64))
 	}
-	path := c.apiPath("/series")
+	path := c.route("/series")
 	if enc := params.Encode(); enc != "" {
 		path += "?" + enc
 	}
@@ -114,7 +114,7 @@ func (c *Client) Series(ctx context.Context, q SeriesQuery) (SeriesSnapshot, err
 // Journeys fetches the fleet's journey index (GET /v1/journeys).
 func (c *Client) Journeys(ctx context.Context) (JourneysSnapshot, error) {
 	var snap JourneysSnapshot
-	err := c.call(ctx, http.MethodGet, c.apiPath("/journeys"), nil, jsonReply(&snap))
+	err := c.call(ctx, http.MethodGet, c.route("/journeys"), nil, jsonReply(&snap))
 	return snap, err
 }
 
@@ -124,7 +124,7 @@ func (c *Client) Journeys(ctx context.Context) (JourneysSnapshot, error) {
 // from the bounded store.
 func (c *Client) Journey(ctx context.Context, id int) (JobJourney, error) {
 	var j JobJourney
-	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs/"+strconv.Itoa(id)+"/journey"), nil, jsonReply(&j))
+	err := c.call(ctx, http.MethodGet, c.route("/jobs/"+strconv.Itoa(id)+"/journey"), nil, jsonReply(&j))
 	return j, err
 }
 
@@ -142,9 +142,9 @@ func (c *Client) JourneyTail(ctx context.Context, since uint64, fn func(ev Journ
 // on a base client (GET /v1/alerts), one fleet's on a Fleet-scoped
 // client (GET /v1/fleets/{id}/alerts).
 func (c *Client) Alerts(ctx context.Context) (AlertsSnapshot, error) {
-	path := "/v1/alerts"
+	path := c.url("/v1/alerts")
 	if c.prefix != "" {
-		path = c.prefix + "/alerts"
+		path = c.route("/alerts")
 	}
 	var snap AlertsSnapshot
 	err := c.call(ctx, http.MethodGet, path, nil, jsonReply(&snap))

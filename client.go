@@ -379,6 +379,15 @@ type Client struct {
 	// prefix is the API mount point: "" means "/v1" (the default
 	// fleet), Fleet sets "/v1/fleets/{id}".
 	prefix string
+	// urls are the URLs of the routes called once per job or per read,
+	// built by NewClient and Fleet for the BaseURL they saw.
+	urls routeURLs
+}
+
+// routeURLs are a client's per-job route URLs and the BaseURL they
+// were built for.
+type routeURLs struct {
+	base, jobs, cluster, report string
 }
 
 // RetryPolicy configures the client's opt-in retry behavior: full-
@@ -458,7 +467,7 @@ func parseRetryAfter(h string) time.Duration {
 
 // NewClient returns a client for the daemon at baseURL.
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
+	return (&Client{BaseURL: strings.TrimRight(baseURL, "/")}).bind()
 }
 
 // Fleet returns a client whose job/cluster/report/drain/snapshot/
@@ -467,21 +476,41 @@ func NewClient(baseURL string) *Client {
 // GetFleet, DeleteFleet) are fleet-independent and work on any
 // client.
 func (c *Client) Fleet(id string) *Client {
-	return &Client{
+	return (&Client{
 		BaseURL:    c.BaseURL,
 		HTTPClient: c.HTTPClient,
 		Timeout:    c.Timeout,
 		Retry:      c.Retry,
 		prefix:     "/v1/fleets/" + url.PathEscape(id),
-	}
+	}).bind()
 }
 
-// apiPath mounts a per-fleet route at the client's prefix.
-func (c *Client) apiPath(p string) string {
-	if c.prefix == "" {
-		return "/v1" + p
+// bind builds c's route URLs.
+func (c *Client) bind() *Client {
+	c.urls = routeURLs{base: c.BaseURL, jobs: c.route("/jobs"), cluster: c.route("/cluster"), report: c.route("/report")}
+	return c
+}
+
+// url is the URL of a daemon-wide path.
+func (c *Client) url(path string) string { return c.BaseURL + path }
+
+// route is the URL of a per-fleet route, mounted at the client's
+// prefix.
+func (c *Client) route(p string) string {
+	prefix := c.prefix
+	if prefix == "" {
+		prefix = "/v1"
 	}
-	return c.prefix + p
+	return c.BaseURL + prefix + p
+}
+
+// bound returns the route URL u that bind built for p, or builds it
+// when BaseURL has changed since (or bind never ran).
+func (c *Client) bound(u, p string) string {
+	if u == "" || c.urls.base != c.BaseURL {
+		return c.route(p)
+	}
+	return u
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -491,17 +520,17 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// call performs one API call, with retries under the client's
+// call performs one API call to u, with retries under the client's
 // RetryPolicy: encode appends the request body (nil for none) and
 // decode reads a 2xx reply (nil to ignore it).
-func (c *Client) call(ctx context.Context, method, path string, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
+func (c *Client) call(ctx context.Context, method, u string, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
 	var body []byte
 	if encode != nil {
 		// The transport may still read the body after a response, so the
 		// request gets its own copy rather than the pooled buffer.
 		err := bodybuf.Encode(encode, func(b []byte) error { body = bytes.Clone(b); return nil })
 		if err != nil {
-			return fmt.Errorf("energysched: encoding %s %s: %w", method, path, err)
+			return fmt.Errorf("energysched: encoding %s %s: %w", method, u, err)
 		}
 	}
 	attempts := 1
@@ -510,7 +539,7 @@ func (c *Client) call(ctx context.Context, method, path string, encode func([]by
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		err, retryAfter, retryable := c.attempt(ctx, method, path, body, decode)
+		err, retryAfter, retryable := c.attempt(ctx, method, u, body, decode)
 		if err == nil {
 			return nil
 		}
@@ -529,7 +558,7 @@ func (c *Client) call(ctx context.Context, method, path string, encode func([]by
 // attempt performs one HTTP round trip; a nil body sends none.
 // retryable marks transport errors and retryable statuses; retryAfter
 // carries a server-provided backoff hint.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, decode func([]byte) error) (err error, retryAfter time.Duration, retryable bool) {
+func (c *Client) attempt(ctx context.Context, method, u string, body []byte, decode func([]byte) error) (err error, retryAfter time.Duration, retryable bool) {
 	actx := ctx
 	if c.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -540,12 +569,12 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, c.BaseURL+path, rd)
+	req, err := http.NewRequestWithContext(actx, method, u, rd)
 	if err != nil {
 		return err, 0, false
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonContentType
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -559,9 +588,13 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	// to the keep-alive pool — so a retry loop would open a fresh
 	// connection per attempt, exactly under the overload that triggers
 	// retries. The drain is capped; an implausibly large remainder is
-	// cheaper to abandon than to read.
+	// cheaper to abandon than to read. A reply decoded without error was
+	// read to EOF and has nothing left to drain.
+	read := false
 	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		if !read {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		}
 		resp.Body.Close()
 	}()
 	if resp.StatusCode >= 400 {
@@ -572,7 +605,9 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	// The whole body is the reply: anything but whitespace after the
 	// value is an error, not ignored.
-	return bodybuf.Read(resp.Body, resp.ContentLength, decode), 0, false
+	err = bodybuf.Read(resp.Body, resp.ContentLength, 0, decode)
+	read = err == nil
+	return err, 0, false
 }
 
 // readAPIError decodes a failed reply's body, read up to 64 KiB, as
@@ -580,7 +615,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 // message as it is; a read error leaves whatever arrived.
 func readAPIError(resp *http.Response) *APIError {
 	apiErr := &APIError{Status: resp.StatusCode}
-	_ = bodybuf.Read(io.LimitReader(resp.Body, 1<<16), resp.ContentLength, func(data []byte) error {
+	_ = bodybuf.Read(io.LimitReader(resp.Body, 1<<16), resp.ContentLength, 0, func(data []byte) error {
 		if apiErr.UnmarshalJSON(data) != nil || apiErr.Message == "" {
 			apiErr.Message = strings.TrimSpace(string(data))
 		}
@@ -588,6 +623,10 @@ func readAPIError(resp *http.Response) *APIError {
 	})
 	return apiErr
 }
+
+// jsonContentType is a request body's Content-Type value, shared:
+// net/http only reads it.
+var jsonContentType = []string{"application/json"}
 
 // jsonBody and jsonReply carry the bodies of the calls whose records
 // have no wire codec through encoding/json.
@@ -606,7 +645,7 @@ func jsonReply(v any) func([]byte) error {
 // including the assigned ID.
 func (c *Client) SubmitJob(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	var st JobStatus
-	err := c.call(ctx, http.MethodPost, c.apiPath("/jobs"), spec.AppendJSON, st.UnmarshalJSON)
+	err := c.call(ctx, http.MethodPost, c.bound(c.urls.jobs, "/jobs"), spec.AppendJSON, st.UnmarshalJSON)
 	return st, err
 }
 
@@ -617,21 +656,21 @@ func (c *Client) SubmitJob(ctx context.Context, spec JobSpec) (JobStatus, error)
 // byte-identical to submitting the same jobs sequentially.
 func (c *Client) SubmitJobs(ctx context.Context, specs []JobSpec) ([]JobStatus, error) {
 	var st []JobStatus
-	err := c.call(ctx, http.MethodPost, c.apiPath("/jobs"), JobSpecList(specs).AppendJSON, (*JobStatusList)(&st).UnmarshalJSON)
+	err := c.call(ctx, http.MethodPost, c.bound(c.urls.jobs, "/jobs"), JobSpecList(specs).AppendJSON, (*JobStatusList)(&st).UnmarshalJSON)
 	return st, err
 }
 
 // CreateFleet registers and starts a new fleet (POST /v1/fleets).
 func (c *Client) CreateFleet(ctx context.Context, spec FleetSpec) (FleetInfo, error) {
 	var info FleetInfo
-	err := c.call(ctx, http.MethodPost, "/v1/fleets", jsonBody(spec), jsonReply(&info))
+	err := c.call(ctx, http.MethodPost, c.url("/v1/fleets"), jsonBody(spec), jsonReply(&info))
 	return info, err
 }
 
 // Fleets lists every hosted fleet (GET /v1/fleets).
 func (c *Client) Fleets(ctx context.Context) ([]FleetInfo, error) {
 	var out []FleetInfo
-	err := c.call(ctx, http.MethodGet, "/v1/fleets", nil, jsonReply(&out))
+	err := c.call(ctx, http.MethodGet, c.url("/v1/fleets"), nil, jsonReply(&out))
 	return out, err
 }
 
@@ -639,41 +678,41 @@ func (c *Client) Fleets(ctx context.Context) ([]FleetInfo, error) {
 // (GET /v1/fleets/{id}).
 func (c *Client) GetFleet(ctx context.Context, id string) (FleetInfo, error) {
 	var info FleetInfo
-	err := c.call(ctx, http.MethodGet, "/v1/fleets/"+url.PathEscape(id), nil, jsonReply(&info))
+	err := c.call(ctx, http.MethodGet, c.url("/v1/fleets/"+url.PathEscape(id)), nil, jsonReply(&info))
 	return info, err
 }
 
 // DeleteFleet stops a fleet and removes it — including its durable
 // state (DELETE /v1/fleets/{id}).
 func (c *Client) DeleteFleet(ctx context.Context, id string) error {
-	return c.call(ctx, http.MethodDelete, "/v1/fleets/"+url.PathEscape(id), nil, nil)
+	return c.call(ctx, http.MethodDelete, c.url("/v1/fleets/"+url.PathEscape(id)), nil, nil)
 }
 
 // Job fetches one job's status (GET /v1/jobs/{id}).
 func (c *Client) Job(ctx context.Context, id int) (JobStatus, error) {
 	var st JobStatus
-	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs/"+strconv.Itoa(id)), nil, st.UnmarshalJSON)
+	err := c.call(ctx, http.MethodGet, c.bound(c.urls.jobs, "/jobs")+"/"+strconv.Itoa(id), nil, st.UnmarshalJSON)
 	return st, err
 }
 
 // Jobs lists every admitted job (GET /v1/jobs).
 func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 	var st []JobStatus
-	err := c.call(ctx, http.MethodGet, c.apiPath("/jobs"), nil, (*JobStatusList)(&st).UnmarshalJSON)
+	err := c.call(ctx, http.MethodGet, c.bound(c.urls.jobs, "/jobs"), nil, (*JobStatusList)(&st).UnmarshalJSON)
 	return st, err
 }
 
 // Cluster fetches the fleet status (GET /v1/cluster).
 func (c *Client) Cluster(ctx context.Context) (ClusterStatus, error) {
 	var st ClusterStatus
-	err := c.call(ctx, http.MethodGet, c.apiPath("/cluster"), nil, st.UnmarshalJSON)
+	err := c.call(ctx, http.MethodGet, c.bound(c.urls.cluster, "/cluster"), nil, st.UnmarshalJSON)
 	return st, err
 }
 
 // Report fetches the paper metrics accumulated so far (GET /v1/report).
 func (c *Client) Report(ctx context.Context) (ServiceReport, error) {
 	var rep ServiceReport
-	err := c.call(ctx, http.MethodGet, c.apiPath("/report"), nil, rep.UnmarshalJSON)
+	err := c.call(ctx, http.MethodGet, c.bound(c.urls.report, "/report"), nil, rep.UnmarshalJSON)
 	return rep, err
 }
 
@@ -681,7 +720,7 @@ func (c *Client) Report(ctx context.Context) (ServiceReport, error) {
 // job completes, and returns the final report (POST /v1/drain).
 func (c *Client) Drain(ctx context.Context) (ServiceReport, error) {
 	var rep ServiceReport
-	err := c.call(ctx, http.MethodPost, c.apiPath("/drain"), nil, rep.UnmarshalJSON)
+	err := c.call(ctx, http.MethodPost, c.route("/drain"), nil, rep.UnmarshalJSON)
 	return rep, err
 }
 
@@ -689,7 +728,7 @@ func (c *Client) Drain(ctx context.Context) (ServiceReport, error) {
 // An empty path lets the daemon pick one under its snapshot directory.
 func (c *Client) Snapshot(ctx context.Context, path string) (SnapshotInfo, error) {
 	var info SnapshotInfo
-	err := c.call(ctx, http.MethodPost, c.apiPath("/snapshot"), jsonBody(map[string]string{"path": path}), jsonReply(&info))
+	err := c.call(ctx, http.MethodPost, c.route("/snapshot"), jsonBody(map[string]string{"path": path}), jsonReply(&info))
 	return info, err
 }
 
@@ -698,14 +737,14 @@ func (c *Client) Snapshot(ctx context.Context, path string) (SnapshotInfo, error
 // to the snapshot's virtual time.
 func (c *Client) Restore(ctx context.Context, path string) (SnapshotInfo, error) {
 	var info SnapshotInfo
-	err := c.call(ctx, http.MethodPost, c.apiPath("/restore"), jsonBody(map[string]string{"path": path}), jsonReply(&info))
+	err := c.call(ctx, http.MethodPost, c.route("/restore"), jsonBody(map[string]string{"path": path}), jsonReply(&info))
 	return info, err
 }
 
 // Health fetches the daemon's role and readiness (GET /v1/health).
 func (c *Client) Health(ctx context.Context) (HealthStatus, error) {
 	var h HealthStatus
-	err := c.call(ctx, http.MethodGet, "/v1/health", nil, jsonReply(&h))
+	err := c.call(ctx, http.MethodGet, c.url("/v1/health"), nil, jsonReply(&h))
 	return h, err
 }
 
@@ -713,7 +752,7 @@ func (c *Client) Health(ctx context.Context) (HealthStatus, error) {
 // (GET /v1/fleets/{id}/status).
 func (c *Client) FleetStatus(ctx context.Context, id string) (FleetStatus, error) {
 	var st FleetStatus
-	err := c.call(ctx, http.MethodGet, "/v1/fleets/"+url.PathEscape(id)+"/status", nil, jsonReply(&st))
+	err := c.call(ctx, http.MethodGet, c.url("/v1/fleets/"+url.PathEscape(id)+"/status"), nil, jsonReply(&st))
 	return st, err
 }
 
@@ -723,7 +762,7 @@ func (c *Client) FleetStatus(ctx context.Context, id string) (FleetStatus, error
 // responds 409.
 func (c *Client) Promote(ctx context.Context) (PromoteInfo, error) {
 	var info PromoteInfo
-	err := c.call(ctx, http.MethodPost, "/v1/promote", nil, jsonReply(&info))
+	err := c.call(ctx, http.MethodPost, c.url("/v1/promote"), nil, jsonReply(&info))
 	return info, err
 }
 
@@ -732,7 +771,7 @@ func (c *Client) Promote(ctx context.Context) (PromoteInfo, error) {
 // bounded ring (256 rounds by default), so a poller passing the last
 // Seq it saw reads each round exactly once.
 func (c *Client) Trace(ctx context.Context, since uint64) (TraceSnapshot, error) {
-	path := c.apiPath("/trace")
+	path := c.route("/trace")
 	if since > 0 {
 		path += "?since=" + strconv.FormatUint(since, 10)
 	}
@@ -746,7 +785,7 @@ func (c *Client) Trace(ctx context.Context, since uint64) (TraceSnapshot, error)
 // "actions" or "scores". Pure observability — scheduling stays
 // byte-identical at any level.
 func (c *Client) SetTraceVerbosity(ctx context.Context, level string) error {
-	return c.call(ctx, http.MethodPost, c.apiPath("/trace/verbosity"),
+	return c.call(ctx, http.MethodPost, c.route("/trace/verbosity"),
 		jsonBody(map[string]string{"verbosity": level}), nil)
 }
 
@@ -777,8 +816,7 @@ func (c *Client) Events(ctx context.Context, since uint64, fn func(seq uint64, e
 // events — ends the tail with a *GapError for the caller to re-sync
 // from. what names the stream in errors.
 func tail[T any](ctx context.Context, c *Client, route string, since uint64, what string, fn func(seq uint64, v T) error) error {
-	path := c.apiPath(route) + strconv.FormatUint(since, 10)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.route(route)+strconv.FormatUint(since, 10), nil)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ package bodybuf
 import (
 	"bytes"
 	"io"
+	"net/http"
 	"sync"
 )
 
@@ -21,20 +22,38 @@ const maxPooled = 1 << 20
 
 // Read reads r to EOF into a pooled buffer — sized once up front when
 // the body's length is known (size > 0), not by doubling — and hands
-// the bytes to use. They are valid only until use returns. The caller
-// bounds r (http.MaxBytesReader, io.LimitReader); Read's error is r's
-// or use's.
-func Read(r io.Reader, size int64, use func(body []byte) error) error {
+// the bytes to use. They are valid only until use returns. A body
+// longer than limit (limit > 0) is refused with an
+// *http.MaxBytesError once limit+1 bytes have arrived, without a
+// wrapper around r; use is then not called. Read's error is r's, the
+// limit's or use's.
+func Read(r io.Reader, size, limit int64, use func(body []byte) error) error {
 	buf := pool.Get().(*bytes.Buffer)
 	defer put(buf)
 	if size > 0 && size <= maxPooled {
-		// ReadFrom wants MinRead spare bytes to observe EOF.
+		// MinRead spare bytes, as ReadFrom keeps, to observe EOF.
 		buf.Grow(int(size) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(r); err != nil {
-		return err
+	for {
+		if buf.Available() < bytes.MinRead {
+			buf.Grow(bytes.MinRead)
+		}
+		free := buf.AvailableBuffer()[:buf.Available()]
+		if room := limit + 1 - int64(buf.Len()); limit > 0 && room < int64(len(free)) {
+			free = free[:room]
+		}
+		n, err := r.Read(free)
+		buf.Write(free[:n]) // in place: free is buf's own spare capacity
+		if limit > 0 && int64(buf.Len()) > limit {
+			return &http.MaxBytesError{Limit: limit}
+		}
+		if err == io.EOF {
+			return use(buf.Bytes())
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return use(buf.Bytes())
 }
 
 // Encode has encode append a body to a pooled buffer and hands the

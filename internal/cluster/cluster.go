@@ -42,7 +42,7 @@ func New(classes []Class) (*Cluster, error) {
 		if cl.Count <= 0 {
 			return nil, fmt.Errorf("cluster: class %q has non-positive count %d", cl.Name, cl.Count)
 		}
-		if cl.CPU <= 0 || cl.Mem < 0 {
+		if cl.CPU <= 0 || cl.Mem <= 0 {
 			return nil, fmt.Errorf("cluster: class %q has invalid capacity (cpu=%.1f mem=%.1f)", cl.Name, cl.CPU, cl.Mem)
 		}
 		if cl.Reliability <= 0 || cl.Reliability > 1 {

@@ -99,24 +99,16 @@ func TestOccupationWith(t *testing.T) {
 	}
 }
 
-// A class with no memory capacity (cluster.New accepts Mem == 0) hosts
-// VMs that need none, bound by CPU alone: the memory term must not
-// divide zero by zero, nor count the memory of a VM placed there
-// without Fits.
-func TestOccupationZeroMemoryClass(t *testing.T) {
-	cls := testClass()
-	cls.Mem = 0
-	n := NewNode(0, &cls)
-	addVM(n, 1, 100, 0, vm.Running)
-	if got := n.OccupationWith(100, 0); got != 0.5 {
-		t.Errorf("occupation with extra = %v, want 0.5 (CPU alone)", got)
-	}
-	if !n.Fits(vm.Requirements{CPU: 300}) {
-		t.Error("VM that fills the CPU rejected on a memoryless class")
-	}
-	addVM(n, 2, 100, 5, vm.Running)
-	if got := n.Occupation(); got != 0.5 {
-		t.Errorf("occupation with a VM that declares memory = %v, want 0.5 (CPU alone)", got)
+// A class without memory would host only VMs that need none, while
+// the occupation counts the memory of whatever it hosts: New refuses
+// it, as it refuses a class without CPU, so the two never disagree.
+func TestNewRejectsZeroMemoryClass(t *testing.T) {
+	for _, mem := range []float64{0, -1} {
+		bad := testClass()
+		bad.Mem = mem
+		if _, err := New([]Class{testClass(), bad}); err == nil {
+			t.Errorf("class with memory %v accepted", mem)
+		}
 	}
 }
 

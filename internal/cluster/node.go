@@ -76,15 +76,13 @@ type Class struct {
 
 // Occupation is the utilization of the most occupied resource of a
 // node of class c whose hosted VMs declare cpu and mem in total: the
-// max of the CPU and memory shares. A class with Mem 0 declares no
-// memory, so only its CPU share counts. The score computes it for
-// every candidate cell, so it stays small enough to inline.
+// max of the CPU and memory shares (New refuses a class without either
+// capacity). The score computes it for every candidate cell, so it
+// stays small enough to inline.
 func (c *Class) Occupation(cpu, mem float64) float64 {
 	occ := cpu / c.CPU
-	if c.Mem > 0 {
-		if m := mem / c.Mem; m > occ {
-			occ = m
-		}
+	if m := mem / c.Mem; m > occ {
+		occ = m
 	}
 	return occ
 }

@@ -921,6 +921,41 @@ func TestDifferentialRoundingTie(t *testing.T) {
 	}
 }
 
+// TestDifferentialRoundingTieOwnHost is the rounding tie of a running
+// VM: its own host — the row's current and round-start host — is the
+// lowest index whose cell ties once the migration term is added, host 1
+// carries 0.3 and host 2 the strictly lower 0.1 + 0.2. The class record
+// leaves the own host out, so the low bound sends bestTarget to the
+// exact scan, which must skip the own host and return host 1, the naive
+// scan's target; kernelFault compares the two for the row.
+func TestDifferentialRoundingTieOwnHost(t *testing.T) {
+	cls := cluster.PaperClasses()[1]
+	cls.Count, cls.CPU, cls.Mem, cls.MigrateCost = 3, 1, 1000, 1000
+	cl := cluster.MustNew([]cluster.Class{cls})
+	for _, n := range cl.Nodes {
+		n.SetState(cluster.On)
+	}
+	runningVM(1, 0.3, 1, cl, 0)
+	own := runningVM(0, 0.05, 1, cl, 0)
+	runningVM(2, 0.3, 1, cl, 1)
+	runningVM(3, 0.1, 1, cl, 2)
+	runningVM(4, 0.2, 1, cl, 2)
+	active := []*vm.VM{own}
+
+	kern, naive := kernelPair(SBConfig())
+	s := newShadow(0, cl.Nodes, active)
+	b0, b1, b2 := kern.scoreBase(s, 0, 0), kern.scoreBase(s, 1, 0), kern.scoreBase(s, 2, 0)
+	move := kern.scoreTimeMove(s, 0, &cls)
+	if !(b2 < b1) || b0+move != b1+move || b1+move != b2+move {
+		t.Fatalf("not the hazard: bases %v, %v and %v, move term %v", b0, b1, b2, move)
+	}
+	for round := 0; round < 2; round++ {
+		if acts := diffChecked(t, fmt.Sprintf("round %d", round), kern, naive, ctxFor(cl, nil, active)); len(acts) != 0 {
+			t.Fatalf("round %d: actions %v, want none: staying beats the tie", round, renderActions(acts))
+		}
+	}
+}
+
 // traceMoves renders a move log's moves as "vm from->to".
 func traceMoves(m *moveLog) []string {
 	out := make([]string, len(m.moves))
@@ -1127,34 +1162,6 @@ func TestWorkedMatrixExampleBothSolvers(t *testing.T) {
 		cfg.NaiveSolver = naive
 		sch := mustScheduler(cfg)
 		acts := renderActions(sch.Schedule(mk()))
-		if len(acts) != 1 || acts[0] != "place vm0 -> n0" {
-			t.Fatalf("naive=%v: actions = %v, want [place vm0 -> n0]", naive, acts)
-		}
-	}
-}
-
-// TestZeroMemoryClassOccupiesByCPU: a class with Mem 0 declares no
-// memory, so the memory of the VMs its node hosts does not count: the
-// occupation is the CPU share alone, and both solvers place a VM next
-// to one that needs memory (hosted there without the scheduler, whose
-// Preq gate keeps such VMs off the class).
-func TestZeroMemoryClassOccupiesByCPU(t *testing.T) {
-	mk := func() *policy.Context {
-		cls := cluster.PaperClasses()[1]
-		cls.Count, cls.Mem = 1, 0
-		c := cluster.MustNew([]cluster.Class{cls})
-		c.Nodes[0].SetState(cluster.On)
-		return ctxFor(c, []*vm.VM{queuedVM(0, 100, 0)}, []*vm.VM{runningVM(1, 100, 5, c, 0)})
-	}
-	ctx := mk()
-	n := ctx.Cluster.Nodes[0]
-	if got, want := newShadow(0, ctx.Cluster.Nodes, ctx.Queue).occupation(0, 0), 200/n.Class.CPU; got != want {
-		t.Fatalf("occupation = %v, want the CPU share %v", got, want)
-	}
-	for _, naive := range []bool{false, true} {
-		cfg := SBConfig()
-		cfg.NaiveSolver = naive
-		acts := renderActions(mustScheduler(cfg).Schedule(mk()))
 		if len(acts) != 1 || acts[0] != "place vm0 -> n0" {
 			t.Fatalf("naive=%v: actions = %v, want [place vm0 -> n0]", naive, acts)
 		}

@@ -86,6 +86,9 @@ func (tb *tokenBucket) take(n int) (retryAfter int, ok bool) {
 }
 
 // admitRequest is one Submit/SubmitBatch in flight through the router.
+// Requests are pooled (admitRequests): a submitter takes one, the event
+// loop writes its answer into it, and the submitter puts it back once
+// it has read the answer.
 type admitRequest struct {
 	specs []energysched.JobSpec
 	// seq is the monotone ingest sequence, the turn's tie break.
@@ -93,14 +96,27 @@ type admitRequest struct {
 	// submit is the turn's primary sort key: the batch's first submit
 	// time, -Inf for a nil-Submit ("now") request.
 	submit float64
-	// reply is buffered (capacity 1) so the event loop never blocks on
-	// a submitter that already gave up.
-	reply chan admitReply
-}
-
-type admitReply struct {
+	// out receives the admitted jobs' statuses, one per spec; err is the
+	// turn's verdict. The event loop writes both before it signals reply.
 	out []energysched.JobStatus
 	err error
+	// reply is buffered (capacity 1) so the event loop never blocks on
+	// a submitter that already gave up.
+	reply chan struct{}
+	// one and oneOut are a single Submit's spec and status, so that
+	// specs and out need no storage of their own.
+	one    [1]energysched.JobSpec
+	oneOut [1]energysched.JobStatus
+}
+
+var admitRequests = sync.Pool{New: func() any { return &admitRequest{reply: make(chan struct{}, 1)} }}
+
+// release returns an answered request to the pool. Its submitter must
+// have taken the reply: the event loop is done with it then.
+func (req *admitRequest) release() {
+	reply := req.reply
+	*req = admitRequest{reply: reply}
+	admitRequests.Put(req)
 }
 
 // arbiterKey derives a request's merge-order sort key. Batch submit
@@ -145,51 +161,58 @@ func newAdmitRouter(f *Fleet) *admitRouter {
 	}
 }
 
-// submit runs one request through rate limiting and the bounded queue,
-// and waits for the event loop's answer.
-func (r *admitRouter) submit(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
-	req, err := r.enqueue(specs)
-	if err != nil {
-		return nil, err
+// submit runs req through rate limiting and the bounded queue and
+// waits for the event loop's answer. On success the caller reads
+// req.out and then releases req. On error submit has let go of req
+// itself: a shed or refused request goes back to the pool, and one the
+// fleet closed under is left to the collector, because the event loop
+// may still be writing its answer.
+func (r *admitRouter) submit(req *admitRequest) error {
+	if err := r.enqueue(req); err != nil {
+		req.release()
+		return err
 	}
-	return r.wait(req)
+	if !r.wait(req) {
+		return ErrClosed
+	}
+	if err := req.err; err != nil {
+		req.release()
+		return err
+	}
+	return nil
 }
 
 // enqueue passes one request through rate limiting into the bounded
 // queue, or sheds it.
-func (r *admitRouter) enqueue(specs []energysched.JobSpec) (*admitRequest, error) {
-	if r.bucket != nil && len(specs) > 0 {
-		if ra, ok := r.bucket.take(len(specs)); !ok {
+func (r *admitRouter) enqueue(req *admitRequest) error {
+	if r.bucket != nil && len(req.specs) > 0 {
+		if ra, ok := r.bucket.take(len(req.specs)); !ok {
 			r.shedRate.Add(1)
-			return nil, &Error{Status: http.StatusTooManyRequests,
+			return &Error{Status: http.StatusTooManyRequests,
 				Msg: "admission rate limit exceeded", RetryAfter: ra}
 		}
 	}
-	req := &admitRequest{
-		specs:  specs,
-		seq:    r.seq.Add(1),
-		submit: arbiterKey(specs),
-		reply:  make(chan admitReply, 1),
-	}
+	req.seq = r.seq.Add(1)
+	req.submit = arbiterKey(req.specs)
 	select {
 	case r.queue <- req:
-		return req, nil
+		return nil
 	default:
 		r.shedQueue.Add(1)
-		return nil, &Error{Status: http.StatusTooManyRequests,
+		return &Error{Status: http.StatusTooManyRequests,
 			Msg: "admission queue full", RetryAfter: 1}
 	}
 }
 
-// wait returns the event loop's answer to a queued request. A request
-// still queued when the fleet closes is never answered: its submitter
-// leaves through stopc.
-func (r *admitRouter) wait(req *admitRequest) ([]energysched.JobStatus, error) {
+// wait reports whether the event loop answered a queued request
+// before the fleet closed. A request still queued when the fleet
+// closes is never answered: its submitter leaves through stopc.
+func (r *admitRouter) wait(req *admitRequest) bool {
 	select {
-	case rep := <-req.reply:
-		return rep.out, rep.err
+	case <-req.reply:
+		return true
 	case <-r.f.stopc:
-		return nil, ErrClosed
+		return false
 	}
 }
 
@@ -219,8 +242,8 @@ gather:
 	r.mergeTurns.Add(1)
 	r.merged.Add(uint64(len(batch)))
 	for _, req := range batch {
-		out, err := r.f.admit(req.specs)
-		req.reply <- admitReply{out: out, err: err} // capacity 1, one sender: never blocks
+		req.err = r.f.admit(req.specs, req.out)
+		req.reply <- struct{}{} // capacity 1, one sender: never blocks
 	}
 }
 

@@ -39,17 +39,21 @@ func BenchmarkAdmitRouter(b *testing.B) {
 		var qerr error
 		if err := f.do(func() {
 			for j := range reqs {
-				if reqs[j], qerr = f.router.enqueue(specs[j : j+1]); qerr != nil {
+				req := admitRequests.Get().(*admitRequest)
+				req.specs, req.out = specs[j:j+1], req.oneOut[:]
+				if qerr = f.router.enqueue(req); qerr != nil {
 					return
 				}
+				reqs[j] = req
 			}
 		}); err != nil || qerr != nil {
 			b.Fatal(err, qerr)
 		}
 		for _, req := range reqs {
-			if _, err := f.router.wait(req); err != nil {
-				b.Fatal(err)
+			if !f.router.wait(req) || req.err != nil {
+				b.Fatal(req.err)
 			}
+			req.release()
 		}
 	}
 	run()

@@ -17,12 +17,14 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -321,7 +323,7 @@ type Fleet struct {
 	sloEng   *slo.Engine // nil without objectives
 	router   *admitRouter
 
-	cmds     chan func()
+	cmds     chan *loopCall
 	stopc    chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -342,8 +344,16 @@ type Fleet struct {
 	// queued the one /cluster lists the queue in.
 	metricClasses []series.ClassSample
 	queued        []*vm.VM
-	// recordEncodes counts admitRecord calls, so tests can pin that a
-	// fleet nobody logs or follows encodes no record at all.
+	// scratch is the admission path's storage for one turn: the jobs of
+	// the request being admitted, and its records' frames, encoded
+	// back to back into buf.
+	scratch struct {
+		jobs   []workload.Job
+		frames [][]byte
+		buf    []byte
+	}
+	// recordEncodes counts admission records encoded, so tests can pin
+	// that a fleet nobody logs or follows encodes no record at all.
 	recordEncodes int
 }
 
@@ -359,7 +369,7 @@ func Open(id string, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		id:       id,
 		cfg:      cfg,
-		cmds:     make(chan func()),
+		cmds:     make(chan *loopCall),
 		stopc:    make(chan struct{}),
 		events:   obs.NewRing(cfg.EventRing, encodeEvent),
 		repl:     newReplFeed(),
@@ -518,32 +528,62 @@ func (f *Fleet) logf(format string, args ...interface{}) {
 
 // --- event loop ---
 
+// loopCall is one do or call turn on its way to the event loop. Calls
+// are pooled (loopCalls): the loop runs fn (or fnErr, keeping its
+// error) and signals done, and the caller puts the call back once it
+// has taken the signal.
+type loopCall struct {
+	fn    func()
+	fnErr func() error
+	err   error
+	// done is buffered (capacity 1) so the loop never blocks on a
+	// caller that left through stopc.
+	done chan struct{}
+}
+
+var loopCalls = sync.Pool{New: func() any { return &loopCall{done: make(chan struct{}, 1)} }}
+
+// run is the loop's half of a call.
+func (c *loopCall) run() {
+	if c.fn != nil {
+		c.fn()
+	} else {
+		c.err = c.fnErr()
+	}
+	c.done <- struct{}{}
+}
+
 // do runs fn on the event loop and waits for it; every access to the
 // simulation goes through here, which is what makes the HTTP surface
 // safe under -race with concurrent submitters.
-func (f *Fleet) do(fn func()) error {
-	done := make(chan struct{})
-	select {
-	case f.cmds <- func() { defer close(done); fn() }:
-	case <-f.stopc:
-		return ErrClosed
-	}
-	select {
-	case <-done:
-		return nil
-	case <-f.stopc:
-		return ErrClosed
-	}
-}
+func (f *Fleet) do(fn func()) error { return f.send(fn, nil) }
 
 // call is do for a turn that can fail: it returns fn's error, or
 // ErrClosed when the loop did not run it to completion.
-func (f *Fleet) call(fn func() error) error {
-	var ferr error
-	if err := f.do(func() { ferr = fn() }); err != nil {
-		return err
+func (f *Fleet) call(fn func() error) error { return f.send(nil, fn) }
+
+// send runs fn or fnErr on the event loop in a pooled call and returns
+// the turn's error. A call the fleet closed under is not put back: the
+// loop may still be running it.
+func (f *Fleet) send(fn func(), fnErr func() error) error {
+	c := loopCalls.Get().(*loopCall)
+	c.fn, c.fnErr = fn, fnErr
+	select {
+	case f.cmds <- c:
+	case <-f.stopc:
+		c.fn, c.fnErr = nil, nil
+		loopCalls.Put(c)
+		return ErrClosed
 	}
-	return ferr
+	select {
+	case <-c.done:
+	case <-f.stopc:
+		return ErrClosed
+	}
+	err := c.err
+	c.fn, c.fnErr, c.err = nil, nil, nil
+	loopCalls.Put(c)
+	return err
 }
 
 // paceTick is the wall-clock granularity of real-time pacing.
@@ -560,8 +600,8 @@ func (f *Fleet) loop() {
 	}
 	for {
 		select {
-		case fn := <-f.cmds:
-			fn()
+		case c := <-f.cmds:
+			c.run()
 		case req := <-f.router.queue:
 			f.router.turn(req)
 		case <-tick:
@@ -665,11 +705,15 @@ func (f *Fleet) rebuild(snap snapshotFile) error {
 // queued, merged into an event-loop turn (admit.go). Over-limit and
 // full-queue requests come back as 429 fleet.Errors with Retry-After.
 func (f *Fleet) Submit(spec energysched.JobSpec) (energysched.JobStatus, error) {
-	out, err := f.router.submit([]energysched.JobSpec{spec})
-	if err != nil {
+	req := admitRequests.Get().(*admitRequest)
+	req.one[0] = spec
+	req.specs, req.out = req.one[:], req.oneOut[:]
+	if err := f.router.submit(req); err != nil {
 		return energysched.JobStatus{}, err
 	}
-	return out[0], nil
+	st := req.out[0]
+	req.release()
+	return st, nil
 }
 
 // SubmitBatch admits a batch of jobs atomically, in order, in a
@@ -679,15 +723,24 @@ func (f *Fleet) Submit(spec energysched.JobSpec) (energysched.JobStatus, error) 
 // same jobs sequentially. Batches ride the admission router like
 // Submit, so rate limits and queue bounds apply.
 func (f *Fleet) SubmitBatch(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
-	return f.router.submit(specs)
+	out := make([]energysched.JobStatus, len(specs))
+	req := admitRequests.Get().(*admitRequest)
+	req.specs, req.out = specs, out
+	if err := f.router.submit(req); err != nil {
+		return nil, err
+	}
+	req.release()
+	return out, nil
 }
 
 // admit is the leader's half of an admission request: it turns each
 // spec into a job — an omitted submit time is the fleet's clock — and
-// hands the batch to admitJobs. Call only from the event loop.
-func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
+// hands the batch to admitJobs, which writes the admitted jobs'
+// statuses into out. Call only from the event loop.
+func (f *Fleet) admit(specs []energysched.JobSpec, out []energysched.JobStatus) error {
 	now := f.sim.Now()
-	jobs := make([]workload.Job, len(specs))
+	jobs := slices.Grow(f.scratch.jobs[:0], len(specs))[:len(specs)]
+	f.scratch.jobs = jobs
 	for i, spec := range specs {
 		jobs[i] = workload.Job{
 			Name:           spec.Name,
@@ -704,7 +757,7 @@ func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, err
 			jobs[i].Submit = *spec.Submit
 		}
 	}
-	return f.admitJobs(jobs)
+	return f.admitJobs(jobs, out)
 }
 
 // admitJobs validates a batch against the clock and the log, numbering
@@ -713,16 +766,16 @@ func (f *Fleet) admit(specs []energysched.JobSpec) ([]energysched.JobStatus, err
 // commit. Everything is validated before anything is logged, so the
 // batch either fully applies or fully rejects. Call only from the
 // event loop.
-func (f *Fleet) admitJobs(jobs []workload.Job) ([]energysched.JobStatus, error) {
+func (f *Fleet) admitJobs(jobs []workload.Job, out []energysched.JobStatus) error {
 	defer f.hists.admit.ObserveSince(time.Now())
 	if len(jobs) == 0 {
-		return nil, errf(http.StatusBadRequest, "empty batch")
+		return errf(http.StatusBadRequest, "empty batch")
 	}
 	if f.sim.Sealed() {
-		return nil, errf(http.StatusConflict, "workload is sealed (drained); submit rejected")
+		return errf(http.StatusConflict, "workload is sealed (drained); submit rejected")
 	}
 	if f.walBroken {
-		return nil, errf(http.StatusInternalServerError, "admission log is broken; fleet is read-only")
+		return errf(http.StatusInternalServerError, "admission log is broken; fleet is read-only")
 	}
 	now := f.sim.Now()
 	prev := now
@@ -733,32 +786,30 @@ func (f *Fleet) admitJobs(jobs []workload.Job) ([]energysched.JobStatus, error) 
 			j.DeadlineFactor = 1.5
 		}
 		if j.Submit < now {
-			return nil, errf(http.StatusConflict,
+			return errf(http.StatusConflict,
 				"job %d: submit_s %.3f is in the virtual past (now %.3f)", i, j.Submit, now)
 		}
 		if j.Submit < prev {
-			return nil, errf(http.StatusBadRequest,
+			return errf(http.StatusBadRequest,
 				"job %d: batch submit times must be non-decreasing (%.3f after %.3f)", i, j.Submit, prev)
 		}
 		prev = j.Submit
 		if err := j.Validate(); err != nil {
-			return nil, errf(http.StatusBadRequest, "job %d: %v", i, err)
+			return errf(http.StatusBadRequest, "job %d: %v", i, err)
 		}
 	}
 	// A record is encoded only when something will read it — the WAL
-	// or a replication session — and then exactly once: the same bytes
-	// go to both, so a follower's WAL is byte-identical to the
-	// leader's. Sessions register on this event loop (ReplSubscribe),
-	// so none can appear between this check and commit's publish; a
-	// later one is served from the admission log by the same encoder.
-	var payloads [][]byte
+	// or a replication session — and then exactly once, straight into
+	// its frame: the WAL gets the frame and a session its payload, the
+	// same bytes, so a follower's WAL is byte-identical to the leader's.
+	// Sessions register on this event loop (ReplSubscribe), so none can
+	// appear between this check and commit's publish; a later one is
+	// served from the admission log by the same encoder.
+	var frames [][]byte
 	if f.wal != nil || f.repl.live() {
-		payloads = make([][]byte, len(jobs))
-		for i := range jobs {
-			var err error
-			if payloads[i], err = f.admitRecord(&jobs[i]); err != nil {
-				return nil, errf(http.StatusInternalServerError, "encoding wal record: %v", err)
-			}
+		var err error
+		if frames, err = f.admitFrames(jobs); err != nil {
+			return errf(http.StatusInternalServerError, "encoding wal record: %v", err)
 		}
 	}
 	// Max pacing: virtual time chases the admission watermark, the
@@ -771,15 +822,54 @@ func (f *Fleet) admitJobs(jobs []workload.Job) ([]energysched.JobStatus, error) 
 	// The run is announced with the pre-admission clock: every submit
 	// in the batch was validated against it, so a follower stepping to
 	// it can still inject every record that follows on the stream.
-	return f.commit(logRun{jobs: jobs, payloads: payloads, now: now, stepTo: stepTo})
+	return f.commit(logRun{jobs: jobs, frames: frames, out: out, now: now, stepTo: stepTo})
 }
 
-// admitRecord encodes one admission's log record: the one encoder
-// behind the leader's WAL, the live replication feed and a session's
-// backlog, so the three cannot drift. Call only from the event loop.
-func (f *Fleet) admitRecord(j *workload.Job) ([]byte, error) {
+// appendAdmitFrame appends one admission's log record to buf as a
+// frame: the one encoder behind the leader's WAL, the live replication
+// feed and a session's backlog, so the three cannot drift. Call only
+// from the event loop.
+func (f *Fleet) appendAdmitFrame(buf []byte, j *workload.Job) ([]byte, error) {
 	f.recordEncodes++
-	return encodeWALRecord(walRecord{Kind: walKindAdmit, Job: j})
+	return appendRecordFrame(buf, walRecord{Kind: walKindAdmit, Job: j})
+}
+
+// admitRecord returns one admission's record payload in an allocation
+// of its own, for a session's backlog.
+func (f *Fleet) admitRecord(j *workload.Job) ([]byte, error) {
+	frame, err := f.appendAdmitFrame(nil, j)
+	if err != nil {
+		return nil, err
+	}
+	return frame[walHeaderSize:], nil
+}
+
+// admitFrames encodes the frames of jobs' admission records back to
+// back into the loop's scratch buffer and returns them, cut from it.
+// The bytes stay scratch when only the WAL reads them, which writes
+// them before the turn ends; a replication session keeps what it is
+// sent, so then the run gets one allocation of its own. Call only
+// from the event loop.
+func (f *Fleet) admitFrames(jobs []workload.Job) ([][]byte, error) {
+	buf, frames := f.scratch.buf[:0], f.scratch.frames[:0]
+	for i := range jobs {
+		start := len(buf)
+		var err error
+		if buf, err = f.appendAdmitFrame(buf, &jobs[i]); err != nil {
+			return nil, err
+		}
+		// Only the frame's length counts until buf stops moving.
+		frames = append(frames, buf[start:])
+	}
+	f.scratch.buf, f.scratch.frames = buf, frames
+	if f.repl.live() {
+		buf = bytes.Clone(buf)
+	}
+	for i, off := range frames {
+		n := len(off)
+		frames[i], buf = buf[:n:n], buf[n:]
+	}
+	return frames, nil
 }
 
 // logRun is a run of consecutive log records on its way through commit:
@@ -788,10 +878,13 @@ func (f *Fleet) admitRecord(j *workload.Job) ([]byte, error) {
 type logRun struct {
 	jobs []workload.Job
 	seal bool
-	// payloads are the records' encoded bytes, one per record: what the
-	// WAL stores and the replication feed carries. Nil when neither
-	// will read them (an in-memory leader nobody follows).
-	payloads [][]byte
+	// frames are the records' frames, one per record: what the WAL
+	// stores, and after walHeaderSize what the replication feed
+	// carries. Nil when neither will read them (an in-memory leader
+	// nobody follows).
+	frames [][]byte
+	// out, when set, receives the admitted jobs' statuses, one per job.
+	out []energysched.JobStatus
 	// now is the leader clock the records are announced with; stepTo is
 	// where the watermark goes once the admissions are in. A leader at
 	// max pacing steps to the batch's last submit time; a follower
@@ -799,19 +892,22 @@ type logRun struct {
 	now, stepTo float64
 }
 
-// sealPayload is the seal record's encoding: a constant, encoded once
-// and shared read-only by the WAL, every session and every backlog. (A
-// record of one string cannot fail to encode.)
-var sealPayload, _ = encodeWALRecord(walRecord{Kind: walKindSeal})
+// sealRecord is the seal record's frame and sealPayload its payload: a
+// constant, encoded once and shared read-only by the WAL, every session
+// and every backlog. (A record of one string cannot fail to encode.)
+var (
+	sealRecord, _ = appendRecordFrame(nil, walRecord{Kind: walKindSeal})
+	sealPayload   = sealRecord[walHeaderSize:]
+)
 
 // commit is the one path a run of log records takes into the fleet: the
 // leader's admissions (admit), a follower's replicated records and seal
 // (applyRecord), the leader's seal (Drain). The caller has validated
 // the run; commit makes it durable, applies it and announces it — in
 // that fixed order, each step where it is for the reason given at it.
-// It returns the admitted jobs' statuses (nil for a seal). Call only
-// from the event loop.
-func (f *Fleet) commit(run logRun) ([]energysched.JobStatus, error) {
+// It writes the admitted jobs' statuses into run.out. Call only from
+// the event loop.
+func (f *Fleet) commit(run logRun) error {
 	base := f.logOffset()
 	// 1. WAL append + one flush, before any effect and before the
 	// acknowledgment: a crash from here on replays the run, a failure
@@ -820,11 +916,10 @@ func (f *Fleet) commit(run logRun) ([]energysched.JobStatus, error) {
 	// broken refuses admissions before they get here, but can still be
 	// drained: that seal is then not logged.)
 	if !f.walBroken {
-		if err := f.logPayloads(run.payloads); err != nil {
-			return nil, err
+		if err := f.logFrames(run.frames); err != nil {
+			return err
 		}
 	}
-	var out []energysched.JobStatus
 	if run.seal {
 		// 2+3 for the seal: drain the engine and fix the final report.
 		rep := ServiceReportOf(f.sim.Drain(), true)
@@ -836,15 +931,16 @@ func (f *Fleet) commit(run logRun) ([]energysched.JobStatus, error) {
 		// does the WAL is ahead of memory, and the fleet goes read-only
 		// rather than diverge. Statuses are taken before the clock
 		// moves: the 202 shows the job as admitted, not as of later.
-		out = make([]energysched.JobStatus, 0, len(run.jobs))
-		for _, j := range run.jobs {
+		for i, j := range run.jobs {
 			v, err := f.sim.Inject(j)
 			if err != nil {
 				f.walBroken = f.wal != nil
-				return nil, errf(http.StatusInternalServerError, "applying logged job %d: %v", j.ID, err)
+				return errf(http.StatusInternalServerError, "applying logged job %d: %v", j.ID, err)
 			}
 			f.jobs.Append(j)
-			out = append(out, jobStatus(v))
+			if run.out != nil {
+				run.out[i] = jobStatus(v)
+			}
 		}
 		// 3. Clock step, once the whole run is queued: an arrival at
 		// instant t is in the engine before any event at t fires (the
@@ -856,35 +952,35 @@ func (f *Fleet) commit(run logRun) ([]energysched.JobStatus, error) {
 	}
 	// 4. Announce, after apply: a session never carries a record its
 	// own fleet has not taken, and it carries the bytes the WAL got.
-	for i, payload := range run.payloads {
-		f.repl.publish(ReplRecord{Offset: base + int64(i) + 1, Now: run.now, Data: payload})
+	for i, frame := range run.frames {
+		f.repl.publish(ReplRecord{Offset: base + int64(i) + 1, Now: run.now, Data: frame[walHeaderSize:]})
 	}
 	// 5. Compaction last: it covers exactly what was applied and
 	// announced, and nothing waits on it — a failed snapshot leaves the
 	// WAL as it was and is retried at the next interval.
 	f.maybeCompact(run.seal)
-	return out, nil
+	return nil
 }
 
-// logPayloads appends pre-marshaled WAL record payloads and flushes
-// once. On failure the log is rolled back to its pre-batch length so
-// disk and memory stay consistent; if even that fails, the fleet goes
-// read-only rather than diverging. commit is its only caller.
-func (f *Fleet) logPayloads(payloads [][]byte) error {
+// logFrames appends encoded WAL record frames and flushes once. On
+// failure the log is rolled back to its pre-batch length so disk and
+// memory stay consistent; if even that fails, the fleet goes read-only
+// rather than diverging. commit is its only caller.
+func (f *Fleet) logFrames(frames [][]byte) error {
 	if f.wal == nil {
 		return nil
 	}
 	defer f.hists.wal.ObserveSince(time.Now())
 	off, records := f.wal.tell()
 	var err error
-	for i := 0; i < len(payloads) && err == nil; i++ {
-		err = f.wal.appendPayload(payloads[i], false)
+	for i := 0; i < len(frames) && err == nil; i++ {
+		err = f.wal.appendFrame(frames[i], false)
 	}
 	if err == nil {
 		err = f.wal.flush()
 	}
 	if err == nil {
-		f.stats.Appended += len(payloads)
+		f.stats.Appended += len(frames)
 		return nil
 	}
 	if rerr := f.wal.rewind(off, records); rerr != nil {
@@ -1067,8 +1163,8 @@ func (f *Fleet) Status() (energysched.FleetStatus, error) {
 func (f *Fleet) Drain() (rep energysched.ServiceReport, err error) {
 	err = f.call(func() error {
 		if f.final == nil {
-			seal := logRun{seal: true, payloads: [][]byte{sealPayload}, now: f.sim.Now()}
-			if _, err := f.commit(seal); err != nil {
+			seal := logRun{seal: true, frames: [][]byte{sealRecord}, now: f.sim.Now()}
+			if err := f.commit(seal); err != nil {
 				return err
 			}
 		}

@@ -274,7 +274,10 @@ func (f *Fleet) applyRecord(rec ReplRecord) error {
 	if f.sim.Sealed() {
 		return errf(http.StatusConflict, "workload is sealed; no records can follow the seal")
 	}
-	run := logRun{payloads: [][]byte{rec.Data}, now: rec.Now, stepTo: rec.Now}
+	run := logRun{now: rec.Now, stepTo: rec.Now}
+	if f.wal != nil || f.repl.live() {
+		run.frames = [][]byte{EncodeFrame(rec.Data)}
+	}
 	switch wrec.Kind {
 	case walKindAdmit:
 		if wrec.Job == nil || int64(wrec.Job.ID) != cur {
@@ -286,8 +289,7 @@ func (f *Fleet) applyRecord(rec ReplRecord) error {
 	default:
 		return errf(http.StatusUnprocessableEntity, "unknown replicated record kind %q", wrec.Kind)
 	}
-	_, err = f.commit(run)
-	return err
+	return f.commit(run)
 }
 
 // AdvanceTo moves the fleet's virtual clock to a leader-carried time

@@ -144,11 +144,10 @@ func TestTwoFileLayoutRefused(t *testing.T) {
 	snapshot := golden(t, "snapshot.json") // two jobs, in the API snapshot format
 	var records []byte
 	for i := 2; i < 5; i++ {
-		payload, err := encodeWALRecord(walRecord{Kind: walKindAdmit, Job: walJob(i)})
-		if err != nil {
+		var err error
+		if records, err = appendRecordFrame(records, walRecord{Kind: walKindAdmit, Job: walJob(i)}); err != nil {
 			t.Fatal(err)
 		}
-		records = append(records, EncodeFrame(payload)...)
 	}
 	for _, tc := range []struct {
 		name string
@@ -399,11 +398,9 @@ func TestRecoveryNeverSkipsRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 10; i < 16; i++ {
-		payload, err := encodeWALRecord(walRecord{Kind: walKindAdmit, Job: walJob(i)})
-		if err != nil {
+		if log, err = appendRecordFrame(log, walRecord{Kind: walKindAdmit, Job: walJob(i)}); err != nil {
 			t.Fatal(err)
 		}
-		log = append(log, EncodeFrame(payload)...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
 		t.Fatal(err)

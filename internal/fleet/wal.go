@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -15,7 +14,6 @@ import (
 	"slices"
 	"time"
 
-	"energysched/internal/bodybuf"
 	"energysched/internal/wirejson"
 	"energysched/internal/workload"
 )
@@ -229,13 +227,17 @@ func (rec *walRecord) decodeJSON(d *wirejson.Decoder) {
 	}
 }
 
-// encodeWALRecord returns rec's payload in an allocation of its own.
-func encodeWALRecord(rec walRecord) (payload []byte, err error) {
-	err = bodybuf.Encode(rec.appendJSON, func(b []byte) error {
-		payload = bytes.Clone(b)
-		return nil
-	})
-	return payload, err
+// appendRecordFrame appends rec to buf as one frame: the record is
+// encoded in place after walHeaderSize reserved bytes, which then get
+// its length and CRC.
+func appendRecordFrame(buf []byte, rec walRecord) ([]byte, error) {
+	start := len(buf)
+	buf, err := rec.appendJSON(append(buf, make([]byte, walHeaderSize)...))
+	if err != nil {
+		return buf[:start], err
+	}
+	sealFrame(buf[start:])
+	return buf, nil
 }
 
 // decodeWALRecord decodes one record payload.
@@ -397,12 +399,11 @@ func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, dropped in
 	}
 }
 
-// appendPayload writes one pre-marshaled record payload. The admission
-// path marshals each record exactly once and reuses the bytes for the
-// WAL append and the replication feed, so leader and follower logs are
-// byte-identical.
-func (w *wal) appendPayload(payload []byte, flush bool) error {
-	frame := EncodeFrame(payload)
+// appendFrame writes one encoded record frame. The admission path
+// encodes each record exactly once, into its frame, and hands the
+// payload inside it to the replication feed, so leader and follower
+// logs are byte-identical.
+func (w *wal) appendFrame(frame []byte, flush bool) error {
 	if w.fault != nil {
 		if err := w.fault("append"); err != nil {
 			if errors.Is(err, ErrTornWrite) {

@@ -14,11 +14,11 @@ import (
 
 // appendRecord encodes rec and appends it, as the admission path does.
 func appendRecord(w *wal, rec walRecord, flush bool) error {
-	payload, err := encodeWALRecord(rec)
+	frame, err := appendRecordFrame(nil, rec)
 	if err != nil {
 		return err
 	}
-	return w.appendPayload(payload, flush)
+	return w.appendFrame(frame, flush)
 }
 
 func walJob(id int) *workload.Job {

@@ -155,20 +155,27 @@ func TestFrameReaderCRCFlipRejection(t *testing.T) {
 	}
 }
 
-// The admission path marshals each record once and hands the same
-// bytes to the WAL and the replication feed; appendPayload must
-// therefore write exactly EncodeFrame(payload).
+// The admission path encodes each record once, straight into its
+// frame, and hands the WAL the frame and the replication feed the
+// payload inside it; the frame must therefore be exactly
+// EncodeFrame(payload), and appendFrame must write it as it is.
 func TestWALAppendPayloadByteIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _, _, _, err := openWAL(path, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(walRecord{Kind: walKindAdmit, Job: walJob(0)})
+	rec := walRecord{Kind: walKindAdmit, Job: walJob(0)}
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.appendPayload(payload, true); err != nil {
+	frame, err := appendRecordFrame([]byte("earlier frames"), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame = frame[len("earlier frames"):]
+	if err := w.appendFrame(frame, true); err != nil {
 		t.Fatal(err)
 	}
 	w.close()

@@ -116,9 +116,10 @@ const EventStep = "step"
 // Records live in a ring of slots in first-step order, kept in blocks
 // allocated the first time the ring reaches them: a new job takes the
 // oldest slot once maxJobs are retained (FIFO eviction) and reuses its
-// step storage, so recording allocates nothing but a step's
-// why-score, and readers get deep copies. Memory
-// is bounded by maxJobs × the step cap and the firehose ring depth.
+// step storage, and readers get deep copies. A step's why-score is
+// carved from a block of whyBlock of them, so recording allocates one
+// block per whyBlock placements and migrations. Memory is bounded by
+// maxJobs × the step cap and the firehose ring depth.
 type JourneyStore struct {
 	*Ring[JourneyEvent]
 	mu      sync.Mutex
@@ -130,7 +131,17 @@ type JourneyStore struct {
 	// pending is the last round's applied actions not yet claimed by a
 	// placed/migrate step, in solver order; a claimed entry's VM is -1.
 	pending []ActionTrace
+	// whys is the block the next why-score is carved from. A carved
+	// why-score is never written again — a record's step, a firehose
+	// event and a reader's copy may all still point at it — so a full
+	// block is left to the collector, not reused.
+	whys []ActionTrace
 }
+
+// whyBlock is how many why-scores one block holds: one allocation per
+// 64 placements or migrations, and a block that a single long-lived
+// record keeps alive pins 64 of them (4.5 KiB) at most.
+const whyBlock = 64
 
 // NewJourneyStore builds a store retaining the last maxJobs job
 // records (default 2048 when <= 0); the firehose ring holds fireDepth
@@ -201,9 +212,12 @@ func (s *JourneyStore) Record(job int, st JourneyStep) {
 		// unclaimed one.
 		for i := range s.pending {
 			if s.pending[i].VM == job {
-				why := s.pending[i]
+				if len(s.whys) == cap(s.whys) {
+					s.whys = make([]ActionTrace, 0, whyBlock)
+				}
+				s.whys = append(s.whys, s.pending[i])
 				s.pending[i].VM = -1
-				st.Why = &why
+				st.Why = &s.whys[len(s.whys)-1]
 				break
 			}
 		}

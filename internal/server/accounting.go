@@ -29,10 +29,9 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, f *fleet.F
 	}
 	// Coalesce on fleet + raw query: concurrent identical series GETs
 	// share one store read and one downsample pass.
-	got, _ := s.reads.do("series", f.ID()+"\x00"+r.URL.RawQuery, func() (interface{}, error) {
+	samples, _ := coalesce(&s.reads, "series", f.ID()+"\x00"+r.URL.RawQuery, func() ([]series.Sample, error) {
 		return f.SeriesSamples(q), nil
 	})
-	samples := got.([]series.Sample)
 	if q.Format == "csv" {
 		writeSeriesCSV(w, q, samples)
 		return

@@ -462,9 +462,12 @@ func TestFailoverByteIdenticalWithCollectors(t *testing.T) {
 		return cfg
 	}
 	leader, lhs, lc := newTestServer(t, loud(""))
-	_, _, fc := newTestServer(t, loud(lhs.URL))
-
 	submitN(t, lc, jobs, 0)
+	// The follower starts once the leader holds every job, so its state
+	// comes from the bootstrap replay whatever the timing: a follower
+	// subscribed before the batch would apply the records live, and
+	// journal and sample them as its own.
+	_, _, fc := newTestServer(t, loud(lhs.URL))
 	waitFor(t, "follower sync", func() bool {
 		h, err := fc.Health(ctx)
 		st, serr := fc.FleetStatus(ctx, DefaultFleet)

@@ -190,8 +190,8 @@ func TestReadGroupCoalesces(t *testing.T) {
 	const followers = 5
 
 	var wg sync.WaitGroup
-	results := make([]interface{}, followers+1)
-	leaderFn := func() (interface{}, error) {
+	results := make([]string, followers+1)
+	leaderFn := func() (string, error) {
 		fetches++
 		close(entered)
 		<-gate
@@ -200,7 +200,7 @@ func TestReadGroupCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], _ = g.do("report", "default", leaderFn)
+		results[0], _ = coalesce(&g, "report", "default", leaderFn)
 	}()
 	<-entered
 	for i := 0; i < followers; i++ {
@@ -208,9 +208,9 @@ func TestReadGroupCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Never runs: the leader is in flight for the same key.
-			results[i+1], _ = g.do("report", "default", func() (interface{}, error) {
+			results[i+1], _ = coalesce(&g, "report", "default", func() (string, error) {
 				t.Error("follower executed its own fetch")
-				return nil, nil
+				return "", nil
 			})
 		}(i)
 	}
@@ -235,12 +235,12 @@ func TestReadGroupCoalesces(t *testing.T) {
 	}
 
 	// A different key is a different flight.
-	if v, _ := g.do("report", "other", func() (interface{}, error) { return "other-v1", nil }); v != "other-v1" {
+	if v, _ := coalesce(&g, "report", "other", func() (string, error) { return "other-v1", nil }); v != "other-v1" {
 		t.Fatalf("distinct key returned %v", v)
 	}
 	// And a later identical call re-fetches: coalescing is per-flight,
 	// never a stale cache.
-	if v, _ := g.do("report", "default", func() (interface{}, error) { return "report-v2", nil }); v != "report-v2" {
+	if v, _ := coalesce(&g, "report", "default", func() (string, error) { return "report-v2", nil }); v != "report-v2" {
 		t.Fatalf("post-flight call returned %v, want a fresh fetch", v)
 	}
 

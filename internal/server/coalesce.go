@@ -17,11 +17,17 @@ import (
 // and the key is forgotten the moment the leader returns — a
 // completed fetch is never served stale to a later request.
 
-type readCall struct {
-	done chan struct{}
-	val  interface{}
-	err  error
+// readCall is one flight: the leader's result, and the wait group its
+// followers park on until the leader has written it.
+type readCall[T any] struct {
+	wg  sync.WaitGroup
+	val T
+	err error
 }
+
+// readKey names a flight: the endpoint and everything that
+// distinguishes its response.
+type readKey struct{ endpoint, key string }
 
 type readStats struct{ hits, misses uint64 }
 
@@ -29,7 +35,7 @@ type readStats struct{ hits, misses uint64 }
 // ready to use.
 type readGroup struct {
 	mu    sync.Mutex
-	calls map[string]*readCall
+	calls map[readKey]any       // *readCall[T] of the endpoint's T
 	stats map[string]*readStats // per endpoint, guarded by mu
 }
 
@@ -45,34 +51,36 @@ func (g *readGroup) statsFor(endpoint string) *readStats {
 	return st
 }
 
-// do executes fn once per concurrently-requested key: the leader runs
-// it, followers block until the leader finishes and share its result
-// (and its error). endpoint labels the hit/miss metrics; key must
-// capture everything that distinguishes the response (fleet ID, query
-// string).
-func (g *readGroup) do(endpoint, key string, fn func() (interface{}, error)) (interface{}, error) {
-	key = endpoint + "\x00" + key
+// coalesce executes fn once per concurrently-requested key: the leader
+// runs it, followers block until the leader finishes and share its
+// result (and its error). endpoint labels the hit/miss metrics and
+// fixes T; key must capture everything that distinguishes the response
+// (fleet ID, query string).
+func coalesce[T any](g *readGroup, endpoint, key string, fn func() (T, error)) (T, error) {
+	k := readKey{endpoint, key}
 	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
+	if c, ok := g.calls[k]; ok {
 		g.statsFor(endpoint).hits++
 		g.mu.Unlock()
-		<-c.done
-		return c.val, c.err
+		call := c.(*readCall[T])
+		call.wg.Wait()
+		return call.val, call.err
 	}
 	if g.calls == nil {
-		g.calls = make(map[string]*readCall)
+		g.calls = make(map[readKey]any)
 	}
-	c := &readCall{done: make(chan struct{})}
-	g.calls[key] = c
+	c := new(readCall[T])
+	c.wg.Add(1)
+	g.calls[k] = c
 	g.statsFor(endpoint).misses++
 	g.mu.Unlock()
 
 	c.val, c.err = fn()
 
 	g.mu.Lock()
-	delete(g.calls, key)
+	delete(g.calls, k)
 	g.mu.Unlock()
-	close(c.done)
+	c.wg.Done()
 	return c.val, c.err
 }
 

@@ -410,11 +410,15 @@ func (s *Server) RestoreFile(path string) (energysched.SnapshotInfo, error) {
 
 // --- HTTP surface ---
 
+// jsonContentType is every JSON answer's Content-Type value, shared:
+// net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 // writeBody answers with the JSON body encode appends and the newline
 // json.Encoder ends a value with. A body that cannot be encoded (a NaN)
 // leaves the answer without one.
 func writeBody(w http.ResponseWriter, status int, encode func([]byte) ([]byte, error)) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	bodybuf.Encode(encode, func(b []byte) error {
 		_, err := w.Write(append(b, '\n'))
@@ -608,6 +612,9 @@ func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 
 // --- per-fleet handlers ---
 
+// maxSubmitBody bounds a submit's body: 8 MiB of job specs.
+const maxSubmitBody = 8 << 20
+
 // handleSubmit admits one job (body = JobSpec object) or a batch
 // (body = JSON array of JobSpec), the batch atomically in one
 // event-loop turn.
@@ -619,7 +626,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, f *fleet.F
 		spec  energysched.JobSpec
 	)
 	what := "reading body: "
-	err := bodybuf.Read(http.MaxBytesReader(w, r.Body, 8<<20), r.ContentLength, func(body []byte) error {
+	err := bodybuf.Read(r.Body, r.ContentLength, maxSubmitBody, func(body []byte) error {
 		trimmed := bytes.TrimLeft(body, " \t\r\n")
 		if batch = len(trimmed) > 0 && trimmed[0] == '['; batch {
 			what = "decoding job batch: "
@@ -629,9 +636,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, f *fleet.F
 		return spec.UnmarshalJSON(trimmed)
 	})
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			// The rest of the body is unread: the connection closes
+			// after the answer, as http.MaxBytesReader has it do.
+			w.Header().Set("Connection", "close")
+		}
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest, Msg: what + err.Error()})
 		return
 	}
+	// Closing the body read to EOF tells the server it has nothing left
+	// to discard before the answer.
+	r.Body.Close()
 	if batch {
 		out, err := f.SubmitBatch(specs)
 		reply(w, http.StatusAccepted, energysched.JobStatusList(out).AppendJSON, err)
@@ -657,25 +673,21 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, f *fleet.Flee
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
-	st, err := s.reads.do("cluster", f.ID(), func() (interface{}, error) {
-		return f.Cluster()
-	})
+	st, err := coalesce(&s.reads, "cluster", f.ID(), f.Cluster)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeBody(w, http.StatusOK, st.(energysched.ClusterStatus).AppendJSON)
+	writeBody(w, http.StatusOK, st.AppendJSON)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {
-	rep, err := s.reads.do("report", f.ID(), func() (interface{}, error) {
-		return f.Report()
-	})
+	rep, err := coalesce(&s.reads, "report", f.ID(), f.Report)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeBody(w, http.StatusOK, rep.(energysched.ServiceReport).AppendJSON)
+	writeBody(w, http.StatusOK, rep.AppendJSON)
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, f *fleet.Fleet) {

@@ -26,7 +26,7 @@ import (
 )
 
 // newTestServer spins up a daemon plus an httptest front end.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *energysched.Client) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server, *energysched.Client) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
