@@ -131,56 +131,56 @@ type SnapshotInfo struct {
 }
 
 // FleetSpec is the body of POST /v1/fleets: a named fleet
-// configuration. Unset fields inherit the daemon's base
-// configuration (its flags).
+// configuration. One rule covers every field but ID: a field that is
+// not zero overrides the daemon's base configuration (its flags), a
+// zero field inherits it, and the fleet refuses a value out of its
+// range with a 400. Pace is a pointer because 0 is a value.
 type FleetSpec struct {
 	// ID names the fleet; it appears in URLs and in the durable
 	// layout (1-64 chars of [a-zA-Z0-9._-], starting alphanumeric).
 	ID string `json:"id"`
-	// Policy selects the scheduler ("" = daemon default).
+	// Policy selects the scheduler.
 	Policy string `json:"policy,omitempty"`
-	// Seed drives the fleet's stochastic components (0 = default).
+	// Seed drives the fleet's stochastic components.
 	Seed int64 `json:"seed,omitempty"`
-	// LambdaMin, LambdaMax override the power-manager thresholds when
-	// either is non-zero.
+	// LambdaMin, LambdaMax are the power-manager thresholds in percent.
 	LambdaMin float64 `json:"lambda_min,omitempty"`
 	LambdaMax float64 `json:"lambda_max,omitempty"`
-	// Pace overrides the clock pace: nil inherits, <= 0 is max pacing,
-	// > 0 is virtual seconds per wall second (at most 1e6).
+	// Pace is the clock pace: nil inherits, <= 0 is max pacing, > 0 is
+	// virtual seconds per wall second (at most 1e6).
 	Pace *float64 `json:"pace,omitempty"`
 	// Failures enables reliability-driven node crashes.
 	Failures bool `json:"failures,omitempty"`
-	// CheckpointSeconds > 0 checkpoints running VMs periodically, at
-	// most once per virtual second.
+	// CheckpointSeconds checkpoints running VMs periodically, at most
+	// once per virtual second.
 	CheckpointSeconds float64 `json:"checkpoint_s,omitempty"`
-	// AdaptiveTarget > 0 enables dynamic λmin adjustment.
+	// AdaptiveTarget enables dynamic λmin adjustment toward this
+	// satisfaction, in (0, 100] percent.
 	AdaptiveTarget float64 `json:"adaptive_target,omitempty"`
-	// SnapshotInterval > 0 overrides the fewest WAL records that
-	// accumulate before the fleet compacts them into a snapshot (a log
-	// whose snapshot holds more jobs waits for as many records).
+	// SnapshotInterval is the fewest WAL records that accumulate before
+	// the fleet compacts them into a snapshot (a log whose snapshot
+	// holds more jobs waits for as many records).
 	SnapshotInterval int `json:"snapshot_interval,omitempty"`
-	// TraceVerbosity overrides the fleet's decision-trace recording
-	// level ("" inherits the daemon's -trace flag): "off", "rounds",
-	// "actions" or "scores". Pure observability — any level leaves
-	// scheduling byte-identical.
+	// TraceVerbosity is the fleet's decision-trace recording level:
+	// "off", "rounds", "actions" or "scores". Pure observability — any
+	// level leaves scheduling byte-identical.
 	TraceVerbosity string `json:"trace_verbosity,omitempty"`
-	// TraceDepth > 0 overrides how many round traces the fleet retains
-	// for GET /trace (default 256).
+	// TraceDepth is how many round traces the fleet retains for
+	// GET /trace.
 	TraceDepth int `json:"trace_depth,omitempty"`
-	// SeriesDepth > 0 overrides how many accounting samples the fleet
-	// retains for GET /series (default 4096).
+	// SeriesDepth is how many accounting samples the fleet retains for
+	// GET /series.
 	SeriesDepth int `json:"series_depth,omitempty"`
-	// JourneyDepth > 0 overrides how many job lifecycle journeys the
-	// fleet retains for GET /jobs/{id}/journey (default 2048).
+	// JourneyDepth is how many job lifecycle journeys the fleet retains
+	// for GET /jobs/{id}/journey.
 	JourneyDepth int `json:"journey_depth,omitempty"`
-	// AdmitQueue > 0 bounds the fleet's admission queue (default 256);
-	// a full queue sheds submits with 429 + Retry-After.
+	// AdmitQueue bounds the fleet's admission queue; a full queue sheds
+	// submits with 429 + Retry-After.
 	AdmitQueue int `json:"admit_queue,omitempty"`
-	// RateLimit > 0 throttles the fleet's admissions to this many jobs
-	// per second; over-limit submits get 429 + Retry-After.
+	// RateLimit throttles the fleet's admissions to this many jobs per
+	// second; over-limit submits get 429 + Retry-After.
 	RateLimit float64 `json:"rate_limit,omitempty"`
-	// RateBurst > 0 sets the admission token bucket's capacity in jobs
-	// (default one second's worth of RateLimit).
+	// RateBurst is the admission token bucket's capacity in jobs.
 	RateBurst int `json:"rate_burst,omitempty"`
 }
 

@@ -171,7 +171,7 @@ func TestE2EKillRestartDeterminism(t *testing.T) {
 	// an in-process daemon that never died.
 	refSrv, err := server.New(server.Config{
 		Policy: "SB", Seed: 1,
-		Fleets: []server.FleetSeed{{ID: "second", Policy: "BF"}},
+		Fleets: []energysched.FleetSpec{{ID: "second", Policy: "BF"}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -72,8 +75,53 @@ func TestE2EObservabilityAndAccountingFlags(t *testing.T) {
 	}
 	d.Process.Kill()
 	d.Wait()
-	if logs := d.Stderr.(*bytes.Buffer).String(); !strings.Contains(logs, `"msg":"serving"`) {
-		t.Errorf("-log-format json: no JSON serving line in\n%s", logs)
+	// The fleet's lines go through the server's logger, which must be
+	// built after the flags configure the format.
+	logs := d.Stderr.(*bytes.Buffer).String()
+	serving, drained := false, false
+	for _, line := range strings.Split(logs, "\n") {
+		var rec struct{ Msg, Component string }
+		if json.Unmarshal([]byte(line), &rec) == nil {
+			serving = serving || rec.Msg == "serving"
+			drained = drained || rec.Component == "server" && strings.HasPrefix(rec.Msg, "fleet default: drained: ")
+		}
+	}
+	if !serving || !drained {
+		t.Errorf("-log-format json: JSON serving line %v, JSON drained line %v in\n%s", serving, drained, logs)
+	}
+}
+
+// The command-line surface: -h prints the flag reference byte for byte
+// as testdata/flags.golden holds it, and a value the fleets refuse is a
+// one-line usage error with exit status 2.
+func TestE2EFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real daemon binary")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(daemonBin, "-h")
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil || !bytes.Equal(stderr.Bytes(), want) {
+		t.Errorf("-h: err %v, output\n%s\nwant testdata/flags.golden:\n%s", err, stderr.Bytes(), want)
+	}
+	for _, args := range [][]string{{"-trace-depth", "-1"}, {"-adaptive", "150"}, {"-trace", "loud"}, {"-snapshot-interval", "-1"}} {
+		// A daemon that accepts the value would serve until the deadline.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		var stdout, stderr bytes.Buffer
+		cmd := exec.CommandContext(ctx, daemonBin, append(args, "-listen", "127.0.0.1:0")...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		msg := strings.TrimSuffix(stderr.String(), "\n")
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout.Len() != 0 || strings.Contains(msg, "\n") ||
+			!strings.HasSuffix(msg, "(run 'energyschedd -h' for usage)") {
+			t.Errorf("%v: err %v, stdout %q, stderr %q; want exit status 2 and one usage line", args, err, stdout.String(), msg)
+		}
 	}
 }
 

@@ -54,7 +54,6 @@ import (
 
 	"energysched"
 	"energysched/internal/cli"
-	"energysched/internal/core"
 	"energysched/internal/fleet"
 	"energysched/internal/obs"
 	"energysched/internal/obs/slo"
@@ -65,132 +64,97 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("energyschedd: ")
 
+	var cfg server.Config
+	flag.StringVar(&cfg.Policy, "policy", "SB", "scheduling policy: RD, RR, BF, DBF, SB0, SB1, SB2, SB")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed")
+	flag.Float64Var(&cfg.LambdaMin, "lmin", 30, "λmin: working ratio below which idle nodes are shut down (%)")
+	flag.Float64Var(&cfg.LambdaMax, "lmax", 90, "λmax: working ratio above which nodes are booted (%)")
+	flag.BoolVar(&cfg.Failures, "failures", false, "enable reliability-driven node failures")
+	flag.Float64Var(&cfg.CheckpointSeconds, "checkpoint", 0, "VM checkpoint interval in virtual seconds (0 = off)")
+	flag.Float64Var(&cfg.AdaptiveTarget, "adaptive", 0, "dynamic-λ satisfaction target in percent (0 = static)")
+	flag.StringVar(&cfg.SnapshotDir, "snapshot-dir", ".", "directory for unnamed snapshots")
+	flag.IntVar(&cfg.MaxFleets, "max-fleets", 64, "cap on hosted fleets; POST /v1/fleets returns 429 at the cap (0 = unlimited; startup fleets are exempt)")
+	flag.StringVar(&cfg.WALDir, "wal-dir", "", "durable root for per-fleet admission WALs + compaction snapshots (empty = in-memory only)")
+	flag.IntVar(&cfg.SnapshotInterval, "snapshot-interval", 256, "fewest WAL records per compaction snapshot; a snapshot of more jobs waits for as many records (0 = never compact)")
+	flag.StringVar(&cfg.WALSync, "wal-sync", "always", "WAL append sync policy: 'always' (fsync per admission) or 'os' (page cache)")
+	flag.StringVar(&cfg.Follow, "follow", "", "warm-standby mode: continuously mirror the leader daemon at this base URL (e.g. http://leader:7781); writes are rejected until promotion")
+	flag.DurationVar(&cfg.PromoteGrace, "promote-grace", 0, "in -follow mode, auto-promote after this long without leader contact (0 = manual POST /v1/promote only)")
+	flag.DurationVar(&cfg.FollowPoll, "follow-poll", 0, "in -follow mode, leader fleet-discovery period (0 = default 1s)")
+	flag.StringVar(&cfg.TraceVerbosity, "trace", "off", "decision-trace recording level per fleet: off, rounds, actions, scores (pure observability; scheduling is byte-identical at any level)")
+	flag.IntVar(&cfg.TraceDepth, "trace-depth", 0, "round traces each fleet retains for GET /trace (0 = default 256)")
+	flag.IntVar(&cfg.SeriesDepth, "series-depth", 0, "accounting samples each fleet retains for GET /series (0 = default 4096)")
+	flag.IntVar(&cfg.JourneyDepth, "journey-depth", 0, "job journeys each fleet retains for GET /jobs/{id}/journey (0 = default 2048)")
+	flag.DurationVar(&cfg.SSEHeartbeat, "sse-ping", 0, "SSE keepalive ping interval for /events, /trace and /journeys streams (0 = default 15s)")
+	flag.IntVar(&cfg.AdmitQueue, "admit-queue", 0, "bounded depth of each fleet's admission queue (0 = default 256; a full queue sheds with 429)")
+	flag.Float64Var(&cfg.RateLimit, "rate-limit", 0, "per-fleet admission rate limit in jobs/sec (0 = unlimited; over-limit submits get 429 + Retry-After)")
+	flag.IntVar(&cfg.RateBurst, "rate-burst", 0, "admission token-bucket burst in jobs (0 = one second's worth of -rate-limit)")
 	var (
-		listen     = flag.String("listen", ":7781", "HTTP listen address")
-		policyName = flag.String("policy", "SB", "scheduling policy: RD, RR, BF, DBF, SB0, SB1, SB2, SB")
-		seed       = flag.Int64("seed", 1, "random seed")
-		lmin       = flag.Float64("lmin", 30, "λmin: working ratio below which idle nodes are shut down (%)")
-		lmax       = flag.Float64("lmax", 90, "λmax: working ratio above which nodes are booted (%)")
-		cempty     = flag.Float64("cempty", 20, "Ce: empty-host penalty of the score-based policy")
-		cfill      = flag.Float64("cfill", 40, "Cf: occupied-host reward of the score-based policy")
-		failures   = flag.Bool("failures", false, "enable reliability-driven node failures")
-		checkpoint = flag.Float64("checkpoint", 0, "VM checkpoint interval in virtual seconds (0 = off)")
-		adaptive   = flag.Float64("adaptive", 0, "dynamic-λ satisfaction target in percent (0 = static)")
-		pace       = flag.String("pace", "max", "virtual pacing: 'max' (admission-gated, deterministic) or virtual seconds per wall second (e.g. 1, 60)")
-		snapDir    = flag.String("snapshot-dir", ".", "directory for unnamed snapshots")
-		restore    = flag.String("restore", "", "restore this snapshot into the default fleet before serving")
-		fleets     = flag.String("fleets", "default", "comma-separated fleets to host: name or name=policy (the 'default' fleet is always created)")
-		maxFleets  = flag.Int("max-fleets", 64, "cap on hosted fleets; POST /v1/fleets returns 429 at the cap (0 = unlimited; startup fleets are exempt)")
-		walDir     = flag.String("wal-dir", "", "durable root for per-fleet admission WALs + compaction snapshots (empty = in-memory only)")
-		snapEvery  = flag.Int("snapshot-interval", 256, "fewest WAL records per compaction snapshot; a snapshot of more jobs waits for as many records (0 = never compact)")
-		walSync    = flag.String("wal-sync", "always", "WAL append sync policy: 'always' (fsync per admission) or 'os' (page cache)")
-		follow     = flag.String("follow", "", "warm-standby mode: continuously mirror the leader daemon at this base URL (e.g. http://leader:7781); writes are rejected until promotion")
-		graceFlag  = flag.Duration("promote-grace", 0, "in -follow mode, auto-promote after this long without leader contact (0 = manual POST /v1/promote only)")
-		followPoll = flag.Duration("follow-poll", 0, "in -follow mode, leader fleet-discovery period (0 = default 1s)")
-		traceVerb  = flag.String("trace", "off", "decision-trace recording level per fleet: off, rounds, actions, scores (pure observability; scheduling is byte-identical at any level)")
-		traceDepth = flag.Int("trace-depth", 0, "round traces each fleet retains for GET /trace (0 = default 256)")
-		seriesDep  = flag.Int("series-depth", 0, "accounting samples each fleet retains for GET /series (0 = default 4096)")
-		journeyDep = flag.Int("journey-depth", 0, "job journeys each fleet retains for GET /jobs/{id}/journey (0 = default 2048)")
-		sloFile    = flag.String("slo-file", "", "JSON file of SLO objectives applied to every fleet (burn-rate alerts on GET /v1/alerts)")
-		ssePing    = flag.Duration("sse-ping", 0, "SSE keepalive ping interval for /events, /trace and /journeys streams (0 = default 15s)")
-		admQueue   = flag.Int("admit-queue", 0, "bounded depth of each fleet's admission queue (0 = default 256; a full queue sheds with 429)")
-		rateLimit  = flag.Float64("rate-limit", 0, "per-fleet admission rate limit in jobs/sec (0 = unlimited; over-limit submits get 429 + Retry-After)")
-		rateBurst  = flag.Int("rate-burst", 0, "admission token-bucket burst in jobs (0 = one second's worth of -rate-limit)")
-		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060); empty = disabled")
+		listen    = flag.String("listen", ":7781", "HTTP listen address")
+		cempty    = flag.Float64("cempty", 20, "Ce: empty-host penalty of the score-based policy")
+		cfill     = flag.Float64("cfill", 40, "Cf: occupied-host reward of the score-based policy")
+		pace      = flag.String("pace", "max", "virtual pacing: 'max' (admission-gated, deterministic) or virtual seconds per wall second (e.g. 1, 60)")
+		restore   = flag.String("restore", "", "restore this snapshot into the default fleet before serving")
+		fleets    = flag.String("fleets", "default", "comma-separated fleets to host: name or name=policy (the 'default' fleet is always created)")
+		sloFile   = flag.String("slo-file", "", "JSON file of SLO objectives applied to every fleet (burn-rate alerts on GET /v1/alerts)")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060); empty = disabled")
 	)
 	cli.Parse("energyschedd")
+	// The server's lines follow -log-format and -log-level, which only
+	// the parse configures.
+	cfg.Logf = obs.LogfAdapter(cli.Logger().With("component", "server"))
+	cfg.Score = &energysched.ScoreParams{Cempty: *cempty, Cfill: *cfill}
 
-	paceVal := 0.0 // <= 0 selects max pacing
 	if *pace != "max" {
 		v, err := strconv.ParseFloat(*pace, 64)
 		if err != nil || v <= 0 {
 			cli.Usagef("energyschedd", "-pace must be 'max' or a positive number, got %q", *pace)
 		}
-		paceVal = v
+		cfg.Pace = v
 	}
-	if *walSync != fleet.SyncAlways && *walSync != fleet.SyncOS {
-		cli.Usagef("energyschedd", "-wal-sync must be 'always' or 'os', got %q", *walSync)
+	if cfg.WALSync != fleet.SyncAlways && cfg.WALSync != fleet.SyncOS {
+		cli.Usagef("energyschedd", "-wal-sync must be 'always' or 'os', got %q", cfg.WALSync)
 	}
-	if _, err := obs.ParseVerbosity(*traceVerb); err != nil {
-		cli.Usagef("energyschedd", "-trace: %v", err)
-	}
-	if *seriesDep < 0 || *journeyDep < 0 {
-		cli.Usagef("energyschedd", "-series-depth and -journey-depth must be >= 0")
-	}
-	if *ssePing < 0 {
+	if cfg.SSEHeartbeat < 0 {
 		cli.Usagef("energyschedd", "-sse-ping must be >= 0")
 	}
-	if *admQueue < 0 || *rateLimit < 0 || *rateBurst < 0 {
-		cli.Usagef("energyschedd", "-admit-queue, -rate-limit and -rate-burst must be >= 0")
-	}
-	if err := core.CheckTarget(*adaptive); err != nil {
-		cli.Usagef("energyschedd", "-adaptive: %v", err)
-	}
-	var objectives []slo.Objective
 	if *sloFile != "" {
 		data, err := os.ReadFile(*sloFile)
 		if err != nil {
 			cli.Fatalf("energyschedd", "-slo-file: %v", err)
 		}
-		objectives, err = slo.Parse(data)
+		cfg.SLOs, err = slo.Parse(data)
 		if err != nil {
 			cli.Fatalf("energyschedd", "-slo-file %s: %v", *sloFile, err)
 		}
 	}
-	if *follow != "" {
+	if cfg.Follow != "" {
 		if *restore != "" {
 			cli.Usagef("energyschedd", "-restore cannot be combined with -follow (a follower's state comes from the leader)")
 		}
-		if !strings.HasPrefix(*follow, "http://") && !strings.HasPrefix(*follow, "https://") {
-			cli.Usagef("energyschedd", "-follow must be a base URL (http:// or https://), got %q", *follow)
+		if !strings.HasPrefix(cfg.Follow, "http://") && !strings.HasPrefix(cfg.Follow, "https://") {
+			cli.Usagef("energyschedd", "-follow must be a base URL (http:// or https://), got %q", cfg.Follow)
 		}
 	}
-	var seeds []server.FleetSeed
 	for _, tok := range strings.Split(*fleets, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
 			continue
 		}
-		seed := server.FleetSeed{ID: tok}
+		spec := energysched.FleetSpec{ID: tok}
 		if name, pol, ok := strings.Cut(tok, "="); ok {
-			seed.ID, seed.Policy = name, pol
+			spec.ID, spec.Policy = name, pol
 		}
-		if err := fleet.ValidateID(seed.ID); err != nil {
+		if err := fleet.ValidateID(spec.ID); err != nil {
 			cli.Usagef("energyschedd", "-fleets: %v", err)
 		}
-		seeds = append(seeds, seed)
+		cfg.Fleets = append(cfg.Fleets, spec)
 	}
 
-	srv, err := server.New(server.Config{
-		Policy:            *policyName,
-		Seed:              *seed,
-		LambdaMin:         *lmin,
-		LambdaMax:         *lmax,
-		Score:             &energysched.ScoreParams{Cempty: *cempty, Cfill: *cfill},
-		Failures:          *failures,
-		CheckpointSeconds: *checkpoint,
-		AdaptiveTarget:    *adaptive,
-		Pace:              paceVal,
-		SnapshotDir:       *snapDir,
-		WALDir:            *walDir,
-		SnapshotInterval:  *snapEvery,
-		WALSync:           *walSync,
-		MaxFleets:         *maxFleets,
-		Fleets:            seeds,
-		Follow:            *follow,
-		PromoteGrace:      *graceFlag,
-		FollowPoll:        *followPoll,
-		TraceVerbosity:    *traceVerb,
-		TraceDepth:        *traceDepth,
-		SeriesDepth:       *seriesDep,
-		JourneyDepth:      *journeyDep,
-		SLOs:              objectives,
-		SSEHeartbeat:      *ssePing,
-		AdmitQueue:        *admQueue,
-		RateLimit:         *rateLimit,
-		RateBurst:         *rateBurst,
-		Logf:              obs.LogfAdapter(cli.Logger().With("component", "server")),
-	})
+	srv, err := server.New(cfg)
+	if bad, ok := err.(*fleet.Error); ok && bad.Status == http.StatusBadRequest {
+		// The base config every fleet inherits is out of range.
+		cli.Usagef("energyschedd", "%v", err)
+	}
 	if err != nil {
 		cli.Fatalf("energyschedd", "%v", err)
 	}
@@ -220,11 +184,11 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	role := "leader"
-	if *follow != "" {
-		role = "follower of " + *follow
+	if cfg.Follow != "" {
+		role = "follower of " + cfg.Follow
 	}
-	cli.Logger().Info("serving", "listen", *listen, "policy", *policyName,
-		"pace", *pace, "role", role, "trace", *traceVerb, "version", cli.Version())
+	cli.Logger().Info("serving", "listen", *listen, "policy", cfg.Policy,
+		"pace", *pace, "role", role, "trace", cfg.TraceVerbosity, "version", cli.Version())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -29,52 +29,44 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("energysim: ")
 
+	var opts energysched.Options
+	flag.StringVar(&opts.Policy, "policy", "SB", "scheduling policy: RD, RR, BF, DBF, SB0, SB1, SB2, SB")
+	flag.Int64Var(&opts.Seed, "seed", 1, "random seed")
+	flag.Float64Var(&opts.LambdaMin, "lmin", 30, "λmin: working ratio below which idle nodes are shut down (%)")
+	flag.Float64Var(&opts.LambdaMax, "lmax", 90, "λmax: working ratio above which nodes are booted (%)")
+	flag.BoolVar(&opts.Failures, "failures", false, "enable reliability-driven node failures")
+	flag.Float64Var(&opts.CheckpointSeconds, "checkpoint", 0, "checkpoint interval in seconds (0 = off)")
+	flag.Float64Var(&opts.AdaptiveTarget, "adaptive", 0, "dynamic-λ satisfaction target in percent (0 = static thresholds)")
 	var (
-		policyName = flag.String("policy", "SB", "scheduling policy: RD, RR, BF, DBF, SB0, SB1, SB2, SB")
-		traceFile  = flag.String("trace", "", "workload trace CSV (empty = generate synthetically)")
-		gwfFile    = flag.String("gwf", "", "workload trace in Grid Workloads Format")
-		days       = flag.Float64("days", 7, "days of synthetic workload when no trace file is given")
-		seed       = flag.Int64("seed", 1, "random seed")
-		lmin       = flag.Float64("lmin", 30, "λmin: working ratio below which idle nodes are shut down (%)")
-		lmax       = flag.Float64("lmax", 90, "λmax: working ratio above which nodes are booted (%)")
-		cempty     = flag.Float64("cempty", 20, "Ce: empty-host penalty of the score-based policy")
-		cfill      = flag.Float64("cfill", 40, "Cf: occupied-host reward of the score-based policy")
-		failures   = flag.Bool("failures", false, "enable reliability-driven node failures")
-		checkpoint = flag.Float64("checkpoint", 0, "checkpoint interval in seconds (0 = off)")
-		adaptive   = flag.Float64("adaptive", 0, "dynamic-λ satisfaction target in percent (0 = static thresholds)")
-		nodes      = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
-		eventsOut  = flag.String("events", "", "write the JSONL event log to this file")
-		jobsOut    = flag.String("jobs", "", "write per-job outcomes CSV to this file")
-		powerOut   = flag.String("power", "", "write the datacenter power trace CSV to this file")
+		traceFile = flag.String("trace", "", "workload trace CSV (empty = generate synthetically)")
+		gwfFile   = flag.String("gwf", "", "workload trace in Grid Workloads Format")
+		days      = flag.Float64("days", 7, "days of synthetic workload when no trace file is given")
+		cempty    = flag.Float64("cempty", 20, "Ce: empty-host penalty of the score-based policy")
+		cfill     = flag.Float64("cfill", 40, "Cf: occupied-host reward of the score-based policy")
+		nodes     = flag.Int("nodes", 0, "heterogeneous scale fleet of this many nodes (0 = the paper's 100-node fleet)")
+		eventsOut = flag.String("events", "", "write the JSONL event log to this file")
+		jobsOut   = flag.String("jobs", "", "write per-job outcomes CSV to this file")
+		powerOut  = flag.String("power", "", "write the datacenter power trace CSV to this file")
 	)
 	cli.Parse("energysim")
+	opts.Score = &energysched.ScoreParams{Cempty: *cempty, Cfill: *cfill}
 	switch {
 	case !(*days > 0) || math.IsInf(*days, 1):
 		cli.Usagef("energysim", "-days must be a positive number of days, got %v", *days)
 	case *nodes < 0:
 		cli.Usagef("energysim", "-nodes must be 0 (the paper's fleet) or a fleet size, got %d", *nodes)
-	case !(*checkpoint >= 0) || math.IsInf(*checkpoint, 1):
-		cli.Usagef("energysim", "-checkpoint must be 0 (off) or an interval in seconds, got %v", *checkpoint)
+	case !(opts.CheckpointSeconds >= 0) || math.IsInf(opts.CheckpointSeconds, 1):
+		cli.Usagef("energysim", "-checkpoint must be 0 (off) or an interval in seconds, got %v", opts.CheckpointSeconds)
 	}
-	if err := core.CheckTarget(*adaptive); err != nil {
+	if err := core.CheckTarget(opts.AdaptiveTarget); err != nil {
 		cli.Usagef("energysim", "-adaptive: %v", err)
 	}
 
-	src, err := loadSource(*traceFile, *gwfFile, *days, *seed)
+	src, err := loadSource(*traceFile, *gwfFile, *days, opts.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	opts := energysched.Options{
-		Policy:            *policyName,
-		LambdaMin:         *lmin,
-		LambdaMax:         *lmax,
-		Seed:              *seed,
-		Score:             &energysched.ScoreParams{Cempty: *cempty, Cfill: *cfill},
-		Failures:          *failures,
-		CheckpointSeconds: *checkpoint,
-		AdaptiveTarget:    *adaptive,
-	}
 	if *nodes > 0 {
 		opts.Classes = energysched.ScaleClasses(*nodes)
 	}

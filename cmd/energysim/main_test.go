@@ -112,6 +112,24 @@ func TestEnergysimStreamsEveryInput(t *testing.T) {
 	}
 }
 
+// -h prints the flag reference byte for byte as testdata/flags.golden
+// holds it.
+func TestEnergysimHelpGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(buildEnergysim(t, t.TempDir()), "-h")
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil || !bytes.Equal(stderr.Bytes(), want) {
+		t.Errorf("-h: err %v, output\n%s\nwant testdata/flags.golden:\n%s", err, stderr.Bytes(), want)
+	}
+}
+
 // buildEnergysim builds the real binary into dir.
 func buildEnergysim(t *testing.T, dir string) string {
 	t.Helper()

@@ -178,12 +178,16 @@ const (
 )
 
 // checkBounds refuses a pace or a checkpoint interval that would stall
-// the loop. A negative pace selects max pacing, like 0. Only new input
-// is checked — Manager.Create and restore — so the fleets and snapshots
-// already on disk open as they were written.
+// the loop, and a negative snapshot interval, which would silently
+// switch compaction off. A negative pace selects max pacing, like 0.
+// Only new input is checked — Manager.Create and restore — so the
+// fleets and snapshots already on disk open as they were written.
 func (c Config) checkBounds() error {
 	if !(c.Pace <= maxPace) {
 		return fmt.Errorf("pace must be at most %g virtual seconds per wall second (0 = max pacing), got %g", float64(maxPace), c.Pace)
+	}
+	if c.SnapshotInterval < 0 {
+		return fmt.Errorf("snapshot_interval must be 0 (never compact) or a record count, got %d", c.SnapshotInterval)
 	}
 	return c.Sched.checkBounds()
 }
@@ -212,6 +216,9 @@ func (c Config) validate() (obs.Verbosity, error) {
 	if _, err := core.NewPowerManager(c.LambdaMin, c.LambdaMax, 0); err != nil {
 		return bad(err)
 	}
+	if err := core.CheckTarget(c.AdaptiveTarget); err != nil {
+		return bad(err)
+	}
 	for _, d := range []struct {
 		name  string
 		depth int
@@ -236,6 +243,22 @@ func (c Config) validate() (obs.Verbosity, error) {
 	return verb, nil
 }
 
+// Check refuses, with a 400, a config Manager.Create would refuse: it
+// applies the defaults, then validate, then checkBounds. A daemon checks
+// its base config with it once, so a setting no fleet could run under
+// stops the daemon instead of failing every fleet it later creates.
+func (c Config) Check() error {
+	c = c.withDefaults()
+	if _, err := c.validate(); err != nil {
+		return err
+	}
+	if err := c.checkBounds(); err != nil {
+		return errf(http.StatusBadRequest, "%v", err)
+	}
+	return nil
+}
+
+// withDefaults is the one place a fleet's defaults are applied.
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
 		c.Policy = "SB"
@@ -243,8 +266,13 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.LambdaMin == 0 && c.LambdaMax == 0 {
-		c.LambdaMin, c.LambdaMax = 30, 90
+	// Neither threshold may be 0 (NewPowerManager refuses it), so each
+	// defaults on its own: a config that names only one keeps it.
+	if c.LambdaMin == 0 {
+		c.LambdaMin = 30
+	}
+	if c.LambdaMax == 0 {
+		c.LambdaMax = 90
 	}
 	if c.SnapshotDir == "" {
 		c.SnapshotDir = "."

@@ -40,23 +40,16 @@ import (
 // DefaultFleet is the fleet the PR 3 alias routes address.
 const DefaultFleet = "default"
 
-// FleetSeed names a fleet to create at startup (the -fleets flag).
-type FleetSeed struct {
-	ID     string
-	Policy string // "" = the daemon's default policy
-}
-
-// Config parameterizes the daemon. The scheduling fields double as
-// the base configuration every fleet inherits unless its FleetSpec
-// overrides them.
+// Config parameterizes the daemon. The scheduling and service fields
+// are the base configuration every fleet inherits, under FleetSpec's
+// one override rule; a zero field leaves the value to the fleet's
+// default (fleet.Config).
 type Config struct {
-	// Policy selects the scheduler (same names as energysched.Run;
-	// default "SB").
+	// Policy selects the scheduler (same names as energysched.Run).
 	Policy string
-	// Seed drives all stochastic components (default 1).
+	// Seed drives all stochastic components.
 	Seed int64
-	// LambdaMin, LambdaMax are the power-manager thresholds in percent
-	// (defaults 30, 90).
+	// LambdaMin, LambdaMax are the power-manager thresholds in percent.
 	LambdaMin, LambdaMax float64
 	// Score overrides the consolidation costs (nil = paper values).
 	Score *energysched.ScoreParams
@@ -72,10 +65,9 @@ type Config struct {
 	// deterministic).
 	Pace float64
 	// SnapshotDir receives API-named snapshots; non-default fleets use
-	// a per-fleet subdirectory (default ".").
+	// a per-fleet subdirectory.
 	SnapshotDir string
-	// EventRing is the replay-ring depth for /v1/events reconnects
-	// (default 4096).
+	// EventRing is the replay-ring depth for /v1/events reconnects.
 	EventRing int
 	// WALDir is the durable root: per-fleet admission WALs (each opening
 	// with its last compaction snapshot) and the fleet manifest live
@@ -86,16 +78,17 @@ type Config struct {
 	// header holds jobs if that is more (0 = never compact
 	// automatically).
 	SnapshotInterval int
-	// WALSync is the WAL append sync policy: fleet.SyncAlways
-	// (default) or fleet.SyncOS.
+	// WALSync is the WAL append sync policy: fleet.SyncAlways or
+	// fleet.SyncOS.
 	WALSync string
 	// MaxFleets caps the fleet registry (0 = unlimited): POST
 	// /v1/fleets returns 429 once the daemon hosts this many fleets.
 	// Startup seeds and manifest-recovered fleets are exempt.
 	MaxFleets int
 	// Fleets are additional fleets to ensure at startup, next to
-	// DefaultFleet (fleets recovered from the WAL manifest win).
-	Fleets []FleetSeed
+	// DefaultFleet (fleets recovered from the WAL manifest win). Each
+	// is read like a POST /v1/fleets body.
+	Fleets []energysched.FleetSpec
 	// Follow, when set, starts the daemon as a warm-standby follower
 	// of the leader at this base URL: it mirrors every leader fleet by
 	// streaming the admission log, rejects writes with 503, and flips
@@ -114,19 +107,18 @@ type Config struct {
 	// idle followers still track lag and virtual time.
 	ReplPing time.Duration
 	// TraceVerbosity is each fleet's decision-trace recording level:
-	// "off" (default), "rounds", "actions" or "scores". Pure
-	// observability — any level leaves scheduling byte-identical.
-	// Fleets inherit it unless their FleetSpec overrides.
+	// "off", "rounds", "actions" or "scores". Pure observability — any
+	// level leaves scheduling byte-identical.
 	TraceVerbosity string
 	// TraceDepth is how many round traces each fleet retains for
-	// GET /trace (0 = default 256).
+	// GET /trace.
 	TraceDepth int
 	// SeriesDepth is how many accounting samples each fleet retains
-	// for GET /series (0 = default 4096). Pure observability — any
-	// depth leaves scheduling byte-identical.
+	// for GET /series. Pure observability — any depth leaves
+	// scheduling byte-identical.
 	SeriesDepth int
 	// JourneyDepth is how many job lifecycle journeys each fleet
-	// retains for GET /jobs/{id}/journey (0 = default 2048).
+	// retains for GET /jobs/{id}/journey.
 	JourneyDepth int
 	// SLOs are the declarative service-level objectives every fleet
 	// evaluates (the -slo-file flag); nil disables SLO alerting.
@@ -134,33 +126,16 @@ type Config struct {
 	// SSEHeartbeat overrides the keepalive ping period of idle SSE
 	// streams (events, trace, journey firehose); 0 = default 15s.
 	SSEHeartbeat time.Duration
-	// AdmitQueue bounds each fleet's admission queue (0 = default 256);
-	// a full queue sheds with 429 + Retry-After.
+	// AdmitQueue bounds each fleet's admission queue; a full queue
+	// sheds with 429 + Retry-After.
 	AdmitQueue int
 	// RateLimit throttles each fleet's admissions to this many jobs per
 	// second (0 = unlimited); over-limit submits get 429 + Retry-After.
 	RateLimit float64
-	// RateBurst is the admission token bucket's capacity in jobs
-	// (0 = one second's worth of RateLimit).
+	// RateBurst is the admission token bucket's capacity in jobs.
 	RateBurst int
 	// Logf, when non-nil, receives daemon log lines.
 	Logf func(format string, args ...interface{})
-}
-
-func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = "SB"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.LambdaMin == 0 && c.LambdaMax == 0 {
-		c.LambdaMin, c.LambdaMax = 30, 90
-	}
-	if c.SnapshotDir == "" {
-		c.SnapshotDir = "."
-	}
-	return c
 }
 
 // Server is one running daemon instance: the fleet registry plus the
@@ -189,9 +164,16 @@ type Server struct {
 // New builds a daemon: it opens the fleet registry (recovering every
 // fleet recorded under WALDir), ensures the default and seeded fleets
 // exist, and mounts the HTTP routes. Callers mount Handler on an
-// http.Server and Close the daemon on shutdown.
+// http.Server and Close the daemon on shutdown. A base config its
+// fleets would refuse is returned as the bare *fleet.Error (status
+// 400) before anything touches the disk, in either role.
 func New(cfg Config) (*Server, error) {
-	s := &Server{cfg: cfg.withDefaults(), mux: http.NewServeMux()}
+	s := &Server{cfg: cfg, mux: http.NewServeMux()}
+	// A follower would otherwise report itself ready while every
+	// mirror's creation failed.
+	if err := s.fleetConfig(energysched.FleetSpec{ID: DefaultFleet}).Check(); err != nil {
+		return nil, err
+	}
 	// The cap is installed after the startup seeds: operator-named
 	// fleets (and manifest-recovered ones) must come up even when they
 	// meet or exceed -max-fleets; the cap gates API-driven creation.
@@ -207,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 			Leader:  s.cfg.Follow,
 			Manager: mgr,
 			MirrorConfig: func(id string) fleet.Config {
-				fc := s.fleetConfig(id, energysched.FleetSpec{ID: id})
+				fc := s.fleetConfig(energysched.FleetSpec{ID: id})
 				// Max pacing: the mirror's clock advances only through
 				// replicated records and pings, never on its own.
 				fc.Pace = 0
@@ -228,15 +210,14 @@ func New(cfg Config) (*Server, error) {
 		s.follower.Run()
 		return s, nil
 	}
-	seeds := append([]FleetSeed{{ID: DefaultFleet}}, s.cfg.Fleets...)
-	for _, seed := range seeds {
-		if seed.ID == "" || mgr.Has(seed.ID) {
+	seeds := append([]energysched.FleetSpec{{ID: DefaultFleet}}, s.cfg.Fleets...)
+	for _, spec := range seeds {
+		if spec.ID == "" || mgr.Has(spec.ID) {
 			continue // recovered from the manifest: its config wins
 		}
-		spec := energysched.FleetSpec{ID: seed.ID, Policy: seed.Policy}
-		if _, err := mgr.Create(seed.ID, s.fleetConfig(seed.ID, spec)); err != nil {
+		if _, err := mgr.Create(spec.ID, s.fleetConfig(spec)); err != nil {
 			mgr.Close()
-			return nil, fmt.Errorf("creating %w", fleet.Named(seed.ID, err))
+			return nil, fmt.Errorf("creating %w", fleet.Named(spec.ID, err))
 		}
 	}
 	mgr.SetMaxFleets(s.cfg.MaxFleets)
@@ -294,8 +275,8 @@ func (s *Server) promote() (map[string]int64, error) {
 }
 
 // fleetConfig derives one fleet's configuration: the daemon's base
-// config with the spec's overrides applied.
-func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config {
+// config under the spec's overrides.
+func (s *Server) fleetConfig(spec energysched.FleetSpec) fleet.Config {
 	fc := fleet.Config{
 		Sched: fleet.Sched{
 			Policy:            s.cfg.Policy,
@@ -324,61 +305,41 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 	if sc := s.cfg.Score; sc != nil {
 		fc.HasScore, fc.Cempty, fc.Cfill, fc.THempty = true, sc.Cempty, sc.Cfill, sc.THempty
 	}
-	if id != DefaultFleet {
+	if spec.ID != DefaultFleet {
 		// Per-fleet snapshot namespaces: API-named snapshots of
 		// different fleets must not overwrite each other.
-		fc.SnapshotDir = filepath.Join(s.cfg.SnapshotDir, id)
+		fc.SnapshotDir = filepath.Join(s.cfg.SnapshotDir, spec.ID)
 	}
-	if spec.Policy != "" {
-		fc.Policy = spec.Policy
-	}
-	if spec.Seed != 0 {
-		fc.Seed = spec.Seed
-	}
-	if spec.LambdaMin != 0 {
-		fc.LambdaMin = spec.LambdaMin
-	}
-	if spec.LambdaMax != 0 {
-		fc.LambdaMax = spec.LambdaMax
-	}
+	// FleetSpec's one rule: a field that is not zero overrides the
+	// daemon's value, and the fleet refuses a value out of its range.
+	// Pace is a pointer because 0 (max pacing) is a value.
+	override(&fc.Policy, spec.Policy)
+	override(&fc.Seed, spec.Seed)
+	override(&fc.LambdaMin, spec.LambdaMin)
+	override(&fc.LambdaMax, spec.LambdaMax)
+	override(&fc.Failures, spec.Failures)
+	override(&fc.CheckpointSeconds, spec.CheckpointSeconds)
+	override(&fc.AdaptiveTarget, spec.AdaptiveTarget)
+	override(&fc.SnapshotInterval, spec.SnapshotInterval)
+	override(&fc.TraceVerbosity, spec.TraceVerbosity)
+	override(&fc.TraceDepth, spec.TraceDepth)
+	override(&fc.SeriesDepth, spec.SeriesDepth)
+	override(&fc.JourneyDepth, spec.JourneyDepth)
+	override(&fc.AdmitQueue, spec.AdmitQueue)
+	override(&fc.RateLimit, spec.RateLimit)
+	override(&fc.RateBurst, spec.RateBurst)
 	if spec.Pace != nil {
 		fc.Pace = *spec.Pace
 	}
-	if spec.Failures {
-		fc.Failures = true
-	}
-	if spec.CheckpointSeconds > 0 {
-		fc.CheckpointSeconds = spec.CheckpointSeconds
-	}
-	if spec.AdaptiveTarget > 0 {
-		fc.AdaptiveTarget = spec.AdaptiveTarget
-	}
-	if spec.SnapshotInterval > 0 {
-		fc.SnapshotInterval = spec.SnapshotInterval
-	}
-	if spec.TraceVerbosity != "" {
-		fc.TraceVerbosity = spec.TraceVerbosity
-	}
-	if spec.TraceDepth > 0 {
-		fc.TraceDepth = spec.TraceDepth
-	}
-	if spec.SeriesDepth > 0 {
-		fc.SeriesDepth = spec.SeriesDepth
-	}
-	if spec.JourneyDepth > 0 {
-		fc.JourneyDepth = spec.JourneyDepth
-	}
-	// A negative admission setting is passed on for the fleet to refuse.
-	if spec.AdmitQueue != 0 {
-		fc.AdmitQueue = spec.AdmitQueue
-	}
-	if spec.RateLimit != 0 {
-		fc.RateLimit = spec.RateLimit
-	}
-	if spec.RateBurst != 0 {
-		fc.RateBurst = spec.RateBurst
-	}
 	return fc
+}
+
+// override sets *dst to v unless v is its type's zero value.
+func override[T comparable](dst *T, v T) {
+	var zero T
+	if v != zero {
+		*dst = v
+	}
 }
 
 // Handler returns the daemon's HTTP handler: the route table wrapped
@@ -563,7 +524,7 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Create checks the id and the config before anything touches disk.
-	f, err := s.mgr.Create(spec.ID, s.fleetConfig(spec.ID, spec))
+	f, err := s.mgr.Create(spec.ID, s.fleetConfig(spec))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -1088,6 +1088,65 @@ func TestFleetCapReturnsRetryAfter(t *testing.T) {
 	}
 }
 
+// FleetSpec's one rule: a field that is not zero overrides the daemon's
+// value, and the fleet refuses a value out of its range. So a negative
+// value is never silently dropped for the daemon's: each body is a 400
+// that leaves the WAL root and fleets.json byte for byte as they were.
+func TestFleetSpecNegativeValuesRefused(t *testing.T) {
+	walDir := t.TempDir()
+	_, hs, _ := newTestServer(t, Config{WALDir: walDir, WALSync: fleet.SyncOS, SnapshotDir: t.TempDir()})
+	state := func() string {
+		entries, err := os.ReadDir(walDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest, err := os.ReadFile(filepath.Join(walDir, "fleets.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, e := range entries {
+			b.WriteString(e.Name() + "\n")
+		}
+		return b.String() + string(manifest)
+	}
+	before := state()
+	for _, field := range []string{"checkpoint_s", "adaptive_target", "snapshot_interval", "trace_depth",
+		"series_depth", "journey_depth", "admit_queue", "rate_limit", "rate_burst"} {
+		body := `{"id":"` + field + `","` + field + `":-1}`
+		if code, msg := postBody(t, hs.URL, "/v1/fleets", body); code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", body, code, msg)
+		}
+		if after := state(); after != before {
+			t.Errorf("%s changed the WAL root or fleets.json", body)
+			before = after
+		}
+	}
+}
+
+// A daemon whose base config its fleets would refuse does not start, in
+// either role: a follower would otherwise report itself ready while
+// every mirror's creation failed, and with a grace it would promote an
+// empty daemon. The refusal is the bare 400 *fleet.Error, before
+// anything touches the disk.
+func TestRefusedBaseConfigStopsEitherRole(t *testing.T) {
+	_, lhs, _ := newTestServer(t, Config{})
+	for _, follow := range []string{"", lhs.URL} {
+		walDir := t.TempDir()
+		srv, err := New(Config{WALDir: walDir, Follow: follow, FollowPoll: 20 * time.Millisecond, TraceDepth: -1})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("follow %q: the daemon started with trace depth -1", follow)
+		}
+		if fe, ok := err.(*fleet.Error); !ok || fe.Status != http.StatusBadRequest {
+			t.Errorf("follow %q: error %#v, want a bare 400 *fleet.Error", follow, err)
+		}
+		if entries, err := os.ReadDir(walDir); err != nil || len(entries) != 0 {
+			t.Errorf("follow %q: WAL root holds %v (%v), want nothing", follow, entries, err)
+		}
+	}
+}
+
 // TestRefusedFleetNamedOnce: a fleet directory that Open refuses (the
 // two-file layout of fleet.TestTwoFileLayoutRefused) fails the daemon's
 // start with an error that names the fleet once, whether the manifest
@@ -1116,7 +1175,7 @@ func TestRefusedFleetNamedOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			srv, err := New(Config{WALDir: walDir, Fleets: []FleetSeed{{ID: id}}})
+			srv, err := New(Config{WALDir: walDir, Fleets: []energysched.FleetSpec{{ID: id}}})
 			if err == nil {
 				srv.Close()
 				t.Fatal("the daemon started on a refused fleet directory")
