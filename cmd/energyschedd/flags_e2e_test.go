@@ -108,7 +108,8 @@ func TestE2EFlagSurface(t *testing.T) {
 	if err := cmd.Run(); err != nil || !bytes.Equal(stderr.Bytes(), want) {
 		t.Errorf("-h: err %v, output\n%s\nwant testdata/flags.golden:\n%s", err, stderr.Bytes(), want)
 	}
-	for _, args := range [][]string{{"-trace-depth", "-1"}, {"-adaptive", "150"}, {"-trace", "loud"}, {"-snapshot-interval", "-1"}} {
+	for _, args := range [][]string{{"-trace-depth", "-1"}, {"-adaptive", "150"}, {"-trace", "loud"}, {"-snapshot-interval", "-1"},
+		{"-wal-sync", "OS"}, {"-fleets", "x=ZZ"}} {
 		// A daemon that accepts the value would serve until the deadline.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		var stdout, stderr bytes.Buffer

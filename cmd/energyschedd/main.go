@@ -111,9 +111,6 @@ func main() {
 		}
 		cfg.Pace = v
 	}
-	if cfg.WALSync != fleet.SyncAlways && cfg.WALSync != fleet.SyncOS {
-		cli.Usagef("energyschedd", "-wal-sync must be 'always' or 'os', got %q", cfg.WALSync)
-	}
 	if cfg.SSEHeartbeat < 0 {
 		cli.Usagef("energyschedd", "-sse-ping must be >= 0")
 	}
@@ -151,8 +148,9 @@ func main() {
 	}
 
 	srv, err := server.New(cfg)
-	if bad, ok := err.(*fleet.Error); ok && bad.Status == http.StatusBadRequest {
-		// The base config every fleet inherits is out of range.
+	var bad *fleet.Error
+	if errors.As(err, &bad) && bad.Status == http.StatusBadRequest {
+		// A fleet the flags configure would refuse its config.
 		cli.Usagef("energyschedd", "%v", err)
 	}
 	if err != nil {

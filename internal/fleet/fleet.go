@@ -233,6 +233,9 @@ func (c Config) validate() (obs.Verbosity, error) {
 	if c.RateLimit < 0 || c.RateBurst < 0 {
 		return bad(errors.New("rate_limit and rate_burst must be >= 0"))
 	}
+	if c.WALSync != SyncAlways && c.WALSync != SyncOS {
+		return bad(fmt.Errorf("wal_sync must be %q or %q, got %q", SyncAlways, SyncOS, c.WALSync))
+	}
 	if c.TraceVerbosity == "" {
 		return obs.TraceOff, nil
 	}
@@ -999,7 +1002,7 @@ func (f *Fleet) logFrames(frames [][]byte) error {
 		return nil
 	}
 	defer f.hists.wal.ObserveSince(time.Now())
-	off, records := f.wal.tell()
+	mark := f.wal.tell()
 	var err error
 	for i := 0; i < len(frames) && err == nil; i++ {
 		err = f.wal.appendFrame(frames[i], false)
@@ -1011,7 +1014,7 @@ func (f *Fleet) logFrames(frames [][]byte) error {
 		f.stats.Appended += len(frames)
 		return nil
 	}
-	if rerr := f.wal.rewind(off, records); rerr != nil {
+	if rerr := f.wal.rewind(mark); rerr != nil {
 		f.walBroken = true
 		f.logf("wal: append failed (%v) and rollback failed (%v); fleet is read-only", err, rerr)
 		return errf(http.StatusInternalServerError, "admission log broken: %v", err)

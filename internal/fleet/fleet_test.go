@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,11 +184,12 @@ func TestFleetRecoveryToleratesTornTail(t *testing.T) {
 
 	// Corrupt the last record's payload byte.
 	walPath := filepath.Join(dir, walName)
+	end := framesEnd(t, walPath)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-3] ^= 0x55
+	data[end-3] ^= 0x55
 	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +214,65 @@ func TestFleetRecoveryToleratesTornTail(t *testing.T) {
 	}
 	if want := drainedReport(t, 5); got != want {
 		t.Fatalf("torn-tail recovery diverged from the 5-job reference:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// The zeros after the log's last frame are its own space, not a torn
+// tail: a fleet reopened over them replays every record, reports no
+// torn tail, warns of nothing and leaves the file as long as it was.
+func TestFleetRecoveryKeepsZeroTail(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "f")
+	cfg := testConfig(dir)
+	cfg.SnapshotInterval = 0 // keep everything in the WAL
+	f, err := Open("f", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitN(t, f, 6, 0)
+	f.Close()
+	walPath := filepath.Join(dir, walName)
+	end := framesEnd(t, walPath)
+	before, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Size() <= end {
+		t.Fatalf("the log ends at its last frame (%d bytes): no zero tail to recover over", end)
+	}
+
+	var (
+		mu     sync.Mutex
+		warned []string
+	)
+	cfg.Logf = func(format string, args ...interface{}) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "torn") {
+			mu.Lock()
+			warned = append(warned, line)
+			mu.Unlock()
+		}
+	}
+	f2, err := Open("f", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	if st := walInfo(t, f2); st.TornTail || st.TruncatedBytes != 0 || st.Replayed != 6 {
+		t.Fatalf("zero-tail recovery stats = %+v, want 6 replayed and no torn tail", st)
+	}
+	mu.Lock()
+	if len(warned) != 0 {
+		t.Errorf("a clean zero tail was reported: %q", warned)
+	}
+	mu.Unlock()
+	if after, err := os.Stat(walPath); err != nil || after.Size() != before.Size() {
+		t.Fatalf("recovery changed the log's size: %d bytes before, %v after (%v)", before.Size(), after, err)
+	}
+	got, err := f2.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := drainedReport(t, 6); got != want {
+		t.Fatalf("zero-tail recovery diverged from the 6-job reference:\n got %+v\nwant %+v", got, want)
 	}
 }
 

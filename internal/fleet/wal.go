@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -35,6 +36,17 @@ import (
 // detectable: recovery keeps the longest valid prefix, truncates the
 // rest, and logs a warning instead of refusing to start.
 //
+// The frames are followed by zeros. An append that would pass the
+// file's end first writes zeros up to the next multiple of walGrowStep
+// past its frame, so the fsyncs until then write into space the file
+// already holds instead of also committing a new file size, as with
+// PostgreSQL's pre-zeroed WAL segments. The growth is aligned, so
+// a file's bytes are a function of its frames alone and a leader's log
+// equals its follower's. A zero length prefix ends the frames; recovery
+// keeps a tail of zeros after the last intact frame as the log's own
+// space, and treats any non-zero byte in it as damage. A log written
+// before the zeros ends at its last frame and grows on its next append.
+//
 // One file is one timeline. Its first frame, the header, is a record of
 // kind "snapshot" holding the state the records after it continue: the
 // job log, the scheduling config and the timeline generation.
@@ -53,6 +65,13 @@ import (
 
 // walHeaderSize is the fixed per-frame header: length + CRC.
 const walHeaderSize = 8
+
+// walGrowStep is the unit the log's file grows by: a file that holds a
+// frame past its old end is extended to the next multiple of it.
+const walGrowStep = 64 << 10
+
+// walZeros is the block the log's zeros are written from.
+var walZeros [walGrowStep]byte
 
 // walMaxRecord bounds a single frame; a longer length prefix is
 // treated as corruption rather than attempted as an allocation. A log's
@@ -302,6 +321,7 @@ type wal struct {
 	path    string
 	sync    bool
 	off     int64 // end of the last intact frame: the next append's offset
+	size    int64 // the file's length: frames up to off, zeros after it
 	records int   // records after the header currently in the file
 	jobs    int   // jobs the header holds (0: no header)
 	// fault, when set, is consulted before every append ("append"),
@@ -320,22 +340,24 @@ const walTemp = walName + ".tmp*"
 // the log positioned for appends. head is the header's snapshot, nil for
 // a log without one; recs are the records after it. dropped is the
 // number of torn/corrupt tail bytes that had to be discarded (0 for a
-// clean log).
+// clean log, whose tail after the last intact frame is all zeros).
 func openWAL(path string, syncPolicy string, fault func(op string) error) (w *wal, head *snapshotFile, recs []walRecord, dropped int64, err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("fleet: opening wal: %w", err)
 	}
-	head, recs, good, dropped, err := scanWAL(f)
+	head, recs, good, tail, err := scanWAL(f)
+	if err == nil && tail > 0 {
+		dropped, err = damaged(f, good, tail)
+	}
+	if err == nil && dropped > 0 {
+		if err = f.Truncate(good); err != nil {
+			err = fmt.Errorf("fleet: truncating torn wal tail: %w", err)
+		}
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, nil, 0, err
-	}
-	if dropped > 0 {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, nil, 0, fmt.Errorf("fleet: truncating torn wal tail: %w", err)
-		}
 	}
 	jobs := 0
 	if head != nil {
@@ -346,20 +368,39 @@ func openWAL(path string, syncPolicy string, fault func(op string) error) (w *wa
 		path:    path,
 		sync:    syncPolicy != SyncOS,
 		off:     good,
+		size:    good + tail - dropped,
 		records: len(recs),
 		jobs:    jobs,
 		fault:   fault,
 	}, head, recs, dropped, nil
 }
 
+// damaged returns how many of the n bytes of f from off on recovery must
+// discard: none if they are all zeros — the log's own space past its
+// last frame — and all n if any of them is not.
+func damaged(f *os.File, off, n int64) (int64, error) {
+	buf := make([]byte, min(n, walGrowStep))
+	for left := n; left > 0; {
+		k, err := f.ReadAt(buf[:min(left, int64(len(buf)))], off)
+		if !bytes.Equal(buf[:k], walZeros[:k]) {
+			return n, nil
+		}
+		if err != nil {
+			return 0, fmt.Errorf("fleet: reading wal tail: %w", err)
+		}
+		off, left = off+int64(k), left-int64(k)
+	}
+	return 0, nil
+}
+
 // scanWAL streams frames from the start of f via a FrameReader,
 // returning the header's snapshot (if the first frame is one), the
 // decoded records after it, the byte offset of the end of the last
-// intact frame, and how many trailing bytes past that offset would have
-// to be discarded. A snapshot frame anywhere but first ends the intact
-// prefix like a frame that is not a record: one file never holds two
-// timelines. An intact header that does not decode is an error.
-func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, dropped int64, err error) {
+// intact frame, and how many bytes of the file follow that offset. A
+// snapshot frame anywhere but first ends the intact prefix like a frame
+// that is not a record: one file never holds two timelines. An intact
+// header that does not decode is an error.
+func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, tail int64, err error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("fleet: sizing wal: %w", err)
@@ -372,8 +413,8 @@ func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, dropped in
 	for bound := size; ; bound = walMaxRecord {
 		payload, err := fr.NextWithin(bound)
 		if err != nil {
-			// Clean EOF or a torn tail: either way the intact prefix
-			// ends at fr.Offset() and everything past it is damage.
+			// Clean EOF, zeros or a torn tail: either way the intact
+			// prefix ends at fr.Offset().
 			return head, recs, fr.Offset(), size - fr.Offset(), nil
 		}
 		rec, err := decodeWALRecord(payload)
@@ -402,7 +443,8 @@ func scanWAL(f *os.File) (head *snapshotFile, recs []walRecord, good, dropped in
 // appendFrame writes one encoded record frame. The admission path
 // encodes each record exactly once, into its frame, and hands the
 // payload inside it to the replication feed, so leader and follower
-// logs are byte-identical.
+// logs are byte-identical. A frame that would pass the file's end first
+// grows the file with zeros to the next multiple of walGrowStep.
 func (w *wal) appendFrame(frame []byte, flush bool) error {
 	if w.fault != nil {
 		if err := w.fault("append"); err != nil {
@@ -415,6 +457,13 @@ func (w *wal) appendFrame(frame []byte, flush bool) error {
 			}
 			return fmt.Errorf("fleet: appending wal record: %w", err)
 		}
+	}
+	if end := w.off + int64(len(frame)); end > w.size {
+		grown := (end + walGrowStep - 1) / walGrowStep * walGrowStep
+		if err := w.writeZeros(w.size, grown); err != nil {
+			return fmt.Errorf("fleet: growing wal: %w", err)
+		}
+		w.size = grown
 	}
 	if _, err := w.f.WriteAt(frame, w.off); err != nil {
 		return fmt.Errorf("fleet: appending wal record: %w", err)
@@ -445,24 +494,47 @@ func (w *wal) flush() error {
 	return nil
 }
 
-// tell returns the current append offset and record count, for
-// rollback of a partially-appended batch.
-func (w *wal) tell() (int64, int) {
-	return w.off, w.records
+// writeZeros writes zeros over the file's bytes [from, to).
+func (w *wal) writeZeros(from, to int64) error {
+	for from < to {
+		n, err := w.f.WriteAt(walZeros[:min(to-from, walGrowStep)], from)
+		if err != nil {
+			return err
+		}
+		from += int64(n)
+	}
+	return nil
 }
 
-// rewind truncates the log back to a tell()-saved position, undoing
-// appends that could not be completed or acknowledged.
-func (w *wal) rewind(off int64, records int) error {
+// walMark is a position of the log that rewind returns it to.
+type walMark struct {
+	off, size int64 // the append offset and the file's length
+	records   int
+}
+
+// tell returns the current position, for rollback of a
+// partially-appended batch.
+func (w *wal) tell() walMark {
+	return walMark{w.off, w.size, w.records}
+}
+
+// rewind returns the log to a tell()-saved position, undoing appends
+// that could not be completed or acknowledged: the file gets back the
+// length it had and zeros where the undone frames were, the bytes it
+// held at the mark.
+func (w *wal) rewind(m walMark) error {
 	if w.fault != nil {
 		if err := w.fault("rewind"); err != nil {
 			return fmt.Errorf("fleet: rolling back wal: %w", err)
 		}
 	}
-	if err := w.f.Truncate(off); err != nil {
+	if err := w.f.Truncate(m.size); err != nil {
 		return fmt.Errorf("fleet: rolling back wal: %w", err)
 	}
-	w.off, w.records = off, records
+	if err := w.writeZeros(m.off, m.size); err != nil {
+		return fmt.Errorf("fleet: rolling back wal: %w", err)
+	}
+	w.off, w.size, w.records = m.off, m.size, m.records
 	return nil
 }
 
@@ -492,7 +564,7 @@ func (w *wal) replace(snap snapshotFile) error {
 	if oerr != nil {
 		return errors.Join(err, fmt.Errorf("fleet: reopening wal: %w", oerr))
 	}
-	w.f, w.off, w.records, w.jobs = f, int64(len(frame)), 0, snap.Jobs.Len()
+	w.f, w.off, w.size, w.records, w.jobs = f, int64(len(frame)), int64(len(frame)), 0, snap.Jobs.Len()
 	return err
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -28,14 +29,18 @@ func walFrame(payload []byte) []byte {
 //  3. a recovered log is writable — an append lands after the intact
 //     prefix and survives the next reopen;
 //  4. a log holds one timeline: a snapshot frame is its header, first,
-//     or not part of the recovered log at all.
+//     or not part of the recovered log at all;
+//  5. zeros after the frames are the log's own space: a log whose
+//     recovery was clean recovers the same records, again clean, with
+//     zeros appended.
 //
 // The seed corpus in testdata/fuzz covers the crash artifacts the
 // format was designed around: a torn final record, a bit-flipped CRC,
-// a bogus (oversized and zero) length prefix, and CRC-valid payloads
-// that are not our JSON. The seeds below add a log that starts with a
-// snapshot frame, and one with a snapshot frame after a record, whose
-// recovery must stop before it.
+// a bogus (oversized) length prefix, and CRC-valid payloads that are
+// not our JSON. Its zero-length-prefix file is a preallocated tail: two
+// records, then the zeros a zero length prefix begins. The seeds below
+// add a log that starts with a snapshot frame, and one with a snapshot
+// frame after a record, whose recovery must stop before it.
 func FuzzWALRecovery(f *testing.F) {
 	admit := []byte(`{"kind":"admit","job":{"id":0,"submit_s":0,"duration_s":60,"cpu_pct":100,"mem_units":5,"deadline_factor":1.5}}`)
 	seal := []byte(`{"kind":"seal"}`)
@@ -51,7 +56,7 @@ func FuzzWALRecovery(f *testing.F) {
 	binary.LittleEndian.PutUint32(bogus[len(walFrame(admit)):], 0xFFFFFFFF) // oversized length prefix
 	f.Add(bogus)
 	f.Add(walFrame([]byte(`[1,2,3]`)))           // CRC-valid, not a walRecord
-	f.Add(append(valid, 0, 0, 0, 0, 0, 0, 0, 0)) // zero length prefix
+	f.Add(append(valid, 0, 0, 0, 0, 0, 0, 0, 0)) // a preallocated tail
 	header, err := headerFrame(snapshotFile{Format: snapshotFormat, SavedVirtual: 0, Gen: 2})
 	if err != nil {
 		f.Fatal(err)
@@ -65,7 +70,7 @@ func FuzzWALRecovery(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		w, head, recs, _, err := openWAL(path, SyncOS, nil)
+		w, head, recs, dropped, err := openWAL(path, SyncOS, nil)
 		if err != nil {
 			return // I/O-level refusal is fine; crashing is not
 		}
@@ -78,6 +83,21 @@ func FuzzWALRecovery(f *testing.F) {
 			}
 		}
 		w.close()
+
+		if dropped == 0 {
+			zeroed := filepath.Join(t.TempDir(), "zeroed.log")
+			if err := os.WriteFile(zeroed, slices.Concat(data, make([]byte, 1+len(data)%walGrowStep)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wz, headz, recsz, droppedz, err := openWAL(zeroed, SyncOS, nil)
+			if err != nil {
+				t.Fatalf("open with zeros appended: %v", err)
+			}
+			wz.close()
+			if droppedz != 0 || !reflect.DeepEqual(recs, recsz) || !reflect.DeepEqual(head, headz) {
+				t.Fatalf("zeros appended to a clean log: %d bytes dropped, %d records; want 0 and the same %d", droppedz, len(recsz), len(recs))
+			}
+		}
 
 		w2, head2, recs2, dropped2, err := openWAL(path, SyncOS, nil)
 		if err != nil {

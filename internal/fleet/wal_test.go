@@ -21,6 +21,27 @@ func appendRecord(w *wal, rec walRecord, flush bool) error {
 	return w.appendFrame(frame, flush)
 }
 
+// framesEnd returns where the frames of the log at path end, failing
+// the test unless every byte after them is zero.
+func framesEnd(t *testing.T, path string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(bytes.NewReader(data))
+	for {
+		if _, err := fr.NextWithin(int64(len(data))); err != nil {
+			break
+		}
+	}
+	end := fr.Offset()
+	if i := bytes.IndexFunc(data[end:], func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Fatalf("the log's frames end at %d, but byte %d after them is not zero", end, end+int64(i))
+	}
+	return end
+}
+
 func walJob(id int) *workload.Job {
 	return &workload.Job{ID: id, Submit: float64(id) * 30, Duration: 600, CPU: 100, Mem: 5, DeadlineFactor: 1.5}
 }
@@ -81,7 +102,7 @@ func TestWALTornTailTruncatedRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	goodSize, _ := w.tell()
+	goodSize := w.tell().off
 	w.close()
 
 	// Simulate the torn append: half a record's worth of bytes.
@@ -102,7 +123,7 @@ func TestWALTornTailTruncatedRecord(t *testing.T) {
 	if len(recs) != 5 {
 		t.Fatalf("recovered %d records, want 5", len(recs))
 	}
-	if off, _ := w2.tell(); off != goodSize {
+	if off := w2.tell().off; off != goodSize {
 		t.Fatalf("append offset %d, want truncated to %d", off, goodSize)
 	}
 	// The log must be appendable again after truncation.
@@ -131,14 +152,18 @@ func TestWALTornTailCRCMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	end := w.tell().off
 	w.close()
 
 	// Flip one byte in the last record's payload.
+	if got := framesEnd(t, path); got != end {
+		t.Fatalf("the log's frames end at %d, tell() says %d", got, end)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-2] ^= 0xFF
+	data[end-2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +204,11 @@ func TestWALTornTailBogusLength(t *testing.T) {
 	}
 }
 
-// TestWALTellTracksFileSize: the append offset tell reports is the
-// file's intact length through appends, a torn write, a rewind, a
-// replace and a reopen. A torn write leaves its damage past that offset, so
-// tell still names the point a rollback truncates to.
+// TestWALTellTracksFileSize: the append offset tell reports is where
+// the file's frames end, with only zeros after them, through appends, a
+// torn write, a rewind, a replace and a reopen. A torn write leaves its
+// damage past that offset, so tell still names the point a rollback
+// returns to.
 func TestWALTellTracksFileSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	var tear bool
@@ -192,18 +218,10 @@ func TestWALTellTracksFileSize(t *testing.T) {
 		}
 		return nil
 	}
-	size := func() int64 {
-		t.Helper()
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Size()
-	}
 	check := func(w *wal, step string) {
 		t.Helper()
-		if off, _ := w.tell(); off != size() {
-			t.Fatalf("after %s: tell() = %d, file holds %d bytes", step, off, size())
+		if off, end := w.tell().off, framesEnd(t, path); off != end {
+			t.Fatalf("after %s: tell() = %d, the file's frames end at %d", step, off, end)
 		}
 	}
 
@@ -218,16 +236,20 @@ func TestWALTellTracksFileSize(t *testing.T) {
 		}
 		check(w, "append")
 	}
-	off, records := w.tell()
+	mark := w.tell()
 	tear = true
 	if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(3)}, true); !errors.Is(err, ErrTornWrite) {
 		t.Fatalf("torn append returned %v", err)
 	}
 	tear = false
-	if got, _ := w.tell(); got != off || size() <= off {
-		t.Fatalf("after a torn write: tell() = %d, file %d bytes; want tell at the intact end %d with damage past it", got, size(), off)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := w.rewind(off, records); err != nil {
+	if got := w.tell().off; got != mark.off || !bytes.ContainsFunc(data[mark.off:], func(r rune) bool { return r != 0 }) {
+		t.Fatalf("after a torn write: tell() = %d, file %d bytes; want tell at the intact end %d with damage past it", got, len(data), mark.off)
+	}
+	if err := w.rewind(mark); err != nil {
 		t.Fatal(err)
 	}
 	check(w, "rewind")
@@ -264,10 +286,10 @@ func TestWALRewindAndReplace(t *testing.T) {
 	}
 	defer w.close()
 	appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(0)}, true)
-	off, n := w.tell()
+	mark := w.tell()
 	appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(1)}, false)
 	appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(2)}, false)
-	if err := w.rewind(off, n); err != nil {
+	if err := w.rewind(mark); err != nil {
 		t.Fatal(err)
 	}
 	if w.records != 1 {
@@ -320,5 +342,179 @@ func TestWALRewindAndReplace(t *testing.T) {
 	}
 	if stale, _ := filepath.Glob(filepath.Join(filepath.Dir(path), walTemp)); len(stale) != 0 {
 		t.Fatalf("replace left temp files behind: %v", stale)
+	}
+}
+
+// walWithRecords returns the path of a closed log of n admit records
+// and where its frames end.
+func walWithRecords(t *testing.T, n int) (path string, end int64) {
+	t.Helper()
+	path = filepath.Join(t.TempDir(), "wal.log")
+	w, _, _, _, err := openWAL(path, SyncOS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := appendRecord(w, walRecord{Kind: walKindAdmit, Job: walJob(i)}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end = w.tell().off
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, end
+}
+
+// TestWALZeroTailDamage: a tail of zeros after the last frame is clean,
+// but any non-zero byte in it is damage — half a frame written into the
+// zeros, or a byte after a zero length prefix, near it or at the file's
+// last byte. Recovery keeps the intact records and truncates the rest,
+// zeros included.
+func TestWALZeroTailDamage(t *testing.T) {
+	half, err := appendRecordFrame(nil, walRecord{Kind: walKindAdmit, Job: walJob(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half = half[:len(half)/2]
+	for _, tc := range []struct {
+		name  string
+		write func(end, size int64) ([]byte, int64)
+	}{
+		{"half a frame", func(end, _ int64) ([]byte, int64) { return half, end }},
+		{"a byte after a zero length prefix", func(end, _ int64) ([]byte, int64) { return []byte{1}, end + walHeaderSize }},
+		{"the file's last byte", func(_, size int64) ([]byte, int64) { return []byte{1}, size - 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, end := walWithRecords(t, 3)
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, at := tc.write(end, st.Size())
+			if at+int64(len(b)) > st.Size() {
+				t.Fatalf("damage at %d+%d passes the file's %d bytes: it would not be inside the zero tail", at, len(b), st.Size())
+			}
+			if _, err := f.WriteAt(b, at); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			w, _, recs, dropped, err := openWAL(path, SyncOS, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.close()
+			if len(recs) != 3 || dropped != st.Size()-end {
+				t.Fatalf("recovered %d records, dropped %d bytes; want 3 records and the %d bytes past them", len(recs), dropped, st.Size()-end)
+			}
+			if after, err := os.Stat(path); err != nil || after.Size() != end {
+				t.Fatalf("after recovery the file is %v (%v), want truncated to %d bytes", after.Size(), err, end)
+			}
+		})
+	}
+}
+
+// TestWALOldFormatGrows: a log written before the zero tail ends at its
+// last frame. It reopens clean, and its next append grows it to a step
+// boundary like any other.
+func TestWALOldFormatGrows(t *testing.T) {
+	path, end := walWithRecords(t, 3)
+	if err := os.Truncate(path, end); err != nil {
+		t.Fatal(err)
+	}
+	w, _, recs, dropped, err := openWAL(path, SyncOS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || dropped != 0 || w.tell().off != end {
+		t.Fatalf("old-format log reopened with %d records, %d bytes dropped, tell %d; want 3, 0, %d", len(recs), dropped, w.tell().off, end)
+	}
+	if err := appendRecord(w, walRecord{Kind: walKindSeal}, true); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != walGrowStep {
+		t.Fatalf("after an append the old-format log holds %d bytes, want one %d-byte step", st.Size(), walGrowStep)
+	}
+	_, _, recs, dropped, err = openWAL(path, SyncOS, nil)
+	if err != nil || dropped != 0 || len(recs) != 4 || recs[3].Kind != walKindSeal {
+		t.Fatalf("reopen after growth: %d records, %d bytes dropped (%v)", len(recs), dropped, err)
+	}
+}
+
+// TestWALAppendKeepsFileSize: the fsync of an append that stays inside
+// the file commits no new size, so the file's size changes only when a
+// frame passes its end, and then to the step boundary after the frame.
+// The log starts unaligned (a log written before the zero tail), so
+// growth by a step from the old end would show. A frame longer than a
+// step grows the file by as many steps as it needs.
+func TestWALAppendKeepsFileSize(t *testing.T) {
+	path, end := walWithRecords(t, 1)
+	if err := os.Truncate(path, end); err != nil {
+		t.Fatal(err)
+	}
+	w, _, _, _, err := openWAL(path, SyncOS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	size := func() int64 {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	grow := func(frame []byte) (before, after int64) {
+		t.Helper()
+		before = size()
+		if err := w.appendFrame(frame, true); err != nil {
+			t.Fatal(err)
+		}
+		after = size()
+		end := w.tell().off
+		want := before
+		if end > before {
+			want = (end + walGrowStep - 1) / walGrowStep * walGrowStep
+		}
+		if after != want {
+			t.Fatalf("a frame ending at %d took the file from %d to %d bytes, want %d", end, before, after, want)
+		}
+		return before, after
+	}
+	changes := 0
+	for i := 1; i <= 1000; i++ {
+		frame, err := appendRecordFrame(nil, walRecord{Kind: walKindAdmit, Job: walJob(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before, after := grow(frame); after != before {
+			changes++
+		}
+	}
+	if changes < 2 {
+		t.Fatalf("1000 appends changed the file's size %d times: the test crossed too few step boundaries", changes)
+	}
+	big := EncodeFrame(append([]byte(`{"kind":"seal","pad":"`), append(bytes.Repeat([]byte("x"), 2*walGrowStep), `"}`...)...))
+	if before, after := grow(big); after-before < 2*walGrowStep {
+		t.Fatalf("a %d-byte frame grew the file by %d bytes", len(big), after-before)
+	}
+	if end := framesEnd(t, path); end != w.tell().off {
+		t.Fatalf("the log's frames end at %d, tell() says %d", end, w.tell().off)
+	}
+	w.close()
+	_, _, recs, dropped, err := openWAL(path, SyncOS, nil)
+	if err != nil || dropped != 0 || len(recs) != 1002 || recs[1001].Kind != walKindSeal {
+		t.Fatalf("reopen: %d records, %d bytes dropped (%v); want 1002 ending in the padded seal", len(recs), dropped, err)
 	}
 }

@@ -178,12 +178,16 @@ func TestWALAppendPayloadByteIdentical(t *testing.T) {
 	if err := w.appendFrame(frame, true); err != nil {
 		t.Fatal(err)
 	}
+	end := w.tell().off
 	w.close()
 	onDisk, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(onDisk, EncodeFrame(payload)) {
+	if got := framesEnd(t, path); got != end {
+		t.Fatalf("the log's frames end at %d, tell() says %d", got, end)
+	}
+	if onDisk = onDisk[:end]; !bytes.Equal(onDisk, EncodeFrame(payload)) {
 		t.Fatalf("on-disk bytes differ from EncodeFrame:\n disk: %x\n enc:  %x", onDisk, EncodeFrame(payload))
 	}
 }

@@ -174,6 +174,11 @@ func New(cfg Config) (*Server, error) {
 	if err := s.fleetConfig(energysched.FleetSpec{ID: DefaultFleet}).Check(); err != nil {
 		return nil, err
 	}
+	for _, spec := range cfg.Fleets {
+		if err := s.fleetConfig(spec).Check(); err != nil {
+			return nil, fleet.Named(spec.ID, err)
+		}
+	}
 	// The cap is installed after the startup seeds: operator-named
 	// fleets (and manifest-recovered ones) must come up even when they
 	// meet or exceed -max-fleets; the cap gates API-driven creation.

@@ -1147,6 +1147,38 @@ func TestRefusedBaseConfigStopsEitherRole(t *testing.T) {
 	}
 }
 
+// TestRefusedSyncOrSeedTouchesNoDisk: a WAL sync policy other than
+// "always" or "os" (the case matters: "OS" would fsync every admission),
+// and a seed fleet whose config its fleet would refuse, stop the daemon
+// with a 400 before anything touches the disk. The seed's error names
+// its fleet.
+func TestRefusedSyncOrSeedTouchesNoDisk(t *testing.T) {
+	for _, tc := range []struct {
+		name, prefix string
+		cfg          Config
+	}{
+		{"wal sync", "", Config{WALSync: "OS"}},
+		{"seed", "fleet x: ", Config{Fleets: []energysched.FleetSpec{{ID: "x", Policy: "ZZ"}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walDir := t.TempDir()
+			tc.cfg.WALDir = walDir
+			srv, err := New(tc.cfg)
+			if err == nil {
+				srv.Close()
+				t.Fatalf("the daemon started with %+v", tc.cfg)
+			}
+			var fe *fleet.Error
+			if !errors.As(err, &fe) || fe.Status != http.StatusBadRequest || !strings.HasPrefix(err.Error(), tc.prefix) {
+				t.Errorf("error %q, want a 400 *fleet.Error beginning %q", err, tc.prefix)
+			}
+			if entries, err := os.ReadDir(walDir); err != nil || len(entries) != 0 {
+				t.Errorf("WAL root holds %v (%v), want nothing", entries, err)
+			}
+		})
+	}
+}
+
 // TestRefusedFleetNamedOnce: a fleet directory that Open refuses (the
 // two-file layout of fleet.TestTwoFileLayoutRefused) fails the daemon's
 // start with an error that names the fleet once, whether the manifest
